@@ -6,7 +6,7 @@
 //! matters); random columns are drawn once per forward from the
 //! construction seed.
 
-use sa_kernels::{sparse_flash_attention, StructuredMask};
+use sa_kernels::{sparse_flash_attention_blocked, StructuredMask};
 use sa_tensor::{DeterministicRng, Matrix, TensorError};
 
 use crate::{AttentionMethod, MethodOutput};
@@ -87,7 +87,7 @@ impl AttentionMethod for BigBird {
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
         let mask = self.build_mask(q.rows(), k.rows());
-        let out = sparse_flash_attention(q, k, v, &mask)?;
+        let out = sparse_flash_attention_blocked(q, k, v, &mask)?;
         Ok(MethodOutput {
             output: out.output,
             cost: out.cost,

@@ -4,7 +4,7 @@
 //! prefill stage its fixed sink+window pattern drops the mid-context
 //! information long-context tasks need.
 
-use sa_kernels::{sparse_flash_attention, StructuredMask};
+use sa_kernels::{sparse_flash_attention_blocked, StructuredMask};
 use sa_tensor::{Matrix, TensorError};
 
 use crate::{AttentionMethod, MethodOutput};
@@ -62,7 +62,7 @@ impl AttentionMethod for StreamingLlm {
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
         let mask = self.build_mask(q.rows(), k.rows());
-        let out = sparse_flash_attention(q, k, v, &mask)?;
+        let out = sparse_flash_attention_blocked(q, k, v, &mask)?;
         Ok(MethodOutput {
             output: out.output,
             cost: out.cost,

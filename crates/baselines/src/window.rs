@@ -1,6 +1,6 @@
 //! Pure sliding-window attention (ablation helper).
 
-use sa_kernels::{sparse_flash_attention, StructuredMask};
+use sa_kernels::{sparse_flash_attention_blocked, StructuredMask};
 use sa_tensor::{Matrix, TensorError};
 
 use crate::{AttentionMethod, MethodOutput};
@@ -46,7 +46,7 @@ impl AttentionMethod for WindowOnly {
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
         let mask = self.build_mask(q.rows(), k.rows());
-        let out = sparse_flash_attention(q, k, v, &mask)?;
+        let out = sparse_flash_attention_blocked(q, k, v, &mask)?;
         Ok(MethodOutput {
             output: out.output,
             cost: out.cost,

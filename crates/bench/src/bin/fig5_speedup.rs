@@ -23,9 +23,10 @@ struct Row {
     ttft_flash_ms: f64,
     ttft95_ms: f64,
     ttft80_ms: f64,
-    /// SampleAttention(α=0.95) with the measured tiled-kernel speedup
-    /// applied to the sparse-compute share (sampling is unaffected by
-    /// the kernel layout). Equals `sample95_ms` when no
+    /// SampleAttention(α=0.95) with the measured speedup of the blocked
+    /// engine over the row-wise reference kernel applied to the
+    /// sparse-compute share (sampling is unaffected by the kernel's loop
+    /// structure). Equals `sample95_ms` when no
     /// `results/tile_kernel.json` A/B report is available.
     sample95_tiled_ms: f64,
     /// `flash_ms / sample95_tiled_ms`.
@@ -48,8 +49,8 @@ sa_json::impl_json_struct!(Row {
     speedup95_tiled: default
 });
 
-/// Median single-thread speedup of the tiled kernel over the row-major
-/// kernel, measured by the `tile_kernel` binary. Falls back to 1.0 (no
+/// Median single-thread speedup of the blocked engine over the row-wise
+/// reference kernel, measured by the `tile_kernel` binary. Falls back to 1.0 (no
 /// adjustment) when the A/B report has not been generated.
 fn measured_tile_speedup(out_dir: &Path) -> f64 {
     let path = out_dir.join("tile_kernel.json");
@@ -89,8 +90,8 @@ fn main() {
             let b95 = model.ttft(s, sa95);
             let ttft_flash = model.ttft(s, AttentionKind::Flash).total_s() * 1e3;
             let share = b95.sampling_s / b95.attention_s;
-            // Only the sparse-compute share is accelerated by the tiled
-            // layout; sampling/filter time is kernel-agnostic.
+            // Only the sparse-compute share is accelerated by the
+            // engine; sampling/filter time is kernel-agnostic.
             let s95_tiled = s95 * (share + (1.0 - share) / tile_speedup);
             Row {
                 seq_len: s,
@@ -112,7 +113,7 @@ fn main() {
 
     println!("Figure 5(a): self-attention latency per full forward (ms), 28 layers x 32 heads, d=128");
     println!(
-        "(tiled column applies the measured {}x single-thread tiled-kernel speedup to the sparse share)\n",
+        "(tiled column applies the measured {}x single-thread engine-vs-reference kernel speedup to the sparse share)\n",
         f(tile_speedup, 2)
     );
     let table_a: Vec<Vec<String>> = rows

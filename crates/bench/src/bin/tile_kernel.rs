@@ -1,14 +1,15 @@
-//! A/B report for the tiled block-sparse kernel rewrite: the row-major
-//! kernel vs the tiled kernel on identical structured masks, timed both
-//! pinned to one worker (`SA_THREADS=1`) and at the session's default
-//! worker count. The two kernels are bit-identical by contract (the
-//! differential suite in `tests/kernel_equivalence.rs` proves it), so the
-//! report isolates pure layout/scheduling effects; this binary re-asserts
+//! A/B report for the blocked sparse-flash engine: the row-wise
+//! reference kernel vs the engine on identical structured masks, timed
+//! both pinned to one worker and at the host's worker count
+//! (`pool::hardware_threads()`). The two are bit-identical by contract
+//! (the differential suite in `tests/kernel_equivalence.rs` proves it),
+//! so the report isolates the loop structure; this binary re-asserts
 //! bitwise equality on every case before timing it.
 //!
 //! Writes `results/tile_kernel.json` (`sa.tile_kernel.v1`), which
 //! `fig5_speedup` reads to extend its analytic 32K–96K rows with a
-//! measured tiled column.
+//! measured column. The schema predates the engine: its `tiled_*`
+//! columns now hold the engine's times and `tile` its block edge.
 //!
 //! Run with `cargo run -p sa-bench --release --bin tile_kernel`
 //! (`--quick` for the 2K/4K smoke sweep).
@@ -17,8 +18,9 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use sa_bench::{f, render_table, write_json, Args};
-use sa_core::{select_tile_size, TilePolicy};
-use sa_kernels::{sparse_flash_attention, sparse_flash_attention_tiled, StructuredMask, TiledMask};
+use sa_kernels::{
+    sparse_flash_attention, sparse_flash_attention_blocked, StructuredMask, ENGINE_BLOCK,
+};
 use sa_tensor::{pool, DeterministicRng, Matrix};
 
 /// Schema tag checked by `tests/results_files.rs`.
@@ -142,16 +144,11 @@ fn main() {
             .dense_tail_rows(64)
             .build()
             .expect("bench mask is valid");
-        let choice = select_tile_size(&TilePolicy::default(), &mask)
-            .expect("autotuner accepts the bench mask");
-        let tiling =
-            TiledMask::build(mask.clone(), choice.tile).expect("tiling the bench mask succeeds");
-
         // Bitwise identity check before timing anything.
         let (a, b) = pool::with_threads(1, || {
             (
-                sparse_flash_attention(&q, &k, &v, &mask).expect("row-major kernel"),
-                sparse_flash_attention_tiled(&q, &k, &v, &tiling).expect("tiled kernel"),
+                sparse_flash_attention(&q, &k, &v, &mask).expect("reference kernel"),
+                sparse_flash_attention_blocked(&q, &k, &v, &mask).expect("blocked engine"),
             )
         });
         let bitwise_identical = a
@@ -163,22 +160,23 @@ fn main() {
         assert!(bitwise_identical, "kernels diverged at S={s}");
 
         let run_rm = || {
-            black_box(sparse_flash_attention(&q, &k, &v, &mask).expect("row-major kernel"));
+            black_box(sparse_flash_attention(&q, &k, &v, &mask).expect("reference kernel"));
         };
-        let run_tiled = || {
-            black_box(sparse_flash_attention_tiled(&q, &k, &v, &tiling).expect("tiled kernel"));
+        let run_engine = || {
+            black_box(sparse_flash_attention_blocked(&q, &k, &v, &mask).expect("blocked engine"));
         };
         let (rm_serial, tl_serial) =
-            pool::with_threads(1, || time_paired(trials, run_rm, run_tiled));
-        let (rm_par, tl_par) = time_paired(trials, run_rm, run_tiled);
-        let threads = pool::current_threads();
+            pool::with_threads(1, || time_paired(trials, run_rm, run_engine));
+        let threads = pool::hardware_threads();
+        let (rm_par, tl_par) =
+            pool::with_threads(threads, || time_paired(trials, run_rm, run_engine));
 
         // Speedups use the fastest paired trial of each leg: on a
         // shared/noisy host the minimum is the least-contaminated
         // estimate of the kernel's true cost (medians are recorded too).
         rows.push(CaseRow {
             seq_len: s,
-            tile: tiling.tile(),
+            tile: ENGINE_BLOCK,
             nnz: mask.nnz() as u64,
             density: mask.density(),
             row_major_serial_ns: median_ns(&rm_serial),
@@ -195,7 +193,7 @@ fn main() {
     println!(
         "## tile_kernel — paired A/B, {trials} alternating trials per leg\n"
     );
-    println!("Tiled vs row-major sparse kernel (median ms; speedups from fastest trial)\n");
+    println!("Blocked engine vs row-wise reference (median ms; speedups from fastest trial)\n");
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -217,8 +215,8 @@ fn main() {
         "{}",
         render_table(
             &[
-                "S", "tile", "density", "rm serial", "tiled serial", "serial x", "rm par",
-                "tiled par", "par x", "threads"
+                "S", "block", "density", "ref serial", "engine serial", "serial x", "ref par",
+                "engine par", "par x", "threads"
             ],
             &table
         )

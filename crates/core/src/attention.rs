@@ -15,20 +15,20 @@
 //! `sparse_kernel`, `dense_fallback`) — the instrumented ground truth
 //! behind the paper's Table 4 stage breakdown — and the health machinery
 //! feeds counters: `core.sentinel_trips`, `core.alpha_miss`,
-//! `core.fallback.<reason>`, plus the `core.mask_nnz` histogram.
+//! `core.fallback.<reason>`, plus the `core.mask_nnz` and
+//! `core.kernel_scored_pairs` histograms.
 
 use sa_kernels::{
-    flash_attention, sparse_flash_attention, sparse_flash_attention_tiled, CostReport,
-    FlashParams, StructuredMask, TiledMask,
+    flash_attention, sparse_flash_attention_blocked, CostReport, FlashParams, StructuredMask,
+    ENGINE_BLOCK,
 };
 use sa_tensor::{Matrix, SaError};
 
-use crate::autotune::{select_tile_size, TilePolicy};
 use crate::filtering::{filter_kv_indices, KvRatioSchedule};
 use crate::merge::merge_mask_with_diagonals;
 use crate::sampling::sample_attention_scores;
 use crate::sparsity::causal_width;
-use crate::{HealthPolicy, SampleAttentionConfig, SampleAttentionError, SparseKernel};
+use crate::{HealthPolicy, SampleAttentionConfig, SampleAttentionError};
 
 /// Why a head's forward pass degraded to dense attention
 /// ([`FallbackReason::None`] = the sparse pipeline ran healthily).
@@ -168,8 +168,9 @@ pub struct SampleAttentionStats {
     /// Cost of the sparse attention kernel (the dense kernel's cost when
     /// the head fell back).
     pub sparse_cost: CostReport,
-    /// Tile edge the tiled sparse kernel ran with (`0` when the
-    /// row-major kernel or the dense fallback executed instead).
+    /// Block edge of the sparse engine (query rows per block, key lanes
+    /// per score panel): 64 whenever the sparse kernel ran, `0` when the
+    /// dense fallback executed instead.
     pub tile_size: usize,
 }
 
@@ -526,19 +527,6 @@ impl SampleAttention {
         })
     }
 
-    /// Tiles `mask` for the tiled kernel: a pinned `tile_size` wins,
-    /// otherwise the seeded autotuner picks per `(S, sparsity)`.
-    /// Returns `None` when tiling is degenerate (selection or layout
-    /// construction fails), signalling the row-major fallback.
-    fn build_tiled(&self, mask: &StructuredMask) -> Option<TiledMask> {
-        let tile = if self.config.tile_size > 0 {
-            self.config.tile_size
-        } else {
-            select_tile_size(&TilePolicy::default(), mask).ok()?.tile
-        };
-        TiledMask::build(mask.clone(), tile).ok()
-    }
-
     fn forward_with_mask(
         &self,
         q: &Matrix,
@@ -549,29 +537,9 @@ impl SampleAttention {
         mut stats: SampleAttentionStats,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
         let _span = sa_trace::span_in("core", "sparse_kernel");
-        let sparse = match self.config.sparse_kernel {
-            SparseKernel::RowMajor => sparse_flash_attention(q, k, v, &mask)?,
-            SparseKernel::Tiled => match self.build_tiled(&mask) {
-                Some(tiled) => {
-                    stats.tile_size = tiled.tile();
-                    if sa_trace::enabled() {
-                        let (full, window, bitmap) = tiled.class_counts();
-                        sa_trace::histogram_record!("core.tile_size", tiled.tile() as u64);
-                        sa_trace::counter_add!("core.tile_full", full as u64);
-                        sa_trace::counter_add!("core.tile_window", window as u64);
-                        sa_trace::counter_add!("core.tile_bitmap", bitmap as u64);
-                    }
-                    sparse_flash_attention_tiled(q, k, v, &tiled)?
-                }
-                // Degenerate tiling (e.g. an empty merged mask the
-                // sentinels let through): run the row-major kernel
-                // rather than failing the head over a layout choice.
-                None => {
-                    sa_trace::counter_add!("core.tile_fallback_rowmajor", 1);
-                    sparse_flash_attention(q, k, v, &mask)?
-                }
-            },
-        };
+        let sparse = sparse_flash_attention_blocked(q, k, v, &mask)?;
+        stats.tile_size = ENGINE_BLOCK;
+        sa_trace::histogram_record!("core.kernel_scored_pairs", sparse.scored_pairs);
         // Sentinel D: no non-finite value may escape the kernel.
         let bad = count_nonfinite(sparse.output.as_slice());
         if bad > 0 {
@@ -874,7 +842,8 @@ mod tests {
         let _session = sa_trace::scoped();
         let (q, k, v) = structured_qkv(128, 8, 30);
         let attn = SampleAttention::new(SampleAttentionConfig::paper_default());
-        attn.forward(&q, &k, &v).unwrap();
+        let out = attn.forward(&q, &k, &v).unwrap();
+        assert_eq!(out.stats.tile_size, ENGINE_BLOCK);
         let events = sa_trace::drain();
         let has = |name: &str| events.iter().any(|e| e.cat == "core" && e.name == name);
         for stage in ["stage1_sampling", "stage2_filtering", "mask_merge", "sparse_kernel"] {
@@ -882,13 +851,20 @@ mod tests {
         }
         assert!(!has("dense_fallback"), "healthy head must not fall back");
         let snap = sa_trace::metrics::snapshot();
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "core.mask_nnz")
-            .expect("mask nnz histogram");
-        assert_eq!(hist.count, 1);
-        assert!(hist.max > 0);
+        let hist = |name: &str| {
+            snap.histograms
+                .iter()
+                .find(|h| h.name == name)
+                .unwrap_or_else(|| panic!("{name} histogram"))
+        };
+        let nnz = hist("core.mask_nnz");
+        assert_eq!(nnz.count, 1);
+        assert!(nnz.max > 0);
+        // Attempted work sits beside useful work: the engine scores at
+        // least every live pair.
+        let scored = hist("core.kernel_scored_pairs");
+        assert_eq!(scored.count, 1);
+        assert!(scored.sum >= nnz.sum, "{} < {}", scored.sum, nnz.sum);
     }
 
     #[test]

@@ -29,25 +29,6 @@ sa_json::impl_json_enum!(HealthPolicy {
     Abort
 });
 
-/// Which sparse-attention kernel executes the merged mask.
-///
-/// Both kernels are bitwise-identical on every mask (locked down by the
-/// differential suite in `tests/kernel_equivalence.rs`), so the choice
-/// only affects performance. The default is the tiled kernel; legacy
-/// config payloads without the key parse to the default, preserving
-/// their numerical behaviour exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparseKernel {
-    /// The original per-row kernel walking each row's live columns.
-    RowMajor,
-    /// The block-CSR tiled kernel (`sparse_flash_attention_tiled`),
-    /// with tile size from `tile_size` (0 = autotuned).
-    #[default]
-    Tiled,
-}
-
-sa_json::impl_json_enum!(SparseKernel { RowMajor, Tiled });
-
 /// Hyper-parameters of SampleAttention (the paper's Table 1).
 ///
 /// | field | paper symbol | meaning |
@@ -108,12 +89,6 @@ pub struct SampleAttentionConfig {
     /// default — disables the α sentinel entirely, since a deliberate
     /// `max_kv_ratio` cap legitimately leaves `alpha_satisfied == false`).
     pub alpha_fallback_tolerance: f32,
-    /// Which sparse kernel executes the merged mask (tiled by default;
-    /// numerically identical either way).
-    pub sparse_kernel: SparseKernel,
-    /// Tile edge for the tiled kernel, in `1..=MAX_TILE`; `0` (the
-    /// default) selects per-problem via the seeded tile autotuner.
-    pub tile_size: usize,
 }
 
 sa_json::impl_json_struct!(SampleAttentionConfig {
@@ -128,9 +103,7 @@ sa_json::impl_json_struct!(SampleAttentionConfig {
     max_diagonals,
     max_kv_ratio,
     health_policy: default,
-    alpha_fallback_tolerance: default,
-    sparse_kernel: default,
-    tile_size: default
+    alpha_fallback_tolerance: default
 });
 
 impl SampleAttentionConfig {
@@ -154,8 +127,6 @@ impl SampleAttentionConfig {
             max_kv_ratio: 1.0,
             health_policy: HealthPolicy::FallbackDense,
             alpha_fallback_tolerance: 0.0,
-            sparse_kernel: SparseKernel::Tiled,
-            tile_size: 0,
         }
     }
 
@@ -268,18 +239,6 @@ impl SampleAttentionConfigBuilder {
         self
     }
 
-    /// Selects the sparse kernel executing the merged mask.
-    pub fn sparse_kernel(mut self, kernel: SparseKernel) -> Self {
-        self.config.sparse_kernel = kernel;
-        self
-    }
-
-    /// Pins the tiled kernel's tile edge (`0` = autotune per problem).
-    pub fn tile_size(mut self, tile: usize) -> Self {
-        self.config.tile_size = tile;
-        self
-    }
-
     /// Validates and builds the config.
     ///
     /// # Errors
@@ -309,16 +268,6 @@ impl SampleAttentionConfigBuilder {
         check_unit("window_ratio", c.window_ratio, true)?;
         check_unit("max_kv_ratio", c.max_kv_ratio, false)?;
         check_unit("alpha_fallback_tolerance", c.alpha_fallback_tolerance, true)?;
-        if c.tile_size > sa_kernels::MAX_TILE {
-            return Err(SampleAttentionError::InvalidConfig {
-                field: "tile_size",
-                why: format!(
-                    "must be 0 (autotune) or 1..={}, got {}",
-                    sa_kernels::MAX_TILE,
-                    c.tile_size
-                ),
-            });
-        }
         Ok(c)
     }
 }
@@ -427,35 +376,14 @@ mod tests {
     }
 
     #[test]
-    fn kernel_fields_default_and_validate() {
-        let c = SampleAttentionConfig::paper_default();
-        assert_eq!(c.sparse_kernel, SparseKernel::Tiled);
-        assert_eq!(c.tile_size, 0);
-        let c = SampleAttentionConfig::builder()
-            .sparse_kernel(SparseKernel::RowMajor)
-            .tile_size(32)
-            .build()
-            .unwrap();
-        assert_eq!(c.sparse_kernel, SparseKernel::RowMajor);
-        assert_eq!(c.tile_size, 32);
-        assert!(SampleAttentionConfig::builder()
-            .tile_size(sa_kernels::MAX_TILE + 1)
-            .build()
-            .is_err());
-    }
-
-    #[test]
-    fn old_json_without_kernel_fields_still_parses() {
-        // Pre-tiling payloads lack the two kernel keys: they must parse
-        // to the tiled default, which is bitwise-identical to the old
-        // row-major kernel — legacy semantics are preserved exactly.
+    fn json_with_retired_kernel_fields_still_parses() {
+        // Payloads written while the kernel was selectable carry two
+        // keys that no longer exist; they are ignored.
         let c = SampleAttentionConfig::paper_default();
         let s = sa_json::to_string(&c);
-        let legacy = s
-            .replace(",\"sparse_kernel\":\"Tiled\"", "")
-            .replace(",\"tile_size\":0", "");
-        assert!(!legacy.contains("sparse_kernel"), "{legacy}");
-        let back: SampleAttentionConfig = sa_json::from_str(&legacy).unwrap();
+        let old = s.replacen('}', ",\"sparse_kernel\":\"Tiled\",\"tile_size\":0}", 1);
+        assert!(old.contains("sparse_kernel"), "{old}");
+        let back: SampleAttentionConfig = sa_json::from_str(&old).unwrap();
         assert_eq!(back, c);
     }
 }

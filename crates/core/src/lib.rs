@@ -71,12 +71,12 @@ pub use autotune::{
     select_tile_size, AdaptiveSampleAttention, AutotuneConfig, RuntimeAutotuner, TileChoice,
     TilePolicy,
 };
-pub use config::{HealthPolicy, SampleAttentionConfig, SampleAttentionConfigBuilder, SparseKernel};
+pub use config::{HealthPolicy, SampleAttentionConfig, SampleAttentionConfigBuilder};
 pub use cra::{cra_of_dense_mask, cra_of_structured_mask, stripe_coverage_curve, StripeCoverage};
 pub use error::SampleAttentionError;
 pub use filtering::{filter_kv_indices, KvFilterResult, KvRatioSchedule};
 pub use ladder::{DegradationReport, DegradationRung, RungAttempt};
-pub use merge::{merge_mask, merge_mask_tiled, merge_mask_with_diagonals};
+pub use merge::{merge_mask, merge_mask_with_diagonals};
 pub use sampling::{sample_attention_scores, SampledScores};
 pub use sparsity::{
     optimal_sparsity_degree, pattern_summary, structured_sparsity_degree, PatternSummary,

@@ -6,7 +6,7 @@
 //! diagonal region every query must keep — is the window's job; the
 //! merge guarantees a nonzero window so no query row is left empty.
 
-use sa_kernels::{StructuredMask, TiledMask};
+use sa_kernels::StructuredMask;
 use sa_tensor::TensorError;
 
 use crate::SampleAttentionConfig;
@@ -63,29 +63,6 @@ pub fn merge_mask_with_diagonals(
         .diagonals(diagonals.to_vec())
         .dense_tail_rows(config.bottom_area_rows)
         .build()
-}
-
-/// [`merge_mask_with_diagonals`] followed by block-CSR tiling: builds
-/// the merged mask and lays it out in `tile × tile` blocks for the
-/// tiled sparse kernel. Tiling is pure bookkeeping — the tiled layout
-/// carries exactly the merged mask's live set (`nnz` preserved, dense
-/// expansions equal).
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidDimension`] if any stripe index is out
-/// of range, the tile is outside `1..=MAX_TILE`, or the problem has a
-/// zero dimension.
-pub fn merge_mask_tiled(
-    s_q: usize,
-    s_k: usize,
-    kv_indices: &[usize],
-    diagonals: &[usize],
-    config: &SampleAttentionConfig,
-    tile: usize,
-) -> Result<TiledMask, TensorError> {
-    let mask = merge_mask_with_diagonals(s_q, s_k, kv_indices, diagonals, config)?;
-    TiledMask::build(mask, tile)
 }
 
 #[cfg(test)]
@@ -156,59 +133,5 @@ mod tests {
         assert!(mask.is_allowed(0, 2));
         assert!(!mask.is_allowed(0, 30)); // non-causal for row 0 (end = 28)
         assert!(mask.is_allowed(3, 31));
-    }
-
-    /// Golden occupancy: a 128-row merge with stripes and a diagonal at
-    /// tile 32 preserves nnz exactly and produces all three tile
-    /// classes in known quantities.
-    #[test]
-    fn tiled_merge_preserves_nnz_with_known_occupancy() {
-        let config = SampleAttentionConfig::builder()
-            .window_ratio(0.5)
-            .forced_sinks(2)
-            .bottom_area_rows(8)
-            .build()
-            .unwrap();
-        let mask =
-            merge_mask_with_diagonals(128, 128, &[4, 40], &[90], &config).unwrap();
-        let tiled = merge_mask_tiled(128, 128, &[4, 40], &[90], &config, 32).unwrap();
-        assert_eq!(tiled.nnz(), mask.nnz(), "tiling must preserve the live set");
-        assert_eq!(tiled.q_tiles(), 4);
-        // Known occupancy of the 4x4 tile grid (10 of 16 tiles live,
-        // 6 empty above the causal diagonal or between window and
-        // sinks): the 64-wide window fully covers one sub-diagonal
-        // tile per query tile from qt1 on (3 Full); each query tile's
-        // diagonal tile is a causal clip plus qt1's second band tile
-        // (4 Window); sinks {0,1}, stripe 4 below the window, and
-        // diagonal-offset 90 keys force bitmaps in the low key tiles
-        // of qt2/qt3, and stripe 40 drops below the window inside
-        // qt3's kt1 (3 Bitmap).
-        assert_eq!(tiled.class_counts(), (3, 4, 3));
-        assert_eq!(tiled.tile_count(), 10);
-        assert_eq!(tiled.expand(), mask.to_dense());
-    }
-
-    /// Round trip at awkward tile sizes: S not divisible by the tile,
-    /// single-element tiles, and a tile wider than the bottom area.
-    #[test]
-    fn tiled_merge_round_trip_awkward_tiles() {
-        let config = SampleAttentionConfig::builder()
-            .window_ratio(0.1)
-            .bottom_area_rows(5)
-            .build()
-            .unwrap();
-        for tile in [1, 3, 13, 64] {
-            let mask = merge_mask_with_diagonals(50, 50, &[7, 21], &[], &config).unwrap();
-            let tiled = merge_mask_tiled(50, 50, &[7, 21], &[], &config, tile).unwrap();
-            assert_eq!(tiled.nnz(), mask.nnz(), "nnz drift at tile={tile}");
-            assert_eq!(tiled.expand(), mask.to_dense(), "expand drift at tile={tile}");
-        }
-    }
-
-    #[test]
-    fn tiled_merge_rejects_bad_tile() {
-        let config = SampleAttentionConfig::paper_default();
-        assert!(merge_mask_tiled(32, 32, &[], &[], &config, 0).is_err());
-        assert!(merge_mask_tiled(32, 32, &[], &[], &config, 65).is_err());
     }
 }

@@ -120,18 +120,13 @@ pub struct TunerEntry {
     pub mean_density: f64,
     /// Total pipeline FLOPs across requests.
     pub total_flops: u64,
-    /// Largest tile size the tiled sparse kernel selected across the
-    /// profiling requests (0 when the tiled kernel never ran, e.g. the
-    /// row-major kernel was configured or every request fell back).
-    pub tile_size: usize,
 }
 
 sa_json::impl_json_struct!(TunerEntry {
     config,
     fidelity,
     mean_density,
-    total_flops,
-    tile_size: default
+    total_flops
 });
 
 /// The chosen configuration and why.
@@ -218,21 +213,18 @@ impl HyperParamTuner {
             let mut min_fidelity = f32::INFINITY;
             let mut density_sum = 0.0f64;
             let mut total_flops = 0u64;
-            let mut tile_size = 0usize;
             for (req, reference) in requests.iter().zip(&references) {
                 let out = attn.forward(&req.q, &req.k, &req.v)?;
                 let sim = cosine_similarity(out.output.as_slice(), reference.as_slice());
                 min_fidelity = min_fidelity.min(sim);
                 density_sum += out.stats.mask_density;
                 total_flops += out.stats.total_cost().flops;
-                tile_size = tile_size.max(out.stats.tile_size);
             }
             entries.push(TunerEntry {
                 config,
                 fidelity: min_fidelity,
                 mean_density: density_sum / requests.len() as f64,
                 total_flops,
-                tile_size,
             });
         }
 
@@ -349,26 +341,6 @@ mod tests {
                 .fold(f32::NEG_INFINITY, f32::max);
             assert_eq!(report.selection.entry.fidelity, max_f);
         }
-    }
-
-    #[test]
-    fn tuner_records_selected_tile_size() {
-        let requests = vec![structured_request(128, 8, 5)];
-        let tuner = HyperParamTuner::new(small_grid(), 0.5).unwrap();
-        let report = tuner.tune(&requests).unwrap();
-        // The default config uses the tiled kernel, so every entry that
-        // ran the sparse stage must have recorded an autotuned tile.
-        for entry in &report.entries {
-            assert!(
-                entry.tile_size >= 1 && entry.tile_size <= sa_kernels::MAX_TILE,
-                "tile {} outside 1..=MAX_TILE",
-                entry.tile_size
-            );
-        }
-        // And it survives a JSON round trip (back-compat default is 0).
-        let json = sa_json::to_string(&report.selection.entry);
-        let back: TunerEntry = sa_json::from_str(&json).unwrap();
-        assert_eq!(back.tile_size, report.selection.entry.tile_size);
     }
 
     #[test]

@@ -1,0 +1,742 @@
+//! The blocked sparse-flash engine: the one production attention loop.
+//!
+//! Works straight off row geometry (a [`StructuredMask`], or the dense
+//! rows [`flash_attention`](crate::flash_attention) runs over) — no tile
+//! layout is built first. Query rows are taken [`BLOCK`] at a time; for
+//! each query block the engine walks, in this order,
+//!
+//! - **(A)** the extra columns (sinks + stripes) below the window,
+//!   gathered once per call into contiguous K/V and scored in panels of
+//!   [`BLOCK`] ranks,
+//! - **(B)** the diagonal keys, row by row,
+//! - **(C)** the window band in `BLOCK`-aligned key blocks,
+//!
+//! and folds every `BLOCK × BLOCK` score tile into a per-row online
+//! softmax state as soon as it is scored, while the tile's V rows are
+//! cache-hot.
+//!
+//! # The score panel
+//!
+//! A key block is stored transposed, `kt[dd][t]` for lane `t` of the
+//! block. A score is then `acc[t] += q[dd] * kt[dd][t]` over `dd` in
+//! index order: each lane is the same strict-order sum a scalar dot
+//! product computes, but neighbouring lanes are independent, so plain
+//! Rust autovectorises across `t`. There is no intrinsic, no
+//! `target_feature` and no fused multiply-add, so every ISA produces the
+//! same bits.
+//!
+//! # The fold partition
+//!
+//! Online softmax is only split-invariant in exact arithmetic; in f32
+//! the result depends on how a row's keys are cut into update blocks.
+//! The engine's cut is fixed by geometry alone: extras in `BLOCK`-rank
+//! blocks, each diagonal key on its own, the window in `BLOCK`-aligned
+//! key blocks. [`sparse_flash_attention`](crate::sparse_flash_attention),
+//! the row-wise reference, folds each row in exactly this partition with
+//! the same [`online_softmax_update`], so the two agree bit for bit at
+//! every `SA_THREADS`.
+//!
+//! Calls too short to repay transposing K (fewer than
+//! [`PANEL_MIN_ROWS`] query rows: decode steps) run that row-wise loop
+//! instead of the panels; the bits are the same either way.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
+
+use crate::cost::f32_bytes;
+use crate::sparse_flash::run_rows;
+use crate::{score_scale, CostReport, StructuredMask};
+
+/// Query rows per block, and key lanes per score panel.
+pub const BLOCK: usize = 64;
+
+/// Lanes one accumulator group of the score panel covers: two query rows
+/// of `LANES` f32 fit the 16 vector registers of baseline x86-64.
+const LANES: usize = 16;
+
+/// Calls with fewer query rows than this (a decode step has one) skip
+/// the panels and score row by row — the same bits, since both sum in
+/// strict order. Every key a panel scores must first be transposed, which
+/// costs about what two scalar dot products do: measured at `d = 64`,
+/// row-wise wins at 1 row, ties at 2 and loses from 4 up.
+const PANEL_MIN_ROWS: usize = 4;
+
+/// Which keys each query row attends to.
+pub(crate) trait RowGeometry: Sync {
+    /// Row `i`'s window as the half-open key range `[start, end)`, where
+    /// `end - 1` is the row's last visible key (`start == end` is an
+    /// empty window); `None` when the row sees no key at all.
+    fn window(&self, i: usize) -> Option<(usize, usize)>;
+
+    /// Sorted extra columns; row `i` attends to those below its window
+    /// start.
+    fn extras(&self) -> &[usize] {
+        &[]
+    }
+
+    /// Row `i`'s keys below the window that are not extras.
+    fn diagonal_keys(&self, _i: usize) -> Vec<usize> {
+        Vec::new()
+    }
+}
+
+impl RowGeometry for StructuredMask {
+    fn window(&self, i: usize) -> Option<(usize, usize)> {
+        self.causal_end(i)
+            .map(|end| (self.window_start(i), end + 1))
+    }
+
+    fn extras(&self) -> &[usize] {
+        self.extra_columns()
+    }
+
+    fn diagonal_keys(&self, i: usize) -> Vec<usize> {
+        StructuredMask::diagonal_keys(self, i)
+    }
+}
+
+/// Result of [`sparse_flash_attention_blocked`]: the output, its cost,
+/// and the engine's own work tallies.
+#[derive(Debug, Clone)]
+pub struct BlockedAttentionOutput {
+    /// The `(S_q, d_v)` attention output `O`.
+    pub output: Matrix,
+    /// FLOPs of the live pairs; bytes of the K/V blocks actually loaded.
+    pub cost: CostReport,
+    /// Score pairs folded into an output row — equals `mask.nnz()`.
+    pub live_pairs: u64,
+    /// Score pairs computed, including the masked lanes of edge panels:
+    /// `live_pairs / scored_pairs` is the engine's useful share.
+    pub scored_pairs: u64,
+}
+
+/// Work counted by one engine run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    pub live_pairs: u64,
+    pub scored_pairs: u64,
+    /// K/V rows loaded, one per key of every scored tile.
+    pub kv_rows: u64,
+}
+
+/// Structured-sparse causal attention on the blocked engine.
+///
+/// Computes exactly `softmax(masked scores) V` for the entries live
+/// under `mask`, bit for bit equal to the row-wise reference
+/// [`sparse_flash_attention`](crate::sparse_flash_attention). Rows with
+/// no live entry produce zeros.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if the Q/K/V shapes disagree
+/// with each other or with the mask dimensions, and
+/// [`TensorError::WorkerPanic`] if a worker panics.
+///
+/// # Example
+///
+/// ```
+/// use sa_tensor::DeterministicRng;
+/// use sa_kernels::{sparse_flash_attention, sparse_flash_attention_blocked, StructuredMask};
+///
+/// # fn main() -> Result<(), sa_kernels::KernelError> {
+/// let mut rng = DeterministicRng::new(0);
+/// let (q, k, v) = (
+///     rng.normal_matrix(96, 8, 1.0),
+///     rng.normal_matrix(96, 8, 1.0),
+///     rng.normal_matrix(96, 8, 1.0),
+/// );
+/// let mask = StructuredMask::builder(96, 96)
+///     .window(8)
+///     .sinks(2)
+///     .columns(vec![20, 33])
+///     .build()?;
+/// let out = sparse_flash_attention_blocked(&q, &k, &v, &mask)?;
+/// let reference = sparse_flash_attention(&q, &k, &v, &mask)?;
+/// assert_eq!(out.output.as_slice(), reference.output.as_slice());
+/// assert_eq!(out.live_pairs, mask.nnz() as u64);
+/// # Ok(())
+/// # }
+/// ```
+pub fn sparse_flash_attention_blocked(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    mask: &StructuredMask,
+) -> Result<BlockedAttentionOutput, TensorError> {
+    validate_sparse_shapes(q, k, v, mask)?;
+    let (s_q, d) = q.shape();
+    let dv = v.cols();
+    let avg_live = (mask.nnz() / s_q.max(1)).max(1);
+    let (output, tally) = run("sparse_flash_attention", q, k, v, mask, avg_live)?;
+
+    // One fused launch: Q read once, every scored tile loads its K and V
+    // rows once, the gathered extras are read and written once more at
+    // gather time. The transposed K copy is host layout, not traffic a
+    // GPU kernel would add.
+    let gathered = mask.extra_columns().len() as u64;
+    let kv_row_bytes = f32_bytes((d + dv) as u64);
+    let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
+    let bytes_read = f32_bytes((s_q * d) as u64) + (tally.kv_rows + gathered) * kv_row_bytes;
+    let bytes_written = f32_bytes((s_q * dv) as u64) + gathered * kv_row_bytes;
+    Ok(BlockedAttentionOutput {
+        output,
+        cost: CostReport::launch(flops, bytes_read, bytes_written),
+        live_pairs: tally.live_pairs,
+        scored_pairs: tally.scored_pairs,
+    })
+}
+
+/// The shape checks shared by the engine and the row-wise reference.
+pub(crate) fn validate_sparse_shapes(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    mask: &StructuredMask,
+) -> Result<(), TensorError> {
+    if q.cols() != k.cols() {
+        return Err(TensorError::ShapeMismatch {
+            op: "sparse_flash_attention(q,k)",
+            lhs: q.shape(),
+            rhs: k.shape(),
+        });
+    }
+    if k.rows() != v.rows() {
+        return Err(TensorError::ShapeMismatch {
+            op: "sparse_flash_attention(k,v)",
+            lhs: k.shape(),
+            rhs: v.shape(),
+        });
+    }
+    if mask.s_q() != q.rows() || mask.s_k() != k.rows() {
+        return Err(TensorError::ShapeMismatch {
+            op: "sparse_flash_attention(mask)",
+            lhs: (mask.s_q(), mask.s_k()),
+            rhs: (q.rows(), k.rows()),
+        });
+    }
+    Ok(())
+}
+
+/// Runs the engine over `geom` on the worker pool under fault site
+/// `site`. `avg_live` (keys per row, any estimate) only sizes the chunk
+/// grain. Shapes must already agree.
+pub(crate) fn run<G: RowGeometry>(
+    site: &'static str,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    geom: &G,
+    avg_live: usize,
+) -> Result<(Matrix, Tally), TensorError> {
+    let (s_q, d) = q.shape();
+    let s_k = k.rows();
+    let dv = v.cols();
+    let mut output = Matrix::zeros(s_q, dv);
+    if s_q == 0 || dv == 0 || s_k == 0 {
+        return Ok((output, Tally::default()));
+    }
+    if s_q < PANEL_MIN_ROWS {
+        let (output, live) = run_rows(site, q, k, v, geom, avg_live)?;
+        let tally = Tally {
+            live_pairs: live,
+            scored_pairs: live,
+            kv_rows: live,
+        };
+        return Ok((output, tally));
+    }
+    let scale = score_scale(d);
+    let extras = geom.extras();
+
+    // Transposed K, only for the key blocks some row's window touches.
+    let (kb0, blocks) = key_blocks((0..s_q).filter_map(|i| geom.window(i)))
+        .map_or((0, 0), |(first, last)| (first, last + 1 - first));
+    let window_kt = Panels::transposed(k, blocks * BLOCK, |lane| {
+        Some(kb0 * BLOCK + lane).filter(|&j| j < s_k)
+    });
+    let extra_kt = Panels::transposed(k, extras.len(), |lane| extras.get(lane).copied());
+    let extra_v = v.gather_rows(extras)?;
+
+    let live_pairs = AtomicU64::new(0);
+    let scored_pairs = AtomicU64::new(0);
+    let kv_rows = AtomicU64::new(0);
+    // The grain depends on the workload only, never the thread count, and
+    // is a whole number of query blocks, so every chunk starts on the
+    // same block grid the serial loop walks.
+    let grain_rows = pool::row_grain(avg_live * (d + dv)).div_ceil(BLOCK) * BLOCK;
+    pool::try_parallel_for_rows(
+        site,
+        output.as_mut_slice(),
+        dv,
+        grain_rows,
+        |row0, chunk| {
+            let mut block = QueryBlock::new(dv);
+            let mut tally = Tally::default();
+            for (b, out_rows) in chunk.chunks_mut(BLOCK * dv).enumerate() {
+                let q0 = row0 + b * BLOCK;
+                block.reset(geom, q0, out_rows.len() / dv);
+                block.fold_extras(q, &extra_kt, &extra_v, scale, &mut tally);
+                block.fold_diagonals(geom, q, k, v, scale, &mut tally);
+                block.fold_window(q, v, &window_kt, kb0, scale, &mut tally);
+                block.finish(out_rows);
+            }
+            live_pairs.fetch_add(tally.live_pairs, Ordering::Relaxed);
+            scored_pairs.fetch_add(tally.scored_pairs, Ordering::Relaxed);
+            kv_rows.fetch_add(tally.kv_rows, Ordering::Relaxed);
+        },
+    )?;
+    let tally = Tally {
+        live_pairs: live_pairs.into_inner(),
+        scored_pairs: scored_pairs.into_inner(),
+        kv_rows: kv_rows.into_inner(),
+    };
+    Ok((output, tally))
+}
+
+/// The `BLOCK`-aligned key blocks `first..=last` that the non-empty
+/// windows among `windows` touch.
+fn key_blocks(windows: impl Iterator<Item = (usize, usize)> + Clone) -> Option<(usize, usize)> {
+    let band = windows.filter(|&(start, end)| start < end);
+    let first = band.clone().map(|(start, _)| start / BLOCK).min()?;
+    let last = band.map(|(_, end)| (end - 1) / BLOCK).max()?;
+    Some((first, last))
+}
+
+/// Key rows stored as transposed panels of [`BLOCK`] lanes: panel `p`
+/// holds `kt[dd][t]` for lanes `p * BLOCK + t`, zero where a lane has no
+/// key.
+struct Panels {
+    data: Vec<f32>,
+    /// Floats per panel (`d * BLOCK`).
+    stride: usize,
+    /// Lanes that hold a key.
+    keys: usize,
+}
+
+impl Panels {
+    /// Transposes `lanes` lanes of `k`, lane `l` taking the key row
+    /// `key_of(l)`.
+    fn transposed(k: &Matrix, lanes: usize, key_of: impl Fn(usize) -> Option<usize>) -> Self {
+        let stride = k.cols() * BLOCK;
+        let mut data = vec![0.0f32; lanes.div_ceil(BLOCK) * stride];
+        let mut keys = 0;
+        for lane in 0..lanes {
+            let Some(j) = key_of(lane) else { continue };
+            keys += 1;
+            let panel = &mut data[lane / BLOCK * stride..][..stride];
+            for (column, &x) in panel.chunks_exact_mut(BLOCK).zip(k.row(j)) {
+                column[lane % BLOCK] = x;
+            }
+        }
+        Panels { data, stride, keys }
+    }
+
+    fn panel(&self, p: usize) -> &[f32] {
+        &self.data[p * self.stride..][..self.stride]
+    }
+
+    /// Keys held by panel `p`.
+    fn keys_in(&self, p: usize) -> usize {
+        self.keys.saturating_sub(p * BLOCK).min(BLOCK)
+    }
+}
+
+/// Per-row state of the query block in flight.
+struct QueryBlock {
+    /// First query row of the block.
+    q0: usize,
+    /// Window `[start, end)` per row; `None` for rows that see no key.
+    window: Vec<Option<(usize, usize)>>,
+    /// Extras below the window start, per row (0 for unseeing rows).
+    extras_below: Vec<usize>,
+    states: Vec<OnlineSoftmaxState>,
+    /// The `BLOCK × BLOCK` score tile, one row of lanes per query row.
+    scores: Vec<f32>,
+    /// Lanes `[lo, hi)` of the current tile live on each row.
+    live: Vec<(usize, usize)>,
+}
+
+impl QueryBlock {
+    fn new(dv: usize) -> Self {
+        QueryBlock {
+            q0: 0,
+            window: Vec::with_capacity(BLOCK),
+            extras_below: Vec::with_capacity(BLOCK),
+            states: (0..BLOCK).map(|_| OnlineSoftmaxState::new(dv)).collect(),
+            scores: vec![0.0; BLOCK * BLOCK],
+            live: Vec::with_capacity(BLOCK),
+        }
+    }
+
+    fn reset<G: RowGeometry>(&mut self, geom: &G, q0: usize, rows: usize) {
+        self.q0 = q0;
+        self.window.clear();
+        self.window.extend((q0..q0 + rows).map(|i| geom.window(i)));
+        let extras = geom.extras();
+        self.extras_below.clear();
+        self.extras_below.extend(
+            self.window
+                .iter()
+                .map(|w| w.map_or(0, |(start, _)| extras.partition_point(|&c| c < start))),
+        );
+        for state in &mut self.states[..rows] {
+            state.row_max = f32::NEG_INFINITY;
+            state.row_sum = 0.0;
+            state.acc.fill(0.0);
+        }
+    }
+
+    /// (A) Extras below the window, a panel of `BLOCK` ranks at a time.
+    fn fold_extras(
+        &mut self,
+        q: &Matrix,
+        kt: &Panels,
+        extra_v: &Matrix,
+        scale: f32,
+        tally: &mut Tally,
+    ) {
+        let most = self.extras_below.iter().copied().max().unwrap_or(0);
+        for p in 0..most.div_ceil(BLOCK) {
+            self.live.clear();
+            self.live.extend(
+                self.extras_below
+                    .iter()
+                    .map(|&below| (0, below.saturating_sub(p * BLOCK).min(BLOCK))),
+            );
+            self.score_and_fold(q, kt.panel(p), kt.keys_in(p), scale, tally, |t| {
+                extra_v.row(p * BLOCK + t)
+            });
+        }
+    }
+
+    /// (B) Diagonal keys, each its own fold block.
+    fn fold_diagonals<G: RowGeometry>(
+        &mut self,
+        geom: &G,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        scale: f32,
+        tally: &mut Tally,
+    ) {
+        for (r, state) in self.states[..self.window.len()].iter_mut().enumerate() {
+            for j in geom.diagonal_keys(self.q0 + r) {
+                let score = dot(q.row(self.q0 + r), k.row(j)) * scale;
+                online_softmax_update(state, &[score], |_| v.row(j));
+                tally.live_pairs += 1;
+                tally.scored_pairs += 1;
+                tally.kv_rows += 1;
+            }
+        }
+    }
+
+    /// (C) The window band, one `BLOCK`-aligned key block at a time.
+    fn fold_window(
+        &mut self,
+        q: &Matrix,
+        v: &Matrix,
+        kt: &Panels,
+        kb0: usize,
+        scale: f32,
+        tally: &mut Tally,
+    ) {
+        let Some((first, last)) = key_blocks(self.window.iter().flatten().copied()) else {
+            return;
+        };
+        for kb in first..=last {
+            let k0 = kb * BLOCK;
+            self.live.clear();
+            self.live.extend(self.window.iter().map(|w| match *w {
+                Some((start, end)) if start < k0 + BLOCK && end > k0 => {
+                    (start.max(k0) - k0, end.min(k0 + BLOCK) - k0)
+                }
+                _ => (0, 0),
+            }));
+            let p = kb - kb0;
+            self.score_and_fold(q, kt.panel(p), kt.keys_in(p), scale, tally, |t| {
+                v.row(k0 + t)
+            });
+        }
+    }
+
+    /// Scores the rows with live lanes against one panel, two rows per
+    /// pass, then folds each row's live lanes into its state.
+    /// `value(t)` is the V row of lane `t`.
+    fn score_and_fold<'a>(
+        &mut self,
+        q: &Matrix,
+        panel: &[f32],
+        panel_keys: usize,
+        scale: f32,
+        tally: &mut Tally,
+        value: impl Fn(usize) -> &'a [f32],
+    ) {
+        let is_live = |&(lo, hi): &(usize, usize)| lo < hi;
+        let mut scored_rows = 0u64;
+        for ((pair, tile), live) in (0..)
+            .step_by(2)
+            .zip(self.scores.chunks_mut(2 * BLOCK))
+            .zip(self.live.chunks(2))
+        {
+            let i = self.q0 + pair;
+            match live {
+                [a, b] if is_live(a) || is_live(b) => {
+                    score_panel([q.row(i), q.row(i + 1)], panel, scale, tile);
+                    scored_rows += 2;
+                }
+                [a] if is_live(a) => {
+                    score_panel([q.row(i)], panel, scale, tile);
+                    scored_rows += 1;
+                }
+                _ => {}
+            }
+        }
+        if scored_rows == 0 {
+            return;
+        }
+        tally.scored_pairs += scored_rows * BLOCK as u64;
+        tally.kv_rows += panel_keys as u64;
+        for ((state, lanes), &(lo, hi)) in self
+            .states
+            .iter_mut()
+            .zip(self.scores.chunks(BLOCK))
+            .zip(&self.live)
+        {
+            if lo < hi {
+                online_softmax_update(state, &lanes[lo..hi], |t| value(lo + t));
+                tally.live_pairs += (hi - lo) as u64;
+            }
+        }
+    }
+
+    fn finish(&mut self, out_rows: &mut [f32]) {
+        let dv = self.states[0].acc.len();
+        for (out, state) in out_rows.chunks_mut(dv).zip(&self.states) {
+            if state.row_sum > 0.0 {
+                let inv = 1.0 / state.row_sum;
+                for (o, &a) in out.iter_mut().zip(&state.acc) {
+                    *o = a * inv;
+                }
+            } else {
+                out.fill(0.0);
+            }
+        }
+    }
+}
+
+/// Scores `R` query rows against one transposed panel:
+/// `out[r][t] = scale * Σ_dd q[r][dd] · kt[dd][t]`, every lane summed in
+/// `dd` order from `0.0` — the bits [`dot`] produces.
+fn score_panel<const R: usize>(q: [&[f32]; R], kt: &[f32], scale: f32, out: &mut [f32]) {
+    for c in 0..BLOCK / LANES {
+        let mut acc = [[0.0f32; LANES]; R];
+        for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
+            let lanes = &k_row[c * LANES..(c + 1) * LANES];
+            for (acc_row, q_row) in acc.iter_mut().zip(&q) {
+                let x = q_row[dd];
+                for (a, &kv) in acc_row.iter_mut().zip(lanes) {
+                    *a += x * kv;
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let dst = &mut out[r * BLOCK + c * LANES..][..LANES];
+            for (o, &a) in dst.iter_mut().zip(acc_row) {
+                *o = a * scale;
+            }
+        }
+    }
+}
+
+/// Strict index-order dot product starting from `0.0`.
+#[inline]
+pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{masked_attention_dense, sparse_flash_attention, TiledMask};
+    use sa_tensor::{max_abs_diff, DeterministicRng};
+
+    fn random_qkv(s_q: usize, s_k: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
+        let mut rng = DeterministicRng::new(seed);
+        (
+            rng.normal_matrix(s_q, d, 1.0),
+            rng.normal_matrix(s_k, d, 1.0),
+            rng.normal_matrix(s_k, d, 1.0),
+        )
+    }
+
+    /// Engine ≡ row-wise reference bit for bit, with the same live-pair
+    /// tally, and both within tolerance of the dense masked oracle.
+    fn assert_bitwise(mask: &StructuredMask, seed: u64) {
+        let (q, k, v) = random_qkv(mask.s_q(), mask.s_k(), 8, seed);
+        let a = sparse_flash_attention_blocked(&q, &k, &v, mask).unwrap();
+        let b = sparse_flash_attention(&q, &k, &v, mask).unwrap();
+        let ab: Vec<u32> = a.output.as_slice().iter().map(|x| x.to_bits()).collect();
+        let bb: Vec<u32> = b.output.as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(ab, bb, "engine not bitwise identical to the reference");
+        assert_eq!(a.cost.flops, b.cost.flops, "live-pair tallies diverged");
+        assert_eq!(a.live_pairs, mask.nnz() as u64);
+        assert!(a.scored_pairs >= a.live_pairs);
+        let oracle = masked_attention_dense(&q, &k, &v, &mask.to_dense()).unwrap();
+        assert!(max_abs_diff(a.output.as_slice(), oracle.output.as_slice()) < 1e-4);
+    }
+
+    #[test]
+    fn bitwise_identical_on_mixed_mask() {
+        for s in [70, 200] {
+            let mask = StructuredMask::builder(s, s)
+                .window(9)
+                .sinks(3)
+                .columns(vec![17, 31, 44])
+                .dense_tail_rows(5)
+                .diagonals(vec![13])
+                .build()
+                .unwrap();
+            assert_bitwise(&mask, 42);
+        }
+    }
+
+    #[test]
+    fn bitwise_identical_dense_causal() {
+        assert_bitwise(&StructuredMask::dense_causal(65, 65), 1);
+        assert_bitwise(&StructuredMask::dense_causal(192, 192), 1);
+    }
+
+    #[test]
+    fn bitwise_identical_rectangular() {
+        let mask = StructuredMask::builder(24, 50)
+            .window(6)
+            .sinks(2)
+            .columns(vec![11])
+            .build()
+            .unwrap();
+        assert_bitwise(&mask, 2);
+        let tall = StructuredMask::builder(40, 12).window(4).build().unwrap();
+        assert_bitwise(&tall, 3);
+    }
+
+    #[test]
+    fn extras_cross_panel_edges_and_straddle_window_starts() {
+        // 100 extras span two score panels; with a window of 20 the
+        // window start sweeps past several of them inside one query
+        // block, so rows of a block disagree on how many are below it.
+        let mask = StructuredMask::builder(260, 260)
+            .window(20)
+            .columns((0..100).map(|i| i * 2 + (i % 3)).collect())
+            .build()
+            .unwrap();
+        assert_bitwise(&mask, 4);
+    }
+
+    #[test]
+    fn bitwise_identical_under_thread_overrides() {
+        // Dense enough for a 64-row grain, long enough for six chunks.
+        let s = 330;
+        let mask = StructuredMask::builder(s, s)
+            .window(40)
+            .sinks(2)
+            .columns((0..70).map(|i| 3 + i * 4).collect())
+            .diagonals(vec![7, 150])
+            .dense_tail_rows(10)
+            .build()
+            .unwrap();
+        let (q, k, v) = random_qkv(s, s, 8, 9);
+        let baseline = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
+        for threads in [1, 2, 3, 5] {
+            let out = pool::with_threads(threads, || {
+                sparse_flash_attention_blocked(&q, &k, &v, &mask)
+            })
+            .unwrap();
+            assert_eq!(
+                out.output.as_slice(),
+                baseline.output.as_slice(),
+                "threads={threads}"
+            );
+            assert_eq!(out.live_pairs, mask.nnz() as u64, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_rows_stay_zero() {
+        let mask = StructuredMask::builder(12, 4).window(2).build().unwrap();
+        let (q, k, v) = random_qkv(12, 4, 4, 11);
+        let out = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+        for i in 0..8 {
+            assert!(out.output.row(i).iter().all(|&x| x == 0.0), "row {i}");
+        }
+        assert_bitwise(&mask, 11);
+        let nothing = StructuredMask::builder(6, 6).window(0).build().unwrap();
+        let (q, k, v) = random_qkv(6, 6, 4, 12);
+        let out = sparse_flash_attention_blocked(&q, &k, &v, &nothing).unwrap();
+        assert!(out.output.as_slice().iter().all(|&x| x == 0.0));
+        assert_eq!((out.live_pairs, out.scored_pairs), (0, 0));
+    }
+
+    #[test]
+    fn calls_below_the_panel_threshold_score_row_wise() {
+        // A decode-shaped call: every live pair is scored exactly once.
+        for s_q in 1..PANEL_MIN_ROWS {
+            let mask = StructuredMask::builder(s_q, 150)
+                .window(20)
+                .sinks(2)
+                .columns((0..70).map(|i| 3 + i).collect())
+                .build()
+                .unwrap();
+            assert_bitwise(&mask, 5);
+            let (q, k, v) = random_qkv(s_q, 150, 8, 5);
+            let out = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+            assert_eq!(out.scored_pairs, out.live_pairs, "s_q={s_q}");
+        }
+    }
+
+    #[test]
+    fn shape_validation() {
+        let (q, k, v) = random_qkv(8, 8, 4, 12);
+        let mask9 = StructuredMask::dense_causal(9, 9);
+        assert!(sparse_flash_attention_blocked(&q, &k, &v, &mask9).is_err());
+        let mask8 = StructuredMask::dense_causal(8, 8);
+        let k_bad = Matrix::zeros(8, 5);
+        assert!(sparse_flash_attention_blocked(&q, &k_bad, &v, &mask8).is_err());
+        let v_bad = Matrix::zeros(7, 4);
+        assert!(sparse_flash_attention_blocked(&q, &k, &v_bad, &mask8).is_err());
+    }
+
+    #[test]
+    fn cost_comes_from_the_engines_own_tallies() {
+        let mask = StructuredMask::builder(128, 128)
+            .window(8)
+            .sinks(2)
+            .build()
+            .unwrap();
+        let (q, k, v) = random_qkv(128, 128, 8, 13);
+        let out = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+        let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
+        assert_eq!(out.cost.flops, reference.cost.flops);
+        assert_eq!(out.cost.kernel_launches, 1);
+        // Two query blocks, five tiles: a sink panel each (rows 0..8 sit
+        // on their sinks' window, so only 56 rows of the first block
+        // score it), the diagonal key block each, and for the second
+        // block the 8 rows (4 row pairs) whose window reaches back into
+        // the first key block.
+        assert_eq!(out.scored_pairs, ((56 + 64) + (64 + 8 + 64)) * BLOCK as u64);
+        // Every scored tile loads its keys once: 2 sinks per extras
+        // panel, 64 keys per window block.
+        let kv_rows = 2 * 2 + 3 * 64;
+        let extras = 2;
+        assert_eq!(out.cost.bytes_read, 4 * (128 * 8 + (kv_rows + extras) * 16));
+        assert_eq!(out.cost.bytes_written, 4 * (128 * 8 + extras * 16));
+        // The delegate kept for the benchmark harness reports the same.
+        let tiled = TiledMask::build(mask.clone(), 16).unwrap();
+        let via_tiled = crate::sparse_flash_attention_tiled(&q, &k, &v, &tiled).unwrap();
+        assert_eq!(via_tiled.output.as_slice(), out.output.as_slice());
+        assert_eq!(via_tiled.cost, out.cost);
+    }
+}

@@ -87,38 +87,6 @@ pub(crate) fn f32_bytes(n: u64) -> u64 {
     n * 4
 }
 
-/// Cost of one tiled block-sparse attention launch, with tile-granular
-/// memory traffic.
-///
-/// The row-major kernel's estimate amortised *all* K/V reads by a fixed
-/// `KV_TILE_REUSE` factor, which overstates reuse for scattered stripe
-/// columns and understates it for wide windows. Here traffic follows
-/// the actual tile layout: each live `(query tile, key tile)` pair
-/// loads its K/V rows exactly once (`full_rows + partial_rows` from
-/// [`TileTraffic`](crate::TileTraffic)), partial tiles additionally
-/// read their occupancy metadata (8-byte bitmap words, 4-byte span
-/// pairs), and the scattered sink/stripe rows gathered into `TilePack`
-/// buffers are read once and written once at pack time. FLOPs are
-/// unchanged from the row-major kernel — tiling reorders work, it does
-/// not add any — so per-nnz FLOP invariants keep holding.
-pub fn tiled_kernel_cost(
-    s_q: usize,
-    d: usize,
-    dv: usize,
-    live_pairs: u64,
-    packed_rows: u64,
-    traffic: &crate::TileTraffic,
-) -> CostReport {
-    let flops = live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
-    let kv_row_bytes = f32_bytes((d + dv) as u64);
-    let kv_bytes = (traffic.full_rows + traffic.partial_rows) * kv_row_bytes;
-    let meta_bytes = traffic.bitmap_words * 8 + traffic.span_entries * 4;
-    let pack_bytes = packed_rows * kv_row_bytes;
-    let bytes_read = f32_bytes((s_q * d) as u64) + kv_bytes + meta_bytes + pack_bytes;
-    let bytes_written = f32_bytes((s_q * dv) as u64) + pack_bytes;
-    CostReport::launch(flops, bytes_read, bytes_written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,72 +123,5 @@ mod tests {
         let s = sa_json::to_string(&r);
         let back: CostReport = sa_json::from_str(&s).unwrap();
         assert_eq!(r, back);
-    }
-
-    fn tiled_cost_for(s: usize, window: usize, sinks: usize) -> CostReport {
-        let mask = crate::StructuredMask::builder(s, s)
-            .window(window)
-            .sinks(sinks)
-            .build()
-            .unwrap();
-        let tiled = crate::TiledMask::build(mask.clone(), 16).unwrap();
-        tiled_kernel_cost(s, 8, 8, mask.nnz() as u64, sinks as u64, &tiled.traffic())
-    }
-
-    /// Pin tiled cost monotonicity in nnz: widening the window (more
-    /// live pairs at the same S) can only increase flops, and never
-    /// decreases traffic. Bytes are tile-granular — two window widths
-    /// inside the same tile footprint cost the same bytes — so bytes
-    /// are non-strict per step but must grow across the sweep.
-    #[test]
-    fn tiled_cost_monotone_in_nnz() {
-        let first = tiled_cost_for(256, 4, 2);
-        let mut prev = first;
-        for window in [16, 64, 256] {
-            let next = tiled_cost_for(256, window, 2);
-            assert!(next.flops > prev.flops, "flops not monotone at w={window}");
-            assert!(
-                next.bytes_total() + 256 >= prev.bytes_total(),
-                "bytes shrank at w={window}"
-            );
-            prev = next;
-        }
-        assert!(prev.bytes_total() > first.bytes_total());
-    }
-
-    /// Pin tiled cost monotonicity in S for a fixed sparsity pattern.
-    #[test]
-    fn tiled_cost_monotone_in_s() {
-        let mut prev = tiled_cost_for(64, 8, 2);
-        for s in [128, 256, 512] {
-            let next = tiled_cost_for(s, 8, 2);
-            assert!(next.flops > prev.flops, "flops not monotone at s={s}");
-            assert!(
-                next.bytes_total() > prev.bytes_total(),
-                "bytes not monotone at s={s}"
-            );
-            prev = next;
-        }
-    }
-
-    /// Metadata traffic is charged: bitmap-carrying layouts cost more
-    /// bytes than the same live set without metadata would.
-    #[test]
-    fn tiled_cost_charges_tile_metadata() {
-        let mask = crate::StructuredMask::builder(128, 128)
-            .window(8)
-            .sinks(2)
-            .build()
-            .unwrap();
-        let tiled = crate::TiledMask::build(mask.clone(), 16).unwrap();
-        let traffic = tiled.traffic();
-        assert!(traffic.bitmap_words > 0);
-        let with_meta = tiled_kernel_cost(128, 8, 8, mask.nnz() as u64, 2, &traffic);
-        let mut no_meta = traffic;
-        no_meta.bitmap_words = 0;
-        no_meta.span_entries = 0;
-        let without = tiled_kernel_cost(128, 8, 8, mask.nnz() as u64, 2, &no_meta);
-        assert!(with_meta.bytes_read > without.bytes_read);
-        assert_eq!(with_meta.flops, without.flops);
     }
 }

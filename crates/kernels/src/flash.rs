@@ -1,23 +1,25 @@
 //! FlashAttention-style blocked kernel.
 //!
-//! Processes the score matrix in `Br x Bc` tiles with an online softmax, so
-//! the full `S_q x S_k` matrix is never materialised. This is the paper's
-//! dense baseline (FlashAttention2 in §5.4) and the template the sparse
-//! kernel modifies.
+//! Processes the score matrix in tiles with an online softmax, so the
+//! full `S_q x S_k` matrix is never materialised. This is the paper's
+//! dense baseline (FlashAttention2 in §5.4). It runs on the same blocked
+//! engine as the sparse kernel ([`crate::sparse_flash_attention_blocked`]),
+//! over a geometry whose window is every visible key, so sparse-vs-dense
+//! ratios compare two equally tuned loops.
 //!
 //! Exactness: the online softmax recurrence is algebraically identical to
 //! the two-pass softmax, so outputs match [`crate::full_attention`] to
 //! floating-point round-off.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use sa_tensor::{Matrix, TensorError};
 
-use sa_tensor::{matmul_transb, pool, Matrix, OnlineSoftmaxState, TensorError};
-
+use crate::blocked::{self, RowGeometry};
 use crate::cost::f32_bytes;
-use crate::full::causal_pairs;
-use crate::{score_scale, AttentionOutput, CostReport};
+use crate::{AttentionOutput, CostReport};
 
-/// Tile sizes for the blocked kernel.
+/// Tile sizes of the modelled kernel: they set the K/V re-read traffic
+/// in the [`CostReport`] (K/V is re-read once per `block_rows` query
+/// rows). The host loop itself always runs the engine's 64 x 64 tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashParams {
     /// Query-block rows (`Br`).
@@ -102,98 +104,46 @@ pub fn flash_attention(
     let (s_q, d) = q.shape();
     let s_k = k.rows();
     let dv = v.cols();
-    let scale = score_scale(d);
-    let off = s_k as isize - s_q as isize;
+    let rows = DenseRows { s_q, s_k, causal };
+    let (output, tally) = blocked::run("flash_attention", q, k, v, &rows, s_k)?;
 
-    let mut output = Matrix::zeros(s_q, dv);
-    let kv_block_reads = AtomicU64::new(0);
+    // K/V elements the modelled kernel reads: every query block re-reads
+    // the keys its last row can see.
+    let kv_block_reads: u64 = (0..s_q)
+        .step_by(params.block_rows)
+        .filter_map(|q0| rows.window((q0 + params.block_rows).min(s_q) - 1))
+        .map(|(_, end)| (end * (d + dv)) as u64)
+        .sum();
 
-    // Query blocks are independent, so they run as chunks on the worker
-    // pool. Bit-determinism: the chunk grain is rounded to a multiple of
-    // `block_rows`, so every worker sees the same query-block grid as the
-    // serial loop. Within a block, key-tile boundaries are multiples of
-    // `block_cols` (only the final, causally clamped tile varies with the
-    // block end), and the online softmax skips `-inf` entries, so each
-    // row folds exactly the same live-score segments in the same order
-    // regardless of which q-block — or thread — processes it.
-    // `kv_block_reads` is an integer tally, order-independent by nature.
-    if s_q > 0 && dv > 0 && s_k > 0 {
-        let grain_rows = pool::row_grain(s_k * (d + dv))
-            .div_ceil(params.block_rows)
-            * params.block_rows;
-        pool::try_parallel_for_rows("flash_attention", output.as_mut_slice(), dv, grain_rows, |row0, chunk| {
-            // row0 is a multiple of grain_rows, hence of block_rows: the
-            // chunk starts on a global q-block boundary.
-            let chunk_rows = chunk.len() / dv;
-            for q0 in (row0..row0 + chunk_rows).step_by(params.block_rows) {
-                let q1 = (q0 + params.block_rows).min(row0 + chunk_rows);
-                let q_block = q.slice_rows(q0, q1).expect("q block in range");
-                let mut states: Vec<OnlineSoftmaxState> =
-                    (q0..q1).map(|_| OnlineSoftmaxState::new(dv)).collect();
-
-                // Last key this query block can causally see.
-                let block_key_end = if causal {
-                    let e = (q1 - 1) as isize + off;
-                    if e < 0 {
-                        // Entire block is fully masked.
-                        continue;
-                    }
-                    (e as usize).min(s_k - 1)
-                } else {
-                    s_k - 1
-                };
-
-                for k0 in (0..=block_key_end).step_by(params.block_cols) {
-                    let k1 = (k0 + params.block_cols).min(block_key_end + 1);
-                    let k_block = k.slice_rows(k0, k1).expect("k block in range");
-                    kv_block_reads
-                        .fetch_add(((k1 - k0) * (d + dv)) as u64, Ordering::Relaxed);
-
-                    // Br x Bc raw scores for this tile.
-                    let mut scores =
-                        matmul_transb(&q_block, &k_block).expect("tile shapes agree");
-                    scores.scale_in_place(scale);
-                    if causal {
-                        for (local_i, i) in (q0..q1).enumerate() {
-                            let end = i as isize + off;
-                            let row = scores.row_mut(local_i);
-                            for (local_j, x) in row.iter_mut().enumerate() {
-                                let j = (k0 + local_j) as isize;
-                                if j > end {
-                                    *x = f32::NEG_INFINITY;
-                                }
-                            }
-                        }
-                    }
-                    for (local_i, state) in states.iter_mut().enumerate() {
-                        sa_tensor::online_softmax_update(state, scores.row(local_i), |t| {
-                            v.row(k0 + t)
-                        });
-                    }
-                }
-
-                for (local_i, state) in states.into_iter().enumerate() {
-                    let at = (q0 - row0 + local_i) * dv;
-                    chunk[at..at + dv].copy_from_slice(&state.finish());
-                }
-            }
-        })?;
-    }
-    let kv_block_reads = kv_block_reads.into_inner();
-
-    let pairs = if causal {
-        causal_pairs(s_q, s_k)
-    } else {
-        (s_q * s_k) as u64
-    };
     // Same arithmetic as full attention but fused into a single kernel:
     // no score-matrix traffic; K/V tiles are re-read once per query block.
-    let flops = pairs * (2 * d as u64 + 4 + 2 * dv as u64);
+    let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
     let bytes_read = f32_bytes((s_q * d) as u64) + f32_bytes(kv_block_reads);
     let bytes_written = f32_bytes((s_q * dv) as u64);
     let cost = CostReport::launch(flops, bytes_read, bytes_written);
 
     Ok(AttentionOutput { output, cost })
+}
+
+/// Dense attention as engine geometry: every row's window is all the
+/// keys it may see.
+struct DenseRows {
+    s_q: usize,
+    s_k: usize,
+    causal: bool,
+}
+
+impl RowGeometry for DenseRows {
+    fn window(&self, i: usize) -> Option<(usize, usize)> {
+        if !self.causal {
+            return Some((0, self.s_k));
+        }
+        // Row i sees the keys up to i + (s_k - s_q), as in `StructuredMask`.
+        (i + self.s_k + 1)
+            .checked_sub(self.s_q)
+            .filter(|&end| end > 0)
+            .map(|end| (0, end))
+    }
 }
 
 #[cfg(test)]

@@ -10,10 +10,15 @@
 //! - [`flash_attention`] — a FlashAttention-style blocked kernel with
 //!   online softmax: exact output, O(S) memory, the paper's dense
 //!   baseline.
-//! - [`sparse_flash_attention`] — the block-sparse kernel consuming a
-//!   [`StructuredMask`] (local window + attention sinks + column stripes),
-//!   the execution engine of SampleAttention and of the structured
-//!   baselines.
+//! - [`sparse_flash_attention_blocked`] — the block-sparse kernel
+//!   consuming a [`StructuredMask`] (local window + attention sinks +
+//!   column stripes), the execution engine of SampleAttention and of the
+//!   structured baselines.
+//!
+//! The last two are one loop, the blocked engine (a transposed-K score
+//! microkernel and a per-block online softmax), run over different row
+//! geometry. [`sparse_flash_attention`] is its row-wise reference: the
+//! differential tests hold the engine bitwise-equal to it.
 //!
 //! Every kernel reports a [`CostReport`] with exact FLOP and byte counts so
 //! the `sa-perf` roofline model can translate algorithmic work into A100
@@ -24,6 +29,7 @@
 //! transformer substrate (`sa-model`) uses to mirror the ChatGLM2 /
 //! InternLM2 architectures.
 
+mod blocked;
 mod cost;
 mod flash;
 mod full;
@@ -31,10 +37,10 @@ pub mod gqa;
 mod mask;
 pub mod rope;
 mod sparse_flash;
-mod sparse_tiled;
 mod tile;
 
-pub use cost::{tiled_kernel_cost, CostReport};
+pub use blocked::{sparse_flash_attention_blocked, BlockedAttentionOutput, BLOCK as ENGINE_BLOCK};
+pub use cost::CostReport;
 pub use flash::{flash_attention, FlashParams};
 pub use full::{
     attention_probs, attention_scores_raw, causal_pairs, full_attention, masked_attention_dense,
@@ -42,8 +48,9 @@ pub use full::{
 };
 pub use mask::{DenseMask, StructuredMask, StructuredMaskBuilder};
 pub use sparse_flash::sparse_flash_attention;
-pub use sparse_tiled::sparse_flash_attention_tiled;
-pub use tile::{TileClass, TileEntry, TileTraffic, TiledMask, MAX_TILE};
+pub use tile::{
+    sparse_flash_attention_tiled, TileClass, TileEntry, TileTraffic, TiledMask, MAX_TILE,
+};
 
 /// Scale factor `1 / sqrt(d)` applied to raw scores, as in Eq. (1).
 #[inline]

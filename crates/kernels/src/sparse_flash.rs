@@ -1,25 +1,34 @@
-//! Block-sparse FlashAttention over a [`StructuredMask`].
+//! Row-wise structured-sparse attention: the reference the blocked
+//! engine is held against.
 //!
-//! This is the kernel that turns a discovered sparse pattern into wall-
-//! clock savings: for each query row it touches only (a) the extra columns
-//! (sinks + stripes) below the local window and (b) the contiguous local
-//! window itself, using the same online softmax as the dense flash kernel.
-//! Work and memory traffic are therefore proportional to `mask.nnz()`
-//! instead of the full causal triangle — exactly the paper's
-//! `sparse_flash_attn(Q, K, V, M_Merged)`.
+//! For each query row it touches only (a) the extra columns (sinks +
+//! stripes) and diagonal keys below the local window and (b) the
+//! contiguous local window itself, one scalar dot product per live key,
+//! so work is proportional to `mask.nnz()` — the paper's
+//! `sparse_flash_attn(Q, K, V, M_Merged)` in its simplest form.
+//! Production code runs
+//! [`sparse_flash_attention_blocked`](crate::sparse_flash_attention_blocked);
+//! this loop stays because it is short enough to check by eye and folds
+//! every row in the engine's partition (extras in 64-rank blocks, each
+//! diagonal key alone, the window in 64-aligned key blocks), which is
+//! what lets the differential tests demand bitwise equality instead of a
+//! tolerance. The engine also hands it the calls with too few query rows
+//! to repay transposing K (decode steps).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
 
+use crate::blocked::{dot, validate_sparse_shapes, RowGeometry, BLOCK};
 use crate::cost::f32_bytes;
 use crate::{score_scale, AttentionOutput, CostReport, StructuredMask};
 
 /// Query rows per tile sharing one K/V load in the (simulated) fused
 /// kernel.
-pub(crate) const KV_TILE_REUSE: u64 = 128;
+const KV_TILE_REUSE: u64 = 128;
 
-/// Structured-sparse causal attention.
+/// Structured-sparse causal attention, one query row at a time (the
+/// reference implementation).
 ///
 /// Computes exactly `softmax(masked scores) V` where masked scores keep
 /// only entries live under `mask` (causal ∩ (window ∪ sinks ∪ stripes)).
@@ -59,91 +68,11 @@ pub fn sparse_flash_attention(
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<AttentionOutput, TensorError> {
-    if q.cols() != k.cols() {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_flash_attention(q,k)",
-            lhs: q.shape(),
-            rhs: k.shape(),
-        });
-    }
-    if k.rows() != v.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_flash_attention(k,v)",
-            lhs: k.shape(),
-            rhs: v.shape(),
-        });
-    }
-    if mask.s_q() != q.rows() || mask.s_k() != k.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "sparse_flash_attention(mask)",
-            lhs: (mask.s_q(), mask.s_k()),
-            rhs: (q.rows(), k.rows()),
-        });
-    }
-
+    validate_sparse_shapes(q, k, v, mask)?;
     let (s_q, d) = q.shape();
     let dv = v.cols();
-    let scale = score_scale(d);
-    let extras = mask.extra_columns();
-
-    let mut output = Matrix::zeros(s_q, dv);
-    let live_pairs = AtomicU64::new(0);
-
-    // Rows are fully independent (each folds only its own live columns),
-    // so row chunks run on the worker pool with bit-identical per-row
-    // arithmetic. The score/column scratch buffers become per-chunk
-    // locals; `live_pairs` is an integer tally, order-independent. A
-    // panicking worker (or an injected fault) surfaces as
-    // `SaError::WorkerPanic` instead of aborting the process.
-    if s_q > 0 && dv > 0 {
-        let avg_live = (mask.nnz() / s_q).max(1);
-        let grain_rows = pool::row_grain(avg_live * (d + dv));
-        pool::try_parallel_for_rows(
-            "sparse_flash_attention",
-            output.as_mut_slice(),
-            dv,
-            grain_rows,
-            |row0, chunk| {
-                let mut scores_buf: Vec<f32> = Vec::new();
-                let mut cols_buf: Vec<usize> = Vec::new();
-                let mut chunk_pairs: u64 = 0;
-
-                for (local_i, out_row) in chunk.chunks_mut(dv).enumerate() {
-                    let i = row0 + local_i;
-                    let Some(end) = mask.causal_end(i) else {
-                        continue;
-                    };
-                    let win_start = mask.window_start(i);
-                    let q_row = q.row(i);
-                    let mut state = OnlineSoftmaxState::new(dv);
-
-                    // Extra columns strictly below the window (sinks + stripes +
-                    // diagonal keys).
-                    cols_buf.clear();
-                    cols_buf.extend(extras.iter().copied().take_while(|&c| c < win_start));
-                    cols_buf.extend(mask.diagonal_keys(i));
-                    if !cols_buf.is_empty() {
-                        scores_buf.clear();
-                        scores_buf.extend(cols_buf.iter().map(|&c| dot(q_row, k.row(c)) * scale));
-                        let cols = &cols_buf;
-                        online_softmax_update(&mut state, &scores_buf, |t| v.row(cols[t]));
-                    }
-
-                    // Contiguous local window win_start ..= end.
-                    if win_start <= end {
-                        scores_buf.clear();
-                        scores_buf.extend((win_start..=end).map(|c| dot(q_row, k.row(c)) * scale));
-                        online_softmax_update(&mut state, &scores_buf, |t| v.row(win_start + t));
-                    }
-
-                    chunk_pairs += (cols_buf.len() + (end + 1 - win_start)) as u64;
-                    out_row.copy_from_slice(&state.finish());
-                }
-                live_pairs.fetch_add(chunk_pairs, Ordering::Relaxed);
-            },
-        )?;
-    }
-    let live_pairs = live_pairs.into_inner();
+    let avg_live = (mask.nnz() / s_q.max(1)).max(1);
+    let (output, live_pairs) = run_rows("sparse_flash_attention", q, k, v, mask, avg_live)?;
 
     // Fused single kernel: reads Q once, gathers the live K/V rows, and
     // writes O. K/V reads are shared across the KV_TILE_REUSE query rows
@@ -159,9 +88,83 @@ pub fn sparse_flash_attention(
     Ok(AttentionOutput { output, cost })
 }
 
-#[inline]
-fn dot(a: &[f32], b: &[f32]) -> f32 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The row-wise loop over any row geometry, on the worker pool under
+/// fault site `site`; returns the output and the live-pair count.
+/// `avg_live` (keys per row, any estimate) only sizes the chunk grain.
+/// Shapes must already agree.
+pub(crate) fn run_rows<G: RowGeometry>(
+    site: &'static str,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    geom: &G,
+    avg_live: usize,
+) -> Result<(Matrix, u64), TensorError> {
+    let (s_q, d) = q.shape();
+    let dv = v.cols();
+    let scale = score_scale(d);
+    let extras = geom.extras();
+
+    let mut output = Matrix::zeros(s_q, dv);
+    let live_pairs = AtomicU64::new(0);
+
+    // Rows are fully independent (each folds only its own live columns),
+    // so row chunks run on the worker pool with bit-identical per-row
+    // arithmetic. The score scratch buffer is a per-chunk local;
+    // `live_pairs` is an integer tally, order-independent. A
+    // panicking worker (or an injected fault) surfaces as
+    // `SaError::WorkerPanic` instead of aborting the process.
+    if s_q > 0 && dv > 0 {
+        let grain_rows = pool::row_grain(avg_live * (d + dv));
+        pool::try_parallel_for_rows(
+            site,
+            output.as_mut_slice(),
+            dv,
+            grain_rows,
+            |row0, chunk| {
+                let mut scores_buf: Vec<f32> = Vec::new();
+                let mut chunk_pairs: u64 = 0;
+
+                for (local_i, out_row) in chunk.chunks_mut(dv).enumerate() {
+                    let i = row0 + local_i;
+                    let Some((win_start, win_end)) = geom.window(i) else {
+                        continue;
+                    };
+                    let q_row = q.row(i);
+                    let mut state = OnlineSoftmaxState::new(dv);
+                    // One fold block: the `n` keys `key_of(0..n)`.
+                    let mut fold = |n: usize, key_of: &dyn Fn(usize) -> usize| {
+                        scores_buf.clear();
+                        scores_buf.extend((0..n).map(|t| dot(q_row, k.row(key_of(t))) * scale));
+                        online_softmax_update(&mut state, &scores_buf, |t| v.row(key_of(t)));
+                        chunk_pairs += n as u64;
+                    };
+
+                    // Extra columns strictly below the window (sinks +
+                    // stripes), in blocks of BLOCK ranks.
+                    let below = extras.partition_point(|&c| c < win_start);
+                    for ranks in extras[..below].chunks(BLOCK) {
+                        fold(ranks.len(), &|t| ranks[t]);
+                    }
+                    // Diagonal keys, one block each.
+                    for j in geom.diagonal_keys(i) {
+                        fold(1, &|_| j);
+                    }
+                    // Contiguous local window, cut at multiples of BLOCK.
+                    let mut k0 = win_start;
+                    while k0 < win_end {
+                        let k1 = ((k0 / BLOCK + 1) * BLOCK).min(win_end);
+                        fold(k1 - k0, &|t| k0 + t);
+                        k0 = k1;
+                    }
+
+                    out_row.copy_from_slice(&state.finish());
+                }
+                live_pairs.fetch_add(chunk_pairs, Ordering::Relaxed);
+            },
+        )?;
+    }
+    Ok((output, live_pairs.into_inner()))
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
 //! Block-CSR tiling of a [`StructuredMask`].
 //!
-//! The row-major sparse kernel walks every live `(row, key)` pair
-//! individually. A [`TiledMask`] regroups the same live set into
-//! fixed-size `tile × tile` query×key blocks, stored CSR-style per
-//! query-tile row, with a per-tile occupancy class:
+//! Not on the forward path: the blocked engine
+//! ([`sparse_flash_attention_blocked`](crate::sparse_flash_attention_blocked))
+//! works straight off mask geometry. The layout survives as an analysis
+//! view of a mask (occupancy classes, predicted row loads) and because
+//! the repo benchmark's kernel probes are compiled against it.
+//!
+//! A [`TiledMask`] regroups a mask's live set into fixed-size
+//! `tile × tile` query×key blocks, stored CSR-style per query-tile row,
+//! with a per-tile occupancy class:
 //!
 //! * [`TileClass::Full`] — every row's local window covers the whole
-//!   tile width. The kernel streams the block with a maskless
-//!   fused-multiply-add fast path: no bitmap, no branches.
+//!   tile width.
 //! * [`TileClass::Window`] — each row's live set inside the tile is
 //!   exactly its window clip, one contiguous `(lo, hi)` span per row.
 //! * [`TileClass::Bitmap`] — anything irregular (sink columns, stripe
@@ -15,12 +19,11 @@
 //!   which is why tile sizes are capped at [`MAX_TILE`].
 //!
 //! Tiling is pure bookkeeping: the live set is untouched, so
-//! [`TiledMask::expand`] reproduces `mask.to_dense()` exactly and the
-//! tiled kernel can replay the row-major kernel's arithmetic
-//! bit-for-bit (see `sparse_tiled.rs`).
+//! [`TiledMask::expand`] reproduces `mask.to_dense()` exactly.
 
 use crate::mask::{DenseMask, StructuredMask};
-use sa_tensor::TensorError;
+use crate::{sparse_flash_attention_blocked, AttentionOutput};
+use sa_tensor::{Matrix, TensorError};
 
 /// Hard cap on the tile edge so a bitmap row always fits one `u64`.
 pub const MAX_TILE: usize = 64;
@@ -374,9 +377,8 @@ fn candidate_key_tiles(
     out.dedup();
 }
 
-/// Tile-granular traffic counts feeding the kernels cost model
-/// (`tiled_kernel_cost`): full tiles stream K/V rows maskless, partial
-/// tiles additionally read their span or bitmap metadata.
+/// Tile-granular traffic counts of a layout: K-row loads by tile class
+/// plus the span or bitmap metadata partial tiles carry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TileTraffic {
     /// K-row loads issued by Full tiles (each also loads a V row).
@@ -387,6 +389,28 @@ pub struct TileTraffic {
     pub bitmap_words: u64,
     /// `(lo, hi)` span pairs read by Window tiles.
     pub span_entries: u64,
+}
+
+/// Structured-sparse attention over the mask underlying `tiled`.
+///
+/// Runs the blocked engine on `tiled.mask()`; the tile layout itself is
+/// not consulted. Kept for callers compiled against the former tiled
+/// kernel's signature.
+///
+/// # Errors
+///
+/// As [`sparse_flash_attention_blocked`].
+pub fn sparse_flash_attention_tiled(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    tiled: &TiledMask,
+) -> Result<AttentionOutput, TensorError> {
+    let out = sparse_flash_attention_blocked(q, k, v, tiled.mask())?;
+    Ok(AttentionOutput {
+        output: out.output,
+        cost: out.cost,
+    })
 }
 
 #[cfg(test)]

@@ -25,12 +25,15 @@ echo "==> fault injection: SA_FAULT=smoke (SA_THREADS=1, then default)"
 SA_FAULT=smoke SA_THREADS=1 cargo test -q --offline --test fault_injection
 SA_FAULT=smoke cargo test -q --offline --test fault_injection
 
-echo "==> differential kernel suite: tiled vs row-major (SA_THREADS=1, then default)"
-# The tiled block-sparse kernel must be bitwise-identical to the
-# row-major kernel at every thread count; run the property suite pinned
-# serial and at the session default explicitly (in addition to the
-# workspace passes above) so a regression names this suite directly.
+echo "==> differential kernel suite: blocked engine vs row-wise reference (SA_THREADS=1, 3, then default)"
+# The blocked sparse-flash engine must be bitwise-identical to the
+# row-wise reference at every thread count; run the property suite
+# pinned serial, at an odd count (chunks and threads never divide
+# evenly, which is where a grain bug shows), and at the session default
+# explicitly (in addition to the workspace passes above) so a regression
+# names this suite directly.
 SA_THREADS=1 cargo test -q --offline --test kernel_equivalence
+SA_THREADS=3 cargo test -q --offline --test kernel_equivalence
 cargo test -q --offline --test kernel_equivalence
 
 echo "==> lint: no unwrap()/panic-family macros in non-test pipeline sources"
@@ -196,7 +199,7 @@ test -s "$smoke_out/serve_timeline.txt" || {
     exit 1
 }
 
-echo "==> smoke: tile_kernel --quick (tiled vs row-major A/B)"
+echo "==> smoke: tile_kernel --quick (engine vs row-wise reference A/B)"
 # The binary re-asserts bitwise identity on every case before timing it
 # and exits non-zero on divergence; here we only check the report lands.
 cargo run -q --release --offline -p sa-bench --bin tile_kernel -- \

@@ -3,11 +3,12 @@
 //! dense references on arbitrary shapes and masks. Driven by the in-repo
 //! harness ([`sample_attention::tensor::check`]).
 
-use sample_attention::core::{merge_mask, select_tile_size, TilePolicy};
+use sample_attention::core::merge_mask;
 use sample_attention::core::SampleAttentionConfig;
 use sample_attention::kernels::{
     attention_probs, flash_attention, full_attention, masked_attention_dense,
-    sparse_flash_attention, sparse_flash_attention_tiled, FlashParams, StructuredMask, TiledMask,
+    sparse_flash_attention, sparse_flash_attention_blocked, sparse_flash_attention_tiled,
+    FlashParams, StructuredMask, TiledMask,
 };
 use sample_attention::tensor::check::run_cases;
 use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Matrix};
@@ -70,7 +71,7 @@ fn sparse_equals_masked_reference() {
 
 /// With an everything-visible mask (window covering all causal keys) the
 /// sparse kernel degenerates to exact full attention — within 1e-5, much
-/// tighter than the tiled-vs-naive bound, because both paths then
+/// tighter than the sparse-vs-naive bound, because both paths then
 /// normalise over identical key sets.
 #[test]
 fn sparse_with_full_window_equals_full() {
@@ -152,14 +153,14 @@ fn flash_rectangular() {
     });
 }
 
-/// Bitwise equality: the tiled kernel must reproduce the row-major
-/// kernel's output *exactly*, not merely within a float tolerance.
-fn assert_bitwise(label: &str, tiled: &Matrix, row_major: &Matrix) {
-    assert_eq!(tiled.shape(), row_major.shape(), "{label}: shape drift");
-    for (i, (a, b)) in tiled
+/// Bitwise equality: the blocked engine must reproduce the row-wise
+/// reference's output *exactly*, not merely within a float tolerance.
+fn assert_bitwise(label: &str, engine: &Matrix, reference: &Matrix) {
+    assert_eq!(engine.shape(), reference.shape(), "{label}: shape drift");
+    for (i, (a, b)) in engine
         .as_slice()
         .iter()
-        .zip(row_major.as_slice())
+        .zip(reference.as_slice())
         .enumerate()
     {
         assert_eq!(
@@ -170,29 +171,54 @@ fn assert_bitwise(label: &str, tiled: &Matrix, row_major: &Matrix) {
     }
 }
 
-/// The differential property at the heart of the tiled rewrite: for any
+/// Runs engine and reference on `mask` and holds them to the whole
+/// contract: bitwise-equal outputs, equal FLOPs, the engine's live-pair
+/// tally equal to `mask.nnz()`, and (when the dense oracle is small
+/// enough to build) agreement with it within 1e-4.
+fn assert_engine_matches_reference(label: &str, mask: &StructuredMask, d: usize, seed: u64) {
+    let (q, k, v) = qkv(mask.s_q(), mask.s_k(), d, seed);
+    let reference = sparse_flash_attention(&q, &k, &v, mask).unwrap();
+    let engine = sparse_flash_attention_blocked(&q, &k, &v, mask).unwrap();
+    assert_bitwise(label, &engine.output, &reference.output);
+    assert_eq!(engine.cost.flops, reference.cost.flops, "{label}: flops");
+    assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");
+    assert!(engine.scored_pairs >= engine.live_pairs, "{label}: scored");
+    if mask.s_q() * mask.s_k() <= 1 << 20 {
+        let oracle = masked_attention_dense(&q, &k, &v, &mask.to_dense()).unwrap();
+        assert!(
+            max_abs_diff(engine.output.as_slice(), oracle.output.as_slice()) < 1e-4,
+            "{label}: drifted from the dense masked reference"
+        );
+    }
+}
+
+/// The differential property at the heart of the engine: for any
 /// randomized mask (window/sinks/stripes/diagonals/dense tail, square or
-/// rectangular, any tile in `1..=MAX_TILE` including tiles that do not
-/// divide S), the tiled kernel is bitwise-identical to the row-major
-/// kernel, charges identical FLOPs, and agrees with the dense masked
-/// reference within the usual tolerance.
+/// rectangular, lengths on and off the 64-row block grid), the engine is
+/// bitwise-identical to the row-wise reference, charges identical FLOPs,
+/// and agrees with the dense masked reference within the usual
+/// tolerance. The retained `sparse_flash_attention_tiled` entry point is
+/// the same engine whatever tile the layout was built with.
 #[test]
-fn tiled_kernel_bitwise_matches_row_major_randomized() {
-    run_cases("tiled_kernel_bitwise_matches_row_major_randomized", |g| {
-        let s_q = g.usize_in(4, 80);
-        let s_k = if g.chance(0.3) { g.usize_in(4, 80) } else { s_q };
+fn engine_bitwise_matches_reference_randomized() {
+    run_cases("engine_bitwise_matches_reference_randomized", |g| {
+        let s_q = g.usize_in(4, 200);
+        let s_k = if g.chance(0.3) {
+            g.usize_in(4, 200)
+        } else {
+            s_q
+        };
         let d = g.even_in(2, 12);
-        let window = g.usize_in(0, 24);
+        let window = g.usize_in(0, 90);
         let sinks = g.usize_in(0, 5);
         let tail = g.usize_in(0, 12);
         let cols: Vec<usize> = g
-            .vec_usize(0, 80, 0, 6)
+            .vec_usize(0, 200, 0, 90)
             .into_iter()
             .filter(|&c| c < s_k)
             .collect();
-        let diags = g.vec_usize(1, 80, 0, 3);
+        let diags = g.vec_usize(1, 200, 0, 3);
         let tile = g.usize_in(1, 64);
-        let (q, k, v) = qkv(s_q, s_k, d, g.u64_in(0, 1000));
         let mask = StructuredMask::builder(s_q, s_k)
             .window(window)
             .sinks(sinks)
@@ -201,48 +227,102 @@ fn tiled_kernel_bitwise_matches_row_major_randomized() {
             .dense_tail_rows(tail)
             .build()
             .unwrap();
+        let label = format!("s_q={s_q} s_k={s_k} window={window}");
+        let seed = g.u64_in(0, 1000);
+        assert_engine_matches_reference(&label, &mask, d, seed);
+        let (q, k, v) = qkv(s_q, s_k, d, seed);
         let tiling = TiledMask::build(mask.clone(), tile).unwrap();
-        let row_major = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
-        let tiled = sparse_flash_attention_tiled(&q, &k, &v, &tiling).unwrap();
-        let label = format!("tile={tile} s_q={s_q} s_k={s_k}");
-        assert_bitwise(&label, &tiled.output, &row_major.output);
-        assert_eq!(tiled.cost.flops, row_major.cost.flops, "{label}: flops");
-        let reference = masked_attention_dense(&q, &k, &v, &mask.to_dense()).unwrap();
-        assert!(
-            max_abs_diff(tiled.output.as_slice(), reference.output.as_slice()) < 2e-4,
-            "{label}: drifted from the dense masked reference"
+        let via_tiled = sparse_flash_attention_tiled(&q, &k, &v, &tiling).unwrap();
+        let engine = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+        assert_bitwise(
+            &format!("{label} tile={tile}"),
+            &via_tiled.output,
+            &engine.output,
         );
     });
 }
 
-/// Named corner-case sparsity patterns for the thread-invariance sweep:
-/// sink-only, window-only, stripes-only, fully-masked rows (nnz == 0),
-/// and a rectangular mask whose top rows have no causal keys at all.
-fn corner_case_masks(s: usize) -> Vec<(&'static str, StructuredMask)> {
+/// Named sparsity patterns, each aimed at one seam of the engine:
+/// the fold order (extras, then diagonals, then window), the 64-rank
+/// panel edge, rows of one query block disagreeing about which extras
+/// lie below their window, dense bottom rows sharing a block with
+/// windowed rows, dead rows, and lengths off the block grid.
+fn corner_case_masks() -> Vec<(&'static str, StructuredMask)> {
     let b = |s_q: usize, s_k: usize| StructuredMask::builder(s_q, s_k);
     vec![
-        ("sink_only", b(s, s).window(0).sinks(3).build().unwrap()),
-        ("window_only", b(s, s).window(7).build().unwrap()),
+        ("window_only", b(150, 150).window(7).build().unwrap()),
+        ("sink_only", b(150, 150).window(0).sinks(3).build().unwrap()),
         (
             "stripes",
-            b(s, s)
+            b(150, 150)
                 .window(1)
-                .columns(vec![2, 11, 29, s - 1])
+                .columns(vec![2, 11, 29, 149])
                 .build()
                 .unwrap(),
         ),
-        ("fully_masked_rows", b(s, s).window(0).build().unwrap()),
         (
-            "rectangular_dead_top",
-            b(s, s / 2).window(5).sinks(1).build().unwrap(),
+            // 100 extras: ranks 64.. live in the second score panel.
+            "extras_cross_a_panel_edge",
+            b(320, 320)
+                .window(16)
+                .columns((0..100).map(|i| i * 3).collect())
+                .build()
+                .unwrap(),
         ),
         (
-            "mixed",
-            b(s, s)
+            // Window starts of rows 100..163 sweep over extras 70..130,
+            // so the rows of one query block see different rank prefixes.
+            "extras_straddle_window_start_inside_a_block",
+            b(256, 256)
+                .window(30)
+                .columns((70..130).step_by(2).collect())
+                .build()
+                .unwrap(),
+        ),
+        (
+            "diagonals",
+            b(200, 200)
+                .window(5)
+                .sinks(1)
+                .diagonals(vec![9, 64, 130])
+                .build()
+                .unwrap(),
+        ),
+        (
+            // The last 40 rows are dense: rows 160..191 share a query
+            // block with windowed rows 128..159.
+            "dense_tail_straddles_a_block",
+            b(200, 200)
+                .window(12)
+                .sinks(2)
+                .columns(vec![40, 90])
+                .dense_tail_rows(40)
+                .build()
+                .unwrap(),
+        ),
+        (
+            "s_q_shorter_than_s_k",
+            b(70, 190)
+                .window(20)
+                .sinks(2)
+                .columns(vec![33, 77])
+                .build()
+                .unwrap(),
+        ),
+        (
+            // Rows 0..74 see no key at all.
+            "s_q_longer_than_s_k_with_empty_rows",
+            b(140, 65).window(5).sinks(1).build().unwrap(),
+        ),
+        ("fully_masked_rows", b(70, 70).window(0).build().unwrap()),
+        ("dense_causal", StructuredMask::dense_causal(130, 130)),
+        (
+            "s_q_not_a_multiple_of_64",
+            b(97, 97)
                 .window(9)
                 .sinks(2)
                 .columns(vec![4, 33])
-                .diagonals(vec![s - 10])
+                .diagonals(vec![60])
                 .dense_tail_rows(6)
                 .build()
                 .unwrap(),
@@ -250,60 +330,59 @@ fn corner_case_masks(s: usize) -> Vec<(&'static str, StructuredMask)> {
     ]
 }
 
-/// Thread invariance: for every corner-case pattern and tile size
-/// (single-element tiles, tiles that do not divide S, the max tile), the
-/// tiled kernel's output under `SA_THREADS` = 2, 3, and the session
-/// default is bitwise-identical to the single-thread run — and all of
-/// them are bitwise-identical to the row-major kernel.
+/// Every named pattern: engine ≡ reference bit for bit, tallies exact.
 #[test]
-fn tiled_kernel_thread_invariant_across_patterns() {
-    let s = 70; // not divisible by any tile below except 1
-    let d = 8;
-    for (name, mask) in corner_case_masks(s) {
-        let (q, k, v) = qkv(mask.s_q(), mask.s_k(), d, 0x7117);
-        let (q, k, v) = (&q, &k, &v);
-        for tile in [1usize, 13, 64] {
-            let tiling = TiledMask::build(mask.clone(), tile).unwrap();
-            let baseline =
-                pool::with_threads(1, || sparse_flash_attention_tiled(q, k, v, &tiling)).unwrap();
-            let row_major = pool::with_threads(1, || sparse_flash_attention(q, k, v, &mask)).unwrap();
-            assert_bitwise(
-                &format!("{name} tile={tile} vs row-major"),
-                &baseline.output,
-                &row_major.output,
-            );
-            for threads in [2usize, 3] {
-                let out = pool::with_threads(threads, || {
-                    sparse_flash_attention_tiled(q, k, v, &tiling)
-                })
-                .unwrap();
-                assert_bitwise(
-                    &format!("{name} tile={tile} threads={threads}"),
-                    &out.output,
-                    &baseline.output,
-                );
-            }
-            // Session default thread count (whatever SA_THREADS says).
-            let out = sparse_flash_attention_tiled(q, k, v, &tiling).unwrap();
-            assert_bitwise(
-                &format!("{name} tile={tile} default threads"),
-                &out.output,
-                &baseline.output,
-            );
-        }
+fn engine_bitwise_matches_reference_on_corner_cases() {
+    for (name, mask) in corner_case_masks() {
+        assert_engine_matches_reference(name, &mask, 8, 0x7117);
     }
 }
 
-/// Long-context differential: an 8K-row structured mask with the tile
-/// chosen by the autotuner. The dense reference is too big to
-/// materialise here; the row-major kernel — itself proven against the
-/// dense oracle above — is the ground truth, and the tiled kernel must
-/// match it bit for bit with identical FLOP accounting.
+/// Thread invariance: for every named pattern the engine's output under
+/// `SA_THREADS` = 1, 2, 3, 5 and the session default is bitwise-identical
+/// to the reference run on one thread. The chunk grain is a multiple of
+/// 64 rows fixed by the workload alone, so every thread count walks the
+/// same query-block grid; `d = 64` makes the grain one block, so the
+/// longer patterns really split into several chunks.
 #[test]
-fn tiled_kernel_differential_at_long_context() {
+fn engine_thread_invariant_across_patterns() {
+    for (name, mask) in corner_case_masks() {
+        let (q, k, v) = qkv(mask.s_q(), mask.s_k(), 64, 0x7117);
+        let (q, k, v) = (&q, &k, &v);
+        let reference = pool::with_threads(1, || sparse_flash_attention(q, k, v, &mask)).unwrap();
+        for threads in [1usize, 2, 3, 5] {
+            let out =
+                pool::with_threads(threads, || sparse_flash_attention_blocked(q, k, v, &mask))
+                    .unwrap();
+            assert_bitwise(
+                &format!("{name} threads={threads}"),
+                &out.output,
+                &reference.output,
+            );
+            assert_eq!(
+                out.live_pairs,
+                mask.nnz() as u64,
+                "{name} threads={threads}"
+            );
+        }
+        // Session default thread count (whatever SA_THREADS says).
+        let out = sparse_flash_attention_blocked(q, k, v, &mask).unwrap();
+        assert_bitwise(
+            &format!("{name} default threads"),
+            &out.output,
+            &reference.output,
+        );
+    }
+}
+
+/// Long-context differential: an 8K-row structured mask. The dense
+/// reference is too big to materialise here; the row-wise kernel —
+/// itself proven against the dense oracle above — is the ground truth,
+/// and the engine must match it bit for bit with identical FLOP
+/// accounting and an exact live-pair tally.
+#[test]
+fn engine_differential_at_long_context() {
     let s = 8192;
-    let d = 8;
-    let (q, k, v) = qkv(s, s, d, 0x8192);
     let mask = StructuredMask::builder(s, s)
         .window(48)
         .sinks(4)
@@ -312,13 +391,7 @@ fn tiled_kernel_differential_at_long_context() {
         .dense_tail_rows(32)
         .build()
         .unwrap();
-    let choice = select_tile_size(&TilePolicy::default(), &mask).unwrap();
-    assert!(!choice.fallback, "8K mask must not need the fallback tile");
-    let tiling = TiledMask::build(mask.clone(), choice.tile).unwrap();
-    let row_major = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
-    let tiled = sparse_flash_attention_tiled(&q, &k, &v, &tiling).unwrap();
-    assert_bitwise("long context", &tiled.output, &row_major.output);
-    assert_eq!(tiled.cost.flops, row_major.cost.flops);
+    assert_engine_matches_reference("long context", &mask, 8, 0x8192);
 }
 
 /// Mask bookkeeping: nnz equals the dense materialisation's count and
