@@ -1,6 +1,8 @@
 //! Dense causal attention (the gold baseline).
 
-use sa_kernels::{flash_attention, FlashParams};
+use sa_kernels::{
+    flash_attention, flash_attention_prepared, AttentionOutput, FlashParams, PreparedKeys,
+};
 use sa_tensor::{Matrix, TensorError};
 
 use crate::{AttentionMethod, MethodOutput};
@@ -22,6 +24,27 @@ impl FullAttention {
     pub fn with_params(params: FlashParams) -> Self {
         FullAttention { params }
     }
+
+    /// One decode step for the query heads that share `keys`: each row of
+    /// `q_block` is one head's query at the newest position and sees every
+    /// cached key. A row is folded exactly as a one-row
+    /// [`forward_head`](AttentionMethod::forward_head) call folds it, so
+    /// the block is bit-identical to the per-head calls and reads K and V
+    /// once for the group.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] on shape mismatches between `q_block`,
+    /// the keys, and `v`.
+    pub fn decode_block(
+        &self,
+        q_block: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, TensorError> {
+        // Not causal: the newest position is past every cached key.
+        flash_attention_prepared(q_block, keys, v, false, self.params).map(dense_output)
+    }
 }
 
 impl AttentionMethod for FullAttention {
@@ -30,15 +53,29 @@ impl AttentionMethod for FullAttention {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        let out = flash_attention(q, k, v, true, self.params)?;
-        Ok(MethodOutput {
-            output: out.output,
-            cost: out.cost,
-            density: 1.0,
-            alpha_satisfied: true,
-            fell_back: false,
-            fallback_reason: sa_core::FallbackReason::None,
-        })
+        flash_attention(q, k, v, true, self.params).map(dense_output)
+    }
+
+    fn forward_head(
+        &self,
+        _layer: usize,
+        _head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, TensorError> {
+        flash_attention_prepared(q, keys, v, true, self.params).map(dense_output)
+    }
+}
+
+fn dense_output(out: AttentionOutput) -> MethodOutput {
+    MethodOutput {
+        output: out.output,
+        cost: out.cost,
+        density: 1.0,
+        alpha_satisfied: true,
+        fell_back: false,
+        fallback_reason: sa_core::FallbackReason::None,
     }
 }
 

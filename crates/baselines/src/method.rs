@@ -1,6 +1,8 @@
 //! The common interface every attention method implements.
 
-use sa_kernels::CostReport;
+use sa_kernels::{
+    sparse_flash_attention_prepared, CostReport, KeyPanels, PreparedKeys, StructuredMask,
+};
 use sa_tensor::{Matrix, TensorError};
 
 /// Output of one attention-method invocation on one head.
@@ -56,30 +58,66 @@ pub trait AttentionMethod: Send + Sync {
     /// and `v`.
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError>;
 
-    /// Computes attention for the head identified by `(layer, head)`.
+    /// Computes attention for the head identified by `(layer, head)`, on
+    /// keys the caller has already laid out for the engine.
     ///
-    /// The model layers call this entry point so wrappers that route
-    /// individual heads differently — the serving layer's per-head
-    /// quality quarantine — can override it. The default implementation
-    /// ignores the identity and delegates to
-    /// [`forward`](Self::forward), so plain methods behave identically
-    /// on both entry points.
+    /// The model layers call this entry point: they hold each KV head's
+    /// key panels across the query heads of its group and across prefill
+    /// chunks, and wrappers that route individual heads differently — the
+    /// serving layer's per-head quality quarantine — override it. The
+    /// default implementation ignores the identity and the panels and
+    /// delegates to [`forward`](Self::forward) on `keys.rows()`, so
+    /// methods that never run the engine behave identically on both
+    /// entry points.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatches between `q`, `k`,
-    /// and `v`.
+    /// Returns a [`TensorError`] on shape mismatches between `q`, the
+    /// keys, and `v`.
     fn forward_head(
         &self,
         layer: usize,
         head: usize,
         q: &Matrix,
-        k: &Matrix,
+        keys: PreparedKeys<'_>,
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
         let _ = (layer, head);
-        self.forward(q, k, v)
+        self.forward(q, keys.rows(), v)
     }
+}
+
+impl MethodOutput {
+    /// A fixed-pattern baseline's whole forward: the engine under `mask`,
+    /// with no coverage notion and no fallback.
+    pub(crate) fn structured(
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+        mask: &StructuredMask,
+    ) -> Result<Self, TensorError> {
+        let out = sparse_flash_attention_prepared(q, keys, v, mask)?;
+        Ok(MethodOutput {
+            output: out.output,
+            cost: out.cost,
+            density: mask.density(),
+            alpha_satisfied: true,
+            fell_back: false,
+            fallback_reason: sa_core::FallbackReason::None,
+        })
+    }
+}
+
+/// `forward` for a method whose body is its `forward_head`: builds the
+/// key panels for this one call.
+pub(crate) fn forward_on_built_panels(
+    method: &dyn AttentionMethod,
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+) -> Result<MethodOutput, TensorError> {
+    let panels = KeyPanels::from_rows(k);
+    method.forward_head(0, 0, q, PreparedKeys::new(k, &panels), v)
 }
 
 #[cfg(test)]
@@ -110,5 +148,10 @@ mod tests {
         let out = methods[0].forward(&q, &q, &q).unwrap();
         assert_eq!(out.output.shape(), (2, 2));
         assert_eq!(methods[0].name(), "dummy");
+        // The head entry point defaults to `forward` on the key rows.
+        let panels = sa_kernels::KeyPanels::from_rows(&q);
+        let keys = PreparedKeys::new(&q, &panels);
+        let out = methods[0].forward_head(1, 3, &q, keys, &q).unwrap();
+        assert_eq!(out.output.shape(), (2, 2));
     }
 }

@@ -1,7 +1,10 @@
 //! Adapter exposing `sa-core`'s SampleAttention through the common
 //! [`AttentionMethod`] interface used by the evaluation harnesses.
 
-use sa_core::{SampleAttention, SampleAttentionConfig};
+use sa_core::{
+    SampleAttention, SampleAttentionConfig, SampleAttentionError, SampleAttentionOutput,
+};
+use sa_kernels::PreparedKeys;
 use sa_tensor::{Matrix, TensorError};
 
 use crate::{AttentionMethod, MethodOutput};
@@ -41,22 +44,39 @@ impl AttentionMethod for SampleAttentionMethod {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        let out = self.inner.forward(q, k, v).map_err(|e| match e {
-            sa_core::SampleAttentionError::Tensor(t) => t,
-            other => TensorError::InvalidDimension {
-                op: "SampleAttentionMethod::forward",
-                what: other.to_string(),
-            },
-        })?;
-        Ok(MethodOutput {
-            output: out.output,
-            cost: out.stats.total_cost(),
-            density: out.stats.mask_density,
-            alpha_satisfied: out.stats.alpha_satisfied,
-            fell_back: out.stats.fell_back(),
-            fallback_reason: out.stats.fallback_reason,
-        })
+        method_output(self.inner.forward(q, k, v))
     }
+
+    fn forward_head(
+        &self,
+        _layer: usize,
+        _head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, TensorError> {
+        method_output(self.inner.forward_prepared(q, keys, v))
+    }
+}
+
+fn method_output(
+    result: Result<SampleAttentionOutput, SampleAttentionError>,
+) -> Result<MethodOutput, TensorError> {
+    let out = result.map_err(|e| match e {
+        SampleAttentionError::Tensor(t) => t,
+        other => TensorError::InvalidDimension {
+            op: "SampleAttentionMethod::forward",
+            what: other.to_string(),
+        },
+    })?;
+    Ok(MethodOutput {
+        output: out.output,
+        cost: out.stats.total_cost(),
+        density: out.stats.mask_density,
+        alpha_satisfied: out.stats.alpha_satisfied,
+        fell_back: out.stats.fell_back(),
+        fallback_reason: out.stats.fallback_reason,
+    })
 }
 
 #[cfg(test)]

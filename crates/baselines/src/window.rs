@@ -1,8 +1,9 @@
 //! Pure sliding-window attention (ablation helper).
 
-use sa_kernels::{sparse_flash_attention_blocked, StructuredMask};
+use sa_kernels::{PreparedKeys, StructuredMask};
 use sa_tensor::{Matrix, TensorError};
 
+use crate::method::forward_on_built_panels;
 use crate::{AttentionMethod, MethodOutput};
 
 /// Window-only sparse attention: each query sees its last
@@ -45,16 +46,18 @@ impl AttentionMethod for WindowOnly {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        let mask = self.build_mask(q.rows(), k.rows());
-        let out = sparse_flash_attention_blocked(q, k, v, &mask)?;
-        Ok(MethodOutput {
-            output: out.output,
-            cost: out.cost,
-            density: mask.density(),
-            alpha_satisfied: true,
-            fell_back: false,
-            fallback_reason: sa_core::FallbackReason::None,
-        })
+        forward_on_built_panels(self, q, k, v)
+    }
+
+    fn forward_head(
+        &self,
+        _layer: usize,
+        _head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, TensorError> {
+        MethodOutput::structured(q, keys, v, &self.build_mask(q.rows(), keys.len()))
     }
 }
 

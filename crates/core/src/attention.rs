@@ -19,14 +19,14 @@
 //! `core.kernel_scored_pairs` histograms.
 
 use sa_kernels::{
-    flash_attention, sparse_flash_attention_blocked, CostReport, FlashParams, StructuredMask,
-    ENGINE_BLOCK,
+    flash_attention, sparse_flash_attention_prepared, CostReport, FlashParams, KeyPanels,
+    PreparedKeys, StructuredMask, ENGINE_BLOCK,
 };
 use sa_tensor::{Matrix, SaError};
 
 use crate::filtering::{filter_kv_indices, KvRatioSchedule};
 use crate::merge::merge_mask_with_diagonals;
-use crate::sampling::sample_attention_scores;
+use crate::sampling::sample_attention_scores_prepared;
 use crate::sparsity::causal_width;
 use crate::{HealthPolicy, SampleAttentionConfig, SampleAttentionError};
 
@@ -307,7 +307,29 @@ impl SampleAttention {
         k: &Matrix,
         v: &Matrix,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
-        match self.try_sparse_forward(q, k, v) {
+        let panels = KeyPanels::from_rows(k);
+        self.forward_prepared(q, PreparedKeys::new(k, &panels), v)
+    }
+
+    /// [`forward`](Self::forward) on keys whose panels the caller already
+    /// holds: stage-1 sampling and the sparse kernel both read them, so
+    /// the call transposes nothing but the mask's gathered stripes.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward`](Self::forward).
+    ///
+    /// # Panics
+    ///
+    /// As [`forward`](Self::forward).
+    pub fn forward_prepared(
+        &self,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        let k = keys.rows();
+        match self.try_sparse_forward(q, keys, v) {
             Ok(out) => Ok(out),
             Err(SampleAttentionError::Tensor(e)) if e.is_health_error() => {
                 match self.config.health_policy {
@@ -329,9 +351,10 @@ impl SampleAttention {
     fn try_sparse_forward(
         &self,
         q: &Matrix,
-        k: &Matrix,
+        keys: PreparedKeys<'_>,
         v: &Matrix,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        let k = keys.rows();
         // Sentinel A: non-finite Q/K/V poison every later stage (NaN is
         // silently swallowed by `f32::max` inside the softmaxes, so it
         // must be caught here, before it folds into zeros downstream).
@@ -346,8 +369,8 @@ impl SampleAttention {
             }
             .into());
         }
-        let mask = self.discover_mask(q, k)?;
-        self.forward_with_mask(q, k, v, mask.mask, mask.kv_indices, mask.stats)
+        let mask = self.discover_mask_prepared(q, keys)?;
+        self.forward_with_mask(q, keys, v, mask.mask, mask.kv_indices, mask.stats)
     }
 
     /// Dense degradation path: sanitise non-finite inputs to zero, run the
@@ -412,9 +435,28 @@ impl SampleAttention {
     /// tolerance, or a degenerate merged mask. (Policy dispatch happens in
     /// [`forward`](Self::forward); this method always propagates.)
     pub fn discover_mask(&self, q: &Matrix, k: &Matrix) -> Result<DiscoveredMask, SampleAttentionError> {
+        let panels = KeyPanels::from_rows(k);
+        self.discover_mask_prepared(q, PreparedKeys::new(k, &panels))
+    }
+
+    /// [`discover_mask`](Self::discover_mask) on keys whose panels the
+    /// caller already holds.
+    ///
+    /// # Errors
+    ///
+    /// As [`discover_mask`](Self::discover_mask).
+    pub fn discover_mask_prepared(
+        &self,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+    ) -> Result<DiscoveredMask, SampleAttentionError> {
+        let k = keys.rows();
         let stage1 = sa_trace::span_in("core", "stage1_sampling");
-        let sampled =
-            sample_attention_scores(q, k, self.config.effective_sample_ratio(q.rows()))?;
+        let sampled = sample_attention_scores_prepared(
+            q,
+            keys,
+            self.config.effective_sample_ratio(q.rows()),
+        )?;
         // Sentinel B: the stage-1 reduction must produce finite scores
         // with mass whenever any sampled row has live causal keys.
         let bad = count_nonfinite(&sampled.column_scores);
@@ -530,14 +572,14 @@ impl SampleAttention {
     fn forward_with_mask(
         &self,
         q: &Matrix,
-        k: &Matrix,
+        keys: PreparedKeys<'_>,
         v: &Matrix,
         mask: StructuredMask,
         kv_indices: Vec<usize>,
         mut stats: SampleAttentionStats,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
         let _span = sa_trace::span_in("core", "sparse_kernel");
-        let sparse = sparse_flash_attention_blocked(q, k, v, &mask)?;
+        let sparse = sparse_flash_attention_prepared(q, keys, v, &mask)?;
         stats.tile_size = ENGINE_BLOCK;
         sa_trace::histogram_record!("core.kernel_scored_pairs", sparse.scored_pairs);
         // Sentinel D: no non-finite value may escape the kernel.

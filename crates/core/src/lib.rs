@@ -77,7 +77,7 @@ pub use error::SampleAttentionError;
 pub use filtering::{filter_kv_indices, KvFilterResult, KvRatioSchedule};
 pub use ladder::{DegradationReport, DegradationRung, RungAttempt};
 pub use merge::{merge_mask, merge_mask_with_diagonals};
-pub use sampling::{sample_attention_scores, SampledScores};
+pub use sampling::{sample_attention_scores, sample_attention_scores_prepared, SampledScores};
 pub use sparsity::{
     optimal_sparsity_degree, pattern_summary, structured_sparsity_degree, PatternSummary,
 };

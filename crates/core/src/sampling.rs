@@ -6,7 +6,7 @@
 //! (high row-wise similarity of score distributions, Figure 2(e)) is what
 //! makes a small sample representative of all rows.
 
-use sa_kernels::{score_scale, CostReport};
+use sa_kernels::{score_scale, CostReport, KeyPanels, PreparedKeys, ENGINE_BLOCK};
 use sa_tensor::{fault, pool, softmax_row, Matrix, StrideSample, TensorError};
 
 use crate::sparsity::causal_width;
@@ -81,6 +81,24 @@ pub fn sample_attention_scores(
     k: &Matrix,
     sample_ratio: f32,
 ) -> Result<SampledScores, TensorError> {
+    let panels = KeyPanels::from_rows(k);
+    sample_attention_scores_prepared(q, PreparedKeys::new(k, &panels), sample_ratio)
+}
+
+/// [`sample_attention_scores`] on keys whose panels the caller already
+/// holds. Sampled rows are scored two at a time with the engine's panel
+/// microkernel; each score is the same strict-order sum as a scalar dot
+/// product, so the result does not depend on how rows are paired.
+///
+/// # Errors
+///
+/// As [`sample_attention_scores`].
+pub fn sample_attention_scores_prepared(
+    q: &Matrix,
+    keys: PreparedKeys<'_>,
+    sample_ratio: f32,
+) -> Result<SampledScores, TensorError> {
+    let k = keys.rows();
     if q.cols() != k.cols() {
         return Err(TensorError::ShapeMismatch {
             op: "sample_attention_scores",
@@ -95,13 +113,14 @@ pub fn sample_attention_scores(
 
     // Parallel schedule with a serial reduction: sampled rows are
     // processed in fixed batches of SAMPLE_BATCH rows. Within a batch the
-    // per-row probability vectors are computed on the worker pool
-    // (per-row arithmetic identical to the serial loop, rows are
-    // independent); the batch is then folded into the accumulators
-    // strictly in sampled-row order. The batch size — and hence every
-    // addition's position in the reduction — is independent of the thread
-    // count, so the result is bit-identical under any `SA_THREADS`.
-    // Memory stays bounded at SAMPLE_BATCH probability vectors.
+    // per-row probability vectors are computed on the worker pool, a pair
+    // of rows per task (per-row arithmetic identical to the serial loop,
+    // rows are independent); the batch is then folded into the
+    // accumulators strictly in sampled-row order. The batch size — and
+    // hence every addition's position in the reduction — is independent
+    // of the thread count, so the result is bit-identical under any
+    // `SA_THREADS`. Memory stays bounded at SAMPLE_BATCH probability
+    // vectors.
     //
     // The accumulators are f64 (output stays f32): thousands of sampled
     // rows each add ~`visible` tiny probabilities, the same long-sum
@@ -111,29 +130,47 @@ pub fn sample_attention_scores(
     let mut diagonal_acc = vec![0.0f64; s_k];
     let mut live_pairs: u64 = 0;
 
-    let row_probs = |i: usize| -> Option<(usize, Vec<f32>)> {
-        let visible = causal_width(i, s_q, s_k);
-        if visible == 0 {
-            return None;
-        }
-        let q_row = q.row(i);
-        let mut probs: Vec<f32> = (0..visible)
-            .map(|j| {
-                q_row
-                    .iter()
-                    .zip(k.row(j))
-                    .map(|(a, b)| a * b)
-                    .sum::<f32>()
-                    * scale
-            })
+    let panels = keys.panels();
+    // Softmax rows of up to two sampled rows: raw scores a whole panel at
+    // a time, both rows while both still see the panel, then cut to each
+    // row's causal width.
+    let pair_probs = |rows: &[usize]| -> Vec<(usize, Vec<f32>)> {
+        let visible: Vec<usize> = rows.iter().map(|&i| causal_width(i, s_q, s_k)).collect();
+        let mut probs: Vec<Vec<f32>> = visible
+            .iter()
+            .map(|&v| vec![0.0f32; v.div_ceil(ENGINE_BLOCK) * ENGINE_BLOCK])
             .collect();
-        softmax_row(&mut probs);
-        Some((visible, probs))
+        let mut shared = 0;
+        if let [first, second] = probs.as_mut_slice() {
+            shared = first.len().min(second.len()) / ENGINE_BLOCK;
+            for p in 0..shared {
+                let lanes = p * ENGINE_BLOCK..(p + 1) * ENGINE_BLOCK;
+                panels.score_panel(
+                    p,
+                    [q.row(rows[0]), q.row(rows[1])],
+                    scale,
+                    [&mut first[lanes.clone()], &mut second[lanes]],
+                );
+            }
+        }
+        for ((&i, &width), row_probs) in rows.iter().zip(&visible).zip(&mut probs) {
+            for (p, lanes) in row_probs.chunks_mut(ENGINE_BLOCK).enumerate().skip(shared) {
+                panels.score_panel(p, [q.row(i)], scale, [lanes]);
+            }
+            row_probs.truncate(width);
+            softmax_row(row_probs);
+        }
+        visible
+            .into_iter()
+            .zip(probs)
+            .filter(|&(width, _)| width > 0)
+            .collect()
     };
-    let grain = pool::row_grain(s_k.max(1) * d.max(1));
+    let grain = pool::row_grain(2 * s_k.max(1) * d.max(1));
     for batch in sample.indices().chunks(SAMPLE_BATCH) {
+        let pairs: Vec<&[usize]> = batch.chunks(2).collect();
         let computed =
-            pool::try_parallel_map("stage1_sampling", batch.len(), grain, |b| row_probs(batch[b]))?;
+            pool::try_parallel_map("stage1_sampling", pairs.len(), grain, |b| pair_probs(pairs[b]))?;
         for (visible, probs) in computed.into_iter().flatten() {
             for (j, (acc, &p)) in column_acc.iter_mut().zip(probs.iter()).enumerate() {
                 *acc += f64::from(p);

@@ -15,15 +15,9 @@
 //! softmax state as soon as it is scored, while the tile's V rows are
 //! cache-hot.
 //!
-//! # The score panel
-//!
-//! A key block is stored transposed, `kt[dd][t]` for lane `t` of the
-//! block. A score is then `acc[t] += q[dd] * kt[dd][t]` over `dd` in
-//! index order: each lane is the same strict-order sum a scalar dot
-//! product computes, but neighbouring lanes are independent, so plain
-//! Rust autovectorises across `t`. There is no intrinsic, no
-//! `target_feature` and no fused multiply-add, so every ISA produces the
-//! same bits.
+//! Score tiles come from the caller's [`KeyPanels`] (K transposed once
+//! per KV head, see [`crate::panels`]); only the gathered extras are
+//! transposed per call, since they depend on the mask.
 //!
 //! # The fold partition
 //!
@@ -35,32 +29,14 @@
 //! the row-wise reference, folds each row in exactly this partition with
 //! the same [`online_softmax_update`], so the two agree bit for bit at
 //! every `SA_THREADS`.
-//!
-//! Calls too short to repay transposing K (fewer than
-//! [`PANEL_MIN_ROWS`] query rows: decode steps) run that row-wise loop
-//! instead of the panels; the bits are the same either way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
 
 use crate::cost::f32_bytes;
-use crate::sparse_flash::run_rows;
+use crate::panels::{KeyPanels, PreparedKeys, BLOCK};
 use crate::{score_scale, CostReport, StructuredMask};
-
-/// Query rows per block, and key lanes per score panel.
-pub const BLOCK: usize = 64;
-
-/// Lanes one accumulator group of the score panel covers: two query rows
-/// of `LANES` f32 fit the 16 vector registers of baseline x86-64.
-const LANES: usize = 16;
-
-/// Calls with fewer query rows than this (a decode step has one) skip
-/// the panels and score row by row — the same bits, since both sum in
-/// strict order. Every key a panel scores must first be transposed, which
-/// costs about what two scalar dot products do: measured at `d = 64`,
-/// row-wise wins at 1 row, ties at 2 and loses from 4 up.
-const PANEL_MIN_ROWS: usize = 4;
 
 /// Which keys each query row attends to.
 pub(crate) trait RowGeometry: Sync {
@@ -164,11 +140,27 @@ pub fn sparse_flash_attention_blocked(
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
-    validate_sparse_shapes(q, k, v, mask)?;
+    let panels = KeyPanels::from_rows(k);
+    sparse_flash_attention_prepared(q, PreparedKeys::new(k, &panels), v, mask)
+}
+
+/// [`sparse_flash_attention_blocked`] on keys whose panels the caller
+/// already holds, so nothing but the mask's gathered extras is transposed.
+///
+/// # Errors
+///
+/// As [`sparse_flash_attention_blocked`].
+pub fn sparse_flash_attention_prepared(
+    q: &Matrix,
+    keys: PreparedKeys<'_>,
+    v: &Matrix,
+    mask: &StructuredMask,
+) -> Result<BlockedAttentionOutput, TensorError> {
+    validate_sparse_shapes(q, keys.rows(), v, mask)?;
     let (s_q, d) = q.shape();
     let dv = v.cols();
     let avg_live = (mask.nnz() / s_q.max(1)).max(1);
-    let (output, tally) = run("sparse_flash_attention", q, k, v, mask, avg_live)?;
+    let (output, tally) = run("sparse_flash_attention", q, keys, v, mask, avg_live)?;
 
     // One fused launch: Q read once, every scored tile loads its K and V
     // rows once, the gathered extras are read and written once more at
@@ -224,37 +216,21 @@ pub(crate) fn validate_sparse_shapes(
 pub(crate) fn run<G: RowGeometry>(
     site: &'static str,
     q: &Matrix,
-    k: &Matrix,
+    keys: PreparedKeys<'_>,
     v: &Matrix,
     geom: &G,
     avg_live: usize,
 ) -> Result<(Matrix, Tally), TensorError> {
     let (s_q, d) = q.shape();
-    let s_k = k.rows();
+    let k = keys.rows();
     let dv = v.cols();
     let mut output = Matrix::zeros(s_q, dv);
-    if s_q == 0 || dv == 0 || s_k == 0 {
+    if s_q == 0 || dv == 0 || keys.is_empty() {
         return Ok((output, Tally::default()));
-    }
-    if s_q < PANEL_MIN_ROWS {
-        let (output, live) = run_rows(site, q, k, v, geom, avg_live)?;
-        let tally = Tally {
-            live_pairs: live,
-            scored_pairs: live,
-            kv_rows: live,
-        };
-        return Ok((output, tally));
     }
     let scale = score_scale(d);
     let extras = geom.extras();
-
-    // Transposed K, only for the key blocks some row's window touches.
-    let (kb0, blocks) = key_blocks((0..s_q).filter_map(|i| geom.window(i)))
-        .map_or((0, 0), |(first, last)| (first, last + 1 - first));
-    let window_kt = Panels::transposed(k, blocks * BLOCK, |lane| {
-        Some(kb0 * BLOCK + lane).filter(|&j| j < s_k)
-    });
-    let extra_kt = Panels::transposed(k, extras.len(), |lane| extras.get(lane).copied());
+    let extra_kt = KeyPanels::gathered(k, extras);
     let extra_v = v.gather_rows(extras)?;
 
     let live_pairs = AtomicU64::new(0);
@@ -277,7 +253,7 @@ pub(crate) fn run<G: RowGeometry>(
                 block.reset(geom, q0, out_rows.len() / dv);
                 block.fold_extras(q, &extra_kt, &extra_v, scale, &mut tally);
                 block.fold_diagonals(geom, q, k, v, scale, &mut tally);
-                block.fold_window(q, v, &window_kt, kb0, scale, &mut tally);
+                block.fold_window(q, v, keys.panels(), scale, &mut tally);
                 block.finish(out_rows);
             }
             live_pairs.fetch_add(tally.live_pairs, Ordering::Relaxed);
@@ -300,45 +276,6 @@ fn key_blocks(windows: impl Iterator<Item = (usize, usize)> + Clone) -> Option<(
     let first = band.clone().map(|(start, _)| start / BLOCK).min()?;
     let last = band.map(|(_, end)| (end - 1) / BLOCK).max()?;
     Some((first, last))
-}
-
-/// Key rows stored as transposed panels of [`BLOCK`] lanes: panel `p`
-/// holds `kt[dd][t]` for lanes `p * BLOCK + t`, zero where a lane has no
-/// key.
-struct Panels {
-    data: Vec<f32>,
-    /// Floats per panel (`d * BLOCK`).
-    stride: usize,
-    /// Lanes that hold a key.
-    keys: usize,
-}
-
-impl Panels {
-    /// Transposes `lanes` lanes of `k`, lane `l` taking the key row
-    /// `key_of(l)`.
-    fn transposed(k: &Matrix, lanes: usize, key_of: impl Fn(usize) -> Option<usize>) -> Self {
-        let stride = k.cols() * BLOCK;
-        let mut data = vec![0.0f32; lanes.div_ceil(BLOCK) * stride];
-        let mut keys = 0;
-        for lane in 0..lanes {
-            let Some(j) = key_of(lane) else { continue };
-            keys += 1;
-            let panel = &mut data[lane / BLOCK * stride..][..stride];
-            for (column, &x) in panel.chunks_exact_mut(BLOCK).zip(k.row(j)) {
-                column[lane % BLOCK] = x;
-            }
-        }
-        Panels { data, stride, keys }
-    }
-
-    fn panel(&self, p: usize) -> &[f32] {
-        &self.data[p * self.stride..][..self.stride]
-    }
-
-    /// Keys held by panel `p`.
-    fn keys_in(&self, p: usize) -> usize {
-        self.keys.saturating_sub(p * BLOCK).min(BLOCK)
-    }
 }
 
 /// Per-row state of the query block in flight.
@@ -390,7 +327,7 @@ impl QueryBlock {
     fn fold_extras(
         &mut self,
         q: &Matrix,
-        kt: &Panels,
+        kt: &KeyPanels,
         extra_v: &Matrix,
         scale: f32,
         tally: &mut Tally,
@@ -403,9 +340,7 @@ impl QueryBlock {
                     .iter()
                     .map(|&below| (0, below.saturating_sub(p * BLOCK).min(BLOCK))),
             );
-            self.score_and_fold(q, kt.panel(p), kt.keys_in(p), scale, tally, |t| {
-                extra_v.row(p * BLOCK + t)
-            });
+            self.score_and_fold(q, kt, p, scale, tally, |t| extra_v.row(p * BLOCK + t));
         }
     }
 
@@ -435,8 +370,7 @@ impl QueryBlock {
         &mut self,
         q: &Matrix,
         v: &Matrix,
-        kt: &Panels,
-        kb0: usize,
+        kt: &KeyPanels,
         scale: f32,
         tally: &mut Tally,
     ) {
@@ -452,21 +386,18 @@ impl QueryBlock {
                 }
                 _ => (0, 0),
             }));
-            let p = kb - kb0;
-            self.score_and_fold(q, kt.panel(p), kt.keys_in(p), scale, tally, |t| {
-                v.row(k0 + t)
-            });
+            self.score_and_fold(q, kt, kb, scale, tally, |t| v.row(k0 + t));
         }
     }
 
-    /// Scores the rows with live lanes against one panel, two rows per
-    /// pass, then folds each row's live lanes into its state.
+    /// Scores the rows with live lanes against panel `p` of `kt`, two
+    /// rows per pass, then folds each row's live lanes into its state.
     /// `value(t)` is the V row of lane `t`.
     fn score_and_fold<'a>(
         &mut self,
         q: &Matrix,
-        panel: &[f32],
-        panel_keys: usize,
+        kt: &KeyPanels,
+        p: usize,
         scale: f32,
         tally: &mut Tally,
         value: impl Fn(usize) -> &'a [f32],
@@ -481,11 +412,12 @@ impl QueryBlock {
             let i = self.q0 + pair;
             match live {
                 [a, b] if is_live(a) || is_live(b) => {
-                    score_panel([q.row(i), q.row(i + 1)], panel, scale, tile);
+                    let (first, second) = tile.split_at_mut(BLOCK);
+                    kt.score_panel(p, [q.row(i), q.row(i + 1)], scale, [first, second]);
                     scored_rows += 2;
                 }
                 [a] if is_live(a) => {
-                    score_panel([q.row(i)], panel, scale, tile);
+                    kt.score_panel(p, [q.row(i)], scale, [tile]);
                     scored_rows += 1;
                 }
                 _ => {}
@@ -495,7 +427,7 @@ impl QueryBlock {
             return;
         }
         tally.scored_pairs += scored_rows * BLOCK as u64;
-        tally.kv_rows += panel_keys as u64;
+        tally.kv_rows += kt.keys_in(p) as u64;
         for ((state, lanes), &(lo, hi)) in self
             .states
             .iter_mut()
@@ -519,30 +451,6 @@ impl QueryBlock {
                 }
             } else {
                 out.fill(0.0);
-            }
-        }
-    }
-}
-
-/// Scores `R` query rows against one transposed panel:
-/// `out[r][t] = scale * Σ_dd q[r][dd] · kt[dd][t]`, every lane summed in
-/// `dd` order from `0.0` — the bits [`dot`] produces.
-fn score_panel<const R: usize>(q: [&[f32]; R], kt: &[f32], scale: f32, out: &mut [f32]) {
-    for c in 0..BLOCK / LANES {
-        let mut acc = [[0.0f32; LANES]; R];
-        for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
-            let lanes = &k_row[c * LANES..(c + 1) * LANES];
-            for (acc_row, q_row) in acc.iter_mut().zip(&q) {
-                let x = q_row[dd];
-                for (a, &kv) in acc_row.iter_mut().zip(lanes) {
-                    *a += x * kv;
-                }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            let dst = &mut out[r * BLOCK + c * LANES..][..LANES];
-            for (o, &a) in dst.iter_mut().zip(acc_row) {
-                *o = a * scale;
             }
         }
     }
@@ -681,9 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn calls_below_the_panel_threshold_score_row_wise() {
-        // A decode-shaped call: every live pair is scored exactly once.
-        for s_q in 1..PANEL_MIN_ROWS {
+    fn decode_shaped_calls_run_the_panels() {
+        // One to four query rows against a long key set: no row-wise
+        // fork, the same panels and the same bits as the reference.
+        for s_q in 1..=4 {
             let mask = StructuredMask::builder(s_q, 150)
                 .window(20)
                 .sinks(2)
@@ -692,8 +601,14 @@ mod tests {
                 .unwrap();
             assert_bitwise(&mask, 5);
             let (q, k, v) = random_qkv(s_q, 150, 8, 5);
-            let out = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
-            assert_eq!(out.scored_pairs, out.live_pairs, "s_q={s_q}");
+            let panels = KeyPanels::from_rows(&k);
+            let prepared =
+                sparse_flash_attention_prepared(&q, PreparedKeys::new(&k, &panels), &v, &mask)
+                    .unwrap();
+            let rebuilt = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+            assert_eq!(prepared.output.as_slice(), rebuilt.output.as_slice());
+            assert_eq!(prepared.cost, rebuilt.cost);
+            assert!(prepared.scored_pairs > prepared.live_pairs, "s_q={s_q}");
         }
     }
 

@@ -15,6 +15,7 @@ use sa_tensor::{Matrix, TensorError};
 
 use crate::blocked::{self, RowGeometry};
 use crate::cost::f32_bytes;
+use crate::panels::{KeyPanels, PreparedKeys};
 use crate::{AttentionOutput, CostReport};
 
 /// Tile sizes of the modelled kernel: they set the K/V re-read traffic
@@ -80,6 +81,26 @@ pub fn flash_attention(
     causal: bool,
     params: FlashParams,
 ) -> Result<AttentionOutput, TensorError> {
+    let panels = KeyPanels::from_rows(k);
+    flash_attention_prepared(q, PreparedKeys::new(k, &panels), v, causal, params)
+}
+
+/// [`flash_attention`] on keys whose panels the caller already holds
+/// (a KV cache's, or one group's at prefill), so no key is transposed.
+/// A decode step passes the query rows of a whole GQA group with
+/// `causal = false`: the newest position sees every cached key.
+///
+/// # Errors
+///
+/// As [`flash_attention`].
+pub fn flash_attention_prepared(
+    q: &Matrix,
+    keys: PreparedKeys<'_>,
+    v: &Matrix,
+    causal: bool,
+    params: FlashParams,
+) -> Result<AttentionOutput, TensorError> {
+    let k = keys.rows();
     if q.cols() != k.cols() {
         return Err(TensorError::ShapeMismatch {
             op: "flash_attention(q,k)",
@@ -105,7 +126,7 @@ pub fn flash_attention(
     let s_k = k.rows();
     let dv = v.cols();
     let rows = DenseRows { s_q, s_k, causal };
-    let (output, tally) = blocked::run("flash_attention", q, k, v, &rows, s_k)?;
+    let (output, tally) = blocked::run("flash_attention", q, keys, v, &rows, s_k)?;
 
     // K/V elements the modelled kernel reads: every query block re-reads
     // the keys its last row can see.

@@ -20,6 +20,11 @@
 //! geometry. [`sparse_flash_attention`] is its row-wise reference: the
 //! differential tests hold the engine bitwise-equal to it.
 //!
+//! The engine reads keys as [`KeyPanels`]. The `&Matrix` entry points
+//! build them per call; a caller that keeps keys across calls (a KV
+//! cache, the heads of a GQA group) builds them once and passes
+//! [`PreparedKeys`] to the `*_prepared` entry points instead.
+//!
 //! Every kernel reports a [`CostReport`] with exact FLOP and byte counts so
 //! the `sa-perf` roofline model can translate algorithmic work into A100
 //! latency.
@@ -35,18 +40,22 @@ mod flash;
 mod full;
 pub mod gqa;
 mod mask;
+mod panels;
 pub mod rope;
 mod sparse_flash;
 mod tile;
 
-pub use blocked::{sparse_flash_attention_blocked, BlockedAttentionOutput, BLOCK as ENGINE_BLOCK};
+pub use blocked::{
+    sparse_flash_attention_blocked, sparse_flash_attention_prepared, BlockedAttentionOutput,
+};
 pub use cost::CostReport;
-pub use flash::{flash_attention, FlashParams};
+pub use flash::{flash_attention, flash_attention_prepared, FlashParams};
 pub use full::{
     attention_probs, attention_scores_raw, causal_pairs, full_attention, masked_attention_dense,
     AttentionOutput,
 };
 pub use mask::{DenseMask, StructuredMask, StructuredMaskBuilder};
+pub use panels::{KeyPanels, PreparedKeys, BLOCK as ENGINE_BLOCK};
 pub use sparse_flash::sparse_flash_attention;
 pub use tile::{
     sparse_flash_attention_tiled, TileClass, TileEntry, TileTraffic, TiledMask, MAX_TILE,

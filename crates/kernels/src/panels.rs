@@ -1,0 +1,286 @@
+//! Key panels: the one key layout the score microkernel reads.
+//!
+//! Keys are stored transposed in panels of [`BLOCK`] lanes: panel `p`
+//! holds `kt[dd][t]` for the keys `p * BLOCK + t`, zero where a lane has
+//! no key. A score is then `acc[t] += q[dd] * kt[dd][t]` over `dd` in
+//! index order: each lane is the same strict-order sum a scalar dot
+//! product computes, but neighbouring lanes are independent, so plain
+//! Rust autovectorises across `t`. There is no intrinsic, no
+//! `target_feature` and no fused multiply-add, so every ISA produces the
+//! same bits.
+//!
+//! The layout is built once per KV head and appended to as keys arrive
+//! (`sa-model`'s `LayerKvCache` owns one per head); stage-1 sampling, the
+//! blocked engine and decode all read it. A transposed key costs about
+//! what two scalar dot products do, so whoever holds keys across calls
+//! keeps their panels too.
+
+use sa_tensor::{Matrix, TensorError};
+
+/// Key lanes per panel, and query rows per engine block.
+pub const BLOCK: usize = 64;
+
+/// Lanes one accumulator group of the score panel covers: two query rows
+/// of `LANES` f32 fit the 16 vector registers of baseline x86-64.
+const LANES: usize = 16;
+
+/// Key rows transposed into panels of [`BLOCK`] lanes.
+#[derive(Debug, Clone)]
+pub struct KeyPanels {
+    data: Vec<f32>,
+    /// Key width; a panel is `d * BLOCK` floats.
+    d: usize,
+    /// Lanes that hold a key (lane `l` holds key `l`).
+    keys: usize,
+}
+
+impl KeyPanels {
+    /// No keys yet, of width `d`.
+    pub fn new(d: usize) -> Self {
+        KeyPanels {
+            data: Vec::new(),
+            d,
+            keys: 0,
+        }
+    }
+
+    /// The panels of all rows of `k`.
+    pub fn from_rows(k: &Matrix) -> Self {
+        let mut panels = KeyPanels::new(k.cols());
+        panels.push((0..k.rows()).map(|j| k.row(j)));
+        panels
+    }
+
+    /// The panels of the rows `indices` of `k`, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    pub(crate) fn gathered(k: &Matrix, indices: &[usize]) -> Self {
+        let mut panels = KeyPanels::new(k.cols());
+        panels.push(indices.iter().map(|&j| k.row(j)));
+        panels
+    }
+
+    /// Appends the rows of `k_new` as the next keys.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the row width differs
+    /// from the panels' key width.
+    pub fn append(&mut self, k_new: &Matrix) -> Result<(), TensorError> {
+        if k_new.cols() != self.d {
+            return Err(TensorError::ShapeMismatch {
+                op: "KeyPanels::append",
+                lhs: k_new.shape(),
+                rhs: (self.keys, self.d),
+            });
+        }
+        self.push((0..k_new.rows()).map(|j| k_new.row(j)));
+        Ok(())
+    }
+
+    fn push<'a>(&mut self, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
+        let stride = self.d * BLOCK;
+        let added = rows.len();
+        self.data
+            .resize((self.keys + added).div_ceil(BLOCK) * stride, 0.0);
+        for (lane, row) in (self.keys..).zip(rows) {
+            let panel = &mut self.data[lane / BLOCK * stride..][..stride];
+            for (column, &x) in panel.chunks_exact_mut(BLOCK).zip(row) {
+                column[lane % BLOCK] = x;
+            }
+        }
+        self.keys += added;
+        sa_tensor::trace::counter_add!("kernels.keys_transposed", added as u64);
+    }
+
+    /// Keys held.
+    pub fn len(&self) -> usize {
+        self.keys
+    }
+
+    /// `true` when no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.keys == 0
+    }
+
+    /// Key width.
+    pub fn dim(&self) -> usize {
+        self.d
+    }
+
+    /// The transposed storage, whole panels: `len().div_ceil(BLOCK)`
+    /// panels of `dim() * BLOCK` floats, `kt[dd][t]` within each.
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
+    fn panel(&self, p: usize) -> &[f32] {
+        let stride = self.d * BLOCK;
+        &self.data[p * stride..][..stride]
+    }
+
+    /// Keys held by panel `p`.
+    pub(crate) fn keys_in(&self, p: usize) -> usize {
+        self.keys.saturating_sub(p * BLOCK).min(BLOCK)
+    }
+
+    /// Scores `R` query rows against panel `p`:
+    /// `out[r][t] = scale * Σ_dd q[r][dd] · k[p * BLOCK + t][dd]`, every
+    /// lane summed in `dd` order from `0.0` — the bits a strict-order
+    /// scalar dot product gives. Lanes past the last key score `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not a held panel, a query row is shorter than
+    /// [`dim`](Self::dim), or an `out` row is shorter than [`BLOCK`].
+    pub fn score_panel<const R: usize>(
+        &self,
+        p: usize,
+        q: [&[f32]; R],
+        scale: f32,
+        mut out: [&mut [f32]; R],
+    ) {
+        let kt = self.panel(p);
+        for c in 0..BLOCK / LANES {
+            let mut acc = [[0.0f32; LANES]; R];
+            for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
+                let lanes = &k_row[c * LANES..(c + 1) * LANES];
+                for (acc_row, q_row) in acc.iter_mut().zip(&q) {
+                    let x = q_row[dd];
+                    for (a, &kv) in acc_row.iter_mut().zip(lanes) {
+                        *a += x * kv;
+                    }
+                }
+            }
+            for (out_row, acc_row) in out.iter_mut().zip(&acc) {
+                let dst = &mut out_row[c * LANES..(c + 1) * LANES];
+                for (o, &a) in dst.iter_mut().zip(acc_row) {
+                    *o = a * scale;
+                }
+            }
+        }
+    }
+}
+
+/// One head's keys in both layouts: the row-major rows and the panels
+/// built from them. Attention entry points that take this skip the
+/// transpose the `&Matrix` entry points pay per call.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedKeys<'a> {
+    rows: &'a Matrix,
+    panels: &'a KeyPanels,
+}
+
+impl<'a> PreparedKeys<'a> {
+    /// Pairs `rows` with the panels built from them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `panels` does not hold exactly `rows`' shape. The
+    /// contents are the caller's contract: `panels` must have been built
+    /// from these rows.
+    pub fn new(rows: &'a Matrix, panels: &'a KeyPanels) -> Self {
+        assert_eq!(
+            (panels.len(), panels.dim()),
+            rows.shape(),
+            "panels were not built from these key rows"
+        );
+        PreparedKeys { rows, panels }
+    }
+
+    /// The keys, one per row.
+    pub fn rows(&self) -> &'a Matrix {
+        self.rows
+    }
+
+    /// The keys, transposed in panels.
+    pub fn panels(&self) -> &'a KeyPanels {
+        self.panels
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.rows.rows()
+    }
+
+    /// `true` when there is no key.
+    pub fn is_empty(&self) -> bool {
+        self.rows.rows() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sa_tensor::DeterministicRng;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn appended_panels_equal_panels_built_at_once() {
+        let mut rng = DeterministicRng::new(3);
+        let k = rng.normal_matrix(200, 8, 1.0);
+        let whole = KeyPanels::from_rows(&k);
+        assert_eq!((whole.len(), whole.dim()), (200, 8));
+        assert_eq!(whole.as_slice().len(), 4 * 8 * BLOCK);
+        for step in [1, 32, 37, 64, 200] {
+            let mut grown = KeyPanels::new(8);
+            let mut at = 0;
+            while at < 200 {
+                let end = (at + step).min(200);
+                grown.append(&k.slice_rows(at, end).unwrap()).unwrap();
+                at = end;
+            }
+            assert_eq!(grown.len(), 200);
+            assert_eq!(
+                bits(grown.as_slice()),
+                bits(whole.as_slice()),
+                "step {step}"
+            );
+        }
+        assert!(KeyPanels::new(8).append(&Matrix::zeros(2, 7)).is_err());
+    }
+
+    #[test]
+    fn panel_scores_are_strict_order_dot_products() {
+        let mut rng = DeterministicRng::new(4);
+        let k = rng.normal_matrix(70, 12, 1.0);
+        let q = rng.normal_matrix(2, 12, 1.0);
+        let panels = KeyPanels::from_rows(&k);
+        let scale = 0.37;
+        for p in 0..2 {
+            let mut a = [0.0f32; BLOCK];
+            let mut b = [0.0f32; BLOCK];
+            panels.score_panel(p, [q.row(0), q.row(1)], scale, [&mut a, &mut b]);
+            let mut alone = [0.0f32; BLOCK];
+            panels.score_panel(p, [q.row(1)], scale, [&mut alone]);
+            assert_eq!(bits(&b), bits(&alone), "pairing must not change a row");
+            for (r, got) in [a, b].iter().enumerate() {
+                for (t, &s) in got.iter().enumerate() {
+                    let want = if p * BLOCK + t < 70 {
+                        let mut acc = 0.0f32;
+                        for (x, y) in q.row(r).iter().zip(k.row(p * BLOCK + t)) {
+                            acc += x * y;
+                        }
+                        acc * scale
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(s.to_bits(), want.to_bits(), "panel {p} row {r} lane {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not built from these key rows")]
+    fn prepared_keys_reject_mismatched_panels() {
+        let k = Matrix::zeros(5, 4);
+        let panels = KeyPanels::from_rows(&Matrix::zeros(6, 4));
+        let _ = PreparedKeys::new(&k, &panels);
+    }
+}

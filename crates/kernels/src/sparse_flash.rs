@@ -12,15 +12,15 @@
 //! every row in the engine's partition (extras in 64-rank blocks, each
 //! diagonal key alone, the window in 64-aligned key blocks), which is
 //! what lets the differential tests demand bitwise equality instead of a
-//! tolerance. The engine also hands it the calls with too few query rows
-//! to repay transposing K (decode steps).
+//! tolerance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
 
-use crate::blocked::{dot, validate_sparse_shapes, RowGeometry, BLOCK};
+use crate::blocked::{dot, validate_sparse_shapes, RowGeometry};
 use crate::cost::f32_bytes;
+use crate::panels::BLOCK;
 use crate::{score_scale, AttentionOutput, CostReport, StructuredMask};
 
 /// Query rows per tile sharing one K/V load in the (simulated) fused
@@ -92,7 +92,7 @@ pub fn sparse_flash_attention(
 /// fault site `site`; returns the output and the live-pair count.
 /// `avg_live` (keys per row, any estimate) only sizes the chunk grain.
 /// Shapes must already agree.
-pub(crate) fn run_rows<G: RowGeometry>(
+fn run_rows<G: RowGeometry>(
     site: &'static str,
     q: &Matrix,
     k: &Matrix,

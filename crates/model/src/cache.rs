@@ -6,13 +6,36 @@
 //! additionally chunks prefill along the sequence (Appendix A.6). Both
 //! modes need the same machinery: per-(layer, kv-head) K/V matrices that
 //! grow as rows arrive.
+//!
+//! Each head's K is also held as [`KeyPanels`], the layout the attention
+//! engine scores against, kept in step at the three places K changes
+//! ([`append`](LayerKvCache::append), `replace`, `from_parts`): every
+//! query head of the group, every later chunk and every decode step
+//! reads the same panels instead of transposing K again.
 
+use sa_kernels::{KeyPanels, PreparedKeys};
 use sa_tensor::{Matrix, TensorError};
+
+/// One KV head's cached rows. `panels` always holds exactly the rows of
+/// `k`.
+#[derive(Debug, Clone)]
+struct HeadKv {
+    k: Matrix,
+    v: Matrix,
+    panels: KeyPanels,
+}
+
+impl HeadKv {
+    fn new(k: Matrix, v: Matrix) -> Self {
+        let panels = KeyPanels::from_rows(&k);
+        HeadKv { k, v, panels }
+    }
+}
 
 /// The K/V cache of one layer: one `(K, V)` pair per KV head.
 #[derive(Debug, Clone)]
 pub struct LayerKvCache {
-    entries: Vec<(Matrix, Matrix)>,
+    entries: Vec<HeadKv>,
     head_dim: usize,
     /// Absolute positions appended so far (monotone; unaffected by
     /// eviction, so RoPE offsets stay correct).
@@ -24,7 +47,7 @@ impl LayerKvCache {
     pub fn new(num_kv_heads: usize, head_dim: usize) -> Self {
         LayerKvCache {
             entries: (0..num_kv_heads)
-                .map(|_| (Matrix::zeros(0, head_dim), Matrix::zeros(0, head_dim)))
+                .map(|_| HeadKv::new(Matrix::zeros(0, head_dim), Matrix::zeros(0, head_dim)))
                 .collect(),
             head_dim,
             seen: 0,
@@ -40,7 +63,7 @@ impl LayerKvCache {
     /// Number of currently cached entries in head 0 (heads may diverge
     /// after per-head eviction; see [`head_len`](Self::head_len)).
     pub fn len(&self) -> usize {
-        self.entries.first().map_or(0, |(k, _)| k.rows())
+        self.entries.first().map_or(0, |e| e.k.rows())
     }
 
     /// Number of currently cached entries in a specific head.
@@ -49,7 +72,7 @@ impl LayerKvCache {
     ///
     /// Panics if `kv_head` is out of range.
     pub fn head_len(&self, kv_head: usize) -> usize {
-        self.entries[kv_head].0.rows()
+        self.entries[kv_head].k.rows()
     }
 
     /// `true` when nothing is cached yet.
@@ -68,17 +91,33 @@ impl LayerKvCache {
     ///
     /// Panics if `kv_head` is out of range.
     pub fn head(&self, kv_head: usize) -> (&Matrix, &Matrix) {
-        let (k, v) = &self.entries[kv_head];
-        (k, v)
+        let entry = &self.entries[kv_head];
+        (&entry.k, &entry.v)
+    }
+
+    /// The cached keys of a KV head with their resident panels, and its
+    /// values — what the attention entry points that skip the per-call
+    /// transpose take.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kv_head` is out of range.
+    pub fn prepared(&self, kv_head: usize) -> (PreparedKeys<'_>, &Matrix) {
+        let entry = &self.entries[kv_head];
+        (PreparedKeys::new(&entry.k, &entry.panels), &entry.v)
     }
 
     /// Rebuilds a cache from checkpointed parts (see
     /// `checkpoint::SessionCheckpoint`). The caller is responsible for
     /// shape consistency; `seen` is restored verbatim so RoPE offsets
-    /// survive the round trip even after eviction shrank the heads.
+    /// survive the round trip even after eviction shrank the heads. The
+    /// panels are rebuilt from K: checkpoints do not carry them.
     pub(crate) fn from_parts(entries: Vec<(Matrix, Matrix)>, head_dim: usize, seen: usize) -> Self {
         LayerKvCache {
-            entries,
+            entries: entries
+                .into_iter()
+                .map(|(k, v)| HeadKv::new(k, v))
+                .collect(),
             head_dim,
             seen,
         }
@@ -89,7 +128,8 @@ impl LayerKvCache {
         self.head_dim
     }
 
-    /// Replaces a head's cached `(K, V)` wholesale (used by eviction).
+    /// Replaces a head's cached `(K, V)` wholesale (used by eviction);
+    /// the panels are rebuilt from the new K.
     ///
     /// # Panics
     ///
@@ -99,7 +139,7 @@ impl LayerKvCache {
         assert_eq!(k.cols(), self.head_dim, "replace width mismatch");
         assert_eq!(v.cols(), self.head_dim, "replace width mismatch");
         assert_eq!(k.rows(), v.rows(), "replace row mismatch");
-        self.entries[kv_head] = (k, v);
+        self.entries[kv_head] = HeadKv::new(k, v);
     }
 
     /// Appends new rows for a KV head.
@@ -134,9 +174,10 @@ impl LayerKvCache {
         if kv_head == 0 {
             self.seen += k_new.rows();
         }
-        let (k, v) = &mut self.entries[kv_head];
-        grow(k, k_new);
-        grow(v, v_new);
+        let entry = &mut self.entries[kv_head];
+        grow(&mut entry.k, k_new);
+        grow(&mut entry.v, v_new);
+        entry.panels.append(k_new)?;
         Ok(())
     }
 }
@@ -161,6 +202,28 @@ mod tests {
         let (ck, _) = c.head(0);
         assert_eq!(ck.rows(), 6);
         assert_eq!(ck.get(4, 1), k.get(1, 1));
+    }
+
+    #[test]
+    fn panels_follow_every_mutation() {
+        let bits = |p: &KeyPanels| -> Vec<u32> { p.as_slice().iter().map(|x| x.to_bits()).collect() };
+        let same = |c: &LayerKvCache| {
+            let (keys, _) = c.prepared(0);
+            assert_eq!(keys.panels().len(), keys.rows().rows());
+            assert_eq!(bits(keys.panels()), bits(&KeyPanels::from_rows(keys.rows())));
+        };
+        let mut c = LayerKvCache::new(1, 4);
+        same(&c);
+        let rows = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
+        c.append(0, &rows, &rows).unwrap();
+        same(&c);
+        c.append(0, &rows.slice_rows(0, 1).unwrap(), &rows.slice_rows(0, 1).unwrap())
+            .unwrap();
+        same(&c);
+        let kept = rows.slice_rows(3, 40).unwrap();
+        c.replace(0, kept.clone(), kept.clone());
+        same(&c);
+        same(&LayerKvCache::from_parts(vec![(kept.clone(), kept)], 4, 71));
     }
 
     #[test]

@@ -236,6 +236,7 @@ impl SessionCheckpoint {
         }
         Ok(DecodeSession {
             model,
+            embed_stream: model.embedder().stream_after(&self.tokens),
             tokens: self.tokens.clone(),
             caches,
             readout: self.readout.clone(),

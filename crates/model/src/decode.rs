@@ -11,13 +11,15 @@
 //!   assert), but bounds peak memory like the paper's serving setup.
 //! - [`DecodeSession`] — autoregressive generation after a prefill: each
 //!   step embeds the newest token, runs it through every layer with full
-//!   attention over the caches, and decodes the retrieval heads' output
-//!   into the next token.
+//!   attention over the caches (a KV group's heads as one row block
+//!   against the cache's resident key panels), and decodes the retrieval
+//!   heads' output into the next token.
 
-use sa_baselines::{AttentionMethod, FullAttention};
+use sa_baselines::AttentionMethod;
 use sa_kernels::{attention_scores_raw, CostReport};
 use sa_tensor::{cancel, softmax_rows_in_place, CancelToken, Matrix, TensorError};
 
+use crate::embedding::EmbedStream;
 use crate::{
     EvictionConfig, HeadReport, LayerKvCache, PrefillResult, Readout, SyntheticTransformer,
 };
@@ -45,8 +47,9 @@ impl SyntheticTransformer {
     /// cancellation: `cancel` is checked before every sequence chunk
     /// (and, through the scoped install, before every worker-pool chunk
     /// inside the forward passes), so a tripped token stops the prefill
-    /// within one chunk. The returned error carries the chunk-progress
-    /// counters; any partial work is discarded.
+    /// within one chunk. The returned error carries the progress in
+    /// sequence chunks (`chunks_done` of `total_chunks`) whichever level
+    /// observed the trip; any partial work is discarded.
     ///
     /// # Errors
     ///
@@ -163,6 +166,7 @@ impl SyntheticTransformer {
             .collect();
         Ok(DecodeSession {
             model: self,
+            embed_stream: self.embedder().stream_after(tokens),
             tokens: tokens.to_vec(),
             caches,
             readout,
@@ -239,8 +243,28 @@ impl<'m> ChunkedPrefill<'m> {
     ///
     /// Propagates kernel errors; on error the accumulators may be
     /// partially advanced and the run must be discarded (or restored
-    /// from a checkpoint).
+    /// from a checkpoint). A cancellation observed inside the chunk (by
+    /// a pool call under an installed token) is reported with this run's
+    /// progress, `chunks_done` of `total_chunks`, not in the pool chunks
+    /// of the call that saw it — a unit that varies with the core count.
     pub fn advance_chunk(&mut self, method: &dyn AttentionMethod) -> Result<(), TensorError> {
+        let (completed, total) = (self.chunks_done, self.total_chunks());
+        self.run_chunk(method).map_err(|e| match e {
+            TensorError::Cancelled { site, .. } => TensorError::Cancelled {
+                site,
+                completed,
+                total,
+            },
+            TensorError::DeadlineExceeded { site, .. } => TensorError::DeadlineExceeded {
+                site,
+                completed,
+                total,
+            },
+            other => other,
+        })
+    }
+
+    fn run_chunk(&mut self, method: &dyn AttentionMethod) -> Result<(), TensorError> {
         let s = self.tokens.len();
         if self.start >= s {
             return Ok(());
@@ -313,6 +337,10 @@ impl<'m> ChunkedPrefill<'m> {
 pub struct DecodeSession<'m> {
     pub(crate) model: &'m SyntheticTransformer,
     pub(crate) tokens: Vec<u32>,
+    /// The embedder's stream state after `tokens`, so a step embeds one
+    /// row. Deterministic in `tokens`: restore recomputes it instead of
+    /// storing it in the checkpoint.
+    pub(crate) embed_stream: EmbedStream,
     pub(crate) caches: Vec<LayerKvCache>,
     pub(crate) readout: Readout,
     /// One `(1, content_dim)` matrix per head: the newest position's
@@ -338,6 +366,13 @@ impl<'m> DecodeSession<'m> {
     /// The prefill result the session started from.
     pub fn prefill_result(&self) -> &PrefillResult {
         &self.prefill
+    }
+
+    /// The newest position's content output of every head, layer-major
+    /// (`layer * num_heads + head`), one `(1, content_dim)` row each —
+    /// what the next-token prediction reads.
+    pub fn last_contents(&self) -> &[Matrix] {
+        &self.last_contents
     }
 
     /// Installs a cancellation token checked before every decode step
@@ -398,11 +433,10 @@ impl<'m> DecodeSession<'m> {
         }
         let _cancel_scope = self.cancel.as_ref().map(cancel::install);
         self.tokens.push(token);
-        // Embed the full stream (the AR(1) positional track is
-        // sequential) and take the newest row.
-        let hidden = self.model.embedder().embed(&self.tokens);
-        let mut rows = hidden.slice_rows(hidden.rows() - 1, hidden.rows())?;
-        let full = FullAttention::new();
+        let mut rows = Matrix::zeros(1, self.model.config().hidden_dim());
+        self.model
+            .embedder()
+            .embed_next(&mut self.embed_stream, token, rows.row_mut(0));
         let num_heads = self.model.config().num_heads;
         let track = self.eviction.budget > 0;
         for (l, layer) in self.model.layers().iter().enumerate() {
@@ -413,7 +447,7 @@ impl<'m> DecodeSession<'m> {
                     head_scores.push(0.0);
                 }
             }
-            let out = layer.forward_incremental(&rows, &mut self.caches[l], &full)?;
+            let (hidden, head_contents) = layer.forward_decode(&rows, &mut self.caches[l])?;
             if track {
                 for head in 0..num_heads {
                     let q = layer.project_q(&rows, head, offset)?;
@@ -436,10 +470,10 @@ impl<'m> DecodeSession<'m> {
                     }
                 }
             }
-            for (h, content) in out.head_contents.into_iter().enumerate() {
+            for (h, content) in head_contents.into_iter().enumerate() {
                 self.last_contents[l * num_heads + h] = content;
             }
-            rows = out.hidden;
+            rows = hidden;
         }
         Ok(())
     }
@@ -448,6 +482,11 @@ impl<'m> DecodeSession<'m> {
     /// eviction-behaviour inspection).
     pub fn cache_len(&self) -> usize {
         self.caches.first().map_or(0, |c| c.head_len(0))
+    }
+
+    /// The per-layer KV caches as they stand after the last step.
+    pub fn caches(&self) -> &[LayerKvCache] {
+        &self.caches
     }
 
     /// Generates `n` tokens restricted to `range`.
@@ -480,7 +519,7 @@ impl<'m> DecodeSession<'m> {
 mod tests {
     use super::*;
     use crate::{ModelConfig, VocabLayout};
-    use sa_baselines::SampleAttentionMethod;
+    use sa_baselines::{FullAttention, SampleAttentionMethod};
     use sa_tensor::max_abs_diff;
 
     fn model() -> SyntheticTransformer {
@@ -558,6 +597,46 @@ mod tests {
         let generated = session.generate_in(3, 0..vocab).unwrap();
         assert_eq!(generated.len(), 3);
         assert_eq!(session.tokens().len(), 64);
+    }
+
+    /// The row the session would embed next, without advancing it.
+    fn next_row_bits(session: &DecodeSession<'_>, token: u32) -> Vec<u32> {
+        let embedder = session.model.embedder();
+        let mut row = vec![0.0f32; session.model.config().hidden_dim()];
+        embedder.embed_next(&mut session.embed_stream.clone(), token, &mut row);
+        row.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn carried_embedding_state_equals_a_full_re_embed() {
+        let m = model();
+        let layout = *m.embedder().layout();
+        let probe = layout.filler(1);
+        let check = |session: &DecodeSession<'_>, when: &str| {
+            let mut stream = session.tokens().to_vec();
+            stream.push(probe);
+            let full = m.embedder().embed(&stream);
+            let want: Vec<u32> = full.row(stream.len() - 1).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(next_row_bits(session, probe), want, "{when}");
+        };
+        let tokens = m.tokenize_filler(50);
+        let mut session = m.begin_decode(&tokens, &FullAttention::new()).unwrap();
+        check(&session, "after the prefill");
+        for step in 0..5 {
+            session.step().unwrap();
+            check(&session, &format!("after {} generated tokens", step + 1));
+        }
+        // Teacher forcing: a salient token sets the next row's
+        // prev-content slot, a BOS its flag.
+        for forced in [layout.marker(2), layout.payload(3), crate::BOS_TOKEN] {
+            session.push(forced).unwrap();
+            check(&session, &format!("after forcing {forced}"));
+        }
+        let snap = crate::SessionCheckpoint::capture(&session);
+        let mut resumed = snap.restore(&m, 0x5, None).unwrap();
+        check(&resumed, "after a checkpoint round trip");
+        resumed.step().unwrap();
+        check(&resumed, "one step after the round trip");
     }
 
     #[test]
@@ -712,7 +791,13 @@ mod tests {
     fn mid_flight_cancel_stops_prefill_within_one_chunk() {
         // The acceptance bound: once the token trips, the prefill stops
         // at the next chunk boundary — partial progress is reported and
-        // no further chunks run.
+        // no further chunks run — at every worker count.
+        for threads in [1usize, 2, 3, 5] {
+            sa_tensor::pool::with_threads(threads, mid_flight_cancel_case);
+        }
+    }
+
+    fn mid_flight_cancel_case() {
         let m = model();
         let tokens = m.tokenize_filler(160);
         let token = CancelToken::new();
@@ -728,10 +813,12 @@ mod tests {
             .unwrap_err();
         // The trip is detected either at the prefill's chunk boundary or
         // inside the current chunk's per-head pool loop — both surface as
-        // a typed Cancelled with partial progress, never a panic.
+        // a typed Cancelled with progress counted in prefill chunks,
+        // never in the pool chunks of the call that saw it.
         match err {
             TensorError::Cancelled { completed, total, .. } => {
-                assert!(completed < total, "partial progress: {completed}/{total}");
+                assert_eq!(total, 10, "160 tokens in chunks of 16");
+                assert_eq!(completed, 1, "the trip lands in the second chunk");
             }
             other => panic!("unexpected error {other:?}"),
         }

@@ -37,6 +37,20 @@ use crate::{ModelConfig, VocabLayout};
 /// The reserved beginning-of-sequence token id.
 pub const BOS_TOKEN: u32 = 0;
 
+/// Where a token stream stands between two positions: the state the
+/// next position's embedding depends on beyond its own token. Carrying it
+/// lets a decode step embed one row instead of re-embedding the stream.
+#[derive(Debug, Clone)]
+pub(crate) struct EmbedStream {
+    /// Generator of the AR(1) positional innovations, mid-sequence.
+    rng: DeterministicRng,
+    /// The positional track at the last embedded position.
+    pos_track: Vec<f32>,
+    /// The last token (its salience gates the next row's prev-content
+    /// slot); `None` before the first.
+    prev: Option<u32>,
+}
+
 /// Deterministic token embedder for the synthetic transformer.
 #[derive(Debug)]
 pub struct TokenEmbedder {
@@ -139,45 +153,81 @@ impl TokenEmbedder {
     ///
     /// Panics if any token id is outside the vocabulary.
     pub fn embed(&self, tokens: &[u32]) -> Matrix {
+        let mut hidden = Matrix::zeros(tokens.len(), self.config.hidden_dim());
+        let mut stream = self.stream_start();
+        for (i, &tok) in tokens.iter().enumerate() {
+            self.embed_next(&mut stream, tok, hidden.row_mut(i));
+        }
+        hidden
+    }
+
+    /// The stream state before any token: what [`embed`](Self::embed)
+    /// starts every call from.
+    fn stream_start(&self) -> EmbedStream {
+        EmbedStream {
+            rng: DeterministicRng::new(self.config.seed ^ 0x9e37_79b9),
+            pos_track: vec![0.0f32; self.config.pos_dim],
+            prev: None,
+        }
+    }
+
+    /// The stream state after `tokens`, without embedding them — what a
+    /// restored decode session resumes from.
+    pub(crate) fn stream_after(&self, tokens: &[u32]) -> EmbedStream {
+        let mut stream = self.stream_start();
+        for &tok in tokens {
+            self.advance(&mut stream, tok);
+        }
+        stream
+    }
+
+    /// Steps the AR(1) positional track to the next position and records
+    /// `tok` as the previous token; returns the token it replaces.
+    fn advance(&self, stream: &mut EmbedStream, tok: u32) -> Option<u32> {
+        // Innovation scale keeps the AR(1) track at unit stationary
+        // variance: x_i = a x_{i-1} + sqrt(1-a^2) n_i.
+        let a = self.config.pos_decay;
+        let innov = (1.0 - a * a).sqrt();
+        for v in stream.pos_track.iter_mut() {
+            *v = a * *v + innov * stream.rng.normal();
+        }
+        stream.prev.replace(tok)
+    }
+
+    /// Embeds `tok` as the next position of `stream` into `row` (a zeroed
+    /// row of `hidden_dim` floats): the row [`embed`](Self::embed) would
+    /// produce for it at the end of the tokens `stream` has seen.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tok` is outside the vocabulary or `row` is not
+    /// `hidden_dim` long.
+    pub(crate) fn embed_next(&self, stream: &mut EmbedStream, tok: u32, row: &mut [f32]) {
         let c = &self.config;
         let dc = c.content_dim;
         let dp = c.pos_dim;
-        let mut hidden = Matrix::zeros(tokens.len(), c.hidden_dim());
-        let mut rng = DeterministicRng::new(c.seed ^ 0x9e37_79b9);
-        let mut pos_track = vec![0.0f32; dp];
-        // Innovation scale keeps the AR(1) track at unit stationary
-        // variance: x_i = a x_{i-1} + sqrt(1-a^2) n_i.
-        let a = c.pos_decay;
-        let innov = (1.0 - a * a).sqrt();
-
-        for (i, &tok) in tokens.iter().enumerate() {
-            for v in pos_track.iter_mut() {
-                *v = a * *v + innov * rng.normal();
-            }
-            let row = hidden.row_mut(i);
-            let content = self.content(tok).to_vec();
-            row[..dc].copy_from_slice(&content);
-            if i > 0 && self.layout.is_salient(tokens[i - 1]) {
-                let prev = self.content(tokens[i - 1]).to_vec();
-                row[dc..2 * dc].copy_from_slice(&prev);
-            }
-            let salient = self.layout.is_salient(tok);
-            if salient {
-                row[2 * dc..3 * dc].copy_from_slice(&content);
-            }
-            row[3 * dc..3 * dc + dp].copy_from_slice(&pos_track);
-            row[3 * dc + dp] = if i == 0 || tok == BOS_TOKEN { 1.0 } else { 0.0 };
-            row[3 * dc + dp + 1] = 1.0;
-            row[3 * dc + dp + 2] = if salient { 1.0 } else { 0.0 };
-            // Positions following a salient token are induction targets
-            // (fact payloads): the most anomalous positions in the
-            // stream, attracting even more attention than lone salient
-            // tokens — so stage-2 ranks true facts above decoys at any
-            // depth.
-            row[3 * dc + dp + 3] =
-                if i > 0 && self.layout.is_salient(tokens[i - 1]) { 1.0 } else { 0.0 };
+        assert_eq!(row.len(), c.hidden_dim(), "embedding row width mismatch");
+        let prev = self.advance(stream, tok);
+        let after_salient = prev.is_some_and(|p| self.layout.is_salient(p));
+        let content = self.content(tok);
+        row[..dc].copy_from_slice(content);
+        if let Some(p) = prev.filter(|_| after_salient) {
+            row[dc..2 * dc].copy_from_slice(self.content(p));
         }
-        hidden
+        let salient = self.layout.is_salient(tok);
+        if salient {
+            row[2 * dc..3 * dc].copy_from_slice(content);
+        }
+        row[3 * dc..3 * dc + dp].copy_from_slice(&stream.pos_track);
+        row[3 * dc + dp] = if prev.is_none() || tok == BOS_TOKEN { 1.0 } else { 0.0 };
+        row[3 * dc + dp + 1] = 1.0;
+        row[3 * dc + dp + 2] = if salient { 1.0 } else { 0.0 };
+        // Positions following a salient token are induction targets
+        // (fact payloads): the most anomalous positions in the
+        // stream, attracting even more attention than lone salient
+        // tokens — so stage-2 ranks true facts above decoys at any
+        // depth.
+        row[3 * dc + dp + 3] = if after_salient { 1.0 } else { 0.0 };
     }
 
     /// Nearest vocabulary token to a content vector, by cosine similarity.
@@ -321,6 +371,32 @@ mod tests {
         let e2 = embedder();
         let t = [1u32, 2, 3, 4];
         assert_eq!(e1.embed(&t), e2.embed(&t));
+    }
+
+    #[test]
+    fn resumed_stream_embeds_the_row_a_full_embed_would() {
+        let e = embedder();
+        let layout = *e.layout();
+        // Salient tokens back to back, a BOS mid-stream, plain filler.
+        let tokens = [
+            BOS_TOKEN,
+            layout.filler(3),
+            layout.marker(1),
+            layout.payload(2),
+            layout.filler(0),
+            BOS_TOKEN,
+            layout.marker(0),
+            layout.filler(5),
+        ];
+        let full = e.embed(&tokens);
+        for n in 0..tokens.len() {
+            let mut stream = e.stream_after(&tokens[..n]);
+            let mut row = vec![0.0f32; e.config().hidden_dim()];
+            e.embed_next(&mut stream, tokens[n], &mut row);
+            let got: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u32> = full.row(n).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "position {n}");
+        }
     }
 
     #[test]

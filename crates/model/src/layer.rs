@@ -1,10 +1,10 @@
 //! One transformer layer: GQA attention (pluggable method) + SwiGLU MLP
 //! on a residual stream.
 
-use sa_baselines::AttentionMethod;
+use sa_baselines::{AttentionMethod, FullAttention};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{apply_rope_partial, RopeConfig};
-use sa_kernels::CostReport;
+use sa_kernels::{CostReport, KeyPanels, PreparedKeys};
 use sa_tensor::{matmul, pool, DeterministicRng, Matrix, TensorError};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
@@ -165,71 +165,148 @@ impl AttentionLayer {
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
         let n = hidden_rows.rows();
-        let dc = self.content_dim;
         let offset = cache.seen();
-        let mut cost = CostReport::new();
-        let mut head_contents = Vec::with_capacity(self.num_heads());
-        let mut head_reports = Vec::with_capacity(self.num_heads());
-        let mut content_update = Matrix::zeros(n, dc);
+        let mut heads = HeadFold::new(n, self.content_dim, self.num_heads());
 
         for g in 0..self.groups.len() {
-            let group = &self.groups[g];
-            let mut k_new = matmul(hidden_rows, &group.wk)?;
-            let v_new = matmul(hidden_rows, &group.wv)?;
-            apply_rope_partial(&mut k_new, self.rotary_dims, offset, self.rope)?;
-            cache.append(g, &k_new, &v_new)?;
-            cost.merge(&projection_cost(n, hidden_rows.cols(), k_new.cols(), 2));
-            let (k_all, v_all) = cache.head(g);
-
-            // Heads of a group are independent given the shared K/V, so
-            // they run on the worker pool; the fold below stays serial
-            // and in head order, keeping the f32 accumulation into
-            // `content_update` bit-identical to the serial loop.
-            let head_outputs =
-                pool::try_parallel_map("layer_heads", self.gqa.group_size(), 1, |local| {
-                    let head = g * self.gqa.group_size() + local;
-                    let _span = sa_trace::span_labeled("model", "head", || {
-                        format!("L{}.H{head}", self.layer_index)
-                    });
-                    let mut q_new = matmul(hidden_rows, &group.wqs[local])?;
-                    apply_rope_partial(&mut q_new, self.rotary_dims, offset, self.rope)?;
-                    let proj = projection_cost(n, hidden_rows.cols(), q_new.cols(), 1);
-                    let out = method.forward_head(self.layer_index, head, &q_new, k_all, v_all)?;
-                    let content = Matrix::from_fn(n, dc, |i, j| out.output.get(i, j));
-                    Ok::<_, TensorError>((proj, out, content))
-                })?;
-            for (local, result) in head_outputs.into_iter().enumerate() {
-                let head = g * self.gqa.group_size() + local;
-                let (proj, out, content) = result?;
-                cost.merge(&proj);
-                cost.merge(&out.cost);
-                for i in 0..n {
-                    let upd = content_update.row_mut(i);
-                    for (u, &c) in upd.iter_mut().zip(content.row(i)) {
-                        *u += c;
-                    }
-                }
-                head_reports.push(HeadReport {
-                    layer: self.layer_index,
-                    head,
-                    archetype: self.archetypes[head],
-                    density: out.density,
-                    alpha_satisfied: out.alpha_satisfied,
-                    fell_back: out.fell_back,
-                    fallback_reason: out.fallback_reason,
-                    cost: out.cost,
-                });
-                head_contents.push(content);
-            }
+            self.append_kv(g, hidden_rows, offset, cache, &mut heads.cost)?;
+            let (keys, v_all) = cache.prepared(g);
+            self.attend_group(g, hidden_rows, offset, keys, v_all, method, &mut heads)?;
         }
 
-        let hidden = self.apply_residual_and_mlp(hidden_rows, &content_update, &mut cost)?;
-        Ok(LayerForwardResult {
-            hidden,
-            head_contents,
-            head_reports,
-            cost,
-        })
+        let hidden = self.apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)?;
+        Ok(heads.into_result(hidden))
+    }
+
+    /// Runs one decode step: `hidden_row` is the residual-stream row of
+    /// the newest position, whose K/V are appended to `cache`; every head
+    /// then attends to the whole cached history with full attention (the
+    /// paper keeps decode dense over an uncompressed KV cache, §5.1).
+    ///
+    /// The query heads of a KV group share its keys, so they are scored
+    /// as one row block ([`FullAttention::decode_block`], which owns the
+    /// dense kernel choice) against the cache's resident panels — one
+    /// pass over K and V per group instead of one per head, bit-identical
+    /// to one-row [`forward_incremental`] calls under `FullAttention`.
+    ///
+    /// Returns the updated residual-stream row and the `(1, content_dim)`
+    /// content output of every query head.
+    ///
+    /// [`forward_incremental`]: Self::forward_incremental
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] unless `hidden_row` has
+    /// exactly one row, and propagates tensor/kernel errors.
+    pub(crate) fn forward_decode(
+        &self,
+        hidden_row: &Matrix,
+        cache: &mut LayerKvCache,
+    ) -> Result<(Matrix, Vec<Matrix>), TensorError> {
+        if hidden_row.rows() != 1 {
+            return Err(TensorError::InvalidDimension {
+                op: "AttentionLayer::forward_decode",
+                what: format!("a decode step takes one row, got {}", hidden_row.rows()),
+            });
+        }
+        let offset = cache.seen();
+        let group_size = self.gqa.group_size();
+        let mut heads = HeadFold::new(1, self.content_dim, self.num_heads());
+        for g in 0..self.groups.len() {
+            self.append_kv(g, hidden_row, offset, cache, &mut heads.cost)?;
+        }
+        // Groups are independent once their K/V rows are cached; the fold
+        // below stays serial and in head order.
+        let cache = &*cache;
+        let dense = FullAttention::new();
+        let group_outputs = pool::try_parallel_map("layer_heads", self.groups.len(), 1, |g| {
+            let mut q_block = Matrix::zeros(group_size, cache.head_dim());
+            for (local, wq) in self.groups[g].wqs.iter().enumerate() {
+                let mut q = matmul(hidden_row, wq)?;
+                apply_rope_partial(&mut q, self.rotary_dims, offset, self.rope)?;
+                q_block.row_mut(local).copy_from_slice(q.row(0));
+            }
+            let (keys, v_all) = cache.prepared(g);
+            dense.decode_block(&q_block, keys, v_all)
+        })?;
+        for out in group_outputs {
+            let out = out?;
+            for local in 0..group_size {
+                heads.fold_head(&out.output, local);
+            }
+        }
+        let hidden = self.apply_residual_and_mlp(hidden_row, &heads.content_update, &mut heads.cost)?;
+        Ok((hidden, heads.head_contents))
+    }
+
+    /// Projects `hidden_rows` into KV group `g`'s K (RoPE applied at
+    /// `offset`) and V and appends them to `cache`.
+    fn append_kv(
+        &self,
+        g: usize,
+        hidden_rows: &Matrix,
+        offset: usize,
+        cache: &mut LayerKvCache,
+        cost: &mut CostReport,
+    ) -> Result<(), TensorError> {
+        let group = &self.groups[g];
+        let mut k_new = matmul(hidden_rows, &group.wk)?;
+        let v_new = matmul(hidden_rows, &group.wv)?;
+        apply_rope_partial(&mut k_new, self.rotary_dims, offset, self.rope)?;
+        cache.append(g, &k_new, &v_new)?;
+        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), k_new.cols(), 2));
+        Ok(())
+    }
+
+    /// Runs `method` on every query head of KV group `g` over the group's
+    /// shared keys and values, and folds the outputs into `heads`.
+    #[allow(clippy::too_many_arguments)]
+    fn attend_group(
+        &self,
+        g: usize,
+        hidden_rows: &Matrix,
+        offset: usize,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+        method: &dyn AttentionMethod,
+        heads: &mut HeadFold,
+    ) -> Result<(), TensorError> {
+        let n = hidden_rows.rows();
+        let group = &self.groups[g];
+        let group_size = self.gqa.group_size();
+        // Heads of a group are independent given the shared K/V, so they
+        // run on the worker pool; the fold below stays serial and in head
+        // order, keeping the f32 accumulation into `content_update`
+        // bit-identical to the serial loop.
+        let head_outputs = pool::try_parallel_map("layer_heads", group_size, 1, |local| {
+            let head = g * group_size + local;
+            let _span = sa_trace::span_labeled("model", "head", || {
+                format!("L{}.H{head}", self.layer_index)
+            });
+            let mut q = matmul(hidden_rows, &group.wqs[local])?;
+            apply_rope_partial(&mut q, self.rotary_dims, offset, self.rope)?;
+            let proj = projection_cost(n, hidden_rows.cols(), q.cols(), 1);
+            let out = method.forward_head(self.layer_index, head, &q, keys, v)?;
+            Ok::<_, TensorError>((proj, out))
+        })?;
+        for (local, result) in head_outputs.into_iter().enumerate() {
+            let head = g * group_size + local;
+            let (proj, out) = result?;
+            heads.cost.merge(&proj);
+            heads.cost.merge(&out.cost);
+            heads.fold_head(&out.output, 0);
+            heads.head_reports.push(HeadReport {
+                layer: self.layer_index,
+                head,
+                archetype: self.archetypes[head],
+                density: out.density,
+                alpha_satisfied: out.alpha_satisfied,
+                fell_back: out.fell_back,
+                fallback_reason: out.fallback_reason,
+                cost: out.cost,
+            });
+        }
+        Ok(())
     }
 
     /// Residual update + pre-norm SwiGLU MLP on a block of rows.
@@ -296,69 +373,69 @@ impl AttentionLayer {
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
         let s = hidden.rows();
-        let dc = self.content_dim;
-        let mut cost = CostReport::new();
-        let mut head_contents = Vec::with_capacity(self.num_heads());
-        let mut head_reports = Vec::with_capacity(self.num_heads());
-        let mut content_update = Matrix::zeros(s, dc);
+        let mut heads = HeadFold::new(s, self.content_dim, self.num_heads());
 
         for g in 0..self.groups.len() {
             let group = &self.groups[g];
             let mut k = matmul(hidden, &group.wk)?;
             let v = matmul(hidden, &group.wv)?;
             apply_rope_partial(&mut k, self.rotary_dims, 0, self.rope)?;
-            cost.merge(&projection_cost(s, hidden.cols(), k.cols(), 2));
-
-            // Per-head fan-out on the worker pool; serial in-order fold
-            // (see forward_incremental) keeps results bit-identical.
-            let head_outputs =
-                pool::try_parallel_map("layer_heads", self.gqa.group_size(), 1, |local| {
-                    let head = g * self.gqa.group_size() + local;
-                    let _span = sa_trace::span_labeled("model", "head", || {
-                        format!("L{}.H{head}", self.layer_index)
-                    });
-                    let mut q = matmul(hidden, &group.wqs[local])?;
-                    apply_rope_partial(&mut q, self.rotary_dims, 0, self.rope)?;
-                    let proj = projection_cost(s, hidden.cols(), q.cols(), 1);
-                    let out = method.forward_head(self.layer_index, head, &q, &k, &v)?;
-                    // Content lives in the first dc output dims.
-                    let content = Matrix::from_fn(s, dc, |i, j| out.output.get(i, j));
-                    Ok::<_, TensorError>((proj, out, content))
-                })?;
-            for (local, result) in head_outputs.into_iter().enumerate() {
-                let head = g * self.gqa.group_size() + local;
-                let (proj, out, content) = result?;
-                cost.merge(&proj);
-                cost.merge(&out.cost);
-                for i in 0..s {
-                    let upd = content_update.row_mut(i);
-                    for (u, &c) in upd.iter_mut().zip(content.row(i)) {
-                        *u += c;
-                    }
-                }
-                head_reports.push(HeadReport {
-                    layer: self.layer_index,
-                    head,
-                    archetype: self.archetypes[head],
-                    density: out.density,
-                    alpha_satisfied: out.alpha_satisfied,
-                    fell_back: out.fell_back,
-                    fallback_reason: out.fallback_reason,
-                    cost: out.cost,
-                });
-                head_contents.push(content);
-            }
+            heads.cost.merge(&projection_cost(s, hidden.cols(), k.cols(), 2));
+            // One transpose serves every query head of the group.
+            let panels = KeyPanels::from_rows(&k);
+            let keys = PreparedKeys::new(&k, &panels);
+            self.attend_group(g, hidden, 0, keys, &v, method, &mut heads)?;
         }
 
         // Residual update: attention writes (scaled) into the content
         // slot; the MLP perturbs the whole stream.
-        let new_hidden = self.apply_residual_and_mlp(hidden, &content_update, &mut cost)?;
-        Ok(LayerForwardResult {
-            hidden: new_hidden,
-            head_contents,
-            head_reports,
-            cost,
-        })
+        let new_hidden = self.apply_residual_and_mlp(hidden, &heads.content_update, &mut heads.cost)?;
+        Ok(heads.into_result(new_hidden))
+    }
+}
+
+/// What a layer forward accumulates head by head, in head order.
+struct HeadFold {
+    /// Sum over heads of their content outputs, `(rows, content_dim)`.
+    content_update: Matrix,
+    head_contents: Vec<Matrix>,
+    head_reports: Vec<HeadReport>,
+    cost: CostReport,
+}
+
+impl HeadFold {
+    fn new(rows: usize, content_dim: usize, num_heads: usize) -> Self {
+        HeadFold {
+            content_update: Matrix::zeros(rows, content_dim),
+            head_contents: Vec::with_capacity(num_heads),
+            head_reports: Vec::with_capacity(num_heads),
+            cost: CostReport::new(),
+        }
+    }
+
+    /// Takes the next head's content — the first `content_dim` dims of
+    /// the rows of `output` starting at `row0` — and adds it into
+    /// `content_update` in the same pass.
+    fn fold_head(&mut self, output: &Matrix, row0: usize) {
+        let (rows, dc) = self.content_update.shape();
+        let mut content = Matrix::zeros(rows, dc);
+        for i in 0..rows {
+            let src = &output.row(row0 + i)[..dc];
+            content.row_mut(i).copy_from_slice(src);
+            for (u, &c) in self.content_update.row_mut(i).iter_mut().zip(src) {
+                *u += c;
+            }
+        }
+        self.head_contents.push(content);
+    }
+
+    fn into_result(self, hidden: Matrix) -> LayerForwardResult {
+        LayerForwardResult {
+            hidden,
+            head_contents: self.head_contents,
+            head_reports: self.head_reports,
+            cost: self.cost,
+        }
     }
 }
 
@@ -376,7 +453,6 @@ fn projection_cost(s: usize, d_in: usize, d_out: usize, n_mats: u64) -> CostRepo
 mod tests {
     use super::*;
     use crate::{ModelConfig, TokenEmbedder, BOS_TOKEN};
-    use sa_baselines::FullAttention;
 
     fn layer_and_hidden(seed: u64) -> (AttentionLayer, Matrix, ModelConfig) {
         let config = ModelConfig::tiny(seed);
@@ -404,6 +480,27 @@ mod tests {
         }
         assert_eq!(result.head_contents[0].shape(), (hidden.rows(), config.content_dim));
         assert!(result.cost.flops > 0);
+    }
+
+    #[test]
+    fn decode_step_equals_a_one_row_incremental_forward() {
+        let (layer, hidden, config) = layer_and_hidden(7);
+        let prompt = hidden.slice_rows(0, 100).unwrap();
+        let next = hidden.slice_rows(100, 101).unwrap();
+        let mut per_head = layer.new_cache(config.head_dim);
+        layer
+            .forward_incremental(&prompt, &mut per_head, &FullAttention::new())
+            .unwrap();
+        let mut grouped = per_head.clone();
+        let want = layer
+            .forward_incremental(&next, &mut per_head, &FullAttention::new())
+            .unwrap();
+        let (got_hidden, got_contents) = layer.forward_decode(&next, &mut grouped).unwrap();
+        assert_eq!(got_hidden, want.hidden);
+        assert_eq!(got_contents, want.head_contents);
+        assert_eq!(grouped.head(1), per_head.head(1));
+        // A decode step is one position.
+        assert!(layer.forward_decode(&prompt, &mut grouped).is_err());
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use sa_baselines::{AttentionMethod, FullAttention, MethodOutput};
 use sa_core::{cra_of_structured_mask, DegradationRung, FallbackReason, SampleAttention};
-use sa_kernels::attention_probs;
+use sa_kernels::{attention_probs, PreparedKeys};
 use sa_model::SyntheticTransformer;
 use sa_tensor::{Matrix, SaError, TensorError};
 use sa_trace::metrics;
@@ -153,18 +153,18 @@ impl AttentionMethod for GuardedMethod {
         layer: usize,
         head: usize,
         q: &Matrix,
-        k: &Matrix,
+        keys: PreparedKeys<'_>,
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
         if self.is_quarantined(layer, head) {
-            let mut out = self.dense.forward(q, k, v)?;
+            let mut out = self.dense.forward_head(layer, head, q, keys, v)?;
             out.fell_back = true;
             out.fallback_reason = FallbackReason::QualityQuarantine;
             out.alpha_satisfied = true;
             metrics::counter(FallbackReason::QualityQuarantine.counter_name()).add(1);
             Ok(out)
         } else {
-            self.inner.forward_head(layer, head, q, k, v)
+            self.inner.forward_head(layer, head, q, keys, v)
         }
     }
 }

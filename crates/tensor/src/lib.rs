@@ -48,6 +48,12 @@ mod stats;
 mod tilepack;
 pub mod xoshiro;
 
+/// The tracing crate this substrate reports to, re-exported so crates
+/// that already build on `sa-tensor` can register a counter (for example
+/// `sa_tensor::trace::counter_add!`) without a dependency edge of their
+/// own.
+pub use sa_trace as trace;
+
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
 pub use matrix::Matrix;

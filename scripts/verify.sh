@@ -36,6 +36,19 @@ SA_THREADS=1 cargo test -q --offline --test kernel_equivalence
 SA_THREADS=3 cargo test -q --offline --test kernel_equivalence
 cargo test -q --offline --test kernel_equivalence
 
+echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"
+# One key layout, three readers, each held bitwise to the path it
+# replaced: stage 1 on panels vs the scalar row loop
+# (parallel_determinism), decode on resident panels vs the per-head
+# re-embedding decoder, and cache panels vs panels rebuilt from K after
+# growth, eviction and restore (checkpoint_roundtrip); key_traffic counts
+# that a cache key is transposed exactly once.
+for suite in parallel_determinism checkpoint_roundtrip key_traffic; do
+    SA_THREADS=1 cargo test -q --offline --test "$suite"
+    SA_THREADS=3 cargo test -q --offline --test "$suite"
+    cargo test -q --offline --test "$suite"
+done
+
 echo "==> lint: no unwrap()/panic-family macros in non-test pipeline sources"
 # The panic-free contract (DESIGN.md 5d) bans unwrap() and the panic
 # macro family (panic!/unreachable!/todo!/unimplemented!) from the
@@ -198,6 +211,33 @@ test -s "$smoke_out/serve_timeline.txt" || {
     echo "serve_timeline did not emit its text digest" >&2
     exit 1
 }
+
+echo "==> bit-preservation: serving smokes vs the base commit's"
+# chaos_soak, recovery_bench, quality_guard and serve_timeline print no
+# wall-clock value, so two builds that compute the same bits print the
+# same bytes. The base is the commit this tree changes: HEAD when the
+# tree is dirty, HEAD^ once it is committed.
+if git diff --quiet HEAD -- . 2>/dev/null; then base_rev='HEAD^'; else base_rev='HEAD'; fi
+if ! git rev-parse --verify -q "$base_rev^{commit}" >/dev/null; then
+    echo "skipped: no base commit $base_rev to compare against"
+else
+    base_src="$smoke_out/base_src"
+    base_out="$smoke_out/base_out"
+    mkdir -p "$base_src" "$base_out"
+    git archive "$base_rev" | tar -x -C "$base_src"
+    for bin in slo_sweep chaos_soak recovery_bench quality_guard serve_timeline; do
+        (cd "$base_src" && CARGO_TARGET_DIR="$smoke_out/base_target" \
+            cargo run -q --release --offline -p sa-bench --bin "$bin" -- \
+            --quick --out "$base_out" >/dev/null)
+    done
+    for artifact in chaos_soak.json recovery.json quality_guard.json \
+        serve_timeline.json serve_timeline.txt; do
+        cmp "$base_out/$artifact" "$smoke_out/$artifact" || {
+            echo "$artifact differs from $base_rev's: the change moved bits" >&2
+            exit 1
+        }
+    done
+fi
 
 echo "==> smoke: tile_kernel --quick (engine vs row-wise reference A/B)"
 # The binary re-asserts bitwise identity on every case before timing it

@@ -15,13 +15,22 @@
 //! 3. **Typed integrity failures everywhere** — KV corruption surfaces
 //!    as [`SaError::CorruptCheckpoint`] and a tripped cancel token wins
 //!    over corruption (nothing staged, nothing leaked) regardless of
-//!    the pool size.
+//!    the pool size;
+//! 4. **Derived state is rebuilt, not trusted** — the key panels and the
+//!    embedding stream position are not in a checkpoint; after growth,
+//!    eviction and restore they equal what the cached K and the tokens
+//!    determine, and decode on them equals the per-head path that
+//!    re-derived both every step.
 
-use sample_attention::baselines::FullAttention;
+use sample_attention::baselines::{AttentionMethod, FullAttention};
+use sample_attention::kernels::{attention_scores_raw, KeyPanels};
 use sample_attention::model::{
-    EvictionConfig, ModelConfig, PrefillCheckpoint, SessionCheckpoint, SyntheticTransformer,
+    DecodeSession, EvictionConfig, LayerKvCache, ModelConfig, PrefillCheckpoint, Readout,
+    SessionCheckpoint, SyntheticTransformer, BOS_TOKEN,
 };
-use sample_attention::tensor::{fault, pool, CancelToken, SaError};
+use sample_attention::tensor::{
+    fault, pool, softmax_rows_in_place, CancelToken, Matrix, SaError,
+};
 
 fn model() -> SyntheticTransformer {
     SyntheticTransformer::new(ModelConfig::tiny(77)).expect("tiny config is valid")
@@ -176,5 +185,222 @@ fn corruption_and_cancellation_stay_typed_at_every_thread_count() {
                 "expected Cancelled at {t} threads, got {err:?}"
             );
         });
+    }
+}
+
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every head's resident panels hold exactly the head's cached K.
+fn assert_panels_match_k(label: &str, caches: &[LayerKvCache]) {
+    for (l, cache) in caches.iter().enumerate() {
+        for h in 0..cache.num_kv_heads() {
+            let (keys, _) = cache.prepared(h);
+            assert_eq!(keys.panels().len(), cache.head_len(h), "{label}: L{l}.KV{h} length");
+            assert_eq!(
+                bits(keys.panels().as_slice()),
+                bits(KeyPanels::from_rows(keys.rows()).as_slice()),
+                "{label}: L{l}.KV{h} panels drifted from K"
+            );
+        }
+    }
+}
+
+#[test]
+fn resident_panels_track_k_through_growth_eviction_and_restore() {
+    let m = model();
+    let tokens = m.tokenize_filler(150);
+    let method = FullAttention::new();
+    // Chunked prefill: one row at a time, 32-row chunks, off the panel grid.
+    for chunk in [1usize, 32, 37] {
+        let (_, caches) = m.prefill_chunked(&tokens, chunk, &method).expect("prefill");
+        assert_panels_match_k(&format!("prefill chunk {chunk}"), &caches);
+    }
+    // A prefill checkpoint does not carry panels: restore rebuilds them,
+    // and the remaining chunks append to the rebuilt ones.
+    let mut run = m.start_prefill(&tokens, 37).expect("start");
+    run.advance_chunk(&method).expect("chunk");
+    run.advance_chunk(&method).expect("chunk");
+    let snap = PrefillCheckpoint::capture(&run);
+    drop(run);
+    let mut resumed = snap.restore(&m, 0x1, None).expect("restore");
+    while !resumed.is_done() {
+        resumed.advance_chunk(&method).expect("chunk");
+    }
+    let (_, caches) = resumed.finish().expect("finish");
+    assert_panels_match_k("restored prefill", &caches);
+
+    // Decode appends a row per step; H2O eviction replaces whole heads;
+    // a session checkpoint restores through `from_parts`.
+    let vocab = m.config().vocab_size as u32;
+    let mut session = m
+        .begin_decode_with(&tokens, &method, EvictionConfig::h2o(140))
+        .expect("prefill");
+    assert_panels_match_k("after prefill", session.caches());
+    session.generate_in(5, 0..vocab).expect("generate");
+    assert!(session.cache_len() <= 140, "eviction must have run");
+    assert_panels_match_k("after eviction", session.caches());
+    let snap = SessionCheckpoint::capture(&session);
+    drop(session);
+    let mut resumed = snap.restore(&m, 0x2, None).expect("restore");
+    assert_panels_match_k("restored session", resumed.caches());
+    resumed.generate_in(3, 0..vocab).expect("generate");
+    assert_panels_match_k("restored session, 3 steps on", resumed.caches());
+}
+
+/// Decode as it ran before the caches kept panels and the session kept
+/// its embedding position, kept as the oracle: every step re-embeds the
+/// whole token stream and runs each head on its own through
+/// `forward_incremental` under `FullAttention`.
+struct PerHeadDecoder<'m> {
+    model: &'m SyntheticTransformer,
+    tokens: Vec<u32>,
+    caches: Vec<LayerKvCache>,
+    readout: Readout,
+    last_contents: Vec<Matrix>,
+    eviction: EvictionConfig,
+    scores: Vec<Vec<Vec<f64>>>,
+}
+
+impl<'m> PerHeadDecoder<'m> {
+    fn begin(
+        model: &'m SyntheticTransformer,
+        tokens: &[u32],
+        method: &dyn AttentionMethod,
+        eviction: EvictionConfig,
+    ) -> Self {
+        let (result, caches) = model
+            .prefill_chunked(tokens, tokens.len().max(1), method)
+            .expect("prefill");
+        let last = result.hidden.rows() - 1;
+        PerHeadDecoder {
+            model,
+            tokens: tokens.to_vec(),
+            readout: Readout::from_reports(&result.head_reports),
+            last_contents: result
+                .head_contents
+                .iter()
+                .map(|m| m.slice_rows(last, last + 1).expect("last row"))
+                .collect(),
+            scores: caches
+                .iter()
+                .map(|c| vec![vec![0.0f64; c.len()]; c.num_kv_heads()])
+                .collect(),
+            caches,
+            eviction,
+        }
+    }
+
+    fn step_in(&mut self, range: std::ops::Range<u32>) -> u32 {
+        let token = match self.readout.answer_vector(&self.last_contents, 0) {
+            Some(v) => self.model.embedder().nearest_token_in(&v, range).0,
+            None => BOS_TOKEN,
+        };
+        self.push(token);
+        token
+    }
+
+    fn push(&mut self, token: u32) {
+        self.tokens.push(token);
+        let hidden = self.model.embedder().embed(&self.tokens);
+        let mut rows = hidden
+            .slice_rows(hidden.rows() - 1, hidden.rows())
+            .expect("newest row");
+        let full = FullAttention::new();
+        let num_heads = self.model.config().num_heads;
+        let track = self.eviction.budget > 0;
+        for (l, layer) in self.model.layers().iter().enumerate() {
+            let offset = self.caches[l].seen();
+            if track {
+                for head_scores in &mut self.scores[l] {
+                    head_scores.push(0.0);
+                }
+            }
+            let out = layer
+                .forward_incremental(&rows, &mut self.caches[l], &full)
+                .expect("per-head step");
+            if track {
+                for head in 0..num_heads {
+                    let q = layer.project_q(&rows, head, offset).expect("q");
+                    let kv = layer.gqa().kv_head_for(head);
+                    let (k_all, _) = self.caches[l].head(kv);
+                    let mut p = attention_scores_raw(&q, k_all, false).expect("scores");
+                    softmax_rows_in_place(&mut p);
+                    for (j, &m) in p.row(0).iter().enumerate() {
+                        self.scores[l][kv][j] += m as f64;
+                    }
+                }
+                for kv in 0..self.caches[l].num_kv_heads() {
+                    let len = self.caches[l].head_len(kv);
+                    let keep = self.eviction.keep_indices(len, &self.scores[l][kv]).expect("keep");
+                    if let Some(keep) = keep {
+                        self.caches[l].retain_head(kv, &keep).expect("retain");
+                        self.scores[l][kv] = keep.iter().map(|&i| self.scores[l][kv][i]).collect();
+                    }
+                }
+            }
+            for (h, content) in out.head_contents.into_iter().enumerate() {
+                self.last_contents[l * num_heads + h] = content;
+            }
+            rows = out.hidden;
+        }
+    }
+}
+
+fn assert_same_state(label: &str, session: &DecodeSession<'_>, oracle: &PerHeadDecoder<'_>) {
+    assert_eq!(session.tokens(), oracle.tokens.as_slice(), "{label}: tokens");
+    for (h, (got, want)) in session.last_contents().iter().zip(&oracle.last_contents).enumerate() {
+        assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{label}: head {h} content");
+    }
+}
+
+#[test]
+fn decode_on_resident_panels_matches_the_per_head_path() {
+    let m = model();
+    let layout = *m.embedder().layout();
+    let mut tokens = m.tokenize_filler(200);
+    tokens[80] = layout.marker(4);
+    tokens[81] = layout.payload(9);
+    *tokens.last_mut().expect("non-empty") = layout.marker(4);
+    let vocab = m.config().vocab_size as u32;
+    let method = FullAttention::new();
+
+    for eviction in [EvictionConfig::none(), EvictionConfig::h2o(150)] {
+        let mut oracle = PerHeadDecoder::begin(&m, &tokens, &method, eviction);
+        let mut expected = Vec::new();
+        // Teacher-forced steps first (a salient token, then filler), so
+        // the carried embedding state crosses both kinds.
+        for forced in [layout.payload(2), layout.filler(7)] {
+            oracle.push(forced);
+        }
+        for _ in 0..64 {
+            expected.push(oracle.step_in(0..vocab));
+        }
+        for t in thread_counts() {
+            pool::with_threads(t, || {
+                let label = format!("budget {} threads {t}", eviction.budget);
+                let mut session = m.begin_decode_with(&tokens, &method, eviction).expect("prefill");
+                let mut check = PerHeadDecoder::begin(&m, &tokens, &method, eviction);
+                for forced in [layout.payload(2), layout.filler(7)] {
+                    session.push(forced).expect("push");
+                    check.push(forced);
+                    assert_same_state(&label, &session, &check);
+                }
+                let mut generated = Vec::new();
+                for step in 0..64 {
+                    // Half-way, the session goes through a checkpoint.
+                    if step == 32 {
+                        let snap = SessionCheckpoint::capture(&session);
+                        session = snap.restore(&m, 0x3, None).expect("restore");
+                    }
+                    let (token, _) = session.step_in(0..vocab).expect("step");
+                    generated.push(token);
+                    check.step_in(0..vocab);
+                    assert_same_state(&format!("{label} step {step}"), &session, &check);
+                }
+                assert_eq!(generated, expected, "{label}");
+            });
+        }
     }
 }

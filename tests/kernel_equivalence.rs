@@ -6,9 +6,10 @@
 use sample_attention::core::merge_mask;
 use sample_attention::core::SampleAttentionConfig;
 use sample_attention::kernels::{
-    attention_probs, flash_attention, full_attention, masked_attention_dense,
-    sparse_flash_attention, sparse_flash_attention_blocked, sparse_flash_attention_tiled,
-    FlashParams, StructuredMask, TiledMask,
+    attention_probs, flash_attention, flash_attention_prepared, full_attention,
+    masked_attention_dense, sparse_flash_attention, sparse_flash_attention_blocked,
+    sparse_flash_attention_prepared, sparse_flash_attention_tiled, FlashParams, KeyPanels,
+    PreparedKeys, StructuredMask, TiledMask,
 };
 use sample_attention::tensor::check::run_cases;
 use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Matrix};
@@ -372,6 +373,81 @@ fn engine_thread_invariant_across_patterns() {
             &out.output,
             &reference.output,
         );
+    }
+}
+
+/// Panels built by appending `step` rows at a time, as a KV cache grows
+/// them.
+fn panels_grown(k: &Matrix, step: usize) -> KeyPanels {
+    let mut panels = KeyPanels::new(k.cols());
+    for start in (0..k.rows()).step_by(step) {
+        let rows = k.slice_rows(start, (start + step).min(k.rows())).unwrap();
+        panels.append(&rows).unwrap();
+    }
+    panels
+}
+
+/// Resident panels are the panels of the final K however they grew
+/// (row by row as in decode, in 32-row prefill chunks, off the 64-lane
+/// grid), and the engine on them equals the engine that transposes per
+/// call, for every named pattern.
+#[test]
+fn resident_panels_equal_panels_built_per_call() {
+    let (_, k, _) = qkv(1, 203, 8, 0xFA57);
+    let whole = KeyPanels::from_rows(&k);
+    for step in [1usize, 32, 37, 64, 203] {
+        let grown = panels_grown(&k, step);
+        assert_eq!(grown.len(), whole.len(), "step {step}");
+        let bits = |p: &KeyPanels| -> Vec<u32> { p.as_slice().iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&grown), bits(&whole), "step {step}");
+    }
+    for (name, mask) in corner_case_masks() {
+        let (q, k, v) = qkv(mask.s_q(), mask.s_k(), 8, 0x7117);
+        let panels = panels_grown(&k, 37);
+        let resident =
+            sparse_flash_attention_prepared(&q, PreparedKeys::new(&k, &panels), &v, &mask).unwrap();
+        let per_call = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+        assert_bitwise(name, &resident.output, &per_call.output);
+        assert_eq!(resident.cost, per_call.cost, "{name}");
+        assert_eq!(resident.scored_pairs, per_call.scored_pairs, "{name}");
+    }
+}
+
+/// A decode step: the one-row queries of up to four heads sharing a KV
+/// head, scored as one row block against panels that grew with the
+/// cache. Each row must equal, bit for bit, the row-wise reference run
+/// on that row alone with every key visible — at cache lengths on either
+/// side of a panel edge and one past the 4096-key prompt.
+#[test]
+fn decode_row_blocks_on_resident_panels_match_reference() {
+    for s_k in [1usize, 63, 64, 65, 4096 + 1] {
+        let (_, k, v) = qkv(1, s_k, 64, 0xDEC0 + s_k as u64);
+        // A prompt's worth appended at once, then one key per step.
+        let prompt = s_k.saturating_sub(3);
+        let mut panels = KeyPanels::from_rows(&k.slice_rows(0, prompt).unwrap());
+        panels.append(&k.slice_rows(prompt, s_k).unwrap()).unwrap();
+        for rows in 1..=4usize {
+            let q = DeterministicRng::new(0x0D + rows as u64).normal_matrix(rows, 64, 1.0);
+            let block = flash_attention_prepared(
+                &q,
+                PreparedKeys::new(&k, &panels),
+                &v,
+                false,
+                FlashParams::default(),
+            )
+            .unwrap();
+            let all_keys = StructuredMask::dense_causal(1, s_k);
+            for r in 0..rows {
+                let q_row = q.slice_rows(r, r + 1).unwrap();
+                let reference = sparse_flash_attention(&q_row, &k, &v, &all_keys).unwrap();
+                let got = block.output.slice_rows(r, r + 1).unwrap();
+                assert_bitwise(
+                    &format!("s_k={s_k} rows={rows} row={r}"),
+                    &got,
+                    &reference.output,
+                );
+            }
+        }
     }
 }
 

@@ -10,13 +10,17 @@
 //! `==` on the f32 outputs — no tolerances.
 
 use sa_core::filtering::{filter_kv_indices, KvRatioSchedule};
-use sa_core::sampling::sample_attention_scores;
+use sa_core::sampling::{sample_attention_scores, sample_attention_scores_prepared};
 use sa_core::{SampleAttention, SampleAttentionConfig};
 use sa_kernels::{
-    flash_attention, full_attention, sparse_flash_attention, FlashParams, StructuredMask,
+    flash_attention, full_attention, score_scale, sparse_flash_attention, FlashParams, KeyPanels,
+    PreparedKeys, StructuredMask,
 };
 use sa_tensor::pool::with_threads;
-use sa_tensor::{col_sum, matmul, matmul_transb, softmax_rows_in_place, DeterministicRng, Matrix};
+use sa_tensor::{
+    col_sum, matmul, matmul_transb, softmax_row, softmax_rows_in_place, DeterministicRng, Matrix,
+    StrideSample,
+};
 
 fn qkv(s: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
     let mut rng = DeterministicRng::new(seed);
@@ -110,6 +114,87 @@ fn stage1_sampling_is_thread_invariant() {
         let s = sample_attention_scores(&q, &k, 0.1).unwrap();
         (s.column_scores, s.diagonal_scores, s.sampled_rows)
     });
+}
+
+/// Stage 1 as it was before it moved onto the key panels, kept as the
+/// oracle: one strict-order scalar dot product per (sampled row, visible
+/// key), a softmax per row, and the f64 column/diagonal fold in sampled-row
+/// order. Returns the bits of `(column_scores, diagonal_scores)`.
+fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u32>) {
+    let (s_q, s_k) = (q.rows(), k.rows());
+    let scale = score_scale(q.cols());
+    let mut column_acc = vec![0.0f64; s_k];
+    let mut diagonal_acc = vec![0.0f64; s_k];
+    for &i in StrideSample::by_ratio(s_q, sample_ratio).unwrap().indices() {
+        let visible = (i + s_k + 1).saturating_sub(s_q).min(s_k);
+        if visible == 0 {
+            continue;
+        }
+        let mut probs: Vec<f32> = (0..visible)
+            .map(|j| {
+                let mut acc = 0.0f32;
+                for (a, b) in q.row(i).iter().zip(k.row(j)) {
+                    acc += a * b;
+                }
+                acc * scale
+            })
+            .collect();
+        softmax_row(&mut probs);
+        for (j, &p) in probs.iter().enumerate() {
+            column_acc[j] += f64::from(p);
+            diagonal_acc[visible - 1 - j] += f64::from(p);
+        }
+    }
+    let bits = |acc: Vec<f64>| acc.into_iter().map(|v| (v as f32).to_bits()).collect();
+    (bits(column_acc), bits(diagonal_acc))
+}
+
+/// Stage 1 on the key panels (pairs of sampled rows through the engine's
+/// score microkernel) produces the bits of the scalar row loop, whatever
+/// the thread count: square and chunk-against-cache shapes, an odd number
+/// of sampled rows (the last one scored alone), every row sampled, and
+/// panels that were appended to rather than built at once.
+#[test]
+fn stage1_on_panels_matches_the_scalar_row_loop() {
+    let _quiet = no_faults();
+    let bits = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|x| x.to_bits()).collect() };
+    // (s_q, s_k, ratio, sampled rows the stride sampler draws)
+    let cases = [
+        (300usize, 300usize, 0.1f32, 30usize),
+        (200, 200, 0.085, 17),
+        (32, 330, 0.5, 16),
+        (7, 129, 1.0, 7),
+        (97, 97, 1.0, 97),
+        (140, 65, 0.2, 28),
+    ];
+    for (s_q, s_k, ratio, sampled) in cases {
+        let mut rng = DeterministicRng::new(0x51a6e1 ^ (s_q * 1000 + s_k) as u64);
+        let q = rng.normal_matrix(s_q, 24, 1.0);
+        let k = rng.normal_matrix(s_k, 24, 1.0);
+        let label = format!("s_q={s_q} s_k={s_k} ratio={ratio}");
+        let oracle = scalar_stage1(&q, &k, ratio);
+        // Resident panels, grown the way a cache grows them.
+        let mut panels = KeyPanels::new(24);
+        for start in (0..s_k).step_by(37) {
+            panels
+                .append(&k.slice_rows(start, (start + 37).min(s_k)).unwrap())
+                .unwrap();
+        }
+        let run = || {
+            let built = sample_attention_scores(&q, &k, ratio).unwrap();
+            let resident =
+                sample_attention_scores_prepared(&q, PreparedKeys::new(&k, &panels), ratio)
+                    .unwrap();
+            assert_eq!(built.sampled_rows.len(), sampled, "{label}");
+            assert_eq!(bits(&built.column_scores), bits(&resident.column_scores), "{label}");
+            assert_eq!(built.cost, resident.cost, "{label}");
+            (bits(&resident.column_scores), bits(&resident.diagonal_scores))
+        };
+        for threads in [1usize, 2, 3, 5] {
+            assert_eq!(with_threads(threads, run), oracle, "{label} threads={threads}");
+        }
+        assert_eq!(run(), oracle, "{label} default threads");
+    }
 }
 
 /// Graceful degradation must not cost determinism: for any seeded fault
