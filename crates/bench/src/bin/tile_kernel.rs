@@ -191,7 +191,8 @@ fn main() {
     }
 
     println!(
-        "## tile_kernel — paired A/B, {trials} alternating trials per leg\n"
+        "## tile_kernel — paired A/B, {trials} alternating trials per leg, inner loops: {}\n",
+        sa_tensor::isa_name()
     );
     println!("Blocked engine vs row-wise reference (median ms; speedups from fastest trial)\n");
     let table: Vec<Vec<String>> = rows

@@ -7,7 +7,7 @@
 //! makes a small sample representative of all rows.
 
 use sa_kernels::{score_scale, CostReport, KeyPanels, PreparedKeys, ENGINE_BLOCK};
-use sa_tensor::{fault, pool, softmax_row, Matrix, StrideSample, TensorError};
+use sa_tensor::{fault, pool, softmax_row, Isa, Matrix, StrideSample, TensorError};
 
 use crate::sparsity::causal_width;
 
@@ -131,6 +131,7 @@ pub fn sample_attention_scores_prepared(
     let mut live_pairs: u64 = 0;
 
     let panels = keys.panels();
+    let isa = Isa::detect();
     // Softmax rows of up to two sampled rows: raw scores a whole panel at
     // a time, both rows while both still see the panel, then cut to each
     // row's causal width.
@@ -146,6 +147,7 @@ pub fn sample_attention_scores_prepared(
             for p in 0..shared {
                 let lanes = p * ENGINE_BLOCK..(p + 1) * ENGINE_BLOCK;
                 panels.score_panel(
+                    isa,
                     p,
                     [q.row(rows[0]), q.row(rows[1])],
                     scale,
@@ -155,7 +157,7 @@ pub fn sample_attention_scores_prepared(
         }
         for ((&i, &width), row_probs) in rows.iter().zip(&visible).zip(&mut probs) {
             for (p, lanes) in row_probs.chunks_mut(ENGINE_BLOCK).enumerate().skip(shared) {
-                panels.score_panel(p, [q.row(i)], scale, [lanes]);
+                panels.score_panel(isa, p, [q.row(i)], scale, [lanes]);
             }
             row_probs.truncate(width);
             softmax_row(row_probs);

@@ -27,12 +27,15 @@
 //! blocks, each diagonal key on its own, the window in `BLOCK`-aligned
 //! key blocks. [`sparse_flash_attention`](crate::sparse_flash_attention),
 //! the row-wise reference, folds each row in exactly this partition with
-//! the same [`online_softmax_update`], so the two agree bit for bit at
-//! every `SA_THREADS`.
+//! the same fold ([`sa_tensor::online_softmax_update`]), so the two agree
+//! bit for bit at every `SA_THREADS` and on every build of the inner
+//! loops ([`sa_tensor::Isa`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
+use sa_tensor::trace::{self, Gauge};
+use sa_tensor::{online_softmax_update_on, pool, Isa, Matrix, OnlineSoftmaxState, TensorError};
 
 use crate::cost::f32_bytes;
 use crate::panels::{KeyPanels, PreparedKeys, BLOCK};
@@ -51,9 +54,16 @@ pub(crate) trait RowGeometry: Sync {
         &[]
     }
 
-    /// Row `i`'s keys below the window that are not extras.
-    fn diagonal_keys(&self, _i: usize) -> Vec<usize> {
-        Vec::new()
+    /// Whether any row has diagonal keys; the engine skips step (B)
+    /// when none does.
+    fn has_diagonals(&self) -> bool {
+        false
+    }
+
+    /// Row `i`'s keys below the window that are not extras, in fold
+    /// order.
+    fn diagonal_keys(&self, _i: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::empty()
     }
 }
 
@@ -67,7 +77,11 @@ impl RowGeometry for StructuredMask {
         self.extra_columns()
     }
 
-    fn diagonal_keys(&self, i: usize) -> Vec<usize> {
+    fn has_diagonals(&self) -> bool {
+        !self.diagonal_offsets().is_empty()
+    }
+
+    fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         StructuredMask::diagonal_keys(self, i)
     }
 }
@@ -156,11 +170,31 @@ pub fn sparse_flash_attention_prepared(
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
+    sparse_flash_attention_prepared_on(Isa::detect(), q, keys, v, mask)
+}
+
+/// Differential-test hook: [`sparse_flash_attention_prepared`] with the
+/// whole engine on the build of the inner loops `isa` names, so a test
+/// can hold every build of `Isa::every()` against the others on one
+/// host. Every build returns the same bits; production code never picks
+/// one.
+///
+/// # Errors
+///
+/// As [`sparse_flash_attention_blocked`].
+#[doc(hidden)]
+pub fn sparse_flash_attention_prepared_on(
+    isa: Isa,
+    q: &Matrix,
+    keys: PreparedKeys<'_>,
+    v: &Matrix,
+    mask: &StructuredMask,
+) -> Result<BlockedAttentionOutput, TensorError> {
     validate_sparse_shapes(q, keys.rows(), v, mask)?;
     let (s_q, d) = q.shape();
     let dv = v.cols();
     let avg_live = (mask.nnz() / s_q.max(1)).max(1);
-    let (output, tally) = run("sparse_flash_attention", q, keys, v, mask, avg_live)?;
+    let (output, tally) = run("sparse_flash_attention", isa, q, keys, v, mask, avg_live)?;
 
     // One fused launch: Q read once, every scored tile loads its K and V
     // rows once, the gathered extras are read and written once more at
@@ -211,10 +245,12 @@ pub(crate) fn validate_sparse_shapes(
 }
 
 /// Runs the engine over `geom` on the worker pool under fault site
-/// `site`. `avg_live` (keys per row, any estimate) only sizes the chunk
-/// grain. Shapes must already agree.
+/// `site`, both inner loops on the build `isa` names. `avg_live` (keys
+/// per row, any estimate) only sizes the chunk grain. Shapes must
+/// already agree.
 pub(crate) fn run<G: RowGeometry>(
     site: &'static str,
+    isa: Isa,
     q: &Matrix,
     keys: PreparedKeys<'_>,
     v: &Matrix,
@@ -228,8 +264,15 @@ pub(crate) fn run<G: RowGeometry>(
     if s_q == 0 || dv == 0 || keys.is_empty() {
         return Ok((output, Tally::default()));
     }
+    if trace::enabled() {
+        static ISA_AVX2: OnceLock<&'static Gauge> = OnceLock::new();
+        ISA_AVX2
+            .get_or_init(|| trace::metrics::gauge("kernels.isa_avx2"))
+            .set(i64::from(isa.avx2()));
+    }
     let scale = score_scale(d);
     let extras = geom.extras();
+    let has_diagonals = geom.has_diagonals();
     let extra_kt = KeyPanels::gathered(k, extras);
     let extra_v = v.gather_rows(extras)?;
 
@@ -246,13 +289,15 @@ pub(crate) fn run<G: RowGeometry>(
         dv,
         grain_rows,
         |row0, chunk| {
-            let mut block = QueryBlock::new(dv);
+            let mut block = QueryBlock::new(dv, isa);
             let mut tally = Tally::default();
             for (b, out_rows) in chunk.chunks_mut(BLOCK * dv).enumerate() {
                 let q0 = row0 + b * BLOCK;
                 block.reset(geom, q0, out_rows.len() / dv);
                 block.fold_extras(q, &extra_kt, &extra_v, scale, &mut tally);
-                block.fold_diagonals(geom, q, k, v, scale, &mut tally);
+                if has_diagonals {
+                    block.fold_diagonals(geom, q, k, v, scale, &mut tally);
+                }
                 block.fold_window(q, v, keys.panels(), scale, &mut tally);
                 block.finish(out_rows);
             }
@@ -280,6 +325,8 @@ fn key_blocks(windows: impl Iterator<Item = (usize, usize)> + Clone) -> Option<(
 
 /// Per-row state of the query block in flight.
 struct QueryBlock {
+    /// The build of the score panel and the fold this call runs.
+    isa: Isa,
     /// First query row of the block.
     q0: usize,
     /// Window `[start, end)` per row; `None` for rows that see no key.
@@ -294,8 +341,9 @@ struct QueryBlock {
 }
 
 impl QueryBlock {
-    fn new(dv: usize) -> Self {
+    fn new(dv: usize, isa: Isa) -> Self {
         QueryBlock {
+            isa,
             q0: 0,
             window: Vec::with_capacity(BLOCK),
             extras_below: Vec::with_capacity(BLOCK),
@@ -357,7 +405,7 @@ impl QueryBlock {
         for (r, state) in self.states[..self.window.len()].iter_mut().enumerate() {
             for j in geom.diagonal_keys(self.q0 + r) {
                 let score = dot(q.row(self.q0 + r), k.row(j)) * scale;
-                online_softmax_update(state, &[score], |_| v.row(j));
+                online_softmax_update_on(self.isa, state, &[score], |_| v.row(j));
                 tally.live_pairs += 1;
                 tally.scored_pairs += 1;
                 tally.kv_rows += 1;
@@ -413,11 +461,17 @@ impl QueryBlock {
             match live {
                 [a, b] if is_live(a) || is_live(b) => {
                     let (first, second) = tile.split_at_mut(BLOCK);
-                    kt.score_panel(p, [q.row(i), q.row(i + 1)], scale, [first, second]);
+                    kt.score_panel(
+                        self.isa,
+                        p,
+                        [q.row(i), q.row(i + 1)],
+                        scale,
+                        [first, second],
+                    );
                     scored_rows += 2;
                 }
                 [a] if is_live(a) => {
-                    kt.score_panel(p, [q.row(i)], scale, [tile]);
+                    kt.score_panel(self.isa, p, [q.row(i)], scale, [tile]);
                     scored_rows += 1;
                 }
                 _ => {}
@@ -435,7 +489,7 @@ impl QueryBlock {
             .zip(&self.live)
         {
             if lo < hi {
-                online_softmax_update(state, &lanes[lo..hi], |t| value(lo + t));
+                online_softmax_update_on(self.isa, state, &lanes[lo..hi], |t| value(lo + t));
                 tally.live_pairs += (hi - lo) as u64;
             }
         }
@@ -610,6 +664,18 @@ mod tests {
             assert_eq!(prepared.cost, rebuilt.cost);
             assert!(prepared.scored_pairs > prepared.live_pairs, "s_q={s_q}");
         }
+    }
+
+    #[test]
+    fn traced_runs_report_the_build_of_the_inner_loops() {
+        let session = trace::scoped();
+        let mask = StructuredMask::dense_causal(8, 8);
+        let (q, k, v) = random_qkv(8, 8, 4, 14);
+        sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
+        let reported = trace::metrics::gauge("kernels.isa_avx2").get();
+        drop(session);
+        assert_eq!(reported, i64::from(Isa::detect().avx2()));
+        assert_eq!(reported == 1, sa_tensor::isa_name() == "avx2");
     }
 
     #[test]

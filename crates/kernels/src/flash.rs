@@ -11,7 +11,7 @@
 //! the two-pass softmax, so outputs match [`crate::full_attention`] to
 //! floating-point round-off.
 
-use sa_tensor::{Matrix, TensorError};
+use sa_tensor::{Isa, Matrix, TensorError};
 
 use crate::blocked::{self, RowGeometry};
 use crate::cost::f32_bytes;
@@ -126,7 +126,7 @@ pub fn flash_attention_prepared(
     let s_k = k.rows();
     let dv = v.cols();
     let rows = DenseRows { s_q, s_k, causal };
-    let (output, tally) = blocked::run("flash_attention", q, keys, v, &rows, s_k)?;
+    let (output, tally) = blocked::run("flash_attention", Isa::detect(), q, keys, v, &rows, s_k)?;
 
     // K/V elements the modelled kernel reads: every query block re-reads
     // the keys its last row can see.

@@ -46,7 +46,8 @@ mod sparse_flash;
 mod tile;
 
 pub use blocked::{
-    sparse_flash_attention_blocked, sparse_flash_attention_prepared, BlockedAttentionOutput,
+    sparse_flash_attention_blocked, sparse_flash_attention_prepared,
+    sparse_flash_attention_prepared_on, BlockedAttentionOutput,
 };
 pub use cost::CostReport;
 pub use flash::{flash_attention, flash_attention_prepared, FlashParams};

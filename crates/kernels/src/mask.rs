@@ -111,17 +111,17 @@ impl StructuredMask {
     }
 
     /// The diagonal key positions live on row `i` that lie *below* the
-    /// window (deduplicated against the extra columns).
-    pub fn diagonal_keys(&self, i: usize) -> Vec<usize> {
-        let Some(end) = self.causal_end(i) else {
-            return Vec::new();
+    /// window (deduplicated against the extra columns), in offset order.
+    pub fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let (end, diagonals) = match self.causal_end(i) {
+            Some(end) => (end, self.diagonals.as_slice()),
+            None => (0, [].as_slice()),
         };
         let win_start = self.window_start(i);
-        self.diagonals
+        diagonals
             .iter()
-            .filter_map(|&delta| end.checked_sub(delta))
-            .filter(|&j| j < win_start && self.extras.binary_search(&j).is_err())
-            .collect()
+            .filter_map(move |&delta| end.checked_sub(delta))
+            .filter(move |&j| j < win_start && self.extras.binary_search(&j).is_err())
     }
 
     /// Index of the last causally visible key for query row `i`, or `None`
@@ -192,7 +192,7 @@ impl StructuredMask {
         let win_start = self.window_start(i);
         let window_count = end + 1 - win_start;
         let extras_before = self.extras.partition_point(|&c| c < win_start);
-        window_count + extras_before + self.diagonal_keys(i).len()
+        window_count + extras_before + self.diagonal_keys(i).count()
     }
 
     /// Total number of live entries.

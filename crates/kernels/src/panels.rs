@@ -5,9 +5,17 @@
 //! no key. A score is then `acc[t] += q[dd] * kt[dd][t]` over `dd` in
 //! index order: each lane is the same strict-order sum a scalar dot
 //! product computes, but neighbouring lanes are independent, so plain
-//! Rust autovectorises across `t`. There is no intrinsic, no
-//! `target_feature` and no fused multiply-add, so every ISA produces the
-//! same bits.
+//! Rust autovectorises across `t`.
+//!
+//! What keeps the bits the same on every host is the arithmetic, not the
+//! instruction set: no fused multiply-add (no build enables `fma`, and
+//! Rust never contracts `a * b + c`), no reassociation (no fast-math, no
+//! intrinsics), and a fixed order per lane. Vector width is free under
+//! those three, so the microkernel is one generic body compiled twice —
+//! for the target's baseline instruction set and, on x86-64, with AVX2 —
+//! and [`KeyPanels::score_panel`] runs the build its [`Isa`] argument
+//! names. Callers take that from `Isa::detect()` once per call; nothing
+//! but the CPU chooses it.
 //!
 //! The layout is built once per KV head and appended to as keys arrive
 //! (`sa-model`'s `LayerKvCache` owns one per head); stage-1 sampling, the
@@ -15,13 +23,14 @@
 //! what two scalar dot products do, so whoever holds keys across calls
 //! keeps their panels too.
 
-use sa_tensor::{Matrix, TensorError};
+use sa_tensor::{Isa, Matrix, TensorError};
 
 /// Key lanes per panel, and query rows per engine block.
 pub const BLOCK: usize = 64;
 
 /// Lanes one accumulator group of the score panel covers: two query rows
-/// of `LANES` f32 fit the 16 vector registers of baseline x86-64.
+/// of `LANES` f32 are eight of the 16 vector registers of baseline
+/// x86-64, four under AVX2.
 const LANES: usize = 16;
 
 /// Key rows transposed into panels of [`BLOCK`] lanes.
@@ -129,36 +138,70 @@ impl KeyPanels {
     /// Scores `R` query rows against panel `p`:
     /// `out[r][t] = scale * Σ_dd q[r][dd] · k[p * BLOCK + t][dd]`, every
     /// lane summed in `dd` order from `0.0` — the bits a strict-order
-    /// scalar dot product gives. Lanes past the last key score `0.0`.
+    /// scalar dot product gives, on whichever build `isa` names. Lanes
+    /// past the last key score `0.0`.
     ///
     /// # Panics
     ///
     /// Panics if `p` is not a held panel, a query row is shorter than
     /// [`dim`](Self::dim), or an `out` row is shorter than [`BLOCK`].
+    #[inline]
     pub fn score_panel<const R: usize>(
         &self,
+        isa: Isa,
         p: usize,
         q: [&[f32]; R],
         scale: f32,
-        mut out: [&mut [f32]; R],
+        out: [&mut [f32]; R],
     ) {
         let kt = self.panel(p);
-        for c in 0..BLOCK / LANES {
-            let mut acc = [[0.0f32; LANES]; R];
-            for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
-                let lanes = &k_row[c * LANES..(c + 1) * LANES];
-                for (acc_row, q_row) in acc.iter_mut().zip(&q) {
-                    let x = q_row[dd];
-                    for (a, &kv) in acc_row.iter_mut().zip(lanes) {
-                        *a += x * kv;
-                    }
+        match isa.avx2() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Isa::avx2` is true only on a value `Isa::detect`
+            // made after `is_x86_feature_detected!("avx2")` said so on
+            // this CPU.
+            true => unsafe { score_panel_avx2(kt, q, scale, out) },
+            _ => score_panel_baseline(kt, q, scale, out),
+        }
+    }
+}
+
+/// The score panel compiled for the target's baseline instruction set.
+fn score_panel_baseline<const R: usize>(
+    kt: &[f32],
+    q: [&[f32]; R],
+    scale: f32,
+    out: [&mut [f32]; R],
+) {
+    score_lanes(kt, q, scale, out);
+}
+
+/// The score panel compiled with AVX2 (and nothing else: no `fma`): the
+/// same multiplies and adds per lane, eight lanes to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn score_panel_avx2<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, out: [&mut [f32]; R]) {
+    score_lanes(kt, q, scale, out);
+}
+
+/// The one body of the score panel, over the transposed panel `kt`.
+#[inline(always)]
+fn score_lanes<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, mut out: [&mut [f32]; R]) {
+    for c in 0..BLOCK / LANES {
+        let mut acc = [[0.0f32; LANES]; R];
+        for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
+            let lanes = &k_row[c * LANES..(c + 1) * LANES];
+            for (acc_row, q_row) in acc.iter_mut().zip(&q) {
+                let x = q_row[dd];
+                for (a, &kv) in acc_row.iter_mut().zip(lanes) {
+                    *a += x * kv;
                 }
             }
-            for (out_row, acc_row) in out.iter_mut().zip(&acc) {
-                let dst = &mut out_row[c * LANES..(c + 1) * LANES];
-                for (o, &a) in dst.iter_mut().zip(acc_row) {
-                    *o = a * scale;
-                }
+        }
+        for (out_row, acc_row) in out.iter_mut().zip(&acc) {
+            let dst = &mut out_row[c * LANES..(c + 1) * LANES];
+            for (o, &a) in dst.iter_mut().zip(acc_row) {
+                *o = a * scale;
             }
         }
     }
@@ -252,12 +295,16 @@ mod tests {
         let q = rng.normal_matrix(2, 12, 1.0);
         let panels = KeyPanels::from_rows(&k);
         let scale = 0.37;
-        for p in 0..2 {
+        // Baseline always; the AVX2 build too where the CPU has it.
+        for (isa, p) in Isa::every()
+            .into_iter()
+            .flat_map(|isa| [(isa, 0), (isa, 1)])
+        {
             let mut a = [0.0f32; BLOCK];
             let mut b = [0.0f32; BLOCK];
-            panels.score_panel(p, [q.row(0), q.row(1)], scale, [&mut a, &mut b]);
+            panels.score_panel(isa, p, [q.row(0), q.row(1)], scale, [&mut a, &mut b]);
             let mut alone = [0.0f32; BLOCK];
-            panels.score_panel(p, [q.row(1)], scale, [&mut alone]);
+            panels.score_panel(isa, p, [q.row(1)], scale, [&mut alone]);
             assert_eq!(bits(&b), bits(&alone), "pairing must not change a row");
             for (r, got) in [a, b].iter().enumerate() {
                 for (t, &s) in got.iter().enumerate() {
@@ -270,7 +317,12 @@ mod tests {
                     } else {
                         0.0
                     };
-                    assert_eq!(s.to_bits(), want.to_bits(), "panel {p} row {r} lane {t}");
+                    assert_eq!(
+                        s.to_bits(),
+                        want.to_bits(),
+                        "{} panel {p} row {r} lane {t}",
+                        isa.name()
+                    );
                 }
             }
         }

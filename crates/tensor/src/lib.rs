@@ -36,6 +36,7 @@ pub mod cancel;
 pub mod check;
 mod error;
 pub mod fault;
+mod isa;
 mod matrix;
 mod matmul;
 pub mod pool;
@@ -56,6 +57,7 @@ pub use sa_trace as trace;
 
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
+pub use isa::{isa_name, Isa};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
 pub use reduce::{
@@ -69,8 +71,8 @@ pub use select::{
     top_k_threshold_count,
 };
 pub use softmax::{
-    log_sum_exp, online_softmax_update, softmax_row, softmax_rows, softmax_rows_in_place,
-    OnlineSoftmaxState,
+    log_sum_exp, online_softmax_update, online_softmax_update_on, softmax_row, softmax_rows,
+    softmax_rows_in_place, OnlineSoftmaxState,
 };
 pub use stats::{cosine_similarity, l1_distance, l1_norm, max_abs_diff, mean, mse, variance};
 pub use tilepack::TilePack;

@@ -1,4 +1,4 @@
-use crate::{pool, Matrix};
+use crate::{pool, Isa, Matrix};
 
 /// Numerically stable softmax of a single row, written in place.
 ///
@@ -121,13 +121,90 @@ impl OnlineSoftmaxState {
 /// softmax state.
 ///
 /// `scores[t]` is the raw (pre-softmax) logit for the `t`-th key of the
-/// block and `values(t)` returns that key's value row (length `d`).
+/// block and `values(t)` returns that key's value row (length `d`); it is
+/// called once per key whose score is not `-inf`, in `t` order.
+///
+/// Runs the widest build of the fold this CPU supports; callers that
+/// fold many blocks pick the [`Isa`] once and use
+/// [`online_softmax_update_on`].
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if a value row length differs from the state's
-/// accumulator length.
+/// Panics if a value row length differs from the state's accumulator
+/// length.
 pub fn online_softmax_update<'a>(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    values: impl FnMut(usize) -> &'a [f32],
+) {
+    online_softmax_update_on(Isa::detect(), state, scores, values);
+}
+
+/// [`online_softmax_update`] on the build `isa` names. Every build
+/// leaves the same bits in `state`.
+///
+/// # Panics
+///
+/// As [`online_softmax_update`].
+#[inline]
+pub fn online_softmax_update_on<'a>(
+    isa: Isa,
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    values: impl FnMut(usize) -> &'a [f32],
+) {
+    match isa.avx2() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
+        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
+        true => unsafe { fold_avx2(state, scores, values) },
+        _ => fold_baseline(state, scores, values),
+    }
+}
+
+/// Keys whose weights and value rows one pass of the fold keeps on the
+/// stack (1.25 KB); a longer score block takes several passes.
+const FOLD_KEYS: usize = 64;
+
+/// Accumulator columns held in registers across the keys of a pass:
+/// eight 4-lane registers on baseline x86-64, four 8-lane ones under
+/// AVX2 — either file of sixteen keeps room for the weight and the
+/// products beside them.
+const FOLD_COLUMNS: usize = 32;
+
+/// The fold compiled for the target's baseline instruction set.
+fn fold_baseline<'a>(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    values: impl FnMut(usize) -> &'a [f32],
+) {
+    fold(state, scores, values);
+}
+
+/// The fold compiled with AVX2 (and nothing else: no `fma`): the same
+/// multiplies and adds per lane, eight lanes to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_avx2<'a>(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    values: impl FnMut(usize) -> &'a [f32],
+) {
+    fold(state, scores, values);
+}
+
+/// The one body of the fold. Weights first: `exp` is a call, and no
+/// vector register survives a call, so an accumulator could not stay in
+/// registers across keys while the weight was computed between them.
+/// With the block's weights on the stack, [`accumulate`] runs call-free.
+///
+/// Per accumulator lane the arithmetic is: rescale by `correction`, then
+/// `+= w[t] * v[t][c]` for `t` ascending over the keys that are not
+/// `-inf`; `row_sum` takes the weights in the same `t` order. A `-inf`
+/// key is skipped, not given weight zero: `0.0 * inf` is NaN and
+/// `-0.0 + 0.0` loses a sign.
+#[inline(always)]
+fn fold<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     mut values: impl FnMut(usize) -> &'a [f32],
@@ -149,19 +226,55 @@ pub fn online_softmax_update<'a>(
     for v in &mut state.acc {
         *v *= correction;
     }
-    for (t, &s) in scores.iter().enumerate() {
-        if s == f32::NEG_INFINITY {
-            continue;
+    let mut weights = [0.0f32; FOLD_KEYS];
+    let mut rows: [&[f32]; FOLD_KEYS] = [&[]; FOLD_KEYS];
+    for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
+        let mut live = 0;
+        for (t, &s) in block.iter().enumerate() {
+            if s == f32::NEG_INFINITY {
+                continue;
+            }
+            let w = (s - new_max).exp();
+            state.row_sum += w;
+            let row = values(pass * FOLD_KEYS + t);
+            assert_eq!(row.len(), state.acc.len(), "value row width");
+            weights[live] = w;
+            rows[live] = row;
+            live += 1;
         }
-        let w = (s - new_max).exp();
-        state.row_sum += w;
-        let val = values(t);
-        debug_assert_eq!(val.len(), state.acc.len());
-        for (a, &x) in state.acc.iter_mut().zip(val.iter()) {
+        accumulate(&mut state.acc, &weights[..live], &rows[..live]);
+    }
+    state.row_max = new_max;
+}
+
+/// `acc[c] += weights[j] * rows[j][c]` for `j` ascending, on every
+/// column `c`: [`FOLD_COLUMNS`] columns at a time in a local array the
+/// compiler keeps in registers over all `j`, then the columns past the
+/// last whole chunk key by key in memory. Every row is `acc.len()` wide.
+#[inline(always)]
+fn accumulate(acc: &mut [f32], weights: &[f32], rows: &[&[f32]]) {
+    let mut chunks = acc.chunks_exact_mut(FOLD_COLUMNS);
+    let mut c0 = 0;
+    for chunk in chunks.by_ref() {
+        let mut lanes = [0.0f32; FOLD_COLUMNS];
+        lanes.copy_from_slice(chunk);
+        for (&w, row) in weights.iter().zip(rows) {
+            for (a, &x) in lanes.iter_mut().zip(&row[c0..c0 + FOLD_COLUMNS]) {
+                *a += w * x;
+            }
+        }
+        chunk.copy_from_slice(&lanes);
+        c0 += FOLD_COLUMNS;
+    }
+    let tail = chunks.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    for (&w, row) in weights.iter().zip(rows) {
+        for (a, &x) in tail.iter_mut().zip(&row[c0..]) {
             *a += w * x;
         }
     }
-    state.row_max = new_max;
 }
 
 #[cfg(test)]
@@ -354,6 +467,186 @@ mod tests {
         online_softmax_update(&mut st, &scores, |t| &values[t]);
         let out = st.finish();
         assert!((out[0] - 2.0).abs() < 1e-5);
+    }
+
+    /// The fold as it stood before the weights-first rewrite, verbatim:
+    /// the oracle the dispatched builds are held to bit for bit.
+    fn fold_oracle<'a>(
+        state: &mut OnlineSoftmaxState,
+        scores: &[f32],
+        mut values: impl FnMut(usize) -> &'a [f32],
+    ) {
+        if scores.is_empty() {
+            return;
+        }
+        let block_max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        if block_max == f32::NEG_INFINITY {
+            return; // fully masked block
+        }
+        let new_max = state.row_max.max(block_max);
+        let correction = if state.row_max == f32::NEG_INFINITY {
+            0.0
+        } else {
+            (state.row_max - new_max).exp()
+        };
+        state.row_sum *= correction;
+        for v in &mut state.acc {
+            *v *= correction;
+        }
+        for (t, &s) in scores.iter().enumerate() {
+            if s == f32::NEG_INFINITY {
+                continue;
+            }
+            let w = (s - new_max).exp();
+            state.row_sum += w;
+            let val = values(t);
+            debug_assert_eq!(val.len(), state.acc.len());
+            for (a, &x) in state.acc.iter_mut().zip(val.iter()) {
+                *a += w * x;
+            }
+        }
+        state.row_max = new_max;
+    }
+
+    /// Baseline always; the AVX2 build too where the CPU has it.
+    fn builds() -> Vec<Isa> {
+        let builds = Isa::every();
+        if builds.len() == 1 {
+            println!("this CPU lacks AVX2: the AVX2 build of the fold is not exercised");
+        }
+        builds
+    }
+
+    fn state_bits(state: &OnlineSoftmaxState) -> (u32, u32, Vec<u32>) {
+        (
+            state.row_max.to_bits(),
+            state.row_sum.to_bits(),
+            state.acc.iter().map(|x| x.to_bits()).collect(),
+        )
+    }
+
+    /// Folds `blocks` (scores, one value row per score) in order on every
+    /// build and on the oracle, comparing the whole state after each.
+    fn assert_fold_matches_oracle(label: &str, dv: usize, blocks: &[(Vec<f32>, Vec<Vec<f32>>)]) {
+        for isa in builds() {
+            let mut got = OnlineSoftmaxState::new(dv);
+            let mut want = OnlineSoftmaxState::new(dv);
+            for (b, (scores, values)) in blocks.iter().enumerate() {
+                online_softmax_update_on(isa, &mut got, scores, |t| &values[t]);
+                fold_oracle(&mut want, scores, |t| &values[t]);
+                assert_eq!(
+                    state_bits(&got),
+                    state_bits(&want),
+                    "{label}: dv={dv} block {b} on {}",
+                    isa.name()
+                );
+            }
+        }
+    }
+
+    fn random_block(
+        rng: &mut crate::DeterministicRng,
+        len: usize,
+        dv: usize,
+    ) -> (Vec<f32>, Vec<Vec<f32>>) {
+        let scores = rng.normal_matrix(1, len, 2.0).row(0).to_vec();
+        let values = rng.normal_matrix(len, dv, 1.0);
+        (scores, (0..len).map(|t| values.row(t).to_vec()).collect())
+    }
+
+    #[test]
+    fn fold_is_bitwise_the_old_loop_at_every_width_and_block_length() {
+        let mut rng = crate::DeterministicRng::new(0xF01D);
+        for dv in [1usize, 8, 31, 32, 33, 64, 65, 128] {
+            // One state through blocks of every length: the first block
+            // starts from `row_max = -inf`, the later ones rescale, and
+            // 200 is longer than the weight buffer.
+            let blocks: Vec<_> = [1usize, 63, 64, 65, 200, 1]
+                .iter()
+                .map(|&len| random_block(&mut rng, len, dv))
+                .collect();
+            assert_fold_matches_oracle("lengths", dv, &blocks);
+            // Each length as a first block of its own.
+            for block in blocks {
+                assert_fold_matches_oracle("first block", dv, &[block]);
+            }
+        }
+    }
+
+    #[test]
+    fn fold_skips_masked_lanes_and_masked_blocks() {
+        let mut rng = crate::DeterministicRng::new(0xF02D);
+        for dv in [1usize, 31, 64, 65] {
+            let mut blocks = Vec::new();
+            for len in [1usize, 63, 65, 200] {
+                let (mut scores, values) = random_block(&mut rng, len, dv);
+                for s in scores.iter_mut().step_by(3) {
+                    *s = f32::NEG_INFINITY;
+                }
+                blocks.push((scores, values));
+                // A fully masked block between live ones changes nothing.
+                let (scores, values) = random_block(&mut rng, 64, dv);
+                blocks.push((vec![f32::NEG_INFINITY; scores.len()], values));
+            }
+            assert_fold_matches_oracle("masked lanes", dv, &blocks);
+            // A state whose first block is fully masked stays fresh.
+            blocks.rotate_left(1);
+            assert_fold_matches_oracle("masked first block", dv, &blocks);
+        }
+    }
+
+    #[test]
+    fn fold_skips_rather_than_zero_weights_masked_keys() {
+        // Folding a masked key with weight zero instead of skipping it
+        // would poison the row through `0.0 * inf` where its value row
+        // holds an infinity, and turn a `-0.0` column into `+0.0`
+        // (`-0.0 + 0.0 * x`). The state starts on `-0.0` columns and
+        // must stay there.
+        for dv in [1usize, 33, 64] {
+            let values = [
+                vec![-0.0f32; dv],
+                vec![f32::INFINITY; dv],
+                vec![-0.0f32; dv],
+                vec![1.0f32; dv],
+            ];
+            let scores = [0.25, f32::NEG_INFINITY, -1.5, f32::NEG_INFINITY];
+            let start = OnlineSoftmaxState {
+                row_max: 0.0,
+                row_sum: 1.0,
+                acc: vec![-0.0; dv],
+            };
+            let mut want = start.clone();
+            fold_oracle(&mut want, &scores, |t| &values[t]);
+            fold_oracle(&mut want, &scores, |t| &values[t]);
+            assert!(want.acc.iter().all(|a| a.to_bits() == (-0.0f32).to_bits()));
+            for isa in builds() {
+                let mut got = start.clone();
+                online_softmax_update_on(isa, &mut got, &scores, |t| &values[t]);
+                online_softmax_update_on(isa, &mut got, &scores, |t| &values[t]);
+                assert_eq!(
+                    state_bits(&got),
+                    state_bits(&want),
+                    "dv={dv} on {}",
+                    isa.name()
+                );
+            }
+            // Live keys with infinite values go through as they always did.
+            let live_inf = [
+                (
+                    vec![0.5, 0.75],
+                    vec![vec![f32::INFINITY; dv], vec![1.0; dv]],
+                ),
+                (vec![2.0], vec![vec![f32::NEG_INFINITY; dv]]),
+            ];
+            assert_fold_matches_oracle("live infinities", dv, &live_inf);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value row width")]
+    fn fold_rejects_a_value_row_of_the_wrong_width() {
+        let mut state = OnlineSoftmaxState::new(4);
+        online_softmax_update(&mut state, &[0.0], |_| &[1.0, 2.0]);
     }
 
     #[test]

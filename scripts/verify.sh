@@ -15,6 +15,48 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
+echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds)"
+# The score panel and the fold are each one body compiled for the
+# baseline ISA and for AVX2 (DESIGN.md 5g). Their results are the same
+# bits only while no build fuses a multiply into an add, and the AVX2
+# build is only worth dispatching to while it really is 8 lanes wide.
+# sa-kernels holds every engine instantiation of both loops (the fold is
+# generic over the caller's closure, so it is compiled where it is
+# called); sa-tensor is scanned for FMA only.
+if [ "$(uname -m)" != "x86_64" ]; then
+    echo "skipped: not an x86_64 host, only the baseline build exists"
+elif ! command -v objdump >/dev/null; then
+    echo "skipped: objdump not installed"
+else
+    # objdump exits non-zero on the archive's metadata member; the awk
+    # verdict is the status that counts.
+    for lib in sa_kernels sa_tensor; do
+        objdump -d --no-show-raw-insn -C "target/release/lib$lib.rlib" 2>/dev/null || true
+    done | awk '
+        # One entry per function body: generic instantiations share a name.
+        /^[0-9a-f]+ <.*>:$/ {
+            sym = $2 " (function " ++bodies ")"
+            if (sym ~ /(score_panel|fold)_avx2/) wide[sym] = 0
+            next
+        }
+        /vfn?m(add|sub)/ { fused[sym]++ }
+        /%ymm/ { if (sym in wide) wide[sym]++ }
+        END {
+            for (s in fused) { print "FMA instruction in " s; bad = 1 }
+            for (s in wide) {
+                if (s ~ /score_panel_avx2/) panels++; else folds++
+                if (wide[s] == 0) { print "no ymm operand in " s; bad = 1 }
+            }
+            if (panels == 0) { print "no score_panel_avx2 instantiation found"; bad = 1 }
+            if (folds == 0) { print "no fold_avx2 instantiation found"; bad = 1 }
+            printf "%d score-panel and %d fold AVX2 instantiations checked\n", panels, folds
+            exit bad
+        }' || {
+        echo "codegen guard: a dispatched loop would not give the same bits, or lost its AVX2 build" >&2
+        exit 1
+    }
+fi
+
 echo "==> tier 1: cargo test --workspace -q --offline (SA_THREADS=1)"
 SA_THREADS=1 cargo test --workspace -q --offline
 
@@ -35,6 +77,15 @@ echo "==> differential kernel suite: blocked engine vs row-wise reference (SA_TH
 SA_THREADS=1 cargo test -q --offline --test kernel_equivalence
 SA_THREADS=3 cargo test -q --offline --test kernel_equivalence
 cargo test -q --offline --test kernel_equivalence
+
+echo "==> differential ISA leg at release codegen: baseline build vs AVX2 build vs oracles"
+# The two builds of an inner loop only differ once the optimiser
+# vectorises them, which a debug test binary never does: run the legs
+# that hold both builds to each other, to the row-wise reference and to
+# the verbatim old fold against the code that ships.
+cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
+cargo test -q --offline --release -p sa-tensor --lib softmax::tests::fold
+cargo test -q --offline --release -p sa-kernels --lib panels::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"
 # One key layout, three readers, each held bitwise to the path it

@@ -8,11 +8,11 @@ use sample_attention::core::SampleAttentionConfig;
 use sample_attention::kernels::{
     attention_probs, flash_attention, flash_attention_prepared, full_attention,
     masked_attention_dense, sparse_flash_attention, sparse_flash_attention_blocked,
-    sparse_flash_attention_prepared, sparse_flash_attention_tiled, FlashParams, KeyPanels,
-    PreparedKeys, StructuredMask, TiledMask,
+    sparse_flash_attention_prepared, sparse_flash_attention_prepared_on,
+    sparse_flash_attention_tiled, FlashParams, KeyPanels, PreparedKeys, StructuredMask, TiledMask,
 };
 use sample_attention::tensor::check::run_cases;
-use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Matrix};
+use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Isa, Matrix};
 
 fn qkv(s_q: usize, s_k: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
     let mut rng = DeterministicRng::new(seed);
@@ -451,6 +451,61 @@ fn decode_row_blocks_on_resident_panels_match_reference() {
     }
 }
 
+/// The long-context case: 8K rows, every kind of key.
+fn long_context_mask() -> StructuredMask {
+    let s = 8192;
+    StructuredMask::builder(s, s)
+        .window(48)
+        .sinks(4)
+        .columns(vec![64, 1000, 4096])
+        .diagonals(vec![512])
+        .dense_tail_rows(32)
+        .build()
+        .unwrap()
+}
+
+/// The two inner loops (score panel, fold) are each compiled twice, for
+/// the baseline instruction set and for AVX2, and the CPU picks. Both
+/// builds run the same per-lane arithmetic, so the whole engine on either
+/// must equal the other and the row-wise reference bit for bit: on every
+/// named pattern, on decode-shaped blocks of 1..4 rows, and at 8K. On a
+/// CPU without AVX2 only the baseline build exists and only it runs.
+#[test]
+fn engine_bitwise_identical_on_every_isa() {
+    let builds = Isa::every();
+    if builds.len() == 1 {
+        println!(
+            "this CPU lacks AVX2: AVX2 side skipped, baseline build held to the reference only"
+        );
+    }
+    let decode_blocks = (1..=4usize).map(|s_q| {
+        let mask = StructuredMask::builder(s_q, 150)
+            .window(20)
+            .sinks(2)
+            .columns((0..70).map(|i| 3 + i).collect())
+            .build()
+            .unwrap();
+        ("decode_row_block", mask)
+    });
+    let cases = corner_case_masks()
+        .into_iter()
+        .chain(decode_blocks)
+        .chain([("long_context", long_context_mask())]);
+    for (name, mask) in cases {
+        // d = 40: one whole 32-column chunk of the fold plus its tail.
+        let (q, k, v) = qkv(mask.s_q(), mask.s_k(), 40, 0x15A);
+        let panels = KeyPanels::from_rows(&k);
+        let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
+        for &isa in &builds {
+            let label = format!("{name} s_q={} on {}", mask.s_q(), isa.name());
+            let keys = PreparedKeys::new(&k, &panels);
+            let engine = sparse_flash_attention_prepared_on(isa, &q, keys, &v, &mask).unwrap();
+            assert_bitwise(&label, &engine.output, &reference.output);
+            assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");
+        }
+    }
+}
+
 /// Long-context differential: an 8K-row structured mask. The dense
 /// reference is too big to materialise here; the row-wise kernel —
 /// itself proven against the dense oracle above — is the ground truth,
@@ -458,16 +513,7 @@ fn decode_row_blocks_on_resident_panels_match_reference() {
 /// accounting and an exact live-pair tally.
 #[test]
 fn engine_differential_at_long_context() {
-    let s = 8192;
-    let mask = StructuredMask::builder(s, s)
-        .window(48)
-        .sinks(4)
-        .columns(vec![64, 1000, 4096])
-        .diagonals(vec![512])
-        .dense_tail_rows(32)
-        .build()
-        .unwrap();
-    assert_engine_matches_reference("long context", &mask, 8, 0x8192);
+    assert_engine_matches_reference("long context", &long_context_mask(), 8, 0x8192);
 }
 
 /// Mask bookkeeping: nnz equals the dense materialisation's count and
