@@ -78,14 +78,25 @@ impl KeyPanels {
     /// Returns [`TensorError::ShapeMismatch`] if the row width differs
     /// from the panels' key width.
     pub fn append(&mut self, k_new: &Matrix) -> Result<(), TensorError> {
-        if k_new.cols() != self.d {
+        self.append_from(k_new, 0)
+    }
+
+    /// Appends the rows `first_row..` of `k` as the next keys: how an
+    /// owner of a growing key matrix brings its panels level with it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the row width differs
+    /// from the panels' key width.
+    pub fn append_from(&mut self, k: &Matrix, first_row: usize) -> Result<(), TensorError> {
+        if k.cols() != self.d {
             return Err(TensorError::ShapeMismatch {
                 op: "KeyPanels::append",
-                lhs: k_new.shape(),
+                lhs: k.shape(),
                 rhs: (self.keys, self.d),
             });
         }
-        self.push((0..k_new.rows()).map(|j| k_new.row(j)));
+        self.push((first_row..k.rows()).map(|j| k.row(j)));
         Ok(())
     }
 

@@ -24,7 +24,9 @@
 //! `content_dim` output dimensions, so attention outputs are decodable
 //! mixtures of token embeddings.
 
-use sa_tensor::{DeterministicRng, Matrix};
+use std::ops::Range;
+
+use sa_tensor::{DeterministicRng, Matrix, PackedWeights, TensorError};
 
 use crate::ModelConfig;
 
@@ -136,17 +138,53 @@ pub struct HeadProjections {
 /// group uses (weighted by the group maximum), and each query projection
 /// selects its own archetype mix — so group members see the same keys but
 /// express different patterns, as GQA models do.
+///
+/// The weights are packed once, here, side by side as
+/// `[wq_0 | … | wq_{n-1} | wk | wv]`: every projection of the group is a
+/// column range of one [`PackedWeights`], and ranges that share an input
+/// (K and V) come out of one GEMM call.
 #[derive(Debug, Clone)]
 pub struct GroupProjections {
-    /// One query projection per head in the group.
-    pub wqs: Vec<Matrix>,
-    /// The shared key projection.
-    pub wk: Matrix,
-    /// The shared (content-copying) value projection.
-    pub wv: Matrix,
+    packed: PackedWeights,
+    /// Query heads in the group.
+    heads: usize,
 }
 
 impl GroupProjections {
+    /// All of the group's projections in the layout
+    /// [`sa_tensor::matmul_packed_cols`] reads.
+    pub fn packed(&self) -> &PackedWeights {
+        &self.packed
+    }
+
+    /// Width of every projection: the packed columns are the query heads'
+    /// projections, then the key's, then the value's.
+    fn head_dim(&self) -> usize {
+        self.packed.cols() / (self.heads + 2)
+    }
+
+    /// The packed columns of query head `local`'s projection.
+    pub fn q_cols(&self, local: usize) -> Range<usize> {
+        local * self.head_dim()..(local + 1) * self.head_dim()
+    }
+
+    /// The packed columns of the shared key projection.
+    pub fn k_cols(&self) -> Range<usize> {
+        self.q_cols(self.heads)
+    }
+
+    /// The packed columns of the shared (content-copying) value
+    /// projection.
+    pub fn v_cols(&self) -> Range<usize> {
+        self.q_cols(self.heads + 1)
+    }
+
+    /// The packed columns of key and value together: each output row is
+    /// the key, then the value.
+    pub fn kv_cols(&self) -> Range<usize> {
+        self.k_cols().start..self.v_cols().end
+    }
+
     /// Generates group projections for the given per-query-head
     /// archetypes.
     ///
@@ -154,11 +192,32 @@ impl GroupProjections {
     ///
     /// Panics if `archetypes` is empty or `config.head_dim / 2` cannot
     /// hold the content or positional subspaces.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NonFinite`] if the configured gains
+    /// overflow a weight: the packed GEMM takes finite weights only.
     pub fn generate(
         config: &ModelConfig,
         archetypes: &[HeadArchetype],
         rng: &mut DeterministicRng,
-    ) -> Self {
+    ) -> Result<Self, TensorError> {
+        let (wqs, wk, wv) = Self::weights(config, archetypes, rng);
+        let mut parts: Vec<&Matrix> = wqs.iter().collect();
+        parts.extend([&wk, &wv]);
+        Ok(GroupProjections {
+            packed: PackedWeights::pack(&parts)?,
+            heads: wqs.len(),
+        })
+    }
+
+    /// The query projections, key projection and value projection of one GQA
+    /// group whose query heads have the given archetypes, unpacked.
+    pub(crate) fn weights(
+        config: &ModelConfig,
+        archetypes: &[HeadArchetype],
+        rng: &mut DeterministicRng,
+    ) -> (Vec<Matrix>, Matrix, Matrix) {
         assert!(!archetypes.is_empty(), "group must have at least one head");
         let dc = config.content_dim;
         let dp = config.pos_dim;
@@ -288,7 +347,7 @@ impl GroupProjections {
             wv.set(i, i, 1.0);
         }
 
-        GroupProjections { wqs, wk, wv }
+        (wqs, wk, wv)
     }
 }
 
@@ -305,11 +364,11 @@ impl HeadProjections {
         archetype: HeadArchetype,
         rng: &mut DeterministicRng,
     ) -> Self {
-        let group = GroupProjections::generate(config, std::slice::from_ref(&archetype), rng);
+        let (wqs, wk, wv) = GroupProjections::weights(config, std::slice::from_ref(&archetype), rng);
         HeadProjections {
-            wq: group.wqs.into_iter().next().expect("one head"),
-            wk: group.wk,
-            wv: group.wv,
+            wq: wqs.into_iter().next().expect("one head"),
+            wk,
+            wv,
         }
     }
 }

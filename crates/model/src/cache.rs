@@ -9,7 +9,8 @@
 //!
 //! Each head's K is also held as [`KeyPanels`], the layout the attention
 //! engine scores against, kept in step at the three places K changes
-//! ([`append`](LayerKvCache::append), `replace`, `from_parts`): every
+//! ([`append`](LayerKvCache::append) and its fused twin, `replace`,
+//! `from_parts`): every
 //! query head of the group, every later chunk and every decode step
 //! reads the same panels instead of transposing K again.
 
@@ -163,22 +164,60 @@ impl LayerKvCache {
                 rhs: v_new.shape(),
             });
         }
+        self.push_rows(
+            kv_head,
+            (0..k_new.rows()).map(|i| (k_new.row(i), v_new.row(i))),
+        )
+    }
+
+    /// Appends new rows for a KV head from one matrix whose rows each
+    /// hold the key, then the value — the shape a fused K|V projection
+    /// produces, cached without splitting it first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless the rows are two
+    /// head dimensions wide.
+    pub(crate) fn append_fused(&mut self, kv_head: usize, kv_new: &Matrix) -> Result<(), TensorError> {
+        if kv_new.cols() != 2 * self.head_dim {
+            return Err(TensorError::ShapeMismatch {
+                op: "LayerKvCache::append_fused",
+                lhs: kv_new.shape(),
+                rhs: (self.head_dim, self.head_dim),
+            });
+        }
         let head_dim = self.head_dim;
-        let grow = |dst: &mut Matrix, src: &Matrix| {
-            let old_rows = dst.rows();
-            let mut data = std::mem::take(dst).into_vec();
-            data.extend_from_slice(src.as_slice());
-            *dst = Matrix::from_vec(old_rows + src.rows(), head_dim, data)
-                .expect("dimensions consistent by construction");
-        };
+        self.push_rows(
+            kv_head,
+            (0..kv_new.rows()).map(|i| kv_new.row(i).split_at(head_dim)),
+        )
+    }
+
+    /// Appends `(key, value)` rows, each `head_dim` wide, to a KV head.
+    fn push_rows<'a>(
+        &mut self,
+        kv_head: usize,
+        rows: impl ExactSizeIterator<Item = (&'a [f32], &'a [f32])>,
+    ) -> Result<(), TensorError> {
         if kv_head == 0 {
-            self.seen += k_new.rows();
+            self.seen += rows.len();
         }
         let entry = &mut self.entries[kv_head];
-        grow(&mut entry.k, k_new);
-        grow(&mut entry.v, v_new);
-        entry.panels.append(k_new)?;
-        Ok(())
+        let old_rows = entry.k.rows();
+        let new_rows = old_rows + rows.len();
+        let mut k = std::mem::take(&mut entry.k).into_vec();
+        let mut v = std::mem::take(&mut entry.v).into_vec();
+        k.reserve(rows.len() * self.head_dim);
+        v.reserve(rows.len() * self.head_dim);
+        for (k_row, v_row) in rows {
+            k.extend_from_slice(k_row);
+            v.extend_from_slice(v_row);
+        }
+        entry.k = Matrix::from_vec(new_rows, self.head_dim, k)
+            .expect("dimensions consistent by construction");
+        entry.v = Matrix::from_vec(new_rows, self.head_dim, v)
+            .expect("dimensions consistent by construction");
+        entry.panels.append_from(&entry.k, old_rows)
     }
 }
 
@@ -224,6 +263,31 @@ mod tests {
         c.replace(0, kept.clone(), kept.clone());
         same(&c);
         same(&LayerKvCache::from_parts(vec![(kept.clone(), kept)], 4, 71));
+    }
+
+    #[test]
+    fn fused_append_equals_split_append() {
+        let k = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
+        let v = Matrix::from_fn(70, 4, |i, j| -((i + 3 * j) as f32));
+        let kv = Matrix::from_fn(70, 8, |i, j| if j < 4 { k.get(i, j) } else { v.get(i, j - 4) });
+        let mut split = LayerKvCache::new(2, 4);
+        let mut fused = LayerKvCache::new(2, 4);
+        for (start, end) in [(0, 33), (33, 34), (34, 70)] {
+            for head in 0..2 {
+                split
+                    .append(head, &k.slice_rows(start, end).unwrap(), &v.slice_rows(start, end).unwrap())
+                    .unwrap();
+                fused.append_fused(head, &kv.slice_rows(start, end).unwrap()).unwrap();
+            }
+        }
+        assert_eq!(fused.seen(), 70);
+        assert_eq!(fused.seen(), split.seen());
+        for head in 0..2 {
+            assert_eq!(fused.head(head), split.head(head));
+            let (keys, _) = fused.prepared(head);
+            assert_eq!(keys.panels().as_slice(), KeyPanels::from_rows(&k).as_slice());
+        }
+        assert!(fused.append_fused(0, &k).is_err());
     }
 
     #[test]

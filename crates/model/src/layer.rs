@@ -5,7 +5,7 @@ use sa_baselines::{AttentionMethod, FullAttention};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{apply_rope_partial, RopeConfig};
 use sa_kernels::{CostReport, KeyPanels, PreparedKeys};
-use sa_tensor::{matmul, pool, DeterministicRng, Matrix, TensorError};
+use sa_tensor::{matmul_packed_cols, pool, DeterministicRng, Matrix, TensorError};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
 
@@ -68,7 +68,8 @@ impl AttentionLayer {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] if the config fails
-    /// validation.
+    /// validation, and [`TensorError::NonFinite`] if it yields a
+    /// non-finite weight.
     pub fn generate(
         config: &ModelConfig,
         layer_index: usize,
@@ -85,7 +86,7 @@ impl AttentionLayer {
                 let slice = &archetypes[g * group_size..(g + 1) * group_size];
                 GroupProjections::generate(config, slice, rng)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let hidden = config.hidden_dim();
         Ok(AttentionLayer {
             layer_index,
@@ -96,7 +97,7 @@ impl AttentionLayer {
             rotary_dims: config.head_dim / 2,
             residual_gain: config.residual_gain,
             pre_mlp_norm: RmsNorm::jittered(hidden, rng),
-            mlp: SwigluMlp::generate(hidden, 2 * hidden, rng),
+            mlp: SwigluMlp::generate(hidden, 2 * hidden, rng)?,
             content_dim: config.content_dim,
         })
     }
@@ -134,11 +135,9 @@ impl AttentionLayer {
         head: usize,
     ) -> Result<(Matrix, Matrix, Matrix), TensorError> {
         let group = &self.groups[self.gqa.kv_head_for(head)];
-        let wq = &group.wqs[head % self.gqa.group_size()];
-        let mut q = matmul(hidden, wq)?;
-        let mut k = matmul(hidden, &group.wk)?;
-        let v = matmul(hidden, &group.wv)?;
-        apply_rope_partial(&mut q, self.rotary_dims, 0, self.rope)?;
+        let q = self.project_q(hidden, head, 0)?;
+        let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
+        let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
         apply_rope_partial(&mut k, self.rotary_dims, 0, self.rope)?;
         Ok((q, k, v))
     }
@@ -221,9 +220,8 @@ impl AttentionLayer {
         let dense = FullAttention::new();
         let group_outputs = pool::try_parallel_map("layer_heads", self.groups.len(), 1, |g| {
             let mut q_block = Matrix::zeros(group_size, cache.head_dim());
-            for (local, wq) in self.groups[g].wqs.iter().enumerate() {
-                let mut q = matmul(hidden_row, wq)?;
-                apply_rope_partial(&mut q, self.rotary_dims, offset, self.rope)?;
+            for local in 0..group_size {
+                let q = self.project_q(hidden_row, g * group_size + local, offset)?;
                 q_block.row_mut(local).copy_from_slice(q.row(0));
             }
             let (keys, v_all) = cache.prepared(g);
@@ -240,7 +238,8 @@ impl AttentionLayer {
     }
 
     /// Projects `hidden_rows` into KV group `g`'s K (RoPE applied at
-    /// `offset`) and V and appends them to `cache`.
+    /// `offset`) and V — one GEMM call, each output row the key then the
+    /// value — and appends them to `cache`.
     fn append_kv(
         &self,
         g: usize,
@@ -250,11 +249,12 @@ impl AttentionLayer {
         cost: &mut CostReport,
     ) -> Result<(), TensorError> {
         let group = &self.groups[g];
-        let mut k_new = matmul(hidden_rows, &group.wk)?;
-        let v_new = matmul(hidden_rows, &group.wv)?;
-        apply_rope_partial(&mut k_new, self.rotary_dims, offset, self.rope)?;
-        cache.append(g, &k_new, &v_new)?;
-        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), k_new.cols(), 2));
+        let mut kv_new = matmul_packed_cols(hidden_rows, group.packed(), group.kv_cols())?;
+        // The rotary dimensions are the leading columns of the key, which
+        // leads the fused row.
+        apply_rope_partial(&mut kv_new, self.rotary_dims, offset, self.rope)?;
+        cache.append_fused(g, &kv_new)?;
+        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), kv_new.cols() / 2, 2));
         Ok(())
     }
 
@@ -272,7 +272,6 @@ impl AttentionLayer {
         heads: &mut HeadFold,
     ) -> Result<(), TensorError> {
         let n = hidden_rows.rows();
-        let group = &self.groups[g];
         let group_size = self.gqa.group_size();
         // Heads of a group are independent given the shared K/V, so they
         // run on the worker pool; the fold below stays serial and in head
@@ -283,8 +282,7 @@ impl AttentionLayer {
             let _span = sa_trace::span_labeled("model", "head", || {
                 format!("L{}.H{head}", self.layer_index)
             });
-            let mut q = matmul(hidden_rows, &group.wqs[local])?;
-            apply_rope_partial(&mut q, self.rotary_dims, offset, self.rope)?;
+            let q = self.project_q(hidden_rows, head, offset)?;
             let proj = projection_cost(n, hidden_rows.cols(), q.cols(), 1);
             let out = method.forward_head(self.layer_index, head, &q, keys, v)?;
             Ok::<_, TensorError>((proj, out))
@@ -350,8 +348,8 @@ impl AttentionLayer {
         position_offset: usize,
     ) -> Result<Matrix, TensorError> {
         let group = &self.groups[self.gqa.kv_head_for(head)];
-        let wq = &group.wqs[head % self.gqa.group_size()];
-        let mut q = matmul(hidden_rows, wq)?;
+        let cols = group.q_cols(head % self.gqa.group_size());
+        let mut q = matmul_packed_cols(hidden_rows, group.packed(), cols)?;
         apply_rope_partial(&mut q, self.rotary_dims, position_offset, self.rope)?;
         Ok(q)
     }
@@ -377,8 +375,11 @@ impl AttentionLayer {
 
         for g in 0..self.groups.len() {
             let group = &self.groups[g];
-            let mut k = matmul(hidden, &group.wk)?;
-            let v = matmul(hidden, &group.wv)?;
+            // K and V stay two calls here: the engine takes each as a
+            // matrix of its own, and splitting a fused product would
+            // copy both.
+            let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
+            let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
             apply_rope_partial(&mut k, self.rotary_dims, 0, self.rope)?;
             heads.cost.merge(&projection_cost(s, hidden.cols(), k.cols(), 2));
             // One transpose serves every query head of the group.
@@ -453,6 +454,8 @@ fn projection_cost(s: usize, d_in: usize, d_out: usize, n_mats: u64) -> CostRepo
 mod tests {
     use super::*;
     use crate::{ModelConfig, TokenEmbedder, BOS_TOKEN};
+    use sa_baselines::SampleAttentionMethod;
+    use sa_tensor::matmul;
 
     fn layer_and_hidden(seed: u64) -> (AttentionLayer, Matrix, ModelConfig) {
         let config = ModelConfig::tiny(seed);
@@ -501,6 +504,123 @@ mod tests {
         assert_eq!(grouped.head(1), per_head.head(1));
         // A decode step is one position.
         assert!(layer.forward_decode(&prompt, &mut grouped).is_err());
+    }
+
+    /// Each KV group's `(wqs, wk, wv)`, unpacked, of the layer
+    /// `layer_and_hidden(seed)` built: the same draws, replayed.
+    fn unpacked_weights(
+        layer: &AttentionLayer,
+        config: &ModelConfig,
+        seed: u64,
+    ) -> Vec<(Vec<Matrix>, Matrix, Matrix)> {
+        let mut rng = DeterministicRng::new(seed);
+        layer
+            .archetypes
+            .chunks(layer.gqa.group_size())
+            .map(|group| GroupProjections::weights(config, group, &mut rng))
+            .collect()
+    }
+
+    /// The layer's incremental forward with every projection through the
+    /// scalar `matmul` on the unpacked `weights`, K and V projected and
+    /// cached apart, heads in a serial loop. (The MLP has its own scalar
+    /// oracle in `mlp.rs`.)
+    fn oracle_incremental(
+        layer: &AttentionLayer,
+        weights: &[(Vec<Matrix>, Matrix, Matrix)],
+        hidden_rows: &Matrix,
+        cache: &mut LayerKvCache,
+        method: &dyn AttentionMethod,
+    ) -> (Matrix, Vec<Matrix>) {
+        let offset = cache.seen();
+        let group_size = layer.gqa.group_size();
+        let mut heads = HeadFold::new(hidden_rows.rows(), layer.content_dim, layer.num_heads());
+        for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
+            let mut k_new = matmul(hidden_rows, wk).unwrap();
+            let v_new = matmul(hidden_rows, wv).unwrap();
+            apply_rope_partial(&mut k_new, layer.rotary_dims, offset, layer.rope).unwrap();
+            cache.append(g, &k_new, &v_new).unwrap();
+            let (keys, v_all) = cache.prepared(g);
+            for (local, wq) in wqs.iter().enumerate() {
+                let mut q = matmul(hidden_rows, wq).unwrap();
+                apply_rope_partial(&mut q, layer.rotary_dims, offset, layer.rope).unwrap();
+                let out = method
+                    .forward_head(layer.layer_index, g * group_size + local, &q, keys, v_all)
+                    .unwrap();
+                heads.fold_head(&out.output, 0);
+            }
+        }
+        let hidden = layer
+            .apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)
+            .unwrap();
+        (hidden, heads.head_contents)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_bits(label: &str, got: (&Matrix, &[Matrix]), want: (&Matrix, &[Matrix])) {
+        assert_eq!(bits(got.0), bits(want.0), "{label}: residual stream");
+        assert_eq!(got.1.len(), want.1.len(), "{label}: head count");
+        for (h, (g, w)) in got.1.iter().zip(want.1).enumerate() {
+            assert_eq!(bits(g), bits(w), "{label}: head {h} content");
+        }
+    }
+
+    #[test]
+    fn packed_projections_equal_the_scalar_matmul_oracle_bitwise() {
+        let (layer, hidden, config) = layer_and_hidden(8);
+        let weights = unpacked_weights(&layer, &config, 8);
+        // Prefill: 101 rows, one whole row block and a partial one.
+        let methods: [(&str, &dyn AttentionMethod); 2] = [
+            ("full", &FullAttention::new()),
+            ("sample", &SampleAttentionMethod::paper_default()),
+        ];
+        for (name, method) in methods {
+            let got = layer.forward_prefill(&hidden, method).unwrap();
+            let mut cache = layer.new_cache(config.head_dim);
+            let want = oracle_incremental(&layer, &weights, &hidden, &mut cache, method);
+            assert_same_bits(
+                &format!("prefill/{name}"),
+                (&got.hidden, &got.head_contents),
+                (&want.0, &want.1),
+            );
+        }
+        // A 64-row chunk, then the 32-row serving chunk, then one decode
+        // step, each on the cache the previous call left.
+        let dense = FullAttention::new();
+        let mut cache = layer.new_cache(config.head_dim);
+        let mut oracle_cache = layer.new_cache(config.head_dim);
+        for (start, end) in [(0, 64), (64, 96)] {
+            let rows = hidden.slice_rows(start, end).unwrap();
+            let got = layer.forward_incremental(&rows, &mut cache, &dense).unwrap();
+            let want = oracle_incremental(&layer, &weights, &rows, &mut oracle_cache, &dense);
+            assert_same_bits(
+                &format!("chunk {start}..{end}"),
+                (&got.hidden, &got.head_contents),
+                (&want.0, &want.1),
+            );
+        }
+        let row = hidden.slice_rows(96, 97).unwrap();
+        let (got_hidden, got_contents) = layer.forward_decode(&row, &mut cache).unwrap();
+        let want = oracle_incremental(&layer, &weights, &row, &mut oracle_cache, &dense);
+        assert_same_bits("decode", (&got_hidden, &got_contents), (&want.0, &want.1));
+        for g in 0..cache.num_kv_heads() {
+            let ((k, v), (want_k, want_v)) = (cache.head(g), oracle_cache.head(g));
+            assert_eq!((bits(k), bits(v)), (bits(want_k), bits(want_v)), "cached K/V of group {g}");
+        }
+        // The analysis entry points read the same packed weights.
+        let (q, k, v) = layer.project_head(&hidden, 3).unwrap();
+        let (wqs, wk, wv) = &weights[layer.gqa.kv_head_for(3)];
+        let mut want_q = matmul(&hidden, &wqs[3 % layer.gqa.group_size()]).unwrap();
+        let mut want_k = matmul(&hidden, wk).unwrap();
+        apply_rope_partial(&mut want_q, layer.rotary_dims, 0, layer.rope).unwrap();
+        apply_rope_partial(&mut want_k, layer.rotary_dims, 0, layer.rope).unwrap();
+        assert_eq!(bits(&q), bits(&want_q));
+        assert_eq!(bits(&k), bits(&want_k));
+        assert_eq!(bits(&v), bits(&matmul(&hidden, wv).unwrap()));
+        assert_eq!(bits(&layer.project_q(&hidden, 3, 0).unwrap()), bits(&want_q));
     }
 
     #[test]

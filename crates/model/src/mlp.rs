@@ -7,14 +7,18 @@
 //! residual stream.
 
 use sa_kernels::CostReport;
-use sa_tensor::{matmul, DeterministicRng, Matrix, TensorError};
+use sa_tensor::{matmul_packed, DeterministicRng, Matrix, PackedWeights, TensorError};
 
 /// SwiGLU MLP: `down( silu(gate(x)) * up(x) )`.
+///
+/// The weights are packed once, at build: gate and up side by side, so
+/// one GEMM call over the input yields both.
 #[derive(Debug, Clone)]
 pub struct SwigluMlp {
-    w_gate: Matrix,
-    w_up: Matrix,
-    w_down: Matrix,
+    /// `[w_gate | w_up]`, `dim x 2 ffn_dim`.
+    gate_up: PackedWeights,
+    /// `w_down`, `ffn_dim x dim`.
+    down: PackedWeights,
 }
 
 impl SwigluMlp {
@@ -23,25 +27,48 @@ impl SwigluMlp {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn generate(dim: usize, ffn_dim: usize, rng: &mut DeterministicRng) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::NonFinite`] if a drawn weight is not
+    /// finite: the packed GEMM takes finite weights only.
+    pub fn generate(
+        dim: usize,
+        ffn_dim: usize,
+        rng: &mut DeterministicRng,
+    ) -> Result<Self, TensorError> {
+        let [w_gate, w_up, w_down] = Self::draw_weights(dim, ffn_dim, rng);
+        Ok(SwigluMlp {
+            gate_up: PackedWeights::pack(&[&w_gate, &w_up])?,
+            down: PackedWeights::pack(&[&w_down])?,
+        })
+    }
+
+    /// Draws the gate, up and down weights of a `(dim → ffn_dim → dim)`
+    /// block: what [`generate`](Self::generate) packs.
+    pub(crate) fn draw_weights(
+        dim: usize,
+        ffn_dim: usize,
+        rng: &mut DeterministicRng,
+    ) -> [Matrix; 3] {
         assert!(dim > 0 && ffn_dim > 0, "MLP dims must be nonzero");
         let s_in = 1.0 / (dim as f32).sqrt();
         let s_out = 1.0 / (ffn_dim as f32).sqrt();
-        SwigluMlp {
-            w_gate: rng.normal_matrix(dim, ffn_dim, s_in),
-            w_up: rng.normal_matrix(dim, ffn_dim, s_in),
-            w_down: rng.normal_matrix(ffn_dim, dim, s_out),
-        }
+        [
+            rng.normal_matrix(dim, ffn_dim, s_in),
+            rng.normal_matrix(dim, ffn_dim, s_in),
+            rng.normal_matrix(ffn_dim, dim, s_out),
+        ]
     }
 
     /// Input/output width.
     pub fn dim(&self) -> usize {
-        self.w_gate.rows()
+        self.gate_up.rows()
     }
 
     /// Hidden (FFN) width.
     pub fn ffn_dim(&self) -> usize {
-        self.w_gate.cols()
+        self.down.rows()
     }
 
     /// Forward pass with exact cost accounting.
@@ -50,12 +77,22 @@ impl SwigluMlp {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim()`.
     pub fn forward(&self, x: &Matrix) -> Result<(Matrix, CostReport), TensorError> {
-        let mut gate = matmul(x, &self.w_gate)?;
-        let up = matmul(x, &self.w_up)?;
-        for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-            *g = silu(*g) * u;
+        // Each row of the fused product is the gate, then the up
+        // projection. `silu(gate) * up` is written back into the same
+        // buffer, compacted to `ffn_dim` floats a row: element `(i, j)`
+        // lands at or below both of its sources and below every source
+        // of a later element, so nothing is overwritten before it is
+        // read.
+        let f = self.ffn_dim();
+        let mut hidden = matmul_packed(x, &self.gate_up)?.into_vec();
+        for i in 0..x.rows() {
+            for j in 0..f {
+                hidden[i * f + j] = silu(hidden[2 * i * f + j]) * hidden[(2 * i + 1) * f + j];
+            }
         }
-        let out = matmul(&gate, &self.w_down)?;
+        hidden.truncate(x.rows() * f);
+        let hidden = Matrix::from_vec(x.rows(), f, hidden)?;
+        let out = matmul_packed(&hidden, &self.down)?;
 
         let s = x.rows() as u64;
         let d = self.dim() as u64;
@@ -78,11 +115,12 @@ fn silu(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sa_tensor::matmul;
 
     #[test]
     fn forward_shape_and_cost() {
         let mut rng = DeterministicRng::new(1);
-        let mlp = SwigluMlp::generate(16, 48, &mut rng);
+        let mlp = SwigluMlp::generate(16, 48, &mut rng).unwrap();
         assert_eq!(mlp.dim(), 16);
         assert_eq!(mlp.ffn_dim(), 48);
         let x = rng.normal_matrix(10, 16, 1.0);
@@ -93,10 +131,30 @@ mod tests {
     }
 
     #[test]
+    fn forward_equals_the_scalar_matmul_oracle_bitwise() {
+        // Same draws, unpacked, through the scalar GEMM and a separate
+        // activation buffer; 70 rows cross a row block, 1 is decode.
+        let mlp = SwigluMlp::generate(12, 40, &mut DeterministicRng::new(9)).unwrap();
+        let [w_gate, w_up, w_down] = SwigluMlp::draw_weights(12, 40, &mut DeterministicRng::new(9));
+        for rows in [1, 32, 70] {
+            let x = DeterministicRng::new(rows as u64).normal_matrix(rows, 12, 1.0);
+            let mut gate = matmul(&x, &w_gate).unwrap();
+            let up = matmul(&x, &w_up).unwrap();
+            for (g, &u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                *g = silu(*g) * u;
+            }
+            let want = matmul(&gate, &w_down).unwrap();
+            let (got, _) = mlp.forward(&x).unwrap();
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{rows} rows");
+        }
+    }
+
+    #[test]
     fn output_bounded_relative_to_input() {
         // Small random weights → output norm comparable to input norm.
         let mut rng = DeterministicRng::new(2);
-        let mlp = SwigluMlp::generate(32, 96, &mut rng);
+        let mlp = SwigluMlp::generate(32, 96, &mut rng).unwrap();
         let x = rng.normal_matrix(20, 32, 1.0);
         let (out, _) = mlp.forward(&x).unwrap();
         let rx = x.frobenius_norm();
@@ -115,7 +173,7 @@ mod tests {
     #[test]
     fn cost_scales_linearly_with_rows() {
         let mut rng = DeterministicRng::new(3);
-        let mlp = SwigluMlp::generate(8, 16, &mut rng);
+        let mlp = SwigluMlp::generate(8, 16, &mut rng).unwrap();
         let x1 = rng.normal_matrix(5, 8, 1.0);
         let x2 = rng.normal_matrix(10, 8, 1.0);
         let (_, c1) = mlp.forward(&x1).unwrap();
@@ -126,7 +184,7 @@ mod tests {
     #[test]
     fn shape_mismatch_rejected() {
         let mut rng = DeterministicRng::new(4);
-        let mlp = SwigluMlp::generate(8, 16, &mut rng);
+        let mlp = SwigluMlp::generate(8, 16, &mut rng).unwrap();
         let x = Matrix::zeros(3, 9);
         assert!(mlp.forward(&x).is_err());
     }

@@ -39,6 +39,7 @@ pub mod fault;
 mod isa;
 mod matrix;
 mod matmul;
+mod packed;
 pub mod pool;
 mod reduce;
 mod rng;
@@ -60,6 +61,7 @@ pub use error::{SaError, TensorError};
 pub use isa::{isa_name, Isa};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
+pub use packed::{matmul_packed, matmul_packed_cols, PackedWeights};
 pub use reduce::{
     col_mean, col_sum, row_l1_norms, row_max, row_min, row_sum, scale_rows_in_place,
 };

@@ -1,0 +1,458 @@
+//! Packed weights: the one layout the projection GEMM reads.
+//!
+//! A weight matrix `B (k x n)` is stored once, at model build, as column
+//! panels of [`LANES`] lanes: panel `p` holds `bt[kk][t] = B[kk][p *
+//! LANES + t]`, zero where a lane has no column. An output element is
+//! then `acc[t] += a[kk] * bt[kk][t]` over `kk` in index order from
+//! `0.0` — the products [`matmul`](crate::matmul) sums, in its order —
+//! while neighbouring lanes and rows are independent, so a few rows by
+//! one panel sit in vector registers for the whole `kk` loop and plain
+//! Rust autovectorises across `t`.
+//!
+//! As for the engine's inner loops (see [`Isa`]), the arithmetic keeps
+//! the bits, not the instruction set: no fused multiply-add, no
+//! reassociation, no intrinsics, one body compiled for the baseline ISA
+//! and for AVX2. The one thing the scalar oracle does that this kernel
+//! does not is skip `a[kk] == 0.0`. The skipped term is `±0.0` whenever
+//! `B[kk][j]` is finite, and adding `±0.0` to a sum that started at
+//! `+0.0` never changes it (such a sum is never `-0.0`), so the results
+//! are the same bits for finite weights; [`PackedWeights::pack`] refuses
+//! any other.
+//!
+//! Output rows are partitioned across the pool in whole
+//! [`GEMM_BLOCK`]-row blocks, a function of the shape alone: a call of at
+//! most one block runs on the caller's thread.
+
+use std::ops::Range;
+
+use crate::{pool, Isa, Matrix, TensorError, GEMM_BLOCK};
+
+/// Columns per weight panel: one row of a panel is two AVX2 registers,
+/// four at baseline x86-64.
+const LANES: usize = 16;
+
+/// A `k x n` weight matrix — or several with the same `k`, side by side —
+/// in the panel layout [`matmul_packed`] reads. All entries are finite.
+#[derive(Debug, Clone)]
+pub struct PackedWeights {
+    /// `cols.div_ceil(LANES)` panels of `rows * LANES` floats.
+    data: Vec<f32>,
+    rows: usize,
+    cols: usize,
+}
+
+impl PackedWeights {
+    /// Packs `parts` side by side: the result is the weight matrix whose
+    /// columns are those of `parts[0]`, then `parts[1]`, and so on, so
+    /// one GEMM call can serve projections that share an input.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if the parts differ in row
+    /// count and [`TensorError::NonFinite`] if any entry is NaN or
+    /// infinite (the kernel's bit-equality with [`matmul`](crate::matmul)
+    /// rests on finite weights).
+    pub fn pack(parts: &[&Matrix]) -> Result<Self, TensorError> {
+        let rows = parts.first().map_or(0, |b| b.rows());
+        let mut cols = 0;
+        let mut non_finite = 0;
+        for b in parts {
+            if b.rows() != rows {
+                return Err(TensorError::ShapeMismatch {
+                    op: "PackedWeights::pack",
+                    lhs: (rows, cols),
+                    rhs: b.shape(),
+                });
+            }
+            cols += b.cols();
+            non_finite += b.as_slice().iter().filter(|x| !x.is_finite()).count();
+        }
+        if non_finite > 0 {
+            return Err(TensorError::NonFinite {
+                stage: "packed_weights",
+                head: None,
+                count: non_finite,
+            });
+        }
+        let stride = rows * LANES;
+        let mut data = vec![0.0f32; cols.div_ceil(LANES) * stride];
+        let mut col0 = 0;
+        for b in parts {
+            for kk in 0..rows {
+                for (j, &x) in (col0..).zip(b.row(kk)) {
+                    data[j / LANES * stride + kk * LANES + j % LANES] = x;
+                }
+            }
+            col0 += b.cols();
+        }
+        Ok(PackedWeights { data, rows, cols })
+    }
+
+    /// Rows of the weight matrix: the input width `k`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Columns of the weight matrix: the output width `n`, all parts.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+}
+
+/// Computes `A * B` for packed `B`: bit for bit what
+/// [`matmul`](crate::matmul) returns for the unpacked weights.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != w.rows()`.
+pub fn matmul_packed(a: &Matrix, w: &PackedWeights) -> Result<Matrix, TensorError> {
+    matmul_packed_cols(a, w, 0..w.cols())
+}
+
+/// Computes the columns `cols` of `A * B` for packed `B`, as an
+/// `(a.rows(), cols.len())` matrix: one projection out of several packed
+/// side by side, or a run of them.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `a.cols() != w.rows()` and
+/// [`TensorError::IndexOutOfBounds`] if `cols` does not lie within
+/// `0..w.cols()`.
+pub fn matmul_packed_cols(
+    a: &Matrix,
+    w: &PackedWeights,
+    cols: Range<usize>,
+) -> Result<Matrix, TensorError> {
+    if a.cols() != w.rows {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_packed",
+            lhs: a.shape(),
+            rhs: (w.rows, w.cols),
+        });
+    }
+    if cols.end > w.cols || cols.start > cols.end {
+        return Err(TensorError::IndexOutOfBounds {
+            op: "matmul_packed",
+            index: cols.end.max(cols.start),
+            bound: w.cols + 1,
+        });
+    }
+    Ok(packed_product(Isa::detect(), a, w, cols))
+}
+
+/// The checked product on the build `isa` names.
+fn packed_product(isa: Isa, a: &Matrix, w: &PackedWeights, cols: Range<usize>) -> Matrix {
+    let mut out = Matrix::zeros(a.rows(), cols.len());
+    if out.is_empty() || w.rows == 0 {
+        return out;
+    }
+    let width = cols.len();
+    // Rows are independent and each is written by one worker, so the
+    // result does not depend on the thread count; whole blocks keep the
+    // A rows a worker streams against every panel resident in cache.
+    pool::parallel_for_rows(out.as_mut_slice(), width, GEMM_BLOCK, |row0, chunk| {
+        let a_rows = &a.as_slice()[row0 * w.rows..][..chunk.len() / width * w.rows];
+        gemm_rows(isa, a_rows, w, cols.clone(), chunk);
+    });
+    out
+}
+
+/// Fills `out`, the output rows matching the input rows `a`, on the
+/// build `isa` names.
+fn gemm_rows(isa: Isa, a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
+    match isa.avx2() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
+        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
+        true => unsafe { gemm_rows_avx2(a, w, cols, out) },
+        _ => gemm_rows_baseline(a, w, cols, out),
+    }
+}
+
+/// The GEMM compiled for the target's baseline instruction set: two rows
+/// of a panel are eight of baseline x86-64's 16 vector registers.
+fn gemm_rows_baseline(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
+    gemm_rows_body::<2>(a, w, cols, out);
+}
+
+/// The GEMM compiled with AVX2 (and nothing else: no `fma`): the same
+/// multiplies and adds per lane, eight lanes to a register, four rows of
+/// a panel in eight registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_rows_avx2(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
+    gemm_rows_body::<4>(a, w, cols, out);
+}
+
+/// The one body of the GEMM: per [`GEMM_BLOCK`]-row block and panel,
+/// `R x LANES` register tiles (single rows for what `R` does not
+/// divide). `R` only groups independent rows; it cannot change a bit.
+#[inline(always)]
+fn gemm_rows_body<const R: usize>(
+    a: &[f32],
+    w: &PackedWeights,
+    cols: Range<usize>,
+    out: &mut [f32],
+) {
+    let k = w.rows;
+    let width = cols.len();
+    for (a_block, out_block) in a
+        .chunks(GEMM_BLOCK * k)
+        .zip(out.chunks_mut(GEMM_BLOCK * width))
+    {
+        for p in cols.start / LANES..cols.end.div_ceil(LANES) {
+            let bt = &w.data[p * k * LANES..][..k * LANES];
+            // The panel's lanes inside `cols`, and where they land in an
+            // output row.
+            let lane0 = cols.start.max(p * LANES) - p * LANES;
+            let lane1 = cols.end.min((p + 1) * LANES) - p * LANES;
+            let at = p * LANES + lane0 - cols.start;
+            let store = |out_row: &mut [f32], acc_row: &[f32; LANES]| {
+                out_row[at..][..lane1 - lane0].copy_from_slice(&acc_row[lane0..lane1]);
+            };
+            let mut a_tiles = a_block.chunks_exact(R * k);
+            let mut out_tiles = out_block.chunks_exact_mut(R * width);
+            for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
+                let acc = tile::<R>(std::array::from_fn(|r| &a_tile[r * k..][..k]), bt);
+                for (out_row, acc_row) in out_tile.chunks_exact_mut(width).zip(&acc) {
+                    store(out_row, acc_row);
+                }
+            }
+            for (a_row, out_row) in a_tiles
+                .remainder()
+                .chunks_exact(k)
+                .zip(out_tiles.into_remainder().chunks_exact_mut(width))
+            {
+                let [acc] = tile::<1>([a_row], bt);
+                store(out_row, &acc);
+            }
+        }
+    }
+}
+
+/// `R` rows against one panel: `acc[r][t] += a[r][kk] * bt[kk][t]` in
+/// `kk` order from `0.0`. Constant-bound index loops over rows cut to `k`
+/// up front are the form that keeps `acc` in registers: the iterator
+/// spelling of the same loops compiles to scalar code at `R = 4`.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+fn tile<const R: usize>(a: [&[f32]; R], bt: &[f32]) -> [[f32; LANES]; R] {
+    let k = bt.len() / LANES;
+    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r][..k]);
+    let mut acc = [[0.0f32; LANES]; R];
+    for kk in 0..k {
+        let b = &bt[kk * LANES..][..LANES];
+        for r in 0..R {
+            let x = a[r][kk];
+            for t in 0..LANES {
+                acc[r][t] += x * b[t];
+            }
+        }
+    }
+    acc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pool::with_threads;
+    use crate::{matmul, DeterministicRng};
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random `m x k` input whose rows also carry the values the scalar
+    /// oracle treats specially: both zeros (its skip), `inf` and `NaN`.
+    fn input(rng: &mut DeterministicRng, m: usize, k: usize) -> Matrix {
+        let mut a = rng.normal_matrix(m, k, 1.0);
+        let specials = [0.0, -0.0, f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+        for i in 0..m {
+            // Row i gets special (i % 7) at column (3 i) % k; rows 5 and 6
+            // of every seven stay all-finite, every third row gets a
+            // second zero.
+            if let Some(&x) = specials.get(i % 7) {
+                a.set(i, (3 * i) % k, x);
+            }
+            if i % 3 == 0 {
+                a.set(i, (5 * i + 1) % k, 0.0);
+            }
+        }
+        a
+    }
+
+    /// Holds every build, at one thread and at three, to the scalar oracle
+    /// bit for bit.
+    fn assert_matches_oracle(a: &Matrix, b: &Matrix) {
+        let want = bits(&matmul(a, b).unwrap());
+        let w = PackedWeights::pack(&[b]).unwrap();
+        for isa in Isa::every() {
+            for threads in [1, 3] {
+                let got = with_threads(threads, || packed_product(isa, a, &w, 0..w.cols()));
+                assert_eq!(got.shape(), (a.rows(), b.cols()));
+                assert_eq!(
+                    bits(&got),
+                    want,
+                    "{:?} x {:?} on {} at {threads} threads",
+                    a.shape(),
+                    b.shape(),
+                    isa.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn packed_gemm_equals_scalar_matmul_bitwise() {
+        let mut rng = DeterministicRng::new(0x9ac4);
+        for m in [1, 3, 4, 5, 63, 64, 65] {
+            for k in [1, 108, 216] {
+                for n in [1, 15, 16, 17, 64, 108, 216] {
+                    let a = input(&mut rng, m, k);
+                    let b = rng.normal_matrix(k, n, 1.0);
+                    assert_matches_oracle(&a, &b);
+                }
+            }
+        }
+        // The prefill shapes: 64 whole blocks of rows.
+        for (k, n) in [(108, 216), (216, 108), (1, 17)] {
+            let a = input(&mut rng, 4096, k);
+            let b = rng.normal_matrix(k, n, 1.0);
+            assert_matches_oracle(&a, &b);
+        }
+    }
+
+    #[test]
+    fn zero_weights_and_zero_inputs_keep_the_oracle_bits() {
+        // Exact zeros on both sides: the oracle skips zero inputs, the
+        // kernel adds their signed-zero products.
+        let mut rng = DeterministicRng::new(7);
+        let mut a = rng.normal_matrix(9, 20, 1.0);
+        let mut b = rng.normal_matrix(20, 33, 1.0);
+        for i in 0..9 {
+            for kk in 0..20 {
+                if (i + kk) % 3 != 0 {
+                    a.set(i, kk, if kk % 2 == 0 { 0.0 } else { -0.0 });
+                }
+            }
+        }
+        for kk in 0..20 {
+            for j in 0..33 {
+                if (kk * j) % 4 == 0 {
+                    b.set(kk, j, if j % 2 == 0 { -0.0 } else { 0.0 });
+                }
+            }
+        }
+        assert_matches_oracle(&a, &b);
+        assert_matches_oracle(&Matrix::zeros(5, 20), &b);
+    }
+
+    #[test]
+    fn fused_parts_equal_each_part_alone() {
+        let mut rng = DeterministicRng::new(11);
+        let k = 37;
+        let parts: Vec<Matrix> = [15, 17, 64, 1, 16]
+            .iter()
+            .map(|&n| rng.normal_matrix(k, n, 1.0))
+            .collect();
+        let refs: Vec<&Matrix> = parts.iter().collect();
+        let fused = PackedWeights::pack(&refs).unwrap();
+        assert_eq!((fused.rows(), fused.cols()), (k, 113));
+        for m in [1, 5, 70] {
+            let a = input(&mut rng, m, k);
+            for isa in Isa::every() {
+                let whole = packed_product(isa, &a, &fused, 0..fused.cols());
+                let mut col0 = 0;
+                for b in &parts {
+                    let cols = col0..col0 + b.cols();
+                    let want = matmul(&a, b).unwrap();
+                    let alone = packed_product(isa, &a, &fused, cols.clone());
+                    assert_eq!(
+                        bits(&alone),
+                        bits(&want),
+                        "part at {cols:?} on {}",
+                        isa.name()
+                    );
+                    for i in 0..m {
+                        let fused_row: Vec<u32> = whole.row(i)[cols.clone()]
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect();
+                        let want_row: Vec<u32> = want.row(i).iter().map(|x| x.to_bits()).collect();
+                        assert_eq!(
+                            fused_row, want_row,
+                            "row {i} of the fused product at {cols:?}"
+                        );
+                    }
+                    col0 = cols.end;
+                }
+                // A run of parts that starts and ends off a panel edge.
+                let run = packed_product(isa, &a, &fused, 15..97);
+                for i in 0..m {
+                    assert_eq!(
+                        run.row(i).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        whole.row(i)[15..97]
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packing_rejects_non_finite_weights_and_ragged_parts() {
+        let mut b = Matrix::from_fn(4, 20, |i, j| (i + j) as f32);
+        assert!(PackedWeights::pack(&[&b]).is_ok());
+        b.set(1, 3, f32::NAN);
+        b.set(2, 19, f32::INFINITY);
+        b.set(3, 0, f32::NEG_INFINITY);
+        assert_eq!(
+            PackedWeights::pack(&[&Matrix::zeros(4, 2), &b]).unwrap_err(),
+            TensorError::NonFinite {
+                stage: "packed_weights",
+                head: None,
+                count: 3
+            }
+        );
+        assert!(matches!(
+            PackedWeights::pack(&[&Matrix::zeros(4, 2), &Matrix::zeros(5, 2)]),
+            Err(TensorError::ShapeMismatch {
+                op: "PackedWeights::pack",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn product_validates_shapes_and_column_ranges() {
+        let w = PackedWeights::pack(&[&Matrix::zeros(4, 20)]).unwrap();
+        assert!(matches!(
+            matmul_packed(&Matrix::zeros(3, 5), &w),
+            Err(TensorError::ShapeMismatch {
+                op: "matmul_packed",
+                ..
+            })
+        ));
+        let a = Matrix::zeros(3, 4);
+        assert!(matches!(
+            matmul_packed_cols(&a, &w, 4..21),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = 8..4;
+        assert!(matmul_packed_cols(&a, &w, reversed).is_err());
+        assert_eq!(matmul_packed_cols(&a, &w, 20..20).unwrap().shape(), (3, 0));
+        assert_eq!(
+            matmul_packed(&Matrix::zeros(0, 4), &w).unwrap().shape(),
+            (0, 20)
+        );
+        // No input width: every sum is the empty sum.
+        let empty = PackedWeights::pack(&[&Matrix::zeros(0, 6)]).unwrap();
+        assert_eq!(
+            matmul_packed(&Matrix::zeros(2, 0), &empty).unwrap(),
+            Matrix::zeros(2, 6)
+        );
+    }
+}

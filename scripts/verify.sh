@@ -16,13 +16,13 @@ echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
 echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds)"
-# The score panel and the fold are each one body compiled for the
-# baseline ISA and for AVX2 (DESIGN.md 5g). Their results are the same
-# bits only while no build fuses a multiply into an add, and the AVX2
-# build is only worth dispatching to while it really is 8 lanes wide.
-# sa-kernels holds every engine instantiation of both loops (the fold is
-# generic over the caller's closure, so it is compiled where it is
-# called); sa-tensor is scanned for FMA only.
+# The score panel, the fold and the packed-weight GEMM are each one body
+# compiled for the baseline ISA and for AVX2 (DESIGN.md 5g). Their
+# results are the same bits only while no build fuses a multiply into an
+# add, and the AVX2 build is only worth dispatching to while it really is
+# 8 lanes wide. sa-kernels holds every engine instantiation of the first
+# two (the fold is generic over the caller's closure, so it is compiled
+# where it is called); sa-tensor holds the GEMM.
 if [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86_64 host, only the baseline build exists"
 elif ! command -v objdump >/dev/null; then
@@ -36,7 +36,7 @@ else
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold)_avx2/) wide[sym] = 0
+            if (sym ~ /(score_panel|fold|gemm_rows)_avx2/) wide[sym] = 0
             next
         }
         /vfn?m(add|sub)/ { fused[sym]++ }
@@ -44,12 +44,15 @@ else
         END {
             for (s in fused) { print "FMA instruction in " s; bad = 1 }
             for (s in wide) {
-                if (s ~ /score_panel_avx2/) panels++; else folds++
+                if (s ~ /score_panel_avx2/) panels++
+                else if (s ~ /gemm_rows_avx2/) gemms++
+                else folds++
                 if (wide[s] == 0) { print "no ymm operand in " s; bad = 1 }
             }
             if (panels == 0) { print "no score_panel_avx2 instantiation found"; bad = 1 }
             if (folds == 0) { print "no fold_avx2 instantiation found"; bad = 1 }
-            printf "%d score-panel and %d fold AVX2 instantiations checked\n", panels, folds
+            if (gemms == 0) { print "no gemm_rows_avx2 instantiation found"; bad = 1 }
+            printf "%d score-panel, %d fold and %d packed-GEMM AVX2 instantiations checked\n", panels, folds, gemms
             exit bad
         }' || {
         echo "codegen guard: a dispatched loop would not give the same bits, or lost its AVX2 build" >&2
@@ -86,6 +89,7 @@ echo "==> differential ISA leg at release codegen: baseline build vs AVX2 build 
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
 cargo test -q --offline --release -p sa-tensor --lib softmax::tests::fold
 cargo test -q --offline --release -p sa-kernels --lib panels::tests
+cargo test -q --offline --release -p sa-tensor --lib packed::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"
 # One key layout, three readers, each held bitwise to the path it

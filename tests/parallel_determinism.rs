@@ -18,8 +18,8 @@ use sa_kernels::{
 };
 use sa_tensor::pool::with_threads;
 use sa_tensor::{
-    col_sum, matmul, matmul_transb, softmax_row, softmax_rows_in_place, DeterministicRng, Matrix,
-    StrideSample,
+    col_sum, matmul, matmul_packed, matmul_packed_cols, matmul_transb, softmax_row,
+    softmax_rows_in_place, DeterministicRng, Matrix, PackedWeights, StrideSample,
 };
 
 fn qkv(s: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
@@ -65,6 +65,47 @@ fn tensor_primitives_are_thread_invariant() {
         softmax_rows_in_place(&mut m);
         m
     });
+}
+
+#[test]
+fn packed_gemm_is_thread_invariant_and_equals_scalar_matmul() {
+    // The packed GEMM partitions output rows in whole 64-row blocks: 300
+    // rows are four blocks and a partial one, so 2, 3 and 5 workers each
+    // split them unevenly; 64 and 33 rows never leave the caller's thread.
+    // Every count must give the bits of the scalar oracle.
+    let mut rng = DeterministicRng::new(0xB16);
+    let (wk, wv) = (rng.normal_matrix(108, 64, 1.0), rng.normal_matrix(108, 64, 1.0));
+    let w_down = rng.normal_matrix(216, 108, 1.0);
+    let kv = PackedWeights::pack(&[&wk, &wv]).unwrap();
+    let down = PackedWeights::pack(&[&w_down]).unwrap();
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for rows in [300, 64, 33] {
+        let a = rng.normal_matrix(rows, 108, 1.0);
+        let h = rng.normal_matrix(rows, 216, 1.0);
+        let want = (
+            bits(&matmul(&a, &wk).unwrap()),
+            bits(&matmul(&a, &wv).unwrap()),
+            bits(&matmul(&h, &w_down).unwrap()),
+        );
+        let run = || {
+            (
+                bits(&matmul_packed_cols(&a, &kv, 0..64).unwrap()),
+                bits(&matmul_packed_cols(&a, &kv, 64..128).unwrap()),
+                bits(&matmul_packed(&h, &down).unwrap()),
+            )
+        };
+        for threads in [1usize, 2, 3, 5] {
+            assert_eq!(with_threads(threads, run), want, "{rows} rows at {threads} threads");
+        }
+        assert_eq!(run(), want, "{rows} rows at the session default");
+        // Fused, each row is the key then the value.
+        let fused = with_threads(3, || matmul_packed(&a, &kv).unwrap());
+        for i in 0..rows {
+            let row: Vec<u32> = fused.row(i).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(row[..64], want.0[i * 64..(i + 1) * 64]);
+            assert_eq!(row[64..], want.1[i * 64..(i + 1) * 64]);
+        }
+    }
 }
 
 #[test]
