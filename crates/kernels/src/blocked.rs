@@ -27,19 +27,28 @@
 //! blocks, each diagonal key on its own, the window in `BLOCK`-aligned
 //! key blocks. [`sparse_flash_attention`](crate::sparse_flash_attention),
 //! the row-wise reference, folds each row in exactly this partition with
-//! the same fold ([`sa_tensor::online_softmax_update`]), so the two agree
-//! bit for bit at every `SA_THREADS` and on every build of the inner
-//! loops ([`sa_tensor::Isa`]).
+//! the row form of the same fold ([`sa_tensor::online_softmax_update`];
+//! the engine hands whole tiles to
+//! [`sa_tensor::online_softmax_update_tile_on`], which is defined to
+//! leave the same bits), so the two agree bit for bit at every
+//! `SA_THREADS` and on every build of the inner loops
+//! ([`sa_tensor::Isa`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use sa_tensor::trace::{self, Gauge};
-use sa_tensor::{online_softmax_update_on, pool, Isa, Matrix, OnlineSoftmaxState, TensorError};
+use sa_tensor::{
+    online_softmax_update_on, online_softmax_update_tile_on, pool, Isa, Matrix, OnlineSoftmaxState,
+    TensorError, FOLD_KEYS,
+};
 
 use crate::cost::f32_bytes;
 use crate::panels::{KeyPanels, PreparedKeys, BLOCK};
 use crate::{score_scale, CostReport, StructuredMask};
+
+// A score tile row is one fold block.
+const _: () = assert!(BLOCK == FOLD_KEYS);
 
 /// Which keys each query row attends to.
 pub(crate) trait RowGeometry: Sync {
@@ -388,7 +397,7 @@ impl QueryBlock {
                     .iter()
                     .map(|&below| (0, below.saturating_sub(p * BLOCK).min(BLOCK))),
             );
-            self.score_and_fold(q, kt, p, scale, tally, |t| extra_v.row(p * BLOCK + t));
+            self.score_and_fold(q, kt, p, scale, tally, extra_v);
         }
     }
 
@@ -434,21 +443,21 @@ impl QueryBlock {
                 }
                 _ => (0, 0),
             }));
-            self.score_and_fold(q, kt, kb, scale, tally, |t| v.row(k0 + t));
+            self.score_and_fold(q, kt, kb, scale, tally, v);
         }
     }
 
     /// Scores the rows with live lanes against panel `p` of `kt`, two
-    /// rows per pass, then folds each row's live lanes into its state.
-    /// `value(t)` is the V row of lane `t`.
-    fn score_and_fold<'a>(
+    /// rows per pass, then folds the tile into the rows' states. Row
+    /// `p * BLOCK + t` of `values` is the V row of lane `t`.
+    fn score_and_fold(
         &mut self,
         q: &Matrix,
         kt: &KeyPanels,
         p: usize,
         scale: f32,
         tally: &mut Tally,
-        value: impl Fn(usize) -> &'a [f32],
+        values: &Matrix,
     ) {
         let is_live = |&(lo, hi): &(usize, usize)| lo < hi;
         let mut scored_rows = 0u64;
@@ -480,19 +489,24 @@ impl QueryBlock {
         if scored_rows == 0 {
             return;
         }
+        let keys = kt.keys_in(p);
         tally.scored_pairs += scored_rows * BLOCK as u64;
-        tally.kv_rows += kt.keys_in(p) as u64;
-        for ((state, lanes), &(lo, hi)) in self
-            .states
-            .iter_mut()
-            .zip(self.scores.chunks(BLOCK))
-            .zip(&self.live)
-        {
-            if lo < hi {
-                online_softmax_update_on(self.isa, state, &lanes[lo..hi], |t| value(lo + t));
-                tally.live_pairs += (hi - lo) as u64;
-            }
-        }
+        tally.kv_rows += keys as u64;
+        tally.live_pairs += self
+            .live
+            .iter()
+            .map(|&(lo, hi)| (hi - lo) as u64)
+            .sum::<u64>();
+        // The panel's V rows are contiguous in `values`.
+        let dv = values.cols();
+        let rows = self.live.len();
+        online_softmax_update_tile_on(
+            self.isa,
+            &mut self.states[..rows],
+            &self.scores[..rows * BLOCK],
+            &self.live,
+            &values.as_slice()[p * BLOCK * dv..][..keys * dv],
+        );
     }
 
     fn finish(&mut self, out_rows: &mut [f32]) {

@@ -109,7 +109,7 @@ impl SwigluMlp {
 
 #[inline]
 fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + sa_tensor::exp(-x))
 }
 
 #[cfg(test)]

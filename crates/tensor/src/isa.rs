@@ -1,13 +1,14 @@
 //! Which build of the dispatched inner loops runs.
 //!
-//! The two hot loops of the blocked attention engine — the score panel
-//! in `sa-kernels` and the online-softmax fold in this crate — are each
+//! The hot loops of the blocked attention engine — the score panel in
+//! `sa-kernels` and the online-softmax folds in this crate — are each
 //! one generic body compiled twice: for the target's baseline
 //! instruction set and, on x86-64, with AVX2 enabled. The builds differ
 //! in vector width only. Each lane runs the same IEEE multiplies and
-//! adds in the same order, and neither build may fuse them (the `fma`
-//! feature is never enabled and Rust does not contract `a * b + c`), so
-//! both produce the same bits.
+//! adds in the same order, neither build may fuse them (the `fma`
+//! feature is never enabled and Rust does not contract `a * b + c`), and
+//! neither calls the platform's math library ([`exp`](crate::exp()) is
+//! inlined plain Rust), so both produce the same bits.
 //!
 //! An [`Isa`] is picked once where an engine or stage-1 call enters and
 //! handed down to the leaves. Nothing outside the CPU selects it: there

@@ -4,8 +4,9 @@
 //!
 //! This crate provides the small set of numerical primitives every other
 //! crate in the workspace builds on: a row-major [`Matrix`] of `f32`,
-//! blocked matrix multiplication, numerically stable (and *online*)
-//! softmax, row/column reductions, selection primitives (arg-sort, top-k,
+//! blocked matrix multiplication, an [`exp()`] that owes nothing to the
+//! platform's libm, numerically stable (and *online*) softmax built on
+//! it, row/column reductions, selection primitives (arg-sort, top-k,
 //! `searchsorted`), strided row sampling, and deterministic random
 //! generation helpers.
 //!
@@ -35,6 +36,7 @@
 pub mod cancel;
 pub mod check;
 mod error;
+mod exp;
 pub mod fault;
 mod isa;
 mod matrix;
@@ -58,6 +60,7 @@ pub use sa_trace as trace;
 
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
+pub use exp::exp;
 pub use isa::{isa_name, Isa};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
@@ -73,8 +76,8 @@ pub use select::{
     top_k_threshold_count,
 };
 pub use softmax::{
-    log_sum_exp, online_softmax_update, online_softmax_update_on, softmax_row, softmax_rows,
-    softmax_rows_in_place, OnlineSoftmaxState,
+    log_sum_exp, online_softmax_update, online_softmax_update_on, online_softmax_update_tile_on,
+    softmax_row, softmax_rows, softmax_rows_in_place, OnlineSoftmaxState, FOLD_KEYS,
 };
 pub use stats::{cosine_similarity, l1_distance, l1_norm, max_abs_diff, mean, mse, variance};
 pub use tilepack::TilePack;

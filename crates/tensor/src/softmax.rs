@@ -1,3 +1,4 @@
+use crate::exp::exp;
 use crate::{pool, Isa, Matrix};
 
 /// Numerically stable softmax of a single row, written in place.
@@ -14,16 +15,17 @@ pub fn softmax_row(row: &mut [f32]) {
     if row.is_empty() {
         return;
     }
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let max = lane_max(row);
     if max == f32::NEG_INFINITY {
         row.fill(0.0);
         return;
     }
-    let mut sum = 0.0f64;
+    // The exponent pass on its own, so that it vectorises; the
+    // normaliser then adds the weights in index order.
     for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += f64::from(*v);
+        *v = exp(*v - max);
     }
+    let sum: f64 = row.iter().map(|&v| f64::from(v)).sum();
     if sum > 0.0 {
         let inv = (1.0 / sum) as f32;
         for v in row.iter_mut() {
@@ -66,11 +68,11 @@ pub fn softmax_rows(m: &Matrix) -> Matrix {
 /// accumulates in f64 so long slices (S ≥ 128k) don't lose low-order
 /// mass; the result is still f32.
 pub fn log_sum_exp(xs: &[f32]) -> f32 {
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let max = lane_max(xs);
     if max == f32::NEG_INFINITY {
         return f32::NEG_INFINITY;
     }
-    let sum: f64 = xs.iter().map(|&x| f64::from((x - max).exp())).sum();
+    let sum: f64 = xs.iter().map(|&x| f64::from(exp(x - max))).sum();
     (f64::from(max) + sum.ln()) as f32
 }
 
@@ -117,12 +119,62 @@ impl OnlineSoftmaxState {
     }
 }
 
+/// Keys per fold block, and lanes per row of a score tile: the longest
+/// run of keys that shares one running maximum. The weights of one block
+/// are a 64-float row on the stack.
+pub const FOLD_KEYS: usize = 64;
+
+/// Lane partials of a block's maximum and of its weight sum: position
+/// `t` of the block goes to lane `t % FOLD_LANES`. A constant of the
+/// fold's definition, not of the instruction set — eight lanes are one
+/// AVX2 register or two baseline ones, and both builds add the same
+/// floats in the same order.
+const FOLD_LANES: usize = 8;
+
+/// Accumulator columns one row holds in registers across the keys of a
+/// block: eight 4-lane registers on baseline x86-64, four 8-lane ones
+/// under AVX2. Columns are independent, so the chunking never shows in
+/// the bits.
+const FOLD_COLUMNS: usize = 32;
+
+/// Columns each row of a pair holds when two rows accumulate together,
+/// per build: eight accumulator registers either way, which leaves room
+/// for the value loads both rows share and the two weights.
+const PAIR_COLUMNS_BASELINE: usize = 16;
+const PAIR_COLUMNS_AVX2: usize = 32;
+
 /// Folds one block of raw scores and their value rows into the online
 /// softmax state.
 ///
 /// `scores[t]` is the raw (pre-softmax) logit for the `t`-th key of the
 /// block and `values(t)` returns that key's value row (length `d`); it is
-/// called once per key whose score is not `-inf`, in `t` order.
+/// called once per key whose score is not `-inf`, in `t` order. A block
+/// longer than [`FOLD_KEYS`] is folded as consecutive blocks of
+/// `FOLD_KEYS` keys.
+///
+/// # The fold
+///
+/// For a block of at most `FOLD_KEYS` scores `s` — this is the
+/// definition every build, the tile fold
+/// ([`online_softmax_update_tile_on`]) and the differential tests'
+/// scalar statement share:
+///
+/// 1. `block_max`: lane `l` takes the maximum of `s[t]`, `t % 8 == l`,
+///    by `x > m` selects starting from `-inf` (a NaN never wins); the
+///    lanes combine as `((0,1),(2,3)),((4,5),(6,7))` with the same
+///    select. A block whose maximum is `-inf` (empty, or fully masked)
+///    leaves the state untouched.
+/// 2. `new_max = block_max > row_max ? block_max : row_max`;
+///    `correction = exp(row_max − new_max)`, or `0.0` while `row_max` is
+///    still `-inf`; `acc[c] *= correction`.
+/// 3. `w[t] = exp(s[t] − new_max)` for every `t` ([`exp`](crate::exp()), so
+///    a `-inf` key weighs exactly `+0.0`).
+/// 4. `block_sum`: lane `l` adds `w[t]`, `t % 8 == l`, in `t` order from
+///    `0.0`; the lanes combine in the same pairwise tree;
+///    `row_sum = row_sum · correction + block_sum`.
+/// 5. `acc[c] += w[t] · v[t][c]` for `t` ascending over the keys that
+///    are not `-inf`. Such a key is skipped, not given its zero weight:
+///    `0.0 · inf` is NaN and `-0.0 + 0.0` loses a sign.
 ///
 /// Runs the widest build of the fold this CPU supports; callers that
 /// fold many blocks pick the [`Isa`] once and use
@@ -162,17 +214,62 @@ pub fn online_softmax_update_on<'a>(
     }
 }
 
-/// Keys whose weights and value rows one pass of the fold keeps on the
-/// stack (1.25 KB); a longer score block takes several passes.
-const FOLD_KEYS: usize = 64;
+/// Folds a whole score tile: row `r` of `score_tile` ([`FOLD_KEYS`]
+/// lanes a row) holds the scores of `states[r]` against the tile's keys,
+/// of which the lanes `live[r] = [lo, hi)` are one fold block (an empty
+/// range folds nothing); `v_slab` is the tile's value rows, key `t` at
+/// `v_slab[t * d..(t + 1) * d]`.
+///
+/// Each row ends in exactly the bits
+/// `online_softmax_update_on(isa, &mut states[r], &row[lo..hi], |t| value row lo + t)`
+/// leaves: both run steps 1–4 of [the fold](online_softmax_update)
+/// through the same code, and step 5 adds the same products in the same
+/// `t` order per column. What the tile buys is how step 5 runs: value
+/// rows come from one contiguous slice instead of a call per key, and
+/// two neighbouring rows that share a range and have no `-inf` key
+/// accumulate together, each value load feeding both.
+///
+/// # Panics
+///
+/// Panics if the shapes disagree: `score_tile` and `live` must hold one
+/// row per state, the states must share one accumulator width `d`,
+/// `v_slab` must be a whole number of at most `FOLD_KEYS` rows of `d`,
+/// and every range must end inside them.
+pub fn online_softmax_update_tile_on(
+    isa: Isa,
+    states: &mut [OnlineSoftmaxState],
+    score_tile: &[f32],
+    live: &[(usize, usize)],
+    v_slab: &[f32],
+) {
+    let Some(first) = states.first() else {
+        return;
+    };
+    let d = first.acc.len();
+    let slab_keys = v_slab.len().checked_div(d).unwrap_or(0);
+    assert!(
+        score_tile.len() == states.len() * FOLD_KEYS
+            && live.len() == states.len()
+            && states.iter().all(|state| state.acc.len() == d)
+            && slab_keys <= FOLD_KEYS
+            && slab_keys * d == v_slab.len()
+            && live.iter().all(|&(lo, hi)| lo <= hi && hi <= slab_keys),
+        "fold tile shape: {} states of width {d}, {} scores, {} ranges, {} value floats",
+        states.len(),
+        score_tile.len(),
+        live.len(),
+        v_slab.len()
+    );
+    match isa.avx2() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
+        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
+        true => unsafe { fold_tile_avx2(states, score_tile, live, v_slab) },
+        _ => fold_tile_baseline(states, score_tile, live, v_slab),
+    }
+}
 
-/// Accumulator columns held in registers across the keys of a pass:
-/// eight 4-lane registers on baseline x86-64, four 8-lane ones under
-/// AVX2 — either file of sixteen keeps room for the weight and the
-/// products beside them.
-const FOLD_COLUMNS: usize = 32;
-
-/// The fold compiled for the target's baseline instruction set.
+/// The row fold compiled for the target's baseline instruction set.
 fn fold_baseline<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
@@ -181,8 +278,8 @@ fn fold_baseline<'a>(
     fold(state, scores, values);
 }
 
-/// The fold compiled with AVX2 (and nothing else: no `fma`): the same
-/// multiplies and adds per lane, eight lanes to a register.
+/// The row fold compiled with AVX2 (and nothing else: no `fma`): the
+/// same multiplies and adds per lane, eight lanes to a register.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn fold_avx2<'a>(
@@ -193,86 +290,239 @@ fn fold_avx2<'a>(
     fold(state, scores, values);
 }
 
-/// The one body of the fold. Weights first: `exp` is a call, and no
-/// vector register survives a call, so an accumulator could not stay in
-/// registers across keys while the weight was computed between them.
-/// With the block's weights on the stack, [`accumulate`] runs call-free.
-///
-/// Per accumulator lane the arithmetic is: rescale by `correction`, then
-/// `+= w[t] * v[t][c]` for `t` ascending over the keys that are not
-/// `-inf`; `row_sum` takes the weights in the same `t` order. A `-inf`
-/// key is skipped, not given weight zero: `0.0 * inf` is NaN and
-/// `-0.0 + 0.0` loses a sign.
+/// The tile fold compiled for the target's baseline instruction set.
+fn fold_tile_baseline(
+    states: &mut [OnlineSoftmaxState],
+    score_tile: &[f32],
+    live: &[(usize, usize)],
+    v_slab: &[f32],
+) {
+    fold_tile::<PAIR_COLUMNS_BASELINE>(states, score_tile, live, v_slab);
+}
+
+/// The tile fold compiled with AVX2 (and nothing else: no `fma`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_tile_avx2(
+    states: &mut [OnlineSoftmaxState],
+    score_tile: &[f32],
+    live: &[(usize, usize)],
+    v_slab: &[f32],
+) {
+    fold_tile::<PAIR_COLUMNS_AVX2>(states, score_tile, live, v_slab);
+}
+
+/// `b` if it is greater, else `a`: the select every step of the block
+/// maximum uses, so the winner between `+0.0` and `-0.0` is defined too.
+#[inline(always)]
+fn greater(a: f32, b: f32) -> f32 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
+/// `op` folded over `xs` in lane partials from `init`: position `t`
+/// updates lane `t % FOLD_LANES`, positions ascending, and the lanes
+/// combine in the fold's one pairwise tree.
+#[inline(always)]
+fn lane_fold(xs: &[f32], init: f32, op: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut lanes = [init; FOLD_LANES];
+    let mut chunks = xs.chunks_exact(FOLD_LANES);
+    for chunk in chunks.by_ref() {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = op(*lane, x);
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = op(*lane, x);
+    }
+    let [a, b, c, d, e, f, g, h] = lanes;
+    op(op(op(a, b), op(c, d)), op(op(e, f), op(g, h)))
+}
+
+/// The maximum of `xs`, ignoring NaN; `-inf` for an empty slice. A
+/// maximum is exact in any order, so the lanes only make it vectorise
+/// (and fix which zero wins).
+#[inline(always)]
+fn lane_max(xs: &[f32]) -> f32 {
+    lane_fold(xs, f32::NEG_INFINITY, greater)
+}
+
+/// Steps 1–4 of [the fold](online_softmax_update) for one block of at
+/// most [`FOLD_KEYS`] scores, shared by the row fold and the tile fold:
+/// rescales `state` to the new maximum, adds the block's weight sum and
+/// leaves `w[t]` in `weights[t]`. Returns `None`, with `state`
+/// untouched, for an empty or fully masked block; otherwise whether any
+/// key is `-inf` and has to be skipped by step 5.
+#[inline(always)]
+fn prepare(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    weights: &mut [f32; FOLD_KEYS],
+) -> Option<bool> {
+    let weights = &mut weights[..scores.len()];
+    let block_max = lane_max(scores);
+    if block_max == f32::NEG_INFINITY {
+        return None;
+    }
+    let new_max = greater(state.row_max, block_max);
+    let correction = if state.row_max == f32::NEG_INFINITY {
+        0.0
+    } else {
+        exp(state.row_max - new_max)
+    };
+    for v in &mut state.acc {
+        *v *= correction;
+    }
+    let mut holes = false;
+    for (w, &s) in weights.iter_mut().zip(scores) {
+        *w = exp(s - new_max);
+        holes |= s == f32::NEG_INFINITY;
+    }
+    let block_sum = lane_fold(weights, 0.0, |a, b| a + b);
+    state.row_sum = state.row_sum * correction + block_sum;
+    state.row_max = new_max;
+    Some(holes)
+}
+
+/// The one body of the row fold: [`prepare`] each block, then step 5
+/// over the value rows the caller's closure hands out.
 #[inline(always)]
 fn fold<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     mut values: impl FnMut(usize) -> &'a [f32],
 ) {
-    if scores.is_empty() {
-        return;
-    }
-    let block_max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if block_max == f32::NEG_INFINITY {
-        return; // fully masked block
-    }
-    let new_max = state.row_max.max(block_max);
-    let correction = if state.row_max == f32::NEG_INFINITY {
-        0.0
-    } else {
-        (state.row_max - new_max).exp()
-    };
-    state.row_sum *= correction;
-    for v in &mut state.acc {
-        *v *= correction;
-    }
     let mut weights = [0.0f32; FOLD_KEYS];
-    let mut rows: [&[f32]; FOLD_KEYS] = [&[]; FOLD_KEYS];
     for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
-        let mut live = 0;
-        for (t, &s) in block.iter().enumerate() {
-            if s == f32::NEG_INFINITY {
-                continue;
-            }
-            let w = (s - new_max).exp();
-            state.row_sum += w;
-            let row = values(pass * FOLD_KEYS + t);
-            assert_eq!(row.len(), state.acc.len(), "value row width");
-            weights[live] = w;
-            rows[live] = row;
-            live += 1;
+        if prepare(state, block, &mut weights).is_some() {
+            accumulate_live(state, block, &mut weights, |t| values(pass * FOLD_KEYS + t));
         }
-        accumulate(&mut state.acc, &weights[..live], &rows[..live]);
     }
-    state.row_max = new_max;
 }
 
-/// `acc[c] += weights[j] * rows[j][c]` for `j` ascending, on every
-/// column `c`: [`FOLD_COLUMNS`] columns at a time in a local array the
-/// compiler keeps in registers over all `j`, then the columns past the
-/// last whole chunk key by key in memory. Every row is `acc.len()` wide.
+/// Step 5 for one row of a block [`prepare`] has weighed: collects the
+/// value row and weight of every key that is not `-inf`, in order, and
+/// accumulates them.
 #[inline(always)]
-fn accumulate(acc: &mut [f32], weights: &[f32], rows: &[&[f32]]) {
-    let mut chunks = acc.chunks_exact_mut(FOLD_COLUMNS);
-    let mut c0 = 0;
-    for chunk in chunks.by_ref() {
-        let mut lanes = [0.0f32; FOLD_COLUMNS];
-        lanes.copy_from_slice(chunk);
-        for (&w, row) in weights.iter().zip(rows) {
-            for (a, &x) in lanes.iter_mut().zip(&row[c0..c0 + FOLD_COLUMNS]) {
-                *a += w * x;
+fn accumulate_live<'a>(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    weights: &mut [f32; FOLD_KEYS],
+    mut values: impl FnMut(usize) -> &'a [f32],
+) {
+    let mut rows: [&[f32]; FOLD_KEYS] = [&[]; FOLD_KEYS];
+    let mut live = 0;
+    for (t, &s) in scores.iter().enumerate() {
+        if s == f32::NEG_INFINITY {
+            continue;
+        }
+        let row = values(t);
+        assert_eq!(row.len(), state.acc.len(), "value row width");
+        weights[live] = weights[t];
+        rows[live] = row;
+        live += 1;
+    }
+    accumulate::<1, FOLD_COLUMNS>([&mut state.acc], [weights], live, |j| rows[j]);
+}
+
+/// The one body of the tile fold: rows two at a time, each through
+/// [`prepare`]; a pair that shares its range and has no `-inf` key runs
+/// step 5 together, any other row on its own as the row fold would.
+#[inline(always)]
+fn fold_tile<const PAIR_COLUMNS: usize>(
+    states: &mut [OnlineSoftmaxState],
+    score_tile: &[f32],
+    live: &[(usize, usize)],
+    v_slab: &[f32],
+) {
+    let d = states[0].acc.len();
+    let mut weights = [[0.0f32; FOLD_KEYS]; 2];
+    for ((pair, scores), ranges) in states
+        .chunks_mut(2)
+        .zip(score_tile.chunks(2 * FOLD_KEYS))
+        .zip(live.chunks(2))
+    {
+        let mut holes = [None; 2];
+        for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
+            let row = &scores[r * FOLD_KEYS..][lo..hi];
+            holes[r] = prepare(state, row, &mut weights[r]);
+        }
+        if let ([a, b], [Some(false), Some(false)]) = (&mut *pair, holes) {
+            if ranges[0] == ranges[1] {
+                let (lo, hi) = ranges[0];
+                let values = &v_slab[lo * d..hi * d];
+                accumulate::<2, PAIR_COLUMNS>(
+                    [&mut a.acc, &mut b.acc],
+                    [&weights[0], &weights[1]],
+                    hi - lo,
+                    |j| &values[j * d..(j + 1) * d],
+                );
+                continue;
             }
         }
-        chunk.copy_from_slice(&lanes);
-        c0 += FOLD_COLUMNS;
+        for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
+            let values = &v_slab[lo * d..hi * d];
+            let value = |t: usize| &values[t * d..(t + 1) * d];
+            match holes[r] {
+                None => {}
+                Some(false) => {
+                    accumulate::<1, FOLD_COLUMNS>([&mut state.acc], [&weights[r]], hi - lo, value)
+                }
+                Some(true) => {
+                    let row = &scores[r * FOLD_KEYS..][lo..hi];
+                    accumulate_live(state, row, &mut weights[r], value);
+                }
+            }
+        }
     }
-    let tail = chunks.into_remainder();
-    if tail.is_empty() {
+}
+
+/// Step 5 for `R` rows that fold the same keys:
+/// `acc[r][c] += weights[r][j] * row(j)[c]` for `j` ascending below
+/// `keys`, on every column `c` — `COLUMNS` columns at a time in
+/// local arrays the compiler keeps in registers over all `j` (each load
+/// of a value row feeds all `R` rows), then the columns past the last
+/// whole chunk key by key in memory. Every row is `acc[r].len()` wide.
+#[inline(always)]
+fn accumulate<'v, const R: usize, const COLUMNS: usize>(
+    mut acc: [&mut Vec<f32>; R],
+    weights: [&[f32; FOLD_KEYS]; R],
+    keys: usize,
+    row: impl Fn(usize) -> &'v [f32],
+) {
+    let d = acc[0].len();
+    let whole = d - d % COLUMNS;
+    for c0 in (0..whole).step_by(COLUMNS) {
+        let mut lanes = [[0.0f32; COLUMNS]; R];
+        for (held, acc) in lanes.iter_mut().zip(&acc) {
+            held.copy_from_slice(&acc[c0..c0 + COLUMNS]);
+        }
+        for j in 0..keys {
+            let values = &row(j)[c0..c0 + COLUMNS];
+            for (held, weights) in lanes.iter_mut().zip(&weights) {
+                let w = weights[j];
+                for (a, &x) in held.iter_mut().zip(values) {
+                    *a += w * x;
+                }
+            }
+        }
+        for (held, acc) in lanes.iter().zip(&mut acc) {
+            acc[c0..c0 + COLUMNS].copy_from_slice(held);
+        }
+    }
+    if whole == d {
         return;
     }
-    for (&w, row) in weights.iter().zip(rows) {
-        for (a, &x) in tail.iter_mut().zip(&row[c0..]) {
-            *a += w * x;
+    for j in 0..keys {
+        let values = &row(j)[whole..d];
+        for (acc, weights) in acc.iter_mut().zip(&weights) {
+            let w = weights[j];
+            for (a, &x) in acc[whole..].iter_mut().zip(values) {
+                *a += w * x;
+            }
         }
     }
 }
@@ -469,43 +719,59 @@ mod tests {
         assert!((out[0] - 2.0).abs() < 1e-5);
     }
 
-    /// The fold as it stood before the weights-first rewrite, verbatim:
-    /// the oracle the dispatched builds are held to bit for bit.
-    fn fold_oracle<'a>(
+    /// The fold's definition (steps 1–5 in the docs of
+    /// [`online_softmax_update`]) as plain scalar loops, sharing no code
+    /// with the builds it holds to account except [`exp`]: lanes are
+    /// spelled `t % 8`, the tree is written out, step 5 walks one key
+    /// and one column at a time in memory.
+    #[allow(clippy::needless_range_loop)] // the indices are the statement
+    fn fold_definition<'a>(
         state: &mut OnlineSoftmaxState,
         scores: &[f32],
-        mut values: impl FnMut(usize) -> &'a [f32],
+        value: impl Fn(usize) -> &'a [f32],
     ) {
-        if scores.is_empty() {
-            return;
+        fn tree(x: [f32; 8], op: impl Fn(f32, f32) -> f32) -> f32 {
+            op(
+                op(op(x[0], x[1]), op(x[2], x[3])),
+                op(op(x[4], x[5]), op(x[6], x[7])),
+            )
         }
-        let block_max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if block_max == f32::NEG_INFINITY {
-            return; // fully masked block
-        }
-        let new_max = state.row_max.max(block_max);
-        let correction = if state.row_max == f32::NEG_INFINITY {
-            0.0
-        } else {
-            (state.row_max - new_max).exp()
-        };
-        state.row_sum *= correction;
-        for v in &mut state.acc {
-            *v *= correction;
-        }
-        for (t, &s) in scores.iter().enumerate() {
-            if s == f32::NEG_INFINITY {
+        let pick = |a: f32, b: f32| if b > a { b } else { a };
+        for (pass, s) in scores.chunks(64).enumerate() {
+            let mut max_lanes = [f32::NEG_INFINITY; 8];
+            for (t, &x) in s.iter().enumerate() {
+                max_lanes[t % 8] = pick(max_lanes[t % 8], x);
+            }
+            let block_max = tree(max_lanes, pick);
+            if block_max == f32::NEG_INFINITY {
                 continue;
             }
-            let w = (s - new_max).exp();
-            state.row_sum += w;
-            let val = values(t);
-            debug_assert_eq!(val.len(), state.acc.len());
-            for (a, &x) in state.acc.iter_mut().zip(val.iter()) {
-                *a += w * x;
+            let new_max = pick(state.row_max, block_max);
+            let correction = if state.row_max == f32::NEG_INFINITY {
+                0.0
+            } else {
+                exp(state.row_max - new_max)
+            };
+            for a in &mut state.acc {
+                *a *= correction;
+            }
+            let w: Vec<f32> = s.iter().map(|&x| exp(x - new_max)).collect();
+            let mut sum_lanes = [0.0f32; 8];
+            for (t, &x) in w.iter().enumerate() {
+                sum_lanes[t % 8] += x;
+            }
+            state.row_sum = state.row_sum * correction + tree(sum_lanes, |a, b| a + b);
+            state.row_max = new_max;
+            for t in 0..s.len() {
+                if s[t] == f32::NEG_INFINITY {
+                    continue;
+                }
+                let v = value(pass * 64 + t);
+                for c in 0..state.acc.len() {
+                    state.acc[c] += w[t] * v[c];
+                }
             }
         }
-        state.row_max = new_max;
     }
 
     /// Baseline always; the AVX2 build too where the CPU has it.
@@ -525,15 +791,16 @@ mod tests {
         )
     }
 
-    /// Folds `blocks` (scores, one value row per score) in order on every
-    /// build and on the oracle, comparing the whole state after each.
-    fn assert_fold_matches_oracle(label: &str, dv: usize, blocks: &[(Vec<f32>, Vec<Vec<f32>>)]) {
+    /// Folds `blocks` (scores, one value row per score) in order with the
+    /// row fold on every build and with the definition, comparing the
+    /// whole state after each.
+    fn assert_row_fold_is_the_definition(label: &str, dv: usize, blocks: &[(Vec<f32>, Matrix)]) {
         for isa in builds() {
             let mut got = OnlineSoftmaxState::new(dv);
             let mut want = OnlineSoftmaxState::new(dv);
             for (b, (scores, values)) in blocks.iter().enumerate() {
-                online_softmax_update_on(isa, &mut got, scores, |t| &values[t]);
-                fold_oracle(&mut want, scores, |t| &values[t]);
+                online_softmax_update_on(isa, &mut got, scores, |t| values.row(t));
+                fold_definition(&mut want, scores, |t| values.row(t));
                 assert_eq!(
                     state_bits(&got),
                     state_bits(&want),
@@ -548,37 +815,38 @@ mod tests {
         rng: &mut crate::DeterministicRng,
         len: usize,
         dv: usize,
-    ) -> (Vec<f32>, Vec<Vec<f32>>) {
+    ) -> (Vec<f32>, Matrix) {
         let scores = rng.normal_matrix(1, len, 2.0).row(0).to_vec();
-        let values = rng.normal_matrix(len, dv, 1.0);
-        (scores, (0..len).map(|t| values.row(t).to_vec()).collect())
+        (scores, rng.normal_matrix(len, dv, 1.0))
     }
 
+    const WIDTHS: [usize; 8] = [1, 8, 31, 32, 33, 64, 65, 128];
+
     #[test]
-    fn fold_is_bitwise_the_old_loop_at_every_width_and_block_length() {
+    fn row_fold_is_the_definition_at_every_width_and_block_length() {
         let mut rng = crate::DeterministicRng::new(0xF01D);
-        for dv in [1usize, 8, 31, 32, 33, 64, 65, 128] {
+        for dv in WIDTHS {
             // One state through blocks of every length: the first block
-            // starts from `row_max = -inf`, the later ones rescale, and
-            // 200 is longer than the weight buffer.
-            let blocks: Vec<_> = [1usize, 63, 64, 65, 200, 1]
+            // starts from `row_max = -inf`, the later ones rescale, 65
+            // and 200 are cut into blocks of 64.
+            let blocks: Vec<_> = [1usize, 7, 8, 9, 63, 64, 65, 200, 1]
                 .iter()
                 .map(|&len| random_block(&mut rng, len, dv))
                 .collect();
-            assert_fold_matches_oracle("lengths", dv, &blocks);
+            assert_row_fold_is_the_definition("lengths", dv, &blocks);
             // Each length as a first block of its own.
             for block in blocks {
-                assert_fold_matches_oracle("first block", dv, &[block]);
+                assert_row_fold_is_the_definition("first block", dv, &[block]);
             }
         }
     }
 
     #[test]
-    fn fold_skips_masked_lanes_and_masked_blocks() {
+    fn row_fold_skips_masked_lanes_and_masked_blocks() {
         let mut rng = crate::DeterministicRng::new(0xF02D);
         for dv in [1usize, 31, 64, 65] {
             let mut blocks = Vec::new();
-            for len in [1usize, 63, 65, 200] {
+            for len in [1usize, 9, 63, 65, 200] {
                 let (mut scores, values) = random_block(&mut rng, len, dv);
                 for s in scores.iter_mut().step_by(3) {
                     *s = f32::NEG_INFINITY;
@@ -588,27 +856,177 @@ mod tests {
                 let (scores, values) = random_block(&mut rng, 64, dv);
                 blocks.push((vec![f32::NEG_INFINITY; scores.len()], values));
             }
-            assert_fold_matches_oracle("masked lanes", dv, &blocks);
+            // 200 keys whose middle 64-key block is fully masked.
+            let (mut scores, values) = random_block(&mut rng, 200, dv);
+            scores[64..128].fill(f32::NEG_INFINITY);
+            blocks.push((scores, values));
+            assert_row_fold_is_the_definition("masked lanes", dv, &blocks);
             // A state whose first block is fully masked stays fresh.
             blocks.rotate_left(1);
-            assert_fold_matches_oracle("masked first block", dv, &blocks);
+            assert_row_fold_is_the_definition("masked first block", dv, &blocks);
+        }
+    }
+
+    /// One tile for the tile fold: scores (`rows × FOLD_KEYS`), ranges,
+    /// and the value rows of its `keys` keys.
+    struct Tile {
+        scores: Vec<f32>,
+        live: Vec<(usize, usize)>,
+        values: Matrix,
+    }
+
+    /// Folds `tiles` in order into `rows` states with the tile fold on
+    /// every build, and row by row with the definition and with the row
+    /// fold on the same build, comparing every state after each tile.
+    fn assert_tile_fold_is_the_definition(
+        label: &str,
+        start: &OnlineSoftmaxState,
+        rows: usize,
+        tiles: &[Tile],
+    ) {
+        let dv = start.acc.len();
+        for isa in builds() {
+            let mut got = vec![start.clone(); rows];
+            let mut want = vec![start.clone(); rows];
+            let mut by_row = vec![start.clone(); rows];
+            for (n, tile) in tiles.iter().enumerate() {
+                online_softmax_update_tile_on(
+                    isa,
+                    &mut got,
+                    &tile.scores,
+                    &tile.live,
+                    tile.values.as_slice(),
+                );
+                for (r, &(lo, hi)) in tile.live.iter().enumerate() {
+                    let scores = &tile.scores[r * FOLD_KEYS..][lo..hi];
+                    let value = |t: usize| tile.values.row(lo + t);
+                    fold_definition(&mut want[r], scores, value);
+                    online_softmax_update_on(isa, &mut by_row[r], scores, value);
+                    let context = format!(
+                        "{label}: dv={dv} rows={rows} tile {n} row {r} [{lo}, {hi}) on {}",
+                        isa.name()
+                    );
+                    assert_eq!(state_bits(&got[r]), state_bits(&want[r]), "{context}");
+                    assert_eq!(state_bits(&by_row[r]), state_bits(&want[r]), "{context}");
+                }
+            }
+        }
+    }
+
+    /// How a test tile's ranges are laid out.
+    #[derive(Clone, Copy, Debug)]
+    enum Ranges {
+        /// Every row folds all keys: every pair accumulates together.
+        Full,
+        /// Row `r` ends at key `r + 1`, as on the causal diagonal: no
+        /// pair shares a range.
+        Causal,
+        /// Random `[lo, hi)` per row pair, so pairs accumulate together
+        /// over ragged ranges; every fifth row breaks its pair with a
+        /// range of its own and every seventh is empty.
+        Ragged,
+    }
+
+    fn random_tile(
+        rng: &mut crate::DeterministicRng,
+        rows: usize,
+        keys: usize,
+        dv: usize,
+        ranges: Ranges,
+    ) -> Tile {
+        let scores = rng.normal_matrix(rows, FOLD_KEYS, 2.0).into_vec();
+        let mut edge = |bound: usize| rng.index(bound + 1);
+        let mut live = Vec::with_capacity(rows);
+        for r in 0..rows {
+            live.push(match ranges {
+                Ranges::Full => (0, keys),
+                Ranges::Causal => (0, (r + 1).min(keys)),
+                Ranges::Ragged if r % 7 == 6 => (keys / 2, keys / 2),
+                Ranges::Ragged if r % 2 == 1 && r % 5 != 4 => live[r - 1],
+                Ranges::Ragged => {
+                    let (a, b) = (edge(keys), edge(keys));
+                    (a.min(b), a.max(b))
+                }
+            });
+        }
+        Tile {
+            scores,
+            live,
+            values: rng.normal_matrix(keys, dv, 1.0),
+        }
+    }
+
+    const ROW_COUNTS: [usize; 7] = [1, 2, 3, 4, 5, 63, 64];
+    const KEY_COUNTS: [usize; 6] = [1, 7, 8, 9, 63, 64];
+
+    #[test]
+    fn tile_fold_is_the_definition_at_every_shape() {
+        let mut rng = crate::DeterministicRng::new(0xF03D);
+        for dv in WIDTHS {
+            for rows in ROW_COUNTS {
+                // One set of states through tiles of every key count and
+                // every range layout: the first tile starts fresh states,
+                // the later ones rescale them.
+                let mut tiles = Vec::new();
+                for (n, &keys) in KEY_COUNTS.iter().enumerate() {
+                    let ranges = [Ranges::Full, Ranges::Ragged, Ranges::Causal][n % 3];
+                    tiles.push(random_tile(&mut rng, rows, keys, dv, ranges));
+                }
+                tiles.push(random_tile(&mut rng, rows, 64, dv, Ranges::Ragged));
+                let fresh = OnlineSoftmaxState::new(dv);
+                assert_tile_fold_is_the_definition("shapes", &fresh, rows, &tiles);
+            }
         }
     }
 
     #[test]
-    fn fold_skips_rather_than_zero_weights_masked_keys() {
-        // Folding a masked key with weight zero instead of skipping it
-        // would poison the row through `0.0 * inf` where its value row
-        // holds an infinity, and turn a `-0.0` column into `+0.0`
-        // (`-0.0 + 0.0 * x`). The state starts on `-0.0` columns and
-        // must stay there.
+    fn tile_fold_skips_masked_lanes_masked_rows_and_masked_tiles() {
+        let mut rng = crate::DeterministicRng::new(0xF04D);
         for dv in [1usize, 33, 64] {
-            let values = [
-                vec![-0.0f32; dv],
-                vec![f32::INFINITY; dv],
-                vec![-0.0f32; dv],
-                vec![1.0f32; dv],
-            ];
+            for rows in [1usize, 2, 5, 64] {
+                let mut tiles = Vec::new();
+                for (n, ranges) in [Ranges::Full, Ranges::Ragged, Ranges::Full]
+                    .into_iter()
+                    .enumerate()
+                {
+                    // Holes in every third lane of every third row: in a
+                    // pair, one row with holes and one without.
+                    let mut holes = random_tile(&mut rng, rows, 64 - n, dv, ranges);
+                    for row in holes.scores.chunks_mut(FOLD_KEYS).step_by(3) {
+                        for s in row.iter_mut().skip(n).step_by(3) {
+                            *s = f32::NEG_INFINITY;
+                        }
+                    }
+                    tiles.push(holes);
+                    // Every other row fully masked inside its range.
+                    let mut rows_out = random_tile(&mut rng, rows, 64, dv, ranges);
+                    for row in rows_out.scores.chunks_mut(FOLD_KEYS).skip(n % 2).step_by(2) {
+                        row.fill(f32::NEG_INFINITY);
+                    }
+                    tiles.push(rows_out);
+                    // A fully masked tile changes nothing.
+                    let mut nothing = random_tile(&mut rng, rows, 64, dv, ranges);
+                    nothing.scores.fill(f32::NEG_INFINITY);
+                    tiles.push(nothing);
+                }
+                let fresh = OnlineSoftmaxState::new(dv);
+                assert_tile_fold_is_the_definition("masked, mid-stream", &fresh, rows, &tiles);
+                // States whose first tile is fully masked stay fresh.
+                tiles.rotate_left(2);
+                assert_tile_fold_is_the_definition("masked first", &fresh, rows, &tiles);
+            }
+        }
+    }
+
+    #[test]
+    fn folds_skip_rather_than_zero_weight_masked_keys() {
+        // Folding a masked key with its weight of zero instead of
+        // skipping it would poison the row through `0.0 * inf` where its
+        // value row holds an infinity, and turn a `-0.0` column into
+        // `+0.0` (`-0.0 + 0.0 * x`). The state starts on `-0.0` columns
+        // and must stay there.
+        for dv in [1usize, 33, 64] {
+            let values = Matrix::from_fn(4, dv, |t, _| [-0.0, f32::INFINITY, -0.0, 1.0][t]);
             let scores = [0.25, f32::NEG_INFINITY, -1.5, f32::NEG_INFINITY];
             let start = OnlineSoftmaxState {
                 row_max: 0.0,
@@ -616,13 +1034,13 @@ mod tests {
                 acc: vec![-0.0; dv],
             };
             let mut want = start.clone();
-            fold_oracle(&mut want, &scores, |t| &values[t]);
-            fold_oracle(&mut want, &scores, |t| &values[t]);
+            fold_definition(&mut want, &scores, |t| values.row(t));
+            fold_definition(&mut want, &scores, |t| values.row(t));
             assert!(want.acc.iter().all(|a| a.to_bits() == (-0.0f32).to_bits()));
             for isa in builds() {
                 let mut got = start.clone();
-                online_softmax_update_on(isa, &mut got, &scores, |t| &values[t]);
-                online_softmax_update_on(isa, &mut got, &scores, |t| &values[t]);
+                online_softmax_update_on(isa, &mut got, &scores, |t| values.row(t));
+                online_softmax_update_on(isa, &mut got, &scores, |t| values.row(t));
                 assert_eq!(
                     state_bits(&got),
                     state_bits(&want),
@@ -630,23 +1048,101 @@ mod tests {
                     isa.name()
                 );
             }
-            // Live keys with infinite values go through as they always did.
+            // The same keys as a tile, on three rows: a pair and a single.
+            let mut tile_scores = vec![0.0f32; 3 * FOLD_KEYS];
+            for row in tile_scores.chunks_mut(FOLD_KEYS) {
+                row[..4].copy_from_slice(&scores);
+            }
+            let tile = || Tile {
+                scores: tile_scores.clone(),
+                live: vec![(0, 4); 3],
+                values: values.clone(),
+            };
+            assert_tile_fold_is_the_definition("signed zeros", &start, 3, &[tile(), tile()]);
+            // Live keys with infinite values go through as they always
+            // did, paired or not.
             let live_inf = [
                 (
                     vec![0.5, 0.75],
-                    vec![vec![f32::INFINITY; dv], vec![1.0; dv]],
+                    Matrix::from_fn(2, dv, |t, _| [f32::INFINITY, 1.0][t]),
                 ),
-                (vec![2.0], vec![vec![f32::NEG_INFINITY; dv]]),
+                (vec![2.0], Matrix::from_fn(1, dv, |_, _| f32::NEG_INFINITY)),
             ];
-            assert_fold_matches_oracle("live infinities", dv, &live_inf);
+            assert_row_fold_is_the_definition("live infinities", dv, &live_inf);
+            let tiles: Vec<Tile> = live_inf
+                .iter()
+                .map(|(scores, values)| {
+                    let mut tile_scores = vec![0.0f32; 2 * FOLD_KEYS];
+                    for row in tile_scores.chunks_mut(FOLD_KEYS) {
+                        row[..scores.len()].copy_from_slice(scores);
+                    }
+                    Tile {
+                        scores: tile_scores,
+                        live: vec![(0, scores.len()); 2],
+                        values: values.clone(),
+                    }
+                })
+                .collect();
+            assert_tile_fold_is_the_definition("live infinities", &start, 2, &tiles);
         }
     }
 
     #[test]
     #[should_panic(expected = "value row width")]
-    fn fold_rejects_a_value_row_of_the_wrong_width() {
+    fn row_fold_rejects_a_value_row_of_the_wrong_width() {
         let mut state = OnlineSoftmaxState::new(4);
         online_softmax_update(&mut state, &[0.0], |_| &[1.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fold tile shape")]
+    fn tile_fold_rejects_a_slab_of_the_wrong_width() {
+        // 64 keys of width 5 handed to states of width 4: 80 rows of 4.
+        let mut states = vec![OnlineSoftmaxState::new(4); 2];
+        let slab = vec![0.0f32; FOLD_KEYS * 5];
+        online_softmax_update_tile_on(
+            Isa::detect(),
+            &mut states,
+            &[0.0; 2 * FOLD_KEYS],
+            &[(0, FOLD_KEYS); 2],
+            &slab,
+        );
+    }
+
+    #[test]
+    fn tile_fold_rejects_every_other_shape_mismatch() {
+        let run = |states: usize, scores: usize, live: &[(usize, usize)], slab: usize| {
+            std::panic::catch_unwind(|| {
+                let mut states = vec![OnlineSoftmaxState::new(4); states];
+                online_softmax_update_tile_on(
+                    Isa::detect(),
+                    &mut states,
+                    &vec![0.0; scores],
+                    live,
+                    &vec![0.0; slab],
+                );
+            })
+            .is_err()
+        };
+        assert!(!run(2, 128, &[(0, 3), (1, 2)], 12), "a well-formed tile");
+        assert!(!run(0, 0, &[], 0), "no rows");
+        assert!(run(2, 127, &[(0, 3), (1, 2)], 12), "short score tile");
+        assert!(run(2, 128, &[(0, 3)], 12), "a range missing");
+        assert!(run(2, 128, &[(0, 4), (1, 2)], 12), "range past the slab");
+        assert!(run(2, 128, &[(3, 2), (1, 2)], 12), "inverted range");
+        assert!(run(2, 128, &[(0, 3), (1, 2)], 13), "ragged slab");
+        assert!(run(1, 64, &[(0, 3)], 65 * 4), "slab longer than a tile");
+        let mut mixed = vec![OnlineSoftmaxState::new(4), OnlineSoftmaxState::new(5)];
+        let mixed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            online_softmax_update_tile_on(
+                Isa::detect(),
+                &mut mixed,
+                &[0.0; 128],
+                &[(0, 1); 2],
+                &[0.0; 4],
+            )
+        }));
+        assert!(mixed.is_err(), "states of two widths");
     }
 
     #[test]

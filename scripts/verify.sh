@@ -15,14 +15,18 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds)"
-# The score panel, the fold and the packed-weight GEMM are each one body
-# compiled for the baseline ISA and for AVX2 (DESIGN.md 5g). Their
-# results are the same bits only while no build fuses a multiply into an
-# add, and the AVX2 build is only worth dispatching to while it really is
-# 8 lanes wide. sa-kernels holds every engine instantiation of the first
-# two (the fold is generic over the caller's closure, so it is compiled
-# where it is called); sa-tensor holds the GEMM.
+echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds, no libm expf)"
+# The score panel, the row fold, the tile fold and the packed-weight GEMM
+# are each one body compiled for the baseline ISA and for AVX2 (DESIGN.md
+# 5g). Their results are the same bits only while no build fuses a
+# multiply into an add, and the AVX2 build is only worth dispatching to
+# while it really is 8 lanes wide. sa-kernels holds every engine
+# instantiation of the score panel and the row fold (generic over the
+# caller's closure, so compiled where it is called); sa-tensor holds the
+# tile fold and the GEMM. And the bits are libm-independent only while
+# every f32 exponential on the pipeline path is `sa_tensor::exp`: a
+# reference to `expf` in a pipeline crate's objects is a call that slipped
+# past it.
 if [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86_64 host, only the baseline build exists"
 elif ! command -v objdump >/dev/null; then
@@ -36,7 +40,7 @@ else
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold|gemm_rows)_avx2/) wide[sym] = 0
+            if (sym ~ /(score_panel|fold|fold_tile|gemm_rows)_avx2/) wide[sym] = 0
             next
         }
         /vfn?m(add|sub)/ { fused[sym]++ }
@@ -46,18 +50,27 @@ else
             for (s in wide) {
                 if (s ~ /score_panel_avx2/) panels++
                 else if (s ~ /gemm_rows_avx2/) gemms++
+                else if (s ~ /fold_tile_avx2/) tiles++
                 else folds++
                 if (wide[s] == 0) { print "no ymm operand in " s; bad = 1 }
             }
             if (panels == 0) { print "no score_panel_avx2 instantiation found"; bad = 1 }
             if (folds == 0) { print "no fold_avx2 instantiation found"; bad = 1 }
+            if (tiles == 0) { print "no fold_tile_avx2 instantiation found"; bad = 1 }
             if (gemms == 0) { print "no gemm_rows_avx2 instantiation found"; bad = 1 }
-            printf "%d score-panel, %d fold and %d packed-GEMM AVX2 instantiations checked\n", panels, folds, gemms
+            printf "%d score-panel, %d row-fold, %d tile-fold and %d packed-GEMM AVX2 instantiations checked\n", panels, folds, tiles, gemms
             exit bad
         }' || {
         echo "codegen guard: a dispatched loop would not give the same bits, or lost its AVX2 build" >&2
         exit 1
     }
+    for lib in sa_tensor sa_kernels sa_core sa_model; do
+        if objdump -r "target/release/lib$lib.rlib" 2>/dev/null | grep -qw expf; then
+            echo "codegen guard: lib$lib.rlib references libm's expf — use sa_tensor::exp" >&2
+            exit 1
+        fi
+    done
+    echo "no expf reference in libsa_{tensor,kernels,core,model}.rlib"
 fi
 
 echo "==> tier 1: cargo test --workspace -q --offline (SA_THREADS=1)"
@@ -84,12 +97,13 @@ cargo test -q --offline --test kernel_equivalence
 echo "==> differential ISA leg at release codegen: baseline build vs AVX2 build vs oracles"
 # The two builds of an inner loop only differ once the optimiser
 # vectorises them, which a debug test binary never does: run the legs
-# that hold both builds to each other, to the row-wise reference and to
-# the verbatim old fold against the code that ships.
+# that hold both builds to each other, to the row-wise reference, to the
+# scalar statement of the fold and to the scalar exp against the code
+# that ships.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
-cargo test -q --offline --release -p sa-tensor --lib softmax::tests::fold
+cargo test -q --offline --release --test exp_contract
+cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests packed::tests
 cargo test -q --offline --release -p sa-kernels --lib panels::tests
-cargo test -q --offline --release -p sa-tensor --lib packed::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"
 # One key layout, three readers, each held bitwise to the path it
@@ -267,32 +281,37 @@ test -s "$smoke_out/serve_timeline.txt" || {
     exit 1
 }
 
-echo "==> bit-preservation: serving smokes vs the base commit's"
-# chaos_soak, recovery_bench, quality_guard and serve_timeline print no
-# wall-clock value, so two builds that compute the same bits print the
-# same bytes. The base is the commit this tree changes: HEAD when the
-# tree is dirty, HEAD^ once it is committed.
-if git diff --quiet HEAD -- . 2>/dev/null; then base_rev='HEAD^'; else base_rev='HEAD'; fi
-if ! git rev-parse --verify -q "$base_rev^{commit}" >/dev/null; then
-    echo "skipped: no base commit $base_rev to compare against"
-else
-    base_src="$smoke_out/base_src"
-    base_out="$smoke_out/base_out"
-    mkdir -p "$base_src" "$base_out"
-    git archive "$base_rev" | tar -x -C "$base_src"
-    for bin in slo_sweep chaos_soak recovery_bench quality_guard serve_timeline; do
-        (cd "$base_src" && CARGO_TARGET_DIR="$smoke_out/base_target" \
+echo "==> results oracle: generators' full output vs results/ (SA_THREADS=1, then default)"
+# These generators print no wall-clock value, so the committed files are
+# the oracle for their bits: a byte that moves is a changed bit, on any
+# host, at any thread count. A change that is meant to move bits
+# regenerates the files in the same commit, and the diff says by how
+# much. slo_sweep runs first: serve_timeline reads its report.
+full_out="$smoke_out/full"
+mkdir -p "$full_out"
+for threads in 1 default; do
+    for bin in slo_sweep chaos_soak recovery_bench quality_guard serve_timeline fig6_scaling; do
+        # The storms' injected worker panics report on stderr: keep it for
+        # a failure, out of the log otherwise.
+        (
+            if [ "$threads" != default ]; then export SA_THREADS="$threads"; fi
             cargo run -q --release --offline -p sa-bench --bin "$bin" -- \
-            --quick --out "$base_out" >/dev/null)
-    done
-    for artifact in chaos_soak.json recovery.json quality_guard.json \
-        serve_timeline.json serve_timeline.txt; do
-        cmp "$base_out/$artifact" "$smoke_out/$artifact" || {
-            echo "$artifact differs from $base_rev's: the change moved bits" >&2
+                --out "$full_out" >"$full_out/$bin.stdout" 2>"$full_out/$bin.stderr"
+        ) || {
+            cat "$full_out/$bin.stderr" >&2
+            echo "$bin failed (SA_THREADS=$threads)" >&2
             exit 1
         }
     done
-fi
+    mv "$full_out/fig6_scaling.stdout" "$full_out/fig6_scaling.txt"
+    for artifact in slo_report.json chaos_soak.json recovery.json quality_guard.json \
+        serve_timeline.json serve_timeline.txt fig6_scaling.json fig6_scaling.txt; do
+        cmp "$full_out/$artifact" "results/$artifact" || {
+            echo "results/$artifact is not what its generator prints (SA_THREADS=$threads)" >&2
+            exit 1
+        }
+    done
+done
 
 echo "==> smoke: tile_kernel --quick (engine vs row-wise reference A/B)"
 # The binary re-asserts bitwise identity on every case before timing it
