@@ -18,8 +18,9 @@
 //!
 //! The soak runs **three legs** with the same contract: the one-shot
 //! batch scheduler over `mixed_workload`, the continuous-batching
-//! scheduler ([`Scheduler::run_continuous`]) over a seeded open-loop
-//! flash-crowd arrival stream ([`sa_serve::open_loop_workload`]), and a
+//! scheduler ([`Scheduler::run_continuous_with_events`]) over a seeded
+//! open-loop flash-crowd arrival stream
+//! ([`sa_serve::open_loop_workload`]), and a
 //! **fault storm** ([`sa_serve::fault_storm_workload`]) replayed under
 //! a globally installed [`FaultPlan`] that layers serving-loop crashes,
 //! failed restore allocations, and checkpoint bit-flips on top of the
@@ -195,7 +196,7 @@ fn main() {
 
     let mut ledgers: Vec<Ledger> = Vec::new();
     for &t in &thread_counts {
-        let ledger = pool::with_threads(t, || scheduler.run(&requests))
+        let (ledger, _) = pool::with_threads(t, || scheduler.run_with_events(&requests))
             .expect("scheduler batch never fails");
         ledger
             .validate(&requests)
@@ -281,7 +282,8 @@ fn main() {
 
     let mut cont_ledgers: Vec<Ledger> = Vec::new();
     for &t in &thread_counts {
-        let ledger = pool::with_threads(t, || cont_scheduler.run_continuous(&stream))
+        let (ledger, _) =
+            pool::with_threads(t, || cont_scheduler.run_continuous_with_events(&stream))
             .expect("continuous replay never fails");
         ledger
             .validate(&stream)
@@ -363,7 +365,8 @@ fn main() {
                 .kv_bit_flips(1),
         );
         for &t in &thread_counts {
-            let ledger = pool::with_threads(t, || storm_scheduler.run_continuous(&storm))
+            let (ledger, _) =
+                pool::with_threads(t, || storm_scheduler.run_continuous_with_events(&storm))
                 .expect("storm replay never fails");
             ledger
                 .validate(&storm)

@@ -206,8 +206,8 @@ fn main() {
     let mut clean_floor_sheds = 0u64;
     let mut last_ledger = None;
     for _ in 0..clean_waves {
-        let ledger = scheduler
-            .run_guarded(&requests, &mut guard)
+        let (ledger, _) = scheduler
+            .run_guarded_with_events(&requests, &mut guard)
             .expect("clean wave never fails");
         ledger
             .validate(&requests)
@@ -272,7 +272,9 @@ fn main() {
     let mut sweep_served = Vec::new();
     for &d in &denominators {
         let s = Scheduler::new(clean_config(args.seed, d)).expect("tiny model config is valid");
-        let ledger = s.run(&requests).expect("sweep wave never fails");
+        let (ledger, _) = s
+            .run_with_events(&requests)
+            .expect("sweep wave never fails");
         ledger
             .validate(&requests)
             .expect("sweep ledger accounts for every request");
@@ -336,8 +338,8 @@ fn main() {
             let mut out = Vec::new();
             {
                 let _faults = fault::install(storm_plan(args.seed));
-                let ledger = storm_scheduler
-                    .run_guarded(&storm_requests, &mut g)
+                let (ledger, _) = storm_scheduler
+                    .run_guarded_with_events(&storm_requests, &mut g)
                     .expect("storm wave never fails");
                 ledger
                     .validate(&storm_requests)
@@ -346,8 +348,8 @@ fn main() {
             }
             quarantined_after_storm = g.quarantined_count() as u64;
             for _ in 0..probation_waves {
-                let ledger = storm_scheduler
-                    .run_guarded(&storm_requests, &mut g)
+                let (ledger, _) = storm_scheduler
+                    .run_guarded_with_events(&storm_requests, &mut g)
                     .expect("probation wave never fails");
                 ledger
                     .validate(&storm_requests)

@@ -19,8 +19,8 @@
 //!   resumed attempt.
 //!
 //! One point also replays through the *executing* scheduler
-//! ([`Scheduler::run_continuous`]) at `SA_THREADS` 1, 2, and the
-//! default, asserting the recovered ledgers are bit-identical and
+//! ([`Scheduler::run_continuous_with_events`]) at `SA_THREADS` 1, 2, and
+//! the default, asserting the recovered ledgers are bit-identical and
 //! account for every request — crash recovery must not cost the repo
 //! its determinism contract.
 //!
@@ -254,7 +254,7 @@ fn main() {
     }
     let mut ledgers: Vec<Ledger> = Vec::new();
     for &t in &thread_counts {
-        let ledger = pool::with_threads(t, || exec.run_continuous(&exec_requests))
+        let (ledger, _) = pool::with_threads(t, || exec.run_continuous_with_events(&exec_requests))
             .expect("continuous replay never fails");
         ledger
             .validate(&exec_requests)

@@ -40,8 +40,8 @@
 use sa_bench::{f, render_table, write_json, Args};
 use sa_serve::{
     fault_storm_workload, open_loop_workload, plan_batch_with_events,
-    plan_continuous_with_events, Event, EventKind, EventLog, LatencyStats, Postmortem, Request,
-    Scheduler, ServeConfig, SloSummary, TenantQuality, SLO_SCHEMA,
+    plan_continuous_with_events, Event, EventKind, EventLog, Outcome, Postmortem, Request,
+    Scheduler, ServeConfig, SloRow, SloSummary,
 };
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool;
@@ -166,167 +166,39 @@ fn shapes() -> Vec<(&'static str, ArrivalShape)> {
     ]
 }
 
-/// The accounting window (first arrival → last deadline), replicating
-/// `sa_serve::slo`'s private helper operation for operation.
-fn stream_span_ms(requests: &[Request]) -> u64 {
-    let first_arrival = requests.iter().map(|r| r.arrival_ms).min();
-    let last_deadline = requests
-        .iter()
-        .map(|r| r.arrival_ms.saturating_add(r.deadline_ms))
-        .max();
-    match (first_arrival, last_deadline) {
-        (Some(a), Some(d)) => d.saturating_sub(a).max(1),
-        _ => 0,
-    }
-}
-
-/// Goodput with the same guards as `sa_serve::slo` (0.0, never NaN).
-fn goodput_per_sec(within: u64, span_ms: u64) -> f64 {
-    if span_ms == 0 {
-        return 0.0;
-    }
-    let rate = within as f64 * 1000.0 / span_ms as f64;
-    if rate.is_finite() {
-        rate
-    } else {
-        0.0
-    }
-}
-
-/// One request's contribution to the per-tenant quality rows,
-/// replicating `sa_serve::slo`'s private accounting from event-borne
-/// facts alone.
-struct Contribution {
-    tenant: u64,
-    served: bool,
-    certified: bool,
-    uncertified_rung: bool,
-    tokens: u64,
-    shed_floor: bool,
-}
-
-/// Folds contributions into sorted per-tenant [`TenantQuality`] rows,
-/// mirroring the library's fold bit for bit.
-fn tenant_rows(contribs: &[Contribution]) -> Vec<TenantQuality> {
-    let mut tenants: Vec<u64> = contribs.iter().map(|c| c.tenant).collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    tenants
-        .into_iter()
-        .map(|tenant| {
-            let mut row = TenantQuality {
-                tenant,
-                served: 0,
-                served_certified: 0,
-                served_tokens: 0,
-                uncertified_tokens: 0,
-                uncertified_permille: 0,
-                shed_quality_floor: 0,
-            };
-            for c in contribs.iter().filter(|c| c.tenant == tenant) {
-                if c.served {
-                    row.served += 1;
-                    row.served_tokens += c.tokens;
-                    if c.certified {
-                        row.served_certified += 1;
-                    }
-                    if c.uncertified_rung {
-                        row.uncertified_tokens += c.tokens;
-                    }
-                }
-                if c.shed_floor {
-                    row.shed_quality_floor += 1;
-                }
-            }
-            if row.served_tokens > 0 {
-                row.uncertified_permille = row.uncertified_tokens * 1000 / row.served_tokens;
-            }
-            row
-        })
-        .collect()
-}
-
-/// Shared tail of both reconstructions: outcome tallies from terminal
-/// event kinds. Quality columns come from event-borne facts too: the
-/// terminal rung string (`window_only` is the uncertifiable rung) and
-/// the shed reason prefix (`"quality floor"` distinguishes a
-/// quality-floor shed from a governor load shed).
-#[derive(Default)]
-struct Tally {
-    served: u64,
-    within: u64,
-    rejected: u64,
-    deadline_missed: u64,
-    cancelled: u64,
-    failed: u64,
-    shed_floor: u64,
-    certified: u64,
-    contribs: Vec<Contribution>,
-    ttft: Vec<u64>,
-    tpot: Vec<u64>,
-}
-
-impl Tally {
-    fn into_summary(self, scheduler: &str, requests: &[Request]) -> SloSummary {
-        let span_ms = stream_span_ms(requests);
-        SloSummary {
-            schema: SLO_SCHEMA.to_string(),
-            scheduler: scheduler.to_string(),
-            requests: requests.len() as u64,
-            served: self.served,
-            served_within_deadline: self.within,
-            rejected: self.rejected,
-            deadline_missed: self.deadline_missed,
-            cancelled: self.cancelled,
-            failed: self.failed,
-            shed_quality_floor: self.shed_floor,
-            served_certified: self.certified,
-            span_ms,
-            goodput_per_sec: goodput_per_sec(self.within, span_ms),
-            certified_goodput_per_sec: goodput_per_sec(self.certified, span_ms),
-            ttft: LatencyStats::from_samples(&self.ttft),
-            tpot: LatencyStats::from_samples(&self.tpot),
-            tenants: tenant_rows(&self.contribs),
+/// One request's [`SloRow`] from event-borne facts alone — the
+/// independent half of the reconstruction; the fold itself is the
+/// library's. The terminal kind gives the outcome, its stamp the finish,
+/// its rung string the quality columns (`window_only` is the
+/// uncertifiable rung), and the shed reason prefix (`"quality floor"`)
+/// tells a quality-floor shed from a governor load shed. First-token
+/// timing is left to the caller: each planner's log carries it its own
+/// way.
+fn row_from_terminal(term: &Event, req: &Request) -> SloRow {
+    let can_certify = term.rung != "window_only";
+    let outcome = match term.kind {
+        EventKind::Completed => Outcome::Served,
+        EventKind::Shed if term.reason.starts_with("quality floor") => Outcome::ShedQualityFloor,
+        EventKind::Shed => Outcome::RejectedBudget,
+        EventKind::Rejected if term.reason.starts_with("overloaded") => {
+            Outcome::RejectedOverloaded
         }
-    }
-
-    fn count_terminal(&mut self, term: &Event, req: &Request) {
-        let served = term.kind == EventKind::Completed;
-        let in_deadline = served && term.t_ms <= req.arrival_ms + req.deadline_ms;
-        let can_certify = term.rung != "window_only";
-        let is_floor_shed =
-            term.kind == EventKind::Shed && term.reason.starts_with("quality floor");
-        match term.kind {
-            EventKind::Completed => {
-                self.served += 1;
-                if in_deadline {
-                    self.within += 1;
-                    if can_certify {
-                        self.certified += 1;
-                    }
-                }
-            }
-            EventKind::Rejected => self.rejected += 1,
-            EventKind::Shed => {
-                if is_floor_shed {
-                    self.shed_floor += 1;
-                } else {
-                    self.rejected += 1;
-                }
-            }
-            EventKind::Expired | EventKind::DeadlineExceeded => self.deadline_missed += 1,
-            EventKind::Cancelled => self.cancelled += 1,
-            EventKind::Failed => self.failed += 1,
-            _ => {}
-        }
-        self.contribs.push(Contribution {
-            tenant: req.tenant,
-            served,
-            certified: in_deadline && can_certify,
-            uncertified_rung: served && !can_certify,
-            tokens: req.seq_len as u64 + req.new_tokens as u64,
-            shed_floor: is_floor_shed,
-        });
+        EventKind::Rejected => Outcome::RejectedBudget,
+        EventKind::Expired => Outcome::ExpiredInQueue,
+        EventKind::DeadlineExceeded => Outcome::DeadlineExceeded,
+        EventKind::Cancelled => Outcome::Cancelled,
+        EventKind::Failed => Outcome::Failed,
+        kind => unreachable!("{kind:?} is not a terminal event kind"),
+    };
+    SloRow {
+        tenant: req.tenant,
+        outcome,
+        within_deadline: term.t_ms <= req.arrival_ms + req.deadline_ms,
+        certified: can_certify,
+        uncertified_rung: !can_certify,
+        tokens: req.seq_len as u64 + req.new_tokens as u64,
+        ttft_ms: None,
+        tpot_ms: None,
     }
 }
 
@@ -341,50 +213,43 @@ fn continuous_summary_from_events(log: &EventLog, requests: &[Request]) -> SloSu
             first_token.insert(ev.request_id, ev.t_ms);
         }
     }
-    let mut tally = Tally::default();
-    for req in requests {
-        let Some(term) = terminals.get(&req.id) else {
-            continue;
-        };
-        tally.count_terminal(term, req);
-        if let Some(&ft) = first_token.get(&req.id) {
-            tally.ttft.push(ft.saturating_sub(req.arrival_ms));
-            if term.kind == EventKind::Completed && req.new_tokens > 1 {
-                let decode_span = term.t_ms.saturating_sub(ft);
-                tally.tpot.push(decode_span / (req.new_tokens as u64 - 1));
-            }
-        }
-    }
-    tally.into_summary("continuous", requests)
+    let rows: Vec<SloRow> = requests
+        .iter()
+        .filter_map(|req| {
+            let term = terminals.get(&req.id)?;
+            let first_token = first_token.get(&req.id);
+            let paced = term.kind == EventKind::Completed && req.new_tokens > 1;
+            Some(SloRow {
+                ttft_ms: first_token.map(|ft| ft.saturating_sub(req.arrival_ms)),
+                tpot_ms: first_token
+                    .filter(|_| paced)
+                    .map(|ft| term.t_ms.saturating_sub(*ft) / (req.new_tokens as u64 - 1)),
+                ..row_from_terminal(term, req)
+            })
+        })
+        .collect();
+    SloSummary::from_rows("continuous", requests, &rows)
 }
 
 /// Rebuilds the one-shot-leg [`SloSummary`] from the event log alone.
 /// The one-shot planner holds a slot for the whole request, so TTFT is
-/// analytic: the final prefill chunk lands one decode tail before the
-/// terminal `Completed` stamp.
+/// analytic from the terminal `Completed` stamp
+/// ([`Request::oneshot_ttft_ms`]) and TPOT is the decode step cost.
 fn oneshot_summary_from_events(log: &EventLog, requests: &[Request]) -> SloSummary {
     let terminals = log.terminals();
-    let mut tally = Tally::default();
-    for req in requests {
-        let Some(term) = terminals.get(&req.id) else {
-            continue;
-        };
-        tally.count_terminal(term, req);
-        if term.kind == EventKind::Completed {
-            let per_token = (req.seq_len as u64 / 16).max(1);
-            let tail = (req.new_tokens as u64).saturating_sub(1) * per_token;
-            tally.ttft.push(
-                term.t_ms
-                    .saturating_sub(tail)
-                    .saturating_sub(req.arrival_ms)
-                    .max(1),
-            );
-            if req.new_tokens > 1 {
-                tally.tpot.push(per_token);
-            }
-        }
-    }
-    tally.into_summary("oneshot", requests)
+    let rows: Vec<SloRow> = requests
+        .iter()
+        .filter_map(|req| {
+            let term = terminals.get(&req.id)?;
+            let served = term.kind == EventKind::Completed;
+            Some(SloRow {
+                ttft_ms: served.then(|| req.oneshot_ttft_ms(term.t_ms)),
+                tpot_ms: (served && req.new_tokens > 1).then(|| req.decode_step_ms()),
+                ..row_from_terminal(term, req)
+            })
+        })
+        .collect();
+    SloSummary::from_rows("oneshot", requests, &rows)
 }
 
 /// Folds a continuous event log into per-tenant binned timelines plus

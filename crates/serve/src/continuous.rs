@@ -226,13 +226,15 @@ enum Phase {
     Prefill,
     /// Streaming decode steps.
     Decode,
-    /// Resolved; `finish` recorded.
+    /// Resolved; `terminal` recorded.
     Done,
 }
 
 /// Mutable per-request simulation state.
 struct RState {
     phase: Phase,
+    /// Dense index of the request's tenant (bucket and floor tallies).
+    tenant: usize,
     /// Earliest time the next micro-task may start (task-serial per
     /// request: one worker at a time; also carries backoff gaps).
     next_ready: u64,
@@ -254,7 +256,6 @@ struct RState {
     chunk_rem: u64,
     n_chunks: u64,
     chunks_done: u64,
-    per_token: u64,
     steps_done: u64,
     first_token: Option<u64>,
     fail_ms: u64,
@@ -272,9 +273,10 @@ struct RState {
 }
 
 impl RState {
-    fn new() -> Self {
+    fn new(bytes: u64, tenant: usize) -> Self {
         RState {
             phase: Phase::Pending,
+            tenant,
             next_ready: 0,
             last_event: 0,
             start: None,
@@ -287,12 +289,11 @@ impl RState {
             chunk_rem: 0,
             n_chunks: 0,
             chunks_done: 0,
-            per_token: 0,
             steps_done: 0,
             first_token: None,
             fail_ms: 0,
             permanent: false,
-            bytes: 0,
+            bytes,
             recovered_attempts: 0,
             recomputed_tokens: 0,
             evicted: false,
@@ -300,14 +301,9 @@ impl RState {
         }
     }
 
-    fn resolve(&mut self, planned: Planned, finish: u64) {
-        self.phase = Phase::Done;
-        self.terminal = Some((planned, finish));
-    }
-
     /// Cost of this request's next micro-task, and whether it debits
     /// the tenant bucket (milli-tokens).
-    fn next_task(&self, cfg: &ServeConfig) -> (u64, u64) {
+    fn next_task(&self, cfg: &ServeConfig, req: &Request) -> (u64, u64) {
         match self.phase {
             Phase::FailAttempts { .. } => (self.fail_ms, 0),
             Phase::Prefill => {
@@ -318,7 +314,7 @@ impl RState {
                 };
                 (cost.max(1), (cfg.chunk_size.max(1) as u64) * 1000)
             }
-            Phase::Decode => (self.per_token.max(1), 1000),
+            Phase::Decode => (req.decode_step_ms(), 1000),
             Phase::Pending | Phase::Admitted | Phase::Done => (0, 0),
         }
     }
@@ -339,6 +335,17 @@ fn dispatch_budget_ms(remaining_ms: u64, slots: usize, contenders: usize) -> u64
     ((remaining_ms as u128 * slots.max(1) as u128) / share) as u64
 }
 
+/// How a rung's `service` time spreads over `n_chunks` prefill chunks:
+/// the prefill part (the service minus the unscaled decode tail) splits
+/// exactly, as `(cost, rem)` — the first `rem` chunks cost `cost + 1`,
+/// the rest `cost`.
+fn chunk_schedule(req: &Request, service: u64, n_chunks: u64) -> (u64, u64) {
+    let scaled_prefill = service
+        .saturating_sub(req.base_service_ms().saturating_sub(req.prefill_service_ms()))
+        .max(1);
+    (scaled_prefill / n_chunks, scaled_prefill % n_chunks)
+}
+
 /// Minimal virtual compute left on a request's schedule, excluding
 /// backoff gaps. Excluding them makes this a strict under-estimate, so
 /// feasibility shedding on it only ever abandons requests that provably
@@ -348,6 +355,24 @@ fn dispatch_budget_ms(remaining_ms: u64, slots: usize, contenders: usize) -> u64
 /// the shed check passes 0 (bottom rung — the true minimum), dispatch
 /// ordering passes the load-scaled budget the walk would actually get.
 fn est_remaining_ms(cfg: &ServeConfig, req: &Request, s: &RState, budget_ms: u64) -> u64 {
+    // Work left once `done` chunks of a `(cost, rem)` chunk schedule are
+    // behind the request: the remaining chunks, then every decode step.
+    let left_after = |done: u64, (cost, rem): (u64, u64)| {
+        (s.n_chunks - done) * cost
+            + rem.saturating_sub(done)
+            + req.new_tokens as u64 * req.decode_step_ms()
+    };
+    // The clean attempt resumes from the cumulative checkpoint, so the
+    // estimate must subtract the planned head start to stay a strict
+    // under-estimate (the shed check must never abandon a recoverable
+    // request).
+    let head_start = || {
+        if cfg.recovery_enabled {
+            planned_checkpoint_chunks(cfg, req.id, s.fails, s.n_chunks)
+        } else {
+            0
+        }
+    };
     match s.phase {
         Phase::Pending | Phase::Admitted => {
             // The ladder walk the request would get if dispatched now.
@@ -355,50 +380,20 @@ fn est_remaining_ms(cfg: &ServeConfig, req: &Request, s: &RState, budget_ms: u64
             let service = sim::service_ms(req, rung);
             let fail_part = s.fails * (service / 8).max(1);
             if s.permanent {
-                return fail_part;
+                fail_part
+            } else if cfg.recovery_enabled && s.fails > 0 && s.n_chunks > 0 {
+                fail_part + left_after(head_start(), chunk_schedule(req, service, s.n_chunks))
+            } else {
+                fail_part + service
             }
-            if cfg.recovery_enabled && s.fails > 0 && s.n_chunks > 0 {
-                // The clean attempt will resume from the cumulative
-                // checkpoint, so the estimate must subtract the planned
-                // head start to stay a strict under-estimate (the shed
-                // check must never abandon a recoverable request).
-                let h = planned_checkpoint_chunks(cfg, req.id, s.fails, s.n_chunks);
-                let scaled = service
-                    .saturating_sub(
-                        req.base_service_ms().saturating_sub(req.prefill_service_ms()),
-                    )
-                    .max(1);
-                let chunk_cost = scaled / s.n_chunks;
-                let chunk_rem = scaled % s.n_chunks;
-                let decode_tail = req.new_tokens as u64 * ((req.seq_len as u64) / 16).max(1);
-                return fail_part
-                    + (s.n_chunks - h) * chunk_cost
-                    + chunk_rem.saturating_sub(h)
-                    + decode_tail;
-            }
-            fail_part + service
         }
+        Phase::FailAttempts { remaining } if s.permanent => remaining * s.fail_ms,
         Phase::FailAttempts { remaining } => {
-            let mut rem = remaining * s.fail_ms;
-            if !s.permanent {
-                let h = if cfg.recovery_enabled {
-                    planned_checkpoint_chunks(cfg, req.id, s.fails, s.n_chunks)
-                } else {
-                    0
-                };
-                rem += (s.n_chunks - h) * s.chunk_cost
-                    + s.chunk_rem.saturating_sub(h)
-                    + req.new_tokens as u64 * s.per_token;
-            }
-            rem
+            remaining * s.fail_ms + left_after(head_start(), (s.chunk_cost, s.chunk_rem))
         }
-        Phase::Prefill => {
-            let chunks_left = s.n_chunks - s.chunks_done;
-            let plus_one = s.chunk_rem.saturating_sub(s.chunks_done);
-            chunks_left * s.chunk_cost + plus_one + req.new_tokens as u64 * s.per_token
-        }
+        Phase::Prefill => left_after(s.chunks_done, (s.chunk_cost, s.chunk_rem)),
         Phase::Decode => {
-            (req.new_tokens as u64).saturating_sub(s.steps_done) * s.per_token
+            (req.new_tokens as u64).saturating_sub(s.steps_done) * req.decode_step_ms()
         }
         Phase::Done => 0,
     }
@@ -407,9 +402,9 @@ fn est_remaining_ms(cfg: &ServeConfig, req: &Request, s: &RState, budget_ms: u64
 /// The deferred ladder walk: runs when a worker first picks the request
 /// up, fixing the rung against the load-scaled deadline budget
 /// ([`dispatch_budget_ms`]) and deriving every rung-dependent cost
-/// (failed-attempt time and the exact-sum distribution of the scaled
-/// prefill over its chunks). The walk honours the tenant's quality
-/// floor (`max_rung_index`): when no permitted rung fits the budget it
+/// (failed-attempt time and the [`chunk_schedule`] of the scaled
+/// prefill). The walk honours the tenant's quality floor
+/// (`max_rung_index`): when no permitted rung fits the budget it
 /// returns `false` and the caller sheds the request with
 /// [`Planned::ShedQualityFloor`] instead of forcing a forbidden rung.
 fn init_schedule(req: &Request, s: &mut RState, budget_ms: u64, max_rung_index: usize) -> bool {
@@ -417,45 +412,16 @@ fn init_schedule(req: &Request, s: &mut RState, budget_ms: u64, max_rung_index: 
         return false;
     };
     let service = sim::service_ms(req, rung);
-    let scaled_prefill = service
-        .saturating_sub(req.base_service_ms().saturating_sub(req.prefill_service_ms()))
-        .max(1);
     s.rung = rung;
     s.skipped = skipped;
     s.fail_ms = (service / 8).max(1);
-    s.chunk_cost = scaled_prefill / s.n_chunks;
-    s.chunk_rem = scaled_prefill % s.n_chunks;
+    (s.chunk_cost, s.chunk_rem) = chunk_schedule(req, service, s.n_chunks);
     s.phase = if s.fails > 0 {
         Phase::FailAttempts { remaining: s.fails }
     } else {
         Phase::Prefill
     };
     true
-}
-
-/// The terminal-event rung string, following the ledger convention: a
-/// rung is meaningful exactly when model work started.
-fn terminal_rung(planned: &Planned, rung: DegradationRung) -> String {
-    if matches!(
-        planned,
-        Planned::RejectOverloaded { .. }
-            | Planned::RejectBudget { .. }
-            | Planned::ExpireInQueue
-            | Planned::ShedQualityFloor
-    ) {
-        String::new()
-    } else {
-        rung.to_string()
-    }
-}
-
-/// The typed reason string of a served terminal event.
-fn served_reason(fails: u64) -> String {
-    if fails > 0 {
-        format!("served after {fails} failed attempts")
-    } else {
-        String::new()
-    }
 }
 
 /// Simulates the continuous open-loop timeline and returns one
@@ -473,1099 +439,893 @@ pub fn plan_continuous_with_events(
     cfg: &ServeConfig,
     requests: &[Request],
 ) -> (Vec<ContinuousPlan>, EventLog) {
-    let weights = sim::weight_bytes();
-    let budget = cfg.mem_budget_bytes;
-    // Watermark classifier for the governor ladder. Only `level_of`
-    // is used — a pure function of the configured watermarks — fed
-    // with the planner's own serial `mem_in_use` projection, so the
-    // governor is deterministic by construction.
-    let pressure = MemoryLedger::from_config(cfg);
-    let slots = cfg.slots();
-    let n = requests.len();
+    Planner::new(cfg, requests).run()
+}
 
-    // Dense tenant index, deterministic order.
-    let mut tenant_ids: Vec<u64> = requests.iter().map(|r| r.tenant).collect();
-    tenant_ids.sort_unstable();
-    tenant_ids.dedup();
-    let tenant_of = |req: &Request| -> usize {
-        tenant_ids
-            .binary_search(&req.tenant)
-            .unwrap_or(0 /* unreachable: built from the same set */)
-    };
-    let mut buckets: Vec<TokenBucket> = tenant_ids.iter().map(|_| TokenBucket::new(cfg)).collect();
-    // Per-tenant quality-floor accounting: synthetic tokens the planner
-    // has committed to dispatch, split by whether the assigned rung can
-    // certify the CRA α contract. A tenant floor's
-    // `max_uncertified_permille` bounds the uncertified share; a
-    // dispatch that would breach it sheds instead (the count is over
-    // *dispatched* work, a conservative superset of what gets served).
-    let mut dispatched_tokens: Vec<u64> = vec![0; tenant_ids.len()];
-    let mut uncertified_tokens: Vec<u64> = vec![0; tenant_ids.len()];
+/// What the governor ruled on the head of the admission queue.
+#[derive(Debug, PartialEq)]
+enum Governed {
+    /// It fits (possibly after evictions): reserve its memory.
+    Admit,
+    /// It stays at the head; nothing behind it is considered.
+    Wait,
+    /// It was shed and resolved; the next head is up.
+    Shed,
+}
 
-    // Arrival order (stable by id for simultaneous arrivals).
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (requests[i].arrival_ms, requests[i].id));
+/// The continuous planner: the whole state of the discrete-event
+/// simulation. [`run`](Self::run) reads `ingest → admit → sweep → pick →
+/// run_task` per iteration; every repeated act has exactly one home —
+/// [`emit`](Self::emit) writes the event log, [`decide`](Self::decide)
+/// feeds the flight recorder, [`finish`](Self::finish) resolves a
+/// request, [`overdue`](Self::overdue) rules on cancels, deadlines and
+/// doomed work.
+struct Planner<'a> {
+    cfg: &'a ServeConfig,
+    requests: &'a [Request],
+    st: Vec<RState>,
+    /// Request indices in arrival order (stable by id for simultaneous
+    /// arrivals), and how many of them have been ingested.
+    order: Vec<usize>,
+    next_arrival: usize,
+    /// The admission queue, kept in earliest-deadline-first order
+    /// (ties by arrival then id, so the order is total and
+    /// deterministic). EDF decides *who is the head* that memory
+    /// backpressure defers on: the most urgent request — never bypassed,
+    /// so it cannot be starved — rather than the oldest, so a
+    /// long-deadline giant waiting for memory does not pin down a string
+    /// of short-deadline requests behind it until they all expire.
+    pending: Vec<usize>,
+    /// Admitted requests in admission order. A resolved one stays
+    /// listed until the next [`sweep`](Self::sweep) prunes it, and the
+    /// flight recorder's `inflight` column counts this list.
+    inflight: Vec<usize>,
+    /// `(release_time, bytes, request index)` of resolved requests in
+    /// ascending order, applied once the clock passes the release point.
+    releases: VecDeque<(u64, u64, usize)>,
+    worker_free: Vec<u64>,
+    /// Per-tenant fairness quotas, round-robin cursor, and
+    /// quality-floor accounting: synthetic tokens the planner has
+    /// committed to dispatch, split by whether the assigned rung can
+    /// certify the CRA α contract. A tenant floor's
+    /// `max_uncertified_permille` bounds the uncertified share; a
+    /// dispatch that would breach it sheds instead (the count is over
+    /// *dispatched* work, a conservative superset of what gets served).
+    buckets: Vec<TokenBucket>,
+    rr_cursor: usize,
+    dispatched_tokens: Vec<u64>,
+    uncertified_tokens: Vec<u64>,
+    /// The planner's own serial occupancy projection, and the watermark
+    /// classifier for the governor ladder. Only `level_of` is used — a
+    /// pure function of the configured watermarks — so the governor is
+    /// deterministic by construction.
+    weights: u64,
+    mem_in_use: u64,
+    pressure: MemoryLedger,
+    /// The last pressure level seen, for the Critical-transition
+    /// trigger.
+    prev_level: PressureLevel,
+    done: usize,
+    log: EventLog,
+    recorder: FlightRecorder,
+}
 
-    let mut st: Vec<RState> = (0..n).map(|_| RState::new()).collect();
-    for (i, req) in requests.iter().enumerate() {
-        st[i].bytes = sim::request_bytes(cfg, req);
-    }
-
-    let deadline_t = |i: usize| requests[i].arrival_ms + requests[i].deadline_ms;
-    let cancel_t = |i: usize| {
-        if requests[i].cancel_after_ms > 0 {
-            requests[i].arrival_ms + requests[i].cancel_after_ms
-        } else {
-            u64::MAX
+impl<'a> Planner<'a> {
+    fn new(cfg: &'a ServeConfig, requests: &'a [Request]) -> Self {
+        // Dense tenant index, deterministic order.
+        let mut tenant_ids: Vec<u64> = requests.iter().map(|r| r.tenant).collect();
+        tenant_ids.sort_unstable();
+        tenant_ids.dedup();
+        let st = requests
+            .iter()
+            .map(|req| {
+                let tenant = tenant_ids.binary_search(&req.tenant).unwrap_or(0);
+                RState::new(sim::request_bytes(cfg, req), tenant)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| (requests[i].arrival_ms, requests[i].id));
+        let weights = sim::weight_bytes();
+        Planner {
+            cfg,
+            requests,
+            st,
+            order,
+            next_arrival: 0,
+            pending: Vec::new(),
+            inflight: Vec::new(),
+            releases: VecDeque::new(),
+            worker_free: vec![0; cfg.slots()],
+            buckets: tenant_ids.iter().map(|_| TokenBucket::new(cfg)).collect(),
+            rr_cursor: 0,
+            dispatched_tokens: vec![0; tenant_ids.len()],
+            uncertified_tokens: vec![0; tenant_ids.len()],
+            weights,
+            mem_in_use: weights,
+            pressure: MemoryLedger::from_config(cfg),
+            prev_level: PressureLevel::Normal,
+            done: 0,
+            log: EventLog::new(cfg.seed),
+            recorder: FlightRecorder::new(FLIGHT_RECORDER_CAPACITY),
         }
-    };
-    // The instant a request stops being worth any compute: whichever of
-    // its deadline and its caller's cancellation comes first. Urgency
-    // ordering, dispatch budgets, and feasibility shedding all use this
-    // — a request that provably cannot finish before its caller hangs
-    // up is exactly as worthless to schedule as one that cannot make
-    // its deadline.
-    let due_t = |i: usize| deadline_t(i).min(cancel_t(i));
-
-    let mut worker_free: Vec<u64> = vec![0; slots];
-    let mut next_arrival = 0usize; // index into `order`
-    // The admission queue, kept in earliest-deadline-first order
-    // (ties by arrival then id, so the order is total and
-    // deterministic). EDF decides *who is the head* that memory
-    // backpressure defers on: the most urgent request — never bypassed,
-    // so it cannot be starved — rather than the oldest, so a
-    // long-deadline giant waiting for memory does not pin down a string
-    // of short-deadline requests behind it until they all expire.
-    let mut pending: Vec<usize> = Vec::new();
-    let mut inflight: Vec<usize> = Vec::new(); // admitted, not Done; sorted by admission
-    let mut mem_in_use: u64 = weights;
-    // (release_time, bytes, request index) of completed requests,
-    // applied once the clock passes the release point (sorted
-    // ascending; drained front).
-    let mut releases: VecDeque<(u64, u64, usize)> = VecDeque::new();
-    let mut rr_cursor: usize = 0;
-    let mut done = 0usize;
-
-    // Telemetry plane: the lifecycle event log, the flight recorder,
-    // and the last pressure level seen (for the Critical-transition
-    // trigger). All written by this serial simulation only.
-    let mut log = EventLog::new(cfg.seed);
-    let mut recorder = FlightRecorder::new(FLIGHT_RECORDER_CAPACITY);
-    let mut prev_level = PressureLevel::Normal;
-
-    // Admits from the pending queue head while memory allows, resolving
-    // requests whose cancel/deadline already passed. `now` is the
-    // virtual instant the admission opportunity exists.
-    macro_rules! admit {
-        ($now:expr) => {{
-            let now: u64 = $now;
-            while let Some((t, bytes, ridx)) = releases.front().copied() {
-                if t <= now {
-                    mem_in_use -= bytes;
-                    releases.pop_front();
-                    log.push(
-                        t,
-                        requests[ridx].id,
-                        requests[ridx].tenant,
-                        EventKind::Released,
-                        "",
-                        bytes,
-                        mem_in_use,
-                        String::new(),
-                    );
-                } else {
-                    break;
-                }
-            }
-            // Released memory can drop the pressure level; track the
-            // drop so a later climb back to Critical re-triggers the
-            // flight recorder.
-            prev_level = prev_level.min(pressure.level_of(mem_in_use));
-            while let Some(&i) = pending.first() {
-                let req = &requests[i];
-                if cancel_t(i) <= now {
-                    let at = cancel_t(i).max(req.arrival_ms);
-                    st[i].start = Some(at);
-                    let rung = terminal_rung(&Planned::CancelCaller, st[i].rung);
-                    st[i].resolve(Planned::CancelCaller, at);
-                    log.push(
-                        at,
-                        req.id,
-                        req.tenant,
-                        EventKind::Cancelled,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        "caller cancelled while queued".to_string(),
-                    );
-                    done += 1;
-                    pending.remove(0);
-                    continue;
-                }
-                if deadline_t(i) <= now {
-                    let at = deadline_t(i);
-                    st[i].start = Some(at);
-                    st[i].resolve(Planned::ExpireInQueue, at);
-                    log.push(
-                        at,
-                        req.id,
-                        req.tenant,
-                        EventKind::Expired,
-                        "",
-                        0,
-                        mem_in_use,
-                        "deadline expired in queue".to_string(),
-                    );
-                    done += 1;
-                    pending.remove(0);
-                    continue;
-                }
-                if weights + st[i].bytes > budget {
-                    // Could never fit, even alone next to the weights.
-                    let required_bytes = weights + st[i].bytes;
-                    st[i].start = Some(now);
-                    st[i].resolve(Planned::RejectBudget { required_bytes }, now);
-                    log.push(
-                        now,
-                        req.id,
-                        req.tenant,
-                        EventKind::Rejected,
-                        "",
-                        0,
-                        mem_in_use,
-                        format!("required {required_bytes} bytes exceeds budget {budget}"),
-                    );
-                    done += 1;
-                    pending.remove(0);
-                    continue;
-                }
-                // ── Memory-pressure governor ───────────────────────
-                // Watermark-classified occupancy drives the ladder:
-                // defer non-urgent admissions → evict low-mass KV from
-                // in-flight decode sessions → (at dispatch) force lower
-                // rungs → shed what still cannot be placed.
-                let level = pressure.level_of(mem_in_use);
-                let must_start_by =
-                    due_t(i).saturating_sub(sim::service_ms(req, DegradationRung::Full));
-                let urgent = now >= must_start_by;
-                // Lazy admission for slack-rich requests: admission
-                // commits this request's memory until it finishes, so a
-                // long-deadline giant admitted during a lull can pin
-                // half the pool across a later crest and starve the
-                // crest's short-deadline arrivals out of admission
-                // entirely. While the head could still wait and keep
-                // its full-rung service, admitting it early is a luxury
-                // allowed to consume at most half of the free memory —
-                // successive early admissions leave geometrically
-                // shrinking headroom, so small requests always slip in
-                // while a second giant must wait. Once waiting longer
-                // would force a degraded rung the request is urgent and
-                // may fill the pool to the brim. Under Critical
-                // pressure the luxury disappears entirely: every
-                // non-urgent head defers until occupancy drains.
-                if !urgent
-                    && (st[i].bytes > budget.saturating_sub(mem_in_use) / 2
-                        || level == PressureLevel::Critical)
-                {
-                    if level >= PressureLevel::Elevated {
-                        metrics::counter("serve.pressure.deferrals").add(1);
-                        log.push(
-                            now,
-                            req.id,
-                            req.tenant,
-                            EventKind::Deferred,
-                            "",
-                            0,
-                            mem_in_use,
-                            format!("pressure {}", level.as_str()),
-                        );
-                        recorder.record(PlannerDecision {
-                            t_ms: now,
-                            request_id: req.id,
-                            action: "defer".to_string(),
-                            queue_depth: pending.len() as u64,
-                            inflight: inflight.len() as u64,
-                            free_bytes: budget.saturating_sub(mem_in_use),
-                            contenders: 0,
-                            budget_ms: 0,
-                            rung: String::new(),
-                            pressure: level.as_str().to_string(),
-                        });
-                    }
-                    break;
-                }
-                if mem_in_use + st[i].bytes > budget {
-                    // Evict the low-mass KV share (a quarter — the
-                    // I_KV tail outside the attention-mass head set,
-                    // recomputable from the prompt) of in-flight
-                    // decode sessions, oldest admission first, until
-                    // the head fits. Each session is evicted at most
-                    // once: the abstraction is dropping resident
-                    // low-mass rows, not repeatedly shrinking KV.
-                    if level >= PressureLevel::Elevated {
-                        for idx in 0..inflight.len() {
-                            if mem_in_use + st[i].bytes <= budget {
-                                break;
-                            }
-                            let j = inflight[idx];
-                            if st[j].phase == Phase::Decode && !st[j].evicted {
-                                let freed = st[j].bytes / 4;
-                                st[j].bytes -= freed;
-                                st[j].evicted = true;
-                                mem_in_use -= freed;
-                                metrics::counter("serve.pressure.evictions").add(1);
-                                let rung = st[j].rung.to_string();
-                                log.push(
-                                    now,
-                                    requests[j].id,
-                                    requests[j].tenant,
-                                    EventKind::PressureEvicted,
-                                    &rung,
-                                    freed,
-                                    mem_in_use,
-                                    format!(
-                                        "pressure {}: low-mass KV freed for request {}",
-                                        level.as_str(),
-                                        req.id
-                                    ),
-                                );
-                                recorder.record(PlannerDecision {
-                                    t_ms: now,
-                                    request_id: requests[j].id,
-                                    action: "evict".to_string(),
-                                    queue_depth: pending.len() as u64,
-                                    inflight: inflight.len() as u64,
-                                    free_bytes: budget.saturating_sub(mem_in_use),
-                                    contenders: 0,
-                                    budget_ms: 0,
-                                    rung,
-                                    pressure: level.as_str().to_string(),
-                                });
-                            }
-                        }
-                    }
-                    if mem_in_use + st[i].bytes > budget {
-                        if urgent && level == PressureLevel::Critical {
-                            // The ladder's last rung: an urgent head
-                            // that still cannot be placed under
-                            // Critical pressure is shed with a typed
-                            // budget rejection instead of blocking the
-                            // EDF head while its deadline bleeds out.
-                            let required_bytes = mem_in_use + st[i].bytes;
-                            st[i].start = Some(now);
-                            st[i].resolve(Planned::RejectBudget { required_bytes }, now);
-                            metrics::counter("serve.pressure.sheds").add(1);
-                            log.push(
-                                now,
-                                req.id,
-                                req.tenant,
-                                EventKind::Shed,
-                                "",
-                                0,
-                                mem_in_use,
-                                format!(
-                                    "unplaceable under critical pressure: required \
-                                     {required_bytes} bytes of budget {budget}"
-                                ),
-                            );
-                            recorder.record(PlannerDecision {
-                                t_ms: now,
-                                request_id: req.id,
-                                action: "shed".to_string(),
-                                queue_depth: pending.len() as u64,
-                                inflight: inflight.len() as u64,
-                                free_bytes: budget.saturating_sub(mem_in_use),
-                                contenders: 0,
-                                budget_ms: 0,
-                                rung: String::new(),
-                                pressure: level.as_str().to_string(),
-                            });
-                            recorder.trigger(
-                                "shed",
-                                now,
-                                req.id,
-                                format!(
-                                    "urgent head shed: required {required_bytes} bytes \
-                                     against budget {budget} at critical pressure"
-                                ),
-                            );
-                            done += 1;
-                            pending.remove(0);
-                            continue;
-                        }
-                        break; // head-of-line memory backpressure
-                    }
-                }
-                pending.remove(0);
-                mem_in_use += st[i].bytes;
-                log.push(
-                    now,
-                    req.id,
-                    req.tenant,
-                    EventKind::Admitted,
-                    "",
-                    st[i].bytes,
-                    mem_in_use,
-                    String::new(),
-                );
-                recorder.record(PlannerDecision {
-                    t_ms: now,
-                    request_id: req.id,
-                    action: "admit".to_string(),
-                    queue_depth: pending.len() as u64,
-                    inflight: inflight.len() as u64,
-                    free_bytes: budget.saturating_sub(mem_in_use),
-                    contenders: 0,
-                    budget_ms: 0,
-                    rung: String::new(),
-                    pressure: pressure.level_of(mem_in_use).as_str().to_string(),
-                });
-                if pressure.level_of(mem_in_use) == PressureLevel::Critical
-                    && prev_level != PressureLevel::Critical
-                {
-                    recorder.trigger(
-                        "critical_transition",
-                        now,
-                        req.id,
-                        format!(
-                            "occupancy {mem_in_use} of budget {budget} crossed the \
-                             high watermark on admission"
-                        ),
-                    );
-                }
-                prev_level = pressure.level_of(mem_in_use);
-                // Only the rung-independent shape is fixed here; the
-                // ladder walk waits for first dispatch (init_schedule).
-                let attempts_budget = cfg.max_retries as u64 + 1;
-                let s = &mut st[i];
-                s.fails = req.fault_fails.min(attempts_budget);
-                s.permanent = req.fault_fails >= attempts_budget;
-                s.n_chunks = (req.seq_len as u64)
-                    .div_ceil(cfg.chunk_size.max(1) as u64)
-                    .max(1);
-                s.per_token = ((req.seq_len as u64) / 16).max(1);
-                s.phase = Phase::Admitted;
-                s.next_ready = now;
-                s.last_event = now;
-                inflight.push(i);
-            }
-        }};
     }
 
-    while done < n {
-        // The worker that frees earliest decides the next dispatch
-        // instant (lowest index wins ties, deterministically).
-        let w = (0..slots)
-            .min_by_key(|&w| (worker_free[w], w))
-            .unwrap_or(0);
-        let now = worker_free[w];
+    fn run(mut self) -> (Vec<ContinuousPlan>, EventLog) {
+        while self.done < self.requests.len() {
+            // The worker that frees earliest decides the next dispatch
+            // instant (lowest index wins ties, deterministically).
+            let w = (0..self.worker_free.len())
+                .min_by_key(|&w| (self.worker_free[w], w))
+                .unwrap_or(0);
+            let now = self.worker_free[w];
+            self.ingest(now);
+            self.admit(now);
+            self.sweep(now);
+            self.worker_free[w] = match self.pick(now) {
+                (Some(i), _) => self.run_task(i, now),
+                (None, bucket_ready) => self.next_wake(now, bucket_ready),
+            };
+        }
+        // Apply the releases the loop never reached (the clock stops at
+        // the last micro-task, which can precede queued release points),
+        // so the event log's memory balance returns to the weights
+        // baseline — the conservation invariant
+        // [`EventLog::check_conservation`] asserts.
+        self.apply_releases(u64::MAX);
+        let plans = self.plans();
+        self.log.postmortems = self.recorder.into_postmortems();
+        (plans, self.log)
+    }
 
-        // Ingest arrivals up to `now`, bounding the pending queue.
-        while next_arrival < n {
-            let i = order[next_arrival];
-            let at = requests[i].arrival_ms;
+    fn deadline_t(&self, i: usize) -> u64 {
+        self.requests[i].arrival_ms + self.requests[i].deadline_ms
+    }
+
+    fn cancel_t(&self, i: usize) -> u64 {
+        match self.requests[i].cancel_after_ms {
+            0 => u64::MAX,
+            after => self.requests[i].arrival_ms + after,
+        }
+    }
+
+    /// The instant a request stops being worth any compute: whichever of
+    /// its deadline and its caller's cancellation comes first. Urgency
+    /// ordering, dispatch budgets, and feasibility shedding all use this
+    /// — a request that provably cannot finish before its caller hangs
+    /// up is exactly as worthless to schedule as one that cannot make
+    /// its deadline.
+    fn due_t(&self, i: usize) -> u64 {
+        self.deadline_t(i).min(self.cancel_t(i))
+    }
+
+    /// The last instant request `i` can start and still afford the full
+    /// rung; from here on it is *urgent*.
+    fn must_start_by(&self, i: usize) -> u64 {
+        self.due_t(i)
+            .saturating_sub(sim::service_ms(&self.requests[i], DegradationRung::Full))
+    }
+
+    fn level(&self) -> PressureLevel {
+        self.pressure.level_of(self.mem_in_use)
+    }
+
+    fn free_bytes(&self) -> u64 {
+        self.cfg.mem_budget_bytes.saturating_sub(self.mem_in_use)
+    }
+
+    /// The only writer of the event log: every event carries the
+    /// balance the planner holds at the moment it is emitted.
+    fn emit(&mut self, t: u64, i: usize, kind: EventKind, rung: &str, bytes: u64, reason: String) {
+        let req = &self.requests[i];
+        self.log.push(t, req, kind, rung, bytes, self.mem_in_use, reason);
+    }
+
+    /// The only writer of the flight recorder. `dispatch` is the
+    /// `(contenders, budget_ms)` pair of a dispatch-time decision,
+    /// zeros otherwise.
+    fn decide(
+        &mut self,
+        now: u64,
+        i: usize,
+        action: &str,
+        rung: String,
+        level: PressureLevel,
+        dispatch: (usize, u64),
+    ) {
+        self.recorder.record(PlannerDecision {
+            t_ms: now,
+            request_id: self.requests[i].id,
+            action: action.to_string(),
+            queue_depth: self.pending.len() as u64,
+            inflight: self.inflight.len() as u64,
+            free_bytes: self.free_bytes(),
+            contenders: dispatch.0 as u64,
+            budget_ms: dispatch.1,
+            rung,
+            pressure: level.as_str().to_string(),
+        });
+    }
+
+    /// The only place a request resolves: records the terminal state,
+    /// emits the terminal event at `at`, and — for a request that holds
+    /// memory — queues the release for `release_at`.
+    /// [`finish_plainly`](Self::finish_plainly) supplies the reason for
+    /// resolutions that speak for themselves.
+    fn finish(
+        &mut self,
+        i: usize,
+        planned: Planned,
+        at: u64,
+        reason: String,
+        release_at: Option<u64>,
+    ) {
+        // A budget rejection of a request the budget could hold alone is
+        // the governor's load shed, logged as `Shed`; `Rejected` is for
+        // what could never fit.
+        let kind = match planned {
+            Planned::RejectBudget { .. }
+                if self.weights + self.st[i].bytes <= self.cfg.mem_budget_bytes =>
+            {
+                EventKind::Shed
+            }
+            _ => EventKind::terminal_for(&planned),
+        };
+        // The ledger convention: a rung means something exactly when
+        // model work started.
+        let rung = match planned.runs_model() {
+            true => self.st[i].rung.to_string(),
+            false => String::new(),
+        };
+        self.st[i].phase = Phase::Done;
+        self.st[i].terminal = Some((planned, at));
+        self.emit(at, i, kind, &rung, 0, reason);
+        if let Some(t) = release_at {
+            let release = (t, self.st[i].bytes, i);
+            let pos = self.releases.partition_point(|r| *r < release);
+            self.releases.insert(pos, release);
+        }
+        self.done += 1;
+    }
+
+    /// [`finish`](Self::finish) with the reason both planners give a
+    /// resolution that needs no context ([`sim::terminal_reason`]).
+    fn finish_plainly(&mut self, i: usize, planned: Planned, at: u64, release_at: Option<u64>) {
+        let reason = sim::terminal_reason(&planned, self.cfg.mem_budget_bytes);
+        self.finish(i, planned, at, reason, release_at);
+    }
+
+    /// A request that ran its whole schedule resolves as served.
+    fn complete(&mut self, i: usize, end: u64) {
+        let fails = self.st[i].fails;
+        self.finish_plainly(i, Planned::Serve { fails }, end, Some(end));
+    }
+
+    /// The one verdict on a request whose time is up, or will be before
+    /// its remaining work can finish. Evaluated at micro-task
+    /// boundaries (cooperative semantics), in this order: the caller
+    /// already hung up; the deadline already passed; neither yet, but
+    /// even the backoff-free minimum of the remaining compute
+    /// ([`est_remaining_ms`] on the bottom rung) overshoots the due
+    /// point — finishing is impossible, and abandoning the request
+    /// *now* frees capacity for requests that can still make their
+    /// deadlines. A doomed request still resolves at its due instant
+    /// (whichever signal comes first), only its memory frees early. A
+    /// permanent failure is never doomed: it costs nothing past its
+    /// crashes and resolves as `Failed` on its own.
+    ///
+    /// Returns `(resolution, terminal instant, reason)`. A `queued`
+    /// request resolves at the signal itself (neither can precede its
+    /// arrival); an in-flight one stops at the later of the signal and
+    /// its last completed micro-task.
+    fn overdue(&self, i: usize, now: u64, queued: bool) -> Option<(Planned, u64, &'static str)> {
+        let (req, s) = (&self.requests[i], &self.st[i]);
+        let (cancel, deadline) = (self.cancel_t(i), self.deadline_t(i));
+        // Never dispatched counts as a queue expiry (matching the
+        // one-shot convention); once any micro-task ran it is a mid-run
+        // deadline cancel.
+        let expiry = if s.start.is_none() {
+            Planned::ExpireInQueue
+        } else {
+            Planned::CancelDeadline
+        };
+        let (planned, at, reason) = if cancel <= now {
+            let reason = if queued {
+                "caller cancelled while queued"
+            } else {
+                "caller cancelled"
+            };
+            (Planned::CancelCaller, cancel, reason)
+        } else if deadline <= now {
+            let reason = if queued {
+                "deadline expired in queue"
+            } else {
+                "due time passed mid-flight"
+            };
+            (expiry, deadline, reason)
+        } else if !s.permanent
+            && now.saturating_add(est_remaining_ms(self.cfg, req, s, 0)) > cancel.min(deadline)
+        {
+            match (cancel < deadline, queued) {
+                (true, true) => (
+                    Planned::CancelCaller,
+                    cancel,
+                    "doomed in queue: cannot finish before the caller hangs up",
+                ),
+                (true, false) => (
+                    Planned::CancelCaller,
+                    cancel,
+                    "doomed: remaining work cannot finish before the caller hangs up",
+                ),
+                (false, true) => (
+                    expiry,
+                    deadline,
+                    "doomed in queue: cannot meet the deadline",
+                ),
+                (false, false) => (
+                    expiry,
+                    deadline,
+                    "doomed: remaining work cannot meet the deadline",
+                ),
+            }
+        } else {
+            return None;
+        };
+        Some((planned, if queued { at } else { at.max(s.last_event) }, reason))
+    }
+
+    /// Returns memory whose release point the clock has passed.
+    fn apply_releases(&mut self, now: u64) {
+        while let Some(&(t, bytes, i)) = self.releases.front() {
+            if t > now {
+                break;
+            }
+            self.releases.pop_front();
+            self.mem_in_use -= bytes;
+            self.emit(t, i, EventKind::Released, "", bytes, String::new());
+        }
+    }
+
+    /// Ingests arrivals up to `now`, each at its own arrival instant,
+    /// bounding the pending queue.
+    fn ingest(&mut self, now: u64) {
+        while let Some(&i) = self.order.get(self.next_arrival) {
+            let at = self.requests[i].arrival_ms;
             if at > now {
                 break;
             }
-            next_arrival += 1;
-            admit!(at);
-            if pending.len() >= cfg.max_pending.max(1) {
-                let running = inflight.iter().filter(|&&j| st[j].terminal.is_none()).count();
-                st[i].start = Some(at);
-                st[i].resolve(
-                    Planned::RejectOverloaded {
-                        inflight: running + pending.len(),
-                    },
-                    at,
-                );
-                log.push(
-                    at,
-                    requests[i].id,
-                    requests[i].tenant,
-                    EventKind::Rejected,
-                    "",
-                    0,
-                    mem_in_use,
-                    format!(
-                        "overloaded: {} in flight or queued",
-                        running + pending.len()
-                    ),
-                );
-                done += 1;
+            self.next_arrival += 1;
+            self.admit(at);
+            if self.pending.len() >= self.cfg.max_pending.max(1) {
+                let running = self.inflight.iter().filter(|&&j| self.st[j].terminal.is_none());
+                let inflight = running.count() + self.pending.len();
+                self.finish_plainly(i, Planned::RejectOverloaded { inflight }, at, None);
             } else {
-                let key = |j: usize| (due_t(j), requests[j].arrival_ms, requests[j].id);
-                let pos = pending.partition_point(|&j| key(j) <= key(i));
-                pending.insert(pos, i);
-                log.push(
-                    at,
-                    requests[i].id,
-                    requests[i].tenant,
-                    EventKind::Enqueued,
-                    "",
-                    0,
-                    mem_in_use,
-                    format!("edf position {} of {}", pos + 1, pending.len()),
-                );
+                let requests = self.requests;
+                let key = |j: usize| (self.due_t(j), requests[j].arrival_ms, requests[j].id);
+                let pos = self.pending.partition_point(|&j| key(j) <= key(i));
+                self.pending.insert(pos, i);
+                let reason = format!("edf position {} of {}", pos + 1, self.pending.len());
+                self.emit(at, i, EventKind::Enqueued, "", 0, reason);
             }
         }
-        admit!(now);
-        inflight.retain(|&i| st[i].terminal.is_none());
+    }
 
-        // Resolve in-flight requests whose cancel/deadline passed
-        // (cooperative semantics: the stop lands at the later of the
-        // signal and the last completed micro-task), and shed the
-        // provably doomed: when even the backoff-free minimum of a
-        // request's remaining compute cannot fit its deadline, finishing
-        // is impossible — abandoning it *now* frees capacity for
-        // requests that can still make their deadlines, instead of
-        // burning workers on work that expires anyway.
-        let mut freed: Vec<usize> = Vec::new();
-        for &i in &inflight {
-            if st[i].next_ready > now {
+    /// Admits from the head of the pending queue while the governor
+    /// allows, resolving heads whose cancel or deadline already passed
+    /// (doomed heads are left to the sweep). `now` is the virtual
+    /// instant the admission opportunity exists.
+    fn admit(&mut self, now: u64) {
+        self.apply_releases(now);
+        // Released memory can drop the pressure level; track the drop so
+        // a later climb back to Critical re-triggers the flight recorder.
+        self.prev_level = self.prev_level.min(self.level());
+        while let Some(&i) = self.pending.first() {
+            let passed = (self.due_t(i) <= now).then(|| self.overdue(i, now, true));
+            if let Some((planned, at, reason)) = passed.flatten() {
+                self.pending.remove(0);
+                self.finish(i, planned, at, reason.to_string(), None);
+                continue;
+            }
+            let required_bytes = self.weights + self.st[i].bytes;
+            if required_bytes > self.cfg.mem_budget_bytes {
+                // Could never fit, even alone next to the weights.
+                self.pending.remove(0);
+                self.finish_plainly(i, Planned::RejectBudget { required_bytes }, now, None);
+                continue;
+            }
+            match self.govern(i, now) {
+                Governed::Admit => {
+                    self.pending.remove(0);
+                    self.reserve(i, now);
+                }
+                Governed::Shed => {
+                    self.pending.remove(0);
+                }
+                Governed::Wait => break,
+            }
+        }
+    }
+
+    /// The memory-pressure governor's ruling on the queue head `i`.
+    /// Watermark-classified occupancy drives the ladder: defer
+    /// non-urgent admissions → evict low-mass KV from in-flight decode
+    /// sessions → (at dispatch) force lower rungs → shed what still
+    /// cannot be placed.
+    ///
+    /// Lazy admission for slack-rich requests: admission commits this
+    /// request's memory until it finishes, so a long-deadline giant
+    /// admitted during a lull can pin half the pool across a later
+    /// crest and starve the crest's short-deadline arrivals out of
+    /// admission entirely. While the head could still wait and keep its
+    /// full-rung service, admitting it early is a luxury allowed to
+    /// consume at most half of the free memory — successive early
+    /// admissions leave geometrically shrinking headroom, so small
+    /// requests always slip in while a second giant must wait. Once
+    /// waiting longer would force a degraded rung the request is urgent
+    /// and may fill the pool to the brim. Under Critical pressure the
+    /// luxury disappears entirely: every non-urgent head defers until
+    /// occupancy drains.
+    fn govern(&mut self, i: usize, now: u64) -> Governed {
+        let level = self.level();
+        let bytes = self.st[i].bytes;
+        let budget = self.cfg.mem_budget_bytes;
+        let urgent = now >= self.must_start_by(i);
+        if !urgent && (bytes > self.free_bytes() / 2 || level == PressureLevel::Critical) {
+            self.defer(i, now, level);
+            return Governed::Wait;
+        }
+        if self.mem_in_use + bytes > budget && level >= PressureLevel::Elevated {
+            self.evict_for(i, now, level);
+        }
+        if self.mem_in_use + bytes <= budget {
+            Governed::Admit
+        } else if urgent && level == PressureLevel::Critical {
+            self.shed(i, now, level);
+            Governed::Shed
+        } else {
+            Governed::Wait // head-of-line memory backpressure
+        }
+    }
+
+    /// Governor step: the head waits. Below Elevated pressure that is
+    /// plain lazy admission and leaves no trace.
+    fn defer(&mut self, i: usize, now: u64, level: PressureLevel) {
+        if level >= PressureLevel::Elevated {
+            metrics::counter("serve.pressure.deferrals").add(1);
+            let reason = format!("pressure {}", level.as_str());
+            self.emit(now, i, EventKind::Deferred, "", 0, reason);
+            self.decide(now, i, "defer", String::new(), level, (0, 0));
+        }
+    }
+
+    /// Governor step: evict the low-mass KV share (a quarter — the I_KV
+    /// tail outside the attention-mass head set, recomputable from the
+    /// prompt) of in-flight decode sessions, oldest admission first,
+    /// until the head `i` fits. Each session is evicted at most once:
+    /// the abstraction is dropping resident low-mass rows, not
+    /// repeatedly shrinking KV.
+    fn evict_for(&mut self, i: usize, now: u64, level: PressureLevel) {
+        let head_id = self.requests[i].id;
+        for idx in 0..self.inflight.len() {
+            if self.mem_in_use + self.st[i].bytes <= self.cfg.mem_budget_bytes {
+                break;
+            }
+            let j = self.inflight[idx];
+            if self.st[j].phase != Phase::Decode || self.st[j].evicted {
+                continue;
+            }
+            let freed = self.st[j].bytes / 4;
+            self.st[j].bytes -= freed;
+            self.st[j].evicted = true;
+            self.mem_in_use -= freed;
+            metrics::counter("serve.pressure.evictions").add(1);
+            let rung = self.st[j].rung.to_string();
+            let reason = format!(
+                "pressure {}: low-mass KV freed for request {head_id}",
+                level.as_str()
+            );
+            self.emit(now, j, EventKind::PressureEvicted, &rung, freed, reason);
+            self.decide(now, j, "evict", rung, level, (0, 0));
+        }
+    }
+
+    /// Governor step, the ladder's last rung: an urgent head that still
+    /// cannot be placed under Critical pressure is shed with a typed
+    /// budget rejection instead of blocking the EDF head while its
+    /// deadline bleeds out.
+    fn shed(&mut self, i: usize, now: u64, level: PressureLevel) {
+        let required_bytes = self.mem_in_use + self.st[i].bytes;
+        let budget = self.cfg.mem_budget_bytes;
+        metrics::counter("serve.pressure.sheds").add(1);
+        let reason = format!(
+            "unplaceable under critical pressure: required {required_bytes} bytes of budget \
+             {budget}"
+        );
+        self.finish(i, Planned::RejectBudget { required_bytes }, now, reason, None);
+        self.decide(now, i, "shed", String::new(), level, (0, 0));
+        self.recorder.trigger(
+            "shed",
+            now,
+            self.requests[i].id,
+            format!(
+                "urgent head shed: required {required_bytes} bytes against budget {budget} at \
+                 critical pressure"
+            ),
+        );
+    }
+
+    /// Governor step: the head fits. Reserves its memory and fixes the
+    /// rung-independent shape of its schedule; the ladder walk waits
+    /// for first dispatch ([`init_schedule`]).
+    fn reserve(&mut self, i: usize, now: u64) {
+        let (cfg, req) = (self.cfg, &self.requests[i]);
+        self.mem_in_use += self.st[i].bytes;
+        self.emit(now, i, EventKind::Admitted, "", self.st[i].bytes, String::new());
+        let level = self.level();
+        self.decide(now, i, "admit", String::new(), level, (0, 0));
+        if level == PressureLevel::Critical && self.prev_level != PressureLevel::Critical {
+            self.recorder.trigger(
+                "critical_transition",
+                now,
+                req.id,
+                format!(
+                    "occupancy {} of budget {} crossed the high watermark on admission",
+                    self.mem_in_use, cfg.mem_budget_bytes
+                ),
+            );
+        }
+        self.prev_level = level;
+        let attempts_budget = cfg.max_retries as u64 + 1;
+        let s = &mut self.st[i];
+        s.fails = req.fault_fails.min(attempts_budget);
+        s.permanent = req.fault_fails >= attempts_budget;
+        s.n_chunks = (req.seq_len as u64)
+            .div_ceil(cfg.chunk_size.max(1) as u64)
+            .max(1);
+        s.phase = Phase::Admitted;
+        s.next_ready = now;
+        s.last_event = now;
+        self.inflight.push(i);
+    }
+
+    /// Resolves every request [`overdue`](Self::overdue) at `now`: first
+    /// the in-flight ones at a micro-task boundary (whose memory frees
+    /// now, so admission gets another turn), then the whole EDF queue —
+    /// expired, cancelled, and provably-doomed entries leave
+    /// immediately instead of lingering until they reach the head (they
+    /// hold no memory, but they inflate the contention estimate and
+    /// hide the backlog's true shape from the dispatch budget).
+    fn sweep(&mut self, now: u64) {
+        self.inflight.retain(|&i| self.st[i].terminal.is_none());
+        let mut freed = false;
+        for idx in 0..self.inflight.len() {
+            let i = self.inflight[idx];
+            if self.st[i].next_ready > now {
                 continue; // mid-task or in backoff; checked on wake-up
             }
-            // Admitted but never dispatched counts as a queue expiry
-            // (matching the one-shot convention); once any micro-task
-            // ran it is a mid-run deadline cancel.
-            let expiry = if st[i].start.is_none() {
-                Planned::ExpireInQueue
-            } else {
-                Planned::CancelDeadline
-            };
-            let doomed = !st[i].permanent
-                && now.saturating_add(est_remaining_ms(cfg, &requests[i], &st[i], 0)) > due_t(i);
-            let (stop, planned, release_at, reason) = if cancel_t(i) <= now {
-                (cancel_t(i), Planned::CancelCaller, now, "caller cancelled")
-            } else if deadline_t(i) <= now {
-                (deadline_t(i), expiry, now, "due time passed mid-flight")
-            } else if doomed {
-                // Shed early; the record still shows the due instant as
-                // the terminal one, but the memory frees now.
-                if cancel_t(i) < deadline_t(i) {
-                    (
-                        cancel_t(i),
-                        Planned::CancelCaller,
-                        now,
-                        "doomed: remaining work cannot finish before the caller hangs up",
-                    )
-                } else {
-                    (
-                        deadline_t(i),
-                        expiry,
-                        now,
-                        "doomed: remaining work cannot meet the deadline",
-                    )
+            if let Some((planned, at, reason)) = self.overdue(i, now, false) {
+                self.finish(i, planned, at, reason.to_string(), Some(now));
+                freed = true;
+            }
+        }
+        if freed {
+            self.inflight.retain(|&i| self.st[i].terminal.is_none());
+            self.admit(now);
+        }
+        let mut kept = 0;
+        for idx in 0..self.pending.len() {
+            let i = self.pending[idx];
+            match self.overdue(i, now, true) {
+                Some((planned, at, reason)) => {
+                    self.finish(i, planned, at, reason.to_string(), None);
                 }
-            } else {
-                continue;
-            };
-            let finish = stop.max(st[i].last_event);
-            let kind = EventKind::terminal_for(&planned);
-            let rung = terminal_rung(&planned, st[i].rung);
-            st[i].resolve(planned, finish);
-            log.push(
-                finish,
-                requests[i].id,
-                requests[i].tenant,
-                kind,
-                &rung,
-                0,
-                mem_in_use,
-                reason.to_string(),
-            );
-            releases.push_back((release_at.max(st[i].last_event), st[i].bytes, i));
-            done += 1;
-            freed.push(i);
+                None => {
+                    self.pending[kept] = i;
+                    kept += 1;
+                }
+            }
         }
-        if !freed.is_empty() {
-            releases.make_contiguous().sort_unstable();
-            inflight.retain(|i| !freed.contains(i));
-            admit!(now);
-            inflight.retain(|&i| st[i].terminal.is_none());
-        }
+        self.pending.truncate(kept);
+    }
 
-        // The same sweep over the whole EDF queue: expired, cancelled,
-        // and provably-doomed entries leave immediately instead of
-        // lingering until they reach the head (they hold no memory, but
-        // they inflate the contention estimate and hide the backlog's
-        // true shape from the dispatch budget).
-        pending.retain(|&i| {
-            let (planned, at, reason) = if cancel_t(i) <= now {
-                (
-                    Planned::CancelCaller,
-                    cancel_t(i).max(requests[i].arrival_ms),
-                    "caller cancelled while queued",
-                )
-            } else if deadline_t(i) <= now {
-                (
-                    Planned::ExpireInQueue,
-                    deadline_t(i),
-                    "deadline expired in queue",
-                )
-            } else if now.saturating_add(est_remaining_ms(cfg, &requests[i], &st[i], 0)) > due_t(i) {
-                // Even the bottom rung, started this instant, misses
-                // the due point (deadline or the caller hanging up).
-                if cancel_t(i) < deadline_t(i) {
-                    (
-                        Planned::CancelCaller,
-                        cancel_t(i),
-                        "doomed in queue: cannot finish before the caller hangs up",
-                    )
-                } else {
-                    (
-                        Planned::ExpireInQueue,
-                        deadline_t(i),
-                        "doomed in queue: cannot meet the deadline",
-                    )
-                }
-            } else {
-                return true;
-            };
-            let kind = EventKind::terminal_for(&planned);
-            let rung = terminal_rung(&planned, st[i].rung);
-            st[i].start = Some(at);
-            st[i].resolve(planned, at);
-            log.push(
-                at,
-                requests[i].id,
-                requests[i].tenant,
-                kind,
-                &rung,
-                0,
-                mem_in_use,
-                reason.to_string(),
-            );
-            done += 1;
-            false
-        });
-
-        // Pick a micro-task: decode-first, then prefill/fail-attempt by
-        // tenant round-robin under the token buckets.
-        let mut chosen: Option<usize> = None;
-        let mut decode_best: Option<(u64, u64)> = None; // (ready, id)
-        for &i in &inflight {
-            if st[i].phase == Phase::Decode && st[i].next_ready <= now {
-                let key = (st[i].next_ready, requests[i].id);
-                if decode_best.is_none_or(|b| key < b) {
-                    decode_best = Some(key);
-                    chosen = Some(i);
-                }
-            }
+    /// Picks the micro-task to run at `now`: decode-first, then
+    /// prefill/fail-attempt by tenant round-robin under the token
+    /// buckets. Returns the chosen request, or — when nothing is
+    /// dispatchable — the earliest optimistic refill instant of a
+    /// bucket that held a tenant back (`u64::MAX` when none did).
+    fn pick(&mut self, now: u64) -> (Option<usize>, u64) {
+        let (cfg, requests) = (self.cfg, self.requests);
+        let decode = self
+            .inflight
+            .iter()
+            .copied()
+            .filter(|&i| self.st[i].phase == Phase::Decode && self.st[i].next_ready <= now)
+            .min_by_key(|&i| (self.st[i].next_ready, requests[i].id));
+        if decode.is_some() {
+            return (decode, u64::MAX);
         }
-        // Earliest future instant anything becomes dispatchable, used
-        // when this iteration cannot dispatch.
-        let mut wake: u64 = u64::MAX;
-        if chosen.is_none() {
-            let n_tenants = tenant_ids.len().max(1);
-            // Everyone contending for worker time right now: admitted
-            // requests plus the memory-deferred pending queue.
-            let contenders = inflight.len() + pending.len();
-            let budget_of =
-                |i: usize| dispatch_budget_ms(due_t(i).saturating_sub(now), slots, contenders);
-            'tenants: for step in 0..n_tenants {
-                let t_idx = (rr_cursor + step) % n_tenants;
-                // Within a tenant, shortest-remaining-work-first at
-                // chunk granularity: a short request preempts a long
-                // prefill at its next chunk boundary, while homogeneous
-                // streams degrade gracefully to run-to-completion (the
-                // in-progress head always has the least remaining), so
-                // overload never thrashes every request past its
-                // deadline the way round-robin time-slicing does.
-                let pick = inflight
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        matches!(
-                            st[i].phase,
-                            Phase::Admitted | Phase::FailAttempts { .. } | Phase::Prefill
-                        ) && st[i].next_ready <= now
-                            && tenant_of(&requests[i]) == t_idx
-                    })
-                    .min_by_key(|&i| {
-                        (est_remaining_ms(cfg, &requests[i], &st[i], budget_of(i)), requests[i].id)
-                    });
-                let Some(i) = pick else { continue 'tenants };
-                if st[i].phase == Phase::Admitted {
-                    // First time a worker reaches this request: walk the
-                    // ladder against the load-scaled deadline budget —
-                    // halved under Critical memory pressure, so freshly
-                    // dispatched work lands on cheaper rungs while
-                    // occupancy drains (the governor's forced-rung
-                    // action). The walk never drops below the tenant's
-                    // quality floor: when no permitted rung fits (even
-                    // pressure-halved), or an uncertifiable rung would
-                    // breach the tenant's uncertified-token cap, the
-                    // request sheds with a typed quality-floor refusal.
-                    let level = pressure.level_of(mem_in_use);
-                    let mut budget = budget_of(i);
-                    let mut forced = false;
-                    let max_idx = cfg.max_rung_index_for(requests[i].tenant);
-                    if level == PressureLevel::Critical {
-                        let uncapped =
-                            sim::choose_rung_floored(&requests[i], budget, max_idx).map(|c| c.0);
-                        budget /= 2;
-                        let capped =
-                            sim::choose_rung_floored(&requests[i], budget, max_idx).map(|c| c.0);
-                        if capped != uncapped {
-                            metrics::counter("serve.pressure.forced_rungs").add(1);
-                            forced = true;
-                        }
-                    }
-                    let tokens =
-                        requests[i].seq_len as u64 + requests[i].new_tokens as u64;
-                    let mut floor_refusal: Option<String> = None;
-                    if !init_schedule(&requests[i], &mut st[i], budget, max_idx) {
-                        floor_refusal = Some(format!(
-                            "quality floor: no permitted rung fits the {budget} ms \
-                             dispatch budget"
-                        ));
-                    } else if let Some(floor) = cfg.floor_for(requests[i].tenant) {
-                        if !st[i].rung.can_certify_alpha() {
-                            let unc = uncertified_tokens[t_idx] + tokens;
-                            let total = dispatched_tokens[t_idx] + tokens;
-                            if unc * 1000 > floor.max_uncertified_permille * total {
-                                floor_refusal = Some(format!(
-                                    "quality floor: uncertified rung would put tenant {} \
-                                     at {unc} of {total} tokens (cap {}‰)",
-                                    requests[i].tenant, floor.max_uncertified_permille
-                                ));
-                            }
-                        }
-                    }
-                    if let Some(reason) = floor_refusal {
-                        st[i].resolve(Planned::ShedQualityFloor, now);
-                        log.push(
-                            now,
-                            requests[i].id,
-                            requests[i].tenant,
-                            EventKind::Shed,
-                            "",
-                            0,
-                            mem_in_use,
-                            reason.clone(),
-                        );
-                        recorder.record(PlannerDecision {
-                            t_ms: now,
-                            request_id: requests[i].id,
-                            action: "shed_quality_floor".to_string(),
-                            queue_depth: pending.len() as u64,
-                            inflight: inflight.len() as u64,
-                            free_bytes: cfg.mem_budget_bytes.saturating_sub(mem_in_use),
-                            contenders: contenders as u64,
-                            budget_ms: budget,
-                            rung: String::new(),
-                            pressure: level.as_str().to_string(),
-                        });
-                        recorder.trigger("shed", now, requests[i].id, reason);
-                        releases.push_back((now, st[i].bytes, i));
-                        releases.make_contiguous().sort_unstable();
-                        done += 1;
-                        continue 'tenants;
-                    }
-                    dispatched_tokens[t_idx] += tokens;
-                    if !st[i].rung.can_certify_alpha() {
-                        uncertified_tokens[t_idx] += tokens;
-                    }
-                    let rung = st[i].rung.to_string();
-                    log.push(
-                        now,
-                        requests[i].id,
-                        requests[i].tenant,
-                        EventKind::Dispatched,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        format!("budget {budget} ms, {contenders} contenders"),
-                    );
-                    if st[i].rung != DegradationRung::Full {
-                        log.push(
-                            now,
-                            requests[i].id,
-                            requests[i].tenant,
-                            EventKind::RungDegraded,
-                            &rung,
-                            0,
-                            mem_in_use,
-                            if forced {
-                                format!("pressure-forced under {} occupancy", level.as_str())
-                            } else {
-                                format!("deadline budget {budget} ms too tight for higher rungs")
-                            },
-                        );
-                    }
-                    recorder.record(PlannerDecision {
-                        t_ms: now,
-                        request_id: requests[i].id,
-                        action: "dispatch".to_string(),
-                        queue_depth: pending.len() as u64,
-                        inflight: inflight.len() as u64,
-                        free_bytes: cfg.mem_budget_bytes.saturating_sub(mem_in_use),
-                        contenders: contenders as u64,
-                        budget_ms: budget,
-                        rung,
-                        pressure: level.as_str().to_string(),
-                    });
-                }
-                let (_, bucket_cost) = st[i].next_task(cfg);
-                if bucket_cost == 0 || buckets[t_idx].try_take(now, bucket_cost) {
-                    chosen = Some(i);
-                    rr_cursor = (t_idx + 1) % n_tenants;
-                    break 'tenants;
-                }
-                // Bucket-limited: note the optimistic refill time and
-                // make the whole tenant wait (no cheap-task bypass, so
-                // quota starvation cannot reorder a tenant's stream).
-                wake = wake.min(buckets[t_idx].ready_time(now, bucket_cost));
-            }
-        }
-
-        let Some(i) = chosen else {
-            // Nothing dispatchable at `now`: advance this worker to the
-            // earliest of (next arrival, a request waking from backoff
-            // or another worker's completion, a bucket refill).
-            if next_arrival < n {
-                wake = wake.min(requests[order[next_arrival]].arrival_ms);
-            }
-            for &j in &inflight {
-                let candidate = st[j]
-                    .next_ready
-                    .max(cancel_t(j).min(deadline_t(j)).min(u64::MAX));
-                // A request sitting mid-task or in backoff becomes
-                // actionable at next_ready; one already past its
-                // deadline/cancel but mid-task resolves then too.
-                let _ = candidate;
-                wake = wake.min(st[j].next_ready.max(now + 1));
-            }
-            if let Some(&(t, _, _)) = releases.front() {
-                wake = wake.min(t.max(now + 1));
-            }
-            if let Some(&h) = pending.first() {
-                // A lazily-deferred head becomes an urgent admission
-                // (allowed to fill the reserve) at its last full-rung
-                // start instant.
-                let must_start_by =
-                    due_t(h).saturating_sub(sim::service_ms(&requests[h], DegradationRung::Full));
-                wake = wake.min(must_start_by.max(now + 1));
-            }
-            if wake == u64::MAX {
-                // No future event can occur. Everything left pending
-                // expires at its own deadline (or cancel).
-                for i in pending.drain(..) {
-                    let (planned, at, reason) = if cancel_t(i) < deadline_t(i) {
-                        (
-                            Planned::CancelCaller,
-                            cancel_t(i),
-                            "caller cancelled while queued",
-                        )
-                    } else {
-                        (
-                            Planned::ExpireInQueue,
-                            deadline_t(i),
-                            "deadline expired in queue",
-                        )
-                    };
-                    let at = at.max(requests[i].arrival_ms);
-                    let kind = EventKind::terminal_for(&planned);
-                    let rung = terminal_rung(&planned, st[i].rung);
-                    st[i].start = Some(at);
-                    st[i].resolve(planned, at);
-                    log.push(
-                        at,
-                        requests[i].id,
-                        requests[i].tenant,
-                        kind,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        reason.to_string(),
-                    );
-                    done += 1;
-                }
+        let mut bucket_ready = u64::MAX;
+        let n_tenants = self.buckets.len();
+        // Everyone contending for worker time right now: admitted
+        // requests plus the memory-deferred pending queue.
+        let contenders = self.inflight.len() + self.pending.len();
+        for step in 0..n_tenants {
+            let t_idx = (self.rr_cursor + step) % n_tenants;
+            // Within a tenant, shortest-remaining-work-first at chunk
+            // granularity: a short request preempts a long prefill at
+            // its next chunk boundary, while homogeneous streams degrade
+            // gracefully to run-to-completion (the in-progress head
+            // always has the least remaining), so overload never
+            // thrashes every request past its deadline the way
+            // round-robin time-slicing does.
+            let shortest = self
+                .inflight
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let s = &self.st[i];
+                    matches!(
+                        s.phase,
+                        Phase::Admitted | Phase::FailAttempts { .. } | Phase::Prefill
+                    ) && s.next_ready <= now
+                        && s.tenant == t_idx
+                })
+                .min_by_key(|&i| {
+                    let budget = self.dispatch_budget(i, now, contenders);
+                    (est_remaining_ms(cfg, &requests[i], &self.st[i], budget), requests[i].id)
+                });
+            let Some(i) = shortest else { continue };
+            if self.st[i].phase == Phase::Admitted && !self.dispatch(i, now, contenders) {
                 continue;
             }
-            worker_free[w] = wake.max(now + 1);
-            continue;
-        };
-
-        // Dispatch request `i`'s next micro-task on worker `w`.
-        let (cost, _) = st[i].next_task(cfg);
-        let cost = cost.max(1);
-        let end = now + cost;
-        worker_free[w] = end;
-        if st[i].start.is_none() {
-            st[i].start = Some(now);
+            let (_, bucket_cost) = self.st[i].next_task(cfg, &requests[i]);
+            if bucket_cost == 0 || self.buckets[t_idx].try_take(now, bucket_cost) {
+                self.rr_cursor = (t_idx + 1) % n_tenants;
+                return (Some(i), bucket_ready);
+            }
+            // Bucket-limited: note the optimistic refill time and make
+            // the whole tenant wait (no cheap-task bypass, so quota
+            // starvation cannot reorder a tenant's stream).
+            bucket_ready = bucket_ready.min(self.buckets[t_idx].ready_time(now, bucket_cost));
         }
-        st[i].last_event = end;
-        st[i].next_ready = end;
-        match st[i].phase.clone() {
-            Phase::FailAttempts { remaining } => {
-                let attempt = st[i].fails_done;
-                st[i].fails_done += 1;
-                // Crash-recovery accounting for the attempt that
-                // follows this crash (the last crash of a permanent
-                // failure has no successor). With recovery on, the
-                // successor restores the chunk-boundary checkpoint and
-                // recomputes only the one in-flight chunk the crash
-                // destroyed; with recovery off it re-runs everything
-                // this attempt had already completed.
-                let has_successor = remaining > 1 || !st[i].permanent;
-                if has_successor {
-                    let seq = requests[i].seq_len as u64;
-                    let chunk = cfg.chunk_size.max(1) as u64;
-                    let rung = st[i].rung.to_string();
-                    log.push(
-                        end,
-                        requests[i].id,
-                        requests[i].tenant,
-                        EventKind::Retried,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        format!("attempt {} crashed", attempt + 1),
-                    );
-                    if cfg.recovery_enabled {
-                        let h = planned_checkpoint_chunks(
-                            cfg,
-                            requests[i].id,
-                            attempt + 1,
-                            st[i].n_chunks,
-                        );
-                        if h > 0 {
-                            st[i].recovered_attempts += 1;
-                        }
-                        st[i].recomputed_tokens += chunk.min(seq);
-                        log.push(
-                            end,
-                            requests[i].id,
-                            requests[i].tenant,
-                            EventKind::CheckpointCaptured,
-                            &rung,
-                            0,
-                            mem_in_use,
-                            format!("chunk-boundary checkpoint at chunk {h} of {}", st[i].n_chunks),
-                        );
-                        if h > 0 {
-                            log.push(
-                                end,
-                                requests[i].id,
-                                requests[i].tenant,
-                                EventKind::Recovered,
-                                &rung,
-                                0,
-                                mem_in_use,
-                                format!("next attempt resumes from chunk {h}"),
-                            );
-                        }
-                    } else {
-                        let progressed = checkpoint_advance(
-                            cfg,
-                            requests[i].id,
-                            attempt,
-                            st[i].n_chunks,
-                        )
-                        .min(st[i].n_chunks.saturating_sub(1));
-                        st[i].recomputed_tokens += ((progressed + 1) * chunk).min(seq);
-                    }
-                }
-                if remaining > 1 {
-                    let gap = sim::backoff_ms(cfg, requests[i].id, attempt);
-                    st[i].backoff_total = st[i].backoff_total.saturating_add(gap);
-                    st[i].next_ready = end.saturating_add(gap);
-                    st[i].phase = Phase::FailAttempts {
-                        remaining: remaining - 1,
-                    };
-                } else if st[i].permanent {
-                    let fails = st[i].fails;
-                    let rung = st[i].rung.to_string();
-                    st[i].resolve(Planned::FailPermanent { fails }, end);
-                    log.push(
-                        end,
-                        requests[i].id,
-                        requests[i].tenant,
-                        EventKind::Failed,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        format!("attempt budget exhausted after {fails} failed attempts"),
-                    );
-                    recorder.trigger(
-                        "storm_budget_exhausted",
-                        end,
-                        requests[i].id,
-                        format!("request {} burned all {fails} attempts", requests[i].id),
-                    );
-                    releases.push_back((end, st[i].bytes, i));
-                    releases.make_contiguous().sort_unstable();
-                    done += 1;
-                } else {
-                    // Last injected failure: back off, then run clean —
-                    // resuming from the cumulative chunk-boundary
-                    // checkpoint when recovery is on (the prefill head
-                    // start that makes resume cheaper than re-running),
-                    // from scratch when it is off.
-                    let gap = sim::backoff_ms(cfg, requests[i].id, attempt);
-                    st[i].backoff_total = st[i].backoff_total.saturating_add(gap);
-                    st[i].next_ready = end.saturating_add(gap);
-                    st[i].phase = Phase::Prefill;
-                    if cfg.recovery_enabled {
-                        st[i].chunks_done = planned_checkpoint_chunks(
-                            cfg,
-                            requests[i].id,
-                            st[i].fails,
-                            st[i].n_chunks,
-                        );
-                        if st[i].chunks_done > 0 {
-                            let rung = st[i].rung.to_string();
-                            log.push(
-                                end,
-                                requests[i].id,
-                                requests[i].tenant,
-                                EventKind::CheckpointRestored,
-                                &rung,
-                                0,
-                                mem_in_use,
-                                format!(
-                                    "clean attempt resumes prefill from chunk {} of {}",
-                                    st[i].chunks_done,
-                                    st[i].n_chunks
-                                ),
-                            );
-                        }
-                    }
+        (None, bucket_ready)
+    }
+
+    fn dispatch_budget(&self, i: usize, now: u64, contenders: usize) -> u64 {
+        dispatch_budget_ms(self.due_t(i).saturating_sub(now), self.cfg.slots(), contenders)
+    }
+
+    /// First time a worker reaches request `i`: walk the ladder against
+    /// the load-scaled deadline budget — halved under Critical memory
+    /// pressure, so freshly dispatched work lands on cheaper rungs while
+    /// occupancy drains (the governor's forced-rung action). The walk
+    /// never drops below the tenant's quality floor: when no permitted
+    /// rung fits (even pressure-halved), or an uncertifiable rung would
+    /// breach the tenant's uncertified-token cap, the request sheds with
+    /// a typed quality-floor refusal and `false` is returned.
+    fn dispatch(&mut self, i: usize, now: u64, contenders: usize) -> bool {
+        let (cfg, req) = (self.cfg, &self.requests[i]);
+        let level = self.level();
+        let mut budget = self.dispatch_budget(i, now, contenders);
+        let mut forced = false;
+        let max_idx = cfg.max_rung_index_for(req.tenant);
+        if level == PressureLevel::Critical {
+            let uncapped = sim::choose_rung_floored(req, budget, max_idx).map(|c| c.0);
+            budget /= 2;
+            let capped = sim::choose_rung_floored(req, budget, max_idx).map(|c| c.0);
+            if capped != uncapped {
+                metrics::counter("serve.pressure.forced_rungs").add(1);
+                forced = true;
+            }
+        }
+        let tokens = req.seq_len as u64 + req.new_tokens as u64;
+        let t_idx = self.st[i].tenant;
+        let mut floor_refusal: Option<String> = None;
+        if !init_schedule(req, &mut self.st[i], budget, max_idx) {
+            floor_refusal = Some(format!(
+                "quality floor: no permitted rung fits the {budget} ms dispatch budget"
+            ));
+        } else if let Some(floor) = cfg.floor_for(req.tenant) {
+            if !self.st[i].rung.can_certify_alpha() {
+                let unc = self.uncertified_tokens[t_idx] + tokens;
+                let total = self.dispatched_tokens[t_idx] + tokens;
+                if unc * 1000 > floor.max_uncertified_permille * total {
+                    floor_refusal = Some(format!(
+                        "quality floor: uncertified rung would put tenant {} at {unc} of \
+                         {total} tokens (cap {}‰)",
+                        req.tenant, floor.max_uncertified_permille
+                    ));
                 }
             }
+        }
+        if let Some(reason) = floor_refusal {
+            self.finish(i, Planned::ShedQualityFloor, now, reason.clone(), Some(now));
+            self.decide(now, i, "shed_quality_floor", String::new(), level, (contenders, budget));
+            self.recorder.trigger("shed", now, req.id, reason);
+            return false;
+        }
+        self.dispatched_tokens[t_idx] += tokens;
+        if !self.st[i].rung.can_certify_alpha() {
+            self.uncertified_tokens[t_idx] += tokens;
+        }
+        let rung = self.st[i].rung.to_string();
+        let reason = format!("budget {budget} ms, {contenders} contenders");
+        self.emit(now, i, EventKind::Dispatched, &rung, 0, reason);
+        if self.st[i].rung != DegradationRung::Full {
+            let reason = if forced {
+                format!("pressure-forced under {} occupancy", level.as_str())
+            } else {
+                format!("deadline budget {budget} ms too tight for higher rungs")
+            };
+            self.emit(now, i, EventKind::RungDegraded, &rung, 0, reason);
+        }
+        self.decide(now, i, "dispatch", rung, level, (contenders, budget));
+        true
+    }
+
+    /// Nothing is dispatchable at `now`: the earliest later instant
+    /// anything can change — the next arrival, a request waking from a
+    /// task or backoff, a release, a bucket refill, or the queue head
+    /// turning urgent (a lazily-deferred head may fill the reserve from
+    /// its last full-rung start instant). Every unresolved request is
+    /// yet to arrive, pending or in flight, so one of them always
+    /// bounds the wait.
+    fn next_wake(&self, now: u64, bucket_ready: u64) -> u64 {
+        let soon = now + 1;
+        let mut wake = bucket_ready;
+        if let Some(&i) = self.order.get(self.next_arrival) {
+            wake = wake.min(self.requests[i].arrival_ms);
+        }
+        for &j in &self.inflight {
+            wake = wake.min(self.st[j].next_ready.max(soon));
+        }
+        if let Some(&(t, _, _)) = self.releases.front() {
+            wake = wake.min(t.max(soon));
+        }
+        if let Some(&h) = self.pending.first() {
+            wake = wake.min(self.must_start_by(h).max(soon));
+        }
+        wake.max(soon)
+    }
+
+    /// Runs request `i`'s next micro-task from `now` and returns when
+    /// it ends (when the worker frees).
+    fn run_task(&mut self, i: usize, now: u64) -> u64 {
+        let req = &self.requests[i];
+        let (cost, _) = self.st[i].next_task(self.cfg, req);
+        let end = now + cost.max(1);
+        let s = &mut self.st[i];
+        s.start.get_or_insert(now);
+        s.last_event = end;
+        s.next_ready = end;
+        match s.phase {
+            Phase::FailAttempts { remaining } => self.crash(i, end, remaining),
             Phase::Prefill => {
-                st[i].chunks_done += 1;
-                if st[i].chunks_done == st[i].n_chunks {
-                    if requests[i].new_tokens == 0 {
-                        let fails = st[i].fails;
-                        let rung = st[i].rung.to_string();
-                        st[i].first_token = Some(end);
-                        st[i].resolve(Planned::Serve { fails }, end);
-                        log.push(
-                            end,
-                            requests[i].id,
-                            requests[i].tenant,
-                            EventKind::FirstToken,
-                            &rung,
-                            0,
-                            mem_in_use,
-                            "final prefill chunk".to_string(),
-                        );
-                        log.push(
-                            end,
-                            requests[i].id,
-                            requests[i].tenant,
-                            EventKind::Completed,
-                            &rung,
-                            0,
-                            mem_in_use,
-                            served_reason(fails),
-                        );
-                        releases.push_back((end, st[i].bytes, i));
-                        releases.make_contiguous().sort_unstable();
-                        done += 1;
-                    } else {
-                        st[i].phase = Phase::Decode;
-                    }
+                s.chunks_done += 1;
+                if s.chunks_done == s.n_chunks && req.new_tokens > 0 {
+                    s.phase = Phase::Decode;
+                } else if s.chunks_done == s.n_chunks {
+                    s.first_token = Some(end);
+                    let rung = s.rung.to_string();
+                    let reason = "final prefill chunk".to_string();
+                    self.emit(end, i, EventKind::FirstToken, &rung, 0, reason);
+                    self.complete(i, end);
                 }
             }
             Phase::Decode => {
-                st[i].steps_done += 1;
-                if st[i].steps_done == 1 {
-                    st[i].first_token = Some(end);
-                    let rung = st[i].rung.to_string();
-                    log.push(
-                        end,
-                        requests[i].id,
-                        requests[i].tenant,
-                        EventKind::FirstToken,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        "first decode step".to_string(),
-                    );
+                s.steps_done += 1;
+                let steps_done = s.steps_done;
+                if steps_done == 1 {
+                    s.first_token = Some(end);
+                    let rung = s.rung.to_string();
+                    let reason = "first decode step".to_string();
+                    self.emit(end, i, EventKind::FirstToken, &rung, 0, reason);
                 }
-                if st[i].steps_done == requests[i].new_tokens as u64 {
-                    let fails = st[i].fails;
-                    let rung = st[i].rung.to_string();
-                    st[i].resolve(Planned::Serve { fails }, end);
-                    log.push(
-                        end,
-                        requests[i].id,
-                        requests[i].tenant,
-                        EventKind::Completed,
-                        &rung,
-                        0,
-                        mem_in_use,
-                        served_reason(fails),
-                    );
-                    releases.push_back((end, st[i].bytes, i));
-                    releases.make_contiguous().sort_unstable();
-                    done += 1;
+                if steps_done == req.new_tokens as u64 {
+                    self.complete(i, end);
                 }
             }
-            Phase::Pending | Phase::Admitted | Phase::Done => {
-                // Unreachable: dispatch schedules Admitted requests
-                // before picking them, and only compute phases run.
+            // Only compute phases are ever picked.
+            Phase::Pending | Phase::Admitted | Phase::Done => {}
+        }
+        end
+    }
+
+    /// An injected crash ended attempt `fails_done` of request `i` at
+    /// `end`, with `remaining` scripted failures left counting this one.
+    fn crash(&mut self, i: usize, end: u64, remaining: u64) {
+        let (cfg, req) = (self.cfg, &self.requests[i]);
+        let attempt = self.st[i].fails_done;
+        self.st[i].fails_done += 1;
+        let (n_chunks, permanent) = (self.st[i].n_chunks, self.st[i].permanent);
+        let rung = self.st[i].rung.to_string();
+        // Crash-recovery accounting for the attempt that follows this
+        // crash (the last crash of a permanent failure has no
+        // successor). With recovery on, the successor restores the
+        // chunk-boundary checkpoint and recomputes only the one
+        // in-flight chunk the crash destroyed; with recovery off it
+        // re-runs everything this attempt had already completed.
+        if remaining > 1 || !permanent {
+            let seq = req.seq_len as u64;
+            let chunk = cfg.chunk_size.max(1) as u64;
+            let reason = format!("attempt {} crashed", attempt + 1);
+            self.emit(end, i, EventKind::Retried, &rung, 0, reason);
+            if cfg.recovery_enabled {
+                let h = planned_checkpoint_chunks(cfg, req.id, attempt + 1, n_chunks);
+                if h > 0 {
+                    self.st[i].recovered_attempts += 1;
+                }
+                self.st[i].recomputed_tokens += chunk.min(seq);
+                let reason = format!("chunk-boundary checkpoint at chunk {h} of {n_chunks}");
+                self.emit(end, i, EventKind::CheckpointCaptured, &rung, 0, reason);
+                if h > 0 {
+                    let reason = format!("next attempt resumes from chunk {h}");
+                    self.emit(end, i, EventKind::Recovered, &rung, 0, reason);
+                }
+            } else {
+                let progressed = checkpoint_advance(cfg, req.id, attempt, n_chunks)
+                    .min(n_chunks.saturating_sub(1));
+                self.st[i].recomputed_tokens += ((progressed + 1) * chunk).min(seq);
+            }
+        }
+        if remaining == 1 && permanent {
+            let fails = self.st[i].fails;
+            self.finish_plainly(i, Planned::FailPermanent { fails }, end, Some(end));
+            self.recorder.trigger(
+                "storm_budget_exhausted",
+                end,
+                req.id,
+                format!("request {} burned all {fails} attempts", req.id),
+            );
+            return;
+        }
+        let gap = sim::backoff_ms(cfg, req.id, attempt);
+        let s = &mut self.st[i];
+        s.backoff_total = s.backoff_total.saturating_add(gap);
+        s.next_ready = end.saturating_add(gap);
+        if remaining > 1 {
+            s.phase = Phase::FailAttempts {
+                remaining: remaining - 1,
+            };
+            return;
+        }
+        // Last injected failure: back off, then run clean — resuming
+        // from the cumulative chunk-boundary checkpoint when recovery is
+        // on (the prefill head start that makes resume cheaper than
+        // re-running), from scratch when it is off.
+        s.phase = Phase::Prefill;
+        if cfg.recovery_enabled {
+            s.chunks_done = planned_checkpoint_chunks(cfg, req.id, s.fails, n_chunks);
+            if s.chunks_done > 0 {
+                let reason = format!(
+                    "clean attempt resumes prefill from chunk {} of {n_chunks}",
+                    s.chunks_done
+                );
+                self.emit(end, i, EventKind::CheckpointRestored, &rung, 0, reason);
             }
         }
     }
 
-    // Apply the releases the loop never reached (the clock stops at the
-    // last micro-task, which can precede queued release points), so the
-    // event log's memory balance returns to the weights baseline — the
-    // conservation invariant [`EventLog::check_conservation`] asserts.
-    while let Some((t, bytes, ridx)) = releases.pop_front() {
-        mem_in_use -= bytes;
-        log.push(
-            t,
-            requests[ridx].id,
-            requests[ridx].tenant,
-            EventKind::Released,
-            "",
-            bytes,
-            mem_in_use,
-            String::new(),
-        );
-    }
-    log.postmortems = recorder.into_postmortems();
-
-    // Assemble plans in input order.
-    let plans = (0..n)
-        .map(|i| {
-            let req = &requests[i];
-            let s = &st[i];
+    /// Assembles the plans in input order.
+    fn plans(&self) -> Vec<ContinuousPlan> {
+        let plan_of = |(req, s): (&Request, &RState)| {
+            // Every request resolved before the loop exited.
             let (planned, finish) = s
                 .terminal
                 .clone()
-                // Unreachable by construction — every request resolves
-                // before the loop exits. Resolve defensively.
-                .unwrap_or((Planned::ExpireInQueue, deadline_t(i)));
-            let started_model = !matches!(
-                planned,
-                Planned::RejectOverloaded { .. }
-                    | Planned::RejectBudget { .. }
-                    | Planned::ExpireInQueue
-                    | Planned::ShedQualityFloor
-            );
+                .unwrap_or((Planned::ExpireInQueue, req.arrival_ms + req.deadline_ms));
+            let started_model = planned.runs_model();
             let start = s.start.unwrap_or(finish).min(finish);
             // Recovery tallies follow the retries convention: only
             // outcomes that ran their full fault schedule report them
             // (a cancelled request's partial tallies describe attempts
             // whose retries are likewise not reported).
-            let (retries, backoff_ms, recovered_attempts, recomputed_tokens) = match planned {
-                Planned::Serve { fails } => {
-                    (fails, s.backoff_total, s.recovered_attempts, s.recomputed_tokens)
-                }
-                Planned::FailPermanent { fails } => (
-                    fails.saturating_sub(1),
-                    s.backoff_total,
-                    s.recovered_attempts,
-                    s.recomputed_tokens,
-                ),
-                _ => (0, 0, 0, 0),
+            let (retries, ran_schedule) = match planned {
+                Planned::Serve { fails } => (fails, true),
+                Planned::FailPermanent { fails } => (fails.saturating_sub(1), true),
+                _ => (0, false),
             };
+            let tally = |n: u64| if ran_schedule { n } else { 0 };
             ContinuousPlan {
                 plan: Plan {
                     planned,
@@ -1575,18 +1335,18 @@ pub fn plan_continuous_with_events(
                     finish_ms: finish,
                     queue_wait_ms: start.saturating_sub(req.arrival_ms),
                     retries,
-                    backoff_ms,
+                    backoff_ms: tally(s.backoff_total),
                 },
                 tenant: req.tenant,
                 first_token_ms: s.first_token.unwrap_or(0),
                 prefill_chunks: s.chunks_done,
                 decode_steps: s.steps_done,
-                recovered_attempts,
-                recomputed_tokens,
+                recovered_attempts: tally(s.recovered_attempts),
+                recomputed_tokens: tally(s.recomputed_tokens),
             }
-        })
-        .collect();
-    (plans, log)
+        };
+        self.requests.iter().zip(&self.st).map(plan_of).collect()
+    }
 }
 
 #[cfg(test)]
@@ -2041,5 +1801,358 @@ mod tests {
             plans[1].plan.start_ms >= plans[0].plan.finish_ms.min(plans[2].plan.finish_ms),
             "second giant was deferred, not admitted alongside the first"
         );
+    }
+
+    // ── Policy tests on hand-built planner state ────────────────────
+    // No workload generator: each test puts the planner in one state
+    // and holds a single policy method to its verdict, its strings and
+    // its counters.
+
+    /// The flight-recorder ring, oldest first.
+    fn decisions(mut p: Planner<'_>) -> Vec<PlannerDecision> {
+        p.recorder.trigger("probe", 0, 0, String::new());
+        p.recorder.into_postmortems().pop().unwrap().decisions
+    }
+
+    #[test]
+    fn overdue_verdict_table() {
+        struct Case {
+            name: &'static str,
+            queued: bool,
+            cancel_after_ms: u64,
+            deadline_ms: u64,
+            now: u64,
+            permanent: bool,
+            want: Option<(Planned, u64, &'static str)>,
+        }
+        let case = |name, queued, cancel_after_ms, deadline_ms, now, want| Case {
+            name,
+            queued,
+            cancel_after_ms,
+            deadline_ms,
+            now,
+            permanent: false,
+            want,
+        };
+        // One 64-token prefill arriving at t=100. Queued, its minimum
+        // remaining work is the bottom rung's 5 ms; in flight it has run
+        // one of two 32 ms chunks, the last ending at t=132.
+        let table = [
+            case("queued, cancel passed", true, 10, 1_000, 200,
+                Some((Planned::CancelCaller, 110, "caller cancelled while queued"))),
+            case("queued, cancel passed after the deadline: cancel still wins", true, 10, 5, 200,
+                Some((Planned::CancelCaller, 110, "caller cancelled while queued"))),
+            case("queued, deadline passed", true, 0, 50, 200,
+                Some((Planned::ExpireInQueue, 150, "deadline expired in queue"))),
+            case("queued, doomed, caller hangs up first", true, 3, 1_000, 100,
+                Some((Planned::CancelCaller, 103,
+                    "doomed in queue: cannot finish before the caller hangs up"))),
+            case("queued, doomed, deadline first", true, 0, 4, 100,
+                Some((Planned::ExpireInQueue, 104, "doomed in queue: cannot meet the deadline"))),
+            case("queued, doomed, cancel and deadline tie: the deadline wins", true, 4, 4, 100,
+                Some((Planned::ExpireInQueue, 104, "doomed in queue: cannot meet the deadline"))),
+            case("queued, exactly enough time left", true, 0, 5, 100, None),
+            case("in flight, cancel passed mid-task: stops at the task boundary", false, 10, 1_000,
+                140, Some((Planned::CancelCaller, 132, "caller cancelled"))),
+            case("in flight, cancel passed after the boundary", false, 35, 1_000, 140,
+                Some((Planned::CancelCaller, 135, "caller cancelled"))),
+            case("in flight, deadline passed", false, 0, 20, 140,
+                Some((Planned::CancelDeadline, 132, "due time passed mid-flight"))),
+            case("in flight, doomed, caller hangs up first", false, 50, 1_000, 132,
+                Some((Planned::CancelCaller, 150,
+                    "doomed: remaining work cannot finish before the caller hangs up"))),
+            case("in flight, doomed, deadline first", false, 0, 60, 132,
+                Some((Planned::CancelDeadline, 160,
+                    "doomed: remaining work cannot meet the deadline"))),
+            case("in flight, exactly enough time left", false, 0, 64, 132, None),
+            Case {
+                permanent: true,
+                ..case("in flight, permanent failure is never doomed", false, 0, 60, 132, None)
+            },
+        ];
+        let c = cfg();
+        for t in table {
+            let mut req = Request::prefill(0, 64, 100, t.deadline_ms);
+            req.cancel_after_ms = t.cancel_after_ms;
+            let reqs = [req];
+            let mut p = Planner::new(&c, &reqs);
+            if !t.queued {
+                let s = &mut p.st[0];
+                s.phase = Phase::Prefill;
+                s.start = Some(100);
+                (s.n_chunks, s.chunk_cost, s.chunks_done) = (2, 32, 1);
+                s.last_event = 132;
+                s.permanent = t.permanent;
+            }
+            assert_eq!(p.overdue(0, t.now, t.queued), t.want, "{}", t.name);
+        }
+
+        // Admitted but never dispatched: a passed deadline is still a
+        // queue expiry, stamped no earlier than the admission.
+        let reqs = [Request::prefill(0, 64, 100, 20)];
+        let mut p = Planner::new(&c, &reqs);
+        p.st[0].phase = Phase::Admitted;
+        p.st[0].last_event = 125;
+        assert_eq!(
+            p.overdue(0, 140, false),
+            Some((Planned::ExpireInQueue, 125, "due time passed mid-flight"))
+        );
+    }
+
+    /// A planner over an urgent-or-not 512-token head (request 0) and a
+    /// decode session (request 1) already in flight, with occupancy set
+    /// to `in_use_permille` of the default budget and the head needing
+    /// `head_bytes`.
+    fn governed<'a>(
+        c: &'a ServeConfig,
+        reqs: &'a [Request],
+        in_use_permille: u64,
+        head_bytes: u64,
+    ) -> Planner<'a> {
+        let mut p = Planner::new(c, reqs);
+        p.pending = vec![0];
+        p.inflight = vec![1];
+        p.st[0].bytes = head_bytes;
+        p.st[1].phase = Phase::Decode;
+        p.st[1].rung = DegradationRung::Tight;
+        p.st[1].bytes = 4_000;
+        p.mem_in_use = c.mem_budget_bytes / 1000 * in_use_permille;
+        p
+    }
+
+    fn governor_requests(urgent: bool) -> [Request; 2] {
+        // Full-rung service of the head is 4096 ms: with that deadline it
+        // is urgent on arrival, with a long one it can wait.
+        let head = Request::prefill(0, 512, 0, if urgent { 4_096 } else { 1_000_000 });
+        let mut session = Request::prefill(1, 64, 0, 1_000_000);
+        session.kind = crate::RequestKind::Decode;
+        session.new_tokens = 8;
+        [head, session]
+    }
+
+    #[test]
+    fn governor_admits_what_fits_and_defers_in_silence_below_elevated() {
+        let c = cfg();
+        let reqs = governor_requests(false);
+        let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 500;
+
+        // Normal pressure, slack-rich head within half the free pool.
+        let mut p = governed(&c, &reqs, 500, free / 2);
+        assert_eq!(p.govern(0, 0), Governed::Admit);
+        assert!(p.log.events.is_empty(), "the verdict itself leaves no trace");
+        assert!(decisions(p).is_empty());
+
+        // One byte over half: lazy admission makes it wait, silently.
+        let mut p = governed(&c, &reqs, 500, free / 2 + 1);
+        assert_eq!(p.govern(0, 0), Governed::Wait);
+        assert!(p.log.events.is_empty());
+        assert!(decisions(p).is_empty());
+
+        // The same head, once urgent, may fill the pool to the brim.
+        let urgent = governor_requests(true);
+        let mut p = governed(&c, &urgent, 500, free);
+        assert_eq!(p.govern(0, 0), Governed::Admit);
+        let mut p = governed(&c, &urgent, 500, free + 1);
+        assert_eq!(p.govern(0, 0), Governed::Wait, "head-of-line backpressure");
+        assert!(p.log.events.is_empty());
+        assert_eq!(p.st[1].bytes, 4_000, "no eviction below Elevated");
+    }
+
+    #[test]
+    fn governor_logs_deferrals_from_elevated_up() {
+        sa_trace::set_enabled(true);
+        let c = cfg();
+        let reqs = governor_requests(false);
+        for (permille, level) in [(700, "elevated"), (900, "critical")] {
+            let deferrals = metrics::counter("serve.pressure.deferrals").get();
+            // Critical defers every non-urgent head, however small.
+            let head_bytes = if level == "critical" { 1 } else { c.mem_budget_bytes };
+            let mut p = governed(&c, &reqs, permille, head_bytes);
+            let in_use = p.mem_in_use;
+            assert_eq!(p.govern(0, 7), Governed::Wait);
+            assert!(metrics::counter("serve.pressure.deferrals").get() > deferrals);
+            assert_eq!(p.log.events.len(), 1);
+            let ev = &p.log.events[0];
+            assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::Deferred, 7, 0));
+            assert_eq!((ev.rung.as_str(), ev.bytes, ev.mem_in_use), ("", 0, in_use));
+            assert_eq!(ev.reason, format!("pressure {level}"));
+            let ring = decisions(p);
+            assert_eq!(ring.len(), 1);
+            assert_eq!((ring[0].action.as_str(), ring[0].request_id), ("defer", 0));
+            assert_eq!((ring[0].queue_depth, ring[0].inflight), (1, 1));
+            assert_eq!(ring[0].free_bytes, c.mem_budget_bytes - in_use);
+            assert_eq!(ring[0].pressure, level);
+        }
+    }
+
+    #[test]
+    fn governor_evicts_each_session_once_then_waits() {
+        sa_trace::set_enabled(true);
+        let c = cfg();
+        let reqs = governor_requests(true);
+        let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 700;
+        let evictions = metrics::counter("serve.pressure.evictions").get();
+
+        // The head is 1000 bytes short; the session's low-mass quarter
+        // is exactly that.
+        let mut p = governed(&c, &reqs, 700, free + 1_000);
+        let in_use = p.mem_in_use;
+        assert_eq!(p.govern(0, 9), Governed::Admit);
+        assert!(metrics::counter("serve.pressure.evictions").get() > evictions);
+        assert!(p.st[1].evicted);
+        assert_eq!(p.st[1].bytes, 3_000);
+        assert_eq!(p.mem_in_use, in_use - 1_000);
+        assert_eq!(p.log.events.len(), 1);
+        let ev = &p.log.events[0];
+        assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::PressureEvicted, 9, 1));
+        assert_eq!((ev.rung.as_str(), ev.bytes, ev.mem_in_use), ("tight", 1_000, in_use - 1_000));
+        assert_eq!(ev.reason, "pressure elevated: low-mass KV freed for request 0");
+
+        // A second shortfall finds nothing left to evict: the urgent
+        // head waits at the head of the line (Elevated never sheds).
+        p.st[0].bytes += 1;
+        assert_eq!(p.govern(0, 10), Governed::Wait);
+        assert_eq!(p.st[1].bytes, 3_000, "a session is evicted at most once");
+        assert_eq!(p.log.events.len(), 1);
+        let ring = decisions(p);
+        assert_eq!(ring.len(), 1);
+        assert_eq!((ring[0].action.as_str(), ring[0].request_id), ("evict", 1));
+        assert_eq!((ring[0].rung.as_str(), ring[0].pressure.as_str()), ("tight", "elevated"));
+    }
+
+    #[test]
+    fn governor_sheds_only_an_urgent_head_at_critical_pressure() {
+        sa_trace::set_enabled(true);
+        let c = cfg();
+        let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 900;
+        let sheds = metrics::counter("serve.pressure.sheds").get();
+
+        // The session's quarter is evicted first and is not enough.
+        let reqs = governor_requests(true);
+        let mut p = governed(&c, &reqs, 900, free + 1_001);
+        let required = p.mem_in_use - 1_000 + p.st[0].bytes;
+        assert_eq!(p.govern(0, 11), Governed::Shed);
+        assert!(metrics::counter("serve.pressure.sheds").get() > sheds);
+        assert_eq!(p.done, 1);
+        assert_eq!(
+            p.st[0].terminal,
+            Some((Planned::RejectBudget { required_bytes: required }, 11))
+        );
+        assert!(p.releases.is_empty(), "a queued request holds no memory to release");
+        let ev = p.log.events.last().unwrap();
+        assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::Shed, 11, 0));
+        assert_eq!(
+            ev.reason,
+            format!(
+                "unplaceable under critical pressure: required {required} bytes of budget {}",
+                c.mem_budget_bytes
+            )
+        );
+        p.recorder.trigger("probe", 0, 0, String::new());
+        let dumps = p.recorder.into_postmortems();
+        let dump = &dumps[0];
+        assert_eq!((dump.trigger.as_str(), dump.t_ms, dump.request_id), ("shed", 11, 0));
+        assert_eq!(
+            dump.reason,
+            format!(
+                "urgent head shed: required {required} bytes against budget {} at critical \
+                 pressure",
+                c.mem_budget_bytes
+            )
+        );
+        let actions: Vec<&str> = dumps[1].decisions.iter().map(|d| d.action.as_str()).collect();
+        assert_eq!(actions, ["evict", "shed"]);
+        assert_eq!(dumps[1].decisions[1].queue_depth, 1, "recorded with the head still queued");
+
+        // A head that can still wait is deferred, never shed.
+        let patient = governor_requests(false);
+        let mut p = governed(&c, &patient, 900, free + 1_001);
+        assert_eq!(p.govern(0, 11), Governed::Wait);
+        assert_eq!(p.done, 0);
+    }
+
+    /// A planner whose only request has been admitted at t=0 and waits
+    /// for its first dispatch, with tenant 0 under `floor`.
+    fn admitted<'a>(c: &'a ServeConfig, reqs: &'a [Request]) -> Planner<'a> {
+        let mut p = Planner::new(c, reqs);
+        p.reserve(0, 0);
+        p.log.events.clear();
+        p
+    }
+
+    fn floored(max_rung: DegradationRung, max_uncertified_permille: u64) -> ServeConfig {
+        ServeConfig {
+            quality_floors: vec![crate::TenantFloor {
+                tenant: 0,
+                max_rung_index: max_rung.index(),
+                max_uncertified_permille,
+            }],
+            ..cfg()
+        }
+    }
+
+    #[test]
+    fn floor_refuses_when_pressure_halves_the_budget_below_every_permitted_rung() {
+        sa_trace::set_enabled(true);
+        // 512 tokens: full 4096 ms, paper_default 1024 ms. A 1500 ms
+        // budget buys paper_default; halved, nothing the floor permits.
+        let c = floored(DegradationRung::PaperDefault, 0);
+        let reqs = [Request::prefill(0, 512, 0, 1_500)];
+
+        let mut p = admitted(&c, &reqs);
+        assert!(p.dispatch(0, 0, 1));
+        assert_eq!(p.st[0].rung, DegradationRung::PaperDefault);
+        let reasons: Vec<&str> = p.log.events.iter().map(|e| e.reason.as_str()).collect();
+        assert_eq!(
+            reasons,
+            [
+                "budget 1500 ms, 1 contenders",
+                "deadline budget 1500 ms too tight for higher rungs"
+            ]
+        );
+
+        let forced = metrics::counter("serve.pressure.forced_rungs").get();
+        let mut p = admitted(&c, &reqs);
+        p.mem_in_use = c.mem_budget_bytes / 1000 * 900;
+        assert!(!p.dispatch(0, 0, 1));
+        assert!(metrics::counter("serve.pressure.forced_rungs").get() > forced);
+        assert_eq!(p.st[0].terminal, Some((Planned::ShedQualityFloor, 0)));
+        assert_eq!(p.done, 1);
+        assert_eq!(p.releases, [(0, p.st[0].bytes, 0)], "its reservation is released");
+        let refusal = "quality floor: no permitted rung fits the 750 ms dispatch budget";
+        let ev = p.log.events.last().unwrap();
+        assert_eq!((ev.kind, ev.rung.as_str(), ev.reason.as_str()), (EventKind::Shed, "", refusal));
+        p.recorder.trigger("probe", 0, 0, String::new());
+        let dumps = p.recorder.into_postmortems();
+        assert_eq!((dumps[0].trigger.as_str(), dumps[0].reason.as_str()), ("shed", refusal));
+        let actions: Vec<&str> = dumps[1].decisions.iter().map(|d| d.action.as_str()).collect();
+        assert_eq!(actions, ["admit", "shed_quality_floor"]);
+        let last = &dumps[1].decisions[1];
+        assert_eq!((last.contenders, last.budget_ms, last.pressure.as_str()), (1, 750, "critical"));
+    }
+
+    #[test]
+    fn floor_refuses_an_uncertified_rung_past_the_tenant_cap() {
+        // A 400 ms budget only buys window_only (327 ms), which the
+        // floor permits — up to 100‰ of the tenant's dispatched tokens.
+        let c = floored(DegradationRung::WindowOnly, 100);
+        let reqs = [Request::prefill(0, 512, 0, 400)];
+
+        let mut p = admitted(&c, &reqs);
+        p.dispatched_tokens[0] = 1_000;
+        assert!(!p.dispatch(0, 0, 1));
+        assert_eq!(p.st[0].terminal, Some((Planned::ShedQualityFloor, 0)));
+        assert_eq!(
+            p.log.events.last().unwrap().reason,
+            "quality floor: uncertified rung would put tenant 0 at 512 of 1512 tokens (cap 100‰)"
+        );
+        assert_eq!((p.dispatched_tokens[0], p.uncertified_tokens[0]), (1_000, 0));
+
+        // Exactly at the cap it runs, and the tallies move.
+        let mut p = admitted(&c, &reqs);
+        p.dispatched_tokens[0] = 4_608;
+        assert!(p.dispatch(0, 0, 1));
+        assert_eq!(p.st[0].rung, DegradationRung::WindowOnly);
+        assert_eq!((p.dispatched_tokens[0], p.uncertified_tokens[0]), (5_120, 512));
     }
 }

@@ -8,7 +8,8 @@
 //! stamp, tenant, degradation rung, the planner's memory-ledger balance
 //! *after* the transition, and a typed reason. The log is emitted by
 //! the **serial** planners ([`plan_batch`](crate::plan_batch) and
-//! [`plan_continuous`](crate::plan_continuous)) before any parallel
+//! [`plan_continuous`](crate::plan_continuous)), each through its one
+//! [`EventLog::push`] call site, before any parallel
 //! model work runs, so its serialized bytes are identical at every
 //! `SA_THREADS` setting — the same bit-determinism contract the ledger
 //! carries (DESIGN.md §5j).
@@ -30,6 +31,7 @@
 
 use crate::ledger::{Ledger, Outcome, RequestRecord};
 use crate::sim::{weight_bytes, Planned};
+use crate::Request;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Schema tag for a serialized [`EventLog`].
@@ -358,13 +360,12 @@ impl EventLog {
         }
     }
 
-    /// Appends one event.
+    /// Appends one event of `req`'s lifecycle.
     #[allow(clippy::too_many_arguments)]
     pub fn push(
         &mut self,
         t_ms: u64,
-        request_id: u64,
-        tenant: u64,
+        req: &Request,
         kind: EventKind,
         rung: &str,
         bytes: u64,
@@ -373,8 +374,8 @@ impl EventLog {
     ) {
         self.events.push(Event {
             t_ms,
-            request_id,
-            tenant,
+            request_id: req.id,
+            tenant: req.tenant,
             kind,
             rung: rung.to_string(),
             bytes,
@@ -566,8 +567,10 @@ mod tests {
     #[test]
     fn event_log_round_trips_through_json() {
         let mut log = EventLog::new(7);
-        log.push(0, 1, 2, EventKind::Enqueued, "", 0, weight_bytes(), "edf".to_string());
-        log.push(5, 1, 2, EventKind::Completed, "full", 0, weight_bytes(), String::new());
+        let mut req = Request::prefill(1, 64, 0, 100);
+        req.tenant = 2;
+        log.push(0, &req, EventKind::Enqueued, "", 0, weight_bytes(), "edf".to_string());
+        log.push(5, &req, EventKind::Completed, "full", 0, weight_bytes(), String::new());
         log.postmortems.push(Postmortem {
             trigger: "shed".to_string(),
             t_ms: 5,

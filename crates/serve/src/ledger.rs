@@ -156,6 +156,18 @@ sa_json::impl_json_struct!(RequestRecord {
     report
 });
 
+impl RequestRecord {
+    /// Time per output token: the decode span after the first token
+    /// over the remaining tokens, for a served multi-token request
+    /// that recorded its first token.
+    pub fn tpot_ms(&self) -> Option<u64> {
+        (self.ttft_ms > 0 && self.outcome == Outcome::Served && self.new_tokens > 1).then(|| {
+            let decode_span = self.finish_ms.saturating_sub(self.arrival_ms + self.ttft_ms);
+            decode_span / (self.new_tokens - 1)
+        })
+    }
+}
+
 /// The batch outcome ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ledger {
@@ -173,7 +185,7 @@ sa_json::impl_json_struct!(Ledger {
     records
 });
 
-/// Schema tag written by [`Scheduler::run`](crate::Scheduler::run).
+/// Schema tag written by every [`Scheduler`](crate::Scheduler) run.
 /// `v2` added the tenant, `new_tokens`, and TTFT fields for the
 /// continuous-batching SLO accounting; `v3` added the crash-recovery
 /// tallies (`recovered_attempts`, `recomputed_tokens`); `v4` added the

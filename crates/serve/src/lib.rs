@@ -13,20 +13,30 @@
 //! - [`Request`] / [`mixed_workload`] ([`request`]) — what arrives:
 //!   prefills and decodes with deadlines, caller cancellations, and
 //!   transient-fault scripts.
-//! - [`sim`] — the virtual-time admission simulation: slots, a bounded
-//!   FIFO queue, the scaled ChatGLM2-6B memory model, the degradation
-//!   ladder walk, and retry/backoff/cancellation arbitration.
-//! - [`Scheduler`] ([`scheduler`]) — executes admitted requests in
-//!   parallel on the worker pool: chunked prefills and decode sessions
-//!   under per-request [`CancelToken`](sa_tensor::CancelToken)s, with
-//!   thread-local fault injection per retry attempt.
+//! - [`sim`] — the one-shot planner (slots, a bounded FIFO queue,
+//!   retry/backoff/cancellation arbitration when a request gets its
+//!   slot) and the models both planners share: the scaled ChatGLM2-6B
+//!   memory model, the per-rung cost model, the degradation ladder walk.
+//! - [`Scheduler`] ([`scheduler`]) — four entry points:
+//!   [`run_with_events`](Scheduler::run_with_events),
+//!   [`run_guarded_with_events`](Scheduler::run_guarded_with_events) and
+//!   [`run_continuous_with_events`](Scheduler::run_continuous_with_events)
+//!   plan, then execute the admitted requests in parallel on the worker
+//!   pool (chunked prefills and decode sessions under per-request
+//!   [`CancelToken`](sa_tensor::CancelToken)s, with thread-local fault
+//!   injection per retry attempt) and return the ledger with the
+//!   planner's event log;
+//!   [`plan_continuous`](Scheduler::plan_continuous) plans only.
 //! - [`Ledger`] ([`ledger`]) — one audit record per request; validated
 //!   for totality (no request ever lost) and honesty (no silent drop
 //!   below the CRA α target).
 //! - [`continuous`] — the continuous-batching planner for open-loop
 //!   arrival streams: prefill chunks of new requests interleave with
 //!   decode steps of in-flight sessions at micro-task granularity,
-//!   under per-tenant token-bucket fairness quotas.
+//!   under per-tenant token-bucket fairness quotas. One state struct
+//!   whose loop reads ingest → admit → sweep → pick → run-task, with a
+//!   single method each for emitting an event, recording a decision,
+//!   resolving a request, and ruling on overdue work.
 //! - [`quality`] — the quality guardrail plane: a seeded fraction of
 //!   served requests re-runs as a **shadow canary** against a dense
 //!   reference ([`canary_probe`]), a per-head EWMA/CUSUM drift detector
@@ -35,9 +45,11 @@
 //!   probation clears), and per-tenant [`TenantFloor`]s keep the
 //!   degradation ladder from dropping a tenant below its contracted
 //!   quality — the planner sheds instead, typed.
-//! - [`slo`] — SLO accounting over a ledger: TTFT/TPOT percentiles,
-//!   goodput under deadline, and per-tenant certified-goodput quality
-//!   columns, exported as the `sa.slo.v2` artifact.
+//! - [`slo`] — SLO accounting: one fold
+//!   ([`SloSummary::from_rows`]) over one row per request ([`SloRow`],
+//!   adapted from a ledger, from plans, or from an event log) into
+//!   TTFT/TPOT percentiles, goodput under deadline, and per-tenant
+//!   certified-goodput quality columns — the `sa.slo.v2` artifact.
 //! - [`memory`] — the byte-accurate [`MemoryLedger`] with pressure
 //!   watermarks; its [`PressureLevel`]s drive the continuous planner's
 //!   governor ladder (defer → evict → force lower rungs → shed) and the
@@ -76,9 +88,10 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scheduler = Scheduler::new(ServeConfig::default())?;
 //! let requests = mixed_workload(7, 8);
-//! let ledger = scheduler.run(&requests)?;
+//! let (ledger, events) = scheduler.run_with_events(&requests)?;
 //! ledger.validate(&requests).map_err(std::io::Error::other)?;
 //! assert_eq!(ledger.records.len(), requests.len()); // nothing lost
+//! events.validate(&ledger).map_err(std::io::Error::other)?; // one terminal event each
 //! # Ok(())
 //! # }
 //! ```
@@ -110,4 +123,4 @@ pub use request::{
 };
 pub use scheduler::Scheduler;
 pub use sim::{plan_batch, plan_batch_with_events, Plan, Planned};
-pub use slo::{LatencyStats, SloSummary, TenantQuality, SLO_SCHEMA};
+pub use slo::{LatencyStats, SloRow, SloSummary, TenantQuality, SLO_SCHEMA};

@@ -78,10 +78,25 @@ impl Request {
     /// prefill) plus a linear decode tail. The degradation ladder
     /// scales the prefill part by each rung's cost factor.
     pub fn base_service_ms(&self) -> u64 {
-        let s = self.seq_len as u64;
-        let prefill = (s * s / 64).max(1);
-        let decode = self.new_tokens as u64 * (s / 16).max(1);
-        prefill + decode
+        self.prefill_service_ms() + self.new_tokens as u64 * self.decode_step_ms()
+    }
+
+    /// The virtual cost of one decode step, in milliseconds: linear in
+    /// the prompt the step attends over. No rung scales it — decode
+    /// always runs full attention over the caches.
+    pub fn decode_step_ms(&self) -> u64 {
+        (self.seq_len as u64 / 16).max(1)
+    }
+
+    /// Time to first token when a slot is held for the whole request
+    /// and only `finish_ms` is known (the one-shot planner): the final
+    /// prefill chunk lands one decode tail before the finish.
+    pub fn oneshot_ttft_ms(&self, finish_ms: u64) -> u64 {
+        let tail = (self.new_tokens as u64).saturating_sub(1) * self.decode_step_ms();
+        finish_ms
+            .saturating_sub(tail)
+            .saturating_sub(self.arrival_ms)
+            .max(1)
     }
 
     /// The prefill-only part of [`base_service_ms`](Self::base_service_ms)

@@ -1,11 +1,15 @@
 //! The deadline-aware request scheduler.
 //!
-//! [`Scheduler::run`] processes a batch in two phases:
+//! Every entry point ([`Scheduler::run_with_events`], its guarded form
+//! and [`Scheduler::run_continuous_with_events`]) processes its requests
+//! in two phases:
 //!
-//! 1. **Plan** ([`sim::plan_batch`]): a serial virtual-time simulation
-//!    decides every scheduling outcome — admission, queueing, the
-//!    degradation rung, retry counts, backoff, and which cancellation
-//!    (caller or deadline) wins. Deterministic by construction.
+//! 1. **Plan** ([`sim::plan_batch_with_events`] for a one-shot batch,
+//!    [`continuous::plan_continuous_with_events`] for an open-loop
+//!    stream): a serial virtual-time simulation decides every
+//!    scheduling outcome — admission, queueing, the degradation rung,
+//!    retry counts, backoff, and which cancellation (caller or
+//!    deadline) wins. Deterministic by construction.
 //! 2. **Execute**: the admitted requests run their *real* model work in
 //!    parallel on the worker pool. Each request's execution is
 //!    panic-free end to end: injected worker faults surface as typed
@@ -105,26 +109,18 @@ impl Scheduler {
         &self.mem
     }
 
-    /// Runs a batch: plans every request on the virtual clock, executes
-    /// the admitted ones in parallel, and returns the sorted ledger.
+    /// Runs a batch: plans every request on the virtual clock
+    /// ([`sim::plan_batch_with_events`]), executes the admitted ones in
+    /// parallel, and returns the ledger sorted by request id together
+    /// with the planner's [`EventLog`], reconciled against the executed
+    /// outcomes (see [`EventLog::reconcile`]) so [`EventLog::validate`]
+    /// holds on the pair.
     ///
     /// # Errors
     ///
     /// Only scheduler-level pool failures propagate; per-request faults,
     /// cancellations, and rejections are *outcomes* in the ledger, never
-    /// errors of `run` itself.
-    pub fn run(&self, requests: &[Request]) -> Result<Ledger, TensorError> {
-        self.run_with_events(requests).map(|(ledger, _)| ledger)
-    }
-
-    /// [`Scheduler::run`] plus the telemetry plane: returns the ledger
-    /// together with the planner's [`EventLog`], reconciled against the
-    /// executed outcomes (see [`EventLog::reconcile`]) so
-    /// [`EventLog::validate`] holds on the pair.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::run`].
+    /// errors of the run itself.
     pub fn run_with_events(
         &self,
         requests: &[Request],
@@ -133,9 +129,9 @@ impl Scheduler {
         Ok((ledger, log))
     }
 
-    /// [`Scheduler::run`] under a [`QualityGuard`]: the guard's current
-    /// quarantine mask is frozen for the whole batch (quarantined heads
-    /// execute dense, flagged
+    /// [`Scheduler::run_with_events`] under a [`QualityGuard`]: the
+    /// guard's current quarantine mask is frozen for the whole batch
+    /// (quarantined heads execute dense, flagged
     /// [`QualityQuarantine`](sa_core::FallbackReason::QualityQuarantine)),
     /// the batch runs, and afterwards the guard absorbs this batch's
     /// canary observations **serially in request-id order** — so
@@ -144,21 +140,7 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Same as [`Scheduler::run`].
-    pub fn run_guarded(
-        &self,
-        requests: &[Request],
-        guard: &mut QualityGuard,
-    ) -> Result<Ledger, TensorError> {
-        self.run_guarded_with_events(requests, guard)
-            .map(|(ledger, _)| ledger)
-    }
-
-    /// [`Scheduler::run_guarded`] plus the reconciled [`EventLog`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::run`].
+    /// Same as [`Scheduler::run_with_events`].
     pub fn run_guarded_with_events(
         &self,
         requests: &[Request],
@@ -170,54 +152,24 @@ impl Scheduler {
         Ok((ledger, log))
     }
 
-    /// The shared one-shot execution phase: plan serially, execute in
-    /// parallel under the frozen quarantine `mask`, and collect the
-    /// batch's canary observations (sorted by request id alongside the
-    /// records, so the caller's serial absorb is deterministic).
+    /// The one-shot run under the frozen quarantine `mask`, returning
+    /// the batch's canary observations alongside the ledger and log.
     fn run_batch_masked(
         &self,
         requests: &[Request],
         mask: &[bool],
     ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
         let _span = sa_trace::span_in("serve", "batch");
-        let (plans, mut log) = sim::plan_batch_with_events(&self.cfg, requests);
-        let mut pairs = pool::try_parallel_map("serve_batch", requests.len(), 1, |i| {
+        let (plans, log) = sim::plan_batch_with_events(&self.cfg, requests);
+        self.execute_all("serve_batch", requests.len(), log, |i| {
             let (mut rec, obs) = self.execute(&requests[i], &plans[i], mask);
             // The one-shot planner holds a slot for the whole request,
-            // so first-token timing is analytic: the final prefill
-            // chunk lands one decode tail before the finish.
+            // so first-token timing is analytic.
             if rec.outcome == Outcome::Served {
-                let req = &requests[i];
-                let per_token = (req.seq_len as u64 / 16).max(1);
-                let tail = (req.new_tokens as u64).saturating_sub(1) * per_token;
-                rec.ttft_ms = rec
-                    .finish_ms
-                    .saturating_sub(tail)
-                    .saturating_sub(rec.arrival_ms)
-                    .max(1);
+                rec.ttft_ms = requests[i].oneshot_ttft_ms(rec.finish_ms);
             }
             (rec, obs)
-        })?;
-        pairs.sort_by_key(|(rec, _)| rec.id);
-        let mut records = Vec::with_capacity(pairs.len());
-        let mut observations = Vec::new();
-        for (rec, obs) in pairs {
-            if let Some(o) = obs {
-                observations.push(o);
-            }
-            records.push(rec);
-        }
-        record_metrics(&records);
-        log.reconcile(&records);
-        Ok((
-            Ledger {
-                schema: LEDGER_SCHEMA.to_string(),
-                seed: self.cfg.seed,
-                records,
-            },
-            log,
-            observations,
-        ))
+        })
     }
 
     /// Plans an open-loop stream on the continuous-batching timeline
@@ -231,51 +183,56 @@ impl Scheduler {
     /// Runs an open-loop stream under continuous batching: plans the
     /// interleaved timeline on the virtual clock, executes the admitted
     /// requests' model work in parallel, and returns the sorted ledger
-    /// with first-token (TTFT) timing filled in from the plan.
-    ///
-    /// # Errors
-    ///
-    /// Only scheduler-level pool failures propagate; per-request faults,
-    /// cancellations, and rejections are ledger outcomes.
-    pub fn run_continuous(&self, requests: &[Request]) -> Result<Ledger, TensorError> {
-        self.run_continuous_with_events(requests)
-            .map(|(ledger, _)| ledger)
-    }
-
-    /// [`Scheduler::run_continuous`] plus the telemetry plane: returns
-    /// the ledger together with the continuous planner's [`EventLog`]
+    /// — first-token (TTFT) timing and recovery tallies filled in from
+    /// the plan — together with the continuous planner's [`EventLog`]
     /// (including the flight-recorder [`Postmortem`](crate::Postmortem)s),
     /// reconciled against the executed outcomes.
     ///
     /// # Errors
     ///
-    /// Same as [`Scheduler::run_continuous`].
+    /// Only scheduler-level pool failures propagate; per-request faults,
+    /// cancellations, and rejections are ledger outcomes.
     pub fn run_continuous_with_events(
         &self,
         requests: &[Request],
     ) -> Result<(Ledger, EventLog), TensorError> {
         let _span = sa_trace::span_in("serve", "continuous");
-        let (plans, mut log) = continuous::plan_continuous_with_events(&self.cfg, requests);
-        let mut records = pool::try_parallel_map("serve_continuous", requests.len(), 1, |i| {
-            let (mut rec, _) = self.execute(&requests[i], &plans[i].plan, &[]);
-            rec.ttft_ms = plans[i]
-                .first_token_ms
-                .saturating_sub(requests[i].arrival_ms);
+        let (plans, log) = continuous::plan_continuous_with_events(&self.cfg, requests);
+        let (ledger, log, _) = self.execute_all("serve_continuous", requests.len(), log, |i| {
+            let (mut rec, obs) = self.execute(&requests[i], &plans[i].plan, &[]);
+            rec.ttft_ms = plans[i].first_token_ms.saturating_sub(rec.arrival_ms);
             rec.recovered_attempts = plans[i].recovered_attempts;
             rec.recomputed_tokens = plans[i].recomputed_tokens;
-            rec
+            (rec, obs)
         })?;
-        records.sort_by_key(|r| r.id);
+        Ok((ledger, log))
+    }
+
+    /// The execution phase both planners share: run `one(i)` — request
+    /// `i`'s planned work plus the planner-specific timing on its
+    /// record — for all `n` requests in parallel at pool site `site`,
+    /// sort the records (and the canary observations beside them, so a
+    /// caller's serial absorb is deterministic) by request id, publish
+    /// the metrics, and reconcile the planner's log against what
+    /// execution did.
+    fn execute_all(
+        &self,
+        site: &'static str,
+        n: usize,
+        mut log: EventLog,
+        one: impl Fn(usize) -> (RequestRecord, Option<CanaryObservation>) + Sync,
+    ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
+        let mut pairs = pool::try_parallel_map(site, n, 1, one)?;
+        pairs.sort_by_key(|(rec, _)| rec.id);
+        let (records, observations): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         record_metrics(&records);
         log.reconcile(&records);
-        Ok((
-            Ledger {
-                schema: LEDGER_SCHEMA.to_string(),
-                seed: self.cfg.seed,
-                records,
-            },
-            log,
-        ))
+        let ledger = Ledger {
+            schema: LEDGER_SCHEMA.to_string(),
+            seed: self.cfg.seed,
+            records,
+        };
+        Ok((ledger, log, observations.into_iter().flatten().collect()))
     }
 
     /// Executes one planned request under the frozen quarantine `mask`
@@ -901,10 +858,9 @@ fn record_metrics(records: &[RequestRecord]) {
         }
         if rec.ttft_ms > 0 {
             metrics::histogram("serve.ttft_ms").record(rec.ttft_ms);
-            if rec.outcome == Outcome::Served && rec.new_tokens > 1 {
-                let decode_span = rec.finish_ms.saturating_sub(rec.arrival_ms + rec.ttft_ms);
-                metrics::histogram("serve.tpot_ms").record(decode_span / (rec.new_tokens - 1));
-            }
+        }
+        if let Some(tpot_ms) = rec.tpot_ms() {
+            metrics::histogram("serve.tpot_ms").record(tpot_ms);
         }
         if rec.degraded {
             metrics::counter("serve.degraded").add(1);
@@ -927,7 +883,7 @@ mod tests {
         let reqs: Vec<Request> = (0..3)
             .map(|id| Request::prefill(id, 64, id * 500, 1_000_000))
             .collect();
-        let ledger = s.run(&reqs).unwrap();
+        let ledger = s.run_with_events(&reqs).unwrap().0;
         ledger.validate(&reqs).unwrap();
         assert_eq!(ledger.count(Outcome::Served), 3);
         assert!(ledger.records.iter().all(|r| r.rung == "full"));
@@ -940,7 +896,7 @@ mod tests {
         let mut req = Request::prefill(0, 64, 0, 1_000_000);
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run(std::slice::from_ref(&req)).unwrap();
+        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
         ledger.validate(std::slice::from_ref(&req)).unwrap();
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Served);
@@ -954,7 +910,7 @@ mod tests {
         let mut req = Request::prefill(0, 64, 0, 1_000_000);
         req.fault_fails = 99;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run(std::slice::from_ref(&req)).unwrap();
+        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Failed);
         assert!(rec.error.contains("worker panic"), "{}", rec.error);
@@ -966,7 +922,7 @@ mod tests {
         let s = scheduler();
         // Brutal deadline: nothing fits, mid-run expiry planned.
         let req = Request::prefill(0, 224, 0, 2);
-        let ledger = s.run(std::slice::from_ref(&req)).unwrap();
+        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::DeadlineExceeded);
         assert_eq!(rec.rung, "window_only", "brutal deadline bottoms the ladder");
@@ -987,7 +943,7 @@ mod tests {
         cancelled.arrival_ms = 10_000;
         cancelled.cancel_after_ms = 1;
         let reqs = vec![served, cancelled];
-        let ledger = s.run(&reqs).unwrap();
+        let ledger = s.run_with_events(&reqs).unwrap().0;
         ledger.validate(&reqs).unwrap();
         assert_eq!(ledger.records[0].outcome, Outcome::Served);
         assert_eq!(ledger.records[1].outcome, Outcome::Cancelled);
@@ -1003,7 +959,7 @@ mod tests {
         let mut req = Request::prefill(11, 96, 0, 1_000_000);
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run(std::slice::from_ref(&req)).unwrap();
+        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Served);
         assert_eq!(rec.retries, 2);
@@ -1027,13 +983,17 @@ mod tests {
         req.new_tokens = 4;
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let with = scheduler().run(std::slice::from_ref(&req)).unwrap();
+        let with = scheduler()
+            .run_with_events(std::slice::from_ref(&req))
+            .unwrap()
+            .0;
         let mut cfg = ServeConfig::default();
         cfg.recovery_enabled = false;
         let without = Scheduler::new(cfg)
             .unwrap()
-            .run(std::slice::from_ref(&req))
-            .unwrap();
+            .run_with_events(std::slice::from_ref(&req))
+            .unwrap()
+            .0;
         assert_eq!(with.records[0].outcome, Outcome::Served);
         assert_eq!(with, without, "recovery must be invisible in the ledger");
     }
@@ -1102,7 +1062,7 @@ mod tests {
             .collect();
         let run_under_storm = || {
             let _g = fault::install(FaultPlan::new(0xBAD).serve_crash("serve_attempt", 3));
-            s.run(&reqs).unwrap()
+            s.run_with_events(&reqs).unwrap().0
         };
         let a = run_under_storm();
         a.validate(&reqs).unwrap();
@@ -1114,10 +1074,10 @@ mod tests {
     fn mixed_ledger_is_identical_across_thread_counts() {
         let s = scheduler();
         let reqs = mixed_workload(5, 16);
-        let baseline = pool::with_threads(1, || s.run(&reqs)).unwrap();
+        let baseline = pool::with_threads(1, || s.run_with_events(&reqs)).unwrap().0;
         baseline.validate(&reqs).unwrap();
         for threads in [2, 4] {
-            let ledger = pool::with_threads(threads, || s.run(&reqs)).unwrap();
+            let ledger = pool::with_threads(threads, || s.run_with_events(&reqs)).unwrap().0;
             assert_eq!(
                 ledger, baseline,
                 "ledger must be bit-identical at {threads} threads"

@@ -26,6 +26,7 @@
 //!    and completion decides the planned outcome.
 
 use crate::events::{EventKind, EventLog};
+use crate::ledger::Outcome;
 use crate::{Request, ServeConfig};
 use sa_core::DegradationRung;
 use sa_perf::memory::{prefill_footprint, PrefillStyle};
@@ -77,16 +78,39 @@ pub struct Plan {
     pub backoff_ms: u64,
 }
 
-impl Plan {
-    /// Whether the plan involves running the model at all.
+impl Planned {
+    /// Whether the resolution involves running the model at all: a
+    /// rung, a start time and a first token mean something exactly then.
     pub fn runs_model(&self) -> bool {
         !matches!(
-            self.planned,
+            self,
             Planned::RejectOverloaded { .. }
                 | Planned::RejectBudget { .. }
                 | Planned::ExpireInQueue
                 | Planned::ShedQualityFloor
         )
+    }
+
+    /// The ledger outcome this resolution executes to when execution
+    /// follows the plan.
+    pub fn outcome(&self) -> Outcome {
+        match self {
+            Planned::Serve { .. } => Outcome::Served,
+            Planned::FailPermanent { .. } => Outcome::Failed,
+            Planned::CancelCaller => Outcome::Cancelled,
+            Planned::CancelDeadline => Outcome::DeadlineExceeded,
+            Planned::ExpireInQueue => Outcome::ExpiredInQueue,
+            Planned::RejectOverloaded { .. } => Outcome::RejectedOverloaded,
+            Planned::RejectBudget { .. } => Outcome::RejectedBudget,
+            Planned::ShedQualityFloor => Outcome::ShedQualityFloor,
+        }
+    }
+}
+
+impl Plan {
+    /// Whether the plan involves running the model at all.
+    pub fn runs_model(&self) -> bool {
+        self.planned.runs_model()
     }
 }
 
@@ -208,10 +232,8 @@ pub fn choose_rung_floored(
 
 struct Active {
     finish_ms: u64,
-    id: u64,
     bytes: u64,
-    /// Index into the request slice, for terminal-event emission at
-    /// slot-free time.
+    /// Index into the request slice.
     idx: usize,
 }
 
@@ -222,9 +244,10 @@ enum StartResult {
     Resolved(Plan),
 }
 
-/// The typed reason string for a terminal event of `plan`.
-fn terminal_reason(plan: &Plan, budget: u64) -> String {
-    match &plan.planned {
+/// The typed reason string of the terminal event for `planned`, where
+/// neither planner has more to say than the resolution itself.
+pub(crate) fn terminal_reason(planned: &Planned, budget: u64) -> String {
+    match planned {
         Planned::Serve { fails: 0 } => String::new(),
         Planned::Serve { fails } => format!("served after {fails} failed attempts"),
         Planned::FailPermanent { fails } => {
@@ -245,66 +268,6 @@ fn terminal_reason(plan: &Plan, budget: u64) -> String {
     }
 }
 
-/// Emits the admission-side events of a freshly started plan:
-/// `Admitted` (with the reservation delta), `Dispatched`, and — when the
-/// ladder degraded or retries are planned — `RungDegraded` / `Retried`.
-fn push_start_events(
-    log: &mut EventLog,
-    req: &Request,
-    plan: &Plan,
-    bytes: u64,
-    mem_in_use: u64,
-) {
-    let rung = plan.rung.to_string();
-    log.push(
-        plan.start_ms,
-        req.id,
-        req.tenant,
-        EventKind::Admitted,
-        "",
-        bytes,
-        mem_in_use,
-        String::new(),
-    );
-    log.push(
-        plan.start_ms,
-        req.id,
-        req.tenant,
-        EventKind::Dispatched,
-        &rung,
-        0,
-        mem_in_use,
-        format!("queue wait {} ms", plan.queue_wait_ms),
-    );
-    if !plan.skipped.is_empty() {
-        log.push(
-            plan.start_ms,
-            req.id,
-            req.tenant,
-            EventKind::RungDegraded,
-            &rung,
-            0,
-            mem_in_use,
-            format!("{} rungs skipped under deadline budget", plan.skipped.len()),
-        );
-    }
-    if plan.retries > 0 {
-        log.push(
-            plan.start_ms,
-            req.id,
-            req.tenant,
-            EventKind::Retried,
-            &rung,
-            0,
-            mem_in_use,
-            format!(
-                "{} retries planned, {} ms backoff",
-                plan.retries, plan.backoff_ms
-            ),
-        );
-    }
-}
-
 /// Simulates the whole batch and returns one [`Plan`] per request,
 /// aligned with the input order.
 pub fn plan_batch(cfg: &ServeConfig, requests: &[Request]) -> Vec<Plan> {
@@ -316,200 +279,152 @@ pub fn plan_batch(cfg: &ServeConfig, requests: &[Request]) -> Vec<Plan> {
 /// this serial planner, so its serialized bytes are identical at every
 /// `SA_THREADS` setting.
 pub fn plan_batch_with_events(cfg: &ServeConfig, requests: &[Request]) -> (Vec<Plan>, EventLog) {
-    let weights = weight_bytes();
-    let mut log = EventLog::new(cfg.seed);
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by_key(|&i| (requests[i].arrival_ms, requests[i].id));
-
-    let mut active: Vec<Active> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut plans: Vec<Option<Plan>> = vec![None; requests.len()];
-
-    let drain_to = |upto: u64,
-                    active: &mut Vec<Active>,
-                    queue: &mut VecDeque<usize>,
-                    plans: &mut Vec<Option<Plan>>,
-                    log: &mut EventLog| {
-        loop {
-            let Some(pos) = active
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| a.finish_ms <= upto)
-                .min_by_key(|(_, a)| (a.finish_ms, a.id))
-                .map(|(p, _)| p)
-            else {
-                break;
-            };
-            let freed = active.swap_remove(pos);
-            let freed_at = freed.finish_ms;
-            let after: u64 = weights + active.iter().map(|a| a.bytes).sum::<u64>();
-            if let Some(plan) = &plans[freed.idx] {
-                let req = &requests[freed.idx];
-                let rung = if plan.runs_model() {
-                    plan.rung.to_string()
-                } else {
-                    String::new()
-                };
-                log.push(
-                    freed_at,
-                    req.id,
-                    req.tenant,
-                    EventKind::terminal_for(&plan.planned),
-                    &rung,
-                    0,
-                    after + freed.bytes,
-                    terminal_reason(plan, cfg.mem_budget_bytes),
-                );
-            }
-            log.push(
-                freed_at,
-                freed.id,
-                requests[freed.idx].tenant,
-                EventKind::Released,
-                "",
-                freed.bytes,
-                after,
-                String::new(),
-            );
-            // The freed slot serves the queue head; requests that
-            // resolve without running (expired, budget-rejected) keep
-            // the slot free for the next in line.
-            while let Some(qi) = queue.pop_front() {
-                let in_use: u64 = weights + active.iter().map(|a| a.bytes).sum::<u64>();
-                let req = &requests[qi];
-                match try_start(cfg, req, freed_at, in_use, cfg.mem_budget_bytes) {
-                    StartResult::Started(plan, bytes) => {
-                        push_start_events(log, req, &plan, bytes, in_use + bytes);
-                        active.push(Active {
-                            finish_ms: plan.finish_ms,
-                            id: req.id,
-                            bytes,
-                            idx: qi,
-                        });
-                        plans[qi] = Some(plan);
-                        break;
-                    }
-                    StartResult::Resolved(plan) => {
-                        log.push(
-                            plan.finish_ms,
-                            req.id,
-                            req.tenant,
-                            EventKind::terminal_for(&plan.planned),
-                            "",
-                            0,
-                            in_use,
-                            terminal_reason(&plan, cfg.mem_budget_bytes),
-                        );
-                        plans[qi] = Some(plan);
-                    }
-                }
-            }
-        }
+    let mut sim = OneShot {
+        cfg,
+        requests,
+        active: Vec::new(),
+        queue: VecDeque::new(),
+        plans: vec![None; requests.len()],
+        mem_in_use: weight_bytes(),
+        log: EventLog::new(cfg.seed),
     };
-
-    for &i in &order {
-        let req = &requests[i];
-        let now = req.arrival_ms;
-        drain_to(now, &mut active, &mut queue, &mut plans, &mut log);
-        if active.len() < cfg.slots() {
-            let in_use: u64 = weights + active.iter().map(|a| a.bytes).sum::<u64>();
-            match try_start(cfg, req, now, in_use, cfg.mem_budget_bytes) {
-                StartResult::Started(plan, bytes) => {
-                    push_start_events(&mut log, req, &plan, bytes, in_use + bytes);
-                    active.push(Active {
-                        finish_ms: plan.finish_ms,
-                        id: req.id,
-                        bytes,
-                        idx: i,
-                    });
-                    plans[i] = Some(plan);
-                }
-                StartResult::Resolved(plan) => {
-                    log.push(
-                        plan.finish_ms,
-                        req.id,
-                        req.tenant,
-                        EventKind::terminal_for(&plan.planned),
-                        "",
-                        0,
-                        in_use,
-                        terminal_reason(&plan, cfg.mem_budget_bytes),
-                    );
-                    plans[i] = Some(plan);
-                }
-            }
-        } else if queue.len() < cfg.max_queue {
-            queue.push_back(i);
-            let in_use: u64 = weights + active.iter().map(|a| a.bytes).sum::<u64>();
-            log.push(
-                now,
-                req.id,
-                req.tenant,
-                EventKind::Enqueued,
-                "",
-                0,
-                in_use,
-                format!("queue depth {}", queue.len()),
-            );
+    for i in order {
+        let now = requests[i].arrival_ms;
+        sim.drain_to(now);
+        if sim.active.len() < cfg.slots() {
+            sim.start(i, now);
+        } else if sim.queue.len() < cfg.max_queue {
+            sim.queue.push_back(i);
+            let depth = sim.queue.len();
+            sim.emit(now, i, EventKind::Enqueued, "", 0, format!("queue depth {depth}"));
         } else {
-            let plan = Plan {
-                planned: Planned::RejectOverloaded {
-                    inflight: active.len() + queue.len(),
-                },
-                rung: DegradationRung::Full,
-                skipped: Vec::new(),
-                start_ms: now,
-                finish_ms: now,
-                queue_wait_ms: 0,
-                retries: 0,
-                backoff_ms: 0,
-            };
-            let in_use: u64 = weights + active.iter().map(|a| a.bytes).sum::<u64>();
-            log.push(
-                now,
-                req.id,
-                req.tenant,
-                EventKind::Rejected,
-                "",
-                0,
-                in_use,
-                terminal_reason(&plan, cfg.mem_budget_bytes),
-            );
-            plans[i] = Some(plan);
+            let inflight = sim.active.len() + sim.queue.len();
+            sim.resolve(i, unstarted(Planned::RejectOverloaded { inflight }, now, now));
         }
     }
-    drain_to(u64::MAX, &mut active, &mut queue, &mut plans, &mut log);
+    sim.drain_to(u64::MAX);
 
-    let plans = plans
+    let plans = sim
+        .plans
         .into_iter()
-        .enumerate()
-        .map(|(i, p)| match p {
-            Some(p) => p,
-            // Unreachable by construction: every request either starts,
-            // queues (drained at the end), or is rejected. Resolve
-            // defensively rather than panicking.
-            None => Plan {
-                planned: Planned::ExpireInQueue,
-                rung: DegradationRung::Full,
-                skipped: Vec::new(),
-                start_ms: requests[i].arrival_ms,
-                finish_ms: requests[i].arrival_ms,
-                queue_wait_ms: 0,
-                retries: 0,
-                backoff_ms: 0,
-            },
+        .zip(requests)
+        // Every request starts, queues (drained above) or is rejected;
+        // one that somehow did none of them expires where it arrived.
+        .map(|(p, req)| {
+            p.unwrap_or_else(|| unstarted(Planned::ExpireInQueue, req.arrival_ms, req.arrival_ms))
         })
         .collect();
-    (plans, log)
+    (plans, sim.log)
 }
 
-fn try_start(
-    cfg: &ServeConfig,
-    req: &Request,
-    start_ms: u64,
-    in_use_bytes: u64,
-    budget: u64,
-) -> StartResult {
+/// The plan of a request that never ran: resolved at `finish_ms`
+/// after being handed a slot (or refused one) at `start_ms`.
+fn unstarted(planned: Planned, start_ms: u64, finish_ms: u64) -> Plan {
+    Plan {
+        planned,
+        rung: DegradationRung::Full,
+        skipped: Vec::new(),
+        start_ms,
+        finish_ms,
+        queue_wait_ms: 0,
+        retries: 0,
+        backoff_ms: 0,
+    }
+}
+
+/// The one-shot planner's state: the slots, the FIFO queue behind
+/// them, and the memory they hold (weights plus every active request).
+struct OneShot<'a> {
+    cfg: &'a ServeConfig,
+    requests: &'a [Request],
+    active: Vec<Active>,
+    queue: VecDeque<usize>,
+    plans: Vec<Option<Plan>>,
+    mem_in_use: u64,
+    log: EventLog,
+}
+
+impl OneShot<'_> {
+    /// The planner's one event-log call: stamps the current balance.
+    fn emit(&mut self, t: u64, i: usize, kind: EventKind, rung: &str, bytes: u64, reason: String) {
+        let req = &self.requests[i];
+        self.log.push(t, req, kind, rung, bytes, self.mem_in_use, reason);
+    }
+
+    /// Records the plan of a request that resolved without running.
+    fn resolve(&mut self, i: usize, plan: Plan) {
+        let reason = terminal_reason(&plan.planned, self.cfg.mem_budget_bytes);
+        self.emit(plan.finish_ms, i, EventKind::terminal_for(&plan.planned), "", 0, reason);
+        self.plans[i] = Some(plan);
+    }
+
+    /// Hands request `i` a free slot at `at`. Returns whether it took
+    /// it: a request that resolves on the spot (cancelled, expired,
+    /// floor-shed, over budget) leaves the slot to the next in line.
+    fn start(&mut self, i: usize, at: u64) -> bool {
+        let (plan, bytes) = match try_start(self.cfg, &self.requests[i], at, self.mem_in_use) {
+            StartResult::Started(plan, bytes) => (plan, bytes),
+            StartResult::Resolved(plan) => {
+                self.resolve(i, plan);
+                return false;
+            }
+        };
+        self.mem_in_use += bytes;
+        let rung = plan.rung.to_string();
+        self.emit(at, i, EventKind::Admitted, "", bytes, String::new());
+        let wait = format!("queue wait {} ms", plan.queue_wait_ms);
+        self.emit(at, i, EventKind::Dispatched, &rung, 0, wait);
+        if !plan.skipped.is_empty() {
+            let skipped = format!("{} rungs skipped under deadline budget", plan.skipped.len());
+            self.emit(at, i, EventKind::RungDegraded, &rung, 0, skipped);
+        }
+        if plan.retries > 0 {
+            let retries = format!(
+                "{} retries planned, {} ms backoff",
+                plan.retries, plan.backoff_ms
+            );
+            self.emit(at, i, EventKind::Retried, &rung, 0, retries);
+        }
+        self.active.push(Active {
+            finish_ms: plan.finish_ms,
+            bytes,
+            idx: i,
+        });
+        self.plans[i] = Some(plan);
+        true
+    }
+
+    /// Frees every slot whose occupant finished by `upto`, earliest
+    /// first, handing each freed slot down the queue at the freeing
+    /// instant.
+    fn drain_to(&mut self, upto: u64) {
+        while let Some(pos) = (0..self.active.len())
+            .filter(|&p| self.active[p].finish_ms <= upto)
+            .min_by_key(|&p| (self.active[p].finish_ms, self.requests[self.active[p].idx].id))
+        {
+            let freed = self.active.swap_remove(pos);
+            let at = freed.finish_ms;
+            // Whatever held a slot ran the model, so its rung means something.
+            if let Some(plan) = &self.plans[freed.idx] {
+                let kind = EventKind::terminal_for(&plan.planned);
+                let rung = plan.rung.to_string();
+                let reason = terminal_reason(&plan.planned, self.cfg.mem_budget_bytes);
+                self.emit(at, freed.idx, kind, &rung, 0, reason);
+            }
+            self.mem_in_use -= freed.bytes;
+            self.emit(at, freed.idx, EventKind::Released, "", freed.bytes, String::new());
+            while let Some(next) = self.queue.pop_front() {
+                if self.start(next, at) {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+fn try_start(cfg: &ServeConfig, req: &Request, start_ms: u64, in_use_bytes: u64) -> StartResult {
     let deadline_t = req.arrival_ms + req.deadline_ms;
     let cancel_t = if req.cancel_after_ms > 0 {
         req.arrival_ms + req.cancel_after_ms
@@ -519,14 +434,8 @@ fn try_start(
     let queue_wait_ms = start_ms - req.arrival_ms;
     let resolved = |planned: Planned, finish: u64| {
         StartResult::Resolved(Plan {
-            planned,
-            rung: DegradationRung::Full,
-            skipped: Vec::new(),
-            start_ms,
-            finish_ms: finish,
             queue_wait_ms,
-            retries: 0,
-            backoff_ms: 0,
+            ..unstarted(planned, start_ms, finish)
         })
     };
 
@@ -546,7 +455,7 @@ fn try_start(
     };
 
     let bytes = request_bytes(cfg, req);
-    if in_use_bytes + bytes > budget {
+    if in_use_bytes + bytes > cfg.mem_budget_bytes {
         return resolved(
             Planned::RejectBudget {
                 required_bytes: in_use_bytes + bytes,

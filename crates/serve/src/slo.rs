@@ -28,13 +28,14 @@
 use crate::ledger::{Ledger, Outcome};
 use crate::Request;
 use sa_core::DegradationRung;
+use std::collections::BTreeMap;
 
 /// Schema tag of the `results/slo_report.json` artifact.
 pub const SLO_SCHEMA: &str = "sa.slo.v2";
 
 /// Nearest-rank percentile summary of one latency population
 /// (virtual milliseconds). All zeros when the population is empty.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples.
     pub count: u64,
@@ -63,14 +64,7 @@ impl LatencyStats {
     /// Summarizes a sample population by nearest-rank percentiles.
     pub fn from_samples(samples: &[u64]) -> Self {
         if samples.is_empty() {
-            return LatencyStats {
-                count: 0,
-                p50_ms: 0,
-                p90_ms: 0,
-                p95_ms: 0,
-                p99_ms: 0,
-                max_ms: 0,
-            };
+            return LatencyStats::default();
         }
         let mut sorted = samples.to_vec();
         sorted.sort_unstable();
@@ -95,7 +89,7 @@ impl LatencyStats {
 /// a [`TenantFloor`](crate::TenantFloor)'s `max_uncertified_permille`
 /// bounds, so committed artifacts are directly checkable against the
 /// configured floors.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantQuality {
     /// Tenant id.
     pub tenant: u64,
@@ -126,58 +120,32 @@ sa_json::impl_json_struct!(TenantQuality {
     shed_quality_floor
 });
 
-/// One request's contribution to the per-tenant quality rows.
-struct QualityContribution {
-    tenant: u64,
-    served: bool,
-    certified: bool,
-    uncertified_rung: bool,
-    tokens: u64,
-    shed_floor: bool,
-}
-
-/// Folds per-request contributions into sorted per-tenant rows.
-fn tenant_rows(contribs: &[QualityContribution]) -> Vec<TenantQuality> {
-    let mut tenants: Vec<u64> = contribs.iter().map(|c| c.tenant).collect();
-    tenants.sort_unstable();
-    tenants.dedup();
-    tenants
-        .into_iter()
-        .map(|tenant| {
-            let mut row = TenantQuality {
-                tenant,
-                served: 0,
-                served_certified: 0,
-                served_tokens: 0,
-                uncertified_tokens: 0,
-                uncertified_permille: 0,
-                shed_quality_floor: 0,
-            };
-            for c in contribs.iter().filter(|c| c.tenant == tenant) {
-                if c.served {
-                    row.served += 1;
-                    row.served_tokens += c.tokens;
-                    if c.certified {
-                        row.served_certified += 1;
-                    }
-                    if c.uncertified_rung {
-                        row.uncertified_tokens += c.tokens;
-                    }
-                }
-                if c.shed_floor {
-                    row.shed_quality_floor += 1;
-                }
-            }
-            if row.served_tokens > 0 {
-                row.uncertified_permille = row.uncertified_tokens * 1000 / row.served_tokens;
-            }
-            row
-        })
-        .collect()
+/// One request as the SLO fold sees it, whatever it was derived from: a
+/// ledger record, a plan, or the terminal event of a log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SloRow {
+    /// Tenant the request billed against.
+    pub tenant: u64,
+    /// Terminal state.
+    pub outcome: Outcome,
+    /// Finished at or before its deadline (counted for served requests
+    /// only).
+    pub within_deadline: bool,
+    /// Quality-certified: measured CRA α at ledger level, a rung that
+    /// can certify α at plan and event level.
+    pub certified: bool,
+    /// Ran on the uncertifiable `window_only` rung.
+    pub uncertified_rung: bool,
+    /// Synthetic tokens, prompt plus generated.
+    pub tokens: u64,
+    /// Arrival → first output token, when one was produced.
+    pub ttft_ms: Option<u64>,
+    /// Steady-state decode pace, for served multi-token requests.
+    pub tpot_ms: Option<u64>,
 }
 
 /// The SLO summary of one scheduler run over one request stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloSummary {
     /// Schema tag ([`SLO_SCHEMA`]).
     pub schema: String,
@@ -274,82 +242,86 @@ fn goodput_per_sec(within: u64, span_ms: u64) -> f64 {
 }
 
 impl SloSummary {
-    /// Builds the summary from a ledger and the request stream it came
-    /// from (needed for the per-request deadlines, which the ledger does
-    /// not carry).
-    pub fn from_ledger(scheduler: &str, ledger: &Ledger, requests: &[Request]) -> Self {
-        let deadline_of = |id: u64| -> u64 {
-            requests
-                .iter()
-                .find(|r| r.id == id)
-                .map_or(u64::MAX, |r| r.arrival_ms + r.deadline_ms)
+    /// The one SLO fold: tallies `rows` — one per request of the stream
+    /// `requests`, in any order — into the summary `scheduler` produced.
+    pub fn from_rows(scheduler: &str, requests: &[Request], rows: &[SloRow]) -> Self {
+        let span_ms = stream_span_ms(requests);
+        let mut s = SloSummary {
+            schema: SLO_SCHEMA.to_string(),
+            scheduler: scheduler.to_string(),
+            requests: rows.len() as u64,
+            span_ms,
+            ..SloSummary::default()
         };
-        let mut served = 0u64;
-        let mut within = 0u64;
-        let mut rejected = 0u64;
-        let mut deadline_missed = 0u64;
-        let mut cancelled = 0u64;
-        let mut failed = 0u64;
-        let mut shed_floor = 0u64;
-        let mut certified = 0u64;
-        let mut ttft_samples = Vec::new();
-        let mut tpot_samples = Vec::new();
-        let mut contribs = Vec::new();
-        for rec in &ledger.records {
-            let is_served = rec.outcome == Outcome::Served;
-            let in_deadline = is_served && rec.finish_ms <= deadline_of(rec.id);
-            match rec.outcome {
+        let mut tenants: BTreeMap<u64, TenantQuality> = BTreeMap::new();
+        for row in rows {
+            let tenant = tenants.entry(row.tenant).or_insert(TenantQuality {
+                tenant: row.tenant,
+                ..TenantQuality::default()
+            });
+            match row.outcome {
                 Outcome::Served => {
-                    served += 1;
-                    if in_deadline {
-                        within += 1;
-                        if rec.alpha_satisfied {
-                            certified += 1;
+                    s.served += 1;
+                    tenant.served += 1;
+                    tenant.served_tokens += row.tokens;
+                    if row.uncertified_rung {
+                        tenant.uncertified_tokens += row.tokens;
+                    }
+                    if row.within_deadline {
+                        s.served_within_deadline += 1;
+                        if row.certified {
+                            s.served_certified += 1;
+                            tenant.served_certified += 1;
                         }
                     }
                 }
-                Outcome::RejectedOverloaded | Outcome::RejectedBudget => rejected += 1,
-                Outcome::ExpiredInQueue | Outcome::DeadlineExceeded => deadline_missed += 1,
-                Outcome::Cancelled => cancelled += 1,
-                Outcome::Failed => failed += 1,
-                Outcome::ShedQualityFloor => shed_floor += 1,
-            }
-            contribs.push(QualityContribution {
-                tenant: rec.tenant,
-                served: is_served,
-                certified: in_deadline && rec.alpha_satisfied,
-                uncertified_rung: rec.rung == DegradationRung::WindowOnly.as_str(),
-                tokens: rec.seq_len + rec.new_tokens,
-                shed_floor: rec.outcome == Outcome::ShedQualityFloor,
-            });
-            if rec.ttft_ms > 0 {
-                ttft_samples.push(rec.ttft_ms);
-                if rec.outcome == Outcome::Served && rec.new_tokens > 1 {
-                    let decode_span = rec.finish_ms.saturating_sub(rec.arrival_ms + rec.ttft_ms);
-                    tpot_samples.push(decode_span / (rec.new_tokens - 1));
+                Outcome::RejectedOverloaded | Outcome::RejectedBudget => s.rejected += 1,
+                Outcome::ExpiredInQueue | Outcome::DeadlineExceeded => s.deadline_missed += 1,
+                Outcome::Cancelled => s.cancelled += 1,
+                Outcome::Failed => s.failed += 1,
+                Outcome::ShedQualityFloor => {
+                    s.shed_quality_floor += 1;
+                    tenant.shed_quality_floor += 1;
                 }
             }
         }
-        let span_ms = stream_span_ms(requests);
-        SloSummary {
-            schema: SLO_SCHEMA.to_string(),
-            scheduler: scheduler.to_string(),
-            requests: ledger.records.len() as u64,
-            served,
-            served_within_deadline: within,
-            rejected,
-            deadline_missed,
-            cancelled,
-            failed,
-            shed_quality_floor: shed_floor,
-            served_certified: certified,
-            span_ms,
-            goodput_per_sec: goodput_per_sec(within, span_ms),
-            certified_goodput_per_sec: goodput_per_sec(certified, span_ms),
-            ttft: LatencyStats::from_samples(&ttft_samples),
-            tpot: LatencyStats::from_samples(&tpot_samples),
-            tenants: tenant_rows(&contribs),
+        for tenant in tenants.values_mut().filter(|t| t.served_tokens > 0) {
+            tenant.uncertified_permille = tenant.uncertified_tokens * 1000 / tenant.served_tokens;
         }
+        let ttft: Vec<u64> = rows.iter().filter_map(|r| r.ttft_ms).collect();
+        let tpot: Vec<u64> = rows.iter().filter_map(|r| r.tpot_ms).collect();
+        s.goodput_per_sec = goodput_per_sec(s.served_within_deadline, span_ms);
+        s.certified_goodput_per_sec = goodput_per_sec(s.served_certified, span_ms);
+        s.ttft = LatencyStats::from_samples(&ttft);
+        s.tpot = LatencyStats::from_samples(&tpot);
+        s.tenants = tenants.into_values().collect();
+        s
+    }
+
+    /// Builds the summary from a ledger and the request stream it came
+    /// from (needed for the per-request deadlines, which the ledger does
+    /// not carry). A record whose request is not in the stream has no
+    /// deadline to be within.
+    pub fn from_ledger(scheduler: &str, ledger: &Ledger, requests: &[Request]) -> Self {
+        let deadlines: BTreeMap<u64, u64> = requests
+            .iter()
+            .map(|r| (r.id, r.arrival_ms + r.deadline_ms))
+            .collect();
+        let rows: Vec<SloRow> = ledger
+            .records
+            .iter()
+            .map(|rec| SloRow {
+                tenant: rec.tenant,
+                outcome: rec.outcome,
+                within_deadline: deadlines.get(&rec.id).is_some_and(|&d| rec.finish_ms <= d),
+                certified: rec.alpha_satisfied,
+                uncertified_rung: rec.rung == DegradationRung::WindowOnly.as_str(),
+                tokens: rec.seq_len + rec.new_tokens,
+                ttft_ms: (rec.ttft_ms > 0).then_some(rec.ttft_ms),
+                tpot_ms: rec.tpot_ms(),
+            })
+            .collect();
+        Self::from_rows(scheduler, requests, &rows)
     }
 
     /// Builds the summary directly from continuous plans, without
@@ -362,155 +334,60 @@ impl SloSummary {
         plans: &[crate::ContinuousPlan],
         requests: &[Request],
     ) -> Self {
-        use crate::sim::Planned;
-        let mut served = 0u64;
-        let mut within = 0u64;
-        let mut rejected = 0u64;
-        let mut deadline_missed = 0u64;
-        let mut cancelled = 0u64;
-        let mut failed = 0u64;
-        let mut shed_floor = 0u64;
-        let mut certified = 0u64;
-        let mut ttft_samples = Vec::new();
-        let mut tpot_samples = Vec::new();
-        let mut contribs = Vec::new();
-        for (cp, req) in plans.iter().zip(requests) {
-            let is_served = matches!(cp.plan.planned, Planned::Serve { .. });
-            let in_deadline =
-                is_served && cp.plan.finish_ms <= req.arrival_ms + req.deadline_ms;
-            match cp.plan.planned {
-                Planned::Serve { .. } => {
-                    served += 1;
-                    if in_deadline {
-                        within += 1;
-                        if cp.plan.rung.can_certify_alpha() {
-                            certified += 1;
-                        }
-                    }
+        let rows: Vec<SloRow> = plans
+            .iter()
+            .zip(requests)
+            .map(|(cp, req)| {
+                let first_token = (cp.first_token_ms > 0).then_some(cp.first_token_ms);
+                let served = cp.plan.planned.outcome() == Outcome::Served;
+                SloRow {
+                    ttft_ms: first_token.map(|t| t.saturating_sub(req.arrival_ms)),
+                    tpot_ms: first_token.filter(|_| served && cp.decode_steps > 1).map(|t| {
+                        cp.plan.finish_ms.saturating_sub(t) / (cp.decode_steps - 1)
+                    }),
+                    ..SloRow::from_plan(&cp.plan, req)
                 }
-                Planned::RejectOverloaded { .. } | Planned::RejectBudget { .. } => rejected += 1,
-                Planned::ExpireInQueue | Planned::CancelDeadline => deadline_missed += 1,
-                Planned::CancelCaller => cancelled += 1,
-                Planned::FailPermanent { .. } => failed += 1,
-                Planned::ShedQualityFloor => shed_floor += 1,
-            }
-            contribs.push(QualityContribution {
-                tenant: req.tenant,
-                served: is_served,
-                certified: in_deadline && cp.plan.rung.can_certify_alpha(),
-                uncertified_rung: is_served && !cp.plan.rung.can_certify_alpha(),
-                tokens: req.seq_len as u64 + req.new_tokens as u64,
-                shed_floor: matches!(cp.plan.planned, Planned::ShedQualityFloor),
-            });
-            if cp.first_token_ms > 0 {
-                let ttft = cp.first_token_ms.saturating_sub(req.arrival_ms);
-                ttft_samples.push(ttft);
-                if matches!(cp.plan.planned, Planned::Serve { .. }) && cp.decode_steps > 1 {
-                    let decode_span = cp.plan.finish_ms.saturating_sub(cp.first_token_ms);
-                    tpot_samples.push(decode_span / (cp.decode_steps - 1));
-                }
-            }
-        }
-        let span_ms = stream_span_ms(requests);
-        SloSummary {
-            schema: SLO_SCHEMA.to_string(),
-            scheduler: scheduler.to_string(),
-            requests: plans.len() as u64,
-            served,
-            served_within_deadline: within,
-            rejected,
-            deadline_missed,
-            cancelled,
-            failed,
-            shed_quality_floor: shed_floor,
-            served_certified: certified,
-            span_ms,
-            goodput_per_sec: goodput_per_sec(within, span_ms),
-            certified_goodput_per_sec: goodput_per_sec(certified, span_ms),
-            ttft: LatencyStats::from_samples(&ttft_samples),
-            tpot: LatencyStats::from_samples(&tpot_samples),
-            tenants: tenant_rows(&contribs),
-        }
+            })
+            .collect();
+        Self::from_rows(scheduler, requests, &rows)
     }
 
     /// Builds the one-shot counterpart from [`Plan`](crate::Plan)s, with
-    /// the one-shot analytic TTFT (final prefill chunk lands one decode
-    /// tail before the finish).
+    /// the one-shot analytic TTFT ([`Request::oneshot_ttft_ms`]).
     pub fn from_oneshot_plans(
         scheduler: &str,
         plans: &[crate::Plan],
         requests: &[Request],
     ) -> Self {
-        use crate::sim::Planned;
-        let mut served = 0u64;
-        let mut within = 0u64;
-        let mut rejected = 0u64;
-        let mut deadline_missed = 0u64;
-        let mut cancelled = 0u64;
-        let mut failed = 0u64;
-        let mut shed_floor = 0u64;
-        let mut certified = 0u64;
-        let mut ttft_samples = Vec::new();
-        let mut tpot_samples = Vec::new();
-        let mut contribs = Vec::new();
-        for (plan, req) in plans.iter().zip(requests) {
-            let is_served = matches!(plan.planned, Planned::Serve { .. });
-            let in_deadline = is_served && plan.finish_ms <= req.arrival_ms + req.deadline_ms;
-            match plan.planned {
-                Planned::Serve { .. } => {
-                    served += 1;
-                    if in_deadline {
-                        within += 1;
-                        if plan.rung.can_certify_alpha() {
-                            certified += 1;
-                        }
-                    }
-                    let per_token = (req.seq_len as u64 / 16).max(1);
-                    let tail = (req.new_tokens as u64).saturating_sub(1) * per_token;
-                    let ttft = plan
-                        .finish_ms
-                        .saturating_sub(tail)
-                        .saturating_sub(req.arrival_ms)
-                        .max(1);
-                    ttft_samples.push(ttft);
-                    if req.new_tokens > 1 {
-                        tpot_samples.push(per_token);
-                    }
+        let rows: Vec<SloRow> = plans
+            .iter()
+            .zip(requests)
+            .map(|(plan, req)| {
+                let served = plan.planned.outcome() == Outcome::Served;
+                SloRow {
+                    ttft_ms: served.then(|| req.oneshot_ttft_ms(plan.finish_ms)),
+                    tpot_ms: (served && req.new_tokens > 1).then(|| req.decode_step_ms()),
+                    ..SloRow::from_plan(plan, req)
                 }
-                Planned::RejectOverloaded { .. } | Planned::RejectBudget { .. } => rejected += 1,
-                Planned::ExpireInQueue | Planned::CancelDeadline => deadline_missed += 1,
-                Planned::CancelCaller => cancelled += 1,
-                Planned::FailPermanent { .. } => failed += 1,
-                Planned::ShedQualityFloor => shed_floor += 1,
-            }
-            contribs.push(QualityContribution {
-                tenant: req.tenant,
-                served: is_served,
-                certified: in_deadline && plan.rung.can_certify_alpha(),
-                uncertified_rung: is_served && !plan.rung.can_certify_alpha(),
-                tokens: req.seq_len as u64 + req.new_tokens as u64,
-                shed_floor: matches!(plan.planned, Planned::ShedQualityFloor),
-            });
-        }
-        let span_ms = stream_span_ms(requests);
-        SloSummary {
-            schema: SLO_SCHEMA.to_string(),
-            scheduler: scheduler.to_string(),
-            requests: plans.len() as u64,
-            served,
-            served_within_deadline: within,
-            rejected,
-            deadline_missed,
-            cancelled,
-            failed,
-            shed_quality_floor: shed_floor,
-            served_certified: certified,
-            span_ms,
-            goodput_per_sec: goodput_per_sec(within, span_ms),
-            certified_goodput_per_sec: goodput_per_sec(certified, span_ms),
-            ttft: LatencyStats::from_samples(&ttft_samples),
-            tpot: LatencyStats::from_samples(&tpot_samples),
-            tenants: tenant_rows(&contribs),
+            })
+            .collect();
+        Self::from_rows(scheduler, requests, &rows)
+    }
+}
+
+impl SloRow {
+    /// The plan-level row of `req`, without first-token timing (which
+    /// each planner derives its own way).
+    fn from_plan(plan: &crate::Plan, req: &Request) -> Self {
+        SloRow {
+            tenant: req.tenant,
+            outcome: plan.planned.outcome(),
+            within_deadline: plan.finish_ms <= req.arrival_ms + req.deadline_ms,
+            certified: plan.rung.can_certify_alpha(),
+            uncertified_rung: !plan.rung.can_certify_alpha(),
+            tokens: req.seq_len as u64 + req.new_tokens as u64,
+            ttft_ms: None,
+            tpot_ms: None,
         }
     }
 }
@@ -635,7 +512,7 @@ mod tests {
         let sched = Scheduler::new(cfg.clone()).unwrap();
         let plans = sched.plan_continuous(&reqs);
         let from_plans = SloSummary::from_continuous_plans("continuous", &plans, &reqs);
-        let ledger = sched.run_continuous(&reqs).unwrap();
+        let ledger = sched.run_continuous_with_events(&reqs).unwrap().0;
         let from_ledger = SloSummary::from_ledger("continuous", &ledger, &reqs);
         assert_eq!(from_plans.served, from_ledger.served);
         assert_eq!(
@@ -644,5 +521,25 @@ mod tests {
         );
         assert_eq!(from_plans.ttft, from_ledger.ttft);
         assert_eq!(from_plans.span_ms, from_ledger.span_ms);
+    }
+
+    #[test]
+    fn ledger_record_without_a_request_is_never_within_deadline() {
+        use crate::{Request, Scheduler, ServeConfig};
+        let reqs = [
+            Request::prefill(0, 64, 0, 1_000_000),
+            Request::prefill(1, 64, 10, 1_000_000),
+        ];
+        let sched = Scheduler::new(ServeConfig::default()).unwrap();
+        let (ledger, _) = sched.run_continuous_with_events(&reqs).unwrap();
+        let whole = SloSummary::from_ledger("continuous", &ledger, &reqs);
+        assert_eq!((whole.served, whole.served_within_deadline), (2, 2));
+        // Summarized against a stream that lacks request 1: it was
+        // served, but there is no deadline to credit it against.
+        let partial = SloSummary::from_ledger("continuous", &ledger, &reqs[..1]);
+        assert_eq!((partial.requests, partial.served), (2, 2));
+        assert_eq!(partial.served_within_deadline, 1);
+        assert_eq!(partial.served_certified, 1);
+        assert_eq!(partial.tenants[0].served_certified, 1);
     }
 }

@@ -73,6 +73,15 @@ else
     echo "no expf reference in libsa_{tensor,kernels,core,model}.rlib"
 fi
 
+echo "==> merge gate link surface: cargo test on the benchmark package"
+# benchmark/ is a package of its own that compiles against the crates'
+# public names; neither tier 1 nor the workspace passes below build it, so
+# a renamed or removed signature would first show as the pipeline's
+# benchmark run failing to build. Its tests also run a 256-token miniature
+# of every workload. --locked: a new dependency edge between crates must
+# fail here, not rewrite benchmark/Cargo.lock.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> tier 1: cargo test --workspace -q --offline (SA_THREADS=1)"
 SA_THREADS=1 cargo test --workspace -q --offline
 

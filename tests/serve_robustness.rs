@@ -16,23 +16,29 @@
 //! 5. **Crash recovery without new failure modes** — checkpoint resume
 //!    keeps the ledger bit-identical across thread counts, and a
 //!    cancellation racing a restore neither resurrects the request nor
-//!    leaks staged memory.
+//!    leaks staged memory;
+//! 6. **Planner invariants under every policy combination** — a seeded
+//!    sweep over slots × queue bound × memory budget × watermarks ×
+//!    quality floor × recovery × arrival shape holds the continuous
+//!    planner's event log to its lifecycle, memory and floor contracts.
 
 use sample_attention::baselines::FullAttention;
 use sample_attention::core::DegradationRung;
 use sample_attention::json::ToJson;
 use sample_attention::model::SessionCheckpoint;
 use sample_attention::serve::{
-    fault_storm_workload, mixed_workload, open_loop_workload, sim, Outcome, Request, RequestKind,
-    Scheduler, ServeConfig,
+    fault_storm_workload, mixed_workload, open_loop_workload, plan_continuous_with_events, sim,
+    Event, EventKind, Outcome, Planned, Request, RequestKind, Scheduler, ServeConfig,
+    SloSummary, TenantFloor,
 };
+use sample_attention::tensor::check::{run_cases_n, Gen};
 use sample_attention::tensor::fault::{self, FaultPlan};
 use sample_attention::tensor::{pool, CancelToken, DeterministicRng, SaError};
 use sample_attention::workloads::{ArrivalProcess, ArrivalShape};
 
 fn run_under_threads(cfg: &ServeConfig, requests: &[Request], threads: usize) -> String {
     let scheduler = Scheduler::new(cfg.clone()).unwrap();
-    let ledger = pool::with_threads(threads, || scheduler.run(requests)).unwrap();
+    let (ledger, _) = pool::with_threads(threads, || scheduler.run_with_events(requests)).unwrap();
     ledger.validate(requests).unwrap();
     sample_attention::json::to_string(&ledger.to_json())
 }
@@ -63,7 +69,7 @@ fn impossible_deadline_cancels_cooperatively_with_partial_progress() {
     // deadline token that trips before the first chunk completes.
     let requests = vec![Request::prefill(0, 224, 0, 1)];
     let scheduler = Scheduler::new(cfg).unwrap();
-    let ledger = scheduler.run(&requests).unwrap();
+    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     let rec = &ledger.records[0];
@@ -90,7 +96,7 @@ fn caller_cancellation_is_a_typed_outcome() {
     // Caller walks away long before the 128²/64 = 256 ms service ends.
     req.cancel_after_ms = 5;
     let scheduler = Scheduler::new(cfg).unwrap();
-    let ledger = scheduler.run(&[req.clone()]).unwrap();
+    let (ledger, _) = scheduler.run_with_events(&[req.clone()]).unwrap();
     ledger.validate(std::slice::from_ref(&req)).unwrap();
 
     let rec = &ledger.records[0];
@@ -116,7 +122,7 @@ fn overload_rejections_are_typed_and_total() {
         .map(|id| Request::prefill(id, 128, 0, 10_000))
         .collect();
     let scheduler = Scheduler::new(cfg).unwrap();
-    let ledger = scheduler.run(&requests).unwrap();
+    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert_eq!(ledger.count(Outcome::Served), 2);
@@ -143,7 +149,7 @@ fn memory_budget_rejections_are_typed() {
         .map(|id| Request::prefill(id, 512, 0, 100_000))
         .collect();
     let scheduler = Scheduler::new(cfg).unwrap();
-    let ledger = scheduler.run(&requests).unwrap();
+    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert_eq!(ledger.count(Outcome::RejectedBudget), 1);
@@ -168,7 +174,7 @@ fn ladder_never_certifies_alpha_from_the_window_rung() {
     };
     let requests = mixed_workload(cfg.seed, 24);
     let scheduler = Scheduler::new(cfg).unwrap();
-    let ledger = scheduler.run(&requests).unwrap();
+    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert!(ledger.count(Outcome::Served) > 0, "workload too adversarial");
@@ -324,7 +330,8 @@ fn continuous_ledger_is_byte_identical_across_thread_counts() {
 
     let run = |threads: usize| {
         let scheduler = Scheduler::new(cfg.clone()).unwrap();
-        let ledger = pool::with_threads(threads, || scheduler.run_continuous(&requests)).unwrap();
+        let (ledger, _) =
+            pool::with_threads(threads, || scheduler.run_continuous_with_events(&requests)).unwrap();
         ledger.validate(&requests).unwrap();
         sample_attention::json::to_string(&ledger.to_json())
     };
@@ -351,7 +358,8 @@ fn recovered_storm_ledger_is_byte_identical_across_thread_counts() {
     let requests = fault_storm_workload(cfg.seed, 16);
     let run = |threads: usize| {
         let scheduler = Scheduler::new(cfg.clone()).unwrap();
-        let ledger = pool::with_threads(threads, || scheduler.run_continuous(&requests)).unwrap();
+        let (ledger, _) =
+            pool::with_threads(threads, || scheduler.run_continuous_with_events(&requests)).unwrap();
         ledger.validate(&requests).unwrap();
         ledger
     };
@@ -468,4 +476,178 @@ fn cancel_racing_a_restore_resurrects_nothing_and_leaks_nothing() {
         baseline,
         "aborted restore leaked staged bytes"
     );
+}
+
+/// One seeded (config, stream) draw for the continuous-planner sweep:
+/// every governor × floor × recovery combination the planner can meet.
+fn planner_draw(g: &mut Gen) -> (ServeConfig, Vec<Request>) {
+    let seed = g.seed();
+    let base = ServeConfig {
+        seed,
+        ..ServeConfig::default()
+    };
+    let giant = sim::request_bytes(&base, &Request::prefill(0, 512, 0, 0));
+    let medium = sim::request_bytes(&base, &Request::prefill(0, 224, 0, 0));
+    let weights = sim::weight_bytes();
+    let mem_budget_bytes = [
+        // Giants can never fit; mediums squeeze in one or two at a time.
+        weights + medium + medium / 2,
+        weights + giant,
+        weights + giant + giant / 2,
+        weights + 2 * giant,
+        base.mem_budget_bytes,
+    ][g.usize_in(0, 5)];
+    let mem_low_permille = g.u64_in(300, 900);
+    let mut cfg = ServeConfig {
+        max_inflight: g.usize_in(1, 5),
+        max_pending: g.usize_in(2, 65),
+        mem_budget_bytes,
+        mem_low_permille,
+        mem_high_permille: g.u64_in(mem_low_permille, 951),
+        recovery_enabled: g.chance(0.5),
+        ..base
+    };
+    if g.chance(0.5) {
+        // Either a rung floor that forbids the uncertifiable bottom rung,
+        // or the whole ladder under a cap on uncertified tokens.
+        let (max_rung_index, max_uncertified_permille) = match g.usize_in(0, 4) {
+            0 => (DegradationRung::PaperDefault.index(), 0),
+            1 => (DegradationRung::Tight.index(), 0),
+            _ => (DegradationRung::WindowOnly.index(), g.u64_in(0, 400)),
+        };
+        cfg.quality_floors.push(TenantFloor {
+            tenant: 0,
+            max_rung_index,
+            max_uncertified_permille,
+        });
+    }
+    let requests = if g.chance(0.25) {
+        fault_storm_workload(seed, g.usize_in(8, 40))
+    } else {
+        let shape = match g.usize_in(0, 3) {
+            0 => ArrivalShape::Constant,
+            1 => ArrivalShape::Diurnal {
+                period_ms: 2_000,
+                depth: 0.7,
+            },
+            _ => ArrivalShape::FlashCrowd {
+                quiet_ms: 1_500,
+                burst_ms: 500,
+                multiplier: 5.0,
+            },
+        };
+        let process = ArrivalProcess {
+            seed: seed ^ 0x51,
+            rate_per_sec: f64::from(g.f32_in(1.0, 20.0)),
+            shape,
+        };
+        open_loop_workload(seed, &process, g.u64_in(2_000, 6_000), 3)
+    };
+    (cfg, requests)
+}
+
+#[test]
+fn continuous_planner_invariants_hold_across_policy_combinations() {
+    run_cases_n("continuous_planner_invariants", 64, |g| {
+        let (cfg, requests) = planner_draw(g);
+        let (plans, log) = plan_continuous_with_events(&cfg, &requests);
+        assert_eq!(plans.len(), requests.len());
+        log.check_conservation().unwrap();
+
+        let floor = cfg.quality_floors.first();
+        let (mut floor_tokens, mut floor_uncertified) = (0u64, 0u64);
+        for (req, cp) in requests.iter().zip(&plans) {
+            let events = log.for_request(req.id);
+            // Exactly one terminal event, of the planned kind, at the
+            // planned finish. The governor's load shed is the one
+            // documented split: it plans a budget rejection and logs it
+            // as `Shed`.
+            let terminals: Vec<_> = events.iter().filter(|e| e.kind.is_terminal()).collect();
+            assert_eq!(terminals.len(), 1, "request {}: {terminals:?}", req.id);
+            let term = terminals[0];
+            let governor_shed = matches!(cp.plan.planned, Planned::RejectBudget { .. })
+                && term.kind == EventKind::Shed;
+            assert!(
+                term.kind == EventKind::terminal_for(&cp.plan.planned) || governor_shed,
+                "request {}: {:?} logged for {:?}",
+                req.id,
+                term.kind,
+                cp.plan.planned
+            );
+            assert_eq!(term.t_ms, cp.plan.finish_ms, "request {}", req.id);
+            assert_eq!(term.tenant, req.tenant);
+
+            // Lifecycle stamps never run backwards. Memory events carry
+            // the instant the planner moved the bytes — before the
+            // terminal stamp of a request shed ahead of its due time,
+            // before the end of the decode step an evicted session is in
+            // the middle of — so conservation holds them instead.
+            let mut last = 0u64;
+            for ev in events.iter().filter(|e| {
+                !matches!(e.kind, EventKind::Released | EventKind::PressureEvicted)
+            }) {
+                assert!(ev.t_ms >= last, "request {}: {ev:?} after t={last}", req.id);
+                last = ev.t_ms;
+            }
+
+            // What was admitted is released exactly once, net of what
+            // the governor already evicted.
+            let bytes_of = |kind: EventKind| -> u64 {
+                events.iter().filter(|e| e.kind == kind).map(|e| e.bytes).sum()
+            };
+            assert_eq!(
+                bytes_of(EventKind::Released),
+                bytes_of(EventKind::Admitted) - bytes_of(EventKind::PressureEvicted),
+                "request {}",
+                req.id
+            );
+
+            // A floored tenant is never dispatched below its rung and
+            // never past its uncertified-token cap.
+            if let Some(floor) = floor.filter(|f| f.tenant == req.tenant) {
+                for ev in events.iter().filter(|e| e.kind == EventKind::Dispatched) {
+                    let rung = DegradationRung::ALL
+                        .into_iter()
+                        .find(|r| r.as_str() == ev.rung)
+                        .unwrap_or_else(|| panic!("unknown rung {:?}", ev.rung));
+                    assert!(floor.permits(rung), "request {}: {rung} under {floor:?}", req.id);
+                    let tokens = (req.seq_len + req.new_tokens) as u64;
+                    floor_tokens += tokens;
+                    if !rung.can_certify_alpha() {
+                        floor_uncertified += tokens;
+                    }
+                    assert!(
+                        floor_uncertified * 1000 <= floor.max_uncertified_permille * floor_tokens,
+                        "request {}: {floor_uncertified} of {floor_tokens} tokens uncertified \
+                         under {floor:?}",
+                        req.id
+                    );
+                }
+            }
+        }
+
+        // The plan-level SLO fold and the event log agree on every
+        // outcome count.
+        let slo = SloSummary::from_continuous_plans("continuous", &plans, &requests);
+        let count = |pred: &dyn Fn(&Event) -> bool| -> u64 {
+            log.events.iter().filter(|e| pred(e)).count() as u64
+        };
+        let floor_shed = |e: &Event| {
+            e.kind == EventKind::Shed && e.reason.starts_with("quality floor")
+        };
+        assert_eq!(slo.requests, requests.len() as u64);
+        assert_eq!(slo.served, count(&|e| e.kind == EventKind::Completed));
+        assert_eq!(
+            slo.rejected,
+            count(&|e| e.kind == EventKind::Rejected
+                || (e.kind == EventKind::Shed && !floor_shed(e)))
+        );
+        assert_eq!(
+            slo.deadline_missed,
+            count(&|e| matches!(e.kind, EventKind::Expired | EventKind::DeadlineExceeded))
+        );
+        assert_eq!(slo.cancelled, count(&|e| e.kind == EventKind::Cancelled));
+        assert_eq!(slo.failed, count(&|e| e.kind == EventKind::Failed));
+        assert_eq!(slo.shed_quality_floor, count(&floor_shed));
+    });
 }
