@@ -17,7 +17,7 @@
 //! any function signature that could carry a token. [`install`] binds a
 //! token to the *current thread* for the lifetime of the returned guard;
 //! [`current`] reads it back. The pool reads the installed token once at
-//! entry (on the calling thread) and shares it with its scoped workers,
+//! entry (on the calling thread) and shares it with the call's helpers,
 //! so the thread-local never needs to propagate across threads.
 //!
 //! ## Determinism

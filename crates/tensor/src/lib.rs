@@ -12,7 +12,7 @@
 //!
 //! Everything is allocation-conscious, and the large-matrix entry points
 //! (`matmul`, `matmul_transb`, `softmax_rows_in_place`, `col_sum`) are
-//! data-parallel over independent rows/columns via the hermetic scoped
+//! data-parallel over independent rows/columns via the hermetic
 //! worker pool in [`pool`]. Parallel execution is bit-deterministic with
 //! respect to the serial path — see the [`pool`] module docs for the
 //! contract — and the worker count is controlled by the `SA_THREADS`

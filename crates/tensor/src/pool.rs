@@ -1,15 +1,59 @@
-//! Hermetic scoped-thread worker pool.
+//! Hermetic worker pool: one persistent set of parked workers.
 //!
 //! Zero-dependency data parallelism for the numeric hot paths: each
-//! parallel call spawns up to `threads - 1` scoped `std::thread` workers
-//! (the caller participates as the last worker), partitions the index
-//! space into fixed-size chunks, and lets workers claim chunks
-//! dynamically: chunk indices from an atomic counter, or — for
-//! [`parallel_for_rows`], whose chunks are disjoint `&mut` sub-slices —
-//! from a mutex-guarded list popped back to front. Scoped threads keep
-//! the primitives 100 % safe Rust —
-//! borrowed closures and slices flow straight into the workers, and the
-//! scope guarantees they are joined before the call returns.
+//! parallel call partitions the index space into fixed-size chunks and
+//! lets up to `threads` threads claim chunks dynamically: chunk indices
+//! from an atomic counter, or — for [`parallel_for_rows`], whose chunks
+//! are disjoint `&mut` sub-slices — from a mutex-guarded list popped
+//! back to front. The calling thread is always one of them; the other
+//! `threads - 1` are *helpers* lent by a process-wide set of long-lived
+//! worker threads (`sa-pool-<n>`), started lazily and never per call.
+//!
+//! ## How a call borrows workers
+//!
+//! All three primitives hand their claim loop to one private `fan_out`:
+//!
+//! 1. It queues one *ticket* per helper on a shared queue (a mutex, a
+//!    condvar the idle workers park on) and wakes parked workers.
+//! 2. It runs the claim loop on the calling thread, exactly as a helper
+//!    would.
+//! 3. It **takes back every ticket no worker has started**, and only then
+//!    waits — for the helpers that did start, nobody else.
+//!
+//! Step 3 is the invariant that keeps the pool deadlock-free: a call
+//! never waits on a thread that has not begun its work, so it cannot
+//! matter how many callers share how few workers (the test harness runs
+//! dozens of callers over one worker), whether a worker is busy, or
+//! whether any worker exists at all. A started helper always finishes:
+//! nested calls inside a helper run serially (below), so it never waits
+//! on the pool itself.
+//!
+//! Workers are spawned on demand, up to the largest `threads - 1` any
+//! call has asked for (never at `SA_THREADS=1`); a spawn the OS refuses
+//! leaves fewer helpers — down to the calling thread alone — and is
+//! retried by the next call. After a job a worker spins for a bounded
+//! interval (`SPIN_NS`) before it parks on the condvar: waking a parked
+//! thread costs more than the serial work between two fan-outs of a
+//! decode step, so a worker that just ran a job stays awake for the next.
+//!
+//! The queue holds nothing a result can read: which worker runs which
+//! chunk never reaches an output, the queue is empty whenever no call is
+//! in flight, and a worker carries no thread-local state from one job to
+//! the next (every install — worker flag, cancel token, fault plan,
+//! thread override — is a guard the job drops).
+//!
+//! ## The one `unsafe`
+//!
+//! A worker outlives the call it helps, so the call's borrowed claim
+//! loop cannot be handed over as a reference: `fan_out` erases the
+//! lifetime of one `&closure` to a raw pointer, and `Job::execute`
+//! dereferences it. The pointer is only ever dereferenced between a
+//! ticket's start (taken under the queue lock) and its completion count,
+//! and `fan_out`'s guard — on return *and* on unwind — reclaims the
+//! unstarted tickets under the same lock and then waits for the
+//! completion count of every started one, so the frame the pointer
+//! refers to is live for the whole of every dereference. Everything else
+//! in this module is safe Rust.
 //!
 //! ## Determinism contract
 //!
@@ -63,29 +107,38 @@
 //! tests and the `bench_*` serial-vs-parallel columns use it to compare
 //! `SA_THREADS=1` against the default within one process.
 //!
-//! Nested parallelism is suppressed: a pool worker that calls back into a
-//! parallel primitive runs it serially (the outer partition already owns
-//! the hardware). This is what lets `sa-model` parallelize over heads
-//! while the kernels inside each head keep their own parallel entry
-//! points.
+//! Nested parallelism is suppressed: a thread running a call's claim
+//! loop — a helper or the caller itself — that calls back into a parallel
+//! primitive runs it serially on the spot, without touching the queue
+//! (the outer partition already owns the hardware). This is what lets
+//! `sa-model` parallelize over heads while the kernels inside each head
+//! keep their own parallel entry points, and it is why a started helper
+//! can always finish.
 //!
 //! ## Observability
 //!
 //! When `sa_trace` is enabled, every pool call opens a span (category
-//! `pool`, name = the call site) and each worker meters itself:
-//! `pool.chunks` counts chunk executions, `pool.chunk_ns` is the
-//! chunk-duration histogram, `pool.busy_ns` / `pool.idle_ns` split each
-//! worker's lifetime into executing-chunks vs. waiting-for-work, and
-//! `pool.panics_caught` counts contained panics. All probes are behind
-//! [`sa_trace::enabled`] (one relaxed atomic load when disabled) and
-//! none of them touch computed values, so the determinism contract above
-//! is unaffected by tracing.
+//! `pool`, name = the call site) and each thread meters its share of the
+//! job: `pool.chunks` counts chunk executions, `pool.chunk_ns` is the
+//! chunk-duration histogram, `pool.busy_ns` / `pool.idle_ns` split the
+//! time a thread spends *inside a job* into executing chunks vs.
+//! claiming and waiting (time a worker is parked between calls belongs
+//! to no job and is not counted), `pool.handoff_ns` is the delay from a
+//! ticket being queued to its helper reaching its first chunk claim,
+//! `pool.reclaimed` counts tickets the caller took back unstarted, and
+//! `pool.panics_caught` counts contained panics. Workers are long-lived,
+//! so a helper's spans keep one trace thread id across calls. All probes
+//! are behind [`sa_trace::enabled`] (one relaxed atomic load when
+//! disabled) and none of them touch computed values, so the determinism
+//! contract above is unaffected by tracing.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
 
 use crate::error::SaError;
 use crate::fault;
@@ -166,8 +219,10 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Minimum scalar operations a chunk should carry before parallel
-/// dispatch pays for itself (thread spawn + claim overhead is on the
-/// order of tens of microseconds per call).
+/// dispatch pays for itself: ~32K operations are some tens of
+/// microseconds, against a hand-off to an awake worker of about a
+/// microsecond, a queue lock or atomic claim plus a `catch_unwind` per
+/// chunk, and tens of microseconds when the worker has to be woken.
 pub const MIN_CHUNK_OPS: usize = 1 << 15;
 
 /// Rows per chunk so that one chunk carries roughly [`MIN_CHUNK_OPS`]
@@ -202,6 +257,16 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Locks `m`, taking the data of a poisoned mutex as it stands. Every
+/// mutex in this module guards state that is valid after each single
+/// update (a first-failure slot, lists that are only pushed and popped,
+/// the ticket queue's counters), and panics are caught before they can
+/// unwind through a guard — but a poisoned lock must still drain rather
+/// than wedge the pool.
+fn lock_draining<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// First-failure slot shared by the workers of one pool call.
 ///
 /// Stores the full typed [`SaError`], so a typed error re-raised through
@@ -215,13 +280,8 @@ impl FailureSlot {
         FailureSlot(Mutex::new(None))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<SaError>> {
-        match self.0.lock() {
-            Ok(g) => g,
-            // Panics are caught before they can poison this mutex, but a
-            // poisoned slot must still drain rather than wedge the pool.
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    fn lock(&self) -> MutexGuard<'_, Option<SaError>> {
+        lock_draining(&self.0)
     }
 
     /// Records a caught panic: a `Box<SaError>` payload (from a nested
@@ -265,8 +325,8 @@ impl FailureSlot {
 }
 
 /// Per-call cancellation state: the token installed on the calling
-/// thread (if any), read once at pool entry and shared with the scoped
-/// workers, plus the chunk-progress counter the error variants report.
+/// thread (if any), read once at pool entry and shared with the call's
+/// helpers, plus the chunk-progress counter the error variants report.
 struct CancelCheck {
     token: Option<crate::cancel::CancelToken>,
     completed: AtomicUsize,
@@ -306,10 +366,10 @@ impl CancelCheck {
     }
 }
 
-/// Per-worker utilization meter: times each chunk execution and, on
-/// drop, splits the worker's lifetime into busy (executing chunks) and
-/// idle (claiming/waiting) counters. Inert unless tracing was enabled
-/// when the worker started.
+/// Per-job utilization meter of one thread: times each chunk execution
+/// and, on drop, splits the thread's time in the job's claim loop into
+/// busy (executing chunks) and idle (claiming/waiting) counters. Inert
+/// unless tracing was enabled when the loop started.
 struct WorkerMeter {
     traced: bool,
     start_ns: u64,
@@ -371,6 +431,311 @@ fn repanic(e: SaError) -> ! {
     match e {
         SaError::WorkerPanic { message, .. } => std::panic::resume_unwind(Box::new(message)),
         other => std::panic::panic_any(other),
+    }
+}
+
+/// How long a worker that has just finished a job (or has just started,
+/// or was woken for nothing) polls for the next ticket before it parks
+/// on the condvar, and how long a caller polls for its started helpers
+/// before it parks. A measured constant, not a knob: on
+/// `request_niah_4k` the serial work between two layers' fan-outs is
+/// 30–50 µs and a futex wake of a parked vCPU costs more than that, so a
+/// pool that parks at once loses half of what the second core adds to a
+/// decode step (`step_ms_p50`, ten rounds: spawn-per-call 2.34 ms, park
+/// at once 1.81, 50 µs 1.54, 200 µs 1.46; CHANGES.md, PR 21).
+const SPIN_NS: u64 = 200_000;
+
+/// One fan-out, as the queue and the workers see it. Shared by `Arc`, so
+/// a worker may hold it past the call's return; what it must not touch
+/// past then is what `body` points at.
+struct Job {
+    /// The address of a `&(dyn Fn() + Sync)` in the frame of the
+    /// [`Pool::fan_out`] that queued this job — the helper's whole share
+    /// of the call — with its lifetime erased. Written once at
+    /// construction; an `AtomicPtr` only so that a `Job` is `Send + Sync`.
+    body: AtomicPtr<()>,
+    /// Helpers that have returned from `body`.
+    finished: AtomicUsize,
+    /// The thread inside `fan_out`, unparked by every finishing helper.
+    caller: Thread,
+}
+
+impl Job {
+    /// Runs one started ticket: the helper's share of the call, then the
+    /// completion count — in that order on every path.
+    fn execute(&self) {
+        /// Counts the helper as finished and wakes the caller, also when
+        /// `body` unwinds (it catches what the call's closures throw; a
+        /// panic payload whose own drop panics would still get here).
+        struct Done<'a>(&'a Job);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                // Release: everything the helper wrote into the caller's
+                // buffers happens before the caller's Acquire load in
+                // `Reclaim::drop` sees this count.
+                self.0.finished.fetch_add(1, Ordering::Release);
+                self.0.caller.unpark();
+            }
+        }
+        let _done = Done(self);
+        let body = self
+            .body
+            .load(Ordering::Relaxed)
+            .cast_const()
+            .cast::<&(dyn Fn() + Sync)>();
+        // SAFETY: `body` is the address of the `helper` reference in the
+        // frame of the `fan_out` call that queued this job, and that frame
+        // is live for the whole call below. This thread took its ticket
+        // under the queue lock; `fan_out`'s `Reclaim` guard, which runs
+        // before that frame is left by return or by unwinding, takes back
+        // under the same lock only tickets nobody took, so it counts this
+        // one as started and does not let the frame go until `finished`
+        // has counted it — which `_done` does only after the call below
+        // has returned or unwound. The closure behind the reference is
+        // `Sync` and everything it borrows outlives `fan_out`, so calling
+        // it here while the caller runs its own share is sound. Nothing
+        // dereferences `body` anywhere else.
+        unsafe { (*body)() }
+    }
+}
+
+/// The tickets of one job still waiting for a worker.
+struct Entry {
+    job: Arc<Job>,
+    /// Unstarted tickets, at least 1 while the entry is queued.
+    tickets: usize,
+}
+
+/// What the queue lock guards.
+struct Queue {
+    /// Jobs with unstarted tickets, oldest first. Empty whenever no call
+    /// is in flight: every `fan_out` removes its entry before it returns.
+    entries: VecDeque<Entry>,
+    /// Worker threads started so far; they never exit.
+    workers: usize,
+    /// Workers waiting on the condvar right now.
+    parked: usize,
+}
+
+/// How a pool starts its worker number `index`: [`spawn_worker`], or a
+/// test's stand-in that refuses.
+type SpawnWorker = fn(&'static Pool, usize) -> std::io::Result<()>;
+
+/// The one place the pool creates a thread.
+fn spawn_worker(pool: &'static Pool, index: usize) -> std::io::Result<()> {
+    // Detached on purpose: workers serve every later call and end with
+    // the process. A job's panics are caught inside the job, so there is
+    // no result for a join to report.
+    std::thread::Builder::new()
+        .name(format!("sa-pool-{index}"))
+        .spawn(move || pool.work())
+        .map(drop)
+}
+
+/// A ticket queue and the workers parked on it. The process has one,
+/// [`POOL`]; tests build private ones to hold a worker still.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Parked workers wait here; signalled under the queue lock.
+    wake: Condvar,
+    /// Unstarted tickets in `queue`, maintained under its lock. Spinning
+    /// workers poll it instead of the lock; it is a hint (hence Relaxed) —
+    /// a ticket is only ever started or reclaimed under the lock.
+    pending: AtomicUsize,
+    spawn: SpawnWorker,
+}
+
+static POOL: Pool = Pool::new(spawn_worker);
+
+impl Pool {
+    const fn new(spawn: SpawnWorker) -> Self {
+        Pool {
+            queue: Mutex::new(Queue {
+                entries: VecDeque::new(),
+                workers: 0,
+                parked: 0,
+            }),
+            wake: Condvar::new(),
+            pending: AtomicUsize::new(0),
+            spawn,
+        }
+    }
+
+    /// Starts the oldest unstarted ticket in `queue`, this pool's.
+    fn take(&self, queue: &mut Queue) -> Option<Arc<Job>> {
+        let entry = queue.entries.front_mut()?;
+        entry.tickets -= 1;
+        self.pending.fetch_sub(1, Ordering::Relaxed);
+        if entry.tickets == 0 {
+            queue.entries.pop_front().map(|e| e.job)
+        } else {
+            Some(Arc::clone(&entry.job))
+        }
+    }
+
+    /// A worker thread's whole life: start a ticket, run it, again.
+    fn work(&'static self) {
+        loop {
+            self.next_ticket().execute();
+        }
+    }
+
+    /// Blocks until this worker has started a ticket: polls for
+    /// [`SPIN_NS`], then parks until a caller signals.
+    fn next_ticket(&self) -> Arc<Job> {
+        loop {
+            let spin_start = sa_trace::clock::now_ns();
+            while sa_trace::clock::now_ns().saturating_sub(spin_start) < SPIN_NS {
+                if self.pending.load(Ordering::Relaxed) > 0 {
+                    if let Some(job) = self.take(&mut lock_draining(&self.queue)) {
+                        return job;
+                    }
+                }
+                std::hint::spin_loop();
+            }
+            let mut queue = lock_draining(&self.queue);
+            if let Some(job) = self.take(&mut queue) {
+                return job;
+            }
+            // Counted and waited under one lock hold, so a caller that
+            // queues a ticket either sees this worker parked and signals,
+            // or queued before the `take` above.
+            queue.parked += 1;
+            queue = self
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            queue.parked -= 1;
+            if let Some(job) = self.take(&mut queue) {
+                return job;
+            }
+            // Woken for a ticket that another worker started or its
+            // caller took back: calls are arriving, and shorter than a
+            // wake-up, so poll for the next one before parking again.
+        }
+    }
+
+    /// Queues up to `helpers` tickets for `job`, first growing the worker
+    /// set to `helpers` threads. Returns how many it queued: fewer than
+    /// asked when the OS refuses a thread, none when there is no worker.
+    fn submit(&'static self, job: &Arc<Job>, helpers: usize) -> usize {
+        let mut queue = lock_draining(&self.queue);
+        while queue.workers < helpers {
+            if (self.spawn)(self, queue.workers).is_err() {
+                break;
+            }
+            queue.workers += 1;
+        }
+        let tickets = helpers.min(queue.workers);
+        if tickets > 0 {
+            queue.entries.push_back(Entry {
+                job: Arc::clone(job),
+                tickets,
+            });
+            self.pending.fetch_add(tickets, Ordering::Relaxed);
+            for _ in 0..tickets.min(queue.parked) {
+                self.wake.notify_one();
+            }
+        }
+        tickets
+    }
+
+    /// Takes back the tickets of `job` that no worker has started and
+    /// returns their number.
+    fn reclaim(&self, job: &Arc<Job>) -> usize {
+        let mut queue = lock_draining(&self.queue);
+        let at = queue.entries.iter().position(|e| Arc::ptr_eq(&e.job, job));
+        match at.and_then(|i| queue.entries.remove(i)) {
+            Some(entry) => {
+                self.pending.fetch_sub(entry.tickets, Ordering::Relaxed);
+                entry.tickets
+            }
+            None => 0,
+        }
+    }
+
+    /// Runs `run` — one call's chunk-claim loop — on the calling thread
+    /// and on up to `helpers` workers at once, and returns when every
+    /// thread that entered it has left it.
+    ///
+    /// `run` claims chunks until none are left and contains its chunks'
+    /// panics; a helper that unwinds outside those catch regions is
+    /// recorded in `failure` as a [`SaError::WorkerPanic`] at `site`, and
+    /// its worker thread lives on.
+    fn fan_out(
+        &'static self,
+        site: &'static str,
+        helpers: usize,
+        failure: &FailureSlot,
+        run: &(dyn Fn() + Sync),
+    ) {
+        let queued_ns = if sa_trace::enabled() {
+            sa_trace::clock::now_ns()
+        } else {
+            0
+        };
+        let helper = move || {
+            let _worker = mark_in_worker();
+            if queued_ns != 0 {
+                let waited = sa_trace::clock::now_ns().saturating_sub(queued_ns);
+                sa_trace::histogram_record!("pool.handoff_ns", waited);
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+                failure.record(site, payload);
+            }
+            // The caller may drain the trace the moment this job is
+            // counted as finished; a parked worker flushes nothing.
+            sa_trace::flush_thread();
+        };
+        let helper: &(dyn Fn() + Sync) = &helper;
+        let job = Arc::new(Job {
+            // The one lifetime erasure: the address of `helper`, a slot
+            // of this frame that outlives `_reclaim` below.
+            body: AtomicPtr::new((&raw const helper).cast_mut().cast()),
+            finished: AtomicUsize::new(0),
+            caller: std::thread::current(),
+        });
+        let _reclaim = Reclaim {
+            pool: self,
+            job: &job,
+            queued: self.submit(&job, helpers),
+        };
+        let _worker = mark_in_worker();
+        run();
+    }
+}
+
+/// The second half of [`Pool::fan_out`], as a guard so that it also runs
+/// when the caller's own share unwinds: take back the tickets nobody
+/// started, then wait for the helpers that did start — and for nobody
+/// else, which is what keeps concurrent callers deadlock-free. Until
+/// this has run, a worker may be inside the frame `Job::body` points at.
+struct Reclaim<'a> {
+    pool: &'a Pool,
+    job: &'a Arc<Job>,
+    /// Tickets `submit` queued for the job.
+    queued: usize,
+}
+
+impl Drop for Reclaim<'_> {
+    fn drop(&mut self) {
+        if self.queued == 0 {
+            return;
+        }
+        let reclaimed = self.pool.reclaim(self.job);
+        sa_trace::counter_add!("pool.reclaimed", reclaimed as u64);
+        let started = self.queued - reclaimed;
+        let spin_start = sa_trace::clock::now_ns();
+        // Acquire: pairs with the Release count in `Job::execute`.
+        while self.job.finished.load(Ordering::Acquire) < started {
+            if sa_trace::clock::now_ns().saturating_sub(spin_start) < SPIN_NS {
+                std::hint::spin_loop();
+            } else {
+                // Every finishing helper unparks this thread after it
+                // counts; a stale token only costs one more turn.
+                std::thread::park();
+            }
+        }
     }
 }
 
@@ -436,20 +801,7 @@ where
             meter.chunk(|| guarded(c * grain..((c + 1) * grain).min(n)));
         }
     };
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(chunks) - 1 {
-            scope.spawn(|| {
-                let _worker = mark_in_worker();
-                run();
-                // Flush trace events before the scope observes this
-                // thread as finished: thread::scope can return before
-                // the TLS destructors that would otherwise flush run.
-                sa_trace::flush_thread();
-            });
-        }
-        let _worker = mark_in_worker();
-        run();
-    });
+    POOL.fan_out(site, threads.min(chunks) - 1, &failure, &run);
     failure.finish()
 }
 
@@ -514,6 +866,9 @@ where
         }
     } else {
         let next = AtomicUsize::new(0);
+        // Every thread hands in what it computed; the sort below puts
+        // the parts in index order whoever finished first.
+        let gathered: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(chunks));
         let run = || {
             let mut meter = WorkerMeter::new();
             let mut mine: Vec<(usize, Vec<T>)> = Vec::new();
@@ -529,34 +884,12 @@ where
                     mine.push(part);
                 }
             }
-            mine
+            lock_draining(&gathered).append(&mut mine);
         };
-        parts = std::thread::scope(|scope| {
-            let helpers: Vec<_> = (0..threads.min(chunks) - 1)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _worker = mark_in_worker();
-                        let mine = run();
-                        // See try_parallel_for: flush before the scope
-                        // can observe this thread as finished.
-                        sa_trace::flush_thread();
-                        mine
-                    })
-                })
-                .collect();
-            let mine = {
-                let _worker = mark_in_worker();
-                run()
-            };
-            let mut all = mine;
-            for h in helpers {
-                match h.join() {
-                    Ok(part) => all.extend(part),
-                    Err(payload) => failure.record(site, payload),
-                }
-            }
-            all
-        });
+        POOL.fan_out(site, threads.min(chunks) - 1, &failure, &run);
+        parts = gathered
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
     }
     failure.finish()?;
     parts.sort_unstable_by_key(|&(c, _)| c);
@@ -641,10 +974,7 @@ where
     }
     let n_chunks = chunks.len();
     let queue = Mutex::new(chunks);
-    let pop = || match queue.lock() {
-        Ok(mut q) => q.pop(),
-        Err(poisoned) => poisoned.into_inner().pop(),
-    };
+    let pop = || lock_draining(&queue).pop();
     let run = || {
         let mut meter = WorkerMeter::new();
         loop {
@@ -657,19 +987,7 @@ where
             }
         }
     };
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) - 1 {
-            scope.spawn(|| {
-                let _worker = mark_in_worker();
-                run();
-                // See try_parallel_for: flush before the scope can
-                // observe this thread as finished.
-                sa_trace::flush_thread();
-            });
-        }
-        let _worker = mark_in_worker();
-        run();
-    });
+    POOL.fan_out(site, threads.min(n_chunks) - 1, &failure, &run);
     failure.finish()
 }
 
@@ -1103,5 +1421,282 @@ mod tests {
         });
         let payload = caught.expect_err("must panic");
         assert!(payload_message(payload).contains("legacy panic"));
+    }
+
+    // ---- The ticket queue itself, on private pools -------------------
+    //
+    // `POOL` serves every test of this binary at once, so what a single
+    // worker does cannot be pinned on it. These tests leak a `Pool` of
+    // their own (its workers park for good once the test is over) and
+    // drive `fan_out` directly.
+
+    use std::collections::HashSet;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on a thread of its own and fails the test if it has not
+    /// returned within a minute: a lost wake-up or a caller waiting on an
+    /// unstarted ticket must read as a failure, not as a hung suite.
+    fn watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, result) = mpsc::channel();
+        let body = std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        match result.recv_timeout(Duration::from_secs(60)) {
+            Ok(r) => r,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("deadlock: no result after 60 s"),
+            // The body panicked before sending: hand its panic on.
+            Err(mpsc::RecvTimeoutError::Disconnected) => match body.join() {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(()) => panic!("test body dropped its result"),
+            },
+        }
+    }
+
+    fn private_pool(spawn: SpawnWorker) -> &'static Pool {
+        Box::leak(Box::new(Pool::new(spawn)))
+    }
+
+    fn on_pool_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("sa-pool-"))
+    }
+
+    fn assert_idle(pool: &Pool) {
+        assert!(lock_draining(&pool.queue).entries.is_empty());
+        assert_eq!(pool.pending.load(Ordering::Relaxed), 0);
+    }
+
+    /// A claim loop over `chunks` unit chunks that notes who ran each.
+    fn claim_all<'a>(
+        next: &'a AtomicUsize,
+        chunks: usize,
+        ran_on: &'a Mutex<Vec<std::thread::ThreadId>>,
+    ) -> impl Fn() + Sync + 'a {
+        move || {
+            while next.fetch_add(1, Ordering::Relaxed) < chunks {
+                lock_draining(ran_on).push(std::thread::current().id());
+            }
+        }
+    }
+
+    /// One call that cannot end before `threads` threads are inside it:
+    /// every thread that enters waits for the others. Forces helpers to
+    /// start where timing would only make it likely; a worker that never
+    /// comes is the watchdog's to report. Returns who was in.
+    fn rendezvous(
+        pool: &'static Pool,
+        site: &'static str,
+        threads: usize,
+    ) -> HashSet<std::thread::ThreadId> {
+        let entered = AtomicUsize::new(0);
+        let inside = Mutex::new(HashSet::new());
+        let failure = FailureSlot::new();
+        let run = || {
+            let _span = sa_trace::span_in("pool_test", site);
+            lock_draining(&inside).insert(std::thread::current().id());
+            entered.fetch_add(1, Ordering::SeqCst);
+            while entered.load(Ordering::SeqCst) < threads {
+                std::thread::yield_now();
+            }
+        };
+        pool.fan_out(site, threads - 1, &failure, &run);
+        assert!(failure.finish().is_ok());
+        assert_idle(pool);
+        inside.into_inner().expect("no panics here")
+    }
+
+    #[test]
+    fn refused_spawn_degrades_to_fewer_helpers_then_to_the_caller_alone() {
+        fn refuse(_: &'static Pool, _: usize) -> std::io::Result<()> {
+            Err(std::io::Error::other("no threads today"))
+        }
+        fn only_the_first(pool: &'static Pool, index: usize) -> std::io::Result<()> {
+            if index == 0 {
+                spawn_worker(pool, index)
+            } else {
+                refuse(pool, index)
+            }
+        }
+        watchdog(|| {
+            for (spawn, workers) in [(refuse as SpawnWorker, 0usize), (only_the_first, 1)] {
+                let pool = private_pool(spawn);
+                let me = std::thread::current().id();
+                for _ in 0..200 {
+                    let next = AtomicUsize::new(0);
+                    let ran_on = Mutex::new(Vec::new());
+                    let failure = FailureSlot::new();
+                    pool.fan_out("refused", 3, &failure, &claim_all(&next, 64, &ran_on));
+                    assert!(failure.finish().is_ok());
+                    let ran_on = ran_on.into_inner().expect("no panics here");
+                    assert_eq!(ran_on.len(), 64, "every chunk ran exactly once");
+                    let others: HashSet<_> = ran_on.into_iter().filter(|&t| t != me).collect();
+                    assert!(
+                        others.len() <= workers,
+                        "{} helpers, {workers} workers",
+                        others.len()
+                    );
+                    assert_eq!(lock_draining(&pool.queue).workers, workers);
+                    assert_idle(pool);
+                }
+                if workers == 1 {
+                    // Asked for three helpers, the one that exists comes.
+                    assert_eq!(rendezvous(pool, "one_worker", 2).len(), 2);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_caller_takes_back_the_ticket_of_a_busy_worker_and_does_not_wait_for_it() {
+        watchdog(|| {
+            let pool = private_pool(spawn_worker);
+            let (started, worker_is_in) = mpsc::channel();
+            let (release, hold) = mpsc::channel::<()>();
+            let (started, hold) = (Mutex::new(started), Mutex::new(hold));
+            // Call A: its helper announces itself, then sits in A's frame
+            // until released. A must wait for it, and nobody else may.
+            let a_returned = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let failure = FailureSlot::new();
+                    let run = || {
+                        if on_pool_worker() {
+                            let _ = lock_draining(&started).send(());
+                            let _ = lock_draining(&hold).recv();
+                        } else {
+                            // Leave the ticket to the worker: A's own
+                            // share ends only once the helper has begun.
+                            while lock_draining(&pool.queue).entries.front().is_some() {
+                                std::thread::yield_now();
+                            }
+                        }
+                    };
+                    pool.fan_out("held", 1, &failure, &run);
+                    a_returned.store(true, Ordering::SeqCst);
+                });
+                worker_is_in.recv().expect("A's helper starts");
+                // Call B, while the pool's only worker is held inside A.
+                let _session = sa_trace::scoped();
+                for _ in 0..50 {
+                    let next = AtomicUsize::new(0);
+                    let ran_on = Mutex::new(Vec::new());
+                    let failure = FailureSlot::new();
+                    pool.fan_out("reclaims", 1, &failure, &claim_all(&next, 8, &ran_on));
+                    let me = std::thread::current().id();
+                    let ran_on = ran_on.into_inner().expect("no panics here");
+                    assert_eq!(ran_on.len(), 8);
+                    assert!(ran_on.iter().all(|&t| t == me), "the held worker helped");
+                    assert_idle(pool);
+                }
+                assert!(
+                    sa_trace::metrics::counter("pool.reclaimed").get() >= 50,
+                    "every one of B's tickets was taken back"
+                );
+                assert_eq!(
+                    lock_draining(&pool.queue).workers,
+                    1,
+                    "no worker added for B"
+                );
+                assert!(
+                    !a_returned.load(Ordering::SeqCst),
+                    "A left its helper behind"
+                );
+                release.send(()).expect("the helper is waiting");
+            });
+            assert!(a_returned.load(Ordering::SeqCst));
+            assert_idle(pool);
+        });
+    }
+
+    #[test]
+    fn a_helper_unwinding_outside_a_chunk_is_recorded_and_its_worker_lives_on() {
+        watchdog(|| {
+            // Held for the count below, and so that this panic is not
+            // counted into another test's session.
+            let _session = sa_trace::scoped();
+            let pool = private_pool(spawn_worker);
+            let (began, helper_began) = mpsc::channel();
+            let (began, helper_began) = (Mutex::new(began), Mutex::new(helper_began));
+            let failure = FailureSlot::new();
+            let run = || {
+                if on_pool_worker() {
+                    let _ = lock_draining(&began).send(());
+                    panic!("outside every chunk");
+                } else {
+                    // The caller's share: hold the call open until the
+                    // helper is in, so the ticket is not taken back.
+                    let _ = lock_draining(&helper_began).recv();
+                }
+            };
+            pool.fan_out("unwinds", 1, &failure, &run);
+            match failure.finish() {
+                Err(SaError::WorkerPanic { site, message }) => {
+                    assert_eq!(site, "unwinds");
+                    assert!(message.contains("outside every chunk"), "{message}");
+                }
+                other => panic!("unexpected outcome {other:?}"),
+            }
+            assert!(sa_trace::metrics::counter("pool.panics_caught").get() >= 1);
+            assert_idle(pool);
+            // The pool never replaces a worker, so whoever helps the next
+            // job is the thread that unwound.
+            assert_eq!(rendezvous(pool, "after_unwind", 2).len(), 2);
+            assert_eq!(lock_draining(&pool.queue).workers, 1);
+        });
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_drains() {
+        watchdog(|| {
+            let pool = private_pool(spawn_worker);
+            let poisoner = std::thread::spawn(move || {
+                let _held = lock_draining(&pool.queue);
+                panic!("poison the queue lock");
+            });
+            assert!(poisoner.join().is_err());
+            assert!(pool.queue.is_poisoned());
+            for _ in 0..100 {
+                let next = AtomicUsize::new(0);
+                let ran_on = Mutex::new(Vec::new());
+                let failure = FailureSlot::new();
+                pool.fan_out("poisoned", 2, &failure, &claim_all(&next, 32, &ran_on));
+                assert!(failure.finish().is_ok());
+                assert_eq!(lock_draining(&ran_on).len(), 32);
+                assert_idle(pool);
+            }
+        });
+    }
+
+    #[test]
+    fn a_worker_keeps_one_trace_thread_id_across_calls() {
+        watchdog(|| {
+            let pool = private_pool(spawn_worker);
+            let _session = sa_trace::scoped();
+            for _ in 0..200 {
+                assert_eq!(rendezvous(pool, "tid_probe", 2).len(), 2);
+            }
+            let events = sa_trace::drain();
+            let mut tids: Vec<u64> = events
+                .iter()
+                .filter(|e| e.name == "tid_probe" && e.cat == "pool_test")
+                .map(|e| e.tid)
+                .collect();
+            assert_eq!(tids.len(), 400, "a helper's spans are flushed with its job");
+            tids.sort_unstable();
+            tids.dedup();
+            assert_eq!(tids.len(), 2, "the caller and one worker, got {tids:?}");
+            let snap = sa_trace::metrics::snapshot();
+            let handoffs = snap
+                .histograms
+                .iter()
+                .find(|h| h.name == "pool.handoff_ns")
+                .map_or(0, |h| h.count);
+            assert!(
+                handoffs >= 200,
+                "{handoffs} of 200 started tickets recorded a hand-off"
+            );
+        });
     }
 }

@@ -11,11 +11,12 @@
 //! Nesting is tracked with a per-thread depth counter, and each thread
 //! gets a small sequential id, so the Chrome exporter can place events
 //! on per-thread tracks where the viewer nests them by timestamp
-//! containment. The worker pool's scoped threads call [`flush_thread`]
-//! at the end of each parallel call — *before* the scope join, because
-//! `thread::scope` can observe a thread as finished before its TLS
-//! destructors (the backstop flush) have run — so a [`drain`]
-//! immediately after a pool call sees every worker's events.
+//! containment. The worker pool's threads are long-lived — a helper's
+//! spans keep one thread id, and so one track, across calls — and never
+//! reach the thread-exit flush, so each calls [`flush_thread`] at the
+//! end of its share of a parallel call, *before* it is counted as
+//! finished: a [`drain`] immediately after a pool call sees every
+//! helper's events.
 
 use std::cell::{Cell, RefCell};
 use std::ptr;

@@ -127,6 +127,69 @@ for suite in parallel_determinism checkpoint_roundtrip key_traffic; do
     cargo test -q --offline --test "$suite"
 done
 
+echo "==> pool contract: parked workers at SA_THREADS=1, 2, 3, 5, three times each, under timeout"
+# The pool keeps its workers parked between calls, so the failure it can
+# have that spawn-per-call could not is a lost wake-up or a caller
+# waiting on a ticket nobody started: a hang, and a rare one. Each run is
+# under `timeout` (and each new test under its own watchdog) so that it
+# reads as a failure, and runs three times at each thread count, odd and
+# above the core count included. Release: the races are between
+# optimised loops. The unit suite runs one test at a time because two of
+# its older tests read process-wide trace counters (ROADMAP item 1) that
+# any test running beside them moves; concurrent callers are
+# pool_contract's own leg (b).
+cargo test -q --offline --release --test pool_contract --no-run
+cargo test -q --offline --release -p sa-tensor --lib --no-run
+for threads in 1 2 3 5; do
+    for attempt in 1 2 3; do
+        SA_THREADS="$threads" timeout 300 \
+            cargo test -q --offline --release --test pool_contract || {
+            echo "pool_contract failed or hung (SA_THREADS=$threads, attempt $attempt)" >&2
+            exit 1
+        }
+        SA_THREADS="$threads" timeout 300 \
+            cargo test -q --offline --release -p sa-tensor --lib pool::tests -- --test-threads=1 || {
+            echo "pool::tests failed or hung (SA_THREADS=$threads, attempt $attempt)" >&2
+            exit 1
+        }
+    done
+done
+
+echo "==> lint: pool.rs holds one unsafe block under a SAFETY comment, no thread::scope, one Builder::spawn"
+# The pool's soundness case (DESIGN.md 5b) is an invariant about one
+# dereference; it stays reviewable only while there is one. Comment lines
+# are exempt everywhere; the structure checks stop at the test module,
+# whose tests do start threads of their own.
+pool_src=crates/tensor/src/pool.rs
+pool_code="$(grep -vE '^[[:space:]]*//' "$pool_src")"
+pool_prod="$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print }' "$pool_src" | grep -vE '^[[:space:]]*//')"
+unsafe_count="$(printf '%s\n' "$pool_code" | grep -cw 'unsafe' || true)"
+unsafe_blocks="$(printf '%s\n' "$pool_code" | grep -cE '\bunsafe[[:space:]]*\{' || true)"
+if [ "$unsafe_count" -ne 1 ] || [ "$unsafe_blocks" -ne 1 ]; then
+    echo "lint: $pool_src must hold exactly one \`unsafe\`, and that a block (found $unsafe_count, $unsafe_blocks blocks)" >&2
+    exit 1
+fi
+# The line above the block is the last line of a `// SAFETY:` paragraph.
+awk '
+    /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) in_safety = 1; comment = 1; next }
+    /(^|[^A-Za-z0-9_])unsafe[[:space:]]*\{/ { if (!(comment && in_safety)) bad = 1 }
+    { comment = 0; in_safety = 0 }
+    END { exit bad }
+' "$pool_src" || {
+    echo "lint: the unsafe block in $pool_src is not directly preceded by a // SAFETY: comment" >&2
+    exit 1
+}
+if printf '%s\n' "$pool_prod" | grep -q 'thread::scope'; then
+    echo "lint: thread::scope in $pool_src — calls borrow parked workers, they do not spawn" >&2
+    exit 1
+fi
+spawn_sites="$(printf '%s\n' "$pool_prod" | grep -cE '\.spawn\(|thread::spawn' || true)"
+builder_sites="$(printf '%s\n' "$pool_prod" | grep -c 'thread::Builder::new()' || true)"
+if [ "$spawn_sites" -ne 1 ] || [ "$builder_sites" -ne 1 ]; then
+    echo "lint: $pool_src must create threads at exactly one Builder::spawn site (found $spawn_sites spawn calls, $builder_sites builders)" >&2
+    exit 1
+fi
+
 echo "==> lint: no unwrap()/panic-family macros in non-test pipeline sources"
 # The panic-free contract (DESIGN.md 5d) bans unwrap() and the panic
 # macro family (panic!/unreachable!/todo!/unimplemented!) from the
