@@ -22,8 +22,8 @@
 //! open-loop flash-crowd arrival stream
 //! ([`sa_serve::open_loop_workload`]), and a
 //! **fault storm** ([`sa_serve::fault_storm_workload`]) replayed under
-//! a globally installed [`FaultPlan`] that layers serving-loop crashes,
-//! failed restore allocations, and checkpoint bit-flips on top of the
+//! a [`FaultPlan`] installed around the replay that layers serving-loop
+//! crashes, failed restore allocations, and checkpoint bit-flips on top of the
 //! workload's own planned crashes — crash recovery must keep the whole
 //! contract: nothing lost, every fault typed, ledgers bit-identical.
 //!
@@ -331,8 +331,8 @@ fn main() {
 
     // --- Fault-storm leg: crash recovery under a full fault plan. ---
     // The storm workload's planned crashes (dense `fault_fails`) meet a
-    // globally installed plan that also crashes one in four attempt
-    // salts outright, fails one in three restore stagings, and flips a
+    // plan installed around the replay that also crashes one in four
+    // attempt salts outright, fails one in three restore stagings, and flips a
     // bit in every staged checkpoint (caught by the checksum, falling
     // back to scratch). The contract does not bend: zero lost requests,
     // every fault surfaces typed, and the ledger stays bit-identical at

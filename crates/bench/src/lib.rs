@@ -1,8 +1,7 @@
 //! # sa-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper, plus
-//! std-only timing binaries for the kernels (`bench_*`, see
-//! [`crate::timing`]).
+//! The experiment harness: one binary per table/figure of the paper.
+//! (Wall-clock benchmarking is the `benchmark/` package's job.)
 //!
 //! Run an experiment with, e.g.:
 //!
@@ -35,7 +34,6 @@
 //! | `serve_timeline` | per-tenant serving timelines + flight-recorder postmortems from the event log (beyond-paper) |
 
 pub mod analysis;
-pub mod timing;
 
 use sa_json::{FromJson, ToJson};
 use std::io::Write;

@@ -473,7 +473,7 @@ mod tests {
         let snap = SessionCheckpoint::capture(&session);
         assert!(snap.kv_bytes() > 0);
 
-        let _g = sa_tensor::fault::install_local(FaultPlan::new(3).kv_bit_flips(1));
+        let _g = sa_tensor::fault::install(FaultPlan::new(3).kv_bit_flips(1));
         let err = snap.restore(&m, 0xC, None).expect_err("corruption");
         match err {
             SaError::CorruptCheckpoint { expected, actual } => {
@@ -497,7 +497,7 @@ mod tests {
         token.cancel();
         // Even under an active corruption plan, the cancel wins: the KV
         // bytes are never staged, so no CorruptCheckpoint can surface.
-        let _g = sa_tensor::fault::install_local(FaultPlan::new(3).kv_bit_flips(1));
+        let _g = sa_tensor::fault::install(FaultPlan::new(3).kv_bit_flips(1));
         let err = snap.restore(&m, 0xD, Some(&token)).expect_err("cancel");
         assert!(
             matches!(err, SaError::Cancelled { site: "checkpoint_restore", .. }),

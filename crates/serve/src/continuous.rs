@@ -1960,7 +1960,8 @@ mod tests {
 
     #[test]
     fn governor_logs_deferrals_from_elevated_up() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         let c = cfg();
         let reqs = governor_requests(false);
         for (permille, level) in [(700, "elevated"), (900, "critical")] {
@@ -1987,7 +1988,8 @@ mod tests {
 
     #[test]
     fn governor_evicts_each_session_once_then_waits() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         let c = cfg();
         let reqs = governor_requests(true);
         let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 700;
@@ -2022,7 +2024,8 @@ mod tests {
 
     #[test]
     fn governor_sheds_only_an_urgent_head_at_critical_pressure() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         let c = cfg();
         let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 900;
         let sheds = metrics::counter("serve.pressure.sheds").get();
@@ -2093,7 +2096,8 @@ mod tests {
 
     #[test]
     fn floor_refuses_when_pressure_halves_the_budget_below_every_permitted_rung() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         // 512 tokens: full 4096 ms, paper_default 1024 ms. A 1500 ms
         // budget buys paper_default; halved, nothing the floor permits.
         let c = floored(DegradationRung::PaperDefault, 0);

@@ -402,8 +402,8 @@ impl EventLog {
 
     /// Reconciles planner-emitted terminal events with the executed
     /// ledger records. Execution can diverge from the plan in exactly
-    /// one deterministic way: a globally installed crash storm (the
-    /// chaos `serve_crash` plan) exhausts the storm retry budget and a
+    /// one deterministic way: a crash storm installed around the run
+    /// (the chaos `serve_crash` plan) exhausts the storm retry budget and a
     /// planned `Serve` resolves as [`Outcome::Failed`]. The terminal
     /// event's kind is flipped to match the outcome and the divergence
     /// is noted in the reason, so [`EventLog::validate`] stays strict.

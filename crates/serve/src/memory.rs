@@ -175,7 +175,7 @@ impl MemoryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_tensor::fault::{install_local, FaultPlan};
+    use sa_tensor::fault::{install, FaultPlan};
 
     #[test]
     fn reserve_release_roundtrip() {
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn injected_alloc_failure_is_typed_and_reserves_nothing() {
         let ledger = MemoryLedger::new(1000, 600, 850);
-        let _g = install_local(FaultPlan::new(5).alloc_failures(1));
+        let _g = install(FaultPlan::new(5).alloc_failures(1));
         let err = ledger.reserve(10, 7).expect_err("fault plan fails every alloc");
         assert!(matches!(err, SaError::BudgetExceeded { .. }));
         assert_eq!(ledger.in_use(), 0, "failed reservation must not leak");

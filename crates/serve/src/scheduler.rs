@@ -20,11 +20,11 @@
 //!    one chunk of work. Execution contributes only bit-deterministic
 //!    data (the measured CRA α flags) to the ledger.
 //!
-//! Fault plans are installed **thread-locally** per attempt
-//! ([`sa_tensor::fault::install_local`]), so concurrent requests never
-//! see each other's injected faults: the top-level pool fan-out marks
-//! its workers, nested pool calls inside a request run serially on the
-//! same worker thread, and the plan is dropped when the attempt ends.
+//! Fault plans are installed per attempt on the executor's thread
+//! ([`sa_tensor::fault::install`]), so concurrent requests never see
+//! each other's injected faults, and an attempt's plan shadows a storm
+//! plan its executor inherited from the thread that issued the run; the
+//! plan is dropped when the attempt ends.
 //!
 //! ## Crash recovery
 //!
@@ -417,10 +417,10 @@ impl Scheduler {
     /// attempts, then (for [`Planned::Serve`]) one clean attempt. With
     /// recovery enabled each crash snapshots its chunk-boundary progress
     /// and the successor resumes from it; without, every attempt starts
-    /// from scratch (the pre-recovery behavior). A globally installed
-    /// `serve_crash` fault plan (the chaos storm) injects *unplanned*
-    /// crashes on top, bounded by one extra retry budget so the loop
-    /// always terminates.
+    /// from scratch (the pre-recovery behavior). A `serve_crash` storm
+    /// plan installed around the run (the chaos storm, inherited by this
+    /// executor) injects *unplanned* crashes on top, bounded by one extra
+    /// retry budget so the loop always terminates.
     fn run_attempts(
         &self,
         req: &Request,
@@ -469,7 +469,7 @@ impl Scheduler {
                 // wherever it strikes; nothing is checkpointed and the
                 // retry replays the request from the beginning.
                 let _guard = crashing.then(|| {
-                    fault::install_local(
+                    fault::install(
                         FaultPlan::new(self.cfg.seed ^ req.id).worker_panic(&req.fault_site),
                     )
                 });
@@ -497,7 +497,7 @@ impl Scheduler {
                         planned_done += 1;
                     } else {
                         // A clean attempt crashed outside the script
-                        // (global fault plan at a model site): charge
+                        // (an inherited storm plan at a model site): charge
                         // the storm budget so the loop stays bounded.
                         if storm_budget == 0 {
                             return Err(e);
@@ -576,7 +576,7 @@ impl Scheduler {
             let snapshot = Snapshot::Prefill(PrefillCheckpoint::capture(&run));
             metrics::counter("serve.checkpoint.snapshots").add(1);
             let _guard = (!req.fault_site.is_empty()).then(|| {
-                fault::install_local(
+                fault::install(
                     FaultPlan::new(self.cfg.seed ^ req.id).worker_panic(&req.fault_site),
                 )
             });
@@ -653,7 +653,7 @@ impl Scheduler {
             let snapshot = Snapshot::Session(SessionCheckpoint::capture(&session));
             metrics::counter("serve.checkpoint.snapshots").add(1);
             let _guard = (!req.fault_site.is_empty()).then(|| {
-                fault::install_local(
+                fault::install(
                     FaultPlan::new(self.cfg.seed ^ req.id).worker_panic(&req.fault_site),
                 )
             });
@@ -952,7 +952,8 @@ mod tests {
 
     #[test]
     fn crashed_attempts_snapshot_and_resume_from_checkpoints() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         let snapshots = metrics::counter("serve.checkpoint.snapshots").get();
         let restores = metrics::counter("serve.checkpoint.restores").get();
         let s = scheduler();
@@ -1025,7 +1026,8 @@ mod tests {
 
     #[test]
     fn corrupt_and_alloc_faulted_restores_fall_back_to_scratch() {
-        sa_trace::set_enabled(true);
+        // The counters read below move only while this thread traces.
+        let _session = sa_trace::scoped();
         let s = scheduler();
         let tokens = s.model().tokenize_filler(48);
         let session = s
@@ -1038,7 +1040,7 @@ mod tests {
 
         let corruptions = metrics::counter("serve.checkpoint.corruptions").get();
         {
-            let _g = fault::install_local(FaultPlan::new(9).kv_bit_flips(1));
+            let _g = fault::install(FaultPlan::new(9).kv_bit_flips(1));
             let restored = s.restore_session(&snap, 0x52, &token).unwrap();
             assert!(restored.is_none(), "corrupt restore is contained");
         }
@@ -1046,7 +1048,7 @@ mod tests {
 
         let alloc_faults = metrics::counter("serve.pressure.alloc_faults").get();
         {
-            let _g = fault::install_local(FaultPlan::new(9).alloc_failures(1));
+            let _g = fault::install(FaultPlan::new(9).alloc_failures(1));
             let restored = s.restore_session(&snap, 0x53, &token).unwrap();
             assert!(restored.is_none(), "failed staging alloc is contained");
         }

@@ -6,23 +6,20 @@
 //! in-repo `xoshiro256++` generator — the same fault mix replays
 //! bit-identically across runs and `SA_THREADS` settings.
 //!
-//! Two activation styles:
-//!
-//! - **Pure / data faults** — [`FaultPlan::corrupt_matrix`] and
-//!   [`FaultPlan::corrupt_json`] transform values directly; tests build a
-//!   plan, corrupt their inputs, and feed them to the pipeline.
-//! - **Installed / control faults** — [`install`] registers the plan in a
-//!   process-wide slot consulted by the worker pool
-//!   ([`should_panic`]: forced worker panics) and by stage-1 sampling
-//!   ([`tamper_scores`]: zero-mass score tampering). The returned
-//!   [`ScopedFault`] guard also holds a global lock so concurrent tests
-//!   cannot observe each other's plans; dropping it deactivates the plan.
-//! - **Thread-local faults** — [`install_local`] binds a plan to the
-//!   *current thread only*, without the global lock. This is how the
-//!   serving layer injects per-request transient faults: each request
-//!   executor installs its own plan on its worker thread, so concurrent
-//!   requests never observe each other's faults. Local plans take
-//!   precedence over the global plan on the installing thread.
+//! Data faults are pure: [`FaultPlan::corrupt_matrix`] and
+//! [`FaultPlan::corrupt_json`] transform values a test then feeds to the
+//! pipeline. Control faults are *installed*: [`install`] binds a plan to
+//! the calling thread until its guard drops, and the hooks the pipeline
+//! consults ([`should_panic`], [`tamper_scores`], [`should_fail_alloc`],
+//! [`should_crash`], [`tamper_kv`]) read the innermost plan of the thread
+//! they run on. A plan is ambient state under the pool's one rule: it is
+//! visible to the thread that installed it and to the helpers of the
+//! fan-outs that thread issues, for the length of their share, and to
+//! nobody else (`pool.rs`, "What a fan-out carries"). So a storm plan
+//! installed around a serving run reaches every request executor, a
+//! request's own plan — pushed above it on the executor's thread —
+//! shadows it there, and two tests running side by side never see each
+//! other's faults.
 //!
 //! The `SA_FAULT` environment variable selects a plan by name for CI
 //! (`FaultPlan::from_env`): `smoke` is the canonical all-faults plan used
@@ -30,8 +27,9 @@
 //! `seed=7,nan=2,inf=3,zero_rows=1,zero_mass,panic=sparse_flash_attention`
 //! builds a custom plan.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::xoshiro::{splitmix64, Xoshiro256PlusPlus};
 use crate::Matrix;
@@ -329,120 +327,51 @@ const ALLOC_SALT: u64 = 0xA110_C8ED_0000_0001;
 const CRASH_SALT: u64 = 0xC4A5_88ED_0000_0002;
 const KV_SALT: u64 = 0x1CB1_7F11_0000_0003;
 
-/// The installed plan, if any. `ACTIVE_FLAG` is the lock-free fast path
-/// consulted by the pool on every chunk; the mutex is only taken when a
-/// plan is actually installed.
-static ACTIVE: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static ACTIVE_FLAG: AtomicBool = AtomicBool::new(false);
-/// Serializes fault-using tests across threads in one test binary.
-static INSTALL_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock_ignoring_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        // A worker that panicked while holding the slot (the whole point
-        // of fault injection) must not wedge later tests.
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// Guard returned by [`install`]; the plan stays active until drop.
-///
-/// Holding the guard also holds a process-wide lock, so at most one
-/// fault plan is installed at a time even when the test harness runs
-/// tests concurrently.
-pub struct ScopedFault {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Drop for ScopedFault {
-    fn drop(&mut self) {
-        ACTIVE_FLAG.store(false, Ordering::SeqCst);
-        *lock_ignoring_poison(&ACTIVE) = None;
-    }
-}
-
-/// Installs `plan` as the process-wide fault plan until the returned
-/// guard is dropped. Blocks while another guard is alive.
-pub fn install(plan: FaultPlan) -> ScopedFault {
-    let serial = lock_ignoring_poison(&INSTALL_LOCK);
-    *lock_ignoring_poison(&ACTIVE) = Some(plan);
-    ACTIVE_FLAG.store(true, Ordering::SeqCst);
-    ScopedFault { _serial: serial }
-}
-
 thread_local! {
-    /// The thread-scoped plan stack; the innermost installed plan wins.
-    static LOCAL: std::cell::RefCell<Vec<FaultPlan>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// The plans installed on this thread; the innermost (last) one wins
+    /// and fully shadows the rest. Shared, so that a fan-out hands its
+    /// helpers the caller's plan with a refcount bump.
+    static PLANS: RefCell<Vec<Arc<FaultPlan>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Guard returned by [`install_local`]; pops the plan on drop.
-pub struct LocalFault {
-    popped: bool,
-}
+/// Guard returned by [`install`]; pops the plan on drop, also on unwind.
+/// Not `Send`: it must drop on the thread whose stack it pushed onto.
+pub struct FaultGuard(PhantomData<*const ()>);
 
-impl Drop for LocalFault {
+impl Drop for FaultGuard {
     fn drop(&mut self) {
-        if !self.popped {
-            self.popped = true;
-            LOCAL.with(|l| {
-                l.borrow_mut().pop();
-            });
-        }
+        PLANS.with(|plans| {
+            plans.borrow_mut().pop();
+        });
     }
 }
 
-/// Installs `plan` for the *current thread only* until the returned
-/// guard is dropped. Unlike [`install`], this takes no process-wide
-/// lock: concurrent threads (the serving layer's per-request executors)
-/// can each carry their own plan without serializing or observing each
-/// other. Nested installs shadow outer ones.
-///
-/// The pool primitives evaluate the forced-panic decision once at entry
-/// on the calling thread, so a local plan installed on a request's
-/// executor thread governs every (nested, serial) pool call that request
-/// makes — and nothing else.
-pub fn install_local(plan: FaultPlan) -> LocalFault {
-    LOCAL.with(|l| l.borrow_mut().push(plan));
-    LocalFault { popped: false }
+/// Installs `plan` on the current thread until the returned guard is
+/// dropped. Nested installs shadow outer ones. The pool hands the plan
+/// on to the helpers of every fan-out this thread issues meanwhile (it
+/// passes the `Arc` it read here); no other thread sees it.
+pub fn install(plan: impl Into<Arc<FaultPlan>>) -> FaultGuard {
+    PLANS.with(|plans| plans.borrow_mut().push(plan.into()));
+    FaultGuard(PhantomData)
 }
 
-/// Runs `f` on the innermost thread-local plan, if one is installed.
-fn with_local_plan<R>(f: impl FnOnce(&FaultPlan) -> R) -> Option<R> {
-    LOCAL.with(|l| l.borrow().last().map(f))
+/// Runs `f` on the current thread's innermost plan, if one is installed.
+pub(crate) fn with_plan<R>(f: impl FnOnce(&Arc<FaultPlan>) -> R) -> Option<R> {
+    PLANS.with(|plans| plans.borrow().last().map(f))
 }
 
 /// True when the installed plan forces panics at `site`. The pool's
-/// `try_*` primitives evaluate this once at entry (on the calling
-/// thread, where the thread-local plan is visible) and raise the panic
-/// inside their catch region, on the serial path as well, so the outcome
-/// is thread-count independent. A thread-local plan takes precedence
-/// over the global one.
+/// `try_*` primitives evaluate this once at entry, on the calling
+/// thread, and raise the panic inside their catch region, on the serial
+/// path as well, so the outcome is thread-count independent.
 pub fn should_panic(site: &str) -> bool {
-    if let Some(hit) = with_local_plan(|p| p.panic_sites.iter().any(|s| s == site)) {
-        return hit;
-    }
-    if !ACTIVE_FLAG.load(Ordering::Relaxed) {
-        return false;
-    }
-    lock_ignoring_poison(&ACTIVE)
-        .as_ref()
-        .is_some_and(|p| p.panic_sites.iter().any(|s| s == site))
+    with_plan(|p| p.panic_sites.iter().any(|s| s == site)).unwrap_or(false)
 }
 
 /// Applies installed score tampering at `site` (currently: zero-mass at
-/// `"stage1_scores"`). Returns `true` if the slice was tampered. A
-/// thread-local plan takes precedence over the global one.
+/// `"stage1_scores"`). Returns `true` if the slice was tampered.
 pub fn tamper_scores(site: &str, scores: &mut [f32]) -> bool {
-    let tamper = match with_local_plan(|p| p.zero_mass && site == "stage1_scores") {
-        Some(local) => local,
-        None => {
-            ACTIVE_FLAG.load(Ordering::Relaxed)
-                && lock_ignoring_poison(&ACTIVE)
-                    .as_ref()
-                    .is_some_and(|p| p.zero_mass && site == "stage1_scores")
-        }
-    };
+    let tamper = with_plan(|p| p.zero_mass && site == "stage1_scores").unwrap_or(false);
     if tamper {
         scores.fill(0.0);
     }
@@ -450,47 +379,22 @@ pub fn tamper_scores(site: &str, scores: &mut [f32]) -> bool {
 }
 
 /// True when the installed plan fails the simulated allocation `salt`
-/// (see [`FaultPlan::fail_alloc`]). A thread-local plan takes precedence
-/// over — and fully shadows — the global one, matching [`should_panic`].
+/// (see [`FaultPlan::fail_alloc`]).
 pub fn should_fail_alloc(salt: u64) -> bool {
-    if let Some(hit) = with_local_plan(|p| p.fail_alloc(salt)) {
-        return hit;
-    }
-    if !ACTIVE_FLAG.load(Ordering::Relaxed) {
-        return false;
-    }
-    lock_ignoring_poison(&ACTIVE)
-        .as_ref()
-        .is_some_and(|p| p.fail_alloc(salt))
+    with_plan(|p| p.fail_alloc(salt)).unwrap_or(false)
 }
 
 /// True when the installed plan crashes the serving-loop attempt
-/// `(site, salt)` (see [`FaultPlan::crashes_at`]). A thread-local plan
-/// takes precedence over — and fully shadows — the global one.
+/// `(site, salt)` (see [`FaultPlan::crashes_at`]).
 pub fn should_crash(site: &str, salt: u64) -> bool {
-    if let Some(hit) = with_local_plan(|p| p.crashes_at(site, salt)) {
-        return hit;
-    }
-    if !ACTIVE_FLAG.load(Ordering::Relaxed) {
-        return false;
-    }
-    lock_ignoring_poison(&ACTIVE)
-        .as_ref()
-        .is_some_and(|p| p.crashes_at(site, salt))
+    with_plan(|p| p.crashes_at(site, salt)).unwrap_or(false)
 }
 
 /// Applies the installed plan's KV bit flips to staged checkpoint bytes
 /// (see [`FaultPlan::flip_kv_bits`]). Returns `true` if anything was
-/// flipped. A thread-local plan takes precedence over the global one.
+/// flipped.
 pub fn tamper_kv(data: &mut [f32], salt: u64) -> bool {
-    if let Some(hit) = with_local_plan(|p| p.clone()) {
-        return hit.flip_kv_bits(data, salt);
-    }
-    if !ACTIVE_FLAG.load(Ordering::Relaxed) {
-        return false;
-    }
-    let plan = lock_ignoring_poison(&ACTIVE).as_ref().cloned();
-    plan.is_some_and(|p| p.flip_kv_bits(data, salt))
+    with_plan(|p| p.flip_kv_bits(data, salt)).unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -593,60 +497,61 @@ mod tests {
     }
 
     #[test]
-    fn local_plan_is_thread_scoped_and_lock_free() {
-        // Two threads install different local plans concurrently (no
-        // global INSTALL_LOCK involved) and neither observes the other's.
-        let t1 = std::thread::spawn(|| {
-            let _g = install_local(FaultPlan::new(1).worker_panic("site_one"));
-            assert!(should_panic("site_one"));
-            assert!(!should_panic("site_two"));
+    fn a_plan_is_invisible_to_other_threads() {
+        // Each thread holds its plan while the other probes: neither
+        // observes the other's, and nothing serialises them.
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (mine, theirs) in [("site_one", "site_two"), ("site_two", "site_one")] {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    let _g = install(FaultPlan::new(1).worker_panic(mine));
+                    barrier.wait();
+                    assert!(should_panic(mine));
+                    assert!(!should_panic(theirs));
+                    barrier.wait();
+                });
+            }
         });
-        let t2 = std::thread::spawn(|| {
-            let _g = install_local(FaultPlan::new(2).worker_panic("site_two"));
-            assert!(should_panic("site_two"));
-            assert!(!should_panic("site_one"));
-        });
-        t1.join().unwrap();
-        t2.join().unwrap();
         // This thread never installed anything.
         assert!(!should_panic("site_one"));
         assert!(!should_panic("site_two"));
     }
 
     #[test]
-    fn local_plan_shadows_global_and_nests() {
-        let _global = install(FaultPlan::new(0).worker_panic("global_site"));
-        assert!(should_panic("global_site"));
+    fn inner_plan_fully_shadows_outer_and_nests() {
+        let _outer = install(FaultPlan::new(0).worker_panic("outer_site"));
+        assert!(should_panic("outer_site"));
         {
-            // An inert local plan shadows the global plan entirely.
-            let _local = install_local(FaultPlan::new(0));
-            assert!(!should_panic("global_site"));
+            // An inert plan shadows the outer plan entirely.
+            let _inert = install(FaultPlan::new(0));
+            assert!(!should_panic("outer_site"));
             {
-                let _inner = install_local(FaultPlan::new(0).worker_panic("local_site"));
-                assert!(should_panic("local_site"));
-                assert!(!should_panic("global_site"));
+                let _inner = install(FaultPlan::new(0).worker_panic("inner_site"));
+                assert!(should_panic("inner_site"));
+                assert!(!should_panic("outer_site"));
             }
-            assert!(!should_panic("local_site"));
+            assert!(!should_panic("inner_site"));
         }
-        assert!(should_panic("global_site"));
+        assert!(should_panic("outer_site"));
     }
 
     #[test]
-    fn local_plan_drop_restores_on_unwind() {
+    fn a_shared_plan_installs_without_a_copy() {
+        let plan = Arc::new(FaultPlan::new(0).worker_panic("shared_site"));
+        let _g = install(Arc::clone(&plan));
+        assert!(with_plan(|p| Arc::ptr_eq(p, &plan)).unwrap_or(false));
+        assert!(should_panic("shared_site"));
+    }
+
+    #[test]
+    fn guard_drop_restores_on_unwind() {
         let caught = std::panic::catch_unwind(|| {
-            let _g = install_local(FaultPlan::new(0).worker_panic("unwind_site"));
+            let _g = install(FaultPlan::new(0).worker_panic("unwind_site"));
             panic!("unwind");
         });
         assert!(caught.is_err());
         assert!(!should_panic("unwind_site"));
-    }
-
-    #[test]
-    fn local_zero_mass_tampers_scores() {
-        let _g = install_local(FaultPlan::new(0).zero_mass());
-        let mut scores = vec![1.0f32, 2.0];
-        assert!(tamper_scores("stage1_scores", &mut scores));
-        assert!(scores.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -727,19 +632,19 @@ mod tests {
     }
 
     #[test]
-    fn recovery_probes_respect_local_over_global() {
-        let _global = install(FaultPlan::new(0).serve_crash("serve_attempt", 1));
+    fn recovery_probes_respect_the_innermost_plan() {
+        let _outer = install(FaultPlan::new(0).serve_crash("serve_attempt", 1));
         let salt = 3;
         assert!(should_crash("serve_attempt", salt));
         {
-            // An inert local plan shadows the global crash plan entirely.
-            let _local = install_local(FaultPlan::new(0));
+            // An inert plan shadows the outer crash plan entirely.
+            let _inert = install(FaultPlan::new(0));
             assert!(!should_crash("serve_attempt", salt));
             assert!(!should_fail_alloc(salt));
             let mut data = vec![1.0f32; 8];
             assert!(!tamper_kv(&mut data, salt));
             {
-                let _inner = install_local(FaultPlan::new(7).alloc_failures(1).kv_bit_flips(1));
+                let _inner = install(FaultPlan::new(7).alloc_failures(1).kv_bit_flips(1));
                 assert!(should_fail_alloc(salt));
                 assert!(tamper_kv(&mut data, salt));
             }

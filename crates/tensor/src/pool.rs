@@ -40,7 +40,22 @@
 //! chunk never reaches an output, the queue is empty whenever no call is
 //! in flight, and a worker carries no thread-local state from one job to
 //! the next (every install — worker flag, cancel token, fault plan,
-//! thread override — is a guard the job drops).
+//! trace switch, thread override — is a guard the job drops).
+//!
+//! ## What a fan-out carries
+//!
+//! One rule for ambient state: **what is set on a thread is visible to
+//! that thread and to the helpers of the fan-outs it issues, for the
+//! length of their share, and to nobody else.** `fan_out` reads the
+//! caller's innermost [`crate::fault`] plan and its `sa_trace` switch
+//! once, and a helper's share installs both as guards it drops before it
+//! is counted finished. That is the whole mechanism: there is no
+//! process-wide fault slot or trace switch for another caller, or
+//! another test, to see. The cancel token is deliberately not on the
+//! list: each primitive reads it on the calling thread and checks it at
+//! its own chunk boundaries (below), and a helper that inherited it
+//! would let nested calls cancel mid-chunk, which moves the
+//! chunk-progress counts the serving ledgers record.
 //!
 //! ## The one `unsafe`
 //!
@@ -104,8 +119,8 @@
 //! `SA_THREADS` (env, read once) overrides
 //! [`std::thread::available_parallelism`]. [`with_threads`] installs a
 //! thread-local override for the duration of a closure — the equivalence
-//! tests and the `bench_*` serial-vs-parallel columns use it to compare
-//! `SA_THREADS=1` against the default within one process.
+//! tests use it to compare `SA_THREADS=1` against the default within one
+//! process.
 //!
 //! Nested parallelism is suppressed: a thread running a call's claim
 //! loop — a helper or the caller itself — that calls back into a parallel
@@ -128,7 +143,7 @@
 //! `pool.reclaimed` counts tickets the caller took back unstarted, and
 //! `pool.panics_caught` counts contained panics. Workers are long-lived,
 //! so a helper's spans keep one trace thread id across calls. All probes
-//! are behind [`sa_trace::enabled`] (one relaxed atomic load when
+//! are behind [`sa_trace::enabled`] (one thread-local read when
 //! disabled) and none of them touch computed values, so the determinism
 //! contract above is unaffected by tracing.
 
@@ -171,6 +186,16 @@ fn mark_in_worker() -> RestoreCell<bool> {
     }
 }
 
+/// Puts the calling thread's `sa_trace` switch back to the held value on
+/// drop.
+struct RestoreTrace(bool);
+
+impl Drop for RestoreTrace {
+    fn drop(&mut self) {
+        sa_trace::set_enabled(self.0);
+    }
+}
+
 /// The process-wide worker count: `SA_THREADS` if set and valid, else
 /// [`std::thread::available_parallelism`], else 1. Read once and cached.
 pub fn hardware_threads() -> usize {
@@ -207,8 +232,7 @@ pub fn current_threads() -> usize {
 ///
 /// This is the in-process equivalent of setting `SA_THREADS=n`: the
 /// equivalence tests compare `with_threads(1, ..)` against
-/// `with_threads(2, ..)` and the default, and the bench binaries use it
-/// for their serial-vs-parallel columns.
+/// `with_threads(2, ..)` and the default.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let prev = THREAD_OVERRIDE.with(|c| c.replace(Some(n.max(1))));
     let _restore = RestoreCell {
@@ -413,9 +437,9 @@ impl Drop for WorkerMeter {
 }
 
 /// Raises the injected-fault panic for `site`. The *decision* is made
-/// once at pool entry on the calling thread (`fault::should_panic` reads
-/// the thread-local plan, which workers would not see); the panic itself
-/// must run *inside* the catch region, so the decision is passed in.
+/// once at pool entry on the calling thread, so that the serial shortcut
+/// and every helper agree on it; the panic itself must run *inside* the
+/// catch region, so the decision is passed in.
 fn injected_panic(site: &'static str) -> ! {
     std::panic::panic_any(format!("injected fault: forced worker panic at {site}"));
 }
@@ -669,13 +693,15 @@ impl Pool {
         failure: &FailureSlot,
         run: &(dyn Fn() + Sync),
     ) {
-        let queued_ns = if sa_trace::enabled() {
-            sa_trace::clock::now_ns()
-        } else {
-            0
-        };
+        // What a fan-out carries (module doc), read once on the caller.
+        let plan = fault::with_plan(Arc::clone);
+        let traced = sa_trace::enabled();
+        let queued_ns = if traced { sa_trace::clock::now_ns() } else { 0 };
         let helper = move || {
             let _worker = mark_in_worker();
+            let _plan = plan.as_ref().map(|p| fault::install(Arc::clone(p)));
+            let _traced = RestoreTrace(sa_trace::enabled());
+            sa_trace::set_enabled(traced);
             if queued_ns != 0 {
                 let waited = sa_trace::clock::now_ns().saturating_sub(queued_ns);
                 sa_trace::histogram_record!("pool.handoff_ns", waited);

@@ -9,9 +9,9 @@
 //!
 //! The paper's headline claims are wall-clock claims: Table 4's stage
 //! breakdown (sampling vs. filtering vs. sparse kernel) and the Figure
-//! 5/6 speedups. Timing whole method calls from the outside
-//! (`sa_bench::timing`) cannot attribute time to pipeline stages, and
-//! the per-head `SampleAttentionStats` evaporate after each call. This
+//! 5/6 speedups. Timing whole method calls from the outside cannot
+//! attribute time to pipeline stages, and the per-head
+//! `SampleAttentionStats` evaporate after each call. This
 //! crate is the instrument every perf PR is judged with: stage spans in
 //! `sa-core`, per-layer/per-head spans in `sa-model`, worker-pool
 //! utilization counters in `sa_tensor::pool`, and two export formats
@@ -33,12 +33,20 @@
 //!   a global Treiber-stack sink with a single CAS — no lock is ever
 //!   taken on the recording path.
 //! - **True no-op when disabled** (the default): every probe —
-//!   [`span`], [`Counter::add`], [`Histogram::record`] — is one relaxed
-//!   atomic load followed by an immediate return. No allocation, no
-//!   clock read, no TLS access (`crates/trace/tests/zero_alloc.rs` pins
-//!   the zero-allocation claim with a counting allocator). Tracing never
-//!   touches computed values, so outputs are bitwise identical with
-//!   tracing on or off — `tests/parallel_determinism.rs` pins that too.
+//!   [`span`], [`Counter::add`], [`Histogram::record`] — is one read of
+//!   a const-initialised thread-local flag followed by an immediate
+//!   return. No allocation, no clock read, no lazily initialised TLS
+//!   (`crates/trace/tests/zero_alloc.rs` pins the zero-allocation claim
+//!   with a counting allocator). Tracing never touches computed values,
+//!   so outputs are bitwise identical with tracing on or off —
+//!   `tests/parallel_determinism.rs` pins that too.
+//! - **The switch belongs to a thread**: [`set_enabled`] turns the
+//!   probes on for the calling thread, and `sa_tensor::pool` hands the
+//!   caller's setting to the helpers of each fan-out for the length of
+//!   their share. A session therefore records the work it issued and
+//!   nothing that merely ran beside it. The sink and the metric registry
+//!   are still shared by the process, which is why [`scoped`] sessions
+//!   take turns.
 //!
 //! ## Use
 //!
@@ -60,7 +68,7 @@
 //! the collected events are written to `<path>` as a Chrome
 //! trace-event JSON loadable in `chrome://tracing` / Perfetto.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
 pub mod chrome;
@@ -78,20 +86,25 @@ pub use timeseries::{
     prometheus_text, MetricsExport, Timeline, TimelineBin, TimelineSeries, TimelineSnapshot,
 };
 
-/// Global on/off switch. Off by default; every probe checks this first.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether tracing is currently enabled (one relaxed atomic load — this
-/// is the entire disabled-mode cost of every probe).
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+thread_local! {
+    /// This thread's on/off switch. Off by default; every probe checks
+    /// it first.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Turns tracing on or off process-wide. Spans opened while enabled
-/// still record on drop after a disable (the guard owns its state).
+/// Whether tracing is enabled on the calling thread (one thread-local
+/// read — this is the entire disabled-mode cost of every probe).
+#[inline(always)]
+pub fn enabled() -> bool {
+    ENABLED.get()
+}
+
+/// Turns tracing on or off for the calling thread and, through the
+/// worker pool, for the helpers of the parallel calls it issues. Spans
+/// opened while enabled still record on drop after a disable (the guard
+/// owns its state).
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
 /// Serializes scoped tracing sessions (tests run concurrently within one
@@ -108,8 +121,8 @@ fn session_lock() -> MutexGuard<'static, ()> {
 }
 
 /// An exclusive, self-cleaning tracing session for tests: holds a global
-/// lock, clears leftover events/metrics, enables tracing, and on drop
-/// disables tracing and drains anything still buffered.
+/// lock, clears leftover events/metrics, enables tracing on this thread,
+/// and on drop disables it and drains anything still buffered.
 pub struct ScopedTrace {
     _guard: MutexGuard<'static, ()>,
 }

@@ -5,7 +5,7 @@
 //! in hot loops should look a handle up once (the [`crate::counter_add!`]
 //! and [`crate::histogram_record!`] macros cache the lookup in a
 //! per-call-site `OnceLock`). Every mutation first checks
-//! [`crate::enabled`], so a disabled build pays one relaxed atomic load
+//! [`crate::enabled`], so a disabled build pays one thread-local flag read
 //! per probe and the registry stays at its zero state.
 //!
 //! ## Histogram bucket scheme
@@ -424,7 +424,7 @@ pub fn snapshot() -> MetricsSnapshot {
 }
 
 /// Adds to a named counter, caching the registry lookup per call site.
-/// Expands to a single relaxed atomic load while tracing is disabled.
+/// Expands to a single thread-local flag read while tracing is disabled.
 #[macro_export]
 macro_rules! counter_add {
     ($name:expr, $n:expr) => {
@@ -439,7 +439,7 @@ macro_rules! counter_add {
 }
 
 /// Records into a named histogram, caching the registry lookup per call
-/// site. Expands to a single relaxed atomic load while tracing is
+/// site. Expands to a single thread-local flag read while tracing is
 /// disabled.
 #[macro_export]
 macro_rules! histogram_record {

@@ -292,6 +292,9 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..3 {
                 s.spawn(|| {
+                    // The switch is per thread and these are not pool
+                    // helpers: each states that it records.
+                    crate::set_enabled(true);
                     let _sp = span_in("t", "worker_span");
                 });
             }

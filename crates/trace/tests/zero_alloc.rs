@@ -33,10 +33,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Tracing is enabled process-wide, so the test that enables it must not
-/// overlap the one that measures the disabled path.
-static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn allocations_during(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(|c| c.get());
     f();
@@ -45,7 +41,6 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn disabled_probes_allocate_nothing() {
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     // Warm up: intern the metrics and touch the TLS/clock once while
     // enabled, so the measurement below sees only steady-state cost.
     {
@@ -71,7 +66,6 @@ fn disabled_probes_allocate_nothing() {
 
 #[test]
 fn enabled_spans_amortize_buffer_allocations() {
-    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let _session = sa_trace::scoped();
     // Warm the thread buffer.
     {

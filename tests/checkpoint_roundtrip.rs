@@ -20,17 +20,27 @@
 //!    embedding stream position are not in a checkpoint; after growth,
 //!    eviction and restore they equal what the cached K and the tokens
 //!    determine, and decode on them equals the per-head path that
-//!    re-derived both every step.
+//!    re-derived both every step;
+//! 5. **A cache key is transposed once** — counted, not assumed: the
+//!    `kernels.keys_transposed` trace counter against what the model's
+//!    structure predicts. The count is exact beside the other tests of
+//!    this binary because a session counts the work its own thread
+//!    issued and nothing that ran beside it.
 
-use sample_attention::baselines::{AttentionMethod, FullAttention};
-use sample_attention::kernels::{attention_scores_raw, KeyPanels};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use sample_attention::baselines::{
+    AttentionMethod, FullAttention, MethodOutput, SampleAttentionMethod,
+};
+use sample_attention::kernels::{attention_scores_raw, KeyPanels, PreparedKeys};
 use sample_attention::model::{
     DecodeSession, EvictionConfig, LayerKvCache, ModelConfig, PrefillCheckpoint, Readout,
     SessionCheckpoint, SyntheticTransformer, BOS_TOKEN,
 };
 use sample_attention::tensor::{
-    fault, pool, softmax_rows_in_place, CancelToken, Matrix, SaError,
+    fault, pool, softmax_rows_in_place, CancelToken, Matrix, SaError, TensorError,
 };
+use sample_attention::trace;
 
 fn model() -> SyntheticTransformer {
     SyntheticTransformer::new(ModelConfig::tiny(77)).expect("tiny config is valid")
@@ -168,7 +178,7 @@ fn corruption_and_cancellation_stay_typed_at_every_thread_count() {
 
     for t in thread_counts() {
         pool::with_threads(t, || {
-            let _g = fault::install_local(fault::FaultPlan::new(3).kv_bit_flips(1));
+            let _g = fault::install(fault::FaultPlan::new(3).kv_bit_flips(1));
             // A flipped KV bit trips the checksum with a typed error.
             let err = snap.restore(&m, 0xC, None).expect_err("corruption");
             assert!(
@@ -403,4 +413,96 @@ fn decode_on_resident_panels_matches_the_per_head_path() {
             });
         }
     }
+}
+
+/// A KV cache transposes each key once, when it is appended; after that
+/// every query head of the group, every later prefill chunk and every
+/// decode step reads the resident panels. The only per-call transposes
+/// left are the stripe columns a SampleAttention mask gathers, which this
+/// wrapper tallies on the side. Discovery only reads the panels, so
+/// re-running it here moves no key.
+struct TallyExtras {
+    inner: SampleAttentionMethod,
+    extras: AtomicU64,
+}
+
+impl AttentionMethod for TallyExtras {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
+        self.inner.forward(q, k, v)
+    }
+
+    fn forward_head(
+        &self,
+        layer: usize,
+        head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, TensorError> {
+        let discovered = self
+            .inner
+            .inner()
+            .discover_mask_prepared(q, keys)
+            .expect("discovery on healthy inputs");
+        self.extras.fetch_add(
+            discovered.mask.extra_columns().len() as u64,
+            Ordering::Relaxed,
+        );
+        self.inner.forward_head(layer, head, q, keys, v)
+    }
+}
+
+#[test]
+fn a_cache_key_is_transposed_once() {
+    let model = SyntheticTransformer::new(ModelConfig::tiny(5)).expect("tiny config is valid");
+    let cfg = *model.config();
+    let tokens = model.tokenize_filler(512);
+    let cache_keys = (tokens.len() * cfg.num_kv_heads * cfg.num_layers) as u64;
+    let transposed = || trace::metrics::counter("kernels.keys_transposed").get();
+
+    // Chunk-32 prefill under SampleAttention: 16 chunks x 2 layers x 4
+    // heads = 128 head calls, each against the whole cache so far.
+    let method = TallyExtras {
+        inner: SampleAttentionMethod::paper_default(),
+        extras: AtomicU64::new(0),
+    };
+    let session = trace::scoped();
+    let (result, _) = model
+        .prefill_chunked(&tokens, 32, &method)
+        .expect("chunked prefill");
+    let counted = transposed();
+    drop(session);
+    assert_eq!(result.fallback_heads(), 0, "a dense fallback re-transposes");
+    let extras = method.extras.load(Ordering::Relaxed);
+    assert!(
+        extras > 0,
+        "no head gathered a stripe: the run proves nothing"
+    );
+    assert_eq!(
+        counted,
+        cache_keys + extras,
+        "{cache_keys} cache keys + {extras} gathered stripe keys"
+    );
+    // (Transposing per head call and per chunk moved 17x the cache keys
+    // here: the sum over chunks of the cache length, times 8 heads.)
+
+    // Dense prefill in one chunk, then decode: nothing is gathered, and a
+    // step adds one key per KV head and layer.
+    let session = trace::scoped();
+    let mut decode = model
+        .begin_decode(&tokens, &FullAttention::new())
+        .expect("prefill");
+    assert_eq!(transposed(), cache_keys);
+    for _ in 0..5 {
+        decode.step().expect("decode step");
+    }
+    assert_eq!(
+        transposed(),
+        cache_keys + 5 * (cfg.num_kv_heads * cfg.num_layers) as u64
+    );
+    drop(session);
 }

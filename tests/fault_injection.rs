@@ -43,13 +43,6 @@ fn attn(policy: HealthPolicy) -> SampleAttention {
     SampleAttention::new(cfg)
 }
 
-/// Holds the process-wide plan slot with an empty plan: the phases of a
-/// test that expect healthy behaviour must not observe the faults a test
-/// running beside this one installs (on this thread or on pool workers).
-fn no_faults() -> fault::ScopedFault {
-    fault::install(FaultPlan::new(0))
-}
-
 fn assert_all_finite(label: &str, m: &Matrix) {
     let bad = m.as_slice().iter().filter(|x| !x.is_finite()).count();
     assert_eq!(
@@ -125,7 +118,6 @@ fn zeroed_rows_stay_finite_under_both_policies() {
     plan.corrupt_matrix(&mut q, 0);
     plan.corrupt_matrix(&mut k, 1);
 
-    let _quiet = no_faults();
     for policy in [HealthPolicy::FallbackDense, HealthPolicy::Propagate] {
         match attn(policy).forward(&q, &k, &v) {
             Ok(out) => assert_all_finite("zero rows", &out.output),
@@ -316,10 +308,7 @@ fn decode_steps_surface_worker_panics_as_typed_errors() {
     let model = SyntheticTransformer::new(ModelConfig::tiny(33)).unwrap();
     let tokens = model.tokenize_filler(48);
     // Healthy prefill; the fault is installed only for the decode steps.
-    let mut session = {
-        let _quiet = no_faults();
-        model.begin_decode(&tokens, &FullAttention::new()).unwrap()
-    };
+    let mut session = model.begin_decode(&tokens, &FullAttention::new()).unwrap();
     let healthy_len = session.tokens().len();
     {
         let _guard = fault::install(FaultPlan::new(0xF1).worker_panic("layer_heads"));
@@ -338,7 +327,6 @@ fn decode_steps_surface_worker_panics_as_typed_errors() {
         );
     }
     // Plan dropped: the session recovers and generates normally.
-    let _quiet = no_faults();
     session.step().unwrap();
     let generated = session.generate_in(2, 0..128).unwrap();
     assert_eq!(generated.len(), 2);
@@ -360,7 +348,6 @@ fn decode_after_failed_prefill_recovers_on_a_fresh_session() {
             .expect("prefill under a live panic plan must fail");
         assert!(matches!(err, SaError::WorkerPanic { .. }), "{err:?}");
     }
-    let _quiet = no_faults();
     let mut session = model.begin_decode(&tokens, &FullAttention::new()).unwrap();
     let (_, confidence) = session.step().unwrap();
     assert!(confidence.is_finite());

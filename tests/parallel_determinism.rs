@@ -31,14 +31,6 @@ fn qkv(s: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
     )
 }
 
-/// Holds the process-wide fault-plan slot with an empty plan. The plans
-/// `seeded_fault_mixes_are_thread_invariant` installs are process-wide
-/// too: without this, a test running beside it sees its forced panics
-/// and zeroed scores, on the calling thread and on pool workers alike.
-fn no_faults() -> sa_tensor::fault::ScopedFault {
-    sa_tensor::fault::install(sa_tensor::fault::FaultPlan::new(0))
-}
-
 /// Runs `f` serially, at 2 threads, at 3 threads, and at the session
 /// default, asserting every result is bitwise equal to the serial one.
 fn assert_thread_invariant<T: PartialEq + std::fmt::Debug>(label: &str, f: impl Fn() -> T) {
@@ -130,7 +122,6 @@ fn flash_attention_is_thread_invariant() {
 
 #[test]
 fn sparse_flash_attention_is_thread_invariant() {
-    let _quiet = no_faults();
     let s = 256;
     let (q, k, v) = qkv(s, 32, 0x5Fa);
     let mask = StructuredMask::builder(s, s)
@@ -149,7 +140,6 @@ fn sparse_flash_attention_is_thread_invariant() {
 
 #[test]
 fn stage1_sampling_is_thread_invariant() {
-    let _quiet = no_faults();
     let (q, k, _) = qkv(300, 32, 0x5a1);
     assert_thread_invariant("sample_attention_scores", || {
         let s = sample_attention_scores(&q, &k, 0.1).unwrap();
@@ -197,7 +187,6 @@ fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u3
 /// panels that were appended to rather than built at once.
 #[test]
 fn stage1_on_panels_matches_the_scalar_row_loop() {
-    let _quiet = no_faults();
     let bits = |xs: &[f32]| -> Vec<u32> { xs.iter().map(|x| x.to_bits()).collect() };
     // (s_q, s_k, ratio, sampled rows the stride sampler draws)
     let cases = [
@@ -297,7 +286,6 @@ fn seeded_fault_mixes_are_thread_invariant() {
 /// this test vacuous.
 #[test]
 fn tracing_does_not_perturb_pipeline_outputs() {
-    let _quiet = no_faults();
     let (q, k, v) = qkv(224, 32, 0x712a_ce);
     let run = || {
         let attn = SampleAttention::new(SampleAttentionConfig::paper_default());
@@ -340,7 +328,6 @@ fn serving_telemetry_is_thread_invariant() {
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 12);
-    let _quiet = no_faults();
     assert_thread_invariant("serve event log + timeline", || {
         let scheduler = Scheduler::new(cfg.clone()).unwrap();
         let (ledger, log) = scheduler.run_with_events(&requests).unwrap();
@@ -355,7 +342,6 @@ fn serving_telemetry_is_thread_invariant() {
 
 #[test]
 fn end_to_end_pipeline_is_thread_invariant() {
-    let _quiet = no_faults();
     let (q, k, v) = qkv(256, 32, 0xE2E);
     assert_thread_invariant("sample_attention e2e", || {
         let attn = SampleAttention::new(SampleAttentionConfig::paper_default());

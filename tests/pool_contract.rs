@@ -5,8 +5,9 @@
 //! what a call *computes*; this suite pins what the pool is allowed to be
 //! underneath: a fixed, reused set of threads that concurrent callers can
 //! share without waiting on each other, that never touches a caller's
-//! frame once the call has returned, and that carries nothing from one
-//! job into the next.
+//! frame once the call has returned, that carries nothing from one job
+//! into the next, and that hands a caller's ambient state — its fault
+//! plan, its trace switch — to that call's helpers and to nobody else.
 //!
 //! Every test runs under [`watchdog`]: the failure a parked-worker pool
 //! can have that a spawn-per-call pool could not is a lost wake-up or a
@@ -16,7 +17,7 @@
 //! host's core count less one, where that is larger).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
@@ -284,7 +285,7 @@ fn nothing_installed_in_a_chunk_outlives_it() {
                     }
                     let token = CancelToken::new();
                     let _cancel = cancel::install(&token);
-                    let _fault = fault::install_local(FaultPlan::new(1).worker_panic(SITE));
+                    let _fault = fault::install(FaultPlan::new(1).worker_panic(SITE));
                     with_threads(7, || {
                         assert!(cancel::current().is_some());
                         assert!(fault::should_panic(SITE));
@@ -312,6 +313,118 @@ fn nothing_installed_in_a_chunk_outlives_it() {
         assert!(
             checked_on.iter().any(|&t| t != caller),
             "only the caller ever ran a chunk: nothing was checked on a worker"
+        );
+    });
+}
+
+/// (e) What is set on a thread rides the fan-outs that thread issues and
+/// goes nowhere else: two callers share the workers, each under its own
+/// fault plan and only one of them tracing. Every thread inside a call
+/// sees that call's plan and switch, neither caller sees the other's
+/// forced panic, zeroed scores, spans or `pool.chunks`, and a worker
+/// that served one caller is clean when it next serves a call without a
+/// plan.
+#[test]
+fn a_fan_out_carries_its_callers_plan_and_switch_to_its_helpers_only() {
+    struct Caller {
+        /// The site this caller's plan forces panics at.
+        site: &'static str,
+        /// The site name of its checked calls (and of their `pool` spans).
+        call: &'static str,
+        zero_mass: bool,
+        traces: bool,
+    }
+    const ROUNDS: usize = 300;
+    const CHUNKS: usize = 64;
+    const CALLERS: [Caller; 2] = [
+        Caller {
+            site: "contract_panics_a",
+            call: "contract_carries_a",
+            zero_mass: true,
+            traces: true,
+        },
+        Caller {
+            site: "contract_panics_b",
+            call: "contract_carries_b",
+            zero_mass: false,
+            traces: false,
+        },
+    ];
+    /// A call whose first two chunks wait for each other, so that a
+    /// worker is in it; `check` runs in every chunk, on whoever runs it.
+    fn checked_call(site: &'static str, check: impl Fn() + Sync) -> bool {
+        let caller = std::thread::current().id();
+        let entered = AtomicUsize::new(0);
+        let helped = AtomicBool::new(false);
+        try_parallel_for(site, CHUNKS, 1, |_| {
+            check();
+            if std::thread::current().id() != caller {
+                helped.store(true, Ordering::Relaxed);
+            }
+            if entered.fetch_add(1, Ordering::SeqCst) < 2 {
+                while entered.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+            }
+        })
+        .unwrap_or_else(|e| panic!("{site}: {e:?}"));
+        helped.load(Ordering::Relaxed)
+    }
+    watchdog(|| {
+        // Held here, not by a caller: the sink and the registry are the
+        // process's, the switch is each thread's own.
+        let _session = sa_trace::scoped();
+        sa_trace::set_enabled(false);
+        std::thread::scope(|scope| {
+            for (me, other) in [(&CALLERS[0], &CALLERS[1]), (&CALLERS[1], &CALLERS[0])] {
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        let threads = [2, 3, MAX_THREADS][round % 3];
+                        with_threads(threads, || {
+                            let mut plan = FaultPlan::new(round as u64).worker_panic(me.site);
+                            plan.zero_mass = me.zero_mass;
+                            let installed = fault::install(plan);
+                            let err = try_parallel_for(me.site, 8, 1, |_| {})
+                                .expect_err("the caller's own forced panic");
+                            assert!(matches!(err, SaError::WorkerPanic { .. }), "{err:?}");
+                            try_parallel_for(other.site, 8, 1, |_| {})
+                                .expect("the other caller's forced panic");
+                            sa_trace::set_enabled(me.traces);
+                            let helped = checked_call(me.call, || {
+                                assert!(fault::should_panic(me.site));
+                                assert!(!fault::should_panic(other.site));
+                                let mut scores = [1.0f32];
+                                let zeroed = fault::tamper_scores("stage1_scores", &mut scores);
+                                assert_eq!(zeroed, me.zero_mass);
+                                assert_eq!(sa_trace::enabled(), me.traces);
+                            });
+                            sa_trace::set_enabled(false);
+                            assert!(helped, "round {round}: no worker was in the call");
+                            drop(installed);
+                            checked_call("contract_carries_nothing", || {
+                                assert!(!fault::should_panic(me.site), "a plan leaked");
+                                assert!(!fault::should_panic(other.site), "a plan leaked");
+                                assert!(!sa_trace::enabled(), "a trace switch leaked");
+                            });
+                        });
+                    }
+                    // A scoped thread's exit flush may land after the join.
+                    sa_trace::flush_thread();
+                });
+            }
+        });
+        let events = sa_trace::drain();
+        assert!(
+            events
+                .iter()
+                .all(|e| e.cat == "pool" && e.name == CALLERS[0].call),
+            "only the tracing caller's checked calls record spans"
+        );
+        assert_eq!(events.len(), ROUNDS, "one span per traced call");
+        assert_eq!(
+            sa_trace::metrics::counter("pool.chunks").get(),
+            (ROUNDS * CHUNKS) as u64,
+            "the traced calls' chunks and nobody else's"
         );
     });
 }

@@ -378,7 +378,7 @@ fn recovered_storm_ledger_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn storm_event_log_is_byte_identical_across_thread_counts() {
-    // The full chaos-soak fault storm installed globally: planned
+    // The full chaos-soak fault storm installed around every run: planned
     // crashes, allocation failures, and KV bit flips during execution.
     // The `sa.events.v1` log is emitted by the serial virtual-time
     // planner and then reconciled against the executed ledger, so its
