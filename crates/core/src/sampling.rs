@@ -7,7 +7,7 @@
 //! makes a small sample representative of all rows.
 
 use sa_kernels::{score_scale, CostReport, KeyPanels, PreparedKeys, ENGINE_BLOCK};
-use sa_tensor::{fault, pool, softmax_row, Isa, Matrix, StrideSample, TensorError};
+use sa_tensor::{fault, pool, softmax_row_on, Isa, Matrix, StrideSample, TensorError};
 
 use crate::sparsity::causal_width;
 
@@ -160,7 +160,7 @@ pub fn sample_attention_scores_prepared(
                 panels.score_panel(isa, p, [q.row(i)], scale, [lanes]);
             }
             row_probs.truncate(width);
-            softmax_row(row_probs);
+            softmax_row_on(isa, row_probs);
         }
         visible
             .into_iter()
@@ -185,7 +185,7 @@ pub fn sample_attention_scores_prepared(
     let diagonal_scores: Vec<f32> = diagonal_acc.into_iter().map(|v| v as f32).collect();
     // Fault-injection hook: an installed plan with `zero_mass` wipes the
     // accumulated column scores here, exercising the zero-mass sentinel
-    // downstream. Inert (a single atomic load) unless a plan is installed.
+    // downstream. Inert (one thread-local read) unless a plan is installed.
     fault::tamper_scores("stage1_scores", &mut column_scores);
 
     // Fused kernel cost: Q sample rows + visible K rows read, column

@@ -274,10 +274,10 @@ pub(crate) fn run<G: RowGeometry>(
         return Ok((output, Tally::default()));
     }
     if trace::enabled() {
-        static ISA_AVX2: OnceLock<&'static Gauge> = OnceLock::new();
-        ISA_AVX2
-            .get_or_init(|| trace::metrics::gauge("kernels.isa_avx2"))
-            .set(i64::from(isa.avx2()));
+        static ISA_LANES: OnceLock<&'static Gauge> = OnceLock::new();
+        ISA_LANES
+            .get_or_init(|| trace::metrics::gauge("kernels.isa_lanes"))
+            .set(isa.lanes() as i64);
     }
     let scale = score_scale(d);
     let extras = geom.extras();
@@ -686,10 +686,15 @@ mod tests {
         let mask = StructuredMask::dense_causal(8, 8);
         let (q, k, v) = random_qkv(8, 8, 4, 14);
         sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
-        let reported = trace::metrics::gauge("kernels.isa_avx2").get();
+        let reported = trace::metrics::gauge("kernels.isa_lanes").get();
         drop(session);
-        assert_eq!(reported, i64::from(Isa::detect().avx2()));
-        assert_eq!(reported == 1, sa_tensor::isa_name() == "avx2");
+        assert_eq!(reported, Isa::detect().lanes() as i64);
+        let lanes = match sa_tensor::isa_name() {
+            "avx512" => 16,
+            "avx2" => 8,
+            _ => 4,
+        };
+        assert_eq!(reported, lanes);
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! Rust autovectorises across `t`.
 //!
 //! What keeps the bits the same on every host is the arithmetic, not the
-//! instruction set: no fused multiply-add (no build enables `fma`, and
+//! instruction set: no fused multiply-add (no build asks for `fma`, and
 //! Rust never contracts `a * b + c`), no reassociation (no fast-math, no
 //! intrinsics), and a fixed order per lane. Vector width is free under
-//! those three, so the microkernel is one generic body compiled twice —
-//! for the target's baseline instruction set and, on x86-64, with AVX2 —
-//! and [`KeyPanels::score_panel`] runs the build its [`Isa`] argument
-//! names. Callers take that from `Isa::detect()` once per call; nothing
-//! but the CPU chooses it.
+//! those three, so the microkernel is one generic body compiled three
+//! times — for the target's baseline instruction set and, on x86-64, with
+//! AVX2 and with AVX-512 — and [`KeyPanels::score_panel`] runs the build
+//! its [`Isa`] argument names. Callers take that from `Isa::detect()` once
+//! per call; nothing but the CPU chooses it.
 //!
 //! The layout is built once per KV head and appended to as keys arrive
 //! (`sa-model`'s `LayerKvCache` owns one per head); stage-1 sampling, the
@@ -23,15 +23,19 @@
 //! what two scalar dot products do, so whoever holds keys across calls
 //! keeps their panels too.
 
-use sa_tensor::{Isa, Matrix, TensorError};
+use sa_tensor::{Isa, IsaBuild, Matrix, TensorError};
 
 /// Key lanes per panel, and query rows per engine block.
 pub const BLOCK: usize = 64;
 
-/// Lanes one accumulator group of the score panel covers: two query rows
-/// of `LANES` f32 are eight of the 16 vector registers of baseline
-/// x86-64, four under AVX2.
-const LANES: usize = 16;
+/// Lanes one accumulator group of the score panel covers, per build: two
+/// query rows of 16 f32 are eight of the 16 vector registers of baseline
+/// x86-64 and four under AVX2; under AVX-512 two rows of a whole panel
+/// are eight of its 32. Lanes are independent, so the grouping never
+/// shows in the bits.
+const LANES_BASELINE: usize = 16;
+const LANES_AVX2: usize = 16;
+const LANES_AVX512: usize = BLOCK;
 
 /// Key rows transposed into panels of [`BLOCK`] lanes.
 #[derive(Debug, Clone)]
@@ -166,12 +170,15 @@ impl KeyPanels {
         out: [&mut [f32]; R],
     ) {
         let kt = self.panel(p);
-        match isa.avx2() {
+        match isa.build() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Isa::avx2` is true only on a value `Isa::detect`
-            // made after `is_x86_feature_detected!("avx2")` said so on
-            // this CPU.
-            true => unsafe { score_panel_avx2(kt, q, scale, out) },
+            // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+            // `avx2` and `avx512f` on this CPU.
+            IsaBuild::Avx512 => unsafe { score_panel_avx512(kt, q, scale, out) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found
+            // `avx2` on this CPU.
+            IsaBuild::Avx2 => unsafe { score_panel_avx2(kt, q, scale, out) },
             _ => score_panel_baseline(kt, q, scale, out),
         }
     }
@@ -184,7 +191,7 @@ fn score_panel_baseline<const R: usize>(
     scale: f32,
     out: [&mut [f32]; R],
 ) {
-    score_lanes(kt, q, scale, out);
+    score_lanes::<R, LANES_BASELINE>(kt, q, scale, out);
 }
 
 /// The score panel compiled with AVX2 (and nothing else: no `fma`): the
@@ -192,16 +199,35 @@ fn score_panel_baseline<const R: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn score_panel_avx2<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, out: [&mut [f32]; R]) {
-    score_lanes(kt, q, scale, out);
+    score_lanes::<R, LANES_AVX2>(kt, q, scale, out);
 }
 
-/// The one body of the score panel, over the transposed panel `kt`.
+/// The score panel compiled with AVX-512F: the same multiplies and adds
+/// per lane, sixteen lanes to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn score_panel_avx512<const R: usize>(
+    kt: &[f32],
+    q: [&[f32]; R],
+    scale: f32,
+    out: [&mut [f32]; R],
+) {
+    score_lanes::<R, LANES_AVX512>(kt, q, scale, out);
+}
+
+/// The one body of the score panel, over the transposed panel `kt`, `L`
+/// lanes of `R` rows at a time.
 #[inline(always)]
-fn score_lanes<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, mut out: [&mut [f32]; R]) {
-    for c in 0..BLOCK / LANES {
-        let mut acc = [[0.0f32; LANES]; R];
+fn score_lanes<const R: usize, const L: usize>(
+    kt: &[f32],
+    q: [&[f32]; R],
+    scale: f32,
+    mut out: [&mut [f32]; R],
+) {
+    for c in 0..BLOCK / L {
+        let mut acc = [[0.0f32; L]; R];
         for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
-            let lanes = &k_row[c * LANES..(c + 1) * LANES];
+            let lanes = &k_row[c * L..(c + 1) * L];
             for (acc_row, q_row) in acc.iter_mut().zip(&q) {
                 let x = q_row[dd];
                 for (a, &kv) in acc_row.iter_mut().zip(lanes) {
@@ -210,7 +236,7 @@ fn score_lanes<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, mut out: 
             }
         }
         for (out_row, acc_row) in out.iter_mut().zip(&acc) {
-            let dst = &mut out_row[c * LANES..(c + 1) * LANES];
+            let dst = &mut out_row[c * L..(c + 1) * L];
             for (o, &a) in dst.iter_mut().zip(acc_row) {
                 *o = a * scale;
             }
@@ -306,7 +332,7 @@ mod tests {
         let q = rng.normal_matrix(2, 12, 1.0);
         let panels = KeyPanels::from_rows(&k);
         let scale = 0.37;
-        // Baseline always; the AVX2 build too where the CPU has it.
+        // Baseline always; the AVX2 and AVX-512 builds where the CPU has them.
         for (isa, p) in Isa::every()
             .into_iter()
             .flat_map(|isa| [(isa, 0), (isa, 1)])

@@ -95,7 +95,7 @@ pub fn exp(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Isa;
+    use crate::{Isa, IsaBuild};
 
     /// The correctly rounded result: `f64::exp` rounded to f32.
     fn reference(x: f32) -> f32 {
@@ -205,6 +205,12 @@ mod tests {
         exp_slice(xs);
     }
 
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,avx512f")]
+    fn exp_slice_avx512(xs: &mut [f32]) {
+        exp_slice(xs);
+    }
+
     #[test]
     fn a_slice_on_every_build_equals_the_scalar_call_bitwise() {
         // Inlined into a loop the body vectorises, at the width of the
@@ -230,11 +236,15 @@ mod tests {
             .collect();
         for isa in Isa::every() {
             let mut got = inputs.clone();
-            match isa.avx2() {
+            match isa.build() {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Isa::avx2` is true only when AVX2 was detected
-                // on this CPU.
-                true => unsafe { exp_slice_avx2(&mut got) },
+                // SAFETY: an `Isa` names AVX-512 only when `avx2` and
+                // `avx512f` were detected on this CPU.
+                IsaBuild::Avx512 => unsafe { exp_slice_avx512(&mut got) },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: an `Isa` names AVX2 only when `avx2` was
+                // detected on this CPU.
+                IsaBuild::Avx2 => unsafe { exp_slice_avx2(&mut got) },
                 _ => exp_slice(&mut got),
             }
             for ((&x, got), &want) in inputs.iter().zip(&got).zip(&want) {

@@ -61,7 +61,7 @@ pub use sa_trace as trace;
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
 pub use exp::exp;
-pub use isa::{isa_name, Isa};
+pub use isa::{isa_name, Isa, IsaBuild};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
 pub use packed::{matmul_packed, matmul_packed_cols, PackedWeights};
@@ -77,7 +77,8 @@ pub use select::{
 };
 pub use softmax::{
     log_sum_exp, online_softmax_update, online_softmax_update_on, online_softmax_update_tile_on,
-    softmax_row, softmax_rows, softmax_rows_in_place, OnlineSoftmaxState, FOLD_KEYS,
+    softmax_row, softmax_row_on, softmax_rows, softmax_rows_in_place, OnlineSoftmaxState,
+    FOLD_KEYS,
 };
 pub use stats::{cosine_similarity, l1_distance, l1_norm, max_abs_diff, mean, mse, variance};
 pub use tilepack::TilePack;

@@ -11,11 +11,11 @@
 //!
 //! As for the engine's inner loops (see [`Isa`]), the arithmetic keeps
 //! the bits, not the instruction set: no fused multiply-add, no
-//! reassociation, no intrinsics, one body compiled for the baseline ISA
-//! and for AVX2. The one thing the scalar oracle does that this kernel
-//! does not is skip `a[kk] == 0.0`. The skipped term is `±0.0` whenever
-//! `B[kk][j]` is finite, and adding `±0.0` to a sum that started at
-//! `+0.0` never changes it (such a sum is never `-0.0`), so the results
+//! reassociation, no intrinsics, one body compiled for the baseline ISA,
+//! for AVX2 and for AVX-512. The one thing the scalar oracle does that
+//! this kernel does not is skip `a[kk] == 0.0`. The skipped term is `±0.0`
+//! whenever `B[kk][j]` is finite, and adding `±0.0` to a sum that started
+//! at `+0.0` never changes it (such a sum is never `-0.0`), so the results
 //! are the same bits for finite weights; [`PackedWeights::pack`] refuses
 //! any other.
 //!
@@ -25,10 +25,10 @@
 
 use std::ops::Range;
 
-use crate::{pool, Isa, Matrix, TensorError, GEMM_BLOCK};
+use crate::{pool, Isa, IsaBuild, Matrix, TensorError, GEMM_BLOCK};
 
-/// Columns per weight panel: one row of a panel is two AVX2 registers,
-/// four at baseline x86-64.
+/// Columns per weight panel: one row of a panel is one AVX-512 register,
+/// two AVX2 ones, four at baseline x86-64.
 const LANES: usize = 16;
 
 /// A `k x n` weight matrix — or several with the same `k`, side by side —
@@ -160,11 +160,15 @@ fn packed_product(isa: Isa, a: &Matrix, w: &PackedWeights, cols: Range<usize>) -
 /// Fills `out`, the output rows matching the input rows `a`, on the
 /// build `isa` names.
 fn gemm_rows(isa: Isa, a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    match isa.avx2() {
+    match isa.build() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
-        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
-        true => unsafe { gemm_rows_avx2(a, w, cols, out) },
+        // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+        // `avx2` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { gemm_rows_avx512(a, w, cols, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
+        // on this CPU.
+        IsaBuild::Avx2 => unsafe { gemm_rows_avx2(a, w, cols, out) },
         _ => gemm_rows_baseline(a, w, cols, out),
     }
 }
@@ -182,6 +186,15 @@ fn gemm_rows_baseline(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mu
 #[target_feature(enable = "avx2")]
 fn gemm_rows_avx2(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
     gemm_rows_body::<4>(a, w, cols, out);
+}
+
+/// The GEMM compiled with AVX-512F: the same multiplies and adds per
+/// lane, sixteen lanes to a register, eight rows of a panel in eight of
+/// the 32 registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn gemm_rows_avx512(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
+    gemm_rows_body::<8>(a, w, cols, out);
 }
 
 /// The one body of the GEMM: per [`GEMM_BLOCK`]-row block and panel,
@@ -305,7 +318,8 @@ mod tests {
     #[test]
     fn packed_gemm_equals_scalar_matmul_bitwise() {
         let mut rng = DeterministicRng::new(0x9ac4);
-        for m in [1, 3, 4, 5, 63, 64, 65] {
+        // 8, 9, 17: one and two whole AVX-512 row tiles, and a tail.
+        for m in [1, 3, 4, 5, 8, 9, 17, 63, 64, 65] {
             for k in [1, 108, 216] {
                 for n in [1, 15, 16, 17, 64, 108, 216] {
                     let a = input(&mut rng, m, k);

@@ -1,5 +1,5 @@
 use crate::exp::exp;
-use crate::{pool, Isa, Matrix};
+use crate::{pool, Isa, IsaBuild, Matrix};
 
 /// Numerically stable softmax of a single row, written in place.
 ///
@@ -11,7 +11,48 @@ use crate::{pool, Isa, Matrix};
 /// (S ≥ 128k) an f32 running sum loses enough low-order mass to shift the
 /// stage-2 coverage threshold. Each weight is still computed and stored
 /// as f32.
+///
+/// Runs the widest build this CPU supports; callers that normalise many rows
+/// pick the [`Isa`] once and use [`softmax_row_on`].
 pub fn softmax_row(row: &mut [f32]) {
+    softmax_row_on(Isa::detect(), row);
+}
+
+/// [`softmax_row`] on the build `isa` names. The exponent and scale
+/// passes are element-wise and the normaliser adds in index order on every
+/// build, so every build writes the same bits.
+#[inline]
+pub fn softmax_row_on(isa: Isa, row: &mut [f32]) {
+    match isa.build() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+        // `avx2` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { softmax_row_avx512(row) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
+        // on this CPU.
+        IsaBuild::Avx2 => unsafe { softmax_row_avx2(row) },
+        _ => softmax_lanes(row),
+    }
+}
+
+/// The row softmax compiled with AVX2 (and nothing else: no `fma`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn softmax_row_avx2(row: &mut [f32]) {
+    softmax_lanes(row);
+}
+
+/// The row softmax compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn softmax_row_avx512(row: &mut [f32]) {
+    softmax_lanes(row);
+}
+
+/// The one body of the row softmax.
+#[inline(always)]
+fn softmax_lanes(row: &mut [f32]) {
     if row.is_empty() {
         return;
     }
@@ -126,22 +167,25 @@ pub const FOLD_KEYS: usize = 64;
 
 /// Lane partials of a block's maximum and of its weight sum: position
 /// `t` of the block goes to lane `t % FOLD_LANES`. A constant of the
-/// fold's definition, not of the instruction set — eight lanes are one
-/// AVX2 register or two baseline ones, and both builds add the same
-/// floats in the same order.
+/// fold's definition, not of the instruction set — eight lanes are half
+/// an AVX-512 register, one AVX2 register or two baseline ones, and every
+/// build adds the same floats in the same order.
 const FOLD_LANES: usize = 8;
 
 /// Accumulator columns one row holds in registers across the keys of a
-/// block: eight 4-lane registers on baseline x86-64, four 8-lane ones
-/// under AVX2. Columns are independent, so the chunking never shows in
-/// the bits.
-const FOLD_COLUMNS: usize = 32;
+/// block, per build: eight 4-lane registers on baseline x86-64, four
+/// 8-lane ones under AVX2, four 16-lane ones under AVX-512. Columns are
+/// independent, so the chunking never shows in the bits.
+const FOLD_COLUMNS_BASELINE: usize = 32;
+const FOLD_COLUMNS_AVX2: usize = 32;
+const FOLD_COLUMNS_AVX512: usize = 64;
 
 /// Columns each row of a pair holds when two rows accumulate together,
-/// per build: eight accumulator registers either way, which leaves room
+/// per build: eight accumulator registers every time, which leaves room
 /// for the value loads both rows share and the two weights.
 const PAIR_COLUMNS_BASELINE: usize = 16;
 const PAIR_COLUMNS_AVX2: usize = 32;
+const PAIR_COLUMNS_AVX512: usize = 64;
 
 /// Folds one block of raw scores and their value rows into the online
 /// softmax state.
@@ -205,11 +249,15 @@ pub fn online_softmax_update_on<'a>(
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    match isa.avx2() {
+    match isa.build() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
-        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
-        true => unsafe { fold_avx2(state, scores, values) },
+        // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+        // `avx2` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { fold_avx512(state, scores, values) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
+        // on this CPU.
+        IsaBuild::Avx2 => unsafe { fold_avx2(state, scores, values) },
         _ => fold_baseline(state, scores, values),
     }
 }
@@ -260,11 +308,15 @@ pub fn online_softmax_update_tile_on(
         live.len(),
         v_slab.len()
     );
-    match isa.avx2() {
+    match isa.build() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::avx2` is true only on a value `Isa::detect` made
-        // after `is_x86_feature_detected!("avx2")` said so on this CPU.
-        true => unsafe { fold_tile_avx2(states, score_tile, live, v_slab) },
+        // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+        // `avx2` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { fold_tile_avx512(states, score_tile, live, v_slab) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
+        // on this CPU.
+        IsaBuild::Avx2 => unsafe { fold_tile_avx2(states, score_tile, live, v_slab) },
         _ => fold_tile_baseline(states, score_tile, live, v_slab),
     }
 }
@@ -275,7 +327,7 @@ fn fold_baseline<'a>(
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    fold(state, scores, values);
+    fold::<FOLD_COLUMNS_BASELINE>(state, scores, values);
 }
 
 /// The row fold compiled with AVX2 (and nothing else: no `fma`): the
@@ -287,7 +339,19 @@ fn fold_avx2<'a>(
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    fold(state, scores, values);
+    fold::<FOLD_COLUMNS_AVX2>(state, scores, values);
+}
+
+/// The row fold compiled with AVX-512F: the same multiplies and adds per
+/// lane, sixteen lanes to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn fold_avx512<'a>(
+    state: &mut OnlineSoftmaxState,
+    scores: &[f32],
+    values: impl FnMut(usize) -> &'a [f32],
+) {
+    fold::<FOLD_COLUMNS_AVX512>(state, scores, values);
 }
 
 /// The tile fold compiled for the target's baseline instruction set.
@@ -297,7 +361,7 @@ fn fold_tile_baseline(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_BASELINE>(states, score_tile, live, v_slab);
+    fold_tile::<PAIR_COLUMNS_BASELINE, FOLD_COLUMNS_BASELINE>(states, score_tile, live, v_slab);
 }
 
 /// The tile fold compiled with AVX2 (and nothing else: no `fma`).
@@ -309,7 +373,19 @@ fn fold_tile_avx2(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_AVX2>(states, score_tile, live, v_slab);
+    fold_tile::<PAIR_COLUMNS_AVX2, FOLD_COLUMNS_AVX2>(states, score_tile, live, v_slab);
+}
+
+/// The tile fold compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f")]
+fn fold_tile_avx512(
+    states: &mut [OnlineSoftmaxState],
+    score_tile: &[f32],
+    live: &[(usize, usize)],
+    v_slab: &[f32],
+) {
+    fold_tile::<PAIR_COLUMNS_AVX512, FOLD_COLUMNS_AVX512>(states, score_tile, live, v_slab);
 }
 
 /// `b` if it is greater, else `a`: the select every step of the block
@@ -388,9 +464,10 @@ fn prepare(
 }
 
 /// The one body of the row fold: [`prepare`] each block, then step 5
-/// over the value rows the caller's closure hands out.
+/// over the value rows the caller's closure hands out, `COLUMNS` columns
+/// at a time.
 #[inline(always)]
-fn fold<'a>(
+fn fold<'a, const COLUMNS: usize>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     mut values: impl FnMut(usize) -> &'a [f32],
@@ -398,7 +475,9 @@ fn fold<'a>(
     let mut weights = [0.0f32; FOLD_KEYS];
     for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
         if prepare(state, block, &mut weights).is_some() {
-            accumulate_live(state, block, &mut weights, |t| values(pass * FOLD_KEYS + t));
+            accumulate_live::<COLUMNS>(state, block, &mut weights, |t| {
+                values(pass * FOLD_KEYS + t)
+            });
         }
     }
 }
@@ -407,7 +486,7 @@ fn fold<'a>(
 /// value row and weight of every key that is not `-inf`, in order, and
 /// accumulates them.
 #[inline(always)]
-fn accumulate_live<'a>(
+fn accumulate_live<'a, const COLUMNS: usize>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     weights: &mut [f32; FOLD_KEYS],
@@ -425,14 +504,15 @@ fn accumulate_live<'a>(
         rows[live] = row;
         live += 1;
     }
-    accumulate::<1, FOLD_COLUMNS>([&mut state.acc], [weights], live, |j| rows[j]);
+    accumulate::<1, COLUMNS>([&mut state.acc], [weights], live, |j| rows[j]);
 }
 
 /// The one body of the tile fold: rows two at a time, each through
 /// [`prepare`]; a pair that shares its range and has no `-inf` key runs
-/// step 5 together, any other row on its own as the row fold would.
+/// step 5 together over `PAIR_COLUMNS`-column chunks, any other row on
+/// its own over `COLUMNS`-column ones, as the row fold would.
 #[inline(always)]
-fn fold_tile<const PAIR_COLUMNS: usize>(
+fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize>(
     states: &mut [OnlineSoftmaxState],
     score_tile: &[f32],
     live: &[(usize, usize)],
@@ -469,11 +549,11 @@ fn fold_tile<const PAIR_COLUMNS: usize>(
             match holes[r] {
                 None => {}
                 Some(false) => {
-                    accumulate::<1, FOLD_COLUMNS>([&mut state.acc], [&weights[r]], hi - lo, value)
+                    accumulate::<1, COLUMNS>([&mut state.acc], [&weights[r]], hi - lo, value)
                 }
                 Some(true) => {
                     let row = &scores[r * FOLD_KEYS..][lo..hi];
-                    accumulate_live(state, row, &mut weights[r], value);
+                    accumulate_live::<COLUMNS>(state, row, &mut weights[r], value);
                 }
             }
         }
@@ -589,6 +669,50 @@ mod tests {
             softmax_row(&mut want);
             for (g, w) in out.row(i).iter().zip(&want) {
                 assert!((g - w).abs() < 1e-7);
+            }
+        }
+    }
+
+    #[test]
+    fn row_softmax_on_every_build_is_the_scalar_statement() {
+        // Plain loops sharing nothing with the builds but `exp`: the
+        // maximum ignoring NaN, the exponent pass, the f64 normaliser in
+        // index order, the f32 scale.
+        fn statement(row: &mut [f32]) {
+            let max = row
+                .iter()
+                .fold(f32::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+            if max == f32::NEG_INFINITY {
+                row.fill(0.0);
+                return;
+            }
+            let mut sum = 0.0f64;
+            for v in row.iter_mut() {
+                *v = exp(*v - max);
+                sum += f64::from(*v);
+            }
+            let inv = (1.0 / sum) as f32;
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
+        }
+        let mut rng = crate::DeterministicRng::new(0x50F7);
+        for len in [1usize, 7, 16, 63, 64, 65, 200, 4097] {
+            let mut rows = vec![rng.normal_matrix(1, len, 4.0).into_vec()];
+            let mut holes = rows[0].clone();
+            for x in holes.iter_mut().step_by(3) {
+                *x = f32::NEG_INFINITY;
+            }
+            rows.extend([holes, vec![f32::NEG_INFINITY; len]]);
+            for row in rows {
+                let mut want = row.clone();
+                statement(&mut want);
+                for isa in builds() {
+                    let mut got = row.clone();
+                    softmax_row_on(isa, &mut got);
+                    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "len {len} on {}", isa.name());
+                }
             }
         }
     }
@@ -774,11 +898,16 @@ mod tests {
         }
     }
 
-    /// Baseline always; the AVX2 build too where the CPU has it.
+    /// Baseline always; the AVX2 and AVX-512 builds where the CPU has
+    /// them.
     fn builds() -> Vec<Isa> {
         let builds = Isa::every();
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert_eq!(builds.len(), 3, "an AVX-512 CPU must hold all three builds");
+        }
         if builds.len() == 1 {
-            println!("this CPU lacks AVX2: the AVX2 build of the fold is not exercised");
+            println!("this CPU lacks AVX2: the wide builds of the fold are not exercised");
         }
         builds
     }
@@ -820,7 +949,9 @@ mod tests {
         (scores, rng.normal_matrix(len, dv, 1.0))
     }
 
-    const WIDTHS: [usize; 8] = [1, 8, 31, 32, 33, 64, 65, 128];
+    /// Around the column chunks of every build: 32 (baseline, AVX2) and
+    /// 64 (AVX-512), a whole chunk, one plus a tail, and two.
+    const WIDTHS: [usize; 9] = [1, 8, 31, 32, 33, 64, 65, 72, 128];
 
     #[test]
     fn row_fold_is_the_definition_at_every_width_and_block_length() {
@@ -844,7 +975,7 @@ mod tests {
     #[test]
     fn row_fold_skips_masked_lanes_and_masked_blocks() {
         let mut rng = crate::DeterministicRng::new(0xF02D);
-        for dv in [1usize, 31, 64, 65] {
+        for dv in [1usize, 31, 64, 65, 72] {
             let mut blocks = Vec::new();
             for len in [1usize, 9, 63, 65, 200] {
                 let (mut scores, values) = random_block(&mut rng, len, dv);
@@ -982,7 +1113,7 @@ mod tests {
     #[test]
     fn tile_fold_skips_masked_lanes_masked_rows_and_masked_tiles() {
         let mut rng = crate::DeterministicRng::new(0xF04D);
-        for dv in [1usize, 33, 64] {
+        for dv in [1usize, 33, 64, 72] {
             for rows in [1usize, 2, 5, 64] {
                 let mut tiles = Vec::new();
                 for (n, ranges) in [Ranges::Full, Ranges::Ragged, Ranges::Full]

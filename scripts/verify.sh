@@ -15,18 +15,19 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds, no libm expf)"
-# The score panel, the row fold, the tile fold and the packed-weight GEMM
-# are each one body compiled for the baseline ISA and for AVX2 (DESIGN.md
-# 5g). Their results are the same bits only while no build fuses a
-# multiply into an add, and the AVX2 build is only worth dispatching to
-# while it really is 8 lanes wide. sa-kernels holds every engine
-# instantiation of the score panel and the row fold (generic over the
-# caller's closure, so compiled where it is called); sa-tensor holds the
-# tile fold and the GEMM. And the bits are libm-independent only while
-# every f32 exponential on the pipeline path is `sa_tensor::exp`: a
-# reference to `expf` in a pipeline crate's objects is a call that slipped
-# past it.
+echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf)"
+# The score panel, the row fold, the tile fold, the row softmax and the
+# packed-weight GEMM are each one body compiled for the baseline ISA, for
+# AVX2 and for AVX-512 (DESIGN.md 5g). Their results are the same bits only
+# while no build fuses a multiply into an add (AVX-512F implies `fma` to
+# the compiler, so this is what holds that build to it), and a wide build
+# is only worth dispatching to while it really is 8 or 16 lanes wide.
+# sa-kernels holds every engine instantiation of the score panel and the
+# row fold (generic over the caller's closure, so compiled where it is
+# called); sa-tensor holds the tile fold, the row softmax and the GEMM.
+# And the bits are libm-independent only while every f32 exponential on
+# the pipeline path is `sa_tensor::exp`: a reference to `expf` in a
+# pipeline crate's objects is a call that slipped past it.
 if [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86_64 host, only the baseline build exists"
 elif ! command -v objdump >/dev/null; then
@@ -37,31 +38,41 @@ else
     for lib in sa_kernels sa_tensor; do
         objdump -d --no-show-raw-insn -C "target/release/lib$lib.rlib" 2>/dev/null || true
     done | awk '
+        function loop(s) {
+            return s ~ /score_panel_/ ? "score_panel" : s ~ /gemm_rows_/ ? "gemm_rows" : \
+                s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_row_/ ? "softmax_row" : "fold"
+        }
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold|fold_tile|gemm_rows)_avx2/) wide[sym] = 0
+            if (sym ~ /(score_panel|fold|fold_tile|softmax_row|gemm_rows)_avx(2|512)>/) wide[sym] = 0
             next
         }
         /vfn?m(add|sub)/ { fused[sym]++ }
-        /%ymm/ { if (sym in wide) wide[sym]++ }
+        /%ymm/ { if (sym in wide && sym ~ /_avx2>/) wide[sym]++ }
+        /%zmm/ { if (sym in wide && sym ~ /_avx512>/) wide[sym]++ }
         END {
             for (s in fused) { print "FMA instruction in " s; bad = 1 }
             for (s in wide) {
-                if (s ~ /score_panel_avx2/) panels++
-                else if (s ~ /gemm_rows_avx2/) gemms++
-                else if (s ~ /fold_tile_avx2/) tiles++
-                else folds++
-                if (wide[s] == 0) { print "no ymm operand in " s; bad = 1 }
+                build = s ~ /_avx512>/ ? "avx512" : "avx2"
+                count[loop(s) "_" build]++
+                if (wide[s] == 0) {
+                    print "no " (build == "avx512" ? "zmm" : "ymm") " operand in " s
+                    bad = 1
+                }
             }
-            if (panels == 0) { print "no score_panel_avx2 instantiation found"; bad = 1 }
-            if (folds == 0) { print "no fold_avx2 instantiation found"; bad = 1 }
-            if (tiles == 0) { print "no fold_tile_avx2 instantiation found"; bad = 1 }
-            if (gemms == 0) { print "no gemm_rows_avx2 instantiation found"; bad = 1 }
-            printf "%d score-panel, %d row-fold, %d tile-fold and %d packed-GEMM AVX2 instantiations checked\n", panels, folds, tiles, gemms
+            split("score_panel fold fold_tile softmax_row gemm_rows", loops, " ")
+            for (i = 1; i <= 5; i++) {
+                for (b = 1; b <= 2; b++) {
+                    name = loops[i] "_" (b == 1 ? "avx2" : "avx512")
+                    if (!count[name]) { print "no " name " instantiation found"; bad = 1 }
+                }
+                printf "%s: %d AVX2, %d AVX-512 instantiations checked\n", loops[i], \
+                    count[loops[i] "_avx2"], count[loops[i] "_avx512"]
+            }
             exit bad
         }' || {
-        echo "codegen guard: a dispatched loop would not give the same bits, or lost its AVX2 build" >&2
+        echo "codegen guard: a dispatched loop would not give the same bits, or lost a wide build" >&2
         exit 1
     }
     for lib in sa_tensor sa_kernels sa_core sa_model; do
@@ -103,10 +114,10 @@ SA_THREADS=1 cargo test -q --offline --test kernel_equivalence
 SA_THREADS=3 cargo test -q --offline --test kernel_equivalence
 cargo test -q --offline --test kernel_equivalence
 
-echo "==> differential ISA leg at release codegen: baseline build vs AVX2 build vs oracles"
-# The two builds of an inner loop only differ once the optimiser
-# vectorises them, which a debug test binary never does: run the legs
-# that hold both builds to each other, to the row-wise reference, to the
+echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 builds vs oracles"
+# The builds of an inner loop only differ once the optimiser vectorises
+# them, which a debug test binary never does: run the legs that hold every
+# build the CPU has to the others, to the row-wise reference, to the
 # scalar statement of the fold and to the scalar exp against the code
 # that ships.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa

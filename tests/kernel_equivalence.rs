@@ -464,18 +464,23 @@ fn long_context_mask() -> StructuredMask {
         .unwrap()
 }
 
-/// The two inner loops (score panel, fold) are each compiled twice, for
-/// the baseline instruction set and for AVX2, and the CPU picks. Both
-/// builds run the same per-lane arithmetic, so the whole engine on either
-/// must equal the other and the row-wise reference bit for bit: on every
-/// named pattern, on decode-shaped blocks of 1..4 rows, and at 8K. On a
-/// CPU without AVX2 only the baseline build exists and only it runs.
+/// The inner loops (score panel, row and tile folds) are each compiled
+/// three times, for the baseline instruction set, for AVX2 and for
+/// AVX-512, and the CPU picks. Every build runs the same per-lane
+/// arithmetic, so the whole engine on each must equal the others and the
+/// row-wise reference bit for bit: on every named pattern, on
+/// decode-shaped blocks of 1..4 rows, and at 8K. A CPU runs the builds it
+/// has: only the baseline one without AVX2, all three with AVX-512.
 #[test]
 fn engine_bitwise_identical_on_every_isa() {
     let builds = Isa::every();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx512f") {
+        assert_eq!(builds.len(), 3, "an AVX-512 CPU must hold all three builds");
+    }
     if builds.len() == 1 {
         println!(
-            "this CPU lacks AVX2: AVX2 side skipped, baseline build held to the reference only"
+            "this CPU lacks AVX2: wide builds skipped, baseline build held to the reference only"
         );
     }
     let decode_blocks = (1..=4usize).map(|s_q| {
@@ -492,16 +497,21 @@ fn engine_bitwise_identical_on_every_isa() {
         .chain(decode_blocks)
         .chain([("long_context", long_context_mask())]);
     for (name, mask) in cases {
-        // d = 40: one whole 32-column chunk of the fold plus its tail.
-        let (q, k, v) = qkv(mask.s_q(), mask.s_k(), 40, 0x15A);
-        let panels = KeyPanels::from_rows(&k);
-        let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
-        for &isa in &builds {
-            let label = format!("{name} s_q={} on {}", mask.s_q(), isa.name());
-            let keys = PreparedKeys::new(&k, &panels);
-            let engine = sparse_flash_attention_prepared_on(isa, &q, keys, &v, &mask).unwrap();
-            assert_bitwise(&label, &engine.output, &reference.output);
-            assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");
+        // Step 5 of the fold runs whole column chunks in registers (32
+        // columns a row under AVX2, 64 under AVX-512) and the rest key by
+        // key: d = 40 is one whole 32-column chunk plus a tail, 64 one
+        // whole 64-column chunk, 72 one plus a tail.
+        for d in [40, 64, 72] {
+            let (q, k, v) = qkv(mask.s_q(), mask.s_k(), d, 0x15A);
+            let panels = KeyPanels::from_rows(&k);
+            let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
+            for &isa in &builds {
+                let label = format!("{name} s_q={} d={d} on {}", mask.s_q(), isa.name());
+                let keys = PreparedKeys::new(&k, &panels);
+                let engine = sparse_flash_attention_prepared_on(isa, &q, keys, &v, &mask).unwrap();
+                assert_bitwise(&label, &engine.output, &reference.output);
+                assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");
+            }
         }
     }
 }
