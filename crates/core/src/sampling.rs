@@ -7,7 +7,7 @@
 //! makes a small sample representative of all rows.
 
 use sa_kernels::{score_scale, CostReport, KeyPanels, PreparedKeys, ENGINE_BLOCK};
-use sa_tensor::{fault, pool, softmax_row_on, Isa, Matrix, StrideSample, TensorError};
+use sa_tensor::{fault, pool, softmax_rows_on, AlignedBuf, Isa, Matrix, StrideSample, TensorError};
 
 use crate::sparsity::causal_width;
 
@@ -85,10 +85,21 @@ pub fn sample_attention_scores(
     sample_attention_scores_prepared(q, PreparedKeys::new(k, &panels), sample_ratio)
 }
 
+/// Sampled rows per batch: the probability rows held at once. The
+/// batches, and so every addition's place in the column and diagonal
+/// sums, depend on the sample alone, never on the thread count.
+const SAMPLE_BATCH: usize = 64;
+
+/// Sampled rows one scoring task takes: the rows whose softmax
+/// normalisers [`softmax_rows_on`] advances together. Even, so that no
+/// pair of rows is split.
+const ROW_GROUP: usize = 8;
+
 /// [`sample_attention_scores`] on keys whose panels the caller already
 /// holds. Sampled rows are scored two at a time with the engine's panel
-/// microkernel; each score is the same strict-order sum as a scalar dot
-/// product, so the result does not depend on how rows are paired.
+/// microkernel; each score is the same strict-order sum of fused
+/// products as a scalar dot product, so the result does not depend on how
+/// rows are paired.
 ///
 /// # Errors
 ///
@@ -110,79 +121,54 @@ pub fn sample_attention_scores_prepared(
     let s_k = k.rows();
     let sample = StrideSample::by_ratio(s_q, sample_ratio)?;
     let scale = score_scale(d);
+    let panels = keys.panels();
+    let isa = Isa::detect();
 
-    // Parallel schedule with a serial reduction: sampled rows are
-    // processed in fixed batches of SAMPLE_BATCH rows. Within a batch the
-    // per-row probability vectors are computed on the worker pool, a pair
-    // of rows per task (per-row arithmetic identical to the serial loop,
-    // rows are independent); the batch is then folded into the
-    // accumulators strictly in sampled-row order. The batch size — and
-    // hence every addition's position in the reduction — is independent
-    // of the thread count, so the result is bit-identical under any
-    // `SA_THREADS`. Memory stays bounded at SAMPLE_BATCH probability
-    // vectors.
+    // Sampled rows go through in fixed batches of SAMPLE_BATCH, in two
+    // fan-outs each, with no allocation per row:
+    // 1. the batch's probability rows, into one reused buffer (a row per
+    //    sampled row, `stride` lanes apart, from a cache line): groups of
+    //    ROW_GROUP rows per task, scored in pairs, then their causal
+    //    softmax;
+    // 2. the batch into the accumulators, over ranges of columns and
+    //    diagonals: every element still adds the batch's rows in sampled
+    //    order, whoever takes its range.
+    // Rows are independent and every sum keeps its order, so the result is
+    // bit-identical under any `SA_THREADS`.
     //
     // The accumulators are f64 (output stays f32): thousands of sampled
     // rows each add ~`visible` tiny probabilities, the same long-sum
-    // regime that moves stage-2's α-threshold under f32 drift.
-    const SAMPLE_BATCH: usize = 64;
-    let mut column_acc = vec![0.0f64; s_k];
-    let mut diagonal_acc = vec![0.0f64; s_k];
+    // regime that moves stage-2's α-threshold under f32 drift. They sit
+    // side by side, column `j` at `j` and diagonal `o` at `s_k + o`, so
+    // one fan-out folds both.
+    let stride = s_k.div_ceil(ENGINE_BLOCK) * ENGINE_BLOCK;
+    let mut probs = AlignedBuf::zeros(SAMPLE_BATCH.min(sample.len()) * stride);
+    let mut acc = vec![0.0f64; 2 * s_k];
+    let mut widths = Vec::with_capacity(SAMPLE_BATCH);
     let mut live_pairs: u64 = 0;
-
-    let panels = keys.panels();
-    let isa = Isa::detect();
-    // Softmax rows of up to two sampled rows: raw scores a whole panel at
-    // a time, both rows while both still see the panel, then cut to each
-    // row's causal width.
-    let pair_probs = |rows: &[usize]| -> Vec<(usize, Vec<f32>)> {
-        let visible: Vec<usize> = rows.iter().map(|&i| causal_width(i, s_q, s_k)).collect();
-        let mut probs: Vec<Vec<f32>> = visible
-            .iter()
-            .map(|&v| vec![0.0f32; v.div_ceil(ENGINE_BLOCK) * ENGINE_BLOCK])
-            .collect();
-        let mut shared = 0;
-        if let [first, second] = probs.as_mut_slice() {
-            shared = first.len().min(second.len()) / ENGINE_BLOCK;
-            for p in 0..shared {
-                let lanes = p * ENGINE_BLOCK..(p + 1) * ENGINE_BLOCK;
-                panels.score_panel(
-                    isa,
-                    p,
-                    [q.row(rows[0]), q.row(rows[1])],
-                    scale,
-                    [&mut first[lanes.clone()], &mut second[lanes]],
-                );
-            }
-        }
-        for ((&i, &width), row_probs) in rows.iter().zip(&visible).zip(&mut probs) {
-            for (p, lanes) in row_probs.chunks_mut(ENGINE_BLOCK).enumerate().skip(shared) {
-                panels.score_panel(isa, p, [q.row(i)], scale, [lanes]);
-            }
-            row_probs.truncate(width);
-            softmax_row_on(isa, row_probs);
-        }
-        visible
-            .into_iter()
-            .zip(probs)
-            .filter(|&(width, _)| width > 0)
-            .collect()
-    };
-    let grain = pool::row_grain(2 * s_k.max(1) * d.max(1));
+    let score_grain = pool::row_grain(stride * d.max(1)).div_ceil(ROW_GROUP) * ROW_GROUP;
     for batch in sample.indices().chunks(SAMPLE_BATCH) {
-        let pairs: Vec<&[usize]> = batch.chunks(2).collect();
-        let computed =
-            pool::try_parallel_map("stage1_sampling", pairs.len(), grain, |b| pair_probs(pairs[b]))?;
-        for (visible, probs) in computed.into_iter().flatten() {
-            for (j, (acc, &p)) in column_acc.iter_mut().zip(probs.iter()).enumerate() {
-                *acc += f64::from(p);
-                diagonal_acc[visible - 1 - j] += f64::from(p);
-            }
-            live_pairs += visible as u64;
-        }
+        widths.clear();
+        widths.extend(batch.iter().map(|&i| causal_width(i, s_q, s_k)));
+        let rows = Rows {
+            queries: batch,
+            widths: &widths,
+            stride,
+        };
+        let held = &mut probs.as_mut_slice()[..batch.len() * stride];
+        pool::try_parallel_for_rows("stage1_sampling", held, stride, score_grain, |row0, out| {
+            rows.score(isa, q, panels, scale, row0, out);
+        })?;
+        let probs = probs.as_slice();
+        let fold_grain = pool::row_grain(batch.len());
+        pool::try_parallel_for_rows("stage1_sampling", &mut acc, 1, fold_grain, |j0, part| {
+            rows.fold(probs, s_k, j0, part);
+        })?;
+        live_pairs += widths.iter().sum::<usize>() as u64;
     }
-    let mut column_scores: Vec<f32> = column_acc.into_iter().map(|v| v as f32).collect();
-    let diagonal_scores: Vec<f32> = diagonal_acc.into_iter().map(|v| v as f32).collect();
+    let (column_acc, diagonal_acc) = acc.split_at(s_k);
+    let mut column_scores: Vec<f32> = column_acc.iter().map(|&v| v as f32).collect();
+    let diagonal_scores: Vec<f32> = diagonal_acc.iter().map(|&v| v as f32).collect();
     // Fault-injection hook: an installed plan with `zero_mass` wipes the
     // accumulated column scores here, exercising the zero-mass sentinel
     // downstream. Inert (one thread-local read) unless a plan is installed.
@@ -204,6 +190,95 @@ pub fn sample_attention_scores_prepared(
         sampled_rows: sample.indices().to_vec(),
         cost,
     })
+}
+
+/// Sampled rows of a batch: query row `queries[r]` sees the first
+/// `widths[r]` keys, and its probability row sits `r * stride` floats
+/// into the batch buffer.
+struct Rows<'a> {
+    queries: &'a [usize],
+    widths: &'a [usize],
+    stride: usize,
+}
+
+impl Rows<'_> {
+    /// Fills `out`, the buffer rows of rows `row0..`, with their causal
+    /// softmax rows: raw scores a whole panel at a time, two rows at once
+    /// while both still see the panel, then the softmax of each row's
+    /// visible lanes, ROW_GROUP rows together.
+    fn score(
+        &self,
+        isa: Isa,
+        q: &Matrix,
+        panels: &KeyPanels,
+        scale: f32,
+        row0: usize,
+        out: &mut [f32],
+    ) {
+        let stride = self.stride;
+        let panels_seen = |width: usize| width.div_ceil(ENGINE_BLOCK);
+        let lanes = |p: usize| p * ENGINE_BLOCK..(p + 1) * ENGINE_BLOCK;
+        for ((queries, widths), out) in self.queries[row0..]
+            .chunks(ROW_GROUP)
+            .zip(self.widths[row0..].chunks(ROW_GROUP))
+            .zip(out.chunks_mut(ROW_GROUP * stride))
+        {
+            for ((pair, seen), out) in queries
+                .chunks(2)
+                .zip(widths.chunks(2))
+                .zip(out.chunks_mut(2 * stride))
+            {
+                let mut shared = 0;
+                if let ([a, b], [seen_a, seen_b]) = (pair, seen) {
+                    let (first, second) = out.split_at_mut(stride);
+                    shared = panels_seen(*seen_a).min(panels_seen(*seen_b));
+                    for p in 0..shared {
+                        panels.score_panel(
+                            isa,
+                            p,
+                            [q.row(*a), q.row(*b)],
+                            scale,
+                            [&mut first[lanes(p)], &mut second[lanes(p)]],
+                        );
+                    }
+                }
+                for ((&i, &width), row) in pair.iter().zip(seen).zip(out.chunks_mut(stride)) {
+                    for p in shared..panels_seen(width) {
+                        panels.score_panel(isa, p, [q.row(i)], scale, [&mut row[lanes(p)]]);
+                    }
+                }
+            }
+            let mut group: [&mut [f32]; ROW_GROUP] = Default::default();
+            for ((slot, row), &width) in group.iter_mut().zip(out.chunks_mut(stride)).zip(widths) {
+                *slot = &mut row[..width];
+            }
+            softmax_rows_on(isa, &mut group[..queries.len()]);
+        }
+    }
+
+    /// Adds the batch's probability rows `probs` into `part`, the
+    /// accumulators `j0..j0 + part.len()` (columns below `s_k`, diagonals
+    /// from it): column `j` gains `p[r][j]` and diagonal `o` gains
+    /// `p[r][width - 1 - o]`, rows in sampled order.
+    fn fold(&self, probs: &[f32], s_k: usize, j0: usize, part: &mut [f64]) {
+        let (columns, diagonals) = part.split_at_mut(s_k.saturating_sub(j0).min(part.len()));
+        let o0 = j0.max(s_k) - s_k;
+        for (row, &width) in probs.chunks(self.stride).zip(self.widths) {
+            let end = (j0 + columns.len()).min(width);
+            if j0 < end {
+                for (a, &p) in columns.iter_mut().zip(&row[j0..end]) {
+                    *a += f64::from(p);
+                }
+            }
+            let end = (o0 + diagonals.len()).min(width);
+            if o0 < end {
+                let reversed = row[width - end..width - o0].iter().rev();
+                for (a, &p) in diagonals.iter_mut().zip(reversed) {
+                    *a += f64::from(p);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,10 @@
 //!
 //! Score tiles come from the caller's [`KeyPanels`] (K transposed once
 //! per KV head, see [`crate::panels`]); only the gathered extras are
-//! transposed per call, since they depend on the mask.
+//! transposed per call, since they depend on the mask. The panels, the
+//! per-worker score tile and the gathered extras' V rows all start on a
+//! 64-byte cache line ([`AlignedBuf`]), so the wide builds' loads over
+//! them never straddle two lines.
 //!
 //! # The fold partition
 //!
@@ -39,8 +42,8 @@ use std::sync::OnceLock;
 
 use sa_tensor::trace::{self, Gauge};
 use sa_tensor::{
-    online_softmax_update_on, online_softmax_update_tile_on, pool, Isa, Matrix, OnlineSoftmaxState,
-    TensorError, FOLD_KEYS,
+    mul_add, online_softmax_update_on, online_softmax_update_tile_on, pool, AlignedBuf, Isa,
+    IsaBuild, Matrix, OnlineSoftmaxState, TensorError, FOLD_KEYS,
 };
 
 use crate::cost::f32_bytes;
@@ -283,7 +286,7 @@ pub(crate) fn run<G: RowGeometry>(
     let extras = geom.extras();
     let has_diagonals = geom.has_diagonals();
     let extra_kt = KeyPanels::gathered(k, extras);
-    let extra_v = v.gather_rows(extras)?;
+    let extra_v = gather_values(v, extras);
 
     let live_pairs = AtomicU64::new(0);
     let scored_pairs = AtomicU64::new(0);
@@ -303,11 +306,11 @@ pub(crate) fn run<G: RowGeometry>(
             for (b, out_rows) in chunk.chunks_mut(BLOCK * dv).enumerate() {
                 let q0 = row0 + b * BLOCK;
                 block.reset(geom, q0, out_rows.len() / dv);
-                block.fold_extras(q, &extra_kt, &extra_v, scale, &mut tally);
+                block.fold_extras(q, &extra_kt, extra_v.as_slice(), scale, &mut tally);
                 if has_diagonals {
                     block.fold_diagonals(geom, q, k, v, scale, &mut tally);
                 }
-                block.fold_window(q, v, keys.panels(), scale, &mut tally);
+                block.fold_window(q, v.as_slice(), keys.panels(), scale, &mut tally);
                 block.finish(out_rows);
             }
             live_pairs.fetch_add(tally.live_pairs, Ordering::Relaxed);
@@ -321,6 +324,21 @@ pub(crate) fn run<G: RowGeometry>(
         kv_rows: kv_rows.into_inner(),
     };
     Ok((output, tally))
+}
+
+/// The rows `indices` of `v`, in that order, copied straight into
+/// storage that starts on a cache line.
+///
+/// # Panics
+///
+/// Panics if an index is out of range.
+fn gather_values(v: &Matrix, indices: &[usize]) -> AlignedBuf {
+    let dv = v.cols();
+    let mut slab = AlignedBuf::zeros(indices.len() * dv);
+    for (dst, &j) in slab.as_mut_slice().chunks_exact_mut(dv).zip(indices) {
+        dst.copy_from_slice(v.row(j));
+    }
+    slab
 }
 
 /// The `BLOCK`-aligned key blocks `first..=last` that the non-empty
@@ -343,8 +361,9 @@ struct QueryBlock {
     /// Extras below the window start, per row (0 for unseeing rows).
     extras_below: Vec<usize>,
     states: Vec<OnlineSoftmaxState>,
-    /// The `BLOCK × BLOCK` score tile, one row of lanes per query row.
-    scores: Vec<f32>,
+    /// The `BLOCK × BLOCK` score tile, one row of lanes per query row,
+    /// from a cache line.
+    scores: AlignedBuf,
     /// Lanes `[lo, hi)` of the current tile live on each row.
     live: Vec<(usize, usize)>,
 }
@@ -357,7 +376,7 @@ impl QueryBlock {
             window: Vec::with_capacity(BLOCK),
             extras_below: Vec::with_capacity(BLOCK),
             states: (0..BLOCK).map(|_| OnlineSoftmaxState::new(dv)).collect(),
-            scores: vec![0.0; BLOCK * BLOCK],
+            scores: AlignedBuf::zeros(BLOCK * BLOCK),
             live: Vec::with_capacity(BLOCK),
         }
     }
@@ -380,12 +399,13 @@ impl QueryBlock {
         }
     }
 
-    /// (A) Extras below the window, a panel of `BLOCK` ranks at a time.
+    /// (A) Extras below the window, a panel of `BLOCK` ranks at a time;
+    /// `extra_v` holds their V rows in rank order.
     fn fold_extras(
         &mut self,
         q: &Matrix,
         kt: &KeyPanels,
-        extra_v: &Matrix,
+        extra_v: &[f32],
         scale: f32,
         tally: &mut Tally,
     ) {
@@ -413,7 +433,7 @@ impl QueryBlock {
     ) {
         for (r, state) in self.states[..self.window.len()].iter_mut().enumerate() {
             for j in geom.diagonal_keys(self.q0 + r) {
-                let score = dot(q.row(self.q0 + r), k.row(j)) * scale;
+                let score = dot(self.isa, q.row(self.q0 + r), k.row(j)) * scale;
                 online_softmax_update_on(self.isa, state, &[score], |_| v.row(j));
                 tally.live_pairs += 1;
                 tally.scored_pairs += 1;
@@ -422,11 +442,12 @@ impl QueryBlock {
         }
     }
 
-    /// (C) The window band, one `BLOCK`-aligned key block at a time.
+    /// (C) The window band, one `BLOCK`-aligned key block at a time; `v`
+    /// is every V row in key order.
     fn fold_window(
         &mut self,
         q: &Matrix,
-        v: &Matrix,
+        v: &[f32],
         kt: &KeyPanels,
         scale: f32,
         tally: &mut Tally,
@@ -449,7 +470,8 @@ impl QueryBlock {
 
     /// Scores the rows with live lanes against panel `p` of `kt`, two
     /// rows per pass, then folds the tile into the rows' states. Row
-    /// `p * BLOCK + t` of `values` is the V row of lane `t`.
+    /// `p * BLOCK + t` of `values` (rows as wide as the states) is the V
+    /// row of lane `t`.
     fn score_and_fold(
         &mut self,
         q: &Matrix,
@@ -457,13 +479,13 @@ impl QueryBlock {
         p: usize,
         scale: f32,
         tally: &mut Tally,
-        values: &Matrix,
+        values: &[f32],
     ) {
         let is_live = |&(lo, hi): &(usize, usize)| lo < hi;
         let mut scored_rows = 0u64;
         for ((pair, tile), live) in (0..)
             .step_by(2)
-            .zip(self.scores.chunks_mut(2 * BLOCK))
+            .zip(self.scores.as_mut_slice().chunks_mut(2 * BLOCK))
             .zip(self.live.chunks(2))
         {
             let i = self.q0 + pair;
@@ -498,14 +520,14 @@ impl QueryBlock {
             .map(|&(lo, hi)| (hi - lo) as u64)
             .sum::<u64>();
         // The panel's V rows are contiguous in `values`.
-        let dv = values.cols();
+        let dv = self.states[0].acc.len();
         let rows = self.live.len();
         online_softmax_update_tile_on(
             self.isa,
             &mut self.states[..rows],
-            &self.scores[..rows * BLOCK],
+            &self.scores.as_slice()[..rows * BLOCK],
             &self.live,
-            &values.as_slice()[p * BLOCK * dv..][..keys * dv],
+            &values[p * BLOCK * dv..][..keys * dv],
         );
     }
 
@@ -524,12 +546,32 @@ impl QueryBlock {
     }
 }
 
-/// Strict index-order dot product starting from `0.0`.
+/// Strict index-order dot product starting from `0.0`, each product
+/// fused into the running sum: the bits of one lane of the score panel,
+/// on the FMA instruction or its exact emulation as `isa` allows.
 #[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot(isa: Isa, a: &[f32], b: &[f32]) -> f32 {
+    match isa.build() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 or AVX-512 only when `Isa::detect`
+        // found `avx2` and `fma` on this CPU.
+        IsaBuild::Avx2 | IsaBuild::Avx512 => unsafe { dot_fused(a, b) },
+        _ => dot_body::<false>(a, b),
+    }
+}
+
+/// [`dot_body`] compiled with FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn dot_fused(a: &[f32], b: &[f32]) -> f32 {
+    dot_body::<true>(a, b)
+}
+
+#[inline(always)]
+fn dot_body<const FUSED: bool>(a: &[f32], b: &[f32]) -> f32 {
     let mut acc = 0.0f32;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
+    for (&x, &y) in a.iter().zip(b) {
+        acc = mul_add::<FUSED>(x, y, acc);
     }
     acc
 }
@@ -677,6 +719,21 @@ mod tests {
             assert_eq!(prepared.output.as_slice(), rebuilt.output.as_slice());
             assert_eq!(prepared.cost, rebuilt.cost);
             assert!(prepared.scored_pairs > prepared.live_pairs, "s_q={s_q}");
+        }
+    }
+
+    #[test]
+    fn score_tile_and_gathered_values_start_on_a_cache_line() {
+        let block = QueryBlock::new(72, Isa::detect());
+        assert!(sa_tensor::starts_on_line(block.scores.as_slice()));
+        let (_, _, v) = random_qkv(1, 200, 72, 15);
+        for extras in [&[3][..], &[0, 17, 199, 42], &[5; 70]] {
+            let slab = gather_values(&v, extras);
+            assert!(sa_tensor::starts_on_line(slab.as_slice()));
+            assert_eq!(slab.len(), extras.len() * 72);
+            for (row, &j) in slab.as_slice().chunks(72).zip(extras) {
+                assert_eq!(row, v.row(j));
+            }
         }
     }
 

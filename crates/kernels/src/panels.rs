@@ -8,14 +8,20 @@
 //! Rust autovectorises across `t`.
 //!
 //! What keeps the bits the same on every host is the arithmetic, not the
-//! instruction set: no fused multiply-add (no build asks for `fma`, and
-//! Rust never contracts `a * b + c`), no reassociation (no fast-math, no
-//! intrinsics), and a fixed order per lane. Vector width is free under
-//! those three, so the microkernel is one generic body compiled three
-//! times — for the target's baseline instruction set and, on x86-64, with
-//! AVX2 and with AVX-512 — and [`KeyPanels::score_panel`] runs the build
-//! its [`Isa`] argument names. Callers take that from `Isa::detect()` once
-//! per call; nothing but the CPU chooses it.
+//! instruction set: one fused multiply-add per product
+//! (`acc = fma(q, k, acc)`, a single rounding IEEE 754 defines exactly),
+//! no reassociation (no fast-math, no intrinsics), and a fixed order per
+//! lane. Vector width is free under those three, so the microkernel is
+//! one generic body compiled three times — for the target's baseline
+//! instruction set (with the exact emulation [`sa_tensor::fma()`]) and, on
+//! x86-64, with AVX2 + FMA and with AVX-512 (`vfmadd`) — and
+//! [`KeyPanels::score_panel`] runs the build its [`Isa`] argument names.
+//! Callers take that from `Isa::detect()` once per call; nothing but the
+//! CPU chooses it.
+//!
+//! The panels start on a 64-byte cache line ([`AlignedBuf`]), and a panel
+//! row is 64 floats, so every vector load of the score loop reads one line
+//! rather than straddling two.
 //!
 //! The layout is built once per KV head and appended to as keys arrive
 //! (`sa-model`'s `LayerKvCache` owns one per head); stage-1 sampling, the
@@ -23,7 +29,7 @@
 //! what two scalar dot products do, so whoever holds keys across calls
 //! keeps their panels too.
 
-use sa_tensor::{Isa, IsaBuild, Matrix, TensorError};
+use sa_tensor::{mul_add, AlignedBuf, Isa, IsaBuild, Matrix, TensorError};
 
 /// Key lanes per panel, and query rows per engine block.
 pub const BLOCK: usize = 64;
@@ -37,10 +43,10 @@ const LANES_BASELINE: usize = 16;
 const LANES_AVX2: usize = 16;
 const LANES_AVX512: usize = BLOCK;
 
-/// Key rows transposed into panels of [`BLOCK`] lanes.
+/// Key rows transposed into panels of [`BLOCK`] lanes, from a cache line.
 #[derive(Debug, Clone)]
 pub struct KeyPanels {
-    data: Vec<f32>,
+    data: AlignedBuf,
     /// Key width; a panel is `d * BLOCK` floats.
     d: usize,
     /// Lanes that hold a key (lane `l` holds key `l`).
@@ -51,7 +57,7 @@ impl KeyPanels {
     /// No keys yet, of width `d`.
     pub fn new(d: usize) -> Self {
         KeyPanels {
-            data: Vec::new(),
+            data: AlignedBuf::new(),
             d,
             keys: 0,
         }
@@ -109,8 +115,9 @@ impl KeyPanels {
         let added = rows.len();
         self.data
             .resize((self.keys + added).div_ceil(BLOCK) * stride, 0.0);
+        let data = self.data.as_mut_slice();
         for (lane, row) in (self.keys..).zip(rows) {
-            let panel = &mut self.data[lane / BLOCK * stride..][..stride];
+            let panel = &mut data[lane / BLOCK * stride..][..stride];
             for (column, &x) in panel.chunks_exact_mut(BLOCK).zip(row) {
                 column[lane % BLOCK] = x;
             }
@@ -135,14 +142,15 @@ impl KeyPanels {
     }
 
     /// The transposed storage, whole panels: `len().div_ceil(BLOCK)`
-    /// panels of `dim() * BLOCK` floats, `kt[dd][t]` within each.
+    /// panels of `dim() * BLOCK` floats, `kt[dd][t]` within each. Starts
+    /// on a 64-byte line.
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        self.data.as_slice()
     }
 
     fn panel(&self, p: usize) -> &[f32] {
         let stride = self.d * BLOCK;
-        &self.data[p * stride..][..stride]
+        &self.as_slice()[p * stride..][..stride]
     }
 
     /// Keys held by panel `p`.
@@ -152,9 +160,10 @@ impl KeyPanels {
 
     /// Scores `R` query rows against panel `p`:
     /// `out[r][t] = scale * Σ_dd q[r][dd] · k[p * BLOCK + t][dd]`, every
-    /// lane summed in `dd` order from `0.0` — the bits a strict-order
-    /// scalar dot product gives, on whichever build `isa` names. Lanes
-    /// past the last key score `0.0`.
+    /// lane summed in `dd` order from `0.0`, each product fused into the
+    /// running sum (`acc = fma(q, k, acc)`) — the bits a strict-order
+    /// scalar dot product of fused products gives, on whichever build `isa`
+    /// names. Lanes past the last key score `0.0`.
     ///
     /// # Panics
     ///
@@ -173,52 +182,53 @@ impl KeyPanels {
         match isa.build() {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
-            // `avx2` and `avx512f` on this CPU.
+            // `avx2`, `fma` and `avx512f` on this CPU.
             IsaBuild::Avx512 => unsafe { score_panel_avx512(kt, q, scale, out) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found
-            // `avx2` on this CPU.
+            // `avx2` and `fma` on this CPU.
             IsaBuild::Avx2 => unsafe { score_panel_avx2(kt, q, scale, out) },
             _ => score_panel_baseline(kt, q, scale, out),
         }
     }
 }
 
-/// The score panel compiled for the target's baseline instruction set.
+/// The score panel compiled for the target's baseline instruction set,
+/// each product through the exact emulation of a fused multiply-add.
 fn score_panel_baseline<const R: usize>(
     kt: &[f32],
     q: [&[f32]; R],
     scale: f32,
     out: [&mut [f32]; R],
 ) {
-    score_lanes::<R, LANES_BASELINE>(kt, q, scale, out);
+    score_lanes::<R, LANES_BASELINE, false>(kt, q, scale, out);
 }
 
-/// The score panel compiled with AVX2 (and nothing else: no `fma`): the
-/// same multiplies and adds per lane, eight lanes to a register.
+/// The score panel compiled with AVX2 and FMA: the same fused products
+/// per lane, eight lanes to a register.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn score_panel_avx2<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, out: [&mut [f32]; R]) {
-    score_lanes::<R, LANES_AVX2>(kt, q, scale, out);
+    score_lanes::<R, LANES_AVX2, true>(kt, q, scale, out);
 }
 
-/// The score panel compiled with AVX-512F: the same multiplies and adds
-/// per lane, sixteen lanes to a register.
+/// The score panel compiled with AVX-512F: the same fused products per
+/// lane, sixteen lanes to a register.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
+#[target_feature(enable = "avx2,fma,avx512f")]
 fn score_panel_avx512<const R: usize>(
     kt: &[f32],
     q: [&[f32]; R],
     scale: f32,
     out: [&mut [f32]; R],
 ) {
-    score_lanes::<R, LANES_AVX512>(kt, q, scale, out);
+    score_lanes::<R, LANES_AVX512, true>(kt, q, scale, out);
 }
 
 /// The one body of the score panel, over the transposed panel `kt`, `L`
-/// lanes of `R` rows at a time.
+/// lanes of `R` rows at a time; `FUSED` as in [`mul_add`].
 #[inline(always)]
-fn score_lanes<const R: usize, const L: usize>(
+fn score_lanes<const R: usize, const L: usize, const FUSED: bool>(
     kt: &[f32],
     q: [&[f32]; R],
     scale: f32,
@@ -231,7 +241,7 @@ fn score_lanes<const R: usize, const L: usize>(
             for (acc_row, q_row) in acc.iter_mut().zip(&q) {
                 let x = q_row[dd];
                 for (a, &kv) in acc_row.iter_mut().zip(lanes) {
-                    *a += x * kv;
+                    *a = mul_add::<FUSED>(x, kv, *a);
                 }
             }
         }
@@ -326,6 +336,31 @@ mod tests {
     }
 
     #[test]
+    fn panels_start_on_a_cache_line_however_they_were_built() {
+        let mut rng = DeterministicRng::new(5);
+        let k = rng.normal_matrix(300, 12, 1.0);
+        let aligned = |p: &KeyPanels| sa_tensor::starts_on_line(p.as_slice());
+        assert!(aligned(&KeyPanels::from_rows(&k)));
+        assert!(aligned(&KeyPanels::gathered(&k, &[3, 200, 7])));
+        // A prompt, then one key per decode step: a key that opens a
+        // panel outgrows the allocation, and the storage moves.
+        let mut grown = KeyPanels::from_rows(&k.slice_rows(0, 50).unwrap());
+        let mut moves = 0;
+        for j in 50..300 {
+            let before = grown.as_slice().as_ptr();
+            grown.append(&k.slice_rows(j, j + 1).unwrap()).unwrap();
+            moves += usize::from(grown.as_slice().as_ptr() != before);
+            assert!(aligned(&grown), "after key {j}");
+            assert!(aligned(&grown.clone()), "a clone after key {j}");
+        }
+        assert!(moves >= 3, "the appends crossed {moves} reallocations");
+        assert_eq!(
+            bits(grown.as_slice()),
+            bits(KeyPanels::from_rows(&k).as_slice())
+        );
+    }
+
+    #[test]
     fn panel_scores_are_strict_order_dot_products() {
         let mut rng = DeterministicRng::new(4);
         let k = rng.normal_matrix(70, 12, 1.0);
@@ -347,8 +382,8 @@ mod tests {
                 for (t, &s) in got.iter().enumerate() {
                     let want = if p * BLOCK + t < 70 {
                         let mut acc = 0.0f32;
-                        for (x, y) in q.row(r).iter().zip(k.row(p * BLOCK + t)) {
-                            acc += x * y;
+                        for (&x, &y) in q.row(r).iter().zip(k.row(p * BLOCK + t)) {
+                            acc = sa_tensor::fma(x, y, acc);
                         }
                         acc * scale
                     } else {

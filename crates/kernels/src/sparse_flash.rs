@@ -10,13 +10,14 @@
 //! [`sparse_flash_attention_blocked`](crate::sparse_flash_attention_blocked);
 //! this loop stays because it is short enough to check by eye and folds
 //! every row in the engine's partition (extras in 64-rank blocks, each
-//! diagonal key alone, the window in 64-aligned key blocks), which is
-//! what lets the differential tests demand bitwise equality instead of a
-//! tolerance.
+//! diagonal key alone, the window in 64-aligned key blocks) with the
+//! engine's arithmetic (a score is a strict-order dot product of fused
+//! products), which is what lets the differential tests demand bitwise
+//! equality instead of a tolerance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sa_tensor::{online_softmax_update, pool, Matrix, OnlineSoftmaxState, TensorError};
+use sa_tensor::{online_softmax_update, pool, Isa, Matrix, OnlineSoftmaxState, TensorError};
 
 use crate::blocked::{dot, validate_sparse_shapes, RowGeometry};
 use crate::cost::f32_bytes;
@@ -104,6 +105,7 @@ fn run_rows<G: RowGeometry>(
     let dv = v.cols();
     let scale = score_scale(d);
     let extras = geom.extras();
+    let isa = Isa::detect();
 
     let mut output = Matrix::zeros(s_q, dv);
     let live_pairs = AtomicU64::new(0);
@@ -135,7 +137,8 @@ fn run_rows<G: RowGeometry>(
                     // One fold block: the `n` keys `key_of(0..n)`.
                     let mut fold = |n: usize, key_of: &dyn Fn(usize) -> usize| {
                         scores_buf.clear();
-                        scores_buf.extend((0..n).map(|t| dot(q_row, k.row(key_of(t))) * scale));
+                        scores_buf
+                            .extend((0..n).map(|t| dot(isa, q_row, k.row(key_of(t))) * scale));
                         online_softmax_update(&mut state, &scores_buf, |t| v.row(key_of(t)));
                         chunk_pairs += n as u64;
                     };

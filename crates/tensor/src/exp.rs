@@ -200,13 +200,13 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     fn exp_slice_avx2(xs: &mut [f32]) {
         exp_slice(xs);
     }
 
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,avx512f")]
+    #[target_feature(enable = "avx2,fma,avx512f")]
     fn exp_slice_avx512(xs: &mut [f32]) {
         exp_slice(xs);
     }
@@ -238,12 +238,12 @@ mod tests {
             let mut got = inputs.clone();
             match isa.build() {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: an `Isa` names AVX-512 only when `avx2` and
-                // `avx512f` were detected on this CPU.
+                // SAFETY: an `Isa` names AVX-512 only when `avx2`, `fma`
+                // and `avx512f` were detected on this CPU.
                 IsaBuild::Avx512 => unsafe { exp_slice_avx512(&mut got) },
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: an `Isa` names AVX2 only when `avx2` was
-                // detected on this CPU.
+                // SAFETY: an `Isa` names AVX2 only when `avx2` and `fma`
+                // were detected on this CPU.
                 IsaBuild::Avx2 => unsafe { exp_slice_avx2(&mut got) },
                 _ => exp_slice(&mut got),
             }

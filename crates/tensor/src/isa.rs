@@ -4,14 +4,15 @@
 //! `sa-kernels`, the online-softmax folds, the per-row softmax and the
 //! packed-weight GEMM in this crate — are each one generic body compiled
 //! three times: for the target's baseline instruction set and, on x86-64,
-//! with AVX2 and with AVX2 + AVX-512F. The builds differ in vector width
-//! and in the constants that only group independent lanes. Each lane runs
-//! the same IEEE multiplies and adds in the same order, no build fuses
-//! them (Rust does not contract `a * b + c`; the AVX2 build does not even
-//! enable `fma`, and AVX-512F, which implies it, is held to no fused
-//! instruction by `scripts/verify.sh`'s codegen guard), and none calls the
-//! platform's math library ([`exp`](crate::exp()) is inlined plain Rust),
-//! so all three produce the same bits.
+//! with AVX2 + FMA and with AVX2 + FMA + AVX-512F. The builds differ in
+//! vector width and in the constants that only group independent lanes.
+//! Each lane runs the same IEEE operations in the same order: every
+//! product it accumulates is one fused multiply-add, a single rounding
+//! IEEE 754 defines exactly (a `vfmadd` in the wide builds, the exact
+//! emulation [`fma`](crate::fma()) in the baseline one), and nothing else
+//! fuses (Rust does not contract `a * b + c`). None calls the platform's
+//! math library ([`exp`](crate::exp()) and [`fma`](crate::fma()) are
+//! inlined plain Rust), so all three produce the same bits.
 //!
 //! An [`Isa`] is picked once where an engine or stage-1 call enters and
 //! handed down to the leaves. Nothing outside the CPU selects it: there
@@ -34,17 +35,20 @@ pub struct Isa {
 pub enum IsaBuild {
     /// The target's baseline instruction set (SSE2 on x86-64).
     Baseline,
-    /// `#[target_feature(enable = "avx2")]`: 8 f32 lanes a register.
+    /// `#[target_feature(enable = "avx2,fma")]`: 8 f32 lanes a register.
     Avx2,
-    /// `#[target_feature(enable = "avx2,avx512f")]`: 16 f32 lanes.
+    /// `#[target_feature(enable = "avx2,fma,avx512f")]`: 16 f32 lanes.
     Avx512,
 }
 
 impl Isa {
-    /// The widest build this CPU supports.
+    /// The widest build this CPU supports. The wide builds fuse their
+    /// products, so a CPU with AVX2 but without FMA runs the baseline one.
     pub fn detect() -> Isa {
         #[cfg(target_arch = "x86_64")]
-        let build = if !std::arch::is_x86_feature_detected!("avx2") {
+        let build = if !(std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        {
             IsaBuild::Baseline
         } else if std::arch::is_x86_feature_detected!("avx512f") {
             IsaBuild::Avx512
@@ -118,7 +122,8 @@ mod tests {
         assert_eq!(lanes, [4, 8, 16][..builds.len()]);
         #[cfg(target_arch = "x86_64")]
         {
-            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma");
             let avx512 = avx2 && std::arch::is_x86_feature_detected!("avx512f");
             assert_eq!(builds.len(), 1 + usize::from(avx2) + usize::from(avx512));
             if std::arch::is_x86_feature_detected!("avx512f") {

@@ -4,8 +4,9 @@
 //!
 //! This crate provides the small set of numerical primitives every other
 //! crate in the workspace builds on: a row-major [`Matrix`] of `f32`,
-//! blocked matrix multiplication, an [`exp()`] that owes nothing to the
-//! platform's libm, numerically stable (and *online*) softmax built on
+//! blocked matrix multiplication, an [`exp()`] and an [`fma()`] that owe
+//! nothing to the platform's libm, cache-line-aligned storage
+//! ([`AlignedBuf`]), numerically stable (and *online*) softmax built on
 //! it, row/column reductions, selection primitives (arg-sort, top-k,
 //! `searchsorted`), strided row sampling, and deterministic random
 //! generation helpers.
@@ -33,11 +34,13 @@
 //! # }
 //! ```
 
+mod aligned;
 pub mod cancel;
 pub mod check;
 mod error;
 mod exp;
 pub mod fault;
+mod fma;
 mod isa;
 mod matrix;
 mod matmul;
@@ -58,9 +61,11 @@ pub mod xoshiro;
 /// own.
 pub use sa_trace as trace;
 
+pub use aligned::{starts_on_line, AlignedBuf};
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
 pub use exp::exp;
+pub use fma::{fma, mul_add};
 pub use isa::{isa_name, Isa, IsaBuild};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
@@ -77,7 +82,7 @@ pub use select::{
 };
 pub use softmax::{
     log_sum_exp, online_softmax_update, online_softmax_update_on, online_softmax_update_tile_on,
-    softmax_row, softmax_row_on, softmax_rows, softmax_rows_in_place, OnlineSoftmaxState,
+    softmax_row, softmax_rows, softmax_rows_in_place, softmax_rows_on, OnlineSoftmaxState,
     FOLD_KEYS,
 };
 pub use stats::{cosine_similarity, l1_distance, l1_norm, max_abs_diff, mean, mse, variance};

@@ -1,4 +1,4 @@
-use crate::{pool, Matrix, TensorError};
+use crate::{mul_add, pool, Isa, IsaBuild, Matrix, TensorError};
 
 /// Cache-blocking tile size used by [`matmul`] and [`matmul_transb`].
 ///
@@ -7,6 +7,13 @@ use crate::{pool, Matrix, TensorError};
 pub const GEMM_BLOCK: usize = 64;
 
 /// Computes `A * B` with cache blocking.
+///
+/// Every output element is `acc = fma(A[i][kk], B[kk][j], acc)` over `kk`
+/// in index order from `0.0`, skipping `A[i][kk] == 0.0`: one rounding per
+/// product ([`fma`](crate::fma())), the arithmetic of the packed GEMM and
+/// the attention engine. The CPU's FMA instruction computes it where
+/// there is one, the exact emulation where there is not; the bits are the
+/// same.
 ///
 /// # Errors
 ///
@@ -38,6 +45,7 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
         return Ok(out);
     }
     let bd = b.as_slice();
+    let isa = Isa::detect();
     // Each output row is an independent accumulation over k, so
     // partitioning across row chunks leaves per-row arithmetic (and hence
     // the result bits) identical to the serial path.
@@ -45,15 +53,39 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
         out.as_mut_slice(),
         n,
         pool::row_grain(k * n),
-        |row0, chunk| matmul_rows(a, bd, k, n, row0, chunk),
+        |row0, chunk| match isa.build() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: an `Isa` names AVX2 or AVX-512 only when
+            // `Isa::detect` found `avx2` and `fma` on this CPU.
+            IsaBuild::Avx2 | IsaBuild::Avx512 => unsafe {
+                matmul_rows_fused(a, bd, k, n, row0, chunk)
+            },
+            _ => matmul_rows::<false>(a, bd, k, n, row0, chunk),
+        },
     );
     Ok(out)
 }
 
+/// [`matmul_rows`] compiled with FMA, so each product is one `vfmadd`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn matmul_rows_fused(a: &Matrix, bd: &[f32], k: usize, n: usize, row0: usize, chunk: &mut [f32]) {
+    matmul_rows::<true>(a, bd, k, n, row0, chunk);
+}
+
 /// Cache-blocked `A * B` restricted to output rows
 /// `row0 .. row0 + chunk.len() / n`; `chunk` is that row range of the
-/// output buffer. Arithmetic per row matches the full serial loop.
-fn matmul_rows(a: &Matrix, bd: &[f32], k: usize, n: usize, row0: usize, chunk: &mut [f32]) {
+/// output buffer. Arithmetic per row matches the full serial loop;
+/// `FUSED` as in [`mul_add`].
+#[inline(always)]
+fn matmul_rows<const FUSED: bool>(
+    a: &Matrix,
+    bd: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    chunk: &mut [f32],
+) {
     let rows = chunk.len() / n;
     for c0 in (0..rows).step_by(GEMM_BLOCK) {
         let c1 = (c0 + GEMM_BLOCK).min(rows);
@@ -69,7 +101,7 @@ fn matmul_rows(a: &Matrix, bd: &[f32], k: usize, n: usize, row0: usize, chunk: &
                     }
                     let brow = &bd[kk * n..(kk + 1) * n];
                     for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += av * bv;
+                        *o = mul_add::<FUSED>(av, bv, *o);
                     }
                 }
             }

@@ -3,21 +3,24 @@
 //! A weight matrix `B (k x n)` is stored once, at model build, as column
 //! panels of [`LANES`] lanes: panel `p` holds `bt[kk][t] = B[kk][p *
 //! LANES + t]`, zero where a lane has no column. An output element is
-//! then `acc[t] += a[kk] * bt[kk][t]` over `kk` in index order from
-//! `0.0` — the products [`matmul`](crate::matmul) sums, in its order —
-//! while neighbouring lanes and rows are independent, so a few rows by
-//! one panel sit in vector registers for the whole `kk` loop and plain
-//! Rust autovectorises across `t`.
+//! then `acc[t] = fma(a[kk], bt[kk][t], acc[t])` over `kk` in index order
+//! from `0.0` — the fused products [`matmul`](crate::matmul) sums, in its
+//! order — while neighbouring lanes and rows are independent, so a few
+//! rows by one panel sit in vector registers for the whole `kk` loop and
+//! plain Rust autovectorises across `t`.
 //!
 //! As for the engine's inner loops (see [`Isa`]), the arithmetic keeps
-//! the bits, not the instruction set: no fused multiply-add, no
-//! reassociation, no intrinsics, one body compiled for the baseline ISA,
-//! for AVX2 and for AVX-512. The one thing the scalar oracle does that
-//! this kernel does not is skip `a[kk] == 0.0`. The skipped term is `±0.0`
-//! whenever `B[kk][j]` is finite, and adding `±0.0` to a sum that started
-//! at `+0.0` never changes it (such a sum is never `-0.0`), so the results
-//! are the same bits for finite weights; [`PackedWeights::pack`] refuses
-//! any other.
+//! the bits, not the instruction set: one fused multiply-add per product,
+//! no reassociation, no intrinsics, one body compiled for the baseline ISA
+//! (with the exact emulation [`fma`](crate::fma())), for AVX2 + FMA and
+//! for AVX-512. The one thing the scalar oracle does that this kernel does
+//! not is skip `a[kk] == 0.0`. With `B[kk][j]` finite the skipped product
+//! is `±0.0`, and `fma(±0.0, b, s)` is `s` for every sum `s` but `-0.0`.
+//! A sum that starts at `+0.0` is `-0.0` only after a product smaller
+//! than half the least subnormal (about `7e-46`) rounded to zero from
+//! below, so the results are the same bits for finite weights and any
+//! products that do not underflow that far; [`PackedWeights::pack`]
+//! refuses non-finite weights.
 //!
 //! Output rows are partitioned across the pool in whole
 //! [`GEMM_BLOCK`]-row blocks, a function of the shape alone: a call of at
@@ -25,7 +28,7 @@
 
 use std::ops::Range;
 
-use crate::{pool, Isa, IsaBuild, Matrix, TensorError, GEMM_BLOCK};
+use crate::{mul_add, pool, Isa, IsaBuild, Matrix, TensorError, GEMM_BLOCK};
 
 /// Columns per weight panel: one row of a panel is one AVX-512 register,
 /// two AVX2 ones, four at baseline x86-64.
@@ -163,45 +166,46 @@ fn gemm_rows(isa: Isa, a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &m
     match isa.build() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
-        // `avx2` and `avx512f` on this CPU.
+        // `avx2`, `fma` and `avx512f` on this CPU.
         IsaBuild::Avx512 => unsafe { gemm_rows_avx512(a, w, cols, out) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
-        // on this CPU.
+        // and `fma` on this CPU.
         IsaBuild::Avx2 => unsafe { gemm_rows_avx2(a, w, cols, out) },
         _ => gemm_rows_baseline(a, w, cols, out),
     }
 }
 
 /// The GEMM compiled for the target's baseline instruction set: two rows
-/// of a panel are eight of baseline x86-64's 16 vector registers.
+/// of a panel are eight of baseline x86-64's 16 vector registers, each
+/// product through the exact emulation of a fused multiply-add.
 fn gemm_rows_baseline(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<2>(a, w, cols, out);
+    gemm_rows_body::<2, false>(a, w, cols, out);
 }
 
-/// The GEMM compiled with AVX2 (and nothing else: no `fma`): the same
-/// multiplies and adds per lane, eight lanes to a register, four rows of
-/// a panel in eight registers.
+/// The GEMM compiled with AVX2 and FMA: the same fused products per lane,
+/// eight lanes to a register, four rows of a panel in eight registers.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn gemm_rows_avx2(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<4>(a, w, cols, out);
+    gemm_rows_body::<4, true>(a, w, cols, out);
 }
 
-/// The GEMM compiled with AVX-512F: the same multiplies and adds per
-/// lane, sixteen lanes to a register, eight rows of a panel in eight of
-/// the 32 registers.
+/// The GEMM compiled with AVX-512F: the same fused products per lane,
+/// sixteen lanes to a register, eight rows of a panel in eight of the 32
+/// registers.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
+#[target_feature(enable = "avx2,fma,avx512f")]
 fn gemm_rows_avx512(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<8>(a, w, cols, out);
+    gemm_rows_body::<8, true>(a, w, cols, out);
 }
 
 /// The one body of the GEMM: per [`GEMM_BLOCK`]-row block and panel,
 /// `R x LANES` register tiles (single rows for what `R` does not
 /// divide). `R` only groups independent rows; it cannot change a bit.
+/// `FUSED` as in [`mul_add`].
 #[inline(always)]
-fn gemm_rows_body<const R: usize>(
+fn gemm_rows_body<const R: usize, const FUSED: bool>(
     a: &[f32],
     w: &PackedWeights,
     cols: Range<usize>,
@@ -226,7 +230,7 @@ fn gemm_rows_body<const R: usize>(
             let mut a_tiles = a_block.chunks_exact(R * k);
             let mut out_tiles = out_block.chunks_exact_mut(R * width);
             for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
-                let acc = tile::<R>(std::array::from_fn(|r| &a_tile[r * k..][..k]), bt);
+                let acc = tile::<R, FUSED>(std::array::from_fn(|r| &a_tile[r * k..][..k]), bt);
                 for (out_row, acc_row) in out_tile.chunks_exact_mut(width).zip(&acc) {
                     store(out_row, acc_row);
                 }
@@ -236,20 +240,20 @@ fn gemm_rows_body<const R: usize>(
                 .chunks_exact(k)
                 .zip(out_tiles.into_remainder().chunks_exact_mut(width))
             {
-                let [acc] = tile::<1>([a_row], bt);
+                let [acc] = tile::<1, FUSED>([a_row], bt);
                 store(out_row, &acc);
             }
         }
     }
 }
 
-/// `R` rows against one panel: `acc[r][t] += a[r][kk] * bt[kk][t]` in
-/// `kk` order from `0.0`. Constant-bound index loops over rows cut to `k`
+/// `R` rows against one panel: `acc[r][t] = fma(a[r][kk], bt[kk][t],
+/// acc[r][t])` in `kk` order from `0.0`. Constant-bound index loops over rows cut to `k`
 /// up front are the form that keeps `acc` in registers: the iterator
 /// spelling of the same loops compiles to scalar code at `R = 4`.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-fn tile<const R: usize>(a: [&[f32]; R], bt: &[f32]) -> [[f32; LANES]; R] {
+fn tile<const R: usize, const FUSED: bool>(a: [&[f32]; R], bt: &[f32]) -> [[f32; LANES]; R] {
     let k = bt.len() / LANES;
     let a: [&[f32]; R] = std::array::from_fn(|r| &a[r][..k]);
     let mut acc = [[0.0f32; LANES]; R];
@@ -258,7 +262,7 @@ fn tile<const R: usize>(a: [&[f32]; R], bt: &[f32]) -> [[f32; LANES]; R] {
         for r in 0..R {
             let x = a[r][kk];
             for t in 0..LANES {
-                acc[r][t] += x * b[t];
+                acc[r][t] = mul_add::<FUSED>(x, b[t], acc[r][t]);
             }
         }
     }

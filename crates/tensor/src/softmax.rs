@@ -1,4 +1,5 @@
 use crate::exp::exp;
+use crate::fma::mul_add;
 use crate::{pool, Isa, IsaBuild, Matrix};
 
 /// Numerically stable softmax of a single row, written in place.
@@ -13,64 +14,104 @@ use crate::{pool, Isa, IsaBuild, Matrix};
 /// as f32.
 ///
 /// Runs the widest build this CPU supports; callers that normalise many rows
-/// pick the [`Isa`] once and use [`softmax_row_on`].
+/// pick the [`Isa`] once and use [`softmax_rows_on`].
 pub fn softmax_row(row: &mut [f32]) {
-    softmax_row_on(Isa::detect(), row);
+    softmax_rows_on(Isa::detect(), &mut [row]);
 }
 
-/// [`softmax_row`] on the build `isa` names. The exponent and scale
-/// passes are element-wise and the normaliser adds in index order on every
-/// build, so every build writes the same bits.
+/// Rows whose f64 normalisers [`softmax_rows_on`] advances together.
+const SOFTMAX_GROUP: usize = 8;
+
+/// [`softmax_row`] on each of `rows`, on the build `isa` names. Every row
+/// ends in the bits `softmax_row` leaves, on every build: the maximum,
+/// exponent and scale passes are element-wise, and each row's normaliser
+/// adds its weights in index order from `0.0`. What taking rows together
+/// buys is the normaliser's latency: the sums of eight rows advance side
+/// by side over the indices they share, so an add no longer waits on the
+/// one before it (rows past the last whole eight go one at a time).
 #[inline]
-pub fn softmax_row_on(isa: Isa, row: &mut [f32]) {
+pub fn softmax_rows_on(isa: Isa, rows: &mut [&mut [f32]]) {
     match isa.build() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
-        // `avx2` and `avx512f` on this CPU.
-        IsaBuild::Avx512 => unsafe { softmax_row_avx512(row) },
+        // `avx2`, `fma` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { softmax_rows_avx512(rows) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
-        // on this CPU.
-        IsaBuild::Avx2 => unsafe { softmax_row_avx2(row) },
-        _ => softmax_lanes(row),
+        // and `fma` on this CPU.
+        IsaBuild::Avx2 => unsafe { softmax_rows_avx2(rows) },
+        _ => softmax_lanes(rows),
     }
 }
 
-/// The row softmax compiled with AVX2 (and nothing else: no `fma`).
+/// The row softmax compiled with AVX2 and FMA (it has no product to
+/// fuse, and Rust contracts none).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn softmax_row_avx2(row: &mut [f32]) {
-    softmax_lanes(row);
+#[target_feature(enable = "avx2,fma")]
+fn softmax_rows_avx2(rows: &mut [&mut [f32]]) {
+    softmax_lanes(rows);
 }
 
 /// The row softmax compiled with AVX-512F.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
-fn softmax_row_avx512(row: &mut [f32]) {
-    softmax_lanes(row);
+#[target_feature(enable = "avx2,fma,avx512f")]
+fn softmax_rows_avx512(rows: &mut [&mut [f32]]) {
+    softmax_lanes(rows);
 }
 
-/// The one body of the row softmax.
+/// The one body of the row softmax: whole groups of [`SOFTMAX_GROUP`]
+/// rows, then the rest one at a time.
 #[inline(always)]
-fn softmax_lanes(row: &mut [f32]) {
-    if row.is_empty() {
-        return;
+fn softmax_lanes(rows: &mut [&mut [f32]]) {
+    let mut groups = rows.chunks_exact_mut(SOFTMAX_GROUP);
+    for group in &mut groups {
+        softmax_group::<SOFTMAX_GROUP>(group);
     }
-    let max = lane_max(row);
-    if max == f32::NEG_INFINITY {
-        row.fill(0.0);
-        return;
+    for row in groups.into_remainder() {
+        softmax_group::<1>(std::slice::from_mut(row));
     }
-    // The exponent pass on its own, so that it vectorises; the
-    // normaliser then adds the weights in index order.
-    for v in row.iter_mut() {
-        *v = exp(*v - max);
-    }
-    let sum: f64 = row.iter().map(|&v| f64::from(v)).sum();
-    if sum > 0.0 {
-        let inv = (1.0 / sum) as f32;
+}
+
+/// The softmax of `N` rows (`group.len() == N`), their normalisers side
+/// by side: a constant number of sums stays in registers.
+#[inline(always)]
+fn softmax_group<const N: usize>(group: &mut [&mut [f32]]) {
+    // The exponent pass on its own, so that it vectorises; a row that is
+    // empty or fully masked is done here.
+    let mut live = [false; N];
+    for (row, live) in group.iter_mut().zip(&mut live) {
+        let max = lane_max(row);
+        if max == f32::NEG_INFINITY {
+            row.fill(0.0);
+            continue;
+        }
         for v in row.iter_mut() {
-            *v *= inv;
+            *v = exp(*v - max);
+        }
+        *live = true;
+    }
+    // The normalisers, each in index order: interleaved over the prefix
+    // every row of the group has (a finished row's zeros go to a sum
+    // nobody reads), then each row's tail alone.
+    let mut sums = [0.0f64; N];
+    let common = group.iter().map(|row| row.len()).min().unwrap_or(0);
+    let heads: [&[f32]; N] = std::array::from_fn(|r| &group[r][..common]);
+    for j in 0..common {
+        for (sum, head) in sums.iter_mut().zip(&heads) {
+            *sum += f64::from(head[j]);
+        }
+    }
+    for (sum, row) in sums.iter_mut().zip(group.iter()) {
+        for &v in &row[common..] {
+            *sum += f64::from(v);
+        }
+    }
+    for ((row, &sum), &live) in group.iter_mut().zip(&sums).zip(&live) {
+        if live && sum > 0.0 {
+            let inv = (1.0 / sum) as f32;
+            for v in row.iter_mut() {
+                *v *= inv;
+            }
         }
     }
 }
@@ -84,16 +125,13 @@ pub fn softmax_rows_in_place(m: &mut Matrix) {
     if cols == 0 || m.rows() == 0 {
         return;
     }
-    pool::parallel_for_rows(
-        m.as_mut_slice(),
-        cols,
-        pool::row_grain(cols),
-        |_row0, chunk| {
-            for row in chunk.chunks_mut(cols) {
-                softmax_row(row);
-            }
-        },
-    );
+    let isa = Isa::detect();
+    // Whole groups of rows per chunk, so that the normalisers interleave.
+    let grain = pool::row_grain(cols).div_ceil(SOFTMAX_GROUP) * SOFTMAX_GROUP;
+    pool::parallel_for_rows(m.as_mut_slice(), cols, grain, |_row0, chunk| {
+        let mut rows: Vec<&mut [f32]> = chunk.chunks_mut(cols).collect();
+        softmax_rows_on(isa, &mut rows);
+    });
 }
 
 /// Returns a new matrix with row-wise softmax applied.
@@ -216,9 +254,10 @@ const PAIR_COLUMNS_AVX512: usize = 64;
 /// 4. `block_sum`: lane `l` adds `w[t]`, `t % 8 == l`, in `t` order from
 ///    `0.0`; the lanes combine in the same pairwise tree;
 ///    `row_sum = row_sum · correction + block_sum`.
-/// 5. `acc[c] += w[t] · v[t][c]` for `t` ascending over the keys that
-///    are not `-inf`. Such a key is skipped, not given its zero weight:
-///    `0.0 · inf` is NaN and `-0.0 + 0.0` loses a sign.
+/// 5. `acc[c] = fma(w[t], v[t][c], acc[c])` — one fused multiply-add,
+///    rounded once ([`fma`](crate::fma())) — for `t` ascending over the
+///    keys that are not `-inf`. Such a key is skipped, not given its zero
+///    weight: `0.0 · inf` is NaN and `-0.0 + 0.0` loses a sign.
 ///
 /// Runs the widest build of the fold this CPU supports; callers that
 /// fold many blocks pick the [`Isa`] once and use
@@ -252,11 +291,11 @@ pub fn online_softmax_update_on<'a>(
     match isa.build() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
-        // `avx2` and `avx512f` on this CPU.
+        // `avx2`, `fma` and `avx512f` on this CPU.
         IsaBuild::Avx512 => unsafe { fold_avx512(state, scores, values) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
-        // on this CPU.
+        // and `fma` on this CPU.
         IsaBuild::Avx2 => unsafe { fold_avx2(state, scores, values) },
         _ => fold_baseline(state, scores, values),
     }
@@ -311,47 +350,48 @@ pub fn online_softmax_update_tile_on(
     match isa.build() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
-        // `avx2` and `avx512f` on this CPU.
+        // `avx2`, `fma` and `avx512f` on this CPU.
         IsaBuild::Avx512 => unsafe { fold_tile_avx512(states, score_tile, live, v_slab) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
-        // on this CPU.
+        // and `fma` on this CPU.
         IsaBuild::Avx2 => unsafe { fold_tile_avx2(states, score_tile, live, v_slab) },
         _ => fold_tile_baseline(states, score_tile, live, v_slab),
     }
 }
 
-/// The row fold compiled for the target's baseline instruction set.
+/// The row fold compiled for the target's baseline instruction set, step
+/// 5 through the exact emulation of a fused multiply-add.
 fn fold_baseline<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    fold::<FOLD_COLUMNS_BASELINE>(state, scores, values);
+    fold::<FOLD_COLUMNS_BASELINE, false>(state, scores, values);
 }
 
-/// The row fold compiled with AVX2 (and nothing else: no `fma`): the
-/// same multiplies and adds per lane, eight lanes to a register.
+/// The row fold compiled with AVX2 and FMA: the same fused products per
+/// lane, eight lanes to a register.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn fold_avx2<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    fold::<FOLD_COLUMNS_AVX2>(state, scores, values);
+    fold::<FOLD_COLUMNS_AVX2, true>(state, scores, values);
 }
 
-/// The row fold compiled with AVX-512F: the same multiplies and adds per
-/// lane, sixteen lanes to a register.
+/// The row fold compiled with AVX-512F: the same fused products per lane,
+/// sixteen lanes to a register.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
+#[target_feature(enable = "avx2,fma,avx512f")]
 fn fold_avx512<'a>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     values: impl FnMut(usize) -> &'a [f32],
 ) {
-    fold::<FOLD_COLUMNS_AVX512>(state, scores, values);
+    fold::<FOLD_COLUMNS_AVX512, true>(state, scores, values);
 }
 
 /// The tile fold compiled for the target's baseline instruction set.
@@ -361,31 +401,33 @@ fn fold_tile_baseline(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_BASELINE, FOLD_COLUMNS_BASELINE>(states, score_tile, live, v_slab);
+    fold_tile::<PAIR_COLUMNS_BASELINE, FOLD_COLUMNS_BASELINE, false>(
+        states, score_tile, live, v_slab,
+    );
 }
 
-/// The tile fold compiled with AVX2 (and nothing else: no `fma`).
+/// The tile fold compiled with AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn fold_tile_avx2(
     states: &mut [OnlineSoftmaxState],
     score_tile: &[f32],
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_AVX2, FOLD_COLUMNS_AVX2>(states, score_tile, live, v_slab);
+    fold_tile::<PAIR_COLUMNS_AVX2, FOLD_COLUMNS_AVX2, true>(states, score_tile, live, v_slab);
 }
 
 /// The tile fold compiled with AVX-512F.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,avx512f")]
+#[target_feature(enable = "avx2,fma,avx512f")]
 fn fold_tile_avx512(
     states: &mut [OnlineSoftmaxState],
     score_tile: &[f32],
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_AVX512, FOLD_COLUMNS_AVX512>(states, score_tile, live, v_slab);
+    fold_tile::<PAIR_COLUMNS_AVX512, FOLD_COLUMNS_AVX512, true>(states, score_tile, live, v_slab);
 }
 
 /// `b` if it is greater, else `a`: the select every step of the block
@@ -465,9 +507,9 @@ fn prepare(
 
 /// The one body of the row fold: [`prepare`] each block, then step 5
 /// over the value rows the caller's closure hands out, `COLUMNS` columns
-/// at a time.
+/// at a time; `FUSED` as in [`mul_add`].
 #[inline(always)]
-fn fold<'a, const COLUMNS: usize>(
+fn fold<'a, const COLUMNS: usize, const FUSED: bool>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     mut values: impl FnMut(usize) -> &'a [f32],
@@ -475,7 +517,7 @@ fn fold<'a, const COLUMNS: usize>(
     let mut weights = [0.0f32; FOLD_KEYS];
     for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
         if prepare(state, block, &mut weights).is_some() {
-            accumulate_live::<COLUMNS>(state, block, &mut weights, |t| {
+            accumulate_live::<COLUMNS, FUSED>(state, block, &mut weights, |t| {
                 values(pass * FOLD_KEYS + t)
             });
         }
@@ -486,7 +528,7 @@ fn fold<'a, const COLUMNS: usize>(
 /// value row and weight of every key that is not `-inf`, in order, and
 /// accumulates them.
 #[inline(always)]
-fn accumulate_live<'a, const COLUMNS: usize>(
+fn accumulate_live<'a, const COLUMNS: usize, const FUSED: bool>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     weights: &mut [f32; FOLD_KEYS],
@@ -504,7 +546,7 @@ fn accumulate_live<'a, const COLUMNS: usize>(
         rows[live] = row;
         live += 1;
     }
-    accumulate::<1, COLUMNS>([&mut state.acc], [weights], live, |j| rows[j]);
+    accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [weights], live, |j| rows[j]);
 }
 
 /// The one body of the tile fold: rows two at a time, each through
@@ -512,7 +554,7 @@ fn accumulate_live<'a, const COLUMNS: usize>(
 /// step 5 together over `PAIR_COLUMNS`-column chunks, any other row on
 /// its own over `COLUMNS`-column ones, as the row fold would.
 #[inline(always)]
-fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize>(
+fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>(
     states: &mut [OnlineSoftmaxState],
     score_tile: &[f32],
     live: &[(usize, usize)],
@@ -534,7 +576,7 @@ fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize>(
             if ranges[0] == ranges[1] {
                 let (lo, hi) = ranges[0];
                 let values = &v_slab[lo * d..hi * d];
-                accumulate::<2, PAIR_COLUMNS>(
+                accumulate::<2, PAIR_COLUMNS, FUSED>(
                     [&mut a.acc, &mut b.acc],
                     [&weights[0], &weights[1]],
                     hi - lo,
@@ -549,11 +591,11 @@ fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize>(
             match holes[r] {
                 None => {}
                 Some(false) => {
-                    accumulate::<1, COLUMNS>([&mut state.acc], [&weights[r]], hi - lo, value)
+                    accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [&weights[r]], hi - lo, value)
                 }
                 Some(true) => {
                     let row = &scores[r * FOLD_KEYS..][lo..hi];
-                    accumulate_live::<COLUMNS>(state, row, &mut weights[r], value);
+                    accumulate_live::<COLUMNS, FUSED>(state, row, &mut weights[r], value);
                 }
             }
         }
@@ -561,13 +603,13 @@ fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize>(
 }
 
 /// Step 5 for `R` rows that fold the same keys:
-/// `acc[r][c] += weights[r][j] * row(j)[c]` for `j` ascending below
+/// `acc[r][c] = fma(weights[r][j], row(j)[c], acc[r][c])` for `j` ascending below
 /// `keys`, on every column `c` — `COLUMNS` columns at a time in
 /// local arrays the compiler keeps in registers over all `j` (each load
 /// of a value row feeds all `R` rows), then the columns past the last
 /// whole chunk key by key in memory. Every row is `acc[r].len()` wide.
 #[inline(always)]
-fn accumulate<'v, const R: usize, const COLUMNS: usize>(
+fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
     mut acc: [&mut Vec<f32>; R],
     weights: [&[f32; FOLD_KEYS]; R],
     keys: usize,
@@ -585,7 +627,7 @@ fn accumulate<'v, const R: usize, const COLUMNS: usize>(
             for (held, weights) in lanes.iter_mut().zip(&weights) {
                 let w = weights[j];
                 for (a, &x) in held.iter_mut().zip(values) {
-                    *a += w * x;
+                    *a = mul_add::<FUSED>(w, x, *a);
                 }
             }
         }
@@ -601,7 +643,7 @@ fn accumulate<'v, const R: usize, const COLUMNS: usize>(
         for (acc, weights) in acc.iter_mut().zip(&weights) {
             let w = weights[j];
             for (a, &x) in acc[whole..].iter_mut().zip(values) {
-                *a += w * x;
+                *a = mul_add::<FUSED>(w, x, *a);
             }
         }
     }
@@ -697,22 +739,48 @@ mod tests {
             }
         }
         let mut rng = crate::DeterministicRng::new(0x50F7);
+        let mut rows = vec![Vec::new()];
         for len in [1usize, 7, 16, 63, 64, 65, 200, 4097] {
-            let mut rows = vec![rng.normal_matrix(1, len, 4.0).into_vec()];
-            let mut holes = rows[0].clone();
+            let row = rng.normal_matrix(1, len, 4.0).into_vec();
+            let mut holes = row.clone();
             for x in holes.iter_mut().step_by(3) {
                 *x = f32::NEG_INFINITY;
             }
-            rows.extend([holes, vec![f32::NEG_INFINITY; len]]);
-            for row in rows {
+            rows.extend([row, holes, vec![f32::NEG_INFINITY; len]]);
+        }
+        let want: Vec<Vec<f32>> = rows
+            .iter()
+            .map(|row| {
                 let mut want = row.clone();
                 statement(&mut want);
-                for isa in builds() {
-                    let mut got = row.clone();
-                    softmax_row_on(isa, &mut got);
-                    let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&got), bits(&want), "len {len} on {}", isa.name());
-                }
+                want
+            })
+            .collect();
+        let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in builds() {
+            // Each row alone, then all of them in groups of rows of mixed
+            // lengths, some empty or fully masked.
+            for (row, want) in rows.iter().zip(&want) {
+                let mut got = row.clone();
+                softmax_rows_on(isa, &mut [&mut got]);
+                assert_eq!(
+                    bits(&got),
+                    bits(want),
+                    "len {} on {}",
+                    row.len(),
+                    isa.name()
+                );
+            }
+            let mut got = rows.clone();
+            let mut refs: Vec<&mut [f32]> = got.iter_mut().map(|r| r.as_mut_slice()).collect();
+            softmax_rows_on(isa, &mut refs);
+            for (r, (got, want)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "row {r} of a group on {}",
+                    isa.name()
+                );
             }
         }
     }
@@ -845,7 +913,8 @@ mod tests {
 
     /// The fold's definition (steps 1–5 in the docs of
     /// [`online_softmax_update`]) as plain scalar loops, sharing no code
-    /// with the builds it holds to account except [`exp`]: lanes are
+    /// with the builds it holds to account except [`exp`] and
+    /// [`fma`](crate::fma()): lanes are
     /// spelled `t % 8`, the tree is written out, step 5 walks one key
     /// and one column at a time in memory.
     #[allow(clippy::needless_range_loop)] // the indices are the statement
@@ -892,7 +961,7 @@ mod tests {
                 }
                 let v = value(pass * 64 + t);
                 for c in 0..state.acc.len() {
-                    state.acc[c] += w[t] * v[c];
+                    state.acc[c] = crate::fma(w[t], v[c], state.acc[c]);
                 }
             }
         }

@@ -15,19 +15,24 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (no FMA anywhere, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf)"
+echo "==> codegen guard: the dispatched inner loops (FMA in every product loop, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf or fmaf)"
 # The score panel, the row fold, the tile fold, the row softmax and the
 # packed-weight GEMM are each one body compiled for the baseline ISA, for
-# AVX2 and for AVX-512 (DESIGN.md 5g). Their results are the same bits only
-# while no build fuses a multiply into an add (AVX-512F implies `fma` to
-# the compiler, so this is what holds that build to it), and a wide build
-# is only worth dispatching to while it really is 8 or 16 lanes wide.
-# sa-kernels holds every engine instantiation of the score panel and the
-# row fold (generic over the caller's closure, so compiled where it is
-# called); sa-tensor holds the tile fold, the row softmax and the GEMM.
-# And the bits are libm-independent only while every f32 exponential on
-# the pipeline path is `sa_tensor::exp`: a reference to `expf` in a
-# pipeline crate's objects is a call that slipped past it.
+# AVX2 + FMA and for AVX-512 (DESIGN.md 5g). Their results are the same
+# bits because every product they accumulate is one fused multiply-add,
+# a single rounding IEEE 754 defines exactly: the wide builds must issue
+# `vfmadd` for it (a product loop without one has fallen back to a
+# multiply and an add, which rounds twice), the row softmax has no
+# product and must issue none (one there is a contraction), and a wide
+# build is only worth dispatching to while it really is 8 or 16 lanes
+# wide. sa-kernels holds every engine instantiation of the score panel
+# and the row fold (generic over the caller's closure, so compiled where
+# it is called); sa-tensor holds the tile fold, the row softmax and the
+# GEMM. And the bits are libm-independent only while every f32
+# exponential on the pipeline path is `sa_tensor::exp` and every fused
+# product off the wide builds is `sa_tensor::fma`: a reference to `expf`
+# or `fmaf` in a pipeline crate's objects is a call that slipped past
+# them (`f32::mul_add` outside an `fma` build is a libm call).
 if [ "$(uname -m)" != "x86_64" ]; then
     echo "skipped: not an x86_64 host, only the baseline build exists"
 elif ! command -v objdump >/dev/null; then
@@ -40,19 +45,21 @@ else
     done | awk '
         function loop(s) {
             return s ~ /score_panel_/ ? "score_panel" : s ~ /gemm_rows_/ ? "gemm_rows" : \
-                s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_row_/ ? "softmax_row" : "fold"
+                s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_rows_/ ? "softmax_rows" : "fold"
         }
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold|fold_tile|softmax_row|gemm_rows)_avx(2|512)>/) wide[sym] = 0
+            if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows)_avx(2|512)>/) {
+                wide[sym] = 0
+                fused[sym] = 0
+            }
             next
         }
-        /vfn?m(add|sub)/ { fused[sym]++ }
+        /vfn?m(add|sub)/ { if (sym in fused) fused[sym]++ }
         /%ymm/ { if (sym in wide && sym ~ /_avx2>/) wide[sym]++ }
         /%zmm/ { if (sym in wide && sym ~ /_avx512>/) wide[sym]++ }
         END {
-            for (s in fused) { print "FMA instruction in " s; bad = 1 }
             for (s in wide) {
                 build = s ~ /_avx512>/ ? "avx512" : "avx2"
                 count[loop(s) "_" build]++
@@ -60,8 +67,16 @@ else
                     print "no " (build == "avx512" ? "zmm" : "ymm") " operand in " s
                     bad = 1
                 }
+                if (loop(s) == "softmax_rows" && fused[s] > 0) {
+                    print "FMA instruction in " s ", which has no product to fuse"
+                    bad = 1
+                }
+                if (loop(s) != "softmax_rows" && fused[s] == 0) {
+                    print "no FMA instruction in " s
+                    bad = 1
+                }
             }
-            split("score_panel fold fold_tile softmax_row gemm_rows", loops, " ")
+            split("score_panel fold fold_tile softmax_rows gemm_rows", loops, " ")
             for (i = 1; i <= 5; i++) {
                 for (b = 1; b <= 2; b++) {
                     name = loops[i] "_" (b == 1 ? "avx2" : "avx512")
@@ -76,12 +91,17 @@ else
         exit 1
     }
     for lib in sa_tensor sa_kernels sa_core sa_model; do
-        if objdump -r "target/release/lib$lib.rlib" 2>/dev/null | grep -qw expf; then
-            echo "codegen guard: lib$lib.rlib references libm's expf — use sa_tensor::exp" >&2
-            exit 1
-        fi
+        # Read the whole listing first: `objdump | grep -q` under pipefail
+        # fails exactly when grep finds a match and closes the pipe early.
+        relocs="$(objdump -r "target/release/lib$lib.rlib" 2>/dev/null || true)"
+        for call in expf fmaf; do
+            if grep -qw "$call" <<<"$relocs"; then
+                echo "codegen guard: lib$lib.rlib references libm's $call — use sa_tensor::${call%f}" >&2
+                exit 1
+            fi
+        done
     done
-    echo "no expf reference in libsa_{tensor,kernels,core,model}.rlib"
+    echo "no expf or fmaf reference in libsa_{tensor,kernels,core,model}.rlib"
 fi
 
 echo "==> merge gate link surface: cargo test on the benchmark package"
@@ -118,11 +138,12 @@ echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 b
 # The builds of an inner loop only differ once the optimiser vectorises
 # them, which a debug test binary never does: run the legs that hold every
 # build the CPU has to the others, to the row-wise reference, to the
-# scalar statement of the fold and to the scalar exp against the code
-# that ships.
+# scalar statement of the fold, to the scalar exp and to the CPU's FMA
+# instruction against the code that ships.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
 cargo test -q --offline --release --test exp_contract
-cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests packed::tests
+cargo test -q --offline --release --test fma_contract
+cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests
 cargo test -q --offline --release -p sa-kernels --lib panels::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"

@@ -18,7 +18,7 @@ use sa_kernels::{
 };
 use sa_tensor::pool::with_threads;
 use sa_tensor::{
-    col_sum, matmul, matmul_packed, matmul_packed_cols, matmul_transb, softmax_row,
+    col_sum, fma, matmul, matmul_packed, matmul_packed_cols, matmul_transb, softmax_row,
     softmax_rows_in_place, DeterministicRng, Matrix, PackedWeights, StrideSample,
 };
 
@@ -148,9 +148,9 @@ fn stage1_sampling_is_thread_invariant() {
 }
 
 /// Stage 1 as it was before it moved onto the key panels, kept as the
-/// oracle: one strict-order scalar dot product per (sampled row, visible
-/// key), a softmax per row, and the f64 column/diagonal fold in sampled-row
-/// order. Returns the bits of `(column_scores, diagonal_scores)`.
+/// oracle: one strict-order scalar dot product of fused products per
+/// (sampled row, visible key), a softmax per row, and the f64
+/// column/diagonal fold in sampled-row order. Returns the bits of `(column_scores, diagonal_scores)`.
 fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u32>) {
     let (s_q, s_k) = (q.rows(), k.rows());
     let scale = score_scale(q.cols());
@@ -164,8 +164,8 @@ fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u3
         let mut probs: Vec<f32> = (0..visible)
             .map(|j| {
                 let mut acc = 0.0f32;
-                for (a, b) in q.row(i).iter().zip(k.row(j)) {
-                    acc += a * b;
+                for (&a, &b) in q.row(i).iter().zip(k.row(j)) {
+                    acc = fma(a, b, acc);
                 }
                 acc * scale
             })
