@@ -1,11 +1,13 @@
 //! Dense causal attention (the gold baseline).
 
 use sa_kernels::{
-    flash_attention, flash_attention_prepared, AttentionOutput, FlashParams, PreparedKeys,
+    flash_attention, flash_attention_prepared, AttentionOutput, BlockedAttentionOutput, EngineJob,
+    FlashParams, PreparedKeys,
 };
 use sa_tensor::{Matrix, TensorError};
 
-use crate::{AttentionMethod, MethodOutput};
+use crate::method::run_alone;
+use crate::{AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
 
 /// Full attention via the flash kernel — the paper's accuracy gold
 /// standard and the latency baseline (FlashAttention2).
@@ -58,13 +60,55 @@ impl AttentionMethod for FullAttention {
 
     fn forward_head(
         &self,
-        _layer: usize,
-        _head: usize,
+        layer: usize,
+        head: usize,
         q: &Matrix,
         keys: PreparedKeys<'_>,
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
-        flash_attention_prepared(q, keys, v, true, self.params).map(dense_output)
+        run_alone(self.plan_head(layer, head, q.clone(), keys, v)?)
+    }
+
+    fn plan_head<'a>(
+        &'a self,
+        _layer: usize,
+        _head: usize,
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, TensorError> {
+        Ok(HeadPlan::Engine(Box::new(DenseHead {
+            q,
+            keys,
+            v,
+            params: self.params,
+        })))
+    }
+}
+
+/// A causal dense head waiting on its engine run.
+struct DenseHead<'a> {
+    q: Matrix,
+    keys: PreparedKeys<'a>,
+    v: &'a Matrix,
+    params: FlashParams,
+}
+
+impl PlannedHead for DenseHead<'_> {
+    fn job(&self) -> EngineJob<'_> {
+        EngineJob::dense(&self.q, self.keys, self.v, true, self.params)
+    }
+
+    fn finish(
+        self: Box<Self>,
+        run: Result<BlockedAttentionOutput, TensorError>,
+    ) -> Result<MethodOutput, TensorError> {
+        run.map(|out| {
+            dense_output(AttentionOutput {
+                output: out.output,
+                cost: out.cost,
+            })
+        })
     }
 }
 

@@ -41,7 +41,7 @@ pub use bigbird::BigBird;
 pub use full::FullAttention;
 pub use hash_sparse::HashSparse;
 pub use hyper_attention::HyperAttention;
-pub use method::{AttentionMethod, MethodOutput};
+pub use method::{finish_heads, AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
 pub use oracle::OracleTopK;
 pub use sample_adapter::SampleAttentionMethod;
 pub use streaming::StreamingLlm;

@@ -1,9 +1,10 @@
 //! The common interface every attention method implements.
 
 use sa_kernels::{
-    sparse_flash_attention_prepared, CostReport, KeyPanels, PreparedKeys, StructuredMask,
+    run_engine, BlockedAttentionOutput, CostReport, EngineJob, KeyPanels, PreparedKeys,
+    StructuredMask,
 };
-use sa_tensor::{Matrix, TensorError};
+use sa_tensor::{trace, Matrix, TensorError};
 
 /// Output of one attention-method invocation on one head.
 #[derive(Debug, Clone)]
@@ -58,6 +59,17 @@ pub trait AttentionMethod: Send + Sync {
     /// and `v`.
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError>;
 
+    /// The mask of a fixed-pattern method — one whose mask depends on the
+    /// shapes alone, such as a window or BigBird's blocks — for `s_q`
+    /// queries over `s_k` keys. Such a method implements this and
+    /// [`forward`](Self::forward), and the defaults of the other entry
+    /// points run the engine under the mask. `None`, the default, for
+    /// every other method.
+    fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {
+        let _ = (s_q, s_k);
+        None
+    }
+
     /// Computes attention for the head identified by `(layer, head)`, on
     /// keys the caller has already laid out for the engine.
     ///
@@ -65,8 +77,9 @@ pub trait AttentionMethod: Send + Sync {
     /// key panels across the query heads of its group and across prefill
     /// chunks, and wrappers that route individual heads differently — the
     /// serving layer's per-head quality quarantine — override it. The
-    /// default implementation ignores the identity and the panels and
-    /// delegates to [`forward`](Self::forward) on `keys.rows()`, so
+    /// default runs a [`fixed_mask`](Self::fixed_mask) method's plan
+    /// alone; for any other method it ignores the identity and the panels
+    /// and delegates to [`forward`](Self::forward) on `keys.rows()`, so
     /// methods that never run the engine behave identically on both
     /// entry points.
     ///
@@ -83,24 +96,145 @@ pub trait AttentionMethod: Send + Sync {
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
         let _ = (layer, head);
-        self.forward(q, keys.rows(), v)
+        match self.fixed_mask(q.rows(), keys.len()) {
+            Some(mask) => run_alone(HeadPlan::masked(q.clone(), keys, v, mask)),
+            None => self.forward(q, keys.rows(), v),
+        }
+    }
+
+    /// [`forward_head`](Self::forward_head) split where the engine pass
+    /// begins, so a caller can run several heads' engine passes as one
+    /// balanced call: the model layers plan every head of a KV group, run
+    /// the [`HeadPlan::Engine`] jobs through [`finish_heads`], and get
+    /// each head's output bit for bit as `forward_head` returns it.
+    ///
+    /// The default plans a [`fixed_mask`](Self::fixed_mask) method's
+    /// engine run under its mask, and for any other method runs the whole
+    /// of `forward_head` and returns [`HeadPlan::Done`]; other methods
+    /// that end in the engine override it, and their `forward_head` is
+    /// [`run_alone`] of their plan. The plan owns `q`.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_head`](Self::forward_head).
+    fn plan_head<'a>(
+        &'a self,
+        layer: usize,
+        head: usize,
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, TensorError> {
+        match self.fixed_mask(q.rows(), keys.len()) {
+            Some(mask) => Ok(HeadPlan::masked(q, keys, v, mask)),
+            None => self
+                .forward_head(layer, head, &q, keys, v)
+                .map(HeadPlan::Done),
+        }
     }
 }
 
-impl MethodOutput {
-    /// A fixed-pattern baseline's whole forward: the engine under `mask`,
-    /// with no coverage notion and no fallback.
-    pub(crate) fn structured(
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-        mask: &StructuredMask,
-    ) -> Result<Self, TensorError> {
-        let out = sparse_flash_attention_prepared(q, keys, v, mask)?;
+/// One head's forward, split where its engine pass begins (see
+/// [`AttentionMethod::plan_head`]).
+pub enum HeadPlan<'a> {
+    /// The method finished the head by itself.
+    Done(MethodOutput),
+    /// The head waits on one engine run.
+    Engine(Box<dyn PlannedHead + 'a>),
+}
+
+/// A head planned up to its engine run.
+pub trait PlannedHead: Send {
+    /// The engine run the head needs.
+    fn job(&self) -> EngineJob<'_>;
+
+    /// The head's output, given the result of [`job`](Self::job)'s run.
+    ///
+    /// # Errors
+    ///
+    /// As [`AttentionMethod::forward_head`].
+    fn finish(
+        self: Box<Self>,
+        run: Result<BlockedAttentionOutput, TensorError>,
+    ) -> Result<MethodOutput, TensorError>;
+}
+
+/// Finishes every head of `plans`, in order: the engine jobs of all the
+/// [`HeadPlan::Engine`] heads run together as one
+/// [`sa_kernels::run_engine`] call, cut into live-pair-balanced units,
+/// so heads of very different cost share the pool evenly. Each head gets
+/// its own job's result, so a failure of one job — a panic in one of its
+/// units — reaches that head alone.
+///
+/// When a job attends under a mask, the call is traced as the
+/// `core/sparse_kernel` stage, the span SampleAttention's own forward
+/// records around the same kernel.
+pub fn finish_heads(plans: Vec<HeadPlan<'_>>) -> Vec<Result<MethodOutput, TensorError>> {
+    let jobs: Vec<EngineJob<'_>> = plans
+        .iter()
+        .filter_map(|plan| match plan {
+            HeadPlan::Engine(head) => Some(head.job()),
+            HeadPlan::Done(_) => None,
+        })
+        .collect();
+    let span = jobs
+        .iter()
+        .any(EngineJob::is_sparse)
+        .then(|| trace::span_in("core", "sparse_kernel"));
+    let mut runs = run_engine(&jobs).into_iter();
+    drop(span);
+    drop(jobs);
+    plans
+        .into_iter()
+        .map(|plan| match plan {
+            HeadPlan::Done(out) => Ok(out),
+            HeadPlan::Engine(head) => head.finish(runs.next().expect("one run per job")),
+        })
+        .collect()
+}
+
+/// A head's forward on its own: `plan` finished as a batch of one. The
+/// `forward_head` of a method whose plan ends in the engine.
+///
+/// # Errors
+///
+/// As [`AttentionMethod::forward_head`].
+pub(crate) fn run_alone(plan: HeadPlan<'_>) -> Result<MethodOutput, TensorError> {
+    finish_heads(vec![plan])
+        .pop()
+        .expect("one output per plan")
+}
+
+impl<'a> HeadPlan<'a> {
+    /// A fixed-pattern method's plan: the engine under `mask`, with no
+    /// coverage notion and no fallback.
+    fn masked(q: Matrix, keys: PreparedKeys<'a>, v: &'a Matrix, mask: StructuredMask) -> Self {
+        HeadPlan::Engine(Box::new(MaskedHead { q, keys, v, mask }))
+    }
+}
+
+/// A fixed-pattern method's head, its mask built.
+struct MaskedHead<'a> {
+    q: Matrix,
+    keys: PreparedKeys<'a>,
+    v: &'a Matrix,
+    mask: StructuredMask,
+}
+
+impl PlannedHead for MaskedHead<'_> {
+    fn job(&self) -> EngineJob<'_> {
+        EngineJob::sparse(&self.q, self.keys, self.v, &self.mask)
+    }
+
+    fn finish(
+        self: Box<Self>,
+        run: Result<BlockedAttentionOutput, TensorError>,
+    ) -> Result<MethodOutput, TensorError> {
+        let out = run?;
         Ok(MethodOutput {
             output: out.output,
             cost: out.cost,
-            density: mask.density(),
+            density: self.mask.density(),
             alpha_satisfied: true,
             fell_back: false,
             fallback_reason: sa_core::FallbackReason::None,
@@ -153,5 +287,10 @@ mod tests {
         let keys = PreparedKeys::new(&q, &panels);
         let out = methods[0].forward_head(1, 3, &q, keys, &q).unwrap();
         assert_eq!(out.output.shape(), (2, 2));
+        // ... and the plan to the whole of `forward_head`.
+        let plan = methods[0].plan_head(1, 3, q.clone(), keys, &q).unwrap();
+        assert!(matches!(plan, HeadPlan::Done(ref out) if out.output == q));
+        let finished = finish_heads(vec![plan]);
+        assert_eq!(finished[0].as_ref().unwrap().output, q);
     }
 }

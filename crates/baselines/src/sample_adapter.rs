@@ -2,12 +2,13 @@
 //! [`AttentionMethod`] interface used by the evaluation harnesses.
 
 use sa_core::{
-    SampleAttention, SampleAttentionConfig, SampleAttentionError, SampleAttentionOutput,
+    DiscoveredMask, SampleAttention, SampleAttentionConfig, SampleAttentionError,
+    SampleAttentionOutput, SamplePlan,
 };
-use sa_kernels::PreparedKeys;
+use sa_kernels::{BlockedAttentionOutput, EngineJob, PreparedKeys};
 use sa_tensor::{Matrix, TensorError};
 
-use crate::{AttentionMethod, MethodOutput};
+use crate::{AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
 
 /// SampleAttention as an [`AttentionMethod`].
 #[derive(Debug, Clone)]
@@ -57,6 +58,56 @@ impl AttentionMethod for SampleAttentionMethod {
     ) -> Result<MethodOutput, TensorError> {
         method_output(self.inner.forward_prepared(q, keys, v))
     }
+
+    fn plan_head<'a>(
+        &'a self,
+        _layer: usize,
+        _head: usize,
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, TensorError> {
+        match self.inner.plan_prepared(&q, keys, v) {
+            Ok(SamplePlan::Engine(discovered)) => Ok(HeadPlan::Engine(Box::new(SampledHead {
+                op: &self.inner,
+                q,
+                keys,
+                v,
+                discovered,
+            }))),
+            Ok(SamplePlan::Done(out)) => method_output(Ok(out)).map(HeadPlan::Done),
+            Err(e) => method_output(Err(e)).map(HeadPlan::Done),
+        }
+    }
+}
+
+/// A head whose mask SampleAttention has discovered.
+struct SampledHead<'a> {
+    op: &'a SampleAttention,
+    q: Matrix,
+    keys: PreparedKeys<'a>,
+    v: &'a Matrix,
+    discovered: DiscoveredMask,
+}
+
+impl PlannedHead for SampledHead<'_> {
+    fn job(&self) -> EngineJob<'_> {
+        EngineJob::sparse(&self.q, self.keys, self.v, &self.discovered.mask)
+    }
+
+    fn finish(
+        self: Box<Self>,
+        run: Result<BlockedAttentionOutput, TensorError>,
+    ) -> Result<MethodOutput, TensorError> {
+        let SampledHead {
+            op,
+            q,
+            keys,
+            v,
+            discovered,
+        } = *self;
+        method_output(op.finish_prepared(&q, keys, v, discovered, run))
+    }
 }
 
 fn method_output(
@@ -96,5 +147,37 @@ mod tests {
         assert_eq!(out.output.shape(), (64, 8));
         assert!(out.density > 0.0);
         assert!(out.cost.flops > 0);
+    }
+
+    /// Each planned head is finished with its own job's result, so a
+    /// run that failed degrades its head alone.
+    #[test]
+    fn a_failed_engine_run_degrades_its_head_alone() {
+        let mut rng = DeterministicRng::new(2);
+        let q = rng.normal_matrix(256, 8, 1.0);
+        let k = rng.normal_matrix(256, 8, 1.0);
+        let v = rng.normal_matrix(256, 8, 1.0);
+        let panels = sa_kernels::KeyPanels::from_rows(&k);
+        let keys = PreparedKeys::new(&k, &panels);
+        let m = SampleAttentionMethod::paper_default();
+        let plan = || match m.plan_head(0, 0, q.clone(), keys, &v).unwrap() {
+            HeadPlan::Engine(head) => head,
+            HeadPlan::Done(_) => panic!("a healthy head plans an engine run"),
+        };
+        let (healthy, failing) = (plan(), plan());
+        let run = sa_kernels::run_engine(&[healthy.job()]).pop().unwrap();
+        let healthy = healthy.finish(run).unwrap();
+        let panic = TensorError::WorkerPanic {
+            site: "sparse_flash_attention",
+            message: "a unit of this head panicked".to_string(),
+        };
+        let degraded = failing.finish(Err(panic)).unwrap();
+
+        let alone = m.forward_head(0, 0, &q, keys, &v).unwrap();
+        assert_eq!(healthy.output, alone.output);
+        assert!(!healthy.fell_back);
+        assert!(degraded.fell_back);
+        assert_eq!(degraded.fallback_reason, sa_core::FallbackReason::WorkerPanic);
+        assert_eq!(degraded.density, 1.0);
     }
 }

@@ -4,7 +4,7 @@
 //! prefill stage its fixed sink+window pattern drops the mid-context
 //! information long-context tasks need.
 
-use sa_kernels::{PreparedKeys, StructuredMask};
+use sa_kernels::StructuredMask;
 use sa_tensor::{Matrix, TensorError};
 
 use crate::method::forward_on_built_panels;
@@ -65,15 +65,8 @@ impl AttentionMethod for StreamingLlm {
         forward_on_built_panels(self, q, k, v)
     }
 
-    fn forward_head(
-        &self,
-        _layer: usize,
-        _head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
-        MethodOutput::structured(q, keys, v, &self.build_mask(q.rows(), keys.len()))
+    fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {
+        Some(self.build_mask(s_q, s_k))
     }
 }
 

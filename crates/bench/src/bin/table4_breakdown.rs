@@ -95,9 +95,11 @@ fn measured_breakdown(args: &Args) -> TraceSummary {
             ]
         })
         .collect();
+    // Discovery stages count one span per head, the sparse kernel one per
+    // KV group: a group's heads share one engine pass.
     println!(
         "{}",
-        render_table(&["stage", "heads", "total(us)", "mean(us)"], &stage_rows)
+        render_table(&["stage", "spans", "total(us)", "mean(us)"], &stage_rows)
     );
 
     let fallbacks: Vec<(String, u64)> = result

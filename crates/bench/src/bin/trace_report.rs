@@ -10,7 +10,8 @@
 //!
 //! Outputs:
 //! - stdout: per-stage table (count, total, mean, p50/p95/p99),
-//!   per-head table, counter/histogram registry dump, fallback tally;
+//!   per-head plan table, counter/histogram registry dump, fallback
+//!   tally;
 //! - `results/trace_summary.json` (schema-checked on write via
 //!   [`sa_trace::summary::validate_summary`]);
 //! - `SA_TRACE=<path>`: additionally exports the Chrome trace-event
@@ -93,7 +94,9 @@ fn main() {
 
     let heads = per_head(&events);
     if !heads.is_empty() {
-        println!("Per-head attention time:\n");
+        // A head's kernel runs inside its KV group's shared engine pass
+        // (`model/engine`), so a head span times its plan alone.
+        println!("Per-head plan time (query projection + mask discovery):\n");
         let head_rows: Vec<Vec<String>> = heads
             .iter()
             .map(|(label, total_ns, count)| {

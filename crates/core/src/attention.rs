@@ -19,8 +19,8 @@
 //! `core.kernel_scored_pairs` histograms.
 
 use sa_kernels::{
-    flash_attention, sparse_flash_attention_prepared, CostReport, FlashParams, KeyPanels,
-    PreparedKeys, StructuredMask, ENGINE_BLOCK,
+    flash_attention, sparse_flash_attention_prepared, BlockedAttentionOutput, CostReport,
+    FlashParams, KeyPanels, PreparedKeys, StructuredMask, ENGINE_BLOCK,
 };
 use sa_tensor::{Matrix, SaError};
 
@@ -328,10 +328,128 @@ impl SampleAttention {
         keys: PreparedKeys<'_>,
         v: &Matrix,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        match self.plan_prepared(q, keys, v)? {
+            SamplePlan::Done(out) => Ok(out),
+            SamplePlan::Engine(discovered) => {
+                let span = sa_trace::span_in("core", "sparse_kernel");
+                let run = sparse_flash_attention_prepared(q, keys, v, &discovered.mask);
+                drop(span);
+                self.finish_prepared(q, keys, v, discovered, run)
+            }
+        }
+    }
+
+    /// [`forward_prepared`](Self::forward_prepared) up to the sparse
+    /// kernel: the input sentinel and mask discovery. A caller that runs
+    /// several heads' kernels together ([`sa_kernels::run_engine`]) plans
+    /// each head, runs the [`SamplePlan::Engine`] masks, and hands each
+    /// result to [`finish_prepared`](Self::finish_prepared); the outputs
+    /// are bit for bit `forward_prepared`'s. A tripped sentinel takes the
+    /// health policy here, so the plan is then already
+    /// [`SamplePlan::Done`].
+    ///
+    /// # Errors
+    ///
+    /// As [`forward`](Self::forward).
+    ///
+    /// # Panics
+    ///
+    /// As [`forward`](Self::forward).
+    pub fn plan_prepared(
+        &self,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<SamplePlan, SampleAttentionError> {
         let k = keys.rows();
-        match self.try_sparse_forward(q, keys, v) {
-            Ok(out) => Ok(out),
-            Err(SampleAttentionError::Tensor(e)) if e.is_health_error() => {
+        // Sentinel A: non-finite Q/K/V poison every later stage (NaN is
+        // silently swallowed by `f32::max` inside the softmaxes, so it
+        // must be caught here, before it folds into zeros downstream).
+        let bad = count_nonfinite(q.as_slice())
+            + count_nonfinite(k.as_slice())
+            + count_nonfinite(v.as_slice());
+        let discovered = if bad > 0 {
+            sentinel_trip();
+            Err(SaError::NonFinite {
+                stage: "inputs",
+                head: None,
+                count: bad,
+            }
+            .into())
+        } else {
+            self.discover_mask_prepared(q, keys)
+        };
+        match discovered {
+            Ok(discovered) => Ok(SamplePlan::Engine(discovered)),
+            Err(e) => self.degrade(q, k, v, e).map(SamplePlan::Done),
+        }
+    }
+
+    /// The rest of [`forward_prepared`](Self::forward_prepared) once the
+    /// sparse kernel has run under `discovered.mask` with result `run`:
+    /// the output sentinel, the kernel's statistics and, when the kernel
+    /// or the sentinel fails a health check, the health policy.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward`](Self::forward).
+    ///
+    /// # Panics
+    ///
+    /// As [`forward`](Self::forward).
+    pub fn finish_prepared(
+        &self,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+        discovered: DiscoveredMask,
+        run: Result<BlockedAttentionOutput, SaError>,
+    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        let DiscoveredMask {
+            mask,
+            kv_indices,
+            mut stats,
+        } = discovered;
+        let checked = run.map_err(SampleAttentionError::from).and_then(|sparse| {
+            stats.tile_size = ENGINE_BLOCK;
+            sa_trace::histogram_record!("core.kernel_scored_pairs", sparse.scored_pairs);
+            // Sentinel D: no non-finite value may escape the kernel.
+            let bad = count_nonfinite(sparse.output.as_slice());
+            if bad > 0 {
+                sentinel_trip();
+                return Err(SaError::NonFinite {
+                    stage: "attention_output",
+                    head: None,
+                    count: bad,
+                }
+                .into());
+            }
+            stats.sparse_cost = sparse.cost;
+            Ok(sparse.output)
+        });
+        match checked {
+            Ok(output) => Ok(SampleAttentionOutput {
+                output,
+                mask,
+                kv_indices,
+                stats,
+            }),
+            Err(e) => self.degrade(q, keys.rows(), v, e),
+        }
+    }
+
+    /// Applies the health policy to a pipeline error: health errors
+    /// propagate, abort or degrade to dense as configured; any other error
+    /// propagates.
+    fn degrade(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        e: SampleAttentionError,
+    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        match e {
+            SampleAttentionError::Tensor(e) if e.is_health_error() => {
                 match self.config.health_policy {
                     HealthPolicy::Propagate => Err(SampleAttentionError::Tensor(e)),
                     HealthPolicy::Abort => {
@@ -342,35 +460,8 @@ impl SampleAttention {
                         .map_err(SampleAttentionError::Tensor),
                 }
             }
-            Err(e) => Err(e),
+            e => Err(e),
         }
-    }
-
-    /// The sparse pipeline with all sentinels armed; health errors are
-    /// returned to [`forward`](Self::forward) for policy dispatch.
-    fn try_sparse_forward(
-        &self,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
-        let k = keys.rows();
-        // Sentinel A: non-finite Q/K/V poison every later stage (NaN is
-        // silently swallowed by `f32::max` inside the softmaxes, so it
-        // must be caught here, before it folds into zeros downstream).
-        let bad =
-            count_nonfinite(q.as_slice()) + count_nonfinite(k.as_slice()) + count_nonfinite(v.as_slice());
-        if bad > 0 {
-            sentinel_trip();
-            return Err(SaError::NonFinite {
-                stage: "inputs",
-                head: None,
-                count: bad,
-            }
-            .into());
-        }
-        let mask = self.discover_mask_prepared(q, keys)?;
-        self.forward_with_mask(q, keys, v, mask.mask, mask.kv_indices, mask.stats)
     }
 
     /// Dense degradation path: sanitise non-finite inputs to zero, run the
@@ -568,39 +659,6 @@ impl SampleAttention {
             stats,
         })
     }
-
-    fn forward_with_mask(
-        &self,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-        mask: StructuredMask,
-        kv_indices: Vec<usize>,
-        mut stats: SampleAttentionStats,
-    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
-        let _span = sa_trace::span_in("core", "sparse_kernel");
-        let sparse = sparse_flash_attention_prepared(q, keys, v, &mask)?;
-        stats.tile_size = ENGINE_BLOCK;
-        sa_trace::histogram_record!("core.kernel_scored_pairs", sparse.scored_pairs);
-        // Sentinel D: no non-finite value may escape the kernel.
-        let bad = count_nonfinite(sparse.output.as_slice());
-        if bad > 0 {
-            sentinel_trip();
-            return Err(SaError::NonFinite {
-                stage: "attention_output",
-                head: None,
-                count: bad,
-            }
-            .into());
-        }
-        stats.sparse_cost = sparse.cost;
-        Ok(SampleAttentionOutput {
-            output: sparse.output,
-            mask,
-            kv_indices,
-            stats,
-        })
-    }
 }
 
 fn count_nonfinite(xs: &[f32]) -> usize {
@@ -622,6 +680,17 @@ fn sanitized(m: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// What [`SampleAttention::plan_prepared`] leaves to do for one head.
+#[derive(Debug, Clone)]
+pub enum SamplePlan {
+    /// A sentinel tripped and the health policy produced the head's
+    /// output already (a dense fallback).
+    Done(SampleAttentionOutput),
+    /// The sparse kernel under the discovered mask, then
+    /// [`SampleAttention::finish_prepared`].
+    Engine(DiscoveredMask),
 }
 
 /// A discovered (but not yet executed) structured mask with its discovery

@@ -66,6 +66,7 @@ pub mod tuner;
 
 pub use attention::{
     DiscoveredMask, FallbackReason, SampleAttention, SampleAttentionOutput, SampleAttentionStats,
+    SamplePlan,
 };
 pub use autotune::{
     select_tile_size, AdaptiveSampleAttention, AutotuneConfig, RuntimeAutotuner, TileChoice,

@@ -22,6 +22,15 @@
 //! 64-byte cache line ([`AlignedBuf`]), so the wide builds' loads over
 //! them never straddle two lines.
 //!
+//! # Work units
+//!
+//! [`run_engine`] runs any number of heads' jobs ([`EngineJob`]) as one
+//! pool call: every job's query blocks are grouped into runs of about
+//! equal live pairs, and the runs of all jobs go to the pool longest
+//! first. The one-head entry points are a call of one job. A block's
+//! result never depends on which run it is in, so the cut moves time,
+//! not bits.
+//!
 //! # The fold partition
 //!
 //! Online softmax is only split-invariant in exact arithmetic; in f32
@@ -47,8 +56,9 @@ use sa_tensor::{
 };
 
 use crate::cost::f32_bytes;
+use crate::flash::{self, DenseRows};
 use crate::panels::{KeyPanels, PreparedKeys, BLOCK};
-use crate::{score_scale, CostReport, StructuredMask};
+use crate::{score_scale, CostReport, FlashParams, StructuredMask};
 
 // A score tile row is one fold block.
 const _: () = assert!(BLOCK == FOLD_KEYS);
@@ -202,27 +212,9 @@ pub fn sparse_flash_attention_prepared_on(
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
-    validate_sparse_shapes(q, keys.rows(), v, mask)?;
-    let (s_q, d) = q.shape();
-    let dv = v.cols();
-    let avg_live = (mask.nnz() / s_q.max(1)).max(1);
-    let (output, tally) = run("sparse_flash_attention", isa, q, keys, v, mask, avg_live)?;
-
-    // One fused launch: Q read once, every scored tile loads its K and V
-    // rows once, the gathered extras are read and written once more at
-    // gather time. The transposed K copy is host layout, not traffic a
-    // GPU kernel would add.
-    let gathered = mask.extra_columns().len() as u64;
-    let kv_row_bytes = f32_bytes((d + dv) as u64);
-    let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
-    let bytes_read = f32_bytes((s_q * d) as u64) + (tally.kv_rows + gathered) * kv_row_bytes;
-    let bytes_written = f32_bytes((s_q * dv) as u64) + gathered * kv_row_bytes;
-    Ok(BlockedAttentionOutput {
-        output,
-        cost: CostReport::launch(flops, bytes_read, bytes_written),
-        live_pairs: tally.live_pairs,
-        scored_pairs: tally.scored_pairs,
-    })
+    run_engine_on(isa, &[EngineJob::sparse(q, keys, v, mask)])
+        .pop()
+        .expect("one result per job")
 }
 
 /// The shape checks shared by the engine and the row-wise reference.
@@ -256,74 +248,459 @@ pub(crate) fn validate_sparse_shapes(
     Ok(())
 }
 
-/// Runs the engine over `geom` on the worker pool under fault site
-/// `site`, both inner loops on the build `isa` names. `avg_live` (keys
-/// per row, any estimate) only sizes the chunk grain. Shapes must
-/// already agree.
-pub(crate) fn run<G: RowGeometry>(
+/// One head's run on the engine: its queries, its keys and values, and
+/// which keys each query row sees. [`run_engine`] runs any number of
+/// them together.
+#[derive(Debug, Clone, Copy)]
+pub struct EngineJob<'a> {
+    q: &'a Matrix,
+    keys: PreparedKeys<'a>,
+    v: &'a Matrix,
+    rows: JobRows<'a>,
+}
+
+/// The keys each query row of a job sees.
+#[derive(Debug, Clone, Copy)]
+enum JobRows<'a> {
+    /// The live entries of a structured mask: the sparse kernel.
+    Mask(&'a StructuredMask),
+    /// Every key a row may see: dense attention.
+    Dense(DenseRows, FlashParams),
+}
+
+impl<'a> EngineJob<'a> {
+    /// The sparse kernel's job: `softmax(masked scores) V` over the
+    /// entries live under `mask`, as
+    /// [`sparse_flash_attention_prepared`] computes it.
+    pub fn sparse(
+        q: &'a Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+        mask: &'a StructuredMask,
+    ) -> Self {
+        EngineJob {
+            q,
+            keys,
+            v,
+            rows: JobRows::Mask(mask),
+        }
+    }
+
+    /// The dense kernel's job, as
+    /// [`flash_attention_prepared`](crate::flash_attention_prepared)
+    /// computes it.
+    pub fn dense(
+        q: &'a Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+        causal: bool,
+        params: FlashParams,
+    ) -> Self {
+        let rows = DenseRows {
+            s_q: q.rows(),
+            s_k: keys.len(),
+            causal,
+        };
+        EngineJob {
+            q,
+            keys,
+            v,
+            rows: JobRows::Dense(rows, params),
+        }
+    }
+
+    /// Whether the job attends under a mask (the sparse kernel).
+    pub fn is_sparse(&self) -> bool {
+        matches!(self.rows, JobRows::Mask(_))
+    }
+
+    /// The pool call site the job runs under — the name a fault plan
+    /// targets, the same as the one-job entry points'.
+    fn site(&self) -> &'static str {
+        match self.rows {
+            JobRows::Mask(_) => "sparse_flash_attention",
+            JobRows::Dense(..) => "flash_attention",
+        }
+    }
+
+    fn validate(&self) -> Result<(), TensorError> {
+        match self.rows {
+            JobRows::Mask(mask) => validate_sparse_shapes(self.q, self.keys.rows(), self.v, mask),
+            JobRows::Dense(_, params) => flash::validate(self.q, self.keys.rows(), self.v, params),
+        }
+    }
+
+    /// Whether the job has nothing to compute: its output is all zeros.
+    fn is_empty(&self) -> bool {
+        self.q.rows() == 0 || self.v.cols() == 0 || self.keys.is_empty()
+    }
+
+    /// Scalar operations per live pair, the unit the work is cut in.
+    fn ops_per_pair(&self) -> u64 {
+        (self.q.cols() + self.v.cols()) as u64
+    }
+
+    /// The output and cost report of a finished run.
+    fn output(&self, output: Matrix, tally: Tally) -> BlockedAttentionOutput {
+        let (s_q, d) = self.q.shape();
+        let dv = self.v.cols();
+        let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
+        let cost = match self.rows {
+            // One fused launch: Q read once, every scored tile loads its
+            // K and V rows once, the gathered extras are read and written
+            // once more at gather time. The transposed K copy is host
+            // layout, not traffic a GPU kernel would add.
+            JobRows::Mask(mask) => {
+                let gathered = mask.extra_columns().len() as u64;
+                let kv_row_bytes = f32_bytes((d + dv) as u64);
+                let bytes_read =
+                    f32_bytes((s_q * d) as u64) + (tally.kv_rows + gathered) * kv_row_bytes;
+                let bytes_written = f32_bytes((s_q * dv) as u64) + gathered * kv_row_bytes;
+                CostReport::launch(flops, bytes_read, bytes_written)
+            }
+            JobRows::Dense(rows, params) => flash::dense_cost(&rows, params, d, dv, flops),
+        };
+        BlockedAttentionOutput {
+            output,
+            cost,
+            live_pairs: tally.live_pairs,
+            scored_pairs: tally.scored_pairs,
+        }
+    }
+}
+
+impl RowGeometry for JobRows<'_> {
+    fn window(&self, i: usize) -> Option<(usize, usize)> {
+        match self {
+            JobRows::Mask(mask) => RowGeometry::window(*mask, i),
+            JobRows::Dense(rows, _) => rows.window(i),
+        }
+    }
+
+    fn extras(&self) -> &[usize] {
+        match self {
+            JobRows::Mask(mask) => mask.extra_columns(),
+            JobRows::Dense(..) => &[],
+        }
+    }
+
+    fn has_diagonals(&self) -> bool {
+        matches!(self, JobRows::Mask(mask) if mask.has_diagonals())
+    }
+
+    fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let mask = match self {
+            JobRows::Mask(mask) => Some(*mask),
+            JobRows::Dense(..) => None,
+        };
+        mask.into_iter()
+            .flat_map(move |mask| StructuredMask::diagonal_keys(mask, i))
+    }
+}
+
+/// Units a call's work is cut into when it is large: enough that the
+/// last unit to finish is a small share of the call at any thread count
+/// the host offers, few enough that per-unit set-up stays noise. A
+/// constant, so the cut never depends on the thread count.
+const UNITS_PER_CALL: u64 = 64;
+
+/// Runs `jobs` on the engine as one set of work units and returns each
+/// job's result, in job order.
+///
+/// The units are **(job, query-block range)** pairs: each job's query
+/// rows are cut on the [`BLOCK`] grid into ranges of about equal live
+/// pairs (about `1 / 64` of the call's work, never under
+/// [`pool::MIN_CHUNK_OPS`] operations), round-robin over the jobs and
+/// each job's in row order, the short remainders last, so a few heads of
+/// very different densities keep every thread busy to the end of the
+/// call instead of waiting on the densest head. A query block's fold is
+/// independent of every other
+/// block and of how blocks are grouped, so every output is bit for bit
+/// the one a call of its own ([`sparse_flash_attention_prepared`],
+/// [`flash_attention_prepared`](crate::flash_attention_prepared)) returns,
+/// at every thread count.
+///
+/// Failures stay with their job, as they would in calls of their own: a
+/// job whose shapes disagree gets its own error, and a panic in one of a
+/// job's units fails that job alone — its remaining units are skipped,
+/// the other jobs run to the end. The jobs of one kind share one pool
+/// call under that kind's site (`sparse_flash_attention` or
+/// `flash_attention`), so a fault plan that names the site fails every
+/// job of that kind, as it fails every one-job call there. The extras of
+/// the sparse jobs are gathered on the calling thread before the units
+/// start.
+pub fn run_engine(jobs: &[EngineJob<'_>]) -> Vec<Result<BlockedAttentionOutput, TensorError>> {
+    run_engine_on(Isa::detect(), jobs)
+}
+
+/// [`run_engine`] on the build of the inner loops `isa` names (see
+/// [`sparse_flash_attention_prepared_on`]).
+fn run_engine_on(
+    isa: Isa,
+    jobs: &[EngineJob<'_>],
+) -> Vec<Result<BlockedAttentionOutput, TensorError>> {
+    let mut results: Vec<Option<Result<BlockedAttentionOutput, TensorError>>> = jobs
+        .iter()
+        .map(|job| job.validate().err().map(Err))
+        .collect();
+    for site in ["sparse_flash_attention", "flash_attention"] {
+        let members: Vec<usize> = (0..jobs.len())
+            .filter(|&j| results[j].is_none() && jobs[j].site() == site)
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        let batch: Vec<&EngineJob<'_>> = members.iter().map(|&j| &jobs[j]).collect();
+        match run_units(site, isa, &batch) {
+            Ok(runs) => {
+                for (&j, run) in members.iter().zip(runs) {
+                    let job = &jobs[j];
+                    results[j] = Some(run.map(|(output, tally)| job.output(output, tally)));
+                }
+            }
+            Err(e) => {
+                for &j in &members {
+                    results[j] = Some(Err(e.clone()));
+                }
+            }
+        }
+    }
+    results
+        .into_iter()
+        .map(|result| result.expect("every job validated or ran"))
+        .collect()
+}
+
+/// A job's extras below the window, gathered: K transposed into panels,
+/// V rows in rank order, both from a cache line.
+struct Gathered {
+    kt: KeyPanels,
+    v: AlignedBuf,
+}
+
+/// One work unit: query rows `row0..` of job `job`, whose output rows
+/// `out` holds.
+struct Unit<'o> {
+    job: usize,
+    row0: usize,
+    out: &'o mut [f32],
+}
+
+/// [`Tally`] as the units of one job add to it.
+#[derive(Default)]
+struct SharedTally {
+    live_pairs: AtomicU64,
+    scored_pairs: AtomicU64,
+    kv_rows: AtomicU64,
+}
+
+impl SharedTally {
+    fn add(&self, tally: Tally) {
+        self.live_pairs
+            .fetch_add(tally.live_pairs, Ordering::Relaxed);
+        self.scored_pairs
+            .fetch_add(tally.scored_pairs, Ordering::Relaxed);
+        self.kv_rows.fetch_add(tally.kv_rows, Ordering::Relaxed);
+    }
+
+    fn into_tally(self) -> Tally {
+        Tally {
+            live_pairs: self.live_pairs.into_inner(),
+            scored_pairs: self.scored_pairs.into_inner(),
+            kv_rows: self.kv_rows.into_inner(),
+        }
+    }
+}
+
+/// A job's output and tally, or the error its run failed with.
+type JobRun = Result<(Matrix, Tally), TensorError>;
+
+/// Runs validated `jobs` on the engine as one pool call at `site` (see
+/// [`run_units_with`]), both inner loops on the build `isa` names.
+fn run_units(
     site: &'static str,
     isa: Isa,
-    q: &Matrix,
-    keys: PreparedKeys<'_>,
-    v: &Matrix,
-    geom: &G,
-    avg_live: usize,
-) -> Result<(Matrix, Tally), TensorError> {
-    let (s_q, d) = q.shape();
-    let k = keys.rows();
-    let dv = v.cols();
-    let mut output = Matrix::zeros(s_q, dv);
-    if s_q == 0 || dv == 0 || keys.is_empty() {
-        return Ok((output, Tally::default()));
-    }
+    jobs: &[&EngineJob<'_>],
+) -> Result<Vec<JobRun>, TensorError> {
     if trace::enabled() {
         static ISA_LANES: OnceLock<&'static Gauge> = OnceLock::new();
         ISA_LANES
             .get_or_init(|| trace::metrics::gauge("kernels.isa_lanes"))
             .set(isa.lanes() as i64);
     }
-    let scale = score_scale(d);
-    let extras = geom.extras();
-    let has_diagonals = geom.has_diagonals();
-    let extra_kt = KeyPanels::gathered(k, extras);
-    let extra_v = gather_values(v, extras);
-
-    let live_pairs = AtomicU64::new(0);
-    let scored_pairs = AtomicU64::new(0);
-    let kv_rows = AtomicU64::new(0);
-    // The grain depends on the workload only, never the thread count, and
-    // is a whole number of query blocks, so every chunk starts on the
-    // same block grid the serial loop walks.
-    let grain_rows = pool::row_grain(avg_live * (d + dv)).div_ceil(BLOCK) * BLOCK;
-    pool::try_parallel_for_rows(
-        site,
-        output.as_mut_slice(),
-        dv,
-        grain_rows,
-        |row0, chunk| {
-            let mut block = QueryBlock::new(dv, isa);
-            let mut tally = Tally::default();
-            for (b, out_rows) in chunk.chunks_mut(BLOCK * dv).enumerate() {
-                let q0 = row0 + b * BLOCK;
-                block.reset(geom, q0, out_rows.len() / dv);
-                block.fold_extras(q, &extra_kt, extra_v.as_slice(), scale, &mut tally);
-                if has_diagonals {
-                    block.fold_diagonals(geom, q, k, v, scale, &mut tally);
-                }
-                block.fold_window(q, v.as_slice(), keys.panels(), scale, &mut tally);
-                block.finish(out_rows);
+    // On the calling thread, before the fan-out, as a call of one job
+    // always did: a gather on whichever thread reached a job first put
+    // its few megabytes in that thread's allocator arena, and a 8K
+    // operator call's peak RSS read 23.8 or 27.0 MB run by run.
+    let gathered: Vec<Gathered> = jobs
+        .iter()
+        .map(|job| Gathered {
+            kt: KeyPanels::gathered(job.keys.rows(), job.rows.extras()),
+            v: gather_values(job.v, job.rows.extras()),
+        })
+        .collect();
+    run_units_with(site, jobs, |j, row0, out| {
+        let job = jobs[j];
+        let (q, keys, v, geom) = (job.q, job.keys, job.v, &job.rows);
+        let extras = &gathered[j];
+        let dv = v.cols();
+        let scale = score_scale(q.cols());
+        let has_diagonals = geom.has_diagonals();
+        let mut block = QueryBlock::new(dv, isa);
+        let mut tally = Tally::default();
+        for (b, out_rows) in out.chunks_mut(BLOCK * dv).enumerate() {
+            let q0 = row0 + b * BLOCK;
+            block.reset(geom, q0, out_rows.len() / dv);
+            block.fold_extras(q, &extras.kt, extras.v.as_slice(), scale, &mut tally);
+            if has_diagonals {
+                block.fold_diagonals(geom, q, keys.rows(), v, scale, &mut tally);
             }
-            live_pairs.fetch_add(tally.live_pairs, Ordering::Relaxed);
-            scored_pairs.fetch_add(tally.scored_pairs, Ordering::Relaxed);
-            kv_rows.fetch_add(tally.kv_rows, Ordering::Relaxed);
-        },
-    )?;
-    let tally = Tally {
-        live_pairs: live_pairs.into_inner(),
-        scored_pairs: scored_pairs.into_inner(),
-        kv_rows: kv_rows.into_inner(),
-    };
-    Ok((output, tally))
+            block.fold_window(q, v.as_slice(), keys.panels(), scale, &mut tally);
+            block.finish(out_rows);
+        }
+        tally
+    })
+}
+
+/// Cuts validated `jobs` into units, hands them to the pool at `site` in
+/// [`cut_units`]' order, and runs `unit(job, row0, out)` on each — `out` the
+/// output rows from `row0` of job `job` the unit covers. Returns every
+/// job's output and the sum of its units' tallies.
+///
+/// A panic in a unit is contained where it happens ([`pool::contain`])
+/// and fails that unit's job only: the job's later units are skipped and
+/// every other job runs on. A failure of the call itself — a fault plan
+/// naming `site`, a cancellation — is the `Err` of the whole call.
+fn run_units_with<F>(
+    site: &'static str,
+    jobs: &[&EngineJob<'_>],
+    unit: F,
+) -> Result<Vec<JobRun>, TensorError>
+where
+    F: Fn(usize, usize, &mut [f32]) -> Tally + Sync,
+{
+    let mut outputs: Vec<Matrix> = jobs
+        .iter()
+        .map(|job| Matrix::zeros(job.q.rows(), job.v.cols()))
+        .collect();
+    // Operations of every query block of every job.
+    let block_ops: Vec<Vec<u64>> = jobs
+        .iter()
+        .map(|job| {
+            if job.is_empty() {
+                return Vec::new();
+            }
+            let per_pair = job.ops_per_pair();
+            (0..job.q.rows())
+                .step_by(BLOCK)
+                .map(|q0| {
+                    (q0..(q0 + BLOCK).min(job.q.rows()))
+                        .map(|i| row_live(&job.rows, i))
+                        .sum::<u64>()
+                        * per_pair
+                })
+                .collect()
+        })
+        .collect();
+    let mut rest: Vec<&mut [f32]> = outputs.iter_mut().map(Matrix::as_mut_slice).collect();
+    // Each job's units come last rows first: split its output from the end.
+    let mut units: Vec<Unit<'_>> = cut_units(&block_ops)
+        .into_iter()
+        .map(|plan| {
+            let row0 = plan.blocks.start * BLOCK;
+            let dv = jobs[plan.job].v.cols();
+            let (head, out) = std::mem::take(&mut rest[plan.job]).split_at_mut(row0 * dv);
+            rest[plan.job] = head;
+            Unit {
+                job: plan.job,
+                row0,
+                out,
+            }
+        })
+        .collect();
+    // The pool claims from the back. (Issued by size alone, which
+    // scatters one job's equal-sized units over its rows, a 16K operator
+    // call ran slower than the row chunks it replaced in 10 of 10 pairs.)
+    units.reverse();
+
+    let tallies: Vec<SharedTally> = jobs.iter().map(|_| SharedTally::default()).collect();
+    let failures: Vec<OnceLock<TensorError>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    pool::try_parallel_for_parts(site, units, |Unit { job, row0, out }| {
+        if failures[job].get().is_some() {
+            return;
+        }
+        match pool::contain(site, || unit(job, row0, out)) {
+            Ok(tally) => tallies[job].add(tally),
+            Err(e) => {
+                let _ = failures[job].set(e);
+            }
+        }
+    })?;
+    Ok(outputs
+        .into_iter()
+        .zip(tallies)
+        .zip(failures)
+        .map(|((output, tally), failure)| match failure.into_inner() {
+            Some(e) => Err(e),
+            None => Ok((output, tally.into_tally())),
+        })
+        .collect())
+}
+
+/// Live pairs of query row `i`: its window, the extras below the window
+/// and its diagonal keys.
+fn row_live<G: RowGeometry>(geom: &G, i: usize) -> u64 {
+    geom.window(i).map_or(0, |(start, end)| {
+        let extras = geom.extras().partition_point(|&c| c < start);
+        (end - start + extras + geom.diagonal_keys(i).count()) as u64
+    })
+}
+
+/// Query blocks `blocks` of job `job`, `ops` scalar operations in all.
+#[derive(Debug, Clone, PartialEq)]
+struct UnitPlan {
+    job: usize,
+    blocks: std::ops::Range<usize>,
+    ops: u64,
+}
+
+/// Cuts jobs whose query blocks cost `block_ops` into units: runs of
+/// consecutive blocks of one job, each closed once it reaches
+/// `1 / UNITS_PER_CALL` of the whole (and at least
+/// [`pool::MIN_CHUNK_OPS`]) or at the job's last block.
+///
+/// Returned in the order they should start: round-robin over the jobs,
+/// each job's units from its last rows back to its first — the order a
+/// call of one job always claimed its row chunks in.
+fn cut_units(block_ops: &[Vec<u64>]) -> Vec<UnitPlan> {
+    let total: u64 = block_ops.iter().flatten().sum();
+    let unit_ops = (total / UNITS_PER_CALL).max(pool::MIN_CHUNK_OPS as u64);
+    let mut per_job: Vec<Vec<UnitPlan>> = Vec::with_capacity(block_ops.len());
+    for (job, ops) in block_ops.iter().enumerate() {
+        let mut units = Vec::new();
+        let (mut first, mut size) = (0, 0);
+        for (b, &block) in ops.iter().enumerate() {
+            size += block;
+            if size >= unit_ops || b + 1 == ops.len() {
+                units.push(UnitPlan {
+                    job,
+                    blocks: first..b + 1,
+                    ops: size,
+                });
+                (first, size) = (b + 1, 0);
+            }
+        }
+        units.reverse();
+        per_job.push(units);
+    }
+    let rounds = per_job.iter().map(Vec::len).max().unwrap_or(0);
+    (0..rounds)
+        .flat_map(|r| {
+            per_job
+                .iter()
+                .filter_map(move |units| units.get(r).cloned())
+        })
+        .collect()
 }
 
 /// The rows `indices` of `v`, in that order, copied straight into
@@ -719,6 +1096,207 @@ mod tests {
             assert_eq!(prepared.output.as_slice(), rebuilt.output.as_slice());
             assert_eq!(prepared.cost, rebuilt.cost);
             assert!(prepared.scored_pairs > prepared.live_pairs, "s_q={s_q}");
+        }
+    }
+
+    #[test]
+    fn units_tile_every_job_on_the_block_grid_in_near_equal_shares() {
+        // A dense triangle, a flat sparse head, an empty job.
+        let big = pool::MIN_CHUNK_OPS as u64 * 100;
+        let triangle: Vec<u64> = (1..=40).map(|b| b * big).collect();
+        let flat = vec![3 * big; 25];
+        let block_ops = vec![triangle, flat, Vec::new()];
+        let units = cut_units(&block_ops);
+        let total: u64 = block_ops.iter().flatten().sum();
+        let target = total / UNITS_PER_CALL;
+        for (job, ops) in block_ops.iter().enumerate() {
+            // Issued last rows first; consecutive, gap-free, every block
+            // once, sizes summed.
+            let mine: Vec<&UnitPlan> = units.iter().rev().filter(|u| u.job == job).collect();
+            let mut next = 0;
+            for unit in &mine {
+                assert_eq!(unit.blocks.start, next, "job {job}");
+                assert_eq!(unit.ops, ops[unit.blocks.clone()].iter().sum::<u64>());
+                next = unit.blocks.end;
+            }
+            assert_eq!(next, ops.len(), "job {job}");
+            // Every unit but a job's last reaches the target, and none
+            // overshoots it by more than one block.
+            let widest = ops.iter().copied().max().unwrap_or(0);
+            for (k, unit) in mine.iter().enumerate() {
+                assert!(unit.ops < target + widest, "job {job} unit {k}");
+                if k + 1 < mine.len() {
+                    assert!(unit.ops >= target, "job {job} unit {k}");
+                }
+            }
+        }
+        // The jobs take turns until the shorter runs out.
+        let order: Vec<usize> = units.iter().map(|u| u.job).collect();
+        assert_eq!(order[..4], [0, 1, 0, 1]);
+        // Small calls keep whole chunks: one unit per job of a few blocks.
+        let small = cut_units(&[vec![10; 6], vec![1; 3]]);
+        assert_eq!(
+            small,
+            vec![
+                UnitPlan {
+                    job: 0,
+                    blocks: 0..6,
+                    ops: 60
+                },
+                UnitPlan {
+                    job: 1,
+                    blocks: 0..3,
+                    ops: 3
+                },
+            ]
+        );
+    }
+
+    /// Each job of a batch as a call of its own, bit for bit, with the
+    /// same cost and tallies — at every thread count, with a mismatched
+    /// job that fails alone.
+    #[test]
+    fn a_batch_equals_one_call_per_job_at_every_thread_count() {
+        let s = 300;
+        let (q, k, v) = random_qkv(s, s, 8, 21);
+        let (q2, _, _) = random_qkv(s, 1, 8, 22);
+        let (decode_q, _, _) = random_qkv(3, 1, 8, 23);
+        let (bad_q, _, _) = random_qkv(s, 1, 5, 24);
+        let panels = KeyPanels::from_rows(&k);
+        let keys = PreparedKeys::new(&k, &panels);
+        let params = FlashParams::default();
+        let striped = StructuredMask::builder(s, s)
+            .window(9)
+            .sinks(3)
+            .columns((0..60).map(|i| 5 + i * 4).collect())
+            .diagonals(vec![13, 150])
+            .build()
+            .unwrap();
+        let banded = StructuredMask::builder(s, s)
+            .window(40)
+            .dense_tail_rows(20)
+            .build()
+            .unwrap();
+        let empty = StructuredMask::builder(0, s).window(4).build().unwrap();
+        let no_rows = Matrix::zeros(0, 8);
+        let jobs = [
+            EngineJob::sparse(&q, keys, &v, &striped),
+            EngineJob::dense(&q2, keys, &v, true, params),
+            EngineJob::sparse(&q2, keys, &v, &banded),
+            EngineJob::dense(&decode_q, keys, &v, false, params),
+            EngineJob::sparse(&no_rows, keys, &v, &empty),
+            EngineJob::sparse(&bad_q, keys, &v, &striped),
+        ];
+        let alone: Vec<Result<(Matrix, CostReport), TensorError>> = vec![
+            sparse_flash_attention_prepared(&q, keys, &v, &striped).map(|o| (o.output, o.cost)),
+            crate::flash_attention_prepared(&q2, keys, &v, true, params)
+                .map(|o| (o.output, o.cost)),
+            sparse_flash_attention_prepared(&q2, keys, &v, &banded).map(|o| (o.output, o.cost)),
+            crate::flash_attention_prepared(&decode_q, keys, &v, false, params)
+                .map(|o| (o.output, o.cost)),
+            sparse_flash_attention_prepared(&no_rows, keys, &v, &empty).map(|o| (o.output, o.cost)),
+            sparse_flash_attention_prepared(&bad_q, keys, &v, &striped).map(|o| (o.output, o.cost)),
+        ];
+        assert!(alone[5].is_err());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 2, 3, 5] {
+            let batch = pool::with_threads(threads, || run_engine(&jobs));
+            assert_eq!(batch.len(), jobs.len());
+            for (j, (got, want)) in batch.iter().zip(&alone).enumerate() {
+                match (got, want) {
+                    (Ok(got), Ok((output, cost))) => {
+                        assert_eq!(
+                            bits(&got.output),
+                            bits(output),
+                            "job {j}, threads {threads}"
+                        );
+                        assert_eq!(got.cost, *cost, "job {j}, threads {threads}");
+                    }
+                    (Err(got), Err(want)) => assert_eq!(got, want, "job {j}"),
+                    _ => panic!("job {j}, threads {threads}: {got:?} vs {want:?}"),
+                }
+            }
+            let live = batch[0].as_ref().map(|o| o.live_pairs);
+            assert_eq!(live, Ok(striped.nnz() as u64));
+        }
+    }
+
+    #[test]
+    fn a_fault_plan_fails_the_jobs_of_its_site_only() {
+        let (q, k, v) = random_qkv(130, 130, 8, 25);
+        let panels = KeyPanels::from_rows(&k);
+        let keys = PreparedKeys::new(&k, &panels);
+        let mask = StructuredMask::builder(130, 130)
+            .window(16)
+            .sinks(2)
+            .build()
+            .unwrap();
+        let jobs = [
+            EngineJob::sparse(&q, keys, &v, &mask),
+            EngineJob::dense(&q, keys, &v, true, FlashParams::default()),
+            EngineJob::sparse(&q, keys, &v, &mask),
+        ];
+        let plan = sa_tensor::fault::FaultPlan::new(3).worker_panic("sparse_flash_attention");
+        let guard = sa_tensor::fault::install(plan);
+        let results = run_engine(&jobs);
+        drop(guard);
+        for j in [0, 2] {
+            assert!(
+                matches!(
+                    &results[j],
+                    Err(TensorError::WorkerPanic {
+                        site: "sparse_flash_attention",
+                        ..
+                    })
+                ),
+                "job {j}: {:?}",
+                results[j]
+            );
+        }
+        let dense = crate::flash_attention_prepared(&q, keys, &v, true, FlashParams::default());
+        assert_eq!(results[1].as_ref().unwrap().output, dense.unwrap().output);
+    }
+
+    #[test]
+    fn a_panicking_unit_fails_its_job_only() {
+        let s = 1024;
+        let (q, k, v) = random_qkv(s, s, 8, 26);
+        let panels = KeyPanels::from_rows(&k);
+        let keys = PreparedKeys::new(&k, &panels);
+        let job = EngineJob::dense(&q, keys, &v, true, FlashParams::default());
+        let jobs = [&job, &job, &job];
+        for threads in [1, 2, 3, 5] {
+            let runs = pool::with_threads(threads, || {
+                run_units_with("unit_test", &jobs, |j, row0, out| {
+                    if j == 1 && row0 > 0 {
+                        panic!("a unit of job 1 blew up");
+                    }
+                    out.fill((row0 + 1) as f32);
+                    Tally {
+                        live_pairs: 1,
+                        ..Tally::default()
+                    }
+                })
+            })
+            .expect("the call itself does not fail");
+            assert!(
+                matches!(&runs[1], Err(TensorError::WorkerPanic { site: "unit_test", message })
+                    if message.contains("job 1 blew up")),
+                "threads {threads}: {:?}",
+                runs[1].as_ref().map(|(_, tally)| tally.live_pairs)
+            );
+            // The other jobs ran every unit, whatever job 1 did meanwhile.
+            for j in [0, 2] {
+                let (output, tally) = runs[j].as_ref().expect("a healthy job");
+                assert!(
+                    output.as_slice().iter().all(|&x| x > 0.0),
+                    "threads {threads} job {j}"
+                );
+                assert!(
+                    tally.live_pairs > 1,
+                    "threads {threads} job {j}: one unit per run"
+                );
+            }
         }
     }
 

@@ -11,9 +11,9 @@
 //! the two-pass softmax, so outputs match [`crate::full_attention`] to
 //! floating-point round-off.
 
-use sa_tensor::{Isa, Matrix, TensorError};
+use sa_tensor::{Matrix, TensorError};
 
-use crate::blocked::{self, RowGeometry};
+use crate::blocked::{run_engine, EngineJob, RowGeometry};
 use crate::cost::f32_bytes;
 use crate::panels::{KeyPanels, PreparedKeys};
 use crate::{AttentionOutput, CostReport};
@@ -100,7 +100,21 @@ pub fn flash_attention_prepared(
     causal: bool,
     params: FlashParams,
 ) -> Result<AttentionOutput, TensorError> {
-    let k = keys.rows();
+    let job = EngineJob::dense(q, keys, v, causal, params);
+    let out = run_engine(&[job]).pop().expect("one result per job")?;
+    Ok(AttentionOutput {
+        output: out.output,
+        cost: out.cost,
+    })
+}
+
+/// The shape checks of [`flash_attention_prepared`].
+pub(crate) fn validate(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    params: FlashParams,
+) -> Result<(), TensorError> {
     if q.cols() != k.cols() {
         return Err(TensorError::ShapeMismatch {
             op: "flash_attention(q,k)",
@@ -121,37 +135,36 @@ pub fn flash_attention_prepared(
             what: "tile sizes must be nonzero".to_string(),
         });
     }
+    Ok(())
+}
 
-    let (s_q, d) = q.shape();
-    let s_k = k.rows();
-    let dv = v.cols();
-    let rows = DenseRows { s_q, s_k, causal };
-    let (output, tally) = blocked::run("flash_attention", Isa::detect(), q, keys, v, &rows, s_k)?;
-
-    // K/V elements the modelled kernel reads: every query block re-reads
-    // the keys its last row can see.
-    let kv_block_reads: u64 = (0..s_q)
+/// The modelled dense kernel's cost: `flops` over the live pairs, no
+/// score-matrix traffic, and every query block of `params.block_rows`
+/// rows re-reading the K/V rows its last row can see.
+pub(crate) fn dense_cost(
+    rows: &DenseRows,
+    params: FlashParams,
+    d: usize,
+    dv: usize,
+    flops: u64,
+) -> CostReport {
+    let kv_block_reads: u64 = (0..rows.s_q)
         .step_by(params.block_rows)
-        .filter_map(|q0| rows.window((q0 + params.block_rows).min(s_q) - 1))
+        .filter_map(|q0| rows.window((q0 + params.block_rows).min(rows.s_q) - 1))
         .map(|(_, end)| (end * (d + dv)) as u64)
         .sum();
-
-    // Same arithmetic as full attention but fused into a single kernel:
-    // no score-matrix traffic; K/V tiles are re-read once per query block.
-    let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
-    let bytes_read = f32_bytes((s_q * d) as u64) + f32_bytes(kv_block_reads);
-    let bytes_written = f32_bytes((s_q * dv) as u64);
-    let cost = CostReport::launch(flops, bytes_read, bytes_written);
-
-    Ok(AttentionOutput { output, cost })
+    let bytes_read = f32_bytes((rows.s_q * d) as u64) + f32_bytes(kv_block_reads);
+    let bytes_written = f32_bytes((rows.s_q * dv) as u64);
+    CostReport::launch(flops, bytes_read, bytes_written)
 }
 
 /// Dense attention as engine geometry: every row's window is all the
 /// keys it may see.
-struct DenseRows {
-    s_q: usize,
-    s_k: usize,
-    causal: bool,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DenseRows {
+    pub s_q: usize,
+    pub s_k: usize,
+    pub causal: bool,
 }
 
 impl RowGeometry for DenseRows {

@@ -46,8 +46,8 @@ mod sparse_flash;
 mod tile;
 
 pub use blocked::{
-    sparse_flash_attention_blocked, sparse_flash_attention_prepared,
-    sparse_flash_attention_prepared_on, BlockedAttentionOutput,
+    run_engine, sparse_flash_attention_blocked, sparse_flash_attention_prepared,
+    sparse_flash_attention_prepared_on, BlockedAttentionOutput, EngineJob,
 };
 pub use cost::CostReport;
 pub use flash::{flash_attention, flash_attention_prepared, FlashParams};

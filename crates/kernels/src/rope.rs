@@ -51,32 +51,7 @@ pub fn apply_rope(
             what: format!("head dimension must be even, got {d}"),
         });
     }
-    if !(config.scaling > 0.0) || !(config.base > 0.0) {
-        return Err(TensorError::InvalidDimension {
-            op: "apply_rope",
-            what: format!(
-                "base and scaling must be positive (base={}, scaling={})",
-                config.base, config.scaling
-            ),
-        });
-    }
-    let half = d / 2;
-    let inv_freq: Vec<f32> = (0..half)
-        .map(|t| config.base.powf(-2.0 * t as f32 / d as f32))
-        .collect();
-    for i in 0..x.rows() {
-        let pos = (position_offset + i) as f32 / config.scaling;
-        let row = x.row_mut(i);
-        for t in 0..half {
-            let theta = pos * inv_freq[t];
-            let (sin, cos) = theta.sin_cos();
-            let a = row[2 * t];
-            let b = row[2 * t + 1];
-            row[2 * t] = a * cos - b * sin;
-            row[2 * t + 1] = a * sin + b * cos;
-        }
-    }
-    Ok(())
+    RopeTable::new(config, d, position_offset, x.rows())?.apply(x)
 }
 
 /// Applies rotary embeddings to only the first `rotary_dims` columns of
@@ -94,50 +69,120 @@ pub fn apply_rope_partial(
     position_offset: usize,
     config: RopeConfig,
 ) -> Result<(), TensorError> {
-    if rotary_dims > x.cols() {
-        return Err(TensorError::InvalidDimension {
-            op: "apply_rope_partial",
-            what: format!(
-                "rotary_dims {rotary_dims} exceeds matrix width {}",
-                x.cols()
-            ),
-        });
-    }
-    if !rotary_dims.is_multiple_of(2) {
-        return Err(TensorError::InvalidDimension {
-            op: "apply_rope_partial",
-            what: format!("rotary_dims must be even, got {rotary_dims}"),
-        });
-    }
-    if rotary_dims == 0 {
-        return Ok(());
-    }
-    if !(config.scaling > 0.0) || !(config.base > 0.0) {
-        return Err(TensorError::InvalidDimension {
-            op: "apply_rope_partial",
-            what: format!(
-                "base and scaling must be positive (base={}, scaling={})",
-                config.base, config.scaling
-            ),
-        });
-    }
-    let half = rotary_dims / 2;
-    let inv_freq: Vec<f32> = (0..half)
-        .map(|t| config.base.powf(-2.0 * t as f32 / rotary_dims as f32))
-        .collect();
-    for i in 0..x.rows() {
-        let pos = (position_offset + i) as f32 / config.scaling;
-        let row = x.row_mut(i);
-        for t in 0..half {
-            let theta = pos * inv_freq[t];
-            let (sin, cos) = theta.sin_cos();
-            let a = row[2 * t];
-            let b = row[2 * t + 1];
-            row[2 * t] = a * cos - b * sin;
-            row[2 * t + 1] = a * sin + b * cos;
+    RopeTable::new(config, rotary_dims, position_offset, x.rows())?.apply(x)
+}
+
+/// The rotations of a run of positions, computed once and applied to as
+/// many matrices as share them: a layer call rotates every query head
+/// and every key head of its rows with one table, where each
+/// [`apply_rope_partial`] call evaluates a sine and a cosine per rotated
+/// pair of every row.
+///
+/// Each angle is computed exactly as [`apply_rope_partial`] computes it
+/// and each pair is rotated by the same expression, so applying a table
+/// leaves the same bits as the per-call rotation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RopeTable {
+    rotary_dims: usize,
+    /// `(cos, sin)` of every rotated pair, row-major: `rotary_dims / 2`
+    /// entries per position.
+    rotations: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// The rotations of the first `rotary_dims` dimensions at positions
+    /// `position_offset..position_offset + rows`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] if `rotary_dims` is odd
+    /// or the config's base or scaling is not positive.
+    pub fn new(
+        config: RopeConfig,
+        rotary_dims: usize,
+        position_offset: usize,
+        rows: usize,
+    ) -> Result<Self, TensorError> {
+        if !rotary_dims.is_multiple_of(2) {
+            return Err(TensorError::InvalidDimension {
+                op: "apply_rope_partial",
+                what: format!("rotary_dims must be even, got {rotary_dims}"),
+            });
         }
+        if rotary_dims > 0 && (!(config.scaling > 0.0) || !(config.base > 0.0)) {
+            return Err(TensorError::InvalidDimension {
+                op: "apply_rope_partial",
+                what: format!(
+                    "base and scaling must be positive (base={}, scaling={})",
+                    config.base, config.scaling
+                ),
+            });
+        }
+        let half = rotary_dims / 2;
+        let inv_freq: Vec<f32> = (0..half)
+            .map(|t| config.base.powf(-2.0 * t as f32 / rotary_dims as f32))
+            .collect();
+        let mut rotations = Vec::with_capacity(rows * half);
+        for i in 0..rows {
+            let pos = (position_offset + i) as f32 / config.scaling;
+            rotations.extend(inv_freq.iter().map(|&f| {
+                let (sin, cos) = (pos * f).sin_cos();
+                (cos, sin)
+            }));
+        }
+        Ok(RopeTable {
+            rotary_dims,
+            rotations,
+        })
     }
-    Ok(())
+
+    /// Positions the table covers.
+    pub fn rows(&self) -> usize {
+        self.rotations
+            .len()
+            .checked_div(self.rotary_dims / 2)
+            .unwrap_or(0)
+    }
+
+    /// Rotates the leading `rotary_dims` columns of every row of `x`,
+    /// row `i` at the table's `i`-th position.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] if `x` is narrower than
+    /// the rotated dimensions or, when any are rotated, its row count is
+    /// not the table's.
+    pub fn apply(&self, x: &mut Matrix) -> Result<(), TensorError> {
+        if self.rotary_dims > x.cols() {
+            return Err(TensorError::InvalidDimension {
+                op: "apply_rope_partial",
+                what: format!(
+                    "rotary_dims {} exceeds matrix width {}",
+                    self.rotary_dims,
+                    x.cols()
+                ),
+            });
+        }
+        let half = self.rotary_dims / 2;
+        if half == 0 {
+            return Ok(());
+        }
+        if x.rows() != self.rows() {
+            return Err(TensorError::InvalidDimension {
+                op: "RopeTable::apply",
+                what: format!("{} rows against a table of {}", x.rows(), self.rows()),
+            });
+        }
+        for (i, rotations) in self.rotations.chunks_exact(half).enumerate() {
+            let row = x.row_mut(i);
+            for (pair, &(cos, sin)) in row.chunks_exact_mut(2).zip(rotations) {
+                let (a, b) = (pair[0], pair[1]);
+                pair[0] = a * cos - b * sin;
+                pair[1] = a * sin + b * cos;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +304,50 @@ mod tests {
         assert!(apply_rope_partial(&mut x, 10, 0, RopeConfig::default()).is_err());
         assert!(apply_rope_partial(&mut x, 3, 0, RopeConfig::default()).is_err());
         assert!(apply_rope_partial(&mut x, 0, 0, RopeConfig::default()).is_ok());
+    }
+
+    #[test]
+    fn one_table_rotates_every_matrix_as_a_sine_per_pair_would() {
+        let config = RopeConfig {
+            base: 10_000.0,
+            scaling: 1.5,
+        };
+        for (rows, offset, rotary_dims) in [(1, 0, 8), (7, 4093, 8), (33, 11, 4), (5, 2, 0)] {
+            let table = RopeTable::new(config, rotary_dims, offset, rows).unwrap();
+            assert_eq!(table.rows(), if rotary_dims == 0 { 0 } else { rows });
+            // One table, several matrices (a layer's query and key heads).
+            for seed in 0..3 {
+                let orig = DeterministicRng::new(seed).normal_matrix(rows, 12, 1.0);
+                let mut want = orig.clone();
+                for i in 0..rows {
+                    let pos = (offset + i) as f32 / config.scaling;
+                    let row = want.row_mut(i);
+                    for t in 0..rotary_dims / 2 {
+                        let inv_freq = config.base.powf(-2.0 * t as f32 / rotary_dims as f32);
+                        let (sin, cos) = (pos * inv_freq).sin_cos();
+                        let (a, b) = (row[2 * t], row[2 * t + 1]);
+                        row[2 * t] = a * cos - b * sin;
+                        row[2 * t + 1] = a * sin + b * cos;
+                    }
+                }
+                let mut got = orig.clone();
+                table.apply(&mut got).unwrap();
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "rows {rows} offset {offset} seed {seed}"
+                );
+                let mut per_call = orig;
+                apply_rope_partial(&mut per_call, rotary_dims, offset, config).unwrap();
+                assert_eq!(bits(&per_call), bits(&want));
+            }
+        }
+        let table = RopeTable::new(config, 8, 0, 4).unwrap();
+        assert!(table.apply(&mut Matrix::zeros(5, 8)).is_err(), "row count");
+        assert!(table.apply(&mut Matrix::zeros(4, 6)).is_err(), "width");
+        assert!(RopeTable::new(config, 3, 0, 4).is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! One transformer layer: GQA attention (pluggable method) + SwiGLU MLP
 //! on a residual stream.
 
-use sa_baselines::{AttentionMethod, FullAttention};
+use sa_baselines::{finish_heads, AttentionMethod, FullAttention};
 use sa_kernels::gqa::GqaLayout;
-use sa_kernels::rope::{apply_rope_partial, RopeConfig};
+use sa_kernels::rope::{RopeConfig, RopeTable};
 use sa_kernels::{CostReport, KeyPanels, PreparedKeys};
 use sa_tensor::{matmul_packed_cols, pool, DeterministicRng, Matrix, TensorError};
 
@@ -135,10 +135,11 @@ impl AttentionLayer {
         head: usize,
     ) -> Result<(Matrix, Matrix, Matrix), TensorError> {
         let group = &self.groups[self.gqa.kv_head_for(head)];
-        let q = self.project_q(hidden, head, 0)?;
+        let rope = self.rope_table(0, hidden.rows())?;
+        let q = self.project_q_rotated(hidden, head, &rope)?;
         let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
         let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
-        apply_rope_partial(&mut k, self.rotary_dims, 0, self.rope)?;
+        rope.apply(&mut k)?;
         Ok((q, k, v))
     }
 
@@ -164,13 +165,13 @@ impl AttentionLayer {
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
         let n = hidden_rows.rows();
-        let offset = cache.seen();
+        let rope = self.rope_table(cache.seen(), n)?;
         let mut heads = HeadFold::new(n, self.content_dim, self.num_heads());
 
         for g in 0..self.groups.len() {
-            self.append_kv(g, hidden_rows, offset, cache, &mut heads.cost)?;
+            self.append_kv(g, hidden_rows, &rope, cache, &mut heads.cost)?;
             let (keys, v_all) = cache.prepared(g);
-            self.attend_group(g, hidden_rows, offset, keys, v_all, method, &mut heads)?;
+            self.attend_group(g, hidden_rows, &rope, keys, v_all, method, &mut heads)?;
         }
 
         let hidden = self.apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)?;
@@ -208,11 +209,11 @@ impl AttentionLayer {
                 what: format!("a decode step takes one row, got {}", hidden_row.rows()),
             });
         }
-        let offset = cache.seen();
+        let rope = self.rope_table(cache.seen(), 1)?;
         let group_size = self.gqa.group_size();
         let mut heads = HeadFold::new(1, self.content_dim, self.num_heads());
         for g in 0..self.groups.len() {
-            self.append_kv(g, hidden_row, offset, cache, &mut heads.cost)?;
+            self.append_kv(g, hidden_row, &rope, cache, &mut heads.cost)?;
         }
         // Groups are independent once their K/V rows are cached; the fold
         // below stays serial and in head order.
@@ -221,7 +222,7 @@ impl AttentionLayer {
         let group_outputs = pool::try_parallel_map("layer_heads", self.groups.len(), 1, |g| {
             let mut q_block = Matrix::zeros(group_size, cache.head_dim());
             for local in 0..group_size {
-                let q = self.project_q(hidden_row, g * group_size + local, offset)?;
+                let q = self.project_q_rotated(hidden_row, g * group_size + local, &rope)?;
                 q_block.row_mut(local).copy_from_slice(q.row(0));
             }
             let (keys, v_all) = cache.prepared(g);
@@ -237,14 +238,20 @@ impl AttentionLayer {
         Ok((hidden, heads.head_contents))
     }
 
-    /// Projects `hidden_rows` into KV group `g`'s K (RoPE applied at
-    /// `offset`) and V — one GEMM call, each output row the key then the
-    /// value — and appends them to `cache`.
+    /// The rotations of positions `offset..offset + rows`: one table
+    /// serves every query and key head of a layer call.
+    fn rope_table(&self, offset: usize, rows: usize) -> Result<RopeTable, TensorError> {
+        RopeTable::new(self.rope, self.rotary_dims, offset, rows)
+    }
+
+    /// Projects `hidden_rows` into KV group `g`'s K (rotated by `rope`,
+    /// the rows' table) and V — one GEMM call, each output row the key
+    /// then the value — and appends them to `cache`.
     fn append_kv(
         &self,
         g: usize,
         hidden_rows: &Matrix,
-        offset: usize,
+        rope: &RopeTable,
         cache: &mut LayerKvCache,
         cost: &mut CostReport,
     ) -> Result<(), TensorError> {
@@ -252,20 +259,41 @@ impl AttentionLayer {
         let mut kv_new = matmul_packed_cols(hidden_rows, group.packed(), group.kv_cols())?;
         // The rotary dimensions are the leading columns of the key, which
         // leads the fused row.
-        apply_rope_partial(&mut kv_new, self.rotary_dims, offset, self.rope)?;
+        rope.apply(&mut kv_new)?;
         cache.append_fused(g, &kv_new)?;
         cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), kv_new.cols() / 2, 2));
         Ok(())
     }
 
     /// Runs `method` on every query head of KV group `g` over the group's
-    /// shared keys and values, and folds the outputs into `heads`.
+    /// shared keys and values, and folds the outputs into `heads` in head
+    /// order.
+    ///
+    /// Two fan-outs:
+    ///
+    /// 1. **Plan** (`layer_heads`): each head's query projection and
+    ///    [`AttentionMethod::plan_head`] — for SampleAttention, mask
+    ///    discovery — one head per chunk.
+    /// 2. **Engine** ([`finish_heads`]): the planned heads' engine runs
+    ///    as one call, cut into (head, query-block range) units of equal
+    ///    live pairs, the heads taking turns, so a dense head beside three
+    ///    sparse ones keeps every thread busy to the end of the call.
+    ///
+    /// Query blocks are independent and each row's fold is untouched,
+    /// and the fold into `content_update` stays serial and in head
+    /// order, so the result is bit-identical to running the heads one
+    /// after another.
+    ///
+    /// Traced, a `model/head` span times each head's plan, and one
+    /// `model/engine` span the group's engine pass, with the
+    /// `core/sparse_kernel` stage inside it when a head attends under a
+    /// mask: the heads' kernels interleave, so no span is one head's.
     #[allow(clippy::too_many_arguments)]
     fn attend_group(
         &self,
         g: usize,
         hidden_rows: &Matrix,
-        offset: usize,
+        rope: &RopeTable,
         keys: PreparedKeys<'_>,
         v: &Matrix,
         method: &dyn AttentionMethod,
@@ -273,24 +301,26 @@ impl AttentionLayer {
     ) -> Result<(), TensorError> {
         let n = hidden_rows.rows();
         let group_size = self.gqa.group_size();
-        // Heads of a group are independent given the shared K/V, so they
-        // run on the worker pool; the fold below stays serial and in head
-        // order, keeping the f32 accumulation into `content_update`
-        // bit-identical to the serial loop.
-        let head_outputs = pool::try_parallel_map("layer_heads", group_size, 1, |local| {
+        let planned = pool::try_parallel_map("layer_heads", group_size, 1, |local| {
             let head = g * group_size + local;
             let _span = sa_trace::span_labeled("model", "head", || {
                 format!("L{}.H{head}", self.layer_index)
             });
-            let q = self.project_q(hidden_rows, head, offset)?;
+            let q = self.project_q_rotated(hidden_rows, head, rope)?;
             let proj = projection_cost(n, hidden_rows.cols(), q.cols(), 1);
-            let out = method.forward_head(self.layer_index, head, &q, keys, v)?;
-            Ok::<_, TensorError>((proj, out))
+            let plan = method.plan_head(self.layer_index, head, q, keys, v)?;
+            Ok::<_, TensorError>((proj, plan))
         })?;
-        for (local, result) in head_outputs.into_iter().enumerate() {
+        let (projections, plans): (Vec<_>, Vec<_>) =
+            planned.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+        let outputs = {
+            let _span = sa_trace::span_in("model", "engine");
+            finish_heads(plans)
+        };
+        for (local, (proj, out)) in projections.iter().zip(outputs).enumerate() {
             let head = g * group_size + local;
-            let (proj, out) = result?;
-            heads.cost.merge(&proj);
+            let out = out?;
+            heads.cost.merge(proj);
             heads.cost.merge(&out.cost);
             heads.fold_head(&out.output, 0);
             heads.head_reports.push(HeadReport {
@@ -347,10 +377,21 @@ impl AttentionLayer {
         head: usize,
         position_offset: usize,
     ) -> Result<Matrix, TensorError> {
+        let rope = self.rope_table(position_offset, hidden_rows.rows())?;
+        self.project_q_rotated(hidden_rows, head, &rope)
+    }
+
+    /// [`project_q`](Self::project_q) with the rows' rotations at hand.
+    fn project_q_rotated(
+        &self,
+        hidden_rows: &Matrix,
+        head: usize,
+        rope: &RopeTable,
+    ) -> Result<Matrix, TensorError> {
         let group = &self.groups[self.gqa.kv_head_for(head)];
         let cols = group.q_cols(head % self.gqa.group_size());
         let mut q = matmul_packed_cols(hidden_rows, group.packed(), cols)?;
-        apply_rope_partial(&mut q, self.rotary_dims, position_offset, self.rope)?;
+        rope.apply(&mut q)?;
         Ok(q)
     }
 
@@ -371,21 +412,21 @@ impl AttentionLayer {
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
         let s = hidden.rows();
+        let rope = self.rope_table(0, s)?;
         let mut heads = HeadFold::new(s, self.content_dim, self.num_heads());
 
-        for g in 0..self.groups.len() {
-            let group = &self.groups[g];
+        for (g, group) in self.groups.iter().enumerate() {
             // K and V stay two calls here: the engine takes each as a
             // matrix of its own, and splitting a fused product would
             // copy both.
             let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
             let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
-            apply_rope_partial(&mut k, self.rotary_dims, 0, self.rope)?;
+            rope.apply(&mut k)?;
             heads.cost.merge(&projection_cost(s, hidden.cols(), k.cols(), 2));
             // One transpose serves every query head of the group.
             let panels = KeyPanels::from_rows(&k);
             let keys = PreparedKeys::new(&k, &panels);
-            self.attend_group(g, hidden, 0, keys, &v, method, &mut heads)?;
+            self.attend_group(g, hidden, &rope, keys, &v, method, &mut heads)?;
         }
 
         // Residual update: attention writes (scaled) into the content
@@ -455,6 +496,7 @@ mod tests {
     use super::*;
     use crate::{ModelConfig, TokenEmbedder, BOS_TOKEN};
     use sa_baselines::SampleAttentionMethod;
+    use sa_kernels::rope::apply_rope_partial;
     use sa_tensor::matmul;
 
     fn layer_and_hidden(seed: u64) -> (AttentionLayer, Matrix, ModelConfig) {

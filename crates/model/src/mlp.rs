@@ -7,7 +7,9 @@
 //! residual stream.
 
 use sa_kernels::CostReport;
-use sa_tensor::{matmul_packed, DeterministicRng, Matrix, PackedWeights, TensorError};
+use sa_tensor::{
+    matmul_packed, pool, DeterministicRng, Matrix, PackedWeights, TensorError, GEMM_BLOCK,
+};
 
 /// SwiGLU MLP: `down( silu(gate(x)) * up(x) )`.
 ///
@@ -78,17 +80,31 @@ impl SwigluMlp {
     /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim()`.
     pub fn forward(&self, x: &Matrix) -> Result<(Matrix, CostReport), TensorError> {
         // Each row of the fused product is the gate, then the up
-        // projection. `silu(gate) * up` is written back into the same
-        // buffer, compacted to `ffn_dim` floats a row: element `(i, j)`
-        // lands at or below both of its sources and below every source
-        // of a later element, so nothing is overwritten before it is
-        // read.
+        // projection. `silu(gate) * up` overwrites the gate half, row by
+        // row on the GEMM's 64-row partition, in a loop over two disjoint
+        // slices the compiler vectorises (`silu` is branch-free, and every
+        // lane runs the scalar arithmetic). The rows are then compacted to
+        // `ffn_dim` floats in place: row `i` moves to `i * ffn_dim`, below
+        // every source not yet moved.
         let f = self.ffn_dim();
-        let mut hidden = matmul_packed(x, &self.gate_up)?.into_vec();
-        for i in 0..x.rows() {
-            for j in 0..f {
-                hidden[i * f + j] = silu(hidden[2 * i * f + j]) * hidden[(2 * i + 1) * f + j];
-            }
+        let mut gate_up = matmul_packed(x, &self.gate_up)?;
+        pool::try_parallel_for_rows(
+            "mlp_activation",
+            gate_up.as_mut_slice(),
+            2 * f,
+            GEMM_BLOCK,
+            |_, rows| {
+                for row in rows.chunks_exact_mut(2 * f) {
+                    let (gate, up) = row.split_at_mut(f);
+                    for (g, &u) in gate.iter_mut().zip(up.iter()) {
+                        *g = silu(*g) * u;
+                    }
+                }
+            },
+        )?;
+        let mut hidden = gate_up.into_vec();
+        for i in 1..x.rows() {
+            hidden.copy_within(2 * i * f..(2 * i + 1) * f, i * f);
         }
         hidden.truncate(x.rows() * f);
         let hidden = Matrix::from_vec(x.rows(), f, hidden)?;

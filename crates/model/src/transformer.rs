@@ -385,6 +385,35 @@ mod tests {
     }
 
     #[test]
+    fn traced_prefill_records_the_sparse_kernel_once_per_group() {
+        let model = SyntheticTransformer::new(ModelConfig::tiny(21)).unwrap();
+        let tokens = model.tokenize_filler(256);
+        let spans = |method: &dyn AttentionMethod| {
+            let _session = sa_trace::scoped();
+            let out = model.prefill(&tokens, method).unwrap();
+            let events = sa_trace::drain();
+            let count = |cat: &str, name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.cat == cat && e.name == name)
+                    .count()
+            };
+            (
+                count("model", "engine"),
+                count("core", "sparse_kernel"),
+                out.fallback_heads(),
+            )
+        };
+        let groups = model.config().num_layers * model.config().num_kv_heads;
+        let (engine, kernel, fell_back) = spans(&SampleAttentionMethod::paper_default());
+        assert_eq!(engine, groups);
+        assert_eq!(fell_back, 0);
+        assert_eq!(kernel, groups, "one sparse-kernel stage per group's engine pass");
+        // Dense heads run the engine without a sparse-kernel stage.
+        assert_eq!(spans(&FullAttention::new()), (groups, 0, 0));
+    }
+
+    #[test]
     fn model_construction_is_deterministic() {
         let m1 = SyntheticTransformer::new(ModelConfig::tiny(16)).unwrap();
         let m2 = SyntheticTransformer::new(ModelConfig::tiny(16)).unwrap();

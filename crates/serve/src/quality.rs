@@ -41,7 +41,7 @@
 //!
 //! [`FallbackReason::QualityQuarantine`]: sa_core::FallbackReason::QualityQuarantine
 
-use sa_baselines::{AttentionMethod, FullAttention, MethodOutput};
+use sa_baselines::{AttentionMethod, FullAttention, HeadPlan, MethodOutput};
 use sa_core::{cra_of_structured_mask, DegradationRung, FallbackReason, SampleAttention};
 use sa_kernels::{attention_probs, PreparedKeys};
 use sa_model::SyntheticTransformer;
@@ -165,6 +165,21 @@ impl AttentionMethod for GuardedMethod {
             Ok(out)
         } else {
             self.inner.forward_head(layer, head, q, keys, v)
+        }
+    }
+
+    fn plan_head<'a>(
+        &'a self,
+        layer: usize,
+        head: usize,
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, TensorError> {
+        if self.is_quarantined(layer, head) {
+            self.forward_head(layer, head, &q, keys, v).map(HeadPlan::Done)
+        } else {
+            self.inner.plan_head(layer, head, q, keys, v)
         }
     }
 }

@@ -281,6 +281,30 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The error a pool call at `site` returns for a panic with `payload`:
+/// a `Box<SaError>` payload (from a nested [`repanic`]) as it is,
+/// anything else a [`SaError::WorkerPanic`] tagged with `site`. Counted
+/// in `pool.panics_caught`.
+fn caught(site: &'static str, payload: Box<dyn std::any::Any + Send>) -> SaError {
+    sa_trace::counter_add!("pool.panics_caught", 1);
+    match payload.downcast::<SaError>() {
+        Ok(e) => *e,
+        Err(payload) => SaError::WorkerPanic {
+            site,
+            message: payload_message(payload),
+        },
+    }
+}
+
+/// Runs `f`, containing a panic as a pool call at `site` contains one:
+/// the panic becomes the error that call would return. For a body that
+/// must fail one piece of its call's work and let the rest run on — the
+/// attention engine fails only the head whose unit panicked, where a
+/// panic reaching the pool would stop the whole call.
+pub fn contain<R>(site: &'static str, f: impl FnOnce() -> R) -> Result<R, SaError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| caught(site, payload))
+}
+
 /// Locks `m`, taking the data of a poisoned mutex as it stands. Every
 /// mutex in this module guards state that is valid after each single
 /// update (a first-failure slot, lists that are only pushed and popped,
@@ -312,15 +336,7 @@ impl FailureSlot {
     /// [`repanic`]) is preserved as-is; anything else becomes a
     /// [`SaError::WorkerPanic`] tagged with `site`.
     fn record(&self, site: &'static str, payload: Box<dyn std::any::Any + Send>) {
-        sa_trace::counter_add!("pool.panics_caught", 1);
-        let err = match payload.downcast::<SaError>() {
-            Ok(e) => *e,
-            Err(payload) => SaError::WorkerPanic {
-                site,
-                message: payload_message(payload),
-            },
-        };
-        self.record_error(err);
+        self.record_error(caught(site, payload));
     }
 
     /// Records a typed failure that is not a panic (cancellation observed
@@ -962,19 +978,79 @@ where
             ),
         });
     }
-    let _call = sa_trace::span_in("pool", site);
     let rows = data.len() / width;
     let grain = grain_rows.max(1);
+    let chunks = rows.div_ceil(grain);
+    let body = |(row0, chunk): (usize, &mut [T])| body(row0, chunk);
+    if current_threads() == 1 || rows <= grain {
+        return run_parts(site, vec![(0, data)], chunks, body);
+    }
+    let mut parts: Vec<(usize, &mut [T])> = Vec::with_capacity(chunks);
+    let mut rest = data;
+    let mut row0 = 0usize;
+    while !rest.is_empty() {
+        let take_rows = grain.min(rows - row0);
+        let (head, tail) = rest.split_at_mut(take_rows * width);
+        parts.push((row0, head));
+        row0 += take_rows;
+        rest = tail;
+    }
+    run_parts(site, parts, chunks, body)
+}
+
+/// Hands every part of `parts` to `body`, possibly on multiple threads,
+/// containing panics: the claim order is **back to front**, so a caller
+/// that wants the longest parts to start first sorts them shortest first.
+///
+/// This is the primitive for work cut unevenly ahead of time — parts that
+/// own disjoint `&mut` outputs and carry their own sizes, such as the
+/// attention engine's live-pair-balanced (head, query-block) units. Each
+/// part is processed exactly once by exactly one thread; which thread is
+/// scheduling noise, so a body that treats parts independently is
+/// bit-deterministic at every thread count. Runs serially, in claim
+/// order on the calling thread, when the pool is single-threaded or
+/// there is one part. Panics, injected faults and cancellation behave as
+/// in [`try_parallel_for`], a part standing for a chunk.
+pub fn try_parallel_for_parts<P, F>(
+    site: &'static str,
+    parts: Vec<P>,
+    body: F,
+) -> Result<(), SaError>
+where
+    P: Send,
+    F: Fn(P) + Sync,
+{
+    let chunks = parts.len();
+    run_parts(site, parts, chunks, body)
+}
+
+/// The claim loop under [`try_parallel_for_parts`] and
+/// [`try_parallel_for_rows`]; `chunks` is the chunk total a cancellation
+/// reports.
+fn run_parts<P, F>(
+    site: &'static str,
+    mut parts: Vec<P>,
+    chunks: usize,
+    body: F,
+) -> Result<(), SaError>
+where
+    P: Send,
+    F: Fn(P) + Sync,
+{
+    if parts.is_empty() {
+        return Ok(());
+    }
+    let _call = sa_trace::span_in("pool", site);
     let threads = current_threads();
     let failure = FailureSlot::new();
-    let cancel = CancelCheck::new(rows.div_ceil(grain));
+    let cancel = CancelCheck::new(chunks);
     let inject = fault::should_panic(site);
-    let guarded = |row0: usize, chunk: &mut [T]| {
+    let guarded = |part: P| {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 injected_panic(site);
             }
-            body(row0, chunk);
+            body(part);
         })) {
             failure.record(site, payload);
         } else {
@@ -984,22 +1060,18 @@ where
     if cancel.tripped(site, &failure) {
         return failure.finish();
     }
-    if threads == 1 || rows <= grain {
-        WorkerMeter::new().chunk(|| guarded(0, data));
+    let n_parts = parts.len();
+    if threads == 1 || n_parts == 1 {
+        let mut meter = WorkerMeter::new();
+        while let Some(part) = parts.pop() {
+            meter.chunk(|| guarded(part));
+            if !parts.is_empty() && (failure.failed() || cancel.tripped(site, &failure)) {
+                break;
+            }
+        }
         return failure.finish();
     }
-    let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(rows.div_ceil(grain));
-    let mut rest = data;
-    let mut row0 = 0usize;
-    while !rest.is_empty() {
-        let take_rows = grain.min(rows - row0);
-        let (head, tail) = rest.split_at_mut(take_rows * width);
-        chunks.push((row0, head));
-        row0 += take_rows;
-        rest = tail;
-    }
-    let n_chunks = chunks.len();
-    let queue = Mutex::new(chunks);
+    let queue = Mutex::new(parts);
     let pop = || lock_draining(&queue).pop();
     let run = || {
         let mut meter = WorkerMeter::new();
@@ -1008,12 +1080,12 @@ where
                 break;
             }
             match pop() {
-                Some((first_row, chunk)) => meter.chunk(|| guarded(first_row, chunk)),
+                Some(part) => meter.chunk(|| guarded(part)),
                 None => break,
             }
         }
     };
-    POOL.fan_out(site, threads.min(n_chunks) - 1, &failure, &run);
+    POOL.fan_out(site, threads.min(n_parts) - 1, &failure, &run);
     failure.finish()
 }
 
@@ -1245,6 +1317,61 @@ mod tests {
     }
 
     #[test]
+    fn parts_run_once_each_and_alone_back_to_front() {
+        // Uneven parts owning disjoint slices, as the engine cuts them.
+        let sizes = [5, 1, 9, 2, 2, 7];
+        for threads in [1, 2, 3, 5] {
+            let mut data = vec![0usize; sizes.iter().sum()];
+            let mut parts = Vec::new();
+            let mut rest = data.as_mut_slice();
+            for (p, &n) in sizes.iter().enumerate() {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                parts.push((p, head));
+                rest = tail;
+            }
+            let order = Mutex::new(Vec::new());
+            with_threads(threads, || {
+                try_parallel_for_parts("parts_site", parts, |(p, out): (usize, &mut [usize])| {
+                    out.iter_mut().for_each(|x| *x += p + 1);
+                    order.lock().unwrap().push(p);
+                })
+            })
+            .expect("no faults");
+            let want: Vec<usize> = sizes
+                .iter()
+                .enumerate()
+                .flat_map(|(p, &n)| std::iter::repeat_n(p + 1, n))
+                .collect();
+            assert_eq!(data, want, "threads {threads}");
+            let mut order = order.into_inner().unwrap();
+            if threads == 1 {
+                assert_eq!(
+                    order,
+                    vec![5, 4, 3, 2, 1, 0],
+                    "alone, the last part runs first"
+                );
+            }
+            order.sort_unstable();
+            assert_eq!(order, (0..sizes.len()).collect::<Vec<_>>());
+        }
+        let err = with_threads(2, || {
+            try_parallel_for_parts("parts_site", vec![1, 2, 3], |p| {
+                if p == 2 {
+                    panic!("part blew up");
+                }
+            })
+        });
+        assert!(
+            matches!(&err, Err(SaError::WorkerPanic { site: "parts_site", message }) if message.contains("part blew up")),
+            "{err:?}"
+        );
+        assert_eq!(
+            try_parallel_for_parts("parts_site", Vec::<u8>::new(), |_| {}),
+            Ok(())
+        );
+    }
+
+    #[test]
     fn injected_fault_fires_at_every_thread_count() {
         let _guard = crate::fault::install(FaultPlan::new(1).worker_panic("faulty_site"));
         for threads in [1, 2, 4] {
@@ -1313,6 +1440,29 @@ mod tests {
     }
 
     #[test]
+    fn contain_returns_the_error_a_pool_call_would() {
+        let _session = sa_trace::scoped();
+        assert_eq!(contain("contain_site", || 7), Ok(7));
+        let err = contain("contain_site", || -> u8 { panic!("boom") });
+        assert_eq!(
+            err,
+            Err(SaError::WorkerPanic {
+                site: "contain_site",
+                message: "boom".to_string()
+            })
+        );
+        // A typed error re-raised by a nested call keeps its type.
+        let typed = SaError::Cancelled {
+            site: "nested_site",
+            completed: 1,
+            total: 4,
+        };
+        let again = typed.clone();
+        assert_eq!(contain("contain_site", move || repanic(again)), Err(typed));
+        assert_eq!(sa_trace::metrics::counter("pool.panics_caught").get(), 2);
+    }
+
+    #[test]
     fn pre_tripped_token_cancels_with_zero_progress_at_every_thread_count() {
         let token = crate::cancel::CancelToken::new();
         token.cancel();
@@ -1353,6 +1503,18 @@ mod tests {
         let err = try_parallel_for_rows("rows_site", &mut data, 4, 1, |_, _| {});
         assert!(
             matches!(err, Err(SaError::DeadlineExceeded { completed: 0, .. })),
+            "{err:?}"
+        );
+        let err = try_parallel_for_parts("parts_site", vec![0; 7], |_| {});
+        assert!(
+            matches!(
+                err,
+                Err(SaError::DeadlineExceeded {
+                    completed: 0,
+                    total: 7,
+                    ..
+                })
+            ),
             "{err:?}"
         );
     }

@@ -9,6 +9,9 @@
 //! in-process equivalent of setting `SA_THREADS`) and asserting exact
 //! `==` on the f32 outputs — no tolerances.
 
+use sa_baselines::{
+    AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod, WindowOnly,
+};
 use sa_core::filtering::{filter_kv_indices, KvRatioSchedule};
 use sa_core::sampling::{sample_attention_scores, sample_attention_scores_prepared};
 use sa_core::{SampleAttention, SampleAttentionConfig};
@@ -16,10 +19,11 @@ use sa_kernels::{
     flash_attention, full_attention, score_scale, sparse_flash_attention, FlashParams, KeyPanels,
     PreparedKeys, StructuredMask,
 };
+use sa_model::{ModelConfig, PrefillResult, SyntheticTransformer};
 use sa_tensor::pool::with_threads;
 use sa_tensor::{
     col_sum, fma, matmul, matmul_packed, matmul_packed_cols, matmul_transb, softmax_row,
-    softmax_rows_in_place, DeterministicRng, Matrix, PackedWeights, StrideSample,
+    softmax_rows_in_place, DeterministicRng, Matrix, PackedWeights, SaError, StrideSample,
 };
 
 fn qkv(s: usize, d: usize, seed: u64) -> (Matrix, Matrix, Matrix) {
@@ -359,4 +363,145 @@ fn end_to_end_pipeline_is_thread_invariant() {
             filter_kv_indices(&sampled.column_scores, 0.95, 1.0, &KvRatioSchedule::Exact).unwrap();
         (filtered.indices, filtered.covered_mass.to_bits())
     });
+}
+
+/// A method whose heads take different paths: SampleAttention, dense and
+/// window-only heads through their engine plans, and every fourth head
+/// through `forward_head` alone (the default plan, finished inside the
+/// plan fan-out).
+struct MixedHeads {
+    sparse: SampleAttentionMethod,
+    dense: FullAttention,
+    window: WindowOnly,
+}
+
+impl MixedHeads {
+    fn pick(&self, layer: usize, head: usize) -> &dyn AttentionMethod {
+        match (layer + head) % 3 {
+            0 => &self.sparse,
+            1 => &self.dense,
+            _ => &self.window,
+        }
+    }
+}
+
+impl AttentionMethod for MixedHeads {
+    fn name(&self) -> &str {
+        "mixed"
+    }
+
+    fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, SaError> {
+        self.sparse.forward(q, k, v)
+    }
+
+    fn forward_head(
+        &self,
+        layer: usize,
+        head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, SaError> {
+        self.pick(layer, head).forward_head(layer, head, q, keys, v)
+    }
+
+    fn plan_head<'a>(
+        &'a self,
+        layer: usize,
+        head: usize,
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, SaError> {
+        if head % 4 == 3 {
+            return self
+                .forward_head(layer, head, &q, keys, v)
+                .map(HeadPlan::Done);
+        }
+        self.pick(layer, head).plan_head(layer, head, q, keys, v)
+    }
+}
+
+/// `forward_head` alone: every head runs whole, one after another inside
+/// the plan fan-out, as layers ran heads before the engine pass was
+/// shared.
+struct HeadByHead<'m>(&'m dyn AttentionMethod);
+
+impl AttentionMethod for HeadByHead<'_> {
+    fn name(&self) -> &str {
+        "head-by-head"
+    }
+
+    fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, SaError> {
+        self.0.forward(q, k, v)
+    }
+
+    fn forward_head(
+        &self,
+        layer: usize,
+        head: usize,
+        q: &Matrix,
+        keys: PreparedKeys<'_>,
+        v: &Matrix,
+    ) -> Result<MethodOutput, SaError> {
+        self.0.forward_head(layer, head, q, keys, v)
+    }
+}
+
+/// The layers' shared engine pass — every planned head of a KV group cut
+/// into live-pair-balanced (head, query-block) units — leaves exactly
+/// the bits of running each head whole, at every thread count, for
+/// whole-prompt and chunked prefill, healthy or with every sparse kernel
+/// call failing into its dense fallback.
+#[test]
+fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
+    use sa_tensor::fault::{self, FaultPlan};
+
+    let model = SyntheticTransformer::new(ModelConfig::tiny(0x5EED)).unwrap();
+    let tokens = model.tokenize_filler(200);
+    let mixed = MixedHeads {
+        sparse: SampleAttentionMethod::paper_default(),
+        dense: FullAttention::new(),
+        window: WindowOnly::new(0.1).unwrap(),
+    };
+    let methods: [(&str, &dyn AttentionMethod); 2] = [("sample", &mixed.sparse), ("mixed", &mixed)];
+    let summary = |r: &PrefillResult| {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let heads: Vec<_> = r
+            .head_reports
+            .iter()
+            .map(|h| (h.density.to_bits(), h.fell_back, h.fallback_reason, h.cost))
+            .collect();
+        (
+            bits(&r.hidden),
+            r.head_contents.iter().map(bits).collect::<Vec<_>>(),
+            heads,
+        )
+    };
+    for faulty in [false, true] {
+        let _guard = faulty
+            .then(|| fault::install(FaultPlan::new(9).worker_panic("sparse_flash_attention")));
+        // The window-only heads have no fallback: under the fault they fail.
+        for &(name, method) in &methods[..if faulty { 1 } else { 2 }] {
+            let want = with_threads(1, || model.prefill(&tokens, &HeadByHead(method)).unwrap());
+            let want_chunked = with_threads(1, || {
+                model
+                    .prefill_chunked(&tokens, 64, &HeadByHead(method))
+                    .unwrap()
+                    .0
+            });
+            if faulty {
+                assert!(want.fallback_heads() > 0, "{name}: the fault never fired");
+            }
+            for threads in [1, 2, 3, 5] {
+                let label = format!("{name}, faulty {faulty}, threads {threads}");
+                let got = with_threads(threads, || model.prefill(&tokens, method).unwrap());
+                assert!(summary(&got) == summary(&want), "{label}: prefill");
+                let got = with_threads(threads, || {
+                    model.prefill_chunked(&tokens, 64, method).unwrap().0
+                });
+                assert!(summary(&got) == summary(&want_chunked), "{label}: chunked");
+            }
+        }
+    }
 }

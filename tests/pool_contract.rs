@@ -26,7 +26,8 @@ use sa_tensor::cancel::{self, CancelToken};
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool::{
     current_threads, hardware_threads, parallel_for, parallel_for_rows, parallel_map,
-    try_parallel_for, try_parallel_for_rows, try_parallel_map, with_threads,
+    try_parallel_for, try_parallel_for_parts, try_parallel_for_rows, try_parallel_map,
+    with_threads,
 };
 use sa_tensor::SaError;
 
@@ -168,6 +169,31 @@ fn concurrent_callers_get_index_exact_results() {
                                     "parallel_for_rows: caller {caller} round {round} row {i}"
                                 );
                             }
+
+                            // Uneven parts, as the engine cuts its units.
+                            let mut data = vec![0usize; n];
+                            let mut parts = Vec::new();
+                            let (mut rest, mut first) = (data.as_mut_slice(), 0);
+                            while !rest.is_empty() {
+                                let take = (first % grain + 1).min(rest.len());
+                                let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
+                                parts.push((first, head));
+                                (rest, first) = (tail, first + take);
+                            }
+                            try_parallel_for_parts(
+                                "parts",
+                                parts,
+                                |(first, out): (usize, &mut [usize])| {
+                                    for (k, x) in out.iter_mut().enumerate() {
+                                        *x = first + k + salt;
+                                    }
+                                },
+                            )
+                            .expect("no faults");
+                            assert!(
+                                data.iter().enumerate().all(|(i, &x)| x == i + salt),
+                                "try_parallel_for_parts: caller {caller} round {round}"
+                            );
                         });
                     }
                 });
