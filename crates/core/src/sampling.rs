@@ -91,15 +91,16 @@ pub fn sample_attention_scores(
 const SAMPLE_BATCH: usize = 64;
 
 /// Sampled rows one scoring task takes: the rows whose softmax
-/// normalisers [`softmax_rows_on`] advances together. Even, so that no
-/// pair of rows is split.
+/// normalisers [`softmax_rows_on`] advances together. A multiple of four,
+/// so that no four rows scored together are split.
 const ROW_GROUP: usize = 8;
+const _: () = assert!(ROW_GROUP % 4 == 0);
 
 /// [`sample_attention_scores`] on keys whose panels the caller already
-/// holds. Sampled rows are scored two at a time with the engine's panel
+/// holds. Sampled rows are scored four at a time with the engine's panel
 /// microkernel; each score is the same strict-order sum of fused
 /// products as a scalar dot product, so the result does not depend on how
-/// rows are paired.
+/// rows are grouped.
 ///
 /// # Errors
 ///
@@ -128,7 +129,7 @@ pub fn sample_attention_scores_prepared(
     // fan-outs each, with no allocation per row:
     // 1. the batch's probability rows, into one reused buffer (a row per
     //    sampled row, `stride` lanes apart, from a cache line): groups of
-    //    ROW_GROUP rows per task, scored in pairs, then their causal
+    //    ROW_GROUP rows per task, scored in fours, then their causal
     //    softmax;
     // 2. the batch into the accumulators, over ranges of columns and
     //    diagonals: every element still adds the batch's rows in sampled
@@ -176,8 +177,9 @@ pub fn sample_attention_scores_prepared(
 
     // Fused kernel cost: Q sample rows + visible K rows read, column
     // scores written once. (2d for the dot product, ~4 for softmax, 1 for
-    // the accumulate per live pair.) K reads are shared across the
-    // sampled rows of a tile (128-row tiles, as in the sparse kernel).
+    // the accumulate per live pair.) K reads are charged once per 128
+    // sampled rows: the modelled fused kernel's row tile, a constant of
+    // this cost model, not the engine's 64-row block.
     let flops = live_pairs * (2 * d as u64 + 5);
     let bytes_read =
         4 * (sample.len() * d) as u64 + (4 * live_pairs * d as u64).div_ceil(128);
@@ -203,9 +205,10 @@ struct Rows<'a> {
 
 impl Rows<'_> {
     /// Fills `out`, the buffer rows of rows `row0..`, with their causal
-    /// softmax rows: raw scores a whole panel at a time, two rows at once
-    /// while both still see the panel, then the softmax of each row's
-    /// visible lanes, ROW_GROUP rows together.
+    /// softmax rows: raw scores a whole panel at a time, four rows at once
+    /// while all four still see the panel, then two while both do, then
+    /// each row alone; then the softmax of each row's visible lanes,
+    /// ROW_GROUP rows together.
     fn score(
         &self,
         isa: Isa,
@@ -223,28 +226,57 @@ impl Rows<'_> {
             .zip(self.widths[row0..].chunks(ROW_GROUP))
             .zip(out.chunks_mut(ROW_GROUP * stride))
         {
-            for ((pair, seen), out) in queries
-                .chunks(2)
-                .zip(widths.chunks(2))
-                .zip(out.chunks_mut(2 * stride))
+            for ((quad, seen), out) in queries
+                .chunks(4)
+                .zip(widths.chunks(4))
+                .zip(out.chunks_mut(4 * stride))
             {
-                let mut shared = 0;
-                if let ([a, b], [seen_a, seen_b]) = (pair, seen) {
-                    let (first, second) = out.split_at_mut(stride);
-                    shared = panels_seen(*seen_a).min(panels_seen(*seen_b));
+                // Panels every row of the quad has been scored against.
+                let mut done = 0;
+                if let [a, b, c, e] = quad {
+                    let shared = seen.iter().map(|&w| panels_seen(w)).min().unwrap_or(0);
+                    let (first, rest) = out.split_at_mut(stride);
+                    let (second, rest) = rest.split_at_mut(stride);
+                    let (third, fourth) = rest.split_at_mut(stride);
                     for p in 0..shared {
                         panels.score_panel(
                             isa,
                             p,
-                            [q.row(*a), q.row(*b)],
+                            [q.row(*a), q.row(*b), q.row(*c), q.row(*e)],
                             scale,
-                            [&mut first[lanes(p)], &mut second[lanes(p)]],
+                            [
+                                &mut first[lanes(p)],
+                                &mut second[lanes(p)],
+                                &mut third[lanes(p)],
+                                &mut fourth[lanes(p)],
+                            ],
                         );
                     }
+                    done = shared;
                 }
-                for ((&i, &width), row) in pair.iter().zip(seen).zip(out.chunks_mut(stride)) {
-                    for p in shared..panels_seen(width) {
-                        panels.score_panel(isa, p, [q.row(i)], scale, [&mut row[lanes(p)]]);
+                for ((pair, seen), out) in quad
+                    .chunks(2)
+                    .zip(seen.chunks(2))
+                    .zip(out.chunks_mut(2 * stride))
+                {
+                    let mut shared = done;
+                    if let ([a, b], [seen_a, seen_b]) = (pair, seen) {
+                        let (first, second) = out.split_at_mut(stride);
+                        shared = panels_seen(*seen_a).min(panels_seen(*seen_b));
+                        for p in done..shared {
+                            panels.score_panel(
+                                isa,
+                                p,
+                                [q.row(*a), q.row(*b)],
+                                scale,
+                                [&mut first[lanes(p)], &mut second[lanes(p)]],
+                            );
+                        }
+                    }
+                    for ((&i, &width), row) in pair.iter().zip(seen).zip(out.chunks_mut(stride)) {
+                        for p in shared..panels_seen(width) {
+                            panels.score_panel(isa, p, [q.row(i)], scale, [&mut row[lanes(p)]]);
+                        }
                     }
                 }
             }

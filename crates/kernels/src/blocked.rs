@@ -26,10 +26,10 @@
 //!
 //! [`run_engine`] runs any number of heads' jobs ([`EngineJob`]) as one
 //! pool call: every job's query blocks are grouped into runs of about
-//! equal live pairs, and the runs of all jobs go to the pool longest
-//! first. The one-head entry points are a call of one job. A block's
-//! result never depends on which run it is in, so the cut moves time,
-//! not bits.
+//! equal live pairs, and the runs go to the pool round-robin over the
+//! jobs, each job's last rows first. The one-head entry points are a
+//! call of one job. A block's result never depends on which run it is
+//! in, so the cut moves time, not bits.
 //!
 //! # The fold partition
 //!
@@ -118,7 +118,8 @@ pub struct BlockedAttentionOutput {
     pub cost: CostReport,
     /// Score pairs folded into an output row — equals `mask.nnz()`.
     pub live_pairs: u64,
-    /// Score pairs computed, including the masked lanes of edge panels:
+    /// Score pairs computed, including the masked lanes of edge panels
+    /// and the dead rows scored beside a live one:
     /// `live_pairs / scored_pairs` is the engine's useful share.
     pub scored_pairs: u64,
 }
@@ -410,11 +411,11 @@ const UNITS_PER_CALL: u64 = 64;
 /// The units are **(job, query-block range)** pairs: each job's query
 /// rows are cut on the [`BLOCK`] grid into ranges of about equal live
 /// pairs (about `1 / 64` of the call's work, never under
-/// [`pool::MIN_CHUNK_OPS`] operations), round-robin over the jobs and
-/// each job's in row order, the short remainders last, so a few heads of
-/// very different densities keep every thread busy to the end of the
-/// call instead of waiting on the densest head. A query block's fold is
-/// independent of every other
+/// [`pool::MIN_CHUNK_OPS`] operations), and issued round-robin over the
+/// jobs, each job's units from its last rows back to its first, so a
+/// few heads of very different densities keep every thread busy to the
+/// end of the call instead of waiting on the densest head. A query
+/// block's fold is independent of every other
 /// block and of how blocks are grouped, so every output is bit for bit
 /// the one a call of its own ([`sparse_flash_attention_prepared`],
 /// [`flash_attention_prepared`](crate::flash_attention_prepared)) returns,
@@ -845,10 +846,11 @@ impl QueryBlock {
         }
     }
 
-    /// Scores the rows with live lanes against panel `p` of `kt`, two
-    /// rows per pass, then folds the tile into the rows' states. Row
-    /// `p * BLOCK + t` of `values` (rows as wide as the states) is the V
-    /// row of lane `t`.
+    /// Scores the rows with live lanes against panel `p` of `kt`, four
+    /// rows per pass whenever any of the four is live (the 1–3 rows past
+    /// the last whole four as a pair and a single), then folds the tile
+    /// into the rows' states. Row `p * BLOCK + t` of `values` (rows as
+    /// wide as the states) is the V row of lane `t`.
     fn score_and_fold(
         &mut self,
         q: &Matrix,
@@ -859,27 +861,42 @@ impl QueryBlock {
         values: &[f32],
     ) {
         let is_live = |&(lo, hi): &(usize, usize)| lo < hi;
+        let isa = self.isa;
+        let rows = self.live.len();
+        let quads = rows - rows % 4;
+        let (quad_tiles, rest_tiles) =
+            self.scores.as_mut_slice()[..rows * BLOCK].split_at_mut(quads * BLOCK);
+        let (quad_live, rest_live) = self.live.split_at(quads);
         let mut scored_rows = 0u64;
-        for ((pair, tile), live) in (0..)
-            .step_by(2)
-            .zip(self.scores.as_mut_slice().chunks_mut(2 * BLOCK))
-            .zip(self.live.chunks(2))
+        for ((r, tile), live) in (0..)
+            .step_by(4)
+            .zip(quad_tiles.chunks_exact_mut(4 * BLOCK))
+            .zip(quad_live.chunks_exact(4))
         {
-            let i = self.q0 + pair;
+            if live.iter().any(is_live) {
+                let i = self.q0 + r;
+                let (first, tile) = tile.split_at_mut(BLOCK);
+                let (second, tile) = tile.split_at_mut(BLOCK);
+                let (third, fourth) = tile.split_at_mut(BLOCK);
+                let rows = std::array::from_fn(|k| q.row(i + k));
+                kt.score_panel(isa, p, rows, scale, [first, second, third, fourth]);
+                scored_rows += 4;
+            }
+        }
+        for ((r, tile), live) in (quads..)
+            .step_by(2)
+            .zip(rest_tiles.chunks_mut(2 * BLOCK))
+            .zip(rest_live.chunks(2))
+        {
+            let i = self.q0 + r;
             match live {
                 [a, b] if is_live(a) || is_live(b) => {
                     let (first, second) = tile.split_at_mut(BLOCK);
-                    kt.score_panel(
-                        self.isa,
-                        p,
-                        [q.row(i), q.row(i + 1)],
-                        scale,
-                        [first, second],
-                    );
+                    kt.score_panel(isa, p, [q.row(i), q.row(i + 1)], scale, [first, second]);
                     scored_rows += 2;
                 }
                 [a] if is_live(a) => {
-                    kt.score_panel(self.isa, p, [q.row(i)], scale, [tile]);
+                    kt.score_panel(isa, p, [q.row(i)], scale, [tile]);
                     scored_rows += 1;
                 }
                 _ => {}
@@ -898,7 +915,6 @@ impl QueryBlock {
             .sum::<u64>();
         // The panel's V rows are contiguous in `values`.
         let dv = self.states[0].acc.len();
-        let rows = self.live.len();
         online_softmax_update_tile_on(
             self.isa,
             &mut self.states[..rows],
@@ -1359,8 +1375,8 @@ mod tests {
         // Two query blocks, five tiles: a sink panel each (rows 0..8 sit
         // on their sinks' window, so only 56 rows of the first block
         // score it), the diagonal key block each, and for the second
-        // block the 8 rows (4 row pairs) whose window reaches back into
-        // the first key block.
+        // block the 8 rows (two row quads; 7 of them live) whose window
+        // reaches back into the first key block.
         assert_eq!(out.scored_pairs, ((56 + 64) + (64 + 8 + 64)) * BLOCK as u64);
         // Every scored tile loads its keys once: 2 sinks per extras
         // panel, 64 keys per window block.

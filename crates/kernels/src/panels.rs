@@ -34,14 +34,22 @@ use sa_tensor::{mul_add, AlignedBuf, Isa, IsaBuild, Matrix, TensorError};
 /// Key lanes per panel, and query rows per engine block.
 pub const BLOCK: usize = 64;
 
-/// Lanes one accumulator group of the score panel covers, per build: two
-/// query rows of 16 f32 are eight of the 16 vector registers of baseline
-/// x86-64 and four under AVX2; under AVX-512 two rows of a whole panel
-/// are eight of its 32. Lanes are independent, so the grouping never
-/// shows in the bits.
+/// Lanes one accumulator group of the score panel covers, per build, for
+/// one or two query rows: two rows of 16 f32 are eight of the 16 vector
+/// registers of baseline x86-64 and four under AVX2; under AVX-512 two
+/// rows of a whole panel are eight of its 32. Lanes are independent, so
+/// the grouping never shows in the bits.
 const LANES_BASELINE: usize = 16;
 const LANES_AVX2: usize = 16;
 const LANES_AVX512: usize = BLOCK;
+
+/// The same for four query rows: eight accumulator registers under the
+/// baseline build (4 × 8 lanes) and AVX2 (4 × 16), sixteen of the 32
+/// under AVX-512 (4 × a whole panel). Each K load then feeds four FMAs,
+/// and no accumulator waits on the one before it.
+const QUAD_LANES_BASELINE: usize = 8;
+const QUAD_LANES_AVX2: usize = 16;
+const QUAD_LANES_AVX512: usize = BLOCK;
 
 /// Key rows transposed into panels of [`BLOCK`] lanes, from a cache line.
 #[derive(Debug, Clone)]
@@ -194,14 +202,19 @@ impl KeyPanels {
 }
 
 /// The score panel compiled for the target's baseline instruction set,
-/// each product through the exact emulation of a fused multiply-add.
+/// each product through the exact emulation of a fused multiply-add. `R`
+/// is a constant, so each instantiation keeps one of the two bodies.
 fn score_panel_baseline<const R: usize>(
     kt: &[f32],
     q: [&[f32]; R],
     scale: f32,
     out: [&mut [f32]; R],
 ) {
-    score_lanes::<R, LANES_BASELINE, false>(kt, q, scale, out);
+    if R >= 4 {
+        score_lanes::<R, QUAD_LANES_BASELINE, false>(kt, q, scale, out);
+    } else {
+        score_lanes::<R, LANES_BASELINE, false>(kt, q, scale, out);
+    }
 }
 
 /// The score panel compiled with AVX2 and FMA: the same fused products
@@ -209,7 +222,11 @@ fn score_panel_baseline<const R: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn score_panel_avx2<const R: usize>(kt: &[f32], q: [&[f32]; R], scale: f32, out: [&mut [f32]; R]) {
-    score_lanes::<R, LANES_AVX2, true>(kt, q, scale, out);
+    if R >= 4 {
+        score_lanes::<R, QUAD_LANES_AVX2, true>(kt, q, scale, out);
+    } else {
+        score_lanes::<R, LANES_AVX2, true>(kt, q, scale, out);
+    }
 }
 
 /// The score panel compiled with AVX-512F: the same fused products per
@@ -222,7 +239,11 @@ fn score_panel_avx512<const R: usize>(
     scale: f32,
     out: [&mut [f32]; R],
 ) {
-    score_lanes::<R, LANES_AVX512, true>(kt, q, scale, out);
+    if R >= 4 {
+        score_lanes::<R, QUAD_LANES_AVX512, true>(kt, q, scale, out);
+    } else {
+        score_lanes::<R, LANES_AVX512, true>(kt, q, scale, out);
+    }
 }
 
 /// The one body of the score panel, over the transposed panel `kt`, `L`
@@ -237,10 +258,14 @@ fn score_lanes<const R: usize, const L: usize, const FUSED: bool>(
     for c in 0..BLOCK / L {
         let mut acc = [[0.0f32; L]; R];
         for (dd, k_row) in kt.chunks_exact(BLOCK).enumerate() {
-            let lanes = &k_row[c * L..(c + 1) * L];
+            // A copy, so that the lanes are loaded once for all `R` rows:
+            // read through the slice, each row's FMA took its own load,
+            // and four rows stayed as load-bound as two.
+            let mut lanes = [0.0f32; L];
+            lanes.copy_from_slice(&k_row[c * L..(c + 1) * L]);
             for (acc_row, q_row) in acc.iter_mut().zip(&q) {
                 let x = q_row[dd];
-                for (a, &kv) in acc_row.iter_mut().zip(lanes) {
+                for (a, &kv) in acc_row.iter_mut().zip(&lanes) {
                     *a = mul_add::<FUSED>(x, kv, *a);
                 }
             }
@@ -364,7 +389,7 @@ mod tests {
     fn panel_scores_are_strict_order_dot_products() {
         let mut rng = DeterministicRng::new(4);
         let k = rng.normal_matrix(70, 12, 1.0);
-        let q = rng.normal_matrix(2, 12, 1.0);
+        let q = rng.normal_matrix(4, 12, 1.0);
         let panels = KeyPanels::from_rows(&k);
         let scale = 0.37;
         // Baseline always; the AVX2 and AVX-512 builds where the CPU has them.
@@ -372,13 +397,31 @@ mod tests {
             .into_iter()
             .flat_map(|isa| [(isa, 0), (isa, 1)])
         {
-            let mut a = [0.0f32; BLOCK];
-            let mut b = [0.0f32; BLOCK];
-            panels.score_panel(isa, p, [q.row(0), q.row(1)], scale, [&mut a, &mut b]);
+            let mut quad = [[0.0f32; BLOCK]; 4];
+            let [a, b, c, e] = &mut quad;
+            let rows = [q.row(0), q.row(1), q.row(2), q.row(3)];
+            panels.score_panel(isa, p, rows, scale, [a, b, c, e]);
+            let mut pair = [[0.0f32; BLOCK]; 2];
+            let [a, b] = &mut pair;
+            panels.score_panel(isa, p, [q.row(2), q.row(3)], scale, [a, b]);
             let mut alone = [0.0f32; BLOCK];
-            panels.score_panel(isa, p, [q.row(1)], scale, [&mut alone]);
-            assert_eq!(bits(&b), bits(&alone), "pairing must not change a row");
-            for (r, got) in [a, b].iter().enumerate() {
+            panels.score_panel(isa, p, [q.row(3)], scale, [&mut alone]);
+            assert_eq!(
+                bits(&pair[0]),
+                bits(&quad[2]),
+                "grouping must not change a row"
+            );
+            assert_eq!(
+                bits(&pair[1]),
+                bits(&quad[3]),
+                "grouping must not change a row"
+            );
+            assert_eq!(
+                bits(&alone),
+                bits(&quad[3]),
+                "grouping must not change a row"
+            );
+            for (r, got) in quad.iter().enumerate() {
                 for (t, &s) in got.iter().enumerate() {
                     let want = if p * BLOCK + t < 70 {
                         let mut acc = 0.0f32;

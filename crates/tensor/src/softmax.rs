@@ -225,6 +225,14 @@ const PAIR_COLUMNS_BASELINE: usize = 16;
 const PAIR_COLUMNS_AVX2: usize = 32;
 const PAIR_COLUMNS_AVX512: usize = 64;
 
+/// Columns each row of a quad holds when four rows accumulate together,
+/// per build: eight accumulator registers on baseline x86-64 and under
+/// AVX2, sixteen of AVX-512's 32 — each value load feeds four rows, and
+/// no accumulator waits on the one before it.
+const QUAD_COLUMNS_BASELINE: usize = 8;
+const QUAD_COLUMNS_AVX2: usize = 16;
+const QUAD_COLUMNS_AVX512: usize = 64;
+
 /// Folds one block of raw scores and their value rows into the online
 /// softmax state.
 ///
@@ -313,8 +321,9 @@ pub fn online_softmax_update_on<'a>(
 /// through the same code, and step 5 adds the same products in the same
 /// `t` order per column. What the tile buys is how step 5 runs: value
 /// rows come from one contiguous slice instead of a call per key, and
-/// two neighbouring rows that share a range and have no `-inf` key
-/// accumulate together, each value load feeding both.
+/// neighbouring rows with no `-inf` key accumulate together, each value
+/// load feeding all of them — four rows over the keys their ranges
+/// share, two rows that share a whole range.
 ///
 /// # Panics
 ///
@@ -401,7 +410,7 @@ fn fold_tile_baseline(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_BASELINE, FOLD_COLUMNS_BASELINE, false>(
+    fold_tile::<QUAD_COLUMNS_BASELINE, PAIR_COLUMNS_BASELINE, FOLD_COLUMNS_BASELINE, false>(
         states, score_tile, live, v_slab,
     );
 }
@@ -415,7 +424,9 @@ fn fold_tile_avx2(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_AVX2, FOLD_COLUMNS_AVX2, true>(states, score_tile, live, v_slab);
+    fold_tile::<QUAD_COLUMNS_AVX2, PAIR_COLUMNS_AVX2, FOLD_COLUMNS_AVX2, true>(
+        states, score_tile, live, v_slab,
+    );
 }
 
 /// The tile fold compiled with AVX-512F.
@@ -427,7 +438,9 @@ fn fold_tile_avx512(
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    fold_tile::<PAIR_COLUMNS_AVX512, FOLD_COLUMNS_AVX512, true>(states, score_tile, live, v_slab);
+    fold_tile::<QUAD_COLUMNS_AVX512, PAIR_COLUMNS_AVX512, FOLD_COLUMNS_AVX512, true>(
+        states, score_tile, live, v_slab,
+    );
 }
 
 /// `b` if it is greater, else `a`: the select every step of the block
@@ -468,41 +481,60 @@ fn lane_max(xs: &[f32]) -> f32 {
     lane_fold(xs, f32::NEG_INFINITY, greater)
 }
 
-/// Steps 1–4 of [the fold](online_softmax_update) for one block of at
-/// most [`FOLD_KEYS`] scores, shared by the row fold and the tile fold:
-/// rescales `state` to the new maximum, adds the block's weight sum and
-/// leaves `w[t]` in `weights[t]`. Returns `None`, with `state`
-/// untouched, for an empty or fully masked block; otherwise whether any
-/// key is `-inf` and has to be skipped by step 5.
+/// Steps 1–4 of [the fold](online_softmax_update) for `N` rows, each one
+/// block of at most [`FOLD_KEYS`] scores (`blocks[r]` for `states[r]`),
+/// shared by the row fold and the tile fold: rescales each state to its
+/// new maximum, adds its block's weight sum and leaves `w[t]` in
+/// `weights[r][t]`. Returns per row `None`, with the state untouched,
+/// for an empty or fully masked block; otherwise whether any key is
+/// `-inf` and has to be skipped by step 5.
+///
+/// The rows go phase by phase — every maximum, every correction, every
+/// row's weights, then every rescale and sum — so the serial chains of
+/// neighbouring rows overlap; each row's arithmetic is its own, in its
+/// own order. (Four rows one after another through every step folded a
+/// diagonal or window-start tile 20–30 % slower.)
 #[inline(always)]
-fn prepare(
-    state: &mut OnlineSoftmaxState,
-    scores: &[f32],
-    weights: &mut [f32; FOLD_KEYS],
-) -> Option<bool> {
-    let weights = &mut weights[..scores.len()];
-    let block_max = lane_max(scores);
-    if block_max == f32::NEG_INFINITY {
-        return None;
+fn prepare<const N: usize>(
+    states: &mut [OnlineSoftmaxState],
+    blocks: [&[f32]; N],
+    weights: &mut [[f32; FOLD_KEYS]],
+) -> [Option<bool>; N] {
+    let block_max: [f32; N] = std::array::from_fn(|r| lane_max(blocks[r]));
+    let mut new_max = [0.0f32; N];
+    let mut correction = [0.0f32; N];
+    for (r, state) in states.iter().enumerate() {
+        new_max[r] = greater(state.row_max, block_max[r]);
+        correction[r] = if state.row_max == f32::NEG_INFINITY {
+            0.0
+        } else {
+            exp(state.row_max - new_max[r])
+        };
     }
-    let new_max = greater(state.row_max, block_max);
-    let correction = if state.row_max == f32::NEG_INFINITY {
-        0.0
-    } else {
-        exp(state.row_max - new_max)
-    };
-    for v in &mut state.acc {
-        *v *= correction;
+    let mut holes = [false; N];
+    for (r, (weights, scores)) in weights.iter_mut().zip(blocks).enumerate() {
+        if block_max[r] == f32::NEG_INFINITY {
+            continue;
+        }
+        for (w, &s) in weights.iter_mut().zip(scores) {
+            *w = exp(s - new_max[r]);
+            holes[r] |= s == f32::NEG_INFINITY;
+        }
     }
-    let mut holes = false;
-    for (w, &s) in weights.iter_mut().zip(scores) {
-        *w = exp(s - new_max);
-        holes |= s == f32::NEG_INFINITY;
+    let mut prepared = [None; N];
+    for (r, (state, weights)) in states.iter_mut().zip(weights.iter()).enumerate() {
+        if block_max[r] == f32::NEG_INFINITY {
+            continue;
+        }
+        for v in &mut state.acc {
+            *v *= correction[r];
+        }
+        let block_sum = lane_fold(&weights[..blocks[r].len()], 0.0, |a, b| a + b);
+        state.row_sum = state.row_sum * correction[r] + block_sum;
+        state.row_max = new_max[r];
+        prepared[r] = Some(holes[r]);
     }
-    let block_sum = lane_fold(weights, 0.0, |a, b| a + b);
-    state.row_sum = state.row_sum * correction + block_sum;
-    state.row_max = new_max;
-    Some(holes)
+    prepared
 }
 
 /// The one body of the row fold: [`prepare`] each block, then step 5
@@ -514,10 +546,10 @@ fn fold<'a, const COLUMNS: usize, const FUSED: bool>(
     scores: &[f32],
     mut values: impl FnMut(usize) -> &'a [f32],
 ) {
-    let mut weights = [0.0f32; FOLD_KEYS];
+    let mut weights = [[0.0f32; FOLD_KEYS]];
     for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
-        if prepare(state, block, &mut weights).is_some() {
-            accumulate_live::<COLUMNS, FUSED>(state, block, &mut weights, |t| {
+        if let [Some(_)] = prepare(std::slice::from_mut(state), [block], &mut weights) {
+            accumulate_live::<COLUMNS, FUSED>(state, block, &mut weights[0], |t| {
                 values(pass * FOLD_KEYS + t)
             });
         }
@@ -549,54 +581,161 @@ fn accumulate_live<'a, const COLUMNS: usize, const FUSED: bool>(
     accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [weights], live, |j| rows[j]);
 }
 
-/// The one body of the tile fold: rows two at a time, each through
-/// [`prepare`]; a pair that shares its range and has no `-inf` key runs
-/// step 5 together over `PAIR_COLUMNS`-column chunks, any other row on
-/// its own over `COLUMNS`-column ones, as the row fold would.
+/// The one body of the tile fold: rows four at a time, each through
+/// [`prepare`]. Four rows with no `-inf` key whose ranges overlap run
+/// step 5 together over the keys all four see ([`fold_quad`]); any other
+/// four go as two pairs, as do the 1–3 rows past the last whole four
+/// ([`fold_pair`]).
 #[inline(always)]
-fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>(
+fn fold_tile<
+    const QUAD_COLUMNS: usize,
+    const PAIR_COLUMNS: usize,
+    const COLUMNS: usize,
+    const FUSED: bool,
+>(
     states: &mut [OnlineSoftmaxState],
     score_tile: &[f32],
     live: &[(usize, usize)],
     v_slab: &[f32],
 ) {
-    let d = states[0].acc.len();
-    let mut weights = [[0.0f32; FOLD_KEYS]; 2];
-    for ((pair, scores), ranges) in states
+    let quads = states.len() - states.len() % 4;
+    let (quad_states, rest_states) = states.split_at_mut(quads);
+    let (quad_scores, rest_scores) = score_tile.split_at(quads * FOLD_KEYS);
+    let (quad_ranges, rest_ranges) = live.split_at(quads);
+    let mut weights = [[0.0f32; FOLD_KEYS]; 4];
+    for ((quad, scores), ranges) in quad_states
+        .chunks_exact_mut(4)
+        .zip(quad_scores.chunks_exact(4 * FOLD_KEYS))
+        .zip(quad_ranges.chunks_exact(4))
+    {
+        let blocks = std::array::from_fn(|r| &scores[r * FOLD_KEYS..][ranges[r].0..ranges[r].1]);
+        let holes = prepare::<4>(quad, blocks, &mut weights);
+        let shared_lo = ranges.iter().map(|&(lo, _)| lo).max().unwrap_or(0);
+        let shared_hi = ranges.iter().map(|&(_, hi)| hi).min().unwrap_or(0);
+        if holes == [Some(false); 4] && shared_lo < shared_hi {
+            fold_quad::<QUAD_COLUMNS, COLUMNS, FUSED>(
+                quad,
+                &weights,
+                ranges,
+                (shared_lo, shared_hi),
+                v_slab,
+            );
+            continue;
+        }
+        for (((pair, scores), ranges), (weights, holes)) in quad
+            .chunks_mut(2)
+            .zip(scores.chunks(2 * FOLD_KEYS))
+            .zip(ranges.chunks(2))
+            .zip(weights.chunks_mut(2).zip(holes.chunks(2)))
+        {
+            fold_pair::<PAIR_COLUMNS, COLUMNS, FUSED>(pair, scores, ranges, weights, holes, v_slab);
+        }
+    }
+    for ((pair, scores), ranges) in rest_states
         .chunks_mut(2)
-        .zip(score_tile.chunks(2 * FOLD_KEYS))
-        .zip(live.chunks(2))
+        .zip(rest_scores.chunks(2 * FOLD_KEYS))
+        .zip(rest_ranges.chunks(2))
     {
         let mut holes = [None; 2];
         for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
-            let row = &scores[r * FOLD_KEYS..][lo..hi];
-            holes[r] = prepare(state, row, &mut weights[r]);
+            let block = &scores[r * FOLD_KEYS..][lo..hi];
+            [holes[r]] = prepare(std::slice::from_mut(state), [block], &mut weights[r..]);
         }
-        if let ([a, b], [Some(false), Some(false)]) = (&mut *pair, holes) {
-            if ranges[0] == ranges[1] {
-                let (lo, hi) = ranges[0];
-                let values = &v_slab[lo * d..hi * d];
-                accumulate::<2, PAIR_COLUMNS, FUSED>(
-                    [&mut a.acc, &mut b.acc],
-                    [&weights[0], &weights[1]],
-                    hi - lo,
-                    |j| &values[j * d..(j + 1) * d],
-                );
-                continue;
-            }
+        fold_pair::<PAIR_COLUMNS, COLUMNS, FUSED>(
+            pair,
+            scores,
+            ranges,
+            &mut weights[..2],
+            &holes,
+            v_slab,
+        );
+    }
+}
+
+/// Step 5 for four rows without a `-inf` key whose ranges all hold the
+/// keys `[lo, hi)`: each row first folds the keys of its range below
+/// `lo` on its own, over `COLUMNS`-column chunks; then the four fold
+/// `[lo, hi)` together over `QUAD_COLUMNS`-column ones, each value load
+/// feeding all four; then each row its keys from `hi` on alone. Every row
+/// still adds its keys in ascending `t`. `weights[r][t - lo_r]` weighs
+/// key `t` of row `r`, whose range is `ranges[r] = [lo_r, hi_r)`.
+#[inline(always)]
+fn fold_quad<const QUAD_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>(
+    quad: &mut [OnlineSoftmaxState],
+    weights: &[[f32; FOLD_KEYS]; 4],
+    ranges: &[(usize, usize)],
+    (lo, hi): (usize, usize),
+    v_slab: &[f32],
+) {
+    let d = quad[0].acc.len();
+    for ((state, w), &(row_lo, _)) in quad.iter_mut().zip(weights).zip(ranges) {
+        if row_lo < lo {
+            let values = &v_slab[row_lo * d..lo * d];
+            accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [w], lo - row_lo, |j| {
+                &values[j * d..(j + 1) * d]
+            });
         }
-        for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
+    }
+    if let [a, b, c, e] = quad {
+        let values = &v_slab[lo * d..hi * d];
+        accumulate::<4, QUAD_COLUMNS, FUSED>(
+            [&mut a.acc, &mut b.acc, &mut c.acc, &mut e.acc],
+            std::array::from_fn(|r| &weights[r][lo - ranges[r].0..]),
+            hi - lo,
+            |j| &values[j * d..(j + 1) * d],
+        );
+    }
+    for ((state, w), &(row_lo, row_hi)) in quad.iter_mut().zip(weights).zip(ranges) {
+        if hi < row_hi {
+            let values = &v_slab[hi * d..row_hi * d];
+            accumulate::<1, COLUMNS, FUSED>(
+                [&mut state.acc],
+                [&w[hi - row_lo..]],
+                row_hi - hi,
+                |j| &values[j * d..(j + 1) * d],
+            );
+        }
+    }
+}
+
+/// Step 5 for one or two rows [`prepare`] has weighed (`holes` as it
+/// returned for each): a pair that shares its range and has no `-inf` key
+/// runs together over `PAIR_COLUMNS`-column chunks, any other row on its
+/// own over `COLUMNS`-column ones, as the row fold would.
+#[inline(always)]
+fn fold_pair<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>(
+    pair: &mut [OnlineSoftmaxState],
+    scores: &[f32],
+    ranges: &[(usize, usize)],
+    weights: &mut [[f32; FOLD_KEYS]],
+    holes: &[Option<bool>],
+    v_slab: &[f32],
+) {
+    let d = pair[0].acc.len();
+    if let ([a, b], [Some(false), Some(false)]) = (&mut *pair, holes) {
+        if ranges[0] == ranges[1] {
+            let (lo, hi) = ranges[0];
             let values = &v_slab[lo * d..hi * d];
-            let value = |t: usize| &values[t * d..(t + 1) * d];
-            match holes[r] {
-                None => {}
-                Some(false) => {
-                    accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [&weights[r]], hi - lo, value)
-                }
-                Some(true) => {
-                    let row = &scores[r * FOLD_KEYS..][lo..hi];
-                    accumulate_live::<COLUMNS, FUSED>(state, row, &mut weights[r], value);
-                }
+            accumulate::<2, PAIR_COLUMNS, FUSED>(
+                [&mut a.acc, &mut b.acc],
+                [&weights[0], &weights[1]],
+                hi - lo,
+                |j| &values[j * d..(j + 1) * d],
+            );
+            return;
+        }
+    }
+    for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
+        let values = &v_slab[lo * d..hi * d];
+        let value = |t: usize| &values[t * d..(t + 1) * d];
+        match holes[r] {
+            None => {}
+            Some(false) => {
+                accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [&weights[r]], hi - lo, value)
+            }
+            Some(true) => {
+                let row = &scores[r * FOLD_KEYS..][lo..hi];
+                accumulate_live::<COLUMNS, FUSED>(state, row, &mut weights[r], value);
             }
         }
     }
@@ -607,14 +746,16 @@ fn fold_tile<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>
 /// `keys`, on every column `c` — `COLUMNS` columns at a time in
 /// local arrays the compiler keeps in registers over all `j` (each load
 /// of a value row feeds all `R` rows), then the columns past the last
-/// whole chunk key by key in memory. Every row is `acc[r].len()` wide.
+/// whole chunk key by key in memory. Every row is `acc[r].len()` wide,
+/// and every `weights[r]` holds at least `keys` weights.
 #[inline(always)]
 fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
     mut acc: [&mut Vec<f32>; R],
-    weights: [&[f32; FOLD_KEYS]; R],
+    weights: [&[f32]; R],
     keys: usize,
     row: impl Fn(usize) -> &'v [f32],
 ) {
+    let weights = weights.map(|w| &w[..keys]);
     let d = acc[0].len();
     let whole = d - d % COLUMNS;
     for c0 in (0..whole).step_by(COLUMNS) {
@@ -1018,9 +1159,10 @@ mod tests {
         (scores, rng.normal_matrix(len, dv, 1.0))
     }
 
-    /// Around the column chunks of every build: 32 (baseline, AVX2) and
-    /// 64 (AVX-512), a whole chunk, one plus a tail, and two.
-    const WIDTHS: [usize; 9] = [1, 8, 31, 32, 33, 64, 65, 72, 128];
+    /// Around the column chunks of every build — 8 and 16 (a quad under
+    /// the baseline build and AVX2), 32 (a row or a pair), 64 (AVX-512)
+    /// — a whole chunk, one plus a tail, and two.
+    const WIDTHS: [usize; 12] = [1, 8, 9, 16, 17, 31, 32, 33, 64, 65, 72, 128];
 
     #[test]
     fn row_fold_is_the_definition_at_every_width_and_block_length() {
@@ -1116,15 +1258,25 @@ mod tests {
     /// How a test tile's ranges are laid out.
     #[derive(Clone, Copy, Debug)]
     enum Ranges {
-        /// Every row folds all keys: every pair accumulates together.
+        /// Every row folds all keys: every quad accumulates together.
         Full,
         /// Row `r` ends at key `r + 1`, as on the causal diagonal: no
-        /// pair shares a range.
+        /// pair shares a range, a quad shares its shortest row's keys.
         Causal,
         /// Random `[lo, hi)` per row pair, so pairs accumulate together
         /// over ragged ranges; every fifth row breaks its pair with a
         /// range of its own and every seventh is empty.
         Ragged,
+        /// Random `[lo, hi)` per row quad, so quads accumulate together
+        /// over ragged ranges; every ninth row breaks its quad with a
+        /// range of its own.
+        Quads,
+        /// Row `r` sees `[r − w, r + 1)` clipped to the tile, `w` half
+        /// the tile: the window start moves one key a row, as at a
+        /// window start, and so does the end, as on the diagonal. A quad
+        /// shares the middle of its ranges and folds a staggered head
+        /// and tail row by row.
+        Staggered,
     }
 
     fn random_tile(
@@ -1143,10 +1295,12 @@ mod tests {
                 Ranges::Causal => (0, (r + 1).min(keys)),
                 Ranges::Ragged if r % 7 == 6 => (keys / 2, keys / 2),
                 Ranges::Ragged if r % 2 == 1 && r % 5 != 4 => live[r - 1],
-                Ranges::Ragged => {
+                Ranges::Quads if r % 4 != 0 && r % 9 != 8 => live[r - r % 4],
+                Ranges::Ragged | Ranges::Quads => {
                     let (a, b) = (edge(keys), edge(keys));
                     (a.min(b), a.max(b))
                 }
+                Ranges::Staggered => (r.saturating_sub(keys / 2).min(keys), (r + 1).min(keys)),
             });
         }
         Tile {
@@ -1156,7 +1310,15 @@ mod tests {
         }
     }
 
-    const ROW_COUNTS: [usize; 7] = [1, 2, 3, 4, 5, 63, 64];
+    /// Whole quads, and one to three rows past the last one.
+    const ROW_COUNTS: [usize; 9] = [1, 2, 3, 4, 5, 6, 7, 63, 64];
+    const LAYOUTS: [Ranges; 5] = [
+        Ranges::Full,
+        Ranges::Ragged,
+        Ranges::Causal,
+        Ranges::Quads,
+        Ranges::Staggered,
+    ];
     const KEY_COUNTS: [usize; 6] = [1, 7, 8, 9, 63, 64];
 
     #[test]
@@ -1169,8 +1331,9 @@ mod tests {
                 // the later ones rescale them.
                 let mut tiles = Vec::new();
                 for (n, &keys) in KEY_COUNTS.iter().enumerate() {
-                    let ranges = [Ranges::Full, Ranges::Ragged, Ranges::Causal][n % 3];
-                    tiles.push(random_tile(&mut rng, rows, keys, dv, ranges));
+                    for ranges in [LAYOUTS[n % 5], LAYOUTS[(n + 3) % 5]] {
+                        tiles.push(random_tile(&mut rng, rows, keys, dv, ranges));
+                    }
                 }
                 tiles.push(random_tile(&mut rng, rows, 64, dv, Ranges::Ragged));
                 let fresh = OnlineSoftmaxState::new(dv);
@@ -1183,11 +1346,16 @@ mod tests {
     fn tile_fold_skips_masked_lanes_masked_rows_and_masked_tiles() {
         let mut rng = crate::DeterministicRng::new(0xF04D);
         for dv in [1usize, 33, 64, 72] {
-            for rows in [1usize, 2, 5, 64] {
+            for rows in [1usize, 2, 5, 7, 64] {
                 let mut tiles = Vec::new();
-                for (n, ranges) in [Ranges::Full, Ranges::Ragged, Ranges::Full]
-                    .into_iter()
-                    .enumerate()
+                for (n, ranges) in [
+                    Ranges::Full,
+                    Ranges::Ragged,
+                    Ranges::Quads,
+                    Ranges::Staggered,
+                ]
+                .into_iter()
+                .enumerate()
                 {
                     // Holes in every third lane of every third row: in a
                     // pair, one row with holes and one without.
@@ -1214,6 +1382,42 @@ mod tests {
                 // States whose first tile is fully masked stay fresh.
                 tiles.rotate_left(2);
                 assert_tile_fold_is_the_definition("masked first", &fresh, rows, &tiles);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_fold_quads_fall_back_around_a_hole_in_one_row() {
+        // One `-inf` key in one row of every quad, a different row each
+        // quad: that quad goes as two pairs, one of them with a hole,
+        // while the quads beside it accumulate together.
+        let mut rng = crate::DeterministicRng::new(0xF05D);
+        for dv in [1usize, 8, 9, 16, 17, 64, 72] {
+            for rows in [4usize, 5, 6, 7, 16, 63, 64] {
+                let mut tiles = Vec::new();
+                for (n, ranges) in [
+                    Ranges::Full,
+                    Ranges::Quads,
+                    Ranges::Staggered,
+                    Ranges::Causal,
+                ]
+                .into_iter()
+                .enumerate()
+                {
+                    let mut tile = random_tile(&mut rng, rows, 64 - n, dv, ranges);
+                    for (quad, scores) in tile.scores.chunks_mut(4 * FOLD_KEYS).enumerate() {
+                        let r = (quad + n) % 4;
+                        if let Some(&(lo, hi)) = tile.live.get(quad * 4 + r) {
+                            if lo < hi {
+                                scores[r * FOLD_KEYS + (lo + hi) / 2] = f32::NEG_INFINITY;
+                            }
+                        }
+                    }
+                    tiles.push(tile);
+                    tiles.push(random_tile(&mut rng, rows, 64 - n, dv, ranges));
+                }
+                let fresh = OnlineSoftmaxState::new(dv);
+                assert_tile_fold_is_the_definition("a hole in a quad", &fresh, rows, &tiles);
             }
         }
     }
@@ -1248,17 +1452,20 @@ mod tests {
                     isa.name()
                 );
             }
-            // The same keys as a tile, on three rows: a pair and a single.
-            let mut tile_scores = vec![0.0f32; 3 * FOLD_KEYS];
-            for row in tile_scores.chunks_mut(FOLD_KEYS) {
-                row[..4].copy_from_slice(&scores);
+            // The same keys as a tile, on three rows (a pair and a single)
+            // and on seven (a quad, a pair and a single).
+            for rows in [3, 7] {
+                let mut tile_scores = vec![0.0f32; rows * FOLD_KEYS];
+                for row in tile_scores.chunks_mut(FOLD_KEYS) {
+                    row[..4].copy_from_slice(&scores);
+                }
+                let tile = || Tile {
+                    scores: tile_scores.clone(),
+                    live: vec![(0, 4); rows],
+                    values: values.clone(),
+                };
+                assert_tile_fold_is_the_definition("signed zeros", &start, rows, &[tile(), tile()]);
             }
-            let tile = || Tile {
-                scores: tile_scores.clone(),
-                live: vec![(0, 4); 3],
-                values: values.clone(),
-            };
-            assert_tile_fold_is_the_definition("signed zeros", &start, 3, &[tile(), tile()]);
             // Live keys with infinite values go through as they always
             // did, paired or not.
             let live_inf = [
@@ -1269,21 +1476,23 @@ mod tests {
                 (vec![2.0], Matrix::from_fn(1, dv, |_, _| f32::NEG_INFINITY)),
             ];
             assert_row_fold_is_the_definition("live infinities", dv, &live_inf);
-            let tiles: Vec<Tile> = live_inf
-                .iter()
-                .map(|(scores, values)| {
-                    let mut tile_scores = vec![0.0f32; 2 * FOLD_KEYS];
-                    for row in tile_scores.chunks_mut(FOLD_KEYS) {
-                        row[..scores.len()].copy_from_slice(scores);
-                    }
-                    Tile {
-                        scores: tile_scores,
-                        live: vec![(0, scores.len()); 2],
-                        values: values.clone(),
-                    }
-                })
-                .collect();
-            assert_tile_fold_is_the_definition("live infinities", &start, 2, &tiles);
+            for rows in [2, 4] {
+                let tiles: Vec<Tile> = live_inf
+                    .iter()
+                    .map(|(scores, values)| {
+                        let mut tile_scores = vec![0.0f32; rows * FOLD_KEYS];
+                        for row in tile_scores.chunks_mut(FOLD_KEYS) {
+                            row[..scores.len()].copy_from_slice(scores);
+                        }
+                        Tile {
+                            scores: tile_scores,
+                            live: vec![(0, scores.len()); rows],
+                            values: values.clone(),
+                        }
+                    })
+                    .collect();
+                assert_tile_fold_is_the_definition("live infinities", &start, rows, &tiles);
+            }
         }
     }
 

@@ -25,10 +25,13 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop, 
 # multiply and an add, which rounds twice), the row softmax has no
 # product and must issue none (one there is a contraction), and a wide
 # build is only worth dispatching to while it really is 8 or 16 lanes
-# wide. sa-kernels holds every engine instantiation of the score panel
-# and the row fold (generic over the caller's closure, so compiled where
-# it is called); sa-tensor holds the tile fold, the row softmax and the
-# GEMM. And the bits are libm-independent only while every f32
+# wide. The score panel is generic over its row count and the row fold
+# over the caller's closure, so each is compiled where it is called:
+# sa-kernels holds the engine's instantiations of both (the panel for
+# one, two and four query rows), sa-core stage 1's panel for one, two
+# and four sampled rows; sa-tensor holds the tile fold (its four-row,
+# pair and single-row step 5 are inlined into one body per build), the
+# row softmax and the GEMM. And the bits are libm-independent only while every f32
 # exponential on the pipeline path is `sa_tensor::exp` and every fused
 # product off the wide builds is `sa_tensor::fma`: a reference to `expf`
 # or `fmaf` in a pipeline crate's objects is a call that slipped past
@@ -40,7 +43,7 @@ elif ! command -v objdump >/dev/null; then
 else
     # objdump exits non-zero on the archive's metadata member; the awk
     # verdict is the status that counts.
-    for lib in sa_kernels sa_tensor; do
+    for lib in sa_kernels sa_core sa_tensor; do
         objdump -d --no-show-raw-insn -C "target/release/lib$lib.rlib" 2>/dev/null || true
     done | awk '
         function loop(s) {
@@ -136,10 +139,15 @@ cargo test -q --offline --test kernel_equivalence
 
 echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 builds vs oracles"
 # The builds of an inner loop only differ once the optimiser vectorises
-# them, which a debug test binary never does: run the legs that hold every
+# them, which a test-profile binary (opt-level 1) never does: run the legs that hold every
 # build the CPU has to the others, to the row-wise reference, to the
 # scalar statement of the fold, to the scalar exp and to the CPU's FMA
-# instruction against the code that ships.
+# instruction against the code that ships. `softmax::tests` holds the
+# tile fold's four-row, pair and single-row step 5 to that statement
+# (quad, staggered and causal ranges, one to three rows past the last
+# whole four, and `tile_fold_quads_fall_back_around_a_hole_in_one_row`);
+# `panels::tests` holds the four-row score panel to pairs, single rows
+# and the scalar dot.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
 cargo test -q --offline --release --test exp_contract
 cargo test -q --offline --release --test fma_contract

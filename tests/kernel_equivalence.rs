@@ -318,6 +318,32 @@ fn corner_case_masks() -> Vec<(&'static str, StructuredMask)> {
         ("fully_masked_rows", b(70, 70).window(0).build().unwrap()),
         ("dense_causal", StructuredMask::dense_causal(130, 130)),
         (
+            // 129 rows: the last query block is one row, a single past
+            // the last whole four. The window starts of rows 64.. fall
+            // one key a row, so every four rows of the window-start tile
+            // share the middle of their ranges and disagree at both ends.
+            "s_q_one_past_a_quad_window_starts_mid_quad",
+            b(129, 129).window(10).sinks(1).build().unwrap(),
+        ),
+        (
+            // 66 rows: two rows past the last whole four; the window of
+            // 6 starts inside a quad, so quads mix rows whose window
+            // starts in this key block with rows that start in the last.
+            "s_q_two_past_a_quad_window_starts_mid_quad",
+            b(66, 66).window(6).columns(vec![1, 5, 9]).build().unwrap(),
+        ),
+        (
+            // 135 rows: three past the last whole four, a dense tail that
+            // starts inside a quad (rows 121..) beside windowed rows.
+            "s_q_three_past_a_quad_dense_tail_mid_quad",
+            b(135, 135)
+                .window(31)
+                .sinks(2)
+                .dense_tail_rows(14)
+                .build()
+                .unwrap(),
+        ),
+        (
             "s_q_not_a_multiple_of_64",
             b(97, 97)
                 .window(9)
