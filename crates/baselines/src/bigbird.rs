@@ -9,7 +9,7 @@
 use sa_kernels::StructuredMask;
 use sa_tensor::{DeterministicRng, Matrix, TensorError};
 
-use crate::method::forward_on_built_panels;
+use crate::method::forward_alone;
 use crate::{AttentionMethod, MethodOutput};
 
 /// BigBird sparse attention (static structured pattern).
@@ -87,7 +87,7 @@ impl AttentionMethod for BigBird {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        forward_on_built_panels(self, q, k, v)
+        forward_alone(self, q, k, v)
     }
 
     fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {

@@ -6,33 +6,25 @@ use sa_kernels::{
 };
 use sa_tensor::{Matrix, TensorError};
 
-use crate::method::run_alone;
 use crate::{AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
 
 /// Full attention via the flash kernel — the paper's accuracy gold
 /// standard and the latency baseline (FlashAttention2).
 #[derive(Debug, Clone, Default)]
-pub struct FullAttention {
-    params: FlashParams,
-}
+pub struct FullAttention;
 
 impl FullAttention {
     /// Creates the baseline with default tile sizes.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates the baseline with explicit tile sizes.
-    pub fn with_params(params: FlashParams) -> Self {
-        FullAttention { params }
+        FullAttention
     }
 
     /// One decode step for the query heads that share `keys`: each row of
     /// `q_block` is one head's query at the newest position and sees every
-    /// cached key. A row is folded exactly as a one-row
-    /// [`forward_head`](AttentionMethod::forward_head) call folds it, so
-    /// the block is bit-identical to the per-head calls and reads K and V
-    /// once for the group.
+    /// cached key. Each row is folded exactly as the one-row head
+    /// [`plan_head`](AttentionMethod::plan_head) plans for it, so the
+    /// block is bit-identical to running the heads one by one and reads K
+    /// and V once for the group.
     ///
     /// # Errors
     ///
@@ -45,7 +37,7 @@ impl FullAttention {
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
         // Not causal: the newest position is past every cached key.
-        flash_attention_prepared(q_block, keys, v, false, self.params).map(dense_output)
+        flash_attention_prepared(q_block, keys, v, false, FlashParams::default()).map(dense_output)
     }
 }
 
@@ -55,18 +47,7 @@ impl AttentionMethod for FullAttention {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        flash_attention(q, k, v, true, self.params).map(dense_output)
-    }
-
-    fn forward_head(
-        &self,
-        layer: usize,
-        head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
-        run_alone(self.plan_head(layer, head, q.clone(), keys, v)?)
+        flash_attention(q, k, v, true, FlashParams::default()).map(dense_output)
     }
 
     fn plan_head<'a>(
@@ -77,12 +58,7 @@ impl AttentionMethod for FullAttention {
         keys: PreparedKeys<'a>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
-        Ok(HeadPlan::Engine(Box::new(DenseHead {
-            q,
-            keys,
-            v,
-            params: self.params,
-        })))
+        Ok(HeadPlan::Engine(Box::new(DenseHead { q, keys, v })))
     }
 }
 
@@ -91,12 +67,11 @@ struct DenseHead<'a> {
     q: Matrix,
     keys: PreparedKeys<'a>,
     v: &'a Matrix,
-    params: FlashParams,
 }
 
 impl PlannedHead for DenseHead<'_> {
     fn job(&self) -> EngineJob<'_> {
-        EngineJob::dense(&self.q, self.keys, self.v, true, self.params)
+        EngineJob::dense(&self.q, self.keys, self.v, true, FlashParams::default())
     }
 
     fn finish(

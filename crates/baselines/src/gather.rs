@@ -1,6 +1,6 @@
 //! Shared row-gathered attention kernel for the dynamic baselines
-//! (HyperAttention, Hash-Sparse, oracle top-k): each query row attends to
-//! an arbitrary per-row set of key indices.
+//! (HyperAttention, Hash-Sparse): each query row attends to an arbitrary
+//! per-row set of key indices.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -14,9 +14,6 @@
 //! - [`HashSparse`] — hash-bucketed sparse flash attention (Pagliardini
 //!   et al., 2023).
 //! - [`WindowOnly`] — pure sliding window (ablation helper).
-//! - [`OracleTopK`] — per-row exact top-k selection computed from the full
-//!   score matrix; an accuracy *upper bound* that is unaffordable at
-//!   runtime (requires materialising `P`), used for analysis.
 //! - [`SampleAttentionMethod`] — adapter putting `sa-core`'s
 //!   SampleAttention behind the same [`AttentionMethod`] interface.
 //!
@@ -32,7 +29,6 @@ mod hash_sparse;
 mod hyper_attention;
 pub mod lsh;
 mod method;
-mod oracle;
 mod sample_adapter;
 mod streaming;
 mod window;
@@ -42,7 +38,6 @@ pub use full::FullAttention;
 pub use hash_sparse::HashSparse;
 pub use hyper_attention::HyperAttention;
 pub use method::{finish_heads, AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
-pub use oracle::OracleTopK;
 pub use sample_adapter::SampleAttentionMethod;
 pub use streaming::StreamingLlm;
 pub use window::WindowOnly;

@@ -62,61 +62,35 @@ pub trait AttentionMethod: Send + Sync {
     /// The mask of a fixed-pattern method — one whose mask depends on the
     /// shapes alone, such as a window or BigBird's blocks — for `s_q`
     /// queries over `s_k` keys. Such a method implements this and
-    /// [`forward`](Self::forward), and the defaults of the other entry
-    /// points run the engine under the mask. `None`, the default, for
-    /// every other method.
+    /// [`forward`](Self::forward), and the default
+    /// [`plan_head`](Self::plan_head) runs the engine under the mask.
+    /// `None`, the default, for every other method.
     fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {
         let _ = (s_q, s_k);
         None
     }
 
-    /// Computes attention for the head identified by `(layer, head)`, on
-    /// keys the caller has already laid out for the engine.
+    /// Plans the head identified by `(layer, head)` up to its engine run,
+    /// on keys the caller has already laid out for the engine.
     ///
-    /// The model layers call this entry point: they hold each KV head's
+    /// The model layers run every head this way: they hold each KV head's
     /// key panels across the query heads of its group and across prefill
-    /// chunks, and wrappers that route individual heads differently — the
-    /// serving layer's per-head quality quarantine — override it. The
-    /// default runs a [`fixed_mask`](Self::fixed_mask) method's plan
-    /// alone; for any other method it ignores the identity and the panels
-    /// and delegates to [`forward`](Self::forward) on `keys.rows()`, so
-    /// methods that never run the engine behave identically on both
-    /// entry points.
+    /// chunks, plan every head of a KV group, and run the
+    /// [`HeadPlan::Engine`] jobs through [`finish_heads`] as one balanced
+    /// call. Wrappers that route individual heads differently — the
+    /// serving layer's per-head quality quarantine — override this and
+    /// nothing else.
+    ///
+    /// The default plans a [`fixed_mask`](Self::fixed_mask) method's
+    /// engine run under its mask; for any other method it ignores the
+    /// identity and the panels and returns [`HeadPlan::Done`] of
+    /// [`forward`](Self::forward) on `keys.rows()`. A method that ends in
+    /// the engine without a fixed mask overrides it. The plan owns `q`.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] on shape mismatches between `q`, the
     /// keys, and `v`.
-    fn forward_head(
-        &self,
-        layer: usize,
-        head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
-        let _ = (layer, head);
-        match self.fixed_mask(q.rows(), keys.len()) {
-            Some(mask) => run_alone(HeadPlan::masked(q.clone(), keys, v, mask)),
-            None => self.forward(q, keys.rows(), v),
-        }
-    }
-
-    /// [`forward_head`](Self::forward_head) split where the engine pass
-    /// begins, so a caller can run several heads' engine passes as one
-    /// balanced call: the model layers plan every head of a KV group, run
-    /// the [`HeadPlan::Engine`] jobs through [`finish_heads`], and get
-    /// each head's output bit for bit as `forward_head` returns it.
-    ///
-    /// The default plans a [`fixed_mask`](Self::fixed_mask) method's
-    /// engine run under its mask, and for any other method runs the whole
-    /// of `forward_head` and returns [`HeadPlan::Done`]; other methods
-    /// that end in the engine override it, and their `forward_head` is
-    /// [`run_alone`] of their plan. The plan owns `q`.
-    ///
-    /// # Errors
-    ///
-    /// As [`forward_head`](Self::forward_head).
     fn plan_head<'a>(
         &'a self,
         layer: usize,
@@ -125,11 +99,10 @@ pub trait AttentionMethod: Send + Sync {
         keys: PreparedKeys<'a>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
+        let _ = (layer, head);
         match self.fixed_mask(q.rows(), keys.len()) {
             Some(mask) => Ok(HeadPlan::masked(q, keys, v, mask)),
-            None => self
-                .forward_head(layer, head, &q, keys, v)
-                .map(HeadPlan::Done),
+            None => self.forward(&q, keys.rows(), v).map(HeadPlan::Done),
         }
     }
 }
@@ -152,7 +125,7 @@ pub trait PlannedHead: Send {
     ///
     /// # Errors
     ///
-    /// As [`AttentionMethod::forward_head`].
+    /// As [`AttentionMethod::plan_head`].
     fn finish(
         self: Box<Self>,
         run: Result<BlockedAttentionOutput, TensorError>,
@@ -193,18 +166,6 @@ pub fn finish_heads(plans: Vec<HeadPlan<'_>>) -> Vec<Result<MethodOutput, Tensor
         .collect()
 }
 
-/// A head's forward on its own: `plan` finished as a batch of one. The
-/// `forward_head` of a method whose plan ends in the engine.
-///
-/// # Errors
-///
-/// As [`AttentionMethod::forward_head`].
-pub(crate) fn run_alone(plan: HeadPlan<'_>) -> Result<MethodOutput, TensorError> {
-    finish_heads(vec![plan])
-        .pop()
-        .expect("one output per plan")
-}
-
 impl<'a> HeadPlan<'a> {
     /// A fixed-pattern method's plan: the engine under `mask`, with no
     /// coverage notion and no fallback.
@@ -242,16 +203,17 @@ impl PlannedHead for MaskedHead<'_> {
     }
 }
 
-/// `forward` for a method whose body is its `forward_head`: builds the
-/// key panels for this one call.
-pub(crate) fn forward_on_built_panels(
+/// `forward` for a method whose head plan ends in the engine: builds the
+/// key panels for this one call and finishes the plan as a batch of one.
+pub(crate) fn forward_alone(
     method: &dyn AttentionMethod,
     q: &Matrix,
     k: &Matrix,
     v: &Matrix,
 ) -> Result<MethodOutput, TensorError> {
     let panels = KeyPanels::from_rows(k);
-    method.forward_head(0, 0, q, PreparedKeys::new(k, &panels), v)
+    let plan = method.plan_head(0, 0, q.clone(), PreparedKeys::new(k, &panels), v)?;
+    finish_heads(vec![plan]).pop().expect("one output per plan")
 }
 
 #[cfg(test)]
@@ -282,15 +244,79 @@ mod tests {
         let out = methods[0].forward(&q, &q, &q).unwrap();
         assert_eq!(out.output.shape(), (2, 2));
         assert_eq!(methods[0].name(), "dummy");
-        // The head entry point defaults to `forward` on the key rows.
+        // The plan defaults to `forward` on the key rows, done.
         let panels = sa_kernels::KeyPanels::from_rows(&q);
         let keys = PreparedKeys::new(&q, &panels);
-        let out = methods[0].forward_head(1, 3, &q, keys, &q).unwrap();
-        assert_eq!(out.output.shape(), (2, 2));
-        // ... and the plan to the whole of `forward_head`.
         let plan = methods[0].plan_head(1, 3, q.clone(), keys, &q).unwrap();
         assert!(matches!(plan, HeadPlan::Done(ref out) if out.output == q));
         let finished = finish_heads(vec![plan]);
         assert_eq!(finished[0].as_ref().unwrap().output, q);
+    }
+
+    /// One head's Q/K/V with a sink at key 0 and a stripe at key 200, so
+    /// SampleAttention's mask gathers stripe columns; 300 rows leave a
+    /// partial engine block at the end.
+    fn striped_qkv() -> (Matrix, Matrix, Matrix) {
+        let (s, d) = (300, 16);
+        let mut rng = sa_tensor::DeterministicRng::new(0x57121);
+        let mut k = rng.normal_matrix(s, d, 0.3);
+        for row in [0, 200] {
+            for j in 0..d {
+                k.set(row, j, k.get(row, j) + 4.0);
+            }
+        }
+        let q = Matrix::from_fn(s, d, |_, _| 0.5 + 0.1 * rng.normal());
+        let v = rng.normal_matrix(s, d, 1.0);
+        (q, k, v)
+    }
+
+    /// Everything a head's output carries, floats as bits.
+    fn bits(out: &MethodOutput) -> impl PartialEq + std::fmt::Debug {
+        let output: Vec<u32> = out.output.as_slice().iter().map(|x| x.to_bits()).collect();
+        (
+            output,
+            out.cost,
+            out.density.to_bits(),
+            out.alpha_satisfied,
+            out.fell_back,
+            out.fallback_reason,
+        )
+    }
+
+    /// The trait's two entry points are one computation: `forward` on
+    /// plain matrices equals the head's plan finished alone, bit for bit,
+    /// for the methods that end in the engine and for one that never
+    /// runs it.
+    #[test]
+    fn forward_equals_its_plan_finished_alone() {
+        let (q, k, v) = striped_qkv();
+        let sample = crate::SampleAttentionMethod::paper_default();
+        let discovered = sample.inner().discover_mask(&q, &k).unwrap();
+        assert!(
+            !discovered.mask.extra_columns().is_empty(),
+            "no stripe in the mask: the test proves nothing"
+        );
+        let methods: Vec<Box<dyn AttentionMethod>> = vec![
+            Box::new(crate::FullAttention::new()),
+            Box::new(sample),
+            Box::new(crate::WindowOnly::new(0.1).unwrap()),
+            Box::new(crate::StreamingLlm::paper_config()),
+            Box::new(crate::BigBird::new(0.08, 0.08, 0.05, 3).unwrap()),
+            Box::new(crate::HashSparse::paper_config(5)),
+        ];
+        let panels = KeyPanels::from_rows(&k);
+        let keys = PreparedKeys::new(&k, &panels);
+        for method in &methods {
+            for threads in [1, 2] {
+                let label = format!("{} at {threads} threads", method.name());
+                let (forward, planned) = sa_tensor::pool::with_threads(threads, || {
+                    let forward = method.forward(&q, &k, &v).unwrap();
+                    let plan = method.plan_head(0, 0, q.clone(), keys, &v).unwrap();
+                    let planned = finish_heads(vec![plan]).pop().unwrap().unwrap();
+                    (forward, planned)
+                });
+                assert_eq!(bits(&forward), bits(&planned), "{label}");
+            }
+        }
     }
 }

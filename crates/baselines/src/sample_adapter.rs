@@ -48,17 +48,6 @@ impl AttentionMethod for SampleAttentionMethod {
         method_output(self.inner.forward(q, k, v))
     }
 
-    fn forward_head(
-        &self,
-        _layer: usize,
-        _head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
-        method_output(self.inner.forward_prepared(q, keys, v))
-    }
-
     fn plan_head<'a>(
         &'a self,
         _layer: usize,
@@ -173,7 +162,7 @@ mod tests {
         };
         let degraded = failing.finish(Err(panic)).unwrap();
 
-        let alone = m.forward_head(0, 0, &q, keys, &v).unwrap();
+        let alone = m.forward(&q, &k, &v).unwrap();
         assert_eq!(healthy.output, alone.output);
         assert!(!healthy.fell_back);
         assert!(degraded.fell_back);

@@ -7,7 +7,7 @@
 use sa_kernels::StructuredMask;
 use sa_tensor::{Matrix, TensorError};
 
-use crate::method::forward_on_built_panels;
+use crate::method::forward_alone;
 use crate::{AttentionMethod, MethodOutput};
 
 /// StreamingLLM-style sparse attention (sinks + window).
@@ -62,7 +62,7 @@ impl AttentionMethod for StreamingLlm {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        forward_on_built_panels(self, q, k, v)
+        forward_alone(self, q, k, v)
     }
 
     fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {

@@ -3,7 +3,7 @@
 use sa_kernels::StructuredMask;
 use sa_tensor::{Matrix, TensorError};
 
-use crate::method::forward_on_built_panels;
+use crate::method::forward_alone;
 use crate::{AttentionMethod, MethodOutput};
 
 /// Window-only sparse attention: each query sees its last
@@ -46,7 +46,7 @@ impl AttentionMethod for WindowOnly {
     }
 
     fn forward(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> Result<MethodOutput, TensorError> {
-        forward_on_built_panels(self, q, k, v)
+        forward_alone(self, q, k, v)
     }
 
     fn fixed_mask(&self, s_q: usize, s_k: usize) -> Option<StructuredMask> {

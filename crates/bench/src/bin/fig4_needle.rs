@@ -17,7 +17,7 @@ struct MethodGrid {
     method: String,
     lengths: Vec<usize>,
     depths: Vec<f64>,
-    /// scores[depth][length]
+    /// `scores[depth][length]`
     scores: Vec<Vec<f32>>,
     total: f32,
 }

@@ -308,26 +308,7 @@ impl SampleAttention {
         v: &Matrix,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
         let panels = KeyPanels::from_rows(k);
-        self.forward_prepared(q, PreparedKeys::new(k, &panels), v)
-    }
-
-    /// [`forward`](Self::forward) on keys whose panels the caller already
-    /// holds: stage-1 sampling and the sparse kernel both read them, so
-    /// the call transposes nothing but the mask's gathered stripes.
-    ///
-    /// # Errors
-    ///
-    /// As [`forward`](Self::forward).
-    ///
-    /// # Panics
-    ///
-    /// As [`forward`](Self::forward).
-    pub fn forward_prepared(
-        &self,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
+        let keys = PreparedKeys::new(k, &panels);
         match self.plan_prepared(q, keys, v)? {
             SamplePlan::Done(out) => Ok(out),
             SamplePlan::Engine(discovered) => {
@@ -339,14 +320,14 @@ impl SampleAttention {
         }
     }
 
-    /// [`forward_prepared`](Self::forward_prepared) up to the sparse
-    /// kernel: the input sentinel and mask discovery. A caller that runs
-    /// several heads' kernels together ([`sa_kernels::run_engine`]) plans
-    /// each head, runs the [`SamplePlan::Engine`] masks, and hands each
-    /// result to [`finish_prepared`](Self::finish_prepared); the outputs
-    /// are bit for bit `forward_prepared`'s. A tripped sentinel takes the
-    /// health policy here, so the plan is then already
-    /// [`SamplePlan::Done`].
+    /// [`forward`](Self::forward) up to the sparse kernel, on keys whose
+    /// panels the caller already holds: the input sentinel and mask
+    /// discovery. A caller that runs several heads' kernels together
+    /// ([`sa_kernels::run_engine`]) plans each head, runs the
+    /// [`SamplePlan::Engine`] masks, and hands each result to
+    /// [`finish_prepared`](Self::finish_prepared); the outputs are bit for
+    /// bit `forward`'s. A tripped sentinel takes the health policy here,
+    /// so the plan is then already [`SamplePlan::Done`].
     ///
     /// # Errors
     ///
@@ -385,10 +366,10 @@ impl SampleAttention {
         }
     }
 
-    /// The rest of [`forward_prepared`](Self::forward_prepared) once the
-    /// sparse kernel has run under `discovered.mask` with result `run`:
-    /// the output sentinel, the kernel's statistics and, when the kernel
-    /// or the sentinel fails a health check, the health policy.
+    /// The rest of [`forward`](Self::forward) once the sparse kernel has
+    /// run under `discovered.mask` with result `run`: the output sentinel,
+    /// the kernel's statistics and, when the kernel or the sentinel fails
+    /// a health check, the health policy.
     ///
     /// # Errors
     ///

@@ -1,235 +1,11 @@
-//! Runtime hyper-parameter autotuning (the paper's Appendix A.6 future
-//! work: "we aim to implement autotuning of these hyperparameters during
-//! task runtime, enabling SampleAttention to consistently achieve high
-//! accuracy and low latency across diverse sequence lengths and
-//! scenarios").
-//!
-//! [`RuntimeAutotuner`] is a deterministic feedback controller over the
-//! CRA threshold `α`: every forward reports its achieved mask density
-//! (the latency proxy) and covered sampled mass (the quality proxy); the
-//! controller nudges `α` down while the density exceeds a latency budget
-//! and back up when there is headroom, within safety bounds.
-//! [`AdaptiveSampleAttention`] wraps the base operator with the
-//! controller in the loop.
+//! Tile-size autotuning for the tiled block-sparse kernel: a seeded,
+//! deterministic choice among candidate tile edges, ranked by the
+//! analytic load predictor.
 
 use sa_kernels::{StructuredMask, TiledMask, MAX_TILE};
-use sa_tensor::{splitmix64, Matrix, TensorError};
+use sa_tensor::{splitmix64, TensorError};
 
-use crate::{
-    SampleAttention, SampleAttentionConfig, SampleAttentionError, SampleAttentionOutput,
-    SampleAttentionStats,
-};
-
-/// Configuration of the runtime `α` controller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AutotuneConfig {
-    /// Mask-density budget the controller steers towards (latency SLO
-    /// proxy; e.g. 0.3 = at most 30 % of the causal triangle computed).
-    pub density_budget: f64,
-    /// Lower bound on `α` (quality floor).
-    pub min_alpha: f32,
-    /// Upper bound on `α`.
-    pub max_alpha: f32,
-    /// Multiplicative step applied to `1 - α` per adjustment.
-    pub step: f32,
-    /// Observations between adjustments (smoothing window).
-    pub window: usize,
-}
-
-sa_json::impl_json_struct!(AutotuneConfig {
-    density_budget,
-    min_alpha,
-    max_alpha,
-    step,
-    window
-});
-
-impl Default for AutotuneConfig {
-    fn default() -> Self {
-        AutotuneConfig {
-            density_budget: 0.5,
-            min_alpha: 0.80,
-            max_alpha: 0.99,
-            step: 1.3,
-            window: 4,
-        }
-    }
-}
-
-/// Deterministic runtime controller over the CRA threshold.
-#[derive(Debug, Clone)]
-pub struct RuntimeAutotuner {
-    config: AutotuneConfig,
-    alpha: f32,
-    pending: Vec<f64>,
-    adjustments: usize,
-}
-
-impl RuntimeAutotuner {
-    /// Creates the controller starting from `initial_alpha`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SampleAttentionError::InvalidConfig`] if the bounds are
-    /// inconsistent or `initial_alpha` lies outside them.
-    pub fn new(initial_alpha: f32, config: AutotuneConfig) -> Result<Self, SampleAttentionError> {
-        if !(config.min_alpha > 0.0
-            && config.min_alpha < config.max_alpha
-            && config.max_alpha < 1.0)
-        {
-            return Err(SampleAttentionError::InvalidConfig {
-                field: "autotune bounds",
-                why: format!(
-                    "need 0 < min_alpha < max_alpha < 1, got [{}, {}]",
-                    config.min_alpha, config.max_alpha
-                ),
-            });
-        }
-        if !(config.density_budget > 0.0 && config.density_budget <= 1.0) {
-            return Err(SampleAttentionError::InvalidConfig {
-                field: "density_budget",
-                why: format!("must be in (0, 1], got {}", config.density_budget),
-            });
-        }
-        if !(initial_alpha >= config.min_alpha && initial_alpha <= config.max_alpha) {
-            return Err(SampleAttentionError::InvalidConfig {
-                field: "initial_alpha",
-                why: format!(
-                    "{initial_alpha} outside [{}, {}]",
-                    config.min_alpha, config.max_alpha
-                ),
-            });
-        }
-        Ok(RuntimeAutotuner {
-            config,
-            alpha: initial_alpha,
-            pending: Vec::new(),
-            adjustments: 0,
-        })
-    }
-
-    /// The current `α`.
-    pub fn alpha(&self) -> f32 {
-        self.alpha
-    }
-
-    /// Number of adjustments made so far.
-    pub fn adjustments(&self) -> usize {
-        self.adjustments
-    }
-
-    /// Feeds one forward's statistics into the controller.
-    pub fn observe(&mut self, stats: &SampleAttentionStats) {
-        self.pending.push(stats.mask_density);
-        if self.pending.len() < self.config.window {
-            return;
-        }
-        let mean: f64 = self.pending.iter().sum::<f64>() / self.pending.len() as f64;
-        self.pending.clear();
-        let slack = 1.0 - self.alpha;
-        let new_alpha = if mean > self.config.density_budget {
-            // Too dense → loosen the CRA requirement.
-            1.0 - slack * self.config.step
-        } else if mean < 0.7 * self.config.density_budget {
-            // Headroom → tighten for quality.
-            1.0 - slack / self.config.step
-        } else {
-            self.alpha
-        };
-        let clamped = new_alpha.clamp(self.config.min_alpha, self.config.max_alpha);
-        if (clamped - self.alpha).abs() > f32::EPSILON {
-            self.adjustments += 1;
-            self.alpha = clamped;
-        }
-    }
-}
-
-/// SampleAttention with the runtime controller in the loop.
-#[derive(Debug, Clone)]
-pub struct AdaptiveSampleAttention {
-    base: SampleAttentionConfig,
-    tuner: RuntimeAutotuner,
-}
-
-impl AdaptiveSampleAttention {
-    /// Wraps a base configuration with a controller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller validation errors.
-    pub fn new(
-        base: SampleAttentionConfig,
-        autotune: AutotuneConfig,
-    ) -> Result<Self, SampleAttentionError> {
-        let initial = base
-            .cra_threshold
-            .clamp(autotune.min_alpha, autotune.max_alpha);
-        Ok(AdaptiveSampleAttention {
-            base,
-            tuner: RuntimeAutotuner::new(initial, autotune)?,
-        })
-    }
-
-    /// The controller's current `α`.
-    pub fn alpha(&self) -> f32 {
-        self.tuner.alpha()
-    }
-
-    /// Access to the controller.
-    pub fn tuner(&self) -> &RuntimeAutotuner {
-        &self.tuner
-    }
-
-    /// Runs a forward at the current `α`, then updates the controller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline errors.
-    pub fn forward(
-        &mut self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-    ) -> Result<SampleAttentionOutput, SampleAttentionError> {
-        let config = SampleAttentionConfig {
-            cra_threshold: self.tuner.alpha(),
-            ..self.base
-        };
-        let out = SampleAttention::new(config).forward(q, k, v)?;
-        self.tuner.observe(&out.stats);
-        Ok(out)
-    }
-}
-
-/// Convenience: validates shapes the same way the base operator does.
-impl AdaptiveSampleAttention {
-    /// Runs `n` forwards on the same tensors (useful in tests/benches to
-    /// watch the controller converge).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pipeline errors.
-    pub fn run_n(
-        &mut self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        n: usize,
-    ) -> Result<Vec<f32>, TensorError> {
-        let mut alphas = Vec::with_capacity(n);
-        for _ in 0..n {
-            self.forward(q, k, v).map_err(|e| match e {
-                SampleAttentionError::Tensor(t) => t,
-                other => TensorError::InvalidDimension {
-                    op: "AdaptiveSampleAttention::run_n",
-                    what: other.to_string(),
-                },
-            })?;
-            alphas.push(self.alpha());
-        }
-        Ok(alphas)
-    }
-}
+use crate::SampleAttentionError;
 
 /// Seeded deterministic tile-size selection policy for the tiled
 /// block-sparse kernel.
@@ -353,95 +129,6 @@ pub fn select_tile_size(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sa_tensor::DeterministicRng;
-
-    fn dense_qk(s: usize) -> (Matrix, Matrix, Matrix) {
-        // Random heads: the adaptive mask stays dense at high alpha.
-        let mut rng = DeterministicRng::new(5);
-        (
-            rng.normal_matrix(s, 16, 1.0),
-            rng.normal_matrix(s, 16, 1.0),
-            rng.normal_matrix(s, 16, 1.0),
-        )
-    }
-
-    #[test]
-    fn controller_lowers_alpha_under_budget_pressure() {
-        let (q, k, v) = dense_qk(256);
-        let autotune = AutotuneConfig {
-            density_budget: 0.3,
-            window: 2,
-            ..AutotuneConfig::default()
-        };
-        let mut attn =
-            AdaptiveSampleAttention::new(SampleAttentionConfig::paper_default(), autotune).unwrap();
-        let start = attn.alpha();
-        let alphas = attn.run_n(&q, &k, &v, 12).unwrap();
-        assert!(
-            alphas.last().unwrap() < &start,
-            "alpha did not drop: {alphas:?}"
-        );
-        assert!(attn.tuner().adjustments() >= 1);
-        assert!(*alphas.last().unwrap() >= autotune.min_alpha);
-    }
-
-    #[test]
-    fn controller_respects_bounds() {
-        let (q, k, v) = dense_qk(128);
-        let autotune = AutotuneConfig {
-            density_budget: 0.01, // impossible: slams into min_alpha
-            window: 1,
-            ..AutotuneConfig::default()
-        };
-        let mut attn =
-            AdaptiveSampleAttention::new(SampleAttentionConfig::paper_default(), autotune).unwrap();
-        let alphas = attn.run_n(&q, &k, &v, 20).unwrap();
-        assert!((alphas.last().unwrap() - autotune.min_alpha).abs() < 1e-6);
-    }
-
-    #[test]
-    fn controller_raises_alpha_with_headroom() {
-        // A strongly structured head is already far below budget: the
-        // controller should push alpha up toward max for quality.
-        let mut rng = DeterministicRng::new(6);
-        let s = 256;
-        let d = 16;
-        let mut k = rng.normal_matrix(s, d, 0.3);
-        for j in 0..d {
-            let v0 = k.get(0, j);
-            k.set(0, j, v0 + 4.0);
-        }
-        let q = Matrix::from_fn(s, d, |_, _| 0.5 + 0.1 * rng.normal());
-        let v = rng.normal_matrix(s, d, 1.0);
-        let autotune = AutotuneConfig {
-            density_budget: 0.9,
-            window: 1,
-            ..AutotuneConfig::default()
-        };
-        let base = SampleAttentionConfig::builder()
-            .cra_threshold(0.85)
-            .build()
-            .unwrap();
-        let mut attn = AdaptiveSampleAttention::new(base, autotune).unwrap();
-        let alphas = attn.run_n(&q, &k, &v, 10).unwrap();
-        assert!(alphas.last().unwrap() > &0.85, "{alphas:?}");
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        let bad_bounds = AutotuneConfig {
-            min_alpha: 0.9,
-            max_alpha: 0.8,
-            ..AutotuneConfig::default()
-        };
-        assert!(RuntimeAutotuner::new(0.85, bad_bounds).is_err());
-        let bad_budget = AutotuneConfig {
-            density_budget: 0.0,
-            ..AutotuneConfig::default()
-        };
-        assert!(RuntimeAutotuner::new(0.9, bad_budget).is_err());
-        assert!(RuntimeAutotuner::new(0.5, AutotuneConfig::default()).is_err());
-    }
 
     #[test]
     fn tile_selection_deterministic_across_runs_and_threads() {
@@ -517,22 +204,5 @@ mod tests {
             select_tile_size(&oversized, &mask),
             Err(SampleAttentionError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn window_smooths_adjustments() {
-        let (q, k, v) = dense_qk(128);
-        let autotune = AutotuneConfig {
-            density_budget: 0.2,
-            window: 5,
-            ..AutotuneConfig::default()
-        };
-        let mut attn =
-            AdaptiveSampleAttention::new(SampleAttentionConfig::paper_default(), autotune).unwrap();
-        attn.run_n(&q, &k, &v, 4).unwrap();
-        // Fewer observations than the window: no adjustment yet.
-        assert_eq!(attn.tuner().adjustments(), 0);
-        attn.run_n(&q, &k, &v, 1).unwrap();
-        assert_eq!(attn.tuner().adjustments(), 1);
     }
 }

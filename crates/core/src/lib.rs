@@ -68,10 +68,7 @@ pub use attention::{
     DiscoveredMask, FallbackReason, SampleAttention, SampleAttentionOutput, SampleAttentionStats,
     SamplePlan,
 };
-pub use autotune::{
-    select_tile_size, AdaptiveSampleAttention, AutotuneConfig, RuntimeAutotuner, TileChoice,
-    TilePolicy,
-};
+pub use autotune::{select_tile_size, TileChoice, TilePolicy};
 pub use config::{HealthPolicy, SampleAttentionConfig, SampleAttentionConfigBuilder};
 pub use cra::{cra_of_dense_mask, cra_of_structured_mask, stripe_coverage_curve, StripeCoverage};
 pub use error::SampleAttentionError;

@@ -586,9 +586,10 @@ mod tests {
             for (local, wq) in wqs.iter().enumerate() {
                 let mut q = matmul(hidden_rows, wq).unwrap();
                 apply_rope_partial(&mut q, layer.rotary_dims, offset, layer.rope).unwrap();
-                let out = method
-                    .forward_head(layer.layer_index, g * group_size + local, &q, keys, v_all)
+                let plan = method
+                    .plan_head(layer.layer_index, g * group_size + local, q, keys, v_all)
                     .unwrap();
+                let out = finish_heads(vec![plan]).pop().unwrap().unwrap();
                 heads.fold_head(&out.output, 0);
             }
         }

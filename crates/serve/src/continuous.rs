@@ -49,7 +49,7 @@
 //!   seeded-jitter exponential backoff ([`sim::backoff_ms`]).
 //! - **Crash recovery** ([`recovery_enabled`](crate::ServeConfig::recovery_enabled)):
 //!   each crashed attempt leaves a chunk-boundary checkpoint behind
-//!   ([`planned_checkpoint_chunks`]), so the attempt after it resumes
+//!   (`planned_checkpoint_chunks`), so the attempt after it resumes
 //!   with a prefill head start instead of re-running from scratch —
 //!   bounded recompute of at most the one in-flight chunk per crash.
 //!   The plan tallies `recovered_attempts` and `recomputed_tokens`;

@@ -301,7 +301,7 @@ impl FlightRecorder {
     }
 
     /// Dumps the ring into a postmortem. Only the first
-    /// [`MAX_POSTMORTEMS`] dumps are retained; later triggers are
+    /// `MAX_POSTMORTEMS` dumps are retained; later triggers are
     /// counted but dropped to bound the artifact.
     pub fn trigger(&mut self, trigger: &str, t_ms: u64, request_id: u64, reason: String) {
         self.triggers += 1;

@@ -41,7 +41,7 @@
 //!
 //! [`FallbackReason::QualityQuarantine`]: sa_core::FallbackReason::QualityQuarantine
 
-use sa_baselines::{AttentionMethod, FullAttention, HeadPlan, MethodOutput};
+use sa_baselines::{finish_heads, AttentionMethod, FullAttention, HeadPlan, MethodOutput};
 use sa_core::{cra_of_structured_mask, DegradationRung, FallbackReason, SampleAttention};
 use sa_kernels::{attention_probs, PreparedKeys};
 use sa_model::SyntheticTransformer;
@@ -148,26 +148,6 @@ impl AttentionMethod for GuardedMethod {
         self.inner.forward(q, k, v)
     }
 
-    fn forward_head(
-        &self,
-        layer: usize,
-        head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
-        if self.is_quarantined(layer, head) {
-            let mut out = self.dense.forward_head(layer, head, q, keys, v)?;
-            out.fell_back = true;
-            out.fallback_reason = FallbackReason::QualityQuarantine;
-            out.alpha_satisfied = true;
-            metrics::counter(FallbackReason::QualityQuarantine.counter_name()).add(1);
-            Ok(out)
-        } else {
-            self.inner.forward_head(layer, head, q, keys, v)
-        }
-    }
-
     fn plan_head<'a>(
         &'a self,
         layer: usize,
@@ -176,11 +156,18 @@ impl AttentionMethod for GuardedMethod {
         keys: PreparedKeys<'a>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
-        if self.is_quarantined(layer, head) {
-            self.forward_head(layer, head, &q, keys, v).map(HeadPlan::Done)
-        } else {
-            self.inner.plan_head(layer, head, q, keys, v)
+        if !self.is_quarantined(layer, head) {
+            return self.inner.plan_head(layer, head, q, keys, v);
         }
+        let dense = self.dense.plan_head(layer, head, q, keys, v)?;
+        let mut out = finish_heads(vec![dense])
+            .pop()
+            .expect("one output per plan")?;
+        out.fell_back = true;
+        out.fallback_reason = FallbackReason::QualityQuarantine;
+        out.alpha_satisfied = true;
+        metrics::counter(FallbackReason::QualityQuarantine.counter_name()).add(1);
+        Ok(HeadPlan::Done(out))
     }
 }
 

@@ -5,7 +5,7 @@
 //! microsecond `ts`/`dur`, a per-thread `tid` track, and the span's
 //! nesting depth and label carried in `args`. The viewer nests complete
 //! events on a track by timestamp containment, which matches exactly how
-//! [`crate::span`] tracks depth — no explicit parent ids are needed.
+//! [`crate::span()`] tracks depth — no explicit parent ids are needed.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

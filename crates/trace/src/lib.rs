@@ -23,7 +23,7 @@
 //!   crates goes through [`clock::now_ns`] (monotonic nanoseconds since
 //!   a process-wide epoch). `scripts/verify.sh` greps the hot-path
 //!   crates to keep `Instant::now` out of them.
-//! - **RAII spans**: [`span`] / [`span_in`] / [`span_labeled`] return a
+//! - **RAII spans**: [`span()`] / [`span_in`] / [`span_labeled`] return a
 //!   guard; the span closes when the guard drops. Nesting depth is
 //!   tracked per thread, so traces are hierarchical without explicit
 //!   parent ids (Chrome's trace viewer nests `ph:"X"` events by
@@ -33,7 +33,7 @@
 //!   a global Treiber-stack sink with a single CAS — no lock is ever
 //!   taken on the recording path.
 //! - **True no-op when disabled** (the default): every probe —
-//!   [`span`], [`Counter::add`], [`Histogram::record`] — is one read of
+//!   [`span()`], [`Counter::add`], [`Histogram::record`] — is one read of
 //!   a const-initialised thread-local flag followed by an immediate
 //!   return. No allocation, no clock read, no lazily initialised TLS
 //!   (`crates/trace/tests/zero_alloc.rs` pins the zero-allocation claim

@@ -115,7 +115,7 @@ pub struct TraceSummary {
     pub stages: Vec<StageSummary>,
     /// All registry counters at the end of the run.
     pub counters: Vec<CounterSnapshot>,
-    /// Dense-fallback tally by [`FallbackReason`] name (non-`None`
+    /// Dense-fallback tally by `FallbackReason` name (non-`None`
     /// reasons only).
     pub fallbacks: Vec<(String, u64)>,
     /// Heads whose CRA threshold was not met within the index budget.

@@ -107,6 +107,12 @@ else
     echo "no expf or fmaf reference in libsa_{tensor,kernels,core,model}.rlib"
 fi
 
+echo "==> rustdoc: cargo doc --workspace --no-deps with warnings as errors"
+# An intra-doc link to a deleted, renamed or private item is a rustdoc
+# warning, which the build and the tests never print: deny them here so
+# a removed name cannot leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> merge gate link surface: cargo test on the benchmark package"
 # benchmark/ is a package of its own that compiles against the crates'
 # public names; neither tier 1 nor the workspace passes below build it, so

@@ -30,7 +30,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sample_attention::baselines::{
-    AttentionMethod, FullAttention, MethodOutput, SampleAttentionMethod,
+    AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod,
 };
 use sample_attention::kernels::{attention_scores_raw, KeyPanels, PreparedKeys};
 use sample_attention::model::{
@@ -435,24 +435,24 @@ impl AttentionMethod for TallyExtras {
         self.inner.forward(q, k, v)
     }
 
-    fn forward_head(
-        &self,
+    fn plan_head<'a>(
+        &'a self,
         layer: usize,
         head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, TensorError> {
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, TensorError> {
         let discovered = self
             .inner
             .inner()
-            .discover_mask_prepared(q, keys)
+            .discover_mask_prepared(&q, keys)
             .expect("discovery on healthy inputs");
         self.extras.fetch_add(
             discovered.mask.extra_columns().len() as u64,
             Ordering::Relaxed,
         );
-        self.inner.forward_head(layer, head, q, keys, v)
+        self.inner.plan_head(layer, head, q, keys, v)
     }
 }
 

@@ -10,7 +10,8 @@
 //! `==` on the f32 outputs — no tolerances.
 
 use sa_baselines::{
-    AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod, WindowOnly,
+    finish_heads, AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod,
+    WindowOnly,
 };
 use sa_core::filtering::{filter_kv_indices, KvRatioSchedule};
 use sa_core::sampling::{sample_attention_scores, sample_attention_scores_prepared};
@@ -367,8 +368,7 @@ fn end_to_end_pipeline_is_thread_invariant() {
 
 /// A method whose heads take different paths: SampleAttention, dense and
 /// window-only heads through their engine plans, and every fourth head
-/// through `forward_head` alone (the default plan, finished inside the
-/// plan fan-out).
+/// finished alone inside the plan fan-out.
 struct MixedHeads {
     sparse: SampleAttentionMethod,
     dense: FullAttention,
@@ -394,17 +394,6 @@ impl AttentionMethod for MixedHeads {
         self.sparse.forward(q, k, v)
     }
 
-    fn forward_head(
-        &self,
-        layer: usize,
-        head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, SaError> {
-        self.pick(layer, head).forward_head(layer, head, q, keys, v)
-    }
-
     fn plan_head<'a>(
         &'a self,
         layer: usize,
@@ -413,16 +402,20 @@ impl AttentionMethod for MixedHeads {
         keys: PreparedKeys<'a>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, SaError> {
+        let plan = self.pick(layer, head).plan_head(layer, head, q, keys, v)?;
         if head % 4 == 3 {
-            return self
-                .forward_head(layer, head, &q, keys, v)
-                .map(HeadPlan::Done);
+            return finish_alone(plan).map(HeadPlan::Done);
         }
-        self.pick(layer, head).plan_head(layer, head, q, keys, v)
+        Ok(plan)
     }
 }
 
-/// `forward_head` alone: every head runs whole, one after another inside
+/// `plan` finished as an engine batch of one.
+fn finish_alone(plan: HeadPlan<'_>) -> Result<MethodOutput, SaError> {
+    finish_heads(vec![plan]).pop().expect("one output per plan")
+}
+
+/// Every head finished alone: each runs whole, one after another inside
 /// the plan fan-out, as layers ran heads before the engine pass was
 /// shared.
 struct HeadByHead<'m>(&'m dyn AttentionMethod);
@@ -436,15 +429,15 @@ impl AttentionMethod for HeadByHead<'_> {
         self.0.forward(q, k, v)
     }
 
-    fn forward_head(
-        &self,
+    fn plan_head<'a>(
+        &'a self,
         layer: usize,
         head: usize,
-        q: &Matrix,
-        keys: PreparedKeys<'_>,
-        v: &Matrix,
-    ) -> Result<MethodOutput, SaError> {
-        self.0.forward_head(layer, head, q, keys, v)
+        q: Matrix,
+        keys: PreparedKeys<'a>,
+        v: &'a Matrix,
+    ) -> Result<HeadPlan<'a>, SaError> {
+        finish_alone(self.0.plan_head(layer, head, q, keys, v)?).map(HeadPlan::Done)
     }
 }
 
