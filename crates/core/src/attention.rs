@@ -25,7 +25,7 @@ use sa_kernels::{
 use sa_tensor::{Matrix, SaError};
 
 use crate::filtering::{filter_kv_indices, KvRatioSchedule};
-use crate::merge::merge_mask_with_diagonals;
+use crate::merge::merge_mask;
 use crate::sampling::sample_attention_scores_prepared;
 use crate::sparsity::causal_width;
 use crate::{HealthPolicy, SampleAttentionConfig, SampleAttentionError};
@@ -583,34 +583,9 @@ impl SampleAttention {
             }
             .into());
         }
-        // Appendix A.6 extension: select heavy relative diagonals beyond
-        // the window when enabled.
-        let diagonals = if self.config.diagonal_threshold > 0.0 {
-            let total: f32 = sampled.diagonal_scores.iter().sum();
-            let window = self.config.window_size(k.rows());
-            let mut picks: Vec<(usize, f32)> = sampled
-                .diagonal_scores
-                .iter()
-                .enumerate()
-                .skip(window) // the window already covers small offsets
-                .filter(|&(_, &m)| total > 0.0 && m / total >= self.config.diagonal_threshold)
-                .map(|(d, &m)| (d, m))
-                .collect();
-            picks.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            picks.truncate(self.config.max_diagonals);
-            picks.into_iter().map(|(d, _)| d).collect()
-        } else {
-            Vec::new()
-        };
         drop(stage2);
         let _merge = sa_trace::span_in("core", "mask_merge");
-        let mask = merge_mask_with_diagonals(
-            q.rows(),
-            k.rows(),
-            &filtered.indices,
-            &diagonals,
-            &self.config,
-        )?;
+        let mask = merge_mask(q.rows(), k.rows(), &filtered.indices, &self.config)?;
         // Sentinel C (mask half): the merge always includes the local
         // window, so an empty mask over a non-empty causal triangle means
         // the discovery stages collapsed.

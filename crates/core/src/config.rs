@@ -72,13 +72,6 @@ pub struct SampleAttentionConfig {
     pub bottom_area_rows: usize,
     /// Key positions always kept (0 = rely on discovery).
     pub forced_sinks: usize,
-    /// Minimum share of sampled mass a relative diagonal must hold to be
-    /// selected (0 = diagonal detection disabled; the paper's main method
-    /// uses only windows + stripes, Appendix A.6 sketches diagonals as
-    /// future work).
-    pub diagonal_threshold: f32,
-    /// Maximum diagonals selected per head when detection is enabled.
-    pub max_diagonals: usize,
     /// Cap on the selected stripe ratio, in `(0, 1]`.
     pub max_kv_ratio: f32,
     /// What to do when a numerical-health sentinel trips
@@ -99,8 +92,6 @@ sa_json::impl_json_struct!(SampleAttentionConfig {
     min_sample_rows,
     bottom_area_rows,
     forced_sinks,
-    diagonal_threshold,
-    max_diagonals,
     max_kv_ratio,
     health_policy: default,
     alpha_fallback_tolerance: default
@@ -122,8 +113,6 @@ impl SampleAttentionConfig {
             min_sample_rows: 32,
             bottom_area_rows: 32,
             forced_sinks: 0,
-            diagonal_threshold: 0.0,
-            max_diagonals: 8,
             max_kv_ratio: 1.0,
             health_policy: HealthPolicy::FallbackDense,
             alpha_fallback_tolerance: 0.0,
@@ -201,19 +190,6 @@ impl SampleAttentionConfigBuilder {
         self
     }
 
-    /// Enables Appendix A.6 diagonal detection at the given sampled-mass
-    /// share threshold (e.g. 0.02 = diagonals holding >= 2 % each).
-    pub fn diagonal_threshold(mut self, share: f32) -> Self {
-        self.config.diagonal_threshold = share;
-        self
-    }
-
-    /// Caps how many diagonals may be selected per head.
-    pub fn max_diagonals(mut self, n: usize) -> Self {
-        self.config.max_diagonals = n;
-        self
-    }
-
     /// Forces the first `n` key positions to be retained.
     pub fn forced_sinks(mut self, n: usize) -> Self {
         self.config.forced_sinks = n;
@@ -263,7 +239,6 @@ impl SampleAttentionConfigBuilder {
             }
         };
         check_unit("cra_threshold", c.cra_threshold, false)?;
-        check_unit("diagonal_threshold", c.diagonal_threshold, true)?;
         check_unit("sample_ratio", c.sample_ratio, false)?;
         check_unit("window_ratio", c.window_ratio, true)?;
         check_unit("max_kv_ratio", c.max_kv_ratio, false)?;

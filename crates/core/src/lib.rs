@@ -17,7 +17,9 @@
 //! 3. **Mask merging + sparse compute** ([`merge`], [`SampleAttention`]):
 //!    merge `I_KV` with a local window of `⌈r_w% · S_k⌉` tokens into a
 //!    [`sa_kernels::StructuredMask`] and run the block-sparse flash
-//!    kernel.
+//!    kernel. Windows, sinks and stripes are the whole mask;
+//!    [`merge_mask_with_diagonals`] is [`merge_mask`] under a former
+//!    name, kept because the repo's benchmark package calls it.
 //!
 //! The crate also implements the paper's analysis machinery: the
 //! **cumulative residual attention** (CRA, Definition 2) and **sparsity

@@ -39,16 +39,22 @@ pub fn merge_mask(
     kv_indices: &[usize],
     config: &SampleAttentionConfig,
 ) -> Result<StructuredMask, TensorError> {
-    merge_mask_with_diagonals(s_q, s_k, kv_indices, &[], config)
+    StructuredMask::builder(s_q, s_k)
+        .window(config.window_size(s_k))
+        .sinks(config.forced_sinks)
+        .columns(kv_indices.to_vec())
+        .dense_tail_rows(config.bottom_area_rows)
+        .build()
 }
 
-/// [`merge_mask`] plus explicit relative diagonal offsets (the Appendix
-/// A.6 extension pattern).
+/// [`merge_mask`] under its former name, which also took relative
+/// diagonal offsets. Masks are windows and stripes only; the name stays
+/// because the repo's benchmark package compiles against it.
 ///
 /// # Errors
 ///
-/// Returns [`TensorError::InvalidDimension`] if any stripe index is out
-/// of range.
+/// As [`merge_mask`], and [`TensorError::InvalidDimension`] if
+/// `diagonals` is not empty.
 pub fn merge_mask_with_diagonals(
     s_q: usize,
     s_k: usize,
@@ -56,13 +62,13 @@ pub fn merge_mask_with_diagonals(
     diagonals: &[usize],
     config: &SampleAttentionConfig,
 ) -> Result<StructuredMask, TensorError> {
-    StructuredMask::builder(s_q, s_k)
-        .window(config.window_size(s_k))
-        .sinks(config.forced_sinks)
-        .columns(kv_indices.to_vec())
-        .diagonals(diagonals.to_vec())
-        .dense_tail_rows(config.bottom_area_rows)
-        .build()
+    if !diagonals.is_empty() {
+        return Err(TensorError::InvalidDimension {
+            op: "merge_mask_with_diagonals",
+            what: format!("{} diagonals; masks are windows and stripes", diagonals.len()),
+        });
+    }
+    merge_mask(s_q, s_k, kv_indices, config)
 }
 
 #[cfg(test)]
@@ -124,6 +130,17 @@ mod tests {
     #[test]
     fn out_of_range_stripe_rejected() {
         assert!(merge_mask(8, 8, &[8], &cfg(0.1)).is_err());
+    }
+
+    #[test]
+    fn diagonal_shim_is_merge_mask_or_a_typed_error() {
+        let c = cfg(0.08);
+        let shim = merge_mask_with_diagonals(100, 100, &[10, 50], &[], &c).unwrap();
+        assert_eq!(shim, merge_mask(100, 100, &[10, 50], &c).unwrap());
+        assert!(matches!(
+            merge_mask_with_diagonals(100, 100, &[10, 50], &[20], &c),
+            Err(TensorError::InvalidDimension { .. })
+        ));
     }
 
     #[test]

@@ -17,12 +17,6 @@ pub struct SampledScores {
     /// Attention probability mass accumulated per key column over the
     /// sampled rows (the `SampleWeight` reduction of Algorithm 1).
     pub column_scores: Vec<f32>,
-    /// Attention probability mass accumulated per *relative diagonal*
-    /// offset (0 = the causal end itself). This is the reduction needed
-    /// to detect Appendix A.6's diagonal structures; it reuses the same
-    /// sampled scores, so the extra cost is one more accumulate per live
-    /// pair.
-    pub diagonal_scores: Vec<f32>,
     /// The sampled query row indices.
     pub sampled_rows: Vec<usize>,
     /// Exact cost of the fused sampling kernel.
@@ -86,8 +80,8 @@ pub fn sample_attention_scores(
 }
 
 /// Sampled rows per batch: the probability rows held at once. The
-/// batches, and so every addition's place in the column and diagonal
-/// sums, depend on the sample alone, never on the thread count.
+/// batches, and so every addition's place in the column sums, depend
+/// on the sample alone, never on the thread count.
 const SAMPLE_BATCH: usize = 64;
 
 /// Sampled rows one scoring task takes: the rows whose softmax
@@ -131,20 +125,18 @@ pub fn sample_attention_scores_prepared(
     //    sampled row, `stride` lanes apart, from a cache line): groups of
     //    ROW_GROUP rows per task, scored in fours, then their causal
     //    softmax;
-    // 2. the batch into the accumulators, over ranges of columns and
-    //    diagonals: every element still adds the batch's rows in sampled
-    //    order, whoever takes its range.
+    // 2. the batch into the accumulators, over ranges of columns: every
+    //    column still adds the batch's rows in sampled order, whoever
+    //    takes its range.
     // Rows are independent and every sum keeps its order, so the result is
     // bit-identical under any `SA_THREADS`.
     //
     // The accumulators are f64 (output stays f32): thousands of sampled
     // rows each add ~`visible` tiny probabilities, the same long-sum
-    // regime that moves stage-2's α-threshold under f32 drift. They sit
-    // side by side, column `j` at `j` and diagonal `o` at `s_k + o`, so
-    // one fan-out folds both.
+    // regime that moves stage-2's α-threshold under f32 drift.
     let stride = s_k.div_ceil(ENGINE_BLOCK) * ENGINE_BLOCK;
     let mut probs = AlignedBuf::zeros(SAMPLE_BATCH.min(sample.len()) * stride);
-    let mut acc = vec![0.0f64; 2 * s_k];
+    let mut acc = vec![0.0f64; s_k];
     let mut widths = Vec::with_capacity(SAMPLE_BATCH);
     let mut live_pairs: u64 = 0;
     let score_grain = pool::row_grain(stride * d.max(1)).div_ceil(ROW_GROUP) * ROW_GROUP;
@@ -163,13 +155,11 @@ pub fn sample_attention_scores_prepared(
         let probs = probs.as_slice();
         let fold_grain = pool::row_grain(batch.len());
         pool::try_parallel_for_rows("stage1_sampling", &mut acc, 1, fold_grain, |j0, part| {
-            rows.fold(probs, s_k, j0, part);
+            rows.fold(probs, j0, part);
         })?;
         live_pairs += widths.iter().sum::<usize>() as u64;
     }
-    let (column_acc, diagonal_acc) = acc.split_at(s_k);
-    let mut column_scores: Vec<f32> = column_acc.iter().map(|&v| v as f32).collect();
-    let diagonal_scores: Vec<f32> = diagonal_acc.iter().map(|&v| v as f32).collect();
+    let mut column_scores: Vec<f32> = acc.iter().map(|&v| v as f32).collect();
     // Fault-injection hook: an installed plan with `zero_mass` wipes the
     // accumulated column scores here, exercising the zero-mass sentinel
     // downstream. Inert (one thread-local read) unless a plan is installed.
@@ -188,7 +178,6 @@ pub fn sample_attention_scores_prepared(
 
     Ok(SampledScores {
         column_scores,
-        diagonal_scores,
         sampled_rows: sample.indices().to_vec(),
         cost,
     })
@@ -288,26 +277,13 @@ impl Rows<'_> {
         }
     }
 
-    /// Adds the batch's probability rows `probs` into `part`, the
-    /// accumulators `j0..j0 + part.len()` (columns below `s_k`, diagonals
-    /// from it): column `j` gains `p[r][j]` and diagonal `o` gains
-    /// `p[r][width - 1 - o]`, rows in sampled order.
-    fn fold(&self, probs: &[f32], s_k: usize, j0: usize, part: &mut [f64]) {
-        let (columns, diagonals) = part.split_at_mut(s_k.saturating_sub(j0).min(part.len()));
-        let o0 = j0.max(s_k) - s_k;
+    /// Adds the batch's probability rows `probs` into `part`, the column
+    /// accumulators `j0..j0 + part.len()`: column `j` gains `p[r][j]`,
+    /// rows in sampled order.
+    fn fold(&self, probs: &[f32], j0: usize, part: &mut [f64]) {
         for (row, &width) in probs.chunks(self.stride).zip(self.widths) {
-            let end = (j0 + columns.len()).min(width);
-            if j0 < end {
-                for (a, &p) in columns.iter_mut().zip(&row[j0..end]) {
-                    *a += f64::from(p);
-                }
-            }
-            let end = (o0 + diagonals.len()).min(width);
-            if o0 < end {
-                let reversed = row[width - end..width - o0].iter().rev();
-                for (a, &p) in diagonals.iter_mut().zip(reversed) {
-                    *a += f64::from(p);
-                }
+            for (a, &p) in part.iter_mut().zip(row[..width].get(j0..).unwrap_or(&[])) {
+                *a += f64::from(p);
             }
         }
     }

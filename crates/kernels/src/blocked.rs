@@ -8,8 +8,7 @@
 //! - **(A)** the extra columns (sinks + stripes) below the window,
 //!   gathered once per call into contiguous K/V and scored in panels of
 //!   [`BLOCK`] ranks,
-//! - **(B)** the diagonal keys, row by row,
-//! - **(C)** the window band in `BLOCK`-aligned key blocks,
+//! - **(B)** the window band in `BLOCK`-aligned key blocks,
 //!
 //! and folds every `BLOCK × BLOCK` score tile into a per-row online
 //! softmax state as soon as it is scored, while the tile's V rows are
@@ -36,9 +35,9 @@
 //! Online softmax is only split-invariant in exact arithmetic; in f32
 //! the result depends on how a row's keys are cut into update blocks.
 //! The engine's cut is fixed by geometry alone: extras in `BLOCK`-rank
-//! blocks, each diagonal key on its own, the window in `BLOCK`-aligned
-//! key blocks. [`sparse_flash_attention`](crate::sparse_flash_attention),
-//! the row-wise reference, folds each row in exactly this partition with
+//! blocks, then the window in `BLOCK`-aligned key blocks.
+//! [`sparse_flash_attention`](crate::sparse_flash_attention), the
+//! row-wise reference, folds each row in exactly this partition with
 //! the row form of the same fold ([`sa_tensor::online_softmax_update`];
 //! the engine hands whole tiles to
 //! [`sa_tensor::online_softmax_update_tile_on`], which is defined to
@@ -51,8 +50,8 @@ use std::sync::OnceLock;
 
 use sa_tensor::trace::{self, Gauge};
 use sa_tensor::{
-    mul_add, online_softmax_update_on, online_softmax_update_tile_on, pool, AlignedBuf, Isa,
-    IsaBuild, Matrix, OnlineSoftmaxState, TensorError, FOLD_KEYS,
+    online_softmax_update_tile_on, pool, AlignedBuf, Isa, Matrix, OnlineSoftmaxState, TensorError,
+    FOLD_KEYS,
 };
 
 use crate::cost::f32_bytes;
@@ -75,18 +74,6 @@ pub(crate) trait RowGeometry: Sync {
     fn extras(&self) -> &[usize] {
         &[]
     }
-
-    /// Whether any row has diagonal keys; the engine skips step (B)
-    /// when none does.
-    fn has_diagonals(&self) -> bool {
-        false
-    }
-
-    /// Row `i`'s keys below the window that are not extras, in fold
-    /// order.
-    fn diagonal_keys(&self, _i: usize) -> impl Iterator<Item = usize> + '_ {
-        std::iter::empty()
-    }
 }
 
 impl RowGeometry for StructuredMask {
@@ -97,14 +84,6 @@ impl RowGeometry for StructuredMask {
 
     fn extras(&self) -> &[usize] {
         self.extra_columns()
-    }
-
-    fn has_diagonals(&self) -> bool {
-        !self.diagonal_offsets().is_empty()
-    }
-
-    fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        StructuredMask::diagonal_keys(self, i)
     }
 }
 
@@ -384,19 +363,6 @@ impl RowGeometry for JobRows<'_> {
             JobRows::Dense(..) => &[],
         }
     }
-
-    fn has_diagonals(&self) -> bool {
-        matches!(self, JobRows::Mask(mask) if mask.has_diagonals())
-    }
-
-    fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let mask = match self {
-            JobRows::Mask(mask) => Some(*mask),
-            JobRows::Dense(..) => None,
-        };
-        mask.into_iter()
-            .flat_map(move |mask| StructuredMask::diagonal_keys(mask, i))
-    }
 }
 
 /// Units a call's work is cut into when it is large: enough that the
@@ -546,16 +512,12 @@ fn run_units(
         let extras = &gathered[j];
         let dv = v.cols();
         let scale = score_scale(q.cols());
-        let has_diagonals = geom.has_diagonals();
         let mut block = QueryBlock::new(dv, isa);
         let mut tally = Tally::default();
         for (b, out_rows) in out.chunks_mut(BLOCK * dv).enumerate() {
             let q0 = row0 + b * BLOCK;
             block.reset(geom, q0, out_rows.len() / dv);
             block.fold_extras(q, &extras.kt, extras.v.as_slice(), scale, &mut tally);
-            if has_diagonals {
-                block.fold_diagonals(geom, q, keys.rows(), v, scale, &mut tally);
-            }
             block.fold_window(q, v.as_slice(), keys.panels(), scale, &mut tally);
             block.finish(out_rows);
         }
@@ -648,12 +610,12 @@ where
         .collect())
 }
 
-/// Live pairs of query row `i`: its window, the extras below the window
-/// and its diagonal keys.
+/// Live pairs of query row `i`: its window and the extras below the
+/// window.
 fn row_live<G: RowGeometry>(geom: &G, i: usize) -> u64 {
     geom.window(i).map_or(0, |(start, end)| {
         let extras = geom.extras().partition_point(|&c| c < start);
-        (end - start + extras + geom.diagonal_keys(i).count()) as u64
+        (end - start + extras) as u64
     })
 }
 
@@ -799,28 +761,7 @@ impl QueryBlock {
         }
     }
 
-    /// (B) Diagonal keys, each its own fold block.
-    fn fold_diagonals<G: RowGeometry>(
-        &mut self,
-        geom: &G,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        scale: f32,
-        tally: &mut Tally,
-    ) {
-        for (r, state) in self.states[..self.window.len()].iter_mut().enumerate() {
-            for j in geom.diagonal_keys(self.q0 + r) {
-                let score = dot(self.isa, q.row(self.q0 + r), k.row(j)) * scale;
-                online_softmax_update_on(self.isa, state, &[score], |_| v.row(j));
-                tally.live_pairs += 1;
-                tally.scored_pairs += 1;
-                tally.kv_rows += 1;
-            }
-        }
-    }
-
-    /// (C) The window band, one `BLOCK`-aligned key block at a time; `v`
+    /// (B) The window band, one `BLOCK`-aligned key block at a time; `v`
     /// is every V row in key order.
     fn fold_window(
         &mut self,
@@ -939,36 +880,6 @@ impl QueryBlock {
     }
 }
 
-/// Strict index-order dot product starting from `0.0`, each product
-/// fused into the running sum: the bits of one lane of the score panel,
-/// on the FMA instruction or its exact emulation as `isa` allows.
-#[inline]
-pub(crate) fn dot(isa: Isa, a: &[f32], b: &[f32]) -> f32 {
-    match isa.build() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: an `Isa` names AVX2 or AVX-512 only when `Isa::detect`
-        // found `avx2` and `fma` on this CPU.
-        IsaBuild::Avx2 | IsaBuild::Avx512 => unsafe { dot_fused(a, b) },
-        _ => dot_body::<false>(a, b),
-    }
-}
-
-/// [`dot_body`] compiled with FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-fn dot_fused(a: &[f32], b: &[f32]) -> f32 {
-    dot_body::<true>(a, b)
-}
-
-#[inline(always)]
-fn dot_body<const FUSED: bool>(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc = mul_add::<FUSED>(x, y, acc);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1008,7 +919,6 @@ mod tests {
                 .sinks(3)
                 .columns(vec![17, 31, 44])
                 .dense_tail_rows(5)
-                .diagonals(vec![13])
                 .build()
                 .unwrap();
             assert_bitwise(&mask, 42);
@@ -1055,7 +965,6 @@ mod tests {
             .window(40)
             .sinks(2)
             .columns((0..70).map(|i| 3 + i * 4).collect())
-            .diagonals(vec![7, 150])
             .dense_tail_rows(10)
             .build()
             .unwrap();
@@ -1185,7 +1094,6 @@ mod tests {
             .window(9)
             .sinks(3)
             .columns((0..60).map(|i| 5 + i * 4).collect())
-            .diagonals(vec![13, 150])
             .build()
             .unwrap();
         let banded = StructuredMask::builder(s, s)
@@ -1374,7 +1282,7 @@ mod tests {
         assert_eq!(out.cost.kernel_launches, 1);
         // Two query blocks, five tiles: a sink panel each (rows 0..8 sit
         // on their sinks' window, so only 56 rows of the first block
-        // score it), the diagonal key block each, and for the second
+        // score it), the key block on the causal edge each, and for the second
         // block the 8 rows (two row quads; 7 of them live) whose window
         // reaches back into the first key block.
         assert_eq!(out.scored_pairs, ((56 + 64) + (64 + 8 + 64)) * BLOCK as u64);

@@ -12,8 +12,8 @@
 //!   baseline.
 //! - [`sparse_flash_attention_blocked`] — the block-sparse kernel
 //!   consuming a [`StructuredMask`] (local window + attention sinks +
-//!   column stripes), the execution engine of SampleAttention and of the
-//!   structured baselines.
+//!   column stripes, the only mask shape), the execution engine of
+//!   SampleAttention and of the structured baselines.
 //!
 //! The last two are one loop, the blocked engine (a transposed-K score
 //! microkernel and a per-block online softmax), run over different row

@@ -40,22 +40,16 @@ pub struct StructuredMask {
     /// judged from strided samples and are generation-critical, so they
     /// are computed densely).
     dense_tail_rows: usize,
-    /// Sorted relative *diagonal* offsets: offset `Δ` keeps, on every row,
-    /// the single key exactly `Δ` positions before the causal end. The
-    /// paper's Appendix A.6 identifies such "additional diagonal
-    /// structures" in low-sparsity heads as a future-work pattern.
-    diagonals: Vec<usize>,
 }
 
-// `dense_tail_rows` and `diagonals` default to empty when absent, so mask
-// payloads written before those features existed keep parsing.
+// `dense_tail_rows` defaults to 0 when absent, so mask payloads written
+// before the bottom area existed keep parsing.
 sa_json::impl_json_struct!(StructuredMask {
     s_q,
     s_k,
     window,
     extras,
-    dense_tail_rows: default,
-    diagonals: default
+    dense_tail_rows: default
 });
 
 impl StructuredMask {
@@ -68,7 +62,6 @@ impl StructuredMask {
             sinks: 0,
             columns: Vec::new(),
             dense_tail_rows: 0,
-            diagonals: Vec::new(),
         }
     }
 
@@ -81,7 +74,6 @@ impl StructuredMask {
             window: s_k,
             extras: Vec::new(),
             dense_tail_rows: 0,
-            diagonals: Vec::new(),
         }
     }
 
@@ -103,25 +95,6 @@ impl StructuredMask {
     /// The merged, sorted sink + stripe column indices.
     pub fn extra_columns(&self) -> &[usize] {
         &self.extras
-    }
-
-    /// The sorted relative diagonal offsets.
-    pub fn diagonal_offsets(&self) -> &[usize] {
-        &self.diagonals
-    }
-
-    /// The diagonal key positions live on row `i` that lie *below* the
-    /// window (deduplicated against the extra columns), in offset order.
-    pub fn diagonal_keys(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
-        let (end, diagonals) = match self.causal_end(i) {
-            Some(end) => (end, self.diagonals.as_slice()),
-            None => (0, [].as_slice()),
-        };
-        let win_start = self.window_start(i);
-        diagonals
-            .iter()
-            .filter_map(move |&delta| end.checked_sub(delta))
-            .filter(move |&j| j < win_start && self.extras.binary_search(&j).is_err())
     }
 
     /// Index of the last causally visible key for query row `i`, or `None`
@@ -174,14 +147,7 @@ impl StructuredMask {
         if j > end {
             return false;
         }
-        if j >= self.window_start(i) {
-            return true;
-        }
-        if self.extras.binary_search(&j).is_ok() {
-            return true;
-        }
-        let delta = end - j;
-        self.diagonals.binary_search(&delta).is_ok()
+        j >= self.window_start(i) || self.extras.binary_search(&j).is_ok()
     }
 
     /// Number of live entries on query row `i`.
@@ -190,9 +156,7 @@ impl StructuredMask {
             return 0;
         };
         let win_start = self.window_start(i);
-        let window_count = end + 1 - win_start;
-        let extras_before = self.extras.partition_point(|&c| c < win_start);
-        window_count + extras_before + self.diagonal_keys(i).count()
+        end + 1 - win_start + self.extras.partition_point(|&c| c < win_start)
     }
 
     /// Total number of live entries.
@@ -239,9 +203,6 @@ impl StructuredMask {
                         break;
                     }
                     bits[i * self.s_k + c] = true;
-                }
-                for j in self.diagonal_keys(i) {
-                    bits[i * self.s_k + j] = true;
                 }
             }
         }
@@ -295,7 +256,6 @@ pub struct StructuredMaskBuilder {
     sinks: usize,
     columns: Vec<usize>,
     dense_tail_rows: usize,
-    diagonals: Vec<usize>,
 }
 
 impl StructuredMaskBuilder {
@@ -334,13 +294,6 @@ impl StructuredMaskBuilder {
         self
     }
 
-    /// Adds relative diagonal offsets (Appendix A.6's diagonal pattern);
-    /// duplicates are removed at build time.
-    pub fn diagonals(mut self, offsets: Vec<usize>) -> Self {
-        self.diagonals = offsets;
-        self
-    }
-
     /// Builds the mask.
     ///
     /// # Errors
@@ -359,16 +312,12 @@ impl StructuredMaskBuilder {
         extras.extend(self.columns.iter().copied());
         extras.sort_unstable();
         extras.dedup();
-        let mut diagonals = self.diagonals;
-        diagonals.sort_unstable();
-        diagonals.dedup();
         Ok(StructuredMask {
             s_q: self.s_q,
             s_k: self.s_k,
             window: self.window.min(self.s_k),
             extras,
             dense_tail_rows: self.dense_tail_rows.min(self.s_q),
-            diagonals,
         })
     }
 }

@@ -2,24 +2,26 @@
 //! engine is held against.
 //!
 //! For each query row it touches only (a) the extra columns (sinks +
-//! stripes) and diagonal keys below the local window and (b) the
+//! stripes) below the local window and (b) the
 //! contiguous local window itself, one scalar dot product per live key,
 //! so work is proportional to `mask.nnz()` — the paper's
 //! `sparse_flash_attn(Q, K, V, M_Merged)` in its simplest form.
 //! Production code runs
 //! [`sparse_flash_attention_blocked`](crate::sparse_flash_attention_blocked);
 //! this loop stays because it is short enough to check by eye and folds
-//! every row in the engine's partition (extras in 64-rank blocks, each
-//! diagonal key alone, the window in 64-aligned key blocks) with the
+//! every row in the engine's partition (extras in 64-rank blocks, then
+//! the window in 64-aligned key blocks) with the
 //! engine's arithmetic (a score is a strict-order dot product of fused
 //! products), which is what lets the differential tests demand bitwise
 //! equality instead of a tolerance.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sa_tensor::{online_softmax_update, pool, Isa, Matrix, OnlineSoftmaxState, TensorError};
+use sa_tensor::{
+    mul_add, online_softmax_update, pool, Isa, IsaBuild, Matrix, OnlineSoftmaxState, TensorError,
+};
 
-use crate::blocked::{dot, validate_sparse_shapes, RowGeometry};
+use crate::blocked::{validate_sparse_shapes, RowGeometry};
 use crate::cost::f32_bytes;
 use crate::panels::BLOCK;
 use crate::{score_scale, AttentionOutput, CostReport, StructuredMask};
@@ -149,10 +151,6 @@ fn run_rows<G: RowGeometry>(
                     for ranks in extras[..below].chunks(BLOCK) {
                         fold(ranks.len(), &|t| ranks[t]);
                     }
-                    // Diagonal keys, one block each.
-                    for j in geom.diagonal_keys(i) {
-                        fold(1, &|_| j);
-                    }
                     // Contiguous local window, cut at multiples of BLOCK.
                     let mut k0 = win_start;
                     while k0 < win_end {
@@ -168,6 +166,36 @@ fn run_rows<G: RowGeometry>(
         )?;
     }
     Ok((output, live_pairs.into_inner()))
+}
+
+/// Strict index-order dot product starting from `0.0`, each product
+/// fused into the running sum: the bits of one lane of the score panel,
+/// on the FMA instruction or its exact emulation as `isa` allows.
+#[inline]
+fn dot(isa: Isa, a: &[f32], b: &[f32]) -> f32 {
+    match isa.build() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 or AVX-512 only when `Isa::detect`
+        // found `avx2` and `fma` on this CPU.
+        IsaBuild::Avx2 | IsaBuild::Avx512 => unsafe { dot_fused(a, b) },
+        _ => dot_body::<false>(a, b),
+    }
+}
+
+/// [`dot_body`] compiled with FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn dot_fused(a: &[f32], b: &[f32]) -> f32 {
+    dot_body::<true>(a, b)
+}
+
+#[inline(always)]
+fn dot_body<const FUSED: bool>(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&x, &y) in a.iter().zip(b) {
+        acc = mul_add::<FUSED>(x, y, acc);
+    }
+    acc
 }
 
 #[cfg(test)]

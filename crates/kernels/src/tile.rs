@@ -14,8 +14,8 @@
 //!   tile width.
 //! * [`TileClass::Window`] — each row's live set inside the tile is
 //!   exactly its window clip, one contiguous `(lo, hi)` span per row.
-//! * [`TileClass::Bitmap`] — anything irregular (sink columns, stripe
-//!   diagonals, mixed segments): one 64-bit occupancy word per row,
+//! * [`TileClass::Bitmap`] — anything irregular (sink or stripe columns
+//!   below the window, mixed segments): one 64-bit occupancy word per row,
 //!   which is why tile sizes are capped at [`MAX_TILE`].
 //!
 //! Tiling is pure bookkeeping: the live set is untouched, so
@@ -103,7 +103,6 @@ impl TiledMask {
         let (s_q, s_k) = (mask.s_q(), mask.s_k());
         let q_tiles = s_q.div_ceil(tile);
         let extras = mask.extra_columns();
-        let diagonals = mask.diagonal_offsets();
 
         let mut row_ptr = Vec::with_capacity(q_tiles + 1);
         row_ptr.push(0usize);
@@ -151,13 +150,6 @@ impl TiledMask {
                         let b = extras.partition_point(|&c| c < sub_hi);
                         for &c in &extras[a..b] {
                             sub_bits |= 1u64 << (c - c0);
-                        }
-                        for &delta in diagonals {
-                            if let Some(j) = end.checked_sub(delta) {
-                                if j >= c0 && j < sub_hi {
-                                    sub_bits |= 1u64 << (j - c0);
-                                }
-                            }
                         }
                     }
                     if sub_bits != 0 {
@@ -336,9 +328,8 @@ impl TiledMask {
 }
 
 /// Sorted, deduplicated key tiles that can hold live keys for query
-/// rows `r0..r1`: the window band, extras columns, and stripe
-/// diagonals. A superset of the live tiles — empty candidates are
-/// dropped during classification.
+/// rows `r0..r1`: the window band and the extra columns. A superset of
+/// the live tiles — empty candidates are dropped during classification.
 fn candidate_key_tiles(
     mask: &StructuredMask,
     tile: usize,
@@ -355,16 +346,8 @@ fn candidate_key_tiles(
         };
         ws_min = ws_min.min(mask.window_start(r));
         end_max = Some(end_max.map_or(end, |e: usize| e.max(end)));
-        for &delta in mask.diagonal_offsets() {
-            if let Some(j) = end.checked_sub(delta) {
-                out.push(j / tile);
-            }
-        }
     }
-    let Some(end_max) = end_max else {
-        out.clear();
-        return;
-    };
+    let Some(end_max) = end_max else { return };
     for kt in ws_min / tile..=end_max / tile {
         out.push(kt);
     }
@@ -473,7 +456,6 @@ mod tests {
             .sinks(2)
             .columns(vec![7, 11])
             .dense_tail_rows(3)
-            .diagonals(vec![9])
             .build()
             .unwrap();
         for tile in [1, 3, 4, 7, 19, 64] {

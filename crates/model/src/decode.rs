@@ -32,8 +32,8 @@ impl SyntheticTransformer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimension`] for a zero chunk size, or
-    /// propagates kernel errors.
+    /// Returns [`TensorError::InvalidDimension`] for an empty prompt or a
+    /// zero chunk size, or propagates kernel errors.
     pub fn prefill_chunked(
         &self,
         tokens: &[u32],
@@ -54,8 +54,8 @@ impl SyntheticTransformer {
     /// # Errors
     ///
     /// [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
-    /// when the token trips, [`TensorError::InvalidDimension`] for a
-    /// zero chunk size, or propagated kernel errors.
+    /// when the token trips, [`TensorError::InvalidDimension`] for an
+    /// empty prompt or a zero chunk size, or propagated kernel errors.
     pub fn prefill_chunked_with(
         &self,
         tokens: &[u32],
@@ -81,12 +81,19 @@ impl SyntheticTransformer {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimension`] for a zero chunk size.
+    /// Returns [`TensorError::InvalidDimension`] for an empty prompt or a
+    /// zero chunk size.
     pub fn start_prefill(
         &self,
         tokens: &[u32],
         chunk_size: usize,
     ) -> Result<ChunkedPrefill<'_>, TensorError> {
+        if tokens.is_empty() {
+            return Err(TensorError::InvalidDimension {
+                op: "prefill_chunked",
+                what: "the prompt must hold at least one token".to_string(),
+            });
+        }
         if chunk_size == 0 {
             return Err(TensorError::InvalidDimension {
                 op: "prefill_chunked",
@@ -129,7 +136,8 @@ impl SyntheticTransformer {
     ///
     /// # Errors
     ///
-    /// Propagates prefill errors.
+    /// Propagates prefill errors: [`TensorError::InvalidDimension`] for
+    /// an empty prompt.
     pub fn begin_decode(
         &self,
         tokens: &[u32],
@@ -282,8 +290,14 @@ impl<'m> ChunkedPrefill<'m> {
                 let slot = &mut self.head_reports[r.layer * num_heads + r.head];
                 match slot {
                     Some(existing) => {
+                        // Each density is a share of its own causal pairs:
+                        // rows `0..start` hold `start(start+1)/2` of them.
+                        let pairs = |n: usize| (n * (n + 1) / 2) as f64;
+                        let (before, after) = (pairs(self.start), pairs(end));
                         existing.cost.merge(&r.cost);
-                        existing.density = (existing.density + r.density) / 2.0;
+                        existing.density = (existing.density * before
+                            + r.density * (after - before))
+                            / after;
                     }
                     None => *slot = Some(r),
                 }
@@ -519,7 +533,7 @@ impl<'m> DecodeSession<'m> {
 mod tests {
     use super::*;
     use crate::{ModelConfig, VocabLayout};
-    use sa_baselines::{FullAttention, SampleAttentionMethod};
+    use sa_baselines::{FullAttention, SampleAttentionMethod, WindowOnly};
     use sa_tensor::max_abs_diff;
 
     fn model() -> SyntheticTransformer {
@@ -713,6 +727,40 @@ mod tests {
         let m = model();
         let tokens = m.tokenize_filler(10);
         assert!(m.prefill_chunked(&tokens, 0, &FullAttention::new()).is_err());
+    }
+
+    #[test]
+    fn empty_prompt_is_a_typed_error() {
+        let (m, full) = (model(), FullAttention::new());
+        let invalid = |e: TensorError| matches!(e, TensorError::InvalidDimension { .. });
+        assert!(m.prefill_chunked(&[], 4, &full).is_err_and(invalid));
+        assert!(m.begin_decode(&[], &full).err().is_some_and(invalid));
+    }
+
+    #[test]
+    fn chunked_head_density_is_a_share_of_the_whole_triangle() {
+        // 40 rows in chunks of 7: a head's density is its chunk masks'
+        // live pairs over the whole causal triangle. A one-key window
+        // keeps the same pairs under any chunking, so there it is also
+        // the whole prompt's density.
+        let m = model();
+        let tokens = m.tokenize_filler(40);
+        for ratio in [1e-3, 0.25] {
+            let method = WindowOnly::new(ratio).unwrap();
+            let live: usize = (0..40)
+                .step_by(7)
+                .map(|start| method.build_mask(7.min(40 - start), (start + 7).min(40)).nnz())
+                .sum();
+            let want = live as f64 / (40 * 41 / 2) as f64;
+            let (chunked, _) = m.prefill_chunked(&tokens, 7, &method).unwrap();
+            let whole = m.prefill(&tokens, &method).unwrap();
+            for (c, w) in chunked.head_reports.iter().zip(&whole.head_reports) {
+                assert!((c.density - want).abs() < 1e-12, "ratio {ratio}: {}", c.density);
+                if ratio < 0.01 {
+                    assert!((c.density - w.density).abs() < 1e-12, "{}", w.density);
+                }
+            }
+        }
     }
 
     #[test]

@@ -96,7 +96,8 @@ pub struct ServeConfig {
     pub max_pending: usize,
     /// Continuous batching: per-tenant token-bucket sustained refill
     /// rate, synthetic tokens per virtual second (clamped ≥ 1 token/s).
-    /// Prefill chunks debit `chunk_size` tokens, decode steps 1 token.
+    /// Prefill chunks debit `chunk_size` tokens, decode steps 1 token,
+    /// each at most [`tenant_burst_tokens`](Self::tenant_burst_tokens).
     pub tenant_rate_tokens_per_sec: u64,
     /// Continuous batching: per-tenant token-bucket capacity (burst
     /// allowance), synthetic tokens.

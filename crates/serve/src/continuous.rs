@@ -38,9 +38,9 @@
 //! - **Fairness**: each tenant holds a token bucket
 //!   ([`tenant_rate_tokens_per_sec`](crate::ServeConfig::tenant_rate_tokens_per_sec),
 //!   [`tenant_burst_tokens`](crate::ServeConfig::tenant_burst_tokens));
-//!   a prefill chunk debits `chunk_size` synthetic tokens and a decode
-//!   step debits one, so a flooding tenant throttles to its quota while
-//!   others keep their share of the pool.
+//!   a prefill chunk debits `chunk_size` synthetic tokens (at most the
+//!   burst) and a decode step debits one, so a flooding tenant throttles
+//!   to its quota while others keep their share of the pool.
 //! - **Deadlines & cancels** are honoured at micro-task boundaries —
 //!   the same one-chunk cooperative-cancellation granularity the real
 //!   execution phase provides via `CancelToken`.
@@ -183,8 +183,16 @@ impl TokenBucket {
         }
     }
 
+    /// What a task of `cost_milli` debits: at most a full bucket, so a
+    /// prefill chunk larger than the burst still runs once the bucket
+    /// is full instead of waiting out its deadline.
+    fn debit(&self, cost_milli: u64) -> u64 {
+        cost_milli.min(self.capacity_milli)
+    }
+
     fn try_take(&mut self, now_ms: u64, cost_milli: u64) -> bool {
         self.refill_to(now_ms);
+        let cost_milli = self.debit(cost_milli);
         if self.level_milli >= cost_milli {
             self.level_milli -= cost_milli;
             true
@@ -197,6 +205,7 @@ impl TokenBucket {
     /// assuming nobody else drains it first (an optimistic bound — the
     /// event loop re-checks on wake-up).
     fn ready_time(&self, now_ms: u64, cost_milli: u64) -> u64 {
+        let cost_milli = self.debit(cost_milli);
         let level = self
             .level_milli
             .saturating_add(now_ms.saturating_sub(self.last_refill_ms) * self.rate_milli_per_ms)
@@ -1569,6 +1578,23 @@ mod tests {
             plans[4].plan.finish_ms,
             flood_last
         );
+    }
+
+    #[test]
+    fn a_chunk_larger_than_the_burst_still_runs() {
+        // 64-token chunks against a 32-token bucket: each chunk debits a
+        // full bucket and waits for the refill, instead of never fitting.
+        let c = ServeConfig {
+            chunk_size: 64,
+            tenant_rate_tokens_per_sec: 32,
+            tenant_burst_tokens: 32,
+            ..cfg()
+        };
+        let plans = plan_continuous(&c, &[Request::prefill(0, 128, 0, 1_000_000)]);
+        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 0 }), "{plans:?}");
+        assert_eq!(plans[0].prefill_chunks, 2);
+        // The second chunk waits a full refill: 32 tokens at 32 tokens/s.
+        assert!(plans[0].plan.finish_ms >= 1000, "{plans:?}");
     }
 
     #[test]

@@ -271,7 +271,7 @@ echo "==> lint: no unwrap()/panic-family macros in non-test pipeline sources"
 # lines, and everything at/after a #[cfg(test)] module are exempt; awk
 # strips those before grepping.
 lint_fail=0
-for f in crates/tensor/src/*.rs crates/kernels/src/*.rs crates/core/src/*.rs crates/trace/src/*.rs crates/serve/src/*.rs crates/workloads/src/arrivals.rs crates/model/src/checkpoint.rs; do
+for f in crates/tensor/src/*.rs crates/kernels/src/*.rs crates/core/src/*.rs crates/trace/src/*.rs crates/serve/src/*.rs crates/workloads/src/arrivals.rs crates/model/src/*.rs crates/baselines/src/*.rs; do
     hits="$(awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }

@@ -194,7 +194,7 @@ fn assert_engine_matches_reference(label: &str, mask: &StructuredMask, d: usize,
 }
 
 /// The differential property at the heart of the engine: for any
-/// randomized mask (window/sinks/stripes/diagonals/dense tail, square or
+/// randomized mask (window/sinks/stripes/dense tail, square or
 /// rectangular, lengths on and off the 64-row block grid), the engine is
 /// bitwise-identical to the row-wise reference, charges identical FLOPs,
 /// and agrees with the dense masked reference within the usual
@@ -218,13 +218,11 @@ fn engine_bitwise_matches_reference_randomized() {
             .into_iter()
             .filter(|&c| c < s_k)
             .collect();
-        let diags = g.vec_usize(1, 200, 0, 3);
         let tile = g.usize_in(1, 64);
         let mask = StructuredMask::builder(s_q, s_k)
             .window(window)
             .sinks(sinks)
             .columns(cols)
-            .diagonals(diags)
             .dense_tail_rows(tail)
             .build()
             .unwrap();
@@ -244,7 +242,7 @@ fn engine_bitwise_matches_reference_randomized() {
 }
 
 /// Named sparsity patterns, each aimed at one seam of the engine:
-/// the fold order (extras, then diagonals, then window), the 64-rank
+/// the fold order (extras, then window), the 64-rank
 /// panel edge, rows of one query block disagreeing about which extras
 /// lie below their window, dense bottom rows sharing a block with
 /// windowed rows, dead rows, and lengths off the block grid.
@@ -281,13 +279,8 @@ fn corner_case_masks() -> Vec<(&'static str, StructuredMask)> {
                 .unwrap(),
         ),
         (
-            "diagonals",
-            b(200, 200)
-                .window(5)
-                .sinks(1)
-                .diagonals(vec![9, 64, 130])
-                .build()
-                .unwrap(),
+            "narrow_window_one_sink",
+            b(200, 200).window(5).sinks(1).build().unwrap(),
         ),
         (
             // The last 40 rows are dense: rows 160..191 share a query
@@ -349,7 +342,6 @@ fn corner_case_masks() -> Vec<(&'static str, StructuredMask)> {
                 .window(9)
                 .sinks(2)
                 .columns(vec![4, 33])
-                .diagonals(vec![60])
                 .dense_tail_rows(6)
                 .build()
                 .unwrap(),
@@ -484,7 +476,6 @@ fn long_context_mask() -> StructuredMask {
         .window(48)
         .sinks(4)
         .columns(vec![64, 1000, 4096])
-        .diagonals(vec![512])
         .dense_tail_rows(32)
         .build()
         .unwrap()

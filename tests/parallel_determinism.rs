@@ -148,19 +148,18 @@ fn stage1_sampling_is_thread_invariant() {
     let (q, k, _) = qkv(300, 32, 0x5a1);
     assert_thread_invariant("sample_attention_scores", || {
         let s = sample_attention_scores(&q, &k, 0.1).unwrap();
-        (s.column_scores, s.diagonal_scores, s.sampled_rows)
+        (s.column_scores, s.sampled_rows)
     });
 }
 
 /// Stage 1 as it was before it moved onto the key panels, kept as the
 /// oracle: one strict-order scalar dot product of fused products per
 /// (sampled row, visible key), a softmax per row, and the f64
-/// column/diagonal fold in sampled-row order. Returns the bits of `(column_scores, diagonal_scores)`.
-fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u32>) {
+/// column fold in sampled-row order. Returns the bits of `column_scores`.
+fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> Vec<u32> {
     let (s_q, s_k) = (q.rows(), k.rows());
     let scale = score_scale(q.cols());
     let mut column_acc = vec![0.0f64; s_k];
-    let mut diagonal_acc = vec![0.0f64; s_k];
     for &i in StrideSample::by_ratio(s_q, sample_ratio).unwrap().indices() {
         let visible = (i + s_k + 1).saturating_sub(s_q).min(s_k);
         if visible == 0 {
@@ -176,13 +175,11 @@ fn scalar_stage1(q: &Matrix, k: &Matrix, sample_ratio: f32) -> (Vec<u32>, Vec<u3
             })
             .collect();
         softmax_row(&mut probs);
-        for (j, &p) in probs.iter().enumerate() {
-            column_acc[j] += f64::from(p);
-            diagonal_acc[visible - 1 - j] += f64::from(p);
+        for (a, &p) in column_acc.iter_mut().zip(&probs) {
+            *a += f64::from(p);
         }
     }
-    let bits = |acc: Vec<f64>| acc.into_iter().map(|v| (v as f32).to_bits()).collect();
-    (bits(column_acc), bits(diagonal_acc))
+    column_acc.into_iter().map(|v| (v as f32).to_bits()).collect()
 }
 
 /// Stage 1 on the key panels (pairs of sampled rows through the engine's
@@ -223,7 +220,7 @@ fn stage1_on_panels_matches_the_scalar_row_loop() {
             assert_eq!(built.sampled_rows.len(), sampled, "{label}");
             assert_eq!(bits(&built.column_scores), bits(&resident.column_scores), "{label}");
             assert_eq!(built.cost, resident.cost, "{label}");
-            (bits(&resident.column_scores), bits(&resident.diagonal_scores))
+            bits(&resident.column_scores)
         };
         for threads in [1usize, 2, 3, 5] {
             assert_eq!(with_threads(threads, run), oracle, "{label} threads={threads}");
