@@ -16,13 +16,15 @@
 //! behind the paper's Table 4 stage breakdown — and the health machinery
 //! feeds counters: `core.sentinel_trips`, `core.alpha_miss`,
 //! `core.fallback.<reason>`, plus the `core.mask_nnz` and
-//! `core.kernel_scored_pairs` histograms.
+//! `core.kernel_scored_pairs` histograms. A call whose mask is dense by
+//! construction ([`SampleAttentionConfig::mask_is_dense`]) opens no
+//! discovery span and counts itself in `core.discovery_skipped`.
 
 use sa_kernels::{
     flash_attention, sparse_flash_attention_prepared, BlockedAttentionOutput, CostReport,
     FlashParams, KeyPanels, PreparedKeys, StructuredMask, ENGINE_BLOCK,
 };
-use sa_tensor::{Matrix, SaError};
+use sa_tensor::{count_nonfinite, Matrix, SaError};
 
 use crate::filtering::{filter_kv_indices, KvRatioSchedule};
 use crate::merge::merge_mask;
@@ -147,23 +149,36 @@ impl FallbackReason {
 }
 
 /// Per-invocation statistics of a SampleAttention forward pass.
+///
+/// A call whose mask is dense by construction
+/// ([`SampleAttentionConfig::mask_is_dense`]) runs no stage 1 or 2 and
+/// reports what the dense fallback does — `kv_ratio` and `covered_mass`
+/// 1.0, `alpha_satisfied`, `mask_density` 1.0, zero sampling and filtering
+/// cost — but with [`FallbackReason::None`] and the sparse engine's cost:
+/// every key is covered, and nothing degraded.
 #[derive(Debug, Clone, Copy)]
 pub struct SampleAttentionStats {
-    /// Fraction of key columns selected as stripes (`|I_KV| / S_k`).
+    /// Fraction of key columns selected as stripes (`|I_KV| / S_k`); 1.0
+    /// when the mask is dense by construction or the head fell back.
     pub kv_ratio: f32,
-    /// Fraction of sampled attention mass covered by the stripe set.
+    /// Fraction of sampled attention mass covered by the stripe set; 1.0
+    /// when the mask is dense by construction or the head fell back.
     pub covered_mass: f32,
     /// Whether stage-2 actually reached the configured α coverage (false
-    /// when the `max_kv_ratio` cap truncated the stripe set short of it).
+    /// when the `max_kv_ratio` cap truncated the stripe set short of it);
+    /// `true` when the mask is dense by construction or the head fell
+    /// back.
     pub alpha_satisfied: bool,
     /// Live fraction of the causal triangle in the merged mask.
     pub mask_density: f64,
     /// Why this head degraded to dense attention
     /// ([`FallbackReason::None`] when the sparse pipeline ran).
     pub fallback_reason: FallbackReason,
-    /// Cost of stage 1 (fused sampling kernel).
+    /// Cost of stage 1 (fused sampling kernel); zero when stage 1 did not
+    /// run.
     pub sampling_cost: CostReport,
-    /// Cost of stage 2 (sort / filter / gather).
+    /// Cost of stage 2 (sort / filter / gather); zero when stage 2 did
+    /// not run.
     pub filtering_cost: CostReport,
     /// Cost of the sparse attention kernel (the dense kernel's cost when
     /// the head fell back).
@@ -217,7 +232,8 @@ pub struct SampleAttentionOutput {
     pub output: Matrix,
     /// The merged structured mask that was executed.
     pub mask: StructuredMask,
-    /// The selected stripe indices `I_KV`.
+    /// The selected stripe indices `I_KV`: empty when the mask is dense
+    /// by construction, every key when the head fell back.
     pub kv_indices: Vec<usize>,
     /// Pipeline statistics.
     pub stats: SampleAttentionStats,
@@ -499,6 +515,13 @@ impl SampleAttention {
     /// sparse kernel. Useful for sparsity analysis and for reusing one
     /// head's mask across a GQA group.
     ///
+    /// When the merged mask is the full causal mask whatever stage 2
+    /// picks ([`SampleAttentionConfig::mask_is_dense`]: a call no taller
+    /// than the bottom area, or one whose window and sinks reach every key
+    /// above it), stages 1 and 2 are skipped. The mask is then the merge of no
+    /// stripes, which lives on the same pairs as any merge would, and
+    /// the stats report full coverage (see [`SampleAttentionStats`]).
+    ///
     /// # Errors
     ///
     /// Returns [`SampleAttentionError::Tensor`] on Q/K shape mismatch, and
@@ -523,6 +546,9 @@ impl SampleAttention {
         keys: PreparedKeys<'_>,
     ) -> Result<DiscoveredMask, SampleAttentionError> {
         let k = keys.rows();
+        if self.config.mask_is_dense(q.rows(), k.rows()) {
+            return self.dense_by_construction(q, k);
+        }
         let stage1 = sa_trace::span_in("core", "stage1_sampling");
         let sampled = sample_attention_scores_prepared(
             q,
@@ -615,10 +641,42 @@ impl SampleAttention {
             stats,
         })
     }
-}
 
-fn count_nonfinite(xs: &[f32]) -> usize {
-    xs.iter().filter(|x| !x.is_finite()).count()
+    /// Discovery of a call whose merged mask is dense by construction:
+    /// the merge of no stripes, so the engine gathers none.
+    fn dense_by_construction(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+    ) -> Result<DiscoveredMask, SampleAttentionError> {
+        if q.cols() != k.cols() {
+            return Err(SaError::ShapeMismatch {
+                op: "sample_attention_scores",
+                lhs: q.shape(),
+                rhs: k.shape(),
+            }
+            .into());
+        }
+        sa_trace::counter_add!("core.discovery_skipped", 1);
+        let mask = merge_mask(q.rows(), k.rows(), &[], &self.config)?;
+        sa_trace::histogram_record!("core.mask_nnz", mask.nnz() as u64);
+        let stats = SampleAttentionStats {
+            kv_ratio: 1.0,
+            covered_mass: 1.0,
+            alpha_satisfied: true,
+            mask_density: 1.0,
+            fallback_reason: FallbackReason::None,
+            sampling_cost: CostReport::new(),
+            filtering_cost: CostReport::new(),
+            sparse_cost: CostReport::new(),
+            tile_size: 0,
+        };
+        Ok(DiscoveredMask {
+            mask,
+            kv_indices: Vec::new(),
+            stats,
+        })
+    }
 }
 
 /// Records one tripped health sentinel in the trace registry.
@@ -932,6 +990,50 @@ mod tests {
         let scored = hist("core.kernel_scored_pairs");
         assert_eq!(scored.count, 1);
         assert!(scored.sum >= nnz.sum, "{} < {}", scored.sum, nnz.sum);
+    }
+
+    #[test]
+    fn traced_call_dense_by_construction_skips_discovery() {
+        // 32 rows against 96 keys: every row is in the bottom area, as in
+        // a serving chunk.
+        let mut rng = DeterministicRng::new(32);
+        let q = rng.normal_matrix(32, 8, 1.0);
+        let (_, k, v) = qkv(96, 8, 32);
+        let attn = SampleAttention::new(SampleAttentionConfig::paper_default());
+        assert!(attn.config().mask_is_dense(32, 96));
+        let _session = sa_trace::scoped();
+        let out = attn.forward(&q, &k, &v).unwrap();
+        assert_eq!(out.stats.tile_size, ENGINE_BLOCK);
+        assert!(!out.stats.fell_back());
+        let causal = StructuredMask::builder(32, 96).window(8).dense_tail_rows(32);
+        assert_eq!(out.mask, causal.build().unwrap());
+        let events = sa_trace::drain();
+        let has = |name: &str| events.iter().any(|e| e.cat == "core" && e.name == name);
+        for stage in ["stage1_sampling", "stage2_filtering", "mask_merge", "dense_fallback"] {
+            assert!(!has(stage), "{stage} span in a skipped call");
+        }
+        assert!(has("sparse_kernel"));
+        assert_eq!(sa_trace::metrics::counter("core.discovery_skipped").get(), 1);
+        assert_eq!(sa_trace::metrics::counter("core.alpha_miss").get(), 0);
+        // One row more than the bottom area, and the window short of the
+        // keys: discovery runs.
+        let q = rng.normal_matrix(33, 8, 1.0);
+        assert!(!attn.config().mask_is_dense(33, 96));
+        attn.forward(&q, &k, &v).unwrap();
+        assert!(sa_trace::drain().iter().any(|e| e.name == "stage1_sampling"));
+        assert_eq!(sa_trace::metrics::counter("core.discovery_skipped").get(), 1);
+    }
+
+    #[test]
+    fn skipped_discovery_still_rejects_mismatched_shapes() {
+        let (q, _, _) = qkv(16, 8, 33);
+        let (_, k, _) = qkv(16, 4, 34);
+        let attn = SampleAttention::new(SampleAttentionConfig::paper_default());
+        assert!(attn.config().mask_is_dense(16, 16));
+        assert!(matches!(
+            attn.discover_mask(&q, &k),
+            Err(SampleAttentionError::Tensor(SaError::ShapeMismatch { .. }))
+        ));
     }
 
     #[test]

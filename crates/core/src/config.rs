@@ -136,6 +136,22 @@ impl SampleAttentionConfig {
         let w = (self.window_ratio * s_k as f32).ceil() as usize;
         w.max(self.min_window).min(s_k)
     }
+
+    /// Whether the merged mask of an `s_q x s_k` call is the full causal
+    /// mask whatever stage 2 selects: every row is in the bottom area, or
+    /// the last row above it sees all its keys through the window and
+    /// the sinks (`window + bottom_area_rows + forced_sinks >= s_k`). Then
+    /// discovery cannot drop a pair, and
+    /// [`SampleAttention`](crate::SampleAttention) skips stages 1 and 2.
+    /// O(1), from the configuration alone.
+    pub fn mask_is_dense(&self, s_q: usize, s_k: usize) -> bool {
+        self.bottom_area_rows >= s_q
+            || self
+                .window_size(s_k)
+                .saturating_add(self.bottom_area_rows)
+                .saturating_add(self.forced_sinks.min(s_k))
+                >= s_k
+    }
 }
 
 impl Default for SampleAttentionConfig {

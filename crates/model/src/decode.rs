@@ -298,6 +298,13 @@ impl<'m> ChunkedPrefill<'m> {
                         existing.density = (existing.density * before
                             + r.density * (after - before))
                             / after;
+                        // A head met α only if every chunk did, and fell
+                        // back if any chunk did, for the first reason seen.
+                        existing.alpha_satisfied &= r.alpha_satisfied;
+                        existing.fell_back |= r.fell_back;
+                        if existing.fallback_reason == sa_core::FallbackReason::None {
+                            existing.fallback_reason = r.fallback_reason;
+                        }
                     }
                     None => *slot = Some(r),
                 }
@@ -534,6 +541,7 @@ mod tests {
     use super::*;
     use crate::{ModelConfig, VocabLayout};
     use sa_baselines::{FullAttention, SampleAttentionMethod, WindowOnly};
+    use sa_core::FallbackReason;
     use sa_tensor::max_abs_diff;
 
     fn model() -> SyntheticTransformer {
@@ -761,6 +769,77 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Full attention, reporting chunk 1 (rows 32..64) as an α miss that
+    /// fell back and chunk 2 as a worker panic.
+    struct LateChunksFallBack;
+
+    impl AttentionMethod for LateChunksFallBack {
+        fn name(&self) -> &str {
+            "late-chunks-fall-back"
+        }
+
+        fn forward(
+            &self,
+            q: &Matrix,
+            k: &Matrix,
+            v: &Matrix,
+        ) -> Result<sa_baselines::MethodOutput, TensorError> {
+            let mut out = FullAttention::new().forward(q, k, v)?;
+            match k.rows() {
+                64 => {
+                    out.alpha_satisfied = false;
+                    out.fell_back = true;
+                    out.fallback_reason = FallbackReason::AlphaUnsatisfied;
+                }
+                96 => {
+                    out.fell_back = true;
+                    out.fallback_reason = FallbackReason::WorkerPanic;
+                }
+                _ => {}
+            }
+            Ok(out)
+        }
+    }
+
+    #[test]
+    fn chunked_head_flags_cover_every_chunk() {
+        // 96 rows in chunks of 32: chunk 0 is healthy, the later two are
+        // not. A head met α only if every chunk did and fell back if any
+        // did, for the first reason a chunk gave.
+        let m = model();
+        let tokens = m.tokenize_filler(96);
+        let (chunked, _) = m.prefill_chunked(&tokens, 32, &LateChunksFallBack).unwrap();
+        let heads = chunked.head_reports.len();
+        assert_eq!(heads, 8);
+        assert_eq!(chunked.heads_alpha_unsatisfied(), heads);
+        assert_eq!(chunked.fallback_heads(), heads);
+        assert!(chunked
+            .head_reports
+            .iter()
+            .all(|r| r.fallback_reason == FallbackReason::AlphaUnsatisfied));
+    }
+
+    #[test]
+    fn chunks_no_taller_than_the_bottom_area_are_dense_attention() {
+        // Every row of a 32-row chunk is in SampleAttention's bottom area,
+        // so its mask is the causal one and discovery is skipped: the
+        // chunked prefill is the dense one, bit for bit.
+        let m = model();
+        let tokens = m.tokenize_filler(100);
+        let (sparse, _) = m
+            .prefill_chunked(&tokens, 32, &SampleAttentionMethod::paper_default())
+            .unwrap();
+        let (dense, _) = m.prefill_chunked(&tokens, 32, &FullAttention::new()).unwrap();
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sparse.hidden), bits(&dense.hidden));
+        for (s, d) in sparse.head_contents.iter().zip(&dense.head_contents) {
+            assert_eq!(bits(s), bits(d));
+        }
+        assert_eq!(sparse.mean_density(), 1.0);
+        assert_eq!(sparse.heads_alpha_unsatisfied(), 0);
+        assert_eq!(sparse.fallback_heads(), 0);
     }
 
     #[test]

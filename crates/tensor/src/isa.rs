@@ -1,10 +1,11 @@
 //! Which build of the dispatched inner loops runs.
 //!
 //! The hot loops of the blocked attention engine — the score panel in
-//! `sa-kernels`, the online-softmax folds, the per-row softmax and the
-//! packed-weight GEMM in this crate — are each one generic body compiled
-//! three times: for the target's baseline instruction set and, on x86-64,
-//! with AVX2 + FMA and with AVX2 + FMA + AVX-512F. The builds differ in
+//! `sa-kernels`, the online-softmax folds, the per-row softmax, the
+//! packed-weight GEMM and the health sentinels' non-finite count in this
+//! crate — are each one generic body compiled three times: for the
+//! target's baseline instruction set and, on x86-64, with AVX2 + FMA and
+//! with AVX2 + FMA + AVX-512F. The builds differ in
 //! vector width and in the constants that only group independent lanes.
 //! Each lane runs the same IEEE operations in the same order: every
 //! product it accumulates is one fused multiply-add, a single rounding

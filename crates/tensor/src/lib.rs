@@ -40,6 +40,7 @@ pub mod check;
 mod error;
 mod exp;
 pub mod fault;
+mod finite;
 mod fma;
 mod isa;
 mod matrix;
@@ -65,6 +66,7 @@ pub use aligned::{starts_on_line, AlignedBuf};
 pub use cancel::CancelToken;
 pub use error::{SaError, TensorError};
 pub use exp::exp;
+pub use finite::count_nonfinite;
 pub use fma::{fma, mul_add};
 pub use isa::{isa_name, Isa, IsaBuild};
 pub use matrix::Matrix;

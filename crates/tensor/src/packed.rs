@@ -68,7 +68,7 @@ impl PackedWeights {
                 });
             }
             cols += b.cols();
-            non_finite += b.as_slice().iter().filter(|x| !x.is_finite()).count();
+            non_finite += crate::count_nonfinite(b.as_slice());
         }
         if non_finite > 0 {
             return Err(TensorError::NonFinite {

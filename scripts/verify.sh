@@ -15,9 +15,10 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (FMA in every product loop, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf or fmaf)"
-# The score panel, the row fold, the tile fold, the row softmax and the
-# packed-weight GEMM are each one body compiled for the baseline ISA, for
+echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf or fmaf)"
+# The score panel, the row fold, the tile fold, the row softmax, the
+# packed-weight GEMM and the non-finite count are each one body compiled
+# for the baseline ISA, for
 # AVX2 + FMA and for AVX-512 (DESIGN.md 5g). Their results are the same
 # bits because every product they accumulate is one fused multiply-add,
 # a single rounding IEEE 754 defines exactly: the wide builds must issue
@@ -31,7 +32,9 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop, 
 # one, two and four query rows), sa-core stage 1's panel for one, two
 # and four sampled rows; sa-tensor holds the tile fold (its four-row,
 # pair and single-row step 5 are inlined into one body per build), the
-# row softmax and the GEMM. And the bits are libm-independent only while every f32
+# row softmax, the GEMM and the health sentinels' non-finite count (an
+# integer scan with no product: like the softmax, it must issue no FMA).
+# And the bits are libm-independent only while every f32
 # exponential on the pipeline path is `sa_tensor::exp` and every fused
 # product off the wide builds is `sa_tensor::fma`: a reference to `expf`
 # or `fmaf` in a pipeline crate's objects is a call that slipped past
@@ -48,12 +51,13 @@ else
     done | awk '
         function loop(s) {
             return s ~ /score_panel_/ ? "score_panel" : s ~ /gemm_rows_/ ? "gemm_rows" : \
-                s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_rows_/ ? "softmax_rows" : "fold"
+                s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_rows_/ ? "softmax_rows" : \
+                s ~ /count_nonfinite_/ ? "count_nonfinite" : "fold"
         }
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows)_avx(2|512)>/) {
+            if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows|count_nonfinite)_avx(2|512)>/) {
                 wide[sym] = 0
                 fused[sym] = 0
             }
@@ -70,17 +74,18 @@ else
                     print "no " (build == "avx512" ? "zmm" : "ymm") " operand in " s
                     bad = 1
                 }
-                if (loop(s) == "softmax_rows" && fused[s] > 0) {
+                unfused = loop(s) == "softmax_rows" || loop(s) == "count_nonfinite"
+                if (unfused && fused[s] > 0) {
                     print "FMA instruction in " s ", which has no product to fuse"
                     bad = 1
                 }
-                if (loop(s) != "softmax_rows" && fused[s] == 0) {
+                if (!unfused && fused[s] == 0) {
                     print "no FMA instruction in " s
                     bad = 1
                 }
             }
-            split("score_panel fold fold_tile softmax_rows gemm_rows", loops, " ")
-            for (i = 1; i <= 5; i++) {
+            split("score_panel fold fold_tile softmax_rows gemm_rows count_nonfinite", loops, " ")
+            for (i = 1; i <= 6; i++) {
                 for (b = 1; b <= 2; b++) {
                     name = loops[i] "_" (b == 1 ? "avx2" : "avx512")
                     if (!count[name]) { print "no " name " instantiation found"; bad = 1 }
@@ -157,7 +162,7 @@ echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 b
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
 cargo test -q --offline --release --test exp_contract
 cargo test -q --offline --release --test fma_contract
-cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests
+cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests finite::tests
 cargo test -q --offline --release -p sa-kernels --lib panels::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"
@@ -310,6 +315,35 @@ while IFS= read -r f; do
 done < <(find crates -path '*/src/*.rs')
 if [ "$registry_fail" -ne 0 ]; then
     echo "lint: unregistered metric name — add it to docs/METRICS.md" >&2
+    exit 1
+fi
+
+echo "==> lint: every metric docs/METRICS.md lists is emitted"
+# The reverse direction: a dotted name in the first column of a
+# docs/METRICS.md table must appear as a string literal in the non-test
+# code of crates/*/src (same exemptions as above), so a metric that is
+# no longer recorded leaves the registry with it. The templated
+# `tenant<t>.*` timeline series are built from a format string and are
+# exempt.
+emitted="$(find crates -path '*/src/*.rs' | sort | while IFS= read -r f; do
+    awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// { next }
+        { print }
+    ' "$f"
+done)"
+listed="$(grep -oE '^\| `[A-Za-z0-9_<>]+(\.[A-Za-z0-9_<>]+)+`' docs/METRICS.md |
+    sed -E 's/^\| `([^`]+)`/\1/' | sort -u)"
+stale_fail=0
+for n in $listed; do
+    case "$n" in 'tenant<t>.'*) continue ;; esac
+    if ! grep -qF "\"$n\"" <<<"$emitted"; then
+        echo "docs/METRICS.md: metric \"$n\" is not emitted under crates/*/src"
+        stale_fail=1
+    fi
+done
+if [ "$stale_fail" -ne 0 ]; then
+    echo "lint: docs/METRICS.md lists a metric nothing records — remove it or emit it" >&2
     exit 1
 fi
 

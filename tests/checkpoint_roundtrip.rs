@@ -464,15 +464,16 @@ fn a_cache_key_is_transposed_once() {
     let cache_keys = (tokens.len() * cfg.num_kv_heads * cfg.num_layers) as u64;
     let transposed = || trace::metrics::counter("kernels.keys_transposed").get();
 
-    // Chunk-32 prefill under SampleAttention: 16 chunks x 2 layers x 4
-    // heads = 128 head calls, each against the whole cache so far.
+    // Chunk-64 prefill under SampleAttention: 8 chunks x 2 layers x 4
+    // heads = 64 head calls, each against the whole cache so far. (Chunks
+    // of 32 rows lie in the bottom area and gather no stripe.)
     let method = TallyExtras {
         inner: SampleAttentionMethod::paper_default(),
         extras: AtomicU64::new(0),
     };
     let session = trace::scoped();
     let (result, _) = model
-        .prefill_chunked(&tokens, 32, &method)
+        .prefill_chunked(&tokens, 64, &method)
         .expect("chunked prefill");
     let counted = transposed();
     drop(session);
@@ -487,7 +488,7 @@ fn a_cache_key_is_transposed_once() {
         cache_keys + extras,
         "{cache_keys} cache keys + {extras} gathered stripe keys"
     );
-    // (Transposing per head call and per chunk moved 17x the cache keys
+    // (Transposing per head call and per chunk moved 9x the cache keys
     // here: the sum over chunks of the cache length, times 8 heads.)
 
     // Dense prefill in one chunk, then decode: nothing is gathered, and a

@@ -7,8 +7,12 @@ use sample_attention::core::cra::{cra_of_dense_mask, cra_of_structured_mask};
 use sample_attention::core::filtering::{filter_kv_indices, KvRatioSchedule};
 use sample_attention::core::sparsity::optimal_sparsity_degree;
 use sample_attention::core::theory::{check_lemma1, check_theorem1};
-use sample_attention::core::{SampleAttention, SampleAttentionConfig};
-use sample_attention::kernels::{attention_probs, DenseMask, StructuredMask};
+use sample_attention::core::{
+    merge_mask, sample_attention_scores, FallbackReason, SampleAttention, SampleAttentionConfig,
+};
+use sample_attention::kernels::{
+    attention_probs, sparse_flash_attention_blocked, DenseMask, StructuredMask,
+};
 use sample_attention::tensor::check::run_cases;
 use sample_attention::tensor::{DeterministicRng, Matrix};
 
@@ -132,4 +136,81 @@ fn pipeline_discovers_high_cra_masks() {
         // Aggregate (mean) coverage honours the threshold.
         assert!(discovered.stats.covered_mass >= 0.9 - 1e-4);
     });
+}
+
+/// A call whose merged mask is the full causal mask whatever stage 2
+/// picks skips stages 1 and 2. The config-only predicate holds exactly
+/// when the stripe-free merge keeps every causal pair, over taller and
+/// wider calls, with and without a bottom area, window or sinks; where
+/// it holds, `forward` returns the bits of the engine under the mask the
+/// stages would have built.
+#[test]
+fn a_mask_dense_by_construction_skips_discovery_with_the_same_bits() {
+    let mut skipped = 0;
+    for s_q in [1, 7, 31, 32, 33, 64, 100] {
+        for s_k in [1, 5, 31, 32, 40, 64, 100, 130] {
+            for bottom in [0, 32] {
+                for window_ratio in [0.0, 0.08, 0.3, 0.6, 1.0] {
+                    for sinks in [0, 4] {
+                        let cfg = SampleAttentionConfig::builder()
+                            .bottom_area_rows(bottom)
+                            .window_ratio(window_ratio)
+                            .forced_sinks(sinks)
+                            .build()
+                            .unwrap();
+                        let plain = merge_mask(s_q, s_k, &[], &cfg).unwrap();
+                        let dense = plain.nnz() == plain.causal_nnz();
+                        let case = format!(
+                            "{s_q}x{s_k}, bottom {bottom}, window {window_ratio}, sinks {sinks}"
+                        );
+                        assert_eq!(cfg.mask_is_dense(s_q, s_k), dense, "{case}");
+                        if dense {
+                            same_bits_as_the_stages(&cfg, s_q, s_k, &plain, &case);
+                            skipped += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(skipped > 100, "{skipped} dense cases: the grid proves little");
+}
+
+fn same_bits_as_the_stages(
+    cfg: &SampleAttentionConfig,
+    s_q: usize,
+    s_k: usize,
+    plain: &StructuredMask,
+    case: &str,
+) {
+    let mut rng = DeterministicRng::new((s_q * 1000 + s_k) as u64);
+    let q = rng.normal_matrix(s_q, 8, 1.0);
+    let k = rng.normal_matrix(s_k, 8, 1.0);
+    let v = rng.normal_matrix(s_k, 8, 1.0);
+    let sampled = sample_attention_scores(&q, &k, cfg.effective_sample_ratio(s_q)).unwrap();
+    let filtered = filter_kv_indices(
+        &sampled.column_scores,
+        cfg.cra_threshold,
+        cfg.max_kv_ratio,
+        &KvRatioSchedule::paper_coarse(),
+    )
+    .unwrap();
+    let staged = merge_mask(s_q, s_k, &filtered.indices, cfg).unwrap();
+    assert_eq!(staged.nnz(), staged.causal_nnz(), "{case}");
+    let want = sparse_flash_attention_blocked(&q, &k, &v, &staged).unwrap();
+
+    let out = SampleAttention::new(*cfg).forward(&q, &k, &v).unwrap();
+    assert_eq!(&out.mask, plain, "{case}");
+    assert!(out.kv_indices.is_empty(), "{case}");
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out.output), bits(&want.output), "{case}");
+    let stats = out.stats;
+    assert_eq!(stats.fallback_reason, FallbackReason::None, "{case}");
+    assert_eq!((stats.kv_ratio, stats.covered_mass), (1.0, 1.0), "{case}");
+    assert!(stats.alpha_satisfied, "{case}");
+    assert_eq!(stats.mask_density, 1.0, "{case}");
+    assert_eq!(stats.sampling_cost.flops + stats.filtering_cost.flops, 0, "{case}");
+    // The same pairs are scored; only the stripe gather's bytes go.
+    assert_eq!(stats.sparse_cost.flops, want.cost.flops, "{case}");
+    assert!(stats.sparse_cost.bytes_read <= want.cost.bytes_read, "{case}");
 }
