@@ -127,29 +127,6 @@ pub fn load_json<T: FromJson>(path: &Path) -> Result<T, String> {
     sa_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Loads every `*.json` artifact under `dir` (sorted by name) as a raw
-/// value tree.
-///
-/// # Errors
-///
-/// Returns the first failure as `"<file>: <message with location>"` — the
-/// caller learns exactly which artifact and which byte is corrupt instead
-/// of a bare unwrap panic.
-pub fn load_results_dir(dir: &Path) -> Result<Vec<(PathBuf, sa_json::Json)>, String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut files: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    files.sort();
-    files
-        .into_iter()
-        .map(|p| load_json::<sa_json::Json>(&p).map(|v| (p, v)))
-        .collect()
-}
-
 /// Renders a simple aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -217,15 +194,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let good = dir.join("good.json");
         std::fs::write(&good, "{\"rows\": [1, 2, 3]}").unwrap();
-        let loaded = load_results_dir(&dir).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].0, good);
+        assert!(load_json::<sa_json::Json>(&good).is_ok());
 
         // Truncated artifact (what a killed bench run leaves behind): the
         // error must name the file and the byte where the input ended.
         let bad = dir.join("truncated.json");
         std::fs::write(&bad, "{\"rows\": [1, 2,").unwrap();
-        let err = load_results_dir(&dir).unwrap_err();
+        let err = load_json::<sa_json::Json>(&bad).unwrap_err();
         assert!(err.contains("truncated.json"), "{err}");
         assert!(err.contains("byte 15"), "{err}");
 

@@ -312,11 +312,6 @@ impl SampleAttention {
     /// Returns [`SampleAttentionError::Tensor`] on shape mismatches
     /// between `q`, `k` and `v` (under every policy), and on tripped
     /// health sentinels under [`HealthPolicy::Propagate`].
-    ///
-    /// # Panics
-    ///
-    /// Under [`HealthPolicy::Abort`], a tripped health sentinel raises a
-    /// panic carrying the sentinel's message.
     pub fn forward(
         &self,
         q: &Matrix,
@@ -436,7 +431,7 @@ impl SampleAttention {
     }
 
     /// Applies the health policy to a pipeline error: health errors
-    /// propagate, abort or degrade to dense as configured; any other error
+    /// propagate or degrade to dense as configured; any other error
     /// propagates.
     fn degrade(
         &self,
@@ -449,9 +444,6 @@ impl SampleAttention {
             SampleAttentionError::Tensor(e) if e.is_health_error() => {
                 match self.config.health_policy {
                     HealthPolicy::Propagate => Err(SampleAttentionError::Tensor(e)),
-                    HealthPolicy::Abort => {
-                        std::panic::panic_any(format!("SampleAttention abort policy: {e}"))
-                    }
                     HealthPolicy::FallbackDense => self
                         .dense_fallback(q, k, v, FallbackReason::from_error(&e))
                         .map_err(SampleAttentionError::Tensor),

@@ -18,15 +18,11 @@ pub enum HealthPolicy {
     /// [`flash_attention`]: sa_kernels::flash_attention
     #[default]
     FallbackDense,
-    /// Fail-stop: raise a panic carrying the sentinel's message. For
-    /// harnesses that want corrupt state to be loud and immediate.
-    Abort,
 }
 
 sa_json::impl_json_enum!(HealthPolicy {
     Propagate,
-    FallbackDense,
-    Abort
+    FallbackDense
 });
 
 /// Hyper-parameters of SampleAttention (the paper's Table 1).

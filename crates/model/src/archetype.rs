@@ -179,12 +179,6 @@ impl GroupProjections {
         self.q_cols(self.heads + 1)
     }
 
-    /// The packed columns of key and value together: each output row is
-    /// the key, then the value.
-    pub fn kv_cols(&self) -> Range<usize> {
-        self.k_cols().start..self.v_cols().end
-    }
-
     /// Generates group projections for the given per-query-head
     /// archetypes.
     ///

@@ -9,8 +9,7 @@
 //!
 //! Each head's K is also held as [`KeyPanels`], the layout the attention
 //! engine scores against, kept in step at the three places K changes
-//! ([`append`](LayerKvCache::append) and its fused twin, `replace`,
-//! `from_parts`): every
+//! ([`append`](LayerKvCache::append), `replace`, `from_parts`): every
 //! query head of the group, every later chunk and every decode step
 //! reads the same panels instead of transposing K again.
 
@@ -143,13 +142,15 @@ impl LayerKvCache {
         self.entries[kv_head] = HeadKv::new(k, v);
     }
 
-    /// Appends new rows for a KV head.
+    /// Appends new rows for a KV head. Into an empty head (a prompt's
+    /// first chunk) the matrices move in whole; otherwise each is one
+    /// contiguous copy after the cached rows.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the row widths disagree
     /// with the cache's head dimension or `k`/`v` row counts differ.
-    pub fn append(&mut self, kv_head: usize, k_new: &Matrix, v_new: &Matrix) -> Result<(), TensorError> {
+    pub fn append(&mut self, kv_head: usize, k_new: Matrix, v_new: Matrix) -> Result<(), TensorError> {
         if k_new.cols() != self.head_dim || v_new.cols() != self.head_dim {
             return Err(TensorError::ShapeMismatch {
                 op: "LayerKvCache::append",
@@ -164,55 +165,20 @@ impl LayerKvCache {
                 rhs: v_new.shape(),
             });
         }
-        self.push_rows(
-            kv_head,
-            (0..k_new.rows()).map(|i| (k_new.row(i), v_new.row(i))),
-        )
-    }
-
-    /// Appends new rows for a KV head from one matrix whose rows each
-    /// hold the key, then the value — the shape a fused K|V projection
-    /// produces, cached without splitting it first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] unless the rows are two
-    /// head dimensions wide.
-    pub(crate) fn append_fused(&mut self, kv_head: usize, kv_new: &Matrix) -> Result<(), TensorError> {
-        if kv_new.cols() != 2 * self.head_dim {
-            return Err(TensorError::ShapeMismatch {
-                op: "LayerKvCache::append_fused",
-                lhs: kv_new.shape(),
-                rhs: (self.head_dim, self.head_dim),
-            });
-        }
-        let head_dim = self.head_dim;
-        self.push_rows(
-            kv_head,
-            (0..kv_new.rows()).map(|i| kv_new.row(i).split_at(head_dim)),
-        )
-    }
-
-    /// Appends `(key, value)` rows, each `head_dim` wide, to a KV head.
-    fn push_rows<'a>(
-        &mut self,
-        kv_head: usize,
-        rows: impl ExactSizeIterator<Item = (&'a [f32], &'a [f32])>,
-    ) -> Result<(), TensorError> {
         if kv_head == 0 {
-            self.seen += rows.len();
+            self.seen += k_new.rows();
         }
         let entry = &mut self.entries[kv_head];
         let old_rows = entry.k.rows();
-        let new_rows = old_rows + rows.len();
+        if old_rows == 0 {
+            *entry = HeadKv::new(k_new, v_new);
+            return Ok(());
+        }
+        let new_rows = old_rows + k_new.rows();
         let mut k = std::mem::take(&mut entry.k).into_vec();
         let mut v = std::mem::take(&mut entry.v).into_vec();
-        k.reserve(rows.len() * self.head_dim);
-        v.reserve(rows.len() * self.head_dim);
-        for (k_row, v_row) in rows {
-            k.extend_from_slice(k_row);
-            v.extend_from_slice(v_row);
-        }
+        k.extend_from_slice(k_new.as_slice());
+        v.extend_from_slice(v_new.as_slice());
         entry.k = Matrix::from_vec(new_rows, self.head_dim, k)
             .expect("dimensions consistent by construction");
         entry.v = Matrix::from_vec(new_rows, self.head_dim, v)
@@ -231,13 +197,13 @@ mod tests {
         assert!(c.is_empty());
         let k = Matrix::from_fn(3, 4, |i, j| (i + j) as f32);
         let v = Matrix::from_fn(3, 4, |i, j| (i * j) as f32);
-        c.append(0, &k, &v).unwrap();
-        c.append(1, &k, &v).unwrap();
+        c.append(0, k.clone(), v.clone()).unwrap();
+        c.append(1, k.clone(), v.clone()).unwrap();
         assert_eq!(c.len(), 3);
         let (ck, cv) = c.head(0);
         assert_eq!(ck.shape(), (3, 4));
         assert_eq!(cv.get(2, 3), 6.0);
-        c.append(0, &k, &v).unwrap();
+        c.append(0, k.clone(), v).unwrap();
         let (ck, _) = c.head(0);
         assert_eq!(ck.rows(), 6);
         assert_eq!(ck.get(4, 1), k.get(1, 1));
@@ -254,9 +220,9 @@ mod tests {
         let mut c = LayerKvCache::new(1, 4);
         same(&c);
         let rows = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
-        c.append(0, &rows, &rows).unwrap();
+        c.append(0, rows.clone(), rows.clone()).unwrap();
         same(&c);
-        c.append(0, &rows.slice_rows(0, 1).unwrap(), &rows.slice_rows(0, 1).unwrap())
+        c.append(0, rows.slice_rows(0, 1).unwrap(), rows.slice_rows(0, 1).unwrap())
             .unwrap();
         same(&c);
         let kept = rows.slice_rows(3, 40).unwrap();
@@ -266,28 +232,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_append_equals_split_append() {
+    fn appends_in_any_steps_equal_one_append() {
         let k = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
         let v = Matrix::from_fn(70, 4, |i, j| -((i + 3 * j) as f32));
-        let kv = Matrix::from_fn(70, 8, |i, j| if j < 4 { k.get(i, j) } else { v.get(i, j - 4) });
-        let mut split = LayerKvCache::new(2, 4);
-        let mut fused = LayerKvCache::new(2, 4);
-        for (start, end) in [(0, 33), (33, 34), (34, 70)] {
-            for head in 0..2 {
-                split
-                    .append(head, &k.slice_rows(start, end).unwrap(), &v.slice_rows(start, end).unwrap())
-                    .unwrap();
-                fused.append_fused(head, &kv.slice_rows(start, end).unwrap()).unwrap();
+        let mut whole = LayerKvCache::new(2, 4);
+        let mut steps = LayerKvCache::new(2, 4);
+        for head in 0..2 {
+            whole.append(head, k.clone(), v.clone()).unwrap();
+            for (start, end) in [(0, 33), (33, 34), (34, 70)] {
+                let rows = |m: &Matrix| m.slice_rows(start, end).unwrap();
+                steps.append(head, rows(&k), rows(&v)).unwrap();
             }
         }
-        assert_eq!(fused.seen(), 70);
-        assert_eq!(fused.seen(), split.seen());
+        assert_eq!((steps.seen(), whole.seen()), (70, 70));
         for head in 0..2 {
-            assert_eq!(fused.head(head), split.head(head));
-            let (keys, _) = fused.prepared(head);
-            assert_eq!(keys.panels().as_slice(), KeyPanels::from_rows(&k).as_slice());
+            assert_eq!(steps.head(head), whole.head(head));
+            let panels = |c: &LayerKvCache| c.prepared(head).0.panels().as_slice().to_vec();
+            assert_eq!(panels(&steps), panels(&whole));
         }
-        assert!(fused.append_fused(0, &k).is_err());
     }
 
     #[test]
@@ -295,8 +257,8 @@ mod tests {
         let mut c = LayerKvCache::new(1, 4);
         let bad = Matrix::zeros(2, 5);
         let ok = Matrix::zeros(2, 4);
-        assert!(c.append(0, &bad, &ok).is_err());
+        assert!(c.append(0, bad, ok.clone()).is_err());
         let mismatched = Matrix::zeros(3, 4);
-        assert!(c.append(0, &ok, &mismatched).is_err());
+        assert!(c.append(0, ok, mismatched).is_err());
     }
 }

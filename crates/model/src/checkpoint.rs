@@ -365,6 +365,7 @@ impl PrefillCheckpoint {
             final_hidden: self.final_hidden.clone(),
             start: self.start,
             chunks_done: self.chunks_done,
+            keep_caches: true,
         })
     }
 

@@ -1,14 +1,15 @@
-//! Chunked prefill and the decode phase.
+//! The prompt path and the decode phase.
 //!
 //! The paper only replaces *prefill* attention; generation proceeds with
 //! full attention over an uncompressed KV cache (§5.1), and its serving
 //! stack chunks long prefills along the sequence (Appendix A.6). This
 //! module provides both on top of [`crate::AttentionLayer::forward_incremental`]:
 //!
-//! - [`SyntheticTransformer::prefill_chunked`] — process the prompt in
-//!   chunks with per-layer KV caches. For a causal transformer this is
-//!   *exactly* equivalent to monolithic prefill (a property the tests
-//!   assert), but bounds peak memory like the paper's serving setup.
+//! - [`ChunkedPrefill`] — the one way a prompt runs, in chunks with
+//!   per-layer KV caches: [`SyntheticTransformer::prefill`] is one chunk,
+//!   and `prefill_chunked`, `begin_decode` and the serving layer drive it
+//!   too. Under dense attention every chunk size gives one chunk's bits
+//!   (the tests assert it); SampleAttention discovers a mask per chunk.
 //! - [`DecodeSession`] — autoregressive generation after a prefill: each
 //!   step embeds the newest token, runs it through every layer with full
 //!   attention over the caches (a KV group's heads as one row block
@@ -28,50 +29,22 @@ impl SyntheticTransformer {
     /// Prefills in chunks of `chunk_size` rows (the last chunk may be
     /// shorter), maintaining per-layer KV caches. Returns the same
     /// [`PrefillResult`] as [`prefill`](Self::prefill) plus the caches,
-    /// ready for decoding.
+    /// ready for decoding. For cooperative cancellation, drive
+    /// [`start_prefill`](Self::start_prefill)'s run with
+    /// [`ChunkedPrefill::run_to_end`].
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidDimension`] for an empty prompt or a
-    /// zero chunk size, or propagates kernel errors.
+    /// As [`start_prefill`](Self::start_prefill), or propagates kernel
+    /// errors.
     pub fn prefill_chunked(
         &self,
         tokens: &[u32],
         chunk_size: usize,
         method: &dyn AttentionMethod,
     ) -> Result<(PrefillResult, Vec<LayerKvCache>), TensorError> {
-        self.prefill_chunked_with(tokens, chunk_size, method, &CancelToken::new())
-    }
-
-    /// [`prefill_chunked`](Self::prefill_chunked) with cooperative
-    /// cancellation: `cancel` is checked before every sequence chunk
-    /// (and, through the scoped install, before every worker-pool chunk
-    /// inside the forward passes), so a tripped token stops the prefill
-    /// within one chunk. The returned error carries the progress in
-    /// sequence chunks (`chunks_done` of `total_chunks`) whichever level
-    /// observed the trip; any partial work is discarded.
-    ///
-    /// # Errors
-    ///
-    /// [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
-    /// when the token trips, [`TensorError::InvalidDimension`] for an
-    /// empty prompt or a zero chunk size, or propagated kernel errors.
-    pub fn prefill_chunked_with(
-        &self,
-        tokens: &[u32],
-        chunk_size: usize,
-        method: &dyn AttentionMethod,
-        cancel: &CancelToken,
-    ) -> Result<(PrefillResult, Vec<LayerKvCache>), TensorError> {
-        // Make the token visible to the worker pool for the duration of
-        // this prefill, so pool-level chunk boundaries check it too.
-        let _cancel_scope = cancel::install(cancel);
-        let mut run = self.start_prefill(tokens, chunk_size)?;
-        while !run.is_done() {
-            cancel.check("prefill_chunked", run.chunks_done(), run.total_chunks())?;
-            run.advance_chunk(method)?;
-        }
-        run.finish()
+        self.start_prefill(tokens, chunk_size)?
+            .run_to_end(method, &CancelToken::new())
     }
 
     /// Starts a resumable chunked prefill (see [`ChunkedPrefill`]): the
@@ -82,7 +55,8 @@ impl SyntheticTransformer {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidDimension`] for an empty prompt or a
-    /// zero chunk size.
+    /// zero chunk size, and [`TensorError::IndexOutOfBounds`] for a token
+    /// outside the vocabulary.
     pub fn start_prefill(
         &self,
         tokens: &[u32],
@@ -100,13 +74,16 @@ impl SyntheticTransformer {
                 what: "chunk_size must be >= 1".to_string(),
             });
         }
+        for &token in tokens {
+            self.check_token("prefill_chunked", token)?;
+        }
         let num_layers = self.config().num_layers;
         let num_heads = self.config().num_heads;
         let hidden_full = self.embedder().embed(tokens);
         let caches: Vec<LayerKvCache> = self
             .layers()
             .iter()
-            .map(|l| l.new_cache(self.config().head_dim))
+            .map(|l| l.new_cache())
             .collect();
         let layer_inputs: Vec<Matrix> = (0..num_layers)
             .map(|_| Matrix::zeros(0, hidden_full.cols()))
@@ -128,6 +105,7 @@ impl SyntheticTransformer {
             final_hidden,
             start: 0,
             chunks_done: 0,
+            keep_caches: true,
         })
     }
 
@@ -137,7 +115,8 @@ impl SyntheticTransformer {
     /// # Errors
     ///
     /// Propagates prefill errors: [`TensorError::InvalidDimension`] for
-    /// an empty prompt.
+    /// an empty prompt, [`TensorError::IndexOutOfBounds`] for a token
+    /// outside the vocabulary.
     pub fn begin_decode(
         &self,
         tokens: &[u32],
@@ -185,9 +164,25 @@ impl SyntheticTransformer {
             cancel: None,
         })
     }
+
+    /// [`TensorError::IndexOutOfBounds`] unless the embedder has a row
+    /// for `token`.
+    fn check_token(&self, op: &'static str, token: u32) -> Result<(), TensorError> {
+        let (index, bound) = (token as usize, self.config().vocab_size);
+        if index < bound {
+            return Ok(());
+        }
+        Err(TensorError::IndexOutOfBounds { op, index, bound })
+    }
 }
 
-fn append_rows(dst: &mut Matrix, src: &Matrix) -> Result<(), TensorError> {
+/// Appends the rows of `src` to `dst`, taking `src` whole when `dst` has
+/// none yet (every accumulator of a one-chunk prefill).
+fn append_rows(dst: &mut Matrix, src: Matrix) -> Result<(), TensorError> {
+    if dst.rows() == 0 {
+        *dst = src;
+        return Ok(());
+    }
     let cols = src.cols();
     let rows = dst.rows() + src.rows();
     let mut data = std::mem::take(dst).into_vec();
@@ -203,12 +198,11 @@ fn append_rows(dst: &mut Matrix, src: &Matrix) -> Result<(), TensorError> {
 /// crashed attempt resumes from the last checkpoint, recomputing at most
 /// the one chunk that was in flight.
 ///
-/// Driving `advance_chunk` to completion and calling [`finish`]
-/// is exactly equivalent to
-/// [`SyntheticTransformer::prefill_chunked`] (which is now implemented
-/// on top of this type).
-///
-/// [`finish`]: ChunkedPrefill::finish
+/// [`run_to_end`](Self::run_to_end) drives the remaining chunks and
+/// finishes; [`SyntheticTransformer::prefill`],
+/// [`SyntheticTransformer::prefill_chunked`] and the serving layer's clean
+/// attempts all end there. Advancing chunk by chunk and calling
+/// [`finish`](Self::finish) gives the same result.
 #[derive(Debug)]
 pub struct ChunkedPrefill<'m> {
     pub(crate) model: &'m SyntheticTransformer,
@@ -226,6 +220,10 @@ pub struct ChunkedPrefill<'m> {
     /// First prompt row the next chunk will process.
     pub(crate) start: usize,
     pub(crate) chunks_done: usize,
+    /// Whether [`finish`](Self::finish) hands the caches back; if not
+    /// ([`SyntheticTransformer::prefill`]), each layer's goes as the last
+    /// chunk leaves it, and its memory serves the next layer.
+    pub(crate) keep_caches: bool,
 }
 
 impl<'m> ChunkedPrefill<'m> {
@@ -244,8 +242,33 @@ impl<'m> ChunkedPrefill<'m> {
         self.start >= self.tokens.len()
     }
 
+    /// Drives the remaining chunks and finishes: the one loop every prompt
+    /// ends in. `cancel` is checked before every sequence chunk and,
+    /// installed, at every worker-pool chunk inside them. Traced, a
+    /// `model/prefill` span covers the run.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::Cancelled`] / [`TensorError::DeadlineExceeded`]
+    /// with the progress in sequence chunks when the token trips, or
+    /// propagated kernel errors; any partial work is discarded.
+    pub fn run_to_end(
+        mut self,
+        method: &dyn AttentionMethod,
+        cancel: &CancelToken,
+    ) -> Result<(PrefillResult, Vec<LayerKvCache>), TensorError> {
+        let _span = sa_trace::span_in("model", "prefill");
+        let _cancel_scope = cancel::install(cancel);
+        while !self.is_done() {
+            cancel.check("prefill_chunked", self.chunks_done, self.total_chunks())?;
+            self.advance_chunk(method)?;
+        }
+        self.finish()
+    }
+
     /// Runs the next chunk through every layer, growing the caches and
-    /// accumulators. A no-op once [`is_done`](Self::is_done).
+    /// accumulators. A no-op once [`is_done`](Self::is_done). Traced,
+    /// each layer's pass is a `model/layer` span labelled `L<layer>`.
     ///
     /// # Errors
     ///
@@ -281,9 +304,14 @@ impl<'m> ChunkedPrefill<'m> {
         let end = (self.start + self.chunk_size).min(s);
         let mut rows = self.hidden_full.slice_rows(self.start, end)?;
         for (l, layer) in self.model.layers().iter().enumerate() {
-            append_rows(&mut self.layer_inputs[l], &rows)?;
+            let _span = sa_trace::span_labeled("model", "layer", || format!("L{l}"));
+            append_rows(&mut self.layer_inputs[l], rows.clone())?;
             let out = layer.forward_incremental(&rows, &mut self.caches[l], method)?;
-            for (h, content) in out.head_contents.iter().enumerate() {
+            if end == s && !self.keep_caches {
+                // The run's caller drops the caches: this one is done.
+                self.caches[l] = layer.new_cache();
+            }
+            for (h, content) in out.head_contents.into_iter().enumerate() {
                 append_rows(&mut self.head_contents[l * num_heads + h], content)?;
             }
             for r in out.head_reports {
@@ -312,7 +340,7 @@ impl<'m> ChunkedPrefill<'m> {
             self.total_cost.merge(&out.cost);
             rows = out.hidden;
         }
-        append_rows(&mut self.final_hidden, &rows)?;
+        append_rows(&mut self.final_hidden, rows)?;
         self.start = end;
         self.chunks_done += 1;
         Ok(())
@@ -445,10 +473,13 @@ impl<'m> DecodeSession<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates kernel errors from the single-row forward.
+    /// Returns [`TensorError::IndexOutOfBounds`] for a token outside the
+    /// vocabulary, and propagates kernel errors from the single-row
+    /// forward.
     pub fn push(&mut self, token: u32) -> Result<(), TensorError> {
-        // Check *before* mutating any state: a cancelled step must leave
-        // the session exactly as it was.
+        // Check *before* mutating any state: a rejected or cancelled step
+        // must leave the session exactly as it was.
+        self.model.check_token("DecodeSession::push", token)?;
         if let Some(tok) = &self.cancel {
             tok.check("decode_step", 0, 1)?;
         }
@@ -548,25 +579,29 @@ mod tests {
         SyntheticTransformer::new(ModelConfig::tiny(77)).unwrap()
     }
 
+    /// Every element's bits, matrix after matrix.
+    fn bits<'a>(ms: impl IntoIterator<Item = &'a Matrix>) -> Vec<u32> {
+        ms.into_iter().flat_map(|m| m.as_slice()).map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn chunked_prefill_matches_monolithic() {
-        let m = model();
-        let tokens = m.tokenize_filler(90);
-        let mono = m.prefill(&tokens, &FullAttention::new()).unwrap();
-        for chunk in [1usize, 7, 32, 90, 200] {
-            let (chunked, caches) = m
-                .prefill_chunked(&tokens, chunk, &FullAttention::new())
-                .unwrap();
-            assert_eq!(chunked.hidden.shape(), mono.hidden.shape());
-            let diff = max_abs_diff(chunked.hidden.as_slice(), mono.hidden.as_slice());
-            assert!(diff < 1e-4, "chunk {chunk}: diff {diff}");
-            assert_eq!(caches[0].len(), 90);
-            // head contents align too
-            let d0 = max_abs_diff(
-                chunked.head_contents[3].as_slice(),
-                mono.head_contents[3].as_slice(),
-            );
-            assert!(d0 < 1e-4, "chunk {chunk}: head diff {d0}");
+        // Under dense attention no row's mask depends on the chunking, and
+        // every kernel folds a row's keys in the same order whatever rows
+        // it is called with, so every chunk size gives the whole prompt's
+        // bits.
+        let glm = SyntheticTransformer::new(ModelConfig::chatglm2_like(7)).unwrap();
+        for (m, len, chunks) in [(model(), 90, &[1, 7, 32, 64, 90, 200][..]), (glm, 300, &[7, 32, 100, 128])] {
+            let tokens = m.tokenize_filler(len);
+            let whole = m.prefill(&tokens, &FullAttention::new()).unwrap();
+            for &chunk in chunks {
+                let (chunked, caches) = m.prefill_chunked(&tokens, chunk, &FullAttention::new()).unwrap();
+                let label = format!("{len} tokens in chunks of {chunk}");
+                assert_eq!(bits([&chunked.hidden]), bits([&whole.hidden]), "{label}");
+                assert_eq!(bits(&chunked.head_contents), bits(&whole.head_contents), "{label}");
+                assert_eq!(bits(&chunked.layer_inputs), bits(&whole.layer_inputs), "{label}");
+                assert!(caches.iter().all(|c| c.len() == len), "{label}");
+            }
         }
     }
 
@@ -741,8 +776,29 @@ mod tests {
     fn empty_prompt_is_a_typed_error() {
         let (m, full) = (model(), FullAttention::new());
         let invalid = |e: TensorError| matches!(e, TensorError::InvalidDimension { .. });
+        assert!(m.prefill(&[], &full).is_err_and(invalid));
         assert!(m.prefill_chunked(&[], 4, &full).is_err_and(invalid));
         assert!(m.begin_decode(&[], &full).err().is_some_and(invalid));
+    }
+
+    #[test]
+    fn out_of_vocabulary_tokens_are_a_typed_error() {
+        let (m, full) = (model(), FullAttention::new());
+        let vocab = m.config().vocab_size;
+        let oob = |e: TensorError| {
+            matches!(e, TensorError::IndexOutOfBounds { index, bound, .. } if index == vocab + 3 && bound == vocab)
+        };
+        let mut tokens = m.tokenize_filler(16);
+        tokens[9] = vocab as u32 + 3;
+        assert!(m.prefill(&tokens, &full).is_err_and(oob));
+        assert!(m.start_prefill(&tokens, 4).err().is_some_and(oob));
+        assert!(m.begin_decode(&tokens, &full).err().is_some_and(oob));
+        // A rejected push leaves the session as it was.
+        let mut session = m.begin_decode(&tokens[..9], &full).unwrap();
+        let before = session.last_contents().to_vec();
+        assert!(session.push(vocab as u32 + 3).is_err_and(oob));
+        assert_eq!((session.tokens().len(), session.cache_len()), (9, 9));
+        assert_eq!(session.last_contents(), before.as_slice());
     }
 
     #[test]
@@ -832,11 +888,8 @@ mod tests {
             .prefill_chunked(&tokens, 32, &SampleAttentionMethod::paper_default())
             .unwrap();
         let (dense, _) = m.prefill_chunked(&tokens, 32, &FullAttention::new()).unwrap();
-        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&sparse.hidden), bits(&dense.hidden));
-        for (s, d) in sparse.head_contents.iter().zip(&dense.head_contents) {
-            assert_eq!(bits(s), bits(d));
-        }
+        assert_eq!(bits([&sparse.hidden]), bits([&dense.hidden]));
+        assert_eq!(bits(&sparse.head_contents), bits(&dense.head_contents));
         assert_eq!(sparse.mean_density(), 1.0);
         assert_eq!(sparse.heads_alpha_unsatisfied(), 0);
         assert_eq!(sparse.fallback_heads(), 0);
@@ -873,9 +926,8 @@ mod tests {
         let m = model();
         let tokens = m.tokenize_filler(64);
         let token = CancelToken::with_deadline_ns(1); // epoch + 1ns: long past
-        let err = m
-            .prefill_chunked_with(&tokens, 16, &FullAttention::new(), &token)
-            .unwrap_err();
+        let run = m.start_prefill(&tokens, 16).unwrap();
+        let err = run.run_to_end(&FullAttention::new(), &token).unwrap_err();
         match err {
             TensorError::DeadlineExceeded { site, completed, total } => {
                 assert_eq!(site, "prefill_chunked");
@@ -935,9 +987,7 @@ mod tests {
             calls: std::sync::atomic::AtomicUsize::new(0),
             limit: 12,
         };
-        let err = m
-            .prefill_chunked_with(&tokens, 16, &wrapper, &token)
-            .unwrap_err();
+        let err = m.start_prefill(&tokens, 16).unwrap().run_to_end(&wrapper, &token).unwrap_err();
         // The trip is detected either at the prefill's chunk boundary or
         // inside the current chunk's per-head pool loop — both surface as
         // a typed Cancelled with progress counted in prefill chunks,

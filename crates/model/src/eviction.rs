@@ -330,7 +330,7 @@ mod tests {
         let mut c = LayerKvCache::new(1, 2);
         let k = Matrix::from_fn(4, 2, |i, _| i as f32);
         let v = Matrix::from_fn(4, 2, |i, _| (10 + i) as f32);
-        c.append(0, &k, &v).unwrap();
+        c.append(0, k.clone(), v.clone()).unwrap();
         c.retain(&[0, 3]).unwrap();
         assert_eq!(c.len(), 2);
         let (ck, cv) = c.head(0);
@@ -343,7 +343,7 @@ mod tests {
         let mut c = LayerKvCache::new(1, 2);
         let k = Matrix::from_fn(4, 2, |i, _| i as f32);
         let v = Matrix::from_fn(4, 2, |i, _| (10 + i) as f32);
-        c.append(0, &k, &v).unwrap();
+        c.append(0, k.clone(), v.clone()).unwrap();
         c
     }
 

@@ -4,8 +4,8 @@
 use sa_baselines::{finish_heads, AttentionMethod, FullAttention};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{RopeConfig, RopeTable};
-use sa_kernels::{CostReport, KeyPanels, PreparedKeys};
-use sa_tensor::{matmul_packed_cols, pool, DeterministicRng, Matrix, TensorError};
+use sa_kernels::{CostReport, PreparedKeys};
+use sa_tensor::{matmul_packed_cols, matmul_packed_pair, pool, DeterministicRng, Matrix, TensorError};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
 
@@ -55,6 +55,7 @@ pub struct AttentionLayer {
     groups: Vec<GroupProjections>,
     gqa: GqaLayout,
     rope: RopeConfig,
+    head_dim: usize,
     rotary_dims: usize,
     residual_gain: f32,
     pre_mlp_norm: RmsNorm,
@@ -94,17 +95,13 @@ impl AttentionLayer {
             groups,
             gqa,
             rope: config.preset.rope(),
+            head_dim: config.head_dim,
             rotary_dims: config.head_dim / 2,
             residual_gain: config.residual_gain,
             pre_mlp_norm: RmsNorm::jittered(hidden, rng),
             mlp: SwigluMlp::generate(hidden, 2 * hidden, rng)?,
             content_dim: config.content_dim,
         })
-    }
-
-    /// The layer's index in the model.
-    pub fn layer_index(&self) -> usize {
-        self.layer_index
     }
 
     /// Archetype of query head `head`.
@@ -122,8 +119,9 @@ impl AttentionLayer {
     }
 
     /// Projects the layer input into one head's RoPE-applied Q/K and V —
-    /// the tensors an attention method sees. Exposed for the sparsity
-    /// analyses (Figure 2, Tables 5/6).
+    /// the tensors an attention method sees, K and V as a prompt's chunk
+    /// caches them. Exposed for the sparsity analyses (Figure 2, Tables
+    /// 5/6).
     ///
     /// # Errors
     ///
@@ -134,26 +132,23 @@ impl AttentionLayer {
         hidden: &Matrix,
         head: usize,
     ) -> Result<(Matrix, Matrix, Matrix), TensorError> {
-        let group = &self.groups[self.gqa.kv_head_for(head)];
         let rope = self.rope_table(0, hidden.rows())?;
         let q = self.project_q_rotated(hidden, head, &rope)?;
-        let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
-        let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
-        rope.apply(&mut k)?;
+        let (k, v) = self.project_kv(self.gqa.kv_head_for(head), hidden, &rope)?;
         Ok((q, k, v))
     }
 
     /// An empty K/V cache sized for this layer.
-    pub fn new_cache(&self, head_dim: usize) -> LayerKvCache {
-        LayerKvCache::new(self.groups.len(), head_dim)
+    pub fn new_cache(&self) -> LayerKvCache {
+        LayerKvCache::new(self.groups.len(), self.head_dim)
     }
 
     /// Runs the layer *incrementally*: `hidden_rows` are the residual-
     /// stream rows of the new positions (`cache.len()..cache.len()+n`),
     /// whose K/V are appended to `cache`; attention runs over the full
-    /// cached history. With a chunk equal to the whole prompt this is
-    /// exactly [`forward_prefill`](Self::forward_prefill); with single
-    /// rows it is the decode phase over an uncompressed KV cache.
+    /// cached history. On an empty cache with the whole prompt this is a
+    /// prefill; with single rows it is the decode phase over an
+    /// uncompressed KV cache. The one body every prompt row runs through.
     ///
     /// # Errors
     ///
@@ -244,9 +239,8 @@ impl AttentionLayer {
         RopeTable::new(self.rope, self.rotary_dims, offset, rows)
     }
 
-    /// Projects `hidden_rows` into KV group `g`'s K (rotated by `rope`,
-    /// the rows' table) and V — one GEMM call, each output row the key
-    /// then the value — and appends them to `cache`.
+    /// Projects `hidden_rows` into KV group `g`'s K and V and appends
+    /// them to `cache`.
     fn append_kv(
         &self,
         g: usize,
@@ -255,14 +249,24 @@ impl AttentionLayer {
         cache: &mut LayerKvCache,
         cost: &mut CostReport,
     ) -> Result<(), TensorError> {
+        let (k, v) = self.project_kv(g, hidden_rows, rope)?;
+        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), self.head_dim, 2));
+        cache.append(g, k, v)
+    }
+
+    /// KV group `g`'s K (rotated by `rope`, the rows' table) and V of
+    /// `hidden_rows`, from one pass over the rows: the only place a layer
+    /// projects keys and values.
+    fn project_kv(
+        &self,
+        g: usize,
+        hidden_rows: &Matrix,
+        rope: &RopeTable,
+    ) -> Result<(Matrix, Matrix), TensorError> {
         let group = &self.groups[g];
-        let mut kv_new = matmul_packed_cols(hidden_rows, group.packed(), group.kv_cols())?;
-        // The rotary dimensions are the leading columns of the key, which
-        // leads the fused row.
-        rope.apply(&mut kv_new)?;
-        cache.append_fused(g, &kv_new)?;
-        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), kv_new.cols() / 2, 2));
-        Ok(())
+        let (mut k, v) = matmul_packed_pair(hidden_rows, group.packed(), group.k_cols(), group.v_cols())?;
+        rope.apply(&mut k)?;
+        Ok((k, v))
     }
 
     /// Runs `method` on every query head of KV group `g` over the group's
@@ -401,7 +405,11 @@ impl AttentionLayer {
     }
 
     /// Runs the layer at prefill with `method` substituted for every
-    /// head's attention (the paper's drop-in replacement setup).
+    /// head's attention (the paper's drop-in replacement setup): one
+    /// [`forward_incremental`](Self::forward_incremental) call on an empty
+    /// cache, which it then drops. The model's own prompts run through
+    /// [`ChunkedPrefill`](crate::ChunkedPrefill); this stays only because
+    /// the repository benchmark times a layer through it.
     ///
     /// # Errors
     ///
@@ -411,28 +419,7 @@ impl AttentionLayer {
         hidden: &Matrix,
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
-        let s = hidden.rows();
-        let rope = self.rope_table(0, s)?;
-        let mut heads = HeadFold::new(s, self.content_dim, self.num_heads());
-
-        for (g, group) in self.groups.iter().enumerate() {
-            // K and V stay two calls here: the engine takes each as a
-            // matrix of its own, and splitting a fused product would
-            // copy both.
-            let mut k = matmul_packed_cols(hidden, group.packed(), group.k_cols())?;
-            let v = matmul_packed_cols(hidden, group.packed(), group.v_cols())?;
-            rope.apply(&mut k)?;
-            heads.cost.merge(&projection_cost(s, hidden.cols(), k.cols(), 2));
-            // One transpose serves every query head of the group.
-            let panels = KeyPanels::from_rows(&k);
-            let keys = PreparedKeys::new(&k, &panels);
-            self.attend_group(g, hidden, &rope, keys, &v, method, &mut heads)?;
-        }
-
-        // Residual update: attention writes (scaled) into the content
-        // slot; the MLP perturbs the whole stream.
-        let new_hidden = self.apply_residual_and_mlp(hidden, &heads.content_update, &mut heads.cost)?;
-        Ok(heads.into_result(new_hidden))
+        self.forward_incremental(hidden, &mut self.new_cache(), method)
     }
 }
 
@@ -529,10 +516,10 @@ mod tests {
 
     #[test]
     fn decode_step_equals_a_one_row_incremental_forward() {
-        let (layer, hidden, config) = layer_and_hidden(7);
+        let (layer, hidden, _) = layer_and_hidden(7);
         let prompt = hidden.slice_rows(0, 100).unwrap();
         let next = hidden.slice_rows(100, 101).unwrap();
-        let mut per_head = layer.new_cache(config.head_dim);
+        let mut per_head = layer.new_cache();
         layer
             .forward_incremental(&prompt, &mut per_head, &FullAttention::new())
             .unwrap();
@@ -581,7 +568,7 @@ mod tests {
             let mut k_new = matmul(hidden_rows, wk).unwrap();
             let v_new = matmul(hidden_rows, wv).unwrap();
             apply_rope_partial(&mut k_new, layer.rotary_dims, offset, layer.rope).unwrap();
-            cache.append(g, &k_new, &v_new).unwrap();
+            cache.append(g, k_new, v_new).unwrap();
             let (keys, v_all) = cache.prepared(g);
             for (local, wq) in wqs.iter().enumerate() {
                 let mut q = matmul(hidden_rows, wq).unwrap();
@@ -622,7 +609,7 @@ mod tests {
         ];
         for (name, method) in methods {
             let got = layer.forward_prefill(&hidden, method).unwrap();
-            let mut cache = layer.new_cache(config.head_dim);
+            let mut cache = layer.new_cache();
             let want = oracle_incremental(&layer, &weights, &hidden, &mut cache, method);
             assert_same_bits(
                 &format!("prefill/{name}"),
@@ -633,8 +620,8 @@ mod tests {
         // A 64-row chunk, then the 32-row serving chunk, then one decode
         // step, each on the cache the previous call left.
         let dense = FullAttention::new();
-        let mut cache = layer.new_cache(config.head_dim);
-        let mut oracle_cache = layer.new_cache(config.head_dim);
+        let mut cache = layer.new_cache();
+        let mut oracle_cache = layer.new_cache();
         for (start, end) in [(0, 64), (64, 96)] {
             let rows = hidden.slice_rows(start, end).unwrap();
             let got = layer.forward_incremental(&rows, &mut cache, &dense).unwrap();

@@ -2,7 +2,7 @@
 
 use sa_baselines::AttentionMethod;
 use sa_kernels::CostReport;
-use sa_tensor::{DeterministicRng, Matrix, TensorError};
+use sa_tensor::{CancelToken, DeterministicRng, Matrix, TensorError};
 
 use crate::{AttentionLayer, ModelConfig, Readout, TokenEmbedder};
 
@@ -134,42 +134,25 @@ impl SyntheticTransformer {
             .collect()
     }
 
-    /// Runs prefill with `method` substituted into every attention head.
+    /// Runs prefill with `method` substituted into every attention head:
+    /// the whole prompt as one chunk of
+    /// [`ChunkedPrefill`](crate::ChunkedPrefill), the path decoding and
+    /// serving run, its KV caches dropped.
     ///
     /// # Errors
     ///
-    /// Propagates tensor/kernel errors (e.g. token ids outside the
-    /// vocabulary panic in the embedder; genuine shape errors surface
-    /// here).
+    /// Returns [`TensorError::InvalidDimension`] for an empty prompt,
+    /// [`TensorError::IndexOutOfBounds`] for a token outside the
+    /// vocabulary, or propagates kernel errors.
     pub fn prefill(
         &self,
         tokens: &[u32],
         method: &dyn AttentionMethod,
     ) -> Result<PrefillResult, TensorError> {
-        let _span = sa_trace::span_in("model", "prefill");
-        let mut hidden = self.embedder.embed(tokens);
-        let mut layer_inputs = Vec::with_capacity(self.layers.len());
-        let mut head_contents = Vec::new();
-        let mut head_reports = Vec::new();
-        let mut total_cost = CostReport::new();
-        for layer in &self.layers {
-            let _layer_span = sa_trace::span_labeled("model", "layer", || {
-                format!("L{}", layer.layer_index())
-            });
-            layer_inputs.push(hidden.clone());
-            let out = layer.forward_prefill(&hidden, method)?;
-            hidden = out.hidden;
-            head_contents.extend(out.head_contents);
-            head_reports.extend(out.head_reports);
-            total_cost.merge(&out.cost);
-        }
-        Ok(PrefillResult {
-            hidden,
-            layer_inputs,
-            head_contents,
-            head_reports,
-            total_cost,
-        })
+        let mut run = self.start_prefill(tokens, tokens.len().max(1))?;
+        run.keep_caches = false;
+        let (result, _) = run.run_to_end(method, &CancelToken::new())?;
+        Ok(result)
     }
 
     /// Decodes the model's answer at sequence position `pos`: the nearest
@@ -355,33 +338,44 @@ mod tests {
 
     #[test]
     fn traced_prefill_emits_model_span_hierarchy() {
-        let _session = sa_trace::scoped();
         let model = SyntheticTransformer::new(ModelConfig::tiny(21)).unwrap();
-        let tokens = model.tokenize_filler(64);
+        let tokens = model.tokenize_filler(100);
+        let layers = model.config().num_layers;
+        // A whole prompt is one chunk; in chunks of 32 it is four, and
+        // each chunk passes every layer.
+        for (chunk, chunks) in [(100, 1), (32, 4)] {
+            let _session = sa_trace::scoped();
+            model
+                .prefill_chunked(&tokens, chunk, &SampleAttentionMethod::paper_default())
+                .unwrap();
+            let events = sa_trace::drain();
+            let count = |name: &str, label: Option<&str>| {
+                events
+                    .iter()
+                    .filter(|e| e.cat == "model" && e.name == name)
+                    .filter(|e| label.is_none() || e.label.as_deref() == label)
+                    .count()
+            };
+            assert_eq!(count("prefill", None), 1);
+            assert_eq!(count("layer", None), chunks * layers);
+            for l in 0..layers {
+                assert_eq!(count("layer", Some(&format!("L{l}"))), chunks, "L{l}");
+            }
+            assert_eq!(count("head", None), chunks * layers * model.config().num_heads);
+            // Head spans carry their layer/head label.
+            assert_eq!(count("head", Some("L0.H0")), chunks);
+            // The stage spans from sa-core nest under the model spans; a
+            // 32-row chunk lies in the bottom area and discovers nothing.
+            let sampled = events.iter().any(|e| e.cat == "core" && e.name == "stage1_sampling");
+            assert_eq!(sampled, chunk > 32);
+        }
+        let _session = sa_trace::scoped();
         model
             .prefill(&tokens, &SampleAttentionMethod::paper_default())
             .unwrap();
         let events = sa_trace::drain();
-        let count = |name: &str| {
-            events
-                .iter()
-                .filter(|e| e.cat == "model" && e.name == name)
-                .count()
-        };
-        assert_eq!(count("prefill"), 1);
-        assert_eq!(count("layer"), model.config().num_layers);
-        assert_eq!(
-            count("head"),
-            model.config().num_layers * model.config().num_heads
-        );
-        // Head spans carry their layer/head label.
-        assert!(events
-            .iter()
-            .any(|e| e.name == "head" && e.label.as_deref() == Some("L0.H0")));
-        // The stage spans from sa-core nest under the model spans.
-        assert!(events
-            .iter()
-            .any(|e| e.cat == "core" && e.name == "stage1_sampling"));
+        let count = |name: &str| events.iter().filter(|e| e.cat == "model" && e.name == name).count();
+        assert_eq!((count("prefill"), count("layer")), (1, layers));
     }
 
     #[test]

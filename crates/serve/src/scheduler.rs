@@ -60,7 +60,7 @@ use sa_model::{
     SyntheticTransformer,
 };
 use sa_tensor::fault::FaultPlan;
-use sa_tensor::{cancel, fault, pool, CancelToken, SaError, TensorError};
+use sa_tensor::{fault, pool, CancelToken, SaError, TensorError};
 use sa_trace::metrics;
 
 /// The scheduler: a synthetic-transformer serving stack with admission
@@ -586,19 +586,9 @@ impl Scheduler {
                 Ok(()) => (Ok(false), Some(snapshot)),
             };
         }
-        // Clean attempt: advance the remaining chunks under cooperative
-        // cancellation (the scoped install makes the token visible to
-        // pool-level chunk boundaries too, like `prefill_chunked_with`).
-        let _cancel_scope = cancel::install(token);
-        while !run.is_done() {
-            if let Err(e) = token.check("prefill_chunked", run.chunks_done(), run.total_chunks()) {
-                return (Err(e), None);
-            }
-            if let Err(e) = run.advance_chunk(method.as_ref()) {
-                return (Err(e), None);
-            }
-        }
-        match run.finish() {
+        // Clean attempt: the remaining chunks under cooperative
+        // cancellation.
+        match run.run_to_end(method.as_ref(), token) {
             Ok((result, _caches)) => (Ok(result.heads_alpha_unsatisfied() == 0), None),
             Err(e) => (Err(e), None),
         }
@@ -766,12 +756,8 @@ impl Scheduler {
         let tokens = self.model.tokenize_filler(req.seq_len);
         match req.kind {
             RequestKind::Prefill => {
-                let (result, _caches) = self.model.prefill_chunked_with(
-                    &tokens,
-                    self.cfg.chunk_size.max(1),
-                    method.as_ref(),
-                    token,
-                )?;
+                let run = self.model.start_prefill(&tokens, self.cfg.chunk_size.max(1))?;
+                let (result, _caches) = run.run_to_end(method.as_ref(), token)?;
                 Ok(result.heads_alpha_unsatisfied() == 0)
             }
             RequestKind::Decode => {

@@ -71,7 +71,7 @@ pub use fma::{fma, mul_add};
 pub use isa::{isa_name, Isa, IsaBuild};
 pub use matrix::Matrix;
 pub use matmul::{matmul, matmul_transb, matvec, GEMM_BLOCK};
-pub use packed::{matmul_packed, matmul_packed_cols, PackedWeights};
+pub use packed::{matmul_packed, matmul_packed_cols, matmul_packed_pair, PackedWeights};
 pub use reduce::{
     col_mean, col_sum, row_l1_norms, row_max, row_min, row_sum, scale_rows_in_place,
 };

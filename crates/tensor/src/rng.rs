@@ -73,11 +73,6 @@ impl DeterministicRng {
         r * theta.cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std_dev: f32) -> f32 {
-        mean + std_dev * self.normal()
-    }
-
     /// Bernoulli trial with probability `p` of `true`.
     pub fn chance(&mut self, p: f32) -> bool {
         self.uniform() < p

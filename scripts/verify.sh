@@ -506,4 +506,14 @@ test -s "$smoke_out/tile_kernel.json" || {
 echo "==> smoke: quickstart example"
 cargo run -q --release --offline --example quickstart
 
+echo "==> smoke: chunked_serving example (dense chunked prefill is the whole prompt's bits)"
+# Under dense attention every chunk size gives the one-chunk prefill's
+# bits, so each `max |Δhidden|` line must read exactly zero.
+chunked=$(cargo run -q --release --offline --example chunked_serving)
+echo "$chunked"
+echo "$chunked" | awk '
+    /max \|Δhidden\|/ { lines++; if ($NF != "0.00e0") { print "nonzero drift: " $0; bad = 1 } }
+    END { if (lines != 3) { print "expected 3 dense chunk lines, got " lines + 0; bad = 1 } exit bad }
+'
+
 echo "verify: OK"
