@@ -159,22 +159,6 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
     Ok(out)
 }
 
-/// Computes the matrix-vector product `A * x`.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `A.cols() != x.len()`.
-pub fn matvec(a: &Matrix, x: &[f32]) -> Result<Vec<f32>, TensorError> {
-    if a.cols() != x.len() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matvec",
-            lhs: a.shape(),
-            rhs: (x.len(), 1),
-        });
-    }
-    Ok((0..a.rows()).map(|i| dot(a.row(i), x)).collect())
-}
-
 /// Dot product of two equal-length slices (4-way unrolled).
 #[inline]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -267,19 +251,6 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         assert!(matmul_transb(&a, &b).is_err());
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_fn(3, 4, |i, j| (i + j) as f32);
-        let x = vec![1.0, -1.0, 0.5, 2.0];
-        let got = matvec(&a, &x).unwrap();
-        let xm = Matrix::from_vec(4, 1, x).unwrap();
-        let want = matmul(&a, &xm).unwrap();
-        for (g, w) in got.iter().zip(want.as_slice()) {
-            assert!((g - w).abs() < 1e-6);
-        }
-        assert!(matvec(&a, &[1.0]).is_err());
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Packed weights: the one layout the projection GEMM reads.
 //!
 //! A weight matrix `B (k x n)` is stored once, at model build, as column
-//! panels of [`LANES`] lanes: panel `p` holds `bt[kk][t] = B[kk][p *
-//! LANES + t]`, zero where a lane has no column. An output element is
-//! then `acc[t] = fma(a[kk], bt[kk][t], acc[t])` over `kk` in index order
-//! from `0.0` — the fused products [`matmul`](crate::matmul) sums, in its
+//! panels of [`LANES`] lanes, the engine's key-panel width: panel `p`
+//! holds `bt[kk][t] = B[kk][p * LANES + t]`, zero where a lane has no
+//! column, and starts on a cache line. An output element is then
+//! `acc[t] = fma(a[kk], bt[kk][t], acc[t])` over `kk` in index order from
+//! `0.0` — the fused products [`matmul`](crate::matmul) sums, in its
 //! order — while neighbouring lanes and rows are independent, so a few
-//! rows by one panel sit in vector registers for the whole `kk` loop and
-//! plain Rust autovectorises across `t`.
+//! rows by a slice of a panel sit in vector registers for the whole `kk`
+//! loop and plain Rust autovectorises across `t`. It is the score panel's
+//! shape: under AVX-512, four rows by a whole panel are 16 accumulator
+//! registers, and every FMA of a `kk` step is independent of the others.
 //!
 //! As for the engine's inner loops (see [`Isa`]), the arithmetic keeps
 //! the bits, not the instruction set: one fused multiply-add per product,
@@ -28,18 +31,20 @@
 
 use std::ops::Range;
 
-use crate::{mul_add, pool, Isa, IsaBuild, Matrix, TensorError, GEMM_BLOCK};
+use crate::{mul_add, pool, AlignedBuf, Isa, IsaBuild, Matrix, TensorError, GEMM_BLOCK};
 
-/// Columns per weight panel: one row of a panel is one AVX-512 register,
-/// two AVX2 ones, four at baseline x86-64.
-const LANES: usize = 16;
+/// Columns per weight panel, as many as a key panel has lanes: one row of
+/// a panel is four AVX-512 registers (a cache line each), eight AVX2 ones,
+/// sixteen at baseline x86-64, and a 64-wide projection is one panel.
+const LANES: usize = 64;
 
 /// A `k x n` weight matrix — or several with the same `k`, side by side —
 /// in the panel layout [`matmul_packed`] reads. All entries are finite.
 #[derive(Debug, Clone)]
 pub struct PackedWeights {
-    /// `cols.div_ceil(LANES)` panels of `rows * LANES` floats.
-    data: Vec<f32>,
+    /// `cols.div_ceil(LANES)` panels of `rows * LANES` floats, from a
+    /// cache line.
+    data: AlignedBuf,
     rows: usize,
     cols: usize,
 }
@@ -78,12 +83,13 @@ impl PackedWeights {
             });
         }
         let stride = rows * LANES;
-        let mut data = vec![0.0f32; cols.div_ceil(LANES) * stride];
+        let mut data = AlignedBuf::zeros(cols.div_ceil(LANES) * stride);
+        let panels = data.as_mut_slice();
         let mut col0 = 0;
         for b in parts {
             for kk in 0..rows {
                 for (j, &x) in (col0..).zip(b.row(kk)) {
-                    data[j / LANES * stride + kk * LANES + j % LANES] = x;
+                    panels[j / LANES * stride + kk * LANES + j % LANES] = x;
                 }
             }
             col0 += b.cols();
@@ -226,62 +232,65 @@ fn gemm_rows(isa: Isa, a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &m
 }
 
 /// The GEMM compiled for the target's baseline instruction set: two rows
-/// of a panel are eight of baseline x86-64's 16 vector registers, each
+/// of 16 lanes are eight of baseline x86-64's 16 vector registers, each
 /// product through the exact emulation of a fused multiply-add.
 fn gemm_rows_baseline(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<2, false>(a, w, cols, out);
+    gemm_rows_body::<2, 16, false>(a, w, cols, out);
 }
 
 /// The GEMM compiled with AVX2 and FMA: the same fused products per lane,
-/// eight lanes to a register, four rows of a panel in eight registers.
+/// eight lanes to a register, four rows of 16 lanes in eight of the 16
+/// registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn gemm_rows_avx2(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<4, true>(a, w, cols, out);
+    gemm_rows_body::<4, 16, true>(a, w, cols, out);
 }
 
 /// The GEMM compiled with AVX-512F: the same fused products per lane,
-/// sixteen lanes to a register, eight rows of a panel in eight of the 32
-/// registers.
+/// sixteen lanes to a register, four rows of a whole panel in sixteen of
+/// the 32 registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma,avx512f")]
 fn gemm_rows_avx512(a: &[f32], w: &PackedWeights, cols: Range<usize>, out: &mut [f32]) {
-    gemm_rows_body::<8, true>(a, w, cols, out);
+    gemm_rows_body::<4, LANES, true>(a, w, cols, out);
 }
 
-/// The one body of the GEMM: per [`GEMM_BLOCK`]-row block and panel,
-/// `R x LANES` register tiles (single rows for what `R` does not
-/// divide). `R` only groups independent rows; it cannot change a bit.
-/// `FUSED` as in [`mul_add`].
+/// The one body of the GEMM: per [`GEMM_BLOCK`]-row block and `L`-lane
+/// slice of a panel, `R x L` register tiles (single rows for what `R` does
+/// not divide). `R` and `L` only group independent rows and lanes; they
+/// cannot change a bit. `FUSED` as in [`mul_add`].
 #[inline(always)]
-fn gemm_rows_body<const R: usize, const FUSED: bool>(
+fn gemm_rows_body<const R: usize, const L: usize, const FUSED: bool>(
     a: &[f32],
     w: &PackedWeights,
     cols: Range<usize>,
     out: &mut [f32],
 ) {
+    const { assert!(LANES.is_multiple_of(L)) };
     let k = w.rows;
     let width = cols.len();
+    let data = w.data.as_slice();
     for (a_block, out_block) in a
         .chunks(GEMM_BLOCK * k)
         .zip(out.chunks_mut(GEMM_BLOCK * width))
     {
-        for p in cols.start / LANES..cols.end.div_ceil(LANES) {
-            let bt = &w.data[p * k * LANES..][..k * LANES];
-            // The panel's lanes inside `cols`, and where they land in an
+        // Slice `s` holds the packed columns `s * L..(s + 1) * L`.
+        for s in cols.start / L..cols.end.div_ceil(L) {
+            let p = s * L / LANES;
+            let bt = &data[p * k * LANES..][..k * LANES];
+            let offset = s * L - p * LANES;
+            // The slice's lanes inside `cols`, and where they land in an
             // output row.
-            let lane0 = cols.start.max(p * LANES) - p * LANES;
-            let lane1 = cols.end.min((p + 1) * LANES) - p * LANES;
-            let at = p * LANES + lane0 - cols.start;
-            let store = |out_row: &mut [f32], acc_row: &[f32; LANES]| {
-                out_row[at..][..lane1 - lane0].copy_from_slice(&acc_row[lane0..lane1]);
-            };
+            let lanes = cols.start.max(s * L) - s * L..cols.end.min((s + 1) * L) - s * L;
+            let at = s * L + lanes.start - cols.start;
             let mut a_tiles = a_block.chunks_exact(R * k);
             let mut out_tiles = out_block.chunks_exact_mut(R * width);
             for (a_tile, out_tile) in (&mut a_tiles).zip(&mut out_tiles) {
-                let acc = tile::<R, FUSED>(std::array::from_fn(|r| &a_tile[r * k..][..k]), bt);
+                let acc =
+                    tile::<R, L, FUSED>(std::array::from_fn(|r| &a_tile[r * k..][..k]), bt, offset);
                 for (out_row, acc_row) in out_tile.chunks_exact_mut(width).zip(&acc) {
-                    store(out_row, acc_row);
+                    store(out_row, at, acc_row, lanes.clone());
                 }
             }
             for (a_row, out_row) in a_tiles
@@ -289,29 +298,43 @@ fn gemm_rows_body<const R: usize, const FUSED: bool>(
                 .chunks_exact(k)
                 .zip(out_tiles.into_remainder().chunks_exact_mut(width))
             {
-                let [acc] = tile::<1, FUSED>([a_row], bt);
-                store(out_row, &acc);
+                let [acc] = tile::<1, L, FUSED>([a_row], bt, offset);
+                store(out_row, at, &acc, lanes.clone());
             }
         }
     }
 }
 
-/// `R` rows against one panel: `acc[r][t] = fma(a[r][kk], bt[kk][t],
-/// acc[r][t])` in `kk` order from `0.0`. Constant-bound index loops over rows cut to `k`
-/// up front are the form that keeps `acc` in registers: the iterator
-/// spelling of the same loops compiles to scalar code at `R = 4`.
+/// Writes the accumulators `lanes` of a tile row to `out_row` from `at`.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)]
-fn tile<const R: usize, const FUSED: bool>(a: [&[f32]; R], bt: &[f32]) -> [[f32; LANES]; R] {
+fn store<const L: usize>(out_row: &mut [f32], at: usize, acc_row: &[f32; L], lanes: Range<usize>) {
+    out_row[at..][..lanes.len()].copy_from_slice(&acc_row[lanes]);
+}
+
+/// `R` rows against the lanes `offset..offset + L` of one panel:
+/// `acc[r][t] = fma(a[r][kk], bt[kk][t], acc[r][t])` in `kk` order from
+/// `0.0`. The panel row's lanes are copied once per `kk` for all `R` rows
+/// (read through the slice, each row's FMA took a load of its own), and
+/// `kk` walks the panel with `chunks_exact`, so every accumulator stays in
+/// a register and the panel side holds no bounds check. One compare per
+/// step is left, the `a` rows' (LLVM does not tie `kk` to the chunk
+/// count): a fused compare-and-branch that is never taken.
+#[inline(always)]
+fn tile<const R: usize, const L: usize, const FUSED: bool>(
+    a: [&[f32]; R],
+    bt: &[f32],
+    offset: usize,
+) -> [[f32; L]; R] {
     let k = bt.len() / LANES;
-    let a: [&[f32]; R] = std::array::from_fn(|r| &a[r][..k]);
-    let mut acc = [[0.0f32; LANES]; R];
-    for kk in 0..k {
-        let b = &bt[kk * LANES..][..LANES];
-        for r in 0..R {
-            let x = a[r][kk];
-            for t in 0..LANES {
-                acc[r][t] = mul_add::<FUSED>(x, b[t], acc[r][t]);
+    let a = a.map(|row| &row[..k]);
+    let mut acc = [[0.0f32; L]; R];
+    for (kk, b) in bt.chunks_exact(LANES).enumerate() {
+        let mut lanes = [0.0f32; L];
+        lanes.copy_from_slice(&b[offset..][..L]);
+        for (acc_row, a_row) in acc.iter_mut().zip(&a) {
+            let x = a_row[kk];
+            for (s, &y) in acc_row.iter_mut().zip(&lanes) {
+                *s = mul_add::<FUSED>(x, y, *s);
             }
         }
     }
@@ -376,10 +399,13 @@ mod tests {
     #[test]
     fn packed_gemm_equals_scalar_matmul_bitwise() {
         let mut rng = DeterministicRng::new(0x9ac4);
-        // 8, 9, 17: one and two whole AVX-512 row tiles, and a tail.
-        for m in [1, 3, 4, 5, 8, 9, 17, 63, 64, 65] {
+        // 4, 5, 8, 9: one and two whole four-row tiles, and a tail; 31,
+        // 32, 33: a serving chunk, and one row either side of it.
+        for m in [1, 2, 3, 4, 5, 8, 9, 17, 31, 32, 33, 63, 64, 65] {
             for k in [1, 108, 216] {
-                for n in [1, 15, 16, 17, 64, 108, 216] {
+                // Panel edges at 16 lanes (an AVX2 or baseline slice) and
+                // at 64 (a panel), and the gate|up width, seven panels.
+                for n in [1, 15, 16, 17, 63, 64, 65, 108, 127, 128, 129, 216, 432] {
                     let a = input(&mut rng, m, k);
                     let b = rng.normal_matrix(k, n, 1.0);
                     assert_matches_oracle(&a, &b);
@@ -423,59 +449,75 @@ mod tests {
     fn fused_parts_equal_each_part_alone() {
         let mut rng = DeterministicRng::new(11);
         let k = 37;
-        let parts: Vec<Matrix> = [15, 17, 64, 1, 16]
+        let parts: Vec<Matrix> = [15, 17, 64, 1, 16, 100]
             .iter()
             .map(|&n| rng.normal_matrix(k, n, 1.0))
             .collect();
         let refs: Vec<&Matrix> = parts.iter().collect();
         let fused = PackedWeights::pack(&refs).unwrap();
-        assert_eq!((fused.rows(), fused.cols()), (k, 113));
+        assert_eq!((fused.rows(), fused.cols()), (k, 213));
+        // The parts side by side, unpacked: the oracle for any range.
+        let col_part: Vec<(usize, usize)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, b)| (0..b.cols()).map(move |j| (i, j)))
+            .collect();
+        let side_by_side = Matrix::from_fn(k, fused.cols(), |kk, c| {
+            let (i, j) = col_part[c];
+            parts[i].get(kk, j)
+        });
         for m in [1, 5, 70] {
             let a = input(&mut rng, m, k);
+            let oracle = matmul(&a, &side_by_side).unwrap();
+            let want = |cols: &Range<usize>| -> Vec<u32> {
+                (0..m)
+                    .flat_map(|i| oracle.row(i)[cols.clone()].to_vec())
+                    .map(|x| x.to_bits())
+                    .collect()
+            };
             for isa in Isa::every() {
-                let whole = packed_product(isa, &a, &fused, 0..fused.cols());
-                let mut col0 = 0;
-                for b in &parts {
-                    let cols = col0..col0 + b.cols();
-                    let want = matmul(&a, b).unwrap();
-                    let alone = packed_product(isa, &a, &fused, cols.clone());
-                    assert_eq!(
-                        bits(&alone),
-                        bits(&want),
-                        "part at {cols:?} on {}",
-                        isa.name()
-                    );
-                    for i in 0..m {
-                        let fused_row: Vec<u32> = whole.row(i)[cols.clone()]
-                            .iter()
-                            .map(|x| x.to_bits())
-                            .collect();
-                        let want_row: Vec<u32> = want.row(i).iter().map(|x| x.to_bits()).collect();
+                for threads in [1, 3] {
+                    let at = |cols: Range<usize>| {
+                        with_threads(threads, || packed_product(isa, &a, &fused, cols))
+                    };
+                    let whole = at(0..fused.cols());
+                    assert_eq!(bits(&whole), want(&(0..fused.cols())));
+                    let mut col0 = 0;
+                    for b in &parts {
+                        let cols = col0..col0 + b.cols();
+                        let alone = at(cols.clone());
                         assert_eq!(
-                            fused_row, want_row,
-                            "row {i} of the fused product at {cols:?}"
+                            bits(&alone),
+                            bits(&matmul(&a, b).unwrap()),
+                            "part at {cols:?} on {} at {threads} threads",
+                            isa.name()
+                        );
+                        col0 = cols.end;
+                    }
+                    // Runs that start and end off a 16-lane slice edge, or
+                    // inside a 64-lane panel and cross into the next one.
+                    for cols in [15..97, 60..70, 100..200, 127..129, 200..213] {
+                        assert_eq!(
+                            bits(&at(cols.clone())),
+                            want(&cols),
+                            "run {cols:?} on {} at {threads} threads",
+                            isa.name()
                         );
                     }
-                    col0 = cols.end;
-                }
-                // Two parts from one pass, and an empty one.
-                for (l, r) in [(15..32, 32..96), (96..113, 0..15), (0..0, 32..96)] {
-                    let [got_l, got_r] = with_threads(3, || {
-                        packed_products(isa, &a, &fused, [l.clone(), r.clone()]).unwrap()
-                    });
-                    assert_eq!(bits(&got_l), bits(&packed_product(isa, &a, &fused, l)));
-                    assert_eq!(bits(&got_r), bits(&packed_product(isa, &a, &fused, r)));
-                }
-                // A run of parts that starts and ends off a panel edge.
-                let run = packed_product(isa, &a, &fused, 15..97);
-                for i in 0..m {
-                    assert_eq!(
-                        run.row(i).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        whole.row(i)[15..97]
-                            .iter()
-                            .map(|x| x.to_bits())
-                            .collect::<Vec<_>>()
-                    );
+                    // Two ranges from one pass, and an empty one.
+                    for (l, r) in [
+                        (15..32, 32..96),
+                        (96..113, 0..15),
+                        (0..0, 32..96),
+                        (60..70, 100..200),
+                        (128..213, 0..64),
+                    ] {
+                        let [got_l, got_r] = with_threads(threads, || {
+                            packed_products(isa, &a, &fused, [l.clone(), r.clone()]).unwrap()
+                        });
+                        assert_eq!(bits(&got_l), want(&l), "left {l:?} on {}", isa.name());
+                        assert_eq!(bits(&got_r), want(&r), "right {r:?} on {}", isa.name());
+                    }
                 }
             }
         }

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, no libm expf or fmaf)"
+echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, 16 zmm FMAs in the AVX-512 GEMM, no libm expf or fmaf)"
 # The score panel, the row fold, the tile fold, the row softmax, the
 # packed-weight GEMM and the non-finite count are each one body compiled
 # for the baseline ISA, for
@@ -26,7 +26,11 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop a
 # multiply and an add, which rounds twice), the row softmax has no
 # product and must issue none (one there is a contraction), and a wide
 # build is only worth dispatching to while it really is 8 or 16 lanes
-# wide. The score panel is generic over its row count and the row fold
+# wide. The AVX-512 GEMM must hold at least 16 zmm FMAs, its four rows by
+# a whole 64-lane panel: a tile that fell back to fewer accumulator chains
+# (the 8-row x 16-lane tile held 9) or to scalar code fails here, and no
+# test would notice, since the bits are the same. The score panel is
+# generic over its row count and the row fold
 # over the caller's closure, so each is compiled where it is called:
 # sa-kernels holds the engine's instantiations of both (the panel for
 # one, two and four query rows), sa-core stage 1's panel for one, two
@@ -64,6 +68,7 @@ else
             next
         }
         /vfn?m(add|sub)/ { if (sym in fused) fused[sym]++ }
+        /vfn?m(add|sub).*%zmm/ { if (sym in fused) zfused[sym]++ }
         /%ymm/ { if (sym in wide && sym ~ /_avx2>/) wide[sym]++ }
         /%zmm/ { if (sym in wide && sym ~ /_avx512>/) wide[sym]++ }
         END {
@@ -81,6 +86,10 @@ else
                 }
                 if (!unfused && fused[s] == 0) {
                     print "no FMA instruction in " s
+                    bad = 1
+                }
+                if (loop(s) == "gemm_rows" && build == "avx512" && zfused[s] < 16) {
+                    print zfused[s] + 0 " zmm FMA instructions in " s ", fewer than the 4-row x 4-register tile holds"
                     bad = 1
                 }
             }
