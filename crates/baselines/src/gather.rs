@@ -66,7 +66,7 @@ pub(crate) fn gathered_attention(
                 }
                 if let Some(&bad) = indices.iter().find(|&&j| j >= s_k) {
                     let mut slot = first_error.lock().expect("error slot poisoned");
-                    if slot.map_or(true, |(row, _)| i < row) {
+                    if slot.is_none_or(|(row, _)| i < row) {
                         *slot = Some((i, bad));
                     }
                     continue;

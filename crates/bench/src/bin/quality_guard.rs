@@ -261,7 +261,7 @@ fn main() {
         "{}",
         render_table(
             &["requests", "waves", "canaries", "false_trips", "floor_sheds", "cert_goodput"],
-            &clean_rows.drain(..).collect::<Vec<_>>()
+            &std::mem::take(&mut clean_rows)
         )
     );
 

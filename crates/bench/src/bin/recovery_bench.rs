@@ -172,7 +172,7 @@ fn main() {
         let requests = fault_storm_workload(seed, n);
         let offered: u64 = requests
             .iter()
-            .map(|r| (r.seq_len + r.new_tokens as usize) as u64)
+            .map(|r| (r.seq_len + r.new_tokens) as u64)
             .sum();
 
         let (recovered, rec_resume, served_resume, goodput_resume) =

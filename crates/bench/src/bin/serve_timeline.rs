@@ -408,7 +408,7 @@ fn main() {
             let process = ArrivalProcess {
                 seed: args.seed ^ (rate * 16.0) as u64,
                 rate_per_sec: rate,
-                shape: shape.clone(),
+                shape,
             };
             let requests = open_loop_workload(args.seed, &process, duration_ms, tenants);
             let (cont_plans, cont_log) = plan_continuous_with_events(&cfg, &requests);
@@ -438,7 +438,7 @@ fn main() {
             ]);
             let n_events = cont_log.events.len() as u64;
             sweep_postmortems.extend(cont_log.postmortems.iter().cloned());
-            if richest.as_ref().map_or(true, |(n, _, _)| n_events > *n) {
+            if richest.as_ref().is_none_or(|(n, _, _)| n_events > *n) {
                 richest = Some((n_events, cont_log, requests.clone()));
             }
             points.push(TimelinePoint {

@@ -124,7 +124,7 @@ fn main() {
             let process = ArrivalProcess {
                 seed: args.seed ^ (rate * 16.0) as u64,
                 rate_per_sec: rate,
-                shape: shape.clone(),
+                shape,
             };
             let requests = open_loop_workload(args.seed, &process, duration_ms, tenants);
             let cont_plans = plan_continuous(&cfg, &requests);

@@ -96,16 +96,16 @@ fn time_paired(
     mut a: impl FnMut(),
     mut b: impl FnMut(),
 ) -> (Vec<Duration>, Vec<Duration>) {
-    black_box(a());
-    black_box(b());
+    a();
+    b();
     let mut ta = Vec::with_capacity(trials);
     let mut tb = Vec::with_capacity(trials);
     for _ in 0..trials {
         let t = Instant::now();
-        black_box(a());
+        a();
         ta.push(t.elapsed());
         let t = Instant::now();
-        black_box(b());
+        b();
         tb.push(t.elapsed());
     }
     (ta, tb)

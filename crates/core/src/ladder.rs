@@ -283,7 +283,7 @@ mod tests {
         let mut report = DegradationReport::new(0.95);
         report.record(DegradationRung::WindowOnly, true, "served");
         assert!(!report.final_alpha_satisfied());
-        assert_eq!(report.attempts[0].alpha_satisfied, false);
+        assert!(!report.attempts[0].alpha_satisfied);
     }
 
     #[test]

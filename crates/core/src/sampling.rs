@@ -88,7 +88,7 @@ const SAMPLE_BATCH: usize = 64;
 /// normalisers [`softmax_rows_on`] advances together. A multiple of four,
 /// so that no four rows scored together are split.
 const ROW_GROUP: usize = 8;
-const _: () = assert!(ROW_GROUP % 4 == 0);
+const _: () = assert!(ROW_GROUP.is_multiple_of(4));
 
 /// [`sample_attention_scores`] on keys whose panels the caller already
 /// holds. Sampled rows are scored four at a time with the engine's panel

@@ -91,14 +91,14 @@ pub fn structured_sparsity_degree(p: &Matrix, alpha: f32, window: usize) -> (f64
     let mut col_mass = vec![0.0f64; s_k];
     // Per-row window mass (already-covered fraction).
     let mut row_window_mass = vec![0.0f32; s_q];
-    for i in 0..s_q {
+    for (i, window_mass) in row_window_mass.iter_mut().enumerate() {
         let row = p.row(i);
         let visible = causal_width(i, s_q, s_k);
         if visible == 0 {
             continue;
         }
         let win_start = visible.saturating_sub(window);
-        row_window_mass[i] = row[win_start..visible].iter().sum();
+        *window_mass = row[win_start..visible].iter().sum();
         for (j, &v) in row[..win_start].iter().enumerate() {
             col_mass[j] += v as f64;
         }
@@ -133,11 +133,11 @@ pub fn structured_sparsity_degree(p: &Matrix, alpha: f32, window: usize) -> (f64
             break;
         }
         chosen.push(j);
-        for i in 0..s_q {
+        for (i, mass) in row_mass.iter_mut().enumerate() {
             let visible = causal_width(i, s_q, s_k);
             let win_start = visible.saturating_sub(window);
             if j < win_start {
-                row_mass[i] += p.get(i, j);
+                *mass += p.get(i, j);
             }
         }
         current = worst(&row_mass, p);

@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(from_str::<i64>(&to_string(&-42i64)).unwrap(), -42);
         assert_eq!(from_str::<f32>(&to_string(&0.1f32)).unwrap(), 0.1f32);
         assert_eq!(from_str::<f64>(&to_string(&0.1f64)).unwrap(), 0.1f64);
-        assert_eq!(from_str::<bool>("true").unwrap(), true);
+        assert!(from_str::<bool>("true").unwrap());
         assert_eq!(from_str::<String>("\"x\"").unwrap(), "x");
     }
 

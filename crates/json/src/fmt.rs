@@ -49,7 +49,7 @@ fn write_seq<T>(
     for (i, item) in items.enumerate() {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (level + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (level + 1)));
         }
         write_item(item, out);
         if i + 1 < n {
@@ -59,7 +59,7 @@ fn write_seq<T>(
     if n > 0 {
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * level));
+            out.extend(std::iter::repeat_n(' ', w * level));
         }
     }
     out.push(brackets.1);

@@ -109,7 +109,10 @@ impl RopeTable {
                 what: format!("rotary_dims must be even, got {rotary_dims}"),
             });
         }
-        if rotary_dims > 0 && (!(config.scaling > 0.0) || !(config.base > 0.0)) {
+        // Negated on purpose: a NaN base or scaling is rejected too.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let invalid = !(config.scaling > 0.0) || !(config.base > 0.0);
+        if rotary_dims > 0 && invalid {
             return Err(TensorError::InvalidDimension {
                 op: "apply_rope_partial",
                 what: format!(

@@ -141,8 +141,8 @@ pub struct HeadProjections {
 ///
 /// The weights are packed once, here, side by side as
 /// `[wq_0 | … | wq_{n-1} | wk | wv]`: every projection of the group is a
-/// column range of one [`PackedWeights`], and ranges that share an input
-/// (K and V) come out of one GEMM call.
+/// column range of one [`PackedWeights`], and the group's query heads, K
+/// and V, which share an input, come out of one GEMM call.
 #[derive(Debug, Clone)]
 pub struct GroupProjections {
     packed: PackedWeights,
@@ -152,7 +152,7 @@ pub struct GroupProjections {
 
 impl GroupProjections {
     /// All of the group's projections in the layout
-    /// [`sa_tensor::matmul_packed_cols`] reads.
+    /// [`sa_tensor::matmul_packed_parts`] reads.
     pub fn packed(&self) -> &PackedWeights {
         &self.packed
     }

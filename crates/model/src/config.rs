@@ -2,7 +2,7 @@ use sa_kernels::rope::RopeConfig;
 use sa_tensor::TensorError;
 
 /// Which published backbone a config mirrors (controls head-archetype
-/// mix, RoPE scaling, and the geometry the perf model reports).
+/// mix and RoPE scaling).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelPreset {
     /// ChatGLM2-6B-like: 96K context via continued training, 28 layers ×
@@ -19,16 +19,6 @@ sa_json::impl_json_enum!(ModelPreset {
 });
 
 impl ModelPreset {
-    /// Full-scale geometry `(layers, q_heads, kv_heads, head_dim)` of the
-    /// real backbone — used by `sa-perf` for latency reproduction, not by
-    /// the CPU model.
-    pub fn full_scale_geometry(&self) -> (usize, usize, usize, usize) {
-        match self {
-            ModelPreset::ChatGlm2Like => (28, 32, 2, 128),
-            ModelPreset::InternLm2Like => (32, 32, 8, 128),
-        }
-    }
-
     /// RoPE configuration: InternLM2 extrapolates with linear scaling.
     pub fn rope(&self) -> RopeConfig {
         match self {
@@ -253,9 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn full_scale_geometries() {
-        assert_eq!(ModelPreset::ChatGlm2Like.full_scale_geometry(), (28, 32, 2, 128));
-        assert_eq!(ModelPreset::InternLm2Like.full_scale_geometry(), (32, 32, 8, 128));
+    fn internlm2_scales_rope_linearly() {
         assert_eq!(ModelPreset::InternLm2Like.rope().scaling, 2.0);
     }
 

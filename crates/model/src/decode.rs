@@ -492,23 +492,25 @@ impl<'m> DecodeSession<'m> {
         let num_heads = self.model.config().num_heads;
         let track = self.eviction.budget > 0;
         for (l, layer) in self.model.layers().iter().enumerate() {
-            let offset = self.caches[l].seen();
             if track {
                 // The new entry starts with zero accumulated mass.
                 for head_scores in &mut self.scores[l] {
                     head_scores.push(0.0);
                 }
             }
-            let (hidden, head_contents) = layer.forward_decode(&rows, &mut self.caches[l])?;
+            let (hidden, head_contents, q_blocks) = layer.forward_decode(&rows, &mut self.caches[l])?;
             if track {
-                for head in 0..num_heads {
-                    let q = layer.project_q(&rows, head, offset)?;
-                    let kv = layer.gqa().kv_head_for(head);
+                // Each head's query is a row of its group's block, in head
+                // order.
+                for (kv, q_block) in q_blocks.iter().enumerate() {
                     let (k_all, _) = self.caches[l].head(kv);
-                    let mut p = attention_scores_raw(&q, k_all, false)?;
-                    softmax_rows_in_place(&mut p);
-                    for (j, &m) in p.row(0).iter().enumerate() {
-                        self.scores[l][kv][j] += m as f64;
+                    for local in 0..q_block.rows() {
+                        let q = q_block.slice_rows(local, local + 1)?;
+                        let mut p = attention_scores_raw(&q, k_all, false)?;
+                        softmax_rows_in_place(&mut p);
+                        for (j, &m) in p.row(0).iter().enumerate() {
+                            self.scores[l][kv][j] += m as f64;
+                        }
                     }
                 }
                 for kv in 0..self.caches[l].num_kv_heads() {
@@ -694,6 +696,31 @@ mod tests {
         check(&resumed, "after a checkpoint round trip");
         resumed.step().unwrap();
         check(&resumed, "one step after the round trip");
+    }
+
+    #[test]
+    fn a_chunk_or_a_decode_step_projects_each_kv_group_with_one_gemm() {
+        // Per layer, a group's query heads, K and V come out of one packed
+        // GEMM call, and the MLP makes two (gate|up, then down).
+        let m = model();
+        let config = m.config();
+        let per_layer = config.num_kv_heads + 2;
+        let gemms = || {
+            sa_trace::drain()
+                .iter()
+                .filter(|e| e.cat == "pool" && e.name == "matmul_packed")
+                .count()
+        };
+        let tokens = m.tokenize_filler(100);
+        let _session = sa_trace::scoped();
+        m.prefill_chunked(&tokens, 32, &FullAttention::new()).unwrap();
+        assert_eq!(gemms(), 4 * config.num_layers * per_layer, "four 32-row chunks");
+        let mut session = m.begin_decode(&tokens, &FullAttention::new()).unwrap();
+        gemms();
+        for token in [5, 6, 7] {
+            session.push(token).unwrap();
+        }
+        assert_eq!(gemms(), 3 * config.num_layers * per_layer, "three decode steps");
     }
 
     #[test]

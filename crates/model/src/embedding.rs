@@ -70,7 +70,7 @@ impl TokenEmbedder {
 
     /// Builds the embedder's vocabulary from the model seed.
     pub fn new(config: ModelConfig) -> Self {
-        let mut rng = DeterministicRng::new(config.seed ^ 0x5eed_e4b);
+        let mut rng = DeterministicRng::new(config.seed ^ 0x05ee_de4b);
         let layout = VocabLayout::for_vocab(config.vocab_size);
         let mut vocab_content = Matrix::zeros(config.vocab_size, config.content_dim);
         let mut band_members: Vec<usize> = Vec::new();

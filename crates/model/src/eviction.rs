@@ -255,8 +255,8 @@ mod tests {
     #[test]
     fn no_eviction_below_budget() {
         let cfg = EvictionConfig::h2o(10);
-        assert!(cfg.keep_indices(10, &vec![0.0; 10]).unwrap().is_none());
-        assert!(cfg.keep_indices(5, &vec![0.0; 5]).unwrap().is_none());
+        assert!(cfg.keep_indices(10, &[0.0; 10]).unwrap().is_none());
+        assert!(cfg.keep_indices(5, &[0.0; 5]).unwrap().is_none());
         assert!(EvictionConfig::none()
             .keep_indices(100, &vec![0.0; 100])
             .unwrap()
@@ -283,7 +283,7 @@ mod tests {
             policy: EvictionPolicy::StreamingSinks { sinks: 2 },
             budget: 5,
         };
-        let keep = cfg.keep_indices(10, &vec![0.0; 10]).unwrap().unwrap();
+        let keep = cfg.keep_indices(10, &[0.0; 10]).unwrap().unwrap();
         assert_eq!(keep, vec![0, 1, 7, 8, 9]);
     }
 
@@ -292,7 +292,7 @@ mod tests {
         // Historically an assert!: a desynchronized score track must
         // surface as a typed error, not a panic.
         let cfg = EvictionConfig::h2o(4);
-        let err = cfg.keep_indices(10, &vec![0.0; 9]).unwrap_err();
+        let err = cfg.keep_indices(10, &[0.0; 9]).unwrap_err();
         match err {
             TensorError::InvalidDimension { op, what } => {
                 assert_eq!(op, "EvictionConfig::keep_indices");

@@ -1,11 +1,13 @@
 //! One transformer layer: GQA attention (pluggable method) + SwiGLU MLP
 //! on a residual stream.
 
+use std::ops::Range;
+
 use sa_baselines::{finish_heads, AttentionMethod, FullAttention};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{RopeConfig, RopeTable};
 use sa_kernels::{CostReport, PreparedKeys};
-use sa_tensor::{matmul_packed_cols, matmul_packed_pair, pool, DeterministicRng, Matrix, TensorError};
+use sa_tensor::{matmul_packed_parts, pool, DeterministicRng, Matrix, TensorError};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
 
@@ -133,8 +135,11 @@ impl AttentionLayer {
         head: usize,
     ) -> Result<(Matrix, Matrix, Matrix), TensorError> {
         let rope = self.rope_table(0, hidden.rows())?;
-        let q = self.project_q_rotated(hidden, head, &rope)?;
-        let (k, v) = self.project_kv(self.gqa.kv_head_for(head), hidden, &rope)?;
+        let g = self.gqa.kv_head_for(head);
+        let group = &self.groups[g];
+        let cols = [group.q_cols(head % self.gqa.group_size()), group.k_cols(), group.v_cols()];
+        let mut qkv = self.project(g, hidden, &rope, &cols)?;
+        let (v, k, q) = (qkv.swap_remove(2), qkv.swap_remove(1), qkv.swap_remove(0));
         Ok((q, k, v))
     }
 
@@ -163,10 +168,13 @@ impl AttentionLayer {
         let rope = self.rope_table(cache.seen(), n)?;
         let mut heads = HeadFold::new(n, self.content_dim, self.num_heads());
 
+        let projections = self.gqa.group_size() as u64 + 2;
         for g in 0..self.groups.len() {
-            self.append_kv(g, hidden_rows, &rope, cache, &mut heads.cost)?;
+            let (q, k, v) = self.project_group(g, hidden_rows, &rope)?;
+            heads.cost.merge(&projection_cost(n, hidden_rows.cols(), self.head_dim, projections));
+            cache.append(g, k, v)?;
             let (keys, v_all) = cache.prepared(g);
-            self.attend_group(g, hidden_rows, &rope, keys, v_all, method, &mut heads)?;
+            self.attend_group(g, q, keys, v_all, method, &mut heads)?;
         }
 
         let hidden = self.apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)?;
@@ -184,8 +192,9 @@ impl AttentionLayer {
     /// pass over K and V per group instead of one per head, bit-identical
     /// to one-row [`forward_incremental`] calls under `FullAttention`.
     ///
-    /// Returns the updated residual-stream row and the `(1, content_dim)`
-    /// content output of every query head.
+    /// Returns the updated residual-stream row, the `(1, content_dim)`
+    /// content output of every query head, and each KV group's rotated
+    /// `(group_size, head_dim)` query block.
     ///
     /// [`forward_incremental`]: Self::forward_incremental
     ///
@@ -197,7 +206,7 @@ impl AttentionLayer {
         &self,
         hidden_row: &Matrix,
         cache: &mut LayerKvCache,
-    ) -> Result<(Matrix, Vec<Matrix>), TensorError> {
+    ) -> Result<(Matrix, Vec<Matrix>, Vec<Matrix>), TensorError> {
         if hidden_row.rows() != 1 {
             return Err(TensorError::InvalidDimension {
                 op: "AttentionLayer::forward_decode",
@@ -205,68 +214,92 @@ impl AttentionLayer {
             });
         }
         let rope = self.rope_table(cache.seen(), 1)?;
-        let group_size = self.gqa.group_size();
         let mut heads = HeadFold::new(1, self.content_dim, self.num_heads());
+        let mut q_blocks = Vec::with_capacity(self.groups.len());
         for g in 0..self.groups.len() {
-            self.append_kv(g, hidden_row, &rope, cache, &mut heads.cost)?;
+            let (q, k, v) = self.project_group(g, hidden_row, &rope)?;
+            cache.append(g, k, v)?;
+            // One row: the group's query heads in order are its query block.
+            let block: Vec<f32> = q.into_iter().flat_map(Matrix::into_vec).collect();
+            q_blocks.push(Matrix::from_vec(self.gqa.group_size(), self.head_dim, block)?);
         }
         // Groups are independent once their K/V rows are cached; the fold
         // below stays serial and in head order.
         let cache = &*cache;
         let dense = FullAttention::new();
         let group_outputs = pool::try_parallel_map("layer_heads", self.groups.len(), 1, |g| {
-            let mut q_block = Matrix::zeros(group_size, cache.head_dim());
-            for local in 0..group_size {
-                let q = self.project_q_rotated(hidden_row, g * group_size + local, &rope)?;
-                q_block.row_mut(local).copy_from_slice(q.row(0));
-            }
             let (keys, v_all) = cache.prepared(g);
-            dense.decode_block(&q_block, keys, v_all)
+            dense.decode_block(&q_blocks[g], keys, v_all)
         })?;
         for out in group_outputs {
             let out = out?;
-            for local in 0..group_size {
+            for local in 0..self.gqa.group_size() {
                 heads.fold_head(&out.output, local);
             }
         }
         let hidden = self.apply_residual_and_mlp(hidden_row, &heads.content_update, &mut heads.cost)?;
-        Ok((hidden, heads.head_contents))
+        Ok((hidden, heads.head_contents, q_blocks))
     }
 
     /// The rotations of positions `offset..offset + rows`: one table
     /// serves every query and key head of a layer call.
-    fn rope_table(&self, offset: usize, rows: usize) -> Result<RopeTable, TensorError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidDimension`] if the layer's RoPE
+    /// config is invalid.
+    pub fn rope_table(&self, offset: usize, rows: usize) -> Result<RopeTable, TensorError> {
         RopeTable::new(self.rope, self.rotary_dims, offset, rows)
     }
 
-    /// Projects `hidden_rows` into KV group `g`'s K and V and appends
-    /// them to `cache`.
-    fn append_kv(
+    /// KV group `g`'s projections of `hidden_rows` from one GEMM call over
+    /// the group's packed weights: every query head of the group in head
+    /// order, then the shared K and V. The queries and K are rotated by
+    /// `rope`, the rows' table (see [`rope_table`](Self::rope_table)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError`] on shape problems: `hidden_rows` narrower
+    /// or wider than the model, or a table of another row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a KV group of the layer.
+    pub fn project_group(
         &self,
         g: usize,
         hidden_rows: &Matrix,
         rope: &RopeTable,
-        cache: &mut LayerKvCache,
-        cost: &mut CostReport,
-    ) -> Result<(), TensorError> {
-        let (k, v) = self.project_kv(g, hidden_rows, rope)?;
-        cost.merge(&projection_cost(hidden_rows.rows(), hidden_rows.cols(), self.head_dim, 2));
-        cache.append(g, k, v)
+    ) -> Result<(Vec<Matrix>, Matrix, Matrix), TensorError> {
+        let group = &self.groups[g];
+        let heads = self.gqa.group_size();
+        let cols: Vec<Range<usize>> = (0..heads)
+            .map(|local| group.q_cols(local))
+            .chain([group.k_cols(), group.v_cols()])
+            .collect();
+        let mut q = self.project(g, hidden_rows, rope, &cols)?;
+        let (v, k) = (q.swap_remove(heads + 1), q.swap_remove(heads));
+        Ok((q, k, v))
     }
 
-    /// KV group `g`'s K (rotated by `rope`, the rows' table) and V of
-    /// `hidden_rows`, from one pass over the rows: the only place a layer
-    /// projects keys and values.
-    fn project_kv(
+    /// The column ranges `cols` of KV group `g`'s packed weights applied
+    /// to `hidden_rows` in one GEMM call, each product but V's rotated by
+    /// `rope`: the one place a layer projects queries, keys and values.
+    fn project(
         &self,
         g: usize,
         hidden_rows: &Matrix,
         rope: &RopeTable,
-    ) -> Result<(Matrix, Matrix), TensorError> {
+        cols: &[Range<usize>],
+    ) -> Result<Vec<Matrix>, TensorError> {
         let group = &self.groups[g];
-        let (mut k, v) = matmul_packed_pair(hidden_rows, group.packed(), group.k_cols(), group.v_cols())?;
-        rope.apply(&mut k)?;
-        Ok((k, v))
+        let mut products = matmul_packed_parts(hidden_rows, group.packed(), cols)?;
+        for (product, cols) in products.iter_mut().zip(cols) {
+            if *cols != group.v_cols() {
+                rope.apply(product)?;
+            }
+        }
+        Ok(products)
     }
 
     /// Runs `method` on every query head of KV group `g` over the group's
@@ -275,9 +308,9 @@ impl AttentionLayer {
     ///
     /// Two fan-outs:
     ///
-    /// 1. **Plan** (`layer_heads`): each head's query projection and
-    ///    [`AttentionMethod::plan_head`] — for SampleAttention, mask
-    ///    discovery — one head per chunk.
+    /// 1. **Plan** (`layer_heads`): [`AttentionMethod::plan_head`] on
+    ///    each head's rotated query `q[local]` — for SampleAttention, mask
+    ///    discovery — one head per part.
     /// 2. **Engine** ([`finish_heads`]): the planned heads' engine runs
     ///    as one call, cut into (head, query-block range) units of equal
     ///    live pairs, the heads taking turns, so a dense head beside three
@@ -292,39 +325,35 @@ impl AttentionLayer {
     /// `model/engine` span the group's engine pass, with the
     /// `core/sparse_kernel` stage inside it when a head attends under a
     /// mask: the heads' kernels interleave, so no span is one head's.
-    #[allow(clippy::too_many_arguments)]
     fn attend_group(
         &self,
         g: usize,
-        hidden_rows: &Matrix,
-        rope: &RopeTable,
+        q: Vec<Matrix>,
         keys: PreparedKeys<'_>,
         v: &Matrix,
         method: &dyn AttentionMethod,
         heads: &mut HeadFold,
     ) -> Result<(), TensorError> {
-        let n = hidden_rows.rows();
-        let group_size = self.gqa.group_size();
-        let planned = pool::try_parallel_map("layer_heads", group_size, 1, |local| {
+        let group_size = q.len();
+        let mut planned: Vec<Option<Result<_, TensorError>>> = (0..group_size).map(|_| None).collect();
+        // The pool claims parts back to front: head 0 goes last in, first out.
+        let parts: Vec<_> = planned.iter_mut().zip(q).enumerate().rev().collect();
+        pool::try_parallel_for_parts("layer_heads", parts, |(local, (plan, q))| {
             let head = g * group_size + local;
             let _span = sa_trace::span_labeled("model", "head", || {
                 format!("L{}.H{head}", self.layer_index)
             });
-            let q = self.project_q_rotated(hidden_rows, head, rope)?;
-            let proj = projection_cost(n, hidden_rows.cols(), q.cols(), 1);
-            let plan = method.plan_head(self.layer_index, head, q, keys, v)?;
-            Ok::<_, TensorError>((proj, plan))
+            *plan = Some(method.plan_head(self.layer_index, head, q, keys, v));
         })?;
-        let (projections, plans): (Vec<_>, Vec<_>) =
-            planned.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+        // Every part ran once: no slot is left empty.
+        let plans = planned.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
         let outputs = {
             let _span = sa_trace::span_in("model", "engine");
             finish_heads(plans)
         };
-        for (local, (proj, out)) in projections.iter().zip(outputs).enumerate() {
+        for (local, out) in outputs.into_iter().enumerate() {
             let head = g * group_size + local;
             let out = out?;
-            heads.cost.merge(proj);
             heads.cost.merge(&out.cost);
             heads.fold_head(&out.output, 0);
             heads.head_reports.push(HeadReport {
@@ -370,7 +399,7 @@ impl AttentionLayer {
     }
 
     /// Projects rows into one head's RoPE-applied query at an absolute
-    /// position offset (used by decode-time score tracking).
+    /// position offset.
     ///
     /// # Errors
     ///
@@ -382,21 +411,9 @@ impl AttentionLayer {
         position_offset: usize,
     ) -> Result<Matrix, TensorError> {
         let rope = self.rope_table(position_offset, hidden_rows.rows())?;
-        self.project_q_rotated(hidden_rows, head, &rope)
-    }
-
-    /// [`project_q`](Self::project_q) with the rows' rotations at hand.
-    fn project_q_rotated(
-        &self,
-        hidden_rows: &Matrix,
-        head: usize,
-        rope: &RopeTable,
-    ) -> Result<Matrix, TensorError> {
-        let group = &self.groups[self.gqa.kv_head_for(head)];
-        let cols = group.q_cols(head % self.gqa.group_size());
-        let mut q = matmul_packed_cols(hidden_rows, group.packed(), cols)?;
-        rope.apply(&mut q)?;
-        Ok(q)
+        let g = self.gqa.kv_head_for(head);
+        let cols = [self.groups[g].q_cols(head % self.gqa.group_size())];
+        Ok(self.project(g, hidden_rows, &rope, &cols)?.swap_remove(0))
     }
 
     /// The layer's GQA layout (KV head serving each query head).
@@ -527,7 +544,7 @@ mod tests {
         let want = layer
             .forward_incremental(&next, &mut per_head, &FullAttention::new())
             .unwrap();
-        let (got_hidden, got_contents) = layer.forward_decode(&next, &mut grouped).unwrap();
+        let (got_hidden, got_contents, _) = layer.forward_decode(&next, &mut grouped).unwrap();
         assert_eq!(got_hidden, want.hidden);
         assert_eq!(got_contents, want.head_contents);
         assert_eq!(grouped.head(1), per_head.head(1));
@@ -617,12 +634,12 @@ mod tests {
                 (&want.0, &want.1),
             );
         }
-        // A 64-row chunk, then the 32-row serving chunk, then one decode
-        // step, each on the cache the previous call left.
+        // One row, 33 rows, the 32-row serving chunk and a ragged one,
+        // then one decode step, each on the cache the previous call left.
         let dense = FullAttention::new();
         let mut cache = layer.new_cache();
         let mut oracle_cache = layer.new_cache();
-        for (start, end) in [(0, 64), (64, 96)] {
+        for (start, end) in [(0, 1), (1, 34), (34, 66), (66, 96)] {
             let rows = hidden.slice_rows(start, end).unwrap();
             let got = layer.forward_incremental(&rows, &mut cache, &dense).unwrap();
             let want = oracle_incremental(&layer, &weights, &rows, &mut oracle_cache, &dense);
@@ -633,24 +650,44 @@ mod tests {
             );
         }
         let row = hidden.slice_rows(96, 97).unwrap();
-        let (got_hidden, got_contents) = layer.forward_decode(&row, &mut cache).unwrap();
+        let (got_hidden, got_contents, q_blocks) = layer.forward_decode(&row, &mut cache).unwrap();
         let want = oracle_incremental(&layer, &weights, &row, &mut oracle_cache, &dense);
         assert_same_bits("decode", (&got_hidden, &got_contents), (&want.0, &want.1));
         for g in 0..cache.num_kv_heads() {
             let ((k, v), (want_k, want_v)) = (cache.head(g), oracle_cache.head(g));
             assert_eq!((bits(k), bits(v)), (bits(want_k), bits(want_v)), "cached K/V of group {g}");
         }
-        // The analysis entry points read the same packed weights.
-        let (q, k, v) = layer.project_head(&hidden, 3).unwrap();
-        let (wqs, wk, wv) = &weights[layer.gqa.kv_head_for(3)];
-        let mut want_q = matmul(&hidden, &wqs[3 % layer.gqa.group_size()]).unwrap();
-        let mut want_k = matmul(&hidden, wk).unwrap();
-        apply_rope_partial(&mut want_q, layer.rotary_dims, 0, layer.rope).unwrap();
-        apply_rope_partial(&mut want_k, layer.rotary_dims, 0, layer.rope).unwrap();
-        assert_eq!(bits(&q), bits(&want_q));
-        assert_eq!(bits(&k), bits(&want_k));
-        assert_eq!(bits(&v), bits(&matmul(&hidden, wv).unwrap()));
-        assert_eq!(bits(&layer.project_q(&hidden, 3, 0).unwrap()), bits(&want_q));
+        // Every entry point, on every head of each group, reads the same
+        // packed weights: 1, 33 and 101 rows; the decode step's query
+        // blocks at position 96.
+        let group_size = layer.gqa.group_size();
+        let rotated = |x: &Matrix, w: &Matrix, offset: usize| {
+            let mut p = matmul(x, w).unwrap();
+            apply_rope_partial(&mut p, layer.rotary_dims, offset, layer.rope).unwrap();
+            bits(&p)
+        };
+        for (g, (wqs, _, _)) in weights.iter().enumerate() {
+            for (local, wq) in wqs.iter().enumerate() {
+                assert_eq!(bits(&q_blocks[g].slice_rows(local, local + 1).unwrap()), rotated(&row, wq, 96));
+            }
+        }
+        for rows in [1, 33, 101] {
+            let x = hidden.slice_rows(0, rows).unwrap();
+            let rope = layer.rope_table(0, rows).unwrap();
+            for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
+                let (want_k, want_v) = (rotated(&x, wk, 0), bits(&matmul(&x, wv).unwrap()));
+                let (qs, k, v) = layer.project_group(g, &x, &rope).unwrap();
+                assert_eq!((qs.len(), bits(&k), bits(&v)), (group_size, want_k.clone(), want_v.clone()));
+                for (local, wq) in wqs.iter().enumerate() {
+                    let head = g * group_size + local;
+                    let want_q = rotated(&x, wq, 0);
+                    assert_eq!(bits(&qs[local]), want_q, "{rows} rows, head {head}");
+                    let (q, k, v) = layer.project_head(&x, head).unwrap();
+                    assert_eq!((bits(&q), bits(&k), bits(&v)), (want_q, want_k.clone(), want_v.clone()));
+                    assert_eq!(bits(&layer.project_q(&x, head, 5).unwrap()), rotated(&x, wq, 5));
+                }
+            }
+        }
     }
 
     #[test]

@@ -184,12 +184,6 @@ impl SyntheticTransformer {
             None => (crate::BOS_TOKEN, 0.0),
         }
     }
-
-    /// Convenience: the answer at the final position (where tasks place
-    /// the question).
-    pub fn final_answer(&self, result: &PrefillResult) -> (u32, f32) {
-        self.answer_at(result, result.hidden.rows() - 1)
-    }
 }
 
 /// Seed salt separating layer-weight randomness from the embedder's.
@@ -220,7 +214,7 @@ mod tests {
         let model = SyntheticTransformer::new(ModelConfig::tiny(11)).unwrap();
         let (tokens, payload) = needle_prompt(&model, 300, 120);
         let result = model.prefill(&tokens, &FullAttention::new()).unwrap();
-        let (answer, confidence) = model.final_answer(&result);
+        let (answer, confidence) = model.answer_at(&result, tokens.len() - 1);
         assert_eq!(answer, payload, "confidence {confidence}");
         assert!(confidence > 0.5);
     }
@@ -231,7 +225,7 @@ mod tests {
         for depth in [10, 80, 200, 270] {
             let (tokens, payload) = needle_prompt(&model, 300, depth);
             let result = model.prefill(&tokens, &FullAttention::new()).unwrap();
-            let (answer, _) = model.final_answer(&result);
+            let (answer, _) = model.answer_at(&result, tokens.len() - 1);
             assert_eq!(answer, payload, "depth {depth}");
         }
     }
@@ -242,7 +236,7 @@ mod tests {
         let (tokens, payload) = needle_prompt(&model, 300, 100);
         let method = SampleAttentionMethod::paper_default();
         let result = model.prefill(&tokens, &method).unwrap();
-        let (answer, _) = model.final_answer(&result);
+        let (answer, _) = model.answer_at(&result, tokens.len() - 1);
         assert_eq!(answer, payload);
         assert!(result.mean_density() < 0.9, "density {}", result.mean_density());
     }
@@ -254,7 +248,7 @@ mod tests {
         let (tokens, payload) = needle_prompt(&model, 400, 150);
         let method = StreamingLlm::paper_config();
         let result = model.prefill(&tokens, &method).unwrap();
-        let (answer, _) = model.final_answer(&result);
+        let (answer, _) = model.answer_at(&result, tokens.len() - 1);
         assert_ne!(answer, payload, "StreamingLLM should miss a mid-context needle");
     }
 

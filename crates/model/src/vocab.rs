@@ -11,8 +11,6 @@
 //! [payloads_end ..)   filler tokens (haystack text)
 //! ```
 
-use crate::BOS_TOKEN;
-
 /// The reserved blank/separator token.
 pub const BLANK_TOKEN: u32 = 1;
 
@@ -89,11 +87,6 @@ impl VocabLayout {
         self.payloads_start..self.fillers_start
     }
 
-    /// Whether `t` is BOS/blank/reserved.
-    pub fn is_reserved(&self, t: u32) -> bool {
-        t == BOS_TOKEN || t < self.markers_start
-    }
-
     /// Whether `t` is a *salient* token: a marker or payload. Salient
     /// tokens are rare in running text, and the synthetic model (like
     /// real LLMs) gives them elevated attention from every query.
@@ -121,14 +114,6 @@ mod tests {
         let r = v.payload_range();
         assert_eq!(r.start, v.payload(0));
         assert_eq!(r.end - r.start, v.num_payloads() as u32);
-    }
-
-    #[test]
-    fn reserved_tokens() {
-        let v = VocabLayout::for_vocab(128);
-        assert!(v.is_reserved(0));
-        assert!(v.is_reserved(BLANK_TOKEN));
-        assert!(!v.is_reserved(v.marker(0)));
     }
 
     #[test]

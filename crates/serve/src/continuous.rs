@@ -1696,7 +1696,7 @@ mod tests {
         // happen only between the `fails` attempts.
         let fails = c.max_retries as u64 + 1;
         assert!(matches!(plans[1].plan.planned, Planned::FailPermanent { fails: f } if f == fails));
-        assert!(plans[1].recovered_attempts <= fails - 1);
+        assert!(plans[1].recovered_attempts < fails);
         assert!(plans[1].recomputed_tokens > 0);
     }
 

@@ -62,7 +62,7 @@ pub fn is_canary(seed: u64, id: u64, denominator: u64) -> bool {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
-    z % denominator == 0
+    z.is_multiple_of(denominator)
 }
 
 /// One head's ground-truth measurement from a shadow canary.
@@ -173,13 +173,18 @@ impl AttentionMethod for GuardedMethod {
 
 /// Runs the shadow-canary measurement for one served request.
 ///
-/// The production-shaped sparse prefill re-runs under `quarantined`
-/// (mirroring exactly what the serving path executed), then a dense
-/// reference prefill provides ground truth. For each head — including
-/// quarantined ones, whose shadow probe is the probation signal — the
-/// rung's sparse operator re-discovers its mask on the sparse run's
-/// actual layer inputs and its true CRA is computed against the exact
-/// softmax rows.
+/// The request's prompt (`seq_len` filler tokens) re-runs as one
+/// whole-prompt prefill under `production`, the rung's method with its
+/// quarantine mask, then as a dense reference prefill. This is not what
+/// the serving path executed: serving prefills in `chunk_size`-row
+/// chunks (32 by default), and a chunk that short is dense by
+/// construction (`SampleAttentionConfig::mask_is_dense`), so it discovers
+/// no mask. The canary instead measures the rung's sparse method on the
+/// whole prompt: `max_abs_err` is that pass's final residual stream
+/// against the dense one, and for each head — including quarantined
+/// ones, whose shadow probe is the probation signal — the rung's sparse
+/// operator re-discovers its mask on the sparse pass's layer inputs and
+/// its true CRA is computed against the exact softmax rows.
 ///
 /// Rungs without a sparse config ([`DegradationRung::Full`],
 /// [`DegradationRung::WindowOnly`]) probe no heads; the observation
@@ -220,27 +225,32 @@ pub fn canary_probe(
     if let Some(cfg) = sample_config {
         let shadow_op = SampleAttention::new(cfg);
         for (l, layer) in model.layers().iter().enumerate() {
-            for h in 0..layer.num_heads() {
-                let (q, k, v) = layer.project_head(&sparse.layer_inputs[l], h)?;
-                let shadow = shadow_op.forward(&q, &k, &v).map_err(|e| match e {
-                    sa_core::SampleAttentionError::Tensor(t) => t,
-                    other => SaError::InvalidDimension {
-                        op: "canary_probe",
-                        what: other.to_string(),
-                    },
-                })?;
-                let p = attention_probs(&q, &k, true)?;
-                let true_cra = cra_of_structured_mask(&p, &shadow.mask)? as f64;
-                let est = shadow.stats.covered_mass as f64;
-                heads.push(HeadCanary {
-                    layer: l,
-                    head: h,
-                    est_covered_mass: est,
-                    true_cra,
-                    gap_permille: ((est - true_cra) * 1000.0).round() as i64,
-                    alpha_satisfied: shadow.stats.alpha_satisfied,
-                    fell_back: shadow.stats.fell_back(),
-                });
+            let input = &sparse.layer_inputs[l];
+            let rope = layer.rope_table(0, input.rows())?;
+            let group_size = layer.gqa().group_size();
+            for g in 0..layer.gqa().num_kv_heads() {
+                let (qs, k, v) = layer.project_group(g, input, &rope)?;
+                for (local, q) in qs.iter().enumerate() {
+                    let shadow = shadow_op.forward(q, &k, &v).map_err(|e| match e {
+                        sa_core::SampleAttentionError::Tensor(t) => t,
+                        other => SaError::InvalidDimension {
+                            op: "canary_probe",
+                            what: other.to_string(),
+                        },
+                    })?;
+                    let p = attention_probs(q, &k, true)?;
+                    let true_cra = cra_of_structured_mask(&p, &shadow.mask)? as f64;
+                    let est = shadow.stats.covered_mass as f64;
+                    heads.push(HeadCanary {
+                        layer: l,
+                        head: g * group_size + local,
+                        est_covered_mass: est,
+                        true_cra,
+                        gap_permille: ((est - true_cra) * 1000.0).round() as i64,
+                        alpha_satisfied: shadow.stats.alpha_satisfied,
+                        fell_back: shadow.stats.fell_back(),
+                    });
+                }
             }
         }
     }
@@ -601,7 +611,7 @@ mod tests {
                 break;
             }
         }
-        assert!(trips >= 2 && trips <= 5, "CUSUM trips after a few readings, got {trips}");
+        assert!((2..=5).contains(&trips), "CUSUM trips after a few readings, got {trips}");
         assert!(guard
             .transitions()
             .last()

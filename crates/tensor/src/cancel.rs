@@ -83,13 +83,6 @@ impl CancelToken {
         t
     }
 
-    /// A token whose deadline is `ms` milliseconds from now (trace
-    /// clock). Saturates instead of overflowing.
-    pub fn with_deadline_in_ms(ms: u64) -> Self {
-        let now = sa_trace::clock::now_ns();
-        Self::with_deadline_ns(now.saturating_add(ms.saturating_mul(1_000_000)))
-    }
-
     /// Trips the token; every clone observes the cancellation.
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::SeqCst);
@@ -115,11 +108,6 @@ impl CancelToken {
             return Some(CancelKind::Deadline);
         }
         None
-    }
-
-    /// True once the token is tripped (by either path).
-    pub fn is_cancelled(&self) -> bool {
-        self.tripped().is_some()
     }
 
     /// The cooperative checkpoint: `Ok(())` while live, or the typed
@@ -195,7 +183,6 @@ mod tests {
     #[test]
     fn fresh_token_is_live() {
         let t = CancelToken::new();
-        assert!(!t.is_cancelled());
         assert_eq!(t.tripped(), None);
         assert_eq!(t.deadline_ns(), None);
         assert!(t.check("site", 0, 10).is_ok());
@@ -235,8 +222,8 @@ mod tests {
             })
         ));
         // A far-future deadline is live.
-        let t = CancelToken::with_deadline_in_ms(u64::MAX / 4_000_000);
-        assert!(!t.is_cancelled());
+        let t = CancelToken::with_deadline_ns(u64::MAX - 1);
+        assert_eq!(t.tripped(), None);
         assert!(t.deadline_ns().is_some());
     }
 

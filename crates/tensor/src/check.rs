@@ -82,7 +82,7 @@ impl Gen {
     /// RoPE requires to be even).
     pub fn even_in(&mut self, lo: usize, hi: usize) -> usize {
         let v = self.usize_in(lo, hi);
-        if v % 2 == 0 {
+        if v.is_multiple_of(2) {
             v
         } else if v + 1 < hi {
             v + 1
@@ -204,7 +204,7 @@ mod tests {
             let f = g.f32_in(-2.0, 5.0);
             assert!((-2.0..5.0).contains(&f));
             let e = g.even_in(1, 10);
-            assert!(e % 2 == 0 && (1..10).contains(&e), "{e}");
+            assert!(e.is_multiple_of(2) && (1..10).contains(&e), "{e}");
         }
         let v = g.vec_f32(0.0, 1.0, 2, 5);
         assert!((2..5).contains(&v.len()));
@@ -232,6 +232,6 @@ mod tests {
 
     #[test]
     fn default_case_count_meets_floor() {
-        assert!(CASES >= 32);
+        const { assert!(CASES >= 32) };
     }
 }

@@ -171,36 +171,6 @@ impl SaError {
             SaError::Cancelled { .. } | SaError::DeadlineExceeded { .. }
         )
     }
-
-    /// True for admission-control rejections (`Overloaded`,
-    /// `BudgetExceeded`, `QualityFloor`): the request never started, so
-    /// there is no partial state to clean up.
-    pub fn is_rejection(&self) -> bool {
-        matches!(
-            self,
-            SaError::Overloaded { .. }
-                | SaError::BudgetExceeded { .. }
-                | SaError::QualityFloor { .. }
-        )
-    }
-
-    /// Attributes the error to `head`, for variants that carry a head
-    /// index; other variants pass through unchanged.
-    pub fn with_head(self, h: usize) -> Self {
-        match self {
-            SaError::NonFinite { stage, count, .. } => SaError::NonFinite {
-                stage,
-                head: Some(h),
-                count,
-            },
-            SaError::AlphaUnsatisfied { covered, alpha, .. } => SaError::AlphaUnsatisfied {
-                covered,
-                alpha,
-                head: Some(h),
-            },
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for SaError {
@@ -349,37 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn with_head_attributes_where_supported() {
-        let e = SaError::NonFinite {
-            stage: "s",
-            head: None,
-            count: 2,
-        }
-        .with_head(4);
-        assert_eq!(
-            e,
-            SaError::NonFinite {
-                stage: "s",
-                head: Some(4),
-                count: 2
-            }
-        );
-        let e = SaError::AlphaUnsatisfied {
-            covered: 0.1,
-            alpha: 0.9,
-            head: None,
-        }
-        .with_head(1);
-        assert!(matches!(e, SaError::AlphaUnsatisfied { head: Some(1), .. }));
-        let e = SaError::IndexOutOfBounds {
-            op: "row",
-            index: 1,
-            bound: 2,
-        };
-        assert_eq!(e.clone().with_head(9), e);
-    }
-
-    #[test]
     fn display_serving_variants() {
         let e = SaError::Cancelled {
             site: "prefill_chunked",
@@ -436,9 +375,6 @@ mod tests {
         assert!(cancelled.is_cancellation());
         assert!(deadline.is_cancellation());
         assert!(!overloaded.is_cancellation());
-        assert!(overloaded.is_rejection());
-        assert!(budget.is_rejection());
-        assert!(!cancelled.is_rejection());
         assert!(!SaError::WorkerPanic {
             site: "s",
             message: String::new()
@@ -460,7 +396,6 @@ mod tests {
         // to rebuilding the session from scratch.
         assert!(!e.is_health_error());
         assert!(!e.is_cancellation());
-        assert!(!e.is_rejection());
     }
 
     #[test]
@@ -474,7 +409,6 @@ mod tests {
         // A floor shed is an admission-style rejection: the request
         // never ran, and it must not be absorbed into a dense fallback
         // or mistaken for a cancellation.
-        assert!(e.is_rejection());
         assert!(!e.is_health_error());
         assert!(!e.is_cancellation());
     }

@@ -148,8 +148,8 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
                     for c in c0..c1 {
                         let arow = a.row(row0 + c);
                         let orow = &mut chunk[c * n..(c + 1) * n];
-                        for j in j0..j1 {
-                            orow[j] = dot(arow, b.row(j));
+                        for (o, j) in orow[j0..j1].iter_mut().zip(j0..) {
+                            *o = dot(arow, b.row(j));
                         }
                     }
                 }

@@ -198,16 +198,6 @@ impl Matrix {
         self.data
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    pub fn col_to_vec(&self, j: usize) -> Vec<f32> {
-        assert!(j < self.cols, "col index {j} out of bounds (< {})", self.cols);
-        (0..self.rows).map(|i| self.get(i, j)).collect()
-    }
-
     /// Returns a new matrix that is the transpose of `self`.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -412,12 +402,6 @@ mod tests {
         assert_eq!(a.get(1, 1), 1.5);
         let c = Matrix::zeros(1, 2);
         assert!(a.add_assign(&c).is_err());
-    }
-
-    #[test]
-    fn col_to_vec_extracts_column() {
-        let m = Matrix::from_fn(3, 2, |i, j| (i * 2 + j) as f32);
-        assert_eq!(m.col_to_vec(1), vec![1.0, 3.0, 5.0]);
     }
 
     #[test]

@@ -115,52 +115,29 @@ impl PackedWeights {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != w.rows()`.
 pub fn matmul_packed(a: &Matrix, w: &PackedWeights) -> Result<Matrix, TensorError> {
-    matmul_packed_cols(a, w, 0..w.cols())
+    // One product per range.
+    let all = 0..w.cols();
+    Ok(matmul_packed_parts(a, w, std::slice::from_ref(&all))?.swap_remove(0))
 }
 
-/// Computes the columns `cols` of `A * B` for packed `B`, as an
-/// `(a.rows(), cols.len())` matrix: one projection out of several packed
-/// side by side, or a run of them.
+/// The column ranges `parts` of `A * B` for packed `B`, one
+/// `(a.rows(), range.len())` matrix each, from one pass over `a`: each
+/// block of rows meets every range while it is in cache. A range is one
+/// projection out of several packed side by side, or a run of them; the
+/// ranges are independent lanes of one kernel, so each product has the
+/// bits it has alone, and none needs splitting afterwards.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `a.cols() != w.rows()`,
-/// [`TensorError::IndexOutOfBounds`] if `cols` does not lie within
+/// [`TensorError::IndexOutOfBounds`] if a range does not lie within
 /// `0..w.cols()`, and [`TensorError::WorkerPanic`] if a block's worker
 /// panics.
-pub fn matmul_packed_cols(
+pub fn matmul_packed_parts(
     a: &Matrix,
     w: &PackedWeights,
-    cols: Range<usize>,
-) -> Result<Matrix, TensorError> {
-    check(a, w, &cols)?;
-    let [out] = packed_products(Isa::detect(), a, w, [cols])?;
-    Ok(out)
-}
-
-/// The columns `left` and `right` of `A * B` for packed `B`, as two
-/// matrices, from one pass over `a`: each block of rows meets both column
-/// ranges while it is in cache. The same bits as two
-/// [`matmul_packed_cols`] calls, at about the cost of one over the two
-/// ranges side by side, and no product needs splitting afterwards.
-///
-/// # Errors
-///
-/// As [`matmul_packed_cols`] for either range.
-pub fn matmul_packed_pair(
-    a: &Matrix,
-    w: &PackedWeights,
-    left: Range<usize>,
-    right: Range<usize>,
-) -> Result<(Matrix, Matrix), TensorError> {
-    check(a, w, &left)?;
-    check(a, w, &right)?;
-    let [left, right] = packed_products(Isa::detect(), a, w, [left, right])?;
-    Ok((left, right))
-}
-
-/// The shape checks of the packed products.
-fn check(a: &Matrix, w: &PackedWeights, cols: &Range<usize>) -> Result<(), TensorError> {
+    parts: &[Range<usize>],
+) -> Result<Vec<Matrix>, TensorError> {
     if a.cols() != w.rows {
         return Err(TensorError::ShapeMismatch {
             op: "matmul_packed",
@@ -168,45 +145,48 @@ fn check(a: &Matrix, w: &PackedWeights, cols: &Range<usize>) -> Result<(), Tenso
             rhs: (w.rows, w.cols),
         });
     }
-    if cols.end > w.cols || cols.start > cols.end {
+    if let Some(cols) = parts.iter().find(|c| c.end > w.cols || c.start > c.end) {
         return Err(TensorError::IndexOutOfBounds {
             op: "matmul_packed",
             index: cols.end.max(cols.start),
             bound: w.cols + 1,
         });
     }
-    Ok(())
+    packed_products(Isa::detect(), a, w, parts)
 }
 
-/// The checked products of `a` with each column range of `cols`, one
+/// The checked products of `a` with each column range of `parts`, one
 /// matrix each, on the build `isa` names. Rows are independent and each
 /// is written by one worker, so the result does not depend on the thread
 /// count; a worker takes whole [`GEMM_BLOCK`]-row blocks and runs each
 /// against every range while the block's A rows are resident in cache.
-fn packed_products<const N: usize>(
+fn packed_products(
     isa: Isa,
     a: &Matrix,
     w: &PackedWeights,
-    cols: [Range<usize>; N],
-) -> Result<[Matrix; N], TensorError> {
-    let mut outs = cols.clone().map(|c| Matrix::zeros(a.rows(), c.len()));
-    if w.rows == 0 {
+    parts: &[Range<usize>],
+) -> Result<Vec<Matrix>, TensorError> {
+    let mut outs: Vec<Matrix> = parts.iter().map(|c| Matrix::zeros(a.rows(), c.len())).collect();
+    if w.rows == 0 || parts.is_empty() {
         return Ok(outs);
     }
-    let mut rest = outs.each_mut().map(|m| m.as_mut_slice());
-    let mut blocks = Vec::new();
+    // Each block's rows of every output, block after block: a part
+    // borrows its block's run, and a worker frees nothing.
+    let mut rest: Vec<&mut [f32]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
+    let mut slices = Vec::with_capacity(a.rows().div_ceil(GEMM_BLOCK) * parts.len());
     for row0 in (0..a.rows()).step_by(GEMM_BLOCK) {
         let n = GEMM_BLOCK.min(a.rows() - row0);
-        let block: [&mut [f32]; N] = std::array::from_fn(|i| {
-            let (head, tail) = std::mem::take(&mut rest[i]).split_at_mut(n * cols[i].len());
-            rest[i] = tail;
-            head
-        });
-        blocks.push((row0, n, block));
+        for (rest, c) in rest.iter_mut().zip(parts) {
+            let (head, tail) = std::mem::take(rest).split_at_mut(n * c.len());
+            *rest = tail;
+            slices.push(head);
+        }
     }
-    pool::try_parallel_for_parts("matmul_packed", blocks, |(row0, n, block)| {
-        let a_rows = &a.as_slice()[row0 * w.rows..][..n * w.rows];
-        for (out, c) in block.into_iter().zip(&cols) {
+    let blocks: Vec<_> = slices.chunks_mut(parts.len()).enumerate().collect();
+    pool::try_parallel_for_parts("matmul_packed", blocks, |(b, block)| {
+        let row0 = b * GEMM_BLOCK;
+        let a_rows = &a.as_slice()[row0 * w.rows..][..GEMM_BLOCK.min(a.rows() - row0) * w.rows];
+        for (out, c) in block.iter_mut().zip(parts) {
             if !out.is_empty() {
                 gemm_rows(isa, a_rows, w, c.clone(), out);
             }
@@ -352,8 +332,7 @@ mod tests {
     }
 
     fn packed_product(isa: Isa, a: &Matrix, w: &PackedWeights, cols: Range<usize>) -> Matrix {
-        let [out] = packed_products(isa, a, w, [cols]).unwrap();
-        out
+        packed_products(isa, a, w, &[cols]).unwrap().swap_remove(0)
     }
 
     /// A random `m x k` input whose rows also carry the values the scalar
@@ -504,19 +483,30 @@ mod tests {
                             isa.name()
                         );
                     }
-                    // Two ranges from one pass, and an empty one.
-                    for (l, r) in [
-                        (15..32, 32..96),
-                        (96..113, 0..15),
-                        (0..0, 32..96),
-                        (60..70, 100..200),
-                        (128..213, 0..64),
+                    // Several ranges from one pass, an empty one among them,
+                    // and every part at once.
+                    let every: Vec<Range<usize>> = parts
+                        .iter()
+                        .scan(0, |col0, b| {
+                            *col0 += b.cols();
+                            Some(*col0 - b.cols()..*col0)
+                        })
+                        .collect();
+                    for ranges in [
+                        vec![15..32, 32..96],
+                        vec![96..113, 0..15],
+                        vec![0..0, 32..96],
+                        vec![60..70, 100..200, 127..129],
+                        vec![128..213, 0..64],
+                        every,
                     ] {
-                        let [got_l, got_r] = with_threads(threads, || {
-                            packed_products(isa, &a, &fused, [l.clone(), r.clone()]).unwrap()
+                        let got = with_threads(threads, || {
+                            packed_products(isa, &a, &fused, &ranges).unwrap()
                         });
-                        assert_eq!(bits(&got_l), want(&l), "left {l:?} on {}", isa.name());
-                        assert_eq!(bits(&got_r), want(&r), "right {r:?} on {}", isa.name());
+                        assert_eq!(got.len(), ranges.len());
+                        for (got, cols) in got.iter().zip(&ranges) {
+                            assert_eq!(bits(got), want(cols), "{cols:?} of {ranges:?} on {}", isa.name());
+                        }
                     }
                 }
             }
@@ -559,13 +549,15 @@ mod tests {
         ));
         let a = Matrix::zeros(3, 4);
         assert!(matches!(
-            matmul_packed_cols(&a, &w, 4..21),
+            matmul_packed_parts(&a, &w, &[0..4, 4..21]),
             Err(TensorError::IndexOutOfBounds { .. })
         ));
         #[allow(clippy::reversed_empty_ranges)]
         let reversed = 8..4;
-        assert!(matmul_packed_cols(&a, &w, reversed).is_err());
-        assert_eq!(matmul_packed_cols(&a, &w, 20..20).unwrap().shape(), (3, 0));
+        assert!(matmul_packed_parts(&a, &w, &[reversed]).is_err());
+        let empty = matmul_packed_parts(&a, &w, &[20..20, 0..0]).unwrap();
+        assert_eq!(empty.iter().map(Matrix::shape).collect::<Vec<_>>(), [(3, 0), (3, 0)]);
+        assert!(matmul_packed_parts(&a, &w, &[]).unwrap().is_empty());
         assert_eq!(
             matmul_packed(&Matrix::zeros(0, 4), &w).unwrap().shape(),
             (0, 20)

@@ -969,7 +969,7 @@ where
             what: "zero row width with non-empty data".to_string(),
         });
     }
-    if data.len() % width != 0 {
+    if !data.len().is_multiple_of(width) {
         return Err(SaError::InvalidDimension {
             op: site,
             what: format!(

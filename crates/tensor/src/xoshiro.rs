@@ -69,12 +69,6 @@ impl Xoshiro256PlusPlus {
         ((self.next_u64() >> 40) as f32) * SCALE
     }
 
-    /// Uniform `f64` in `[0, 1)`: the top 53 bits scaled by `2^-53`.
-    pub fn next_f64(&mut self) -> f64 {
-        const SCALE: f64 = 1.0 / (1u64 << 53) as f64;
-        ((self.next_u64() >> 11) as f64) * SCALE
-    }
-
     /// Uniform integer in `[0, n)` by Lemire's multiply-shift reduction
     /// (one draw, bias below `2^-64` — irrelevant next to determinism,
     /// which is what the workspace needs).
@@ -134,8 +128,6 @@ mod tests {
         for _ in 0..10_000 {
             let f = r.next_f32();
             assert!((0.0..1.0).contains(&f), "{f}");
-            let d = r.next_f64();
-            assert!((0.0..1.0).contains(&d), "{d}");
         }
     }
 

@@ -189,7 +189,7 @@ impl ArrivalProcess {
             // uniform draw is nudged off 0 so ln() stays finite.
             let u = f64::from(rng.uniform()).max(1e-12);
             t += -u.ln() * 1000.0 / peak;
-            if !(t < horizon) {
+            if t >= horizon || t.is_nan() {
                 break;
             }
             let at = t as u64;

@@ -49,8 +49,8 @@ fn qa_n_facts(
     let marker_ids = rng.distinct_indices(vocab.num_markers(), n + 6);
     let mut planter = crate::haystack::Planter::new();
     let mut facts = Vec::new();
-    for f in 0..n {
-        let marker = vocab.marker(marker_ids[f]);
+    for (f, &marker_id) in marker_ids.iter().enumerate().take(n) {
+        let marker = vocab.marker(marker_id);
         let payload = vocab.payload(rng.index(vocab.num_payloads()));
         let lo = 1 + f * (length - 8) / n;
         let hi = 1 + (f + 1) * (length - 8) / n - 2;

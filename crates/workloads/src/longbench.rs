@@ -101,8 +101,8 @@ fn multi_doc_qa(vocab: &VocabLayout, length: usize, seed: u64) -> Task {
     let marker_ids = rng.distinct_indices(vocab.num_markers(), docs);
     let mut planter = Planter::new();
     let mut facts = Vec::new();
-    for d in 0..docs {
-        let marker = vocab.marker(marker_ids[d]);
+    for (d, &marker_id) in marker_ids.iter().enumerate().take(docs) {
+        let marker = vocab.marker(marker_id);
         let payload = vocab.payload(rng.index(vocab.num_payloads()));
         let lo = 1 + d * (length - 8) / docs;
         let hi = 1 + (d + 1) * (length - 8) / docs - 2;
@@ -134,8 +134,8 @@ fn summarization(vocab: &VocabLayout, length: usize, seed: u64) -> Task {
     let marker_ids = rng.distinct_indices(vocab.num_markers(), k);
     let mut planter = Planter::new();
     let mut facts = Vec::new();
-    for f in 0..k {
-        let marker = vocab.marker(marker_ids[f]);
+    for (f, &marker_id) in marker_ids.iter().enumerate().take(k) {
+        let marker = vocab.marker(marker_id);
         let payload = vocab.payload(rng.index(vocab.num_payloads()));
         let lo = 1 + f * (length - 8) / k;
         let hi = 1 + (f + 1) * (length - 8) / k - 2;
@@ -197,8 +197,8 @@ fn synthetic_retrieval(vocab: &VocabLayout, length: usize, seed: u64) -> Task {
     let marker_ids = rng.distinct_indices(vocab.num_markers(), k);
     let mut planter = Planter::new();
     let mut facts = Vec::new();
-    for f in 0..k {
-        let marker = vocab.marker(marker_ids[f]);
+    for (f, &marker_id) in marker_ids.iter().enumerate().take(k) {
+        let marker = vocab.marker(marker_id);
         let payload = vocab.payload(rng.index(vocab.num_payloads()));
         let lo = 1 + f * (length - 8) / k;
         let hi = 1 + (f + 1) * (length - 8) / k - 2;
@@ -240,8 +240,8 @@ fn code_completion(vocab: &VocabLayout, length: usize, seed: u64) -> Task {
     // Definitions occupy disjoint slots in the first quarter.
     let region = (length / 4).max(4 * k);
     let slot_width = region / k;
-    for f in 0..k {
-        let marker = vocab.marker(marker_ids[f]);
+    for (f, &marker_id) in marker_ids.iter().enumerate().take(k) {
+        let marker = vocab.marker(marker_id);
         let payload = vocab.payload(rng.index(vocab.num_payloads()));
         let lo = 1 + f * slot_width;
         let pos = lo + rng.index(slot_width.saturating_sub(2).max(1));

@@ -127,6 +127,11 @@ echo "==> rustdoc: cargo doc --workspace --no-deps with warnings as errors"
 # a removed name cannot leave a dangling link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> clippy: every workspace target with warnings as errors"
+# A lint exception is a scoped #[allow(..)] with its reason beside it,
+# never a crate-wide one.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "==> merge gate link surface: cargo test on the benchmark package"
 # benchmark/ is a package of its own that compiles against the crates'
 # public names; neither tier 1 nor the workspace passes below build it, so

@@ -344,8 +344,7 @@ fn decode_after_failed_prefill_recovers_on_a_fresh_session() {
         let _guard = fault::install(FaultPlan::new(0xF2).worker_panic("layer_heads"));
         let err = model
             .begin_decode(&tokens, &FullAttention::new())
-            .err()
-            .expect("prefill under a live panic plan must fail");
+            .expect_err("prefill under a live panic plan must fail");
         assert!(matches!(err, SaError::WorkerPanic { .. }), "{err:?}");
     }
     let mut session = model.begin_decode(&tokens, &FullAttention::new()).unwrap();

@@ -23,7 +23,7 @@ use sa_kernels::{
 use sa_model::{ModelConfig, PrefillResult, SyntheticTransformer};
 use sa_tensor::pool::with_threads;
 use sa_tensor::{
-    col_sum, fma, matmul, matmul_packed, matmul_packed_cols, matmul_transb, softmax_row,
+    col_sum, fma, matmul, matmul_packed, matmul_packed_parts, matmul_transb, softmax_row,
     softmax_rows_in_place, DeterministicRng, Matrix, PackedWeights, SaError, StrideSample,
 };
 
@@ -85,11 +85,8 @@ fn packed_gemm_is_thread_invariant_and_equals_scalar_matmul() {
             bits(&matmul(&h, &w_down).unwrap()),
         );
         let run = || {
-            (
-                bits(&matmul_packed_cols(&a, &kv, 0..64).unwrap()),
-                bits(&matmul_packed_cols(&a, &kv, 64..128).unwrap()),
-                bits(&matmul_packed(&h, &down).unwrap()),
-            )
+            let parts = matmul_packed_parts(&a, &kv, &[0..64, 64..128]).unwrap();
+            (bits(&parts[0]), bits(&parts[1]), bits(&matmul_packed(&h, &down).unwrap()))
         };
         for threads in [1usize, 2, 3, 5] {
             assert_eq!(with_threads(threads, run), want, "{rows} rows at {threads} threads");
@@ -107,7 +104,7 @@ fn packed_gemm_is_thread_invariant_and_equals_scalar_matmul() {
 
 #[test]
 fn flash_attention_is_thread_invariant() {
-    let (q, k, v) = qkv(257, 32, 0xF1a);
+    let (q, k, v) = qkv(257, 32, 0xF1A);
     // Small tiles so several query blocks land in each chunk and the
     // chunk grain actually splits the work.
     let params = FlashParams {
@@ -128,7 +125,7 @@ fn flash_attention_is_thread_invariant() {
 #[test]
 fn sparse_flash_attention_is_thread_invariant() {
     let s = 256;
-    let (q, k, v) = qkv(s, 32, 0x5Fa);
+    let (q, k, v) = qkv(s, 32, 0x5FA);
     let mask = StructuredMask::builder(s, s)
         .window_ratio(0.1)
         .sinks(4)
@@ -268,7 +265,7 @@ fn seeded_fault_mixes_are_thread_invariant() {
             .build()
             .unwrap();
         assert_thread_invariant("faulty pipeline", || {
-            let out = SampleAttention::new(cfg.clone())
+            let out = SampleAttention::new(cfg)
                 .forward(&q, &k, &v)
                 .unwrap();
             assert!(
@@ -288,7 +285,7 @@ fn seeded_fault_mixes_are_thread_invariant() {
 /// this test vacuous.
 #[test]
 fn tracing_does_not_perturb_pipeline_outputs() {
-    let (q, k, v) = qkv(224, 32, 0x712a_ce);
+    let (q, k, v) = qkv(224, 32, 0x0071_2ace);
     let run = || {
         let attn = SampleAttention::new(SampleAttentionConfig::paper_default());
         let out = attn.forward(&q, &k, &v).unwrap();
