@@ -163,7 +163,12 @@ fn restore_layers(
 /// A versioned, checksummed snapshot of a [`DecodeSession`].
 ///
 /// Capture is cheap relative to the prefill it preserves: it clones the
-/// KV caches and session bookkeeping. Restore validates integrity and
+/// KV caches, the session bookkeeping (tokens, readout, newest contents,
+/// and the H2O statistic when the session evicts) and the session's
+/// [`PrefillResult`](crate::PrefillResult), which holds what a
+/// cache-keeping run keeps: the final residual stream, the reports, the
+/// readout heads' rows and each other head's newest row, no layer
+/// inputs. Restore validates integrity and
 /// rebuilds a session against any model reference with the same
 /// configuration the snapshot was taken from.
 #[derive(Debug, Clone)]
@@ -278,7 +283,9 @@ impl SessionCheckpoint {
 ///
 /// The embedded prompt (`hidden_full`) is deterministic in the tokens,
 /// so restore recomputes it instead of storing it — the snapshot holds
-/// only the grown accumulators and progress counters.
+/// only the grown accumulators, the progress counters and the run's
+/// retention, which restore keeps: a serving run's snapshot holds no
+/// layer inputs and one row of each head the readout does not read.
 #[derive(Debug, Clone)]
 pub struct PrefillCheckpoint {
     version: u32,
@@ -292,6 +299,9 @@ pub struct PrefillCheckpoint {
     final_hidden: Matrix,
     start: usize,
     chunks_done: usize,
+    /// The run's retention ([`ChunkedPrefill::analysis`]): restore keeps
+    /// it, so the accumulators above hold what the run keeps and no more.
+    analysis: bool,
     checksum: u64,
 }
 
@@ -318,6 +328,7 @@ impl PrefillCheckpoint {
             final_hidden: run.final_hidden.clone(),
             start: run.start,
             chunks_done: run.chunks_done,
+            analysis: run.analysis,
             checksum,
         }
     }
@@ -365,7 +376,7 @@ impl PrefillCheckpoint {
             final_hidden: self.final_hidden.clone(),
             start: self.start,
             chunks_done: self.chunks_done,
-            keep_caches: true,
+            analysis: self.analysis,
         })
     }
 
@@ -461,6 +472,65 @@ mod tests {
         let (rk0, _) = ref_caches[0].head(0);
         for (a, b) in k0.as_slice().iter().zip(rk0.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Every K and V element's bits, layer after layer, head after head.
+    fn kv_bits(caches: &[LayerKvCache]) -> Vec<u32> {
+        caches
+            .iter()
+            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.head(h)))
+            .flat_map(|(k, v)| k.as_slice().iter().chain(v.as_slice()))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn a_prefill_checkpoint_restores_the_runs_retention() {
+        // A serving run's snapshot holds what the run keeps (no layer
+        // input, one row of each head the readout does not read), restores
+        // to a run that keeps the same, and finishes to the bits of the
+        // uninterrupted run; an analysis run's snapshot keeps its own.
+        let m = model();
+        let tokens = m.tokenize_filler(200);
+        let method = sa_baselines::SampleAttentionMethod::paper_default();
+        let rows = |ms: &[Matrix]| ms.iter().map(Matrix::rows).collect::<Vec<_>>();
+        let bits = |ms: &[Matrix]| {
+            ms.iter()
+                .flat_map(|m| m.as_slice())
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for analysis in [false, true] {
+            let label = format!("analysis {analysis}");
+            let start = || m.start_run(&tokens, 64, analysis).expect("start");
+            let (want, want_caches) = start()
+                .run_to_end(&method, &CancelToken::new())
+                .expect("prefill");
+            let mut run = start();
+            for _ in 0..2 {
+                run.advance_chunk(&method).expect("chunk");
+            }
+            let snap = PrefillCheckpoint::capture(&run);
+            drop(run);
+            let num_heads = m.config().num_heads;
+            for (i, held) in rows(&snap.head_contents).into_iter().enumerate() {
+                let (l, h) = (i / num_heads, i % num_heads);
+                let whole = analysis || crate::Readout::reads(l, &m.layers()[l].archetype(h));
+                assert_eq!(held, if whole { 128 } else { 1 }, "{label}: head {i}");
+            }
+            assert_eq!(rows(&snap.layer_inputs), if analysis { vec![128; m.config().num_layers] } else { vec![] });
+            let resumed = snap.restore(&m, 0xB, None).expect("restore");
+            assert_eq!(resumed.analysis, analysis, "{label}");
+            let (got, caches) = resumed
+                .run_to_end(&method, &CancelToken::new())
+                .expect("resume");
+            assert_eq!(bits(&[got.hidden]), bits(&[want.hidden]), "{label}");
+            assert_eq!(rows(&got.head_contents), rows(&want.head_contents), "{label}");
+            assert_eq!(bits(&got.head_contents), bits(&want.head_contents), "{label}");
+            assert_eq!(bits(&got.layer_inputs), bits(&want.layer_inputs), "{label}");
+            assert_eq!(kv_bits(&caches), kv_bits(&want_caches), "{label}");
+            assert_eq!(caches.iter().all(|c| c.is_empty()), analysis, "{label}");
         }
     }
 

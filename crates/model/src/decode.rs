@@ -10,6 +10,12 @@
 //!   and `prefill_chunked`, `begin_decode` and the serving layer drive it
 //!   too. Under dense attention every chunk size gives one chunk's bits
 //!   (the tests assert it); SampleAttention discovers a mask per chunk.
+//!   A run decides at its start what it hands back: `prefill`, the
+//!   analysis entry, keeps every layer's input and every head's rows and
+//!   drops the caches; every cache-keeping run keeps the caches and only
+//!   what decoding and serving read — the readout heads' rows, each other
+//!   head's newest row, no layer inputs — so a long session does not hold
+//!   diagnostics beside its KV cache.
 //! - [`DecodeSession`] — autoregressive generation after a prefill: each
 //!   step embeds the newest token, runs it through every layer with full
 //!   attention over the caches (a KV group's heads as one row block
@@ -27,9 +33,14 @@ use crate::{
 
 impl SyntheticTransformer {
     /// Prefills in chunks of `chunk_size` rows (the last chunk may be
-    /// shorter), maintaining per-layer KV caches. Returns the same
-    /// [`PrefillResult`] as [`prefill`](Self::prefill) plus the caches,
-    /// ready for decoding. For cooperative cancellation, drive
+    /// shorter), maintaining per-layer KV caches. Returns the caches,
+    /// ready for decoding, and a [`PrefillResult`] that holds what a
+    /// decode or serving caller reads: [`prefill`](Self::prefill)'s
+    /// `hidden`, reports and cost, every row of the heads the
+    /// [`Readout`] reads and each other head's newest row, and no layer
+    /// inputs (see [`PrefillResult`]). Every value it holds has the bits
+    /// a run at the same chunk size would give under `prefill`'s
+    /// retention. For cooperative cancellation, drive
     /// [`start_prefill`](Self::start_prefill)'s run with
     /// [`ChunkedPrefill::run_to_end`].
     ///
@@ -62,6 +73,18 @@ impl SyntheticTransformer {
         tokens: &[u32],
         chunk_size: usize,
     ) -> Result<ChunkedPrefill<'_>, TensorError> {
+        self.start_run(tokens, chunk_size, false)
+    }
+
+    /// [`start_prefill`](Self::start_prefill) with the run's retention:
+    /// `analysis` is [`prefill`](Self::prefill)'s (see
+    /// [`ChunkedPrefill::analysis`]).
+    pub(crate) fn start_run(
+        &self,
+        tokens: &[u32],
+        chunk_size: usize,
+        analysis: bool,
+    ) -> Result<ChunkedPrefill<'_>, TensorError> {
         if tokens.is_empty() {
             return Err(TensorError::InvalidDimension {
                 op: "prefill_chunked",
@@ -85,9 +108,11 @@ impl SyntheticTransformer {
             .iter()
             .map(|l| l.new_cache())
             .collect();
-        let layer_inputs: Vec<Matrix> = (0..num_layers)
-            .map(|_| Matrix::zeros(0, hidden_full.cols()))
-            .collect();
+        let layer_inputs = if analysis {
+            vec![Matrix::zeros(0, hidden_full.cols()); num_layers]
+        } else {
+            Vec::new()
+        };
         let head_contents: Vec<Matrix> = (0..num_layers * num_heads)
             .map(|_| Matrix::zeros(0, self.config().content_dim))
             .collect();
@@ -105,7 +130,7 @@ impl SyntheticTransformer {
             final_hidden,
             start: 0,
             chunks_done: 0,
-            keep_caches: true,
+            analysis,
         })
     }
 
@@ -140,17 +165,22 @@ impl SyntheticTransformer {
     ) -> Result<DecodeSession<'_>, TensorError> {
         let (result, caches) = self.prefill_chunked(tokens, tokens.len().max(1), prefill_method)?;
         let readout = Readout::from_reports(&result.head_reports);
-        // Last row's content output per head.
-        let last = result.hidden.rows().saturating_sub(1);
+        // Last row's content output per head: a head the readout does not
+        // read holds only that row.
         let last_contents: Vec<Matrix> = result
             .head_contents
             .iter()
-            .map(|m| m.slice_rows(last, last + 1))
+            .map(|m| m.slice_rows(m.rows() - 1, m.rows()))
             .collect::<Result<_, _>>()?;
-        let scores = caches
-            .iter()
-            .map(|c| vec![vec![0.0f64; c.len()]; c.num_kv_heads()])
-            .collect();
+        // The H2O statistic exists only for a session that evicts.
+        let scores = if eviction.budget > 0 {
+            caches
+                .iter()
+                .map(|c| vec![vec![0.0f64; c.len()]; c.num_kv_heads()])
+                .collect()
+        } else {
+            Vec::new()
+        };
         Ok(DecodeSession {
             model: self,
             embed_stream: self.embedder().stream_after(tokens),
@@ -212,7 +242,11 @@ pub struct ChunkedPrefill<'m> {
     /// recomputes it instead of storing it in the checkpoint.
     pub(crate) hidden_full: Matrix,
     pub(crate) caches: Vec<LayerKvCache>,
+    /// One per layer in an [`analysis`](Self::analysis) run, none
+    /// otherwise.
     pub(crate) layer_inputs: Vec<Matrix>,
+    /// Layer-major, one per head: every row so far, or only the newest
+    /// chunk's last one for a head the run does not keep whole.
     pub(crate) head_contents: Vec<Matrix>,
     pub(crate) head_reports: Vec<Option<HeadReport>>,
     pub(crate) total_cost: CostReport,
@@ -220,10 +254,14 @@ pub struct ChunkedPrefill<'m> {
     /// First prompt row the next chunk will process.
     pub(crate) start: usize,
     pub(crate) chunks_done: usize,
-    /// Whether [`finish`](Self::finish) hands the caches back; if not
-    /// ([`SyntheticTransformer::prefill`]), each layer's goes as the last
-    /// chunk leaves it, and its memory serves the next layer.
-    pub(crate) keep_caches: bool,
+    /// What the run hands back, decided once at its start.
+    /// `true` for [`SyntheticTransformer::prefill`], the analysis entry:
+    /// every layer's input and every head's rows, and no caches (each
+    /// layer's goes as the last chunk leaves it, and its memory serves
+    /// the next layer). `false` for every cache-keeping run: the caches,
+    /// every row of the heads the [`Readout`] reads, each other head's
+    /// newest row, and no layer inputs.
+    pub(crate) analysis: bool,
 }
 
 impl<'m> ChunkedPrefill<'m> {
@@ -305,14 +343,21 @@ impl<'m> ChunkedPrefill<'m> {
         let mut rows = self.hidden_full.slice_rows(self.start, end)?;
         for (l, layer) in self.model.layers().iter().enumerate() {
             let _span = sa_trace::span_labeled("model", "layer", || format!("L{l}"));
-            append_rows(&mut self.layer_inputs[l], rows.clone())?;
+            if self.analysis {
+                append_rows(&mut self.layer_inputs[l], rows.clone())?;
+            }
             let out = layer.forward_incremental(&rows, &mut self.caches[l], method)?;
-            if end == s && !self.keep_caches {
+            if end == s && self.analysis {
                 // The run's caller drops the caches: this one is done.
                 self.caches[l] = layer.new_cache();
             }
             for (h, content) in out.head_contents.into_iter().enumerate() {
-                append_rows(&mut self.head_contents[l * num_heads + h], content)?;
+                let slot = &mut self.head_contents[l * num_heads + h];
+                if self.analysis || Readout::reads(l, &layer.archetype(h)) {
+                    append_rows(slot, content)?;
+                } else {
+                    *slot = content.slice_rows(content.rows() - 1, content.rows())?;
+                }
             }
             for r in out.head_reports {
                 let slot = &mut self.head_reports[r.layer * num_heads + r.head];
@@ -412,7 +457,9 @@ impl<'m> DecodeSession<'m> {
         &self.tokens
     }
 
-    /// The prefill result the session started from.
+    /// The prefill result the session started from, as a cache-keeping
+    /// run keeps it (see [`PrefillResult`]): no layer inputs, and every
+    /// row only of the heads the readout reads.
     pub fn prefill_result(&self) -> &PrefillResult {
         &self.prefill
     }
@@ -586,25 +633,108 @@ mod tests {
         ms.into_iter().flat_map(|m| m.as_slice()).map(|x| x.to_bits()).collect()
     }
 
+    /// `prefill`'s retention (every layer input, every head's rows) at
+    /// any chunk size.
+    fn analysis_run(
+        m: &SyntheticTransformer,
+        tokens: &[u32],
+        chunk: usize,
+        method: &dyn AttentionMethod,
+    ) -> PrefillResult {
+        let run = m.start_run(tokens, chunk, true).unwrap();
+        run.run_to_end(method, &CancelToken::new()).unwrap().0
+    }
+
+    /// Each head's rows as a cache-keeping run keeps them: all of a head
+    /// the readout reads, the newest row of every other.
+    fn kept_rows(m: &SyntheticTransformer, whole: &PrefillResult) -> Vec<Matrix> {
+        let num_heads = m.config().num_heads;
+        whole
+            .head_contents
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let (l, h) = (i / num_heads, i % num_heads);
+                if Readout::reads(l, &m.layers()[l].archetype(h)) {
+                    c.clone()
+                } else {
+                    c.slice_rows(c.rows() - 1, c.rows()).unwrap()
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn chunked_prefill_matches_monolithic() {
         // Under dense attention no row's mask depends on the chunking, and
         // every kernel folds a row's keys in the same order whatever rows
         // it is called with, so every chunk size gives the whole prompt's
-        // bits.
+        // bits: every head's rows and every layer input under `prefill`'s
+        // retention, and what a cache-keeping run keeps of them.
         let glm = SyntheticTransformer::new(ModelConfig::chatglm2_like(7)).unwrap();
         for (m, len, chunks) in [(model(), 90, &[1, 7, 32, 64, 90, 200][..]), (glm, 300, &[7, 32, 100, 128])] {
             let tokens = m.tokenize_filler(len);
             let whole = m.prefill(&tokens, &FullAttention::new()).unwrap();
             for &chunk in chunks {
-                let (chunked, caches) = m.prefill_chunked(&tokens, chunk, &FullAttention::new()).unwrap();
                 let label = format!("{len} tokens in chunks of {chunk}");
+                let analysed = analysis_run(&m, &tokens, chunk, &FullAttention::new());
+                assert_eq!(bits([&analysed.hidden]), bits([&whole.hidden]), "{label}");
+                assert_eq!(bits(&analysed.head_contents), bits(&whole.head_contents), "{label}");
+                assert_eq!(bits(&analysed.layer_inputs), bits(&whole.layer_inputs), "{label}");
+                let (chunked, caches) = m.prefill_chunked(&tokens, chunk, &FullAttention::new()).unwrap();
                 assert_eq!(bits([&chunked.hidden]), bits([&whole.hidden]), "{label}");
-                assert_eq!(bits(&chunked.head_contents), bits(&whole.head_contents), "{label}");
-                assert_eq!(bits(&chunked.layer_inputs), bits(&whole.layer_inputs), "{label}");
+                assert_eq!(bits(&chunked.head_contents), bits(&kept_rows(&m, &whole)), "{label}");
+                assert!(chunked.layer_inputs.is_empty(), "{label}");
                 assert!(caches.iter().all(|c| c.len() == len), "{label}");
             }
         }
+    }
+
+    #[test]
+    fn a_decode_session_keeps_only_what_its_readout_reads() {
+        // `begin_decode` hands back no layer input and one row of each
+        // head the readout does not read; every value it keeps, and every
+        // answer read from it, has `prefill`'s bits.
+        let m = SyntheticTransformer::new(ModelConfig::chatglm2_like(5)).unwrap();
+        let layout = *m.embedder().layout();
+        let mut tokens = m.tokenize_filler(300);
+        tokens[120] = layout.marker(3);
+        tokens[121] = layout.payload(8);
+        tokens[299] = layout.marker(3);
+        let method = SampleAttentionMethod::paper_default();
+        let whole = m.prefill(&tokens, &method).unwrap();
+        let session = m.begin_decode(&tokens, &method).unwrap();
+        let kept = session.prefill_result();
+        assert!(kept.layer_inputs.iter().all(|x| x.rows() == 0), "layer inputs kept");
+        let num_heads = m.config().num_heads;
+        let readout = Readout::from_reports(&whole.head_reports);
+        assert!(readout.num_heads() > 0);
+        let mut read = 0;
+        for (i, (got, want)) in kept.head_contents.iter().zip(&whole.head_contents).enumerate() {
+            let (l, h) = (i / num_heads, i % num_heads);
+            if Readout::reads(l, &m.layers()[l].archetype(h)) {
+                assert_eq!(bits([got]), bits([want]), "readout head {i}");
+                read += 1;
+            } else {
+                assert!(got.rows() <= 1, "head {i} keeps {} rows", got.rows());
+            }
+        }
+        assert_eq!(read, readout.num_heads());
+        assert_eq!(bits([&kept.hidden]), bits([&whole.hidden]));
+        let newest: Vec<Matrix> =
+            whole.head_contents.iter().map(|c| c.slice_rows(299, 300).unwrap()).collect();
+        assert_eq!(bits(session.last_contents()), bits(&newest));
+        let answer = |(token, confidence): (u32, f32)| (token, confidence.to_bits());
+        for pos in [0, 1, 121, 122, 200, 299] {
+            assert_eq!(answer(m.answer_at(kept, pos)), answer(m.answer_at(&whole, pos)), "{pos}");
+            let range = layout.payload_range();
+            assert_eq!(
+                answer(m.answer_at_in(kept, pos, range.clone())),
+                answer(m.answer_at_in(&whole, pos, range)),
+                "{pos}"
+            );
+        }
+        assert_eq!(m.answer_at_in(kept, 299, layout.payload_range()).0, layout.payload(8));
     }
 
     #[test]
@@ -911,12 +1041,11 @@ mod tests {
         // chunked prefill is the dense one, bit for bit.
         let m = model();
         let tokens = m.tokenize_filler(100);
-        let (sparse, _) = m
-            .prefill_chunked(&tokens, 32, &SampleAttentionMethod::paper_default())
-            .unwrap();
-        let (dense, _) = m.prefill_chunked(&tokens, 32, &FullAttention::new()).unwrap();
+        let sparse = analysis_run(&m, &tokens, 32, &SampleAttentionMethod::paper_default());
+        let dense = analysis_run(&m, &tokens, 32, &FullAttention::new());
         assert_eq!(bits([&sparse.hidden]), bits([&dense.hidden]));
         assert_eq!(bits(&sparse.head_contents), bits(&dense.head_contents));
+        assert_eq!(bits(&sparse.layer_inputs), bits(&dense.layer_inputs));
         assert_eq!(sparse.mean_density(), 1.0);
         assert_eq!(sparse.heads_alpha_unsatisfied(), 0);
         assert_eq!(sparse.fallback_heads(), 0);

@@ -9,7 +9,7 @@
 
 use sa_tensor::Matrix;
 
-use crate::{HeadReport, TokenEmbedder};
+use crate::{HeadArchetype, HeadReport, TokenEmbedder};
 
 /// Minimum retrieval weight for a head to participate in the readout.
 const RETRIEVAL_HEAD_THRESHOLD: f32 = 0.5;
@@ -29,10 +29,17 @@ impl Readout {
         let retrieval_heads = reports
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.layer > 0 && r.archetype.retrieval >= RETRIEVAL_HEAD_THRESHOLD)
+            .filter(|(_, r)| Self::reads(r.layer, &r.archetype))
             .map(|(i, _)| i)
             .collect();
         Readout { retrieval_heads }
+    }
+
+    /// Whether the readout reads a head of `layer` with `archetype` — the
+    /// one rule [`from_reports`](Self::from_reports) and a cache-keeping
+    /// prompt run's retention share.
+    pub(crate) fn reads(layer: usize, archetype: &HeadArchetype) -> bool {
+        layer > 0 && archetype.retrieval >= RETRIEVAL_HEAD_THRESHOLD
     }
 
     /// Number of participating heads.
@@ -79,7 +86,7 @@ pub fn decode_nearest_token(embedder: &TokenEmbedder, v: &[f32]) -> (u32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HeadArchetype, ModelConfig};
+    use crate::ModelConfig;
     use sa_kernels::CostReport;
 
     fn report(layer: usize, head: usize, retrieval: f32) -> HeadReport {

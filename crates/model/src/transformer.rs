@@ -9,15 +9,29 @@ use crate::{AttentionLayer, ModelConfig, Readout, TokenEmbedder};
 pub use crate::layer::HeadReport;
 
 /// Result of a prefill pass.
+///
+/// What it holds depends on the entry that ran it.
+/// [`SyntheticTransformer::prefill`], the analysis entry, holds every
+/// field whole. A cache-keeping run
+/// ([`prefill_chunked`](SyntheticTransformer::prefill_chunked),
+/// [`begin_decode`](SyntheticTransformer::begin_decode), the serving
+/// layer's attempts) holds what its callers read and nothing more:
+/// `hidden`, the reports and the cost whole, `head_contents` in part,
+/// `layer_inputs` empty. Every value held has the same bits either way.
 #[derive(Debug, Clone)]
 pub struct PrefillResult {
     /// Final residual stream `(S, hidden_dim)`.
     pub hidden: Matrix,
     /// The residual stream *entering* each layer (index = layer); used by
-    /// the sparsity analyses to recompute per-head scores.
+    /// the sparsity analyses and the serving canary to recompute per-head
+    /// scores. Empty for a cache-keeping run.
     pub layer_inputs: Vec<Matrix>,
     /// Content-space output of every head, layer-major
-    /// (`layer * num_heads + head`).
+    /// (`layer * num_heads + head`): `(S, content_dim)` each after
+    /// `prefill`. A cache-keeping run keeps all `S` rows of the heads
+    /// the [`Readout`] reads, so [`answer_at`](SyntheticTransformer::answer_at)
+    /// works at every position, and only the newest row `(1,
+    /// content_dim)` of every other head.
     pub head_contents: Vec<Matrix>,
     /// Flattened per-head diagnostics, aligned with `head_contents`.
     pub head_reports: Vec<HeadReport>,
@@ -137,7 +151,9 @@ impl SyntheticTransformer {
     /// Runs prefill with `method` substituted into every attention head:
     /// the whole prompt as one chunk of
     /// [`ChunkedPrefill`](crate::ChunkedPrefill), the path decoding and
-    /// serving run, its KV caches dropped.
+    /// serving run, its KV caches dropped. The analysis entry: the result
+    /// holds every layer's input and every head's rows (see
+    /// [`PrefillResult`]).
     ///
     /// # Errors
     ///
@@ -149,8 +165,7 @@ impl SyntheticTransformer {
         tokens: &[u32],
         method: &dyn AttentionMethod,
     ) -> Result<PrefillResult, TensorError> {
-        let mut run = self.start_prefill(tokens, tokens.len().max(1))?;
-        run.keep_caches = false;
+        let run = self.start_run(tokens, tokens.len().max(1), true)?;
         let (result, _) = run.run_to_end(method, &CancelToken::new())?;
         Ok(result)
     }

@@ -95,7 +95,10 @@ fn softmax_group<const N: usize>(group: &mut [&mut [f32]]) {
     // nobody reads), then each row's tail alone.
     let mut sums = [0.0f64; N];
     let common = group.iter().map(|row| row.len()).min().unwrap_or(0);
-    let heads: [&[f32]; N] = std::array::from_fn(|r| &group[r][..common]);
+    let mut heads: [&[f32]; N] = [&[]; N];
+    for (head, row) in heads.iter_mut().zip(group.iter()) {
+        *head = &row[..common];
+    }
     for j in 0..common {
         for (sum, head) in sums.iter_mut().zip(&heads) {
             *sum += f64::from(head[j]);
@@ -500,7 +503,10 @@ fn prepare<const N: usize>(
     blocks: [&[f32]; N],
     weights: &mut [[f32; FOLD_KEYS]],
 ) -> [Option<bool>; N] {
-    let block_max: [f32; N] = std::array::from_fn(|r| lane_max(blocks[r]));
+    let mut block_max = [f32::NEG_INFINITY; N];
+    for (max, block) in block_max.iter_mut().zip(blocks) {
+        *max = lane_max(block);
+    }
     let mut new_max = [0.0f32; N];
     let mut correction = [0.0f32; N];
     for (r, state) in states.iter().enumerate() {
@@ -549,22 +555,26 @@ fn fold<'a, const COLUMNS: usize, const FUSED: bool>(
     let mut weights = [[0.0f32; FOLD_KEYS]];
     for (pass, block) in scores.chunks(FOLD_KEYS).enumerate() {
         if let [Some(_)] = prepare(std::slice::from_mut(state), [block], &mut weights) {
-            accumulate_live::<COLUMNS, FUSED>(state, block, &mut weights[0], |t| {
-                values(pass * FOLD_KEYS + t)
-            });
+            let mut rows: [&[f32]; FOLD_KEYS] = [&[]; FOLD_KEYS];
+            for (t, (row, &s)) in rows.iter_mut().zip(block).enumerate() {
+                if s != f32::NEG_INFINITY {
+                    *row = values(pass * FOLD_KEYS + t);
+                }
+            }
+            accumulate_live::<COLUMNS, FUSED>(state, block, &mut weights[0], rows);
         }
     }
 }
 
 /// Step 5 for one row of a block [`prepare`] has weighed: collects the
-/// value row and weight of every key that is not `-inf`, in order, and
-/// accumulates them.
+/// value row (`values.row(t)` for key `t`) and weight of every key that
+/// is not `-inf`, in order, and accumulates them.
 #[inline(always)]
-fn accumulate_live<'a, const COLUMNS: usize, const FUSED: bool>(
+fn accumulate_live<'v, const COLUMNS: usize, const FUSED: bool>(
     state: &mut OnlineSoftmaxState,
     scores: &[f32],
     weights: &mut [f32; FOLD_KEYS],
-    mut values: impl FnMut(usize) -> &'a [f32],
+    values: impl ValueRows<'v>,
 ) {
     let mut rows: [&[f32]; FOLD_KEYS] = [&[]; FOLD_KEYS];
     let mut live = 0;
@@ -572,13 +582,13 @@ fn accumulate_live<'a, const COLUMNS: usize, const FUSED: bool>(
         if s == f32::NEG_INFINITY {
             continue;
         }
-        let row = values(t);
+        let row = values.row(t);
         assert_eq!(row.len(), state.acc.len(), "value row width");
         weights[live] = weights[t];
         rows[live] = row;
         live += 1;
     }
-    accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [weights], live, |j| rows[j]);
+    accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [weights], live, rows);
 }
 
 /// The one body of the tile fold: rows four at a time, each through
@@ -608,7 +618,10 @@ fn fold_tile<
         .zip(quad_scores.chunks_exact(4 * FOLD_KEYS))
         .zip(quad_ranges.chunks_exact(4))
     {
-        let blocks = std::array::from_fn(|r| &scores[r * FOLD_KEYS..][ranges[r].0..ranges[r].1]);
+        let mut blocks: [&[f32]; 4] = [&[]; 4];
+        for (r, (block, &(lo, hi))) in blocks.iter_mut().zip(ranges).enumerate() {
+            *block = &scores[r * FOLD_KEYS..][lo..hi];
+        }
         let holes = prepare::<4>(quad, blocks, &mut weights);
         let shared_lo = ranges.iter().map(|&(lo, _)| lo).max().unwrap_or(0);
         let shared_hi = ranges.iter().map(|&(_, hi)| hi).min().unwrap_or(0);
@@ -671,18 +684,21 @@ fn fold_quad<const QUAD_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>
     for ((state, w), &(row_lo, _)) in quad.iter_mut().zip(weights).zip(ranges) {
         if row_lo < lo {
             let values = &v_slab[row_lo * d..lo * d];
-            accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [w], lo - row_lo, |j| {
-                &values[j * d..(j + 1) * d]
-            });
+            let rows = Slab { values, width: d };
+            accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [w], lo - row_lo, rows);
         }
     }
     if let [a, b, c, e] = quad {
         let values = &v_slab[lo * d..hi * d];
+        let mut shared: [&[f32]; 4] = [&[]; 4];
+        for ((shared, w), &(row_lo, _)) in shared.iter_mut().zip(weights).zip(ranges) {
+            *shared = &w[lo - row_lo..];
+        }
         accumulate::<4, QUAD_COLUMNS, FUSED>(
             [&mut a.acc, &mut b.acc, &mut c.acc, &mut e.acc],
-            std::array::from_fn(|r| &weights[r][lo - ranges[r].0..]),
+            shared,
             hi - lo,
-            |j| &values[j * d..(j + 1) * d],
+            Slab { values, width: d },
         );
     }
     for ((state, w), &(row_lo, row_hi)) in quad.iter_mut().zip(weights).zip(ranges) {
@@ -692,7 +708,7 @@ fn fold_quad<const QUAD_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>
                 [&mut state.acc],
                 [&w[hi - row_lo..]],
                 row_hi - hi,
-                |j| &values[j * d..(j + 1) * d],
+                Slab { values, width: d },
             );
         }
     }
@@ -720,29 +736,59 @@ fn fold_pair<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>
                 [&mut a.acc, &mut b.acc],
                 [&weights[0], &weights[1]],
                 hi - lo,
-                |j| &values[j * d..(j + 1) * d],
+                Slab { values, width: d },
             );
             return;
         }
     }
     for (r, (state, &(lo, hi))) in pair.iter_mut().zip(ranges).enumerate() {
-        let values = &v_slab[lo * d..hi * d];
-        let value = |t: usize| &values[t * d..(t + 1) * d];
+        let rows = Slab { values: &v_slab[lo * d..hi * d], width: d };
         match holes[r] {
             None => {}
             Some(false) => {
-                accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [&weights[r]], hi - lo, value)
+                accumulate::<1, COLUMNS, FUSED>([&mut state.acc], [&weights[r]], hi - lo, rows)
             }
             Some(true) => {
                 let row = &scores[r * FOLD_KEYS..][lo..hi];
-                accumulate_live::<COLUMNS, FUSED>(state, row, &mut weights[r], value);
+                accumulate_live::<COLUMNS, FUSED>(state, row, &mut weights[r], rows);
             }
         }
     }
 }
 
+/// Where step 5 reads key `j`'s value row. The method is
+/// `#[inline(always)]`: a closure in its place can be compiled out of
+/// line, for the baseline ISA, and called once per key from a wide build
+/// (`fold_pair`'s was, in both).
+trait ValueRows<'v> {
+    fn row(&self, j: usize) -> &'v [f32];
+}
+
+/// Value rows of `width` values one after another.
+#[derive(Clone, Copy)]
+struct Slab<'v> {
+    values: &'v [f32],
+    width: usize,
+}
+
+impl<'v> ValueRows<'v> for Slab<'v> {
+    #[inline(always)]
+    fn row(&self, j: usize) -> &'v [f32] {
+        &self.values[j * self.width..(j + 1) * self.width]
+    }
+}
+
+/// Rows gathered one by one (the row fold's, from its caller): key `j`'s
+/// is `self[j]`.
+impl<'v> ValueRows<'v> for [&'v [f32]; FOLD_KEYS] {
+    #[inline(always)]
+    fn row(&self, j: usize) -> &'v [f32] {
+        self[j]
+    }
+}
+
 /// Step 5 for `R` rows that fold the same keys:
-/// `acc[r][c] = fma(weights[r][j], row(j)[c], acc[r][c])` for `j` ascending below
+/// `acc[r][c] = fma(weights[r][j], rows.row(j)[c], acc[r][c])` for `j` ascending below
 /// `keys`, on every column `c` — `COLUMNS` columns at a time in
 /// local arrays the compiler keeps in registers over all `j` (each load
 /// of a value row feeds all `R` rows), then the columns past the last
@@ -751,11 +797,13 @@ fn fold_pair<const PAIR_COLUMNS: usize, const COLUMNS: usize, const FUSED: bool>
 #[inline(always)]
 fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
     mut acc: [&mut Vec<f32>; R],
-    weights: [&[f32]; R],
+    mut weights: [&[f32]; R],
     keys: usize,
-    row: impl Fn(usize) -> &'v [f32],
+    rows: impl ValueRows<'v>,
 ) {
-    let weights = weights.map(|w| &w[..keys]);
+    for w in &mut weights {
+        *w = &w[..keys];
+    }
     let d = acc[0].len();
     let whole = d - d % COLUMNS;
     for c0 in (0..whole).step_by(COLUMNS) {
@@ -764,7 +812,7 @@ fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
             held.copy_from_slice(&acc[c0..c0 + COLUMNS]);
         }
         for j in 0..keys {
-            let values = &row(j)[c0..c0 + COLUMNS];
+            let values = &rows.row(j)[c0..c0 + COLUMNS];
             for (held, weights) in lanes.iter_mut().zip(&weights) {
                 let w = weights[j];
                 for (a, &x) in held.iter_mut().zip(values) {
@@ -780,7 +828,7 @@ fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
         return;
     }
     for j in 0..keys {
-        let values = &row(j)[whole..d];
+        let values = &rows.row(j)[whole..d];
         for (acc, weights) in acc.iter_mut().zip(&weights) {
             let w = weights[j];
             for (a, &x) in acc[whole..].iter_mut().zip(values) {

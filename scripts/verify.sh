@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, 16 zmm FMAs in the AVX-512 GEMM, no libm expf or fmaf)"
+echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, 16 zmm FMAs in the AVX-512 GEMM, no out-of-line helper calls, no libm expf or fmaf)"
 # The score panel, the row fold, the tile fold, the row softmax, the
 # packed-weight GEMM and the non-finite count are each one body compiled
 # for the baseline ISA, for
@@ -38,6 +38,13 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop a
 # pair and single-row step 5 are inlined into one body per build), the
 # row softmax, the GEMM and the health sentinels' non-finite count (an
 # integer scan with no product: like the softmax, it must issue no FMA).
+# A wide build must also call no closure, `call_mut`, `try_map` or
+# `from_fn` body: the compiler builds such a helper out of line for the
+# baseline ISA, so every call leaves the wide code (the fold once called
+# SSE `maxps` through `array::from_fn` four times a quad, with a
+# `vzeroupper` before each), with the same bits, so no test notices.
+# Helpers inside a wrapper are plain loops, indexing and
+# `#[inline(always)]` functions.
 # And the bits are libm-independent only while every f32
 # exponential on the pipeline path is `sa_tensor::exp` and every fused
 # product off the wide builds is `sa_tensor::fma`: a reference to `expf`
@@ -51,7 +58,7 @@ else
     # objdump exits non-zero on the archive's metadata member; the awk
     # verdict is the status that counts.
     for lib in sa_kernels sa_core sa_tensor; do
-        objdump -d --no-show-raw-insn -C "target/release/lib$lib.rlib" 2>/dev/null || true
+        objdump -d -r --no-show-raw-insn -C "target/release/lib$lib.rlib" 2>/dev/null || true
     done | awk '
         function loop(s) {
             return s ~ /score_panel_/ ? "score_panel" : s ~ /gemm_rows_/ ? "gemm_rows" : \
@@ -64,6 +71,15 @@ else
             if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows|count_nonfinite)_avx(2|512)>/) {
                 wide[sym] = 0
                 fused[sym] = 0
+            }
+            next
+        }
+        # A relocation names the target of a call in the listing before it.
+        /R_X86_64_/ {
+            if (sym in wide && $0 ~ /closure|call_mut|try_map|from_fn/) {
+                sub(/^[ \t]*[0-9a-f]+:[ \t]*R_X86_64_[A-Z0-9_]+[ \t]*/, "")
+                print sym " calls the out-of-line helper " $0
+                bad = 1
             }
             next
         }
@@ -104,7 +120,7 @@ else
             }
             exit bad
         }' || {
-        echo "codegen guard: a dispatched loop would not give the same bits, or lost a wide build" >&2
+        echo "codegen guard: a dispatched loop would not give the same bits, lost a wide build, or calls a helper out of line" >&2
         exit 1
     }
     for lib in sa_tensor sa_kernels sa_core sa_model; do

@@ -283,15 +283,15 @@ impl<'m> PerHeadDecoder<'m> {
         let (result, caches) = model
             .prefill_chunked(tokens, tokens.len().max(1), method)
             .expect("prefill");
-        let last = result.hidden.rows() - 1;
         PerHeadDecoder {
             model,
             tokens: tokens.to_vec(),
             readout: Readout::from_reports(&result.head_reports),
+            // A head the readout does not read keeps only its last row.
             last_contents: result
                 .head_contents
                 .iter()
-                .map(|m| m.slice_rows(last, last + 1).expect("last row"))
+                .map(|m| m.slice_rows(m.rows() - 1, m.rows()).expect("last row"))
                 .collect(),
             scores: caches
                 .iter()

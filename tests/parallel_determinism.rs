@@ -20,7 +20,7 @@ use sa_kernels::{
     flash_attention, full_attention, score_scale, sparse_flash_attention, FlashParams, KeyPanels,
     PreparedKeys, StructuredMask,
 };
-use sa_model::{ModelConfig, PrefillResult, SyntheticTransformer};
+use sa_model::{LayerKvCache, ModelConfig, PrefillResult, SyntheticTransformer};
 use sa_tensor::pool::with_threads;
 use sa_tensor::{
     col_sum, fma, matmul, matmul_packed, matmul_packed_parts, matmul_transb, softmax_row,
@@ -452,8 +452,8 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
         window: WindowOnly::new(0.1).unwrap(),
     };
     let methods: [(&str, &dyn AttentionMethod); 2] = [("sample", &mixed.sparse), ("mixed", &mixed)];
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let summary = |r: &PrefillResult| {
-        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let heads: Vec<_> = r
             .head_reports
             .iter()
@@ -465,6 +465,16 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
             heads,
         )
     };
+    // A chunked run keeps each head's newest row and the readout heads'
+    // rows; every head's K and V in the caches cover the rest of it.
+    let chunked_summary = |(r, caches): &(PrefillResult, Vec<LayerKvCache>)| {
+        let kv: Vec<_> = caches
+            .iter()
+            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.head(h)))
+            .map(|(k, v)| (bits(k), bits(v)))
+            .collect();
+        (summary(r), kv)
+    };
     for faulty in [false, true] {
         let _guard = faulty
             .then(|| fault::install(FaultPlan::new(9).worker_panic("sparse_flash_attention")));
@@ -472,10 +482,7 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
         for &(name, method) in &methods[..if faulty { 1 } else { 2 }] {
             let want = with_threads(1, || model.prefill(&tokens, &HeadByHead(method)).unwrap());
             let want_chunked = with_threads(1, || {
-                model
-                    .prefill_chunked(&tokens, 64, &HeadByHead(method))
-                    .unwrap()
-                    .0
+                chunked_summary(&model.prefill_chunked(&tokens, 64, &HeadByHead(method)).unwrap())
             });
             if faulty {
                 assert!(want.fallback_heads() > 0, "{name}: the fault never fired");
@@ -485,9 +492,9 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
                 let got = with_threads(threads, || model.prefill(&tokens, method).unwrap());
                 assert!(summary(&got) == summary(&want), "{label}: prefill");
                 let got = with_threads(threads, || {
-                    model.prefill_chunked(&tokens, 64, method).unwrap().0
+                    chunked_summary(&model.prefill_chunked(&tokens, 64, method).unwrap())
                 });
-                assert!(summary(&got) == summary(&want_chunked), "{label}: chunked");
+                assert!(got == want_chunked, "{label}: chunked");
             }
         }
     }
