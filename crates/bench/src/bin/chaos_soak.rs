@@ -16,10 +16,10 @@
 //! caller cancellations, transient worker faults (retried with seeded
 //! backoff), and permanent faults (retry budget exhausted).
 //!
-//! The soak runs **three legs** with the same contract: the one-shot
-//! batch scheduler over `mixed_workload`, the continuous-batching
-//! scheduler ([`Scheduler::run_continuous_with_events`]) over a seeded
-//! open-loop flash-crowd arrival stream
+//! The soak runs **three legs** with the same contract, all through
+//! [`Scheduler::run_continuous_with_events`]: the batch leg over
+//! `mixed_workload`, the continuous leg over a seeded open-loop
+//! flash-crowd arrival stream
 //! ([`sa_serve::open_loop_workload`]), and a
 //! **fault storm** ([`sa_serve::fault_storm_workload`]) replayed under
 //! a [`FaultPlan`] installed around the replay that layers serving-loop
@@ -176,10 +176,11 @@ fn main() {
 
     let cfg = ServeConfig {
         seed: args.seed,
-        // Shallow queue so the soak exercises Overloaded rejections as
-        // well as queue expiries (the default queue is deep enough that
-        // this workload never overflows it).
-        max_queue: 3,
+        // Shallow pending queue so the soak exercises Overloaded
+        // rejections as well as queue expiries and budget rejections (the
+        // default queue is deep enough that this workload never
+        // overflows it).
+        max_pending: 4,
         ..ServeConfig::default()
     }
     .from_env();
@@ -196,7 +197,7 @@ fn main() {
 
     let mut ledgers: Vec<Ledger> = Vec::new();
     for &t in &thread_counts {
-        let (ledger, _) = pool::with_threads(t, || scheduler.run_with_events(&requests))
+        let (ledger, _) = pool::with_threads(t, || scheduler.run_continuous_with_events(&requests))
             .expect("scheduler batch never fails");
         ledger
             .validate(&requests)

@@ -3,11 +3,14 @@
 //!
 //! Four legs, each asserting part of the contract:
 //!
-//! - **clean** — a mixed workload with per-tenant quality floors and
-//!   shadow canaries enabled: zero quarantine transitions (no false
-//!   positives on healthy traffic), the floored tenant never serves an
-//!   uncertified rung, and every floor refusal surfaces as a typed
-//!   `ShedQualityFloor` outcome, never a silent downgrade.
+//! - **clean** — a mixed workload with per-tenant quality floors and a
+//!   shadow canary on every served request: the canaries probe sparse
+//!   heads (a clean leg whose canaries all ran at rung `full` would
+//!   prove nothing), yet
+//!   trip zero quarantine transitions (no false positives on healthy
+//!   traffic), the floored tenant never serves an uncertified rung, and
+//!   every floor refusal surfaces as a typed `ShedQualityFloor`
+//!   outcome, never a silent downgrade.
 //! - **sweep** — the same workload replayed at canary denominators
 //!   `[0, 64, 32, 8]`: canary selection is measurement-only, so served
 //!   counts and certified goodput are *identical* at every rate (hence
@@ -25,6 +28,10 @@
 //!   *and* the guard's quarantine/readmit transitions) replayed at
 //!   `SA_THREADS` 1, 2, and default must serialize to byte-identical
 //!   JSON.
+//!
+//! Every leg runs on the continuous planner
+//! ([`Scheduler::run_guarded_with_events`] /
+//! [`Scheduler::run_continuous_with_events`]).
 //!
 //! Outputs:
 //! - stdout: per-leg verdict tables;
@@ -56,6 +63,9 @@ struct QualityGuardReport {
     clean_waves: u64,
     /// Canary-probed requests across the clean leg.
     clean_canaries: u64,
+    /// Heads the clean leg's canaries probed (must be > 0: canaries at
+    /// rung `full` probe none).
+    clean_probed_heads: u64,
     /// Quarantine/readmit transitions on clean traffic (must be 0).
     clean_transitions: u64,
     /// `ShedQualityFloor` outcomes across the clean leg (typed floor
@@ -109,6 +119,7 @@ sa_json::impl_json_struct!(QualityGuardReport {
     clean_requests,
     clean_waves,
     clean_canaries,
+    clean_probed_heads,
     clean_transitions,
     clean_floor_sheds,
     clean_floored_tenant_uncertified_permille,
@@ -200,7 +211,7 @@ fn main() {
 
     // --- Clean leg: floors + canaries on healthy traffic. ---
     let requests = mixed_workload(args.seed, n);
-    let scheduler = Scheduler::new(clean_config(args.seed, 4)).expect("tiny model config is valid");
+    let scheduler = Scheduler::new(clean_config(args.seed, 1)).expect("tiny model config is valid");
     let mut guard = QualityGuard::for_model(scheduler.model());
     let mut clean_canaries = 0u64;
     let mut clean_floor_sheds = 0u64;
@@ -217,9 +228,11 @@ fn main() {
         last_ledger = Some(ledger);
     }
     let last_ledger = last_ledger.expect("at least one clean wave ran");
-    let clean_slo = SloSummary::from_ledger("oneshot_guarded", &last_ledger, &requests);
+    let clean_slo = SloSummary::from_ledger("continuous_guarded", &last_ledger, &requests);
+    let clean_probed_heads = guard.probed_heads();
 
     assert!(clean_canaries > 0, "clean leg probed no canaries");
+    assert!(clean_probed_heads > 0, "clean leg's canaries probed no heads");
     assert!(
         guard.transitions().is_empty(),
         "false quarantine on clean traffic: {:?}",
@@ -252,6 +265,7 @@ fn main() {
         n.to_string(),
         clean_waves.to_string(),
         clean_canaries.to_string(),
+        clean_probed_heads.to_string(),
         "0".to_string(),
         clean_floor_sheds.to_string(),
         f(clean_slo.certified_goodput_per_sec, 3),
@@ -260,7 +274,15 @@ fn main() {
     println!(
         "{}",
         render_table(
-            &["requests", "waves", "canaries", "false_trips", "floor_sheds", "cert_goodput"],
+            &[
+                "requests",
+                "waves",
+                "canaries",
+                "probed_heads",
+                "false_trips",
+                "floor_sheds",
+                "cert_goodput",
+            ],
             &std::mem::take(&mut clean_rows)
         )
     );
@@ -273,12 +295,12 @@ fn main() {
     for &d in &denominators {
         let s = Scheduler::new(clean_config(args.seed, d)).expect("tiny model config is valid");
         let (ledger, _) = s
-            .run_with_events(&requests)
+            .run_continuous_with_events(&requests)
             .expect("sweep wave never fails");
         ledger
             .validate(&requests)
             .expect("sweep ledger accounts for every request");
-        let slo = SloSummary::from_ledger("oneshot", &ledger, &requests);
+        let slo = SloSummary::from_ledger("continuous", &ledger, &requests);
         sweep_canaries.push(ledger.records.iter().filter(|r| r.canary).count() as u64);
         sweep_goodput.push(slo.certified_goodput_per_sec);
         sweep_served.push(ledger.count(Outcome::Served) as u64);
@@ -462,6 +484,7 @@ fn main() {
         clean_requests: n as u64,
         clean_waves: clean_waves as u64,
         clean_canaries,
+        clean_probed_heads,
         clean_transitions: 0,
         clean_floor_sheds,
         clean_floored_tenant_uncertified_permille: clean_uncertified_permille,

@@ -6,8 +6,8 @@
 //! Four legs:
 //!
 //! 1. **Reconstruction sweep**: replays the exact `slo_sweep` workload
-//!    grid (3 arrival shapes × the rate ladder, 3 tenants) through both
-//!    planners' `*_with_events` variants and rebuilds each point's
+//!    grid (3 arrival shapes × the rate ladder, 3 tenants) through
+//!    [`plan_continuous_with_events`] and rebuilds each point's
 //!    [`SloSummary`] *from the event log alone* (terminal kinds, first
 //!    token stamps, and the regenerated request stream). Every
 //!    reconstructed summary must equal the plan-derived one bit for bit
@@ -39,8 +39,7 @@
 
 use sa_bench::{f, render_table, write_json, Args};
 use sa_serve::{
-    fault_storm_workload, open_loop_workload, plan_batch_with_events,
-    plan_continuous_with_events, Event, EventKind, EventLog, Outcome, Postmortem, Request,
+    fault_storm_workload, open_loop_workload, plan_continuous_with_events, Event, EventKind, EventLog, Outcome, Postmortem, Request,
     Scheduler, ServeConfig, SloRow, SloSummary,
 };
 use sa_tensor::fault::{self, FaultPlan};
@@ -71,12 +70,10 @@ struct TimelinePoint {
     events: u64,
     /// Continuous-leg summary rebuilt from events alone.
     continuous: SloSummary,
-    /// One-shot-leg summary rebuilt from events alone.
-    oneshot: SloSummary,
-    /// Whether both reconstructions equal the plan-derived summaries
-    /// bit for bit.
+    /// Whether the reconstruction equals the plan-derived summary bit
+    /// for bit.
     exact_match: bool,
-    /// Whether both event logs passed the memory-conservation replay.
+    /// Whether the event log passed the memory-conservation replay.
     conservation_ok: bool,
 }
 
@@ -87,7 +84,6 @@ sa_json::impl_json_struct!(TimelinePoint {
     requests,
     events,
     continuous,
-    oneshot,
     exact_match,
     conservation_ok
 });
@@ -172,8 +168,7 @@ fn shapes() -> Vec<(&'static str, ArrivalShape)> {
 /// its rung string the quality columns (`window_only` is the
 /// uncertifiable rung), and the shed reason prefix (`"quality floor"`)
 /// tells a quality-floor shed from a governor load shed. First-token
-/// timing is left to the caller: each planner's log carries it its own
-/// way.
+/// timing is left to the caller, which reads the `FirstToken` stamps.
 fn row_from_terminal(term: &Event, req: &Request) -> SloRow {
     let can_certify = term.rung != "window_only";
     let outcome = match term.kind {
@@ -229,27 +224,6 @@ fn continuous_summary_from_events(log: &EventLog, requests: &[Request]) -> SloSu
         })
         .collect();
     SloSummary::from_rows("continuous", requests, &rows)
-}
-
-/// Rebuilds the one-shot-leg [`SloSummary`] from the event log alone.
-/// The one-shot planner holds a slot for the whole request, so TTFT is
-/// analytic from the terminal `Completed` stamp
-/// ([`Request::oneshot_ttft_ms`]) and TPOT is the decode step cost.
-fn oneshot_summary_from_events(log: &EventLog, requests: &[Request]) -> SloSummary {
-    let terminals = log.terminals();
-    let rows: Vec<SloRow> = requests
-        .iter()
-        .filter_map(|req| {
-            let term = terminals.get(&req.id)?;
-            let served = term.kind == EventKind::Completed;
-            Some(SloRow {
-                ttft_ms: served.then(|| req.oneshot_ttft_ms(term.t_ms)),
-                tpot_ms: (served && req.new_tokens > 1).then(|| req.decode_step_ms()),
-                ..row_from_terminal(term, req)
-            })
-        })
-        .collect();
-    SloSummary::from_rows("oneshot", requests, &rows)
 }
 
 /// Folds a continuous event log into per-tenant binned timelines plus
@@ -412,18 +386,13 @@ fn main() {
             };
             let requests = open_loop_workload(args.seed, &process, duration_ms, tenants);
             let (cont_plans, cont_log) = plan_continuous_with_events(&cfg, &requests);
-            let (oneshot_plans, oneshot_log) = plan_batch_with_events(&cfg, &requests);
 
             let continuous = continuous_summary_from_events(&cont_log, &requests);
-            let oneshot = oneshot_summary_from_events(&oneshot_log, &requests);
             let from_cont_plans =
                 SloSummary::from_continuous_plans("continuous", &cont_plans, &requests);
-            let from_oneshot_plans =
-                SloSummary::from_oneshot_plans("oneshot", &oneshot_plans, &requests);
-            let exact = continuous == from_cont_plans && oneshot == from_oneshot_plans;
+            let exact = continuous == from_cont_plans;
             all_exact &= exact;
-            let conserved =
-                cont_log.check_conservation().is_ok() && oneshot_log.check_conservation().is_ok();
+            let conserved = cont_log.check_conservation().is_ok();
             conservation_ok &= conserved;
 
             rows.push(vec![
@@ -432,7 +401,6 @@ fn main() {
                 requests.len().to_string(),
                 cont_log.events.len().to_string(),
                 f(continuous.goodput_per_sec, 3),
-                f(oneshot.goodput_per_sec, 3),
                 if exact { "yes" } else { "NO" }.to_string(),
                 if conserved { "yes" } else { "NO" }.to_string(),
             ]);
@@ -448,7 +416,6 @@ fn main() {
                 requests: requests.len() as u64,
                 events: n_events,
                 continuous,
-                oneshot,
                 exact_match: exact,
                 conservation_ok: conserved,
             });
@@ -469,8 +436,7 @@ fn main() {
                 "rate/s",
                 "reqs",
                 "events",
-                "goodput(cont)",
-                "goodput(1shot)",
+                "goodput",
                 "exact",
                 "conserved",
             ],
@@ -487,8 +453,8 @@ fn main() {
                 .get("points")
                 .and_then(sa_json::Json::as_array)
                 .unwrap_or(&[]);
-            let goodput_of = |p: &sa_json::Json, leg: &str| -> Option<f64> {
-                p.get(leg)
+            let goodput_of = |p: &sa_json::Json| -> Option<f64> {
+                p.get("continuous")
                     .and_then(|s| s.get("goodput_per_sec"))
                     .and_then(sa_json::Json::as_f64)
             };
@@ -503,10 +469,7 @@ fn main() {
                             && rp.get("duration_ms").and_then(sa_json::Json::as_i64)
                                 == Some(pt.duration_ms as i64)
                     })
-                    .is_some_and(|rp| {
-                        goodput_of(rp, "continuous") == Some(pt.continuous.goodput_per_sec)
-                            && goodput_of(rp, "oneshot") == Some(pt.oneshot.goodput_per_sec)
-                    })
+                    .is_some_and(|rp| goodput_of(rp) == Some(pt.continuous.goodput_per_sec))
             });
             println!(
                 "slo_report.json cross-check: {}",

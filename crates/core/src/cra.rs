@@ -61,22 +61,58 @@ pub fn cra_of_dense_mask(p: &Matrix, mask: &DenseMask) -> Result<f32, SaError> {
 ///
 /// Semantics match [`cra_of_dense_mask`] on the materialised mask, but the
 /// structured form is evaluated directly (window + extras per row) without
-/// allocating the dense mask. Accumulation is f64, as above.
+/// allocating the dense mask. Accumulation is f64, as above. This is the
+/// `min_row` half of [`structured_mask_coverage`].
 ///
 /// # Errors
 ///
 /// Returns [`SaError::ShapeMismatch`] if the mask shape differs from
 /// `p`'s shape.
 pub fn cra_of_structured_mask(p: &Matrix, mask: &StructuredMask) -> Result<f32, SaError> {
+    Ok(coverage_pass(p, mask, "cra_of_structured_mask")?.min_row)
+}
+
+/// Two views of how much attention mass a mask keeps, from one row pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaskCoverage {
+    /// The paper's CRA (Definition 2): the minimum over constraining
+    /// rows of kept / total mass.
+    pub min_row: f32,
+    /// The exact aggregate coverage: Σ kept / Σ total over every
+    /// constraining row — the quantity stage 2's sampled `covered_mass`
+    /// estimates. A mass-weighted mean of the per-row ratios, so it is
+    /// never below `min_row`.
+    pub aggregate: f32,
+}
+
+/// The row-minimum CRA and the aggregate coverage of a [`StructuredMask`]
+/// against a probability matrix, in one pass over the rows. Rows that
+/// carry no mass constrain neither number; an empty problem reads 1.0
+/// for both.
+///
+/// # Errors
+///
+/// Returns [`SaError::ShapeMismatch`] if the mask shape differs from
+/// `p`'s shape.
+pub fn structured_mask_coverage(p: &Matrix, mask: &StructuredMask) -> Result<MaskCoverage, SaError> {
+    coverage_pass(p, mask, "structured_mask_coverage")
+}
+
+fn coverage_pass(
+    p: &Matrix,
+    mask: &StructuredMask,
+    op: &'static str,
+) -> Result<MaskCoverage, SaError> {
     if (mask.s_q(), mask.s_k()) != p.shape() {
         return Err(SaError::ShapeMismatch {
-            op: "cra_of_structured_mask",
+            op,
             lhs: (mask.s_q(), mask.s_k()),
             rhs: p.shape(),
         });
     }
     let extras = mask.extra_columns();
     let mut min = f64::INFINITY;
+    let (mut kept_sum, mut total_sum) = (0.0f64, 0.0f64);
     for i in 0..p.rows() {
         let row = p.row(i);
         let total: f64 = row.iter().map(|&v| v as f64).sum();
@@ -92,12 +128,19 @@ pub fn cra_of_structured_mask(p: &Matrix, mask: &StructuredMask) -> Result<f32, 
             kept += row[c] as f64;
         }
         min = min.min(kept / total);
+        kept_sum += kept;
+        total_sum += total;
     }
     if min == f64::INFINITY {
-        Ok(1.0)
-    } else {
-        Ok(min as f32)
+        return Ok(MaskCoverage {
+            min_row: 1.0,
+            aggregate: 1.0,
+        });
     }
+    Ok(MaskCoverage {
+        min_row: min as f32,
+        aggregate: (kept_sum / total_sum) as f32,
+    })
 }
 
 /// One point of the stripe-coverage curve: keeping the top `ratio` of
@@ -175,6 +218,8 @@ mod tests {
         assert!((cra_of_dense_mask(&p, &dense).unwrap() - 1.0).abs() < 1e-5);
         let structured = StructuredMask::dense_causal(20, 20);
         assert!((cra_of_structured_mask(&p, &structured).unwrap() - 1.0).abs() < 1e-5);
+        let cov = structured_mask_coverage(&p, &structured).unwrap();
+        assert_eq!((cov.min_row, cov.aggregate), (1.0, 1.0), "causal-full keeps every row whole");
     }
 
     #[test]
@@ -201,8 +246,23 @@ mod tests {
                 .build()
                 .unwrap();
             let a = cra_of_structured_mask(&p, &m).unwrap();
-            let b = cra_of_dense_mask(&p, &m.to_dense()).unwrap();
+            let dense = m.to_dense();
+            let b = cra_of_dense_mask(&p, &dense).unwrap();
             assert!((a - b).abs() < 1e-6, "w={w}: {a} vs {b}");
+            // The aggregate coverage from the same pass: Σ kept / Σ total
+            // on the materialised mask, never below the row minimum.
+            let cov = structured_mask_coverage(&p, &m).unwrap();
+            assert_eq!(cov.min_row, a);
+            assert!(cov.aggregate >= cov.min_row, "w={w}: {cov:?}");
+            let (mut kept, mut total) = (0.0f64, 0.0f64);
+            for i in 0..p.rows() {
+                for (j, &v) in p.row(i).iter().enumerate() {
+                    total += v as f64;
+                    kept += if dense.get(i, j) { v as f64 } else { 0.0 };
+                }
+            }
+            let oracle = (kept / total) as f32;
+            assert!((cov.aggregate - oracle).abs() < 1e-6, "w={w}: {cov:?} vs {oracle}");
         }
     }
 
@@ -262,6 +322,13 @@ mod tests {
             cra_of_structured_mask(&p, &structured),
             Err(SaError::ShapeMismatch {
                 op: "cra_of_structured_mask",
+                ..
+            })
+        ));
+        assert!(matches!(
+            structured_mask_coverage(&p, &structured),
+            Err(SaError::ShapeMismatch {
+                op: "structured_mask_coverage",
                 ..
             })
         ));

@@ -72,7 +72,10 @@ pub use attention::{
 };
 pub use autotune::{select_tile_size, TileChoice, TilePolicy};
 pub use config::{HealthPolicy, SampleAttentionConfig, SampleAttentionConfigBuilder};
-pub use cra::{cra_of_dense_mask, cra_of_structured_mask, stripe_coverage_curve, StripeCoverage};
+pub use cra::{
+    cra_of_dense_mask, cra_of_structured_mask, stripe_coverage_curve, structured_mask_coverage,
+    MaskCoverage, StripeCoverage,
+};
 pub use error::SampleAttentionError;
 pub use filtering::{filter_kv_indices, KvFilterResult, KvRatioSchedule};
 pub use ladder::{DegradationReport, DegradationRung, RungAttempt};

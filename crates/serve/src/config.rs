@@ -63,9 +63,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Concurrent-request slots (`SA_MAX_INFLIGHT`). Clamped to ≥ 1.
     pub max_inflight: usize,
-    /// Requests allowed to wait for a slot before new arrivals are
-    /// rejected with [`Overloaded`](sa_tensor::SaError::Overloaded).
-    pub max_queue: usize,
     /// Device memory budget in bytes for admission control
     /// (`SA_MEM_BUDGET`). Defaults to one A100-80GB.
     pub mem_budget_bytes: u64,
@@ -88,11 +85,8 @@ pub struct ServeConfig {
     /// memory model (the synthetic transformer runs tiny sequences; the
     /// admission footprint scales them up to paper-sized contexts).
     pub tokens_per_synthetic: u64,
-    /// Continuous batching: bound on the admission queue of the
-    /// open-loop scheduler. Arrivals beyond it are rejected with
-    /// [`Overloaded`](sa_tensor::SaError::Overloaded). Deeper than
-    /// `max_queue` because continuous batching drains at chunk
-    /// granularity instead of holding slots for whole requests.
+    /// Bound on the pending (admission) queue. Arrivals beyond it are
+    /// rejected with [`Overloaded`](sa_tensor::SaError::Overloaded).
     pub max_pending: usize,
     /// Continuous batching: per-tenant token-bucket sustained refill
     /// rate, synthetic tokens per virtual second (clamped ≥ 1 token/s).
@@ -133,7 +127,6 @@ impl Default for ServeConfig {
         ServeConfig {
             seed: 0x5EED_5EED,
             max_inflight: 4,
-            max_queue: 8,
             mem_budget_bytes: A100_BYTES,
             default_deadline_ms: 400,
             chunk_size: 32,

@@ -1,18 +1,18 @@
 //! Continuous batching over an open-loop arrival stream.
 //!
-//! The one-shot planner ([`sim::plan_batch`]) holds an execution slot
-//! for a request's **whole** service time — a 512-token prefill
-//! monopolizes a slot for thousands of virtual milliseconds while
-//! short requests queue behind it, and decode steps of in-flight
-//! sessions cannot overlap newly arriving prefills at all. This module
-//! replaces that with the TensorRT-LLM-style continuous-batching rule:
-//! the engine schedules **micro-tasks** — one prefill chunk or one
-//! decode step at a time — so every iteration interleaves prefill
-//! chunks of newly admitted requests with decode steps of in-flight
-//! sessions on the same worker pool.
+//! A planner that held an execution slot for a request's **whole**
+//! service time would let a 512-token prefill monopolize a slot for
+//! thousands of virtual milliseconds while short requests queue behind
+//! it, and decode steps of in-flight sessions could not overlap newly
+//! arriving prefills at all. This planner follows the
+//! TensorRT-LLM-style continuous-batching rule instead: the engine
+//! schedules **micro-tasks** — one prefill chunk or one decode step at
+//! a time — so every iteration interleaves prefill chunks of newly
+//! admitted requests with decode steps of in-flight sessions on the
+//! same worker pool.
 //!
-//! Like the one-shot planner, everything here runs on a deterministic
-//! virtual clock **before** any model work: the continuous timeline is
+//! Everything here runs on a deterministic virtual clock **before** any
+//! model work: the continuous timeline is
 //! a serial discrete-event simulation, so the resulting ledger stays
 //! bit-identical at every `SA_THREADS` setting (the chaos soak asserts
 //! this on the continuous timeline too). The parallel execution phase
@@ -44,7 +44,7 @@
 //! - **Deadlines & cancels** are honoured at micro-task boundaries —
 //!   the same one-chunk cooperative-cancellation granularity the real
 //!   execution phase provides via `CancelToken`.
-//! - **Faults** follow the one-shot model: the first `fault_fails`
+//! - **Faults**: the first `fault_fails`
 //!   attempts burn an eighth of the service time each, separated by
 //!   seeded-jitter exponential backoff ([`sim::backoff_ms`]).
 //! - **Crash recovery** ([`recovery_enabled`](crate::ServeConfig::recovery_enabled)):
@@ -75,9 +75,8 @@
 //!
 //! The degradation-ladder walk ([`sim::choose_rung`]), the memory model
 //! ([`sim::request_bytes`]), and the per-rung cost model
-//! ([`sim::service_ms`]) are shared with the one-shot planner, so the
-//! two schedulers are comparable at the same trace and budget — the
-//! `slo_sweep` bench sweeps arrival rate and reports both.
+//! ([`sim::service_ms`]) live in [`sim`]; the `slo_sweep` bench sweeps
+//! arrival rate and shape through this planner.
 
 use crate::events::{
     EventKind, EventLog, FlightRecorder, PlannerDecision, FLIGHT_RECORDER_CAPACITY,
@@ -225,8 +224,7 @@ enum Phase {
     Pending,
     /// Admitted (memory reserved) but no worker has picked it up yet;
     /// the degradation-ladder walk is deferred to first dispatch so the
-    /// rung reflects the deadline budget actually left after queueing —
-    /// exactly when the one-shot planner walks it.
+    /// rung reflects the deadline budget actually left after queueing.
     Admitted,
     /// Burning injected failed attempts (each costs an eighth of the
     /// service time, separated by backoff).
@@ -334,9 +332,8 @@ impl RState {
 /// the current backlog (`slots / contenders`). With free capacity the
 /// request keeps its whole remaining deadline (full rung when it fits);
 /// under backlog the budget shrinks and the walk lands on cheaper
-/// rungs — the continuous analogue of the one-shot planner's late
-/// starts, which eat the deadline in queue and force the same
-/// degradation at `choose_rung` time. Degrading under load is what lets
+/// rungs, as a late start that ate its deadline in a queue would.
+/// Degrading under load is what lets
 /// the scheduler trade per-request fidelity for deadline goodput
 /// instead of serving a few full-rung requests while the rest expire.
 fn dispatch_budget_ms(remaining_ms: u64, slots: usize, contenders: usize) -> u64 {
@@ -729,9 +726,8 @@ impl<'a> Planner<'a> {
     fn overdue(&self, i: usize, now: u64, queued: bool) -> Option<(Planned, u64, &'static str)> {
         let (req, s) = (&self.requests[i], &self.st[i]);
         let (cancel, deadline) = (self.cancel_t(i), self.deadline_t(i));
-        // Never dispatched counts as a queue expiry (matching the
-        // one-shot convention); once any micro-task ran it is a mid-run
-        // deadline cancel.
+        // Never dispatched counts as a queue expiry; once any micro-task
+        // ran it is a mid-run deadline cancel.
         let expiry = if s.start.is_none() {
             Planned::ExpireInQueue
         } else {
@@ -1387,23 +1383,23 @@ mod tests {
     #[test]
     fn long_prefill_no_longer_blocks_short_requests() {
         // One huge prefill arrives first; a short one right behind it.
-        // Under one-shot planning with one slot the short request waits
-        // the whole 512² service; under continuous batching it
-        // interleaves at chunk granularity and finishes far earlier.
+        // A planner that held the one slot for whole requests would make
+        // the short request wait the whole 512² service; under
+        // continuous batching it interleaves at chunk granularity and
+        // finishes far earlier.
         let c = ServeConfig {
             max_inflight: 1,
             ..cfg()
         };
         let long = Request::prefill(0, 512, 0, 1_000_000);
         let short = Request::prefill(1, 48, 1, 1_000_000);
-        let oneshot = sim::plan_batch(&c, &[long.clone(), short.clone()]);
+        let slot_held = sim::service_ms(&long, DegradationRung::Full);
         let cont = plan_continuous(&c, &[long, short]);
         assert!(matches!(cont[1].plan.planned, Planned::Serve { .. }));
         assert!(
-            cont[1].plan.finish_ms < oneshot[1].finish_ms / 4,
-            "continuous {} ms vs one-shot {} ms",
-            cont[1].plan.finish_ms,
-            oneshot[1].finish_ms
+            cont[1].plan.finish_ms < slot_held / 4,
+            "continuous {} ms vs a whole-request slot of {slot_held} ms",
+            cont[1].plan.finish_ms
         );
     }
 
@@ -1477,7 +1473,7 @@ mod tests {
     #[test]
     fn memory_backpressure_defers_instead_of_rejecting() {
         // Two 512-prefills fit concurrently, a third waits for a
-        // release instead of bouncing (unlike the one-shot planner).
+        // release instead of bouncing.
         let c = cfg();
         let reqs: Vec<Request> = (0..3)
             .map(|id| Request::prefill(id, 512, 0, 10_000_000))
@@ -1516,7 +1512,7 @@ mod tests {
         // The long request ran at least one chunk, then was shed the
         // moment its backoff-free remaining work provably could not fit
         // the deadline — charged as a mid-run deadline cancellation at
-        // the deadline itself, exactly like the one-shot planner.
+        // the deadline itself.
         assert!(matches!(plans[0].plan.planned, Planned::CancelDeadline));
         assert_eq!(plans[0].plan.finish_ms, 4500);
         assert_eq!(plans[0].plan.start_ms, 0, "it started before the shed");

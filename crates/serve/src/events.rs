@@ -7,8 +7,8 @@
 //! completion — is recorded as one [`Event`] carrying the virtual-time
 //! stamp, tenant, degradation rung, the planner's memory-ledger balance
 //! *after* the transition, and a typed reason. The log is emitted by
-//! the **serial** planners ([`plan_batch`](crate::plan_batch) and
-//! [`plan_continuous`](crate::plan_continuous)), each through its one
+//! the **serial** continuous planner
+//! ([`plan_continuous`](crate::plan_continuous)) through its one
 //! [`EventLog::push`] call site, before any parallel
 //! model work runs, so its serialized bytes are identical at every
 //! `SA_THREADS` setting — the same bit-determinism contract the ledger

@@ -68,9 +68,8 @@ pub struct RequestRecord {
     pub finish_ms: u64,
     /// Virtual time spent waiting for a slot.
     pub queue_wait_ms: u64,
-    /// Tenant the request billed against (continuous batching charges
-    /// its token-bucket quotas per tenant; one-shot batches carry the
-    /// request's tenant through unchanged).
+    /// Tenant the request billed against (the continuous planner
+    /// charges its token-bucket quotas per tenant).
     pub tenant: u64,
     /// Decode steps requested after prefill (0 for pure prefill).
     pub new_tokens: u64,
@@ -93,9 +92,8 @@ pub struct RequestRecord {
     /// Total virtual backoff between attempts.
     pub backoff_ms: u64,
     /// Retries that resumed from a non-empty chunk-boundary checkpoint
-    /// instead of re-running prefill from scratch (continuous batching
-    /// with [`recovery_enabled`](crate::ServeConfig::recovery_enabled);
-    /// always 0 on the one-shot path, which has no checkpoints).
+    /// instead of re-running prefill from scratch (with
+    /// [`recovery_enabled`](crate::ServeConfig::recovery_enabled)).
     pub recovered_attempts: u64,
     /// Prefill tokens recomputed because of crashes: at most one chunk
     /// per recovered attempt, or everything a crashed attempt had
@@ -117,8 +115,9 @@ pub struct RequestRecord {
     /// The canary's max-abs final-residual error, sparse vs dense
     /// (0 when not a canary).
     pub canary_max_abs_err: f64,
-    /// The canary's worst estimated−true coverage gap in permille
-    /// (0 when not a canary).
+    /// The canary's worst gap between stage 2's coverage estimate and
+    /// the mask's exact aggregate coverage, in permille (0 when not a
+    /// canary).
     pub canary_gap_permille: i64,
     /// Heads quarantined to dense fallback while this request ran.
     pub quarantined_heads: u64,

@@ -4,7 +4,7 @@
 //! stack: admission control, cooperative cancellation, retry with
 //! deterministic backoff, and an adaptive degradation ladder — all on a
 //! virtual clock, so every scheduling decision is reproducible and the
-//! batch ledger is bit-identical at every `SA_THREADS` setting.
+//! outcome ledger is bit-identical at every `SA_THREADS` setting.
 //!
 //! ## Architecture
 //!
@@ -13,16 +13,17 @@
 //! - [`Request`] / [`mixed_workload`] ([`request`]) — what arrives:
 //!   prefills and decodes with deadlines, caller cancellations, and
 //!   transient-fault scripts.
-//! - [`sim`] — the one-shot planner (slots, a bounded FIFO queue,
-//!   retry/backoff/cancellation arbitration when a request gets its
-//!   slot) and the models both planners share: the scaled ChatGLM2-6B
-//!   memory model, the per-rung cost model, the degradation ladder walk.
-//! - [`Scheduler`] ([`scheduler`]) — four entry points:
-//!   [`run_with_events`](Scheduler::run_with_events),
-//!   [`run_guarded_with_events`](Scheduler::run_guarded_with_events) and
+//! - [`sim`] — the models the planner decides with: the outcome
+//!   vocabulary ([`Plan`], [`Planned`]), the scaled ChatGLM2-6B memory
+//!   model, the per-rung cost model, the degradation ladder walk, and
+//!   seeded retry backoff.
+//! - [`Scheduler`] ([`scheduler`]) — three entry points:
 //!   [`run_continuous_with_events`](Scheduler::run_continuous_with_events)
-//!   plan, then execute the admitted requests in parallel on the worker
-//!   pool (chunked prefills and decode sessions under per-request
+//!   and its guarded form
+//!   [`run_guarded_with_events`](Scheduler::run_guarded_with_events)
+//!   plan on the continuous timeline, then execute the admitted
+//!   requests in parallel on the worker pool (chunked prefills and
+//!   decode sessions under per-request
 //!   [`CancelToken`](sa_tensor::CancelToken)s, with thread-local fault
 //!   injection per retry attempt) and return the ledger with the
 //!   planner's event log;
@@ -30,8 +31,8 @@
 //! - [`Ledger`] ([`ledger`]) — one audit record per request; validated
 //!   for totality (no request ever lost) and honesty (no silent drop
 //!   below the CRA α target).
-//! - [`continuous`] — the continuous-batching planner for open-loop
-//!   arrival streams: prefill chunks of new requests interleave with
+//! - [`continuous`] — the planner: continuous batching over open-loop
+//!   arrival streams, where prefill chunks of new requests interleave with
 //!   decode steps of in-flight sessions at micro-task granularity,
 //!   under per-tenant token-bucket fairness quotas. One state struct
 //!   whose loop reads ingest → admit → sweep → pick → run-task, with a
@@ -55,7 +56,7 @@
 //!   governor ladder (defer → evict → force lower rungs → shed) and the
 //!   execution side's checkpoint-restore reservations.
 //! - [`events`] — the telemetry plane: the `sa.events.v1` per-request
-//!   lifecycle [`EventLog`] both planners emit, the events↔ledger
+//!   lifecycle [`EventLog`] the planner emits, the events↔ledger
 //!   conservation validator, and the scheduler [`FlightRecorder`] whose
 //!   [`Postmortem`]s capture the decisions leading up to a shed, a
 //!   Critical-pressure transition, or an attempt-budget exhaustion.
@@ -64,8 +65,8 @@
 //!
 //! | condition | surfaces as | ledger outcome |
 //! |---|---|---|
-//! | slots + queue full | [`SaError::Overloaded`] | `RejectedOverloaded` |
-//! | memory budget exceeded | [`SaError::BudgetExceeded`] | `RejectedBudget` |
+//! | pending queue full | [`SaError::Overloaded`] | `RejectedOverloaded` |
+//! | memory budget never fits, or governor shed | [`SaError::BudgetExceeded`] | `RejectedBudget` |
 //! | deadline expires queued | — | `ExpiredInQueue` |
 //! | deadline expires mid-run | [`SaError::DeadlineExceeded`] | `DeadlineExceeded` |
 //! | caller cancels | [`SaError::Cancelled`] | `Cancelled` |
@@ -88,7 +89,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let scheduler = Scheduler::new(ServeConfig::default())?;
 //! let requests = mixed_workload(7, 8);
-//! let (ledger, events) = scheduler.run_with_events(&requests)?;
+//! let (ledger, events) = scheduler.run_continuous_with_events(&requests)?;
 //! ledger.validate(&requests).map_err(std::io::Error::other)?;
 //! assert_eq!(ledger.records.len(), requests.len()); // nothing lost
 //! events.validate(&ledger).map_err(std::io::Error::other)?; // one terminal event each
@@ -122,5 +123,5 @@ pub use request::{
     fault_storm_workload, mixed_workload, open_loop_workload, Request, RequestKind, FAULT_SITE,
 };
 pub use scheduler::Scheduler;
-pub use sim::{plan_batch, plan_batch_with_events, Plan, Planned};
+pub use sim::{Plan, Planned};
 pub use slo::{LatencyStats, SloRow, SloSummary, TenantQuality, SLO_SCHEMA};

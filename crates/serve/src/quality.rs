@@ -9,9 +9,11 @@
 //! selected by [`is_canary`]) additionally runs a **dense reference
 //! prefill** after the sparse one and measures ground truth:
 //!
-//! - the *true* CRA of every head's discovered mask against the exact
-//!   softmax rows ([`sa_core::cra_of_structured_mask`]), versus the
-//!   stage-2 sampled estimate (`covered_mass`) the head certified with;
+//! - for every head's discovered mask, one row pass over the exact
+//!   softmax rows ([`sa_core::structured_mask_coverage`]) gives the
+//!   paper's *true* CRA (Def. 2, the worst row) and the mask's exact
+//!   aggregate coverage — the quantity the stage-2 sampled estimate
+//!   (`covered_mass`) the head certified with stands for;
 //! - the max-abs error of the final residual stream between the sparse
 //!   and dense prefills.
 //!
@@ -26,8 +28,9 @@
 //!
 //! - **hard trip**: the shadow sparse run fell back or missed α — the
 //!   head's sparse pipeline is unhealthy *right now*;
-//! - **drift trip**: a CUSUM accumulator over the estimated−true
-//!   coverage gap (less a slack allowance) crosses its threshold — the
+//! - **drift trip**: a CUSUM accumulator over the estimated−exact
+//!   aggregate coverage gap (less a slack allowance) crosses its
+//!   threshold — the
 //!   estimator is systematically optimistic even though each single
 //!   reading looks plausible.
 //!
@@ -42,7 +45,7 @@
 //! [`FallbackReason::QualityQuarantine`]: sa_core::FallbackReason::QualityQuarantine
 
 use sa_baselines::{finish_heads, AttentionMethod, FullAttention, HeadPlan, MethodOutput};
-use sa_core::{cra_of_structured_mask, DegradationRung, FallbackReason, SampleAttention};
+use sa_core::{structured_mask_coverage, DegradationRung, FallbackReason, SampleAttention};
 use sa_kernels::{attention_probs, PreparedKeys};
 use sa_model::SyntheticTransformer;
 use sa_tensor::{Matrix, SaError, TensorError};
@@ -74,10 +77,15 @@ pub struct HeadCanary {
     pub head: usize,
     /// Stage-2's sampled coverage estimate for the shadow mask.
     pub est_covered_mass: f64,
-    /// The mask's true CRA against the exact softmax rows.
+    /// The mask's true CRA (Def. 2: its worst row) against the exact
+    /// softmax rows.
     pub true_cra: f64,
-    /// `round((est_covered_mass - true_cra) * 1000)`: how optimistic
-    /// the estimator was, in permille (negative = conservative).
+    /// The mask's exact aggregate coverage over all rows: what
+    /// `est_covered_mass` estimates.
+    pub exact_coverage: f64,
+    /// `round((est_covered_mass - exact_coverage) * 1000)`: how
+    /// optimistic the estimator was, in permille (negative =
+    /// conservative).
     pub gap_permille: i64,
     /// Whether the shadow sparse run certified α on this head.
     pub alpha_satisfied: bool,
@@ -95,7 +103,7 @@ pub struct CanaryObservation {
     pub true_cra: f64,
     /// Max-abs error of the final residual stream, sparse vs dense.
     pub max_abs_err: f64,
-    /// Worst (maximum) estimated−true coverage gap across probed
+    /// Worst (maximum) estimated−exact coverage gap across probed
     /// heads, permille.
     pub gap_permille: i64,
     /// Per-head measurements (empty for rungs without a sparse config).
@@ -186,9 +194,12 @@ impl AttentionMethod for GuardedMethod {
 /// operator re-discovers its mask on the sparse pass's layer inputs and
 /// its true CRA is computed against the exact softmax rows.
 ///
-/// Rungs without a sparse config ([`DegradationRung::Full`],
-/// [`DegradationRung::WindowOnly`]) probe no heads; the observation
-/// still carries the dense-vs-production max-abs output error.
+/// Rungs without a sparse config probe no heads. At
+/// [`DegradationRung::WindowOnly`] the observation still carries the
+/// dense-vs-production max-abs output error. At [`DegradationRung::Full`]
+/// the production pass *is* the dense reference (a quarantined head runs
+/// dense too), so the probe runs nothing and returns the constant
+/// observation: no heads, `true_cra` 1.0, gap 0, `max_abs_err` 0.0.
 ///
 /// # Errors
 ///
@@ -202,6 +213,15 @@ pub fn canary_probe(
     request_id: u64,
 ) -> Result<CanaryObservation, SaError> {
     let _span = sa_trace::span_in("serve", "canary_probe");
+    if rung == DegradationRung::Full {
+        return Ok(CanaryObservation {
+            request_id,
+            true_cra: 1.0,
+            max_abs_err: 0.0,
+            gap_permille: 0,
+            heads: Vec::new(),
+        });
+    }
     let tokens = model.tokenize_filler(seq_len);
     let sparse = model.prefill(&tokens, production)?;
     let dense = model.prefill(&tokens, &FullAttention::new())?;
@@ -239,14 +259,16 @@ pub fn canary_probe(
                         },
                     })?;
                     let p = attention_probs(q, &k, true)?;
-                    let true_cra = cra_of_structured_mask(&p, &shadow.mask)? as f64;
+                    let coverage = structured_mask_coverage(&p, &shadow.mask)?;
+                    let exact = coverage.aggregate as f64;
                     let est = shadow.stats.covered_mass as f64;
                     heads.push(HeadCanary {
                         layer: l,
                         head: g * group_size + local,
                         est_covered_mass: est,
-                        true_cra,
-                        gap_permille: ((est - true_cra) * 1000.0).round() as i64,
+                        true_cra: coverage.min_row as f64,
+                        exact_coverage: exact,
+                        gap_permille: ((est - exact) * 1000.0).round() as i64,
                         alpha_satisfied: shadow.stats.alpha_satisfied,
                         fell_back: shadow.stats.fell_back(),
                     });
@@ -321,7 +343,7 @@ pub struct QualityGuard {
     heads_per_layer: usize,
     /// Gap allowance (permille) before the CUSUM accumulates: the
     /// coarse stage-2 schedule's sampling estimate legitimately
-    /// disagrees with the true CRA by a few permille.
+    /// disagrees with the exact aggregate coverage by a few permille.
     pub gap_slack_permille: i64,
     /// CUSUM level (permille) at which a head is quarantined for
     /// drift.
@@ -330,6 +352,7 @@ pub struct QualityGuard {
     /// quarantined head.
     pub probation_clean: u32,
     transitions: Vec<QualityTransition>,
+    probed_heads: u64,
 }
 
 impl QualityGuard {
@@ -349,6 +372,7 @@ impl QualityGuard {
             cusum_threshold_permille: 75,
             probation_clean: 2,
             transitions: Vec::new(),
+            probed_heads: 0,
         }
     }
 
@@ -386,6 +410,13 @@ impl QualityGuard {
         &self.transitions
     }
 
+    /// Head probes absorbed so far: one per head of every canary
+    /// observation (zero when every canary ran at a rung that probes no
+    /// heads).
+    pub fn probed_heads(&self) -> u64 {
+        self.probed_heads
+    }
+
     /// Folds a batch's canary observations into the per-head state.
     ///
     /// Callers must pass observations sorted by `request_id` (the
@@ -394,6 +425,7 @@ impl QualityGuard {
     /// resulting state machine trajectory is thread-count independent.
     pub fn absorb(&mut self, observations: &[CanaryObservation]) {
         for obs in observations {
+            self.probed_heads += obs.heads.len() as u64;
             for hc in &obs.heads {
                 let idx = hc.layer * self.heads_per_layer.max(1) + hc.head;
                 if idx >= self.heads.len() {
@@ -522,36 +554,52 @@ mod tests {
         let cfg = DegradationRung::PaperDefault.sample_config().unwrap().unwrap();
         let method: Box<dyn AttentionMethod> =
             Box::new(sa_baselines::SampleAttentionMethod::new(cfg));
-        let obs = canary_probe(&model, DegradationRung::PaperDefault, method.as_ref(), 96, 42)
-            .unwrap();
-        assert_eq!(obs.request_id, 42);
-        assert_eq!(
-            obs.heads.len(),
-            model.layers().len() * model.layers()[0].num_heads()
-        );
-        assert!(obs.true_cra > 0.0 && obs.true_cra <= 1.0);
-        assert!(obs.max_abs_err.is_finite());
-        for h in &obs.heads {
-            assert!(!h.fell_back, "healthy model: no fallback in the shadow run");
-            assert!(h.true_cra > 0.5, "L{}.H{} true CRA {}", h.layer, h.head, h.true_cra);
+        let slack = QualityGuard::for_model(&model).gap_slack_permille;
+        for seq_len in [96, 512] {
+            let obs =
+                canary_probe(&model, DegradationRung::PaperDefault, method.as_ref(), seq_len, 42)
+                    .unwrap();
+            assert_eq!(obs.request_id, 42);
+            assert_eq!(
+                obs.heads.len(),
+                model.layers().len() * model.layers()[0].num_heads()
+            );
+            assert!(obs.true_cra > 0.0 && obs.true_cra <= 1.0);
+            assert!(obs.max_abs_err.is_finite());
+            for h in &obs.heads {
+                let at = format!("S={seq_len} L{}.H{}", h.layer, h.head);
+                assert!(!h.fell_back, "{at}: healthy model, no fallback in the shadow run");
+                assert!(h.true_cra > 0.5, "{at}: true CRA {}", h.true_cra);
+                assert!(h.exact_coverage >= h.true_cra, "{at}: {h:?}");
+                // A healthy head's estimate is never optimistic past the
+                // slack against the quantity it estimates.
+                assert!(h.gap_permille <= slack, "{at}: gap {} > {slack}", h.gap_permille);
+            }
         }
     }
 
     #[test]
     fn full_rung_probe_has_no_heads_and_zero_error() {
         let model = SyntheticTransformer::new(ModelConfig::tiny(3)).unwrap();
-        let obs = canary_probe(
-            &model,
-            DegradationRung::Full,
-            &FullAttention::new(),
-            48,
-            0,
-        )
-        .unwrap();
+        // The probe's prefills, counted by their spans.
+        let probe = |rung: DegradationRung, method: &dyn AttentionMethod| {
+            let _session = sa_trace::scoped();
+            let obs = canary_probe(&model, rung, method, 48, 0).unwrap();
+            let prefills = sa_trace::drain()
+                .iter()
+                .filter(|e| e.cat == "model" && e.name == "prefill")
+                .count();
+            (obs, prefills)
+        };
+        let (obs, prefills) = probe(DegradationRung::Full, &FullAttention::new());
         assert!(obs.heads.is_empty());
         assert_eq!(obs.true_cra, 1.0);
         assert_eq!(obs.gap_permille, 0);
         assert_eq!(obs.max_abs_err, 0.0, "dense vs dense is exact");
+        assert_eq!(prefills, 0, "the constant needs no prefill");
+        let cfg = DegradationRung::PaperDefault.sample_config().unwrap().unwrap();
+        let sparse = sa_baselines::SampleAttentionMethod::new(cfg);
+        assert_eq!(probe(DegradationRung::PaperDefault, &sparse).1, 2, "sparse + dense");
     }
 
     fn head_obs(id: u64, gap: i64, alpha: bool, fell_back: bool) -> CanaryObservation {
@@ -564,7 +612,8 @@ mod tests {
                 layer: 0,
                 head: 0,
                 est_covered_mass: 0.95,
-                true_cra: 0.95 - gap as f64 / 1000.0,
+                true_cra: 0.9,
+                exact_coverage: 0.95 - gap as f64 / 1000.0,
                 gap_permille: gap,
                 alpha_satisfied: alpha,
                 fell_back,

@@ -88,17 +88,6 @@ impl Request {
         (self.seq_len as u64 / 16).max(1)
     }
 
-    /// Time to first token when a slot is held for the whole request
-    /// and only `finish_ms` is known (the one-shot planner): the final
-    /// prefill chunk lands one decode tail before the finish.
-    pub fn oneshot_ttft_ms(&self, finish_ms: u64) -> u64 {
-        let tail = (self.new_tokens as u64).saturating_sub(1) * self.decode_step_ms();
-        finish_ms
-            .saturating_sub(tail)
-            .saturating_sub(self.arrival_ms)
-            .max(1)
-    }
-
     /// The prefill-only part of [`base_service_ms`](Self::base_service_ms)
     /// (the part a cheaper attention method shrinks).
     pub fn prefill_service_ms(&self) -> u64 {

@@ -1,15 +1,14 @@
 //! The deadline-aware request scheduler.
 //!
-//! Every entry point ([`Scheduler::run_with_events`], its guarded form
-//! and [`Scheduler::run_continuous_with_events`]) processes its requests
-//! in two phases:
+//! Both entry points ([`Scheduler::run_continuous_with_events`] and its
+//! guarded form [`Scheduler::run_guarded_with_events`]) process their
+//! requests in two phases:
 //!
-//! 1. **Plan** ([`sim::plan_batch_with_events`] for a one-shot batch,
-//!    [`continuous::plan_continuous_with_events`] for an open-loop
-//!    stream): a serial virtual-time simulation decides every
-//!    scheduling outcome — admission, queueing, the degradation rung,
-//!    retry counts, backoff, and which cancellation (caller or
-//!    deadline) wins. Deterministic by construction.
+//! 1. **Plan** ([`continuous::plan_continuous_with_events`]): a serial
+//!    virtual-time simulation of the continuous-batching timeline
+//!    decides every scheduling outcome — admission, queueing, the
+//!    degradation rung, retry counts, backoff, and which cancellation
+//!    (caller or deadline) wins. Deterministic by construction.
 //! 2. **Execute**: the admitted requests run their *real* model work in
 //!    parallel on the worker pool. Each request's execution is
 //!    panic-free end to end: injected worker faults surface as typed
@@ -51,7 +50,7 @@ use crate::events::EventLog;
 use crate::ledger::{Ledger, Outcome, RequestRecord, LEDGER_SCHEMA};
 use crate::memory::MemoryLedger;
 use crate::quality::{canary_probe, is_canary, CanaryObservation, GuardedMethod, QualityGuard};
-use crate::sim::{self, Plan, Planned};
+use crate::sim::{Plan, Planned};
 use crate::{Request, RequestKind, ServeConfig};
 use sa_baselines::{AttentionMethod, FullAttention, SampleAttentionMethod, WindowOnly};
 use sa_core::{DegradationReport, DegradationRung};
@@ -109,69 +108,6 @@ impl Scheduler {
         &self.mem
     }
 
-    /// Runs a batch: plans every request on the virtual clock
-    /// ([`sim::plan_batch_with_events`]), executes the admitted ones in
-    /// parallel, and returns the ledger sorted by request id together
-    /// with the planner's [`EventLog`], reconciled against the executed
-    /// outcomes (see [`EventLog::reconcile`]) so [`EventLog::validate`]
-    /// holds on the pair.
-    ///
-    /// # Errors
-    ///
-    /// Only scheduler-level pool failures propagate; per-request faults,
-    /// cancellations, and rejections are *outcomes* in the ledger, never
-    /// errors of the run itself.
-    pub fn run_with_events(
-        &self,
-        requests: &[Request],
-    ) -> Result<(Ledger, EventLog), TensorError> {
-        let (ledger, log, _) = self.run_batch_masked(requests, &[])?;
-        Ok((ledger, log))
-    }
-
-    /// [`Scheduler::run_with_events`] under a [`QualityGuard`]: the
-    /// guard's current quarantine mask is frozen for the whole batch
-    /// (quarantined heads execute dense, flagged
-    /// [`QualityQuarantine`](sa_core::FallbackReason::QualityQuarantine)),
-    /// the batch runs, and afterwards the guard absorbs this batch's
-    /// canary observations **serially in request-id order** — so
-    /// quarantine and probation transitions are bit-identical at every
-    /// `SA_THREADS` setting, exactly like the ledger itself.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::run_with_events`].
-    pub fn run_guarded_with_events(
-        &self,
-        requests: &[Request],
-        guard: &mut QualityGuard,
-    ) -> Result<(Ledger, EventLog), TensorError> {
-        let mask = guard.quarantine_mask();
-        let (ledger, log, observations) = self.run_batch_masked(requests, &mask)?;
-        guard.absorb(&observations);
-        Ok((ledger, log))
-    }
-
-    /// The one-shot run under the frozen quarantine `mask`, returning
-    /// the batch's canary observations alongside the ledger and log.
-    fn run_batch_masked(
-        &self,
-        requests: &[Request],
-        mask: &[bool],
-    ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
-        let _span = sa_trace::span_in("serve", "batch");
-        let (plans, log) = sim::plan_batch_with_events(&self.cfg, requests);
-        self.execute_all("serve_batch", requests.len(), log, |i| {
-            let (mut rec, obs) = self.execute(&requests[i], &plans[i], mask);
-            // The one-shot planner holds a slot for the whole request,
-            // so first-token timing is analytic.
-            if rec.outcome == Outcome::Served {
-                rec.ttft_ms = requests[i].oneshot_ttft_ms(rec.finish_ms);
-            }
-            (rec, obs)
-        })
-    }
-
     /// Plans an open-loop stream on the continuous-batching timeline
     /// (prefill chunks of new requests interleaved with decode steps of
     /// in-flight sessions, under per-tenant token-bucket quotas) without
@@ -182,47 +118,70 @@ impl Scheduler {
 
     /// Runs an open-loop stream under continuous batching: plans the
     /// interleaved timeline on the virtual clock, executes the admitted
-    /// requests' model work in parallel, and returns the sorted ledger
-    /// — first-token (TTFT) timing and recovery tallies filled in from
-    /// the plan — together with the continuous planner's [`EventLog`]
-    /// (including the flight-recorder [`Postmortem`](crate::Postmortem)s),
-    /// reconciled against the executed outcomes.
+    /// requests' model work in parallel, and returns the ledger sorted
+    /// by request id — first-token (TTFT) timing and recovery tallies
+    /// filled in from the plan — together with the planner's
+    /// [`EventLog`] (including the flight-recorder
+    /// [`Postmortem`](crate::Postmortem)s), reconciled against the
+    /// executed outcomes (see [`EventLog::reconcile`]) so
+    /// [`EventLog::validate`] holds on the pair.
     ///
     /// # Errors
     ///
     /// Only scheduler-level pool failures propagate; per-request faults,
-    /// cancellations, and rejections are ledger outcomes.
+    /// cancellations, and rejections are *outcomes* in the ledger, never
+    /// errors of the run itself.
     pub fn run_continuous_with_events(
         &self,
         requests: &[Request],
     ) -> Result<(Ledger, EventLog), TensorError> {
+        let (ledger, log, _) = self.run_masked(requests, &[])?;
+        Ok((ledger, log))
+    }
+
+    /// [`Scheduler::run_continuous_with_events`] under a
+    /// [`QualityGuard`]: the guard's current quarantine mask is frozen
+    /// for the whole run (quarantined heads execute dense, flagged
+    /// [`QualityQuarantine`](sa_core::FallbackReason::QualityQuarantine)),
+    /// the run executes, and afterwards the guard absorbs this run's
+    /// canary observations **serially in request-id order** — so
+    /// quarantine and probation transitions are bit-identical at every
+    /// `SA_THREADS` setting, exactly like the ledger itself.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Scheduler::run_continuous_with_events`].
+    pub fn run_guarded_with_events(
+        &self,
+        requests: &[Request],
+        guard: &mut QualityGuard,
+    ) -> Result<(Ledger, EventLog), TensorError> {
+        let mask = guard.quarantine_mask();
+        let (ledger, log, observations) = self.run_masked(requests, &mask)?;
+        guard.absorb(&observations);
+        Ok((ledger, log))
+    }
+
+    /// The run both entry points share, under the frozen quarantine
+    /// `mask` (empty = no quarantine): plan the stream, run every
+    /// request's planned work in parallel, sort the records (and the
+    /// canary observations beside them, so a caller's serial absorb is
+    /// deterministic) by request id, publish the metrics, and reconcile
+    /// the planner's log against what execution did.
+    fn run_masked(
+        &self,
+        requests: &[Request],
+        mask: &[bool],
+    ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
         let _span = sa_trace::span_in("serve", "continuous");
-        let (plans, log) = continuous::plan_continuous_with_events(&self.cfg, requests);
-        let (ledger, log, _) = self.execute_all("serve_continuous", requests.len(), log, |i| {
-            let (mut rec, obs) = self.execute(&requests[i], &plans[i].plan, &[]);
+        let (plans, mut log) = continuous::plan_continuous_with_events(&self.cfg, requests);
+        let mut pairs = pool::try_parallel_map("serve_continuous", requests.len(), 1, |i| {
+            let (mut rec, obs) = self.execute(&requests[i], &plans[i].plan, mask);
             rec.ttft_ms = plans[i].first_token_ms.saturating_sub(rec.arrival_ms);
             rec.recovered_attempts = plans[i].recovered_attempts;
             rec.recomputed_tokens = plans[i].recomputed_tokens;
             (rec, obs)
         })?;
-        Ok((ledger, log))
-    }
-
-    /// The execution phase both planners share: run `one(i)` — request
-    /// `i`'s planned work plus the planner-specific timing on its
-    /// record — for all `n` requests in parallel at pool site `site`,
-    /// sort the records (and the canary observations beside them, so a
-    /// caller's serial absorb is deterministic) by request id, publish
-    /// the metrics, and reconcile the planner's log against what
-    /// execution did.
-    fn execute_all(
-        &self,
-        site: &'static str,
-        n: usize,
-        mut log: EventLog,
-        one: impl Fn(usize) -> (RequestRecord, Option<CanaryObservation>) + Sync,
-    ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
-        let mut pairs = pool::try_parallel_map(site, n, 1, one)?;
         pairs.sort_by_key(|(rec, _)| rec.id);
         let (records, observations): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
         record_metrics(&records);
@@ -869,11 +828,35 @@ mod tests {
         let reqs: Vec<Request> = (0..3)
             .map(|id| Request::prefill(id, 64, id * 500, 1_000_000))
             .collect();
-        let ledger = s.run_with_events(&reqs).unwrap().0;
+        let ledger = s.run_continuous_with_events(&reqs).unwrap().0;
         ledger.validate(&reqs).unwrap();
         assert_eq!(ledger.count(Outcome::Served), 3);
         assert!(ledger.records.iter().all(|r| r.rung == "full"));
         assert!(ledger.records.iter().all(|r| r.alpha_satisfied));
+    }
+
+    #[test]
+    fn a_clear_guard_runs_the_plain_run_and_absorbs_its_canaries() {
+        let cfg = ServeConfig {
+            canary_denominator: 1,
+            ..ServeConfig::default()
+        };
+        let s = Scheduler::new(cfg).unwrap();
+        let reqs = mixed_workload(5, 12);
+        let plain = s.run_continuous_with_events(&reqs).unwrap();
+        let mut guard = QualityGuard::for_model(s.model());
+        let guarded = s.run_guarded_with_events(&reqs, &mut guard).unwrap();
+        assert_eq!(plain.0, guarded.0, "an all-clear mask changes no record");
+        assert_eq!(plain.1, guarded.1, "nor any event");
+        let sparse_canaries = plain
+            .0
+            .records
+            .iter()
+            .filter(|r| r.canary && (r.rung == "paper_default" || r.rung == "tight"))
+            .count() as u64;
+        assert!(sparse_canaries > 0, "the stream must probe a sampling rung");
+        let heads = (s.model().layers().len() * s.model().layers()[0].num_heads()) as u64;
+        assert_eq!(guard.probed_heads(), sparse_canaries * heads);
     }
 
     #[test]
@@ -882,7 +865,7 @@ mod tests {
         let mut req = Request::prefill(0, 64, 0, 1_000_000);
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
+        let ledger = s.run_continuous_with_events(std::slice::from_ref(&req)).unwrap().0;
         ledger.validate(std::slice::from_ref(&req)).unwrap();
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Served);
@@ -896,7 +879,7 @@ mod tests {
         let mut req = Request::prefill(0, 64, 0, 1_000_000);
         req.fault_fails = 99;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
+        let ledger = s.run_continuous_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Failed);
         assert!(rec.error.contains("worker panic"), "{}", rec.error);
@@ -906,12 +889,15 @@ mod tests {
     #[test]
     fn deadline_cancellation_reports_chunk_progress() {
         let s = scheduler();
-        // Brutal deadline: nothing fits, mid-run expiry planned.
-        let req = Request::prefill(0, 224, 0, 2);
-        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
+        // Only the window rung (62 ms) fits the 64 ms deadline, and a
+        // failed first attempt burns the slack: mid-run expiry planned.
+        let mut req = Request::prefill(0, 224, 0, 64);
+        req.fault_fails = 1;
+        req.fault_site = crate::request::FAULT_SITE.to_string();
+        let ledger = s.run_continuous_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::DeadlineExceeded);
-        assert_eq!(rec.rung, "window_only", "brutal deadline bottoms the ladder");
+        assert_eq!(rec.rung, "window_only", "a tight deadline bottoms the ladder");
         assert_eq!(rec.chunks_completed, 0, "pre-expired token stops chunk 0");
         assert!(rec.chunks_total > 0);
         assert!(!rec.alpha_satisfied, "window-only can never certify alpha");
@@ -929,7 +915,7 @@ mod tests {
         cancelled.arrival_ms = 10_000;
         cancelled.cancel_after_ms = 1;
         let reqs = vec![served, cancelled];
-        let ledger = s.run_with_events(&reqs).unwrap().0;
+        let ledger = s.run_continuous_with_events(&reqs).unwrap().0;
         ledger.validate(&reqs).unwrap();
         assert_eq!(ledger.records[0].outcome, Outcome::Served);
         assert_eq!(ledger.records[1].outcome, Outcome::Cancelled);
@@ -946,7 +932,7 @@ mod tests {
         let mut req = Request::prefill(11, 96, 0, 1_000_000);
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
-        let ledger = s.run_with_events(std::slice::from_ref(&req)).unwrap().0;
+        let ledger = s.run_continuous_with_events(std::slice::from_ref(&req)).unwrap().0;
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Served);
         assert_eq!(rec.retries, 2);
@@ -963,15 +949,17 @@ mod tests {
     #[test]
     fn faulted_decode_served_identically_with_and_without_recovery() {
         // The recovery path must change *work*, not *answers*: a decode
-        // request that crashes twice produces the same ledger record
-        // whether retries resume from checkpoints or start from scratch.
+        // request that crashes twice gets the same outcome, rung, retry
+        // script and quality verdict whether retries resume from
+        // checkpoints or start from scratch. Only the timeline and the
+        // recompute tallies move, and they move in recovery's favour.
         let mut req = Request::prefill(3, 48, 0, 1_000_000);
         req.kind = RequestKind::Decode;
         req.new_tokens = 4;
         req.fault_fails = 2;
         req.fault_site = crate::request::FAULT_SITE.to_string();
         let with = scheduler()
-            .run_with_events(std::slice::from_ref(&req))
+            .run_continuous_with_events(std::slice::from_ref(&req))
             .unwrap()
             .0;
         let cfg = ServeConfig {
@@ -980,11 +968,22 @@ mod tests {
         };
         let without = Scheduler::new(cfg)
             .unwrap()
-            .run_with_events(std::slice::from_ref(&req))
+            .run_continuous_with_events(std::slice::from_ref(&req))
             .unwrap()
             .0;
-        assert_eq!(with.records[0].outcome, Outcome::Served);
-        assert_eq!(with, without, "recovery must be invisible in the ledger");
+        let (a, b) = (&with.records[0], &without.records[0]);
+        assert_eq!(a.outcome, Outcome::Served);
+        let answer = |r: &RequestRecord| RequestRecord {
+            finish_ms: 0,
+            ttft_ms: 0,
+            recovered_attempts: 0,
+            recomputed_tokens: 0,
+            ..r.clone()
+        };
+        assert_eq!(answer(a), answer(b), "recovery must be invisible in the answer");
+        assert!(a.recovered_attempts > 0 && b.recovered_attempts == 0);
+        assert!(a.recomputed_tokens < b.recomputed_tokens);
+        assert!(a.finish_ms <= b.finish_ms);
     }
 
     #[test]
@@ -1052,7 +1051,7 @@ mod tests {
             .collect();
         let run_under_storm = || {
             let _g = fault::install(FaultPlan::new(0xBAD).serve_crash("serve_attempt", 3));
-            s.run_with_events(&reqs).unwrap().0
+            s.run_continuous_with_events(&reqs).unwrap().0
         };
         let a = run_under_storm();
         a.validate(&reqs).unwrap();
@@ -1064,10 +1063,10 @@ mod tests {
     fn mixed_ledger_is_identical_across_thread_counts() {
         let s = scheduler();
         let reqs = mixed_workload(5, 16);
-        let baseline = pool::with_threads(1, || s.run_with_events(&reqs)).unwrap().0;
+        let baseline = pool::with_threads(1, || s.run_continuous_with_events(&reqs)).unwrap().0;
         baseline.validate(&reqs).unwrap();
         for threads in [2, 4] {
-            let ledger = pool::with_threads(threads, || s.run_with_events(&reqs)).unwrap().0;
+            let ledger = pool::with_threads(threads, || s.run_continuous_with_events(&reqs)).unwrap().0;
             assert_eq!(
                 ledger, baseline,
                 "ledger must be bit-identical at {threads} threads"

@@ -1,38 +1,31 @@
-//! Virtual-time admission simulation.
+//! The virtual-time models the planner runs on.
 //!
-//! All *scheduling* decisions — admission, queueing, the degradation
-//! rung, retries, backoff, and which cancellation (if any) wins — are
-//! made here on a deterministic virtual clock, **before** any model
-//! work runs. The real execution phase then runs the admitted requests
-//! in parallel on the worker pool and only fills in bit-deterministic
-//! measurements (the CRA α flags). Real wall-clock time never
-//! influences an outcome, so the ledger is bit-identical at every
-//! `SA_THREADS` setting — the property the chaos soak asserts.
+//! Every *scheduling* decision — admission, queueing, the degradation
+//! rung, retries, backoff, and which cancellation (if any) wins — is
+//! made by the serial continuous planner ([`crate::continuous`]) on a
+//! deterministic virtual clock, **before** any model work runs. The
+//! real execution phase then runs the admitted requests in parallel on
+//! the worker pool and only fills in bit-deterministic measurements
+//! (the CRA α flags). Real wall-clock time never influences an outcome,
+//! so the ledger is bit-identical at every `SA_THREADS` setting — the
+//! property the chaos soak asserts.
 //!
-//! The simulated server has [`slots`](crate::ServeConfig::slots)
-//! concurrent-execution slots and a bounded FIFO queue. Per arrival:
+//! This module holds what the planner decides *with*:
 //!
-//! 1. free every slot whose occupant finished by now, handing freed
-//!    slots to queued requests (FIFO, at the freeing instant);
-//! 2. a free slot starts the request, a full queue rejects it with
-//!    [`Overloaded`](sa_tensor::SaError::Overloaded);
-//! 3. at start, the degradation ladder picks the highest rung whose
-//!    projected cost fits the remaining deadline budget, and the
-//!    admission memory model (scaled ChatGLM2-6B footprints against
-//!    `SA_MEM_BUDGET`) either admits or rejects with
-//!    [`BudgetExceeded`](sa_tensor::SaError::BudgetExceeded);
-//! 4. transient faults cost failed attempts plus seeded-jitter
-//!    exponential backoff; the earliest of caller-cancel, deadline,
-//!    and completion decides the planned outcome.
+//! - the outcome vocabulary: [`Planned`] and the per-request [`Plan`];
+//! - the per-rung cost model ([`service_ms`], [`cost_permille`]);
+//! - the degradation-ladder walk ([`choose_rung`],
+//!   [`choose_rung_floored`]), which respects a tenant's quality floor;
+//! - the admission memory model: scaled ChatGLM2-6B footprints
+//!   ([`request_bytes`], [`weight_bytes`]) against `SA_MEM_BUDGET`;
+//! - seeded-jitter exponential retry backoff ([`backoff_ms`]).
 
-use crate::events::{EventKind, EventLog};
 use crate::ledger::Outcome;
 use crate::{Request, ServeConfig};
 use sa_core::DegradationRung;
 use sa_perf::memory::{prefill_footprint, PrefillStyle};
 use sa_perf::ttft::ModelGeometry;
 use sa_tensor::splitmix64;
-use std::collections::VecDeque;
 
 /// What the simulation decided should happen to one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,11 +38,12 @@ pub enum Planned {
     CancelCaller,
     /// The deadline expires mid-run.
     CancelDeadline,
-    /// The deadline expires while still queued — no slot ever ran it.
+    /// The deadline expires while still queued — no work ever ran.
     ExpireInQueue,
-    /// Rejected at arrival: slots and queue both full.
+    /// Rejected at arrival: the pending queue is full.
     RejectOverloaded { inflight: usize },
-    /// Rejected at start: projected memory exceeds the budget.
+    /// Rejected: the request could never fit the memory budget, or the
+    /// governor shed it under critical pressure.
     RejectBudget { required_bytes: u64 },
     /// Shed at start: the deadline demands a rung below the tenant's
     /// quality floor, and the floor wins — the request is refused
@@ -70,7 +64,7 @@ pub struct Plan {
     pub start_ms: u64,
     /// Virtual completion / cancellation / rejection time.
     pub finish_ms: u64,
-    /// Time spent waiting for a slot.
+    /// Time spent waiting for admission and a first micro-task.
     pub queue_wait_ms: u64,
     /// Retries performed (failed attempts that were followed by another).
     pub retries: u64,
@@ -230,22 +224,8 @@ pub fn choose_rung_floored(
     None
 }
 
-struct Active {
-    finish_ms: u64,
-    bytes: u64,
-    /// Index into the request slice.
-    idx: usize,
-}
-
-enum StartResult {
-    /// Slot consumed until `finish_ms`.
-    Started(Plan, u64 /* bytes */),
-    /// Plan resolved without consuming the slot.
-    Resolved(Plan),
-}
-
 /// The typed reason string of the terminal event for `planned`, where
-/// neither planner has more to say than the resolution itself.
+/// the planner has no more to say than the resolution itself.
 pub(crate) fn terminal_reason(planned: &Planned, budget: u64) -> String {
     match planned {
         Planned::Serve { fails: 0 } => String::new(),
@@ -268,258 +248,10 @@ pub(crate) fn terminal_reason(planned: &Planned, budget: u64) -> String {
     }
 }
 
-/// Simulates the whole batch and returns one [`Plan`] per request,
-/// aligned with the input order.
-pub fn plan_batch(cfg: &ServeConfig, requests: &[Request]) -> Vec<Plan> {
-    plan_batch_with_events(cfg, requests).0
-}
-
-/// [`plan_batch`] plus the `sa.events.v1` lifecycle event log the
-/// simulation emitted (see [`crate::events`]). The log is produced by
-/// this serial planner, so its serialized bytes are identical at every
-/// `SA_THREADS` setting.
-pub fn plan_batch_with_events(cfg: &ServeConfig, requests: &[Request]) -> (Vec<Plan>, EventLog) {
-    let mut order: Vec<usize> = (0..requests.len()).collect();
-    order.sort_by_key(|&i| (requests[i].arrival_ms, requests[i].id));
-    let mut sim = OneShot {
-        cfg,
-        requests,
-        active: Vec::new(),
-        queue: VecDeque::new(),
-        plans: vec![None; requests.len()],
-        mem_in_use: weight_bytes(),
-        log: EventLog::new(cfg.seed),
-    };
-    for i in order {
-        let now = requests[i].arrival_ms;
-        sim.drain_to(now);
-        if sim.active.len() < cfg.slots() {
-            sim.start(i, now);
-        } else if sim.queue.len() < cfg.max_queue {
-            sim.queue.push_back(i);
-            let depth = sim.queue.len();
-            sim.emit(now, i, EventKind::Enqueued, "", 0, format!("queue depth {depth}"));
-        } else {
-            let inflight = sim.active.len() + sim.queue.len();
-            sim.resolve(i, unstarted(Planned::RejectOverloaded { inflight }, now, now));
-        }
-    }
-    sim.drain_to(u64::MAX);
-
-    let plans = sim
-        .plans
-        .into_iter()
-        .zip(requests)
-        // Every request starts, queues (drained above) or is rejected;
-        // one that somehow did none of them expires where it arrived.
-        .map(|(p, req)| {
-            p.unwrap_or_else(|| unstarted(Planned::ExpireInQueue, req.arrival_ms, req.arrival_ms))
-        })
-        .collect();
-    (plans, sim.log)
-}
-
-/// The plan of a request that never ran: resolved at `finish_ms`
-/// after being handed a slot (or refused one) at `start_ms`.
-fn unstarted(planned: Planned, start_ms: u64, finish_ms: u64) -> Plan {
-    Plan {
-        planned,
-        rung: DegradationRung::Full,
-        skipped: Vec::new(),
-        start_ms,
-        finish_ms,
-        queue_wait_ms: 0,
-        retries: 0,
-        backoff_ms: 0,
-    }
-}
-
-/// The one-shot planner's state: the slots, the FIFO queue behind
-/// them, and the memory they hold (weights plus every active request).
-struct OneShot<'a> {
-    cfg: &'a ServeConfig,
-    requests: &'a [Request],
-    active: Vec<Active>,
-    queue: VecDeque<usize>,
-    plans: Vec<Option<Plan>>,
-    mem_in_use: u64,
-    log: EventLog,
-}
-
-impl OneShot<'_> {
-    /// The planner's one event-log call: stamps the current balance.
-    fn emit(&mut self, t: u64, i: usize, kind: EventKind, rung: &str, bytes: u64, reason: String) {
-        let req = &self.requests[i];
-        self.log.push(t, req, kind, rung, bytes, self.mem_in_use, reason);
-    }
-
-    /// Records the plan of a request that resolved without running.
-    fn resolve(&mut self, i: usize, plan: Plan) {
-        let reason = terminal_reason(&plan.planned, self.cfg.mem_budget_bytes);
-        self.emit(plan.finish_ms, i, EventKind::terminal_for(&plan.planned), "", 0, reason);
-        self.plans[i] = Some(plan);
-    }
-
-    /// Hands request `i` a free slot at `at`. Returns whether it took
-    /// it: a request that resolves on the spot (cancelled, expired,
-    /// floor-shed, over budget) leaves the slot to the next in line.
-    fn start(&mut self, i: usize, at: u64) -> bool {
-        let (plan, bytes) = match try_start(self.cfg, &self.requests[i], at, self.mem_in_use) {
-            StartResult::Started(plan, bytes) => (plan, bytes),
-            StartResult::Resolved(plan) => {
-                self.resolve(i, plan);
-                return false;
-            }
-        };
-        self.mem_in_use += bytes;
-        let rung = plan.rung.to_string();
-        self.emit(at, i, EventKind::Admitted, "", bytes, String::new());
-        let wait = format!("queue wait {} ms", plan.queue_wait_ms);
-        self.emit(at, i, EventKind::Dispatched, &rung, 0, wait);
-        if !plan.skipped.is_empty() {
-            let skipped = format!("{} rungs skipped under deadline budget", plan.skipped.len());
-            self.emit(at, i, EventKind::RungDegraded, &rung, 0, skipped);
-        }
-        if plan.retries > 0 {
-            let retries = format!(
-                "{} retries planned, {} ms backoff",
-                plan.retries, plan.backoff_ms
-            );
-            self.emit(at, i, EventKind::Retried, &rung, 0, retries);
-        }
-        self.active.push(Active {
-            finish_ms: plan.finish_ms,
-            bytes,
-            idx: i,
-        });
-        self.plans[i] = Some(plan);
-        true
-    }
-
-    /// Frees every slot whose occupant finished by `upto`, earliest
-    /// first, handing each freed slot down the queue at the freeing
-    /// instant.
-    fn drain_to(&mut self, upto: u64) {
-        while let Some(pos) = (0..self.active.len())
-            .filter(|&p| self.active[p].finish_ms <= upto)
-            .min_by_key(|&p| (self.active[p].finish_ms, self.requests[self.active[p].idx].id))
-        {
-            let freed = self.active.swap_remove(pos);
-            let at = freed.finish_ms;
-            // Whatever held a slot ran the model, so its rung means something.
-            if let Some(plan) = &self.plans[freed.idx] {
-                let kind = EventKind::terminal_for(&plan.planned);
-                let rung = plan.rung.to_string();
-                let reason = terminal_reason(&plan.planned, self.cfg.mem_budget_bytes);
-                self.emit(at, freed.idx, kind, &rung, 0, reason);
-            }
-            self.mem_in_use -= freed.bytes;
-            self.emit(at, freed.idx, EventKind::Released, "", freed.bytes, String::new());
-            while let Some(next) = self.queue.pop_front() {
-                if self.start(next, at) {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn try_start(cfg: &ServeConfig, req: &Request, start_ms: u64, in_use_bytes: u64) -> StartResult {
-    let deadline_t = req.arrival_ms + req.deadline_ms;
-    let cancel_t = if req.cancel_after_ms > 0 {
-        req.arrival_ms + req.cancel_after_ms
-    } else {
-        u64::MAX
-    };
-    let queue_wait_ms = start_ms - req.arrival_ms;
-    let resolved = |planned: Planned, finish: u64| {
-        StartResult::Resolved(Plan {
-            queue_wait_ms,
-            ..unstarted(planned, start_ms, finish)
-        })
-    };
-
-    if cancel_t <= start_ms {
-        // Cancelled while still queued.
-        return resolved(Planned::CancelCaller, start_ms);
-    }
-    if start_ms >= deadline_t {
-        return resolved(Planned::ExpireInQueue, start_ms);
-    }
-
-    let remaining = deadline_t - start_ms;
-    let Some((rung, skipped)) =
-        choose_rung_floored(req, remaining, cfg.max_rung_index_for(req.tenant))
-    else {
-        return resolved(Planned::ShedQualityFloor, start_ms);
-    };
-
-    let bytes = request_bytes(cfg, req);
-    if in_use_bytes + bytes > cfg.mem_budget_bytes {
-        return resolved(
-            Planned::RejectBudget {
-                required_bytes: in_use_bytes + bytes,
-            },
-            start_ms,
-        );
-    }
-
-    let service = service_ms(req, rung);
-    let fail_ms = (service / 8).max(1);
-    let attempts_budget = cfg.max_retries as u64 + 1;
-    let (planned, retries, backoff_total, duration) = if req.fault_fails >= attempts_budget {
-        // Permanent: every attempt in the budget fails; backoff between
-        // attempts, none after the last.
-        let fails = attempts_budget;
-        let backoff: u64 = (0..fails - 1).map(|a| backoff_ms(cfg, req.id, a)).sum();
-        (
-            Planned::FailPermanent { fails },
-            fails - 1,
-            backoff,
-            fails * fail_ms + backoff,
-        )
-    } else if req.fault_fails > 0 {
-        let fails = req.fault_fails;
-        let backoff: u64 = (0..fails).map(|a| backoff_ms(cfg, req.id, a)).sum();
-        (
-            Planned::Serve { fails },
-            fails,
-            backoff,
-            fails * fail_ms + backoff + service,
-        )
-    } else {
-        (Planned::Serve { fails: 0 }, 0, 0, service)
-    };
-
-    let projected = start_ms + duration;
-    let (planned, finish, retries, backoff_total) =
-        if cancel_t < projected && cancel_t < deadline_t {
-            (Planned::CancelCaller, cancel_t, 0, 0)
-        } else if projected > deadline_t {
-            (Planned::CancelDeadline, deadline_t, 0, 0)
-        } else {
-            (planned, projected, retries, backoff_total)
-        };
-
-    StartResult::Started(
-        Plan {
-            planned,
-            rung,
-            skipped,
-            start_ms,
-            finish_ms: finish,
-            queue_wait_ms,
-            retries,
-            backoff_ms: backoff_total,
-        },
-        bytes,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mixed_workload;
+    use crate::plan_continuous;
 
     fn cfg() -> ServeConfig {
         ServeConfig::default()
@@ -611,80 +343,60 @@ mod tests {
     }
 
     #[test]
-    fn plan_batch_sheds_floored_tenants_under_deadline_pressure() {
+    fn floored_tenants_shed_under_deadline_pressure() {
         let mut c = cfg();
         c.quality_floors.push(crate::TenantFloor {
             tenant: 0,
             max_rung_index: DegradationRung::Tight.index(),
-            max_uncertified_permille: 0,
+            max_uncertified_permille: 1000,
         });
-        // tenant = id % 3: ids 0 and 3 are floored, 1/2/4 are not.
-        // Deadline of 2 ms forces the unfloored ladder to WindowOnly.
+        // tenant = id % 3: ids 0 and 3 are floored, 1/2/4 are not. A
+        // 70 ms deadline fits only the window rung of a 224-token prompt.
         let reqs: Vec<Request> = (0..5)
             .map(|id| {
-                let mut r = Request::prefill(id, 224, id * 10_000, 2);
+                let mut r = Request::prefill(id, 224, id * 10_000, 70);
                 r.tenant = id % 3;
                 r
             })
             .collect();
-        let plans = plan_batch(&c, &reqs);
-        for p in plans.iter().step_by(3) {
-            assert!(
-                matches!(p.planned, Planned::ShedQualityFloor),
-                "floored tenant must shed, got {:?}",
-                p.planned
-            );
-            assert!(!p.runs_model());
+        let plans = plan_continuous(&c, &reqs);
+        for (id, p) in plans.iter().enumerate() {
+            if id % 3 == 0 {
+                assert!(
+                    matches!(p.plan.planned, Planned::ShedQualityFloor),
+                    "floored tenant must shed, got {:?}",
+                    p.plan.planned
+                );
+                assert!(!p.plan.runs_model());
+            } else {
+                assert!(matches!(p.plan.planned, Planned::Serve { .. }), "{p:?}");
+                assert_eq!(p.plan.rung, DegradationRung::WindowOnly, "unfloored tenants bottom the ladder");
+            }
         }
-        assert!(
-            plans
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % 3 != 0)
-                .all(|(_, p)| p.rung == DegradationRung::WindowOnly),
-            "unfloored tenants still bottom the ladder"
-        );
     }
 
     #[test]
     fn overload_rejects_when_slots_and_queue_full() {
         let c = ServeConfig {
             max_inflight: 1,
-            max_queue: 1,
+            max_pending: 1,
             ..cfg()
         };
-        // Three simultaneous arrivals: one runs, one queues, one bounces.
-        let reqs: Vec<Request> = (0..3)
-            .map(|id| Request::prefill(id, 128, 0, 100_000))
-            .collect();
-        let plans = plan_batch(&c, &reqs);
-        assert!(matches!(plans[0].planned, Planned::Serve { .. }));
-        assert!(matches!(plans[1].planned, Planned::Serve { .. }));
-        assert!(plans[1].queue_wait_ms > 0, "second request waited");
-        assert!(matches!(
-            plans[2].planned,
-            Planned::RejectOverloaded { inflight: 2 }
-        ));
-    }
-
-    #[test]
-    fn budget_rejects_oversized_concurrency() {
-        // Two scaled 1M-token prefills fit next to the weights on one
-        // A100-80GB; a third concurrent one does not.
-        let c = cfg();
-        let one = request_bytes(&c, &Request::prefill(0, 512, 0, 0));
-        assert!(weight_bytes() + 3 * one > c.mem_budget_bytes);
-        assert!(weight_bytes() + 2 * one <= c.mem_budget_bytes);
+        // Three simultaneous paper-scale arrivals: the first is admitted,
+        // the second holds the one pending seat (half the free memory is
+        // too much to admit early), the third bounces.
         let reqs: Vec<Request> = (0..3)
             .map(|id| Request::prefill(id, 512, 0, 100_000))
             .collect();
-        let plans = plan_batch(&c, &reqs);
-        assert!(matches!(plans[0].planned, Planned::Serve { .. }));
-        assert!(matches!(plans[1].planned, Planned::Serve { .. }));
-        assert!(
-            matches!(plans[2].planned, Planned::RejectBudget { required_bytes }
-                if required_bytes > c.mem_budget_bytes)
-        );
+        let plans = plan_continuous(&c, &reqs);
+        assert!(matches!(plans[0].plan.planned, Planned::Serve { .. }));
+        assert!(matches!(plans[1].plan.planned, Planned::Serve { .. }));
+        assert!(plans[1].plan.queue_wait_ms > 0, "second request waited");
+        assert!(matches!(
+            plans[2].plan.planned,
+            Planned::RejectOverloaded { inflight: 2 }
+        ));
+        assert!(!plans[2].plan.runs_model());
     }
 
     #[test]
@@ -693,13 +405,13 @@ mod tests {
             max_inflight: 1,
             ..cfg()
         };
-        let mut long = Request::prefill(0, 512, 0, 1_000_000);
-        long.fault_fails = 0;
-        // Arrives immediately behind, deadline far shorter than the
-        // first request's service time.
+        let long = Request::prefill(0, 512, 0, 1_000_000);
+        // Arrives immediately behind, deadline far shorter than one of
+        // the first request's chunks.
         let short = Request::prefill(1, 48, 1, 3);
-        let plans = plan_batch(&c, &[long, short]);
-        assert!(matches!(plans[1].planned, Planned::ExpireInQueue));
+        let plans = plan_continuous(&c, &[long, short]);
+        assert!(matches!(plans[1].plan.planned, Planned::ExpireInQueue), "{plans:?}");
+        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 0 }));
     }
 
     #[test]
@@ -707,10 +419,12 @@ mod tests {
         let c = cfg();
         let mut req = Request::prefill(3, 64, 0, 1_000_000);
         req.fault_fails = 2;
-        let plans = plan_batch(&c, &[req]);
-        assert!(matches!(plans[0].planned, Planned::Serve { fails: 2 }));
-        assert_eq!(plans[0].retries, 2);
-        assert!(plans[0].backoff_ms >= 2 * c.backoff_base_ms);
+        let plans = plan_continuous(&c, &[req]);
+        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 2 }));
+        assert_eq!(plans[0].plan.retries, 2);
+        let expected = backoff_ms(&c, 3, 0) + backoff_ms(&c, 3, 1);
+        assert_eq!(plans[0].plan.backoff_ms, expected, "the plan sleeps the seeded schedule");
+        assert!(expected >= 2 * c.backoff_base_ms);
         // Jitter is deterministic in (seed, id, attempt).
         assert_eq!(backoff_ms(&c, 3, 0), backoff_ms(&c, 3, 0));
         assert_ne!(backoff_ms(&c, 3, 0), backoff_ms(&c, 4, 0));
@@ -718,37 +432,35 @@ mod tests {
 
     #[test]
     fn permanent_fault_exhausts_retry_budget() {
-        let c = cfg();
-        let mut req = Request::prefill(0, 64, 0, 1_000_000);
-        req.fault_fails = 99;
-        let plans = plan_batch(&c, &[req]);
-        assert!(
-            matches!(plans[0].planned, Planned::FailPermanent { fails }
-                if fails == c.max_retries as u64 + 1)
-        );
+        for max_retries in [0, 2, 4] {
+            let c = ServeConfig {
+                max_retries,
+                ..cfg()
+            };
+            let mut req = Request::prefill(0, 64, 0, 1_000_000);
+            req.fault_fails = 99;
+            let plans = plan_continuous(&c, &[req]);
+            assert!(
+                matches!(plans[0].plan.planned, Planned::FailPermanent { fails }
+                    if fails == max_retries as u64 + 1),
+                "max_retries {max_retries}: {:?}",
+                plans[0].plan
+            );
+            assert_eq!(plans[0].plan.retries, max_retries as u64);
+        }
     }
 
     #[test]
     fn caller_cancel_beats_completion() {
         let c = cfg();
-        let mut req = Request::prefill(0, 512, 0, 1_000_000);
+        // The first attempt fails after an eighth of the 64 ms service;
+        // the caller walks away during the backoff before the retry.
+        let mut req = Request::prefill(0, 64, 0, 1_000_000);
+        req.fault_fails = 1;
         req.cancel_after_ms = 10;
-        let plans = plan_batch(&c, &[req]);
-        assert!(matches!(plans[0].planned, Planned::CancelCaller));
-        assert_eq!(plans[0].finish_ms, 10);
-    }
-
-    #[test]
-    fn plan_batch_is_deterministic_and_total() {
-        let c = cfg();
-        let reqs = mixed_workload(11, 48);
-        let a = plan_batch(&c, &reqs);
-        let b = plan_batch(&c, &reqs);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), reqs.len());
-        // Every planned category that the chaos soak exercises shows up.
-        assert!(a.iter().any(|p| matches!(p.planned, Planned::Serve { fails: 0 })));
-        assert!(a.iter().any(|p| matches!(p.planned, Planned::Serve { fails } if fails > 0)));
-        assert!(a.iter().any(|p| matches!(p.planned, Planned::CancelDeadline)));
+        let plans = plan_continuous(&c, &[req]);
+        assert!(matches!(plans[0].plan.planned, Planned::CancelCaller), "{plans:?}");
+        assert!(plans[0].plan.finish_ms >= 10);
+        assert!(plans[0].plan.finish_ms < 64, "cancelled before the retry completed");
     }
 }

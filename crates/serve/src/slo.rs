@@ -8,8 +8,7 @@
 //! - **TPOT** (time per output token): the steady-state decode pace of
 //!   served multi-token requests;
 //! - **goodput**: requests served *within their deadline* per virtual
-//!   second — throughput that counts only useful work, the metric the
-//!   continuous scheduler must not lose against the one-shot baseline;
+//!   second — throughput that counts only useful work;
 //! - **certified goodput**: the stricter quality-guardrail numerator —
 //!   served within deadline *and* quality-certified (measured CRA α at
 //!   ledger level; a rung that can certify α at plan level). A
@@ -149,7 +148,8 @@ pub struct SloRow {
 pub struct SloSummary {
     /// Schema tag ([`SLO_SCHEMA`]).
     pub schema: String,
-    /// Which scheduler produced the ledger (`oneshot` / `continuous`).
+    /// Which run produced the summary (a free-form label such as
+    /// `continuous`).
     pub scheduler: String,
     /// Requests submitted.
     pub requests: u64,
@@ -338,57 +338,24 @@ impl SloSummary {
             .iter()
             .zip(requests)
             .map(|(cp, req)| {
+                let plan = &cp.plan;
                 let first_token = (cp.first_token_ms > 0).then_some(cp.first_token_ms);
-                let served = cp.plan.planned.outcome() == Outcome::Served;
+                let outcome = plan.planned.outcome();
                 SloRow {
+                    tenant: req.tenant,
+                    outcome,
+                    within_deadline: plan.finish_ms <= req.arrival_ms + req.deadline_ms,
+                    certified: plan.rung.can_certify_alpha(),
+                    uncertified_rung: !plan.rung.can_certify_alpha(),
+                    tokens: req.seq_len as u64 + req.new_tokens as u64,
                     ttft_ms: first_token.map(|t| t.saturating_sub(req.arrival_ms)),
-                    tpot_ms: first_token.filter(|_| served && cp.decode_steps > 1).map(|t| {
-                        cp.plan.finish_ms.saturating_sub(t) / (cp.decode_steps - 1)
-                    }),
-                    ..SloRow::from_plan(&cp.plan, req)
+                    tpot_ms: first_token
+                        .filter(|_| outcome == Outcome::Served && cp.decode_steps > 1)
+                        .map(|t| plan.finish_ms.saturating_sub(t) / (cp.decode_steps - 1)),
                 }
             })
             .collect();
         Self::from_rows(scheduler, requests, &rows)
-    }
-
-    /// Builds the one-shot counterpart from [`Plan`](crate::Plan)s, with
-    /// the one-shot analytic TTFT ([`Request::oneshot_ttft_ms`]).
-    pub fn from_oneshot_plans(
-        scheduler: &str,
-        plans: &[crate::Plan],
-        requests: &[Request],
-    ) -> Self {
-        let rows: Vec<SloRow> = plans
-            .iter()
-            .zip(requests)
-            .map(|(plan, req)| {
-                let served = plan.planned.outcome() == Outcome::Served;
-                SloRow {
-                    ttft_ms: served.then(|| req.oneshot_ttft_ms(plan.finish_ms)),
-                    tpot_ms: (served && req.new_tokens > 1).then(|| req.decode_step_ms()),
-                    ..SloRow::from_plan(plan, req)
-                }
-            })
-            .collect();
-        Self::from_rows(scheduler, requests, &rows)
-    }
-}
-
-impl SloRow {
-    /// The plan-level row of `req`, without first-token timing (which
-    /// each planner derives its own way).
-    fn from_plan(plan: &crate::Plan, req: &Request) -> Self {
-        SloRow {
-            tenant: req.tenant,
-            outcome: plan.planned.outcome(),
-            within_deadline: plan.finish_ms <= req.arrival_ms + req.deadline_ms,
-            certified: plan.rung.can_certify_alpha(),
-            uncertified_rung: !plan.rung.can_certify_alpha(),
-            tokens: req.seq_len as u64 + req.new_tokens as u64,
-            ttft_ms: None,
-            tpot_ms: None,
-        }
     }
 }
 
@@ -447,7 +414,6 @@ mod tests {
         for s in [
             SloSummary::from_ledger("continuous", &empty_ledger, &empty_reqs),
             SloSummary::from_continuous_plans("continuous", &plans, &empty_reqs),
-            SloSummary::from_oneshot_plans("oneshot", &[], &empty_reqs),
         ] {
             assert_eq!(s.requests, 0);
             assert_eq!(s.span_ms, 0);

@@ -446,7 +446,7 @@ test -s "$smoke_out/recovery.json" || {
 
 echo "==> smoke: quality_guard --quick (SA_THREADS=1, then default)"
 # The bench asserts the quality-guardrail bar itself — clean traffic
-# trips zero quarantines, the floored tenant never exceeds its
+# whose canaries probe sparse heads trips zero quarantines, the floored tenant never exceeds its
 # uncertified budget, canary rate never changes scheduling outcomes,
 # the fault storm quarantines every poisoned head and probation
 # re-admits all of them, and ledgers plus quarantine transitions are
@@ -460,10 +460,10 @@ test -s "$smoke_out/quality_guard.json" || {
     exit 1
 }
 
-echo "==> smoke: slo_sweep --quick (continuous vs one-shot goodput)"
-# The sweep binary asserts the tentpole bar itself — continuous goodput
-# at least one-shot goodput at every (shape x rate) point — and exits
-# non-zero when continuous batching loses a point.
+echo "==> smoke: slo_sweep --quick (continuous-planner SLO sweep)"
+# The sweep plans every (shape x rate) point on the continuous planner
+# and writes slo_report.json, which serve_timeline below rebuilds from
+# event logs alone; the results oracle further down pins its bits.
 cargo run -q --release --offline -p sa-bench --bin slo_sweep -- \
     --quick --out "$smoke_out"
 test -s "$smoke_out/slo_report.json" || {

@@ -312,7 +312,7 @@ fn tracing_does_not_perturb_pipeline_outputs() {
 }
 
 /// The serving telemetry plane is emitted by the serial virtual-time
-/// planners (and only reconciled against the executed ledger), so both
+/// planner (and only reconciled against the executed ledger), so both
 /// the `sa.events.v1` log and any timeline aggregation derived from it
 /// must serialize byte-identically at every thread count.
 #[test]
@@ -323,13 +323,13 @@ fn serving_telemetry_is_thread_invariant() {
 
     let cfg = ServeConfig {
         seed: 0x7E1E,
-        max_queue: 3,
+        max_pending: 3,
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 12);
     assert_thread_invariant("serve event log + timeline", || {
         let scheduler = Scheduler::new(cfg.clone()).unwrap();
-        let (ledger, log) = scheduler.run_with_events(&requests).unwrap();
+        let (ledger, log) = scheduler.run_continuous_with_events(&requests).unwrap();
         log.validate(&ledger).unwrap();
         let mut tl = Timeline::new(500);
         for ev in &log.events {

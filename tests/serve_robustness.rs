@@ -38,7 +38,7 @@ use sample_attention::workloads::{ArrivalProcess, ArrivalShape};
 
 fn run_under_threads(cfg: &ServeConfig, requests: &[Request], threads: usize) -> String {
     let scheduler = Scheduler::new(cfg.clone()).unwrap();
-    let (ledger, _) = pool::with_threads(threads, || scheduler.run_with_events(requests)).unwrap();
+    let (ledger, _) = pool::with_threads(threads, || scheduler.run_continuous_with_events(requests)).unwrap();
     ledger.validate(requests).unwrap();
     sample_attention::json::to_string(&ledger.to_json())
 }
@@ -47,7 +47,7 @@ fn run_under_threads(cfg: &ServeConfig, requests: &[Request], threads: usize) ->
 fn ledger_is_byte_identical_across_thread_counts() {
     let cfg = ServeConfig {
         seed: 0xC0DE,
-        max_queue: 3,
+        max_pending: 3,
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 16);
@@ -64,12 +64,16 @@ fn ledger_is_byte_identical_across_thread_counts() {
 #[test]
 fn impossible_deadline_cancels_cooperatively_with_partial_progress() {
     let cfg = ServeConfig::default();
-    // Window-only costs 224²/64 × 8 % ≈ 62 virtual ms: a 1 ms deadline
-    // fits no rung, so the scheduler runs the bottom rung under a
-    // deadline token that trips before the first chunk completes.
-    let requests = vec![Request::prefill(0, 224, 0, 1)];
+    // Window-only costs 224²/64 × 8 % ≈ 62 virtual ms: only the bottom
+    // rung fits the 64 ms deadline, and a failed first attempt burns the
+    // slack, so the planner cancels mid-run and execution runs the bottom
+    // rung under a deadline token that trips before the first chunk
+    // completes.
+    let mut req = Request::prefill(0, 224, 0, 64);
+    req.fault_fails = 1;
+    let requests = vec![req];
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
+    let (ledger, _) = scheduler.run_continuous_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     let rec = &ledger.records[0];
@@ -96,7 +100,7 @@ fn caller_cancellation_is_a_typed_outcome() {
     // Caller walks away long before the 128²/64 = 256 ms service ends.
     req.cancel_after_ms = 5;
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, _) = scheduler.run_with_events(&[req.clone()]).unwrap();
+    let (ledger, _) = scheduler.run_continuous_with_events(&[req.clone()]).unwrap();
     ledger.validate(std::slice::from_ref(&req)).unwrap();
 
     let rec = &ledger.records[0];
@@ -113,16 +117,17 @@ fn caller_cancellation_is_a_typed_outcome() {
 fn overload_rejections_are_typed_and_total() {
     let cfg = ServeConfig {
         max_inflight: 1,
-        max_queue: 1,
+        max_pending: 1,
         ..ServeConfig::default()
     };
-    // Three simultaneous arrivals against one slot and one queue seat:
-    // the third must bounce with the typed overload error.
+    // Three simultaneous paper-scale arrivals against one pending seat:
+    // one is admitted, one waits in the seat, the third must bounce with
+    // the typed overload error.
     let requests: Vec<Request> = (0..3)
-        .map(|id| Request::prefill(id, 128, 0, 10_000))
+        .map(|id| Request::prefill(id, 512, 0, 100_000))
         .collect();
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
+    let (ledger, _) = scheduler.run_continuous_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert_eq!(ledger.count(Outcome::Served), 2);
@@ -142,17 +147,26 @@ fn overload_rejections_are_typed_and_total() {
 
 #[test]
 fn memory_budget_rejections_are_typed() {
-    // Three paper-scale prompts (512 synthetic ≈ 1M real tokens each)
-    // against one A100: two fit, the third exceeds the budget.
-    let cfg = ServeConfig::default();
-    let requests: Vec<Request> = (0..3)
-        .map(|id| Request::prefill(id, 512, 0, 100_000))
-        .collect();
+    // A budget one byte short of a paper-scale prompt (512 synthetic ≈
+    // 1M real tokens) next to the weights: the two medium prompts are
+    // served, the giant can never fit and is rejected, typed.
+    let base = ServeConfig::default();
+    let giant = Request::prefill(2, 512, 0, 100_000);
+    let cfg = ServeConfig {
+        mem_budget_bytes: sim::weight_bytes() + sim::request_bytes(&base, &giant) - 1,
+        ..base
+    };
+    let requests = vec![
+        Request::prefill(0, 224, 0, 100_000),
+        Request::prefill(1, 224, 0, 100_000),
+        giant,
+    ];
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
+    let (ledger, _) = scheduler.run_continuous_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert_eq!(ledger.count(Outcome::RejectedBudget), 1);
+    assert_eq!(ledger.count(Outcome::Served), 2);
     let rejected = ledger
         .records
         .iter()
@@ -169,12 +183,12 @@ fn memory_budget_rejections_are_typed() {
 fn ladder_never_certifies_alpha_from_the_window_rung() {
     let cfg = ServeConfig {
         seed: 0xA1FA,
-        max_queue: 3,
+        max_pending: 3,
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 24);
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, _) = scheduler.run_with_events(&requests).unwrap();
+    let (ledger, _) = scheduler.run_continuous_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
 
     assert!(ledger.count(Outcome::Served) > 0, "workload too adversarial");
@@ -424,17 +438,17 @@ fn storm_event_log_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn batch_event_log_conserves_memory_and_is_terminal_total() {
-    // The one-shot planner's event log must balance the memory ledger
+    // A closed batch's event log must balance the memory ledger
     // event-by-event and give every request exactly one terminal
     // lifecycle event that agrees with its ledger record.
     let cfg = ServeConfig {
         seed: 0xC0DE,
-        max_queue: 3,
+        max_pending: 3,
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 16);
     let scheduler = Scheduler::new(cfg).unwrap();
-    let (ledger, log) = scheduler.run_with_events(&requests).unwrap();
+    let (ledger, log) = scheduler.run_continuous_with_events(&requests).unwrap();
     ledger.validate(&requests).unwrap();
     log.validate(&ledger).unwrap();
     let terminals = log.terminals();
