@@ -8,9 +8,10 @@
 //!   heads (a clean leg whose canaries all ran at rung `full` would
 //!   prove nothing), yet
 //!   trip zero quarantine transitions (no false positives on healthy
-//!   traffic), the floored tenant never serves an uncertified rung, and
-//!   every floor refusal surfaces as a typed `ShedQualityFloor`
-//!   outcome, never a silent downgrade.
+//!   traffic) and the floored tenant never serves an uncertified rung.
+//!   The leg counts floor refusals but need not meet one (none at the
+//!   committed seed); that every refusal is a typed `ShedQualityFloor`
+//!   is held by the planner property in `tests/serve_robustness.rs`.
 //! - **sweep** — the same workload replayed at canary denominators
 //!   `[0, 64, 32, 8]`: canary selection is measurement-only, so served
 //!   counts and certified goodput are *identical* at every rate (hence
@@ -68,8 +69,9 @@ struct QualityGuardReport {
     clean_probed_heads: u64,
     /// Quarantine/readmit transitions on clean traffic (must be 0).
     clean_transitions: u64,
-    /// `ShedQualityFloor` outcomes across the clean leg (typed floor
-    /// refusals; the floored tenant is never silently downgraded).
+    /// `ShedQualityFloor` outcomes across the clean leg. A count, not a
+    /// check: the clean load need not push the floored tenant into a
+    /// refusal (it does not at the committed seed).
     clean_floor_sheds: u64,
     /// The floored tenant's uncertified-token permille in the final
     /// clean wave (must respect its floor).
@@ -239,8 +241,7 @@ fn main() {
         guard.transitions()
     );
     assert_eq!(guard.quarantined_count(), 0, "clean leg left heads quarantined");
-    // The floored tenant never serves the uncertified rung, and its
-    // floor refusals are typed sheds, not silent downgrades.
+    // The floored tenant never serves the uncertified rung.
     for rec in &last_ledger.records {
         if rec.tenant == FLOORED_TENANT && rec.outcome == Outcome::Served {
             assert_ne!(

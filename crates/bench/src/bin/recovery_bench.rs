@@ -31,7 +31,10 @@
 //! Flags: `--seed <u64>`, `--quick` (smaller storm points), `--out <dir>`.
 
 use sa_bench::{render_table, write_json, Args};
-use sa_serve::{fault_storm_workload, Ledger, Outcome, Scheduler, ServeConfig, SloSummary};
+use sa_serve::{
+    fault_storm_workload, plan_continuous_with_events, Ledger, Outcome, Scheduler, ServeConfig,
+    SloSummary,
+};
 use sa_tensor::pool;
 use sa_trace::metrics;
 
@@ -134,12 +137,10 @@ fn bench_cfg(seed: u64, recovery: bool) -> ServeConfig {
 
 /// Plans one leg and reduces it to the point's tallies.
 fn plan_leg(seed: u64, recovery: bool, requests: &[sa_serve::Request]) -> (u64, u64, u64, f64) {
-    let cfg = bench_cfg(seed, recovery);
-    let scheduler = Scheduler::new(cfg).expect("tiny model config is valid");
-    let plans = scheduler.plan_continuous(requests);
+    let (plans, log) = plan_continuous_with_events(&bench_cfg(seed, recovery), requests);
     let recovered: u64 = plans.iter().map(|p| p.recovered_attempts).sum();
     let recomputed: u64 = plans.iter().map(|p| p.recomputed_tokens).sum();
-    let slo = SloSummary::from_continuous_plans("continuous", &plans, requests);
+    let slo = SloSummary::from_events("continuous", &log, requests);
     (recovered, recomputed, slo.served, slo.goodput_per_sec)
 }
 

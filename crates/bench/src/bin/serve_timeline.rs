@@ -1,18 +1,15 @@
-//! serve_timeline: renders the serving telemetry plane end to end and
-//! proves its central claim — the `sa.events.v1` lifecycle event log is
-//! a **complete** record of a serving run, sufficient to reconstruct
-//! every aggregate SLO number without touching the plans or the ledger.
+//! serve_timeline: renders the serving telemetry plane end to end from
+//! the `sa.events.v2` lifecycle event log.
 //!
 //! Four legs:
 //!
-//! 1. **Reconstruction sweep**: replays the exact `slo_sweep` workload
-//!    grid (3 arrival shapes × the rate ladder, 3 tenants) through
-//!    [`plan_continuous_with_events`] and rebuilds each point's
-//!    [`SloSummary`] *from the event log alone* (terminal kinds, first
-//!    token stamps, and the regenerated request stream). Every
-//!    reconstructed summary must equal the plan-derived one bit for bit
-//!    — including `goodput_per_sec` — and, when `<out>/slo_report.json`
-//!    exists with the same seed, must match its numbers too.
+//! 1. **Sweep**: replays the `slo_sweep` grid ([`slo_grid`]: 3 arrival
+//!    shapes × the rate ladder, 3 tenants) through
+//!    [`plan_continuous_with_events`], checks each point's log for
+//!    memory conservation, and folds it into the point's [`SloSummary`]
+//!    ([`SloSummary::from_events`], the fold `slo_sweep` reports). When
+//!    `<out>/slo_report.json` exists with the same seed, every point's
+//!    goodput must equal the report's.
 //! 2. **Timelines**: the richest sweep point's event log is folded into
 //!    per-tenant virtual-time bins ([`sa_trace::Timeline`]): TTFT and
 //!    TPOT observations, goodput counts, rung degradations, and the
@@ -29,33 +26,31 @@
 //!
 //! Outputs:
 //! - stdout: the sweep table, timeline digest, and postmortems;
-//! - `results/serve_timeline.json` (`sa.serve_timeline.v1`);
+//! - `results/serve_timeline.json` (`sa.serve_timeline.v2`);
 //! - `results/serve_timeline.txt`: the rendered timeline + postmortem
 //!   digest (what you read first when debugging a bad SLO run).
 //!
 //! Flags: `--seed <u64>`, `--quick` (fewer rates, shorter streams),
-//! `--out <dir>`. `SA_METRICS=<path>` additionally writes the whole
-//! metrics registry in Prometheus text exposition format.
+//! `--out <dir>`.
 
-use sa_bench::{f, render_table, write_json, Args};
+use sa_bench::{f, render_table, slo_grid, write_json, Args, SLO_GRID_TENANTS};
 use sa_serve::{
-    fault_storm_workload, open_loop_workload, plan_continuous_with_events, Event, EventKind, EventLog, Outcome, Postmortem, Request,
-    Scheduler, ServeConfig, SloRow, SloSummary,
+    fault_storm_workload, plan_continuous_with_events, EventKind, EventLog, Postmortem, Request,
+    Scheduler, ServeConfig, SloSummary,
 };
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool;
-use sa_trace::{MetricsExport, Timeline, TimelineSnapshot};
-use sa_workloads::{ArrivalProcess, ArrivalShape};
+use sa_trace::{Timeline, TimelineSnapshot};
 use std::collections::BTreeMap;
 
 /// Results-file schema tag of `results/serve_timeline.json`.
-const TIMELINE_SCHEMA: &str = "sa.serve_timeline.v1";
+const TIMELINE_SCHEMA: &str = "sa.serve_timeline.v2";
 
 /// Timeline bin width on the serving virtual clock, ms.
 const BIN_MS: u64 = 1_000;
 
-/// One (shape × rate) point: the SLO summaries reconstructed from the
-/// event logs alone, plus the equality verdicts.
+/// One (shape × rate) point: the SLO summary folded from its event log,
+/// plus the log's conservation verdict.
 #[derive(Debug, Clone, PartialEq)]
 struct TimelinePoint {
     /// Arrival-rate shape (`constant` / `diurnal` / `flash_crowd`).
@@ -68,11 +63,8 @@ struct TimelinePoint {
     requests: u64,
     /// Events the continuous planner emitted for the stream.
     events: u64,
-    /// Continuous-leg summary rebuilt from events alone.
+    /// Continuous-leg summary folded from the event log.
     continuous: SloSummary,
-    /// Whether the reconstruction equals the plan-derived summary bit
-    /// for bit.
-    exact_match: bool,
     /// Whether the event log passed the memory-conservation replay.
     conservation_ok: bool,
 }
@@ -84,7 +76,6 @@ sa_json::impl_json_struct!(TimelinePoint {
     requests,
     events,
     continuous,
-    exact_match,
     conservation_ok
 });
 
@@ -99,10 +90,7 @@ struct TimelineReport {
     tenants: u64,
     /// Timeline bin width, virtual ms.
     bin_ms: u64,
-    /// Whether every point's event-log reconstruction equaled the
-    /// plan-derived summary bit for bit.
-    all_points_exact: bool,
-    /// Whether the reconstructed goodput matched `<out>/slo_report.json`
+    /// Whether every point's goodput matched `<out>/slo_report.json`
     /// per point (false when the report is absent or seeded differently).
     matches_slo_report: bool,
     /// Whether the fault-storm event log was byte-identical at
@@ -129,7 +117,6 @@ sa_json::impl_json_struct!(TimelineReport {
     seed,
     tenants,
     bin_ms,
-    all_points_exact,
     matches_slo_report,
     identical_across_threads,
     conservation_ok,
@@ -140,94 +127,10 @@ sa_json::impl_json_struct!(TimelineReport {
     storm_events
 });
 
-/// The `slo_sweep` arrival-shape grid, replicated exactly.
-fn shapes() -> Vec<(&'static str, ArrivalShape)> {
-    vec![
-        ("constant", ArrivalShape::Constant),
-        (
-            "diurnal",
-            ArrivalShape::Diurnal {
-                period_ms: 20_000,
-                depth: 0.7,
-            },
-        ),
-        (
-            "flash_crowd",
-            ArrivalShape::FlashCrowd {
-                quiet_ms: 12_000,
-                burst_ms: 3_000,
-                multiplier: 5.0,
-            },
-        ),
-    ]
-}
-
-/// One request's [`SloRow`] from event-borne facts alone — the
-/// independent half of the reconstruction; the fold itself is the
-/// library's. The terminal kind gives the outcome, its stamp the finish,
-/// its rung string the quality columns (`window_only` is the
-/// uncertifiable rung), and the shed reason prefix (`"quality floor"`)
-/// tells a quality-floor shed from a governor load shed. First-token
-/// timing is left to the caller, which reads the `FirstToken` stamps.
-fn row_from_terminal(term: &Event, req: &Request) -> SloRow {
-    let can_certify = term.rung != "window_only";
-    let outcome = match term.kind {
-        EventKind::Completed => Outcome::Served,
-        EventKind::Shed if term.reason.starts_with("quality floor") => Outcome::ShedQualityFloor,
-        EventKind::Shed => Outcome::RejectedBudget,
-        EventKind::Rejected if term.reason.starts_with("overloaded") => {
-            Outcome::RejectedOverloaded
-        }
-        EventKind::Rejected => Outcome::RejectedBudget,
-        EventKind::Expired => Outcome::ExpiredInQueue,
-        EventKind::DeadlineExceeded => Outcome::DeadlineExceeded,
-        EventKind::Cancelled => Outcome::Cancelled,
-        EventKind::Failed => Outcome::Failed,
-        kind => unreachable!("{kind:?} is not a terminal event kind"),
-    };
-    SloRow {
-        tenant: req.tenant,
-        outcome,
-        within_deadline: term.t_ms <= req.arrival_ms + req.deadline_ms,
-        certified: can_certify,
-        uncertified_rung: !can_certify,
-        tokens: req.seq_len as u64 + req.new_tokens as u64,
-        ttft_ms: None,
-        tpot_ms: None,
-    }
-}
-
-/// Rebuilds the continuous-leg [`SloSummary`] from the event log alone:
-/// terminal kinds give the outcome tallies, `FirstToken` stamps give
-/// TTFT, and `Completed` − `FirstToken` spans give TPOT.
-fn continuous_summary_from_events(log: &EventLog, requests: &[Request]) -> SloSummary {
-    let terminals = log.terminals();
-    let mut first_token: BTreeMap<u64, u64> = BTreeMap::new();
-    for ev in &log.events {
-        if ev.kind == EventKind::FirstToken {
-            first_token.insert(ev.request_id, ev.t_ms);
-        }
-    }
-    let rows: Vec<SloRow> = requests
-        .iter()
-        .filter_map(|req| {
-            let term = terminals.get(&req.id)?;
-            let first_token = first_token.get(&req.id);
-            let paced = term.kind == EventKind::Completed && req.new_tokens > 1;
-            Some(SloRow {
-                ttft_ms: first_token.map(|ft| ft.saturating_sub(req.arrival_ms)),
-                tpot_ms: first_token
-                    .filter(|_| paced)
-                    .map(|ft| term.t_ms.saturating_sub(*ft) / (req.new_tokens as u64 - 1)),
-                ..row_from_terminal(term, req)
-            })
-        })
-        .collect();
-    SloSummary::from_rows("continuous", requests, &rows)
-}
-
 /// Folds a continuous event log into per-tenant binned timelines plus
-/// the governor's pressure-action series.
+/// the governor's pressure-action series. `pressure.shed` counts the
+/// governor's load sheds only; a quality-floor refusal is not a
+/// pressure action.
 fn build_timeline(log: &EventLog, requests: &[Request]) -> TimelineSnapshot {
     let arrivals: BTreeMap<u64, u64> = requests.iter().map(|r| (r.id, r.arrival_ms)).collect();
     let deadlines: BTreeMap<u64, u64> = requests
@@ -270,7 +173,7 @@ fn build_timeline(log: &EventLog, requests: &[Request]) -> TimelineSnapshot {
             }
             EventKind::Deferred => tl.increment("pressure.deferred", ev.t_ms, 1),
             EventKind::PressureEvicted => tl.increment("pressure.evicted", ev.t_ms, 1),
-            EventKind::Shed => tl.increment("pressure.shed", ev.t_ms, 1),
+            EventKind::ShedGovernor => tl.increment("pressure.shed", ev.t_ms, 1),
             _ => {}
         }
     }
@@ -357,69 +260,49 @@ fn forced_shed(seed: u64) -> (Vec<Postmortem>, bool) {
 
 fn main() {
     let args = Args::parse();
-    let metrics_export = MetricsExport::from_env();
-    let tenants = 3u64;
-    let (rates, duration_ms) = if args.quick {
-        (vec![1.0, 4.0], 15_000u64)
-    } else {
-        (vec![0.5, 1.0, 2.0, 4.0, 8.0], 40_000u64)
-    };
+    let tenants = SLO_GRID_TENANTS;
     let cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
     }
     .from_env();
 
-    // --- Leg 1: the reconstruction sweep over the slo_sweep grid. ---
+    // --- Leg 1: the slo_sweep grid, folded from its event logs. ---
     let mut points = Vec::new();
     let mut rows = Vec::new();
-    let mut all_exact = true;
     let mut conservation_ok = true;
     let mut sweep_postmortems: Vec<Postmortem> = Vec::new();
     let mut richest: Option<(u64, EventLog, Vec<Request>)> = None;
-    for (shape_name, shape) in shapes() {
-        for &rate in &rates {
-            let process = ArrivalProcess {
-                seed: args.seed ^ (rate * 16.0) as u64,
-                rate_per_sec: rate,
-                shape,
-            };
-            let requests = open_loop_workload(args.seed, &process, duration_ms, tenants);
-            let (cont_plans, cont_log) = plan_continuous_with_events(&cfg, &requests);
+    for point in slo_grid(&args) {
+        let requests = point.requests;
+        let (_, cont_log) = plan_continuous_with_events(&cfg, &requests);
+        let continuous = SloSummary::from_events("continuous", &cont_log, &requests);
+        let conserved = cont_log.check_conservation().is_ok();
+        conservation_ok &= conserved;
 
-            let continuous = continuous_summary_from_events(&cont_log, &requests);
-            let from_cont_plans =
-                SloSummary::from_continuous_plans("continuous", &cont_plans, &requests);
-            let exact = continuous == from_cont_plans;
-            all_exact &= exact;
-            let conserved = cont_log.check_conservation().is_ok();
-            conservation_ok &= conserved;
-
-            rows.push(vec![
-                shape_name.to_string(),
-                f(rate, 1),
-                requests.len().to_string(),
-                cont_log.events.len().to_string(),
-                f(continuous.goodput_per_sec, 3),
-                if exact { "yes" } else { "NO" }.to_string(),
-                if conserved { "yes" } else { "NO" }.to_string(),
-            ]);
-            let n_events = cont_log.events.len() as u64;
-            sweep_postmortems.extend(cont_log.postmortems.iter().cloned());
-            if richest.as_ref().is_none_or(|(n, _, _)| n_events > *n) {
-                richest = Some((n_events, cont_log, requests.clone()));
-            }
-            points.push(TimelinePoint {
-                shape: shape_name.to_string(),
-                rate_per_sec: rate,
-                duration_ms,
-                requests: requests.len() as u64,
-                events: n_events,
-                continuous,
-                exact_match: exact,
-                conservation_ok: conserved,
-            });
+        rows.push(vec![
+            point.shape.to_string(),
+            f(point.rate_per_sec, 1),
+            requests.len().to_string(),
+            cont_log.events.len().to_string(),
+            f(continuous.goodput_per_sec, 3),
+            if conserved { "yes" } else { "NO" }.to_string(),
+        ]);
+        let n_events = cont_log.events.len() as u64;
+        sweep_postmortems.extend(cont_log.postmortems.iter().cloned());
+        let n_requests = requests.len() as u64;
+        if richest.as_ref().is_none_or(|(n, _, _)| n_events > *n) {
+            richest = Some((n_events, cont_log, requests));
         }
+        points.push(TimelinePoint {
+            shape: point.shape.to_string(),
+            rate_per_sec: point.rate_per_sec,
+            duration_ms: point.duration_ms,
+            requests: n_requests,
+            events: n_events,
+            continuous,
+            conservation_ok: conserved,
+        });
     }
 
     println!(
@@ -437,15 +320,14 @@ fn main() {
                 "reqs",
                 "events",
                 "goodput",
-                "exact",
                 "conserved",
             ],
             &rows
         )
     );
 
-    // Cross-check against the slo_sweep artifact when present: the
-    // reconstructed goodput must equal the written report's, per point.
+    // Cross-check against the slo_sweep artifact when present: each
+    // point's goodput must equal the written report's.
     let slo_path = args.out_dir.join("slo_report.json");
     let matches_slo_report = match sa_bench::load_json::<sa_json::Json>(&slo_path) {
         Ok(report) if report.get("seed").and_then(|v| v.as_i64()) == Some(args.seed as i64) => {
@@ -477,7 +359,7 @@ fn main() {
             );
             assert!(
                 all_match,
-                "event-log reconstruction disagrees with {}",
+                "event-log goodput disagrees with {}",
                 slo_path.display()
             );
             all_match
@@ -577,7 +459,6 @@ fn main() {
     // --- Render + write artifacts. ---
     let digest = render_digest(&timeline, &postmortems);
     println!("\n{digest}");
-    assert!(all_exact, "an event-log reconstruction missed the plan-derived summary");
     assert!(conservation_ok, "an event log failed memory conservation");
 
     let report = TimelineReport {
@@ -585,7 +466,6 @@ fn main() {
         seed: args.seed,
         tenants,
         bin_ms: BIN_MS,
-        all_points_exact: all_exact,
         matches_slo_report,
         identical_across_threads,
         conservation_ok,
@@ -605,10 +485,5 @@ fn main() {
         Ok(()) => println!("wrote {}", txt_path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", txt_path.display()),
     }
-    match metrics_export.finish() {
-        Ok(Some(path)) => println!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: could not write SA_METRICS exposition: {e}"),
-    }
-    println!("verdict: the event log alone reconstructs every SLO aggregate bit-exactly");
+    println!("verdict: every event log conserves memory and the storm log is thread-invariant");
 }

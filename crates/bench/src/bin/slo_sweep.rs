@@ -10,9 +10,10 @@
 //!   second.
 //!
 //! Because every outcome and timestamp is fixed by the deterministic
-//! planner, no model work runs: the sweep covers dozens of
-//! (shape × rate) points in milliseconds, and re-running it with the
-//! same seed reproduces the report byte for byte.
+//! planner, no model work runs: each point's summary is folded from the
+//! planner's event log ([`SloSummary::from_events`]). The sweep covers
+//! the [`slo_grid`] (shape × rate) points in milliseconds, and re-running
+//! it with the same seed reproduces the report byte for byte.
 //!
 //! Outputs:
 //! - stdout: one row per sweep point (requests, goodput, TTFT p50/p99,
@@ -23,9 +24,8 @@
 //! Flags: `--seed <u64>`, `--quick` (fewer rates, shorter streams),
 //! `--out <dir>`.
 
-use sa_bench::{f, render_table, write_json, Args};
-use sa_serve::{open_loop_workload, plan_continuous, ServeConfig, SloSummary, SLO_SCHEMA};
-use sa_workloads::{ArrivalProcess, ArrivalShape};
+use sa_bench::{f, render_table, slo_grid, write_json, Args, SLO_GRID_TENANTS};
+use sa_serve::{plan_continuous_with_events, ServeConfig, SloSummary, SLO_SCHEMA};
 
 /// One (shape × rate) point of the sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,35 +70,9 @@ sa_json::impl_json_struct!(SloReport {
     points
 });
 
-fn shapes() -> Vec<(&'static str, ArrivalShape)> {
-    vec![
-        ("constant", ArrivalShape::Constant),
-        (
-            "diurnal",
-            ArrivalShape::Diurnal {
-                period_ms: 20_000,
-                depth: 0.7,
-            },
-        ),
-        (
-            "flash_crowd",
-            ArrivalShape::FlashCrowd {
-                quiet_ms: 12_000,
-                burst_ms: 3_000,
-                multiplier: 5.0,
-            },
-        ),
-    ]
-}
-
 fn main() {
     let args = Args::parse();
-    let tenants = 3u64;
-    let (rates, duration_ms) = if args.quick {
-        (vec![1.0, 4.0], 15_000u64)
-    } else {
-        (vec![0.5, 1.0, 2.0, 4.0, 8.0], 40_000u64)
-    };
+    let tenants = SLO_GRID_TENANTS;
     let cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
@@ -107,33 +81,26 @@ fn main() {
 
     let mut points = Vec::new();
     let mut rows = Vec::new();
-    for (shape_name, shape) in shapes() {
-        for &rate in &rates {
-            let process = ArrivalProcess {
-                seed: args.seed ^ (rate * 16.0) as u64,
-                rate_per_sec: rate,
-                shape,
-            };
-            let requests = open_loop_workload(args.seed, &process, duration_ms, tenants);
-            let plans = plan_continuous(&cfg, &requests);
-            let continuous = SloSummary::from_continuous_plans("continuous", &plans, &requests);
-            rows.push(vec![
-                shape_name.to_string(),
-                f(rate, 1),
-                requests.len().to_string(),
-                f(continuous.goodput_per_sec, 3),
-                continuous.ttft.p50_ms.to_string(),
-                continuous.ttft.p99_ms.to_string(),
-                continuous.tpot.p99_ms.to_string(),
-            ]);
-            points.push(SloPoint {
-                shape: shape_name.to_string(),
-                rate_per_sec: rate,
-                duration_ms,
-                requests: requests.len() as u64,
-                continuous,
-            });
-        }
+    for point in slo_grid(&args) {
+        let requests = &point.requests;
+        let (_, log) = plan_continuous_with_events(&cfg, requests);
+        let continuous = SloSummary::from_events("continuous", &log, requests);
+        rows.push(vec![
+            point.shape.to_string(),
+            f(point.rate_per_sec, 1),
+            requests.len().to_string(),
+            f(continuous.goodput_per_sec, 3),
+            continuous.ttft.p50_ms.to_string(),
+            continuous.ttft.p99_ms.to_string(),
+            continuous.tpot.p99_ms.to_string(),
+        ]);
+        points.push(SloPoint {
+            shape: point.shape.to_string(),
+            rate_per_sec: point.rate_per_sec,
+            duration_ms: point.duration_ms,
+            requests: requests.len() as u64,
+            continuous,
+        });
     }
 
     println!(

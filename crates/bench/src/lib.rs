@@ -30,12 +30,14 @@
 //! | `tile_kernel` | tiled vs row-major sparse-kernel A/B (beyond-paper) |
 //! | `trace_report` | traced prefill + Chrome-trace export (beyond-paper) |
 //! | `chaos_soak` | serving robustness soak, batch + continuous legs (beyond-paper) |
-//! | `slo_sweep` | continuous vs one-shot serving SLOs over open-loop arrivals (beyond-paper) |
+//! | `slo_sweep` | continuous-batching serving SLOs over open-loop arrivals (beyond-paper) |
 //! | `serve_timeline` | per-tenant serving timelines + flight-recorder postmortems from the event log (beyond-paper) |
 
 pub mod analysis;
 
 use sa_json::{FromJson, ToJson};
+use sa_serve::{open_loop_workload, Request};
+use sa_workloads::{ArrivalProcess, ArrivalShape};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -156,6 +158,70 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Tenants sharing the token-bucket quotas on the serving SLO grid.
+pub const SLO_GRID_TENANTS: u64 = 3;
+
+/// One point of the serving SLO grid: an arrival shape at a mean rate,
+/// and the open-loop request stream it draws.
+#[derive(Debug, Clone)]
+pub struct SloGridPoint {
+    /// Arrival-rate shape (`constant` / `diurnal` / `flash_crowd`).
+    pub shape: &'static str,
+    /// Mean arrival rate, requests per virtual second.
+    pub rate_per_sec: f64,
+    /// Stream duration, virtual ms.
+    pub duration_ms: u64,
+    /// The stream, [`SLO_GRID_TENANTS`] tenants.
+    pub requests: Vec<Request>,
+}
+
+/// The serving SLO grid `slo_sweep` reports and `serve_timeline` replays:
+/// three arrival shapes × a rate ladder (`--quick`: 2 rates over 15 s,
+/// otherwise 5 over 40 s), shape-major. Each rate draws its arrivals
+/// from `seed ^ (16 × rate)` and its request mix from `seed`.
+pub fn slo_grid(args: &Args) -> Vec<SloGridPoint> {
+    let (rates, duration_ms) = if args.quick {
+        (vec![1.0, 4.0], 15_000u64)
+    } else {
+        (vec![0.5, 1.0, 2.0, 4.0, 8.0], 40_000u64)
+    };
+    let shapes = [
+        ("constant", ArrivalShape::Constant),
+        (
+            "diurnal",
+            ArrivalShape::Diurnal {
+                period_ms: 20_000,
+                depth: 0.7,
+            },
+        ),
+        (
+            "flash_crowd",
+            ArrivalShape::FlashCrowd {
+                quiet_ms: 12_000,
+                burst_ms: 3_000,
+                multiplier: 5.0,
+            },
+        ),
+    ];
+    let mut points = Vec::new();
+    for (shape_name, shape) in shapes {
+        for &rate in &rates {
+            let process = ArrivalProcess {
+                seed: args.seed ^ (rate * 16.0) as u64,
+                rate_per_sec: rate,
+                shape,
+            };
+            points.push(SloGridPoint {
+                shape: shape_name,
+                rate_per_sec: rate,
+                duration_ms,
+                requests: open_loop_workload(args.seed, &process, duration_ms, SLO_GRID_TENANTS),
+            });
+        }
+    }
+    points
 }
 
 /// Formats a float with the given precision (helper for table cells).

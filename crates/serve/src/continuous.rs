@@ -82,29 +82,39 @@ use crate::events::{
     EventKind, EventLog, FlightRecorder, PlannerDecision, FLIGHT_RECORDER_CAPACITY,
 };
 use crate::memory::{MemoryLedger, PressureLevel};
-use crate::sim::{self, Plan, Planned};
+use crate::sim::{self, Planned};
 use crate::{Request, ServeConfig};
 use sa_core::DegradationRung;
 use sa_tensor::splitmix64;
 use sa_trace::metrics;
 use std::collections::VecDeque;
 
-/// One request's schedule on the continuous timeline: the familiar
-/// [`Plan`] plus first-token timing and micro-task tallies.
+/// One request's schedule on the continuous timeline: its resolution,
+/// rung and timing, plus first-token timing and micro-task tallies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContinuousPlan {
-    /// Outcome, rung, start/finish, queue wait, retries, backoff.
-    pub plan: Plan,
-    /// Tenant the request billed against.
-    pub tenant: u64,
+    /// The planned outcome category.
+    pub planned: Planned,
+    /// Chosen degradation rung (meaningful only when model work runs).
+    pub rung: DegradationRung,
+    /// Rungs the ladder walked past, with the reason each was skipped.
+    pub skipped: Vec<(DegradationRung, String)>,
+    /// Virtual start time (== finish for never-started requests).
+    pub start_ms: u64,
+    /// Virtual completion / cancellation / rejection time.
+    pub finish_ms: u64,
+    /// Time spent waiting for admission and a first micro-task.
+    pub queue_wait_ms: u64,
+    /// Retries performed (failed attempts that were followed by another).
+    pub retries: u64,
+    /// Total virtual backoff slept between attempts.
+    pub backoff_ms: u64,
     /// Virtual time the first output token completed (prefill-only:
     /// the final prefill chunk; decode: the first decode step). Zero
     /// when no token was produced.
     pub first_token_ms: u64,
     /// Prefill chunks completed on the virtual timeline.
     pub prefill_chunks: u64,
-    /// Decode steps completed on the virtual timeline.
-    pub decode_steps: u64,
     /// Attempts that resumed from a non-empty chunk-boundary checkpoint
     /// instead of re-running prefill from scratch. Zero when recovery
     /// is disabled or the request never crashed.
@@ -436,7 +446,7 @@ pub fn plan_continuous(cfg: &ServeConfig, requests: &[Request]) -> Vec<Continuou
     plan_continuous_with_events(cfg, requests).0
 }
 
-/// [`plan_continuous`] plus the `sa.events.v1` lifecycle event log and
+/// [`plan_continuous`] plus the `sa.events.v2` lifecycle event log and
 /// any flight-recorder postmortems the governor tripped (see
 /// [`crate::events`]). Everything is emitted by this serial
 /// discrete-event simulation, so the serialized log is byte-identical
@@ -666,13 +676,13 @@ impl<'a> Planner<'a> {
         release_at: Option<u64>,
     ) {
         // A budget rejection of a request the budget could hold alone is
-        // the governor's load shed, logged as `Shed`; `Rejected` is for
-        // what could never fit.
+        // the governor's load shed; `RejectedNeverFits` is for what could
+        // never fit.
         let kind = match planned {
             Planned::RejectBudget { .. }
                 if self.weights + self.st[i].bytes <= self.cfg.mem_budget_bytes =>
             {
-                EventKind::Shed
+                EventKind::ShedGovernor
             }
             _ => EventKind::terminal_for(&planned),
         };
@@ -1332,20 +1342,16 @@ impl<'a> Planner<'a> {
             };
             let tally = |n: u64| if ran_schedule { n } else { 0 };
             ContinuousPlan {
-                plan: Plan {
-                    planned,
-                    rung: if started_model { s.rung } else { DegradationRung::Full },
-                    skipped: if started_model { s.skipped.clone() } else { Vec::new() },
-                    start_ms: start,
-                    finish_ms: finish,
-                    queue_wait_ms: start.saturating_sub(req.arrival_ms),
-                    retries,
-                    backoff_ms: tally(s.backoff_total),
-                },
-                tenant: req.tenant,
+                planned,
+                rung: if started_model { s.rung } else { DegradationRung::Full },
+                skipped: if started_model { s.skipped.clone() } else { Vec::new() },
+                start_ms: start,
+                finish_ms: finish,
+                queue_wait_ms: start.saturating_sub(req.arrival_ms),
+                retries,
+                backoff_ms: tally(s.backoff_total),
                 first_token_ms: s.first_token.unwrap_or(0),
                 prefill_chunks: s.chunks_done,
-                decode_steps: s.steps_done,
                 recovered_attempts: tally(s.recovered_attempts),
                 recomputed_tokens: tally(s.recomputed_tokens),
             }
@@ -1372,10 +1378,10 @@ mod tests {
             .collect();
         let plans = plan_continuous(&c, &reqs);
         for p in &plans {
-            assert!(matches!(p.plan.planned, Planned::Serve { fails: 0 }), "{p:?}");
-            assert_eq!(p.plan.rung, DegradationRung::Full);
+            assert!(matches!(p.planned, Planned::Serve { fails: 0 }), "{p:?}");
+            assert_eq!(p.rung, DegradationRung::Full);
             assert!(p.first_token_ms > 0);
-            assert_eq!(p.first_token_ms, p.plan.finish_ms, "prefill-only TTFT = finish");
+            assert_eq!(p.first_token_ms, p.finish_ms, "prefill-only TTFT = finish");
             assert_eq!(p.prefill_chunks, 2, "64 tokens / 32-chunk = 2 chunks");
         }
     }
@@ -1395,11 +1401,11 @@ mod tests {
         let short = Request::prefill(1, 48, 1, 1_000_000);
         let slot_held = sim::service_ms(&long, DegradationRung::Full);
         let cont = plan_continuous(&c, &[long, short]);
-        assert!(matches!(cont[1].plan.planned, Planned::Serve { .. }));
+        assert!(matches!(cont[1].planned, Planned::Serve { .. }));
         assert!(
-            cont[1].plan.finish_ms < slot_held / 4,
+            cont[1].finish_ms < slot_held / 4,
             "continuous {} ms vs a whole-request slot of {slot_held} ms",
-            cont[1].plan.finish_ms
+            cont[1].finish_ms
         );
     }
 
@@ -1414,20 +1420,21 @@ mod tests {
         let mut decode = Request::prefill(0, 64, 0, 1_000_000);
         decode.kind = crate::RequestKind::Decode;
         decode.new_tokens = 8;
+        let step_ms = decode.decode_step_ms();
         let prefill = Request::prefill(1, 512, 1, 1_000_000);
         let plans = plan_continuous(&c, &[decode, prefill]);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { .. }));
-        assert!(matches!(plans[1].plan.planned, Planned::Serve { .. }));
+        assert!(matches!(plans[0].planned, Planned::Serve { .. }));
+        assert!(matches!(plans[1].planned, Planned::Serve { .. }));
         // Decode-first priority: the decode session finishes its 8
         // tokens long before the 4096 ms prefill completes.
         assert!(
-            plans[0].plan.finish_ms < plans[1].plan.finish_ms,
+            plans[0].finish_ms < plans[1].finish_ms,
             "decode {} vs prefill {}",
-            plans[0].plan.finish_ms,
-            plans[1].plan.finish_ms
+            plans[0].finish_ms,
+            plans[1].finish_ms
         );
-        assert_eq!(plans[0].decode_steps, 8);
-        assert!(plans[0].first_token_ms < plans[0].plan.finish_ms);
+        // The seven steps after the first token all ran.
+        assert!(plans[0].first_token_ms + 7 * step_ms <= plans[0].finish_ms);
     }
 
     #[test]
@@ -1445,13 +1452,13 @@ mod tests {
         let plans = plan_continuous(&c, &reqs);
         let rejected = plans
             .iter()
-            .filter(|p| matches!(p.plan.planned, Planned::RejectOverloaded { .. }))
+            .filter(|p| matches!(p.planned, Planned::RejectOverloaded { .. }))
             .count();
         assert!(rejected >= 1, "bounded pending queue must reject overflow");
         for p in &plans {
-            if let Planned::RejectOverloaded { inflight } = p.plan.planned {
+            if let Planned::RejectOverloaded { inflight } = p.planned {
                 assert!(inflight >= 2, "rejection carries the load snapshot");
-                assert_eq!(p.plan.start_ms, p.plan.finish_ms);
+                assert_eq!(p.start_ms, p.finish_ms);
             }
         }
     }
@@ -1465,7 +1472,7 @@ mod tests {
         let reqs = vec![Request::prefill(0, 512, 0, 1_000_000)];
         let plans = plan_continuous(&c, &reqs);
         assert!(
-            matches!(plans[0].plan.planned, Planned::RejectBudget { required_bytes }
+            matches!(plans[0].planned, Planned::RejectBudget { required_bytes }
                 if required_bytes > c.mem_budget_bytes)
         );
     }
@@ -1480,12 +1487,12 @@ mod tests {
             .collect();
         let plans = plan_continuous(&c, &reqs);
         for p in &plans {
-            assert!(matches!(p.plan.planned, Planned::Serve { .. }), "{p:?}");
+            assert!(matches!(p.planned, Planned::Serve { .. }), "{p:?}");
         }
         // The third request waited for memory: it starts only after an
         // earlier one finished.
-        let first_finish = plans.iter().map(|p| p.plan.finish_ms).min().unwrap();
-        let last_start = plans.iter().map(|p| p.plan.start_ms).max().unwrap();
+        let first_finish = plans.iter().map(|p| p.finish_ms).min().unwrap();
+        let last_start = plans.iter().map(|p| p.start_ms).max().unwrap();
         assert!(
             last_start >= first_finish,
             "start {last_start} should wait for release at {first_finish}"
@@ -1507,15 +1514,15 @@ mod tests {
         // boundary until the long one can no longer make its deadline.
         let short = Request::prefill(2, 256, 1, 1_000_000);
         let plans = plan_continuous(&c, &[long, hopeless, short]);
-        assert!(matches!(plans[1].plan.planned, Planned::ExpireInQueue));
-        assert!(matches!(plans[2].plan.planned, Planned::Serve { fails: 0 }));
+        assert!(matches!(plans[1].planned, Planned::ExpireInQueue));
+        assert!(matches!(plans[2].planned, Planned::Serve { fails: 0 }));
         // The long request ran at least one chunk, then was shed the
         // moment its backoff-free remaining work provably could not fit
         // the deadline — charged as a mid-run deadline cancellation at
         // the deadline itself.
-        assert!(matches!(plans[0].plan.planned, Planned::CancelDeadline));
-        assert_eq!(plans[0].plan.finish_ms, 4500);
-        assert_eq!(plans[0].plan.start_ms, 0, "it started before the shed");
+        assert!(matches!(plans[0].planned, Planned::CancelDeadline));
+        assert_eq!(plans[0].finish_ms, 4500);
+        assert_eq!(plans[0].start_ms, 0, "it started before the shed");
         assert!(plans[0].prefill_chunks >= 1, "it ran before the shed");
     }
 
@@ -1525,27 +1532,27 @@ mod tests {
         let mut req = Request::prefill(0, 512, 0, 1_000_000);
         req.cancel_after_ms = 10;
         let plans = plan_continuous(&c, &[req]);
-        assert!(matches!(plans[0].plan.planned, Planned::CancelCaller));
-        assert!(plans[0].plan.finish_ms >= 10);
-        assert!(plans[0].plan.finish_ms < 4096, "stopped within ~a chunk");
+        assert!(matches!(plans[0].planned, Planned::CancelCaller));
+        assert!(plans[0].finish_ms >= 10);
+        assert!(plans[0].finish_ms < 4096, "stopped within ~a chunk");
     }
 
     #[test]
-    fn transient_and_permanent_faults_follow_the_oneshot_model() {
+    fn transient_faults_retry_and_permanent_ones_exhaust_the_budget() {
         let c = cfg();
         let mut transient = Request::prefill(0, 64, 0, 1_000_000);
         transient.fault_fails = 2;
         let mut permanent = Request::prefill(1, 64, 50_000, 1_000_000);
         permanent.fault_fails = 99;
         let plans = plan_continuous(&c, &[transient, permanent]);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 2 }));
-        assert_eq!(plans[0].plan.retries, 2);
-        assert!(plans[0].plan.backoff_ms >= 2 * c.backoff_base_ms);
+        assert!(matches!(plans[0].planned, Planned::Serve { fails: 2 }));
+        assert_eq!(plans[0].retries, 2);
+        assert!(plans[0].backoff_ms >= 2 * c.backoff_base_ms);
         assert!(
-            matches!(plans[1].plan.planned, Planned::FailPermanent { fails }
+            matches!(plans[1].planned, Planned::FailPermanent { fails }
                 if fails == c.max_retries as u64 + 1)
         );
-        assert_eq!(plans[1].plan.retries, c.max_retries as u64);
+        assert_eq!(plans[1].retries, c.max_retries as u64);
     }
 
     #[test]
@@ -1566,12 +1573,12 @@ mod tests {
         small.tenant = 1;
         reqs.push(small);
         let plans = plan_continuous(&c, &reqs);
-        assert!(matches!(plans[4].plan.planned, Planned::Serve { .. }));
-        let flood_last = plans[..4].iter().map(|p| p.plan.finish_ms).max().unwrap();
+        assert!(matches!(plans[4].planned, Planned::Serve { .. }));
+        let flood_last = plans[..4].iter().map(|p| p.finish_ms).max().unwrap();
         assert!(
-            plans[4].plan.finish_ms < flood_last,
+            plans[4].finish_ms < flood_last,
             "tenant 1 ({} ms) should not trail the whole flood ({} ms)",
-            plans[4].plan.finish_ms,
+            plans[4].finish_ms,
             flood_last
         );
     }
@@ -1587,10 +1594,10 @@ mod tests {
             ..cfg()
         };
         let plans = plan_continuous(&c, &[Request::prefill(0, 128, 0, 1_000_000)]);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 0 }), "{plans:?}");
+        assert!(matches!(plans[0].planned, Planned::Serve { fails: 0 }), "{plans:?}");
         assert_eq!(plans[0].prefill_chunks, 2);
         // The second chunk waits a full refill: 32 tokens at 32 tokens/s.
-        assert!(plans[0].plan.finish_ms >= 1000, "{plans:?}");
+        assert!(plans[0].finish_ms >= 1000, "{plans:?}");
     }
 
     #[test]
@@ -1604,13 +1611,13 @@ mod tests {
         let b = plan_continuous(&c, &reqs);
         assert_eq!(a, b);
         assert_eq!(a.len(), reqs.len());
-        assert!(a.iter().any(|p| matches!(p.plan.planned, Planned::Serve { fails: 0 })));
+        assert!(a.iter().any(|p| matches!(p.planned, Planned::Serve { fails: 0 })));
         for (p, r) in a.iter().zip(&reqs) {
-            assert!(p.plan.finish_ms >= p.plan.start_ms, "{p:?}");
-            assert!(p.plan.start_ms >= r.arrival_ms, "{p:?}");
+            assert!(p.finish_ms >= p.start_ms, "{p:?}");
+            assert!(p.start_ms >= r.arrival_ms, "{p:?}");
             if p.first_token_ms > 0 {
-                assert!(p.first_token_ms >= p.plan.start_ms);
-                assert!(p.first_token_ms <= p.plan.finish_ms);
+                assert!(p.first_token_ms >= p.start_ms);
+                assert!(p.first_token_ms <= p.finish_ms);
             }
         }
     }
@@ -1633,7 +1640,7 @@ mod tests {
         assert_eq!(plans.len(), reqs.len());
         let served = plans
             .iter()
-            .filter(|p| matches!(p.plan.planned, Planned::Serve { .. }))
+            .filter(|p| matches!(p.planned, Planned::Serve { .. }))
             .count();
         assert!(served > 0);
     }
@@ -1652,8 +1659,8 @@ mod tests {
         req.fault_fails = 2;
         let with = plan_continuous(&recovery, &[req.clone()]);
         let without = plan_continuous(&scratch, &[req]);
-        assert!(matches!(with[0].plan.planned, Planned::Serve { fails: 2 }));
-        assert!(matches!(without[0].plan.planned, Planned::Serve { fails: 2 }));
+        assert!(matches!(with[0].planned, Planned::Serve { fails: 2 }));
+        assert!(matches!(without[0].planned, Planned::Serve { fails: 2 }));
         // Every crash left a non-empty checkpoint behind (512 tokens =
         // 16 chunks; the first crash already advances at least one).
         assert_eq!(with[0].recovered_attempts, 2);
@@ -1669,10 +1676,10 @@ mod tests {
         );
         // The head start makes the clean attempt strictly shorter.
         assert!(
-            with[0].plan.finish_ms < without[0].plan.finish_ms,
+            with[0].finish_ms < without[0].finish_ms,
             "recovery {} ms vs scratch {} ms",
-            with[0].plan.finish_ms,
-            without[0].plan.finish_ms
+            with[0].finish_ms,
+            without[0].finish_ms
         );
         // Both still complete the full prefill on the virtual timeline.
         assert_eq!(with[0].prefill_chunks, 16);
@@ -1691,7 +1698,7 @@ mod tests {
         // A permanent failure's last crash has no successor: resumes
         // happen only between the `fails` attempts.
         let fails = c.max_retries as u64 + 1;
-        assert!(matches!(plans[1].plan.planned, Planned::FailPermanent { fails: f } if f == fails));
+        assert!(matches!(plans[1].planned, Planned::FailPermanent { fails: f } if f == fails));
         assert!(plans[1].recovered_attempts < fails);
         assert!(plans[1].recomputed_tokens > 0);
     }
@@ -1720,13 +1727,13 @@ mod tests {
         // service, so the giant may fill the pool to the brim at once.
         let giant = Request::prefill(1, 512, 100, 2_000);
         let governed = plan_continuous(&base, &[decode.clone(), giant.clone()]);
-        assert!(matches!(governed[0].plan.planned, Planned::Serve { .. }));
-        assert!(matches!(governed[1].plan.planned, Planned::Serve { .. }), "{:?}", governed[1]);
+        assert!(matches!(governed[0].planned, Planned::Serve { .. }));
+        assert!(matches!(governed[1].planned, Planned::Serve { .. }), "{:?}", governed[1]);
         assert!(
-            governed[1].plan.start_ms < governed[0].plan.finish_ms,
+            governed[1].start_ms < governed[0].finish_ms,
             "eviction admitted the giant (start {}) while the decode ran (finish {})",
-            governed[1].plan.start_ms,
-            governed[0].plan.finish_ms
+            governed[1].start_ms,
+            governed[0].finish_ms
         );
         let parked = ServeConfig {
             mem_low_permille: 1000,
@@ -1735,10 +1742,10 @@ mod tests {
         };
         let ungoverned = plan_continuous(&parked, &[decode, giant]);
         assert!(
-            ungoverned[1].plan.start_ms >= ungoverned[0].plan.finish_ms,
+            ungoverned[1].start_ms >= ungoverned[0].finish_ms,
             "without the governor the giant (start {}) waits for the release ({})",
-            ungoverned[1].plan.start_ms,
-            ungoverned[0].plan.finish_ms
+            ungoverned[1].start_ms,
+            ungoverned[0].finish_ms
         );
     }
 
@@ -1762,9 +1769,9 @@ mod tests {
         let g1 = Request::prefill(0, 512, 0, 4_096);
         let g2 = Request::prefill(1, 512, 50, 4_146);
         let plans = plan_continuous(&c, &[g1, g2]);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { .. }), "{:?}", plans[0]);
+        assert!(matches!(plans[0].planned, Planned::Serve { .. }), "{:?}", plans[0]);
         assert!(
-            matches!(plans[1].plan.planned, Planned::RejectBudget { required_bytes }
+            matches!(plans[1].planned, Planned::RejectBudget { required_bytes }
                 if required_bytes > c.mem_budget_bytes),
             "{:?}",
             plans[1]
@@ -1784,9 +1791,9 @@ mod tests {
         let g2 = Request::prefill(1, 512, 0, 4_096);
         let small = Request::prefill(2, 64, 5, 100);
         let governed = plan_continuous(&c, &[g1.clone(), g2.clone(), small.clone()]);
-        assert!(matches!(governed[2].plan.planned, Planned::Serve { .. }), "{:?}", governed[2]);
+        assert!(matches!(governed[2].planned, Planned::Serve { .. }), "{:?}", governed[2]);
         assert_eq!(
-            governed[2].plan.rung,
+            governed[2].rung,
             DegradationRung::PaperDefault,
             "critical pressure halves the dispatch budget"
         );
@@ -1796,8 +1803,8 @@ mod tests {
             ..cfg()
         };
         let ungoverned = plan_continuous(&parked, &[g1, g2, small]);
-        assert!(matches!(ungoverned[2].plan.planned, Planned::Serve { .. }));
-        assert_eq!(ungoverned[2].plan.rung, DegradationRung::Full);
+        assert!(matches!(ungoverned[2].planned, Planned::Serve { .. }));
+        assert_eq!(ungoverned[2].rung, DegradationRung::Full);
     }
 
     #[test]
@@ -1813,14 +1820,14 @@ mod tests {
         let urgent = Request::prefill(2, 96, 2, 338);
         let plans = plan_continuous(&c, &[g1, g2, urgent]);
         for p in &plans {
-            assert!(matches!(p.plan.planned, Planned::Serve { .. }), "{p:?}");
+            assert!(matches!(p.planned, Planned::Serve { .. }), "{p:?}");
         }
         assert!(
-            plans[2].plan.finish_ms <= 2 + 338,
+            plans[2].finish_ms <= 2 + 338,
             "urgent request served within its deadline, not behind the giants"
         );
         assert!(
-            plans[1].plan.start_ms >= plans[0].plan.finish_ms.min(plans[2].plan.finish_ms),
+            plans[1].start_ms >= plans[0].finish_ms.min(plans[2].finish_ms),
             "second giant was deferred, not admitted alongside the first"
         );
     }
@@ -2065,7 +2072,7 @@ mod tests {
         );
         assert!(p.releases.is_empty(), "a queued request holds no memory to release");
         let ev = p.log.events.last().unwrap();
-        assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::Shed, 11, 0));
+        assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::ShedGovernor, 11, 0));
         assert_eq!(
             ev.reason,
             format!(
@@ -2147,7 +2154,7 @@ mod tests {
         assert_eq!(p.releases, [(0, p.st[0].bytes, 0)], "its reservation is released");
         let refusal = "quality floor: no permitted rung fits the 750 ms dispatch budget";
         let ev = p.log.events.last().unwrap();
-        assert_eq!((ev.kind, ev.rung.as_str(), ev.reason.as_str()), (EventKind::Shed, "", refusal));
+        assert_eq!((ev.kind, ev.rung.as_str(), ev.reason.as_str()), (EventKind::ShedQualityFloor, "", refusal));
         p.recorder.trigger("probe", 0, 0, String::new());
         let dumps = p.recorder.into_postmortems();
         assert_eq!((dumps[0].trigger.as_str(), dumps[0].reason.as_str()), ("shed", refusal));

@@ -35,7 +35,7 @@ use crate::Request;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Schema tag for a serialized [`EventLog`].
-pub const EVENTS_SCHEMA: &str = "sa.events.v1";
+pub const EVENTS_SCHEMA: &str = "sa.events.v2";
 
 /// Decisions kept in the flight-recorder ring before the oldest is
 /// dropped.
@@ -44,13 +44,14 @@ pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
 /// Postmortems retained per planner run; later triggers only count.
 const MAX_POSTMORTEMS: usize = 8;
 
-/// One lifecycle transition kind (`sa.events.v1` taxonomy).
+/// One lifecycle transition kind (`sa.events.v2` taxonomy).
 ///
-/// Terminal kinds (see [`EventKind::is_terminal`]) map 1:1 onto ledger
-/// [`Outcome`]s, except that [`RejectedBudget`](Outcome::RejectedBudget)
-/// splits into [`Rejected`](EventKind::Rejected) (could never fit the
-/// memory budget) and [`Shed`](EventKind::Shed) (governor load shed
-/// under critical pressure).
+/// Each terminal kind has exactly one ledger [`Outcome`]
+/// ([`EventKind::outcome`]); only
+/// [`RejectedBudget`](Outcome::RejectedBudget) has two kinds, so the log
+/// tells a request that could never fit the memory budget
+/// ([`RejectedNeverFits`](EventKind::RejectedNeverFits)) from the
+/// governor's load shed ([`ShedGovernor`](EventKind::ShedGovernor)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Entered the pending queue at arrival.
@@ -86,14 +87,16 @@ pub enum EventKind {
     /// ledger (`bytes` carries the release; emitted when the planner
     /// applies it, which may lag the terminal event).
     Released,
-    /// Terminal: governor load shed under critical pressure (outcome
-    /// [`RejectedBudget`](Outcome::RejectedBudget)) or refused by a
-    /// tenant quality floor (outcome
-    /// [`ShedQualityFloor`](Outcome::ShedQualityFloor)).
-    Shed,
-    /// Terminal: rejected at arrival (overloaded) or at admission
-    /// (could never fit the memory budget).
-    Rejected,
+    /// Terminal: the governor's load shed of an urgent head that fits
+    /// the budget alone but cannot be placed under critical pressure.
+    ShedGovernor,
+    /// Terminal: refused at dispatch by the tenant's quality floor.
+    ShedQualityFloor,
+    /// Terminal: rejected at arrival, the pending queue was full.
+    RejectedOverloaded,
+    /// Terminal: rejected at admission, could never fit the memory
+    /// budget even alone next to the weights.
+    RejectedNeverFits,
     /// Terminal: caller cancelled.
     Cancelled,
     /// Terminal: deadline expired while queued; never ran.
@@ -119,8 +122,10 @@ sa_json::impl_json_enum!(EventKind {
     Recovered,
     FirstToken,
     Released,
-    Shed,
-    Rejected,
+    ShedGovernor,
+    ShedQualityFloor,
+    RejectedOverloaded,
+    RejectedNeverFits,
     Cancelled,
     Expired,
     DeadlineExceeded,
@@ -129,24 +134,55 @@ sa_json::impl_json_enum!(EventKind {
 });
 
 impl EventKind {
-    /// Whether this kind ends a request's lifecycle. Every request
-    /// reaches exactly one terminal event.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            EventKind::Shed
-                | EventKind::Rejected
-                | EventKind::Cancelled
-                | EventKind::Expired
-                | EventKind::DeadlineExceeded
-                | EventKind::Failed
-                | EventKind::Completed
-        )
+    /// The terminal kinds, in the order [`EventLog::reconcile`] maps an
+    /// outcome back to a kind.
+    const TERMINALS: [EventKind; 9] = [
+        EventKind::Completed,
+        EventKind::Failed,
+        EventKind::Cancelled,
+        EventKind::Expired,
+        EventKind::DeadlineExceeded,
+        EventKind::RejectedOverloaded,
+        EventKind::RejectedNeverFits,
+        EventKind::ShedGovernor,
+        EventKind::ShedQualityFloor,
+    ];
+
+    /// The ledger outcome this kind ends a request with, or `None` for a
+    /// kind that does not end a lifecycle. Every request reaches exactly
+    /// one terminal event.
+    pub fn outcome(self) -> Option<Outcome> {
+        match self {
+            EventKind::Completed => Some(Outcome::Served),
+            EventKind::Failed => Some(Outcome::Failed),
+            EventKind::Cancelled => Some(Outcome::Cancelled),
+            EventKind::Expired => Some(Outcome::ExpiredInQueue),
+            EventKind::DeadlineExceeded => Some(Outcome::DeadlineExceeded),
+            EventKind::RejectedOverloaded => Some(Outcome::RejectedOverloaded),
+            EventKind::RejectedNeverFits | EventKind::ShedGovernor => {
+                Some(Outcome::RejectedBudget)
+            }
+            EventKind::ShedQualityFloor => Some(Outcome::ShedQualityFloor),
+            EventKind::Enqueued
+            | EventKind::Admitted
+            | EventKind::Deferred
+            | EventKind::Dispatched
+            | EventKind::RungDegraded
+            | EventKind::PressureEvicted
+            | EventKind::CheckpointCaptured
+            | EventKind::CheckpointRestored
+            | EventKind::Retried
+            | EventKind::Recovered
+            | EventKind::FirstToken
+            | EventKind::Released => None,
+        }
     }
 
-    /// The terminal event kind a planned resolution maps to. The
-    /// governor shed special case is handled at its emission site
-    /// (it also resolves to `RejectBudget`, but as [`EventKind::Shed`]).
+    /// The terminal event kind a planned resolution maps to. A budget
+    /// rejection is [`RejectedNeverFits`](EventKind::RejectedNeverFits)
+    /// here; the governor's load shed, which plans the same resolution,
+    /// picks [`ShedGovernor`](EventKind::ShedGovernor) at its emission
+    /// site.
     pub fn terminal_for(planned: &Planned) -> EventKind {
         match planned {
             Planned::Serve { .. } => EventKind::Completed,
@@ -154,22 +190,9 @@ impl EventKind {
             Planned::CancelCaller => EventKind::Cancelled,
             Planned::CancelDeadline => EventKind::DeadlineExceeded,
             Planned::ExpireInQueue => EventKind::Expired,
-            Planned::RejectOverloaded { .. } | Planned::RejectBudget { .. } => EventKind::Rejected,
-            Planned::ShedQualityFloor => EventKind::Shed,
-        }
-    }
-
-    /// Whether this terminal kind is consistent with a ledger outcome.
-    fn matches_outcome(self, outcome: Outcome) -> bool {
-        match outcome {
-            Outcome::Served => self == EventKind::Completed,
-            Outcome::Failed => self == EventKind::Failed,
-            Outcome::Cancelled => self == EventKind::Cancelled,
-            Outcome::ExpiredInQueue => self == EventKind::Expired,
-            Outcome::DeadlineExceeded => self == EventKind::DeadlineExceeded,
-            Outcome::RejectedOverloaded => self == EventKind::Rejected,
-            Outcome::RejectedBudget => matches!(self, EventKind::Rejected | EventKind::Shed),
-            Outcome::ShedQualityFloor => self == EventKind::Shed,
+            Planned::RejectOverloaded { .. } => EventKind::RejectedOverloaded,
+            Planned::RejectBudget { .. } => EventKind::RejectedNeverFits,
+            Planned::ShedQualityFloor => EventKind::ShedQualityFloor,
         }
     }
 }
@@ -327,7 +350,7 @@ impl FlightRecorder {
     }
 }
 
-/// The per-request serving event log (`sa.events.v1`).
+/// The per-request serving event log (`sa.events.v2`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     /// Schema tag ([`EVENTS_SCHEMA`]).
@@ -388,7 +411,7 @@ impl EventLog {
     pub fn terminals(&self) -> BTreeMap<u64, &Event> {
         let mut out = BTreeMap::new();
         for ev in &self.events {
-            if ev.kind.is_terminal() {
+            if ev.kind.outcome().is_some() {
                 out.insert(ev.request_id, ev);
             }
         }
@@ -410,25 +433,22 @@ impl EventLog {
     pub fn reconcile(&mut self, records: &[RequestRecord]) {
         let by_id: BTreeMap<u64, &RequestRecord> = records.iter().map(|r| (r.id, r)).collect();
         for ev in &mut self.events {
-            if !ev.kind.is_terminal() {
+            let Some(outcome) = ev.kind.outcome() else {
                 continue;
-            }
+            };
             let Some(rec) = by_id.get(&ev.request_id) else {
                 continue;
             };
-            if ev.kind.matches_outcome(rec.outcome) {
+            if outcome == rec.outcome {
                 continue;
             }
-            let planned = ev.kind;
-            ev.kind = match rec.outcome {
-                Outcome::Served => EventKind::Completed,
-                Outcome::Failed => EventKind::Failed,
-                Outcome::Cancelled => EventKind::Cancelled,
-                Outcome::ExpiredInQueue => EventKind::Expired,
-                Outcome::DeadlineExceeded => EventKind::DeadlineExceeded,
-                Outcome::RejectedOverloaded | Outcome::RejectedBudget => EventKind::Rejected,
-                Outcome::ShedQualityFloor => EventKind::Shed,
+            let Some(&kind) = EventKind::TERMINALS
+                .iter()
+                .find(|k| k.outcome() == Some(rec.outcome))
+            else {
+                continue;
             };
+            let planned = std::mem::replace(&mut ev.kind, kind);
             ev.reason = format!(
                 "execution diverged from planned {planned:?}: {}",
                 if rec.error.is_empty() { "unexplained" } else { &rec.error }
@@ -476,7 +496,7 @@ impl EventLog {
                     ev.request_id, ev.mem_in_use
                 ));
             }
-            if ev.kind.is_terminal() {
+            if ev.kind.outcome().is_some() {
                 if let Some(prev) = terminal_seen.insert(ev.request_id, i) {
                     return Err(format!(
                         "request {}: two terminal events (indices {prev} and {i})",
@@ -516,7 +536,7 @@ impl EventLog {
             let ev = terminals.get(&rec.id).ok_or_else(|| {
                 format!("request {}: ledger record without a terminal event", rec.id)
             })?;
-            if !ev.kind.matches_outcome(rec.outcome) {
+            if ev.kind.outcome() != Some(rec.outcome) {
                 return Err(format!(
                     "request {}: terminal event {:?} disagrees with outcome {:?}",
                     rec.id, ev.kind, rec.outcome
@@ -627,6 +647,28 @@ mod tests {
             .check_conservation()
             .unwrap_err()
             .contains("after terminal"));
+    }
+
+    #[test]
+    fn reconcile_maps_an_executed_outcome_back_to_its_terminal_kind() {
+        // A planned completion that execution failed flips to `Failed`;
+        // a terminal that agrees with its record is left alone.
+        let mut log = EventLog::new(0);
+        log.events.push(event(0, EventKind::Completed, 0, 0));
+        log.events.push(event(1, EventKind::ShedGovernor, 0, 0));
+        let records: Vec<RequestRecord> = [(0, Outcome::Failed), (1, Outcome::RejectedBudget)]
+            .into_iter()
+            .map(|(id, outcome)| RequestRecord {
+                outcome,
+                ..crate::ledger::tests::record(id)
+            })
+            .collect();
+        log.reconcile(&records);
+        assert_eq!(log.events[0].kind, EventKind::Failed);
+        assert!(log.events[0].reason.contains("Completed"));
+        assert_eq!(log.events[1].kind, EventKind::ShedGovernor);
+        assert!(log.events[1].reason.is_empty());
+        assert!(EventKind::TERMINALS.iter().all(|k| k.outcome().is_some()));
     }
 
     #[test]

@@ -147,11 +147,11 @@ sa_json::impl_json_struct!(RequestRecord {
     chunks_completed,
     chunks_total,
     error,
-    canary: default,
-    canary_true_cra: default,
-    canary_max_abs_err: default,
-    canary_gap_permille: default,
-    quarantined_heads: default,
+    canary,
+    canary_true_cra,
+    canary_max_abs_err,
+    canary_gap_permille,
+    quarantined_heads,
     report
 });
 
@@ -184,12 +184,8 @@ sa_json::impl_json_struct!(Ledger {
     records
 });
 
-/// Schema tag written by every [`Scheduler`](crate::Scheduler) run.
-/// `v2` added the tenant, `new_tokens`, and TTFT fields for the
-/// continuous-batching SLO accounting; `v3` added the crash-recovery
-/// tallies (`recovered_attempts`, `recomputed_tokens`); `v4` added the
-/// quality-guardrail plane (the shadow-canary measurements, the
-/// quarantined-head count, and the `ShedQualityFloor` outcome).
+/// Schema tag written by every [`Scheduler`](crate::Scheduler) run; a
+/// record of an older schema does not parse.
 pub const LEDGER_SCHEMA: &str = "sa.serve.ledger.v4";
 
 impl Ledger {
@@ -330,11 +326,12 @@ impl Ledger {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sa_json::{FromJson, ToJson};
 
-    fn record(id: u64) -> RequestRecord {
+    /// A served, fault-free, full-rung record of request `id`.
+    pub(crate) fn record(id: u64) -> RequestRecord {
         RequestRecord {
             id,
             kind: RequestKind::Prefill,
@@ -380,6 +377,15 @@ mod tests {
         let s = sa_json::to_string(&ledger.to_json());
         let back = Ledger::from_json(&sa_json::from_str::<sa_json::Json>(&s).unwrap()).unwrap();
         assert_eq!(back, ledger);
+
+        // Only v4 parses: a record without the quality-guardrail fields
+        // (an older schema) is refused, not filled with defaults.
+        let mut json = record(0).to_json();
+        if let sa_json::Json::Object(fields) = &mut json {
+            fields.retain(|(key, _)| key != "canary");
+        }
+        let err = RequestRecord::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("canary"), "{err}");
     }
 
     #[test]

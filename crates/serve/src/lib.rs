@@ -14,7 +14,7 @@
 //!   prefills and decodes with deadlines, caller cancellations, and
 //!   transient-fault scripts.
 //! - [`sim`] — the models the planner decides with: the outcome
-//!   vocabulary ([`Plan`], [`Planned`]), the scaled ChatGLM2-6B memory
+//!   vocabulary ([`Planned`]), the scaled ChatGLM2-6B memory
 //!   model, the per-rung cost model, the degradation ladder walk, and
 //!   seeded retry backoff.
 //! - [`Scheduler`] ([`scheduler`]) — three entry points:
@@ -46,16 +46,16 @@
 //!   probation clears), and per-tenant [`TenantFloor`]s keep the
 //!   degradation ladder from dropping a tenant below its contracted
 //!   quality — the planner sheds instead, typed.
-//! - [`slo`] — SLO accounting: one fold
-//!   ([`SloSummary::from_rows`]) over one row per request ([`SloRow`],
-//!   adapted from a ledger, from plans, or from an event log) into
-//!   TTFT/TPOT percentiles, goodput under deadline, and per-tenant
+//! - [`slo`] — SLO accounting: one fold over one row per request, read
+//!   from an executed ledger ([`SloSummary::from_ledger`]) or from a
+//!   planner's event log ([`SloSummary::from_events`]), into TTFT/TPOT
+//!   percentiles, goodput under deadline, and per-tenant
 //!   certified-goodput quality columns — the `sa.slo.v2` artifact.
 //! - [`memory`] — the byte-accurate [`MemoryLedger`] with pressure
 //!   watermarks; its [`PressureLevel`]s drive the continuous planner's
 //!   governor ladder (defer → evict → force lower rungs → shed) and the
 //!   execution side's checkpoint-restore reservations.
-//! - [`events`] — the telemetry plane: the `sa.events.v1` per-request
+//! - [`events`] — the telemetry plane: the `sa.events.v2` per-request
 //!   lifecycle [`EventLog`] the planner emits, the events↔ledger
 //!   conservation validator, and the scheduler [`FlightRecorder`] whose
 //!   [`Postmortem`]s capture the decisions leading up to a shed, a
@@ -123,5 +123,5 @@ pub use request::{
     fault_storm_workload, mixed_workload, open_loop_workload, Request, RequestKind, FAULT_SITE,
 };
 pub use scheduler::Scheduler;
-pub use sim::{Plan, Planned};
-pub use slo::{LatencyStats, SloRow, SloSummary, TenantQuality, SLO_SCHEMA};
+pub use sim::Planned;
+pub use slo::{LatencyStats, SloSummary, TenantQuality, SLO_SCHEMA};

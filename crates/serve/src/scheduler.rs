@@ -50,7 +50,7 @@ use crate::events::EventLog;
 use crate::ledger::{Ledger, Outcome, RequestRecord, LEDGER_SCHEMA};
 use crate::memory::MemoryLedger;
 use crate::quality::{canary_probe, is_canary, CanaryObservation, GuardedMethod, QualityGuard};
-use crate::sim::{Plan, Planned};
+use crate::sim::Planned;
 use crate::{Request, RequestKind, ServeConfig};
 use sa_baselines::{AttentionMethod, FullAttention, SampleAttentionMethod, WindowOnly};
 use sa_core::{DegradationReport, DegradationRung};
@@ -176,7 +176,7 @@ impl Scheduler {
         let _span = sa_trace::span_in("serve", "continuous");
         let (plans, mut log) = continuous::plan_continuous_with_events(&self.cfg, requests);
         let mut pairs = pool::try_parallel_map("serve_continuous", requests.len(), 1, |i| {
-            let (mut rec, obs) = self.execute(&requests[i], &plans[i].plan, mask);
+            let (mut rec, obs) = self.execute(&requests[i], &plans[i], mask);
             rec.ttft_ms = plans[i].first_token_ms.saturating_sub(rec.arrival_ms);
             rec.recovered_attempts = plans[i].recovered_attempts;
             rec.recomputed_tokens = plans[i].recomputed_tokens;
@@ -201,7 +201,7 @@ impl Scheduler {
     fn execute(
         &self,
         req: &Request,
-        plan: &Plan,
+        plan: &ContinuousPlan,
         mask: &[bool],
     ) -> (RequestRecord, Option<CanaryObservation>) {
         let mut report = DegradationReport::new(self.cfg.alpha_target);

@@ -12,7 +12,7 @@
 //!
 //! This module holds what the planner decides *with*:
 //!
-//! - the outcome vocabulary: [`Planned`] and the per-request [`Plan`];
+//! - the outcome vocabulary, [`Planned`];
 //! - the per-rung cost model ([`service_ms`], [`cost_permille`]);
 //! - the degradation-ladder walk ([`choose_rung`],
 //!   [`choose_rung_floored`]), which respects a tenant's quality floor;
@@ -51,27 +51,6 @@ pub enum Planned {
     ShedQualityFloor,
 }
 
-/// One request's simulated schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Plan {
-    /// The planned outcome category.
-    pub planned: Planned,
-    /// Chosen degradation rung (meaningful only when model work runs).
-    pub rung: DegradationRung,
-    /// Rungs the ladder walked past, with the reason each was skipped.
-    pub skipped: Vec<(DegradationRung, String)>,
-    /// Virtual start time (== finish for never-started requests).
-    pub start_ms: u64,
-    /// Virtual completion / cancellation / rejection time.
-    pub finish_ms: u64,
-    /// Time spent waiting for admission and a first micro-task.
-    pub queue_wait_ms: u64,
-    /// Retries performed (failed attempts that were followed by another).
-    pub retries: u64,
-    /// Total virtual backoff slept between attempts.
-    pub backoff_ms: u64,
-}
-
 impl Planned {
     /// Whether the resolution involves running the model at all: a
     /// rung, a start time and a first token mean something exactly then.
@@ -98,13 +77,6 @@ impl Planned {
             Planned::RejectBudget { .. } => Outcome::RejectedBudget,
             Planned::ShedQualityFloor => Outcome::ShedQualityFloor,
         }
-    }
-}
-
-impl Plan {
-    /// Whether the plan involves running the model at all.
-    pub fn runs_model(&self) -> bool {
-        self.planned.runs_model()
     }
 }
 
@@ -363,14 +335,14 @@ mod tests {
         for (id, p) in plans.iter().enumerate() {
             if id % 3 == 0 {
                 assert!(
-                    matches!(p.plan.planned, Planned::ShedQualityFloor),
+                    matches!(p.planned, Planned::ShedQualityFloor),
                     "floored tenant must shed, got {:?}",
-                    p.plan.planned
+                    p.planned
                 );
-                assert!(!p.plan.runs_model());
+                assert!(!p.planned.runs_model());
             } else {
-                assert!(matches!(p.plan.planned, Planned::Serve { .. }), "{p:?}");
-                assert_eq!(p.plan.rung, DegradationRung::WindowOnly, "unfloored tenants bottom the ladder");
+                assert!(matches!(p.planned, Planned::Serve { .. }), "{p:?}");
+                assert_eq!(p.rung, DegradationRung::WindowOnly, "unfloored tenants bottom the ladder");
             }
         }
     }
@@ -389,14 +361,14 @@ mod tests {
             .map(|id| Request::prefill(id, 512, 0, 100_000))
             .collect();
         let plans = plan_continuous(&c, &reqs);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { .. }));
-        assert!(matches!(plans[1].plan.planned, Planned::Serve { .. }));
-        assert!(plans[1].plan.queue_wait_ms > 0, "second request waited");
+        assert!(matches!(plans[0].planned, Planned::Serve { .. }));
+        assert!(matches!(plans[1].planned, Planned::Serve { .. }));
+        assert!(plans[1].queue_wait_ms > 0, "second request waited");
         assert!(matches!(
-            plans[2].plan.planned,
+            plans[2].planned,
             Planned::RejectOverloaded { inflight: 2 }
         ));
-        assert!(!plans[2].plan.runs_model());
+        assert!(!plans[2].planned.runs_model());
     }
 
     #[test]
@@ -410,8 +382,8 @@ mod tests {
         // the first request's chunks.
         let short = Request::prefill(1, 48, 1, 3);
         let plans = plan_continuous(&c, &[long, short]);
-        assert!(matches!(plans[1].plan.planned, Planned::ExpireInQueue), "{plans:?}");
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 0 }));
+        assert!(matches!(plans[1].planned, Planned::ExpireInQueue), "{plans:?}");
+        assert!(matches!(plans[0].planned, Planned::Serve { fails: 0 }));
     }
 
     #[test]
@@ -420,10 +392,10 @@ mod tests {
         let mut req = Request::prefill(3, 64, 0, 1_000_000);
         req.fault_fails = 2;
         let plans = plan_continuous(&c, &[req]);
-        assert!(matches!(plans[0].plan.planned, Planned::Serve { fails: 2 }));
-        assert_eq!(plans[0].plan.retries, 2);
+        assert!(matches!(plans[0].planned, Planned::Serve { fails: 2 }));
+        assert_eq!(plans[0].retries, 2);
         let expected = backoff_ms(&c, 3, 0) + backoff_ms(&c, 3, 1);
-        assert_eq!(plans[0].plan.backoff_ms, expected, "the plan sleeps the seeded schedule");
+        assert_eq!(plans[0].backoff_ms, expected, "the plan sleeps the seeded schedule");
         assert!(expected >= 2 * c.backoff_base_ms);
         // Jitter is deterministic in (seed, id, attempt).
         assert_eq!(backoff_ms(&c, 3, 0), backoff_ms(&c, 3, 0));
@@ -441,12 +413,12 @@ mod tests {
             req.fault_fails = 99;
             let plans = plan_continuous(&c, &[req]);
             assert!(
-                matches!(plans[0].plan.planned, Planned::FailPermanent { fails }
+                matches!(plans[0].planned, Planned::FailPermanent { fails }
                     if fails == max_retries as u64 + 1),
                 "max_retries {max_retries}: {:?}",
-                plans[0].plan
+                plans[0]
             );
-            assert_eq!(plans[0].plan.retries, max_retries as u64);
+            assert_eq!(plans[0].retries, max_retries as u64);
         }
     }
 
@@ -459,8 +431,8 @@ mod tests {
         req.fault_fails = 1;
         req.cancel_after_ms = 10;
         let plans = plan_continuous(&c, &[req]);
-        assert!(matches!(plans[0].plan.planned, Planned::CancelCaller), "{plans:?}");
-        assert!(plans[0].plan.finish_ms >= 10);
-        assert!(plans[0].plan.finish_ms < 64, "cancelled before the retry completed");
+        assert!(matches!(plans[0].planned, Planned::CancelCaller), "{plans:?}");
+        assert!(plans[0].finish_ms >= 10);
+        assert!(plans[0].finish_ms < 64, "cancelled before the retry completed");
     }
 }

@@ -82,9 +82,7 @@ pub use chrome::{chrome_trace, validate_chrome_trace, write_chrome_trace};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
 pub use span::{drain, flush_thread, span, span_in, span_labeled, SpanEvent, SpanGuard};
 pub use summary::{summarize, StageSummary, TraceSummary};
-pub use timeseries::{
-    prometheus_text, MetricsExport, Timeline, TimelineBin, TimelineSeries, TimelineSnapshot,
-};
+pub use timeseries::{Timeline, TimelineBin, TimelineSeries, TimelineSnapshot};
 
 thread_local! {
     /// This thread's on/off switch. Off by default; every probe checks

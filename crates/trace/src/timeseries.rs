@@ -1,4 +1,4 @@
-//! Virtual-time metric timelines and Prometheus-style exposition.
+//! Virtual-time metric timelines.
 //!
 //! The registry in [`crate::metrics`] answers "how much, in total"; this
 //! module answers "how much, *when*". A [`Timeline`] aggregates named
@@ -15,13 +15,7 @@
 //!   by name, each with a **contiguous** run of bins from its first to
 //!   its last occupied bin (gaps are emitted as zero bins so plots and
 //!   diffs need no gap logic).
-//!
-//! [`prometheus_text`] renders a [`MetricsSnapshot`] in the Prometheus
-//! text exposition format, and [`MetricsExport`] drives it from the
-//! `SA_METRICS=<path>` environment variable — the metrics-side analogue
-//! of [`TraceSession`](crate::TraceSession) (DESIGN.md §5j).
 
-use crate::metrics::MetricsSnapshot;
 use sa_json::impl_json_struct;
 use std::collections::BTreeMap;
 
@@ -182,7 +176,7 @@ pub struct TimelineSeries {
 impl_json_struct!(TimelineSeries { name, bins });
 
 /// A flushed [`Timeline`]: what `serve_timeline` embeds in the
-/// `sa.serve_timeline.v1` artifact.
+/// `sa.serve_timeline.v2` artifact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimelineSnapshot {
     /// Bin width, ms.
@@ -193,113 +187,9 @@ pub struct TimelineSnapshot {
 
 impl_json_struct!(TimelineSnapshot { bin_ms, series });
 
-/// Maps a metric name into the Prometheus sample-name alphabet
-/// (`[a-zA-Z0-9_:]`, non-digit first character): every other byte
-/// becomes `_`. `serve.queue_wait_ms` → `serve_queue_wait_ms`.
-fn sanitize(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 1);
-    for (i, c) in name.chars().enumerate() {
-        let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
-        if i == 0 && c.is_ascii_digit() {
-            out.push('_');
-        }
-        out.push(if ok { c } else { '_' });
-    }
-    out
-}
-
-/// Renders a [`MetricsSnapshot`] in the Prometheus text exposition
-/// format: counters and gauges as single samples, histograms as
-/// summaries (`{quantile="..."}` samples plus `_sum`/`_count`, and an
-/// `_overflow` counter for top-bucket saturation). Output order follows
-/// the snapshot (name-sorted), so the text is deterministic.
-pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    for c in &snap.counters {
-        let name = sanitize(&c.name);
-        out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-    }
-    for g in &snap.gauges {
-        let name = sanitize(&g.name);
-        out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value));
-    }
-    for h in &snap.histograms {
-        let name = sanitize(&h.name);
-        out.push_str(&format!("# TYPE {name} summary\n"));
-        for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
-        }
-        out.push_str(&format!("{name}_sum {}\n", h.sum));
-        out.push_str(&format!("{name}_count {}\n", h.count));
-        out.push_str(&format!("{name}_overflow {}\n", h.overflow));
-    }
-    out
-}
-
-/// A metrics exposition session driven by the `SA_METRICS` environment
-/// variable, for binaries: `SA_METRICS=<path>` enables the registry and
-/// [`finish`](Self::finish) writes the Prometheus text there;
-/// `SA_METRICS=1`/`on` enables with no file; unset/`0`/`off` is inert.
-#[derive(Debug)]
-pub struct MetricsExport {
-    path: Option<std::path::PathBuf>,
-    active: bool,
-}
-
-impl MetricsExport {
-    /// Reads `SA_METRICS` and enables the metrics registry accordingly.
-    pub fn from_env() -> Self {
-        match std::env::var("SA_METRICS") {
-            Ok(v) if !v.is_empty() && v != "0" && v != "off" => {
-                crate::clock::init();
-                crate::set_enabled(true);
-                let path = if v == "1" || v == "on" {
-                    None
-                } else {
-                    Some(std::path::PathBuf::from(v))
-                };
-                MetricsExport { path, active: true }
-            }
-            _ => MetricsExport {
-                path: None,
-                active: false,
-            },
-        }
-    }
-
-    /// Whether this session turned the registry on.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// The exposition path requested via `SA_METRICS`, if any.
-    pub fn path(&self) -> Option<&std::path::Path> {
-        self.path.as_deref()
-    }
-
-    /// Snapshots the registry and — if `SA_METRICS` named a path —
-    /// writes the Prometheus text there. Does not disable tracing (a
-    /// `TraceSession` may still be collecting spans).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the exposition file cannot be written.
-    pub fn finish(self) -> Result<Option<std::path::PathBuf>, std::io::Error> {
-        match &self.path {
-            Some(p) => {
-                let text = prometheus_text(&crate::metrics::snapshot());
-                std::fs::write(p, text)?;
-                Ok(self.path)
-            }
-            None => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{CounterSnapshot, HistogramSnapshot};
 
     #[test]
     fn timeline_bins_are_contiguous_and_deterministic() {
@@ -338,45 +228,5 @@ mod tests {
         let snap = Timeline::new(0).flush();
         assert_eq!(snap.bin_ms, 1); // clamped
         assert!(snap.series.is_empty());
-    }
-
-    #[test]
-    fn prometheus_text_sanitizes_and_exposes() {
-        let snap = MetricsSnapshot {
-            counters: vec![CounterSnapshot {
-                name: "serve.pressure.sheds".to_string(),
-                value: 7,
-            }],
-            gauges: vec![],
-            histograms: vec![HistogramSnapshot {
-                name: "serve.ttft_ms".to_string(),
-                count: 2,
-                sum: 30,
-                mean: 15.0,
-                min: 10,
-                max: 20,
-                p50: 10,
-                p95: 20,
-                p99: 20,
-                overflow: 0,
-            }],
-        };
-        let text = prometheus_text(&snap);
-        assert!(text.contains("# TYPE serve_pressure_sheds counter\nserve_pressure_sheds 7\n"));
-        assert!(text.contains("serve_ttft_ms{quantile=\"0.99\"} 20\n"));
-        assert!(text.contains("serve_ttft_ms_sum 30\n"));
-        assert!(text.contains("serve_ttft_ms_count 2\n"));
-        assert!(text.contains("serve_ttft_ms_overflow 0\n"));
-        assert_eq!(sanitize("9lives.x"), "_9lives_x");
-    }
-
-    #[test]
-    fn metrics_export_inactive_without_var() {
-        if std::env::var("SA_METRICS").is_err() {
-            let e = MetricsExport::from_env();
-            assert!(!e.active());
-            assert!(e.path().is_none());
-            assert!(e.finish().expect("no io involved").is_none());
-        }
     }
 }

@@ -461,9 +461,9 @@ test -s "$smoke_out/quality_guard.json" || {
 }
 
 echo "==> smoke: slo_sweep --quick (continuous-planner SLO sweep)"
-# The sweep plans every (shape x rate) point on the continuous planner
-# and writes slo_report.json, which serve_timeline below rebuilds from
-# event logs alone; the results oracle further down pins its bits.
+# The sweep plans every (shape x rate) point on the continuous planner,
+# folds each point's event log into its SLO summary and writes
+# slo_report.json; the results oracle further down pins its bits.
 cargo run -q --release --offline -p sa-bench --bin slo_sweep -- \
     --quick --out "$smoke_out"
 test -s "$smoke_out/slo_report.json" || {
@@ -473,11 +473,12 @@ test -s "$smoke_out/slo_report.json" || {
 
 echo "==> smoke: serve_timeline --quick (SA_THREADS=1, then default)"
 # Runs after slo_sweep so slo_report.json is present in $smoke_out: the
-# binary then asserts that the event log alone reconstructs the sweep's
-# aggregate goodput bit-exactly, that events<->ledger conservation
-# holds, that the storm-leg event log is byte-identical across thread
-# counts, and that a forced governor shed leaves a flight-recorder
-# postmortem; it exits non-zero on any violation.
+# binary replays the same grid and asserts that each point's goodput
+# equals the report's, that every event log conserves memory (and
+# events<->ledger conservation holds on the storm leg), that the
+# storm-leg event log is byte-identical across thread counts, and that
+# a forced governor shed leaves a flight-recorder postmortem; it exits
+# non-zero on any violation.
 SA_THREADS=1 cargo run -q --release --offline -p sa-bench --bin serve_timeline -- \
     --quick --out "$smoke_out"
 cargo run -q --release --offline -p sa-bench --bin serve_timeline -- \
