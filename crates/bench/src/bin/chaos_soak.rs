@@ -182,8 +182,7 @@ fn main() {
         // overflows it).
         max_pending: 4,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
     let scheduler = Scheduler::new(cfg).expect("tiny model config is valid");
     let requests = mixed_workload(args.seed, n);
 
@@ -263,8 +262,7 @@ fn main() {
     let cont_cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
     let cont_scheduler = Scheduler::new(cont_cfg).expect("tiny model config is valid");
     let process = ArrivalProcess {
         seed: args.seed ^ 0x0511,
@@ -343,8 +341,7 @@ fn main() {
     let storm_cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
     let storm_scheduler = Scheduler::new(storm_cfg).expect("tiny model config is valid");
     let counter_now = |name: &str| {
         metrics::snapshot()

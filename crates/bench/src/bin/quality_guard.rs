@@ -170,7 +170,6 @@ fn clean_config(seed: u64, denominator: u64) -> ServeConfig {
         }],
         ..ServeConfig::default()
     }
-    .from_env()
 }
 
 fn storm_config(seed: u64) -> ServeConfig {
@@ -181,7 +180,6 @@ fn storm_config(seed: u64) -> ServeConfig {
         canary_denominator: 1,
         ..ServeConfig::default()
     }
-    .from_env()
 }
 
 fn storm_plan(seed: u64) -> FaultPlan {

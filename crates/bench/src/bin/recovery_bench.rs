@@ -32,8 +32,8 @@
 
 use sa_bench::{render_table, write_json, Args};
 use sa_serve::{
-    fault_storm_workload, plan_continuous_with_events, Ledger, Outcome, Scheduler, ServeConfig,
-    SloSummary,
+    fault_storm_workload, lifecycles, plan_continuous_with_events, Ledger, Outcome, Scheduler,
+    ServeConfig, SloSummary,
 };
 use sa_tensor::pool;
 use sa_trace::metrics;
@@ -135,11 +135,12 @@ fn bench_cfg(seed: u64, recovery: bool) -> ServeConfig {
     }
 }
 
-/// Plans one leg and reduces it to the point's tallies.
+/// Plans one leg and reduces its event log to the point's tallies.
 fn plan_leg(seed: u64, recovery: bool, requests: &[sa_serve::Request]) -> (u64, u64, u64, f64) {
-    let (plans, log) = plan_continuous_with_events(&bench_cfg(seed, recovery), requests);
-    let recovered: u64 = plans.iter().map(|p| p.recovered_attempts).sum();
-    let recomputed: u64 = plans.iter().map(|p| p.recomputed_tokens).sum();
+    let (_, log) = plan_continuous_with_events(&bench_cfg(seed, recovery), requests);
+    let lifecycles = lifecycles(&log, requests);
+    let recovered: u64 = lifecycles.iter().map(|lc| lc.recovered_attempts).sum();
+    let recomputed: u64 = lifecycles.iter().map(|lc| lc.recomputed_tokens).sum();
     let slo = SloSummary::from_events("continuous", &log, requests);
     (recovered, recomputed, slo.served, slo.goodput_per_sec)
 }

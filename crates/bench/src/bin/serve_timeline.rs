@@ -1,5 +1,5 @@
 //! serve_timeline: renders the serving telemetry plane end to end from
-//! the `sa.events.v2` lifecycle event log.
+//! the `sa.events.v3` lifecycle event log.
 //!
 //! Four legs:
 //!
@@ -7,13 +7,12 @@
 //!    shapes × the rate ladder, 3 tenants) through
 //!    [`plan_continuous_with_events`], checks each point's log for
 //!    memory conservation, and folds it into the point's [`SloSummary`]
-//!    ([`SloSummary::from_events`], the fold `slo_sweep` reports). When
-//!    `<out>/slo_report.json` exists with the same seed, every point's
-//!    goodput must equal the report's.
+//!    ([`SloSummary::from_events`], the fold `slo_sweep` reports).
 //! 2. **Timelines**: the richest sweep point's event log is folded into
 //!    per-tenant virtual-time bins ([`sa_trace::Timeline`]): TTFT and
-//!    TPOT observations, goodput counts, rung degradations, and the
-//!    governor's pressure actions (defer / evict / shed).
+//!    TPOT observations and goodput counts from each request's
+//!    [`lifecycles`] entry, rung degradations, and the governor's
+//!    pressure actions (defer / evict / shed).
 //! 3. **Flight recorder**: a forced governor shed (one giant prefill
 //!    pinning a shrunken budget at critical pressure, a second urgent
 //!    giant that cannot be placed) must dump a postmortem carrying the
@@ -26,7 +25,7 @@
 //!
 //! Outputs:
 //! - stdout: the sweep table, timeline digest, and postmortems;
-//! - `results/serve_timeline.json` (`sa.serve_timeline.v2`);
+//! - `results/serve_timeline.json` (`sa.serve_timeline.v3`);
 //! - `results/serve_timeline.txt`: the rendered timeline + postmortem
 //!   digest (what you read first when debugging a bad SLO run).
 //!
@@ -35,16 +34,15 @@
 
 use sa_bench::{f, render_table, slo_grid, write_json, Args, SLO_GRID_TENANTS};
 use sa_serve::{
-    fault_storm_workload, plan_continuous_with_events, EventKind, EventLog, Postmortem, Request,
-    Scheduler, ServeConfig, SloSummary,
+    fault_storm_workload, lifecycles, plan_continuous_with_events, EventKind, EventLog, Outcome,
+    Postmortem, Request, Scheduler, ServeConfig, SloSummary,
 };
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool;
 use sa_trace::{Timeline, TimelineSnapshot};
-use std::collections::BTreeMap;
 
 /// Results-file schema tag of `results/serve_timeline.json`.
-const TIMELINE_SCHEMA: &str = "sa.serve_timeline.v2";
+const TIMELINE_SCHEMA: &str = "sa.serve_timeline.v3";
 
 /// Timeline bin width on the serving virtual clock, ms.
 const BIN_MS: u64 = 1_000;
@@ -90,9 +88,6 @@ struct TimelineReport {
     tenants: u64,
     /// Timeline bin width, virtual ms.
     bin_ms: u64,
-    /// Whether every point's goodput matched `<out>/slo_report.json`
-    /// per point (false when the report is absent or seeded differently).
-    matches_slo_report: bool,
     /// Whether the fault-storm event log was byte-identical at
     /// `SA_THREADS` 1 / 2 / default.
     identical_across_threads: bool,
@@ -117,7 +112,6 @@ sa_json::impl_json_struct!(TimelineReport {
     seed,
     tenants,
     bin_ms,
-    matches_slo_report,
     identical_across_threads,
     conservation_ok,
     points,
@@ -128,46 +122,29 @@ sa_json::impl_json_struct!(TimelineReport {
 });
 
 /// Folds a continuous event log into per-tenant binned timelines plus
-/// the governor's pressure-action series. `pressure.shed` counts the
-/// governor's load sheds only; a quality-floor refusal is not a
-/// pressure action.
+/// the governor's pressure-action series. A request's TTFT is binned at
+/// its first token, its TPOT and goodput at its completion.
+/// `pressure.shed` counts the governor's load sheds only; a
+/// quality-floor refusal is not a pressure action.
 fn build_timeline(log: &EventLog, requests: &[Request]) -> TimelineSnapshot {
-    let arrivals: BTreeMap<u64, u64> = requests.iter().map(|r| (r.id, r.arrival_ms)).collect();
-    let deadlines: BTreeMap<u64, u64> = requests
-        .iter()
-        .map(|r| (r.id, r.arrival_ms + r.deadline_ms))
-        .collect();
-    let new_tokens: BTreeMap<u64, u64> =
-        requests.iter().map(|r| (r.id, r.new_tokens as u64)).collect();
-    let mut first_token: BTreeMap<u64, u64> = BTreeMap::new();
     let mut tl = Timeline::new(BIN_MS);
+    for (req, lc) in requests.iter().zip(lifecycles(log, requests)) {
+        let tenant = req.tenant;
+        if let Some(ttft) = lc.ttft_ms {
+            tl.observe(&format!("tenant{tenant}.ttft_ms"), req.arrival_ms + ttft, ttft);
+        }
+        if lc.outcome == Some(Outcome::Served) {
+            if lc.finish_ms <= req.arrival_ms + req.deadline_ms {
+                tl.increment(&format!("tenant{tenant}.goodput"), lc.finish_ms, 1);
+            }
+            if let Some(tpot) = lc.tpot_ms {
+                tl.observe(&format!("tenant{tenant}.tpot_ms"), lc.finish_ms, tpot);
+            }
+        }
+    }
     for ev in &log.events {
         let tenant = ev.tenant;
         match ev.kind {
-            EventKind::FirstToken => {
-                first_token.insert(ev.request_id, ev.t_ms);
-                let arrival = arrivals.get(&ev.request_id).copied().unwrap_or(0);
-                tl.observe(
-                    &format!("tenant{tenant}.ttft_ms"),
-                    ev.t_ms,
-                    ev.t_ms.saturating_sub(arrival),
-                );
-            }
-            EventKind::Completed => {
-                if deadlines.get(&ev.request_id).is_some_and(|&d| ev.t_ms <= d) {
-                    tl.increment(&format!("tenant{tenant}.goodput"), ev.t_ms, 1);
-                }
-                let toks = new_tokens.get(&ev.request_id).copied().unwrap_or(0);
-                if let Some(&ft) = first_token.get(&ev.request_id) {
-                    if toks > 1 {
-                        tl.observe(
-                            &format!("tenant{tenant}.tpot_ms"),
-                            ev.t_ms,
-                            ev.t_ms.saturating_sub(ft) / (toks - 1),
-                        );
-                    }
-                }
-            }
             EventKind::RungDegraded => {
                 tl.increment(&format!("tenant{tenant}.rung_degraded"), ev.t_ms, 1)
             }
@@ -264,8 +241,7 @@ fn main() {
     let cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
 
     // --- Leg 1: the slo_sweep grid, folded from its event logs. ---
     let mut points = Vec::new();
@@ -326,60 +302,6 @@ fn main() {
         )
     );
 
-    // Cross-check against the slo_sweep artifact when present: each
-    // point's goodput must equal the written report's.
-    let slo_path = args.out_dir.join("slo_report.json");
-    let matches_slo_report = match sa_bench::load_json::<sa_json::Json>(&slo_path) {
-        Ok(report) if report.get("seed").and_then(|v| v.as_i64()) == Some(args.seed as i64) => {
-            let report_points = report
-                .get("points")
-                .and_then(sa_json::Json::as_array)
-                .unwrap_or(&[]);
-            let goodput_of = |p: &sa_json::Json| -> Option<f64> {
-                p.get("continuous")
-                    .and_then(|s| s.get("goodput_per_sec"))
-                    .and_then(sa_json::Json::as_f64)
-            };
-            let all_match = points.iter().all(|pt| {
-                report_points
-                    .iter()
-                    .find(|rp| {
-                        rp.get("shape").and_then(sa_json::Json::as_str)
-                            == Some(pt.shape.as_str())
-                            && rp.get("rate_per_sec").and_then(sa_json::Json::as_f64)
-                                == Some(pt.rate_per_sec)
-                            && rp.get("duration_ms").and_then(sa_json::Json::as_i64)
-                                == Some(pt.duration_ms as i64)
-                    })
-                    .is_some_and(|rp| goodput_of(rp) == Some(pt.continuous.goodput_per_sec))
-            });
-            println!(
-                "slo_report.json cross-check: {}",
-                if all_match { "matched" } else { "MISMATCH" }
-            );
-            assert!(
-                all_match,
-                "event-log goodput disagrees with {}",
-                slo_path.display()
-            );
-            all_match
-        }
-        Ok(_) => {
-            println!(
-                "slo_report.json cross-check: skipped (different seed in {})",
-                slo_path.display()
-            );
-            false
-        }
-        Err(_) => {
-            println!(
-                "slo_report.json cross-check: skipped ({} not found)",
-                slo_path.display()
-            );
-            false
-        }
-    };
-
     // --- Leg 2: per-tenant timelines of the richest point. ---
     let (_, richest_log, richest_reqs) =
         richest.expect("sweep produced at least one point");
@@ -414,8 +336,7 @@ fn main() {
     let storm_cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
     let storm_scheduler = Scheduler::new(storm_cfg).expect("tiny model config is valid");
     let mut storm_runs = Vec::new();
     {
@@ -466,7 +387,6 @@ fn main() {
         seed: args.seed,
         tenants,
         bin_ms: BIN_MS,
-        matches_slo_report,
         identical_across_threads,
         conservation_ok,
         points,

@@ -76,8 +76,7 @@ fn main() {
     let cfg = ServeConfig {
         seed: args.seed,
         ..ServeConfig::default()
-    }
-    .from_env();
+    };
 
     let mut points = Vec::new();
     let mut rows = Vec::new();

@@ -1,20 +1,8 @@
-//! Scheduler configuration and its environment overrides.
+//! Scheduler configuration.
 //!
-//! These knobs are operator-facing and overridable from the
-//! environment (mirroring `SA_THREADS` / `SA_FAULT` / `SA_TRACE`):
-//!
-//! | variable | meaning | accepted values |
-//! |---|---|---|
-//! | `SA_DEADLINE_MS` | default per-request deadline | integer milliseconds |
-//! | `SA_MEM_BUDGET` | device memory budget for admission | bytes, with optional `K`/`M`/`G` suffix |
-//! | `SA_MAX_INFLIGHT` | concurrent-request slots | integer ≥ 1 |
-//! | `SA_RECOVERY` | resume faulted attempts from checkpoints | `1`/`on` (default), `0`/`off`/`false` |
-//! | `SA_MEM_LOW` | memory-pressure low watermark | permille of the budget (default 600) |
-//! | `SA_MEM_HIGH` | memory-pressure high watermark | permille of the budget (default 850) |
-//! | `SA_CANARY` | shadow-canary denominator: 1 in N served requests runs a dense reference prefill | integer N (default 32, `0` disables) |
-//!
-//! Everything else (retry policy, backoff shape, chunk size, the virtual
-//! token scale) is code-level configuration on [`ServeConfig`].
+//! Every knob is a field of [`ServeConfig`], set in code: no environment
+//! variable changes what the scheduler decides, so a results file is a
+//! function of its generator's code and flags alone.
 
 use sa_core::DegradationRung;
 use sa_perf::memory::A100_BYTES;
@@ -61,13 +49,13 @@ pub struct ServeConfig {
     /// Seed for every scheduler-internal random draw (backoff jitter)
     /// and for the synthetic model weights.
     pub seed: u64,
-    /// Concurrent-request slots (`SA_MAX_INFLIGHT`). Clamped to ≥ 1.
+    /// Concurrent-request slots. Clamped to ≥ 1.
     pub max_inflight: usize,
-    /// Device memory budget in bytes for admission control
-    /// (`SA_MEM_BUDGET`). Defaults to one A100-80GB.
+    /// Device memory budget in bytes for admission control. Defaults to
+    /// one A100-80GB.
     pub mem_budget_bytes: u64,
-    /// Deadline applied to requests that do not carry their own
-    /// (`SA_DEADLINE_MS`), in virtual milliseconds after arrival.
+    /// Deadline applied to requests that do not carry their own, in
+    /// virtual milliseconds after arrival.
     pub default_deadline_ms: u64,
     /// Sequence chunk size for chunked prefill — also the cancellation
     /// granularity: a tripped token stops a prefill within one chunk.
@@ -96,21 +84,21 @@ pub struct ServeConfig {
     /// Continuous batching: per-tenant token-bucket capacity (burst
     /// allowance), synthetic tokens.
     pub tenant_burst_tokens: u64,
-    /// Crash recovery (`SA_RECOVERY`): when `true`, a faulted attempt
+    /// Crash recovery: when `true`, a faulted attempt
     /// resumes from its last chunk-boundary checkpoint (bounded
     /// recompute of at most one chunk); when `false`, it retries from
     /// scratch — PR-7 behavior, kept as the `recovery_bench` baseline.
     pub recovery_enabled: bool,
-    /// Memory-pressure low watermark (`SA_MEM_LOW`), permille of
+    /// Memory-pressure low watermark, permille of
     /// `mem_budget_bytes`. Occupancy at or above it is `Elevated`:
     /// non-urgent admissions defer and in-flight sessions start
     /// shedding low-mass KV.
     pub mem_low_permille: u64,
-    /// Memory-pressure high watermark (`SA_MEM_HIGH`), permille of
+    /// Memory-pressure high watermark, permille of
     /// `mem_budget_bytes`. Occupancy at or above it is `Critical`:
     /// new admissions are forced onto lower degradation rungs.
     pub mem_high_permille: u64,
-    /// Shadow-canary denominator (`SA_CANARY`): one in this many served
+    /// Shadow-canary denominator: one in this many served
     /// requests additionally runs a dense reference prefill and compares
     /// true CRA / output error against the sparse path. Selection is a
     /// pure function of `(seed, request id)`, so canaries never change
@@ -148,38 +136,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Applies the `SA_DEADLINE_MS` / `SA_MEM_BUDGET` / `SA_MAX_INFLIGHT`
-    /// environment overrides on top of `self`. Unset or unparseable
-    /// variables leave the corresponding field untouched.
-    #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(ms) = env_u64("SA_DEADLINE_MS") {
-            self.default_deadline_ms = ms;
-        }
-        if let Some(bytes) = env_bytes("SA_MEM_BUDGET") {
-            self.mem_budget_bytes = bytes;
-        }
-        if let Some(n) = env_u64("SA_MAX_INFLIGHT") {
-            self.max_inflight = (n as usize).max(1);
-        }
-        if let Ok(raw) = std::env::var("SA_RECOVERY") {
-            let raw = raw.trim();
-            if !raw.is_empty() {
-                self.recovery_enabled = raw != "0" && raw != "off" && raw != "false";
-            }
-        }
-        if let Some(p) = env_u64("SA_MEM_LOW") {
-            self.mem_low_permille = p.min(1000);
-        }
-        if let Some(p) = env_u64("SA_MEM_HIGH") {
-            self.mem_high_permille = p.min(1000);
-        }
-        if let Some(n) = env_u64("SA_CANARY") {
-            self.canary_denominator = n;
-        }
-        self
-    }
-
     /// `max_inflight` with the ≥ 1 clamp applied.
     pub fn slots(&self) -> usize {
         self.max_inflight.max(1)
@@ -200,28 +156,6 @@ impl ServeConfig {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-/// Parses a byte count with an optional binary suffix: `123456`,
-/// `512M`, `48G`, `100K` (case-insensitive).
-pub(crate) fn parse_bytes(raw: &str) -> Option<u64> {
-    let raw = raw.trim();
-    let (digits, mult) = match raw.chars().last()? {
-        'k' | 'K' => (&raw[..raw.len() - 1], 1u64 << 10),
-        'm' | 'M' => (&raw[..raw.len() - 1], 1u64 << 20),
-        'g' | 'G' => (&raw[..raw.len() - 1], 1u64 << 30),
-        _ => (raw, 1),
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    n.checked_mul(mult)
-}
-
-fn env_bytes(name: &str) -> Option<u64> {
-    parse_bytes(&std::env::var(name).ok()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,58 +167,10 @@ mod tests {
         assert_eq!(c.mem_budget_bytes, A100_BYTES);
         assert!(c.backoff_base_ms <= c.backoff_cap_ms);
         assert!(c.alpha_target > 0.0 && c.alpha_target <= 1.0);
-    }
-
-    #[test]
-    fn byte_suffixes_parse() {
-        assert_eq!(parse_bytes("123456"), Some(123_456));
-        assert_eq!(parse_bytes("100K"), Some(100 << 10));
-        assert_eq!(parse_bytes("512m"), Some(512 << 20));
-        assert_eq!(parse_bytes("48G"), Some(48 << 30));
-        assert_eq!(parse_bytes(" 2 G "), Some(2 << 30));
-        assert_eq!(parse_bytes("oops"), None);
-        assert_eq!(parse_bytes(""), None);
-    }
-
-    #[test]
-    fn env_overrides_apply() {
-        // Distinct names to avoid cross-test env races.
-        std::env::set_var("SA_DEADLINE_MS", "123");
-        std::env::set_var("SA_MEM_BUDGET", "2G");
-        std::env::set_var("SA_MAX_INFLIGHT", "0");
-        let c = ServeConfig::default().from_env();
-        std::env::remove_var("SA_DEADLINE_MS");
-        std::env::remove_var("SA_MEM_BUDGET");
-        std::env::remove_var("SA_MAX_INFLIGHT");
-        assert_eq!(c.default_deadline_ms, 123);
-        assert_eq!(c.mem_budget_bytes, 2 << 30);
-        assert_eq!(c.max_inflight, 1, "inflight is clamped to >= 1");
-    }
-
-    #[test]
-    fn recovery_and_watermark_overrides_apply() {
-        let c = ServeConfig::default();
         assert!(c.recovery_enabled, "recovery is on by default");
         assert!(c.mem_low_permille < c.mem_high_permille);
-        std::env::set_var("SA_RECOVERY", "off");
-        std::env::set_var("SA_MEM_LOW", "500");
-        std::env::set_var("SA_MEM_HIGH", "2000");
-        let c = ServeConfig::default().from_env();
-        std::env::remove_var("SA_RECOVERY");
-        std::env::remove_var("SA_MEM_LOW");
-        std::env::remove_var("SA_MEM_HIGH");
-        assert!(!c.recovery_enabled);
-        assert_eq!(c.mem_low_permille, 500);
-        assert_eq!(c.mem_high_permille, 1000, "permille clamps to 1000");
-    }
-
-    #[test]
-    fn canary_override_applies() {
-        assert_eq!(ServeConfig::default().canary_denominator, 32);
-        std::env::set_var("SA_CANARY", "8");
-        let c = ServeConfig::default().from_env();
-        std::env::remove_var("SA_CANARY");
-        assert_eq!(c.canary_denominator, 8);
+        assert_eq!(c.canary_denominator, 32);
+        assert_eq!(ServeConfig { max_inflight: 0, ..c }.slots(), 1, "slots clamp to >= 1");
     }
 
     #[test]

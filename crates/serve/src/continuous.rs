@@ -52,9 +52,10 @@
 //!   (`planned_checkpoint_chunks`), so the attempt after it resumes
 //!   with a prefill head start instead of re-running from scratch —
 //!   bounded recompute of at most the one in-flight chunk per crash.
-//!   The plan tallies `recovered_attempts` and `recomputed_tokens`;
-//!   with recovery off the timeline is exactly the retry-from-scratch
-//!   model above (the `recovery_bench` baseline).
+//!   Each crash's `Retried` event carries the backoff and the prefill
+//!   tokens its retry recomputes; with recovery off the timeline is
+//!   exactly the retry-from-scratch model above (the `recovery_bench`
+//!   baseline).
 //! - **Memory-pressure governor**: watermark-classified occupancy
 //!   ([`MemoryLedger::level_of`]) drives a ladder of actions — defer
 //!   non-urgent admissions (`serve.pressure.deferrals`), evict the
@@ -77,9 +78,14 @@
 //! ([`sim::request_bytes`]), and the per-rung cost model
 //! ([`sim::service_ms`]) live in [`sim`]; the `slo_sweep` bench sweeps
 //! arrival rate and shape through this planner.
+//!
+//! The event log is the only record of the timeline: each request's
+//! start, finish, first token and retry tallies are read back out of it
+//! by [`lifecycles`](crate::lifecycles). A [`ContinuousPlan`] carries
+//! only what execution needs to run the request.
 
 use crate::events::{
-    EventKind, EventLog, FlightRecorder, PlannerDecision, FLIGHT_RECORDER_CAPACITY,
+    Event, EventKind, EventLog, FlightRecorder, PlannerDecision, FLIGHT_RECORDER_CAPACITY,
 };
 use crate::memory::{MemoryLedger, PressureLevel};
 use crate::sim::{self, Planned};
@@ -89,8 +95,9 @@ use sa_tensor::splitmix64;
 use sa_trace::metrics;
 use std::collections::VecDeque;
 
-/// One request's schedule on the continuous timeline: its resolution,
-/// rung and timing, plus first-token timing and micro-task tallies.
+/// What execution needs of one request's schedule: its resolution and
+/// the rung its model work runs at. Its timing and tallies are in the
+/// event log ([`lifecycles`](crate::lifecycles)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContinuousPlan {
     /// The planned outcome category.
@@ -99,31 +106,6 @@ pub struct ContinuousPlan {
     pub rung: DegradationRung,
     /// Rungs the ladder walked past, with the reason each was skipped.
     pub skipped: Vec<(DegradationRung, String)>,
-    /// Virtual start time (== finish for never-started requests).
-    pub start_ms: u64,
-    /// Virtual completion / cancellation / rejection time.
-    pub finish_ms: u64,
-    /// Time spent waiting for admission and a first micro-task.
-    pub queue_wait_ms: u64,
-    /// Retries performed (failed attempts that were followed by another).
-    pub retries: u64,
-    /// Total virtual backoff slept between attempts.
-    pub backoff_ms: u64,
-    /// Virtual time the first output token completed (prefill-only:
-    /// the final prefill chunk; decode: the first decode step). Zero
-    /// when no token was produced.
-    pub first_token_ms: u64,
-    /// Prefill chunks completed on the virtual timeline.
-    pub prefill_chunks: u64,
-    /// Attempts that resumed from a non-empty chunk-boundary checkpoint
-    /// instead of re-running prefill from scratch. Zero when recovery
-    /// is disabled or the request never crashed.
-    pub recovered_attempts: u64,
-    /// Prefill tokens recomputed because of crashes: with recovery on,
-    /// at most the one in-flight chunk per crash (the part no
-    /// chunk-boundary checkpoint can cover); with recovery off,
-    /// everything the crashed attempt had already completed.
-    pub recomputed_tokens: u64,
 }
 
 /// Chunks of prefill progress the `attempt`-th crashed attempt of
@@ -258,15 +240,18 @@ struct RState {
     /// Completion time of the last finished micro-task (admission time
     /// before any task ran).
     last_event: u64,
-    /// First micro-task dispatch time.
+    /// First micro-task start time.
     start: Option<u64>,
     rung: DegradationRung,
     skipped: Vec<(DegradationRung, String)>,
+    /// The dispatch decision's events (`Dispatched`, and `RungDegraded`
+    /// below the full rung), emitted when the first micro-task starts:
+    /// the token bucket can hold a dispatched request back.
+    announce: Vec<(EventKind, String)>,
     /// Planned failing attempts (capped at the attempt budget).
     fails: u64,
     /// Fail attempts already burned (indexes the backoff schedule).
     fails_done: u64,
-    backoff_total: u64,
     /// Per-chunk virtual cost, exact-sum distribution of the scaled
     /// prefill time: the first `chunk_rem` chunks cost `chunk_cost+1`.
     chunk_cost: u64,
@@ -274,19 +259,13 @@ struct RState {
     n_chunks: u64,
     chunks_done: u64,
     steps_done: u64,
-    first_token: Option<u64>,
     fail_ms: u64,
     permanent: bool,
     bytes: u64,
-    /// Attempts that resumed from a non-empty checkpoint.
-    recovered_attempts: u64,
-    /// Prefill tokens recomputed across all crashes (see
-    /// [`ContinuousPlan::recomputed_tokens`]).
-    recomputed_tokens: u64,
     /// The governor already evicted this session's low-mass KV share;
     /// a session is evicted at most once.
     evicted: bool,
-    terminal: Option<(Planned, u64)>,
+    terminal: Option<Planned>,
 }
 
 impl RState {
@@ -299,20 +278,17 @@ impl RState {
             start: None,
             rung: DegradationRung::Full,
             skipped: Vec::new(),
+            announce: Vec::new(),
             fails: 0,
             fails_done: 0,
-            backoff_total: 0,
             chunk_cost: 0,
             chunk_rem: 0,
             n_chunks: 0,
             chunks_done: 0,
             steps_done: 0,
-            first_token: None,
             fail_ms: 0,
             permanent: false,
             bytes,
-            recovered_attempts: 0,
-            recomputed_tokens: 0,
             evicted: false,
             terminal: None,
         }
@@ -446,7 +422,7 @@ pub fn plan_continuous(cfg: &ServeConfig, requests: &[Request]) -> Vec<Continuou
     plan_continuous_with_events(cfg, requests).0
 }
 
-/// [`plan_continuous`] plus the `sa.events.v2` lifecycle event log and
+/// [`plan_continuous`] plus the `sa.events.v3` lifecycle event log and
 /// any flight-recorder postmortems the governor tripped (see
 /// [`crate::events`]). Everything is emitted by this serial
 /// discrete-event simulation, so the serialized log is byte-identical
@@ -567,6 +543,14 @@ impl<'a> Planner<'a> {
     }
 
     fn run(mut self) -> (Vec<ContinuousPlan>, EventLog) {
+        self.simulate();
+        let plans = self.plans();
+        self.log.postmortems = self.recorder.into_postmortems();
+        (plans, self.log)
+    }
+
+    /// Runs the event loop until every request has resolved.
+    fn simulate(&mut self) {
         while self.done < self.requests.len() {
             // The worker that frees earliest decides the next dispatch
             // instant (lowest index wins ties, deterministically).
@@ -588,9 +572,6 @@ impl<'a> Planner<'a> {
         // baseline — the conservation invariant
         // [`EventLog::check_conservation`] asserts.
         self.apply_releases(u64::MAX);
-        let plans = self.plans();
-        self.log.postmortems = self.recorder.into_postmortems();
-        (plans, self.log)
     }
 
     fn deadline_t(&self, i: usize) -> u64 {
@@ -630,10 +611,19 @@ impl<'a> Planner<'a> {
     }
 
     /// The only writer of the event log: every event carries the
-    /// balance the planner holds at the moment it is emitted.
-    fn emit(&mut self, t: u64, i: usize, kind: EventKind, rung: &str, bytes: u64, reason: String) {
+    /// balance the planner holds at the moment it is emitted. Returns the
+    /// event for a `Retried` payload.
+    fn emit(
+        &mut self,
+        t: u64,
+        i: usize,
+        kind: EventKind,
+        rung: &str,
+        bytes: u64,
+        reason: String,
+    ) -> &mut Event {
         let req = &self.requests[i];
-        self.log.push(t, req, kind, rung, bytes, self.mem_in_use, reason);
+        self.log.push(t, req, kind, rung, bytes, self.mem_in_use, reason)
     }
 
     /// The only writer of the flight recorder. `dispatch` is the
@@ -693,7 +683,7 @@ impl<'a> Planner<'a> {
             false => String::new(),
         };
         self.st[i].phase = Phase::Done;
-        self.st[i].terminal = Some((planned, at));
+        self.st[i].terminal = Some(planned);
         self.emit(at, i, kind, &rung, 0, reason);
         if let Some(t) = release_at {
             let release = (t, self.st[i].bytes, i);
@@ -1163,17 +1153,18 @@ impl<'a> Planner<'a> {
         if !self.st[i].rung.can_certify_alpha() {
             self.uncertified_tokens[t_idx] += tokens;
         }
-        let rung = self.st[i].rung.to_string();
+        let s = &mut self.st[i];
         let reason = format!("budget {budget} ms, {contenders} contenders");
-        self.emit(now, i, EventKind::Dispatched, &rung, 0, reason);
-        if self.st[i].rung != DegradationRung::Full {
+        s.announce.push((EventKind::Dispatched, reason));
+        if s.rung != DegradationRung::Full {
             let reason = if forced {
                 format!("pressure-forced under {} occupancy", level.as_str())
             } else {
                 format!("deadline budget {budget} ms too tight for higher rungs")
             };
-            self.emit(now, i, EventKind::RungDegraded, &rung, 0, reason);
+            s.announce.push((EventKind::RungDegraded, reason));
         }
+        let rung = s.rung.to_string();
         self.decide(now, i, "dispatch", rung, level, (contenders, budget));
         true
     }
@@ -1204,13 +1195,20 @@ impl<'a> Planner<'a> {
     }
 
     /// Runs request `i`'s next micro-task from `now` and returns when
-    /// it ends (when the worker frees).
+    /// it ends (when the worker frees). The first one also logs the
+    /// dispatch decision, stamped with its start.
     fn run_task(&mut self, i: usize, now: u64) -> u64 {
+        if self.st[i].start.is_none() {
+            self.st[i].start = Some(now);
+            let rung = self.st[i].rung.to_string();
+            for (kind, reason) in std::mem::take(&mut self.st[i].announce) {
+                self.emit(now, i, kind, &rung, 0, reason);
+            }
+        }
         let req = &self.requests[i];
         let (cost, _) = self.st[i].next_task(self.cfg, req);
         let end = now + cost.max(1);
         let s = &mut self.st[i];
-        s.start.get_or_insert(now);
         s.last_event = end;
         s.next_ready = end;
         match s.phase {
@@ -1220,7 +1218,6 @@ impl<'a> Planner<'a> {
                 if s.chunks_done == s.n_chunks && req.new_tokens > 0 {
                     s.phase = Phase::Decode;
                 } else if s.chunks_done == s.n_chunks {
-                    s.first_token = Some(end);
                     let rung = s.rung.to_string();
                     let reason = "final prefill chunk".to_string();
                     self.emit(end, i, EventKind::FirstToken, &rung, 0, reason);
@@ -1231,7 +1228,6 @@ impl<'a> Planner<'a> {
                 s.steps_done += 1;
                 let steps_done = s.steps_done;
                 if steps_done == 1 {
-                    s.first_token = Some(end);
                     let rung = s.rung.to_string();
                     let reason = "first decode step".to_string();
                     self.emit(end, i, EventKind::FirstToken, &rung, 0, reason);
@@ -1254,36 +1250,8 @@ impl<'a> Planner<'a> {
         self.st[i].fails_done += 1;
         let (n_chunks, permanent) = (self.st[i].n_chunks, self.st[i].permanent);
         let rung = self.st[i].rung.to_string();
-        // Crash-recovery accounting for the attempt that follows this
-        // crash (the last crash of a permanent failure has no
-        // successor). With recovery on, the successor restores the
-        // chunk-boundary checkpoint and recomputes only the one
-        // in-flight chunk the crash destroyed; with recovery off it
-        // re-runs everything this attempt had already completed.
-        if remaining > 1 || !permanent {
-            let seq = req.seq_len as u64;
-            let chunk = cfg.chunk_size.max(1) as u64;
-            let reason = format!("attempt {} crashed", attempt + 1);
-            self.emit(end, i, EventKind::Retried, &rung, 0, reason);
-            if cfg.recovery_enabled {
-                let h = planned_checkpoint_chunks(cfg, req.id, attempt + 1, n_chunks);
-                if h > 0 {
-                    self.st[i].recovered_attempts += 1;
-                }
-                self.st[i].recomputed_tokens += chunk.min(seq);
-                let reason = format!("chunk-boundary checkpoint at chunk {h} of {n_chunks}");
-                self.emit(end, i, EventKind::CheckpointCaptured, &rung, 0, reason);
-                if h > 0 {
-                    let reason = format!("next attempt resumes from chunk {h}");
-                    self.emit(end, i, EventKind::Recovered, &rung, 0, reason);
-                }
-            } else {
-                let progressed = checkpoint_advance(cfg, req.id, attempt, n_chunks)
-                    .min(n_chunks.saturating_sub(1));
-                self.st[i].recomputed_tokens += ((progressed + 1) * chunk).min(seq);
-            }
-        }
         if remaining == 1 && permanent {
+            // The last crash of a permanent failure has no successor.
             let fails = self.st[i].fails;
             self.finish_plainly(i, Planned::FailPermanent { fails }, end, Some(end));
             self.recorder.trigger(
@@ -1294,9 +1262,33 @@ impl<'a> Planner<'a> {
             );
             return;
         }
+        // What the attempt after this crash costs: its backoff, and the
+        // prefill it recomputes. With recovery on, it restores the
+        // chunk-boundary checkpoint and recomputes only the one
+        // in-flight chunk the crash destroyed; with recovery off it
+        // re-runs everything this attempt had already completed.
         let gap = sim::backoff_ms(cfg, req.id, attempt);
+        let (seq, chunk) = (req.seq_len as u64, cfg.chunk_size.max(1) as u64);
+        let recomputed = if cfg.recovery_enabled {
+            chunk.min(seq)
+        } else {
+            let progressed = checkpoint_advance(cfg, req.id, attempt, n_chunks)
+                .min(n_chunks.saturating_sub(1));
+            ((progressed + 1) * chunk).min(seq)
+        };
+        let reason = format!("attempt {} crashed", attempt + 1);
+        let retried = self.emit(end, i, EventKind::Retried, &rung, 0, reason);
+        (retried.backoff_ms, retried.recomputed_tokens) = (gap, recomputed);
+        if cfg.recovery_enabled {
+            let h = planned_checkpoint_chunks(cfg, req.id, attempt + 1, n_chunks);
+            let reason = format!("chunk-boundary checkpoint at chunk {h} of {n_chunks}");
+            self.emit(end, i, EventKind::CheckpointCaptured, &rung, 0, reason);
+            if h > 0 {
+                let reason = format!("next attempt resumes from chunk {h}");
+                self.emit(end, i, EventKind::Recovered, &rung, 0, reason);
+            }
+        }
         let s = &mut self.st[i];
-        s.backoff_total = s.backoff_total.saturating_add(gap);
         s.next_ready = end.saturating_add(gap);
         if remaining > 1 {
             s.phase = Phase::FailAttempts {
@@ -1321,53 +1313,46 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Assembles the plans in input order.
+    /// The plans in input order.
     fn plans(&self) -> Vec<ContinuousPlan> {
-        let plan_of = |(req, s): (&Request, &RState)| {
+        let plan_of = |s: &RState| {
             // Every request resolved before the loop exited.
-            let (planned, finish) = s
-                .terminal
-                .clone()
-                .unwrap_or((Planned::ExpireInQueue, req.arrival_ms + req.deadline_ms));
+            let planned = s.terminal.clone().unwrap_or(Planned::ExpireInQueue);
             let started_model = planned.runs_model();
-            let start = s.start.unwrap_or(finish).min(finish);
-            // Recovery tallies follow the retries convention: only
-            // outcomes that ran their full fault schedule report them
-            // (a cancelled request's partial tallies describe attempts
-            // whose retries are likewise not reported).
-            let (retries, ran_schedule) = match planned {
-                Planned::Serve { fails } => (fails, true),
-                Planned::FailPermanent { fails } => (fails.saturating_sub(1), true),
-                _ => (0, false),
-            };
-            let tally = |n: u64| if ran_schedule { n } else { 0 };
             ContinuousPlan {
                 planned,
                 rung: if started_model { s.rung } else { DegradationRung::Full },
                 skipped: if started_model { s.skipped.clone() } else { Vec::new() },
-                start_ms: start,
-                finish_ms: finish,
-                queue_wait_ms: start.saturating_sub(req.arrival_ms),
-                retries,
-                backoff_ms: tally(s.backoff_total),
-                first_token_ms: s.first_token.unwrap_or(0),
-                prefill_chunks: s.chunks_done,
-                recovered_attempts: tally(s.recovered_attempts),
-                recomputed_tokens: tally(s.recomputed_tokens),
             }
         };
-        self.requests.iter().zip(&self.st).map(plan_of).collect()
+        self.st.iter().map(plan_of).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{mixed_workload, open_loop_workload};
+    use crate::{lifecycles, mixed_workload, open_loop_workload, Lifecycle};
     use sa_workloads::{ArrivalProcess, ArrivalShape};
 
     fn cfg() -> ServeConfig {
         ServeConfig::default()
+    }
+
+    /// Plans `reqs` under `c`: each request's plan, and its lifecycle as
+    /// the event log records it.
+    fn planned(c: &ServeConfig, reqs: &[Request]) -> (Vec<ContinuousPlan>, Vec<Lifecycle>) {
+        let (plans, log) = plan_continuous_with_events(c, reqs);
+        let lifecycles = lifecycles(&log, reqs);
+        (plans, lifecycles)
+    }
+
+    /// The prefill chunks each request completed on the virtual
+    /// timeline: the planner's own counter once every request resolved.
+    fn chunks_done(c: &ServeConfig, reqs: &[Request]) -> Vec<u64> {
+        let mut p = Planner::new(c, reqs);
+        p.simulate();
+        p.st.iter().map(|s| s.chunks_done).collect()
     }
 
     #[test]
@@ -1376,14 +1361,15 @@ mod tests {
         let reqs: Vec<Request> = (0..4)
             .map(|id| Request::prefill(id, 64, id * 10, 1_000_000))
             .collect();
-        let plans = plan_continuous(&c, &reqs);
-        for p in &plans {
+        let (plans, lcs) = planned(&c, &reqs);
+        for ((p, lc), r) in plans.iter().zip(&lcs).zip(&reqs) {
             assert!(matches!(p.planned, Planned::Serve { fails: 0 }), "{p:?}");
             assert_eq!(p.rung, DegradationRung::Full);
-            assert!(p.first_token_ms > 0);
-            assert_eq!(p.first_token_ms, p.finish_ms, "prefill-only TTFT = finish");
-            assert_eq!(p.prefill_chunks, 2, "64 tokens / 32-chunk = 2 chunks");
+            assert!(lc.ttft_ms.is_some());
+            let first_token = lc.ttft_ms.map(|t| r.arrival_ms + t);
+            assert_eq!(first_token, Some(lc.finish_ms), "prefill-only TTFT = finish");
         }
+        assert_eq!(chunks_done(&c, &reqs), [2; 4], "64 tokens / 32-chunk = 2 chunks");
     }
 
     #[test]
@@ -1400,12 +1386,12 @@ mod tests {
         let long = Request::prefill(0, 512, 0, 1_000_000);
         let short = Request::prefill(1, 48, 1, 1_000_000);
         let slot_held = sim::service_ms(&long, DegradationRung::Full);
-        let cont = plan_continuous(&c, &[long, short]);
+        let (cont, lcs) = planned(&c, &[long, short]);
         assert!(matches!(cont[1].planned, Planned::Serve { .. }));
         assert!(
-            cont[1].finish_ms < slot_held / 4,
+            lcs[1].finish_ms < slot_held / 4,
             "continuous {} ms vs a whole-request slot of {slot_held} ms",
-            cont[1].finish_ms
+            lcs[1].finish_ms
         );
     }
 
@@ -1422,19 +1408,21 @@ mod tests {
         decode.new_tokens = 8;
         let step_ms = decode.decode_step_ms();
         let prefill = Request::prefill(1, 512, 1, 1_000_000);
-        let plans = plan_continuous(&c, &[decode, prefill]);
+        let arrival = decode.arrival_ms;
+        let (plans, lcs) = planned(&c, &[decode, prefill]);
         assert!(matches!(plans[0].planned, Planned::Serve { .. }));
         assert!(matches!(plans[1].planned, Planned::Serve { .. }));
         // Decode-first priority: the decode session finishes its 8
         // tokens long before the 4096 ms prefill completes.
         assert!(
-            plans[0].finish_ms < plans[1].finish_ms,
+            lcs[0].finish_ms < lcs[1].finish_ms,
             "decode {} vs prefill {}",
-            plans[0].finish_ms,
-            plans[1].finish_ms
+            lcs[0].finish_ms,
+            lcs[1].finish_ms
         );
         // The seven steps after the first token all ran.
-        assert!(plans[0].first_token_ms + 7 * step_ms <= plans[0].finish_ms);
+        let first_token = arrival + lcs[0].ttft_ms.unwrap_or(0);
+        assert!(first_token + 7 * step_ms <= lcs[0].finish_ms);
     }
 
     #[test]
@@ -1449,16 +1437,16 @@ mod tests {
         let reqs: Vec<Request> = (0..5)
             .map(|id| Request::prefill(id, 512, 0, 1_000_000))
             .collect();
-        let plans = plan_continuous(&c, &reqs);
+        let (plans, lcs) = planned(&c, &reqs);
         let rejected = plans
             .iter()
             .filter(|p| matches!(p.planned, Planned::RejectOverloaded { .. }))
             .count();
         assert!(rejected >= 1, "bounded pending queue must reject overflow");
-        for p in &plans {
+        for (p, lc) in plans.iter().zip(&lcs) {
             if let Planned::RejectOverloaded { inflight } = p.planned {
                 assert!(inflight >= 2, "rejection carries the load snapshot");
-                assert_eq!(p.start_ms, p.finish_ms);
+                assert_eq!(lc.start_ms, lc.finish_ms);
             }
         }
     }
@@ -1485,14 +1473,14 @@ mod tests {
         let reqs: Vec<Request> = (0..3)
             .map(|id| Request::prefill(id, 512, 0, 10_000_000))
             .collect();
-        let plans = plan_continuous(&c, &reqs);
+        let (plans, lcs) = planned(&c, &reqs);
         for p in &plans {
             assert!(matches!(p.planned, Planned::Serve { .. }), "{p:?}");
         }
         // The third request waited for memory: it starts only after an
         // earlier one finished.
-        let first_finish = plans.iter().map(|p| p.finish_ms).min().unwrap();
-        let last_start = plans.iter().map(|p| p.start_ms).max().unwrap();
+        let first_finish = lcs.iter().map(|lc| lc.finish_ms).min().unwrap();
+        let last_start = lcs.iter().map(|lc| lc.start_ms).max().unwrap();
         assert!(
             last_start >= first_finish,
             "start {last_start} should wait for release at {first_finish}"
@@ -1513,7 +1501,8 @@ mod tests {
         // Less remaining work: preempts the long prefill at every chunk
         // boundary until the long one can no longer make its deadline.
         let short = Request::prefill(2, 256, 1, 1_000_000);
-        let plans = plan_continuous(&c, &[long, hopeless, short]);
+        let reqs = [long, hopeless, short];
+        let (plans, lcs) = planned(&c, &reqs);
         assert!(matches!(plans[1].planned, Planned::ExpireInQueue));
         assert!(matches!(plans[2].planned, Planned::Serve { fails: 0 }));
         // The long request ran at least one chunk, then was shed the
@@ -1521,9 +1510,9 @@ mod tests {
         // the deadline — charged as a mid-run deadline cancellation at
         // the deadline itself.
         assert!(matches!(plans[0].planned, Planned::CancelDeadline));
-        assert_eq!(plans[0].finish_ms, 4500);
-        assert_eq!(plans[0].start_ms, 0, "it started before the shed");
-        assert!(plans[0].prefill_chunks >= 1, "it ran before the shed");
+        assert_eq!(lcs[0].finish_ms, 4500);
+        assert_eq!(lcs[0].start_ms, 0, "it started before the shed");
+        assert!(chunks_done(&c, &reqs)[0] >= 1, "it ran before the shed");
     }
 
     #[test]
@@ -1531,10 +1520,10 @@ mod tests {
         let c = cfg();
         let mut req = Request::prefill(0, 512, 0, 1_000_000);
         req.cancel_after_ms = 10;
-        let plans = plan_continuous(&c, &[req]);
+        let (plans, lcs) = planned(&c, &[req]);
         assert!(matches!(plans[0].planned, Planned::CancelCaller));
-        assert!(plans[0].finish_ms >= 10);
-        assert!(plans[0].finish_ms < 4096, "stopped within ~a chunk");
+        assert!(lcs[0].finish_ms >= 10);
+        assert!(lcs[0].finish_ms < 4096, "stopped within ~a chunk");
     }
 
     #[test]
@@ -1544,15 +1533,15 @@ mod tests {
         transient.fault_fails = 2;
         let mut permanent = Request::prefill(1, 64, 50_000, 1_000_000);
         permanent.fault_fails = 99;
-        let plans = plan_continuous(&c, &[transient, permanent]);
+        let (plans, lcs) = planned(&c, &[transient, permanent]);
         assert!(matches!(plans[0].planned, Planned::Serve { fails: 2 }));
-        assert_eq!(plans[0].retries, 2);
-        assert!(plans[0].backoff_ms >= 2 * c.backoff_base_ms);
+        assert_eq!(lcs[0].retries, 2);
+        assert!(lcs[0].backoff_ms >= 2 * c.backoff_base_ms);
         assert!(
             matches!(plans[1].planned, Planned::FailPermanent { fails }
                 if fails == c.max_retries as u64 + 1)
         );
-        assert_eq!(plans[1].retries, c.max_retries as u64);
+        assert_eq!(lcs[1].retries, c.max_retries as u64);
     }
 
     #[test]
@@ -1572,13 +1561,13 @@ mod tests {
         let mut small = Request::prefill(4, 48, 10, 10_000_000);
         small.tenant = 1;
         reqs.push(small);
-        let plans = plan_continuous(&c, &reqs);
+        let (plans, lcs) = planned(&c, &reqs);
         assert!(matches!(plans[4].planned, Planned::Serve { .. }));
-        let flood_last = plans[..4].iter().map(|p| p.finish_ms).max().unwrap();
+        let flood_last = lcs[..4].iter().map(|lc| lc.finish_ms).max().unwrap();
         assert!(
-            plans[4].finish_ms < flood_last,
+            lcs[4].finish_ms < flood_last,
             "tenant 1 ({} ms) should not trail the whole flood ({} ms)",
-            plans[4].finish_ms,
+            lcs[4].finish_ms,
             flood_last
         );
     }
@@ -1593,11 +1582,12 @@ mod tests {
             tenant_burst_tokens: 32,
             ..cfg()
         };
-        let plans = plan_continuous(&c, &[Request::prefill(0, 128, 0, 1_000_000)]);
+        let reqs = [Request::prefill(0, 128, 0, 1_000_000)];
+        let (plans, lcs) = planned(&c, &reqs);
         assert!(matches!(plans[0].planned, Planned::Serve { fails: 0 }), "{plans:?}");
-        assert_eq!(plans[0].prefill_chunks, 2);
+        assert_eq!(chunks_done(&c, &reqs), [2]);
         // The second chunk waits a full refill: 32 tokens at 32 tokens/s.
-        assert!(plans[0].finish_ms >= 1000, "{plans:?}");
+        assert!(lcs[0].finish_ms >= 1000, "{lcs:?}");
     }
 
     #[test]
@@ -1607,17 +1597,18 @@ mod tests {
             ..cfg()
         };
         let reqs = mixed_workload(11, 48);
-        let a = plan_continuous(&c, &reqs);
-        let b = plan_continuous(&c, &reqs);
+        let a = plan_continuous_with_events(&c, &reqs);
+        let b = plan_continuous_with_events(&c, &reqs);
         assert_eq!(a, b);
-        assert_eq!(a.len(), reqs.len());
-        assert!(a.iter().any(|p| matches!(p.planned, Planned::Serve { fails: 0 })));
-        for (p, r) in a.iter().zip(&reqs) {
-            assert!(p.finish_ms >= p.start_ms, "{p:?}");
-            assert!(p.start_ms >= r.arrival_ms, "{p:?}");
-            if p.first_token_ms > 0 {
-                assert!(p.first_token_ms >= p.start_ms);
-                assert!(p.first_token_ms <= p.finish_ms);
+        let (plans, lcs) = (a.0, lifecycles(&a.1, &reqs));
+        assert_eq!(plans.len(), reqs.len());
+        assert!(plans.iter().any(|p| matches!(p.planned, Planned::Serve { fails: 0 })));
+        for (lc, r) in lcs.iter().zip(&reqs) {
+            assert!(lc.finish_ms >= lc.start_ms, "{lc:?}");
+            assert!(lc.start_ms >= r.arrival_ms, "{lc:?}");
+            if let Some(ttft) = lc.ttft_ms {
+                assert!(r.arrival_ms + ttft >= lc.start_ms);
+                assert!(r.arrival_ms + ttft <= lc.finish_ms);
             }
         }
     }
@@ -1657,10 +1648,11 @@ mod tests {
         };
         let mut req = Request::prefill(0, 512, 0, 1_000_000);
         req.fault_fails = 2;
-        let with = plan_continuous(&recovery, &[req.clone()]);
-        let without = plan_continuous(&scratch, &[req]);
-        assert!(matches!(with[0].planned, Planned::Serve { fails: 2 }));
-        assert!(matches!(without[0].planned, Planned::Serve { fails: 2 }));
+        let reqs = [req];
+        let (with_plans, with) = planned(&recovery, &reqs);
+        let (without_plans, without) = planned(&scratch, &reqs);
+        assert!(matches!(with_plans[0].planned, Planned::Serve { fails: 2 }));
+        assert!(matches!(without_plans[0].planned, Planned::Serve { fails: 2 }));
         // Every crash left a non-empty checkpoint behind (512 tokens =
         // 16 chunks; the first crash already advances at least one).
         assert_eq!(with[0].recovered_attempts, 2);
@@ -1682,8 +1674,8 @@ mod tests {
             without[0].finish_ms
         );
         // Both still complete the full prefill on the virtual timeline.
-        assert_eq!(with[0].prefill_chunks, 16);
-        assert_eq!(without[0].prefill_chunks, 16);
+        assert_eq!(chunks_done(&recovery, &reqs), [16]);
+        assert_eq!(chunks_done(&scratch, &reqs), [16]);
     }
 
     #[test]
@@ -1692,15 +1684,15 @@ mod tests {
         let clean = Request::prefill(0, 64, 0, 1_000_000);
         let mut permanent = Request::prefill(1, 64, 50_000, 1_000_000);
         permanent.fault_fails = 99;
-        let plans = plan_continuous(&c, &[clean, permanent]);
-        assert_eq!(plans[0].recovered_attempts, 0);
-        assert_eq!(plans[0].recomputed_tokens, 0);
+        let (plans, lcs) = planned(&c, &[clean, permanent]);
+        assert_eq!(lcs[0].recovered_attempts, 0);
+        assert_eq!(lcs[0].recomputed_tokens, 0);
         // A permanent failure's last crash has no successor: resumes
         // happen only between the `fails` attempts.
         let fails = c.max_retries as u64 + 1;
         assert!(matches!(plans[1].planned, Planned::FailPermanent { fails: f } if f == fails));
-        assert!(plans[1].recovered_attempts < fails);
-        assert!(plans[1].recomputed_tokens > 0);
+        assert!(lcs[1].recovered_attempts < fails);
+        assert!(lcs[1].recomputed_tokens > 0);
     }
 
     #[test]
@@ -1726,21 +1718,21 @@ mod tests {
         // Urgent on arrival: the deadline is shorter than the full-rung
         // service, so the giant may fill the pool to the brim at once.
         let giant = Request::prefill(1, 512, 100, 2_000);
-        let governed = plan_continuous(&base, &[decode.clone(), giant.clone()]);
+        let (governed, lcs) = planned(&base, &[decode.clone(), giant.clone()]);
         assert!(matches!(governed[0].planned, Planned::Serve { .. }));
         assert!(matches!(governed[1].planned, Planned::Serve { .. }), "{:?}", governed[1]);
         assert!(
-            governed[1].start_ms < governed[0].finish_ms,
+            lcs[1].start_ms < lcs[0].finish_ms,
             "eviction admitted the giant (start {}) while the decode ran (finish {})",
-            governed[1].start_ms,
-            governed[0].finish_ms
+            lcs[1].start_ms,
+            lcs[0].finish_ms
         );
         let parked = ServeConfig {
             mem_low_permille: 1000,
             mem_high_permille: 1000,
             ..base
         };
-        let ungoverned = plan_continuous(&parked, &[decode, giant]);
+        let (_, ungoverned) = planned(&parked, &[decode, giant]);
         assert!(
             ungoverned[1].start_ms >= ungoverned[0].finish_ms,
             "without the governor the giant (start {}) waits for the release ({})",
@@ -1818,16 +1810,16 @@ mod tests {
         let g1 = Request::prefill(0, 512, 0, 1_000_000);
         let g2 = Request::prefill(1, 512, 1, 1_000_000);
         let urgent = Request::prefill(2, 96, 2, 338);
-        let plans = plan_continuous(&c, &[g1, g2, urgent]);
+        let (plans, lcs) = planned(&c, &[g1, g2, urgent]);
         for p in &plans {
             assert!(matches!(p.planned, Planned::Serve { .. }), "{p:?}");
         }
         assert!(
-            plans[2].finish_ms <= 2 + 338,
+            lcs[2].finish_ms <= 2 + 338,
             "urgent request served within its deadline, not behind the giants"
         );
         assert!(
-            plans[1].start_ms >= plans[0].finish_ms.min(plans[2].finish_ms),
+            lcs[1].start_ms >= lcs[0].finish_ms.min(lcs[2].finish_ms),
             "second giant was deferred, not admitted alongside the first"
         );
     }
@@ -2066,10 +2058,7 @@ mod tests {
         assert_eq!(p.govern(0, 11), Governed::Shed);
         assert!(metrics::counter("serve.pressure.sheds").get() > sheds);
         assert_eq!(p.done, 1);
-        assert_eq!(
-            p.st[0].terminal,
-            Some((Planned::RejectBudget { required_bytes: required }, 11))
-        );
+        assert_eq!(p.st[0].terminal, Some(Planned::RejectBudget { required_bytes: required }));
         assert!(p.releases.is_empty(), "a queued request holds no memory to release");
         let ev = p.log.events.last().unwrap();
         assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::ShedGovernor, 11, 0));
@@ -2101,6 +2090,32 @@ mod tests {
         let mut p = governed(&c, &patient, 900, free + 1_001);
         assert_eq!(p.govern(0, 11), Governed::Wait);
         assert_eq!(p.done, 0);
+    }
+
+    #[test]
+    fn a_request_its_bucket_holds_back_is_logged_at_its_first_micro_task() {
+        // Dispatched at t=0 against an empty tenant bucket, the first
+        // 32-token chunk waits 16 ms for the refill (2048 tokens/s); with
+        // a cancel at t=10 it never runs. The dispatch reaches the log
+        // when the chunk starts, or never, so the fold's start is when
+        // work started.
+        for (cancel_after_ms, planned, dispatched, start, rung) in [
+            (0, Planned::Serve { fails: 0 }, vec![16], 16, "full"),
+            // The rung was fixed at dispatch, against 10 ms to the cancel.
+            (10, Planned::CancelCaller, vec![], 10, "tight"),
+        ] {
+            let mut req = Request::prefill(0, 64, 0, 1_000_000);
+            req.cancel_after_ms = cancel_after_ms;
+            let (c, reqs) = (cfg(), [req]);
+            let mut p = Planner::new(&c, &reqs);
+            p.buckets[0].level_milli = 0;
+            let (plans, log) = p.run();
+            assert_eq!(plans[0].planned, planned);
+            let stamps = log.events.iter().filter(|e| e.kind == EventKind::Dispatched);
+            assert_eq!(stamps.map(|e| e.t_ms).collect::<Vec<_>>(), dispatched);
+            let lc = &lifecycles(&log, &reqs)[0];
+            assert_eq!((lc.start_ms, lc.queue_wait_ms, lc.rung.as_str()), (start, start, rung));
+        }
     }
 
     /// A planner whose only request has been admitted at t=0 and waits
@@ -2135,6 +2150,8 @@ mod tests {
         let mut p = admitted(&c, &reqs);
         assert!(p.dispatch(0, 0, 1));
         assert_eq!(p.st[0].rung, DegradationRung::PaperDefault);
+        assert!(p.log.events.is_empty(), "logged when the first micro-task starts");
+        p.run_task(0, 0);
         let reasons: Vec<&str> = p.log.events.iter().map(|e| e.reason.as_str()).collect();
         assert_eq!(
             reasons,
@@ -2149,7 +2166,8 @@ mod tests {
         p.mem_in_use = c.mem_budget_bytes / 1000 * 900;
         assert!(!p.dispatch(0, 0, 1));
         assert!(metrics::counter("serve.pressure.forced_rungs").get() > forced);
-        assert_eq!(p.st[0].terminal, Some((Planned::ShedQualityFloor, 0)));
+        assert_eq!(p.st[0].terminal, Some(Planned::ShedQualityFloor));
+        assert_eq!(p.log.events.last().unwrap().t_ms, 0);
         assert_eq!(p.done, 1);
         assert_eq!(p.releases, [(0, p.st[0].bytes, 0)], "its reservation is released");
         let refusal = "quality floor: no permitted rung fits the 750 ms dispatch budget";
@@ -2174,7 +2192,8 @@ mod tests {
         let mut p = admitted(&c, &reqs);
         p.dispatched_tokens[0] = 1_000;
         assert!(!p.dispatch(0, 0, 1));
-        assert_eq!(p.st[0].terminal, Some((Planned::ShedQualityFloor, 0)));
+        assert_eq!(p.st[0].terminal, Some(Planned::ShedQualityFloor));
+        assert_eq!(p.log.events.last().unwrap().t_ms, 0);
         assert_eq!(
             p.log.events.last().unwrap().reason,
             "quality floor: uncertified rung would put tenant 0 at 512 of 1512 tokens (cap 100‰)"

@@ -35,7 +35,7 @@ use crate::Request;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Schema tag for a serialized [`EventLog`].
-pub const EVENTS_SCHEMA: &str = "sa.events.v2";
+pub const EVENTS_SCHEMA: &str = "sa.events.v3";
 
 /// Decisions kept in the flight-recorder ring before the oldest is
 /// dropped.
@@ -44,7 +44,7 @@ pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
 /// Postmortems retained per planner run; later triggers only count.
 const MAX_POSTMORTEMS: usize = 8;
 
-/// One lifecycle transition kind (`sa.events.v2` taxonomy).
+/// One lifecycle transition kind (`sa.events.v3` taxonomy).
 ///
 /// Each terminal kind has exactly one ledger [`Outcome`]
 /// ([`EventKind::outcome`]); only
@@ -62,8 +62,12 @@ pub enum EventKind {
     /// Admission of the queue head was deferred by the pressure
     /// governor (mirrors the `serve.pressure.deferrals` counter).
     Deferred,
-    /// First scheduled onto a worker; the degradation rung is final
-    /// from here on.
+    /// The request's first micro-task started on a worker: its stamp is
+    /// the ledger's `start_ms`. The degradation rung was fixed by the
+    /// dispatch decision and is final; the reason carries that
+    /// decision's budget. A request the tenant's token bucket held back
+    /// is stamped when its first micro-task does run, and one that
+    /// resolves before any ran has no `Dispatched` event.
     Dispatched,
     /// Dispatched below the full-attention rung (deadline budget or
     /// pressure-forced).
@@ -76,7 +80,8 @@ pub enum EventKind {
     CheckpointCaptured,
     /// A retry resumed prefill from a non-empty checkpoint.
     CheckpointRestored,
-    /// An attempt crashed and a retry was scheduled.
+    /// An attempt crashed and a retry was scheduled (`backoff_ms` and
+    /// `recomputed_tokens` carry what the retry costs).
     Retried,
     /// The scheduled retry will resume from checkpointed progress
     /// instead of re-running prefill from scratch.
@@ -215,6 +220,13 @@ pub struct Event {
     pub bytes: u64,
     /// Planner memory-ledger balance *after* this transition.
     pub mem_in_use: u64,
+    /// Backoff before the retry a `Retried` event schedules; 0 for every
+    /// other kind.
+    pub backoff_ms: u64,
+    /// Prefill tokens that retry recomputes (the in-flight chunk with
+    /// recovery on, the crashed attempt's progress with it off); 0 for
+    /// every other kind.
+    pub recomputed_tokens: u64,
     /// Typed human-readable reason.
     pub reason: String,
 }
@@ -227,6 +239,8 @@ sa_json::impl_json_struct!(Event {
     rung,
     bytes,
     mem_in_use,
+    backoff_ms,
+    recomputed_tokens,
     reason
 });
 
@@ -350,7 +364,7 @@ impl FlightRecorder {
     }
 }
 
-/// The per-request serving event log (`sa.events.v2`).
+/// The per-request serving event log (`sa.events.v3`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventLog {
     /// Schema tag ([`EVENTS_SCHEMA`]).
@@ -383,7 +397,9 @@ impl EventLog {
         }
     }
 
-    /// Appends one event of `req`'s lifecycle.
+    /// Appends one event of `req`'s lifecycle and returns it, so the
+    /// caller can fill the typed payload of a
+    /// [`Retried`](EventKind::Retried) event.
     #[allow(clippy::too_many_arguments)]
     pub fn push(
         &mut self,
@@ -394,7 +410,7 @@ impl EventLog {
         bytes: u64,
         mem_in_use: u64,
         reason: String,
-    ) {
+    ) -> &mut Event {
         self.events.push(Event {
             t_ms,
             request_id: req.id,
@@ -403,8 +419,12 @@ impl EventLog {
             rung: rung.to_string(),
             bytes,
             mem_in_use,
+            backoff_ms: 0,
+            recomputed_tokens: 0,
             reason,
         });
+        let last = self.events.len() - 1;
+        &mut self.events[last]
     }
 
     /// The terminal event of each request, keyed by id.
@@ -416,11 +436,6 @@ impl EventLog {
             }
         }
         out
-    }
-
-    /// Events of one request in emission order.
-    pub fn for_request(&self, id: u64) -> Vec<&Event> {
-        self.events.iter().filter(|e| e.request_id == id).collect()
     }
 
     /// Reconciles planner-emitted terminal events with the executed
@@ -459,8 +474,9 @@ impl EventLog {
     /// Memory-conservation half of the validator: replays the `bytes`
     /// deltas of admission / eviction / release events from the weights
     /// baseline and checks every stamped `mem_in_use` balance, terminal
-    /// uniqueness, and that the balance returns to the baseline (every
-    /// reservation released exactly once). Usable on plan-only logs.
+    /// uniqueness, that only a `Retried` event carries a retry payload,
+    /// and that the balance returns to the baseline (every reservation
+    /// released exactly once). Usable on plan-only logs.
     ///
     /// # Errors
     ///
@@ -489,6 +505,12 @@ impl EventLog {
                         ));
                     }
                 }
+            }
+            if ev.kind != EventKind::Retried && (ev.backoff_ms != 0 || ev.recomputed_tokens != 0) {
+                return Err(format!(
+                    "event {i}: request {} kind {:?} carries a retry payload",
+                    ev.request_id, ev.kind
+                ));
             }
             if ev.mem_in_use != bal {
                 return Err(format!(
@@ -580,6 +602,8 @@ mod tests {
             rung: String::new(),
             bytes,
             mem_in_use,
+            backoff_ms: 0,
+            recomputed_tokens: 0,
             reason: String::new(),
         }
     }
@@ -590,6 +614,9 @@ mod tests {
         let mut req = Request::prefill(1, 64, 0, 100);
         req.tenant = 2;
         log.push(0, &req, EventKind::Enqueued, "", 0, weight_bytes(), "edf".to_string());
+        let reason = "attempt 1 crashed".to_string();
+        let retried = log.push(3, &req, EventKind::Retried, "full", 0, weight_bytes(), reason);
+        (retried.backoff_ms, retried.recomputed_tokens) = (8, 32);
         log.push(5, &req, EventKind::Completed, "full", 0, weight_bytes(), String::new());
         log.postmortems.push(Postmortem {
             trigger: "shed".to_string(),
@@ -647,6 +674,15 @@ mod tests {
             .check_conservation()
             .unwrap_err()
             .contains("after terminal"));
+
+        // Only a `Retried` event carries a retry payload.
+        let mut retried = balanced.clone();
+        let mut crash = event(0, EventKind::Retried, 0, base + 100);
+        (crash.backoff_ms, crash.recomputed_tokens) = (8, 32);
+        retried.events.insert(1, crash);
+        assert!(retried.check_conservation().is_ok());
+        retried.events[2].recomputed_tokens = 32;
+        assert!(retried.check_conservation().unwrap_err().contains("retry payload"));
     }
 
     #[test]

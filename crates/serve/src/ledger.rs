@@ -14,6 +14,7 @@
 //!   [`DegradationReport`], and the window-only rung can never report
 //!   `alpha_satisfied = true` (the ladder's core invariant).
 
+use crate::lifecycle::token_latencies;
 use crate::request::RequestKind;
 use crate::Request;
 use sa_core::DegradationReport;
@@ -25,7 +26,8 @@ pub enum Outcome {
     Served,
     /// Rejected at arrival: all slots and queue positions taken.
     RejectedOverloaded,
-    /// Rejected at start: projected memory exceeded `SA_MEM_BUDGET`.
+    /// Rejected at start: projected memory exceeded the memory budget
+    /// ([`mem_budget_bytes`](crate::ServeConfig::mem_budget_bytes)).
     RejectedBudget,
     /// Deadline expired while waiting for a slot; never ran.
     ExpiredInQueue,
@@ -156,14 +158,12 @@ sa_json::impl_json_struct!(RequestRecord {
 });
 
 impl RequestRecord {
-    /// Time per output token: the decode span after the first token
-    /// over the remaining tokens, for a served multi-token request
-    /// that recorded its first token.
+    /// Time per output token ([`token_latencies`]'s rule), for a
+    /// served multi-token request that recorded its first token.
     pub fn tpot_ms(&self) -> Option<u64> {
-        (self.ttft_ms > 0 && self.outcome == Outcome::Served && self.new_tokens > 1).then(|| {
-            let decode_span = self.finish_ms.saturating_sub(self.arrival_ms + self.ttft_ms);
-            decode_span / (self.new_tokens - 1)
-        })
+        let first_token = (self.ttft_ms > 0).then(|| self.arrival_ms + self.ttft_ms);
+        let served = self.outcome == Outcome::Served;
+        token_latencies(self.arrival_ms, first_token, self.finish_ms, served, self.new_tokens).1
     }
 }
 

@@ -8,8 +8,7 @@
 //!
 //! ## Architecture
 //!
-//! - [`ServeConfig`] ([`config`]) — tunables plus the `SA_DEADLINE_MS`,
-//!   `SA_MEM_BUDGET`, `SA_MAX_INFLIGHT` environment knobs.
+//! - [`ServeConfig`] ([`config`]) — the tunables, set in code.
 //! - [`Request`] / [`mixed_workload`] ([`request`]) — what arrives:
 //!   prefills and decodes with deadlines, caller cancellations, and
 //!   transient-fault scripts.
@@ -46,6 +45,11 @@
 //!   probation clears), and per-tenant [`TenantFloor`]s keep the
 //!   degradation ladder from dropping a tenant below its contracted
 //!   quality — the planner sheds instead, typed.
+//! - [`lifecycle`] — the one fold from a planner's event log to each
+//!   request's [`Lifecycle`] ([`lifecycles`]): start, finish, TTFT and
+//!   TPOT ([`token_latencies`]), and the retry tallies. The ledger's
+//!   planner columns, the event-level SLO summary and the serving
+//!   timeline all read it; the planner records nothing else.
 //! - [`slo`] — SLO accounting: one fold over one row per request, read
 //!   from an executed ledger ([`SloSummary::from_ledger`]) or from a
 //!   planner's event log ([`SloSummary::from_events`]), into TTFT/TPOT
@@ -55,7 +59,7 @@
 //!   watermarks; its [`PressureLevel`]s drive the continuous planner's
 //!   governor ladder (defer → evict → force lower rungs → shed) and the
 //!   execution side's checkpoint-restore reservations.
-//! - [`events`] — the telemetry plane: the `sa.events.v2` per-request
+//! - [`events`] — the telemetry plane: the `sa.events.v3` per-request
 //!   lifecycle [`EventLog`] the planner emits, the events↔ledger
 //!   conservation validator, and the scheduler [`FlightRecorder`] whose
 //!   [`Postmortem`]s capture the decisions leading up to a shed, a
@@ -101,6 +105,7 @@ pub mod config;
 pub mod continuous;
 pub mod events;
 pub mod ledger;
+pub mod lifecycle;
 pub mod memory;
 pub mod quality;
 pub mod request;
@@ -114,6 +119,7 @@ pub use events::{
     Event, EventKind, EventLog, FlightRecorder, PlannerDecision, Postmortem, EVENTS_SCHEMA,
 };
 pub use ledger::{Ledger, Outcome, RequestRecord, LEDGER_SCHEMA};
+pub use lifecycle::{lifecycles, token_latencies, Lifecycle};
 pub use memory::{MemoryLedger, PressureLevel};
 pub use quality::{
     canary_probe, is_canary, CanaryObservation, GuardedMethod, HeadCanary, QualityGuard,

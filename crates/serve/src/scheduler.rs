@@ -48,6 +48,7 @@
 use crate::continuous::{self, ContinuousPlan};
 use crate::events::EventLog;
 use crate::ledger::{Ledger, Outcome, RequestRecord, LEDGER_SCHEMA};
+use crate::lifecycle::{lifecycles, Lifecycle};
 use crate::memory::MemoryLedger;
 use crate::quality::{canary_probe, is_canary, CanaryObservation, GuardedMethod, QualityGuard};
 use crate::sim::Planned;
@@ -119,8 +120,8 @@ impl Scheduler {
     /// Runs an open-loop stream under continuous batching: plans the
     /// interleaved timeline on the virtual clock, executes the admitted
     /// requests' model work in parallel, and returns the ledger sorted
-    /// by request id — first-token (TTFT) timing and recovery tallies
-    /// filled in from the plan — together with the planner's
+    /// by request id — its timing, TTFT and retry columns folded from
+    /// the planner's event log ([`lifecycles`]) — together with the planner's
     /// [`EventLog`] (including the flight-recorder
     /// [`Postmortem`](crate::Postmortem)s), reconciled against the
     /// executed outcomes (see [`EventLog::reconcile`]) so
@@ -163,11 +164,14 @@ impl Scheduler {
     }
 
     /// The run both entry points share, under the frozen quarantine
-    /// `mask` (empty = no quarantine): plan the stream, run every
-    /// request's planned work in parallel, sort the records (and the
-    /// canary observations beside them, so a caller's serial absorb is
+    /// `mask` (empty = no quarantine): plan the stream, fold the
+    /// planner's log into each request's lifecycle, run every request's
+    /// planned work in parallel, sort the records (and the canary
+    /// observations beside them, so a caller's serial absorb is
     /// deterministic) by request id, publish the metrics, and reconcile
-    /// the planner's log against what execution did.
+    /// the planner's log against what execution did. The fold reads the
+    /// log before reconciling it: the retry tallies follow the planned
+    /// outcome.
     fn run_masked(
         &self,
         requests: &[Request],
@@ -175,12 +179,9 @@ impl Scheduler {
     ) -> Result<(Ledger, EventLog, Vec<CanaryObservation>), TensorError> {
         let _span = sa_trace::span_in("serve", "continuous");
         let (plans, mut log) = continuous::plan_continuous_with_events(&self.cfg, requests);
+        let lifecycles = lifecycles(&log, requests);
         let mut pairs = pool::try_parallel_map("serve_continuous", requests.len(), 1, |i| {
-            let (mut rec, obs) = self.execute(&requests[i], &plans[i], mask);
-            rec.ttft_ms = plans[i].first_token_ms.saturating_sub(rec.arrival_ms);
-            rec.recovered_attempts = plans[i].recovered_attempts;
-            rec.recomputed_tokens = plans[i].recomputed_tokens;
-            (rec, obs)
+            self.execute(&requests[i], &plans[i], &lifecycles[i], mask)
         })?;
         pairs.sort_by_key(|(rec, _)| rec.id);
         let (records, observations): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
@@ -196,12 +197,16 @@ impl Scheduler {
 
     /// Executes one planned request under the frozen quarantine `mask`
     /// (empty = no quarantine). Never panics and never fails: every
-    /// error becomes a ledger outcome. Returns the record plus the
-    /// shadow-canary observation when this request drew canary duty.
+    /// error becomes a ledger outcome. The record's planner columns come
+    /// from the request's [`Lifecycle`]; execution fills what it
+    /// measures, and overrides the outcome where it diverged from the
+    /// plan. Returns the record plus the shadow-canary observation when
+    /// this request drew canary duty.
     fn execute(
         &self,
         req: &Request,
         plan: &ContinuousPlan,
+        lc: &Lifecycle,
         mask: &[bool],
     ) -> (RequestRecord, Option<CanaryObservation>) {
         let mut report = DegradationReport::new(self.cfg.alpha_target);
@@ -213,20 +218,22 @@ impl Scheduler {
             kind: req.kind,
             seq_len: req.seq_len as u64,
             arrival_ms: req.arrival_ms,
-            start_ms: plan.start_ms,
-            finish_ms: plan.finish_ms,
-            queue_wait_ms: plan.queue_wait_ms,
+            start_ms: lc.start_ms,
+            finish_ms: lc.finish_ms,
+            queue_wait_ms: lc.queue_wait_ms,
             tenant: req.tenant,
             new_tokens: req.new_tokens as u64,
-            ttft_ms: 0,
-            outcome: Outcome::Served,
-            rung: String::new(),
+            ttft_ms: lc.ttft_ms.unwrap_or(0),
+            // A request the log never resolved fails the ledger's
+            // rung-consistency check instead of passing as served.
+            outcome: lc.outcome.unwrap_or(Outcome::Failed),
+            rung: lc.rung.clone(),
             alpha_satisfied: false,
             degraded: false,
-            retries: plan.retries,
-            backoff_ms: plan.backoff_ms,
-            recovered_attempts: 0,
-            recomputed_tokens: 0,
+            retries: lc.retries,
+            backoff_ms: lc.backoff_ms,
+            recovered_attempts: lc.recovered_attempts,
+            recomputed_tokens: lc.recomputed_tokens,
             chunks_completed: 0,
             chunks_total: 0,
             error: String::new(),
@@ -240,7 +247,6 @@ impl Scheduler {
 
         match plan.planned {
             Planned::RejectOverloaded { inflight } => {
-                rec.outcome = Outcome::RejectedOverloaded;
                 rec.error = SaError::Overloaded {
                     inflight,
                     max_inflight: self.cfg.slots(),
@@ -248,7 +254,6 @@ impl Scheduler {
                 .to_string();
             }
             Planned::RejectBudget { required_bytes } => {
-                rec.outcome = Outcome::RejectedBudget;
                 rec.error = SaError::BudgetExceeded {
                     required_bytes,
                     budget_bytes: self.cfg.mem_budget_bytes,
@@ -256,7 +261,6 @@ impl Scheduler {
                 .to_string();
             }
             Planned::ExpireInQueue => {
-                rec.outcome = Outcome::ExpiredInQueue;
                 rec.error = SaError::DeadlineExceeded {
                     site: "serve_queue",
                     completed: 0,
@@ -265,7 +269,6 @@ impl Scheduler {
                 .to_string();
             }
             Planned::ShedQualityFloor => {
-                rec.outcome = Outcome::ShedQualityFloor;
                 rec.error = SaError::QualityFloor {
                     tenant: req.tenant,
                     what: "no permitted rung fits the remaining deadline".to_string(),
@@ -312,7 +315,6 @@ impl Scheduler {
                         report.record(plan.rung, false, "planned cancellation not observed");
                     }
                 }
-                rec.rung = plan.rung.as_str().to_string();
             }
             Planned::Serve { fails } | Planned::FailPermanent { fails } => {
                 let clean_final = matches!(plan.planned, Planned::Serve { .. });
@@ -327,7 +329,6 @@ impl Scheduler {
                         report.record(plan.rung, false, "retry_exhausted");
                     }
                 }
-                rec.rung = plan.rung.as_str().to_string();
             }
         }
 

@@ -17,10 +17,9 @@
 //! - the degradation-ladder walk ([`choose_rung`],
 //!   [`choose_rung_floored`]), which respects a tenant's quality floor;
 //! - the admission memory model: scaled ChatGLM2-6B footprints
-//!   ([`request_bytes`], [`weight_bytes`]) against `SA_MEM_BUDGET`;
+//!   ([`request_bytes`], [`weight_bytes`]) against the memory budget;
 //! - seeded-jitter exponential retry backoff ([`backoff_ms`]).
 
-use crate::ledger::Outcome;
 use crate::{Request, ServeConfig};
 use sa_core::DegradationRung;
 use sa_perf::memory::{prefill_footprint, PrefillStyle};
@@ -64,20 +63,6 @@ impl Planned {
         )
     }
 
-    /// The ledger outcome this resolution executes to when execution
-    /// follows the plan.
-    pub fn outcome(&self) -> Outcome {
-        match self {
-            Planned::Serve { .. } => Outcome::Served,
-            Planned::FailPermanent { .. } => Outcome::Failed,
-            Planned::CancelCaller => Outcome::Cancelled,
-            Planned::CancelDeadline => Outcome::DeadlineExceeded,
-            Planned::ExpireInQueue => Outcome::ExpiredInQueue,
-            Planned::RejectOverloaded { .. } => Outcome::RejectedOverloaded,
-            Planned::RejectBudget { .. } => Outcome::RejectedBudget,
-            Planned::ShedQualityFloor => Outcome::ShedQualityFloor,
-        }
-    }
 }
 
 /// A rung's cost factor as an integer per-mille, rounded to nearest.
@@ -223,10 +208,15 @@ pub(crate) fn terminal_reason(planned: &Planned, budget: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan_continuous;
+    use crate::{lifecycles, plan_continuous, plan_continuous_with_events, Lifecycle};
 
     fn cfg() -> ServeConfig {
         ServeConfig::default()
+    }
+
+    /// Each request's lifecycle in the log of planning `reqs` under `c`.
+    fn lifecycles_of(c: &ServeConfig, reqs: &[Request]) -> Vec<Lifecycle> {
+        lifecycles(&plan_continuous_with_events(c, reqs).1, reqs)
     }
 
     #[test]
@@ -363,7 +353,7 @@ mod tests {
         let plans = plan_continuous(&c, &reqs);
         assert!(matches!(plans[0].planned, Planned::Serve { .. }));
         assert!(matches!(plans[1].planned, Planned::Serve { .. }));
-        assert!(plans[1].queue_wait_ms > 0, "second request waited");
+        assert!(lifecycles_of(&c, &reqs)[1].queue_wait_ms > 0, "second request waited");
         assert!(matches!(
             plans[2].planned,
             Planned::RejectOverloaded { inflight: 2 }
@@ -391,11 +381,13 @@ mod tests {
         let c = cfg();
         let mut req = Request::prefill(3, 64, 0, 1_000_000);
         req.fault_fails = 2;
-        let plans = plan_continuous(&c, &[req]);
+        let reqs = [req];
+        let plans = plan_continuous(&c, &reqs);
         assert!(matches!(plans[0].planned, Planned::Serve { fails: 2 }));
-        assert_eq!(plans[0].retries, 2);
+        let lc = &lifecycles_of(&c, &reqs)[0];
+        assert_eq!(lc.retries, 2);
         let expected = backoff_ms(&c, 3, 0) + backoff_ms(&c, 3, 1);
-        assert_eq!(plans[0].backoff_ms, expected, "the plan sleeps the seeded schedule");
+        assert_eq!(lc.backoff_ms, expected, "the plan sleeps the seeded schedule");
         assert!(expected >= 2 * c.backoff_base_ms);
         // Jitter is deterministic in (seed, id, attempt).
         assert_eq!(backoff_ms(&c, 3, 0), backoff_ms(&c, 3, 0));
@@ -411,14 +403,15 @@ mod tests {
             };
             let mut req = Request::prefill(0, 64, 0, 1_000_000);
             req.fault_fails = 99;
-            let plans = plan_continuous(&c, &[req]);
+            let reqs = [req];
+            let plans = plan_continuous(&c, &reqs);
             assert!(
                 matches!(plans[0].planned, Planned::FailPermanent { fails }
                     if fails == max_retries as u64 + 1),
                 "max_retries {max_retries}: {:?}",
                 plans[0]
             );
-            assert_eq!(plans[0].retries, max_retries as u64);
+            assert_eq!(lifecycles_of(&c, &reqs)[0].retries, max_retries as u64);
         }
     }
 
@@ -430,9 +423,11 @@ mod tests {
         let mut req = Request::prefill(0, 64, 0, 1_000_000);
         req.fault_fails = 1;
         req.cancel_after_ms = 10;
-        let plans = plan_continuous(&c, &[req]);
+        let reqs = [req];
+        let plans = plan_continuous(&c, &reqs);
         assert!(matches!(plans[0].planned, Planned::CancelCaller), "{plans:?}");
-        assert!(plans[0].finish_ms >= 10);
-        assert!(plans[0].finish_ms < 64, "cancelled before the retry completed");
+        let finish_ms = lifecycles_of(&c, &reqs)[0].finish_ms;
+        assert!(finish_ms >= 10);
+        assert!(finish_ms < 64, "cancelled before the retry completed");
     }
 }

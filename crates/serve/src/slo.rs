@@ -25,8 +25,9 @@
 //! Percentiles use the nearest-rank rule on the virtual-clock values,
 //! so a summary is bit-deterministic whenever its ledger or log is.
 
-use crate::events::{EventKind, EventLog};
+use crate::events::EventLog;
 use crate::ledger::{Ledger, Outcome};
+use crate::lifecycle::lifecycles;
 use crate::Request;
 use sa_core::DegradationRung;
 use std::collections::BTreeMap;
@@ -122,7 +123,8 @@ sa_json::impl_json_struct!(TenantQuality {
 });
 
 /// One request as the SLO fold sees it, whatever it was derived from: a
-/// ledger record, or the terminal and first-token events of a log.
+/// ledger record, or a request's [`Lifecycle`](crate::Lifecycle) in a
+/// log.
 #[derive(Debug, Clone, PartialEq)]
 struct SloRow {
     /// Tenant the request billed against.
@@ -330,38 +332,25 @@ impl SloSummary {
     /// stream it planned, without executing any model work: the planner
     /// fixes every outcome and timing on the virtual clock, so the log's
     /// numbers are the ones an execution that follows the plan records.
-    /// Each request's row comes from its terminal event (kind → outcome
-    /// through [`EventKind::outcome`], stamp → finish, rung → the quality
-    /// columns) and its `FirstToken` stamp (TTFT, and TPOT over the
-    /// decode steps of a served multi-token request). A request without
-    /// a terminal event in the log has no row.
+    /// Each request's row is its [`Lifecycle`](crate::Lifecycle)
+    /// ([`lifecycles`]): outcome, finish, rung (the quality columns),
+    /// TTFT and TPOT. A request without a terminal event in the log has
+    /// no row.
     pub fn from_events(scheduler: &str, log: &EventLog, requests: &[Request]) -> Self {
-        let terminals = log.terminals();
-        let first_tokens: BTreeMap<u64, u64> = log
-            .events
-            .iter()
-            .filter(|ev| ev.kind == EventKind::FirstToken)
-            .map(|ev| (ev.request_id, ev.t_ms))
-            .collect();
         let rows: Vec<SloRow> = requests
             .iter()
-            .filter_map(|req| {
-                let term = terminals.get(&req.id)?;
-                let outcome = term.kind.outcome()?;
-                let first_token = first_tokens.get(&req.id).copied();
-                let new_tokens = req.new_tokens as u64;
-                let uncertified_rung = term.rung == DegradationRung::WindowOnly.as_str();
+            .zip(lifecycles(log, requests))
+            .filter_map(|(req, lc)| {
+                let uncertified_rung = lc.rung == DegradationRung::WindowOnly.as_str();
                 Some(SloRow {
                     tenant: req.tenant,
-                    outcome,
-                    within_deadline: term.t_ms <= req.arrival_ms + req.deadline_ms,
+                    outcome: lc.outcome?,
+                    within_deadline: lc.finish_ms <= req.arrival_ms + req.deadline_ms,
                     certified: !uncertified_rung,
                     uncertified_rung,
-                    tokens: req.seq_len as u64 + new_tokens,
-                    ttft_ms: first_token.map(|t| t.saturating_sub(req.arrival_ms)),
-                    tpot_ms: first_token
-                        .filter(|_| outcome == Outcome::Served && new_tokens > 1)
-                        .map(|t| term.t_ms.saturating_sub(t) / (new_tokens - 1)),
+                    tokens: req.seq_len as u64 + req.new_tokens as u64,
+                    ttft_ms: lc.ttft_ms,
+                    tpot_ms: lc.tpot_ms,
                 })
             })
             .collect();

@@ -176,7 +176,7 @@ pub struct TimelineSeries {
 impl_json_struct!(TimelineSeries { name, bins });
 
 /// A flushed [`Timeline`]: what `serve_timeline` embeds in the
-/// `sa.serve_timeline.v2` artifact.
+/// `sa.serve_timeline.v3` artifact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimelineSnapshot {
     /// Bin width, ms.

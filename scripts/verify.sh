@@ -472,23 +472,28 @@ test -s "$smoke_out/slo_report.json" || {
 }
 
 echo "==> smoke: serve_timeline --quick (SA_THREADS=1, then default)"
-# Runs after slo_sweep so slo_report.json is present in $smoke_out: the
-# binary replays the same grid and asserts that each point's goodput
-# equals the report's, that every event log conserves memory (and
-# events<->ledger conservation holds on the storm leg), that the
-# storm-leg event log is byte-identical across thread counts, and that
-# a forced governor shed leaves a flight-recorder postmortem; it exits
-# non-zero on any violation.
+# The binary replays the slo_sweep grid and asserts that every event log
+# conserves memory (and events<->ledger conservation holds on the storm
+# leg), that the storm-leg event log is byte-identical across thread
+# counts, and that a forced governor shed leaves a flight-recorder
+# postmortem; it exits non-zero on any violation. It reads nothing
+# slo_sweep writes, so it runs in a directory of its own.
+timeline_out="$smoke_out/timeline"
+mkdir -p "$timeline_out"
 SA_THREADS=1 cargo run -q --release --offline -p sa-bench --bin serve_timeline -- \
-    --quick --out "$smoke_out"
+    --quick --out "$timeline_out"
 cargo run -q --release --offline -p sa-bench --bin serve_timeline -- \
-    --quick --out "$smoke_out"
-test -s "$smoke_out/serve_timeline.json" || {
+    --quick --out "$timeline_out"
+test -s "$timeline_out/serve_timeline.json" || {
     echo "serve_timeline did not emit JSON" >&2
     exit 1
 }
-test -s "$smoke_out/serve_timeline.txt" || {
+test -s "$timeline_out/serve_timeline.txt" || {
     echo "serve_timeline did not emit its text digest" >&2
+    exit 1
+}
+test ! -e "$timeline_out/slo_report.json" || {
+    echo "serve_timeline's smoke directory holds a slo_report.json" >&2
     exit 1
 }
 
@@ -497,7 +502,7 @@ echo "==> results oracle: generators' full output vs results/ (SA_THREADS=1, the
 # the oracle for their bits: a byte that moves is a changed bit, on any
 # host, at any thread count. A change that is meant to move bits
 # regenerates the files in the same commit, and the diff says by how
-# much. slo_sweep runs first: serve_timeline reads its report.
+# much.
 full_out="$smoke_out/full"
 mkdir -p "$full_out"
 for threads in 1 default; do

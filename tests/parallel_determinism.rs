@@ -313,7 +313,7 @@ fn tracing_does_not_perturb_pipeline_outputs() {
 
 /// The serving telemetry plane is emitted by the serial virtual-time
 /// planner (and only reconciled against the executed ledger), so both
-/// the `sa.events.v2` log and any timeline aggregation derived from it
+/// the `sa.events.v3` log and any timeline aggregation derived from it
 /// must serialize byte-identically at every thread count.
 #[test]
 fn serving_telemetry_is_thread_invariant() {

@@ -394,8 +394,7 @@ fn checked_in_tile_kernel_report_validates() {
 }
 
 /// The checked-in `results/serve_timeline.json` must carry the telemetry
-/// plane's verdicts: the `sa.serve_timeline.v2` schema, event-log goodput
-/// equal to the committed `slo_report.json`'s at every sweep point, a
+/// plane's verdicts: the `sa.serve_timeline.v3` schema, a
 /// thread-invariant storm event log, conservation against the memory
 /// ledger, and a flight-recorder postmortem from the forced governor
 /// shed.
@@ -407,13 +406,9 @@ fn checked_in_serve_timeline_validates() {
     let doc = json::parse(&text).unwrap();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("sa.serve_timeline.v2")
+        Some("sa.serve_timeline.v3")
     );
-    for key in [
-        "matches_slo_report",
-        "identical_across_threads",
-        "conservation_ok",
-    ] {
+    for key in ["identical_across_threads", "conservation_ok"] {
         assert_eq!(
             doc.get(key).and_then(Json::as_bool),
             Some(true),

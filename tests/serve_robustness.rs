@@ -27,9 +27,9 @@ use sample_attention::core::DegradationRung;
 use sample_attention::json::ToJson;
 use sample_attention::model::SessionCheckpoint;
 use sample_attention::serve::{
-    fault_storm_workload, mixed_workload, open_loop_workload, plan_continuous_with_events, sim,
-    EventKind, Outcome, Planned, Request, RequestKind, Scheduler, ServeConfig, SloSummary,
-    TenantFloor,
+    fault_storm_workload, lifecycles, mixed_workload, open_loop_workload,
+    plan_continuous_with_events, sim, EventKind, Outcome, Planned, Request, RequestKind, Scheduler,
+    ServeConfig, SloSummary, TenantFloor,
 };
 use std::cell::Cell;
 use sample_attention::tensor::check::{run_cases_n, Gen};
@@ -395,7 +395,7 @@ fn recovered_storm_ledger_is_byte_identical_across_thread_counts() {
 fn storm_event_log_is_byte_identical_across_thread_counts() {
     // The full chaos-soak fault storm installed around every run: planned
     // crashes, allocation failures, and KV bit flips during execution.
-    // The `sa.events.v2` log is emitted by the serial virtual-time
+    // The `sa.events.v3` log is emitted by the serial virtual-time
     // planner and then reconciled against the executed ledger, so its
     // serialized bytes must not depend on the worker-pool size — run
     // pinned at 1 and 2 threads and at the session default.
@@ -571,12 +571,13 @@ fn continuous_planner_invariants_hold_across_policy_combinations() {
         let (plans, log) = plan_continuous_with_events(&cfg, &requests);
         assert_eq!(plans.len(), requests.len());
         log.check_conservation().unwrap();
+        let lifecycles = lifecycles(&log, &requests);
 
         let floor = cfg.quality_floors.first();
         let (mut floor_tokens, mut floor_uncertified) = (0u64, 0u64);
         let mut floor_sheds = 0u64;
-        for (req, cp) in requests.iter().zip(&plans) {
-            let events = log.for_request(req.id);
+        for ((req, cp), lc) in requests.iter().zip(&plans).zip(&lifecycles) {
+            let events: Vec<_> = log.events.iter().filter(|e| e.request_id == req.id).collect();
             // Exactly one terminal event, of the planned kind and
             // outcome, at the planned finish. A budget rejection is the
             // one resolution with two kinds: the governor's load shed of
@@ -594,8 +595,9 @@ fn continuous_planner_invariants_hold_across_policy_combinations() {
                 term.kind,
                 cp.planned
             );
-            assert_eq!(term.kind.outcome(), Some(cp.planned.outcome()), "request {}", req.id);
-            assert_eq!(term.t_ms, cp.finish_ms, "request {}", req.id);
+            let planned_outcome = EventKind::terminal_for(&cp.planned).outcome();
+            assert_eq!(term.kind.outcome(), planned_outcome, "request {}", req.id);
+            assert_eq!(term.t_ms, lc.finish_ms, "request {}", req.id);
             assert_eq!(term.tenant, req.tenant);
             // Every floor refusal is the typed floor-shed kind.
             if cp.planned == Planned::ShedQualityFloor {
@@ -610,7 +612,7 @@ fn continuous_planner_invariants_hold_across_policy_combinations() {
                 .map(|e| e.t_ms)
                 .collect();
             let planned_first_token: Vec<u64> =
-                Some(cp.first_token_ms).filter(|&t| t > 0).into_iter().collect();
+                lc.ttft_ms.map(|t| req.arrival_ms + t).into_iter().collect();
             assert_eq!(first_tokens, planned_first_token, "request {}", req.id);
 
             // Lifecycle stamps never run backwards. Memory events carry
