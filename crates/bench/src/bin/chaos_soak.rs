@@ -7,7 +7,7 @@
 //! - **zero lost requests** — the ledger accounts for every submitted
 //!   request exactly once ([`Ledger::validate`]);
 //! - **deterministic ledger** — the serialized outcome ledger is
-//!   bit-identical at 1, 2, and the default number of worker threads;
+//!   bit-identical at 1, 2 and 3 worker threads ([`REPLAY_THREADS`]);
 //! - **no silent degradation** — any request served below the CRA α
 //!   target carries `alpha_satisfied = false` in its report.
 //!
@@ -28,20 +28,20 @@
 //! contract: nothing lost, every fault typed, ledgers bit-identical.
 //!
 //! Outputs:
-//! - stdout: outcome tally per thread count and the `serve.*` counters;
-//! - `results/chaos_soak.json`: the full ledgers plus soak verdicts.
+//! - stdout: outcome tally per thread count;
+//! - `results/chaos_soak.json`: the full ledgers plus soak verdicts; its
+//!   storm tallies are column sums of the canonical storm ledger.
 //!
 //! Flags: `--seed <u64>`, `--quick` (12 requests instead of 48, shorter
 //! open-loop stream, smaller storm), `--out <dir>`.
 
-use sa_bench::{render_table, write_json, Args};
+use sa_bench::{render_table, write_json, Args, REPLAY_THREADS};
 use sa_serve::{
-    fault_storm_workload, mixed_workload, open_loop_workload, Ledger, Outcome, Scheduler,
-    ServeConfig,
+    fault_storm_workload, mixed_workload, open_loop_workload, Ledger, Outcome, RequestRecord,
+    Scheduler, ServeConfig,
 };
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool;
-use sa_trace::metrics;
 use sa_workloads::{ArrivalProcess, ArrivalShape};
 
 /// The soak's results-file payload.
@@ -87,10 +87,10 @@ struct ChaosSoakReport {
     storm_recovered_attempts: u64,
     /// Prefill tokens the storm recomputed after crashes.
     storm_recomputed_tokens: u64,
-    /// Checkpoints captured during the storm replays.
+    /// Checkpoints the storm captured.
     storm_checkpoint_snapshots: u64,
     /// Restores the storm's bit-flip faults corrupted (all fell back
-    /// to scratch with a typed counter, never a wrong answer).
+    /// to scratch, never a wrong answer).
     storm_checkpoint_corruptions: u64,
     /// Restore stagings the storm's alloc faults failed (ditto).
     storm_alloc_faults: u64,
@@ -126,8 +126,10 @@ sa_json::impl_json_struct!(ChaosSoakReport {
 
 /// Schema tag of `results/chaos_soak.json`. `v2` added the
 /// continuous-batching leg (`continuous_*` fields); `v3` the
-/// fault-storm crash-recovery leg (`storm_*` fields).
-const SCHEMA: &str = "sa.chaos_soak.v3";
+/// fault-storm crash-recovery leg (`storm_*` fields); `v4` reads the
+/// storm's execution tallies off one replay's ledger columns instead of
+/// summing process-wide counters over every replay.
+const SCHEMA: &str = "sa.chaos_soak.v4";
 
 fn outcome_name(o: Outcome) -> &'static str {
     match o {
@@ -156,9 +158,6 @@ const ALL_OUTCOMES: [Outcome; 8] = [
 fn main() {
     let args = Args::parse();
     let n = if args.quick { 12 } else { 48 };
-    // Counters are gated on the tracing switch; the soak wants them live.
-    sa_trace::set_enabled(true);
-    metrics::reset();
 
     // Injected worker faults are *expected* to panic inside the pool's
     // containment; keep their backtraces off the soak's output while
@@ -186,16 +185,8 @@ fn main() {
     let scheduler = Scheduler::new(cfg).expect("tiny model config is valid");
     let requests = mixed_workload(args.seed, n);
 
-    let default_threads = pool::current_threads();
-    let mut thread_counts: Vec<usize> = Vec::new();
-    for t in [1, 2, default_threads] {
-        if !thread_counts.contains(&t) {
-            thread_counts.push(t);
-        }
-    }
-
     let mut ledgers: Vec<Ledger> = Vec::new();
-    for &t in &thread_counts {
+    for &t in &REPLAY_THREADS {
         let (ledger, _) = pool::with_threads(t, || scheduler.run_continuous_with_events(&requests))
             .expect("scheduler batch never fails");
         ledger
@@ -209,7 +200,7 @@ fn main() {
 
     // Outcome tally + soak verdict table.
     let mut rows = Vec::new();
-    for (t, ledger) in thread_counts.iter().zip(&ledgers) {
+    for (t, ledger) in REPLAY_THREADS.iter().zip(&ledgers) {
         let mut row = vec![t.to_string()];
         for o in ALL_OUTCOMES {
             row.push(ledger.count(o).to_string());
@@ -223,15 +214,6 @@ fn main() {
         .collect();
     println!("chaos soak: {n} requests, seed {}\n", args.seed);
     println!("{}", render_table(&headers, &rows));
-
-    let snap = metrics::snapshot();
-    let serve_counters: Vec<Vec<String>> = snap
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("serve."))
-        .map(|c| vec![c.name.clone(), c.value.to_string()])
-        .collect();
-    println!("{}", render_table(&["counter", "value"], &serve_counters));
 
     assert!(identical, "outcome ledger differs across thread counts");
     let degraded = canonical.records.iter().filter(|r| r.degraded).count() as u64;
@@ -280,7 +262,7 @@ fn main() {
     let stream = open_loop_workload(args.seed, &process, cont_duration_ms, 3);
 
     let mut cont_ledgers: Vec<Ledger> = Vec::new();
-    for &t in &thread_counts {
+    for &t in &REPLAY_THREADS {
         let (ledger, _) =
             pool::with_threads(t, || cont_scheduler.run_continuous_with_events(&stream))
             .expect("continuous replay never fails");
@@ -293,7 +275,7 @@ fn main() {
     let cont_identical = cont_ledgers.iter().all(|l| l == cont_canonical);
 
     let mut cont_rows = Vec::new();
-    for (t, ledger) in thread_counts.iter().zip(&cont_ledgers) {
+    for (t, ledger) in REPLAY_THREADS.iter().zip(&cont_ledgers) {
         let mut row = vec![t.to_string()];
         for o in ALL_OUTCOMES {
             row.push(ledger.count(o).to_string());
@@ -343,16 +325,6 @@ fn main() {
         ..ServeConfig::default()
     };
     let storm_scheduler = Scheduler::new(storm_cfg).expect("tiny model config is valid");
-    let counter_now = |name: &str| {
-        metrics::snapshot()
-            .counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
-    let base_snapshots = counter_now("serve.checkpoint.snapshots");
-    let base_corruptions = counter_now("serve.checkpoint.corruptions");
-    let base_alloc = counter_now("serve.pressure.alloc_faults");
 
     let mut storm_ledgers: Vec<Ledger> = Vec::new();
     {
@@ -362,7 +334,7 @@ fn main() {
                 .alloc_failures(3)
                 .kv_bit_flips(1),
         );
-        for &t in &thread_counts {
+        for &t in &REPLAY_THREADS {
             let (ledger, _) =
                 pool::with_threads(t, || storm_scheduler.run_continuous_with_events(&storm))
                 .expect("storm replay never fails");
@@ -376,7 +348,7 @@ fn main() {
     let storm_identical = storm_ledgers.iter().all(|l| l == storm_canonical);
 
     let mut storm_rows = Vec::new();
-    for (t, ledger) in thread_counts.iter().zip(&storm_ledgers) {
+    for (t, ledger) in REPLAY_THREADS.iter().zip(&storm_ledgers) {
         let mut row = vec![t.to_string()];
         for o in ALL_OUTCOMES {
             row.push(ledger.count(o).to_string());
@@ -392,20 +364,15 @@ fn main() {
         storm_canonical.count(Outcome::Served) > 0,
         "storm leg served nothing"
     );
-    let storm_recovered: u64 = storm_canonical
-        .records
-        .iter()
-        .map(|r| r.recovered_attempts)
-        .sum();
-    let storm_recomputed: u64 = storm_canonical
-        .records
-        .iter()
-        .map(|r| r.recomputed_tokens)
-        .sum();
+    let storm_total = |column: fn(&RequestRecord) -> u64| -> u64 {
+        storm_canonical.records.iter().map(column).sum()
+    };
+    let storm_recovered = storm_total(|r| r.recovered_attempts);
+    let storm_recomputed = storm_total(|r| r.recomputed_tokens);
     assert!(storm_recovered > 0, "storm leg never resumed a checkpoint");
-    let storm_snapshots = counter_now("serve.checkpoint.snapshots") - base_snapshots;
-    let storm_corruptions = counter_now("serve.checkpoint.corruptions") - base_corruptions;
-    let storm_alloc = counter_now("serve.pressure.alloc_faults") - base_alloc;
+    let storm_snapshots = storm_total(|r| r.checkpoint_snapshots);
+    let storm_corruptions = storm_total(|r| r.checkpoint_corruptions);
+    let storm_alloc = storm_total(|r| r.alloc_faults);
     assert!(storm_snapshots > 0, "storm leg captured no checkpoints");
     assert!(
         storm_corruptions > 0,
@@ -420,7 +387,7 @@ fn main() {
         schema: SCHEMA.to_string(),
         seed: args.seed,
         requests: n as u64,
-        thread_counts: thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts: REPLAY_THREADS.iter().map(|&t| t as u64).collect(),
         identical_across_threads: identical,
         outcome_counts: ALL_OUTCOMES
             .iter()
@@ -458,6 +425,6 @@ fn main() {
         n,
         stream.len(),
         storm_n,
-        thread_counts
+        REPLAY_THREADS
     );
 }

@@ -26,9 +26,12 @@
 //!   checkpoint checksum. Lifting the plan, clean probation waves must
 //!   re-admit every head.
 //! - **determinism** — the storm-then-recovery trajectory (ledgers
-//!   *and* the guard's quarantine/readmit transitions) replayed at
-//!   `SA_THREADS` 1, 2, and default must serialize to byte-identical
-//!   JSON.
+//!   *and* the guard's quarantine/readmit transitions) replayed at 1, 2
+//!   and 3 worker threads ([`REPLAY_THREADS`]) must serialize to
+//!   byte-identical JSON.
+//!
+//! Every count comes from a record that holds it: the ledgers' columns
+//! and the guard's [`QualityTransition`] trail.
 //!
 //! Every leg runs on the continuous planner
 //! ([`Scheduler::run_guarded_with_events`] /
@@ -36,18 +39,17 @@
 //!
 //! Outputs:
 //! - stdout: per-leg verdict tables;
-//! - `results/quality_guard.json` (`sa.quality_guard.v1`).
+//! - `results/quality_guard.json` ([`SCHEMA`]).
 //!
 //! Flags: `--seed <u64>`, `--quick` (smaller waves), `--out <dir>`.
 
-use sa_bench::{f, render_table, write_json, Args};
+use sa_bench::{f, render_table, write_json, Args, REPLAY_THREADS};
 use sa_serve::{
     mixed_workload, Ledger, Outcome, QualityGuard, QualityTransition, Scheduler, ServeConfig,
     SloSummary, TenantFloor,
 };
 use sa_tensor::fault::{self, FaultPlan};
 use sa_tensor::pool;
-use sa_trace::metrics;
 
 /// The bench's results-file payload.
 #[derive(Debug, Clone)]
@@ -103,7 +105,8 @@ struct QualityGuardReport {
     storm_residual_quarantined: u64,
     /// Attempts that resumed from a checkpoint during the storm.
     storm_recovered_attempts: u64,
-    /// Bit-flipped checkpoint restores caught by the checksum.
+    /// Bit-flipped checkpoint restores the checksum caught in the
+    /// canonical storm wave.
     storm_checkpoint_corruptions: u64,
     /// Whether ledgers and guard transitions were byte-identical at
     /// every replayed thread count.
@@ -143,19 +146,13 @@ sa_json::impl_json_struct!(QualityGuardReport {
     storm_ledger
 });
 
-/// Schema tag of `results/quality_guard.json`.
-const SCHEMA: &str = "sa.quality_guard.v1";
+/// Schema tag of `results/quality_guard.json`. `v2` reads the storm's
+/// corrupt restores off one replay's ledger columns instead of summing
+/// a process-wide counter over every replay.
+const SCHEMA: &str = "sa.quality_guard.v2";
 
 /// The tenant carrying a quality floor in the clean leg.
 const FLOORED_TENANT: u64 = 0;
-
-fn counter_now(name: &str) -> u64 {
-    metrics::snapshot()
-        .counters
-        .iter()
-        .find(|c| c.name == name)
-        .map_or(0, |c| c.value)
-}
 
 fn clean_config(seed: u64, denominator: u64) -> ServeConfig {
     ServeConfig {
@@ -193,8 +190,6 @@ fn main() {
     let args = Args::parse();
     let n = if args.quick { 12 } else { 32 };
     let clean_waves = 3usize;
-    sa_trace::set_enabled(true);
-    metrics::reset();
 
     // Injected worker faults legitimately panic inside the pool's
     // containment; keep their backtraces quiet, surface anything else.
@@ -337,22 +332,13 @@ fn main() {
             .first()
             .map_or(0, |l| l.num_heads());
     let probation_waves = 3usize;
-    let base_corruptions = counter_now("serve.checkpoint.corruptions");
-
-    let default_threads = pool::current_threads();
-    let mut thread_counts: Vec<usize> = Vec::new();
-    for t in [1, 2, default_threads] {
-        if !thread_counts.contains(&t) {
-            thread_counts.push(t);
-        }
-    }
 
     // Replay the whole storm-then-recovery trajectory at every thread
     // count; ledgers and the guard's transition trail must not budge.
     let mut trajectories: Vec<(Vec<String>, String, usize, u64)> = Vec::new();
     let mut canonical_ledgers: Vec<Ledger> = Vec::new();
     let mut canonical_guard = None;
-    for &t in &thread_counts {
+    for &t in &REPLAY_THREADS {
         let mut g = QualityGuard::for_model(storm_scheduler.model());
         let mut quarantined_after_storm = 0u64;
         let ledgers = pool::with_threads(t, || {
@@ -406,7 +392,7 @@ fn main() {
         });
     assert!(
         identical,
-        "storm trajectory differs across thread counts {thread_counts:?}"
+        "storm trajectory differs across thread counts {REPLAY_THREADS:?}"
     );
 
     let quarantined_after_storm = trajectories[0].3;
@@ -430,7 +416,15 @@ fn main() {
         .iter()
         .map(|r| r.recovered_attempts)
         .sum();
-    let storm_corruptions = counter_now("serve.checkpoint.corruptions") - base_corruptions;
+    let storm_corruptions: u64 = storm_ledger
+        .records
+        .iter()
+        .map(|r| r.checkpoint_corruptions)
+        .sum();
+    assert!(
+        storm_corruptions > 0,
+        "storm bit-flips never tripped the restore checksum"
+    );
 
     // The zero-mass fault poisons stage 1 of every sparse head: the
     // detector must have caught every one of them.
@@ -479,7 +473,7 @@ fn main() {
     let report = QualityGuardReport {
         schema: SCHEMA.to_string(),
         seed: args.seed,
-        thread_counts: thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts: REPLAY_THREADS.iter().map(|&t| t as u64).collect(),
         clean_requests: n as u64,
         clean_waves: clean_waves as u64,
         clean_canaries,
@@ -509,6 +503,6 @@ fn main() {
     }
     println!(
         "verdict: {} heads quarantined and re-admitted, 0 false trips, ledgers + transitions identical at threads {:?}",
-        total_heads, thread_counts
+        total_heads, REPLAY_THREADS
     );
 }

@@ -19,24 +19,23 @@
 //!   resumed attempt.
 //!
 //! One point also replays through the *executing* scheduler
-//! ([`Scheduler::run_continuous_with_events`]) at `SA_THREADS` 1, 2, and
-//! the default, asserting the recovered ledgers are bit-identical and
-//! account for every request — crash recovery must not cost the repo
-//! its determinism contract.
+//! ([`Scheduler::run_continuous_with_events`]) at 1, 2 and 3 worker
+//! threads ([`REPLAY_THREADS`]), asserting the recovered ledgers are
+//! bit-identical and account for every request — crash recovery must
+//! not cost the repo its determinism contract.
 //!
 //! Outputs:
-//! - stdout: the per-point comparison table and `serve.*` counters;
+//! - stdout: the per-point comparison table;
 //! - `results/recovery.json`: schema [`SCHEMA`].
 //!
 //! Flags: `--seed <u64>`, `--quick` (smaller storm points), `--out <dir>`.
 
-use sa_bench::{render_table, write_json, Args};
+use sa_bench::{render_table, write_json, Args, REPLAY_THREADS};
 use sa_serve::{
     fault_storm_workload, lifecycles, plan_continuous_with_events, Ledger, Outcome, Scheduler,
     ServeConfig, SloSummary,
 };
 use sa_tensor::pool;
-use sa_trace::metrics;
 
 /// One storm point's recovery-vs-scratch comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,9 +96,9 @@ struct RecoveryReport {
     /// Whether the executed recovery ledger was bit-identical at every
     /// replayed thread count.
     identical_across_threads: bool,
-    /// Checkpoints captured during the execution identity check.
+    /// Checkpoints the canonical executed ledger captured.
     checkpoint_snapshots: u64,
-    /// Checkpoints restored during the execution identity check.
+    /// Checkpoints the canonical executed ledger restored.
     checkpoint_restores: u64,
     /// The canonical executed ledger (single-threaded replay).
     ledger: Ledger,
@@ -116,8 +115,10 @@ sa_json::impl_json_struct!(RecoveryReport {
     ledger
 });
 
-/// Schema tag of `results/recovery.json`.
-const SCHEMA: &str = "sa.recovery.v1";
+/// Schema tag of `results/recovery.json`. `v2` reads the checkpoint
+/// tallies off one replay's ledger columns instead of summing
+/// process-wide counters over every replay.
+const SCHEMA: &str = "sa.recovery.v2";
 
 /// The bench's config: the requested leg over a doubled memory budget.
 /// The storm's long prompts would otherwise push the planner into the
@@ -147,10 +148,6 @@ fn plan_leg(seed: u64, recovery: bool, requests: &[sa_serve::Request]) -> (u64, 
 
 fn main() {
     let args = Args::parse();
-    // Counters are gated on the tracing switch; the bench wants the
-    // checkpoint counters live for the execution identity check.
-    sa_trace::set_enabled(true);
-    metrics::reset();
 
     // Injected crashes are *expected* to panic inside the pool's
     // containment; keep their backtraces off the bench's output while
@@ -247,15 +244,8 @@ fn main() {
     let exec_requests = fault_storm_workload(exec_seed, sizes[0]);
     let exec = Scheduler::new(bench_cfg(exec_seed, true)).expect("tiny model config is valid");
 
-    let default_threads = pool::current_threads();
-    let mut thread_counts: Vec<usize> = Vec::new();
-    for t in [1, 2, default_threads] {
-        if !thread_counts.contains(&t) {
-            thread_counts.push(t);
-        }
-    }
     let mut ledgers: Vec<Ledger> = Vec::new();
-    for &t in &thread_counts {
+    for &t in &REPLAY_THREADS {
         let (ledger, _) = pool::with_threads(t, || exec.run_continuous_with_events(&exec_requests))
             .expect("continuous replay never fails");
         ledger
@@ -272,23 +262,8 @@ fn main() {
     );
     let exec_recovered: u64 = canonical.records.iter().map(|r| r.recovered_attempts).sum();
     assert!(exec_recovered > 0, "execution leg never resumed a checkpoint");
-
-    let snap = metrics::snapshot();
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    };
-    let serve_counters: Vec<Vec<String>> = snap
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("serve."))
-        .map(|c| vec![c.name.clone(), c.value.to_string()])
-        .collect();
-    println!("{}", render_table(&["counter", "value"], &serve_counters));
-    let snapshots = counter("serve.checkpoint.snapshots");
-    let restores = counter("serve.checkpoint.restores");
+    let snapshots: u64 = canonical.records.iter().map(|r| r.checkpoint_snapshots).sum();
+    let restores: u64 = canonical.records.iter().map(|r| r.checkpoint_restores).sum();
     assert!(snapshots > 0, "execution leg captured no checkpoints");
     assert!(restores > 0, "execution leg restored no checkpoints");
 
@@ -296,7 +271,7 @@ fn main() {
         schema: SCHEMA.to_string(),
         seed: args.seed,
         points,
-        thread_counts: thread_counts.iter().map(|&t| t as u64).collect(),
+        thread_counts: REPLAY_THREADS.iter().map(|&t| t as u64).collect(),
         identical_across_threads: identical,
         checkpoint_snapshots: snapshots,
         checkpoint_restores: restores,
@@ -308,6 +283,6 @@ fn main() {
     println!(
         "verdict: {} storm points, resume strictly cheaper on all, ledgers identical at threads {:?}",
         sizes.len(),
-        thread_counts
+        REPLAY_THREADS
     );
 }

@@ -41,6 +41,12 @@ use sa_workloads::{ArrivalProcess, ArrivalShape};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+/// Worker-thread counts the serving determinism legs (`chaos_soak`,
+/// `recovery_bench`, `quality_guard`) replay at: serial, even and odd.
+/// A fixed list rather than the host's core count, so the results files
+/// that record it are the same on every host.
+pub const REPLAY_THREADS: [usize; 3] = [1, 2, 3];
+
 /// Common command-line arguments of the experiment binaries.
 #[derive(Debug, Clone)]
 pub struct Args {

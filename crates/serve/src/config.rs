@@ -54,9 +54,6 @@ pub struct ServeConfig {
     /// Device memory budget in bytes for admission control. Defaults to
     /// one A100-80GB.
     pub mem_budget_bytes: u64,
-    /// Deadline applied to requests that do not carry their own, in
-    /// virtual milliseconds after arrival.
-    pub default_deadline_ms: u64,
     /// Sequence chunk size for chunked prefill — also the cancellation
     /// granularity: a tripped token stops a prefill within one chunk.
     pub chunk_size: usize,
@@ -116,7 +113,6 @@ impl Default for ServeConfig {
             seed: 0x5EED_5EED,
             max_inflight: 4,
             mem_budget_bytes: A100_BYTES,
-            default_deadline_ms: 400,
             chunk_size: 32,
             max_retries: 2,
             backoff_base_ms: 8,

@@ -58,15 +58,16 @@
 //!   baseline).
 //! - **Memory-pressure governor**: watermark-classified occupancy
 //!   ([`MemoryLedger::level_of`]) drives a ladder of actions — defer
-//!   non-urgent admissions (`serve.pressure.deferrals`), evict the
-//!   low-mass KV share of in-flight decode sessions
-//!   (`serve.pressure.evictions`), force newly dispatched work onto
-//!   lower degradation rungs (`serve.pressure.forced_rungs`), and shed
-//!   urgent requests that still cannot be placed with a typed
+//!   non-urgent admissions (a `Deferred` event), evict the low-mass KV
+//!   share of in-flight decode sessions (`PressureEvicted`), force newly
+//!   dispatched work onto lower degradation rungs (a `RungDegraded`
+//!   event whose reason says it was pressure-forced), and shed urgent
+//!   requests that still cannot be placed with a typed
 //!   [`BudgetExceeded`](sa_tensor::SaError::BudgetExceeded)
-//!   (`serve.pressure.sheds`). Every decision reads the serial
-//!   planner's own virtual occupancy, never the runtime ledger, so
-//!   plans stay bit-identical at every `SA_THREADS`.
+//!   (`ShedGovernor`). The events are the governor's only record.
+//!   Every decision reads the serial planner's own virtual occupancy,
+//!   never the runtime ledger, so plans stay bit-identical at every
+//!   `SA_THREADS`.
 //! - **Quality floors** ([`ServeConfig::quality_floors`]): a tenant's
 //!   floor caps how far the ladder walk (including the governor's
 //!   pressure-halved budgets) may degrade its requests and bounds its
@@ -92,7 +93,6 @@ use crate::sim::{self, Planned};
 use crate::{Request, ServeConfig};
 use sa_core::DegradationRung;
 use sa_tensor::splitmix64;
-use sa_trace::metrics;
 use std::collections::VecDeque;
 
 /// What execution needs of one request's schedule: its resolution and
@@ -896,7 +896,6 @@ impl<'a> Planner<'a> {
     /// plain lazy admission and leaves no trace.
     fn defer(&mut self, i: usize, now: u64, level: PressureLevel) {
         if level >= PressureLevel::Elevated {
-            metrics::counter("serve.pressure.deferrals").add(1);
             let reason = format!("pressure {}", level.as_str());
             self.emit(now, i, EventKind::Deferred, "", 0, reason);
             self.decide(now, i, "defer", String::new(), level, (0, 0));
@@ -923,7 +922,6 @@ impl<'a> Planner<'a> {
             self.st[j].bytes -= freed;
             self.st[j].evicted = true;
             self.mem_in_use -= freed;
-            metrics::counter("serve.pressure.evictions").add(1);
             let rung = self.st[j].rung.to_string();
             let reason = format!(
                 "pressure {}: low-mass KV freed for request {head_id}",
@@ -941,7 +939,6 @@ impl<'a> Planner<'a> {
     fn shed(&mut self, i: usize, now: u64, level: PressureLevel) {
         let required_bytes = self.mem_in_use + self.st[i].bytes;
         let budget = self.cfg.mem_budget_bytes;
-        metrics::counter("serve.pressure.sheds").add(1);
         let reason = format!(
             "unplaceable under critical pressure: required {required_bytes} bytes of budget \
              {budget}"
@@ -1118,10 +1115,7 @@ impl<'a> Planner<'a> {
             let uncapped = sim::choose_rung_floored(req, budget, max_idx).map(|c| c.0);
             budget /= 2;
             let capped = sim::choose_rung_floored(req, budget, max_idx).map(|c| c.0);
-            if capped != uncapped {
-                metrics::counter("serve.pressure.forced_rungs").add(1);
-                forced = true;
-            }
+            forced = capped != uncapped;
         }
         let tokens = req.seq_len as u64 + req.new_tokens as u64;
         let t_idx = self.st[i].tenant;
@@ -1981,18 +1975,14 @@ mod tests {
 
     #[test]
     fn governor_logs_deferrals_from_elevated_up() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
         let c = cfg();
         let reqs = governor_requests(false);
         for (permille, level) in [(700, "elevated"), (900, "critical")] {
-            let deferrals = metrics::counter("serve.pressure.deferrals").get();
             // Critical defers every non-urgent head, however small.
             let head_bytes = if level == "critical" { 1 } else { c.mem_budget_bytes };
             let mut p = governed(&c, &reqs, permille, head_bytes);
             let in_use = p.mem_in_use;
             assert_eq!(p.govern(0, 7), Governed::Wait);
-            assert!(metrics::counter("serve.pressure.deferrals").get() > deferrals);
             assert_eq!(p.log.events.len(), 1);
             let ev = &p.log.events[0];
             assert_eq!((ev.kind, ev.t_ms, ev.request_id), (EventKind::Deferred, 7, 0));
@@ -2009,19 +1999,15 @@ mod tests {
 
     #[test]
     fn governor_evicts_each_session_once_then_waits() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
         let c = cfg();
         let reqs = governor_requests(true);
         let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 700;
-        let evictions = metrics::counter("serve.pressure.evictions").get();
 
         // The head is 1000 bytes short; the session's low-mass quarter
         // is exactly that.
         let mut p = governed(&c, &reqs, 700, free + 1_000);
         let in_use = p.mem_in_use;
         assert_eq!(p.govern(0, 9), Governed::Admit);
-        assert!(metrics::counter("serve.pressure.evictions").get() > evictions);
         assert!(p.st[1].evicted);
         assert_eq!(p.st[1].bytes, 3_000);
         assert_eq!(p.mem_in_use, in_use - 1_000);
@@ -2045,18 +2031,14 @@ mod tests {
 
     #[test]
     fn governor_sheds_only_an_urgent_head_at_critical_pressure() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
         let c = cfg();
         let free = c.mem_budget_bytes - c.mem_budget_bytes / 1000 * 900;
-        let sheds = metrics::counter("serve.pressure.sheds").get();
 
         // The session's quarter is evicted first and is not enough.
         let reqs = governor_requests(true);
         let mut p = governed(&c, &reqs, 900, free + 1_001);
         let required = p.mem_in_use - 1_000 + p.st[0].bytes;
         assert_eq!(p.govern(0, 11), Governed::Shed);
-        assert!(metrics::counter("serve.pressure.sheds").get() > sheds);
         assert_eq!(p.done, 1);
         assert_eq!(p.st[0].terminal, Some(Planned::RejectBudget { required_bytes: required }));
         assert!(p.releases.is_empty(), "a queued request holds no memory to release");
@@ -2140,8 +2122,6 @@ mod tests {
 
     #[test]
     fn floor_refuses_when_pressure_halves_the_budget_below_every_permitted_rung() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
         // 512 tokens: full 4096 ms, paper_default 1024 ms. A 1500 ms
         // budget buys paper_default; halved, nothing the floor permits.
         let c = floored(DegradationRung::PaperDefault, 0);
@@ -2161,11 +2141,10 @@ mod tests {
             ]
         );
 
-        let forced = metrics::counter("serve.pressure.forced_rungs").get();
+        // Critical pressure halves the budget to 750 ms: the floor refuses.
         let mut p = admitted(&c, &reqs);
         p.mem_in_use = c.mem_budget_bytes / 1000 * 900;
         assert!(!p.dispatch(0, 0, 1));
-        assert!(metrics::counter("serve.pressure.forced_rungs").get() > forced);
         assert_eq!(p.st[0].terminal, Some(Planned::ShedQualityFloor));
         assert_eq!(p.log.events.last().unwrap().t_ms, 0);
         assert_eq!(p.done, 1);
@@ -2180,6 +2159,27 @@ mod tests {
         assert_eq!(actions, ["admit", "shed_quality_floor"]);
         let last = &dumps[1].decisions[1];
         assert_eq!((last.contenders, last.budget_ms, last.pressure.as_str()), (1, 750, "critical"));
+    }
+
+    #[test]
+    fn critical_pressure_forces_a_cheaper_rung_and_logs_why() {
+        // The 1500 ms budget buys paper_default; halved under Critical
+        // pressure it buys only a cheaper rung, and the log says so.
+        let c = cfg();
+        let reqs = [Request::prefill(0, 512, 0, 1_500)];
+        let mut p = admitted(&c, &reqs);
+        p.mem_in_use = c.mem_budget_bytes / 1000 * 900;
+        assert!(p.dispatch(0, 0, 1));
+        assert!(p.st[0].rung.index() > DegradationRung::PaperDefault.index());
+        p.run_task(0, 0);
+        let degraded: Vec<&str> = p
+            .log
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::RungDegraded)
+            .map(|e| e.reason.as_str())
+            .collect();
+        assert_eq!(degraded, ["pressure-forced under critical occupancy"]);
     }
 
     #[test]

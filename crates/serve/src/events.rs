@@ -60,7 +60,8 @@ pub enum EventKind {
     /// reservation, `mem_in_use` the balance after it).
     Admitted,
     /// Admission of the queue head was deferred by the pressure
-    /// governor (mirrors the `serve.pressure.deferrals` counter).
+    /// governor at Elevated or Critical occupancy (the reason names the
+    /// level); lazy admission below Elevated leaves no event.
     Deferred,
     /// The request's first micro-task started on a worker: its stamp is
     /// the ledger's `start_ms`. The degradation rung was fixed by the

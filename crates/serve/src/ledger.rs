@@ -101,6 +101,20 @@ pub struct RequestRecord {
     /// per recovered attempt, or everything a crashed attempt had
     /// completed when retrying from scratch.
     pub recomputed_tokens: u64,
+    /// Chunk-boundary checkpoints execution captured: one per crashed
+    /// attempt under [`recovery_enabled`](crate::ServeConfig::recovery_enabled),
+    /// planned or injected by a crash storm.
+    pub checkpoint_snapshots: u64,
+    /// Checkpoints a later attempt restored and resumed from.
+    pub checkpoint_restores: u64,
+    /// Restores whose staged KV failed its checksum
+    /// ([`CorruptCheckpoint`](sa_tensor::SaError::CorruptCheckpoint)):
+    /// contained, the attempt started from scratch.
+    pub checkpoint_corruptions: u64,
+    /// Restores whose KV staging reservation failed (an injected
+    /// allocation fault or an exhausted budget): contained, the attempt
+    /// started from scratch.
+    pub alloc_faults: u64,
     /// Chunk progress reported by a cooperative cancellation (0/0 when
     /// not cancelled).
     pub chunks_completed: u64,
@@ -146,6 +160,10 @@ sa_json::impl_json_struct!(RequestRecord {
     backoff_ms,
     recovered_attempts,
     recomputed_tokens,
+    checkpoint_snapshots,
+    checkpoint_restores,
+    checkpoint_corruptions,
+    alloc_faults,
     chunks_completed,
     chunks_total,
     error,
@@ -186,7 +204,7 @@ sa_json::impl_json_struct!(Ledger {
 
 /// Schema tag written by every [`Scheduler`](crate::Scheduler) run; a
 /// record of an older schema does not parse.
-pub const LEDGER_SCHEMA: &str = "sa.serve.ledger.v4";
+pub const LEDGER_SCHEMA: &str = "sa.serve.ledger.v5";
 
 impl Ledger {
     /// Counts records with the given outcome.
@@ -351,6 +369,10 @@ pub(crate) mod tests {
             backoff_ms: 0,
             recovered_attempts: 0,
             recomputed_tokens: 0,
+            checkpoint_snapshots: 0,
+            checkpoint_restores: 0,
+            checkpoint_corruptions: 0,
+            alloc_faults: 0,
             chunks_completed: 0,
             chunks_total: 0,
             error: String::new(),
@@ -378,14 +400,14 @@ pub(crate) mod tests {
         let back = Ledger::from_json(&sa_json::from_str::<sa_json::Json>(&s).unwrap()).unwrap();
         assert_eq!(back, ledger);
 
-        // Only v4 parses: a record without the quality-guardrail fields
-        // (an older schema) is refused, not filled with defaults.
+        // Only v5 parses: a record without the execution columns (an
+        // older schema) is refused, not filled with defaults.
         let mut json = record(0).to_json();
         if let sa_json::Json::Object(fields) = &mut json {
-            fields.retain(|(key, _)| key != "canary");
+            fields.retain(|(key, _)| key != "checkpoint_snapshots");
         }
         let err = RequestRecord::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("canary"), "{err}");
+        assert!(err.to_string().contains("checkpoint_snapshots"), "{err}");
     }
 
     #[test]

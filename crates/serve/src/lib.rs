@@ -128,6 +128,6 @@ pub use quality::{
 pub use request::{
     fault_storm_workload, mixed_workload, open_loop_workload, Request, RequestKind, FAULT_SITE,
 };
-pub use scheduler::Scheduler;
+pub use scheduler::{Restore, Scheduler};
 pub use sim::Planned;
 pub use slo::{LatencyStats, SloSummary, TenantQuality, SLO_SCHEMA};

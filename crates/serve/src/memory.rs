@@ -11,9 +11,9 @@
 //!
 //! Reservations consult the fault harness
 //! ([`sa_tensor::fault::should_fail_alloc`]) so a fault plan can fail
-//! individual allocations deterministically; the serving layer counts
-//! those in `serve.pressure.alloc_faults` and falls back instead of
-//! crashing.
+//! individual allocations deterministically; the serving layer falls
+//! back instead of crashing and records each such failure in the
+//! request's `alloc_faults` ledger column.
 //!
 //! The ledger is thread-safe (a single atomic) but deliberately carries
 //! no ordering semantics beyond the counter itself: all *decisions*
@@ -40,7 +40,7 @@ pub enum PressureLevel {
 }
 
 impl PressureLevel {
-    /// Stable lowercase name for metrics and reports.
+    /// Stable lowercase name for event reasons and reports.
     pub fn as_str(self) -> &'static str {
         match self {
             PressureLevel::Normal => "normal",

@@ -49,7 +49,6 @@ use sa_core::{structured_mask_coverage, DegradationRung, FallbackReason, SampleA
 use sa_kernels::{attention_probs, PreparedKeys};
 use sa_model::SyntheticTransformer;
 use sa_tensor::{Matrix, SaError, TensorError};
-use sa_trace::metrics;
 
 /// Whether request `id` is a shadow canary under `seed` with one canary
 /// per `denominator` requests (`0` disables canaries entirely).
@@ -174,7 +173,6 @@ impl AttentionMethod for GuardedMethod {
         out.fell_back = true;
         out.fallback_reason = FallbackReason::QualityQuarantine;
         out.alpha_satisfied = true;
-        metrics::counter(FallbackReason::QualityQuarantine.counter_name()).add(1);
         Ok(HeadPlan::Done(out))
     }
 }
@@ -488,12 +486,6 @@ impl QualityGuard {
     }
 
     fn trip(&mut self, request_id: u64, hc: &HeadCanary, action: &str, reason: &str) {
-        let counter = if action == "quarantine" {
-            "quality.quarantine.trips"
-        } else {
-            "quality.quarantine.readmits"
-        };
-        metrics::counter(counter).add(1);
         self.transitions.push(QualityTransition {
             request_id,
             layer: hc.layer as u64,

@@ -40,10 +40,11 @@
 //! checksum is recomputed over the staged bytes so KV corruption
 //! surfaces as a typed
 //! [`CorruptCheckpoint`](sa_tensor::SaError::CorruptCheckpoint) —
-//! counted, then contained by retrying from scratch. The
-//! `serve.checkpoint.*` counters audit every snapshot, restore, and
-//! corruption; `serve.pressure.alloc_faults` counts staging
-//! allocations the fault harness failed.
+//! contained by retrying from scratch. What execution did is each
+//! request's own record: its `checkpoint_snapshots`,
+//! `checkpoint_restores`, `checkpoint_corruptions` and `alloc_faults`
+//! ledger columns count every snapshot, restore, corrupt restore and
+//! failed staging allocation ([`Restore`] is what a restore came to).
 
 use crate::continuous::{self, ContinuousPlan};
 use crate::events::EventLog;
@@ -61,7 +62,6 @@ use sa_model::{
 };
 use sa_tensor::fault::FaultPlan;
 use sa_tensor::{fault, pool, CancelToken, SaError, TensorError};
-use sa_trace::metrics;
 
 /// The scheduler: a synthetic-transformer serving stack with admission
 /// control, cooperative cancellation, retry, checkpoint-based crash
@@ -80,6 +80,43 @@ pub struct Scheduler {
 enum Snapshot {
     Prefill(PrefillCheckpoint),
     Session(SessionCheckpoint),
+}
+
+/// What a checkpoint restore under the serving protocol came to when it
+/// did not fail outright.
+#[derive(Debug)]
+pub enum Restore<T> {
+    /// The checkpoint restored: the attempt resumes from it.
+    Resumed(T),
+    /// The staged KV failed its checksum
+    /// ([`CorruptCheckpoint`](sa_tensor::SaError::CorruptCheckpoint)):
+    /// contained, the attempt starts from scratch.
+    Corrupt,
+    /// The KV staging reservation failed (an injected allocation fault
+    /// or an exhausted budget): contained, the attempt starts from
+    /// scratch.
+    AllocFault,
+}
+
+impl<T> Restore<T> {
+    /// Counts this case in `rec`'s execution columns and hands back the
+    /// resumed state, if any.
+    fn tally(self, rec: &mut RequestRecord) -> Option<T> {
+        match self {
+            Restore::Resumed(v) => {
+                rec.checkpoint_restores += 1;
+                Some(v)
+            }
+            Restore::Corrupt => {
+                rec.checkpoint_corruptions += 1;
+                None
+            }
+            Restore::AllocFault => {
+                rec.alloc_faults += 1;
+                None
+            }
+        }
+    }
 }
 
 impl Scheduler {
@@ -168,8 +205,8 @@ impl Scheduler {
     /// planner's log into each request's lifecycle, run every request's
     /// planned work in parallel, sort the records (and the canary
     /// observations beside them, so a caller's serial absorb is
-    /// deterministic) by request id, publish the metrics, and reconcile
-    /// the planner's log against what execution did. The fold reads the
+    /// deterministic) by request id, and reconcile the planner's log
+    /// against what execution did. The fold reads the
     /// log before reconciling it: the retry tallies follow the planned
     /// outcome.
     fn run_masked(
@@ -185,7 +222,6 @@ impl Scheduler {
         })?;
         pairs.sort_by_key(|(rec, _)| rec.id);
         let (records, observations): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
-        record_metrics(&records);
         log.reconcile(&records);
         let ledger = Ledger {
             schema: LEDGER_SCHEMA.to_string(),
@@ -234,6 +270,10 @@ impl Scheduler {
             backoff_ms: lc.backoff_ms,
             recovered_attempts: lc.recovered_attempts,
             recomputed_tokens: lc.recomputed_tokens,
+            checkpoint_snapshots: 0,
+            checkpoint_restores: 0,
+            checkpoint_corruptions: 0,
+            alloc_faults: 0,
             chunks_completed: 0,
             chunks_total: 0,
             error: String::new(),
@@ -318,7 +358,7 @@ impl Scheduler {
             }
             Planned::Serve { fails } | Planned::FailPermanent { fails } => {
                 let clean_final = matches!(plan.planned, Planned::Serve { .. });
-                match self.run_attempts(req, plan.rung, fails, clean_final, mask) {
+                match self.run_attempts(req, plan.rung, fails, clean_final, mask, &mut rec) {
                     Ok(alpha_ok) => {
                         rec.outcome = Outcome::Served;
                         report.record(plan.rung, alpha_ok, "served");
@@ -343,31 +383,21 @@ impl Scheduler {
         // requests additionally runs a dense reference prefill and
         // per-head exact-softmax CRA, measuring the true quality the
         // sparse path delivered. The probe is pure measurement — it
-        // never changes the outcome; a probe error is contained and
-        // counted, not escalated.
+        // never changes the outcome; a probe error is contained, and the
+        // served canary-duty record keeps `canary == false`.
         let mut observation = None;
         if rec.outcome == Outcome::Served
             && is_canary(self.cfg.seed, req.id, self.cfg.canary_denominator)
         {
-            let production = self.guarded_method(plan.rung, mask);
-            match production {
-                Ok(method) => match canary_probe(
-                    &self.model,
-                    plan.rung,
-                    method.as_ref(),
-                    req.seq_len,
-                    req.id,
-                ) {
-                    Ok(obs) => {
-                        rec.canary = true;
-                        rec.canary_true_cra = obs.true_cra;
-                        rec.canary_max_abs_err = obs.max_abs_err;
-                        rec.canary_gap_permille = obs.gap_permille;
-                        observation = Some(obs);
-                    }
-                    Err(_) => metrics::counter("quality.canary.probe_errors").add(1),
-                },
-                Err(_) => metrics::counter("quality.canary.probe_errors").add(1),
+            let probe = self.guarded_method(plan.rung, mask).ok().and_then(|method| {
+                canary_probe(&self.model, plan.rung, method.as_ref(), req.seq_len, req.id).ok()
+            });
+            if let Some(obs) = probe {
+                rec.canary = true;
+                rec.canary_true_cra = obs.true_cra;
+                rec.canary_max_abs_err = obs.max_abs_err;
+                rec.canary_gap_permille = obs.gap_permille;
+                observation = Some(obs);
             }
         }
         (rec, observation)
@@ -380,7 +410,8 @@ impl Scheduler {
     /// from scratch (the pre-recovery behavior). A `serve_crash` storm
     /// plan installed around the run (the chaos storm, inherited by this
     /// executor) injects *unplanned* crashes on top, bounded by one extra
-    /// retry budget so the loop always terminates.
+    /// retry budget so the loop always terminates. Every snapshot and
+    /// every restore's outcome is counted in `rec`'s execution columns.
     fn run_attempts(
         &self,
         req: &Request,
@@ -388,6 +419,7 @@ impl Scheduler {
         fails: u64,
         clean_final: bool,
         mask: &[bool],
+        rec: &mut RequestRecord,
     ) -> Result<bool, SaError> {
         let mut snap: Option<Snapshot> = None;
         let mut planned_done = 0u64;
@@ -408,20 +440,30 @@ impl Scheduler {
             let (mut result, new_snap) = if self.cfg.recovery_enabled {
                 match req.kind {
                     RequestKind::Prefill => {
-                        let resume = match &snap {
-                            Some(Snapshot::Prefill(p)) => Some(p),
-                            _ => None,
+                        let restored = match &snap {
+                            Some(Snapshot::Prefill(p)) => self
+                                .restore_prefill(p, salt, &token)
+                                .map(|r| r.tally(rec)),
+                            _ => Ok(None),
                         };
-                        self.prefill_attempt(
-                            req, rung, &token, resume, crashing, attempt, salt, mask,
-                        )
+                        match restored {
+                            Ok(run) => self.prefill_attempt(req, rung, run, crashing, attempt, mask),
+                            Err(e) => (Err(e), None),
+                        }
                     }
                     RequestKind::Decode => {
-                        let resume = match &snap {
-                            Some(Snapshot::Session(s)) => Some(s),
-                            _ => None,
+                        let restored = match &snap {
+                            Some(Snapshot::Session(s)) => self
+                                .restore_session(s, salt, &token)
+                                .map(|r| r.tally(rec)),
+                            _ => Ok(None),
                         };
-                        self.decode_attempt(req, rung, &token, resume, crashing, salt, mask)
+                        match restored {
+                            Ok(session) => {
+                                self.decode_attempt(req, rung, &token, session, crashing, mask)
+                            }
+                            Err(e) => (Err(e), None),
+                        }
                     }
                 }
             } else {
@@ -445,6 +487,7 @@ impl Scheduler {
                 });
             }
             if let Some(s) = new_snap {
+                rec.checkpoint_snapshots += 1;
                 snap = Some(s);
             }
             attempt += 1;
@@ -471,20 +514,17 @@ impl Scheduler {
         }
     }
 
-    /// One chunked-prefill attempt under the recovery protocol: restore
-    /// the checkpoint (or start fresh), and either crash after the
+    /// One chunked-prefill attempt under the recovery protocol: resume
+    /// the restored run (or start fresh), and either crash after the
     /// planner's drawn number of chunks — leaving a new snapshot — or
-    /// drive the prefill to completion.
-    #[allow(clippy::too_many_arguments)]
-    fn prefill_attempt(
-        &self,
+    /// drive the prefill to completion under a fresh cancel token.
+    fn prefill_attempt<'m>(
+        &'m self,
         req: &Request,
         rung: DegradationRung,
-        token: &CancelToken,
-        resume: Option<&PrefillCheckpoint>,
+        resumed: Option<ChunkedPrefill<'m>>,
         crashing: bool,
         attempt: u64,
-        salt: u64,
         mask: &[bool],
     ) -> (Result<bool, SaError>, Option<Snapshot>) {
         let method = match self.guarded_method(rung, mask) {
@@ -499,14 +539,7 @@ impl Scheduler {
                 )
             }
         };
-        let mut run: Option<ChunkedPrefill<'_>> = None;
-        if let Some(snapshot) = resume {
-            match self.restore_prefill(snapshot, salt, token) {
-                Ok(restored) => run = restored,
-                Err(e) => return (Err(e), None),
-            }
-        }
-        let mut run = match run {
+        let mut run = match resumed {
             Some(r) => r,
             None => {
                 let tokens = self.model.tokenize_filler(req.seq_len);
@@ -534,7 +567,6 @@ impl Scheduler {
                 }
             }
             let snapshot = Snapshot::Prefill(PrefillCheckpoint::capture(&run));
-            metrics::counter("serve.checkpoint.snapshots").add(1);
             let _guard = (!req.fault_site.is_empty()).then(|| {
                 fault::install(
                     FaultPlan::new(self.cfg.seed ^ req.id).worker_panic(&req.fault_site),
@@ -548,24 +580,22 @@ impl Scheduler {
         }
         // Clean attempt: the remaining chunks under cooperative
         // cancellation.
-        match run.run_to_end(method.as_ref(), token) {
+        match run.run_to_end(method.as_ref(), &CancelToken::new()) {
             Ok((result, _caches)) => (Ok(result.heads_alpha_unsatisfied() == 0), None),
             Err(e) => (Err(e), None),
         }
     }
 
-    /// One decode attempt under the recovery protocol: restore the
-    /// session checkpoint (or prefill fresh), and either snapshot and
+    /// One decode attempt under the recovery protocol: resume the
+    /// restored session (or prefill fresh), and either snapshot and
     /// crash the next decode step, or generate the remaining tokens.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_attempt(
-        &self,
+    fn decode_attempt<'m>(
+        &'m self,
         req: &Request,
         rung: DegradationRung,
         token: &CancelToken,
-        resume: Option<&SessionCheckpoint>,
+        resumed: Option<DecodeSession<'m>>,
         crashing: bool,
-        salt: u64,
         mask: &[bool],
     ) -> (Result<bool, SaError>, Option<Snapshot>) {
         let method = match self.guarded_method(rung, mask) {
@@ -581,14 +611,7 @@ impl Scheduler {
             }
         };
         let tokens = self.model.tokenize_filler(req.seq_len);
-        let mut session: Option<DecodeSession<'_>> = None;
-        if let Some(snapshot) = resume {
-            match self.restore_session(snapshot, salt, token) {
-                Ok(restored) => session = restored,
-                Err(e) => return (Err(e), None),
-            }
-        }
-        let mut session = match session {
+        let mut session = match resumed {
             Some(s) => s,
             None => match self.model.begin_decode(&tokens, method.as_ref()) {
                 Ok(s) => s,
@@ -601,7 +624,6 @@ impl Scheduler {
             // The prefill's KV state is the valuable thing: snapshot it,
             // then crash the in-flight decode step under the fault plan.
             let snapshot = Snapshot::Session(SessionCheckpoint::capture(&session));
-            metrics::counter("serve.checkpoint.snapshots").add(1);
             let _guard = (!req.fault_site.is_empty()).then(|| {
                 fault::install(
                     FaultPlan::new(self.cfg.seed ^ req.id).worker_panic(&req.fault_site),
@@ -629,14 +651,13 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// Cancellation (and other non-containable errors) propagate;
-    /// containable restore failures return `Ok(None)`.
+    /// Cancellation (and other non-containable errors) propagate.
     pub fn restore_prefill(
         &self,
         snapshot: &PrefillCheckpoint,
         salt: u64,
         token: &CancelToken,
-    ) -> Result<Option<ChunkedPrefill<'_>>, SaError> {
+    ) -> Result<Restore<ChunkedPrefill<'_>>, SaError> {
         self.restore_guarded(snapshot.kv_bytes(), salt, token, |c| {
             snapshot.restore(&self.model, salt, c)
         })
@@ -645,11 +666,11 @@ impl Scheduler {
     /// Restores a decode-session checkpoint under the serving-layer
     /// protocol: reserve the KV staging bytes in the memory ledger
     /// (consulting the fault harness), run the checksum-validated
-    /// restore with the cancel token checked *first*, release the
-    /// staging reservation, and count the outcome in
-    /// `serve.checkpoint.*`. Returns `Ok(None)` when the restore is
-    /// unusable — injected allocation failure or detected KV
-    /// corruption — and the attempt must fall back to scratch.
+    /// restore with the cancel token checked *first*, and release the
+    /// staging reservation. Returns which case it came to: the resumed
+    /// session, or the contained failure — a failed staging allocation
+    /// or detected KV corruption — after which the attempt falls back to
+    /// scratch.
     ///
     /// # Errors
     ///
@@ -661,39 +682,29 @@ impl Scheduler {
         snapshot: &SessionCheckpoint,
         salt: u64,
         token: &CancelToken,
-    ) -> Result<Option<DecodeSession<'_>>, SaError> {
+    ) -> Result<Restore<DecodeSession<'_>>, SaError> {
         self.restore_guarded(snapshot.kv_bytes(), salt, token, |c| {
             snapshot.restore(&self.model, salt, c)
         })
     }
 
-    /// The shared restore protocol (reserve → restore → release →
-    /// count), generic over the checkpoint kind.
+    /// The shared restore protocol (reserve → restore → release),
+    /// generic over the checkpoint kind.
     fn restore_guarded<T>(
         &self,
         kv_bytes: u64,
         salt: u64,
         token: &CancelToken,
         restore: impl FnOnce(Option<&CancelToken>) -> Result<T, SaError>,
-    ) -> Result<Option<T>, SaError> {
+    ) -> Result<Restore<T>, SaError> {
         if self.mem.reserve(kv_bytes, salt).is_err() {
-            // Staging allocation failed (injected or genuine budget
-            // exhaustion): contained — the attempt restarts from
-            // scratch instead of dying.
-            metrics::counter("serve.pressure.alloc_faults").add(1);
-            return Ok(None);
+            return Ok(Restore::AllocFault);
         }
         let result = restore(Some(token));
         self.mem.release(kv_bytes);
         match result {
-            Ok(v) => {
-                metrics::counter("serve.checkpoint.restores").add(1);
-                Ok(Some(v))
-            }
-            Err(SaError::CorruptCheckpoint { .. }) => {
-                metrics::counter("serve.checkpoint.corruptions").add(1);
-                Ok(None)
-            }
+            Ok(v) => Ok(Restore::Resumed(v)),
+            Err(SaError::CorruptCheckpoint { .. }) => Ok(Restore::Corrupt),
             Err(e) => Err(e),
         }
     }
@@ -765,52 +776,6 @@ fn method_for(rung: DegradationRung) -> Result<Box<dyn AttentionMethod>, String>
             .map_err(|e| e.to_string())?
             .map(|c| Box::new(SampleAttentionMethod::new(c)) as Box<dyn AttentionMethod>)
             .ok_or_else(|| format!("rung {rung} has no SampleAttention config")),
-    }
-}
-
-/// Publishes batch outcomes to the global `serve.*` metrics.
-fn record_metrics(records: &[RequestRecord]) {
-    metrics::counter("serve.requests").add(records.len() as u64);
-    for rec in records {
-        let c = match rec.outcome {
-            Outcome::Served => "serve.served",
-            Outcome::RejectedOverloaded => "serve.rejected_overloaded",
-            Outcome::RejectedBudget => "serve.rejected_budget",
-            Outcome::ExpiredInQueue => "serve.expired_in_queue",
-            Outcome::DeadlineExceeded => "serve.deadline_exceeded",
-            Outcome::Cancelled => "serve.cancelled",
-            Outcome::Failed => "serve.failed",
-            Outcome::ShedQualityFloor => "quality.floor.sheds",
-        };
-        metrics::counter(c).add(1);
-        if rec.canary {
-            metrics::counter("quality.canary.requests").add(1);
-            metrics::histogram("quality.canary.gap_permille")
-                .record(rec.canary_gap_permille.max(0) as u64);
-        }
-        if !rec.rung.is_empty() {
-            metrics::histogram("serve.queue_wait_ms").record(rec.queue_wait_ms);
-            if let Some(rung) = rec.report.final_rung() {
-                metrics::histogram("serve.final_rung").record(rung.index() as u64);
-            }
-        }
-        if rec.retries > 0 {
-            metrics::counter("serve.retried").add(rec.retries);
-            metrics::histogram("serve.backoff_ms").record(rec.backoff_ms);
-        }
-        if rec.recovered_attempts > 0 {
-            metrics::counter("serve.recovered").add(rec.recovered_attempts);
-            metrics::histogram("serve.recomputed_tokens").record(rec.recomputed_tokens);
-        }
-        if rec.ttft_ms > 0 {
-            metrics::histogram("serve.ttft_ms").record(rec.ttft_ms);
-        }
-        if let Some(tpot_ms) = rec.tpot_ms() {
-            metrics::histogram("serve.tpot_ms").record(tpot_ms);
-        }
-        if rec.degraded {
-            metrics::counter("serve.degraded").add(1);
-        }
     }
 }
 
@@ -925,10 +890,6 @@ mod tests {
 
     #[test]
     fn crashed_attempts_snapshot_and_resume_from_checkpoints() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
-        let snapshots = metrics::counter("serve.checkpoint.snapshots").get();
-        let restores = metrics::counter("serve.checkpoint.restores").get();
         let s = scheduler();
         let mut req = Request::prefill(11, 96, 0, 1_000_000);
         req.fault_fails = 2;
@@ -937,14 +898,20 @@ mod tests {
         let rec = &ledger.records[0];
         assert_eq!(rec.outcome, Outcome::Served);
         assert_eq!(rec.retries, 2);
-        assert!(
-            metrics::counter("serve.checkpoint.snapshots").get() >= snapshots + 2,
-            "each crashed attempt snapshots its progress"
-        );
-        assert!(
-            metrics::counter("serve.checkpoint.restores").get() > restores,
-            "the successor resumes from the checkpoint"
-        );
+        assert_eq!(rec.checkpoint_snapshots, 2, "each crashed attempt snapshots its progress");
+        assert_eq!(rec.checkpoint_restores, 2, "each successor resumes from the checkpoint");
+        assert_eq!((rec.checkpoint_corruptions, rec.alloc_faults), (0, 0));
+
+        // Retry-from-scratch captures and restores nothing.
+        let scratch = Scheduler::new(ServeConfig {
+            recovery_enabled: false,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let ledger = scratch.run_continuous_with_events(std::slice::from_ref(&req)).unwrap().0;
+        let rec = &ledger.records[0];
+        assert_eq!(rec.retries, 2);
+        assert_eq!((rec.checkpoint_snapshots, rec.checkpoint_restores), (0, 0));
     }
 
     #[test]
@@ -979,10 +946,13 @@ mod tests {
             ttft_ms: 0,
             recovered_attempts: 0,
             recomputed_tokens: 0,
+            checkpoint_snapshots: 0,
+            checkpoint_restores: 0,
             ..r.clone()
         };
         assert_eq!(answer(a), answer(b), "recovery must be invisible in the answer");
         assert!(a.recovered_attempts > 0 && b.recovered_attempts == 0);
+        assert!(a.checkpoint_restores > 0 && b.checkpoint_restores == 0);
         assert!(a.recomputed_tokens < b.recomputed_tokens);
         assert!(a.finish_ms <= b.finish_ms);
     }
@@ -1014,8 +984,6 @@ mod tests {
 
     #[test]
     fn corrupt_and_alloc_faulted_restores_fall_back_to_scratch() {
-        // The counters read below move only while this thread traces.
-        let _session = sa_trace::scoped();
         let s = scheduler();
         let tokens = s.model().tokenize_filler(48);
         let session = s
@@ -1026,21 +994,18 @@ mod tests {
         drop(session);
         let token = CancelToken::new();
 
-        let corruptions = metrics::counter("serve.checkpoint.corruptions").get();
         {
             let _g = fault::install(FaultPlan::new(9).kv_bit_flips(1));
             let restored = s.restore_session(&snap, 0x52, &token).unwrap();
-            assert!(restored.is_none(), "corrupt restore is contained");
+            assert!(matches!(restored, Restore::Corrupt), "corrupt restore is contained");
         }
-        assert!(metrics::counter("serve.checkpoint.corruptions").get() > corruptions);
-
-        let alloc_faults = metrics::counter("serve.pressure.alloc_faults").get();
         {
             let _g = fault::install(FaultPlan::new(9).alloc_failures(1));
             let restored = s.restore_session(&snap, 0x53, &token).unwrap();
-            assert!(restored.is_none(), "failed staging alloc is contained");
+            assert!(matches!(restored, Restore::AllocFault), "failed staging alloc is contained");
         }
-        assert!(metrics::counter("serve.pressure.alloc_faults").get() > alloc_faults);
+        let restored = s.restore_session(&snap, 0x54, &token).unwrap();
+        assert!(matches!(restored, Restore::Resumed(_)), "a clean restore resumes");
         assert_eq!(s.memory().in_use(), 0, "no path leaks staging bytes");
     }
 

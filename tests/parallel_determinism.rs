@@ -314,7 +314,8 @@ fn tracing_does_not_perturb_pipeline_outputs() {
 /// The serving telemetry plane is emitted by the serial virtual-time
 /// planner (and only reconciled against the executed ledger), so both
 /// the `sa.events.v3` log and any timeline aggregation derived from it
-/// must serialize byte-identically at every thread count.
+/// must serialize byte-identically at every thread count, and so must
+/// the ledger beside it, execution columns included.
 #[test]
 fn serving_telemetry_is_thread_invariant() {
     use sample_attention::json::{to_string, ToJson};
@@ -327,7 +328,9 @@ fn serving_telemetry_is_thread_invariant() {
         ..ServeConfig::default()
     };
     let requests = mixed_workload(cfg.seed, 12);
-    assert_thread_invariant("serve event log + timeline", || {
+    // The ledger's execution columns (checkpoints captured and restored)
+    // are counted on the executing threads: they must not move either.
+    assert_thread_invariant("serve ledger + event log + timeline", || {
         let scheduler = Scheduler::new(cfg.clone()).unwrap();
         let (ledger, log) = scheduler.run_continuous_with_events(&requests).unwrap();
         log.validate(&ledger).unwrap();
@@ -335,7 +338,13 @@ fn serving_telemetry_is_thread_invariant() {
         for ev in &log.events {
             tl.observe(&format!("{:?}", ev.kind), ev.t_ms, ev.mem_in_use);
         }
-        (to_string(&log.to_json()), to_string(&tl.flush().to_json()))
+        let restores: u64 = ledger.records.iter().map(|r| r.checkpoint_restores).sum();
+        assert!(restores > 0, "the workload must resume a checkpoint");
+        (
+            to_string(&ledger.to_json()),
+            to_string(&log.to_json()),
+            to_string(&tl.flush().to_json()),
+        )
     });
 }
 

@@ -144,7 +144,7 @@ fn checked_in_chaos_soak_ledger_validates() {
     let doc = json::parse(&text).unwrap();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("sa.chaos_soak.v3")
+        Some("sa.chaos_soak.v4")
     );
 
     // All three legs — the mixed batch, the open-loop stream, and the
@@ -210,21 +210,35 @@ fn checked_in_chaos_soak_ledger_validates() {
     // The storm leg's crash-recovery verdicts: checkpoints were
     // captured, resumes happened, and every injected integrity fault
     // (bit-flip corruption, failed restore allocation) was caught and
-    // counted instead of surfacing as a wrong answer or a panic.
-    for key in [
-        "storm_recovered_attempts",
-        "storm_recomputed_tokens",
-        "storm_checkpoint_snapshots",
-        "storm_checkpoint_corruptions",
-        "storm_alloc_faults",
+    // recorded instead of surfacing as a wrong answer or a panic. Each
+    // tally is its column's sum over the embedded storm ledger.
+    let storm_ledger = doc.get("storm_ledger").unwrap();
+    for (key, column) in [
+        ("storm_recovered_attempts", "recovered_attempts"),
+        ("storm_recomputed_tokens", "recomputed_tokens"),
+        ("storm_checkpoint_snapshots", "checkpoint_snapshots"),
+        ("storm_checkpoint_corruptions", "checkpoint_corruptions"),
+        ("storm_alloc_faults", "alloc_faults"),
     ] {
         let v = doc.get(key).and_then(Json::as_i64).unwrap();
         assert!(v > 0, "committed soak has {key} = {v}");
+        assert_eq!(v, column_sum(storm_ledger, column), "{key}");
+    }
+}
+
+/// The sum of one integer column over an embedded ledger's records.
+fn column_sum(ledger: &Json, column: &str) -> i64 {
+    match ledger.get("records") {
+        Some(Json::Array(records)) => records
+            .iter()
+            .map(|r| r.get(column).and_then(Json::as_i64).unwrap())
+            .sum(),
+        other => panic!("ledger.records must be an array, got {other:?}"),
     }
 }
 
 /// The checked-in `results/recovery.json` must carry the recovery
-/// bench's acceptance verdicts: the `sa.recovery.v1` schema, a
+/// bench's acceptance verdicts: the `sa.recovery.v2` schema, a
 /// thread-invariant executed ledger, and — on every bench point —
 /// checkpoint resume strictly reducing recomputed tokens with goodput
 /// no worse than retry-from-scratch.
@@ -236,7 +250,7 @@ fn checked_in_recovery_report_validates() {
     let doc = json::parse(&text).unwrap();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("sa.recovery.v1")
+        Some("sa.recovery.v2")
     );
     assert_eq!(
         doc.get("identical_across_threads").and_then(Json::as_bool),
@@ -246,6 +260,7 @@ fn checked_in_recovery_report_validates() {
     for key in ["checkpoint_snapshots", "checkpoint_restores"] {
         let v = doc.get(key).and_then(Json::as_i64).unwrap();
         assert!(v > 0, "committed bench has {key} = {v}");
+        assert_eq!(v, column_sum(doc.get("ledger").unwrap(), key), "{key}");
     }
 
     let points = match doc.get("points") {
@@ -478,7 +493,7 @@ fn checked_in_quality_guard_validates() {
     let doc = json::parse(&text).unwrap();
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("sa.quality_guard.v1")
+        Some("sa.quality_guard.v2")
     );
 
     // Clean leg: canaries ran and probed sparse heads, no head was
@@ -560,6 +575,10 @@ fn checked_in_quality_guard_validates() {
         other => panic!("storm_ledger.records must be an array, got {other:?}"),
     };
     assert_eq!(records.len() as i64, requests);
+    // Every bit-flipped restore of the storm wave was caught.
+    let caught = doc.get("storm_checkpoint_corruptions").and_then(Json::as_i64).unwrap();
+    assert!(caught > 0, "the storm's bit-flips never tripped the checksum");
+    assert_eq!(caught, column_sum(ledger, "checkpoint_corruptions"));
 }
 
 #[test]
