@@ -2,11 +2,11 @@
 
 use sa_kernels::{
     flash_attention, flash_attention_prepared, AttentionOutput, BlockedAttentionOutput, EngineJob,
-    FlashParams, PreparedKeys,
+    FlashParams, KeyPanels,
 };
 use sa_tensor::{Matrix, TensorError};
 
-use crate::{AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
+use crate::{AttentionMethod, GroupKeys, HeadPlan, MethodOutput, PlannedHead};
 
 /// Full attention via the flash kernel — the paper's accuracy gold
 /// standard and the latency baseline (FlashAttention2).
@@ -33,7 +33,7 @@ impl FullAttention {
     pub fn decode_block(
         &self,
         q_block: &Matrix,
-        keys: PreparedKeys<'_>,
+        keys: &KeyPanels,
         v: &Matrix,
     ) -> Result<MethodOutput, TensorError> {
         // Not causal: the newest position is past every cached key.
@@ -55,17 +55,17 @@ impl AttentionMethod for FullAttention {
         _layer: usize,
         _head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
-        Ok(HeadPlan::Engine(Box::new(DenseHead { q, keys, v })))
+        Ok(HeadPlan::Engine(Box::new(DenseHead { q, keys: keys.panels(), v })))
     }
 }
 
 /// A causal dense head waiting on its engine run.
 struct DenseHead<'a> {
     q: Matrix,
-    keys: PreparedKeys<'a>,
+    keys: &'a KeyPanels,
     v: &'a Matrix,
 }
 

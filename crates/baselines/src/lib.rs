@@ -37,7 +37,7 @@ pub use bigbird::BigBird;
 pub use full::FullAttention;
 pub use hash_sparse::HashSparse;
 pub use hyper_attention::HyperAttention;
-pub use method::{finish_heads, AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
+pub use method::{finish_heads, AttentionMethod, GroupKeys, HeadPlan, MethodOutput, PlannedHead};
 pub use sample_adapter::SampleAttentionMethod;
 pub use streaming::StreamingLlm;
 pub use window::WindowOnly;

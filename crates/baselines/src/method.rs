@@ -1,10 +1,10 @@
 //! The common interface every attention method implements.
 
 use sa_kernels::{
-    run_engine, BlockedAttentionOutput, CostReport, EngineJob, KeyPanels, PreparedKeys,
-    StructuredMask,
+    run_engine, BlockedAttentionOutput, CostReport, EngineJob, KeyPanels, StructuredMask,
 };
 use sa_tensor::{trace, Matrix, TensorError};
+use std::sync::OnceLock;
 
 /// Output of one attention-method invocation on one head.
 #[derive(Debug, Clone)]
@@ -83,9 +83,10 @@ pub trait AttentionMethod: Send + Sync {
     ///
     /// The default plans a [`fixed_mask`](Self::fixed_mask) method's
     /// engine run under its mask; for any other method it ignores the
-    /// identity and the panels and returns [`HeadPlan::Done`] of
-    /// [`forward`](Self::forward) on `keys.rows()`. A method that ends in
-    /// the engine without a fixed mask overrides it. The plan owns `q`.
+    /// identity and returns [`HeadPlan::Done`] of
+    /// [`forward`](Self::forward) on [`GroupKeys::rows`], read back out
+    /// of the panels once per KV group. A method that ends in the engine
+    /// without a fixed mask overrides it. The plan owns `q`.
     ///
     /// # Errors
     ///
@@ -96,14 +97,42 @@ pub trait AttentionMethod: Send + Sync {
         layer: usize,
         head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
         let _ = (layer, head);
-        match self.fixed_mask(q.rows(), keys.len()) {
-            Some(mask) => Ok(HeadPlan::masked(q, keys, v, mask)),
+        match self.fixed_mask(q.rows(), keys.panels().len()) {
+            Some(mask) => Ok(HeadPlan::masked(q, keys.panels(), v, mask)),
             None => self.forward(&q, keys.rows(), v).map(HeadPlan::Done),
         }
+    }
+}
+
+/// One KV head's keys as the query heads of its group plan on them: the
+/// engine's panels, the one copy of K, and the rows a method that reads
+/// rows ([`AttentionMethod::forward`]) needs, read back out of the panels
+/// ([`KeyPanels::to_rows`], the same bits) at most once, on first ask,
+/// and dropped with the group.
+pub struct GroupKeys<'p> {
+    panels: &'p KeyPanels,
+    rows: OnceLock<Matrix>,
+}
+
+impl<'p> GroupKeys<'p> {
+    /// The group's keys, no rows read out yet.
+    pub fn new(panels: &'p KeyPanels) -> Self {
+        GroupKeys { panels, rows: OnceLock::new() }
+    }
+
+    /// The key panels the engine reads.
+    pub fn panels(&self) -> &'p KeyPanels {
+        self.panels
+    }
+
+    /// Every key as a row, `(len, dim)`: built on the first call, shared
+    /// by every later one.
+    pub fn rows(&self) -> &Matrix {
+        self.rows.get_or_init(|| self.panels.to_rows())
     }
 }
 
@@ -169,7 +198,7 @@ pub fn finish_heads(plans: Vec<HeadPlan<'_>>) -> Vec<Result<MethodOutput, Tensor
 impl<'a> HeadPlan<'a> {
     /// A fixed-pattern method's plan: the engine under `mask`, with no
     /// coverage notion and no fallback.
-    fn masked(q: Matrix, keys: PreparedKeys<'a>, v: &'a Matrix, mask: StructuredMask) -> Self {
+    fn masked(q: Matrix, keys: &'a KeyPanels, v: &'a Matrix, mask: StructuredMask) -> Self {
         HeadPlan::Engine(Box::new(MaskedHead { q, keys, v, mask }))
     }
 }
@@ -177,7 +206,7 @@ impl<'a> HeadPlan<'a> {
 /// A fixed-pattern method's head, its mask built.
 struct MaskedHead<'a> {
     q: Matrix,
-    keys: PreparedKeys<'a>,
+    keys: &'a KeyPanels,
     v: &'a Matrix,
     mask: StructuredMask,
 }
@@ -212,7 +241,8 @@ pub(crate) fn forward_alone(
     v: &Matrix,
 ) -> Result<MethodOutput, TensorError> {
     let panels = KeyPanels::from_rows(k);
-    let plan = method.plan_head(0, 0, q.clone(), PreparedKeys::new(k, &panels), v)?;
+    let keys = GroupKeys::new(&panels);
+    let plan = method.plan_head(0, 0, q.clone(), &keys, v)?;
     finish_heads(vec![plan]).pop().expect("one output per plan")
 }
 
@@ -246,9 +276,12 @@ mod tests {
         assert_eq!(methods[0].name(), "dummy");
         // The plan defaults to `forward` on the key rows, done.
         let panels = sa_kernels::KeyPanels::from_rows(&q);
-        let keys = PreparedKeys::new(&q, &panels);
-        let plan = methods[0].plan_head(1, 3, q.clone(), keys, &q).unwrap();
+        let keys = GroupKeys::new(&panels);
+        let plan = methods[0].plan_head(1, 3, q.clone(), &keys, &q).unwrap();
         assert!(matches!(plan, HeadPlan::Done(ref out) if out.output == q));
+        // The rows it read are the group's one copy, shared by later asks.
+        assert!(std::ptr::eq(keys.rows(), keys.rows()));
+        assert_eq!(keys.rows(), &q);
         let finished = finish_heads(vec![plan]);
         assert_eq!(finished[0].as_ref().unwrap().output, q);
     }
@@ -305,13 +338,13 @@ mod tests {
             Box::new(crate::HashSparse::paper_config(5)),
         ];
         let panels = KeyPanels::from_rows(&k);
-        let keys = PreparedKeys::new(&k, &panels);
+        let keys = GroupKeys::new(&panels);
         for method in &methods {
             for threads in [1, 2] {
                 let label = format!("{} at {threads} threads", method.name());
                 let (forward, planned) = sa_tensor::pool::with_threads(threads, || {
                     let forward = method.forward(&q, &k, &v).unwrap();
-                    let plan = method.plan_head(0, 0, q.clone(), keys, &v).unwrap();
+                    let plan = method.plan_head(0, 0, q.clone(), &keys, &v).unwrap();
                     let planned = finish_heads(vec![plan]).pop().unwrap().unwrap();
                     (forward, planned)
                 });

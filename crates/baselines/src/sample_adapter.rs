@@ -5,10 +5,10 @@ use sa_core::{
     DiscoveredMask, SampleAttention, SampleAttentionConfig, SampleAttentionError,
     SampleAttentionOutput, SamplePlan,
 };
-use sa_kernels::{BlockedAttentionOutput, EngineJob, PreparedKeys};
+use sa_kernels::{BlockedAttentionOutput, EngineJob, KeyPanels};
 use sa_tensor::{Matrix, TensorError};
 
-use crate::{AttentionMethod, HeadPlan, MethodOutput, PlannedHead};
+use crate::{AttentionMethod, GroupKeys, HeadPlan, MethodOutput, PlannedHead};
 
 /// SampleAttention as an [`AttentionMethod`].
 #[derive(Debug, Clone)]
@@ -53,9 +53,10 @@ impl AttentionMethod for SampleAttentionMethod {
         _layer: usize,
         _head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
+        let keys = keys.panels();
         match self.inner.plan_prepared(&q, keys, v) {
             Ok(SamplePlan::Engine(discovered)) => Ok(HeadPlan::Engine(Box::new(SampledHead {
                 op: &self.inner,
@@ -74,7 +75,7 @@ impl AttentionMethod for SampleAttentionMethod {
 struct SampledHead<'a> {
     op: &'a SampleAttention,
     q: Matrix,
-    keys: PreparedKeys<'a>,
+    keys: &'a KeyPanels,
     v: &'a Matrix,
     discovered: DiscoveredMask,
 }
@@ -147,9 +148,9 @@ mod tests {
         let k = rng.normal_matrix(256, 8, 1.0);
         let v = rng.normal_matrix(256, 8, 1.0);
         let panels = sa_kernels::KeyPanels::from_rows(&k);
-        let keys = PreparedKeys::new(&k, &panels);
+        let keys = crate::GroupKeys::new(&panels);
         let m = SampleAttentionMethod::paper_default();
-        let plan = || match m.plan_head(0, 0, q.clone(), keys, &v).unwrap() {
+        let plan = || match m.plan_head(0, 0, q.clone(), &keys, &v).unwrap() {
             HeadPlan::Engine(head) => head,
             HeadPlan::Done(_) => panic!("a healthy head plans an engine run"),
         };

@@ -22,7 +22,7 @@
 
 use sa_kernels::{
     flash_attention, sparse_flash_attention_prepared, BlockedAttentionOutput, CostReport,
-    FlashParams, KeyPanels, PreparedKeys, StructuredMask, ENGINE_BLOCK,
+    FlashParams, KeyPanels, StructuredMask, ENGINE_BLOCK,
 };
 use sa_tensor::{count_nonfinite, Matrix, SaError};
 
@@ -106,21 +106,22 @@ impl FallbackReason {
         FallbackReason::QualityQuarantine,
     ];
 
-    /// Registry counter name for this fallback reason (static so hot
-    /// paths can record without formatting). The dense fallback records
-    /// under it; [`FallbackReason::QualityQuarantine`] is decided
-    /// upstream of the pipeline and has its name for completeness only.
-    pub fn counter_name(self) -> &'static str {
+    /// Registry counter name the dense fallback records this reason
+    /// under (static so hot paths can record without formatting). `None`
+    /// for the two reasons the pipeline never degrades for:
+    /// [`FallbackReason::None`], and [`FallbackReason::QualityQuarantine`],
+    /// which the serving layer's quality guard decides upstream of the
+    /// pipeline and records itself.
+    pub fn counter_name(self) -> Option<&'static str> {
         match self {
-            FallbackReason::None => "core.fallback.None",
-            FallbackReason::NonFiniteInputs => "core.fallback.NonFiniteInputs",
-            FallbackReason::NonFiniteScores => "core.fallback.NonFiniteScores",
-            FallbackReason::ZeroSampledMass => "core.fallback.ZeroSampledMass",
-            FallbackReason::DegenerateMask => "core.fallback.DegenerateMask",
-            FallbackReason::AlphaUnsatisfied => "core.fallback.AlphaUnsatisfied",
-            FallbackReason::WorkerPanic => "core.fallback.WorkerPanic",
-            FallbackReason::NonFiniteOutput => "core.fallback.NonFiniteOutput",
-            FallbackReason::QualityQuarantine => "core.fallback.QualityQuarantine",
+            FallbackReason::None | FallbackReason::QualityQuarantine => None,
+            FallbackReason::NonFiniteInputs => Some("core.fallback.NonFiniteInputs"),
+            FallbackReason::NonFiniteScores => Some("core.fallback.NonFiniteScores"),
+            FallbackReason::ZeroSampledMass => Some("core.fallback.ZeroSampledMass"),
+            FallbackReason::DegenerateMask => Some("core.fallback.DegenerateMask"),
+            FallbackReason::AlphaUnsatisfied => Some("core.fallback.AlphaUnsatisfied"),
+            FallbackReason::WorkerPanic => Some("core.fallback.WorkerPanic"),
+            FallbackReason::NonFiniteOutput => Some("core.fallback.NonFiniteOutput"),
         }
     }
 
@@ -318,8 +319,7 @@ impl SampleAttention {
         k: &Matrix,
         v: &Matrix,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
-        let panels = KeyPanels::from_rows(k);
-        let keys = PreparedKeys::new(k, &panels);
+        let keys = &KeyPanels::from_rows(k);
         match self.plan_prepared(q, keys, v)? {
             SamplePlan::Done(out) => Ok(out),
             SamplePlan::Engine(discovered) => {
@@ -350,15 +350,15 @@ impl SampleAttention {
     pub fn plan_prepared(
         &self,
         q: &Matrix,
-        keys: PreparedKeys<'_>,
+        keys: &KeyPanels,
         v: &Matrix,
     ) -> Result<SamplePlan, SampleAttentionError> {
-        let k = keys.rows();
         // Sentinel A: non-finite Q/K/V poison every later stage (NaN is
         // silently swallowed by `f32::max` inside the softmaxes, so it
         // must be caught here, before it folds into zeros downstream).
+        // The panels' padding lanes are zero: their scan counts the keys'.
         let bad = count_nonfinite(q.as_slice())
-            + count_nonfinite(k.as_slice())
+            + count_nonfinite(keys.as_slice())
             + count_nonfinite(v.as_slice());
         let discovered = if bad > 0 {
             sentinel_trip();
@@ -373,7 +373,7 @@ impl SampleAttention {
         };
         match discovered {
             Ok(discovered) => Ok(SamplePlan::Engine(discovered)),
-            Err(e) => self.degrade(q, k, v, e).map(SamplePlan::Done),
+            Err(e) => self.degrade(q, keys, v, e).map(SamplePlan::Done),
         }
     }
 
@@ -392,7 +392,7 @@ impl SampleAttention {
     pub fn finish_prepared(
         &self,
         q: &Matrix,
-        keys: PreparedKeys<'_>,
+        keys: &KeyPanels,
         v: &Matrix,
         discovered: DiscoveredMask,
         run: Result<BlockedAttentionOutput, SaError>,
@@ -426,7 +426,7 @@ impl SampleAttention {
                 kv_indices,
                 stats,
             }),
-            Err(e) => self.degrade(q, keys.rows(), v, e),
+            Err(e) => self.degrade(q, keys, v, e),
         }
     }
 
@@ -436,7 +436,7 @@ impl SampleAttention {
     fn degrade(
         &self,
         q: &Matrix,
-        k: &Matrix,
+        keys: &KeyPanels,
         v: &Matrix,
         e: SampleAttentionError,
     ) -> Result<SampleAttentionOutput, SampleAttentionError> {
@@ -445,7 +445,7 @@ impl SampleAttention {
                 match self.config.health_policy {
                     HealthPolicy::Propagate => Err(SampleAttentionError::Tensor(e)),
                     HealthPolicy::FallbackDense => self
-                        .dense_fallback(q, k, v, FallbackReason::from_error(&e))
+                        .dense_fallback(q, keys, v, FallbackReason::from_error(&e))
                         .map_err(SampleAttentionError::Tensor),
                 }
             }
@@ -453,23 +453,24 @@ impl SampleAttention {
         }
     }
 
-    /// Dense degradation path: sanitise non-finite inputs to zero, run the
-    /// dense flash kernel, and report full-coverage stats tagged with the
-    /// triggering `reason`.
+    /// Dense degradation path: sanitise non-finite inputs to zero (the
+    /// keys read back out of their panels as rows), run the dense flash
+    /// kernel, and report full-coverage stats tagged with the triggering
+    /// `reason`.
     fn dense_fallback(
         &self,
         q: &Matrix,
-        k: &Matrix,
+        keys: &KeyPanels,
         v: &Matrix,
         reason: FallbackReason,
     ) -> Result<SampleAttentionOutput, SaError> {
         let _span = sa_trace::span_in("core", "dense_fallback");
-        if sa_trace::enabled() {
-            sa_trace::metrics::counter(reason.counter_name()).add(1);
+        if let (true, Some(counter_name)) = (sa_trace::enabled(), reason.counter_name()) {
+            sa_trace::metrics::counter(counter_name).add(1);
         }
         let dense = flash_attention(
             &sanitized(q),
-            &sanitized(k),
+            &sanitized(&keys.to_rows()),
             &sanitized(v),
             true,
             FlashParams::default(),
@@ -483,7 +484,7 @@ impl SampleAttention {
                 *x = 0.0;
             }
         }
-        let mask = StructuredMask::dense_causal(q.rows(), k.rows());
+        let mask = StructuredMask::dense_causal(q.rows(), keys.len());
         let stats = SampleAttentionStats {
             kv_ratio: 1.0,
             covered_mass: 1.0,
@@ -498,7 +499,7 @@ impl SampleAttention {
         Ok(SampleAttentionOutput {
             output,
             mask,
-            kv_indices: (0..k.rows()).collect(),
+            kv_indices: (0..keys.len()).collect(),
             stats,
         })
     }
@@ -523,7 +524,7 @@ impl SampleAttention {
     /// [`forward`](Self::forward); this method always propagates.)
     pub fn discover_mask(&self, q: &Matrix, k: &Matrix) -> Result<DiscoveredMask, SampleAttentionError> {
         let panels = KeyPanels::from_rows(k);
-        self.discover_mask_prepared(q, PreparedKeys::new(k, &panels))
+        self.discover_mask_prepared(q, &panels)
     }
 
     /// [`discover_mask`](Self::discover_mask) on keys whose panels the
@@ -535,11 +536,11 @@ impl SampleAttention {
     pub fn discover_mask_prepared(
         &self,
         q: &Matrix,
-        keys: PreparedKeys<'_>,
+        keys: &KeyPanels,
     ) -> Result<DiscoveredMask, SampleAttentionError> {
-        let k = keys.rows();
-        if self.config.mask_is_dense(q.rows(), k.rows()) {
-            return self.dense_by_construction(q, k);
+        let s_k = keys.len();
+        if self.config.mask_is_dense(q.rows(), s_k) {
+            return self.dense_by_construction(q, keys);
         }
         let stage1 = sa_trace::span_in("core", "stage1_sampling");
         let sampled = sample_attention_scores_prepared(
@@ -562,7 +563,7 @@ impl SampleAttention {
         let live_rows = sampled
             .sampled_rows
             .iter()
-            .any(|&i| causal_width(i, q.rows(), k.rows()) > 0);
+            .any(|&i| causal_width(i, q.rows(), s_k) > 0);
         if live_rows && sampled.total_mass() <= 0.0 {
             sentinel_trip();
             return Err(SaError::DegenerateMask {
@@ -603,7 +604,7 @@ impl SampleAttention {
         }
         drop(stage2);
         let _merge = sa_trace::span_in("core", "mask_merge");
-        let mask = merge_mask(q.rows(), k.rows(), &filtered.indices, &self.config)?;
+        let mask = merge_mask(q.rows(), s_k, &filtered.indices, &self.config)?;
         // Sentinel C (mask half): the merge always includes the local
         // window, so an empty mask over a non-empty causal triangle means
         // the discovery stages collapsed.
@@ -639,18 +640,18 @@ impl SampleAttention {
     fn dense_by_construction(
         &self,
         q: &Matrix,
-        k: &Matrix,
+        keys: &KeyPanels,
     ) -> Result<DiscoveredMask, SampleAttentionError> {
-        if q.cols() != k.cols() {
+        if q.cols() != keys.dim() {
             return Err(SaError::ShapeMismatch {
                 op: "sample_attention_scores",
                 lhs: q.shape(),
-                rhs: k.shape(),
+                rhs: (keys.len(), keys.dim()),
             }
             .into());
         }
         sa_trace::counter_add!("core.discovery_skipped", 1);
-        let mask = merge_mask(q.rows(), k.rows(), &[], &self.config)?;
+        let mask = merge_mask(q.rows(), keys.len(), &[], &self.config)?;
         sa_trace::histogram_record!("core.mask_nnz", mask.nnz() as u64);
         let stats = SampleAttentionStats {
             kv_ratio: 1.0,
@@ -722,10 +723,24 @@ mod tests {
         // `counter_name()` is the one non-literal metric name the
         // registry lint in scripts/verify.sh lets through; this holds
         // each name it can return to docs/METRICS.md instead.
+        // The two reasons the pipeline never degrades for have no name,
+        // and no row.
         let doc = include_str!("../../../docs/METRICS.md");
         for reason in std::iter::once(FallbackReason::None).chain(FallbackReason::DEGRADATIONS) {
-            let row = format!("| `{}` |", reason.counter_name());
-            assert!(doc.contains(&row), "{row} is not listed in docs/METRICS.md");
+            match reason.counter_name() {
+                Some(name) => {
+                    let row = format!("| `{name}` |");
+                    assert!(doc.contains(&row), "{row} is not listed in docs/METRICS.md");
+                }
+                None => {
+                    assert!(
+                        matches!(reason, FallbackReason::None | FallbackReason::QualityQuarantine),
+                        "{reason:?} records under no name"
+                    );
+                    let row = format!("| `core.fallback.{reason:?}` |");
+                    assert!(!doc.contains(&row), "{row} is registered, but nothing records it");
+                }
+            }
         }
     }
 

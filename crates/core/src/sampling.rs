@@ -6,7 +6,7 @@
 //! (high row-wise similarity of score distributions, Figure 2(e)) is what
 //! makes a small sample representative of all rows.
 
-use sa_kernels::{score_scale, CostReport, KeyPanels, PreparedKeys, ENGINE_BLOCK};
+use sa_kernels::{score_scale, CostReport, KeyPanels, ENGINE_BLOCK};
 use sa_tensor::{fault, pool, softmax_rows_on, AlignedBuf, Isa, Matrix, StrideSample, TensorError};
 
 use crate::sparsity::causal_width;
@@ -76,7 +76,7 @@ pub fn sample_attention_scores(
     sample_ratio: f32,
 ) -> Result<SampledScores, TensorError> {
     let panels = KeyPanels::from_rows(k);
-    sample_attention_scores_prepared(q, PreparedKeys::new(k, &panels), sample_ratio)
+    sample_attention_scores_prepared(q, &panels, sample_ratio)
 }
 
 /// Sampled rows per batch: the probability rows held at once. The
@@ -101,22 +101,20 @@ const _: () = assert!(ROW_GROUP.is_multiple_of(4));
 /// As [`sample_attention_scores`].
 pub fn sample_attention_scores_prepared(
     q: &Matrix,
-    keys: PreparedKeys<'_>,
+    panels: &KeyPanels,
     sample_ratio: f32,
 ) -> Result<SampledScores, TensorError> {
-    let k = keys.rows();
-    if q.cols() != k.cols() {
+    let s_k = panels.len();
+    if q.cols() != panels.dim() {
         return Err(TensorError::ShapeMismatch {
             op: "sample_attention_scores",
             lhs: q.shape(),
-            rhs: k.shape(),
+            rhs: (s_k, panels.dim()),
         });
     }
     let (s_q, d) = q.shape();
-    let s_k = k.rows();
     let sample = StrideSample::by_ratio(s_q, sample_ratio)?;
     let scale = score_scale(d);
-    let panels = keys.panels();
     let isa = Isa::detect();
 
     // Sampled rows go through in fixed batches of SAMPLE_BATCH, in two

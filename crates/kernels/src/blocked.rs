@@ -56,7 +56,7 @@ use sa_tensor::{
 
 use crate::cost::f32_bytes;
 use crate::flash::{self, DenseRows};
-use crate::panels::{KeyPanels, PreparedKeys, BLOCK};
+use crate::panels::{KeyPanels, BLOCK};
 use crate::{score_scale, CostReport, FlashParams, StructuredMask};
 
 // A score tile row is one fold block.
@@ -157,7 +157,7 @@ pub fn sparse_flash_attention_blocked(
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
     let panels = KeyPanels::from_rows(k);
-    sparse_flash_attention_prepared(q, PreparedKeys::new(k, &panels), v, mask)
+    sparse_flash_attention_prepared(q, &panels, v, mask)
 }
 
 /// [`sparse_flash_attention_blocked`] on keys whose panels the caller
@@ -168,7 +168,7 @@ pub fn sparse_flash_attention_blocked(
 /// As [`sparse_flash_attention_blocked`].
 pub fn sparse_flash_attention_prepared(
     q: &Matrix,
-    keys: PreparedKeys<'_>,
+    keys: &KeyPanels,
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
@@ -188,7 +188,7 @@ pub fn sparse_flash_attention_prepared(
 pub fn sparse_flash_attention_prepared_on(
     isa: Isa,
     q: &Matrix,
-    keys: PreparedKeys<'_>,
+    keys: &KeyPanels,
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<BlockedAttentionOutput, TensorError> {
@@ -197,32 +197,33 @@ pub fn sparse_flash_attention_prepared_on(
         .expect("one result per job")
 }
 
-/// The shape checks shared by the engine and the row-wise reference.
+/// The shape checks shared by the engine and the row-wise reference; `k`
+/// is the keys' `(count, width)`.
 pub(crate) fn validate_sparse_shapes(
     q: &Matrix,
-    k: &Matrix,
+    k: (usize, usize),
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<(), TensorError> {
-    if q.cols() != k.cols() {
+    if q.cols() != k.1 {
         return Err(TensorError::ShapeMismatch {
             op: "sparse_flash_attention(q,k)",
             lhs: q.shape(),
-            rhs: k.shape(),
+            rhs: k,
         });
     }
-    if k.rows() != v.rows() {
+    if k.0 != v.rows() {
         return Err(TensorError::ShapeMismatch {
             op: "sparse_flash_attention(k,v)",
-            lhs: k.shape(),
+            lhs: k,
             rhs: v.shape(),
         });
     }
-    if mask.s_q() != q.rows() || mask.s_k() != k.rows() {
+    if mask.s_q() != q.rows() || mask.s_k() != k.0 {
         return Err(TensorError::ShapeMismatch {
             op: "sparse_flash_attention(mask)",
             lhs: (mask.s_q(), mask.s_k()),
-            rhs: (q.rows(), k.rows()),
+            rhs: (q.rows(), k.0),
         });
     }
     Ok(())
@@ -234,7 +235,7 @@ pub(crate) fn validate_sparse_shapes(
 #[derive(Debug, Clone, Copy)]
 pub struct EngineJob<'a> {
     q: &'a Matrix,
-    keys: PreparedKeys<'a>,
+    keys: &'a KeyPanels,
     v: &'a Matrix,
     rows: JobRows<'a>,
 }
@@ -254,7 +255,7 @@ impl<'a> EngineJob<'a> {
     /// [`sparse_flash_attention_prepared`] computes it.
     pub fn sparse(
         q: &'a Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a KeyPanels,
         v: &'a Matrix,
         mask: &'a StructuredMask,
     ) -> Self {
@@ -271,7 +272,7 @@ impl<'a> EngineJob<'a> {
     /// computes it.
     pub fn dense(
         q: &'a Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a KeyPanels,
         v: &'a Matrix,
         causal: bool,
         params: FlashParams,
@@ -304,9 +305,10 @@ impl<'a> EngineJob<'a> {
     }
 
     fn validate(&self) -> Result<(), TensorError> {
+        let k = (self.keys.len(), self.keys.dim());
         match self.rows {
-            JobRows::Mask(mask) => validate_sparse_shapes(self.q, self.keys.rows(), self.v, mask),
-            JobRows::Dense(_, params) => flash::validate(self.q, self.keys.rows(), self.v, params),
+            JobRows::Mask(mask) => validate_sparse_shapes(self.q, k, self.v, mask),
+            JobRows::Dense(_, params) => flash::validate(self.q, k, self.v, params),
         }
     }
 
@@ -502,7 +504,7 @@ fn run_units(
     let gathered: Vec<Gathered> = jobs
         .iter()
         .map(|job| Gathered {
-            kt: KeyPanels::gathered(job.keys.rows(), job.rows.extras()),
+            kt: job.keys.gathered(job.rows.extras()),
             v: gather_values(job.v, job.rows.extras()),
         })
         .collect();
@@ -518,7 +520,7 @@ fn run_units(
             let q0 = row0 + b * BLOCK;
             block.reset(geom, q0, out_rows.len() / dv);
             block.fold_extras(q, &extras.kt, extras.v.as_slice(), scale, &mut tally);
-            block.fold_window(q, v.as_slice(), keys.panels(), scale, &mut tally);
+            block.fold_window(q, v.as_slice(), keys, scale, &mut tally);
             block.finish(out_rows);
         }
         tally
@@ -1015,7 +1017,7 @@ mod tests {
             let (q, k, v) = random_qkv(s_q, 150, 8, 5);
             let panels = KeyPanels::from_rows(&k);
             let prepared =
-                sparse_flash_attention_prepared(&q, PreparedKeys::new(&k, &panels), &v, &mask)
+                sparse_flash_attention_prepared(&q, &panels, &v, &mask)
                     .unwrap();
             let rebuilt = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
             assert_eq!(prepared.output.as_slice(), rebuilt.output.as_slice());
@@ -1088,7 +1090,7 @@ mod tests {
         let (decode_q, _, _) = random_qkv(3, 1, 8, 23);
         let (bad_q, _, _) = random_qkv(s, 1, 5, 24);
         let panels = KeyPanels::from_rows(&k);
-        let keys = PreparedKeys::new(&k, &panels);
+        let keys = &panels;
         let params = FlashParams::default();
         let striped = StructuredMask::builder(s, s)
             .window(9)
@@ -1149,7 +1151,7 @@ mod tests {
     fn a_fault_plan_fails_the_jobs_of_its_site_only() {
         let (q, k, v) = random_qkv(130, 130, 8, 25);
         let panels = KeyPanels::from_rows(&k);
-        let keys = PreparedKeys::new(&k, &panels);
+        let keys = &panels;
         let mask = StructuredMask::builder(130, 130)
             .window(16)
             .sinks(2)
@@ -1186,7 +1188,7 @@ mod tests {
         let s = 1024;
         let (q, k, v) = random_qkv(s, s, 8, 26);
         let panels = KeyPanels::from_rows(&k);
-        let keys = PreparedKeys::new(&k, &panels);
+        let keys = &panels;
         let job = EngineJob::dense(&q, keys, &v, true, FlashParams::default());
         let jobs = [&job, &job, &job];
         for threads in [1, 2, 3, 5] {

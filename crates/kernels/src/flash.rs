@@ -15,7 +15,7 @@ use sa_tensor::{Matrix, TensorError};
 
 use crate::blocked::{run_engine, EngineJob, RowGeometry};
 use crate::cost::f32_bytes;
-use crate::panels::{KeyPanels, PreparedKeys};
+use crate::panels::KeyPanels;
 use crate::{AttentionOutput, CostReport};
 
 /// Tile sizes of the modelled kernel: they set the K/V re-read traffic
@@ -82,7 +82,7 @@ pub fn flash_attention(
     params: FlashParams,
 ) -> Result<AttentionOutput, TensorError> {
     let panels = KeyPanels::from_rows(k);
-    flash_attention_prepared(q, PreparedKeys::new(k, &panels), v, causal, params)
+    flash_attention_prepared(q, &panels, v, causal, params)
 }
 
 /// [`flash_attention`] on keys whose panels the caller already holds
@@ -95,7 +95,7 @@ pub fn flash_attention(
 /// As [`flash_attention`].
 pub fn flash_attention_prepared(
     q: &Matrix,
-    keys: PreparedKeys<'_>,
+    keys: &KeyPanels,
     v: &Matrix,
     causal: bool,
     params: FlashParams,
@@ -108,24 +108,25 @@ pub fn flash_attention_prepared(
     })
 }
 
-/// The shape checks of [`flash_attention_prepared`].
+/// The shape checks of [`flash_attention_prepared`]; `k` is the keys'
+/// `(count, width)`.
 pub(crate) fn validate(
     q: &Matrix,
-    k: &Matrix,
+    k: (usize, usize),
     v: &Matrix,
     params: FlashParams,
 ) -> Result<(), TensorError> {
-    if q.cols() != k.cols() {
+    if q.cols() != k.1 {
         return Err(TensorError::ShapeMismatch {
             op: "flash_attention(q,k)",
             lhs: q.shape(),
-            rhs: k.shape(),
+            rhs: k,
         });
     }
-    if k.rows() != v.rows() {
+    if k.0 != v.rows() {
         return Err(TensorError::ShapeMismatch {
             op: "flash_attention(k,v)",
-            lhs: k.shape(),
+            lhs: k,
             rhs: v.shape(),
         });
     }

@@ -22,8 +22,9 @@
 //!
 //! The engine reads keys as [`KeyPanels`]. The `&Matrix` entry points
 //! build them per call; a caller that keeps keys across calls (a KV
-//! cache, the heads of a GQA group) builds them once and passes
-//! [`PreparedKeys`] to the `*_prepared` entry points instead.
+//! cache, the heads of a GQA group) builds them once, keeps no other
+//! copy of the keys, and passes them to the `*_prepared` entry points
+//! instead.
 //!
 //! Every kernel reports a [`CostReport`] with exact FLOP and byte counts so
 //! the `sa-perf` roofline model can translate algorithmic work into A100
@@ -56,7 +57,7 @@ pub use full::{
     AttentionOutput,
 };
 pub use mask::{DenseMask, StructuredMask, StructuredMaskBuilder};
-pub use panels::{KeyPanels, PreparedKeys, BLOCK as ENGINE_BLOCK};
+pub use panels::{KeyPanels, BLOCK as ENGINE_BLOCK};
 pub use sparse_flash::sparse_flash_attention;
 pub use tile::{
     sparse_flash_attention_tiled, TileClass, TileEntry, TileTraffic, TiledMask, MAX_TILE,

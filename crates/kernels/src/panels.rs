@@ -27,7 +27,15 @@
 //! (`sa-model`'s `LayerKvCache` owns one per head); stage-1 sampling, the
 //! blocked engine and decode all read it. A transposed key costs about
 //! what two scalar dot products do, so whoever holds keys across calls
-//! keeps their panels too.
+//! keeps their panels.
+//!
+//! The panels are the only copy of those keys such a holder needs: a
+//! key reads back out as a row ([`KeyPanels::copy_key`],
+//! [`KeyPanels::to_rows`]) and a subset gathers panel to panel
+//! ([`KeyPanels::gathered`]), each with the bits of the rows the panels
+//! were built from. Padding lanes hold `0.0`, so a scan of
+//! [`KeyPanels::as_slice`] counts what a scan of the rows counts for any
+//! property zero lacks (a non-finite value).
 
 use sa_tensor::{mul_add, AlignedBuf, Isa, IsaBuild, Matrix, TensorError};
 
@@ -78,15 +86,63 @@ impl KeyPanels {
         panels
     }
 
-    /// The panels of the rows `indices` of `k`, in that order.
+    /// The keys `indices` of these panels, in that order, copied lane by
+    /// lane: the panels [`from_rows`](Self::from_rows) builds from those
+    /// rows, bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range.
-    pub(crate) fn gathered(k: &Matrix, indices: &[usize]) -> Self {
-        let mut panels = KeyPanels::new(k.cols());
-        panels.push(indices.iter().map(|&j| k.row(j)));
-        panels
+    /// Panics if an index is not a held key.
+    pub fn gathered(&self, indices: &[usize]) -> Self {
+        let stride = self.d * BLOCK;
+        let mut out = KeyPanels::new(self.d);
+        out.data.resize(indices.len().div_ceil(BLOCK) * stride, 0.0);
+        let src = self.as_slice();
+        for (part, dst) in indices
+            .chunks(BLOCK)
+            .zip(out.data.as_mut_slice().chunks_exact_mut(stride))
+        {
+            // Where each lane of this output panel starts in the source:
+            // then every `dd` is one pass over contiguous output lanes.
+            let mut from = [0usize; BLOCK];
+            for (f, &j) in from.iter_mut().zip(part) {
+                assert!(j < self.keys, "key {j} of {}", self.keys);
+                *f = j / BLOCK * stride + j % BLOCK;
+            }
+            for (dd, column) in dst.chunks_exact_mut(BLOCK).enumerate() {
+                for (x, &f) in column.iter_mut().zip(&from[..part.len()]) {
+                    *x = src[f + dd * BLOCK];
+                }
+            }
+        }
+        out.keys = indices.len();
+        sa_tensor::trace::counter_add!("kernels.keys_transposed", indices.len() as u64);
+        out
+    }
+
+    /// Copies key `j` into `out`: the row the panels were built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a held key or `out` is not [`dim`](Self::dim)
+    /// long.
+    pub fn copy_key(&self, j: usize, out: &mut [f32]) {
+        assert!(j < self.keys, "key {j} of {}", self.keys);
+        assert_eq!(out.len(), self.d, "a key is {} floats", self.d);
+        let panel = self.panel(j / BLOCK);
+        for (x, column) in out.iter_mut().zip(panel.chunks_exact(BLOCK)) {
+            *x = column[j % BLOCK];
+        }
+    }
+
+    /// Every key as a row, `(len(), dim())`: the rows the panels were
+    /// built from, bit for bit.
+    pub fn to_rows(&self) -> Matrix {
+        let mut rows = Matrix::zeros(self.keys, self.d);
+        for j in 0..self.keys {
+            self.copy_key(j, rows.row_mut(j));
+        }
+        rows
     }
 
     /// Appends the rows of `k_new` as the next keys.
@@ -96,25 +152,14 @@ impl KeyPanels {
     /// Returns [`TensorError::ShapeMismatch`] if the row width differs
     /// from the panels' key width.
     pub fn append(&mut self, k_new: &Matrix) -> Result<(), TensorError> {
-        self.append_from(k_new, 0)
-    }
-
-    /// Appends the rows `first_row..` of `k` as the next keys: how an
-    /// owner of a growing key matrix brings its panels level with it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the row width differs
-    /// from the panels' key width.
-    pub fn append_from(&mut self, k: &Matrix, first_row: usize) -> Result<(), TensorError> {
-        if k.cols() != self.d {
+        if k_new.cols() != self.d {
             return Err(TensorError::ShapeMismatch {
                 op: "KeyPanels::append",
-                lhs: k.shape(),
+                lhs: k_new.shape(),
                 rhs: (self.keys, self.d),
             });
         }
-        self.push((first_row..k.rows()).map(|j| k.row(j)));
+        self.push((0..k_new.rows()).map(|j| k_new.row(j)));
         Ok(())
     }
 
@@ -279,53 +324,6 @@ fn score_lanes<const R: usize, const L: usize, const FUSED: bool>(
     }
 }
 
-/// One head's keys in both layouts: the row-major rows and the panels
-/// built from them. Attention entry points that take this skip the
-/// transpose the `&Matrix` entry points pay per call.
-#[derive(Debug, Clone, Copy)]
-pub struct PreparedKeys<'a> {
-    rows: &'a Matrix,
-    panels: &'a KeyPanels,
-}
-
-impl<'a> PreparedKeys<'a> {
-    /// Pairs `rows` with the panels built from them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panels` does not hold exactly `rows`' shape. The
-    /// contents are the caller's contract: `panels` must have been built
-    /// from these rows.
-    pub fn new(rows: &'a Matrix, panels: &'a KeyPanels) -> Self {
-        assert_eq!(
-            (panels.len(), panels.dim()),
-            rows.shape(),
-            "panels were not built from these key rows"
-        );
-        PreparedKeys { rows, panels }
-    }
-
-    /// The keys, one per row.
-    pub fn rows(&self) -> &'a Matrix {
-        self.rows
-    }
-
-    /// The keys, transposed in panels.
-    pub fn panels(&self) -> &'a KeyPanels {
-        self.panels
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.rows.rows()
-    }
-
-    /// `true` when there is no key.
-    pub fn is_empty(&self) -> bool {
-        self.rows.rows() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,13 +358,98 @@ mod tests {
         assert!(KeyPanels::new(8).append(&Matrix::zeros(2, 7)).is_err());
     }
 
+    /// `len` rows of width `d` whose bits a copy could lose: signed
+    /// zeros, a subnormal, infinities and a NaN beside normal values.
+    fn awkward_rows(rng: &mut DeterministicRng, len: usize, d: usize) -> Matrix {
+        let mut k = rng.normal_matrix(len, d, 1.0);
+        let specials = [-0.0, 1e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for (i, &x) in specials.iter().enumerate() {
+            let j = (i * 37) % len;
+            k.set(j, (i * 5) % d, x);
+        }
+        k
+    }
+
+    /// A key read back out of its panels — one key at a time or all as
+    /// rows — has the bits of the row it was built from, for panels
+    /// built at once and grown, at lengths around the panel edge.
+    #[test]
+    fn row_view_equals_the_source_rows() {
+        let mut rng = DeterministicRng::new(6);
+        for len in [1, 63, 64, 65, 4097] {
+            let k = awkward_rows(&mut rng, len, 12);
+            let whole = KeyPanels::from_rows(&k);
+            let mut grown = KeyPanels::new(12);
+            let cut = len / 3;
+            grown.append(&k.slice_rows(0, cut).unwrap()).unwrap();
+            grown.append(&k.slice_rows(cut, len).unwrap()).unwrap();
+            for (how, panels) in [("built", &whole), ("grown", &grown)] {
+                assert_eq!(bits(panels.to_rows().as_slice()), bits(k.as_slice()), "{how} {len}");
+                let mut key = vec![f32::NAN; 12];
+                for j in [0, len / 2, len - 1] {
+                    panels.copy_key(j, &mut key);
+                    assert_eq!(bits(&key), bits(k.row(j)), "{how} {len}, key {j}");
+                }
+            }
+        }
+        assert_eq!(KeyPanels::new(12).to_rows().shape(), (0, 12));
+    }
+
+    /// Extras gathered panel to panel equal the panels of the gathered
+    /// rows, padding lanes included: one key, keys on both sides of a
+    /// panel edge, more than a panel of them, in any order and repeated.
+    #[test]
+    fn panel_gathered_extras_equal_row_gathered_extras() {
+        let mut rng = DeterministicRng::new(7);
+        let stripes: Vec<usize> = (0..4097).step_by(31).collect();
+        let cases: [(usize, Vec<usize>); 5] = [
+            (1, vec![0]),
+            (65, vec![0, 63, 64]),
+            (300, vec![299, 3, 64, 64, 128]),
+            (4097, stripes),
+            (70, Vec::new()),
+        ];
+        for (len, indices) in cases {
+            let k = awkward_rows(&mut rng, len, 12);
+            let mut rows = Matrix::zeros(indices.len(), 12);
+            for (r, &j) in indices.iter().enumerate() {
+                rows.row_mut(r).copy_from_slice(k.row(j));
+            }
+            let got = KeyPanels::from_rows(&k).gathered(&indices);
+            let want = KeyPanels::from_rows(&rows);
+            assert_eq!((got.len(), got.dim()), (indices.len(), 12), "{len}");
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{len}");
+            assert!(indices.is_empty() || sa_tensor::starts_on_line(got.as_slice()));
+        }
+    }
+
+    /// Sentinel A counts non-finite keys over the panel buffer: its
+    /// padding lanes are zero, so the count is the rows' count, with a
+    /// NaN in a live lane of a partial panel.
+    #[test]
+    fn nonfinite_count_over_panels_equals_the_count_over_rows() {
+        let mut rng = DeterministicRng::new(8);
+        let mut k = rng.normal_matrix(70, 12, 1.0);
+        let before = KeyPanels::from_rows(&k);
+        assert_eq!(sa_tensor::count_nonfinite(before.as_slice()), 0);
+        // Panel 1 holds keys 64..70: lane 5 is its last live one.
+        k.set(69, 3, f32::NAN);
+        k.set(66, 0, f32::INFINITY);
+        k.set(2, 11, f32::NEG_INFINITY);
+        let panels = KeyPanels::from_rows(&k);
+        assert_eq!(panels.as_slice().len(), 2 * 12 * BLOCK);
+        let rows = sa_tensor::count_nonfinite(k.as_slice());
+        assert_eq!(rows, 3);
+        assert_eq!(sa_tensor::count_nonfinite(panels.as_slice()), rows);
+    }
+
     #[test]
     fn panels_start_on_a_cache_line_however_they_were_built() {
         let mut rng = DeterministicRng::new(5);
         let k = rng.normal_matrix(300, 12, 1.0);
         let aligned = |p: &KeyPanels| sa_tensor::starts_on_line(p.as_slice());
         assert!(aligned(&KeyPanels::from_rows(&k)));
-        assert!(aligned(&KeyPanels::gathered(&k, &[3, 200, 7])));
+        assert!(aligned(&KeyPanels::from_rows(&k).gathered(&[3, 200, 7])));
         // A prompt, then one key per decode step: a key that opens a
         // panel outgrows the allocation, and the storage moves.
         let mut grown = KeyPanels::from_rows(&k.slice_rows(0, 50).unwrap());
@@ -443,11 +526,4 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "not built from these key rows")]
-    fn prepared_keys_reject_mismatched_panels() {
-        let k = Matrix::zeros(5, 4);
-        let panels = KeyPanels::from_rows(&Matrix::zeros(6, 4));
-        let _ = PreparedKeys::new(&k, &panels);
-    }
 }

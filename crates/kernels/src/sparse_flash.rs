@@ -71,7 +71,7 @@ pub fn sparse_flash_attention(
     v: &Matrix,
     mask: &StructuredMask,
 ) -> Result<AttentionOutput, TensorError> {
-    validate_sparse_shapes(q, k, v, mask)?;
+    validate_sparse_shapes(q, k.shape(), v, mask)?;
     let (s_q, d) = q.shape();
     let dv = v.cols();
     let avg_live = (mask.nnz() / s_q.max(1)).max(1);

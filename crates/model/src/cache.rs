@@ -4,32 +4,26 @@
 //! The paper replaces attention only at the prefill stage and keeps "an
 //! uncompressed KV cache in the decode phase" (§5.1); its serving stack
 //! additionally chunks prefill along the sequence (Appendix A.6). Both
-//! modes need the same machinery: per-(layer, kv-head) K/V matrices that
-//! grow as rows arrive.
+//! modes need the same machinery: per-(layer, kv-head) K/V that grow as
+//! rows arrive.
 //!
-//! Each head's K is also held as [`KeyPanels`], the layout the attention
-//! engine scores against, kept in step at the three places K changes
-//! ([`append`](LayerKvCache::append), `replace`, `from_parts`): every
-//! query head of the group, every later chunk and every decode step
-//! reads the same panels instead of transposing K again.
+//! Each head holds its keys once, as [`KeyPanels`], the layout the
+//! attention engine scores against: [`append`](LayerKvCache::append)
+//! transposes new key rows straight into the panels, and every query head
+//! of the group, every later chunk and every decode step reads them. V
+//! stays row-major. A reader that needs key rows (the H2O scorer, a
+//! checkpoint, the dense fallback) copies them out of the panels with the
+//! bits they went in with; eviction gathers the kept keys panel to panel.
 
-use sa_kernels::{KeyPanels, PreparedKeys};
+use sa_kernels::KeyPanels;
 use sa_tensor::{Matrix, TensorError};
 
-/// One KV head's cached rows. `panels` always holds exactly the rows of
-/// `k`.
+/// One KV head's cached keys and values; `panels` and `v` hold the same
+/// positions.
 #[derive(Debug, Clone)]
 struct HeadKv {
-    k: Matrix,
-    v: Matrix,
     panels: KeyPanels,
-}
-
-impl HeadKv {
-    fn new(k: Matrix, v: Matrix) -> Self {
-        let panels = KeyPanels::from_rows(&k);
-        HeadKv { k, v, panels }
-    }
+    v: Matrix,
 }
 
 /// The K/V cache of one layer: one `(K, V)` pair per KV head.
@@ -47,7 +41,10 @@ impl LayerKvCache {
     pub fn new(num_kv_heads: usize, head_dim: usize) -> Self {
         LayerKvCache {
             entries: (0..num_kv_heads)
-                .map(|_| HeadKv::new(Matrix::zeros(0, head_dim), Matrix::zeros(0, head_dim)))
+                .map(|_| HeadKv {
+                    panels: KeyPanels::new(head_dim),
+                    v: Matrix::zeros(0, head_dim),
+                })
                 .collect(),
             head_dim,
             seen: 0,
@@ -63,7 +60,7 @@ impl LayerKvCache {
     /// Number of currently cached entries in head 0 (heads may diverge
     /// after per-head eviction; see [`head_len`](Self::head_len)).
     pub fn len(&self) -> usize {
-        self.entries.first().map_or(0, |e| e.k.rows())
+        self.entries.first().map_or(0, |e| e.panels.len())
     }
 
     /// Number of currently cached entries in a specific head.
@@ -72,7 +69,7 @@ impl LayerKvCache {
     ///
     /// Panics if `kv_head` is out of range.
     pub fn head_len(&self, kv_head: usize) -> usize {
-        self.entries[kv_head].k.rows()
+        self.entries[kv_head].panels.len()
     }
 
     /// `true` when nothing is cached yet.
@@ -85,38 +82,38 @@ impl LayerKvCache {
         self.entries.len()
     }
 
-    /// The cached `(K, V)` of a KV head.
+    /// The cached keys of a KV head, as the panels the attention entry
+    /// points take, and its values.
     ///
     /// # Panics
     ///
     /// Panics if `kv_head` is out of range.
-    pub fn head(&self, kv_head: usize) -> (&Matrix, &Matrix) {
+    pub fn prepared(&self, kv_head: usize) -> (&KeyPanels, &Matrix) {
         let entry = &self.entries[kv_head];
-        (&entry.k, &entry.v)
+        (&entry.panels, &entry.v)
     }
 
-    /// The cached keys of a KV head with their resident panels, and its
-    /// values — what the attention entry points that skip the per-call
-    /// transpose take.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kv_head` is out of range.
-    pub fn prepared(&self, kv_head: usize) -> (PreparedKeys<'_>, &Matrix) {
-        let entry = &self.entries[kv_head];
-        (PreparedKeys::new(&entry.k, &entry.panels), &entry.v)
+    /// A KV head's keys read back out as rows, and its values.
+    #[cfg(test)]
+    pub(crate) fn head_rows(&self, kv_head: usize) -> (Matrix, &Matrix) {
+        let (keys, v) = self.prepared(kv_head);
+        (keys.to_rows(), v)
     }
 
     /// Rebuilds a cache from checkpointed parts (see
-    /// `checkpoint::SessionCheckpoint`). The caller is responsible for
-    /// shape consistency; `seen` is restored verbatim so RoPE offsets
-    /// survive the round trip even after eviction shrank the heads. The
-    /// panels are rebuilt from K: checkpoints do not carry them.
+    /// `checkpoint::SessionCheckpoint`): each head's key rows and values.
+    /// The caller is responsible for shape consistency; `seen` is restored
+    /// verbatim so RoPE offsets survive the round trip even after eviction
+    /// shrank the heads. Checkpoints hold rows, not panels: the keys are
+    /// transposed here.
     pub(crate) fn from_parts(entries: Vec<(Matrix, Matrix)>, head_dim: usize, seen: usize) -> Self {
         LayerKvCache {
             entries: entries
                 .into_iter()
-                .map(|(k, v)| HeadKv::new(k, v))
+                .map(|(k, v)| HeadKv {
+                    panels: KeyPanels::from_rows(&k),
+                    v,
+                })
                 .collect(),
             head_dim,
             seen,
@@ -128,23 +125,23 @@ impl LayerKvCache {
         self.head_dim
     }
 
-    /// Replaces a head's cached `(K, V)` wholesale (used by eviction);
-    /// the panels are rebuilt from the new K.
+    /// Replaces a head's cached keys and values wholesale (used by
+    /// eviction).
     ///
     /// # Panics
     ///
     /// Panics if `kv_head` is out of range or the widths disagree with
     /// the cache's head dimension.
-    pub(crate) fn replace(&mut self, kv_head: usize, k: Matrix, v: Matrix) {
-        assert_eq!(k.cols(), self.head_dim, "replace width mismatch");
+    pub(crate) fn replace(&mut self, kv_head: usize, panels: KeyPanels, v: Matrix) {
+        assert_eq!(panels.dim(), self.head_dim, "replace width mismatch");
         assert_eq!(v.cols(), self.head_dim, "replace width mismatch");
-        assert_eq!(k.rows(), v.rows(), "replace row mismatch");
-        self.entries[kv_head] = HeadKv::new(k, v);
+        assert_eq!(panels.len(), v.rows(), "replace row mismatch");
+        self.entries[kv_head] = HeadKv { panels, v };
     }
 
-    /// Appends new rows for a KV head. Into an empty head (a prompt's
-    /// first chunk) the matrices move in whole; otherwise each is one
-    /// contiguous copy after the cached rows.
+    /// Appends new rows for a KV head: the keys transposed into the
+    /// head's panels, the values copied after the cached rows (moved in
+    /// whole into an empty head, a prompt's first chunk).
     ///
     /// # Errors
     ///
@@ -169,27 +166,26 @@ impl LayerKvCache {
             self.seen += k_new.rows();
         }
         let entry = &mut self.entries[kv_head];
-        let old_rows = entry.k.rows();
-        if old_rows == 0 {
-            *entry = HeadKv::new(k_new, v_new);
+        entry.panels.append(&k_new)?;
+        if entry.v.rows() == 0 {
+            entry.v = v_new;
             return Ok(());
         }
-        let new_rows = old_rows + k_new.rows();
-        let mut k = std::mem::take(&mut entry.k).into_vec();
+        let rows = entry.v.rows() + v_new.rows();
         let mut v = std::mem::take(&mut entry.v).into_vec();
-        k.extend_from_slice(k_new.as_slice());
         v.extend_from_slice(v_new.as_slice());
-        entry.k = Matrix::from_vec(new_rows, self.head_dim, k)
-            .expect("dimensions consistent by construction");
-        entry.v = Matrix::from_vec(new_rows, self.head_dim, v)
-            .expect("dimensions consistent by construction");
-        entry.panels.append_from(&entry.k, old_rows)
+        entry.v = Matrix::from_vec(rows, self.head_dim, v)?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn append_grows_rows() {
@@ -200,35 +196,38 @@ mod tests {
         c.append(0, k.clone(), v.clone()).unwrap();
         c.append(1, k.clone(), v.clone()).unwrap();
         assert_eq!(c.len(), 3);
-        let (ck, cv) = c.head(0);
-        assert_eq!(ck.shape(), (3, 4));
+        let (ck, cv) = c.prepared(0);
+        assert_eq!((ck.len(), ck.dim()), (3, 4));
         assert_eq!(cv.get(2, 3), 6.0);
         c.append(0, k.clone(), v).unwrap();
-        let (ck, _) = c.head(0);
+        let ck = c.prepared(0).0.to_rows();
         assert_eq!(ck.rows(), 6);
         assert_eq!(ck.get(4, 1), k.get(1, 1));
     }
 
+    /// Keys read back out of the cache with the bits they went in with,
+    /// after every way the cache changes.
     #[test]
     fn panels_follow_every_mutation() {
-        let bits = |p: &KeyPanels| -> Vec<u32> { p.as_slice().iter().map(|x| x.to_bits()).collect() };
-        let same = |c: &LayerKvCache| {
-            let (keys, _) = c.prepared(0);
-            assert_eq!(keys.panels().len(), keys.rows().rows());
-            assert_eq!(bits(keys.panels()), bits(&KeyPanels::from_rows(keys.rows())));
+        let same = |c: &LayerKvCache, want: &Matrix| {
+            let (keys, v) = c.prepared(0);
+            assert_eq!(bits(keys.to_rows().as_slice()), bits(want.as_slice()));
+            assert_eq!(bits(keys.as_slice()), bits(KeyPanels::from_rows(want).as_slice()));
+            assert_eq!(v.rows(), keys.len());
         };
         let mut c = LayerKvCache::new(1, 4);
-        same(&c);
-        let rows = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
-        c.append(0, rows.clone(), rows.clone()).unwrap();
-        same(&c);
-        c.append(0, rows.slice_rows(0, 1).unwrap(), rows.slice_rows(0, 1).unwrap())
+        same(&c, &Matrix::zeros(0, 4));
+        let rows = Matrix::from_fn(71, 4, |i, j| (i * 4 + j) as f32 - 0.5);
+        c.append(0, rows.slice_rows(0, 70).unwrap(), rows.slice_rows(0, 70).unwrap())
             .unwrap();
-        same(&c);
+        same(&c, &rows.slice_rows(0, 70).unwrap());
+        c.append(0, rows.slice_rows(70, 71).unwrap(), rows.slice_rows(70, 71).unwrap())
+            .unwrap();
+        same(&c, &rows);
         let kept = rows.slice_rows(3, 40).unwrap();
-        c.replace(0, kept.clone(), kept.clone());
-        same(&c);
-        same(&LayerKvCache::from_parts(vec![(kept.clone(), kept)], 4, 71));
+        c.replace(0, KeyPanels::from_rows(&kept), kept.clone());
+        same(&c, &kept);
+        same(&LayerKvCache::from_parts(vec![(kept.clone(), kept.clone())], 4, 71), &kept);
     }
 
     #[test]
@@ -246,9 +245,10 @@ mod tests {
         }
         assert_eq!((steps.seen(), whole.seen()), (70, 70));
         for head in 0..2 {
-            assert_eq!(steps.head(head), whole.head(head));
-            let panels = |c: &LayerKvCache| c.prepared(head).0.panels().as_slice().to_vec();
-            assert_eq!(panels(&steps), panels(&whole));
+            let (sk, sv) = steps.prepared(head);
+            let (wk, wv) = whole.prepared(head);
+            assert_eq!(bits(sk.as_slice()), bits(wk.as_slice()));
+            assert_eq!(sv, wv);
         }
     }
 

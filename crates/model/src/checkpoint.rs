@@ -59,10 +59,11 @@ impl LayerSnapshot {
             seen: cache.seen(),
             heads: (0..cache.num_kv_heads())
                 .map(|h| {
-                    let (k, v) = cache.head(h);
+                    // The cache holds keys as panels; the snapshot, rows.
+                    let (keys, v) = cache.prepared(h);
                     HeadKv {
-                        rows: k.rows(),
-                        k: k.as_slice().to_vec(),
+                        rows: keys.len(),
+                        k: keys.to_rows().into_vec(),
                         v: v.as_slice().to_vec(),
                     }
                 })
@@ -166,9 +167,9 @@ fn restore_layers(
 /// KV caches, the session bookkeeping (tokens, readout, newest contents,
 /// and the H2O statistic when the session evicts) and the session's
 /// [`PrefillResult`](crate::PrefillResult), which holds what a
-/// cache-keeping run keeps: the final residual stream, the reports, the
-/// readout heads' rows and each other head's newest row, no layer
-/// inputs. Restore validates integrity and
+/// cache-keeping run keeps: the final residual stream's newest row, the
+/// reports, the readout heads' rows and each other head's newest row, no
+/// layer inputs. Restore validates integrity and
 /// rebuilds a session against any model reference with the same
 /// configuration the snapshot was taken from.
 #[derive(Debug, Clone)]
@@ -285,7 +286,8 @@ impl SessionCheckpoint {
 /// so restore recomputes it instead of storing it — the snapshot holds
 /// only the grown accumulators, the progress counters and the run's
 /// retention, which restore keeps: a serving run's snapshot holds no
-/// layer inputs and one row of each head the readout does not read.
+/// layer inputs, one row of the final residual stream and one row of each
+/// head the readout does not read.
 #[derive(Debug, Clone)]
 pub struct PrefillCheckpoint {
     version: u32,
@@ -468,19 +470,17 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(caches[0].len(), ref_caches[0].len());
-        let (k0, _) = caches[0].head(0);
-        let (rk0, _) = ref_caches[0].head(0);
-        for (a, b) in k0.as_slice().iter().zip(rk0.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        // The kept hidden state is one row; every K and V is the rest of
+        // what the run carries forward.
+        assert_eq!(kv_bits(&caches), kv_bits(&ref_caches));
     }
 
     /// Every K and V element's bits, layer after layer, head after head.
     fn kv_bits(caches: &[LayerKvCache]) -> Vec<u32> {
         caches
             .iter()
-            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.head(h)))
-            .flat_map(|(k, v)| k.as_slice().iter().chain(v.as_slice()))
+            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.head_rows(h)))
+            .flat_map(|(k, v)| k.into_vec().into_iter().chain(v.as_slice().iter().copied()))
             .map(|x| x.to_bits())
             .collect()
     }

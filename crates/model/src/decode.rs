@@ -11,11 +11,12 @@
 //!   too. Under dense attention every chunk size gives one chunk's bits
 //!   (the tests assert it); SampleAttention discovers a mask per chunk.
 //!   A run decides at its start what it hands back: `prefill`, the
-//!   analysis entry, keeps every layer's input and every head's rows and
-//!   drops the caches; every cache-keeping run keeps the caches and only
-//!   what decoding and serving read — the readout heads' rows, each other
-//!   head's newest row, no layer inputs — so a long session does not hold
-//!   diagnostics beside its KV cache.
+//!   analysis entry, keeps every layer's input, every head's rows and
+//!   the whole final residual stream, and drops the caches; every
+//!   cache-keeping run keeps the caches and only what decoding and
+//!   serving read — the readout heads' rows, each other head's newest
+//!   row, the final residual stream's newest row, no layer inputs — so a
+//!   long session does not hold diagnostics beside its KV cache.
 //! - [`DecodeSession`] — autoregressive generation after a prefill: each
 //!   step embeds the newest token, runs it through every layer with full
 //!   attention over the caches (a KV group's heads as one row block
@@ -23,7 +24,7 @@
 //!   heads' output into the next token.
 
 use sa_baselines::AttentionMethod;
-use sa_kernels::{attention_scores_raw, CostReport};
+use sa_kernels::{attention_scores_raw, CostReport, KeyPanels};
 use sa_tensor::{cancel, softmax_rows_in_place, CancelToken, Matrix, TensorError};
 
 use crate::embedding::EmbedStream;
@@ -36,10 +37,10 @@ impl SyntheticTransformer {
     /// shorter), maintaining per-layer KV caches. Returns the caches,
     /// ready for decoding, and a [`PrefillResult`] that holds what a
     /// decode or serving caller reads: [`prefill`](Self::prefill)'s
-    /// `hidden`, reports and cost, every row of the heads the
-    /// [`Readout`] reads and each other head's newest row, and no layer
-    /// inputs (see [`PrefillResult`]). Every value it holds has the bits
-    /// a run at the same chunk size would give under `prefill`'s
+    /// reports and cost, the newest row of its `hidden`, every row of the
+    /// heads the [`Readout`] reads and each other head's newest row, and
+    /// no layer inputs (see [`PrefillResult`]). Every value it holds has
+    /// the bits a run at the same chunk size would give under `prefill`'s
     /// retention. For cooperative cancellation, drive
     /// [`start_prefill`](Self::start_prefill)'s run with
     /// [`ChunkedPrefill::run_to_end`].
@@ -221,6 +222,27 @@ fn append_rows(dst: &mut Matrix, src: Matrix) -> Result<(), TensorError> {
     Ok(())
 }
 
+/// Adds each row of `q_block`'s softmax attention over `keys` to
+/// `scores`, one entry per key: the H2O heavy-hitter statistic of one
+/// decode step. Each row is scored on its own against the keys read back
+/// out as rows, as a one-row dense attention pass sees them.
+fn add_attention_mass(
+    scores: &mut [f64],
+    q_block: &Matrix,
+    keys: &KeyPanels,
+) -> Result<(), TensorError> {
+    let k_all = keys.to_rows();
+    for local in 0..q_block.rows() {
+        let q = q_block.slice_rows(local, local + 1)?;
+        let mut p = attention_scores_raw(&q, &k_all, false)?;
+        softmax_rows_in_place(&mut p);
+        for (s, &m) in scores.iter_mut().zip(p.row(0)) {
+            *s += m as f64;
+        }
+    }
+    Ok(())
+}
+
 /// The accumulator state of a chunked prefill, reified as a value so
 /// callers can advance one chunk at a time instead of running the whole
 /// prompt in one call. Between chunks the state is quiescent: the serving
@@ -250,17 +272,20 @@ pub struct ChunkedPrefill<'m> {
     pub(crate) head_contents: Vec<Matrix>,
     pub(crate) head_reports: Vec<Option<HeadReport>>,
     pub(crate) total_cost: CostReport,
+    /// The last layer's output: every row so far, or only the newest
+    /// chunk's last one when the run does not keep it whole.
     pub(crate) final_hidden: Matrix,
     /// First prompt row the next chunk will process.
     pub(crate) start: usize,
     pub(crate) chunks_done: usize,
     /// What the run hands back, decided once at its start.
     /// `true` for [`SyntheticTransformer::prefill`], the analysis entry:
-    /// every layer's input and every head's rows, and no caches (each
-    /// layer's goes as the last chunk leaves it, and its memory serves
-    /// the next layer). `false` for every cache-keeping run: the caches,
-    /// every row of the heads the [`Readout`] reads, each other head's
-    /// newest row, and no layer inputs.
+    /// every layer's input, every head's rows and every row of the final
+    /// residual stream, and no caches (each layer's goes as the last
+    /// chunk leaves it, and its memory serves the next layer). `false`
+    /// for every cache-keeping run: the caches, every row of the heads
+    /// the [`Readout`] reads, each other head's newest row, the final
+    /// residual stream's newest row, and no layer inputs.
     pub(crate) analysis: bool,
 }
 
@@ -385,7 +410,11 @@ impl<'m> ChunkedPrefill<'m> {
             self.total_cost.merge(&out.cost);
             rows = out.hidden;
         }
-        append_rows(&mut self.final_hidden, rows)?;
+        if self.analysis {
+            append_rows(&mut self.final_hidden, rows)?;
+        } else {
+            self.final_hidden = rows.slice_rows(rows.rows() - 1, rows.rows())?;
+        }
         self.start = end;
         self.chunks_done += 1;
         Ok(())
@@ -458,8 +487,9 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// The prefill result the session started from, as a cache-keeping
-    /// run keeps it (see [`PrefillResult`]): no layer inputs, and every
-    /// row only of the heads the readout reads.
+    /// run keeps it (see [`PrefillResult`]): no layer inputs, the newest
+    /// row of `hidden`, and every row only of the heads the readout
+    /// reads.
     pub fn prefill_result(&self) -> &PrefillResult {
         &self.prefill
     }
@@ -550,15 +580,8 @@ impl<'m> DecodeSession<'m> {
                 // Each head's query is a row of its group's block, in head
                 // order.
                 for (kv, q_block) in q_blocks.iter().enumerate() {
-                    let (k_all, _) = self.caches[l].head(kv);
-                    for local in 0..q_block.rows() {
-                        let q = q_block.slice_rows(local, local + 1)?;
-                        let mut p = attention_scores_raw(&q, k_all, false)?;
-                        softmax_rows_in_place(&mut p);
-                        for (j, &m) in p.row(0).iter().enumerate() {
-                            self.scores[l][kv][j] += m as f64;
-                        }
-                    }
+                    let (keys, _) = self.caches[l].prepared(kv);
+                    add_attention_mass(&mut self.scores[l][kv], q_block, keys)?;
                 }
                 for kv in 0..self.caches[l].num_kv_heads() {
                     let len = self.caches[l].head_len(kv);
@@ -645,6 +668,24 @@ mod tests {
         run.run_to_end(method, &CancelToken::new()).unwrap().0
     }
 
+    /// The last row of `m`: all a cache-keeping run keeps of the final
+    /// residual stream.
+    fn newest(m: &Matrix) -> Matrix {
+        m.slice_rows(m.rows() - 1, m.rows()).unwrap()
+    }
+
+    /// Every head's K (as panels) and V, bits, layer after layer.
+    fn cache_bits(caches: &[LayerKvCache]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for c in caches {
+            for h in 0..c.num_kv_heads() {
+                let (keys, v) = c.prepared(h);
+                out.extend(keys.as_slice().iter().chain(v.as_slice()).map(|x| x.to_bits()));
+            }
+        }
+        out
+    }
+
     /// Each head's rows as a cache-keeping run keeps them: all of a head
     /// the readout reads, the newest row of every other.
     fn kept_rows(m: &SyntheticTransformer, whole: &PrefillResult) -> Vec<Matrix> {
@@ -664,17 +705,50 @@ mod tests {
             .collect()
     }
 
+    /// The H2O statistic a decode step adds from a cache's key panels
+    /// equals the row path: each query row's softmax over the key rows
+    /// themselves, added in row order.
+    #[test]
+    fn h2o_scores_on_panels_match_the_row_path() {
+        let mut rng = sa_tensor::DeterministicRng::new(0x420);
+        for len in [1, 63, 64, 65, 300] {
+            let k = rng.normal_matrix(len, 64, 1.0);
+            let v = rng.normal_matrix(len, 64, 1.0);
+            let q_block = rng.normal_matrix(4, 64, 1.0);
+            let mut cache = LayerKvCache::new(1, 64);
+            for (start, end) in [(0, len / 2), (len / 2, len)] {
+                let rows = |m: &Matrix| m.slice_rows(start, end).unwrap();
+                cache.append(0, rows(&k), rows(&v)).unwrap();
+            }
+            let mut got = vec![0.25f64; len];
+            add_attention_mass(&mut got, &q_block, cache.prepared(0).0).unwrap();
+            let mut want = vec![0.25f64; len];
+            for r in 0..q_block.rows() {
+                let q = q_block.slice_rows(r, r + 1).unwrap();
+                let mut p = attention_scores_raw(&q, &k, false).unwrap();
+                softmax_rows_in_place(&mut p);
+                for (s, &m) in want.iter_mut().zip(p.row(0)) {
+                    *s += m as f64;
+                }
+            }
+            let bits64 = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits64(&got), bits64(&want), "{len} keys");
+        }
+    }
+
     #[test]
     fn chunked_prefill_matches_monolithic() {
         // Under dense attention no row's mask depends on the chunking, and
         // every kernel folds a row's keys in the same order whatever rows
         // it is called with, so every chunk size gives the whole prompt's
         // bits: every head's rows and every layer input under `prefill`'s
-        // retention, and what a cache-keeping run keeps of them.
+        // retention, and what a cache-keeping run keeps of them — the
+        // newest rows, and every position's K and V in the caches.
         let glm = SyntheticTransformer::new(ModelConfig::chatglm2_like(7)).unwrap();
         for (m, len, chunks) in [(model(), 90, &[1, 7, 32, 64, 90, 200][..]), (glm, 300, &[7, 32, 100, 128])] {
             let tokens = m.tokenize_filler(len);
             let whole = m.prefill(&tokens, &FullAttention::new()).unwrap();
+            let (_, whole_caches) = m.prefill_chunked(&tokens, len, &FullAttention::new()).unwrap();
             for &chunk in chunks {
                 let label = format!("{len} tokens in chunks of {chunk}");
                 let analysed = analysis_run(&m, &tokens, chunk, &FullAttention::new());
@@ -682,18 +756,20 @@ mod tests {
                 assert_eq!(bits(&analysed.head_contents), bits(&whole.head_contents), "{label}");
                 assert_eq!(bits(&analysed.layer_inputs), bits(&whole.layer_inputs), "{label}");
                 let (chunked, caches) = m.prefill_chunked(&tokens, chunk, &FullAttention::new()).unwrap();
-                assert_eq!(bits([&chunked.hidden]), bits([&whole.hidden]), "{label}");
+                assert_eq!(bits([&chunked.hidden]), bits([&newest(&whole.hidden)]), "{label}");
                 assert_eq!(bits(&chunked.head_contents), bits(&kept_rows(&m, &whole)), "{label}");
                 assert!(chunked.layer_inputs.is_empty(), "{label}");
                 assert!(caches.iter().all(|c| c.len() == len), "{label}");
+                assert_eq!(cache_bits(&caches), cache_bits(&whole_caches), "{label}");
             }
         }
     }
 
     #[test]
     fn a_decode_session_keeps_only_what_its_readout_reads() {
-        // `begin_decode` hands back no layer input and one row of each
-        // head the readout does not read; every value it keeps, and every
+        // `begin_decode` hands back no layer input, one row of the final
+        // residual stream and one row of each head the readout does not
+        // read; every value it keeps, and every
         // answer read from it, has `prefill`'s bits.
         let m = SyntheticTransformer::new(ModelConfig::chatglm2_like(5)).unwrap();
         let layout = *m.embedder().layout();
@@ -720,7 +796,7 @@ mod tests {
             }
         }
         assert_eq!(read, readout.num_heads());
-        assert_eq!(bits([&kept.hidden]), bits([&whole.hidden]));
+        assert_eq!(bits([&kept.hidden]), bits([&newest(&whole.hidden)]));
         let newest: Vec<Matrix> =
             whole.head_contents.iter().map(|c| c.slice_rows(299, 300).unwrap()).collect();
         assert_eq!(bits(session.last_contents()), bits(&newest));
@@ -1062,17 +1138,22 @@ mod tests {
     fn chunked_prefill_matches_monolithic_under_sample_attention() {
         // SampleAttention re-runs stage-1 sampling per chunk, so chunked
         // and monolithic prefills discover slightly different stripe sets
-        // — the hidden states must still agree within a loose tolerance,
-        // and both runs must recover the needle.
+        // — every hidden row must still agree within a loose tolerance.
+        // The cache-keeping run keeps only the newest row, so the rows are
+        // compared on the analysis run at the same chunk size, whose
+        // newest row is the kept one, bit for bit.
         let m = model();
         let method = SampleAttentionMethod::paper_default();
         let tokens = m.tokenize_filler(192);
         let mono = m.prefill(&tokens, &method).unwrap();
         for chunk in [48usize, 96] {
             let (chunked, caches) = m.prefill_chunked(&tokens, chunk, &method).unwrap();
-            assert_eq!(chunked.hidden.shape(), mono.hidden.shape());
+            assert_eq!(chunked.hidden.shape(), (1, mono.hidden.cols()));
             assert_eq!(caches[0].len(), tokens.len());
-            let diff = max_abs_diff(chunked.hidden.as_slice(), mono.hidden.as_slice());
+            let whole = analysis_run(&m, &tokens, chunk, &method);
+            assert_eq!(whole.hidden.shape(), mono.hidden.shape());
+            assert_eq!(bits([&chunked.hidden]), bits([&newest(&whole.hidden)]), "chunk {chunk}");
+            let diff = max_abs_diff(whole.hidden.as_slice(), mono.hidden.as_slice());
             assert!(diff < 5e-2, "chunk {chunk}: diff {diff}");
         }
     }

@@ -232,10 +232,10 @@ impl LayerKvCache {
                 what,
             });
         }
-        let (k, v) = self.head(kv_head);
-        let k_new = gather_rows(k, keep);
+        let (keys, v) = self.prepared(kv_head);
+        let kept = keys.gathered(keep);
         let v_new = gather_rows(v, keep);
-        self.replace(kv_head, k_new, v_new);
+        self.replace(kv_head, kept, v_new);
         Ok(())
     }
 }
@@ -333,10 +333,38 @@ mod tests {
         c.append(0, k.clone(), v.clone()).unwrap();
         c.retain(&[0, 3]).unwrap();
         assert_eq!(c.len(), 2);
-        let (ck, cv) = c.head(0);
+        let (ck, cv) = c.head_rows(0);
         assert_eq!(ck.get(1, 0), 3.0);
         assert_eq!(cv.get(0, 0), 10.0);
         assert!(c.retain(&[5]).is_err());
+    }
+
+    /// Eviction gathers the kept keys panel to panel: the head then holds
+    /// the panels of the kept key rows and the kept value rows, bit for
+    /// bit, on both sides of a panel edge and over more than a panel.
+    #[test]
+    fn retain_head_on_panels_matches_the_row_path() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = sa_tensor::DeterministicRng::new(0x4E7);
+        let cases: [(usize, Vec<usize>); 4] = [
+            (1, vec![0]),
+            (65, vec![0, 1, 63, 64]),
+            (300, (0..300).step_by(7).collect()),
+            (130, (0..130).filter(|i| i % 64 != 5).collect()),
+        ];
+        for (len, keep) in cases {
+            let k = rng.normal_matrix(len, 16, 1.0);
+            let v = rng.normal_matrix(len, 16, 1.0);
+            let mut c = LayerKvCache::new(1, 16);
+            c.append(0, k.clone(), v.clone()).unwrap();
+            c.retain_head(0, &keep).unwrap();
+            let (want_k, want_v) = (gather_rows(&k, &keep), gather_rows(&v, &keep));
+            let (keys, kept_v) = c.prepared(0);
+            let want_panels = sa_kernels::KeyPanels::from_rows(&want_k);
+            assert_eq!(bits(keys.as_slice()), bits(want_panels.as_slice()), "{len}");
+            assert_eq!(bits(keys.to_rows().as_slice()), bits(want_k.as_slice()), "{len}");
+            assert_eq!(bits(kept_v.as_slice()), bits(want_v.as_slice()), "{len}");
+        }
     }
 
     fn four_entry_cache() -> LayerKvCache {
@@ -361,7 +389,7 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         assert_eq!(c.head_len(0), 4, "cache must be untouched on error");
-        assert_eq!(c.head(0).0.get(2, 0), 2.0);
+        assert_eq!(c.head_rows(0).0.get(2, 0), 2.0);
     }
 
     #[test]

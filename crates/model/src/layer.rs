@@ -3,10 +3,10 @@
 
 use std::ops::Range;
 
-use sa_baselines::{finish_heads, AttentionMethod, FullAttention};
+use sa_baselines::{finish_heads, AttentionMethod, FullAttention, GroupKeys};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{RopeConfig, RopeTable};
-use sa_kernels::{CostReport, PreparedKeys};
+use sa_kernels::{CostReport, KeyPanels};
 use sa_tensor::{matmul_packed_parts, pool, DeterministicRng, Matrix, TensorError};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
@@ -329,12 +329,13 @@ impl AttentionLayer {
         &self,
         g: usize,
         q: Vec<Matrix>,
-        keys: PreparedKeys<'_>,
+        keys: &KeyPanels,
         v: &Matrix,
         method: &dyn AttentionMethod,
         heads: &mut HeadFold,
     ) -> Result<(), TensorError> {
         let group_size = q.len();
+        let keys = GroupKeys::new(keys);
         let mut planned: Vec<Option<Result<_, TensorError>>> = (0..group_size).map(|_| None).collect();
         // The pool claims parts back to front: head 0 goes last in, first out.
         let parts: Vec<_> = planned.iter_mut().zip(q).enumerate().rev().collect();
@@ -343,7 +344,7 @@ impl AttentionLayer {
             let _span = sa_trace::span_labeled("model", "head", || {
                 format!("L{}.H{head}", self.layer_index)
             });
-            *plan = Some(method.plan_head(self.layer_index, head, q, keys, v));
+            *plan = Some(method.plan_head(self.layer_index, head, q, &keys, v));
         })?;
         // Every part ran once: no slot is left empty.
         let plans = planned.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
@@ -547,7 +548,7 @@ mod tests {
         let (got_hidden, got_contents, _) = layer.forward_decode(&next, &mut grouped).unwrap();
         assert_eq!(got_hidden, want.hidden);
         assert_eq!(got_contents, want.head_contents);
-        assert_eq!(grouped.head(1), per_head.head(1));
+        assert_eq!(grouped.head_rows(1), per_head.head_rows(1));
         // A decode step is one position.
         assert!(layer.forward_decode(&prompt, &mut grouped).is_err());
     }
@@ -587,11 +588,12 @@ mod tests {
             apply_rope_partial(&mut k_new, layer.rotary_dims, offset, layer.rope).unwrap();
             cache.append(g, k_new, v_new).unwrap();
             let (keys, v_all) = cache.prepared(g);
+            let keys = GroupKeys::new(keys);
             for (local, wq) in wqs.iter().enumerate() {
                 let mut q = matmul(hidden_rows, wq).unwrap();
                 apply_rope_partial(&mut q, layer.rotary_dims, offset, layer.rope).unwrap();
                 let plan = method
-                    .plan_head(layer.layer_index, g * group_size + local, q, keys, v_all)
+                    .plan_head(layer.layer_index, g * group_size + local, q, &keys, v_all)
                     .unwrap();
                 let out = finish_heads(vec![plan]).pop().unwrap().unwrap();
                 heads.fold_head(&out.output, 0);
@@ -654,8 +656,8 @@ mod tests {
         let want = oracle_incremental(&layer, &weights, &row, &mut oracle_cache, &dense);
         assert_same_bits("decode", (&got_hidden, &got_contents), (&want.0, &want.1));
         for g in 0..cache.num_kv_heads() {
-            let ((k, v), (want_k, want_v)) = (cache.head(g), oracle_cache.head(g));
-            assert_eq!((bits(k), bits(v)), (bits(want_k), bits(want_v)), "cached K/V of group {g}");
+            let ((k, v), (want_k, want_v)) = (cache.head_rows(g), oracle_cache.head_rows(g));
+            assert_eq!((bits(&k), bits(v)), (bits(&want_k), bits(want_v)), "cached K/V of group {g}");
         }
         // Every entry point, on every head of each group, reads the same
         // packed weights: 1, 33 and 101 rows; the decode step's query

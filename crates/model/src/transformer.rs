@@ -16,11 +16,14 @@ pub use crate::layer::HeadReport;
 /// ([`prefill_chunked`](SyntheticTransformer::prefill_chunked),
 /// [`begin_decode`](SyntheticTransformer::begin_decode), the serving
 /// layer's attempts) holds what its callers read and nothing more:
-/// `hidden`, the reports and the cost whole, `head_contents` in part,
+/// the reports and the cost whole, `hidden` and `head_contents` in part,
 /// `layer_inputs` empty. Every value held has the same bits either way.
+/// Its keys and values live in the caches the run hands back beside it.
 #[derive(Debug, Clone)]
 pub struct PrefillResult {
-    /// Final residual stream `(S, hidden_dim)`.
+    /// Final residual stream: `(S, hidden_dim)` after `prefill`. A
+    /// cache-keeping run keeps only the newest row, `(1, hidden_dim)`: no
+    /// decode or serving caller reads the others.
     pub hidden: Matrix,
     /// The residual stream *entering* each layer (index = layer); used by
     /// the sparsity analyses and the serving canary to recompute per-head

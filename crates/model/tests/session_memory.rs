@@ -1,0 +1,99 @@
+//! Pins what a decode session holds: the KV cache — each head's keys once,
+//! as the key panels the engine reads, and its value rows — the readout
+//! heads' content rows, and a small stated slack for the bookkeeping. A
+//! second copy of K as rows, or the prompt's final residual stream kept
+//! whole, is megabytes past the slack at this length and fails the test.
+//!
+//! A counting global allocator tallies live heap bytes. It is
+//! process-wide, so this lives in its own integration-test binary, with
+//! one test in it: nothing else allocates while the session is built.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+
+use sa_baselines::SampleAttentionMethod;
+use sa_model::{ModelConfig, SyntheticTransformer};
+
+struct CountingAlloc;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+// SAFETY: delegates every operation to `System` unchanged; the only
+// addition is an atomic add to the live-byte tally, which does not
+// allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Prompt length: 16 key panels per head, and a final residual stream
+/// (`S x 108` f32, 432 KiB) that alone is seven times the slack.
+const SEQ_LEN: usize = 1024;
+
+/// Everything a session holds beyond its KV cache and readout rows: the
+/// tokens, one content row per head, the head reports, the readout, the
+/// final residual stream's newest row, the embedding stream state.
+/// Measured at 18 KiB.
+const SLACK: usize = 64 << 10;
+
+#[test]
+fn a_session_holds_its_kv_cache_and_readout_rows_and_little_else() {
+    let model = SyntheticTransformer::new(ModelConfig::chatglm2_like(7)).expect("preset is valid");
+    let layout = *model.embedder().layout();
+    let mut tokens = model.tokenize_filler(SEQ_LEN);
+    tokens[300] = layout.marker(2);
+    tokens[301] = layout.payload(5);
+    tokens[SEQ_LEN - 1] = layout.marker(2);
+    let method = SampleAttentionMethod::paper_default();
+    // Start the worker pool and any lazily built state before measuring.
+    drop(model.begin_decode(&tokens[..256], &method).expect("warm-up prefill"));
+
+    let before = LIVE.load(Ordering::Relaxed);
+    let session = model.begin_decode(&tokens, &method).expect("prefill");
+    let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
+
+    let (mut keys, mut values) = (0, 0);
+    for cache in session.caches() {
+        for h in 0..cache.num_kv_heads() {
+            let (panels, v) = cache.prepared(h);
+            assert_eq!(panels.len(), SEQ_LEN);
+            keys += std::mem::size_of_val(panels.as_slice());
+            values += std::mem::size_of_val(v.as_slice());
+        }
+    }
+    let prefill = session.prefill_result();
+    let readout: usize = prefill
+        .head_contents
+        .iter()
+        .filter(|c| c.rows() > 1)
+        .map(|c| std::mem::size_of_val(c.as_slice()))
+        .sum();
+    assert!(readout > 0, "no head keeps its rows: the readout reads nothing");
+    let cache = keys + values;
+    assert!(
+        held >= cache + readout,
+        "the session holds {held} B, less than its own cache ({cache} B) and readout rows \
+         ({readout} B): the tally is broken"
+    );
+    assert!(
+        held <= cache + readout + SLACK,
+        "the session holds {held} B: K panels {keys} + V rows {values} + readout rows {readout} \
+         + slack {SLACK} allows {} B",
+        cache + readout + SLACK
+    );
+}

@@ -44,9 +44,9 @@
 //!
 //! [`FallbackReason::QualityQuarantine`]: sa_core::FallbackReason::QualityQuarantine
 
-use sa_baselines::{finish_heads, AttentionMethod, FullAttention, HeadPlan, MethodOutput};
+use sa_baselines::{finish_heads, AttentionMethod, FullAttention, GroupKeys, HeadPlan, MethodOutput};
 use sa_core::{structured_mask_coverage, DegradationRung, FallbackReason, SampleAttention};
-use sa_kernels::{attention_probs, PreparedKeys};
+use sa_kernels::attention_probs;
 use sa_model::SyntheticTransformer;
 use sa_tensor::{Matrix, SaError, TensorError};
 
@@ -160,7 +160,7 @@ impl AttentionMethod for GuardedMethod {
         layer: usize,
         head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
         if !self.is_quarantined(layer, head) {

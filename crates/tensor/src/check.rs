@@ -16,8 +16,11 @@
 //!
 //! - `SA_PROP_SEED=<u64, 0x-hex ok>` — run each property once, on exactly
 //!   that seed (the failure-reproduction path);
-//! - `SA_PROP_CASES=<n>` — override the case count (e.g. a nightly soak
-//!   at 10_000 cases).
+//! - `SA_PROP_CASES=<n>` — scale every property's case count by
+//!   `n / CASES`: [`run_cases`] runs exactly `n` cases, and a
+//!   [`run_cases_n`] property with its own count keeps its share of them
+//!   (e.g. a nightly soak at 10_000 cases runs an 8-case property 2_500
+//!   times).
 //!
 //! There is no shrinking: cases are independent and seeds reproduce a
 //! failure exactly, which has proven enough at this input scale — sizes
@@ -155,18 +158,34 @@ fn env_u64(name: &str) -> Option<u64> {
 /// `SA_PROP_CASES`; or exactly once on `SA_PROP_SEED`). On failure,
 /// prints the case seed and reproduction recipe, then re-panics.
 pub fn run_cases<F: Fn(&mut Gen)>(name: &str, property: F) {
-    let cases = env_u64("SA_PROP_CASES").map_or(CASES, |n| n as usize);
-    run_cases_n(name, cases, property)
+    run_cases_n(name, CASES, property)
 }
 
-/// [`run_cases`] with an explicit case count (still overridden by the
-/// `SA_PROP_SEED` single-case environment knob).
+/// [`run_cases`] with its own case count, `cases` when `SA_PROP_CASES`
+/// is unset and `cases * SA_PROP_CASES / CASES` (rounded up) otherwise;
+/// exactly once on `SA_PROP_SEED`.
 pub fn run_cases_n<F: Fn(&mut Gen)>(name: &str, cases: usize, property: F) {
     if let Some(seed) = env_u64("SA_PROP_SEED") {
         let mut g = Gen::new(seed);
         property(&mut g);
         return;
     }
+    run_seeded(name, scaled_cases(cases, env_u64("SA_PROP_CASES")), property)
+}
+
+/// The case count of a property whose own count is `cases`, under an
+/// `SA_PROP_CASES` of `requested`: `cases` when unset, otherwise `cases *
+/// requested / CASES` rounded up — `requested` itself for a property of
+/// [`CASES`] cases, and the same share of it for every other.
+fn scaled_cases(cases: usize, requested: Option<u64>) -> usize {
+    match requested {
+        None => cases,
+        Some(n) => (cases as u64).saturating_mul(n).div_ceil(CASES as u64) as usize,
+    }
+}
+
+/// Runs `property` over the first `cases` seeds of `name`.
+fn run_seeded<F: Fn(&mut Gen)>(name: &str, cases: usize, property: F) {
     for case in 0..cases {
         let seed = case_seed(name, case);
         let mut g = Gen::new(seed);
@@ -213,14 +232,14 @@ mod tests {
     #[test]
     fn passing_property_runs_all_cases() {
         let count = std::cell::Cell::new(0usize);
-        run_cases_n("count_cases", 7, |_| count.set(count.get() + 1));
+        run_seeded("count_cases", 7, |_| count.set(count.get() + 1));
         assert_eq!(count.get(), 7);
     }
 
     #[test]
     fn failing_property_reports_and_panics() {
         let result = std::panic::catch_unwind(|| {
-            run_cases_n("always_fails", 3, |g| {
+            run_seeded("always_fails", 3, |g| {
                 // Make the failure depend on the drawn input so the
                 // harness exercises a real draw.
                 let x = g.f32_in(0.0, 1.0);
@@ -228,6 +247,21 @@ mod tests {
             });
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn case_counts_scale_with_the_requested_count() {
+        // Unset: every property keeps its own count.
+        for cases in [1, 8, CASES, 200] {
+            assert_eq!(scaled_cases(cases, None), cases);
+        }
+        // Set: a property of the default count runs exactly the request,
+        // every other keeps its share of it, rounded up.
+        assert_eq!(scaled_cases(CASES, Some(10_000)), 10_000);
+        assert_eq!(scaled_cases(8, Some(10_000)), 2_500);
+        assert_eq!(scaled_cases(200, Some(64)), 400);
+        assert_eq!(scaled_cases(8, Some(1)), 1);
+        assert_eq!(scaled_cases(8, Some(0)), 0);
     }
 
     #[test]

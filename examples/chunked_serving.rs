@@ -15,14 +15,26 @@ use sample_attention::perf::PrefillStyle;
 use sample_attention::tensor::max_abs_diff;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Part 1: chunked prefill is exact.
+    // Part 1: chunked prefill is exact. A cache-keeping run keeps the
+    // newest row of the final residual stream; every earlier position
+    // lives on as its K and V in the caches.
     let model = SyntheticTransformer::new(ModelConfig::tiny(5))?;
     let tokens = model.tokenize_filler(240);
     let mono = model.prefill(&tokens, &FullAttention::new())?;
+    let newest = mono.hidden.slice_rows(tokens.len() - 1, tokens.len())?;
+    let (_, whole) = model.prefill_chunked(&tokens, tokens.len(), &FullAttention::new())?;
     for chunk in [32usize, 80, 240] {
-        let (chunked, _caches) = model.prefill_chunked(&tokens, chunk, &FullAttention::new())?;
-        let diff = max_abs_diff(chunked.hidden.as_slice(), mono.hidden.as_slice());
-        println!("chunk {chunk:>4}: max |Δhidden| vs monolithic = {diff:.2e}");
+        let (chunked, caches) = model.prefill_chunked(&tokens, chunk, &FullAttention::new())?;
+        let mut diff = max_abs_diff(chunked.hidden.as_slice(), newest.as_slice());
+        for (cache, want) in caches.iter().zip(&whole) {
+            for h in 0..cache.num_kv_heads() {
+                let ((k, v), (want_k, want_v)) = (cache.prepared(h), want.prepared(h));
+                diff = diff
+                    .max(max_abs_diff(k.as_slice(), want_k.as_slice()))
+                    .max(max_abs_diff(v.as_slice(), want_v.as_slice()));
+            }
+        }
+        println!("chunk {chunk:>4}: max |Δhidden| (newest row) and |ΔKV| vs monolithic = {diff:.2e}");
     }
     let (sa_chunked, _) =
         model.prefill_chunked(&tokens, 60, &SampleAttentionMethod::paper_default())?;

@@ -199,14 +199,25 @@ echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_
 # One key layout, three readers, each held bitwise to the path it
 # replaced: stage 1 on panels vs the scalar row loop
 # (parallel_determinism), decode on resident panels vs the per-head
-# re-embedding decoder, and cache panels vs panels rebuilt from K after
-# growth, eviction and restore, and a count that a cache key is
-# transposed exactly once (checkpoint_roundtrip).
-for suite in parallel_determinism checkpoint_roundtrip; do
-    SA_THREADS=1 cargo test -q --offline --test "$suite"
-    SA_THREADS=3 cargo test -q --offline --test "$suite"
-    cargo test -q --offline --test "$suite"
-done
+# re-embedding decoder, cache panels vs an uninterrupted run's after
+# growth, eviction and restore, checkpoint checksums pinned from when
+# caches held K as rows, and a count that a cache key is transposed
+# exactly once (checkpoint_roundtrip). The panels are the only copy of
+# K, so every reader of key rows reads them back out of the panels: the
+# row view, panel-gathered extras and the non-finite count over the
+# panel buffer (sa-kernels `panels::tests`), and the H2O scores and
+# `retain_head` (sa-model `*_on_panels_match*`), each against the rows
+# themselves.
+key_panel_suite() {
+    for suite in parallel_determinism checkpoint_roundtrip; do
+        cargo test -q --offline --test "$suite"
+    done
+    cargo test -q --offline -p sa-kernels --lib panels::tests
+    cargo test -q --offline -p sa-model --lib on_panels_match
+}
+SA_THREADS=1 key_panel_suite
+SA_THREADS=3 key_panel_suite
+key_panel_suite
 
 echo "==> pool contract: parked workers at SA_THREADS=1, 2, 3, 5, three times each, under timeout"
 # The pool keeps its workers parked between calls, so the failure it can
@@ -351,9 +362,11 @@ fi
 echo "==> lint: every metric name argument is a string literal"
 # The registration lint above only sees literal names: a name passed any
 # other way registers a metric nobody documents (sa-serve once built
-# seven `serve.<outcome>` counters that way). The one exception is
-# `FallbackReason::counter_name()`, a match of literals whose every name
-# an sa-core test holds to docs/METRICS.md. The registry's own
+# seven `serve.<outcome>` counters that way). The one exception is the
+# name `FallbackReason::counter_name()` returns, bound as `counter_name`
+# at its one call in crates/core/src/attention.rs (the same binding in
+# any other file still fails): a match of literals whose every name an
+# sa-core test holds to docs/METRICS.md. The registry's own
 # definitions and macro bodies (`$name`, checked at each macro call)
 # are not calls.
 nonliteral="$(find crates -path '*/src/*.rs' | sort | while IFS= read -r f; do
@@ -364,7 +377,7 @@ nonliteral="$(find crates -path '*/src/*.rs' | sort | while IFS= read -r f; do
     ' "$f"
 done | grep -E '\b(counter|gauge|histogram)\(|\b(counter_add|histogram_record)!\(' |
     grep -vE '\b(counter|gauge|histogram)\("|\b(counter_add|histogram_record)!\("' |
-    grep -vE '\bfn (counter|gauge|histogram)\(|\(\$name\)|\([A-Za-z_.]*\.counter_name\(\)\)' || true)"
+    grep -vE '\bfn (counter|gauge|histogram)\(|\(\$name\)|^crates/core/src/attention\.rs:[0-9]+: .*\bcounter\(counter_name\)' || true)"
 if [ -n "$nonliteral" ]; then
     echo "$nonliteral"
     echo "lint: a metric name that is not a string literal escapes docs/METRICS.md" >&2

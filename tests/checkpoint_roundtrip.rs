@@ -16,11 +16,11 @@
 //!    as [`SaError::CorruptCheckpoint`] and a tripped cancel token wins
 //!    over corruption (nothing staged, nothing leaked) regardless of
 //!    the pool size;
-//! 4. **Derived state is rebuilt, not trusted** — the key panels and the
-//!    embedding stream position are not in a checkpoint; after growth,
-//!    eviction and restore they equal what the cached K and the tokens
-//!    determine, and decode on them equals the per-head path that
-//!    re-derived both every step;
+//! 4. **Derived state is rebuilt, not trusted** — a checkpoint holds key
+//!    rows, not the panels, and no embedding stream position; after
+//!    growth, eviction and restore the panels hold what an uninterrupted
+//!    run caches, and decode on them equals the per-head path that
+//!    re-derived the stream every step;
 //! 5. **A cache key is transposed once** — counted, not assumed: the
 //!    `kernels.keys_transposed` trace counter against what the model's
 //!    structure predicts. The count is exact beside the other tests of
@@ -30,9 +30,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sample_attention::baselines::{
-    AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod,
+    AttentionMethod, FullAttention, GroupKeys, HeadPlan, MethodOutput, SampleAttentionMethod,
 };
-use sample_attention::kernels::{attention_scores_raw, KeyPanels, PreparedKeys};
+use sample_attention::kernels::{attention_scores_raw, KeyPanels};
 use sample_attention::model::{
     DecodeSession, EvictionConfig, LayerKvCache, ModelConfig, PrefillCheckpoint, Readout,
     SessionCheckpoint, SyntheticTransformer, BOS_TOKEN,
@@ -96,17 +96,18 @@ fn prefill_resume_is_bitwise_identical_at_every_thread_count() {
     let m = model();
     let tokens = m.tokenize_filler(96);
     let method = FullAttention::new();
-    let (reference, _) = m.prefill_chunked(&tokens, 16, &method).expect("prefill");
+    let (reference, ref_caches) = m.prefill_chunked(&tokens, 16, &method).expect("prefill");
     let expected_bits: Vec<u32> = reference
         .hidden
         .as_slice()
         .iter()
         .map(|v| v.to_bits())
         .collect();
+    let expected_kv = cache_bits(&ref_caches);
 
     let mut checksums = Vec::new();
     for t in thread_counts() {
-        let (bits, chunks_done, checksum) = pool::with_threads(t, || {
+        let (bits, kv, chunks_done, checksum) = pool::with_threads(t, || {
             let mut run = m.start_prefill(&tokens, 16).expect("start");
             for _ in 0..3 {
                 run.advance_chunk(&method).expect("chunk");
@@ -117,14 +118,18 @@ fn prefill_resume_is_bitwise_identical_at_every_thread_count() {
             while !resumed.is_done() {
                 resumed.advance_chunk(&method).expect("chunk");
             }
-            let (result, _) = resumed.finish().expect("finish");
+            let (result, caches) = resumed.finish().expect("finish");
             let bits: Vec<u32> = result.hidden.as_slice().iter().map(|v| v.to_bits()).collect();
-            (bits, snap.chunks_done(), snap.checksum())
+            (bits, cache_bits(&caches), snap.chunks_done(), snap.checksum())
         });
         assert_eq!(chunks_done, 3);
         assert_eq!(
             expected_bits, bits,
             "prefill resume at {t} threads diverged from the uninterrupted run"
+        );
+        assert!(
+            expected_kv == kv,
+            "prefill resume at {t} threads left different caches from the uninterrupted run"
         );
         checksums.push(checksum);
     }
@@ -202,16 +207,28 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every head's resident panels hold exactly the head's cached K.
-fn assert_panels_match_k(label: &str, caches: &[LayerKvCache]) {
+/// Every head's keys and values, bits, layer after layer: the keys as
+/// the resident panels hold them, padding lanes included.
+fn cache_bits(caches: &[LayerKvCache]) -> Vec<(Vec<u32>, Vec<u32>)> {
+    caches
+        .iter()
+        .flat_map(|c| (0..c.num_kv_heads()).map(move |h| c.prepared(h)))
+        .map(|(keys, v)| (bits(keys.as_slice()), bits(v.as_slice())))
+        .collect()
+}
+
+/// Every head's resident panels are well formed: as long as its values,
+/// and exactly the panels its keys, read back out as rows, build (so
+/// every padding lane is zero).
+fn assert_panels_well_formed(label: &str, caches: &[LayerKvCache]) {
     for (l, cache) in caches.iter().enumerate() {
         for h in 0..cache.num_kv_heads() {
-            let (keys, _) = cache.prepared(h);
-            assert_eq!(keys.panels().len(), cache.head_len(h), "{label}: L{l}.KV{h} length");
+            let (keys, v) = cache.prepared(h);
+            assert_eq!(keys.len(), v.rows(), "{label}: L{l}.KV{h} length");
             assert_eq!(
-                bits(keys.panels().as_slice()),
-                bits(KeyPanels::from_rows(keys.rows()).as_slice()),
-                "{label}: L{l}.KV{h} panels drifted from K"
+                bits(keys.as_slice()),
+                bits(KeyPanels::from_rows(&keys.to_rows()).as_slice()),
+                "{label}: L{l}.KV{h} panels are not the panels of their rows"
             );
         }
     }
@@ -222,13 +239,16 @@ fn resident_panels_track_k_through_growth_eviction_and_restore() {
     let m = model();
     let tokens = m.tokenize_filler(150);
     let method = FullAttention::new();
-    // Chunked prefill: one row at a time, 32-row chunks, off the panel grid.
+    // Under dense attention every chunk size caches the one-chunk run's
+    // keys and values: one row at a time, 32-row chunks, off the panel grid.
+    let (_, whole) = m.prefill_chunked(&tokens, tokens.len(), &method).expect("prefill");
+    assert_panels_well_formed("one chunk", &whole);
     for chunk in [1usize, 32, 37] {
         let (_, caches) = m.prefill_chunked(&tokens, chunk, &method).expect("prefill");
-        assert_panels_match_k(&format!("prefill chunk {chunk}"), &caches);
+        assert_eq!(cache_bits(&caches), cache_bits(&whole), "prefill chunk {chunk}");
     }
-    // A prefill checkpoint does not carry panels: restore rebuilds them,
-    // and the remaining chunks append to the rebuilt ones.
+    // A prefill checkpoint holds key rows, not panels: restore transposes
+    // them, and the remaining chunks append to the rebuilt panels.
     let mut run = m.start_prefill(&tokens, 37).expect("start");
     run.advance_chunk(&method).expect("chunk");
     run.advance_chunk(&method).expect("chunk");
@@ -239,24 +259,32 @@ fn resident_panels_track_k_through_growth_eviction_and_restore() {
         resumed.advance_chunk(&method).expect("chunk");
     }
     let (_, caches) = resumed.finish().expect("finish");
-    assert_panels_match_k("restored prefill", &caches);
+    assert_eq!(cache_bits(&caches), cache_bits(&whole), "restored prefill");
 
-    // Decode appends a row per step; H2O eviction replaces whole heads;
-    // a session checkpoint restores through `from_parts`.
+    // Decode appends a row per step; H2O eviction gathers whole heads
+    // panel to panel; a session checkpoint restores through `from_parts`.
     let vocab = m.config().vocab_size as u32;
     let mut session = m
         .begin_decode_with(&tokens, &method, EvictionConfig::h2o(140))
         .expect("prefill");
-    assert_panels_match_k("after prefill", session.caches());
+    assert_eq!(cache_bits(session.caches()), cache_bits(&whole), "after prefill");
     session.generate_in(5, 0..vocab).expect("generate");
     assert!(session.cache_len() <= 140, "eviction must have run");
-    assert_panels_match_k("after eviction", session.caches());
+    assert_panels_well_formed("after eviction", session.caches());
     let snap = SessionCheckpoint::capture(&session);
-    drop(session);
     let mut resumed = snap.restore(&m, 0x2, None).expect("restore");
-    assert_panels_match_k("restored session", resumed.caches());
+    assert_eq!(
+        cache_bits(resumed.caches()),
+        cache_bits(session.caches()),
+        "restored session"
+    );
+    session.generate_in(3, 0..vocab).expect("generate");
     resumed.generate_in(3, 0..vocab).expect("generate");
-    assert_panels_match_k("restored session, 3 steps on", resumed.caches());
+    assert_eq!(
+        cache_bits(resumed.caches()),
+        cache_bits(session.caches()),
+        "restored session, 3 steps on"
+    );
 }
 
 /// Decode as it ran before the caches kept panels and the session kept
@@ -334,8 +362,8 @@ impl<'m> PerHeadDecoder<'m> {
                 for head in 0..num_heads {
                     let q = layer.project_q(&rows, head, offset).expect("q");
                     let kv = layer.gqa().kv_head_for(head);
-                    let (k_all, _) = self.caches[l].head(kv);
-                    let mut p = attention_scores_raw(&q, k_all, false).expect("scores");
+                    let k_all = self.caches[l].prepared(kv).0.to_rows();
+                    let mut p = attention_scores_raw(&q, &k_all, false).expect("scores");
                     softmax_rows_in_place(&mut p);
                     for (j, &m) in p.row(0).iter().enumerate() {
                         self.scores[l][kv][j] += m as f64;
@@ -440,13 +468,13 @@ impl AttentionMethod for TallyExtras {
         layer: usize,
         head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, TensorError> {
         let discovered = self
             .inner
             .inner()
-            .discover_mask_prepared(&q, keys)
+            .discover_mask_prepared(&q, keys.panels())
             .expect("discovery on healthy inputs");
         self.extras.fetch_add(
             discovered.mask.extra_columns().len() as u64,
@@ -506,4 +534,74 @@ fn a_cache_key_is_transposed_once() {
         cache_keys + 5 * (cfg.num_kv_heads * cfg.num_layers) as u64
     );
     drop(session);
+}
+
+/// FNV-1a over a stream of words: a fingerprint of many floats' bits.
+fn fingerprint(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for w in words {
+        h = (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Checkpoints write key rows with the bits of the keys the cache was
+/// given, however the cache holds them: the values below were recorded
+/// when each cache head still held K as rows beside its panels, and a
+/// capture from the panels alone must reproduce them exactly. A session
+/// under SampleAttention with H2O eviction (keys gathered on every step
+/// past the budget), then a prefill paused at a mid-prompt chunk: the
+/// checksum, the KV values, and what the restored state goes on to
+/// produce.
+#[test]
+fn checkpoint_bits_are_pinned() {
+    let m = model();
+    let vocab = m.config().vocab_size as u32;
+    let layout = *m.embedder().layout();
+    let method = SampleAttentionMethod::paper_default();
+
+    let mut tokens = m.tokenize_filler(150);
+    for (at, i) in [(20usize, 0usize), (70, 1), (110, 2)] {
+        tokens[at] = layout.marker(i);
+        tokens[at + 1] = layout.payload(3 * i + 1);
+    }
+    tokens[149] = layout.marker(1);
+    let mut session = m
+        .begin_decode_with(&tokens, &method, EvictionConfig::h2o(120))
+        .expect("prefill");
+    session.generate_in(5, 0..vocab).expect("generate");
+    let snap = SessionCheckpoint::capture(&session);
+    let mut restored = snap.restore(&m, 0x5EED, None).expect("restore");
+    let next = restored.generate_in(8, 0..vocab).expect("generate");
+    let contents = fingerprint(
+        restored
+            .last_contents()
+            .iter()
+            .flat_map(|c| bits(c.as_slice())),
+    );
+    assert_eq!(snap.checksum(), 0x0436_c6be_712b_593a, "session checksum");
+    assert_eq!(snap.kv_bytes() / 4, 61_440, "session KV values");
+    assert_eq!(next, [layout.payload(4); 8], "restored session's next tokens");
+    assert_eq!(contents, 0x8ccf_487f_932f_553e, "restored session's newest contents");
+
+    let tokens = m.tokenize_filler(200);
+    let mut run = m.start_prefill(&tokens, 64).expect("start");
+    for _ in 0..2 {
+        run.advance_chunk(&method).expect("chunk");
+    }
+    let snap = PrefillCheckpoint::capture(&run);
+    drop(run);
+    let resumed = snap.restore(&m, 0x5EED, None).expect("restore");
+    let (result, _) = resumed
+        .run_to_end(&method, &CancelToken::new())
+        .expect("finish");
+    let newest = result.hidden.rows() - 1;
+    let finished = fingerprint(
+        bits(result.hidden.row(newest))
+            .into_iter()
+            .chain(result.head_contents.iter().flat_map(|c| bits(c.as_slice()))),
+    );
+    assert_eq!(snap.checksum(), 0x09a8_ad60_744b_15a1, "prefill checksum");
+    assert_eq!(snap.kv_bytes() / 4, 65_536, "prefill KV values");
+    assert_eq!(finished, 0xcc05_7a73_9820_25ef, "resumed prefill's newest rows");
 }

@@ -9,7 +9,7 @@ use sample_attention::kernels::{
     attention_probs, flash_attention, flash_attention_prepared, full_attention,
     masked_attention_dense, sparse_flash_attention, sparse_flash_attention_blocked,
     sparse_flash_attention_prepared, sparse_flash_attention_prepared_on,
-    sparse_flash_attention_tiled, FlashParams, KeyPanels, PreparedKeys, StructuredMask, TiledMask,
+    sparse_flash_attention_tiled, FlashParams, KeyPanels, StructuredMask, TiledMask,
 };
 use sample_attention::tensor::check::run_cases;
 use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Isa, Matrix};
@@ -423,7 +423,7 @@ fn resident_panels_equal_panels_built_per_call() {
         let (q, k, v) = qkv(mask.s_q(), mask.s_k(), 8, 0x7117);
         let panels = panels_grown(&k, 37);
         let resident =
-            sparse_flash_attention_prepared(&q, PreparedKeys::new(&k, &panels), &v, &mask).unwrap();
+            sparse_flash_attention_prepared(&q, &panels, &v, &mask).unwrap();
         let per_call = sparse_flash_attention_blocked(&q, &k, &v, &mask).unwrap();
         assert_bitwise(name, &resident.output, &per_call.output);
         assert_eq!(resident.cost, per_call.cost, "{name}");
@@ -448,7 +448,7 @@ fn decode_row_blocks_on_resident_panels_match_reference() {
             let q = DeterministicRng::new(0x0D + rows as u64).normal_matrix(rows, 64, 1.0);
             let block = flash_attention_prepared(
                 &q,
-                PreparedKeys::new(&k, &panels),
+                &panels,
                 &v,
                 false,
                 FlashParams::default(),
@@ -524,7 +524,7 @@ fn engine_bitwise_identical_on_every_isa() {
             let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
             for &isa in &builds {
                 let label = format!("{name} s_q={} d={d} on {}", mask.s_q(), isa.name());
-                let keys = PreparedKeys::new(&k, &panels);
+                let keys = &panels;
                 let engine = sparse_flash_attention_prepared_on(isa, &q, keys, &v, &mask).unwrap();
                 assert_bitwise(&label, &engine.output, &reference.output);
                 assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");

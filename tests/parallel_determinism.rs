@@ -10,7 +10,7 @@
 //! `==` on the f32 outputs — no tolerances.
 
 use sa_baselines::{
-    finish_heads, AttentionMethod, FullAttention, HeadPlan, MethodOutput, SampleAttentionMethod,
+    finish_heads, AttentionMethod, FullAttention, GroupKeys, HeadPlan, MethodOutput, SampleAttentionMethod,
     WindowOnly,
 };
 use sa_core::filtering::{filter_kv_indices, KvRatioSchedule};
@@ -18,7 +18,7 @@ use sa_core::sampling::{sample_attention_scores, sample_attention_scores_prepare
 use sa_core::{SampleAttention, SampleAttentionConfig};
 use sa_kernels::{
     flash_attention, full_attention, score_scale, sparse_flash_attention, FlashParams, KeyPanels,
-    PreparedKeys, StructuredMask,
+    StructuredMask,
 };
 use sa_model::{LayerKvCache, ModelConfig, PrefillResult, SyntheticTransformer};
 use sa_tensor::pool::with_threads;
@@ -212,7 +212,7 @@ fn stage1_on_panels_matches_the_scalar_row_loop() {
         let run = || {
             let built = sample_attention_scores(&q, &k, ratio).unwrap();
             let resident =
-                sample_attention_scores_prepared(&q, PreparedKeys::new(&k, &panels), ratio)
+                sample_attention_scores_prepared(&q, &panels, ratio)
                     .unwrap();
             assert_eq!(built.sampled_rows.len(), sampled, "{label}");
             assert_eq!(bits(&built.column_scores), bits(&resident.column_scores), "{label}");
@@ -402,7 +402,7 @@ impl AttentionMethod for MixedHeads {
         layer: usize,
         head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, SaError> {
         let plan = self.pick(layer, head).plan_head(layer, head, q, keys, v)?;
@@ -437,7 +437,7 @@ impl AttentionMethod for HeadByHead<'_> {
         layer: usize,
         head: usize,
         q: Matrix,
-        keys: PreparedKeys<'a>,
+        keys: &'a GroupKeys<'_>,
         v: &'a Matrix,
     ) -> Result<HeadPlan<'a>, SaError> {
         finish_alone(self.0.plan_head(layer, head, q, keys, v)?).map(HeadPlan::Done)
@@ -479,8 +479,8 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
     let chunked_summary = |(r, caches): &(PrefillResult, Vec<LayerKvCache>)| {
         let kv: Vec<_> = caches
             .iter()
-            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.head(h)))
-            .map(|(k, v)| (bits(k), bits(v)))
+            .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.prepared(h)))
+            .map(|(k, v)| (bits(&k.to_rows()), bits(v)))
             .collect();
         (summary(r), kv)
     };
