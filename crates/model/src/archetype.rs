@@ -143,11 +143,17 @@ pub struct HeadProjections {
 /// `[wq_0 | … | wq_{n-1} | wk | wv]`: every projection of the group is a
 /// column range of one [`PackedWeights`], and the group's query heads, K
 /// and V, which share an input, come out of one GEMM call.
+///
+/// `wv` copies the token content into its first `content_dim` columns and
+/// is zero past them, so a value row is content followed by `+0.0`s: the
+/// layer projects only [`v_content_cols`](Self::v_content_cols).
 #[derive(Debug, Clone)]
 pub struct GroupProjections {
     packed: PackedWeights,
     /// Query heads in the group.
     heads: usize,
+    /// Leading columns of the value projection that can be nonzero.
+    content_dim: usize,
 }
 
 impl GroupProjections {
@@ -179,6 +185,13 @@ impl GroupProjections {
         self.q_cols(self.heads + 1)
     }
 
+    /// The value projection's content columns, the first `content_dim`
+    /// of [`v_cols`](Self::v_cols): every column after them is zero.
+    pub fn v_content_cols(&self) -> Range<usize> {
+        let start = self.v_cols().start;
+        start..start + self.content_dim
+    }
+
     /// Generates group projections for the given per-query-head
     /// archetypes.
     ///
@@ -202,6 +215,7 @@ impl GroupProjections {
         Ok(GroupProjections {
             packed: PackedWeights::pack(&parts)?,
             heads: wqs.len(),
+            content_dim: config.content_dim,
         })
     }
 
@@ -494,6 +508,31 @@ mod tests {
         let p = attention_probs(&q, &k, true).unwrap();
         let stripe = p.get(tokens.len() - 1, 61);
         assert!(stripe > 0.5, "stripe after RoPE {stripe}");
+    }
+
+    /// The premise the model's narrow values rest on: in every preset,
+    /// every group's value projection is exactly `+0.0` past its first
+    /// `content_dim` columns, so a value row's later columns are zero
+    /// whatever the input.
+    #[test]
+    fn value_weights_are_zero_past_the_content_columns() {
+        for config in [ModelConfig::chatglm2_like(7), ModelConfig::internlm2_like(7), ModelConfig::tiny(7)] {
+            let group_size = config.num_heads / config.num_kv_heads;
+            let mut rng = sa_tensor::DeterministicRng::new(7);
+            for layer in 0..config.num_layers {
+                let archetypes: Vec<HeadArchetype> = (0..config.num_heads)
+                    .map(|h| HeadArchetype::from_weights(config.archetype_weights(layer, h)))
+                    .collect();
+                for heads in archetypes.chunks(group_size) {
+                    let (_, _, wv) = GroupProjections::weights(&config, heads, &mut rng);
+                    assert_eq!(wv.cols(), config.head_dim);
+                    for i in 0..wv.rows() {
+                        let tail = &wv.row(i)[config.content_dim..];
+                        assert!(tail.iter().all(|x| x.to_bits() == 0), "{:?} layer {layer} row {i}", config.preset);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

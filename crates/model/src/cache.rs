@@ -11,9 +11,13 @@
 //! attention engine scores against: [`append`](LayerKvCache::append)
 //! transposes new key rows straight into the panels, and every query head
 //! of the group, every later chunk and every decode step reads them. V
-//! stays row-major. A reader that needs key rows (the H2O scorer, a
-//! checkpoint, the dense fallback) copies them out of the panels with the
-//! bits they went in with; eviction gathers the kept keys panel to panel.
+//! stays row-major and holds only the value projection's content
+//! columns, `value_dim` of them (the model's `content_dim`): the columns
+//! past them are zero by construction and nothing reads them, so neither
+//! the cache nor any attention pass over it carries them. A reader that
+//! needs key rows (the H2O scorer, a checkpoint, the dense fallback)
+//! copies them out of the panels with the bits they went in with;
+//! eviction gathers the kept keys panel to panel.
 
 use sa_kernels::KeyPanels;
 use sa_tensor::{Matrix, TensorError};
@@ -31,22 +35,25 @@ struct HeadKv {
 pub struct LayerKvCache {
     entries: Vec<HeadKv>,
     head_dim: usize,
+    value_dim: usize,
     /// Absolute positions appended so far (monotone; unaffected by
     /// eviction, so RoPE offsets stay correct).
     seen: usize,
 }
 
 impl LayerKvCache {
-    /// An empty cache for `num_kv_heads` heads of dimension `head_dim`.
-    pub fn new(num_kv_heads: usize, head_dim: usize) -> Self {
+    /// An empty cache for `num_kv_heads` heads of keys `head_dim` wide
+    /// and values `value_dim` wide.
+    pub fn new(num_kv_heads: usize, head_dim: usize, value_dim: usize) -> Self {
         LayerKvCache {
             entries: (0..num_kv_heads)
                 .map(|_| HeadKv {
                     panels: KeyPanels::new(head_dim),
-                    v: Matrix::zeros(0, head_dim),
+                    v: Matrix::zeros(0, value_dim),
                 })
                 .collect(),
             head_dim,
+            value_dim,
             seen: 0,
         }
     }
@@ -101,12 +108,17 @@ impl LayerKvCache {
     }
 
     /// Rebuilds a cache from checkpointed parts (see
-    /// `checkpoint::SessionCheckpoint`): each head's key rows and values.
-    /// The caller is responsible for shape consistency; `seen` is restored
-    /// verbatim so RoPE offsets survive the round trip even after eviction
-    /// shrank the heads. Checkpoints hold rows, not panels: the keys are
-    /// transposed here.
-    pub(crate) fn from_parts(entries: Vec<(Matrix, Matrix)>, head_dim: usize, seen: usize) -> Self {
+    /// `checkpoint::SessionCheckpoint`): each head's key rows and values,
+    /// the values `value_dim` wide. The caller is responsible for shape
+    /// consistency; `seen` is restored verbatim so RoPE offsets survive
+    /// the round trip even after eviction shrank the heads. Checkpoints
+    /// hold rows, not panels: the keys are transposed here.
+    pub(crate) fn from_parts(
+        entries: Vec<(Matrix, Matrix)>,
+        head_dim: usize,
+        value_dim: usize,
+        seen: usize,
+    ) -> Self {
         LayerKvCache {
             entries: entries
                 .into_iter()
@@ -116,13 +128,20 @@ impl LayerKvCache {
                 })
                 .collect(),
             head_dim,
+            value_dim,
             seen,
         }
     }
 
-    /// The cache's per-head row width (for checkpoint capture).
+    /// The width of a cached key row (for checkpoint capture).
     pub(crate) fn head_dim(&self) -> usize {
         self.head_dim
+    }
+
+    /// The width of a cached value row: the value projection's content
+    /// columns.
+    pub fn value_dim(&self) -> usize {
+        self.value_dim
     }
 
     /// Replaces a head's cached keys and values wholesale (used by
@@ -131,10 +150,10 @@ impl LayerKvCache {
     /// # Panics
     ///
     /// Panics if `kv_head` is out of range or the widths disagree with
-    /// the cache's head dimension.
+    /// the cache's.
     pub(crate) fn replace(&mut self, kv_head: usize, panels: KeyPanels, v: Matrix) {
         assert_eq!(panels.dim(), self.head_dim, "replace width mismatch");
-        assert_eq!(v.cols(), self.head_dim, "replace width mismatch");
+        assert_eq!(v.cols(), self.value_dim, "replace width mismatch");
         assert_eq!(panels.len(), v.rows(), "replace row mismatch");
         self.entries[kv_head] = HeadKv { panels, v };
     }
@@ -146,13 +165,13 @@ impl LayerKvCache {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the row widths disagree
-    /// with the cache's head dimension or `k`/`v` row counts differ.
+    /// with the cache's or `k`/`v` row counts differ.
     pub fn append(&mut self, kv_head: usize, k_new: Matrix, v_new: Matrix) -> Result<(), TensorError> {
-        if k_new.cols() != self.head_dim || v_new.cols() != self.head_dim {
+        if k_new.cols() != self.head_dim || v_new.cols() != self.value_dim {
             return Err(TensorError::ShapeMismatch {
                 op: "LayerKvCache::append",
-                lhs: k_new.shape(),
-                rhs: (self.head_dim, self.head_dim),
+                lhs: (k_new.cols(), v_new.cols()),
+                rhs: (self.head_dim, self.value_dim),
             });
         }
         if k_new.rows() != v_new.rows() {
@@ -174,7 +193,7 @@ impl LayerKvCache {
         let rows = entry.v.rows() + v_new.rows();
         let mut v = std::mem::take(&mut entry.v).into_vec();
         v.extend_from_slice(v_new.as_slice());
-        entry.v = Matrix::from_vec(rows, self.head_dim, v)?;
+        entry.v = Matrix::from_vec(rows, self.value_dim, v)?;
         Ok(())
     }
 }
@@ -189,7 +208,7 @@ mod tests {
 
     #[test]
     fn append_grows_rows() {
-        let mut c = LayerKvCache::new(2, 4);
+        let mut c = LayerKvCache::new(2, 4, 4);
         assert!(c.is_empty());
         let k = Matrix::from_fn(3, 4, |i, j| (i + j) as f32);
         let v = Matrix::from_fn(3, 4, |i, j| (i * j) as f32);
@@ -215,7 +234,7 @@ mod tests {
             assert_eq!(bits(keys.as_slice()), bits(KeyPanels::from_rows(want).as_slice()));
             assert_eq!(v.rows(), keys.len());
         };
-        let mut c = LayerKvCache::new(1, 4);
+        let mut c = LayerKvCache::new(1, 4, 4);
         same(&c, &Matrix::zeros(0, 4));
         let rows = Matrix::from_fn(71, 4, |i, j| (i * 4 + j) as f32 - 0.5);
         c.append(0, rows.slice_rows(0, 70).unwrap(), rows.slice_rows(0, 70).unwrap())
@@ -227,15 +246,15 @@ mod tests {
         let kept = rows.slice_rows(3, 40).unwrap();
         c.replace(0, KeyPanels::from_rows(&kept), kept.clone());
         same(&c, &kept);
-        same(&LayerKvCache::from_parts(vec![(kept.clone(), kept.clone())], 4, 71), &kept);
+        same(&LayerKvCache::from_parts(vec![(kept.clone(), kept.clone())], 4, 4, 71), &kept);
     }
 
     #[test]
     fn appends_in_any_steps_equal_one_append() {
         let k = Matrix::from_fn(70, 4, |i, j| (i * 4 + j) as f32);
         let v = Matrix::from_fn(70, 4, |i, j| -((i + 3 * j) as f32));
-        let mut whole = LayerKvCache::new(2, 4);
-        let mut steps = LayerKvCache::new(2, 4);
+        let mut whole = LayerKvCache::new(2, 4, 4);
+        let mut steps = LayerKvCache::new(2, 4, 4);
         for head in 0..2 {
             whole.append(head, k.clone(), v.clone()).unwrap();
             for (start, end) in [(0, 33), (33, 34), (34, 70)] {
@@ -254,11 +273,24 @@ mod tests {
 
     #[test]
     fn append_validates_shapes() {
-        let mut c = LayerKvCache::new(1, 4);
+        let mut c = LayerKvCache::new(1, 4, 4);
         let bad = Matrix::zeros(2, 5);
         let ok = Matrix::zeros(2, 4);
         assert!(c.append(0, bad, ok.clone()).is_err());
         let mismatched = Matrix::zeros(3, 4);
         assert!(c.append(0, ok, mismatched).is_err());
+    }
+
+    #[test]
+    fn values_are_cached_at_their_own_width() {
+        let mut c = LayerKvCache::new(1, 8, 3);
+        let k = Matrix::from_fn(5, 8, |i, j| (i * 8 + j) as f32);
+        let v = Matrix::from_fn(5, 3, |i, j| -((i * 3 + j) as f32));
+        assert!(c.append(0, k.clone(), Matrix::zeros(5, 8)).is_err(), "a head-wide value row");
+        c.append(0, k.slice_rows(0, 2).unwrap(), v.slice_rows(0, 2).unwrap()).unwrap();
+        c.append(0, k.slice_rows(2, 5).unwrap(), v.slice_rows(2, 5).unwrap()).unwrap();
+        let (keys, cached) = c.prepared(0);
+        assert_eq!((keys.dim(), c.value_dim()), (8, 3));
+        assert_eq!(cached, &v);
     }
 }

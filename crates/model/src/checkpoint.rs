@@ -18,6 +18,14 @@
 //! [`SaError::CorruptCheckpoint`] instead of propagating silently wrong
 //! attention outputs. Version skew is caught the same way.
 //!
+//! A snapshot's layout is the cache's as it was when value rows were
+//! `head_dim` wide: capture pads each cached value row (the value
+//! projection's `content_dim` content columns) back to `head_dim` with
+//! the `+0.0`s the projection gives every column past them, so the
+//! checksum and [`SessionCheckpoint::kv_bytes`] cover the same words as
+//! before, and a flipped pad lane fails restore like any other flipped
+//! bit. Restore keeps the content columns once the checksum passes.
+//!
 //! Checkpoints are plain values: capture clones the session state,
 //! restore rebuilds a fresh session against a model reference. Nothing
 //! here touches wall-clock time or global state, so snapshots taken at
@@ -33,7 +41,8 @@ use crate::{ChunkedPrefill, DecodeSession, LayerKvCache, SyntheticTransformer};
 /// deserializing garbage.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
-/// One KV head's cached contents, flattened for checksumming.
+/// One KV head's cached contents, flattened for checksumming: `rows`
+/// key rows and value rows, both `head_dim` wide.
 #[derive(Debug, Clone)]
 struct HeadKv {
     /// Cached rows in this head (heads diverge after per-head eviction).
@@ -61,27 +70,44 @@ impl LayerSnapshot {
                 .map(|h| {
                     // The cache holds keys as panels; the snapshot, rows.
                     let (keys, v) = cache.prepared(h);
+                    let width = cache.head_dim();
+                    let mut padded = vec![0.0f32; v.rows() * width];
+                    for (i, dst) in padded.chunks_exact_mut(width).enumerate() {
+                        dst[..v.cols()].copy_from_slice(v.row(i));
+                    }
                     HeadKv {
                         rows: keys.len(),
                         k: keys.to_rows().into_vec(),
-                        v: v.as_slice().to_vec(),
+                        v: padded,
                     }
                 })
                 .collect(),
         }
     }
 
-    fn rebuild(&self) -> Result<LayerKvCache, SaError> {
+    /// The cache the snapshot was taken from, its value rows cut back to
+    /// their first `value_dim` columns.
+    fn rebuild(&self, value_dim: usize) -> Result<LayerKvCache, SaError> {
+        if value_dim > self.head_dim {
+            return Err(SaError::InvalidDimension {
+                op: "checkpoint restore",
+                what: format!("values {value_dim} wide in a {}-wide snapshot", self.head_dim),
+            });
+        }
         let entries = self
             .heads
             .iter()
             .map(|h| {
                 let k = Matrix::from_vec(h.rows, self.head_dim, h.k.clone())?;
-                let v = Matrix::from_vec(h.rows, self.head_dim, h.v.clone())?;
+                let mut content = Vec::with_capacity(h.rows * value_dim);
+                for row in h.v.chunks_exact(self.head_dim) {
+                    content.extend_from_slice(&row[..value_dim]);
+                }
+                let v = Matrix::from_vec(h.rows, value_dim, content)?;
                 Ok((k, v))
             })
             .collect::<Result<Vec<_>, SaError>>()?;
-        Ok(LayerKvCache::from_parts(entries, self.head_dim, self.seen))
+        Ok(LayerKvCache::from_parts(entries, self.head_dim, value_dim, self.seen))
     }
 
     fn kv_values(&self) -> usize {
@@ -132,14 +158,15 @@ fn stage_salt(salt: u64, layer: usize, head: usize, is_v: bool) -> u64 {
 /// Runs the restore-time integrity protocol shared by both checkpoint
 /// kinds: check the cancel token *first* (a cancel that races a restore
 /// must not resurrect the session), stage the KV bytes through the fault
-/// harness, recompute the checksum, and rebuild the caches only when it
-/// matches the recorded one.
+/// harness, recompute the checksum, and rebuild the caches, values
+/// `value_dim` wide, only when it matches the recorded one.
 fn restore_layers(
     layers: &[LayerSnapshot],
     recorded: u64,
     extra: &[u64],
     salt: u64,
     cancel: Option<&CancelToken>,
+    value_dim: usize,
 ) -> Result<Vec<LayerKvCache>, SaError> {
     if let Some(token) = cancel {
         token.check("checkpoint_restore", 0, 1)?;
@@ -158,7 +185,7 @@ fn restore_layers(
             actual,
         });
     }
-    staged.iter().map(LayerSnapshot::rebuild).collect()
+    staged.iter().map(|layer| layer.rebuild(value_dim)).collect()
 }
 
 /// A versioned, checksummed snapshot of a [`DecodeSession`].
@@ -229,7 +256,8 @@ impl SessionCheckpoint {
         cancel: Option<&CancelToken>,
     ) -> Result<DecodeSession<'m>, SaError> {
         let extra = [u64::from(self.version), self.tokens.len() as u64];
-        let caches = restore_layers(&self.layers, self.checksum, &extra, salt, cancel)?;
+        let value_dim = model.config().content_dim;
+        let caches = restore_layers(&self.layers, self.checksum, &extra, salt, cancel, value_dim)?;
         if caches.len() != model.config().num_layers {
             return Err(SaError::InvalidDimension {
                 op: "SessionCheckpoint::restore",
@@ -354,7 +382,8 @@ impl PrefillCheckpoint {
             self.chunks_done as u64,
             self.chunk_size as u64,
         ];
-        let caches = restore_layers(&self.layers, self.checksum, &extra, salt, cancel)?;
+        let value_dim = model.config().content_dim;
+        let caches = restore_layers(&self.layers, self.checksum, &extra, salt, cancel, value_dim)?;
         if caches.len() != model.config().num_layers {
             return Err(SaError::InvalidDimension {
                 op: "PrefillCheckpoint::restore",
@@ -553,6 +582,74 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    /// Every value word of a snapshot past each row's first
+    /// `content_dim`: the pad capture writes.
+    fn pad_lanes(layers: &[LayerSnapshot], content_dim: usize) -> Vec<u32> {
+        layers
+            .iter()
+            .flat_map(|l| l.heads.iter().map(move |h| (l.head_dim, h)))
+            .flat_map(|(width, h)| h.v.chunks_exact(width).flat_map(|row| &row[content_dim..]))
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn a_tampered_pad_lane_fails_restore() {
+        let m = model();
+        let dc = m.config().content_dim;
+        let session = m
+            .begin_decode(&m.tokenize_filler(40), &FullAttention::new())
+            .expect("prefill");
+        let snap = SessionCheckpoint::capture(&session);
+        let pads = pad_lanes(&snap.layers, dc);
+        assert!(!pads.is_empty() && pads.iter().all(|&b| b == 0), "pads are +0.0");
+        // One bit of one pad lane: a value nothing reads, still covered.
+        let mut tampered = snap.clone();
+        let layer = &mut tampered.layers[1];
+        layer.heads[0].v[7 * layer.head_dim + dc + 3] = f32::from_bits(1);
+        match tampered.restore(&m, 0x1, None) {
+            Err(SaError::CorruptCheckpoint { expected, actual }) => {
+                assert_eq!(expected, snap.checksum());
+                assert_ne!(expected, actual);
+            }
+            other => panic!("expected CorruptCheckpoint, got {other:?}"),
+        }
+        assert!(snap.restore(&m, 0x1, None).is_ok(), "the untouched snapshot restores");
+    }
+
+    #[test]
+    fn a_mid_prompt_checkpoint_round_trips_at_content_width() {
+        // The snapshot holds values at head_dim, padded; the restored
+        // caches hold the content columns again, with the bits of the run
+        // that was captured, and finish to the uninterrupted run.
+        let m = model();
+        let config = *m.config();
+        let tokens = m.tokenize_filler(96);
+        let method = FullAttention::new();
+        let (reference, ref_caches) = m.prefill_chunked(&tokens, 16, &method).expect("prefill");
+        let mut run = m.start_prefill(&tokens, 16).expect("start");
+        for _ in 0..3 {
+            run.advance_chunk(&method).expect("chunk");
+        }
+        let snap = PrefillCheckpoint::capture(&run);
+        let per_row = config.num_layers * config.num_kv_heads * 2 * config.head_dim * 4;
+        assert_eq!(snap.kv_bytes(), (48 * per_row) as u64, "K and padded V at head_dim");
+        assert!(pad_lanes(&snap.layers, config.content_dim).iter().all(|&b| b == 0));
+        let resumed = snap.restore(&m, 0xB, None).expect("restore");
+        assert_eq!(kv_bits(&resumed.caches), kv_bits(&run.caches), "restored caches");
+        for cache in &resumed.caches {
+            assert_eq!(cache.value_dim(), config.content_dim);
+            assert!((0..cache.num_kv_heads()).all(|h| cache.prepared(h).1.cols() == config.content_dim));
+        }
+        drop(run);
+        let (result, caches) = resumed
+            .run_to_end(&method, &CancelToken::new())
+            .expect("finish");
+        assert_eq!(result.hidden, reference.hidden);
+        assert_eq!(result.head_contents, reference.head_contents);
+        assert_eq!(kv_bits(&caches), kv_bits(&ref_caches));
     }
 
     #[test]

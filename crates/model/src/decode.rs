@@ -260,7 +260,8 @@ pub struct ChunkedPrefill<'m> {
     pub(crate) model: &'m SyntheticTransformer,
     pub(crate) tokens: Vec<u32>,
     pub(crate) chunk_size: usize,
-    /// The full embedded prompt. Deterministic in `tokens`, so restore
+    /// The full embedded prompt (taken, not copied, by a run whose one
+    /// chunk is the whole prompt). Deterministic in `tokens`, so restore
     /// recomputes it instead of storing it in the checkpoint.
     pub(crate) hidden_full: Matrix,
     pub(crate) caches: Vec<LayerKvCache>,
@@ -365,7 +366,13 @@ impl<'m> ChunkedPrefill<'m> {
         }
         let num_heads = self.model.config().num_heads;
         let end = (self.start + self.chunk_size).min(s);
-        let mut rows = self.hidden_full.slice_rows(self.start, end)?;
+        // A chunk that is the whole prompt takes the embedding instead of
+        // copying it: nothing reads `hidden_full` after the last chunk.
+        let mut rows = if self.start == 0 && end == s {
+            std::mem::take(&mut self.hidden_full)
+        } else {
+            self.hidden_full.slice_rows(self.start, end)?
+        };
         for (l, layer) in self.model.layers().iter().enumerate() {
             let _span = sa_trace::span_labeled("model", "layer", || format!("L{l}"));
             if self.analysis {
@@ -715,7 +722,7 @@ mod tests {
             let k = rng.normal_matrix(len, 64, 1.0);
             let v = rng.normal_matrix(len, 64, 1.0);
             let q_block = rng.normal_matrix(4, 64, 1.0);
-            let mut cache = LayerKvCache::new(1, 64);
+            let mut cache = LayerKvCache::new(1, 64, 64);
             for (start, end) in [(0, len / 2), (len / 2, len)] {
                 let rows = |m: &Matrix| m.slice_rows(start, end).unwrap();
                 cache.append(0, rows(&k), rows(&v)).unwrap();

@@ -327,7 +327,7 @@ mod tests {
 
     #[test]
     fn retain_gathers_rows() {
-        let mut c = LayerKvCache::new(1, 2);
+        let mut c = LayerKvCache::new(1, 2, 2);
         let k = Matrix::from_fn(4, 2, |i, _| i as f32);
         let v = Matrix::from_fn(4, 2, |i, _| (10 + i) as f32);
         c.append(0, k.clone(), v.clone()).unwrap();
@@ -340,8 +340,9 @@ mod tests {
     }
 
     /// Eviction gathers the kept keys panel to panel: the head then holds
-    /// the panels of the kept key rows and the kept value rows, bit for
-    /// bit, on both sides of a panel edge and over more than a panel.
+    /// the panels of the kept key rows and the kept value rows (narrower
+    /// than the keys, as the model caches them), bit for bit, on both
+    /// sides of a panel edge and over more than a panel.
     #[test]
     fn retain_head_on_panels_matches_the_row_path() {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -354,8 +355,8 @@ mod tests {
         ];
         for (len, keep) in cases {
             let k = rng.normal_matrix(len, 16, 1.0);
-            let v = rng.normal_matrix(len, 16, 1.0);
-            let mut c = LayerKvCache::new(1, 16);
+            let v = rng.normal_matrix(len, 8, 1.0);
+            let mut c = LayerKvCache::new(1, 16, 8);
             c.append(0, k.clone(), v.clone()).unwrap();
             c.retain_head(0, &keep).unwrap();
             let (want_k, want_v) = (gather_rows(&k, &keep), gather_rows(&v, &keep));
@@ -368,7 +369,7 @@ mod tests {
     }
 
     fn four_entry_cache() -> LayerKvCache {
-        let mut c = LayerKvCache::new(1, 2);
+        let mut c = LayerKvCache::new(1, 2, 2);
         let k = Matrix::from_fn(4, 2, |i, _| i as f32);
         let v = Matrix::from_fn(4, 2, |i, _| (10 + i) as f32);
         c.append(0, k.clone(), v.clone()).unwrap();

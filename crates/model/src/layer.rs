@@ -143,9 +143,10 @@ impl AttentionLayer {
         Ok((q, k, v))
     }
 
-    /// An empty K/V cache sized for this layer.
+    /// An empty K/V cache sized for this layer: keys `head_dim` wide,
+    /// values `content_dim` wide.
     pub fn new_cache(&self) -> LayerKvCache {
-        LayerKvCache::new(self.groups.len(), self.head_dim)
+        LayerKvCache::new(self.groups.len(), self.head_dim, self.content_dim)
     }
 
     /// Runs the layer *incrementally*: `hidden_rows` are the residual-
@@ -154,6 +155,12 @@ impl AttentionLayer {
     /// cached history. On an empty cache with the whole prompt this is a
     /// prefill; with single rows it is the decode phase over an
     /// uncompressed KV cache. The one body every prompt row runs through.
+    ///
+    /// Values are projected, cached and attended over at `content_dim`
+    /// columns ([`GroupProjections::v_content_cols`]): the value
+    /// projection is zero past them, and each output column of P·V folds
+    /// on its own, so every column a head's content reads has the bits a
+    /// `head_dim`-wide pass gives it.
     ///
     /// # Errors
     ///
@@ -168,10 +175,11 @@ impl AttentionLayer {
         let rope = self.rope_table(cache.seen(), n)?;
         let mut heads = HeadFold::new(n, self.content_dim, self.num_heads());
 
-        let projections = self.gqa.group_size() as u64 + 2;
+        let (d_in, qk) = (hidden_rows.cols(), self.gqa.group_size() as u64 + 1);
         for g in 0..self.groups.len() {
             let (q, k, v) = self.project_group(g, hidden_rows, &rope)?;
-            heads.cost.merge(&projection_cost(n, hidden_rows.cols(), self.head_dim, projections));
+            heads.cost.merge(&projection_cost(n, d_in, self.head_dim, qk));
+            heads.cost.merge(&projection_cost(n, d_in, self.content_dim, 1));
             cache.append(g, k, v)?;
             let (keys, v_all) = cache.prepared(g);
             self.attend_group(g, q, keys, v_all, method, &mut heads)?;
@@ -254,8 +262,9 @@ impl AttentionLayer {
 
     /// KV group `g`'s projections of `hidden_rows` from one GEMM call over
     /// the group's packed weights: every query head of the group in head
-    /// order, then the shared K and V. The queries and K are rotated by
-    /// `rope`, the rows' table (see [`rope_table`](Self::rope_table)).
+    /// order, then the shared K and V, V at its `content_dim` content
+    /// columns. The queries and K are rotated by `rope`, the rows' table
+    /// (see [`rope_table`](Self::rope_table)).
     ///
     /// # Errors
     ///
@@ -275,7 +284,7 @@ impl AttentionLayer {
         let heads = self.gqa.group_size();
         let cols: Vec<Range<usize>> = (0..heads)
             .map(|local| group.q_cols(local))
-            .chain([group.k_cols(), group.v_cols()])
+            .chain([group.k_cols(), group.v_content_cols()])
             .collect();
         let mut q = self.project(g, hidden_rows, rope, &cols)?;
         let (v, k) = (q.swap_remove(heads + 1), q.swap_remove(heads));
@@ -283,8 +292,9 @@ impl AttentionLayer {
     }
 
     /// The column ranges `cols` of KV group `g`'s packed weights applied
-    /// to `hidden_rows` in one GEMM call, each product but V's rotated by
-    /// `rope`: the one place a layer projects queries, keys and values.
+    /// to `hidden_rows` in one GEMM call, each product but V's (a range of
+    /// the value projection's columns) rotated by `rope`: the one place a
+    /// layer projects queries, keys and values.
     fn project(
         &self,
         g: usize,
@@ -295,7 +305,7 @@ impl AttentionLayer {
         let group = &self.groups[g];
         let mut products = matmul_packed_parts(hidden_rows, group.packed(), cols)?;
         for (product, cols) in products.iter_mut().zip(cols) {
-            if *cols != group.v_cols() {
+            if cols.start < group.v_cols().start {
                 rope.apply(product)?;
             }
         }
@@ -460,14 +470,14 @@ impl HeadFold {
         }
     }
 
-    /// Takes the next head's content — the first `content_dim` dims of
-    /// the rows of `output` starting at `row0` — and adds it into
-    /// `content_update` in the same pass.
+    /// Takes the next head's content — the `content_dim`-wide rows of
+    /// `output` starting at `row0` — and adds it into `content_update` in
+    /// the same pass.
     fn fold_head(&mut self, output: &Matrix, row0: usize) {
         let (rows, dc) = self.content_update.shape();
         let mut content = Matrix::zeros(rows, dc);
         for i in 0..rows {
-            let src = &output.row(row0 + i)[..dc];
+            let src = output.row(row0 + i);
             content.row_mut(i).copy_from_slice(src);
             for (u, &c) in self.content_update.row_mut(i).iter_mut().zip(src) {
                 *u += c;
@@ -568,9 +578,15 @@ mod tests {
             .collect()
     }
 
+    /// The first `cols` columns of `m`.
+    fn leading_cols(m: &Matrix, cols: usize) -> Matrix {
+        Matrix::from_fn(m.rows(), cols, |i, j| m.get(i, j))
+    }
+
     /// The layer's incremental forward with every projection through the
     /// scalar `matmul` on the unpacked `weights`, K and V projected and
-    /// cached apart, heads in a serial loop. (The MLP has its own scalar
+    /// cached apart (V at its whole `head_dim`, then cut to its content
+    /// columns), heads in a serial loop. (The MLP has its own scalar
     /// oracle in `mlp.rs`.)
     fn oracle_incremental(
         layer: &AttentionLayer,
@@ -584,7 +600,7 @@ mod tests {
         let mut heads = HeadFold::new(hidden_rows.rows(), layer.content_dim, layer.num_heads());
         for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
             let mut k_new = matmul(hidden_rows, wk).unwrap();
-            let v_new = matmul(hidden_rows, wv).unwrap();
+            let v_new = leading_cols(&matmul(hidden_rows, wv).unwrap(), layer.content_dim);
             apply_rope_partial(&mut k_new, layer.rotary_dims, offset, layer.rope).unwrap();
             cache.append(g, k_new, v_new).unwrap();
             let (keys, v_all) = cache.prepared(g);
@@ -677,9 +693,11 @@ mod tests {
             let x = hidden.slice_rows(0, rows).unwrap();
             let rope = layer.rope_table(0, rows).unwrap();
             for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
-                let (want_k, want_v) = (rotated(&x, wk, 0), bits(&matmul(&x, wv).unwrap()));
+                let (want_k, want_v) = (rotated(&x, wk, 0), matmul(&x, wv).unwrap());
+                let want_content = bits(&leading_cols(&want_v, layer.content_dim));
+                let want_v = bits(&want_v);
                 let (qs, k, v) = layer.project_group(g, &x, &rope).unwrap();
-                assert_eq!((qs.len(), bits(&k), bits(&v)), (group_size, want_k.clone(), want_v.clone()));
+                assert_eq!((qs.len(), bits(&k), bits(&v)), (group_size, want_k.clone(), want_content));
                 for (local, wq) in wqs.iter().enumerate() {
                     let head = g * group_size + local;
                     let want_q = rotated(&x, wq, 0);

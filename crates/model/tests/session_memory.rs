@@ -1,8 +1,10 @@
 //! Pins what a decode session holds: the KV cache — each head's keys once,
-//! as the key panels the engine reads, and its value rows — the readout
-//! heads' content rows, and a small stated slack for the bookkeeping. A
-//! second copy of K as rows, or the prompt's final residual stream kept
-//! whole, is megabytes past the slack at this length and fails the test.
+//! as the key panels the engine reads, and its value rows at the value
+//! projection's `content_dim` content columns — the readout heads'
+//! content rows, and a small stated slack for the bookkeeping. A second
+//! copy of K as rows, value rows at `head_dim`, or the prompt's final
+//! residual stream kept whole, is megabytes past the slack at this length
+//! and fails the test.
 //!
 //! A counting global allocator tallies live heap bytes. It is
 //! process-wide, so this lives in its own integration-test binary, with
@@ -67,15 +69,23 @@ fn a_session_holds_its_kv_cache_and_readout_rows_and_little_else() {
     let session = model.begin_decode(&tokens, &method).expect("prefill");
     let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
 
+    let config = model.config();
     let (mut keys, mut values) = (0, 0);
     for cache in session.caches() {
+        assert_eq!(cache.value_dim(), config.content_dim);
         for h in 0..cache.num_kv_heads() {
             let (panels, v) = cache.prepared(h);
             assert_eq!(panels.len(), SEQ_LEN);
+            assert_eq!(v.shape(), (SEQ_LEN, config.content_dim), "cached values are content wide");
             keys += std::mem::size_of_val(panels.as_slice());
             values += std::mem::size_of_val(v.as_slice());
         }
     }
+    assert_eq!(
+        values,
+        config.num_layers * config.num_kv_heads * SEQ_LEN * config.content_dim * 4,
+        "value bytes: layers x KV heads x S x content_dim x 4"
+    );
     let prefill = session.prefill_result();
     let readout: usize = prefill
         .head_contents

@@ -791,9 +791,12 @@ impl<'v> ValueRows<'v> for [&'v [f32]; FOLD_KEYS] {
 /// `acc[r][c] = fma(weights[r][j], rows.row(j)[c], acc[r][c])` for `j` ascending below
 /// `keys`, on every column `c` — `COLUMNS` columns at a time in
 /// local arrays the compiler keeps in registers over all `j` (each load
-/// of a value row feeds all `R` rows), then the columns past the last
-/// whole chunk key by key in memory. Every row is `acc[r].len()` wide,
-/// and every `weights[r]` holds at least `keys` weights.
+/// of a value row feeds all `R` rows). What is left past the last whole
+/// chunk goes the same way in one chunk each of 32, 16 and 8 columns
+/// that fits and is narrower than `COLUMNS` — a 32-column value row keeps
+/// its accumulators in registers under a 64-column build too — and the
+/// last 1–7 columns key by key in memory. Every row is `acc[r].len()`
+/// wide, and every `weights[r]` holds at least `keys` weights.
 #[inline(always)]
 fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
     mut acc: [&mut Vec<f32>; R],
@@ -805,36 +808,62 @@ fn accumulate<'v, const R: usize, const COLUMNS: usize, const FUSED: bool>(
         *w = &w[..keys];
     }
     let d = acc[0].len();
-    let whole = d - d % COLUMNS;
-    for c0 in (0..whole).step_by(COLUMNS) {
-        let mut lanes = [[0.0f32; COLUMNS]; R];
-        for (held, acc) in lanes.iter_mut().zip(&acc) {
-            held.copy_from_slice(&acc[c0..c0 + COLUMNS]);
-        }
-        for j in 0..keys {
-            let values = &rows.row(j)[c0..c0 + COLUMNS];
-            for (held, weights) in lanes.iter_mut().zip(&weights) {
-                let w = weights[j];
-                for (a, &x) in held.iter_mut().zip(values) {
-                    *a = mul_add::<FUSED>(w, x, *a);
-                }
-            }
-        }
-        for (held, acc) in lanes.iter().zip(&mut acc) {
-            acc[c0..c0 + COLUMNS].copy_from_slice(held);
-        }
+    let mut c0 = 0;
+    while c0 + COLUMNS <= d {
+        accumulate_chunk::<R, COLUMNS, FUSED>(&mut acc, &weights, keys, &rows, c0);
+        c0 += COLUMNS;
     }
-    if whole == d {
+    if COLUMNS > 32 && c0 + 32 <= d {
+        accumulate_chunk::<R, 32, FUSED>(&mut acc, &weights, keys, &rows, c0);
+        c0 += 32;
+    }
+    if COLUMNS > 16 && c0 + 16 <= d {
+        accumulate_chunk::<R, 16, FUSED>(&mut acc, &weights, keys, &rows, c0);
+        c0 += 16;
+    }
+    if COLUMNS > 8 && c0 + 8 <= d {
+        accumulate_chunk::<R, 8, FUSED>(&mut acc, &weights, keys, &rows, c0);
+        c0 += 8;
+    }
+    if c0 == d {
         return;
     }
     for j in 0..keys {
-        let values = &rows.row(j)[whole..d];
+        let values = &rows.row(j)[c0..d];
         for (acc, weights) in acc.iter_mut().zip(&weights) {
             let w = weights[j];
-            for (a, &x) in acc[whole..].iter_mut().zip(values) {
+            for (a, &x) in acc[c0..].iter_mut().zip(values) {
                 *a = mul_add::<FUSED>(w, x, *a);
             }
         }
+    }
+}
+
+/// [`accumulate`] on the `WIDTH` columns from `c0`, held in local arrays
+/// over every key.
+#[inline(always)]
+fn accumulate_chunk<'v, const R: usize, const WIDTH: usize, const FUSED: bool>(
+    acc: &mut [&mut Vec<f32>; R],
+    weights: &[&[f32]; R],
+    keys: usize,
+    rows: &impl ValueRows<'v>,
+    c0: usize,
+) {
+    let mut lanes = [[0.0f32; WIDTH]; R];
+    for (held, acc) in lanes.iter_mut().zip(acc.iter()) {
+        held.copy_from_slice(&acc[c0..c0 + WIDTH]);
+    }
+    for j in 0..keys {
+        let values = &rows.row(j)[c0..c0 + WIDTH];
+        for (held, weights) in lanes.iter_mut().zip(weights) {
+            let w = weights[j];
+            for (a, &x) in held.iter_mut().zip(values) {
+                *a = mul_add::<FUSED>(w, x, *a);
+            }
+        }
+    }
+    for (held, acc) in lanes.iter().zip(acc.iter_mut()) {
+        acc[c0..c0 + WIDTH].copy_from_slice(held);
     }
 }
 
@@ -1209,8 +1238,10 @@ mod tests {
 
     /// Around the column chunks of every build — 8 and 16 (a quad under
     /// the baseline build and AVX2), 32 (a row or a pair), 64 (AVX-512)
-    /// — a whole chunk, one plus a tail, and two.
-    const WIDTHS: [usize; 12] = [1, 8, 9, 16, 17, 31, 32, 33, 64, 65, 72, 128];
+    /// — a whole chunk, one plus a tail, and two; and past the widest
+    /// whole chunk, each narrower register chunk a row can end in (40 is
+    /// 32 + 8, 56 is 32 + 16 + 8, 63 adds a 7-column tail).
+    const WIDTHS: [usize; 15] = [1, 8, 9, 16, 17, 31, 32, 33, 40, 56, 63, 64, 65, 72, 128];
 
     #[test]
     fn row_fold_is_the_definition_at_every_width_and_block_length() {

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 echo "==> tier 1: cargo build --workspace --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, 16 zmm FMAs in the AVX-512 GEMM, no out-of-line helper calls, no libm expf or fmaf)"
+echo "==> codegen guard: the dispatched inner loops (FMA in every product loop and none in the others, ymm in the AVX2 builds, zmm in the AVX-512 builds, 16 zmm FMAs in the AVX-512 GEMM, 96 in the AVX-512 tile fold, no out-of-line helper calls, no libm expf or fmaf)"
 # The score panel, the row fold, the tile fold, the row softmax, the
 # packed-weight GEMM and the non-finite count are each one body compiled
 # for the baseline ISA, for
@@ -29,7 +29,12 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop a
 # wide. The AVX-512 GEMM must hold at least 16 zmm FMAs, its four rows by
 # a whole 64-lane panel: a tile that fell back to fewer accumulator chains
 # (the 8-row x 16-lane tile held 9) or to scalar code fails here, and no
-# test would notice, since the bits are the same. The score panel is
+# test would notice, since the bits are the same. Likewise the AVX-512
+# tile fold must hold at least 96 zmm FMAs: step 5 keeps a value row
+# narrower than its 64-column chunk (the model's 32-column values) in
+# 32-, 16- and 8-column register chunks, and with them the fold held 154;
+# without them such a row went key by key through memory and the fold
+# held 56. The score panel is
 # generic over its row count and the row fold
 # over the caller's closure, so each is compiled where it is called:
 # sa-kernels holds the engine's instantiations of both (the panel for
@@ -76,7 +81,7 @@ else
         }
         # A relocation names the target of a call in the listing before it.
         /R_X86_64_/ {
-            if (sym in wide && $0 ~ /closure|call_mut|try_map|from_fn/) {
+            if (sym in wide && $0 ~ /closure|call_mut|try_map|from_fn|accumulate/) {
                 sub(/^[ \t]*[0-9a-f]+:[ \t]*R_X86_64_[A-Z0-9_]+[ \t]*/, "")
                 print sym " calls the out-of-line helper " $0
                 bad = 1
@@ -106,6 +111,10 @@ else
                 }
                 if (loop(s) == "gemm_rows" && build == "avx512" && zfused[s] < 16) {
                     print zfused[s] + 0 " zmm FMA instructions in " s ", fewer than the 4-row x 4-register tile holds"
+                    bad = 1
+                }
+                if (loop(s) == "fold_tile" && build == "avx512" && zfused[s] < 96) {
+                    print zfused[s] + 0 " zmm FMA instructions in " s ": step 5 lost its narrow register chunks"
                     bad = 1
                 }
             }
@@ -190,6 +199,20 @@ echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 b
 # `panels::tests` holds the four-row score panel to pairs, single rows
 # and the scalar dot.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
+# Values narrower than the keys (the model caches `content_dim` value
+# columns): every build, the reference, the dense job and decode blocks
+# at widths around each register chunk, each equal to the leading
+# columns of a zero-padded 64-wide run; and the model's digests pinned
+# from when it carried `head_dim` value columns (value_width_pins), at
+# the optimised codegen and every thread count.
+narrow_value_suite() {
+    cargo test -q --offline --release --test kernel_equivalence \
+        narrow_values_are_the_leading_columns_of_a_wide_run_on_every_isa
+    cargo test -q --offline --release --test value_width_pins
+}
+SA_THREADS=1 narrow_value_suite
+SA_THREADS=3 narrow_value_suite
+narrow_value_suite
 cargo test -q --offline --release --test exp_contract
 cargo test -q --offline --release --test fma_contract
 cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests finite::tests

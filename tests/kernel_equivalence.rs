@@ -3,6 +3,7 @@
 //! dense references on arbitrary shapes and masks. Driven by the in-repo
 //! harness ([`sample_attention::tensor::check`]).
 
+use sample_attention::baselines::FullAttention;
 use sample_attention::core::merge_mask;
 use sample_attention::core::SampleAttentionConfig;
 use sample_attention::kernels::{
@@ -528,6 +529,86 @@ fn engine_bitwise_identical_on_every_isa() {
                 let engine = sparse_flash_attention_prepared_on(isa, &q, keys, &v, &mask).unwrap();
                 assert_bitwise(&label, &engine.output, &reference.output);
                 assert_eq!(engine.live_pairs, mask.nnz() as u64, "{label}: live pairs");
+            }
+        }
+    }
+}
+
+/// The value widths a head's values can have: one column, a quad chunk
+/// of the baseline build (8) and of AVX2 (16), 31–33 around a 32-column
+/// chunk (the synthetic model's `content_dim` is 32), 48 (32 + 16) and
+/// the whole 64-column AVX-512 chunk.
+const VALUE_WIDTHS: [usize; 8] = [1, 8, 16, 31, 32, 33, 48, 64];
+
+/// `v`'s rows padded with `+0.0` to `width` columns.
+fn zero_padded(v: &Matrix, width: usize) -> Matrix {
+    Matrix::from_fn(v.rows(), width, |i, j| if j < v.cols() { v.get(i, j) } else { 0.0 })
+}
+
+/// The first `cols` columns of `m`.
+fn leading_cols(m: &Matrix, cols: usize) -> Matrix {
+    Matrix::from_fn(m.rows(), cols, |i, j| m.get(i, j))
+}
+
+/// Values narrower than the keys: each output column of P·V folds on its
+/// own, so at every value width `dv` the engine on every build the CPU
+/// has, the row-wise reference, the dense engine job and a decode block
+/// all give the bits of the first `dv` columns of a 64-wide run whose
+/// other value columns are `+0.0` — and the dense masked oracle within
+/// tolerance. Keys stay 64 wide.
+#[test]
+fn narrow_values_are_the_leading_columns_of_a_wide_run_on_every_isa() {
+    let builds = Isa::every();
+    let causal = ("dense_causal", StructuredMask::dense_causal(200, 200));
+    for (name, mask) in corner_case_masks().into_iter().chain([causal]) {
+        let (q, k, wide) = qkv(mask.s_q(), mask.s_k(), 64, 0x0DD);
+        let panels = KeyPanels::from_rows(&k);
+        for dv in VALUE_WIDTHS {
+            let label = format!("{name} dv={dv}");
+            let v = leading_cols(&wide, dv);
+            let padded = zero_padded(&v, 64);
+            let reference = sparse_flash_attention(&q, &k, &v, &mask).unwrap();
+            assert_eq!(reference.output.shape(), (mask.s_q(), dv), "{label}");
+            let wide_run = sparse_flash_attention(&q, &k, &padded, &mask).unwrap();
+            assert_bitwise(&label, &leading_cols(&wide_run.output, dv), &reference.output);
+            for &isa in &builds {
+                let label = format!("{label} on {}", isa.name());
+                let engine = sparse_flash_attention_prepared_on(isa, &q, &panels, &v, &mask).unwrap();
+                assert_bitwise(&label, &engine.output, &reference.output);
+                let engine_wide =
+                    sparse_flash_attention_prepared_on(isa, &q, &panels, &padded, &mask).unwrap();
+                assert_bitwise(&label, &leading_cols(&engine_wide.output, dv), &reference.output);
+            }
+            if name == "dense_causal" {
+                let dense = flash_attention_prepared(&q, &panels, &v, true, FlashParams::default())
+                    .unwrap();
+                assert_bitwise(&format!("{label} dense job"), &dense.output, &reference.output);
+            }
+            let oracle = masked_attention_dense(&q, &k, &v, &mask.to_dense()).unwrap();
+            assert!(
+                max_abs_diff(reference.output.as_slice(), oracle.output.as_slice()) < 1e-4,
+                "{label}: drifted from the dense masked reference"
+            );
+        }
+    }
+    // Decode blocks: the query heads of a KV group (one to four, and a
+    // 16-head group) as one block against every cached key.
+    let (_, k, wide) = qkv(1, 300, 64, 0xDEC);
+    let panels = KeyPanels::from_rows(&k);
+    let all_keys = StructuredMask::dense_causal(1, k.rows());
+    for rows in [1usize, 2, 3, 4, 16] {
+        let q = DeterministicRng::new(0x0E + rows as u64).normal_matrix(rows, 64, 1.0);
+        for dv in VALUE_WIDTHS {
+            let label = format!("decode block of {rows} dv={dv}");
+            let v = leading_cols(&wide, dv);
+            let dense = FullAttention::new();
+            let block = dense.decode_block(&q, &panels, &v).unwrap().output;
+            let wide_block = dense.decode_block(&q, &panels, &zero_padded(&v, 64)).unwrap().output;
+            assert_bitwise(&label, &leading_cols(&wide_block, dv), &block);
+            for r in 0..rows {
+                let q_row = q.slice_rows(r, r + 1).unwrap();
+                let reference = sparse_flash_attention(&q_row, &k, &v, &all_keys).unwrap();
+                assert_bitwise(&label, &block.slice_rows(r, r + 1).unwrap(), &reference.output);
             }
         }
     }
