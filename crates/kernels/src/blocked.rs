@@ -514,7 +514,7 @@ fn run_units(
         let extras = &gathered[j];
         let dv = v.cols();
         let scale = score_scale(q.cols());
-        let mut block = QueryBlock::new(dv, isa);
+        let mut block = QueryBlock::new(dv, isa, out.len() / dv);
         let mut tally = Tally::default();
         for (b, out_rows) in out.chunks_mut(BLOCK * dv).enumerate() {
             let q0 = row0 + b * BLOCK;
@@ -711,15 +711,19 @@ struct QueryBlock {
 }
 
 impl QueryBlock {
-    fn new(dv: usize, isa: Isa) -> Self {
+    /// State for the query blocks of a unit of `unit_rows` rows: as many
+    /// row states and score-tile rows as its tallest block holds, so a
+    /// decode block or a serving chunk does not set up `BLOCK` of each.
+    fn new(dv: usize, isa: Isa, unit_rows: usize) -> Self {
+        let rows = unit_rows.min(BLOCK);
         QueryBlock {
             isa,
             q0: 0,
-            window: Vec::with_capacity(BLOCK),
-            extras_below: Vec::with_capacity(BLOCK),
-            states: (0..BLOCK).map(|_| OnlineSoftmaxState::new(dv)).collect(),
-            scores: AlignedBuf::zeros(BLOCK * BLOCK),
-            live: Vec::with_capacity(BLOCK),
+            window: Vec::with_capacity(rows),
+            extras_below: Vec::with_capacity(rows),
+            states: (0..rows).map(|_| OnlineSoftmaxState::new(dv)).collect(),
+            scores: AlignedBuf::zeros(rows * BLOCK),
+            live: Vec::with_capacity(rows),
         }
     }
 
@@ -1228,7 +1232,7 @@ mod tests {
 
     #[test]
     fn score_tile_and_gathered_values_start_on_a_cache_line() {
-        let block = QueryBlock::new(72, Isa::detect());
+        let block = QueryBlock::new(72, Isa::detect(), BLOCK);
         assert!(sa_tensor::starts_on_line(block.scores.as_slice()));
         let (_, _, v) = random_qkv(1, 200, 72, 15);
         for extras in [&[3][..], &[0, 17, 199, 42], &[5; 70]] {

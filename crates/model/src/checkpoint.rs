@@ -86,8 +86,10 @@ impl LayerSnapshot {
     }
 
     /// The cache the snapshot was taken from, its value rows cut back to
-    /// their first `value_dim` columns.
-    fn rebuild(&self, value_dim: usize) -> Result<LayerKvCache, SaError> {
+    /// their first `value_dim` columns. Consumes the snapshot: each head's
+    /// key rows become the cache's, and its padded value rows go as soon
+    /// as their content is copied out.
+    fn rebuild(self, value_dim: usize) -> Result<LayerKvCache, SaError> {
         if value_dim > self.head_dim {
             return Err(SaError::InvalidDimension {
                 op: "checkpoint restore",
@@ -96,9 +98,9 @@ impl LayerSnapshot {
         }
         let entries = self
             .heads
-            .iter()
+            .into_iter()
             .map(|h| {
-                let k = Matrix::from_vec(h.rows, self.head_dim, h.k.clone())?;
+                let k = Matrix::from_vec(h.rows, self.head_dim, h.k)?;
                 let mut content = Vec::with_capacity(h.rows * value_dim);
                 for row in h.v.chunks_exact(self.head_dim) {
                     content.extend_from_slice(&row[..value_dim]);
@@ -185,7 +187,9 @@ fn restore_layers(
             actual,
         });
     }
-    staged.iter().map(|layer| layer.rebuild(value_dim)).collect()
+    // The staged copy is the restore's own: the caches are built from it
+    // by value, layer by layer, so no third copy of the KV bytes exists.
+    staged.into_iter().map(|layer| layer.rebuild(value_dim)).collect()
 }
 
 /// A versioned, checksummed snapshot of a [`DecodeSession`].

@@ -255,6 +255,17 @@ fn add_attention_mass(
 /// [`SyntheticTransformer::prefill_chunked`] and the serving layer's clean
 /// attempts all end there. Advancing chunk by chunk and calling
 /// [`finish`](Self::finish) gives the same result.
+///
+/// A chunk's rows pass the layers one call at a time, each call handed
+/// the previous one's output, so the run's peak is its caches and kept
+/// rows plus one layer call's working set: the layer input, updated in
+/// place by the residual; per KV group in turn, the group's queries and
+/// its heads' engine outputs, each head's rows moved into the result
+/// when the run keeps them whole and cut to the newest row when it does
+/// not; the `(rows, content_dim)` content update; then the MLP, one
+/// block of 256 rows (`MLP_ROWS`) at a time. An analysis run
+/// ([`SyntheticTransformer::prefill`]) keeps every head whole and also
+/// copies each layer's input into its result before the call.
 #[derive(Debug)]
 pub struct ChunkedPrefill<'m> {
     pub(crate) model: &'m SyntheticTransformer,
@@ -378,17 +389,21 @@ impl<'m> ChunkedPrefill<'m> {
             if self.analysis {
                 append_rows(&mut self.layer_inputs[l], rows.clone())?;
             }
-            let out = layer.forward_incremental(&rows, &mut self.caches[l], method)?;
+            let keep_whole: Vec<bool> = (0..num_heads)
+                .map(|h| self.analysis || Readout::reads(l, &layer.archetype(h)))
+                .collect();
+            let out = layer.forward_rows(rows, &mut self.caches[l], method, &keep_whole)?;
             if end == s && self.analysis {
                 // The run's caller drops the caches: this one is done.
                 self.caches[l] = layer.new_cache();
             }
             for (h, content) in out.head_contents.into_iter().enumerate() {
                 let slot = &mut self.head_contents[l * num_heads + h];
-                if self.analysis || Readout::reads(l, &layer.archetype(h)) {
+                if keep_whole[h] {
                     append_rows(slot, content)?;
                 } else {
-                    *slot = content.slice_rows(content.rows() - 1, content.rows())?;
+                    // The layer kept only the chunk's newest row.
+                    *slot = content;
                 }
             }
             for r in out.head_reports {

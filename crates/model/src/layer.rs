@@ -7,7 +7,7 @@ use sa_baselines::{finish_heads, AttentionMethod, FullAttention, GroupKeys};
 use sa_kernels::gqa::GqaLayout;
 use sa_kernels::rope::{RopeConfig, RopeTable};
 use sa_kernels::{CostReport, KeyPanels};
-use sa_tensor::{matmul_packed_parts, pool, DeterministicRng, Matrix, TensorError};
+use sa_tensor::{matmul_packed_parts, pool, DeterministicRng, Matrix, TensorError, GEMM_BLOCK};
 
 use crate::{GroupProjections, HeadArchetype, LayerKvCache, ModelConfig, RmsNorm, SwigluMlp};
 
@@ -41,7 +41,9 @@ pub struct HeadReport {
 pub struct LayerForwardResult {
     /// Updated residual stream `(S, hidden_dim)`.
     pub hidden: Matrix,
-    /// Content-space output `(S, content_dim)` of each query head.
+    /// Content-space output of each query head: `(S, content_dim)`, or
+    /// only its newest row `(1, content_dim)` for a head the call was
+    /// asked not to keep whole.
     pub head_contents: Vec<Matrix>,
     /// Per-head diagnostics.
     pub head_reports: Vec<HeadReport>,
@@ -162,6 +164,15 @@ impl AttentionLayer {
     /// on its own, so every column a head's content reads has the bits a
     /// `head_dim`-wide pass gives it.
     ///
+    /// One call holds, beyond `cache`: a copy of `hidden_rows`, which the
+    /// residual updates in place; every head's rows and the
+    /// `(n, content_dim)` content update; per KV group in turn, the
+    /// group's queries, the method's working set and its heads' engine
+    /// outputs; then one 256-row block of the MLP at a time. The prompt
+    /// path, [`ChunkedPrefill`](crate::ChunkedPrefill), runs the same body
+    /// on the layer input itself, keeping whole only the heads its run
+    /// reads.
+    ///
     /// # Errors
     ///
     /// Propagates tensor/kernel errors from projections or the method.
@@ -171,13 +182,41 @@ impl AttentionLayer {
         cache: &mut LayerKvCache,
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
+        let keep_whole = vec![true; self.num_heads()];
+        self.forward_rows(hidden_rows.clone(), cache, method, &keep_whole)
+    }
+
+    /// [`forward_incremental`](Self::forward_incremental) on a layer input
+    /// it consumes, keeping every row of head `h`'s content where
+    /// `keep_whole[h]` and only the newest row elsewhere.
+    ///
+    /// What one call holds beyond `cache` and `hidden_rows`, whose rows
+    /// the residual updates in place: per KV group in turn, the group's
+    /// rotated queries, its heads' engine outputs (each head hands its
+    /// rows over to the result or, cut to the newest, drops them) and the
+    /// method's own working set; across the call, the heads' kept rows
+    /// and the `(S, content_dim)` content update, and the rows' RoPE
+    /// table until the last group is projected; then one
+    /// [`MLP_ROWS`]-row block of the MLP at a time.
+    pub(crate) fn forward_rows(
+        &self,
+        hidden_rows: Matrix,
+        cache: &mut LayerKvCache,
+        method: &dyn AttentionMethod,
+        keep_whole: &[bool],
+    ) -> Result<LayerForwardResult, TensorError> {
         let n = hidden_rows.rows();
-        let rope = self.rope_table(cache.seen(), n)?;
-        let mut heads = HeadFold::new(n, self.content_dim, self.num_heads());
+        let mut rope = Some(self.rope_table(cache.seen(), n)?);
+        let mut heads = HeadFold::new(n, self.content_dim, keep_whole);
 
         let (d_in, qk) = (hidden_rows.cols(), self.gqa.group_size() as u64 + 1);
         for g in 0..self.groups.len() {
-            let (q, k, v) = self.project_group(g, hidden_rows, &rope)?;
+            let table = rope.as_ref().expect("the table lives until the last projection");
+            let (q, k, v) = self.project_group(g, &hidden_rows, table)?;
+            if g + 1 == self.groups.len() {
+                // Nothing rotates after the last group's projection.
+                rope = None;
+            }
             heads.cost.merge(&projection_cost(n, d_in, self.head_dim, qk));
             heads.cost.merge(&projection_cost(n, d_in, self.content_dim, 1));
             cache.append(g, k, v)?;
@@ -222,7 +261,7 @@ impl AttentionLayer {
             });
         }
         let rope = self.rope_table(cache.seen(), 1)?;
-        let mut heads = HeadFold::new(1, self.content_dim, self.num_heads());
+        let mut heads = HeadFold::new(1, self.content_dim, &vec![true; self.num_heads()]);
         let mut q_blocks = Vec::with_capacity(self.groups.len());
         for g in 0..self.groups.len() {
             let (q, k, v) = self.project_group(g, hidden_row, &rope)?;
@@ -242,10 +281,11 @@ impl AttentionLayer {
         for out in group_outputs {
             let out = out?;
             for local in 0..self.gqa.group_size() {
-                heads.fold_head(&out.output, local);
+                heads.fold_head(out.output.slice_rows(local, local + 1)?)?;
             }
         }
-        let hidden = self.apply_residual_and_mlp(hidden_row, &heads.content_update, &mut heads.cost)?;
+        let hidden =
+            self.apply_residual_and_mlp(hidden_row.clone(), &heads.content_update, &mut heads.cost)?;
         Ok((hidden, heads.head_contents, q_blocks))
     }
 
@@ -366,7 +406,7 @@ impl AttentionLayer {
             let head = g * group_size + local;
             let out = out?;
             heads.cost.merge(&out.cost);
-            heads.fold_head(&out.output, 0);
+            heads.fold_head(out.output)?;
             heads.head_reports.push(HeadReport {
                 layer: self.layer_index,
                 head,
@@ -381,32 +421,41 @@ impl AttentionLayer {
         Ok(())
     }
 
-    /// Residual update + pre-norm SwiGLU MLP on a block of rows.
+    /// Residual update + pre-norm SwiGLU MLP on the layer input `hidden`,
+    /// updated in place and handed back.
+    ///
+    /// The norm, the MLP and the second residual add run over blocks of
+    /// [`MLP_ROWS`] rows, so the MLP's intermediates (the `2 * ffn_dim`-wide
+    /// gate/up product among them) are one block tall, not `S`. Every step
+    /// is row-wise, so each row has the bits of a whole-prompt pass, and
+    /// the MLP's cost is charged once, for every row of the call.
     fn apply_residual_and_mlp(
         &self,
-        hidden_rows: &Matrix,
+        mut hidden: Matrix,
         content_update: &Matrix,
         cost: &mut CostReport,
     ) -> Result<Matrix, TensorError> {
-        let n = hidden_rows.rows();
-        let mut new_hidden = hidden_rows.clone();
+        let n = hidden.rows();
         let scale = self.residual_gain / self.num_heads() as f32;
-        for i in 0..n {
-            let row = new_hidden.row_mut(i);
-            for (j, &u) in content_update.row(i).iter().enumerate() {
-                row[j] += scale * u;
+        let mlp_gain = self.residual_gain * 0.1;
+        for b0 in (0..n).step_by(MLP_ROWS) {
+            let b1 = (b0 + MLP_ROWS).min(n);
+            for i in b0..b1 {
+                for (h, &u) in hidden.row_mut(i).iter_mut().zip(content_update.row(i)) {
+                    *h += scale * u;
+                }
+            }
+            let mut normed = hidden.slice_rows(b0, b1)?;
+            self.pre_mlp_norm.forward_in_place(&mut normed);
+            let mlp_out = self.mlp.forward_rows(&normed)?;
+            for (i, m_row) in (b0..b1).zip(mlp_out.as_slice().chunks_exact(hidden.cols())) {
+                for (h, &m) in hidden.row_mut(i).iter_mut().zip(m_row) {
+                    *h += mlp_gain * m;
+                }
             }
         }
-        let normed = self.pre_mlp_norm.forward(&new_hidden);
-        let (mlp_out, mlp_cost) = self.mlp.forward(&normed)?;
-        cost.merge(&mlp_cost);
-        for i in 0..n {
-            let row = new_hidden.row_mut(i);
-            for (j, &m) in mlp_out.row(i).iter().enumerate() {
-                row[j] += self.residual_gain * 0.1 * m;
-            }
-        }
-        Ok(new_hidden)
+        cost.merge(&self.mlp.cost(n));
+        Ok(hidden)
     }
 
     /// Projects rows into one head's RoPE-applied query at an absolute
@@ -451,39 +500,67 @@ impl AttentionLayer {
     }
 }
 
+/// Rows of one block of a layer's MLP: a multiple of the GEMM's row
+/// block, so a block's rows meet the GEMM's row partition where a
+/// whole-prompt call's do. A serving chunk or a decode step is one block.
+pub(crate) const MLP_ROWS: usize = 4 * GEMM_BLOCK;
+
 /// What a layer forward accumulates head by head, in head order.
 struct HeadFold {
     /// Sum over heads of their content outputs, `(rows, content_dim)`.
     content_update: Matrix,
+    /// Per head: keep all its rows, or only the newest.
+    keep_whole: Vec<bool>,
     head_contents: Vec<Matrix>,
     head_reports: Vec<HeadReport>,
     cost: CostReport,
 }
 
 impl HeadFold {
-    fn new(rows: usize, content_dim: usize, num_heads: usize) -> Self {
+    /// A fold of `keep_whole.len()` heads over `rows` rows.
+    fn new(rows: usize, content_dim: usize, keep_whole: &[bool]) -> Self {
         HeadFold {
             content_update: Matrix::zeros(rows, content_dim),
-            head_contents: Vec::with_capacity(num_heads),
-            head_reports: Vec::with_capacity(num_heads),
+            keep_whole: keep_whole.to_vec(),
+            head_contents: Vec::with_capacity(keep_whole.len()),
+            head_reports: Vec::with_capacity(keep_whole.len()),
             cost: CostReport::new(),
         }
     }
 
-    /// Takes the next head's content — the `content_dim`-wide rows of
-    /// `output` starting at `row0` — and adds it into `content_update` in
-    /// the same pass.
-    fn fold_head(&mut self, output: &Matrix, row0: usize) {
-        let (rows, dc) = self.content_update.shape();
-        let mut content = Matrix::zeros(rows, dc);
-        for i in 0..rows {
-            let src = output.row(row0 + i);
-            content.row_mut(i).copy_from_slice(src);
-            for (u, &c) in self.content_update.row_mut(i).iter_mut().zip(src) {
-                *u += c;
-            }
+    /// Adds the next head's content, `(rows, content_dim)`, into
+    /// `content_update` and keeps it: whole, taken as it is, when the
+    /// fold keeps that head whole, otherwise only its newest row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `content` has the
+    /// fold's shape: a method's output is one row per query row, as wide
+    /// as the values.
+    ///
+    /// # Panics
+    ///
+    /// Panics past the fold's last head.
+    fn fold_head(&mut self, content: Matrix) -> Result<(), TensorError> {
+        let shape = self.content_update.shape();
+        if content.shape() != shape {
+            return Err(TensorError::ShapeMismatch {
+                op: "HeadFold::fold_head",
+                lhs: shape,
+                rhs: content.shape(),
+            });
         }
-        self.head_contents.push(content);
+        for (u, &c) in self.content_update.as_mut_slice().iter_mut().zip(content.as_slice()) {
+            *u += c;
+        }
+        let rows = content.rows();
+        let kept = if self.keep_whole[self.head_contents.len()] || rows <= 1 {
+            content
+        } else {
+            content.slice_rows(rows - 1, rows)?
+        };
+        self.head_contents.push(kept);
+        Ok(())
     }
 
     fn into_result(self, hidden: Matrix) -> LayerForwardResult {
@@ -597,7 +674,8 @@ mod tests {
     ) -> (Matrix, Vec<Matrix>) {
         let offset = cache.seen();
         let group_size = layer.gqa.group_size();
-        let mut heads = HeadFold::new(hidden_rows.rows(), layer.content_dim, layer.num_heads());
+        let mut heads =
+            HeadFold::new(hidden_rows.rows(), layer.content_dim, &vec![true; layer.num_heads()]);
         for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
             let mut k_new = matmul(hidden_rows, wk).unwrap();
             let v_new = leading_cols(&matmul(hidden_rows, wv).unwrap(), layer.content_dim);
@@ -612,11 +690,11 @@ mod tests {
                     .plan_head(layer.layer_index, g * group_size + local, q, &keys, v_all)
                     .unwrap();
                 let out = finish_heads(vec![plan]).pop().unwrap().unwrap();
-                heads.fold_head(&out.output, 0);
+                heads.fold_head(out.output).unwrap();
             }
         }
         let hidden = layer
-            .apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)
+            .apply_residual_and_mlp(hidden_rows.clone(), &heads.content_update, &mut heads.cost)
             .unwrap();
         (hidden, heads.head_contents)
     }
@@ -707,6 +785,33 @@ mod tests {
                     assert_eq!(bits(&layer.project_q(&x, head, 5).unwrap()), rotated(&x, wq, 5));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_row_blocked_mlp_equals_a_whole_prompt_pass_in_bits_and_cost() {
+        let (layer, _, config) = layer_and_hidden(9);
+        let mut rng = DeterministicRng::new(9);
+        // Two whole row blocks and a ragged third; one block; one row.
+        for rows in [2 * MLP_ROWS + 37, MLP_ROWS, 1] {
+            let hidden = rng.normal_matrix(rows, config.hidden_dim(), 1.0);
+            let update = rng.normal_matrix(rows, config.content_dim, 1.0);
+            // The whole-prompt pass: every row through each step at once.
+            let mut want = hidden.clone();
+            let scale = layer.residual_gain / layer.num_heads() as f32;
+            for i in 0..rows {
+                for (h, &u) in want.row_mut(i).iter_mut().zip(update.row(i)) {
+                    *h += scale * u;
+                }
+            }
+            let (mlp_out, want_cost) = layer.mlp.forward(&layer.pre_mlp_norm.forward(&want)).unwrap();
+            for (h, &m) in want.as_mut_slice().iter_mut().zip(mlp_out.as_slice()) {
+                *h += layer.residual_gain * 0.1 * m;
+            }
+            let mut cost = CostReport::new();
+            let got = layer.apply_residual_and_mlp(hidden, &update, &mut cost).unwrap();
+            assert_eq!(bits(&got), bits(&want), "{rows} rows");
+            assert_eq!(cost, want_cost, "{rows} rows: the MLP is charged once per call");
         }
     }
 

@@ -79,6 +79,17 @@ impl SwigluMlp {
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim()`.
     pub fn forward(&self, x: &Matrix) -> Result<(Matrix, CostReport), TensorError> {
+        Ok((self.forward_rows(x)?, self.cost(x.rows())))
+    }
+
+    /// The block's output for the rows of `x`, each row on its own: a
+    /// caller may split its rows into blocks and get every bit a
+    /// whole-matrix call gives.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if `x.cols() != dim()`.
+    pub(crate) fn forward_rows(&self, x: &Matrix) -> Result<Matrix, TensorError> {
         // Each row of the fused product is the gate, then the up
         // projection. `silu(gate) * up` overwrites the gate half, row by
         // row on the GEMM's 64-row partition, in a loop over two disjoint
@@ -108,9 +119,14 @@ impl SwigluMlp {
         }
         hidden.truncate(x.rows() * f);
         let hidden = Matrix::from_vec(x.rows(), f, hidden)?;
-        let out = matmul_packed(&hidden, &self.down)?;
+        matmul_packed(&hidden, &self.down)
+    }
 
-        let s = x.rows() as u64;
+    /// The modelled cost of the block over `rows` rows, its weights read
+    /// once: a caller that runs the rows in blocks charges this once, for
+    /// all of them.
+    pub(crate) fn cost(&self, rows: usize) -> CostReport {
+        let s = rows as u64;
         let d = self.dim() as u64;
         let f = self.ffn_dim() as u64;
         // 3 GEMMs + elementwise silu*mul (~5 flops/elem).
@@ -119,7 +135,7 @@ impl SwigluMlp {
         let bytes_written = 4 * s * d;
         let mut cost = CostReport::launch(flops, bytes_read, bytes_written);
         cost.kernel_launches = 4;
-        Ok((out, cost))
+        cost
     }
 }
 

@@ -6,9 +6,19 @@
 //! residual stream kept whole, is megabytes past the slack at this length
 //! and fails the test.
 //!
-//! A counting global allocator tallies live heap bytes. It is
-//! process-wide, so this lives in its own integration-test binary, with
-//! one test in it: nothing else allocates while the session is built.
+//! It also bounds what building the session costs on top: the heap's
+//! peak during `begin_decode`, less the session, stays within a stated
+//! number of bytes per prompt token — one layer call's working set (see
+//! `ChunkedPrefill`). The whole prompt's MLP intermediates and every
+//! head's rows held to the end of its layer, as the model once built a
+//! session, are past it.
+//!
+//! A counting global allocator tallies live heap bytes and their peak. It
+//! is process-wide, so this lives in its own integration-test binary,
+//! with one test in it: nothing else allocates while the session is
+//! built. The peak depends on how many heads the pool plans at once, so
+//! `scripts/verify.sh` runs this file at `SA_THREADS=1`, 3 and the
+//! default.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -19,23 +29,30 @@ use sa_model::{ModelConfig, SyntheticTransformer};
 struct CountingAlloc;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
+static PEAK: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `delta` to the live tally and raises the peak to the new total.
+fn count(delta: isize) {
+    let now = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
+    PEAK.fetch_max(now, Ordering::Relaxed);
+}
 
 // SAFETY: delegates every operation to `System` unchanged; the only
-// addition is an atomic add to the live-byte tally, which does not
-// allocate.
+// additions are atomic updates of the live-byte tally and its peak,
+// which do not allocate.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as isize, Ordering::Relaxed);
+        count(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size as isize - layout.size() as isize, Ordering::Relaxed);
+        count(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,6 +70,15 @@ const SEQ_LEN: usize = 1024;
 /// Measured at 18 KiB.
 const SLACK: usize = 64 << 10;
 
+/// Heap bytes per prompt token that building a session may peak at above
+/// the session it builds. Measured at 1K tokens: 2.7 KiB per token at
+/// `SA_THREADS` from 1 to 8, in the last layer's second KV group — its
+/// queries, the capped heads' gathered extras, its engine outputs, the
+/// layer input and the content update. With the whole prompt's MLP
+/// intermediates and every head's rows held through the layer it was
+/// 4.2 KiB.
+const PEAK_PER_TOKEN: usize = 3 << 10;
+
 #[test]
 fn a_session_holds_its_kv_cache_and_readout_rows_and_little_else() {
     let model = SyntheticTransformer::new(ModelConfig::chatglm2_like(7)).expect("preset is valid");
@@ -66,8 +92,10 @@ fn a_session_holds_its_kv_cache_and_readout_rows_and_little_else() {
     drop(model.begin_decode(&tokens[..256], &method).expect("warm-up prefill"));
 
     let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
     let session = model.begin_decode(&tokens, &method).expect("prefill");
     let held = (LIVE.load(Ordering::Relaxed) - before) as usize;
+    let peak = (PEAK.load(Ordering::Relaxed) - before) as usize;
 
     let config = model.config();
     let (mut keys, mut values) = (0, 0);
@@ -105,5 +133,12 @@ fn a_session_holds_its_kv_cache_and_readout_rows_and_little_else() {
         "the session holds {held} B: K panels {keys} + V rows {values} + readout rows {readout} \
          + slack {SLACK} allows {} B",
         cache + readout + SLACK
+    );
+    assert!(
+        peak - held <= PEAK_PER_TOKEN * SEQ_LEN,
+        "building the session peaked at {peak} B, {} B above the {held} B it holds: the bound \
+         is {PEAK_PER_TOKEN} B per token, {} B at {SEQ_LEN} tokens",
+        peak - held,
+        PEAK_PER_TOKEN * SEQ_LEN
     );
 }

@@ -242,6 +242,20 @@ SA_THREADS=1 key_panel_suite
 SA_THREADS=3 key_panel_suite
 key_panel_suite
 
+echo "==> session memory: a session's heap and begin_decode's peak (SA_THREADS=1, 3, then default)"
+# crates/model/tests/session_memory.rs: a decode session holds its KV
+# cache, its readout rows and a small slack, and building it peaks at most
+# `PEAK_PER_TOKEN` bytes per prompt token above that (one layer call's
+# working set: row-blocked MLP, heads handing their rows over). The peak
+# depends on how many heads the pool plans at once, so it runs at each
+# count, in release as the benchmark builds the model.
+session_memory_suite() {
+    cargo test -q --offline --release -p sa-model --test session_memory
+}
+SA_THREADS=1 session_memory_suite
+SA_THREADS=3 session_memory_suite
+session_memory_suite
+
 echo "==> pool contract: parked workers at SA_THREADS=1, 2, 3, 5, three times each, under timeout"
 # The pool keeps its workers parked between calls, so the failure it can
 # have that spawn-per-call could not is a lost wake-up or a caller

@@ -8,11 +8,16 @@
 //! 4K through `begin_decode`, through `prefill_chunked` at 32- and
 //! 512-row chunks (the serving shape, and chunks tall enough for
 //! SampleAttention to discover a mask), and in a session whose cache H2O
-//! eviction gathers on every step. The digests do not depend on the
-//! worker count; `scripts/verify.sh` runs this file at `SA_THREADS=1`, 3
-//! and the default.
+//! eviction gathers on every step. The analysis entry, `prefill`, is
+//! pinned beside them at 1K: every head's rows, every layer's input, the
+//! whole final residual stream and the reports' densities and costs, as
+//! recorded before the MLP ran in row blocks and heads handed their rows
+//! over. The digests do not depend on the worker count;
+//! `scripts/verify.sh` runs this file at `SA_THREADS=1`, 3 and the
+//! default.
 
 use sample_attention::baselines::SampleAttentionMethod;
+use sample_attention::kernels::CostReport;
 use sample_attention::model::{
     EvictionConfig, ModelConfig, PrefillResult, SyntheticTransformer,
 };
@@ -111,4 +116,43 @@ fn chunked_prefills_keep_their_bits() {
 fn an_evicting_session_keeps_its_bits() {
     let got = session_digests(&model(), 1024, EvictionConfig::h2o(1000));
     assert_eq!(got, (0x8ab3_33c6_c5d6_297a, 0x5085_705a_3e5c_c148));
+}
+
+/// The words of a cost report, field by field.
+fn cost_words(c: &CostReport) -> impl Iterator<Item = u32> {
+    [c.flops, c.bytes_read, c.bytes_written, c.kernel_launches]
+        .into_iter()
+        .flat_map(|x| [x as u32, (x >> 32) as u32])
+}
+
+#[test]
+fn an_analysis_prefill_keeps_its_bits() {
+    let m = model();
+    let tokens = prompt(&m, 1024);
+    let result = m.prefill(&tokens, &SampleAttentionMethod::paper_default()).expect("prefill");
+    let (layers, heads) = (m.config().num_layers, m.config().num_heads);
+    assert_eq!(result.layer_inputs.len(), layers);
+    assert_eq!(result.head_contents.len(), layers * heads);
+    assert!(result.layer_inputs.iter().all(|x| x.rows() == 1024), "every layer input is whole");
+    assert!(result.head_contents.iter().all(|c| c.rows() == 1024), "every head keeps its rows");
+    assert_eq!(result.hidden.rows(), 1024, "the final residual stream is whole");
+    let rows = fingerprint(
+        result
+            .head_contents
+            .iter()
+            .chain(&result.layer_inputs)
+            .chain([&result.hidden])
+            .flat_map(bits),
+    );
+    let reports = fingerprint(
+        result
+            .head_reports
+            .iter()
+            .flat_map(|r| {
+                let d = r.density.to_bits();
+                [d as u32, (d >> 32) as u32].into_iter().chain(cost_words(&r.cost))
+            })
+            .chain(cost_words(&result.total_cost)),
+    );
+    assert_eq!((rows, reports), (0xe169_3c7e_2df4_80e3, 0x6394_b775_a32e_c853));
 }
