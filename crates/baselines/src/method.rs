@@ -201,6 +201,38 @@ impl<'a> HeadPlan<'a> {
     fn masked(q: Matrix, keys: &'a KeyPanels, v: &'a Matrix, mask: StructuredMask) -> Self {
         HeadPlan::Engine(Box::new(MaskedHead { q, keys, v, mask }))
     }
+
+    /// The plan asked only for its query rows `row..`: an engine head
+    /// runs its own job cut to those rows ([`EngineJob::from_row`]), so
+    /// each has the bits the whole job gives it, and the head finishes
+    /// as it would on a whole run — its density, coverage and fallback
+    /// fields come from its plan, its cost from what ran. A head the
+    /// method finished by itself keeps every row.
+    pub fn from_row(self, row: usize) -> Self {
+        match self {
+            HeadPlan::Engine(head) if row > 0 => HeadPlan::Engine(Box::new(RowsFrom { head, row })),
+            plan => plan,
+        }
+    }
+}
+
+/// A planned head whose job runs on its query rows from `row` on.
+struct RowsFrom<'a> {
+    head: Box<dyn PlannedHead + 'a>,
+    row: usize,
+}
+
+impl PlannedHead for RowsFrom<'_> {
+    fn job(&self) -> EngineJob<'_> {
+        self.head.job().from_row(self.row)
+    }
+
+    fn finish(
+        self: Box<Self>,
+        run: Result<BlockedAttentionOutput, TensorError>,
+    ) -> Result<MethodOutput, TensorError> {
+        self.head.finish(run)
+    }
 }
 
 /// A fixed-pattern method's head, its mask built.

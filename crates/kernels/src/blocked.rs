@@ -232,12 +232,19 @@ pub(crate) fn validate_sparse_shapes(
 /// One head's run on the engine: its queries, its keys and values, and
 /// which keys each query row sees. [`run_engine`] runs any number of
 /// them together.
+///
+/// A job computes every query row unless [`from_row`](Self::from_row)
+/// cut it to a suffix: each row is folded on its own, so a row of a cut
+/// job has the bits it has in the whole one.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineJob<'a> {
     q: &'a Matrix,
     keys: &'a KeyPanels,
     v: &'a Matrix,
     rows: JobRows<'a>,
+    /// First query row the job computes; its output holds the rows from
+    /// here on.
+    first_row: usize,
 }
 
 /// The keys each query row of a job sees.
@@ -264,6 +271,7 @@ impl<'a> EngineJob<'a> {
             keys,
             v,
             rows: JobRows::Mask(mask),
+            first_row: 0,
         }
     }
 
@@ -287,7 +295,36 @@ impl<'a> EngineJob<'a> {
             keys,
             v,
             rows: JobRows::Dense(rows, params),
+            first_row: 0,
         }
+    }
+
+    /// The job cut to its query rows `row..`: its output is those rows,
+    /// `(q.rows() - row, dv)`, each with the bits the whole job gives it,
+    /// and its cost counts only them. A row past the last is a
+    /// [`TensorError::InvalidDimension`] when the job runs.
+    pub fn from_row(self, row: usize) -> Self {
+        EngineJob {
+            first_row: row,
+            ..self
+        }
+    }
+
+    /// Query rows the job computes.
+    fn out_rows(&self) -> usize {
+        self.q.rows().saturating_sub(self.first_row)
+    }
+
+    /// The rows of the job's query blocks: the [`BLOCK`] grid from row 0,
+    /// its first block starting at the job's first row, so a cut job's
+    /// blocks are the whole job's or their tails.
+    fn blocks(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let s_q = self.q.rows();
+        let first = self.first_row.min(s_q);
+        std::iter::once(first)
+            .chain((first / BLOCK + 1..).map(|b| b * BLOCK))
+            .take_while(move |&start| start < s_q)
+            .map(move |start| start..((start / BLOCK + 1) * BLOCK).min(s_q))
     }
 
     /// Whether the job attends under a mask (the sparse kernel).
@@ -305,6 +342,12 @@ impl<'a> EngineJob<'a> {
     }
 
     fn validate(&self) -> Result<(), TensorError> {
+        if self.first_row > self.q.rows() {
+            return Err(TensorError::InvalidDimension {
+                op: "EngineJob::from_row",
+                what: format!("row {} of {} query rows", self.first_row, self.q.rows()),
+            });
+        }
         let k = (self.keys.len(), self.keys.dim());
         match self.rows {
             JobRows::Mask(mask) => validate_sparse_shapes(self.q, k, self.v, mask),
@@ -314,7 +357,7 @@ impl<'a> EngineJob<'a> {
 
     /// Whether the job has nothing to compute: its output is all zeros.
     fn is_empty(&self) -> bool {
-        self.q.rows() == 0 || self.v.cols() == 0 || self.keys.is_empty()
+        self.out_rows() == 0 || self.v.cols() == 0 || self.keys.is_empty()
     }
 
     /// Scalar operations per live pair, the unit the work is cut in.
@@ -324,7 +367,7 @@ impl<'a> EngineJob<'a> {
 
     /// The output and cost report of a finished run.
     fn output(&self, output: Matrix, tally: Tally) -> BlockedAttentionOutput {
-        let (s_q, d) = self.q.shape();
+        let (s_q, d) = (self.out_rows(), self.q.cols());
         let dv = self.v.cols();
         let flops = tally.live_pairs * (2 * d as u64 + 4 + 2 * dv as u64);
         let cost = match self.rows {
@@ -340,7 +383,9 @@ impl<'a> EngineJob<'a> {
                 let bytes_written = f32_bytes((s_q * dv) as u64) + gathered * kv_row_bytes;
                 CostReport::launch(flops, bytes_read, bytes_written)
             }
-            JobRows::Dense(rows, params) => flash::dense_cost(&rows, params, d, dv, flops),
+            JobRows::Dense(rows, params) => {
+                flash::dense_cost(&rows, self.first_row, params, d, dv, flops)
+            }
         };
         BlockedAttentionOutput {
             output,
@@ -516,12 +561,16 @@ fn run_units(
         let scale = score_scale(q.cols());
         let mut block = QueryBlock::new(dv, isa, out.len() / dv);
         let mut tally = Tally::default();
-        for (b, out_rows) in out.chunks_mut(BLOCK * dv).enumerate() {
-            let q0 = row0 + b * BLOCK;
-            block.reset(geom, q0, out_rows.len() / dv);
+        // Blocks on the grid: a unit starts on it unless it starts a cut job.
+        let (mut q0, mut rest) = (row0, out);
+        while !rest.is_empty() {
+            let rows = (BLOCK - q0 % BLOCK).min(rest.len() / dv);
+            let (out_rows, tail) = rest.split_at_mut(rows * dv);
+            block.reset(geom, q0, rows);
             block.fold_extras(q, &extras.kt, extras.v.as_slice(), scale, &mut tally);
             block.fold_window(q, v.as_slice(), keys, scale, &mut tally);
             block.finish(out_rows);
+            (q0, rest) = (q0 + rows, tail);
         }
         tally
     })
@@ -546,7 +595,7 @@ where
 {
     let mut outputs: Vec<Matrix> = jobs
         .iter()
-        .map(|job| Matrix::zeros(job.q.rows(), job.v.cols()))
+        .map(|job| Matrix::zeros(job.out_rows(), job.v.cols()))
         .collect();
     // Operations of every query block of every job.
     let block_ops: Vec<Vec<u64>> = jobs
@@ -556,14 +605,8 @@ where
                 return Vec::new();
             }
             let per_pair = job.ops_per_pair();
-            (0..job.q.rows())
-                .step_by(BLOCK)
-                .map(|q0| {
-                    (q0..(q0 + BLOCK).min(job.q.rows()))
-                        .map(|i| row_live(&job.rows, i))
-                        .sum::<u64>()
-                        * per_pair
-                })
+            job.blocks()
+                .map(|rows| rows.map(|i| row_live(&job.rows, i)).sum::<u64>() * per_pair)
                 .collect()
         })
         .collect();
@@ -572,9 +615,10 @@ where
     let mut units: Vec<Unit<'_>> = cut_units(&block_ops)
         .into_iter()
         .map(|plan| {
-            let row0 = plan.blocks.start * BLOCK;
-            let dv = jobs[plan.job].v.cols();
-            let (head, out) = std::mem::take(&mut rest[plan.job]).split_at_mut(row0 * dv);
+            let job = jobs[plan.job];
+            let row0 = job.blocks().nth(plan.blocks.start).map_or(0, |rows| rows.start);
+            let skip = (row0 - job.first_row) * job.v.cols();
+            let (head, out) = std::mem::take(&mut rest[plan.job]).split_at_mut(skip);
             rest[plan.job] = head;
             Unit {
                 job: plan.job,
@@ -1149,6 +1193,51 @@ mod tests {
             let live = batch[0].as_ref().map(|o| o.live_pairs);
             assert_eq!(live, Ok(striped.nnz() as u64));
         }
+    }
+
+    /// A job cut to a suffix of its query rows returns those rows of the
+    /// whole job's output, bit for bit, at every thread count, and its
+    /// tally and cost count only them: from the first row (the whole
+    /// job), across the block grid, the last row alone, and none.
+    #[test]
+    fn a_job_cut_to_its_last_rows_computes_those_rows_of_the_whole_one() {
+        let s = 300;
+        let (q, k, v) = random_qkv(s, s, 8, 31);
+        let panels = KeyPanels::from_rows(&k);
+        let striped = StructuredMask::builder(s, s)
+            .window(20)
+            .sinks(2)
+            .columns(vec![40, 77, 150])
+            .build()
+            .unwrap();
+        let whole = [
+            EngineJob::sparse(&q, &panels, &v, &striped),
+            EngineJob::dense(&q, &panels, &v, true, FlashParams::default()),
+        ];
+        let want = run_engine(&whole);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for from in [0, 1, 63, 64, 200, s - 1, s] {
+            let cut: Vec<EngineJob<'_>> = whole.iter().map(|job| job.from_row(from)).collect();
+            for threads in [1, 2, 3] {
+                let got = pool::with_threads(threads, || run_engine(&cut));
+                for (j, (got, want)) in got.iter().zip(&want).enumerate() {
+                    let label = format!("job {j} from row {from}, threads {threads}");
+                    let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+                    assert_eq!(bits(&got.output), bits(&want.output.slice_rows(from, s).unwrap()), "{label}");
+                    let live: u64 = (from..s).map(|i| row_live(&whole[j].rows, i)).sum();
+                    assert_eq!(got.live_pairs, live, "{label}");
+                    assert_eq!(got.cost.flops, want.cost.flops / want.live_pairs * live, "{label}");
+                    assert!(got.cost.bytes_total() <= want.cost.bytes_total(), "{label}");
+                    if from == 0 {
+                        assert_eq!(got.cost, want.cost, "{label}");
+                    }
+                }
+            }
+        }
+        assert!(matches!(
+            run_engine(&[whole[0].from_row(s + 1)])[0],
+            Err(TensorError::InvalidDimension { .. })
+        ));
     }
 
     #[test]

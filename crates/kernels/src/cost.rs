@@ -4,6 +4,12 @@
 /// traffic a GPU implementation of the same algorithm would perform, not
 /// the host CPU's incidental bookkeeping. `sa-perf` feeds these into an
 /// A100 roofline model to reproduce the paper's latency figures.
+///
+/// A report counts the work that ran: an engine job cut to its last
+/// query rows ([`EngineJob::from_row`](crate::EngineJob::from_row))
+/// counts those rows, so a cache-keeping prompt run, whose last layer
+/// computes only the rows it hands back, reports less than an analysis
+/// run of the same prompt.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CostReport {
     /// Floating-point operations (multiply-adds count as 2).

@@ -139,23 +139,28 @@ pub(crate) fn validate(
     Ok(())
 }
 
-/// The modelled dense kernel's cost: `flops` over the live pairs, no
-/// score-matrix traffic, and every query block of `params.block_rows`
-/// rows re-reading the K/V rows its last row can see.
+/// The modelled dense kernel's cost over query rows `first..`: `flops`
+/// over the live pairs, no score-matrix traffic, and every query block
+/// of `params.block_rows` rows (on the grid from row 0, the first one cut
+/// at `first`) re-reading the K/V rows its last row can see.
 pub(crate) fn dense_cost(
     rows: &DenseRows,
+    first: usize,
     params: FlashParams,
     d: usize,
     dv: usize,
     flops: u64,
 ) -> CostReport {
-    let kv_block_reads: u64 = (0..rows.s_q)
-        .step_by(params.block_rows)
-        .filter_map(|q0| rows.window((q0 + params.block_rows).min(rows.s_q) - 1))
+    let br = params.block_rows;
+    let grid_start = if first < rows.s_q { first / br * br } else { rows.s_q };
+    let kv_block_reads: u64 = (grid_start..rows.s_q)
+        .step_by(br)
+        .filter_map(|q0| rows.window((q0 + br).min(rows.s_q) - 1))
         .map(|(_, end)| (end * (d + dv)) as u64)
         .sum();
-    let bytes_read = f32_bytes((rows.s_q * d) as u64) + f32_bytes(kv_block_reads);
-    let bytes_written = f32_bytes((rows.s_q * dv) as u64);
+    let computed = rows.s_q - first;
+    let bytes_read = f32_bytes((computed * d) as u64) + f32_bytes(kv_block_reads);
+    let bytes_written = f32_bytes((computed * dv) as u64);
     CostReport::launch(flops, bytes_read, bytes_written)
 }
 

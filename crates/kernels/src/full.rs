@@ -4,10 +4,12 @@
 //! the "SDPA" baseline of the paper's §5.4 micro-benchmarks and the gold
 //! standard every sparse method is compared against.
 
-use sa_tensor::{matmul, matmul_transb, softmax_rows_in_place, Matrix, TensorError};
+use sa_tensor::{
+    matmul, matmul_transb_on, matmul_transb_panels, softmax_rows_in_place, Isa, Matrix, TensorError,
+};
 
 use crate::cost::f32_bytes;
-use crate::{score_scale, CostReport, DenseMask};
+use crate::{score_scale, CostReport, DenseMask, KeyPanels};
 
 /// Result of an attention kernel: the output matrix plus the exact
 /// algorithmic cost of producing it.
@@ -38,17 +40,64 @@ fn validate_qkv(q: &Matrix, k: &Matrix, v: &Matrix) -> Result<(), TensorError> {
 }
 
 /// Raw (pre-softmax) scaled scores `Q K^T / sqrt(d)`, with non-causal
-/// entries set to `-inf` when `causal` is true.
+/// entries set to `-inf` when `causal` is true. Each score is
+/// [`sa_tensor::matmul_transb`]'s dot product, scaled.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `q.cols() != k.cols()`.
 pub fn attention_scores_raw(q: &Matrix, k: &Matrix, causal: bool) -> Result<Matrix, TensorError> {
-    let mut scores = matmul_transb(q, k)?;
-    scores.scale_in_place(score_scale(q.cols()));
+    let scores = matmul_transb_on(Isa::detect(), q, k, causal)?;
+    Ok(scaled_and_masked(scores, q.cols(), causal))
+}
+
+/// [`attention_scores_raw`] on keys whose panels the caller already
+/// holds (a KV cache's), so no key is read back out as a row or
+/// transposed: the same bits.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `q.cols() != keys.dim()`.
+pub fn attention_scores_prepared(
+    q: &Matrix,
+    keys: &KeyPanels,
+    causal: bool,
+) -> Result<Matrix, TensorError> {
+    attention_scores_prepared_on(Isa::detect(), q, keys, causal)
+}
+
+/// Differential-test hook: [`attention_scores_prepared`] on the build of
+/// the panel dots `isa` names (see
+/// [`sparse_flash_attention_prepared_on`](crate::sparse_flash_attention_prepared_on)).
+///
+/// # Errors
+///
+/// As [`attention_scores_prepared`].
+#[doc(hidden)]
+pub fn attention_scores_prepared_on(
+    isa: Isa,
+    q: &Matrix,
+    keys: &KeyPanels,
+    causal: bool,
+) -> Result<Matrix, TensorError> {
+    if q.cols() != keys.dim() {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_transb",
+            lhs: q.shape(),
+            rhs: (keys.len(), keys.dim()),
+        });
+    }
+    let scores = matmul_transb_panels(isa, q, keys.as_slice(), keys.len(), causal)?;
+    Ok(scaled_and_masked(scores, q.cols(), causal))
+}
+
+/// `scores`, `(s_q, s_k)` dot products of `d`-wide rows, scaled, with the
+/// entries past each row's diagonal set to `-inf` when `causal` (a
+/// causal product leaves the panels wholly past it uncomputed).
+fn scaled_and_masked(mut scores: Matrix, d: usize, causal: bool) -> Matrix {
+    scores.scale_in_place(score_scale(d));
     if causal {
-        let s_q = q.rows();
-        let s_k = k.rows();
+        let (s_q, s_k) = scores.shape();
         let off = s_k as isize - s_q as isize;
         for i in 0..s_q {
             let end = i as isize + off;
@@ -58,7 +107,7 @@ pub fn attention_scores_raw(q: &Matrix, k: &Matrix, causal: bool) -> Result<Matr
             }
         }
     }
-    Ok(scores)
+    scores
 }
 
 /// The attention probability matrix `P = softmax(Q K^T / sqrt(d))`

@@ -46,6 +46,9 @@ pub mod rope;
 mod sparse_flash;
 mod tile;
 
+// The panel dots read key panels in the score panel's layout.
+const _: () = assert!(panels::BLOCK == sa_tensor::PANEL_LANES);
+
 pub use blocked::{
     run_engine, sparse_flash_attention_blocked, sparse_flash_attention_prepared,
     sparse_flash_attention_prepared_on, BlockedAttentionOutput, EngineJob,
@@ -53,8 +56,8 @@ pub use blocked::{
 pub use cost::CostReport;
 pub use flash::{flash_attention, flash_attention_prepared, FlashParams};
 pub use full::{
-    attention_probs, attention_scores_raw, causal_pairs, full_attention, masked_attention_dense,
-    AttentionOutput,
+    attention_probs, attention_scores_prepared, attention_scores_prepared_on, attention_scores_raw,
+    causal_pairs, full_attention, masked_attention_dense, AttentionOutput,
 };
 pub use mask::{DenseMask, StructuredMask, StructuredMaskBuilder};
 pub use panels::{KeyPanels, BLOCK as ENGINE_BLOCK};

@@ -24,7 +24,7 @@
 //!   heads' output into the next token.
 
 use sa_baselines::AttentionMethod;
-use sa_kernels::{attention_scores_raw, CostReport, KeyPanels};
+use sa_kernels::{attention_scores_prepared, CostReport, KeyPanels};
 use sa_tensor::{cancel, softmax_rows_in_place, CancelToken, Matrix, TensorError};
 
 use crate::embedding::EmbedStream;
@@ -224,19 +224,18 @@ fn append_rows(dst: &mut Matrix, src: Matrix) -> Result<(), TensorError> {
 
 /// Adds each row of `q_block`'s softmax attention over `keys` to
 /// `scores`, one entry per key: the H2O heavy-hitter statistic of one
-/// decode step. Each row is scored on its own against the keys read back
-/// out as rows, as a one-row dense attention pass sees them.
+/// decode step. Each row is scored on its own against the cache's key
+/// panels, with the bits a one-row dense attention pass over the key
+/// rows gives, and added in row order.
 fn add_attention_mass(
     scores: &mut [f64],
     q_block: &Matrix,
     keys: &KeyPanels,
 ) -> Result<(), TensorError> {
-    let k_all = keys.to_rows();
+    let mut p = attention_scores_prepared(q_block, keys, false)?;
+    softmax_rows_in_place(&mut p);
     for local in 0..q_block.rows() {
-        let q = q_block.slice_rows(local, local + 1)?;
-        let mut p = attention_scores_raw(&q, &k_all, false)?;
-        softmax_rows_in_place(&mut p);
-        for (s, &m) in scores.iter_mut().zip(p.row(0)) {
+        for (s, &m) in scores.iter_mut().zip(p.row(local)) {
             *s += m as f64;
         }
     }
@@ -266,6 +265,15 @@ fn add_attention_mass(
 /// block of 256 rows (`MLP_ROWS`) at a time. An analysis run
 /// ([`SyntheticTransformer::prefill`]) keeps every head whole and also
 /// copies each layer's input into its result before the call.
+///
+/// A cache-keeping run's last layer computes only what the run keeps:
+/// every row's K and V into its cache, every row of the heads the
+/// [`Readout`] reads, each other head's newest row (its own planned
+/// engine job, cut to that row), and the residual, norm and MLP of the
+/// newest row. Every head still plans on the whole chunk, so its report's
+/// density, coverage and fallback are an analysis run's; its cost, and
+/// the run's, count what ran. Each row is computed on its own, so every
+/// kept value has the bits of a run that computed every row.
 #[derive(Debug)]
 pub struct ChunkedPrefill<'m> {
     pub(crate) model: &'m SyntheticTransformer,
@@ -376,6 +384,7 @@ impl<'m> ChunkedPrefill<'m> {
             return Ok(());
         }
         let num_heads = self.model.config().num_heads;
+        let last = self.model.layers().len() - 1;
         let end = (self.start + self.chunk_size).min(s);
         // A chunk that is the whole prompt takes the embedding instead of
         // copying it: nothing reads `hidden_full` after the last chunk.
@@ -392,7 +401,10 @@ impl<'m> ChunkedPrefill<'m> {
             let keep_whole: Vec<bool> = (0..num_heads)
                 .map(|h| self.analysis || Readout::reads(l, &layer.archetype(h)))
                 .collect();
-            let out = layer.forward_rows(rows, &mut self.caches[l], method, &keep_whole)?;
+            // Past the last layer a cache-keeping run reads its newest
+            // row and the heads it keeps whole: the layer computes no more.
+            let newest_only = !self.analysis && l == last;
+            let out = layer.forward_rows(rows, &mut self.caches[l], method, &keep_whole, newest_only)?;
             if end == s && self.analysis {
                 // The run's caller drops the caches: this one is done.
                 self.caches[l] = layer.new_cache();
@@ -435,7 +447,8 @@ impl<'m> ChunkedPrefill<'m> {
         if self.analysis {
             append_rows(&mut self.final_hidden, rows)?;
         } else {
-            self.final_hidden = rows.slice_rows(rows.rows() - 1, rows.rows())?;
+            // The last layer returned the newest row alone.
+            self.final_hidden = rows;
         }
         self.start = end;
         self.chunks_done += 1;
@@ -590,6 +603,7 @@ impl<'m> DecodeSession<'m> {
             .embed_next(&mut self.embed_stream, token, rows.row_mut(0));
         let num_heads = self.model.config().num_heads;
         let track = self.eviction.budget > 0;
+        let last = self.model.layers().len() - 1;
         for (l, layer) in self.model.layers().iter().enumerate() {
             if track {
                 // The new entry starts with zero accumulated mass.
@@ -597,7 +611,14 @@ impl<'m> DecodeSession<'m> {
                     head_scores.push(0.0);
                 }
             }
-            let (hidden, head_contents, q_blocks) = layer.forward_decode(&rows, &mut self.caches[l])?;
+            // Nothing reads the last layer's residual row: it runs no MLP.
+            let (head_contents, q_blocks) = if l == last {
+                layer.forward_decode_heads(&rows, &mut self.caches[l])?
+            } else {
+                let (hidden, head_contents, q_blocks) = layer.forward_decode(&rows, &mut self.caches[l])?;
+                rows = hidden;
+                (head_contents, q_blocks)
+            };
             if track {
                 // Each head's query is a row of its group's block, in head
                 // order.
@@ -619,7 +640,6 @@ impl<'m> DecodeSession<'m> {
             for (h, content) in head_contents.into_iter().enumerate() {
                 self.last_contents[l * num_heads + h] = content;
             }
-            rows = hidden;
         }
         Ok(())
     }
@@ -667,6 +687,7 @@ mod tests {
     use crate::{ModelConfig, VocabLayout};
     use sa_baselines::{FullAttention, SampleAttentionMethod, WindowOnly};
     use sa_core::FallbackReason;
+    use sa_kernels::attention_scores_raw;
     use sa_tensor::max_abs_diff;
 
     fn model() -> SyntheticTransformer {
@@ -929,7 +950,8 @@ mod tests {
     #[test]
     fn a_chunk_or_a_decode_step_projects_each_kv_group_with_one_gemm() {
         // Per layer, a group's query heads, K and V come out of one packed
-        // GEMM call, and the MLP makes two (gate|up, then down).
+        // GEMM call, and the MLP makes two (gate|up, then down) — but not
+        // in a decode step's last layer, whose residual row nothing reads.
         let m = model();
         let config = m.config();
         let per_layer = config.num_kv_heads + 2;
@@ -948,7 +970,7 @@ mod tests {
         for token in [5, 6, 7] {
             session.push(token).unwrap();
         }
-        assert_eq!(gemms(), 3 * config.num_layers * per_layer, "three decode steps");
+        assert_eq!(gemms(), 3 * (config.num_layers * per_layer - 2), "three decode steps");
     }
 
     #[test]

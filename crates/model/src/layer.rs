@@ -183,20 +183,33 @@ impl AttentionLayer {
         method: &dyn AttentionMethod,
     ) -> Result<LayerForwardResult, TensorError> {
         let keep_whole = vec![true; self.num_heads()];
-        self.forward_rows(hidden_rows.clone(), cache, method, &keep_whole)
+        self.forward_rows(hidden_rows.clone(), cache, method, &keep_whole, false)
     }
 
     /// [`forward_incremental`](Self::forward_incremental) on a layer input
     /// it consumes, keeping every row of head `h`'s content where
     /// `keep_whole[h]` and only the newest row elsewhere.
     ///
+    /// With `newest_only`, the caller reads nothing of the call's output
+    /// but the heads kept whole and the newest row of everything else —
+    /// the last layer of a cache-keeping run — and the call computes no
+    /// more: every row's K and V still go into `cache`, every head still
+    /// plans on all its rows (so its report's density, coverage and
+    /// fallback are the whole chunk's), a head kept whole runs every row,
+    /// each other head runs its own engine job on the newest row alone
+    /// ([`HeadPlan::from_row`](sa_baselines::HeadPlan::from_row)), and the
+    /// residual and MLP run on the newest row alone, which is the
+    /// returned `hidden`. Every row is computed on its own, so each one
+    /// returned has the bits of a call without `newest_only`; the cost
+    /// counts what ran.
+    ///
     /// What one call holds beyond `cache` and `hidden_rows`, whose rows
     /// the residual updates in place: per KV group in turn, the group's
     /// rotated queries, its heads' engine outputs (each head hands its
     /// rows over to the result or, cut to the newest, drops them) and the
     /// method's own working set; across the call, the heads' kept rows
-    /// and the `(S, content_dim)` content update, and the rows' RoPE
-    /// table until the last group is projected; then one
+    /// and the content update, `(S, content_dim)` or its newest row, and
+    /// the rows' RoPE table until the last group is projected; then one
     /// [`MLP_ROWS`]-row block of the MLP at a time.
     pub(crate) fn forward_rows(
         &self,
@@ -204,10 +217,11 @@ impl AttentionLayer {
         cache: &mut LayerKvCache,
         method: &dyn AttentionMethod,
         keep_whole: &[bool],
+        newest_only: bool,
     ) -> Result<LayerForwardResult, TensorError> {
         let n = hidden_rows.rows();
         let mut rope = Some(self.rope_table(cache.seen(), n)?);
-        let mut heads = HeadFold::new(n, self.content_dim, keep_whole);
+        let mut heads = HeadFold::new(n, self.content_dim, keep_whole, newest_only);
 
         let (d_in, qk) = (hidden_rows.cols(), self.gqa.group_size() as u64 + 1);
         for g in 0..self.groups.len() {
@@ -224,6 +238,11 @@ impl AttentionLayer {
             self.attend_group(g, q, keys, v_all, method, &mut heads)?;
         }
 
+        let hidden_rows = if newest_only && n > 1 {
+            hidden_rows.slice_rows(n - 1, n)?
+        } else {
+            hidden_rows
+        };
         let hidden = self.apply_residual_and_mlp(hidden_rows, &heads.content_update, &mut heads.cost)?;
         Ok(heads.into_result(hidden))
     }
@@ -254,6 +273,36 @@ impl AttentionLayer {
         hidden_row: &Matrix,
         cache: &mut LayerKvCache,
     ) -> Result<(Matrix, Vec<Matrix>, Vec<Matrix>), TensorError> {
+        let (mut heads, q_blocks) = self.decode_heads(hidden_row, cache)?;
+        let hidden =
+            self.apply_residual_and_mlp(hidden_row.clone(), &heads.content_update, &mut heads.cost)?;
+        Ok((hidden, heads.head_contents, q_blocks))
+    }
+
+    /// [`forward_decode`](Self::forward_decode) without the residual and
+    /// MLP, whose row nothing reads after the last layer: every head's
+    /// `(1, content_dim)` content and each KV group's query block, with
+    /// the bits `forward_decode` gives them.
+    ///
+    /// # Errors
+    ///
+    /// As [`forward_decode`](Self::forward_decode).
+    pub(crate) fn forward_decode_heads(
+        &self,
+        hidden_row: &Matrix,
+        cache: &mut LayerKvCache,
+    ) -> Result<(Vec<Matrix>, Vec<Matrix>), TensorError> {
+        let (heads, q_blocks) = self.decode_heads(hidden_row, cache)?;
+        Ok((heads.head_contents, q_blocks))
+    }
+
+    /// The attention half of a decode step: the K/V appended, every head
+    /// folded, each KV group's query block.
+    fn decode_heads(
+        &self,
+        hidden_row: &Matrix,
+        cache: &mut LayerKvCache,
+    ) -> Result<(HeadFold, Vec<Matrix>), TensorError> {
         if hidden_row.rows() != 1 {
             return Err(TensorError::InvalidDimension {
                 op: "AttentionLayer::forward_decode",
@@ -261,7 +310,7 @@ impl AttentionLayer {
             });
         }
         let rope = self.rope_table(cache.seen(), 1)?;
-        let mut heads = HeadFold::new(1, self.content_dim, &vec![true; self.num_heads()]);
+        let mut heads = HeadFold::new(1, self.content_dim, &vec![true; self.num_heads()], false);
         let mut q_blocks = Vec::with_capacity(self.groups.len());
         for g in 0..self.groups.len() {
             let (q, k, v) = self.project_group(g, hidden_row, &rope)?;
@@ -284,9 +333,7 @@ impl AttentionLayer {
                 heads.fold_head(out.output.slice_rows(local, local + 1)?)?;
             }
         }
-        let hidden =
-            self.apply_residual_and_mlp(hidden_row.clone(), &heads.content_update, &mut heads.cost)?;
-        Ok((hidden, heads.head_contents, q_blocks))
+        Ok((heads, q_blocks))
     }
 
     /// The rotations of positions `offset..offset + rows`: one table
@@ -396,8 +443,14 @@ impl AttentionLayer {
             });
             *plan = Some(method.plan_head(self.layer_index, head, q, &keys, v));
         })?;
-        // Every part ran once: no slot is left empty.
-        let plans = planned.into_iter().flatten().collect::<Result<Vec<_>, _>>()?;
+        // Every part ran once: no slot is left empty. A head whose older
+        // rows the call does not return runs its newest row alone.
+        let plans = planned
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(local, plan)| Ok(plan?.from_row(heads.first_row(g * group_size + local))))
+            .collect::<Result<Vec<_>, TensorError>>()?;
         let outputs = {
             let _span = sa_trace::span_in("model", "engine");
             finish_heads(plans)
@@ -421,8 +474,9 @@ impl AttentionLayer {
         Ok(())
     }
 
-    /// Residual update + pre-norm SwiGLU MLP on the layer input `hidden`,
-    /// updated in place and handed back.
+    /// Residual update + pre-norm SwiGLU MLP on the layer input `hidden`
+    /// (every row of the call, or its newest row alone), updated in place
+    /// and handed back; `content_update` has `hidden`'s rows.
     ///
     /// The norm, the MLP and the second residual add run over blocks of
     /// [`MLP_ROWS`] rows, so the MLP's intermediates (the `2 * ffn_dim`-wide
@@ -507,10 +561,16 @@ pub(crate) const MLP_ROWS: usize = 4 * GEMM_BLOCK;
 
 /// What a layer forward accumulates head by head, in head order.
 struct HeadFold {
-    /// Sum over heads of their content outputs, `(rows, content_dim)`.
+    /// Query rows of the call.
+    rows: usize,
+    /// Sum over heads of their content outputs, `(rows, content_dim)`, or
+    /// of their newest rows alone when the fold is `newest_only`.
     content_update: Matrix,
     /// Per head: keep all its rows, or only the newest.
     keep_whole: Vec<bool>,
+    /// The caller reads only the newest row of every head not kept whole
+    /// and of the residual stream.
+    newest_only: bool,
     head_contents: Vec<Matrix>,
     head_reports: Vec<HeadReport>,
     cost: CostReport,
@@ -518,43 +578,62 @@ struct HeadFold {
 
 impl HeadFold {
     /// A fold of `keep_whole.len()` heads over `rows` rows.
-    fn new(rows: usize, content_dim: usize, keep_whole: &[bool]) -> Self {
+    fn new(rows: usize, content_dim: usize, keep_whole: &[bool], newest_only: bool) -> Self {
+        let update_rows = if newest_only { rows.min(1) } else { rows };
         HeadFold {
-            content_update: Matrix::zeros(rows, content_dim),
+            rows,
+            content_update: Matrix::zeros(update_rows, content_dim),
             keep_whole: keep_whole.to_vec(),
+            newest_only,
             head_contents: Vec::with_capacity(keep_whole.len()),
             head_reports: Vec::with_capacity(keep_whole.len()),
             cost: CostReport::new(),
         }
     }
 
-    /// Adds the next head's content, `(rows, content_dim)`, into
-    /// `content_update` and keeps it: whole, taken as it is, when the
-    /// fold keeps that head whole, otherwise only its newest row.
+    /// The first query row head `head` needs computed: its newest when
+    /// the fold reads nothing else of it, else the call's first.
+    fn first_row(&self, head: usize) -> usize {
+        if self.newest_only && !self.keep_whole[head] {
+            self.rows.saturating_sub(1)
+        } else {
+            0
+        }
+    }
+
+    /// Adds the next head's content into `content_update` and keeps it:
+    /// whole, taken as it is, when the fold keeps that head whole,
+    /// otherwise only its newest row. `content` holds the head's rows
+    /// from [`first_row`](Self::first_row) on, or every row (a head its
+    /// method finished by itself computed them all); the update takes
+    /// the rows it has, the newest alone when the fold is `newest_only`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::ShapeMismatch`] unless `content` has the
-    /// fold's shape: a method's output is one row per query row, as wide
-    /// as the values.
+    /// Returns [`TensorError::ShapeMismatch`] unless `content` has one of
+    /// those shapes: a method's output is one row per query row it
+    /// computed, as wide as the values.
     ///
     /// # Panics
     ///
     /// Panics past the fold's last head.
     fn fold_head(&mut self, content: Matrix) -> Result<(), TensorError> {
-        let shape = self.content_update.shape();
-        if content.shape() != shape {
+        let head = self.head_contents.len();
+        let (update_rows, width) = self.content_update.shape();
+        let computed = self.rows - self.first_row(head);
+        let rows = content.rows();
+        if content.cols() != width || (rows != self.rows && rows != computed) {
             return Err(TensorError::ShapeMismatch {
                 op: "HeadFold::fold_head",
-                lhs: shape,
+                lhs: (computed, width),
                 rhs: content.shape(),
             });
         }
-        for (u, &c) in self.content_update.as_mut_slice().iter_mut().zip(content.as_slice()) {
+        let last_rows = &content.as_slice()[(rows - update_rows) * width..];
+        for (u, &c) in self.content_update.as_mut_slice().iter_mut().zip(last_rows) {
             *u += c;
         }
-        let rows = content.rows();
-        let kept = if self.keep_whole[self.head_contents.len()] || rows <= 1 {
+        let kept = if self.keep_whole[head] || rows <= 1 {
             content
         } else {
             content.slice_rows(rows - 1, rows)?
@@ -674,8 +753,12 @@ mod tests {
     ) -> (Matrix, Vec<Matrix>) {
         let offset = cache.seen();
         let group_size = layer.gqa.group_size();
-        let mut heads =
-            HeadFold::new(hidden_rows.rows(), layer.content_dim, &vec![true; layer.num_heads()]);
+        let mut heads = HeadFold::new(
+            hidden_rows.rows(),
+            layer.content_dim,
+            &vec![true; layer.num_heads()],
+            false,
+        );
         for (g, (wqs, wk, wv)) in weights.iter().enumerate() {
             let mut k_new = matmul(hidden_rows, wk).unwrap();
             let v_new = leading_cols(&matmul(hidden_rows, wv).unwrap(), layer.content_dim);
@@ -812,6 +895,46 @@ mod tests {
             let got = layer.apply_residual_and_mlp(hidden, &update, &mut cost).unwrap();
             assert_eq!(bits(&got), bits(&want), "{rows} rows");
             assert_eq!(cost, want_cost, "{rows} rows: the MLP is charged once per call");
+        }
+    }
+
+    /// A call asked for its newest row returns that row of the residual
+    /// stream, every row of the heads it keeps whole and the newest row
+    /// of every other, each with the bits of a call that computed every
+    /// row, and caches the same K and V; it costs less. A method that
+    /// finishes its heads by itself (no engine plan) computes every row,
+    /// and the call still reads its newest.
+    #[test]
+    fn a_newest_only_call_keeps_a_whole_calls_bits() {
+        let (layer, hidden, config) = layer_and_hidden(10);
+        let keep_whole: Vec<bool> = (0..config.num_heads).map(|h| h % 3 == 0).collect();
+        let methods: [(&str, &dyn AttentionMethod); 3] = [
+            ("full", &FullAttention::new()),
+            ("sample", &SampleAttentionMethod::paper_default()),
+            ("hash", &sa_baselines::HashSparse::paper_config(3)),
+        ];
+        let n = hidden.rows();
+        for (name, method) in methods {
+            let (mut whole_cache, mut newest_cache) = (layer.new_cache(), layer.new_cache());
+            let whole = layer
+                .forward_rows(hidden.clone(), &mut whole_cache, method, &keep_whole, false)
+                .unwrap();
+            let newest = layer
+                .forward_rows(hidden.clone(), &mut newest_cache, method, &keep_whole, true)
+                .unwrap();
+            assert_eq!(bits(&newest.hidden), bits(&whole.hidden.slice_rows(n - 1, n).unwrap()), "{name}");
+            for (h, (got, want)) in newest.head_contents.iter().zip(&whole.head_contents).enumerate() {
+                assert_eq!(bits(got), bits(want), "{name}: head {h}");
+            }
+            for g in 0..whole_cache.num_kv_heads() {
+                let ((k, v), (want_k, want_v)) = (newest_cache.head_rows(g), whole_cache.head_rows(g));
+                assert_eq!((bits(&k), bits(v)), (bits(&want_k), bits(want_v)), "{name}: group {g}");
+            }
+            for (got, want) in newest.head_reports.iter().zip(&whole.head_reports) {
+                assert_eq!(got.density.to_bits(), want.density.to_bits(), "{name}");
+                assert_eq!((got.alpha_satisfied, got.fell_back), (want.alpha_satisfied, want.fell_back));
+            }
+            assert!(newest.cost.flops < whole.cost.flops, "{name}: the newest-only call costs less");
         }
     }
 

@@ -39,7 +39,10 @@ pub struct PrefillResult {
     /// Flattened per-head diagnostics, aligned with `head_contents`.
     pub head_reports: Vec<HeadReport>,
     /// Total prefill cost (embedding excluded; projections, attention,
-    /// MLPs included).
+    /// MLPs included), counting the work that ran: a cache-keeping run's
+    /// last layer computes only the rows it keeps (see
+    /// [`ChunkedPrefill`](crate::ChunkedPrefill)), so its cost, and its
+    /// last-layer heads' report costs, fall below `prefill`'s.
     pub total_cost: CostReport,
 }
 

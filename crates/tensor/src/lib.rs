@@ -70,7 +70,9 @@ pub use finite::count_nonfinite;
 pub use fma::{fma, mul_add};
 pub use isa::{isa_name, Isa, IsaBuild};
 pub use matrix::Matrix;
-pub use matmul::{matmul, matmul_transb, GEMM_BLOCK};
+pub use matmul::{
+    matmul, matmul_transb, matmul_transb_on, matmul_transb_panels, GEMM_BLOCK, PANEL_LANES,
+};
 pub use packed::{matmul_packed, matmul_packed_parts, PackedWeights};
 pub use reduce::{
     col_mean, col_sum, row_l1_norms, row_max, row_min, row_sum, scale_rows_in_place,

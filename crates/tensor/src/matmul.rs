@@ -1,4 +1,4 @@
-use crate::{mul_add, pool, Isa, IsaBuild, Matrix, TensorError};
+use crate::{mul_add, pool, AlignedBuf, Isa, IsaBuild, Matrix, TensorError};
 
 /// Cache-blocking tile size used by [`matmul`] and [`matmul_transb`].
 ///
@@ -109,16 +109,42 @@ fn matmul_rows<const FUSED: bool>(
     }
 }
 
-/// Computes `A * B^T` without materialising the transpose.
+/// Key lanes of one panel of a transposed `B`: panel `p` holds element
+/// `k` of row `p * PANEL_LANES + t` at `kt[p][k][t]`, zero where a lane
+/// has no row — the layout of `sa-kernels`' key panels, which
+/// [`matmul_transb_panels`] reads.
+pub const PANEL_LANES: usize = GEMM_BLOCK;
+
+/// Computes `A * B^T`.
 ///
 /// This is the score kernel shape used everywhere in attention:
 /// `scores = Q K^T` with `Q: (S_q, d)` and `K: (S_k, d)` both row-major,
-/// so each output element is a dot product of two contiguous rows.
+/// so each output element is the dot product of two rows: four
+/// interleaved accumulators over the first `4 * (d / 4)` elements, each
+/// product rounded and then added, summed `((a0 + a1) + a2) + a3`, then
+/// the one to three remaining products added in order. The products run
+/// across keys, a panel of [`PANEL_LANES`] rows of `B` transposed at a
+/// time: each lane keeps exactly that order, so the bits are those of
+/// the scalar loop.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.cols()`.
 pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
+    matmul_transb_on(Isa::detect(), a, b, false)
+}
+
+/// [`matmul_transb`] on the build `isa` names. With `causal`, row `i` of
+/// the output needs only the keys `j <= i + B.rows() - A.rows()` (a
+/// causal mask aligns the last query with the last key), and a panel
+/// whose keys all lie past that is not computed: its entries stay `0.0`
+/// for the caller to mask. The entries past the diagonal inside a
+/// computed panel are computed.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] if `A.cols() != B.cols()`.
+pub fn matmul_transb_on(isa: Isa, a: &Matrix, b: &Matrix, causal: bool) -> Result<Matrix, TensorError> {
     if a.cols() != b.cols() {
         return Err(TensorError::ShapeMismatch {
             op: "matmul_transb",
@@ -126,42 +152,186 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Result<Matrix, TensorError> {
             rhs: b.shape(),
         });
     }
-    let m = a.rows();
-    let n = b.rows();
-    let d = a.cols();
+    Ok(transb(isa, a, Keys::Rows(b), b.rows(), causal))
+}
+
+/// [`matmul_transb_on`] for the `n` rows of `B` held transposed in `kt`
+/// (whole panels of [`PANEL_LANES`] lanes), every entry with
+/// [`matmul_transb`]'s bits.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] unless `kt` holds
+/// `n.div_ceil(PANEL_LANES)` panels of `A.cols()` rows.
+pub fn matmul_transb_panels(
+    isa: Isa,
+    a: &Matrix,
+    kt: &[f32],
+    n: usize,
+    causal: bool,
+) -> Result<Matrix, TensorError> {
+    let panels = n.div_ceil(PANEL_LANES);
+    if kt.len() != panels * a.cols() * PANEL_LANES {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_transb_panels",
+            lhs: a.shape(),
+            rhs: (n, kt.len() / (panels * PANEL_LANES).max(1)),
+        });
+    }
+    Ok(transb(isa, a, Keys::Panels(kt), n, causal))
+}
+
+/// Where the panels of `B` come from.
+#[derive(Clone, Copy)]
+enum Keys<'a> {
+    /// `B` as rows: each panel is transposed where it is read, so no
+    /// transposed copy of `B` is held.
+    Rows(&'a Matrix),
+    /// `B` already transposed, whole panels.
+    Panels(&'a [f32]),
+}
+
+/// The one loop behind [`matmul_transb_on`] and [`matmul_transb_panels`].
+fn transb(isa: Isa, a: &Matrix, keys: Keys<'_>, n: usize, causal: bool) -> Matrix {
+    let (m, d) = a.shape();
     let mut out = Matrix::zeros(m, n);
     if n == 0 {
-        return Ok(out);
+        return out;
     }
+    let stride = d * PANEL_LANES;
+    let panels = n.div_ceil(PANEL_LANES);
+    // Panels row `i` needs: all of them, or those holding a key at or
+    // before its diagonal.
+    let needed = |i: usize| {
+        if causal {
+            (i + 1 + n).saturating_sub(m).div_ceil(PANEL_LANES).min(panels)
+        } else {
+            panels
+        }
+    };
     // Every output element is an isolated dot product, so row-chunk
     // partitioning is trivially bit-deterministic.
-    pool::parallel_for_rows(
-        out.as_mut_slice(),
-        n,
-        pool::row_grain(d * n),
-        |row0, chunk| {
-            let rows = chunk.len() / n;
-            for c0 in (0..rows).step_by(GEMM_BLOCK) {
-                let c1 = (c0 + GEMM_BLOCK).min(rows);
-                for j0 in (0..n).step_by(GEMM_BLOCK) {
-                    let j1 = (j0 + GEMM_BLOCK).min(n);
-                    for c in c0..c1 {
-                        let arow = a.row(row0 + c);
-                        let orow = &mut chunk[c * n..(c + 1) * n];
-                        for (o, j) in orow[j0..j1].iter_mut().zip(j0..) {
-                            *o = dot(arow, b.row(j));
+    pool::parallel_for_rows(out.as_mut_slice(), n, pool::row_grain(d * n), |row0, chunk| {
+        let mut scratch = match keys {
+            Keys::Rows(_) => AlignedBuf::zeros(stride),
+            Keys::Panels(_) => AlignedBuf::new(),
+        };
+        let rows = chunk.len() / n;
+        for c0 in (0..rows).step_by(GEMM_BLOCK) {
+            let c1 = (c0 + GEMM_BLOCK).min(rows);
+            // A panel stays in cache across the block's rows.
+            for p in 0..needed(row0 + c1 - 1) {
+                let lanes = p * PANEL_LANES..((p + 1) * PANEL_LANES).min(n);
+                let panel = match keys {
+                    Keys::Panels(kt) => &kt[p * stride..][..stride],
+                    Keys::Rows(b) => {
+                        let panel = scratch.as_mut_slice();
+                        panel.fill(0.0);
+                        for (t, j) in lanes.clone().enumerate() {
+                            for (column, &x) in panel.chunks_exact_mut(PANEL_LANES).zip(b.row(j)) {
+                                column[t] = x;
+                            }
                         }
+                        scratch.as_slice()
+                    }
+                };
+                for c in c0..c1 {
+                    if p < needed(row0 + c) {
+                        let orow = &mut chunk[c * n..(c + 1) * n];
+                        dot_panel(isa, a.row(row0 + c), panel, &mut orow[lanes.clone()]);
                     }
                 }
             }
-        },
-    );
-    Ok(out)
+        }
+    });
+    out
 }
 
-/// Dot product of two equal-length slices (4-way unrolled).
+/// Lanes one accumulator group of [`dot_lanes`] covers, per build: four
+/// accumulators of `L` lanes are eight of the 16 vector registers under
+/// the baseline build (4 × 8 lanes) and AVX2 (4 × 16), and sixteen of
+/// the 32 under AVX-512 (4 × a whole panel). Lanes are independent, so
+/// the grouping never shows in the bits.
+const DOT_LANES_BASELINE: usize = 8;
+const DOT_LANES_AVX2: usize = 16;
+const DOT_LANES_AVX512: usize = PANEL_LANES;
+
+/// `out[t]` = the dot product of `a` with key `t` of the panel `kt`
+/// (`a.len()` rows of [`PANEL_LANES`] lanes), for each `t < out.len()`,
+/// with the bits of the scalar loop [`matmul_transb`] specifies, on the
+/// build `isa` names.
+///
+/// # Panics
+///
+/// Panics if `kt` is shorter than `a.len()` panel rows or `out` is
+/// longer than a panel.
 #[inline]
-pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
+fn dot_panel(isa: Isa, a: &[f32], kt: &[f32], out: &mut [f32]) {
+    match isa.build() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX-512 only when `Isa::detect` found
+        // `avx2`, `fma` and `avx512f` on this CPU.
+        IsaBuild::Avx512 => unsafe { dot_panel_avx512(a, kt, out) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: an `Isa` names AVX2 only when `Isa::detect` found `avx2`
+        // and `fma` on this CPU.
+        IsaBuild::Avx2 => unsafe { dot_panel_avx2(a, kt, out) },
+        _ => dot_lanes::<DOT_LANES_BASELINE>(a, kt, out),
+    }
+}
+
+/// The panel dots compiled with AVX2: eight lanes to a register, each
+/// product rounded before it is added (nothing fuses: Rust does not
+/// contract `a * b + c`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn dot_panel_avx2(a: &[f32], kt: &[f32], out: &mut [f32]) {
+    dot_lanes::<DOT_LANES_AVX2>(a, kt, out);
+}
+
+/// The panel dots compiled with AVX-512F: sixteen lanes to a register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma,avx512f")]
+fn dot_panel_avx512(a: &[f32], kt: &[f32], out: &mut [f32]) {
+    dot_lanes::<DOT_LANES_AVX512>(a, kt, out);
+}
+
+/// The one body of the panel dots, `L` lanes at a time: per lane, the
+/// four accumulators, their sum and the tail of [`dot`], in its order.
+#[inline(always)]
+fn dot_lanes<const L: usize>(a: &[f32], kt: &[f32], out: &mut [f32]) {
+    let whole = a.len() / 4 * 4;
+    for c in 0..out.len().div_ceil(L) {
+        let lane0 = c * L;
+        let mut acc = [[0.0f32; L]; 4];
+        for k0 in (0..whole).step_by(4) {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let x = a[k0 + r];
+                let keys = &kt[(k0 + r) * PANEL_LANES + lane0..][..L];
+                for (s, &kv) in acc_r.iter_mut().zip(keys) {
+                    *s += x * kv;
+                }
+            }
+        }
+        let mut sum = [0.0f32; L];
+        for (t, s) in sum.iter_mut().enumerate() {
+            *s = acc[0][t] + acc[1][t] + acc[2][t] + acc[3][t];
+        }
+        for (k, &x) in a.iter().enumerate().skip(whole) {
+            let keys = &kt[k * PANEL_LANES + lane0..][..L];
+            for (s, &kv) in sum.iter_mut().zip(keys) {
+                *s += x * kv;
+            }
+        }
+        let lanes = (out.len() - lane0).min(L);
+        out[lane0..lane0 + lanes].copy_from_slice(&sum[..lanes]);
+    }
+}
+
+/// Dot product of two equal-length slices (4-way unrolled): the scalar
+/// statement of every entry [`matmul_transb`] computes.
+#[cfg(test)]
+fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; 4];
     let chunks = a.len() / 4;
@@ -251,6 +421,62 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 4);
         assert!(matmul_transb(&a, &b).is_err());
+    }
+
+    /// `b`'s rows transposed into whole panels of `PANEL_LANES` lanes.
+    fn transposed(b: &Matrix) -> Vec<f32> {
+        let (n, d) = b.shape();
+        let mut kt = vec![0.0; n.div_ceil(PANEL_LANES) * d * PANEL_LANES];
+        for j in 0..n {
+            for (k, &x) in b.row(j).iter().enumerate() {
+                kt[(j / PANEL_LANES * d + k) * PANEL_LANES + j % PANEL_LANES] = x;
+            }
+        }
+        kt
+    }
+
+    /// Every entry of the panel product is the scalar `dot` of its two
+    /// rows, bit for bit, on every build the CPU has, from rows and from
+    /// panels: widths around the four accumulators and the panel rows,
+    /// key counts off the panel grid, causal calls with more keys than
+    /// queries (and fewer), whose skipped panels stay zero.
+    #[test]
+    fn panel_dots_equal_the_scalar_dot_on_every_isa() {
+        let mut rng = crate::DeterministicRng::new(0x7a2b);
+        let widths = [1, 2, 3, 4, 5, 6, 7, 13, 63, 64, 65];
+        let shapes = [(1, 1), (3, 63), (5, 64), (9, 65), (70, 130), (2, 200), (40, 10)];
+        for d in widths {
+            for (m, n) in shapes {
+                // Magnitudes spread over six decades, so a reordered sum
+                // rounds differently.
+                let mut draw = |rows| {
+                    Matrix::from_fn(rows, d, |_, _| rng.normal() * 10f32.powi(rng.index(6) as i32 - 3))
+                };
+                let (a, b) = (draw(m), draw(n));
+                let kt = transposed(&b);
+                let want = |i: usize, j: usize| dot(a.row(i), b.row(j)).to_bits();
+                for isa in Isa::every() {
+                    for causal in [false, true] {
+                        let label = format!("d {d}, {m} x {n}, {isa:?}, causal {causal}");
+                        let from_rows = matmul_transb_on(isa, &a, &b, causal).unwrap();
+                        let from_panels = matmul_transb_panels(isa, &a, &kt, n, causal).unwrap();
+                        for i in 0..m {
+                            // Keys `j < visible` lie at or before row i's diagonal.
+                            let visible = (i + 1 + n).saturating_sub(m);
+                            for j in 0..n {
+                                let computed = !causal || j < visible.div_ceil(PANEL_LANES) * PANEL_LANES;
+                                let want = if computed { want(i, j) } else { 0 };
+                                assert_eq!(from_rows.get(i, j).to_bits(), want, "{label}: ({i}, {j})");
+                                assert_eq!(from_panels.get(i, j).to_bits(), want, "{label}: ({i}, {j})");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let a = Matrix::zeros(2, 4);
+        assert!(matmul_transb_panels(Isa::detect(), &a, &[0.0; 8], 3, false).is_err());
+        assert!(matmul_transb_panels(Isa::detect(), &a, &transposed(&Matrix::zeros(3, 4)), 3, false).is_ok());
     }
 
     #[test]

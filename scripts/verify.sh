@@ -42,7 +42,10 @@ echo "==> codegen guard: the dispatched inner loops (FMA in every product loop a
 # and four sampled rows; sa-tensor holds the tile fold (its four-row,
 # pair and single-row step 5 are inlined into one body per build), the
 # row softmax, the GEMM and the health sentinels' non-finite count (an
-# integer scan with no product: like the softmax, it must issue no FMA).
+# integer scan with no product: like the softmax, it must issue no FMA)
+# and the panel dots behind `matmul_transb` and the attention scores,
+# whose every product is rounded before it is added, as the scalar dot
+# it must equal: no FMA either.
 # A wide build must also call no closure, `call_mut`, `try_map` or
 # `from_fn` body: the compiler builds such a helper out of line for the
 # baseline ISA, so every call leaves the wide code (the fold once called
@@ -68,12 +71,12 @@ else
         function loop(s) {
             return s ~ /score_panel_/ ? "score_panel" : s ~ /gemm_rows_/ ? "gemm_rows" : \
                 s ~ /fold_tile_/ ? "fold_tile" : s ~ /softmax_rows_/ ? "softmax_rows" : \
-                s ~ /count_nonfinite_/ ? "count_nonfinite" : "fold"
+                s ~ /count_nonfinite_/ ? "count_nonfinite" : s ~ /dot_panel_/ ? "dot_panel" : "fold"
         }
         # One entry per function body: generic instantiations share a name.
         /^[0-9a-f]+ <.*>:$/ {
             sym = $2 " (function " ++bodies ")"
-            if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows|count_nonfinite)_avx(2|512)>/) {
+            if (sym ~ /(score_panel|fold|fold_tile|softmax_rows|gemm_rows|count_nonfinite|dot_panel)_avx(2|512)>/) {
                 wide[sym] = 0
                 fused[sym] = 0
             }
@@ -100,7 +103,7 @@ else
                     print "no " (build == "avx512" ? "zmm" : "ymm") " operand in " s
                     bad = 1
                 }
-                unfused = loop(s) == "softmax_rows" || loop(s) == "count_nonfinite"
+                unfused = loop(s) == "softmax_rows" || loop(s) == "count_nonfinite" || loop(s) == "dot_panel"
                 if (unfused && fused[s] > 0) {
                     print "FMA instruction in " s ", which has no product to fuse"
                     bad = 1
@@ -118,8 +121,8 @@ else
                     bad = 1
                 }
             }
-            split("score_panel fold fold_tile softmax_rows gemm_rows count_nonfinite", loops, " ")
-            for (i = 1; i <= 6; i++) {
+            split("score_panel fold fold_tile softmax_rows gemm_rows count_nonfinite dot_panel", loops, " ")
+            for (i = 1; i <= 7; i++) {
                 for (b = 1; b <= 2; b++) {
                     name = loops[i] "_" (b == 1 ? "avx2" : "avx512")
                     if (!count[name]) { print "no " name " instantiation found"; bad = 1 }
@@ -199,23 +202,31 @@ echo "==> differential ISA leg at release codegen: baseline vs AVX2 vs AVX-512 b
 # `panels::tests` holds the four-row score panel to pairs, single rows
 # and the scalar dot.
 cargo test -q --offline --release --test kernel_equivalence engine_bitwise_identical_on_every_isa
+# The panel dots of `matmul_transb` and the attention scores on every
+# build, held to the scalar dot (widths 1–7, 13, 63–65; causal calls with
+# more keys than queries).
+cargo test -q --offline --release --test kernel_equivalence attention_scores_equal_the_scalar_dot_on_every_isa
 # Values narrower than the keys (the model caches `content_dim` value
 # columns): every build, the reference, the dense job and decode blocks
 # at widths around each register chunk, each equal to the leading
 # columns of a zero-padded 64-wide run; and the model's digests pinned
 # from when it carried `head_dim` value columns (value_width_pins), at
 # the optimised codegen and every thread count.
+# Beside them, cache-keeping runs (begin_decode, prefill_chunked, a
+# resumed checkpoint, decode) pinned from when a run's last layer
+# computed every row and kept only what it reads (cache_keeping_pins).
 narrow_value_suite() {
     cargo test -q --offline --release --test kernel_equivalence \
         narrow_values_are_the_leading_columns_of_a_wide_run_on_every_isa
     cargo test -q --offline --release --test value_width_pins
+    cargo test -q --offline --release --test cache_keeping_pins
 }
 SA_THREADS=1 narrow_value_suite
 SA_THREADS=3 narrow_value_suite
 narrow_value_suite
 cargo test -q --offline --release --test exp_contract
 cargo test -q --offline --release --test fma_contract
-cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests finite::tests
+cargo test -q --offline --release -p sa-tensor --lib -- softmax::tests exp::tests fma::tests packed::tests aligned::tests finite::tests matmul::tests
 cargo test -q --offline --release -p sa-kernels --lib panels::tests
 
 echo "==> differential key-panel suite: resident panels vs per-call oracles (SA_THREADS=1, 3, then default)"

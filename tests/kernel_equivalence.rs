@@ -7,10 +7,10 @@ use sample_attention::baselines::FullAttention;
 use sample_attention::core::merge_mask;
 use sample_attention::core::SampleAttentionConfig;
 use sample_attention::kernels::{
-    attention_probs, flash_attention, flash_attention_prepared, full_attention,
+    attention_probs, attention_scores_prepared_on, attention_scores_raw, flash_attention, flash_attention_prepared, full_attention,
     masked_attention_dense, sparse_flash_attention, sparse_flash_attention_blocked,
     sparse_flash_attention_prepared, sparse_flash_attention_prepared_on,
-    sparse_flash_attention_tiled, FlashParams, KeyPanels, StructuredMask, TiledMask,
+    score_scale, sparse_flash_attention_tiled, FlashParams, KeyPanels, StructuredMask, TiledMask,
 };
 use sample_attention::tensor::check::run_cases;
 use sample_attention::tensor::{max_abs_diff, pool, DeterministicRng, Isa, Matrix};
@@ -619,6 +619,69 @@ fn narrow_values_are_the_leading_columns_of_a_wide_run_on_every_isa() {
 /// itself proven against the dense oracle above — is the ground truth,
 /// and the engine must match it bit for bit with identical FLOP
 /// accounting and an exact live-pair tally.
+/// The scalar dot product every score is specified as: four interleaved
+/// accumulators, each product rounded and then added, summed in order,
+/// then the tail.
+fn scalar_dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; 4];
+    let whole = a.len() / 4 * 4;
+    for i in (0..whole).step_by(4) {
+        for r in 0..4 {
+            acc[r] += a[i + r] * b[i + r];
+        }
+    }
+    let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
+    for i in whole..a.len() {
+        sum += a[i] * b[i];
+    }
+    sum
+}
+
+/// Attention scores on key rows and on resident key panels, on every
+/// build of the panel dots the CPU has, hold every visible entry to the
+/// scalar dot of its two rows, scaled, bit for bit, and every entry past
+/// a causal row's diagonal to `-inf`: widths around the four
+/// accumulators and the 64-lane panel, key counts off the panel grid,
+/// and causal calls with more keys than queries, fewer, and as many.
+#[test]
+fn attention_scores_equal_the_scalar_dot_on_every_isa() {
+    let mut rng = DeterministicRng::new(0x5C0E);
+    for d in [1, 2, 3, 4, 5, 6, 7, 13, 63, 64, 65] {
+        for (s_q, s_k) in [(1, 200), (4, 63), (33, 130), (65, 65), (100, 40)] {
+            let q = rng.normal_matrix(s_q, d, 1.0);
+            let k = rng.normal_matrix(s_k, d, 1.0);
+            let panels = KeyPanels::from_rows(&k);
+            for causal in [false, true] {
+                let want = |i: usize, j: usize| {
+                    if causal && j + s_q > i + s_k {
+                        f32::NEG_INFINITY.to_bits()
+                    } else {
+                        (scalar_dot(q.row(i), k.row(j)) * score_scale(d)).to_bits()
+                    }
+                };
+                let mut runs = vec![("rows".to_string(), attention_scores_raw(&q, &k, causal).unwrap())];
+                for isa in Isa::every() {
+                    let got = attention_scores_prepared_on(isa, &q, &panels, causal).unwrap();
+                    runs.push((format!("panels on {isa:?}"), got));
+                }
+                for (name, got) in runs {
+                    assert_eq!(got.shape(), (s_q, s_k));
+                    for i in 0..s_q {
+                        for j in 0..s_k {
+                            let label = format!("{name}: d {d}, {s_q} x {s_k}, causal {causal}, ({i}, {j})");
+                            assert_eq!(got.get(i, j).to_bits(), want(i, j), "{label}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    let k = Matrix::zeros(5, 8);
+    assert!(attention_scores_raw(&Matrix::zeros(2, 7), &k, false).is_err());
+    let panels = KeyPanels::from_rows(&k);
+    assert!(attention_scores_prepared_on(Isa::detect(), &Matrix::zeros(2, 7), &panels, true).is_err());
+}
+
 #[test]
 fn engine_differential_at_long_context() {
     assert_engine_matches_reference("long context", &long_context_mask(), 8, 0x8192);

@@ -17,7 +17,7 @@ use sa_core::filtering::{filter_kv_indices, KvRatioSchedule};
 use sa_core::sampling::{sample_attention_scores, sample_attention_scores_prepared};
 use sa_core::{SampleAttention, SampleAttentionConfig};
 use sa_kernels::{
-    flash_attention, full_attention, score_scale, sparse_flash_attention, FlashParams, KeyPanels,
+    flash_attention, full_attention, score_scale, CostReport, sparse_flash_attention, FlashParams, KeyPanels,
     StructuredMask,
 };
 use sa_model::{LayerKvCache, ModelConfig, PrefillResult, SyntheticTransformer};
@@ -475,14 +475,32 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
         )
     };
     // A chunked run keeps each head's newest row and the readout heads'
-    // rows; every head's K and V in the caches cover the rest of it.
+    // rows; every head's K and V in the caches cover the rest of it. In
+    // its last layer a head it keeps one row of runs that row alone
+    // through the shared pass, where the head-by-head reference, which
+    // finishes every head inside its plan, runs all of them: those heads'
+    // costs come apart from the rest, to be held to "no more".
+    let last_layer = model.config().num_layers - 1;
     let chunked_summary = |(r, caches): &(PrefillResult, Vec<LayerKvCache>)| {
         let kv: Vec<_> = caches
             .iter()
             .flat_map(|c| (0..c.num_kv_heads()).map(|h| c.prepared(h)))
             .map(|(k, v)| (bits(&k.to_rows()), bits(v)))
             .collect();
-        (summary(r), kv)
+        let (hidden, contents, mut heads) = summary(r);
+        let mut cut_costs = Vec::new();
+        for (head, (report, content)) in heads.iter_mut().zip(r.head_reports.iter().zip(&r.head_contents)) {
+            if report.layer == last_layer && content.rows() == 1 {
+                cut_costs.push(std::mem::take(&mut head.3));
+            }
+        }
+        ((hidden, contents, heads), kv, cut_costs)
+    };
+    let no_more = |got: &[CostReport], want: &[CostReport]| {
+        got.len() == want.len()
+            && got.iter().zip(want).all(|(g, w)| {
+                g.flops <= w.flops && g.bytes_read <= w.bytes_read && g.bytes_written <= w.bytes_written
+            })
     };
     for faulty in [false, true] {
         let _guard = faulty
@@ -503,7 +521,9 @@ fn a_layers_shared_engine_pass_equals_head_by_head_execution() {
                 let got = with_threads(threads, || {
                     chunked_summary(&model.prefill_chunked(&tokens, 64, method).unwrap())
                 });
-                assert!(got == want_chunked, "{label}: chunked");
+                assert!((&got.0, &got.1) == (&want_chunked.0, &want_chunked.1), "{label}: chunked");
+                assert!(!got.2.is_empty(), "{label}: no head of the last layer keeps one row");
+                assert!(no_more(&got.2, &want_chunked.2), "{label}: chunked, last layer's costs");
             }
         }
     }
